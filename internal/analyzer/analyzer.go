@@ -3,11 +3,12 @@
 // it, recovers secret-shared values, and optionally applies
 // differentially-private release to its outputs.
 //
-// Open is the analyzer's per-batch hot path: record decryption fans out
-// over a worker pool (the Workers knob; 0 selects GOMAXPROCS, 1 the serial
-// reference path) with all plaintexts carved out of one batch-wide arena,
-// and the output order and undecryptable count are deterministic — a batch
-// opens identically at every worker count.
+// Open is the analyzer's per-batch hot path: record decryption is hybrid's
+// chunked OpenBatch, fanned out over a worker pool (the Workers knob; 0
+// selects GOMAXPROCS, 1 the serial reference path) with all plaintexts
+// carved out of one batch-wide arena, and the output order and
+// undecryptable count are deterministic — a batch opens identically at
+// every worker count.
 package analyzer
 
 import (
@@ -17,7 +18,6 @@ import (
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/crypto/secretshare"
 	"prochlo/internal/dp"
-	"prochlo/internal/parallel"
 )
 
 // Analyzer holds the analysis decryption key — the key whose possession
@@ -45,29 +45,12 @@ func (a *Analyzer) Open(items [][]byte) (db [][]byte, undecryptable int) {
 }
 
 // OpenBatch decrypts a batch positionally on the worker pool: pts[i] is
-// record i's plaintext, or nil if it was undecryptable. All plaintexts
-// share one backing arena sized from the ciphertext lengths, so the
-// per-record allocation cost is the crypto internals only.
+// record i's plaintext, or nil if it was undecryptable. It is hybrid's
+// chunked OpenBatch with the failures counted.
 func (a *Analyzer) OpenBatch(items [][]byte) (pts [][]byte, undecryptable int) {
-	n := len(items)
-	pts = make([][]byte, n)
-	if n == 0 {
-		return pts, 0
-	}
-	// Plaintext sizes are known exactly: GCM is length-preserving minus the
-	// envelope overhead. Too-short records get a zero-width slot.
-	arena := parallel.NewArena(n, func(i int) int { return len(items[i]) - hybrid.Overhead })
-	ok := make([]bool, n)
-	parallel.For(parallel.Workers(a.Workers), n, func(i int) {
-		pt, err := a.Priv.OpenInto(arena.Slot(i), items[i], nil)
+	pts, errs := a.Priv.OpenBatch(items, nil, a.Workers)
+	for _, err := range errs {
 		if err != nil {
-			return
-		}
-		pts[i], ok[i] = pt, true
-	})
-	for i := range ok {
-		if !ok[i] {
-			pts[i] = nil // discard any partial write's slot
 			undecryptable++
 		}
 	}

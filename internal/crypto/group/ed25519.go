@@ -18,8 +18,8 @@ package group
 
 import (
 	"crypto/sha512"
+	"encoding/binary"
 	"math/big"
-	"math/bits"
 )
 
 // edPoint is a point in extended coordinates: x = X/Z, y = Y/Z, T·Z = X·Y.
@@ -309,45 +309,47 @@ func (p *edPoint) clearCofactor(q *edPoint) {
 
 // --- scalar multiplication kernels ---
 
-// wnafDigits recodes a scalar (32-byte big-endian, < l) into width-5 NAF
-// digits, least significant first. Digits are odd, in [-15, 15], and at
+// wnafDigits recodes a scalar (32-byte big-endian, any value) into width-5
+// NAF digits, least significant first. Digits are odd, in [-15, 15], and at
 // most one in five is non-zero. Returns the number of digits used.
+//
+// The scalar is scanned in place: at each bit position the next five bits
+// plus the carry from the digit below form a window; an even window is a
+// zero digit, an odd one becomes the digit (re-centred into [-15, 15], the
+// borrow carried up) and the four positions it covers are skipped. Nothing
+// is subtracted from or shifted through the scalar itself.
 func wnafDigits(k []byte, digits *[258]int8) int {
-	// load into 4 little-endian limbs
-	var limbs [5]uint64 // extra limb absorbs the borrow-carry headroom
-	for i := 0; i < 32; i++ {
-		limbs[i/8] |= uint64(k[31-i]) << ((i % 8) * 8)
+	// four little-endian limbs; the zero fifth serves window reads that
+	// straddle or start at bit 256
+	var limbs [5]uint64
+	for i := 0; i < 4; i++ {
+		limbs[i] = binary.BigEndian.Uint64(k[24-8*i:])
 	}
+	*digits = [258]int8{}
 	n := 0
-	for limbs != ([5]uint64{}) {
-		if limbs[0]&1 == 1 {
-			d := int8(limbs[0] & 31)
-			if d > 16 {
-				d -= 32
-			}
-			if d > 0 {
-				var borrow uint64
-				limbs[0], borrow = bits.Sub64(limbs[0], uint64(d), 0)
-				for i := 1; i < 5; i++ {
-					limbs[i], borrow = bits.Sub64(limbs[i], 0, borrow)
-				}
-			} else {
-				var carry uint64
-				limbs[0], carry = bits.Add64(limbs[0], uint64(-d), 0)
-				for i := 1; i < 5; i++ {
-					limbs[i], carry = bits.Add64(limbs[i], 0, carry)
-				}
-			}
-			digits[n] = d
+	carry := uint64(0)
+	// A digit at bit 252 or above leaves no carry (its window is at most
+	// 15), so position 256 only ever spends one left by a digit below.
+	for pos := 0; pos <= 256; {
+		limb, off := pos/64, uint(pos%64)
+		window := limbs[limb] >> off
+		if off > 64-5 {
+			window |= limbs[limb+1] << (64 - off)
+		}
+		window = window&31 + carry
+		if window&1 == 0 {
+			pos++
+			continue
+		}
+		if window < 16 {
+			carry = 0
+			digits[pos] = int8(window)
 		} else {
-			digits[n] = 0
+			carry = 1
+			digits[pos] = int8(window) - 32
 		}
-		// shift right by one
-		for i := 0; i < 4; i++ {
-			limbs[i] = limbs[i]>>1 | limbs[i+1]<<63
-		}
-		limbs[4] >>= 1
-		n++
+		n = pos + 1
+		pos += 5
 	}
 	return n
 }
@@ -397,9 +399,18 @@ type edCombTable struct {
 	entries [][]affineNiels // [positions][2^(w-1)]
 }
 
-// buildEdComb precomputes the comb table for p with window width w.
+// edCombMaxPositions is the digit count of the narrowest window in use
+// (width 6: the per-key tables; the base table is width 8, 32 positions). It
+// sizes mulComb's digit array so a fixed-base multiplication stays off the
+// heap.
+const edCombMaxPositions = 43
+
+// buildEdComb precomputes the comb table for p with window width w >= 6.
 func buildEdComb(p *edPoint, w uint) *edCombTable {
 	positions := (256 + int(w) - 1) / int(w)
+	if positions > edCombMaxPositions {
+		panic("group: comb window narrower than edCombMaxPositions allows")
+	}
 	half := 1 << (w - 1)
 	// build all entries in extended coordinates first
 	ext := make([][]edPoint, positions)
@@ -473,7 +484,8 @@ func combDigits(k []byte, w uint, out []int16) {
 // mulComb sets p = k*P for the table's fixed point P: one affine-Niels add
 // per non-zero digit, no doublings.
 func (t *edCombTable) mulComb(p *edPoint, k []byte) {
-	digits := make([]int16, len(t.entries))
+	var buf [edCombMaxPositions]int16
+	digits := buf[:len(t.entries)]
 	combDigits(k, t.w, digits)
 	var acc edPoint
 	acc.identity()

@@ -5,10 +5,20 @@
 // op. The multiplication kernel is the batch hot path: one Jacobian-style
 // point operation is 7-9 of these, and an epoch-sized slice runs millions.
 //
-// Correctness is pinned two ways: TestFe25519AgainstBigInt cross-validates
-// every operation against math/big on random and boundary inputs, and the
+// Mul and Square exist in two build variants, selected by build constraint
+// and nothing else. On amd64 they are the MULQ/ADCQ kernels of
+// fe25519_amd64.s (baseline ISA, so no CPUID dispatch); on every other
+// GOARCH, and on amd64 under -tags purego, they are mulGeneric and
+// squareGeneric below (fe25519_noasm.go). The two compute identical limbs,
+// not merely identical field values, so nothing downstream can tell them
+// apart.
+//
+// Correctness is pinned three ways: TestFe25519Arithmetic cross-validates
+// every operation against math/big on random and boundary inputs, the
 // exponentiation-based inversion and square roots are checked against their
-// big.Int counterparts.
+// big.Int counterparts, and FuzzFe25519Kernel holds Mul/Square, the generic
+// bodies and math/big to each other on random inputs, on limbs pinned at the
+// lazy bound, and under every aliasing of the operands.
 
 package group
 
@@ -80,16 +90,22 @@ func (v *fe25519) Neg(a *fe25519) {
 	v.Sub(&zero, a)
 }
 
+// feLazyBits bounds the limbs Mul and Square accept: every input limb must
+// be below 2^feLazyBits. The binding constraint is the limb-4 accumulator:
+// five plain products of such limbs sum to 5·2^108, so the folded carry c4 is
+// below 2^59.4 and c4*19 (< 2^63.6) plus limb 0's 51 bits stays inside a
+// uint64; one more bit of input would wrap it. The widest accumulator, r0,
+// holds 77·2^108 < 2^114.3 and its carry 2^63.3, also inside 64 bits. The
+// same derivation, instruction by instruction, heads fe25519_amd64.s.
+const feLazyBits = 54
+
 // addLazy and subLazy are the carry-free variants of Add and Sub for the
 // point-arithmetic hot paths. Skipping the carry pass is sound for one lazy
 // level: with carried inputs (limbs < 2^51.01) a lazy add stays below
 // 2^52.01 and a lazy sub below 2^52.6 (the 2p offset dominates), and one
-// more add of such values stays below 2^53.1 — while Mul and Square accept
-// limbs up to ~2^53.5. The binding constraint is Mul's limb-4 accumulator:
-// five plain products of 2^53.5-limb inputs sum below 2^109.8, so its high
-// word stays under 2^46 and the folded carry c4 under 2^59, which keeps
-// c4*19 inside a uint64. Lazy subtrahends are NOT allowed: subLazy's 2p
-// offset only covers carried (< 2^52-38) subtrahend limbs.
+// more add of such values stays below 2^53.3 — inside feLazyBits. Lazy
+// subtrahends are NOT allowed: subLazy's 2p offset only covers carried
+// (< 2^52-38) subtrahend limbs.
 func (v *fe25519) addLazy(a, b *fe25519) {
 	v[0] = a[0] + b[0]
 	v[1] = a[1] + b[1]
@@ -116,8 +132,11 @@ func addMul(h, l, a, b uint64) (uint64, uint64) {
 	return h, l
 }
 
-// Mul sets v = a * b.
-func (v *fe25519) Mul(a, b *fe25519) {
+// mulGeneric sets v = a * b: 5x5 schoolbook with the high limbs pre-folded
+// by 19, five 128-bit accumulators, then reduce128. It is Mul on every
+// GOARCH but amd64 and under -tags purego, and the limb-for-limb reference
+// the assembly kernel is tested against.
+func (v *fe25519) mulGeneric(a, b *fe25519) {
 	a0, a1, a2, a3, a4 := a[0], a[1], a[2], a[3], a[4]
 	b0, b1, b2, b3, b4 := b[0], b[1], b[2], b[3], b[4]
 	a1_19, a2_19, a3_19, a4_19 := a1*19, a2*19, a3*19, a4*19
@@ -155,8 +174,9 @@ func (v *fe25519) Mul(a, b *fe25519) {
 	v.reduce128(h0, l0, h1, l1, h2, l2, h3, l3, h4, l4)
 }
 
-// Square sets v = a * a, saving the symmetric half of the products.
-func (v *fe25519) Square(a *fe25519) {
+// squareGeneric sets v = a * a, saving the symmetric half of the products;
+// the portable counterpart of mulGeneric.
+func (v *fe25519) squareGeneric(a *fe25519) {
 	a0, a1, a2, a3, a4 := a[0], a[1], a[2], a[3], a[4]
 	a0_2, a1_2 := a0*2, a1*2
 	a1_38, a2_38, a3_38 := a1*38, a2*38, a3*38
@@ -185,7 +205,12 @@ func (v *fe25519) Square(a *fe25519) {
 	v.reduce128(h0, l0, h1, l1, h2, l2, h3, l3, h4, l4)
 }
 
-// reduce128 folds five 115-bit accumulator pairs back to 51-bit limbs.
+// reduce128 folds five 128-bit accumulators back to 51-bit limbs: split
+// each at bit 51, fold the top carry into limb 0 times 19, then one parallel
+// carry pass (every limb hands its overflow to the next at once, limb 4's
+// wrapping to limb 0 times 19). For inputs within feLazyBits the first fold
+// leaves limbs below 2^63.6, so the second pass's carries are below 2^12.6
+// and every output limb is below 2^51 + 2^17 — fully carried.
 func (v *fe25519) reduce128(h0, l0, h1, l1, h2, l2, h3, l3, h4, l4 uint64) {
 	c0 := h0<<13 | l0>>51
 	c1 := h1<<13 | l1>>51
@@ -199,24 +224,17 @@ func (v *fe25519) reduce128(h0, l0, h1, l1, h2, l2, h3, l3, h4, l4 uint64) {
 	r3 := l3&mask51 + c2
 	r4 := l4&mask51 + c3
 
-	// one carry pass; r0 may exceed 2^51 after the 19-fold
-	c := r0 >> 51
-	r0 &= mask51
-	r1 += c
-	c = r1 >> 51
-	r1 &= mask51
-	r2 += c
-	c = r2 >> 51
-	r2 &= mask51
-	r3 += c
-	c = r3 >> 51
-	r3 &= mask51
-	r4 += c
-	c = r4 >> 51
-	r4 &= mask51
-	r0 += c * 19
+	c0 = r0 >> 51
+	c1 = r1 >> 51
+	c2 = r2 >> 51
+	c3 = r3 >> 51
+	c4 = r4 >> 51
 
-	v[0], v[1], v[2], v[3], v[4] = r0, r1, r2, r3, r4
+	v[0] = r0&mask51 + c4*19
+	v[1] = r1&mask51 + c0
+	v[2] = r2&mask51 + c1
+	v[3] = r3&mask51 + c2
+	v[4] = r4&mask51 + c3
 }
 
 // reduceFull brings v to its canonical representative in [0, p).

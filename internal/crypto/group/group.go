@@ -2,13 +2,22 @@
 // El Gamal layer and the hybrid envelope layer behind a small
 // Group/Element/Scalar interface, so the Prochlo chain can run on either
 // NIST P-256 (crypto/elliptic-compatible, the historical default) or
-// ristretto255 (edwards25519's prime-order subgroup, the faster pure-Go
-// backend and the current default).
+// ristretto255 (edwards25519's prime-order subgroup, the faster backend and
+// the current default).
+//
+// The ristretto255 field arithmetic has two build variants and no runtime
+// switch between them: on amd64 fe25519.Mul and Square are baseline-ISA
+// assembly kernels (fe25519_amd64.s); on every other GOARCH, and on amd64
+// under -tags purego, they are the portable Go bodies in fe25519.go. The
+// two produce identical limbs, so every byte this package emits is the same
+// on both. Everything above the field — point formulas, wNAF and comb
+// ladders, encodings — is one body of Go.
 //
 // The API is batch-oriented: projective kernels (Jacobian for P-256,
 // extended Edwards for ristretto255) never invert per operation, Normalize
 // converts an epoch-sized slice to affine with one shared field inversion
-// (Montgomery trick), and Precompute builds signed-digit comb tables for
+// (Montgomery trick), MulBatch and MulDHBatch recode a scalar that is fixed
+// across a slice once, and Precompute builds signed-digit comb tables for
 // points that are fixed across a batch — the recipient key in the encoder,
 // the analyzer key — turning each fixed-point multiplication into ~43 table
 // additions with no doublings.
@@ -124,6 +133,11 @@ type Group interface {
 	// point and a prepared scalar, clearing the cofactor on backends
 	// that have one.
 	MulDH(p Element, k Scalar) Element
+	// MulDHBatch sets dst[i] = MulDH(ps[i], k) for a prepared scalar fixed
+	// across the batch, recoding it once per slice. dst and ps may alias.
+	// Results are projective; call Normalize before SharedBytes so the
+	// whole slice shares one field inversion.
+	MulDHBatch(dst, ps []Element, k Scalar)
 	// SharedBytes derives the 32-byte KDF input from a DH result: the
 	// affine x coordinate for p256 (crypto/ecdh-compatible), the
 	// compressed encoding for ristretto255.

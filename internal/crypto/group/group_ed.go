@@ -75,18 +75,27 @@ func (g edGroup) Mul(p Element, k Scalar) Element {
 	return Element{ed: &out}
 }
 
-func (g edGroup) MulBatch(dst, ps []Element, k Scalar) {
+func (g edGroup) MulBatch(dst, ps []Element, k Scalar) { g.mulBatch(dst, ps, k, false) }
+
+// mulBatch is MulBatch and, with dh set, MulDHBatch (each point is cofactor-
+// cleared first): the shared scalar is recoded once per slice and all
+// results live in one allocation.
+func (g edGroup) mulBatch(dst, ps []Element, k Scalar, dh bool) {
 	if len(dst) != len(ps) {
 		panic("group: MulBatch length mismatch")
 	}
 	kb := mustScalar(k)
-	// recode the shared scalar once per slice
 	var digits [258]int8
 	n := wnafDigits(kb[:], &digits)
+	outs := make([]edPoint, len(ps))
 	for i := range ps {
-		var out edPoint
-		edScalarMulWNAF(&out, digits[:n], ps[i].edwards(g))
-		dst[i] = Element{ed: &out}
+		q := ps[i].edwards(g)
+		if dh {
+			outs[i].clearCofactor(q)
+			q = &outs[i]
+		}
+		edScalarMulWNAF(&outs[i], digits[:n], q)
+		dst[i] = Element{ed: &outs[i]}
 	}
 }
 
@@ -245,6 +254,8 @@ func (g edGroup) MulDH(p Element, k Scalar) Element {
 	cleared.clearCofactor(p.edwards(g))
 	return g.Mul(Element{ed: &cleared}, k)
 }
+
+func (g edGroup) MulDHBatch(dst, ps []Element, k Scalar) { g.mulBatch(dst, ps, k, true) }
 
 func (g edGroup) SharedBytes(p Element) []byte {
 	return g.Compress(p)

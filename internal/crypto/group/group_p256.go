@@ -292,6 +292,8 @@ func (p256Group) PrepareDH(k Scalar) Scalar {
 
 func (g p256Group) MulDH(p Element, k Scalar) Element { return g.Mul(p, k) }
 
+func (g p256Group) MulDHBatch(dst, ps []Element, k Scalar) { g.MulBatch(dst, ps, k) }
+
 func (g p256Group) SharedBytes(p Element) []byte {
 	pt := p.p256(g)
 	if pt.isInfinity() {

@@ -184,6 +184,18 @@ func TestGroupMulBatchEquivalence(t *testing.T) {
 					t.Fatalf("entry %d encoding mismatch after Normalize", i)
 				}
 			}
+			// the DH batch, in place, derives the solo path's shared bytes
+			dh := g.PrepareDH(k)
+			for i := range ps {
+				want[i] = g.MulDH(ps[i], dh)
+			}
+			g.MulDHBatch(ps, ps, dh)
+			g.Normalize(ps)
+			for i := range ps {
+				if !bytes.Equal(g.SharedBytes(ps[i]), g.SharedBytes(want[i])) {
+					t.Fatalf("MulDHBatch entry %d: shared bytes differ from MulDH", i)
+				}
+			}
 		})
 	}
 }

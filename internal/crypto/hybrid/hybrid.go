@@ -10,18 +10,22 @@
 // layer) and then, together with the crowd ID, to the shuffler's public key
 // (the outer layer); see package encoder for the nesting.
 //
-// Open is the shuffler's per-report hot path and Seal is the client
-// encoder's. Per-recipient state is precomputed once: the public key's wire
+// Seal is the client encoder's hot path and OpenBatch is every downstream
+// stage's. Per-recipient state is precomputed once: the public key's wire
 // encoding and a fixed-point comb table for the shared-secret multiplication
 // (so a seal is two comb multiplications, no doublings), and the private
 // key's DH-prepared scalar. The key-derivation state (HKDF/HMAC blocks, salt
 // and key buffers) lives in a sync.Pool-recycled scratch rather than being
-// reallocated per call. OpenInto/SealInto let callers supply the destination
-// buffer — batch callers compose nested layers and whole batches in a single
-// backing allocation — and the batch entry points EncapBatch/SealIntoEncap
-// amortize the expensive part further: all ephemeral and shared points of a
-// batch are normalized with one field inversion instead of two per seal.
-// All of them are safe for concurrent use.
+// reallocated per call. Both directions amortize everything but the scalar
+// multiplication and the AEAD over a batch: EncapBatch/SealIntoEncap
+// normalize all ephemeral and shared points of a batch with one field
+// inversion instead of two per seal, and OpenBatch — the one open kernel the
+// thresholding shufflers and the analyzer share — works in 256-record
+// chunks, recoding the private scalar once and normalizing the shared points
+// with one inversion per chunk, with all plaintexts in one arena.
+// OpenInto/SealInto are the solo forms (the SGX shuffler's in-enclave open,
+// single-report Submit) and the reference the batch paths are tested
+// against. All of them are safe for concurrent use.
 package hybrid
 
 import (
@@ -495,14 +499,14 @@ func (p *PrivateKey) Open(sealed, aad []byte) ([]byte, error) {
 
 // OpenInto decrypts a ciphertext produced by Seal for this private key,
 // appending the plaintext to dst (which may be nil) and returning the
-// extended slice. Batch callers — the shuffler's decryption workers — reuse
-// dst across records to amortize the plaintext allocation. The ephemeral
+// extended slice. It is the solo path — one scalar recode and one field
+// inversion per call — and the reference OpenBatch is pinned to. The ephemeral
 // point goes through the group's DH path, which multiplies it by the
 // cofactor (compensated in the prepared private scalar), so a small-subgroup
 // component in a hostile header can never probe the private key. OpenInto is
 // safe for concurrent use.
 func (p *PrivateKey) OpenInto(dst, sealed, aad []byte) ([]byte, error) {
-	if len(sealed) < pubKeyLen+nonceLen+tagLen {
+	if len(sealed) < Overhead {
 		return nil, ErrDecrypt
 	}
 	ephEl, err := p.g.Decode(sealed[:pubKeyLen])
@@ -524,19 +528,71 @@ func (p *PrivateKey) OpenInto(dst, sealed, aad []byte) ([]byte, error) {
 	return pt, nil
 }
 
+// openChunk is the number of records OpenBatch hands the group's batch
+// kernels per claim: the same trade as the shuffler's El Gamal chunks —
+// large enough that the per-chunk scalar recode and the shared inversion
+// vanish, small enough that the worker pool's tail stays balanced.
+const openChunk = 256
+
 // OpenBatch decrypts a batch of ciphertexts on a pool of workers (0 selects
 // GOMAXPROCS), returning per-record plaintexts and errors positionally:
-// errs[i] != nil iff record i failed, in which case pts[i] is nil. It is the
-// bulk convenience entry point for callers that only need decryption; the
-// shuffler's Process paths instead call OpenInto from their own worker
-// pools, which lets them fuse decryption with crowd-ID splitting.
+// errs[i] != nil iff record i failed, in which case pts[i] is nil; record i
+// fails exactly when OpenInto would fail on it, with the same error. It is
+// the chain's one open kernel — both thresholding shufflers and the analyzer
+// call it — and it leaves nothing but the variable-base multiplication and
+// the AEAD on the per-record path: per chunk of openChunk records the
+// ephemeral headers are decoded, cofactor-cleared and multiplied with the
+// private scalar recoded once, the shared points are normalized with one
+// field inversion, and the plaintexts of the whole batch land in one arena
+// sized from the ciphertext lengths.
 func (p *PrivateKey) OpenBatch(sealed [][]byte, aad []byte, workers int) (pts [][]byte, errs []error) {
-	pts = make([][]byte, len(sealed))
-	errs = make([]error, len(sealed))
-	parallel.For(parallel.Workers(workers), len(sealed), func(i int) {
-		pts[i], errs[i] = p.OpenInto(nil, sealed[i], aad)
+	n := len(sealed)
+	pts = make([][]byte, n)
+	errs = make([]error, n)
+	arena := parallel.NewArena(n, func(i int) int { return len(sealed[i]) - Overhead })
+	parallel.For(parallel.Workers(workers), (n+openChunk-1)/openChunk, func(c int) {
+		lo := c * openChunk
+		p.openChunk(pts, errs, sealed, aad, arena, lo, min(lo+openChunk, n))
 	})
 	return pts, errs
+}
+
+// openChunk opens records [lo, hi) of a batch into their arena slots.
+func (p *PrivateKey) openChunk(pts [][]byte, errs []error, sealed [][]byte, aad []byte, arena *parallel.Arena, lo, hi int) {
+	g := p.g
+	// Decode the headers, compacting to the well-formed ones: a hostile
+	// header costs its own record and nothing else.
+	idx := make([]int, 0, hi-lo)
+	els := make([]group.Element, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		errs[i] = ErrDecrypt
+		if len(sealed[i]) < Overhead {
+			continue
+		}
+		el, err := g.Decode(sealed[i][:pubKeyLen])
+		if err != nil || g.IsIdentity(el) {
+			continue
+		}
+		idx = append(idx, i)
+		els = append(els, el)
+	}
+	g.MulDHBatch(els, els, p.prepared)
+	g.Normalize(els)
+	rcpt := p.publicBytes()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	for j, i := range idx {
+		ct := sealed[i]
+		gcm, err := newAEAD(sc.sealKey(g.SharedBytes(els[j]), ct[:pubKeyLen], rcpt))
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		pt, err := gcm.Open(arena.Slot(i), ct[pubKeyLen:pubKeyLen+nonceLen], ct[pubKeyLen+nonceLen:], aad)
+		if err == nil {
+			pts[i], errs[i] = pt, nil
+		}
+	}
 }
 
 // SymmetricSeal encrypts with a raw 16-byte key (no key agreement); it is

@@ -232,33 +232,106 @@ func TestOpenIntoAppends(t *testing.T) {
 	}
 }
 
-func TestOpenBatch(t *testing.T) {
-	priv, _ := GenerateKey(rand.Reader)
-	const n = 50
-	sealed := make([][]byte, n)
-	for i := range sealed {
-		ct, err := Seal(rand.Reader, priv.Public(), []byte{byte(i)}, nil)
+// hostileRecord turns an honest sealed record into hostile variant kind, or
+// returns it unchanged when the group has no such variant.
+func hostileRecord(t *testing.T, priv *PrivateKey, ct []byte, kind int, aad []byte) []byte {
+	t.Helper()
+	ct = append([]byte(nil), ct...)
+	x, y := ct[1:33], ct[33:65]
+	ed := priv.g.Name() == "ristretto255"
+	switch kind {
+	case 0: // short blob
+		return ct[:Overhead-1]
+	case 1: // non-canonical coordinate (out of field range on both groups)
+		for i := range x {
+			x[i] = 0xff
+		}
+	case 2: // off-curve point
+		y[7] ^= 1
+	case 3: // identity in the long form
+		clear(x)
+		clear(y)
+		if ed {
+			y[0] = 1 // (0, 1), little-endian
+		}
+	case 4: // flipped tag
+		ct[len(ct)-1] ^= 1
+	case 5, 6:
+		// Small-order header (0, -1): it decodes, and cofactor clearing sends
+		// it to the identity, so the "shared secret" is public. Kind 5 leaves
+		// the honest body (fails authentication); kind 6 re-seals under the
+		// public secret, so the record opens — on both paths or neither.
+		if !ed {
+			return ct
+		}
+		clear(x)
+		for i := range y {
+			y[i] = 0xff
+		}
+		y[0], y[31] = 0xec, 0x7f // p - 1, little-endian
+		if kind == 6 {
+			hdr := ct[:pubKeyLen+nonceLen]
+			sc := scratchPool.Get().(*scratch)
+			gcm, err := newAEAD(sc.sealKey([]byte{0}, hdr[:pubKeyLen], priv.publicBytes()))
+			scratchPool.Put(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return gcm.Seal(hdr, hdr[pubKeyLen:], []byte("forged under the identity secret"), aad)
+		}
+	}
+	return ct
+}
+
+// TestOpenBatchMatchesOpenInto pins the chunked open kernel to the solo
+// path: for every record the plaintext bytes and the error are those
+// OpenInto produces, whatever the batch size relative to the chunk, the
+// worker count, and the hostile headers sprinkled through the batch.
+func TestOpenBatchMatchesOpenInto(t *testing.T) {
+	aad := []byte("aad")
+	for _, g := range []group.Group{group.Ristretto255, group.P256} {
+		priv, err := GenerateKeyGroup(g, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sealed[i] = ct
-	}
-	sealed[17] = []byte("garbage")        // too short
-	sealed[31][pubKeyLen+nonceLen+2] ^= 1 // tampered
-	for _, workers := range []int{1, 4, 0} {
-		pts, errs := priv.OpenBatch(sealed, nil, workers)
-		for i := 0; i < n; i++ {
-			if i == 17 || i == 31 {
-				if errs[i] == nil {
-					t.Errorf("workers=%d: corrupt record %d accepted", workers, i)
+		for _, n := range []int{0, 1, openChunk - 1, openChunk, openChunk + 1, 2000} {
+			plain := make([][]byte, n)
+			for i := range plain {
+				plain[i] = []byte{byte(i), byte(i >> 8), 'x'}[:1+i%3]
+			}
+			sealed, err := SealBatch(rand.Reader, priv.Public(), plain, aad, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]byte, n)
+			wantErr := make([]error, n)
+			for i := range sealed {
+				kind := -1
+				if i%5 == 3 {
+					kind = (i / 5) % 7
+					sealed[i] = hostileRecord(t, priv, sealed[i], kind, aad)
 				}
-				continue
+				want[i], wantErr[i] = priv.OpenInto(nil, sealed[i], aad)
+				// the forged record opens; P-256 has no small-order points,
+				// so kinds 5 and 6 stay honest there
+				opens := kind == -1 || kind == 6 || (kind == 5 && g == group.P256)
+				if opens != (wantErr[i] == nil) {
+					t.Fatalf("%s: hostile kind %d at record %d: OpenInto error %v", g.Name(), kind, i, wantErr[i])
+				}
 			}
-			if errs[i] != nil {
-				t.Fatalf("workers=%d: record %d: %v", workers, i, errs[i])
-			}
-			if len(pts[i]) != 1 || pts[i][0] != byte(i) {
-				t.Errorf("workers=%d: record %d decrypted to %v", workers, i, pts[i])
+			for _, workers := range []int{1, 2, 0} {
+				pts, errs := priv.OpenBatch(sealed, aad, workers)
+				if len(pts) != n || len(errs) != n {
+					t.Fatalf("%s n=%d: OpenBatch returned %d plaintexts, %d errors", g.Name(), n, len(pts), len(errs))
+				}
+				for i := range sealed {
+					if errs[i] != wantErr[i] {
+						t.Fatalf("%s n=%d workers=%d: record %d error %v, OpenInto %v", g.Name(), n, workers, i, errs[i], wantErr[i])
+					}
+					if !bytes.Equal(pts[i], want[i]) || (errs[i] != nil && pts[i] != nil) {
+						t.Fatalf("%s n=%d workers=%d: record %d opened to %q, OpenInto %q", g.Name(), n, workers, i, pts[i], want[i])
+					}
+				}
 			}
 		}
 	}

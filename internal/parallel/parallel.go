@@ -12,9 +12,9 @@ import (
 	"sync/atomic"
 )
 
-// chunk is the number of consecutive indices a worker claims per fetch.
-// Per-item work in this codebase is microseconds of public-key crypto, so a
-// small chunk keeps the tail balanced without measurable contention.
+// chunk is the most consecutive indices a worker claims per fetch. Per-item
+// work in this codebase is microseconds of public-key crypto, so a small
+// chunk keeps the tail balanced without measurable contention.
 const chunk = 16
 
 // Workers resolves a worker-count knob: values <= 0 select GOMAXPROCS, as
@@ -89,6 +89,11 @@ func For(workers, n int, fn func(i int)) {
 		}
 		return
 	}
+	// A claim is a quarter of a worker's even share, at most chunk: loops
+	// over a handful of coarse items (the 256-record crypto chunks of an
+	// epoch) still spread over every worker instead of the first claim
+	// taking them all.
+	step := min(chunk, max(1, n/(4*workers)))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -96,8 +101,8 @@ func For(workers, n int, fn func(i int)) {
 		go func() {
 			defer wg.Done()
 			for {
-				hi := int(next.Add(chunk))
-				lo := hi - chunk
+				hi := int(next.Add(int64(step)))
+				lo := hi - step
 				if lo >= n {
 					return
 				}

@@ -3,8 +3,10 @@ package parallel
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -30,6 +32,27 @@ func TestForCoversEveryIndexExactlyOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestForSpreadsCoarseItems pins that a loop over fewer items than one
+// maximal claim still reaches every worker: each item waits for the other to
+// be running, so a first claim that took both would never finish.
+func TestForSpreadsCoarseItems(t *testing.T) {
+	var wg sync.WaitGroup
+	wg.Add(2)
+	done := make(chan struct{})
+	go func() {
+		For(2, 2, func(int) {
+			wg.Done()
+			wg.Wait()
+		})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("For(2, 2) ran both items on one worker")
 	}
 }
 

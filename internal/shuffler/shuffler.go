@@ -96,8 +96,8 @@ type openedEnvelope struct {
 
 // Process strips metadata, peels the outer layer, groups by crowd ID,
 // applies thresholding, and returns the surviving inner ciphertexts in
-// shuffled order. Decryption and grouping run on the worker pool; see the
-// package comment for the determinism contract.
+// shuffled order. Decryption (hybrid's chunked OpenBatch) and grouping run
+// on the worker pool; see the package comment for the determinism contract.
 func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	min := s.MinBatch
 	if min == 0 {
@@ -109,26 +109,21 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	stats := Stats{Received: len(batch)}
 	workers := parallel.Workers(s.Workers)
 	items := make([]openedEnvelope, len(batch))
-	// All peeled payloads share one arena sized from the blob lengths (GCM
-	// is length-preserving minus the envelope overhead), so decryption
-	// allocates nothing per record beyond the crypto internals.
-	arena := parallel.NewArena(len(batch), func(i int) int {
-		return len(batch[i].Blob) - hybrid.Overhead
-	})
-	parallel.For(workers, len(batch), func(i int) {
+	blobs := make([][]byte, len(batch))
+	for i := range batch {
 		batch[i].StripMetadata()
-		payload, err := s.Priv.OpenInto(arena.Slot(i), batch[i].Blob, nil)
-		if err != nil || len(payload) < core.CrowdIDSize {
-			return
+		blobs[i] = batch[i].Blob
+	}
+	payloads, _ := s.Priv.OpenBatch(blobs, nil, workers)
+	for i, payload := range payloads {
+		// an undecryptable record's payload is nil
+		if len(payload) < core.CrowdIDSize {
+			stats.Undecryptable++
+			continue
 		}
 		copy(items[i].crowd[:], payload[:core.CrowdIDSize])
 		items[i].inner = payload[core.CrowdIDSize:]
 		items[i].ok = true
-	})
-	for i := range items {
-		if !items[i].ok {
-			stats.Undecryptable++
-		}
 	}
 	groups := groupBy(workers, len(items),
 		func(i int) bool { return items[i].ok },
@@ -260,10 +255,10 @@ type openedBlinded struct {
 }
 
 // Process thresholds on pseudonyms and returns surviving inner ciphertexts,
-// shuffled. Envelope parsing and outer-layer peeling run per report on the
-// worker pool; the El Gamal decryptions run through Decrypter.PseudonymBatch
-// in chunks, so the private scalar is recoded once per chunk and all
-// pseudonyms of a chunk are compressed after one shared inversion.
+// shuffled. Envelope parsing runs per report on the worker pool; the outer
+// layer is peeled by hybrid's chunked OpenBatch and the El Gamal decryptions
+// run through Decrypter.PseudonymBatch, so on both the private scalar is
+// recoded once per chunk and a chunk's points share one field inversion.
 func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, error) {
 	stats := Stats{Received: len(batch)}
 	workers := parallel.Workers(s.Workers)
@@ -273,28 +268,27 @@ func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, erro
 		g = cgroup.Default()
 	}
 	items := make([]openedBlinded, len(batch))
-	// Shared plaintext arena, as in Shuffler.Process.
-	arena := parallel.NewArena(len(batch), func(i int) int {
-		return len(batch[i].Blob) - hybrid.Overhead
-	})
+	blobs := make([][]byte, len(batch))
 	parallel.For(workers, len(batch), func(i int) {
+		blobs[i] = batch[i].Blob
 		c1, err1 := elgamal.ParsePoint(batch[i].CrowdC1)
 		c2, err2 := elgamal.ParsePoint(batch[i].CrowdC2)
-		inner, err3 := s.Priv.OpenInto(arena.Slot(i), batch[i].Blob, nil)
-		if err1 != nil || err2 != nil || err3 != nil ||
+		if err1 != nil || err2 != nil ||
 			c1.Group().Name() != g.Name() || c2.Group().Name() != g.Name() {
 			return
 		}
 		items[i].ct = elgamal.Ciphertext{C1: c1, C2: c2}
-		items[i].inner = inner
 		items[i].ok = true
 	})
+	inners, errs := s.Priv.OpenBatch(blobs, nil, workers)
 	idx := make([]int, 0, len(batch))
 	for i := range items {
-		if !items[i].ok {
+		if !items[i].ok || errs[i] != nil {
+			items[i].ok = false
 			stats.Undecryptable++
 			continue
 		}
+		items[i].inner = inners[i]
 		idx = append(idx, i)
 	}
 	valid := make([]elgamal.Ciphertext, len(idx))
