@@ -67,7 +67,7 @@ func runAnalyzer(listen string, workers int) {
 		fatal(err)
 	}
 	svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: priv, Workers: workers}, priv.Public().Bytes())
-	l, err := transport.Serve(listen, "Analyzer", svc)
+	l, err := transport.Serve(listen, svc)
 	if err != nil {
 		fatal(err)
 	}
@@ -87,11 +87,12 @@ func runShuffler(listen, analyzerAddr string, t, workers int) {
 		Rand:      newRand(),
 		Workers:   workers,
 	}
-	svc, err := transport.NewShufflerService(sh, priv.Public().Bytes(), analyzerAddr)
+	svc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: priv.Public().Bytes()},
+		[]string{analyzerAddr}, transport.SinkAnalyzer, transport.EpochConfig{})
 	if err != nil {
 		fatal(err)
 	}
-	l, err := transport.Serve(listen, "Shuffler", svc)
+	l, err := transport.Serve(listen, svc)
 	if err != nil {
 		fatal(err)
 	}
@@ -118,11 +119,11 @@ func runClient(shufflerAddr, analyzerKeyHex string, reports, workers int) {
 		fatal(err)
 	}
 	defer cl.Close()
-	shufKeyBytes, err := cl.ShufflerKey()
+	keys, err := cl.Keys()
 	if err != nil {
 		fatal(err)
 	}
-	shufKey, err := hybrid.ParsePublicKey(shufKeyBytes)
+	shufKey, err := hybrid.ParsePublicKey(keys.Key)
 	if err != nil {
 		fatal(err)
 	}
@@ -164,7 +165,7 @@ func runDemo(reports, t, workers int) {
 		fatal(err)
 	}
 	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv, Workers: workers}, anlzPriv.Public().Bytes())
-	anlzL, err := transport.Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		fatal(err)
 	}
@@ -181,12 +182,13 @@ func runDemo(reports, t, workers int) {
 		Rand:      newRand(),
 		Workers:   workers,
 	}
-	shufSvc, err := transport.NewShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String())
+	shufSvc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: shufPriv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, transport.SinkAnalyzer, transport.EpochConfig{})
 	if err != nil {
 		fatal(err)
 	}
 	defer shufSvc.Close()
-	shufL, err := transport.Serve("127.0.0.1:0", "Shuffler", shufSvc)
+	shufL, err := transport.Serve("127.0.0.1:0", shufSvc)
 	if err != nil {
 		fatal(err)
 	}
@@ -199,11 +201,11 @@ func runDemo(reports, t, workers int) {
 		fatal(err)
 	}
 	defer cl.Close()
-	shufKeyBytes, err := cl.ShufflerKey()
+	keys, err := cl.Keys()
 	if err != nil {
 		fatal(err)
 	}
-	shufKey, err := hybrid.ParsePublicKey(shufKeyBytes)
+	shufKey, err := hybrid.ParsePublicKey(keys.Key)
 	if err != nil {
 		fatal(err)
 	}
@@ -230,8 +232,7 @@ func runDemo(reports, t, workers int) {
 		fatal(err)
 	}
 	defer ac.Close()
-	var hist transport.HistogramReply
-	hist.Counts, hist.Undecryptable, err = ac.Histogram()
+	counts, _, err := ac.Histogram()
 	if err != nil {
 		fatal(err)
 	}
@@ -240,7 +241,7 @@ func runDemo(reports, t, workers int) {
 		v int
 	}
 	var top []kv
-	for k, v := range hist.Counts {
+	for k, v := range counts {
 		top = append(top, kv{k, v})
 	}
 	sort.Slice(top, func(i, j int) bool { return top[i].v > top[j].v })

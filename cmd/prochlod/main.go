@@ -26,7 +26,7 @@
 // its upstream, which pushes back on clients. Peer dials are bounded by
 // -dial-timeout so a daemon never hangs forever on a dead next hop, and
 // -stats-interval logs the service's health counters periodically for
-// observability without an RPC client.
+// observability without a client.
 //
 // -wal-dir makes a shuffler-role daemon crash-safe: every accepted report is
 // written to a per-shard write-ahead log before the submission is acked, and
@@ -42,26 +42,25 @@
 // gracefully: the listener closes, the final epoch is drained downstream,
 // and only then does the process exit.
 //
-// Any hop can also run as a replicated fleet. -fleet enables fan-out mode,
-// where -next is a comma-separated list of the downstream tier's replicas
-// in partition order (the same order on every replica of this tier): a
+// Any hop can also run as a replicated fleet: a comma-separated -next lists
+// the downstream tier's replicas in partition order (the same order on
+// every replica of this tier, because the order is the partition map): a
 // shuffler1 daemon splits each epoch by the client-stamped crowd partition
 // and pushes each slice to its owning shuffler2 replica, and a thresholding
 // hop spreads its output across the analyzer partitions by content hash.
 // Replicas of a key-holding tier share keys via one -key-file. -peer lists
 // this daemon's sibling replicas and -partitions overrides the advertised
 // downstream partition count; both are topology metadata served over the
-// cheap Shuffler.Healthz liveness RPC (and logged by -stats-interval),
-// which client balancers probe without touching engine locks:
+// cheap Healthz liveness call (and logged by -stats-interval), which client
+// balancers probe without touching engine locks:
 //
 //	prochlod -role shuffler2 -listen 127.0.0.1:7102 -key-file s2.key \
-//	         -fleet -next 127.0.0.1:7110,127.0.0.1:7111 -peer 127.0.0.1:7103
+//	         -next 127.0.0.1:7110,127.0.0.1:7111 -peer 127.0.0.1:7103
 //
-// Clients connect with prochlo.DialRemote (single shuffler, optionally
-// -sgx attested), prochlo.DialRemoteChain (split chain), or their fleet
-// variants (DialRemoteFleet, DialRemoteChainFleet) and submit whole
-// batches per round trip; see examples/netpipeline for a loopback
-// walkthrough of the topologies.
+// Clients connect with prochlo.DialRemoteFleet (single shuffler tier,
+// optionally -sgx attested) or prochlo.DialRemoteChainFleet (split chain)
+// and submit whole batches per round trip; see examples/netpipeline for a
+// loopback walkthrough of the topologies.
 package main
 
 import (
@@ -80,6 +79,7 @@ import (
 	"time"
 
 	"prochlo/internal/analyzer"
+	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
@@ -93,9 +93,7 @@ import (
 func main() {
 	role := flag.String("role", "", "party to run: shuffler | shuffler1 | shuffler2 | analyzer")
 	listen := flag.String("listen", "127.0.0.1:0", "service listen address")
-	next := flag.String("next", "", "downstream hop address: the analyzer for shuffler/shuffler2, the shuffler2 daemon for shuffler1 (default 127.0.0.1:7101); with -fleet, a comma-separated replica list in partition order")
-	analyzerAddr := flag.String("analyzer", "", "deprecated alias for -next")
-	fleetMode := flag.Bool("fleet", false, "fan out to a partitioned downstream tier: -next lists its replicas in partition order (identical on every replica of this tier)")
+	next := flag.String("next", "127.0.0.1:7101", "downstream hop address: the analyzer for shuffler/shuffler2, the shuffler2 daemon for shuffler1; a comma-separated list fans out to a partitioned downstream tier, its replicas in partition order (identical on every replica of this tier)")
 	partitions := flag.Int("partitions", 0, "downstream partition count advertised over Healthz (0 = number of -next addresses)")
 	peers := flag.String("peer", "", "comma-separated sibling replicas of this daemon's tier, advertised over Healthz")
 	workers := flag.Int("workers", 0, "worker pool size per stage (0 = GOMAXPROCS, 1 = serial)")
@@ -123,29 +121,14 @@ func main() {
 	redialBase := flag.Duration("redial-base", 0, "first redial backoff, doubling per attempt (0 = default)")
 	redialJitter := flag.Float64("redial-jitter", 0, "redial backoff jitter fraction (0 = default, negative disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and a liveness probe at /healthz on this address (empty disables; see docs/OPERATIONS.md for the catalog)")
-	wireFlag := flag.String("wire", "binary", "data-plane protocol for downstream pushes: binary (framed batch codec, per-connection gob fallback) or gob; the listener always accepts both")
 	flag.Parse()
 
-	if *next == "" {
-		*next = *analyzerAddr
-	}
-	if *next == "" {
-		*next = "127.0.0.1:7101"
-	}
-	nexts := splitAddrs(*next)
-	if len(nexts) > 1 && !*fleetMode {
-		fatal(errors.New("multiple -next addresses require -fleet (partition order must be deliberate and identical across the tier)"))
-	}
 	grp, err := group.ByName(*groupName)
 	if err != nil {
 		fatal(err)
 	}
 	if *sgxMode && *groupName != "" && *groupName != group.Default().Name() {
 		fatal(errors.New("-group is incompatible with -sgx: the enclave attests a key on the default backend"))
-	}
-	wireMode, err := transport.ParseWireMode(*wireFlag)
-	if err != nil {
-		fatal(err)
 	}
 	var reg *metrics.Registry
 	if *metricsAddr != "" {
@@ -158,7 +141,6 @@ func main() {
 		InFlight:        *inFlight,
 		Shards:          *shards,
 		DialTimeout:     *dialTimeout,
-		Wire:            wireMode,
 		WALDir:          *walDir,
 		WALSync:         *walSync,
 		WALSegmentBytes: *walSegment,
@@ -169,7 +151,7 @@ func main() {
 		MetricsLabels:   metrics.Labels{"role": *role},
 	}
 	o := shufflerOpts{
-		listen: *listen, nexts: nexts,
+		listen: *listen, nexts: splitAddrs(*next),
 		workers: *workers, thresholdT: *thresholdT, minBatch: *minBatch,
 		noiseD: *noiseD, noiseSigma: *noiseSigma,
 		seed: *seed, sgx: *sgxMode,
@@ -203,15 +185,10 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// statser is the Stats surface shared by every shuffler-role service.
-type statser interface {
-	Stats(_ struct{}, reply *transport.ServiceStats) error
-}
-
 // logStats periodically logs a service's health snapshot until stop closes,
-// so long-running daemons are observable without an RPC client. snapshot
+// so long-running daemons are observable without a client. snapshot
 // fetches and formats the role's counters.
-func logStats(role string, interval time.Duration, stop <-chan struct{}, snapshot func() (string, error)) {
+func logStats(role string, interval time.Duration, stop <-chan struct{}, snapshot func() string) {
 	if interval <= 0 {
 		return
 	}
@@ -223,38 +200,21 @@ func logStats(role string, interval time.Duration, stop <-chan struct{}, snapsho
 			case <-stop:
 				return
 			case <-t.C:
-				line, err := snapshot()
-				if err != nil {
-					log.Printf("%s stats: %v", role, err)
-					continue
-				}
-				log.Printf("%s stats: %s", role, line)
+				log.Printf("%s stats: %s", role, snapshot())
 			}
 		}
 	}()
 }
 
-// healthzer is the liveness surface shared by every stage service.
-type healthzer interface {
-	Healthz(_ struct{}, reply *transport.HealthzReply) error
-}
-
 // serveMetrics starts the /metrics + /healthz endpoint when -metrics-addr
-// is set. The /healthz status is driven by the same Healthz RPC the
-// balancers probe, so an HTTP liveness check and an RPC liveness check
+// is set. The /healthz status is driven by the same Healthz call the
+// balancers probe, so an HTTP liveness check and a wire liveness check
 // never disagree. Returns a nil server when disabled.
-func serveMetrics(addr string, reg *metrics.Registry, svc any) *metrics.Server {
+func serveMetrics(addr string, reg *metrics.Registry, healthz func() transport.HealthzReply) *metrics.Server {
 	if addr == "" || reg == nil {
 		return nil
 	}
-	var healthy func() bool
-	if hz, ok := svc.(healthzer); ok {
-		healthy = func() bool {
-			var h transport.HealthzReply
-			return hz.Healthz(struct{}{}, &h) == nil && h.Healthy
-		}
-	}
-	ms, err := metrics.Serve(addr, reg, healthy)
+	ms, err := metrics.Serve(addr, reg, func() bool { return healthz().Healthy })
 	if err != nil {
 		fatal(err)
 	}
@@ -262,36 +222,10 @@ func serveMetrics(addr string, reg *metrics.Registry, svc any) *metrics.Server {
 	return ms
 }
 
-// healthzPrefix formats a service's Healthz snapshot for logStats; empty
-// when the service serves no liveness RPC.
-func healthzPrefix(svc any) string {
-	hz, ok := svc.(healthzer)
-	if !ok {
-		return ""
-	}
-	var h transport.HealthzReply
-	if err := hz.Healthz(struct{}{}, &h); err != nil {
-		return ""
-	}
+// healthzPrefix formats a service's Healthz snapshot for logStats.
+func healthzPrefix(h transport.HealthzReply) string {
 	up := (time.Duration(h.UptimeMillis) * time.Millisecond).Round(time.Second)
 	return fmt.Sprintf("healthy=%v uptime=%v ", h.Healthy, up)
-}
-
-// serviceSnapshot formats a shuffler-role service's counters for logStats.
-func serviceSnapshot(svc statser) func() (string, error) {
-	return func() (string, error) {
-		var s transport.ServiceStats
-		if err := svc.Stats(struct{}{}, &s); err != nil {
-			return "", err
-		}
-		line := healthzPrefix(svc) + fmt.Sprintf("pending=%d queued=%d flushed=%d failed=%d accepted=%d rejected=%d dropped=%d forwarded=%d",
-			s.Pending, s.QueuedEpochs, s.EpochsFlushed, s.EpochsFailed,
-			s.Accepted, s.Rejected, s.Dropped, s.Cumulative.Forwarded)
-		if s.LastError != "" {
-			line += " last-error=" + s.LastError
-		}
-		return line, nil
-	}
 }
 
 func runAnalyzer(listen string, workers int, statsInterval time.Duration, keyFile string, g group.Group, metricsAddr string, reg *metrics.Registry) {
@@ -303,21 +237,18 @@ func runAnalyzer(listen string, workers int, statsInterval time.Duration, keyFil
 	if reg != nil {
 		svc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer"})
 	}
-	ms := serveMetrics(metricsAddr, reg, svc)
-	l, err := transport.Serve(listen, "Analyzer", svc)
+	ms := serveMetrics(metricsAddr, reg, svc.Healthz)
+	l, err := transport.Serve(listen, svc)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println("prochlod analyzer listening on", l.Addr())
 	fmt.Println("analyzer public key:", hex.EncodeToString(priv.Public().Bytes()))
 	stop := make(chan struct{})
-	logStats("analyzer", statsInterval, stop, func() (string, error) {
-		var s transport.AnalyzerStats
-		if err := svc.Stats(struct{}{}, &s); err != nil {
-			return "", err
-		}
-		return healthzPrefix(svc) + fmt.Sprintf("records=%d undecryptable=%d ingests=%d",
-			s.Records, s.Undecryptable, s.Ingests), nil
+	logStats("analyzer", statsInterval, stop, func() string {
+		s := svc.Stats()
+		return healthzPrefix(svc.Healthz()) + fmt.Sprintf("records=%d undecryptable=%d ingests=%d",
+			s.Records, s.Undecryptable, s.Ingests)
 	})
 	waitForSignal()
 	close(stop)
@@ -458,40 +389,41 @@ func stageRand(seed uint64, stage string) *rand.Rand {
 	return rng
 }
 
-// closer is the graceful-shutdown surface shared by every stage service.
-type closer interface{ Close() error }
-
-// serveAndWait serves svc, logs stats, exposes /metrics when -metrics-addr
-// is set, and on SIGINT/SIGTERM drains it gracefully: stop accepting, flush
-// the final epoch downstream, then exit.
-func serveAndWait(role string, o shufflerOpts, svc any) {
-	if s, ok := svc.(statser); ok {
-		var st transport.ServiceStats
-		if err := s.Stats(struct{}{}, &st); err == nil && st.RecoveredItems > 0 {
-			fmt.Printf("prochlod %s: recovered %d reports (%d in-flight epochs, %d pending) from the WAL\n",
-				role, st.RecoveredItems, st.RecoveredEpochs, st.Pending)
-		}
+// serveStage installs the fleet metadata on svc, serves it, logs stats,
+// exposes /metrics when -metrics-addr is set, and on SIGINT/SIGTERM drains
+// it gracefully: stop accepting, flush the final epoch downstream, then exit.
+func serveStage(role string, o shufflerOpts, svc *transport.StageService) {
+	svc.SetFleetInfo(o.fleetInfo())
+	printEpochs(svc.Config())
+	if st := svc.Stats(); st.RecoveredItems > 0 {
+		fmt.Printf("prochlod %s: recovered %d reports (%d in-flight epochs, %d pending) from the WAL\n",
+			role, st.RecoveredItems, st.RecoveredEpochs, st.Pending)
 	}
-	ms := serveMetrics(o.metricsAddr, o.metricsReg, svc)
-	l, err := transport.Serve(o.listen, "Shuffler", svc)
+	ms := serveMetrics(o.metricsAddr, o.metricsReg, svc.Healthz)
+	l, err := transport.Serve(o.listen, svc)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("prochlod %s listening on %v\n", role, l.Addr())
 	stop := make(chan struct{})
-	if s, ok := svc.(statser); ok {
-		logStats(role, o.statsInterval, stop, serviceSnapshot(s))
-	}
+	logStats(role, o.statsInterval, stop, func() string {
+		s := svc.Stats()
+		line := healthzPrefix(svc.Healthz()) + fmt.Sprintf("pending=%d queued=%d flushed=%d failed=%d accepted=%d rejected=%d dropped=%d forwarded=%d",
+			s.Pending, s.QueuedEpochs, s.EpochsFlushed, s.EpochsFailed,
+			s.Accepted, s.Rejected, s.Dropped, s.Cumulative.Forwarded)
+		if s.LastError != "" {
+			line += " last-error=" + s.LastError
+		}
+		return line
+	})
 	waitForSignal()
 	close(stop)
 	l.Close()
 	if ms != nil {
 		defer ms.Close()
 	}
-	if c, ok := svc.(closer); ok {
-		if err := c.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "prochlod %s: drain: %v\n", role, err)
-		}
+	if err := svc.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "prochlod %s: drain: %v\n", role, err)
 	}
 	fmt.Printf("prochlod %s: drained and shut down\n", role)
 }
@@ -509,35 +441,31 @@ func printEpochs(cfg transport.EpochConfig) {
 
 func runShuffler(o shufflerOpts) {
 	rng := stageRand(o.seed, "shuffler")
-	var svc *transport.ShufflerService
-	var err error
+	var svc *transport.StageService
 	if o.sgx {
 		if o.keyFile != "" {
 			fatal(errors.New("-key-file is incompatible with -sgx: the enclave owns its key and attests it per process"))
 		}
-		ca, cerr := sgx.NewCA()
-		if cerr != nil {
-			fatal(cerr)
+		ca, err := sgx.NewCA()
+		if err != nil {
+			fatal(err)
 		}
-		sh, quote, serr := shuffler.NewSGXShuffler(ca, o.threshold(), rng)
-		if serr != nil {
-			fatal(serr)
+		sh, quote, err := shuffler.NewSGXShuffler(ca, o.threshold(), rng)
+		if err != nil {
+			fatal(err)
 		}
 		sh.Seed = o.seed
 		sh.MinBatch = o.minBatch
 		sh.Workers = o.workers
-		svc, err = transport.NewStageShufflerFleetService(sh, quote.ReportData, o.nexts, o.cfg)
-		if err != nil {
-			fatal(err)
-		}
+		svc = newStage(sh, core.KindEnvelopes, transport.Keys{Key: quote.ReportData}, transport.SinkAnalyzer, o)
 		if err := svc.SetAttestation(quote, ca.PublicKey()); err != nil {
 			fatal(err)
 		}
 		fmt.Println("sgx: key attested, measurement", hex.EncodeToString(shuffler.SGXShufflerMeasurement[:8]))
 	} else {
-		priv, _, kerr := loadKeys(o.keyFile, o.group, false)
-		if kerr != nil {
-			fatal(kerr)
+		priv, _, err := loadKeys(o.keyFile, o.group, false)
+		if err != nil {
+			fatal(err)
 		}
 		sh := &shuffler.Shuffler{
 			Priv:      priv,
@@ -546,15 +474,10 @@ func runShuffler(o shufflerOpts) {
 			MinBatch:  o.minBatch,
 			Workers:   o.workers,
 		}
-		svc, err = transport.NewStageShufflerFleetService(sh, priv.Public().Bytes(), o.nexts, o.cfg)
-		if err != nil {
-			fatal(err)
-		}
+		svc = newStage(sh, core.KindEnvelopes, transport.Keys{Key: priv.Public().Bytes()}, transport.SinkAnalyzer, o)
 	}
-	svc.SetFleetInfo(o.fleetInfo())
 	fmt.Println("forwarding to analyzer at", o.nextList())
-	printEpochs(svc.Config())
-	serveAndWait("shuffler", o, svc)
+	serveStage("shuffler", o, svc)
 }
 
 func runShuffler1(o shufflerOpts) {
@@ -564,14 +487,9 @@ func runShuffler1(o shufflerOpts) {
 	}
 	s1.MinBatch = o.minBatch
 	s1.Workers = o.workers
-	svc, err := transport.NewShuffler1FleetService(s1, o.nexts, o.cfg)
-	if err != nil {
-		fatal(err)
-	}
-	svc.SetFleetInfo(o.fleetInfo())
+	svc := newStage(s1, core.KindBlinded, transport.Keys{}, transport.SinkStage, o)
 	fmt.Println("forwarding blinded epochs to shuffler2 at", o.nextList())
-	printEpochs(svc.Config())
-	serveAndWait("shuffler1", o, svc)
+	serveStage("shuffler1", o, svc)
 }
 
 func runShuffler2(o shufflerOpts) {
@@ -589,16 +507,21 @@ func runShuffler2(o shufflerOpts) {
 		MinBatch: 1,
 		Workers:  o.workers,
 	}
-	svc, err := transport.NewShuffler2FleetService(s2, o.nexts, o.cfg)
+	keys := transport.Keys{Blinding: blindKP.H.Bytes(), Key: priv.Public().Bytes()}
+	svc := newStage(s2, core.KindBlinded, keys, transport.SinkAnalyzer, o)
+	fmt.Println("forwarding to analyzer at", o.nextList())
+	fmt.Println("blinding public key:", hex.EncodeToString(keys.Blinding))
+	fmt.Println("shuffler2 public key:", hex.EncodeToString(keys.Key))
+	serveStage("shuffler2", o, svc)
+}
+
+// newStage builds the role's stage service over the -next tier.
+func newStage(st shuffler.Stage, admits core.BatchKind, keys transport.Keys, sink transport.SinkKind, o shufflerOpts) *transport.StageService {
+	svc, err := transport.NewStageService(st, admits, keys, o.nexts, sink, o.cfg)
 	if err != nil {
 		fatal(err)
 	}
-	svc.SetFleetInfo(o.fleetInfo())
-	fmt.Println("forwarding to analyzer at", o.nextList())
-	fmt.Println("blinding public key:", hex.EncodeToString(blindKP.H.Bytes()))
-	fmt.Println("shuffler2 public key:", hex.EncodeToString(priv.Public().Bytes()))
-	printEpochs(svc.Config())
-	serveAndWait("shuffler2", o, svc)
+	return svc
 }
 
 func waitForSignal() {

@@ -38,6 +38,7 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
+	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
@@ -92,7 +93,6 @@ func main() {
 
 		workers     = flag.Int("workers", 0, "worker pool size per loopback stage and client encoder (0 = GOMAXPROCS)")
 		flushAt     = flag.Int("flush-at", 400, "epoch auto-flush threshold of the loopback services")
-		wire        = flag.String("wire", "binary", "data-plane protocol for every hop: binary (framed batch codec, per-connection gob fallback) or gob")
 		metricsAddr = flag.String("metrics-addr", "", "serve the loopback fleet's combined /metrics + /healthz endpoint on this address during the run")
 		format      = flag.String("format", "json", "result row format: json (one object per line) or csv (header + rows)")
 		outPath     = flag.String("out", "-", "write result rows to this file (- = stdout)")
@@ -115,15 +115,10 @@ func main() {
 		out = f
 	}
 
-	wireMode, err := transport.ParseWireMode(*wire)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	shapes, external := planRuns(*loopback, *sweep, *s1Addrs)
 	var rows []row
 	if external {
-		r, err := runExternal(cfg, *s1Addrs, *s2Addrs, *anlzAddrs, *workers, wireMode)
+		r, err := runExternal(cfg, *s1Addrs, *s2Addrs, *anlzAddrs, *workers)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -141,7 +136,7 @@ func main() {
 			log.Printf("metrics on http://%s/metrics", srv.Addr())
 		}
 		for _, shape := range shapes {
-			r, err := runLoopback(cfg, shape, *workers, *flushAt, reg, wireMode)
+			r, err := runLoopback(cfg, shape, *workers, *flushAt, reg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -206,10 +201,7 @@ func (f *loopbackFleet) close() {
 func (f *loopbackFleet) records() int {
 	total := 0
 	for _, a := range f.anlzSvcs {
-		var stats transport.AnalyzerStats
-		if err := a.Stats(struct{}{}, &stats); err == nil {
-			total += stats.Records
-		}
+		total += a.Stats().Records
 	}
 	return total
 }
@@ -218,7 +210,7 @@ func (f *loopbackFleet) records() int {
 // seeded from the workload seed, so a seeded run is reproducible end to
 // end. When reg is non-nil every service registers its metrics under
 // {role, replica} labels.
-func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *metrics.Registry, wire transport.WireMode) (*loopbackFleet, error) {
+func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *metrics.Registry) (*loopbackFleet, error) {
 	f := &loopbackFleet{}
 	ok := false
 	defer func() {
@@ -228,7 +220,7 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 	}()
 
 	epochCfg := func(role string, replica int) transport.EpochConfig {
-		cfg := transport.EpochConfig{FlushAt: flushAt, Wire: wire}
+		cfg := transport.EpochConfig{FlushAt: flushAt}
 		if reg != nil {
 			cfg.Metrics = reg
 			cfg.MetricsLabels = metrics.Labels{"role": role, "replica": strconv.Itoa(replica)}
@@ -245,7 +237,7 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 		if reg != nil {
 			svc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer", "replica": strconv.Itoa(i)})
 		}
-		l, err := transport.Serve("127.0.0.1:0", "Analyzer", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			return nil, err
 		}
@@ -262,6 +254,7 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 	if err != nil {
 		return nil, err
 	}
+	s2Keys := transport.Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()}
 	for i := 0; i < s2N; i++ {
 		s2 := &shuffler.Shuffler2{
 			Blinding:  blindKP,
@@ -271,12 +264,12 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 			MinBatch:  1,
 			Workers:   workers,
 		}
-		svc, err := transport.NewShuffler2FleetService(s2, f.anlzAddrs, epochCfg("shuffler2", i))
+		svc, err := transport.NewStageService(s2, core.KindBlinded, s2Keys, f.anlzAddrs, transport.SinkAnalyzer, epochCfg("shuffler2", i))
 		if err != nil {
 			return nil, err
 		}
 		f.closers = append(f.closers, func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", "Shuffler", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			return nil, err
 		}
@@ -291,12 +284,12 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 		}
 		s1.MinBatch = 1
 		s1.Workers = workers
-		svc, err := transport.NewShuffler1FleetService(s1, f.s2Addrs, epochCfg("shuffler1", i))
+		svc, err := transport.NewStageService(s1, core.KindBlinded, transport.Keys{}, f.s2Addrs, transport.SinkStage, epochCfg("shuffler1", i))
 		if err != nil {
 			return nil, err
 		}
 		f.closers = append(f.closers, func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", "Shuffler", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			return nil, err
 		}
@@ -309,18 +302,18 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 
 // runLoopback spins up one fleet shape, drives the load through a balanced
 // RemotePipeline, drains, and folds the reconciliation ledger into the row.
-func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metrics.Registry, wire transport.WireMode) (row, error) {
+func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metrics.Registry) (row, error) {
 	s1N, s2N, anlzN, err := parseShape(shape)
 	if err != nil {
 		return row{}, err
 	}
-	fleet, err := newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt, cfg.Seed, reg, wire)
+	fleet, err := newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt, cfg.Seed, reg)
 	if err != nil {
 		return row{}, err
 	}
 	defer fleet.close()
 
-	opts := []prochlo.RemoteOption{prochlo.WithRemoteWorkers(workers), prochlo.WithRemoteWire(wire.String())}
+	opts := []prochlo.RemoteOption{prochlo.WithRemoteWorkers(workers)}
 	if reg != nil {
 		opts = append(opts, prochlo.WithRemoteMetrics(reg, map[string]string{"tier": "entry"}))
 	}
@@ -345,7 +338,7 @@ func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metri
 
 // runExternal drives an already-running deployment and drains it for the
 // ledger. The daemons keep running; only their current epochs are flushed.
-func runExternal(cfg load.Config, s1, s2, anlz string, workers int, wire transport.WireMode) (row, error) {
+func runExternal(cfg load.Config, s1, s2, anlz string, workers int) (row, error) {
 	split := func(s string) []string {
 		if s == "" {
 			return nil
@@ -361,9 +354,9 @@ func runExternal(cfg load.Config, s1, s2, anlz string, workers int, wire transpo
 		err error
 	)
 	if len(s2A) > 0 {
-		rp, err = prochlo.DialRemoteChainFleet(s1A, s2A, anlzA, prochlo.WithRemoteWorkers(workers), prochlo.WithRemoteWire(wire.String()))
+		rp, err = prochlo.DialRemoteChainFleet(s1A, s2A, anlzA, prochlo.WithRemoteWorkers(workers))
 	} else {
-		rp, err = prochlo.DialRemoteFleet(s1A, anlzA, prochlo.WithRemoteWorkers(workers), prochlo.WithRemoteWire(wire.String()))
+		rp, err = prochlo.DialRemoteFleet(s1A, anlzA, prochlo.WithRemoteWorkers(workers))
 	}
 	if err != nil {
 		return row{}, err

@@ -7,6 +7,7 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
+	"prochlo/internal/core"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
@@ -72,7 +73,7 @@ func ExampleDialRemoteFleet() {
 	var anlzAddrs []string
 	for i := 0; i < 2; i++ {
 		svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-		l, err := transport.Serve("127.0.0.1:0", "Analyzer", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			panic(err)
 		}
@@ -92,12 +93,13 @@ func ExampleDialRemoteFleet() {
 			Rand:      workload.NewRand(uint64(80 + i)),
 			MinBatch:  1,
 		}
-		svc, err := transport.NewStageShufflerFleetService(sh, shufPriv.Public().Bytes(), anlzAddrs, transport.EpochConfig{})
+		svc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: shufPriv.Public().Bytes()},
+			anlzAddrs, transport.SinkAnalyzer, transport.EpochConfig{})
 		if err != nil {
 			panic(err)
 		}
 		defer svc.Close()
-		l, err := transport.Serve("127.0.0.1:0", "Shuffler", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			panic(err)
 		}

@@ -1,20 +1,18 @@
 // Networked pipeline: the ESA parties of Figure 1 as long-lived services
-// exchanging gob-encoded RPC over loopback TCP — the same wiring
-// cmd/prochlod runs across machines. Two topologies are demonstrated:
+// exchanging frames over loopback TCP — the same wiring cmd/prochlod runs
+// across machines. Three topologies are demonstrated:
 //
 // The default is the single-shuffler deployment: a fleet of clients ships
-// whole batches of nested-encrypted reports per round trip
-// (Shuffler.SubmitBatch), epochs auto-flush to the analyzer whenever
-// occupancy reaches -flush-at, and the analyzer's histogram accumulates
-// across epochs. One report is also sent over the single-envelope Submit
-// RPC to show the compatibility path.
+// whole batches of nested-encrypted reports per round trip (Submit), epochs
+// auto-flush to the analyzer whenever occupancy reaches -flush-at, and the
+// analyzer's histogram accumulates across epochs.
 //
 // With -chain, the §4.3 split-shuffler chain runs instead: clients submit
 // blinded envelopes to a Shuffler 1 daemon, which blinds, shuffles, and
-// forwards each epoch to a Shuffler 2 daemon (Shuffler.Forward), which
-// thresholds on blinded pseudonyms and pushes the survivors to the
-// analyzer — three mutually distrusting services, none of which sees both
-// who reported and what was reported.
+// forwards each epoch to a Shuffler 2 daemon (Forward), which thresholds on
+// blinded pseudonyms and pushes the survivors to the analyzer — three
+// mutually distrusting services, none of which sees both who reported and
+// what was reported.
 //
 // With -fleet, every hop of the chain is a replica pair (2 shuffler1 ×
 // 2 shuffler2 × 2 analyzer partitions): submissions enter through a
@@ -33,12 +31,12 @@ import (
 	"fmt"
 	"log"
 	"math/rand/v2"
-	"net"
 	"strconv"
 	"strings"
 
 	"prochlo"
 	"prochlo/internal/analyzer"
+	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
@@ -82,29 +80,14 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics\n", ms.Addr())
 	}
 
-	// Party 1: the analyzer daemon.
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		log.Fatal(err)
-	}
-	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv, Workers: *workers}, anlzPriv.Public().Bytes())
-	if reg != nil {
-		anlzSvc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer", "replica": "0"})
-	}
-	anlzL, err := transport.Serve("127.0.0.1:0", "Analyzer", anlzSvc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer anlzL.Close()
-
 	var rp *prochlo.RemotePipeline
 	switch {
 	case *fleet:
-		rp = dialFleet(anlzPriv, anlzL, *workers, *flushAt)
+		rp = dialChain(2, *workers, *flushAt)
 	case *chain:
-		rp = dialChain(anlzL, *workers, *flushAt)
+		rp = dialChain(1, *workers, *flushAt)
 	default:
-		rp = dialSingle(anlzL, *workers, *flushAt)
+		rp = dialSingle(*workers, *flushAt)
 	}
 	defer rp.Close()
 
@@ -115,10 +98,6 @@ func main() {
 		data[i] = []byte("dark-mode")
 	}
 	if err := rp.SubmitBatch(labels, data); err != nil {
-		log.Fatal(err)
-	}
-	// The compatibility path: one report, one RPC round trip.
-	if err := rp.Submit("cfg:dark-mode", []byte("dark-mode")); err != nil {
 		log.Fatal(err)
 	}
 
@@ -171,10 +150,39 @@ func main() {
 	}
 }
 
+// serve starts one party on an ephemeral loopback port and returns its
+// address; the listeners live for the rest of the process.
+func serve(svc transport.Service) string {
+	l, err := transport.Serve("127.0.0.1:0", svc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return l.Addr().String()
+}
+
+// serveAnalyzers starts n analyzer partitions sharing one key (as prochlod
+// daemons would via one -key-file).
+func serveAnalyzers(n, workers int) []string {
+	priv, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var addrs []string
+	for i := 0; i < n; i++ {
+		svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: priv, Workers: workers}, priv.Public().Bytes())
+		if reg != nil {
+			svc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer", "replica": strconv.Itoa(i)})
+		}
+		addrs = append(addrs, serve(svc))
+	}
+	return addrs
+}
+
 // dialSingle wires the single-shuffler topology: one streaming shuffler
 // daemon auto-flushing epochs to the analyzer through a bounded in-flight
 // queue, and a RemotePipeline playing the client fleet.
-func dialSingle(anlzL net.Listener, workers, flushAt int) *prochlo.RemotePipeline {
+func dialSingle(workers, flushAt int) *prochlo.RemotePipeline {
+	anlzAddrs := serveAnalyzers(1, workers)
 	shufPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		log.Fatal(err)
@@ -185,97 +193,30 @@ func dialSingle(anlzL net.Listener, workers, flushAt int) *prochlo.RemotePipelin
 		Rand:      rand.New(rand.NewPCG(17, 19)),
 		Workers:   workers,
 	}
-	shufSvc, err := transport.NewStreamingShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String(),
-		epochCfg("shuffler", 0, flushAt))
+	shufSvc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: shufPriv.Public().Bytes()},
+		anlzAddrs, transport.SinkAnalyzer, epochCfg("shuffler", 0, flushAt))
 	if err != nil {
 		log.Fatal(err)
 	}
-	shufL, err := transport.Serve("127.0.0.1:0", "Shuffler", shufSvc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("analyzer:", anlzL.Addr(), " shuffler:", shufL.Addr())
+	shufAddrs := []string{serve(shufSvc)}
+	fmt.Println("analyzer:", anlzAddrs, " shuffler:", shufAddrs)
 
-	rp, err := prochlo.DialRemote(shufL.Addr().String(), anlzL.Addr().String(),
-		prochlo.WithRemoteWorkers(workers))
+	rp, err := prochlo.DialRemoteFleet(shufAddrs, anlzAddrs, prochlo.WithRemoteWorkers(workers))
 	if err != nil {
 		log.Fatal(err)
 	}
 	return rp
 }
 
-// dialChain wires the split-shuffler chain: a Shuffler 2 daemon holding the
-// blinding and hybrid keys, a Shuffler 1 daemon forwarding blinded epochs
-// to it, and a RemotePipeline entering the chain at hop 1 with the keys
-// fetched from hop 2 over RPC.
-func dialChain(anlzL net.Listener, workers, flushAt int) *prochlo.RemotePipeline {
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s2 := &shuffler.Shuffler2{
-		Blinding:  blindKP,
-		Priv:      s2Priv,
-		Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
-		Rand:      rand.New(rand.NewPCG(23, 29)),
-		MinBatch:  1,
-		Workers:   workers,
-	}
-	s2Svc, err := transport.NewShuffler2Service(s2, anlzL.Addr().String(),
-		epochCfg("shuffler2", 0, flushAt))
-	if err != nil {
-		log.Fatal(err)
-	}
-	s2L, err := transport.Serve("127.0.0.1:0", "Shuffler", s2Svc)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	s1, err := shuffler.NewShuffler1(rand.New(rand.NewPCG(31, 37)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	s1.Workers = workers
-	s1Svc, err := transport.NewShuffler1Service(s1, s2L.Addr().String(),
-		epochCfg("shuffler1", 0, flushAt))
-	if err != nil {
-		log.Fatal(err)
-	}
-	s1L, err := transport.Serve("127.0.0.1:0", "Shuffler", s1Svc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("analyzer:", anlzL.Addr(), " shuffler2:", s2L.Addr(), " shuffler1:", s1L.Addr())
-
-	rp, err := prochlo.DialRemoteChain(s1L.Addr().String(), s2L.Addr().String(), anlzL.Addr().String(),
-		prochlo.WithRemoteWorkers(workers))
-	if err != nil {
-		log.Fatal(err)
-	}
-	return rp
-}
-
-// dialFleet wires the chain as a 2x2x2 replica fleet. Replicas of a
-// key-holding tier share key material (as prochlod daemons would via one
-// -key-file): both analyzer partitions decrypt with anlzPriv, both
-// shuffler2 replicas hold the same blinding and hybrid keys. Every hop-1
-// replica fans out to both hop-2 partitions, and every hop-2 replica to
-// both analyzer partitions.
-func dialFleet(anlzPriv *hybrid.PrivateKey, anlzL net.Listener, workers, flushAt int) *prochlo.RemotePipeline {
-	// Second analyzer partition, same key.
-	anlz2Svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv, Workers: workers}, anlzPriv.Public().Bytes())
-	if reg != nil {
-		anlz2Svc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer", "replica": "1"})
-	}
-	anlz2L, err := transport.Serve("127.0.0.1:0", "Analyzer", anlz2Svc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	anlzAddrs := []string{anlzL.Addr().String(), anlz2L.Addr().String()}
+// dialChain wires the split-shuffler chain with every hop a tier of the
+// given replica count. Replicas of a key-holding tier share key material:
+// every analyzer partition decrypts with one key, every shuffler2 replica
+// holds the same blinding and hybrid keys (shuffler1 holds none — the
+// RemotePipeline fetches the chain's keys from hop 2). Every hop-1 replica
+// fans out to every hop-2 partition, and every hop-2 replica to every
+// analyzer partition.
+func dialChain(replicas, workers, flushAt int) *prochlo.RemotePipeline {
+	anlzAddrs := serveAnalyzers(replicas, workers)
 
 	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
 	if err != nil {
@@ -285,8 +226,9 @@ func dialFleet(anlzPriv *hybrid.PrivateKey, anlzL net.Listener, workers, flushAt
 	if err != nil {
 		log.Fatal(err)
 	}
+	s2Keys := transport.Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()}
 	var s2Addrs []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < replicas; i++ {
 		s2 := &shuffler.Shuffler2{
 			Blinding:  blindKP,
 			Priv:      s2Priv,
@@ -295,35 +237,29 @@ func dialFleet(anlzPriv *hybrid.PrivateKey, anlzL net.Listener, workers, flushAt
 			MinBatch:  1,
 			Workers:   workers,
 		}
-		s2Svc, err := transport.NewShuffler2FleetService(s2, anlzAddrs, epochCfg("shuffler2", i, flushAt))
+		s2Svc, err := transport.NewStageService(s2, core.KindBlinded, s2Keys,
+			anlzAddrs, transport.SinkAnalyzer, epochCfg("shuffler2", i, flushAt))
 		if err != nil {
 			log.Fatal(err)
 		}
-		s2L, err := transport.Serve("127.0.0.1:0", "Shuffler", s2Svc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s2Addrs = append(s2Addrs, s2L.Addr().String())
+		s2Addrs = append(s2Addrs, serve(s2Svc))
 	}
 
 	var s1Addrs []string
-	for i := 0; i < 2; i++ {
+	for i := 0; i < replicas; i++ {
 		s1, err := shuffler.NewShuffler1(rand.New(rand.NewPCG(31, 37+uint64(i))))
 		if err != nil {
 			log.Fatal(err)
 		}
 		s1.Workers = workers
-		s1Svc, err := transport.NewShuffler1FleetService(s1, s2Addrs, epochCfg("shuffler1", i, flushAt))
+		s1Svc, err := transport.NewStageService(s1, core.KindBlinded, transport.Keys{},
+			s2Addrs, transport.SinkStage, epochCfg("shuffler1", i, flushAt))
 		if err != nil {
 			log.Fatal(err)
 		}
-		s1L, err := transport.Serve("127.0.0.1:0", "Shuffler", s1Svc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		s1Addrs = append(s1Addrs, s1L.Addr().String())
+		s1Addrs = append(s1Addrs, serve(s1Svc))
 	}
-	fmt.Println("fleet: shuffler1", s1Addrs, " shuffler2", s2Addrs, " analyzers", anlzAddrs)
+	fmt.Println("shuffler1:", s1Addrs, " shuffler2:", s2Addrs, " analyzers:", anlzAddrs)
 
 	rp, err := prochlo.DialRemoteChainFleet(s1Addrs, s2Addrs, anlzAddrs,
 		prochlo.WithRemoteWorkers(workers),

@@ -36,9 +36,9 @@ func (k BatchKind) String() string {
 // Batch is the shared wire encoding for report batches at every hop of an
 // ESA stage chain: client envelopes entering a shuffler, blinded envelopes
 // traveling between the split shufflers, and peeled inner ciphertexts bound
-// for the analyzer. Exactly one of the slices is non-nil; the type is
-// gob-encodable as-is, so one Forward RPC moves an epoch between any two
-// stage daemons regardless of which hop pair they are.
+// for the analyzer. Exactly one of the slices is non-nil, so one Forward
+// frame moves an epoch between any two stage daemons regardless of which
+// hop pair they are; wirebatch.go is its codec.
 type Batch struct {
 	Envelopes []Envelope
 	Blinded   []BlindedEnvelope

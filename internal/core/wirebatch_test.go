@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 	"time"
 )
@@ -31,8 +30,8 @@ func sampleBatches() []Batch {
 }
 
 // bytesEquivalent treats nil and empty as the same field value — the copy
-// and alias decoders legitimately differ on that representation, and so
-// does gob, but no consumer distinguishes them.
+// and alias decoders legitimately differ on that representation, but no
+// consumer distinguishes them.
 func bytesEquivalent(a, b []byte) bool { return bytes.Equal(a, b) }
 
 func envelopesEquivalent(a, b []Envelope) bool {
@@ -209,77 +208,4 @@ func FuzzBatchWireRoundTrip(f *testing.F) {
 			}
 		}
 	})
-}
-
-// FuzzBatchGobEquivalence pins the binary codec to the gob semantics the
-// chain shipped with: a batch built from fuzz input must survive the binary
-// round trip with exactly the item values a gob round trip preserves.
-func FuzzBatchGobEquivalence(f *testing.F) {
-	f.Add(uint8(1), uint16(3), []byte("seed-material-for-fields"))
-	f.Add(uint8(2), uint16(2), []byte{0x01, 0x02, 0x03})
-	f.Add(uint8(3), uint16(5), []byte{})
-	f.Fuzz(func(t *testing.T, kind uint8, n uint16, material []byte) {
-		b := buildBatch(kind, int(n)%64, material)
-		// Binary round trip.
-		bin, _, err := DecodeBatch(AppendBatch(nil, b))
-		if err != nil {
-			t.Fatalf("binary decode: %v", err)
-		}
-		// Gob round trip of the same batch.
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(b); err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		var gb Batch
-		if err := gob.NewDecoder(&buf).Decode(&gb); err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		if !batchesEquivalent(bin, gb) {
-			t.Fatalf("binary and gob round trips disagree:\nbinary %+v\ngob    %+v", bin, gb)
-		}
-		if !batchesEquivalent(b, bin) {
-			t.Fatalf("binary round trip changed the batch:\nin  %+v\nout %+v", b, bin)
-		}
-	})
-}
-
-// buildBatch derives a batch of the requested kind and size from fuzz
-// material, slicing fields out of it deterministically.
-func buildBatch(kind uint8, n int, material []byte) Batch {
-	field := func(i, j int) []byte {
-		if len(material) == 0 {
-			return nil
-		}
-		lo := (i * 7) % len(material)
-		hi := lo + (j*13)%(len(material)-lo+1)
-		return material[lo:hi]
-	}
-	at := func(i int) time.Time {
-		if i%3 == 0 {
-			return time.Time{}
-		}
-		return time.Unix(0, int64(i)*1e9+int64(len(material)))
-	}
-	var b Batch
-	switch kind % 3 {
-	case 0:
-		b.Envelopes = make([]Envelope, n)
-		for i := range b.Envelopes {
-			b.Envelopes[i] = Envelope{Blob: field(i, 1), SourceIP: string(field(i, 2)), ArrivalTime: at(i)}
-		}
-	case 1:
-		b.Blinded = make([]BlindedEnvelope, n)
-		for i := range b.Blinded {
-			b.Blinded[i] = BlindedEnvelope{
-				CrowdC1: field(i, 1), CrowdC2: field(i, 2), Blob: field(i, 3),
-				Partition: int32(i) - 1, SourceIP: string(field(i, 4)), ArrivalTime: at(i),
-			}
-		}
-	case 2:
-		b.Payloads = make([][]byte, n)
-		for i := range b.Payloads {
-			b.Payloads[i] = field(i, 5)
-		}
-	}
-	return b
 }

@@ -33,10 +33,6 @@ type BalancerConfig struct {
 	// disables transient retries.
 	Redials    int
 	RedialBase time.Duration
-	// Wire selects each replica client's data-plane protocol (the zero
-	// value is the framed binary protocol with gob fallback; see wire.go).
-	// Health probes always ride net/rpc.
-	Wire WireMode
 	// Metrics, when non-nil, registers the balancer's health gauges and
 	// failover counters (the prochlo_balancer_* series) on the given
 	// registry; MetricsLabels is attached to every series.
@@ -83,7 +79,7 @@ type balancerReplica struct {
 // replicas are down the survivors absorb the full submission stream, so an
 // epoch's anonymity floor is still reached (graceful degradation); if every
 // replica is ejected the balancer still attempts one, preferring a doomed
-// RPC over failing without trying.
+// call over failing without trying.
 type Balancer struct {
 	replicas []*balancerReplica
 	cfg      BalancerConfig
@@ -182,7 +178,6 @@ func (r *balancerReplica) client(cfg BalancerConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl.SetWire(cfg.Wire)
 	if cfg.Redials != 0 {
 		cl.SetRedial(cfg.Redials, cfg.RedialBase)
 	} else if cfg.RedialBase > 0 {
@@ -260,16 +255,13 @@ func (b *Balancer) probeLoop(interval time.Duration) {
 // submission client can never make a healthy replica look dead and the
 // probe never disturbs an in-flight submission's connection.
 func (b *Balancer) probe(r *balancerReplica) bool {
-	c, err := dialRPC(r.addr, b.cfg.DialTimeout)
+	p, err := dialPeer(r.addr, b.cfg.DialTimeout)
 	if err != nil {
 		return false
 	}
-	defer c.Close()
-	var reply HealthzReply
-	if err := c.Call("Shuffler.Healthz", struct{}{}, &reply); err != nil {
-		return false
-	}
-	return reply.Healthy
+	defer p.Close()
+	h, err := p.Healthz()
+	return err == nil && h.Healthy
 }
 
 // SubmitAll ships a batch across the replica set with failover; see

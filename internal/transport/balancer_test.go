@@ -4,7 +4,6 @@ import (
 	crand "crypto/rand"
 	"math/rand/v2"
 	"net"
-	"net/rpc"
 	"strings"
 	"sync"
 	"testing"
@@ -31,7 +30,7 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// killableServer serves an RPC receiver while tracking accepted
+// killableServer serves a Service while tracking accepted
 // connections, so tests can sever a replica's transport the way a process
 // kill does — either everything (kill) or just the established
 // connections (dropConns), leaving the listener up for redials.
@@ -41,12 +40,8 @@ type killableServer struct {
 	conns map[net.Conn]struct{}
 }
 
-func serveKillable(t *testing.T, name string, rcvr any) *killableServer {
+func serveKillable(t *testing.T, svc Service) *killableServer {
 	t.Helper()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(name, rcvr); err != nil {
-		t.Fatal(err)
-	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +57,10 @@ func serveKillable(t *testing.T, name string, rcvr any) *killableServer {
 			s.conns[conn] = struct{}{}
 			s.mu.Unlock()
 			go func() {
-				srv.ServeConn(conn)
+				ServeConn(conn, svc)
 				s.mu.Lock()
 				delete(s.conns, conn)
 				s.mu.Unlock()
-				conn.Close()
 			}()
 		}
 	}()
@@ -181,9 +175,9 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 	}
 
 	// Revive the address (the same service behind a second listener — any
-	// healthy Shuffler.Healthz responder readmits) and watch the probe loop
-	// close the breaker.
-	revL, err := Serve(downAddr, "Shuffler", rig.svc)
+	// healthy Healthz responder readmits) and watch the probe loop close the
+	// breaker.
+	revL, err := Serve(downAddr, rig.svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +193,7 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 // dead replica's WAL recovers).
 func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
-	srvA := serveKillable(t, "Shuffler", rig.svc)
+	srvA := serveKillable(t, rig.svc)
 	b, err := NewBalancer([]string{srvA.addr(), rig.shuf}, BalancerConfig{
 		ProbeInterval: -1, DialTimeout: 500 * time.Millisecond,
 		Redials: 1, RedialBase: time.Millisecond,
@@ -232,21 +226,21 @@ func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	}
 }
 
-// dropOnceShuffler ingests a SubmitBatch and then severs every connection
-// before the ack can be written — a deterministic connection-drop
-// mid-SubmitAll, after the service accepted the batch.
+// dropOnceShuffler ingests a Submit and then severs every connection before
+// the ack can be written — a deterministic connection-drop mid-SubmitAll,
+// after the service accepted the batch.
 type dropOnceShuffler struct {
-	*ShufflerService
+	*StageService
 	drop func()
 
 	mu      sync.Mutex
 	dropped bool
 }
 
-func (d *dropOnceShuffler) SubmitBatch(args SubmitBatchArgs, reply *SubmitReply) error {
-	err := d.ShufflerService.SubmitBatch(args, reply)
+func (d *dropOnceShuffler) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
+	dst, err := d.StageService.serveFrame(method, body, dst)
 	d.mu.Lock()
-	first := !d.dropped && err == nil
+	first := !d.dropped && err == nil && method == methodSubmit
 	if first {
 		d.dropped = true
 	}
@@ -254,7 +248,7 @@ func (d *dropOnceShuffler) SubmitBatch(args SubmitBatchArgs, reply *SubmitReply)
 	if first {
 		d.drop()
 	}
-	return err
+	return dst, err
 }
 
 // TestSubmitAllResumesAfterConnDrop pins the client's transient-retry
@@ -265,8 +259,8 @@ func (d *dropOnceShuffler) SubmitBatch(args SubmitBatchArgs, reply *SubmitReply)
 // double-submitting a single report.
 func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
-	wrapped := &dropOnceShuffler{ShufflerService: rig.svc}
-	srv := serveKillable(t, "Shuffler", wrapped)
+	wrapped := &dropOnceShuffler{StageService: rig.svc}
+	srv := serveKillable(t, wrapped)
 	wrapped.drop = srv.dropConns
 
 	cl, err := Dial(srv.addr())
@@ -288,15 +282,10 @@ func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 		t.Fatalf("accepted = %d, want %d", accepted, len(envs))
 	}
 
-	var stats ServiceStats
-	if err := rig.svc.Stats(struct{}{}, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Accepted != int64(len(envs)) {
+	if stats := rig.svc.Stats(); stats.Accepted != int64(len(envs)) {
 		t.Errorf("service accepted = %d, want %d (the stamped retry must dedup, not re-ingest)", stats.Accepted, len(envs))
 	}
-	var drained ServiceStats
-	if err := rig.svc.Drain(DrainArgs{}, &drained); err != nil {
+	if _, err := rig.svc.Drain(false); err != nil {
 		t.Fatal(err)
 	}
 	ac, err := DialAnalyzer(rig.anlz)
@@ -323,7 +312,7 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +330,8 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 		Blinding: blindKP, Priv: s2Priv,
 		Rand: rand.New(rand.NewPCG(27, 31)), MinBatch: 1,
 	}
-	svc, err := NewShuffler2FleetService(s2, []string{anlzL.Addr().String()}, EpochConfig{})
+	svc, err := NewStageService(s2, core.KindBlinded, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,15 +352,15 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 	}
 
 	const racers = 8
-	args := ForwardArgs{Stream: 11, Epoch: 1, Batch: core.Batch{Blinded: envs}}
+	batch := core.Batch{Blinded: envs}
 	var wg sync.WaitGroup
 	errs := make([]error, racers)
-	replies := make([]SubmitReply, racers)
+	accepted := make([]int, racers)
 	for g := 0; g < racers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = svc.Forward(args, &replies[g])
+			accepted[g], errs[g] = svc.Forward(11, 1, batch)
 		}(g)
 	}
 	wg.Wait()
@@ -378,27 +368,18 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 		if errs[g] != nil {
 			t.Fatalf("racer %d: %v", g, errs[g])
 		}
-		if replies[g].Accepted != len(envs) {
-			t.Errorf("racer %d accepted = %d, want %d (idempotent ack)", g, replies[g].Accepted, len(envs))
+		if accepted[g] != len(envs) {
+			t.Errorf("racer %d accepted = %d, want %d (idempotent ack)", g, accepted[g], len(envs))
 		}
 	}
-	var pending int
-	if err := svc.BatchSize(struct{}{}, &pending); err != nil {
-		t.Fatal(err)
-	}
-	if pending != len(envs) {
+	if pending := svc.Stats().Pending; pending != len(envs) {
 		t.Fatalf("pending after %d racing forwards = %d, want %d", racers, pending, len(envs))
 	}
-	var drained ServiceStats
-	if err := svc.Drain(DrainArgs{}, &drained); err != nil {
+	if _, err := svc.Drain(false); err != nil {
 		t.Fatal(err)
 	}
-	var anlzStats AnalyzerStats
-	if err := anlzSvc.Stats(struct{}{}, &anlzStats); err != nil {
-		t.Fatal(err)
-	}
-	if anlzStats.Records != len(envs) {
-		t.Errorf("analyzer records = %d, want %d (exactly-once under the race)", anlzStats.Records, len(envs))
+	if records := anlzSvc.Stats().Records; records != len(envs) {
+		t.Errorf("analyzer records = %d, want %d (exactly-once under the race)", records, len(envs))
 	}
 }
 
@@ -460,14 +441,19 @@ func TestDrainForceReleasesBelowFloor(t *testing.T) {
 	}
 }
 
-// TestHealthzLiveness pins the cheap liveness RPC: it answers without
+// TestHealthzLiveness pins the cheap liveness call: it answers without
 // touching the ingestion path and carries the installed fleet topology.
 func TestHealthzLiveness(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
 	rig.svc.SetFleetInfo(4, []string{"10.0.0.1:9000", "10.0.0.2:9000"})
 
-	var reply HealthzReply
-	if err := rig.svc.Healthz(struct{}{}, &reply); err != nil {
+	cl, err := Dial(rig.shuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	reply, err := cl.Healthz()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reply.Healthy {
@@ -477,7 +463,7 @@ func TestHealthzLiveness(t *testing.T) {
 		t.Errorf("fleet info = partitions %d, peers %v, want 4 and 2 peers", reply.Partitions, reply.Peers)
 	}
 	rig.svc.Abort()
-	if err := rig.svc.Healthz(struct{}{}, &reply); err != nil {
+	if reply, err = cl.Healthz(); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Healthy {
@@ -485,11 +471,17 @@ func TestHealthzLiveness(t *testing.T) {
 	}
 }
 
-// countCaller records pass-through calls for fault-plan tests.
-type countCaller struct{ calls int }
+// countPusher records pass-through pushes for fault-plan tests.
+type countPusher struct{ calls int }
 
-func (c *countCaller) Call(m string, a, r any) error { c.calls++; return nil }
-func (c *countCaller) Close() error                  { return nil }
+func (c *countPusher) push(uint8, int64, int64, core.Batch) (int, error) { c.calls++; return 0, nil }
+func (c *countPusher) close() error                                      { return nil }
+
+// push issues one Forward through a fault-wrapped pusher.
+func push(p pusher) error {
+	_, err := p.push(methodForward, 1, 1, core.Batch{})
+	return err
+}
 
 // TestFaultPlanKillAndPartition pins the fleet fault modes: a drawn kill
 // invokes the harness hook exactly once and fails the call without
@@ -499,15 +491,15 @@ func (c *countCaller) Close() error                  { return nil }
 func TestFaultPlanKillAndPartition(t *testing.T) {
 	killed := 0
 	kp := &FaultPlan{Seed: 1, PKill: 1, MaxFaults: 1, Kill: func() { killed++ }}
-	under := &countCaller{}
+	under := &countPusher{}
 	fc := kp.wrap(under)
-	if err := fc.Call("X.Y", nil, nil); err == nil || !strings.Contains(err.Error(), "replica killed") {
+	if err := push(fc); err == nil || !strings.Contains(err.Error(), "replica killed") {
 		t.Fatalf("first call = %v, want the injected kill error", err)
 	}
 	if killed != 1 || under.calls != 0 {
 		t.Fatalf("killed=%d delivered=%d, want the hook invoked once and nothing delivered", killed, under.calls)
 	}
-	if err := fc.Call("X.Y", nil, nil); err != nil {
+	if err := push(fc); err != nil {
 		t.Fatalf("post-budget call = %v, want pass-through", err)
 	}
 	if killed != 1 || under.calls != 1 || kp.Injected() != 1 {
@@ -516,26 +508,26 @@ func TestFaultPlanKillAndPartition(t *testing.T) {
 
 	// A kill draw with no hook installed is a no-op, not a stuck schedule.
 	np := &FaultPlan{Seed: 1, PKill: 1, MaxFaults: 1}
-	nunder := &countCaller{}
+	nunder := &countPusher{}
 	nfc := np.wrap(nunder)
-	if err := nfc.Call("X.Y", nil, nil); err != nil || np.Injected() != 0 {
+	if err := push(nfc); err != nil || np.Injected() != 0 {
 		t.Fatalf("hookless kill draw = (%v, %d injected), want pass-through and nothing injected", err, np.Injected())
 	}
 
 	pp := &FaultPlan{Seed: 3, PPartition: 1, PartitionFor: 60 * time.Millisecond, MaxFaults: 1}
-	punder := &countCaller{}
+	punder := &countPusher{}
 	pfc := pp.wrap(punder)
-	if err := pfc.Call("X.Y", nil, nil); err == nil || !strings.Contains(err.Error(), "partitioned") {
+	if err := push(pfc); err == nil || !strings.Contains(err.Error(), "partitioned") {
 		t.Fatalf("first call = %v, want the injected partition error", err)
 	}
-	if err := pfc.Call("X.Y", nil, nil); err == nil {
+	if err := push(pfc); err == nil {
 		t.Fatal("call inside the partition window succeeded")
 	}
 	if pp.Injected() != 1 || punder.calls != 0 {
 		t.Fatalf("injected=%d delivered=%d, want the window to blanket calls without new draws", pp.Injected(), punder.calls)
 	}
 	time.Sleep(80 * time.Millisecond)
-	if err := pfc.Call("X.Y", nil, nil); err != nil {
+	if err := push(pfc); err != nil {
 		t.Fatalf("call after the window closed = %v, want pass-through", err)
 	}
 	if punder.calls != 1 {

@@ -176,7 +176,7 @@ func TestForwardDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,8 @@ func TestForwardDedup(t *testing.T) {
 		Blinding: blindKP, Priv: s2Priv,
 		Rand: rand.New(rand.NewPCG(21, 23)), MinBatch: 1,
 	}
-	svc, err := NewShuffler2Service(s2, anlzL.Addr().String(), EpochConfig{})
+	svc, err := NewStageService(s2, core.KindBlinded, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,45 +215,29 @@ func TestForwardDedup(t *testing.T) {
 		}
 	}
 
-	args := ForwardArgs{Stream: 9, Epoch: 1, Batch: core.Batch{Blinded: envs}}
-	var reply SubmitReply
-	if err := svc.Forward(args, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Accepted != 3 {
-		t.Fatalf("first forward accepted = %d, want 3", reply.Accepted)
+	batch := core.Batch{Blinded: envs}
+	if n, err := svc.Forward(9, 1, batch); err != nil || n != 3 {
+		t.Fatalf("first forward = (%d, %v), want 3 accepted", n, err)
 	}
 	// The retry (reply lost upstream) must ack without ingesting again.
-	if err := svc.Forward(args, &reply); err != nil {
-		t.Fatal(err)
+	if n, err := svc.Forward(9, 1, batch); err != nil || n != 3 {
+		t.Fatalf("retried forward = (%d, %v), want 3 accepted (idempotent ack)", n, err)
 	}
-	if reply.Accepted != 3 {
-		t.Fatalf("retried forward accepted = %d, want 3 (idempotent ack)", reply.Accepted)
-	}
-	var pending int
-	if err := svc.BatchSize(struct{}{}, &pending); err != nil {
-		t.Fatal(err)
-	}
-	if pending != 3 {
+	if pending := svc.Stats().Pending; pending != 3 {
 		t.Fatalf("pending after duplicate forward = %d, want 3", pending)
 	}
 
 	// Wrong wire kind: a blinded hop must refuse plain envelopes.
-	bad := ForwardArgs{Stream: 9, Epoch: 2, Batch: core.Batch{Envelopes: []core.Envelope{{Blob: []byte("x")}}}}
-	if err := svc.Forward(bad, &reply); err == nil {
+	bad := core.Batch{Envelopes: []core.Envelope{{Blob: []byte("x")}}}
+	if _, err := svc.Forward(9, 2, bad); err == nil {
 		t.Error("forward of plain envelopes into a blinded hop succeeded")
 	}
 
-	var drained ServiceStats
-	if err := svc.Drain(DrainArgs{}, &drained); err != nil {
+	if _, err := svc.Drain(false); err != nil {
 		t.Fatal(err)
 	}
-	var anlzStats AnalyzerStats
-	if err := anlzSvc.Stats(struct{}{}, &anlzStats); err != nil {
-		t.Fatal(err)
-	}
-	if anlzStats.Records != 3 {
-		t.Errorf("analyzer records = %d, want 3 (dedup prevented double ingestion)", anlzStats.Records)
+	if records := anlzSvc.Stats().Records; records != 3 {
+		t.Errorf("analyzer records = %d, want 3 (dedup prevented double ingestion)", records)
 	}
 }
 

@@ -3,10 +3,7 @@ package transport
 import (
 	crand "crypto/rand"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"net"
-	"net/rpc"
 	"runtime"
 	"sort"
 	"sync"
@@ -25,45 +22,16 @@ import (
 // EpochConfig.DialTimeout, or per client with DialTimeout/DialAnalyzerTimeout.
 const DefaultDialTimeout = 5 * time.Second
 
-// dialRPC dials an RPC peer with a bounded connect timeout (timeout <= 0
-// selects DefaultDialTimeout).
-func dialRPC(addr string, timeout time.Duration) (*rpc.Client, error) {
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+// dialPusher dials a downstream peer and applies the configured fault
+// plan. Every push is bounded by the wire timeout so a hung peer fails
+// transient instead of wedging the flusher; fault injection wraps the
+// outside, so an injected delay does not eat into the call budget.
+func (cfg EpochConfig) dialPusher(addr string) (pusher, error) {
+	wc, err := dialWire(addr, cfg.DialTimeout, cfg.wireTimeout())
 	if err != nil {
 		return nil, err
 	}
-	return rpc.NewClient(conn), nil
-}
-
-// dialCaller dials a downstream peer's data plane and applies the
-// configured fault plan. With Wire == WireBinary (the default) it
-// negotiates the framed binary protocol, falling back to a gob connection
-// when the peer does not speak it; either way every data call is bounded by
-// the wire timeout so a hung peer fails transient instead of wedging the
-// flusher. Fault injection wraps the outside, so an injected delay does not
-// eat into the call budget.
-func (cfg EpochConfig) dialCaller(addr string) (caller, error) {
-	var cl caller
-	if cfg.Wire == WireBinary {
-		wc, err := dialWire(addr, cfg.DialTimeout, cfg.wireTimeout())
-		switch {
-		case err == nil:
-			cl = &wireCaller{wc: wc}
-		case !errors.Is(err, errWireUnsupported):
-			return nil, err
-		}
-	}
-	if cl == nil {
-		rc, err := dialRPC(addr, cfg.DialTimeout)
-		if err != nil {
-			return nil, err
-		}
-		cl = &timeoutCaller{cl: rc, timeout: cfg.wireTimeout()}
-	}
-	return cfg.Fault.wrap(cl), nil
+	return cfg.Fault.wrap(wc), nil
 }
 
 // newStreamID draws a random 63-bit stream id. Stream ids name a pusher's
@@ -93,54 +61,18 @@ type sink interface {
 	close() error
 }
 
-// analyzerSink pushes peeled payloads to an analyzer service, redialing a
-// broken connection with jittered exponential backoff: a long-lived daemon
-// must survive an analyzer restart, so a failed call is retried on a fresh
-// connection before the epoch is declared lost. Retried pushes are
-// deduplicated analyzer-side by (stream, epoch) — a reply lost after
-// ingestion must not double-count.
-type analyzerSink struct {
-	cl   caller
-	addr string
-	cfg  EpochConfig
-	ab   *aborter
-}
+// SinkKind names what a stage service's downstream tier is, which decides
+// the frame method its epochs are pushed with.
+type SinkKind uint8
 
-func newAnalyzerSink(addr string, cfg EpochConfig, ab *aborter) (*analyzerSink, error) {
-	cl, err := cfg.dialCaller(addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial analyzer: %w", err)
-	}
-	return &analyzerSink{cl: cl, addr: addr, cfg: cfg, ab: ab}, nil
-}
+const (
+	// SinkAnalyzer pushes peeled payloads to an analyzer tier (Ingest).
+	SinkAnalyzer SinkKind = iota
+	// SinkStage pushes the epoch to the next shuffler hop (Forward).
+	SinkStage
+)
 
-func (s *analyzerSink) push(stream, epoch int64, out core.Batch) error {
-	if k := out.Kind(); k != core.KindPayloads && k != core.KindEmpty {
-		return fmt.Errorf("transport: analyzer ingests %v, stage emitted %v", core.KindPayloads, k)
-	}
-	args := IngestArgs{Stream: stream, Epoch: epoch, Items: out.Payloads}
-	var ack bool
-	err := s.cl.Call("Analyzer.Ingest", args, &ack)
-	pol := s.cfg.redial()
-	for attempt := 0; err != nil && attempt < pol.attempts; attempt++ {
-		if !s.ab.sleep(pol.delay(attempt)) {
-			return err
-		}
-		cl, derr := s.cfg.dialCaller(s.addr)
-		if derr != nil {
-			err = fmt.Errorf("transport: redial analyzer: %w", derr)
-			continue
-		}
-		s.cl.Close()
-		s.cl = cl
-		err = s.cl.Call("Analyzer.Ingest", args, &ack)
-	}
-	return err
-}
-
-func (s *analyzerSink) close() error { return s.cl.Close() }
-
-// Forward-push retry policy: a downstream hop rejecting with the retryable
+// Push retry policy: a downstream hop rejecting with the retryable
 // epoch-full error is backpressure, not failure — the upstream flusher backs
 // off and retries while the downstream epoch drains. The bound exists so a
 // misconfigured chain (an epoch larger than the next hop's MaxPending can
@@ -151,31 +83,36 @@ const (
 	forwardDelay   = 25 * time.Millisecond
 )
 
-// stageSink pushes a processed epoch to the next shuffler hop of a chain
-// over the Shuffler.Forward RPC. Epoch-full rejections are retried with
-// backoff (downstream backpressure propagates upstream: the flusher blocks,
-// the in-flight queue fills, and this hop starts rejecting its own clients);
-// broken connections are redialed with jittered exponential backoff like
-// analyzerSink. Receivers dedup by (stream, epoch).
-type stageSink struct {
-	cl   caller
-	addr string
-	cfg  EpochConfig
-	ab   *aborter
+// pushSink pushes each processed epoch to one downstream peer. Epoch-full
+// rejections are retried with backoff (downstream backpressure propagates
+// upstream: the flusher blocks, the in-flight queue fills, and this hop
+// starts rejecting its own clients); any other failure is retried on a fresh
+// connection with jittered exponential backoff — a long-lived daemon must
+// survive a downstream restart — before the epoch is declared lost. Retried
+// pushes are deduplicated by the receiver on (stream, epoch): a reply lost
+// after ingestion must not double-count.
+type pushSink struct {
+	method uint8 // methodIngest or methodForward, from the SinkKind
+	cl     pusher
+	addr   string
+	cfg    EpochConfig
+	ab     *aborter
 }
 
-func newStageSink(addr string, cfg EpochConfig, ab *aborter) (*stageSink, error) {
-	cl, err := cfg.dialCaller(addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial next hop: %w", err)
+func newPushSink(kind SinkKind, addr string, cfg EpochConfig, ab *aborter) (*pushSink, error) {
+	method := methodIngest
+	if kind == SinkStage {
+		method = methodForward
 	}
-	return &stageSink{cl: cl, addr: addr, cfg: cfg, ab: ab}, nil
+	cl, err := cfg.dialPusher(addr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: dial next hop %s: %w", addr, err)
+	}
+	return &pushSink{method: method, cl: cl, addr: addr, cfg: cfg, ab: ab}, nil
 }
 
-func (s *stageSink) push(stream, epoch int64, out core.Batch) error {
-	args := ForwardArgs{Stream: stream, Epoch: epoch, Batch: out}
-	var reply SubmitReply
-	err := s.cl.Call("Shuffler.Forward", args, &reply)
+func (s *pushSink) push(stream, epoch int64, out core.Batch) error {
+	_, err := s.cl.push(s.method, stream, epoch, out)
 	pol := s.cfg.redial()
 	redials := 0
 	for attempt := 0; err != nil && attempt < forwardRetries; attempt++ {
@@ -183,7 +120,7 @@ func (s *stageSink) push(stream, epoch int64, out core.Batch) error {
 			if !s.ab.sleep(forwardDelay) {
 				return err
 			}
-			err = s.cl.Call("Shuffler.Forward", args, &reply)
+			_, err = s.cl.push(s.method, stream, epoch, out)
 			continue
 		}
 		if redials >= pol.attempts {
@@ -193,14 +130,14 @@ func (s *stageSink) push(stream, epoch int64, out core.Batch) error {
 			return err
 		}
 		redials++
-		cl, derr := s.cfg.dialCaller(s.addr)
+		cl, derr := s.cfg.dialPusher(s.addr)
 		if derr != nil {
-			err = fmt.Errorf("transport: redial next hop: %w", derr)
+			err = fmt.Errorf("transport: redial next hop %s: %w", s.addr, derr)
 			continue
 		}
-		s.cl.Close()
+		s.cl.close()
 		s.cl = cl
-		err = s.cl.Call("Shuffler.Forward", args, &reply)
+		_, err = s.cl.push(s.method, stream, epoch, out)
 	}
 	if IsEpochFull(err) {
 		return fmt.Errorf("transport: next hop still epoch-full after %d retries "+
@@ -209,7 +146,7 @@ func (s *stageSink) push(stream, epoch int64, out core.Batch) error {
 	return err
 }
 
-func (s *stageSink) close() error { return s.cl.Close() }
+func (s *pushSink) close() error { return s.cl.close() }
 
 // fanoutSink splits each processed epoch across a partitioned downstream
 // tier. Blinded envelopes route by the client-stamped owning partition
@@ -298,32 +235,15 @@ func partitionBatch(out core.Batch, m int) []core.Batch {
 	return split
 }
 
-// newAnalyzerTier builds the sink for a partitioned analyzer tier: a plain
-// analyzerSink for one address, a fanout over one analyzerSink per
-// partition otherwise.
-func newAnalyzerTier(addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
-	return newTier(addrs, func(addr string) (sink, error) {
-		return newAnalyzerSink(addr, cfg, ab)
-	})
-}
-
-// newStageTier builds the sink for a partitioned next-hop shuffler tier.
-func newStageTier(addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
-	return newTier(addrs, func(addr string) (sink, error) {
-		return newStageSink(addr, cfg, ab)
-	})
-}
-
-func newTier(addrs []string, dial func(string) (sink, error)) (sink, error) {
+// newTier builds the sink for a downstream tier: a plain pushSink for one
+// address, a fanout over one pushSink per partition otherwise.
+func newTier(kind SinkKind, addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: downstream tier needs at least one address")
 	}
-	if len(addrs) == 1 {
-		return dial(addrs[0])
-	}
 	parts := make([]sink, len(addrs))
 	for i, addr := range addrs {
-		s, err := dial(addr)
+		s, err := newPushSink(kind, addr, cfg, ab)
 		if err != nil {
 			for _, p := range parts[:i] {
 				p.close()
@@ -331,6 +251,9 @@ func newTier(addrs []string, dial func(string) (sink, error)) (sink, error) {
 			return nil, err
 		}
 		parts[i] = s
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
 	}
 	return &fanoutSink{parts: parts}, nil
 }
@@ -369,8 +292,12 @@ type forceReq struct {
 }
 
 // wireOps bundles the per-item operations an engine needs for its wire type:
-// arrival stamping, sequence extraction, and the durable (WAL) codec.
+// the core.Batch member that carries it, arrival stamping, sequence
+// extraction, and the durable (WAL) codec.
 type wireOps[T any] struct {
+	kind  core.BatchKind
+	items func(core.Batch) []T
+	batch func([]T) core.Batch
 	// stamp records the arrival metadata a network service inevitably sees
 	// (the stage's first processing step strips it, §3.3): item i gets
 	// sequence number base+i+1 and the arrival time.
@@ -381,6 +308,9 @@ type wireOps[T any] struct {
 }
 
 var envelopeOps = wireOps[core.Envelope]{
+	kind:  core.KindEnvelopes,
+	items: func(b core.Batch) []core.Envelope { return b.Envelopes },
+	batch: func(items []core.Envelope) core.Batch { return core.Batch{Envelopes: items} },
 	stamp: stampEnvelopes,
 	seqOf: envelopeSeq,
 	enc:   func(e *core.Envelope, dst []byte) []byte { return e.AppendWire(dst) },
@@ -393,6 +323,9 @@ var envelopeOps = wireOps[core.Envelope]{
 }
 
 var blindedOps = wireOps[core.BlindedEnvelope]{
+	kind:  core.KindBlinded,
+	items: func(b core.Batch) []core.BlindedEnvelope { return b.Blinded },
+	batch: func(items []core.BlindedEnvelope) core.Batch { return core.Batch{Blinded: items} },
 	stamp: stampBlinded,
 	seqOf: blindedSeq,
 	enc:   func(e *core.BlindedEnvelope, dst []byte) []byte { return e.AppendWire(dst) },
@@ -407,12 +340,14 @@ var blindedOps = wireOps[core.BlindedEnvelope]{
 // engine is the reusable epoch machinery every stage daemon runs: sharded
 // ingestion with global sequence stamping, an epoch scheduler (occupancy- and
 // timer-driven cuts, respecting the stage's anonymity floor), submission
-// backpressure at MaxPending, a single in-order flusher feeding the stage
-// function, and an at-least-once push of each processed epoch into the sink.
-// It is generic over the ingested wire item (client envelopes for the plain
-// and SGX shufflers, blinded envelopes for the split-shuffler hops); the
-// stage's output travels as a core.Batch, so any stage can feed any sink.
-// See the package comment for the streaming and backpressure model.
+// backpressure at MaxPending, (stream, epoch) dedup of stamped ingests, a
+// single in-order flusher feeding the stage, and an at-least-once push of
+// each processed epoch into the sink. It is generic over the ingested wire
+// item (client envelopes for the plain and SGX shufflers, blinded envelopes
+// for the split-shuffler hops) and takes and emits core.Batch at its edges,
+// so StageService drives either instantiation through stageEngine and any
+// stage can feed any sink. See the package comment for the streaming and
+// backpressure model.
 //
 // With EpochConfig.WALDir set, the engine is crash-safe: accepted items are
 // logged before the submission is acknowledged, cut epochs before they are
@@ -421,13 +356,14 @@ var blindedOps = wireOps[core.BlindedEnvelope]{
 // is byte-identical), and re-pushes unresolved epochs under their original
 // (stream, epoch) pairs for downstream dedup to absorb.
 type engine[T any] struct {
-	process func([]T) (core.Batch, shuffler.Stats, error)
-	sink    sink
-	ops     wireOps[T]
-	floor   int
-	cfg     EpochConfig
-	wal     *wal
-	ab      *aborter
+	stage shuffler.Stage
+	sink  sink
+	ops   wireOps[T]
+	floor int
+	cfg   EpochConfig
+	wal   *wal
+	ab    *aborter
+	fwd   forwardDedup
 
 	stream    int64 // id naming this engine's push stream for dedup; persisted in the WAL
 	epochID   atomic.Int64
@@ -459,7 +395,6 @@ type engine[T any] struct {
 	// recovered epochs (cut before the last crash, never resolved) are
 	// re-processed and re-pushed by the flusher before any live epoch.
 	recovered []recoveredEpoch[T]
-	recMarks  [][2]int64
 	recItems  int64
 	recEpochs int64
 
@@ -478,18 +413,15 @@ type engine[T any] struct {
 }
 
 // newEngine wires an engine: cfg defaults and clamps applied, stream id
-// drawn (or recovered from the WAL), scheduler and flusher started. floor is
-// the stage's anonymity floor; snk receives every processed epoch and is
-// closed by close(); ab is shared with the sinks so Abort can interrupt an
-// in-flight push.
-func newEngine[T any](
-	cfg EpochConfig, floor int, snk sink, ab *aborter,
-	process func([]T) (core.Batch, shuffler.Stats, error),
-	ops wireOps[T],
-) (*engine[T], error) {
+// drawn (or recovered from the WAL), scheduler and flusher started. st
+// processes every cut epoch and sets the anonymity floor; snk receives every
+// processed epoch and is closed by close(); ab is shared with the sinks so
+// Abort can interrupt an in-flight push.
+func newEngine[T any](cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter, ops wireOps[T]) (*engine[T], error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
+	floor := st.Floor()
 	if floor <= 0 {
 		floor = 1
 	}
@@ -517,9 +449,6 @@ func newEngine[T any](
 	}
 	if cfg.InFlight <= 0 {
 		cfg.InFlight = 2
-	}
-	if ab == nil {
-		ab = newAborter()
 	}
 	stream, err := newStreamID()
 	if err != nil {
@@ -557,21 +486,21 @@ func newEngine[T any](
 	}
 
 	e := &engine[T]{
-		process: process,
-		sink:    snk,
-		ops:     ops,
-		floor:   floor,
-		cfg:     cfg,
-		wal:     w,
-		ab:      ab,
-		stream:  stream,
-		start:   time.Now(),
-		shards:  make([]ingestShard[T], cfg.Shards),
-		kick:    make(chan struct{}, 1),
-		force:   make(chan forceReq),
-		epochs:  make(chan *epoch[T], cfg.InFlight),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		stage:  st,
+		sink:   snk,
+		ops:    ops,
+		floor:  floor,
+		cfg:    cfg,
+		wal:    w,
+		ab:     ab,
+		stream: stream,
+		start:  time.Now(),
+		shards: make([]ingestShard[T], cfg.Shards),
+		kick:   make(chan struct{}, 1),
+		force:  make(chan forceReq),
+		epochs: make(chan *epoch[T], cfg.InFlight),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	if rec != nil {
 		e.seq.Store(rec.seqMax)
@@ -587,7 +516,7 @@ func newEngine[T any](
 		e.accepted.Store(e.recItems)
 		e.recovered = rec.epochs
 		e.recEpochs = int64(len(rec.epochs))
-		e.recMarks = rec.marks
+		e.fwd.restore(rec.marks)
 		e.queuedEpochs = len(rec.epochs)
 	}
 	e.registerMetrics()
@@ -605,25 +534,43 @@ func newEngine[T any](
 
 func (e *engine[T]) isKilled() bool { return e.ab.aborted() }
 
-// add stamps and ingests a submission, enforcing backpressure.
-func (e *engine[T]) add(items []T) error {
-	return e.ingest(items, false, 0, 0)
+func (e *engine[T]) config() EpochConfig { return e.cfg }
+
+// admit refuses a batch of a wire kind this engine does not ingest.
+func (e *engine[T]) admit(b core.Batch) error {
+	if k := b.Kind(); k != e.ops.kind && k != core.KindEmpty {
+		return fmt.Errorf("transport: stage ingests %v, got %v", e.ops.kind, k)
+	}
+	return nil
 }
 
-// addForward ingests a forwarded epoch from an upstream hop. With a WAL, the
-// items and the upstream (stream, epoch) dedup mark are persisted as one
-// fsynced record before this returns — the caller must only mark the pair as
-// seen (and ack upstream) after a nil return, so a crash can never keep the
-// mark without the items or vice versa.
-func (e *engine[T]) addForward(stream, epoch int64, items []T) error {
-	return e.ingest(items, true, stream, epoch)
+// add stamps and ingests an unstamped submission, enforcing backpressure.
+func (e *engine[T]) add(b core.Batch) error {
+	if err := e.admit(b); err != nil {
+		return err
+	}
+	return e.ingest(e.ops.items(b), false, 0, 0)
+}
+
+// addForward ingests a batch stamped (stream, epoch) — an upstream hop's
+// forwarded epoch or a client's stamped submission — exactly once: an
+// at-least-once retry of a pair already ingested is acknowledged without
+// re-ingesting. With a WAL, the items and the dedup mark are persisted as
+// one fsynced record before the pair is marked seen (and acked upstream), so
+// a crash can never keep the mark without the items or vice versa.
+func (e *engine[T]) addForward(stream, epoch int64, b core.Batch) error {
+	if err := e.admit(b); err != nil {
+		return err
+	}
+	items := e.ops.items(b)
+	return e.fwd.ingest(stream, epoch, func() error { return e.ingest(items, true, stream, epoch) })
 }
 
 // ingest stamps and appends a submission. The whole call takes one shard
 // lock: the shard is picked round-robin per call (not from the sequence
 // number, which advances by the batch size and would park every uniform-size
-// batch on one shard), so concurrent RPCs spread across shards while each
-// RPC stays a single append. With a WAL, the items are logged under the same
+// batch on one shard), so concurrent calls spread across shards while each
+// call stays a single append. With a WAL, the items are logged under the same
 // shard lock, so "in the log" and "visible to the next cut" are atomic.
 func (e *engine[T]) ingest(items []T, fwd bool, fwdStream, fwdEpoch int64) error {
 	if len(items) == 0 {
@@ -871,7 +818,7 @@ func (e *engine[T]) flushOne(ep *epoch[T]) {
 	} else {
 		var out core.Batch
 		procStart := time.Now()
-		out, res.stats, res.err = e.process(ep.batch)
+		out, res.stats, res.err = e.stage.ProcessEpoch(e.ops.batch(ep.batch))
 		observeSeconds(e.procSeconds, procStart)
 		if res.err == nil {
 			pushStart := time.Now()
@@ -932,9 +879,10 @@ func (e *engine[T]) forceFlush(allowEmpty, forceDrop bool) (shuffler.Stats, erro
 	}
 }
 
-// stats fills the service's occupancy, epoch counters, and cumulative
-// selectivity snapshot.
-func (e *engine[T]) stats(reply *ServiceStats) {
+// stats snapshots the service's occupancy, epoch counters, and cumulative
+// selectivity.
+func (e *engine[T]) stats() ServiceStats {
+	var reply ServiceStats
 	e.mu.Lock()
 	reply.QueuedEpochs = e.queuedEpochs
 	reply.EpochsFlushed = e.epochsFlushed
@@ -957,16 +905,19 @@ func (e *engine[T]) stats(reply *ServiceStats) {
 		reply.Unaccounted = reply.Accepted -
 			int64(reply.Cumulative.Received) - reply.Dropped - int64(reply.Pending)
 	}
+	return reply
 }
 
-// healthz fills the cheap liveness snapshot. Unlike stats it takes no
-// engine locks — only atomics — so a probe cannot block behind an epoch cut
+// healthz is the cheap liveness snapshot. Unlike stats it takes no engine
+// locks — only atomics — so a probe cannot block behind an epoch cut
 // (closeMu), a slow drain, or a wedged flusher.
-func (e *engine[T]) healthz(reply *HealthzReply) {
-	reply.Healthy = !e.closed.Load() && !e.ab.aborted()
-	reply.UptimeMillis = time.Since(e.start).Milliseconds()
-	reply.Pending = int(e.occupancy.Load())
-	reply.Accepted = e.accepted.Load()
+func (e *engine[T]) healthz() HealthzReply {
+	return HealthzReply{
+		Healthy:      !e.closed.Load() && !e.ab.aborted(),
+		UptimeMillis: time.Since(e.start).Milliseconds(),
+		Pending:      int(e.occupancy.Load()),
+		Accepted:     e.accepted.Load(),
+	}
 }
 
 // close gracefully shuts the engine down: it stops accepting submissions,

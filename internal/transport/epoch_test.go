@@ -19,7 +19,7 @@ import (
 // batch 1, so every accepted report must reach the analyzer), and an
 // encoder wired to both keys.
 type streamingRig struct {
-	svc     *ShufflerService
+	svc     *StageService
 	anlzSvc *AnalyzerService
 	enc     *encoder.Client
 	shuf    string // shuffler address
@@ -38,7 +38,7 @@ func newStreamingRigMin(t testing.TB, cfg EpochConfig, minBatch int) *streamingR
 		t.Fatal(err)
 	}
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +53,13 @@ func newStreamingRigMin(t testing.TB, cfg EpochConfig, minBatch int) *streamingR
 		Rand:     rand.New(rand.NewPCG(5, 7)),
 		MinBatch: minBatch,
 	}
-	svc, err := NewStreamingShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String(), cfg)
+	svc, err := NewStageService(sh, core.KindEnvelopes, Keys{Key: shufPriv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, SinkAnalyzer, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	shufL, err := Serve("127.0.0.1:0", "Shuffler", svc)
+	shufL, err := Serve("127.0.0.1:0", svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +84,9 @@ func (r *streamingRig) envelope(t testing.TB, crowd, value string) core.Envelope
 	return env
 }
 
-// TestSubmitBatchRPC ships a whole batch in one round trip and checks it
-// lands intact next to single-Submit traffic (the compatibility path).
-func TestSubmitBatchRPC(t *testing.T) {
+// TestSubmitBatch ships a whole batch in one round trip and checks it lands
+// intact next to a one-envelope batch.
+func TestSubmitBatch(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
 	cl, err := Dial(rig.shuf)
 	if err != nil {
@@ -100,7 +101,7 @@ func TestSubmitBatchRPC(t *testing.T) {
 	if err := cl.SubmitBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Submit(rig.envelope(t, "c:single", "single-value")); err != nil {
+	if err := cl.SubmitBatch([]core.Envelope{rig.envelope(t, "c:single", "single-value")}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := cl.Stats()
@@ -220,7 +221,7 @@ func TestEpochTimerFlush(t *testing.T) {
 
 // TestBackpressureEpochFull checks that submissions beyond MaxPending are
 // rejected atomically with the retryable epoch-full error, recognizable
-// after the RPC round trip, and accepted again once the epoch drains.
+// after the wire round trip, and accepted again once the epoch drains.
 func TestBackpressureEpochFull(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{MaxPending: 10})
 	cl, err := Dial(rig.shuf)
@@ -237,7 +238,7 @@ func TestBackpressureEpochFull(t *testing.T) {
 	if err := cl.SubmitBatch(full); err != nil {
 		t.Fatal(err)
 	}
-	err = cl.Submit(env)
+	err = cl.SubmitBatch([]core.Envelope{env})
 	if !IsEpochFull(err) {
 		t.Fatalf("submit over MaxPending: err = %v, want epoch-full", err)
 	}
@@ -256,7 +257,7 @@ func TestBackpressureEpochFull(t *testing.T) {
 	if _, err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Submit(env); err != nil {
+	if err := cl.SubmitBatch([]core.Envelope{env}); err != nil {
 		t.Fatalf("submit after drain: %v", err)
 	}
 }
@@ -351,7 +352,7 @@ func TestCloseDrainsFinalEpoch(t *testing.T) {
 	if err := rig.svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Submit(env); err == nil {
+	if err := cl.SubmitBatch([]core.Envelope{env}); err == nil {
 		t.Error("submit after Close succeeded, want error")
 	}
 	ac, err := DialAnalyzer(rig.anlz)

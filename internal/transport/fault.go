@@ -5,16 +5,19 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"prochlo/internal/core"
 )
 
-// caller is the slice of *rpc.Client the push sinks use. Sinks dial through
-// EpochConfig.dialCaller, which wraps the client with the configured
-// FaultPlan — fault injection sits below the retry/redial logic, exactly
-// where a flaky network would, so the recovery machinery is exercised by the
-// same code paths production runs.
-type caller interface {
-	Call(serviceMethod string, args any, reply any) error
-	Close() error
+// pusher is the one call the push sinks make on a connection: a Forward or
+// Ingest frame carrying an epoch, answered with the accepted count. Sinks
+// dial through EpochConfig.dialPusher, which wraps the connection with the
+// configured FaultPlan — fault injection sits below the retry/redial logic,
+// exactly where a flaky network would, so the recovery machinery is
+// exercised by the same code paths production runs.
+type pusher interface {
+	push(method uint8, stream, epoch int64, b core.Batch) (accepted int, err error)
+	close() error
 }
 
 // Redial policy defaults (see EpochConfig.RedialAttempts/RedialBase/
@@ -71,7 +74,7 @@ func (p redialPolicy) delay(attempt int) time.Duration {
 	return d
 }
 
-// aborter lets a simulated crash (ShufflerService.Abort) cut through the
+// aborter lets a simulated crash (StageService.Abort) cut through the
 // sinks' retry sleeps and the engine's blocking hand-offs: everything that
 // waits selects against the channel, so an abort stops the world in
 // milliseconds instead of after a retry budget drains.
@@ -106,7 +109,7 @@ func (a *aborter) sleep(d time.Duration) bool {
 }
 
 // FaultPlan injects failures into a stage's downstream pushes on a seeded
-// schedule, for crash-recovery testing (EpochConfig.Fault). Each RPC draws
+// schedule, for crash-recovery testing (EpochConfig.Fault). Each push draws
 // one fault mode from the plan's deterministic stream; the plan is shared
 // across redialed connections so the schedule keeps advancing through
 // reconnects. The modes mirror the failures a real chain sees:
@@ -236,11 +239,11 @@ func (p *FaultPlan) Injected() int {
 }
 
 // wrap decorates a dialed connection with the plan; a nil plan is a no-op.
-func (p *FaultPlan) wrap(c caller) caller {
+func (p *FaultPlan) wrap(c pusher) pusher {
 	if p == nil {
 		return c
 	}
-	return &faultCaller{plan: p, c: c}
+	return &faultPusher{plan: p, c: c}
 }
 
 var errInjectedDrop = errors.New("transport: injected fault: push dropped")
@@ -248,41 +251,38 @@ var errInjectedAckLoss = errors.New("transport: injected fault: ack dropped")
 var errInjectedKill = errors.New("transport: injected fault: replica killed")
 var errInjectedPartition = errors.New("transport: injected fault: network partitioned")
 
-// faultCaller applies one drawn fault per Call.
-type faultCaller struct {
+// faultPusher applies one drawn fault per push.
+type faultPusher struct {
 	plan *FaultPlan
-	c    caller
+	c    pusher
 }
 
-func (f *faultCaller) Call(serviceMethod string, args any, reply any) error {
+func (f *faultPusher) push(method uint8, stream, epoch int64, b core.Batch) (int, error) {
 	if f.plan.partitioned() {
-		return errInjectedPartition
+		return 0, errInjectedPartition
 	}
 	switch f.plan.draw() {
 	case faultKill:
 		f.plan.invokeKill()
-		return errInjectedKill
+		return 0, errInjectedKill
 	case faultPartition:
 		f.plan.openPartition()
-		return errInjectedPartition
+		return 0, errInjectedPartition
 	case faultError:
-		return errInjectedDrop
+		return 0, errInjectedDrop
 	case faultDropAck:
-		if err := f.c.Call(serviceMethod, args, reply); err != nil {
-			return err
+		if _, err := f.c.push(method, stream, epoch, b); err != nil {
+			return 0, err
 		}
-		return errInjectedAckLoss
+		return 0, errInjectedAckLoss
 	case faultDup:
-		if err := f.c.Call(serviceMethod, args, reply); err != nil {
-			return err
+		if _, err := f.c.push(method, stream, epoch, b); err != nil {
+			return 0, err
 		}
-		return f.c.Call(serviceMethod, args, reply)
 	case faultDelay:
 		time.Sleep(f.plan.Delay)
-		return f.c.Call(serviceMethod, args, reply)
-	default:
-		return f.c.Call(serviceMethod, args, reply)
 	}
+	return f.c.push(method, stream, epoch, b)
 }
 
-func (f *faultCaller) Close() error { return f.c.Close() }
+func (f *faultPusher) close() error { return f.c.close() }

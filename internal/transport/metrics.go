@@ -99,7 +99,7 @@ func (w *wal) attachMetrics(reg *metrics.Registry, l metrics.Labels) {
 
 // registerBalancerMetrics exports the balancer's counters on cfg.Metrics.
 // The healthy-replica gauge takes each replica's lock exactly like Stats,
-// which the balancer never holds across RPCs, so scrapes stay non-blocking.
+// which the balancer never holds across calls, so scrapes stay non-blocking.
 func (b *Balancer) registerMetrics() {
 	reg := b.cfg.Metrics
 	if reg == nil {

@@ -26,7 +26,7 @@ type crashRig struct {
 	cfg      EpochConfig
 	enc      *encoder.Client
 
-	svc *ShufflerService
+	svc *StageService
 }
 
 func newCrashRig(t *testing.T, cfg EpochConfig) *crashRig {
@@ -36,7 +36,7 @@ func newCrashRig(t *testing.T, cfg EpochConfig) *crashRig {
 		t.Fatal(err)
 	}
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,8 @@ func (r *crashRig) start() {
 		Rand:     rand.New(rand.NewPCG(5, 7)),
 		MinBatch: 1,
 	}
-	svc, err := NewStreamingShufflerService(sh, r.shufPriv.Public().Bytes(), r.anlz, r.cfg)
+	svc, err := NewStageService(sh, core.KindEnvelopes, Keys{Key: r.shufPriv.Public().Bytes()},
+		[]string{r.anlz}, SinkAnalyzer, r.cfg)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -94,16 +95,15 @@ func (r *crashRig) submit(n int, value string) {
 	for i := range batch {
 		batch[i] = r.envelope("c:"+value, value)
 	}
-	var reply SubmitReply
-	if err := r.svc.SubmitBatch(SubmitBatchArgs{Envelopes: batch}, &reply); err != nil {
+	if _, err := r.svc.Submit(0, 0, core.Batch{Envelopes: batch}); err != nil {
 		r.t.Fatal(err)
 	}
 }
 
 func (r *crashRig) drain() ServiceStats {
 	r.t.Helper()
-	var stats ServiceStats
-	if err := r.svc.Drain(DrainArgs{}, &stats); err != nil {
+	stats, err := r.svc.Drain(false)
+	if err != nil {
 		r.t.Fatal(err)
 	}
 	return stats
@@ -111,11 +111,8 @@ func (r *crashRig) drain() ServiceStats {
 
 func (r *crashRig) histogram() map[string]int {
 	r.t.Helper()
-	var reply HistogramReply
-	if err := r.anlzSvc.Histogram(struct{}{}, &reply); err != nil {
-		r.t.Fatal(err)
-	}
-	return reply.Counts
+	counts, _ := r.anlzSvc.Histogram()
+	return counts
 }
 
 // checkReconciled asserts the accounting invariant at a drain barrier:
@@ -140,10 +137,7 @@ func TestRestartRecoversPending(t *testing.T) {
 	rig.svc.Abort()
 
 	rig.start()
-	var stats ServiceStats
-	if err := rig.svc.Stats(struct{}{}, &stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := rig.svc.Stats()
 	if stats.RecoveredItems != 7 || stats.Pending != 7 || stats.RecoveredEpochs != 0 {
 		t.Fatalf("post-restart stats = %+v, want 7 recovered pending items", stats)
 	}
@@ -161,10 +155,7 @@ func TestRestartRecoversPending(t *testing.T) {
 	// The clean shutdown resolved everything; a further restart recovers
 	// nothing and must not resurrect the delivered reports.
 	rig.start()
-	if err := rig.svc.Stats(struct{}{}, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.RecoveredItems != 0 {
+	if stats = rig.svc.Stats(); stats.RecoveredItems != 0 {
 		t.Errorf("recovery after clean close = %+v, want nothing", stats)
 	}
 	if got := rig.histogram()["pending-value"]; got != 7 {
@@ -185,10 +176,7 @@ func TestRestartResumesInFlightEpoch(t *testing.T) {
 	rig.svc.Abort() // crash with the epoch cut but unresolved
 
 	rig.start()
-	var stats ServiceStats
-	if err := rig.svc.Stats(struct{}{}, &stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := rig.svc.Stats()
 	if stats.RecoveredEpochs != 1 || stats.RecoveredItems != 5 {
 		t.Fatalf("post-restart stats = %+v, want one recovered in-flight epoch of 5", stats)
 	}
@@ -220,10 +208,7 @@ func TestRestartAfterAckLost(t *testing.T) {
 	// Wait until the analyzer has materialized the push (the ack was eaten).
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var as AnalyzerStats
-		if err := rig.anlzSvc.Stats(struct{}{}, &as); err != nil {
-			t.Fatal(err)
-		}
+		as := rig.anlzSvc.Stats()
 		if as.Records == 4 {
 			break
 		}
@@ -235,10 +220,7 @@ func TestRestartAfterAckLost(t *testing.T) {
 	rig.svc.Abort() // crash during the redial backoff: delivered, unacked
 
 	rig.start()
-	var stats ServiceStats
-	if err := rig.svc.Stats(struct{}{}, &stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := rig.svc.Stats()
 	if stats.RecoveredEpochs != 1 || stats.RecoveredItems != 4 {
 		t.Fatalf("post-restart stats = %+v, want one recovered epoch of 4", stats)
 	}
@@ -260,7 +242,7 @@ func TestForwardDedupAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +257,13 @@ func TestForwardDedupAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	walDir := t.TempDir()
-	newHop2 := func() *BlindedShufflerService {
+	newHop2 := func() *StageService {
 		s2 := &shuffler.Shuffler2{
 			Blinding: blindKP, Priv: s2Priv,
 			Rand: rand.New(rand.NewPCG(21, 23)), MinBatch: 1,
 		}
-		svc, err := NewShuffler2Service(s2, anlzL.Addr().String(), EpochConfig{WALDir: walDir})
+		svc, err := NewStageService(s2, core.KindBlinded, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
+			[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{WALDir: walDir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,13 +284,9 @@ func TestForwardDedupAcrossRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	args := ForwardArgs{Stream: 9, Epoch: 1, Batch: core.Batch{Blinded: envs}}
-	var reply SubmitReply
-	if err := svc.Forward(args, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Accepted != 3 {
-		t.Fatalf("first forward accepted = %d, want 3", reply.Accepted)
+	batch := core.Batch{Blinded: envs}
+	if n, err := svc.Forward(9, 1, batch); err != nil || n != 3 {
+		t.Fatalf("first forward = (%d, %v), want 3 accepted", n, err)
 	}
 
 	// Hop 2 dies before flushing; the upstream never saw the ack and retries
@@ -315,31 +294,20 @@ func TestForwardDedupAcrossRestart(t *testing.T) {
 	svc.Abort()
 	svc = newHop2()
 	defer svc.Close()
-	var stats ServiceStats
-	if err := svc.Stats(struct{}{}, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.RecoveredItems != 3 || stats.Pending != 3 {
+	if stats := svc.Stats(); stats.RecoveredItems != 3 || stats.Pending != 3 {
 		t.Fatalf("post-restart stats = %+v, want the 3 forwarded reports pending", stats)
 	}
-	if err := svc.Forward(args, &reply); err != nil {
-		t.Fatal(err)
-	}
-	if reply.Accepted != 3 {
-		t.Fatalf("retried forward accepted = %d, want 3 (idempotent ack across restart)", reply.Accepted)
+	if n, err := svc.Forward(9, 1, batch); err != nil || n != 3 {
+		t.Fatalf("retried forward = (%d, %v), want 3 accepted (idempotent ack across restart)", n, err)
 	}
 
-	var drained ServiceStats
-	if err := svc.Drain(DrainArgs{}, &drained); err != nil {
+	drained, err := svc.Drain(false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	checkReconciled(t, drained)
-	var anlzStats AnalyzerStats
-	if err := anlzSvc.Stats(struct{}{}, &anlzStats); err != nil {
-		t.Fatal(err)
-	}
-	if anlzStats.Records != 3 {
-		t.Errorf("analyzer records = %d, want 3 (dedup mark survived the restart)", anlzStats.Records)
+	if records := anlzSvc.Stats().Records; records != 3 {
+		t.Errorf("analyzer records = %d, want 3 (dedup mark survived the restart)", records)
 	}
 }
 
@@ -351,20 +319,19 @@ func TestForwardDedupAcrossRestart(t *testing.T) {
 func TestReconciliationWithDrops(t *testing.T) {
 	fault := &FaultPlan{Seed: 3, PError: 1} // every push fails
 	rig := newStreamingRig(t, EpochConfig{FlushAt: 1000, Fault: fault, RedialAttempts: -1})
-	var reply SubmitReply
 	batch := make([]core.Envelope, 6)
 	for i := range batch {
 		batch[i] = rig.envelope(t, "c:drop", "drop-value")
 	}
-	if err := rig.svc.SubmitBatch(SubmitBatchArgs{Envelopes: batch}, &reply); err != nil {
+	if _, err := rig.svc.Submit(0, 0, core.Batch{Envelopes: batch}); err != nil {
 		t.Fatal(err)
 	}
-	var drained ServiceStats
-	if err := rig.svc.Drain(DrainArgs{}, &drained); err == nil {
+	if _, err := rig.svc.Drain(false); err == nil {
 		t.Fatal("drain with a dead sink succeeded, want the push failure surfaced")
 	}
 	// The failed epoch is accounted; the next drain is a pure barrier.
-	if err := rig.svc.Drain(DrainArgs{}, &drained); err != nil {
+	drained, err := rig.svc.Drain(false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if drained.Dropped != 6 || drained.EpochsFailed != 1 {

@@ -1,0 +1,420 @@
+package transport
+
+import (
+	"crypto/ecdsa"
+	"crypto/x509"
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"prochlo/internal/analyzer"
+	"prochlo/internal/core"
+	"prochlo/internal/sgx"
+	"prochlo/internal/shuffler"
+)
+
+// forwardDedup tracks inter-hop pushes (and stamped client submissions)
+// already ingested, so an at-least-once retry (the pusher's reply was lost)
+// is acknowledged without re-ingesting. Two concurrent deliveries of the
+// same key — e.g. a dead replica's in-flight push racing its WAL-recovered
+// successor's replay of the same (stream, epoch) — must not both ingest, and
+// a push rejected by backpressure must not be marked seen. Rather than
+// holding one lock across the whole check-ingest-mark sequence (which would
+// serialize every concurrent submission), a per-key busy set makes same-key
+// deliveries wait on each other while distinct keys ingest in parallel.
+type forwardDedup struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	seen map[[2]int64]bool
+	busy map[[2]int64]bool
+}
+
+// restore pre-loads marks recovered from a WAL, so upstream retries of
+// pushes ingested before a crash are still absorbed after the restart.
+func (d *forwardDedup) restore(marks [][2]int64) {
+	if len(marks) == 0 {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.seen == nil {
+		d.seen = make(map[[2]int64]bool, len(marks))
+	}
+	for _, m := range marks {
+		d.seen[m] = true
+	}
+}
+
+// ingest runs add once per (stream, epoch) key: a key already seen is
+// acknowledged without re-ingesting, a key mid-ingest by a concurrent
+// delivery is waited out, and only a successful add marks the key. Pushes
+// with a zero (stream, epoch) skip dedup entirely.
+func (d *forwardDedup) ingest(stream, epoch int64, add func() error) error {
+	if stream == 0 && epoch == 0 {
+		return add()
+	}
+	key := [2]int64{stream, epoch}
+	d.mu.Lock()
+	if d.cond == nil {
+		d.cond = sync.NewCond(&d.mu)
+	}
+	for d.busy[key] {
+		d.cond.Wait()
+	}
+	if d.seen[key] {
+		d.mu.Unlock()
+		return nil
+	}
+	if d.busy == nil {
+		d.busy = make(map[[2]int64]bool)
+	}
+	d.busy[key] = true
+	d.mu.Unlock()
+
+	err := add()
+
+	d.mu.Lock()
+	delete(d.busy, key)
+	if err == nil {
+		if d.seen == nil {
+			d.seen = make(map[[2]int64]bool)
+		}
+		d.seen[key] = true
+	}
+	d.cond.Broadcast()
+	d.mu.Unlock()
+	return err
+}
+
+// stageEngine is the epoch engine with its wire item type erased: what
+// StageService drives, whichever of engine[core.Envelope] and
+// engine[core.BlindedEnvelope] the role's input kind selected.
+type stageEngine interface {
+	add(b core.Batch) error
+	addForward(stream, epoch int64, b core.Batch) error
+	forceFlush(allowEmpty, forceDrop bool) (shuffler.Stats, error)
+	stats() ServiceStats
+	healthz() HealthzReply
+	config() EpochConfig
+	close() error
+	abort()
+}
+
+// StageService serves one shuffler stage — the plain or SGX shuffler, or
+// either hop of the §4.3 split chain — over the frame protocol. Every role
+// runs the same epoch engine around its shuffler.Stage; what distinguishes
+// the roles is data handed to NewStageService: the batch kind the stage
+// admits, the keys it serves, where its epochs go, and (SGX only) an
+// attestation quote. See the package comment for the epoch/backpressure
+// model.
+//
+// Clients enter a chain at its first hop with Submit; later hops receive
+// exclusively forwarded epochs. Both are deduplicated by their (stream,
+// epoch-or-seq) stamp, since pushes and client retries are at-least-once.
+// Backpressure composes across the chain: when hop 2 rejects a forward as
+// epoch-full, hop 1's flusher backs off and retries, its in-flight queue
+// fills, and hop 1 starts rejecting its own clients with the same retryable
+// error.
+type StageService struct {
+	eng  stageEngine
+	keys Keys
+
+	mu         sync.Mutex // guards the fields below
+	att        *AttestationReply
+	partitions int
+	peers      []string
+}
+
+// NewStageService wraps a stage that ingests batches of kind admits
+// (core.KindEnvelopes for the plain and SGX shufflers, core.KindBlinded for
+// both split-chain hops) and pushes each processed epoch to the downstream
+// tier next, whose kind is sink. next lists the tier's replicas in
+// partition order: one address is a plain push, several split every epoch —
+// blinded envelopes by the client-stamped crowd partition, so the replica
+// that thresholds a crowd sees all of it no matter which upstream replica
+// the reports entered through; payloads by content hash, which suffices
+// because the analyzer merge is commutative — with per-partition
+// (stream, epoch) dedup keeping the fan-in exactly-once.
+//
+// keys is the public key material served to clients over Keys: the hybrid
+// key of a plain, SGX or shuffler2 stage, plus the El Gamal blinding key at
+// shuffler2; zero at shuffler1, which holds no keys — clients fetch them
+// from the shuffler2 daemon directly, preserving the rule that no single hop
+// could both see traffic metadata and decrypt. The caller should Close the
+// service to drain it and release the downstream connections.
+func NewStageService(st shuffler.Stage, admits core.BatchKind, keys Keys, next []string, sink SinkKind, cfg EpochConfig) (*StageService, error) {
+	ab := newAborter()
+	snk, err := newTier(sink, next, cfg, ab)
+	if err != nil {
+		return nil, err
+	}
+	var eng stageEngine
+	switch admits {
+	case core.KindEnvelopes:
+		eng, err = newEngine(cfg, st, snk, ab, envelopeOps)
+	case core.KindBlinded:
+		eng, err = newEngine(cfg, st, snk, ab, blindedOps)
+	default:
+		snk.close()
+		err = fmt.Errorf("transport: no stage ingests %v", admits)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &StageService{eng: eng, keys: keys}, nil
+}
+
+// SetAttestation installs the quote served over Attestation (the SGX
+// deployment: the quote covers the service's public key and caKey is the
+// attestation CA's ECDSA verification key).
+func (s *StageService) SetAttestation(quote sgx.Quote, caKey *ecdsa.PublicKey) error {
+	der, err := x509.MarshalPKIXPublicKey(caKey)
+	if err != nil {
+		return fmt.Errorf("transport: marshal CA key: %w", err)
+	}
+	s.mu.Lock()
+	s.att = &AttestationReply{Quote: quote, CAKey: der}
+	s.mu.Unlock()
+	return nil
+}
+
+// Attestation returns the SGX quote over the service's public key; it fails
+// on a service running without an enclave (clients requiring attestation
+// must not fall back silently).
+func (s *StageService) Attestation() (AttestationReply, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.att == nil {
+		return AttestationReply{}, errors.New("transport: shuffler runs without SGX attestation")
+	}
+	return *s.att, nil
+}
+
+// Config returns the service's effective epoch configuration, with every
+// default and clamp applied.
+func (s *StageService) Config() EpochConfig { return s.eng.config() }
+
+// SetFleetInfo installs the fleet-topology metadata served over Healthz:
+// the downstream partition count this replica fans out to and the sibling
+// replicas of its own tier. Purely informational — routing is configured at
+// construction.
+func (s *StageService) SetFleetInfo(partitions int, peers []string) {
+	s.mu.Lock()
+	s.partitions = partitions
+	s.peers = append([]string(nil), peers...)
+	s.mu.Unlock()
+}
+
+// Healthz is the cheap liveness probe; see HealthzReply.
+func (s *StageService) Healthz() HealthzReply {
+	h := s.eng.healthz()
+	s.mu.Lock()
+	h.Partitions, h.Peers = s.partitions, s.peers
+	s.mu.Unlock()
+	return h
+}
+
+// Keys returns the key material clients encrypt to; it fails at a hop that
+// holds none.
+func (s *StageService) Keys() (Keys, error) {
+	if len(s.keys.Key) == 0 {
+		return Keys{}, errors.New("transport: this hop holds no keys (fetch them from the shuffler2 daemon)")
+	}
+	return s.keys, nil
+}
+
+// Submit queues a client batch, returning how many items were accepted. The
+// batch is accepted or rejected atomically: on ErrEpochFull nothing is
+// ingested. A stamped batch (nonzero stream/seq) is deduplicated like a
+// forwarded epoch, so a client's retry after an ambiguous connection error
+// cannot double-ingest; with a WAL the mark persists with the items.
+func (s *StageService) Submit(stream, seq int64, b core.Batch) (int, error) {
+	if stream != 0 || seq != 0 {
+		return s.Forward(stream, seq, b)
+	}
+	if err := s.eng.add(b); err != nil {
+		return 0, err
+	}
+	return b.Len(), nil
+}
+
+// Forward ingests an epoch pushed by the upstream hop, deduplicating
+// at-least-once retries by (stream, epoch): a retry is acknowledged with
+// the same accepted count and ingests nothing.
+func (s *StageService) Forward(stream, epoch int64, b core.Batch) (int, error) {
+	if err := s.eng.addForward(stream, epoch, b); err != nil {
+		return 0, err
+	}
+	return b.Len(), nil
+}
+
+// Flush cuts and processes the current epoch, returning its stats. An
+// empty or below-floor epoch fails with shuffler.ErrBatchTooSmall (the
+// anonymity floor) and is left pending; use Drain for a tolerant barrier.
+func (s *StageService) Flush() (shuffler.Stats, error) {
+	return s.eng.forceFlush(false, false)
+}
+
+// Drain cuts the current epoch if it meets the anonymity floor — a
+// below-floor epoch is left pending, where it can still grow — waits for
+// every queued epoch to reach the next hop, and returns the service stats.
+// Unlike Flush it succeeds when nothing is pending, so clients use it as a
+// barrier before querying downstream. Chains drain in hop order: hop 1
+// first (its final epoch must reach hop 2's ingestion before hop 2's drain
+// cuts), then hop 2. With force a below-floor epoch is released as Dropped
+// (counted in ServiceStats.Dropped and WAL-resolved, so the reconciliation
+// invariant still closes) instead of left pending — the final drain of a
+// fleet shutting down for good.
+func (s *StageService) Drain(force bool) (ServiceStats, error) {
+	if _, err := s.eng.forceFlush(true, force); err != nil {
+		return ServiceStats{}, err
+	}
+	return s.eng.stats(), nil
+}
+
+// Stats reports the service's occupancy, epoch counters, and cumulative
+// selectivity.
+func (s *StageService) Stats() ServiceStats { return s.eng.stats() }
+
+// Close gracefully shuts the service down: it stops accepting submissions,
+// cuts and flushes the final epoch (if it meets the anonymity floor), waits
+// for every queued epoch to reach the next hop, and releases the downstream
+// connections.
+func (s *StageService) Close() error { return s.eng.close() }
+
+// Abort simulates a crash (kill -9) for the recovery test harness: no final
+// cut, no flush, no WAL sync — the log directory is left exactly as a dead
+// process would leave it, for a successor service on the same WALDir to
+// recover. Production shutdown is Close.
+func (s *StageService) Abort() { s.eng.abort() }
+
+func (s *StageService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
+	switch method {
+	case methodSubmit, methodForward:
+		stream, pos, b, err := parseBatchCall(body)
+		if err != nil {
+			return nil, err
+		}
+		ingest := s.Submit
+		if method == methodForward {
+			ingest = s.Forward
+		}
+		n, err := ingest(stream, pos, b)
+		return appendWireInts(dst, int64(n)), err
+	case methodKeys:
+		k, err := s.Keys()
+		return k.appendWire(dst), err
+	case methodHealthz:
+		return s.Healthz().appendWire(dst), nil
+	case methodStats:
+		return s.Stats().appendWire(dst), nil
+	case methodDrain:
+		if len(body) != 1 || body[0] > 1 {
+			return nil, errors.New("transport: malformed drain request")
+		}
+		st, err := s.Drain(body[0] == 1)
+		return st.appendWire(dst), err
+	case methodFlush:
+		st, err := s.Flush()
+		return appendEpochStats(dst, st), err
+	case methodAttestation:
+		att, err := s.Attestation()
+		return att.appendWire(dst), err
+	}
+	return nil, fmt.Errorf("transport: shuffler stage does not serve method %d", method)
+}
+
+// AnalyzerService serves an analyzer over the frame protocol.
+type AnalyzerService struct {
+	start time.Time
+
+	mu            sync.Mutex
+	an            *analyzer.Analyzer
+	pub           []byte
+	db            [][]byte
+	undecryptable int
+	ingests       int
+	// seen dedups retried pushes by (stream, epoch); see Ingest.
+	seen map[[2]int64]bool
+}
+
+// NewAnalyzerService wraps an analyzer; pub is the key served over Keys.
+func NewAnalyzerService(an *analyzer.Analyzer, pub []byte) *AnalyzerService {
+	return &AnalyzerService{start: time.Now(), an: an, pub: pub, seen: make(map[[2]int64]bool)}
+}
+
+// Healthz is the cheap liveness probe (lock-free; see HealthzReply).
+func (a *AnalyzerService) Healthz() HealthzReply {
+	return HealthzReply{Healthy: true, UptimeMillis: time.Since(a.start).Milliseconds()}
+}
+
+// Ingest decrypts and materializes a batch of shuffled records. Stream and
+// epoch identify the push for dedup: the shuffler's push retry is
+// at-least-once (a reply can be lost after the analyzer ingested), so a
+// retried push of an epoch this service already materialized is
+// acknowledged without re-ingesting. Zero values skip dedup.
+func (a *AnalyzerService) Ingest(stream, epoch int64, items [][]byte) {
+	key := [2]int64{stream, epoch}
+	dedup := stream != 0 || epoch != 0
+	if dedup {
+		a.mu.Lock()
+		seen := a.seen[key]
+		a.mu.Unlock()
+		if seen {
+			return
+		}
+	}
+	db, undec := a.an.Open(items)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if dedup {
+		if a.seen[key] {
+			return // a concurrent retry of the same epoch won the race
+		}
+		a.seen[key] = true
+	}
+	a.db = append(a.db, db...)
+	a.undecryptable += undec
+	a.ingests++
+}
+
+// Histogram returns the histogram of the materialized database and the
+// number of payloads that failed to decrypt.
+func (a *AnalyzerService) Histogram() (counts map[string]int, undecryptable int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return analyzer.Histogram(a.db), a.undecryptable
+}
+
+// Stats reports the analyzer service's database size and ingest counters.
+func (a *AnalyzerService) Stats() AnalyzerStats {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return AnalyzerStats{Records: len(a.db), Undecryptable: a.undecryptable, Ingests: a.ingests}
+}
+
+func (a *AnalyzerService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
+	switch method {
+	case methodIngest:
+		stream, epoch, b, err := parseBatchCall(body)
+		if err != nil {
+			return nil, err
+		}
+		if k := b.Kind(); k != core.KindPayloads && k != core.KindEmpty {
+			return nil, fmt.Errorf("transport: analyzer ingests %v, got %v", core.KindPayloads, k)
+		}
+		a.Ingest(stream, epoch, b.Payloads)
+		return appendWireInts(dst, int64(len(b.Payloads))), nil
+	case methodKeys:
+		return Keys{Key: a.pub}.appendWire(dst), nil
+	case methodHealthz:
+		return a.Healthz().appendWire(dst), nil
+	case methodStats:
+		return a.Stats().appendWire(dst), nil
+	case methodHistogram:
+		counts, undec := a.Histogram()
+		return appendHistogram(dst, counts, undec), nil
+	}
+	return nil, fmt.Errorf("transport: analyzer does not serve method %d", method)
+}

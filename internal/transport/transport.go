@@ -1,22 +1,22 @@
 // Package transport runs the ESA stages as separate networked services —
 // the deployment shape of Figure 1, where encoders, shufflers, and analyzers
-// are distinct long-lived parties connected by RPC. It uses net/rpc with gob
-// encoding over TCP (the stdlib stand-in for the paper's gRPC).
+// are distinct long-lived parties. Every call between two parties is a
+// request/reply frame pair on one pipelined TCP connection (wire.go): report
+// batches, hop-to-hop pushes, and the control calls (keys, health, stats,
+// drain barriers, attestation, the analyzer's histogram) alike.
 //
 // # Stage topology
 //
-// Every shuffler variant runs on the same epoch engine (see engine.go): a
-// service ingests wire items, cuts them into epochs, processes each epoch
-// through its shuffler.Stage, and pushes the output to a downstream sink.
-// Because stage output travels as the shared core.Batch wire union, the
-// downstream can be an analyzer (Analyzer.Ingest) or another shuffler hop
-// (Shuffler.Forward), so the split-shuffler chain of §4.3 deploys as real
-// networked daemons:
+// Every shuffler variant is a StageService: the epoch engine (engine.go)
+// around a shuffler.Stage. The service ingests wire items, cuts them into
+// epochs, processes each epoch through its stage, and pushes the output to a
+// downstream tier. Because stage output travels as the shared core.Batch
+// wire union, the downstream can be an analyzer (Ingest) or another
+// shuffler hop (Forward), so the split-shuffler chain of §4.3 deploys as
+// real networked daemons:
 //
 //	clients -> Shuffler1 daemon -> Shuffler2 daemon -> analyzer daemon
 //
-// ShufflerService is the single-shuffler hop (plain or SGX stage);
-// BlindedShufflerService (blinded.go) is either hop of the split chain.
 // Inter-hop pushes are at-least-once and deduplicated by (stream, epoch);
 // downstream epoch-full backpressure propagates upstream because the pushing
 // flusher blocks, its in-flight queue fills, and the hop starts rejecting
@@ -35,6 +35,8 @@
 // queue consumed by a single flusher goroutine, which runs the stage over
 // each epoch (stripping the arrival metadata the service inevitably
 // recorded) and pushes the output downstream asynchronously, in epoch order.
+// A zero EpochConfig disables the scheduler: epochs are cut only by an
+// explicit Flush or Drain.
 //
 // # Backpressure
 //
@@ -47,7 +49,7 @@
 // # Durability
 //
 // With EpochConfig.WALDir set, a service is crash-safe: every accepted item
-// is appended to a per-shard write-ahead log before the submission RPC is
+// is appended to a per-shard write-ahead log before the submission is
 // acknowledged, every cut epoch's membership is persisted before it is
 // pushed, and segments are reclaimed only once their epochs are pushed and
 // acked downstream. A restarted daemon recovers the directory — same stream
@@ -57,103 +59,27 @@
 // wal.go for the log format and EXPERIMENTS.md for a kill-and-restart
 // walkthrough.
 //
-// # Compatibility
+// # Shutdown
 //
-// Submit (one envelope per round trip) and the manual Flush RPC are kept as
-// the reference paths; SubmitBatch ships many envelopes per round trip and
-// is what production clients should use. A zero EpochConfig disables the
-// scheduler entirely, reproducing the original submit-then-Flush behavior.
 // Close drains: it cuts the final epoch, waits for every queued epoch to be
 // flushed downstream, and only then releases the downstream connection.
 package transport
 
 import (
-	"crypto/ecdsa"
-	"crypto/x509"
 	"errors"
-	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"prochlo/internal/analyzer"
-	"prochlo/internal/core"
 	"prochlo/internal/metrics"
 	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
 )
 
-// SubmitArgs is a client's single-report submission (the reference path;
-// batch traffic should use SubmitBatchArgs).
-type SubmitArgs struct {
-	Envelope core.Envelope
-}
-
-// SubmitBatchArgs ships many envelopes in one RPC round trip. The slice is
-// gob-encoded as-is, so a client can hand over encoder.EncodeBatch output
-// (all blobs carved from one backing buffer) without copying.
-//
-// Stream and Seq identify the submission for dedup, exactly like
-// ForwardArgs: a client that retries a batch after an ambiguous connection
-// error (the ack may have been lost after the service ingested) stamps the
-// retry with the same pair, and the service acknowledges it without
-// re-ingesting. With a WAL the mark is persisted atomically with the items,
-// so the dedup survives a service restart. Zero values skip dedup.
-type SubmitBatchArgs struct {
-	Envelopes []core.Envelope
-	Stream    int64
-	Seq       int64
-}
-
-// SubmitBlindedBatchArgs ships many split-shuffler envelopes in one RPC
-// round trip (the client entry of the §4.3 chain, ingested by Shuffler 1).
-// Stream/Seq dedup retried submissions; see SubmitBatchArgs.
-type SubmitBlindedBatchArgs struct {
-	Envelopes []core.BlindedEnvelope
-	Stream    int64
-	Seq       int64
-}
-
-// SubmitReply acknowledges accepted submissions.
-type SubmitReply struct {
-	Accepted int
-}
-
-// ForwardArgs moves one processed epoch between stage daemons: Shuffler 1
-// pushing its blinded-and-shuffled epoch to Shuffler 2, or any future hop
-// pair — the Batch union carries whichever wire kind the receiving stage
-// ingests. Stream and Epoch identify the push for dedup: inter-hop pushes
-// are at-least-once (a reply can be lost after ingestion), so the receiver
-// drops a (Stream, Epoch) pair it has already ingested. Zero values skip
-// dedup.
-type ForwardArgs struct {
-	Stream int64
-	Epoch  int64
-	Batch  core.Batch
-}
-
-// FlushReply reports a processed epoch's selectivity.
-type FlushReply struct {
-	Stats shuffler.Stats
-}
-
-// DrainArgs selects the drain mode. Force releases a below-floor final
-// epoch as Dropped (counted in ServiceStats.Dropped and WAL-resolved, so
-// the reconciliation invariant still closes) instead of leaving it pending
-// — the final-drain path for a fleet shutting down for good, where a
-// sub-floor epoch would otherwise stay pending forever.
-type DrainArgs struct {
-	Force bool
-}
-
-// HealthzReply is the cheap liveness snapshot served by Shuffler.Healthz
-// and Analyzer.Healthz. Unlike Stats it takes no engine locks — it reads
-// only atomics — so a balancer probe cannot block behind an epoch cut or a
-// slow drain.
+// HealthzReply is the cheap liveness snapshot served over Healthz. Unlike
+// Stats it takes no engine locks — it reads only atomics — so a balancer
+// probe cannot block behind an epoch cut or a slow drain.
 type HealthzReply struct {
 	Healthy      bool
 	UptimeMillis int64
@@ -166,18 +92,54 @@ type HealthzReply struct {
 	Peers      []string
 }
 
-// KeyReply carries a service's public key bytes.
-type KeyReply struct {
-	Key []byte
+func (h HealthzReply) appendWire(dst []byte) []byte {
+	healthy := int64(0)
+	if h.Healthy {
+		healthy = 1
+	}
+	dst = appendWireInts(dst, healthy, h.UptimeMillis, int64(h.Pending), h.Accepted,
+		int64(h.Partitions), int64(len(h.Peers)))
+	for _, p := range h.Peers {
+		dst = appendWireBytes(dst, []byte(p))
+	}
+	return dst
 }
 
-// BlindedKeysReply carries the key material a split-shuffler client needs
-// from Shuffler 2: the El Gamal blinding key its crowd IDs are encrypted to
-// and the hybrid key its data envelopes are sealed to. Served by the
-// shuffler2 role; the shuffler1 hop holds no keys of its own.
-type BlindedKeysReply struct {
-	Blinding []byte // compressed group element (El Gamal public key, backend-tagged)
-	Key      []byte // hybrid public key
+func decodeHealthz(body []byte) (HealthzReply, error) {
+	r := wireReader{b: body}
+	h := HealthzReply{
+		Healthy:      r.int() == 1,
+		UptimeMillis: r.int(),
+		Pending:      int(r.int()),
+		Accepted:     r.int(),
+		Partitions:   int(r.int()),
+	}
+	if n := r.count(); n > 0 {
+		h.Peers = make([]string, n)
+		for i := range h.Peers {
+			h.Peers[i] = string(r.bytes())
+		}
+	}
+	return h, r.done()
+}
+
+// Keys is the public key material a party serves to clients: the hybrid key
+// reports are sealed to, and — from the shuffler2 role only — the El Gamal
+// blinding key crowd IDs are encrypted to (a compressed, backend-tagged
+// group element).
+type Keys struct {
+	Blinding []byte
+	Key      []byte
+}
+
+func (k Keys) appendWire(dst []byte) []byte {
+	return appendWireBytes(appendWireBytes(dst, k.Blinding), k.Key)
+}
+
+func decodeKeys(body []byte) (Keys, error) {
+	r := wireReader{b: body}
+	k := Keys{Blinding: r.bytes(), Key: r.bytes()}
+	return k, r.done()
 }
 
 // AttestationReply carries an SGX shuffler's quote over its public key plus
@@ -186,6 +148,25 @@ type BlindedKeysReply struct {
 type AttestationReply struct {
 	Quote sgx.Quote
 	CAKey []byte
+}
+
+func (a AttestationReply) appendWire(dst []byte) []byte {
+	for _, f := range [][]byte{a.Quote.Measurement[:], a.Quote.ReportData, a.Quote.R, a.Quote.S, a.CAKey} {
+		dst = appendWireBytes(dst, f)
+	}
+	return dst
+}
+
+func decodeAttestation(body []byte) (AttestationReply, error) {
+	r := wireReader{b: body}
+	var a AttestationReply
+	if m := r.bytes(); len(m) == len(a.Quote.Measurement) {
+		copy(a.Quote.Measurement[:], m)
+	} else {
+		r.fail()
+	}
+	a.Quote.ReportData, a.Quote.R, a.Quote.S, a.CAKey = r.bytes(), r.bytes(), r.bytes(), r.bytes()
+	return a, r.done()
 }
 
 // ServiceStats is a stage service's health/occupancy snapshot.
@@ -219,8 +200,90 @@ type ServiceStats struct {
 	Cumulative shuffler.Stats
 }
 
-// errEpochFullMsg must survive the net/rpc error round trip (the server
-// error arrives client-side as a plain string), so IsEpochFull matches on it.
+func (s ServiceStats) appendWire(dst []byte) []byte {
+	dst = appendWireInts(dst, int64(s.Pending), int64(s.QueuedEpochs), int64(s.EpochsFlushed),
+		int64(s.EpochsFailed), s.Accepted, s.Rejected, s.Dropped, s.Unaccounted,
+		s.RecoveredItems, s.RecoveredEpochs)
+	return appendEpochStats(appendWireBytes(dst, []byte(s.LastError)), s.Cumulative)
+}
+
+func decodeServiceStats(body []byte) (ServiceStats, error) {
+	r := wireReader{b: body}
+	s := ServiceStats{
+		Pending:         int(r.int()),
+		QueuedEpochs:    int(r.int()),
+		EpochsFlushed:   int(r.int()),
+		EpochsFailed:    int(r.int()),
+		Accepted:        r.int(),
+		Rejected:        r.int(),
+		Dropped:         r.int(),
+		Unaccounted:     r.int(),
+		RecoveredItems:  r.int(),
+		RecoveredEpochs: r.int(),
+		LastError:       string(r.bytes()),
+		Cumulative:      readEpochStats(&r),
+	}
+	return s, r.done()
+}
+
+// appendEpochStats encodes one epoch's (or a cumulative) selectivity stats:
+// the Flush reply body, and the tail of ServiceStats.
+func appendEpochStats(dst []byte, s shuffler.Stats) []byte {
+	return appendWireInts(dst, int64(s.Received), int64(s.Undecryptable), int64(s.Crowds),
+		int64(s.CrowdsForwarded), int64(s.Forwarded))
+}
+
+func readEpochStats(r *wireReader) shuffler.Stats {
+	return shuffler.Stats{
+		Received:        int(r.int()),
+		Undecryptable:   int(r.int()),
+		Crowds:          int(r.int()),
+		CrowdsForwarded: int(r.int()),
+		Forwarded:       int(r.int()),
+	}
+}
+
+// AnalyzerStats is the analyzer service's health snapshot.
+type AnalyzerStats struct {
+	Records       int // materialized database rows
+	Undecryptable int
+	Ingests       int // ingest pushes served
+}
+
+func (s AnalyzerStats) appendWire(dst []byte) []byte {
+	return appendWireInts(dst, int64(s.Records), int64(s.Undecryptable), int64(s.Ingests))
+}
+
+func decodeAnalyzerStats(body []byte) (AnalyzerStats, error) {
+	r := wireReader{b: body}
+	s := AnalyzerStats{Records: int(r.int()), Undecryptable: int(r.int()), Ingests: int(r.int())}
+	return s, r.done()
+}
+
+// appendHistogram encodes the analyzer's histogram. Keys are decrypted
+// report payloads, so they travel as length-prefixed bytes, never as text.
+func appendHistogram(dst []byte, counts map[string]int, undecryptable int) []byte {
+	dst = appendWireInts(dst, int64(len(counts)))
+	for k, n := range counts {
+		dst = appendWireInts(appendWireBytes(dst, []byte(k)), int64(n))
+	}
+	return appendWireInts(dst, int64(undecryptable))
+}
+
+func decodeHistogram(body []byte) (counts map[string]int, undecryptable int, err error) {
+	r := wireReader{b: body}
+	n := r.count()
+	counts = make(map[string]int, n)
+	for i := 0; i < n; i++ {
+		k := string(r.bytes())
+		counts[k] = int(r.int())
+	}
+	undecryptable = int(r.int())
+	return counts, undecryptable, r.done()
+}
+
+// errEpochFullMsg must survive the wire (a server error arrives client-side
+// as its message), so IsEpochFull matches on it.
 const errEpochFullMsg = "transport: epoch full, retry after flush"
 
 // ErrEpochFull is returned by submissions when the current epoch is at
@@ -229,15 +292,35 @@ const errEpochFullMsg = "transport: epoch full, retry after flush"
 var ErrEpochFull = errors.New(errEpochFullMsg)
 
 // IsEpochFull reports whether err is ErrEpochFull, including its
-// string-typed form after an RPC round trip.
+// ServerError form after crossing the wire.
 func IsEpochFull(err error) bool {
 	return err != nil && strings.Contains(err.Error(), errEpochFullMsg)
 }
 
 // IsBatchTooSmall reports whether err is shuffler.ErrBatchTooSmall,
-// including its string-typed form after an RPC round trip.
+// including its ServerError form after crossing the wire.
 func IsBatchTooSmall(err error) bool {
 	return err != nil && strings.Contains(err.Error(), shuffler.ErrBatchTooSmall.Error())
+}
+
+// IsTransient reports whether err looks like a connection-level failure —
+// the call may or may not have reached the service — rather than an error
+// the service itself returned. Transient errors are worth retrying on a
+// fresh connection to the same address; with a stamped (stream, seq) the
+// service's dedup absorbs the ambiguous redelivery.
+func IsTransient(err error) bool {
+	if err == nil {
+		return false
+	}
+	var se ServerError
+	if errors.As(err, &se) {
+		return false
+	}
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return true
+	}
+	var ne net.Error
+	return errors.As(err, &ne)
 }
 
 // ErrClosed is returned by submissions to a service that has been Closed.
@@ -245,7 +328,7 @@ var ErrClosed = errors.New("transport: shuffler service closed")
 
 // EpochConfig tunes a stage service's streaming behavior. The zero value
 // disables the scheduler: nothing auto-flushes and batches are only
-// processed by an explicit Flush (the original one-shot behavior).
+// processed by an explicit Flush or Drain.
 type EpochConfig struct {
 	// FlushAt cuts an epoch as soon as occupancy reaches this many items.
 	// 0 disables occupancy-driven flushing.
@@ -268,11 +351,7 @@ type EpochConfig struct {
 	// DialTimeout bounds connecting to the downstream peer (construction
 	// and redials). 0 selects DefaultDialTimeout.
 	DialTimeout time.Duration
-	// Wire selects the data-plane protocol for downstream pushes: the
-	// framed binary codec (the zero value, with per-connection fallback to
-	// gob when the peer does not speak it) or plain gob. See wire.go.
-	Wire WireMode
-	// WireTimeout bounds one downstream data-plane call end to end, so a
+	// WireTimeout bounds one downstream push end to end, so a
 	// hung peer becomes a retryable fault instead of a stuck flusher.
 	// 0 selects DefaultWireTimeout; negative disables the bound.
 	WireTimeout time.Duration
@@ -316,877 +395,3 @@ type EpochConfig struct {
 	// several services share one registry. Ignored when Metrics is nil.
 	MetricsLabels metrics.Labels
 }
-
-// forwardDedup tracks inter-hop pushes (and stamped client submissions)
-// already ingested, so an at-least-once retry (the pusher's reply was lost)
-// is acknowledged without re-ingesting. Two concurrent deliveries of the
-// same key — e.g. a dead replica's in-flight push racing its WAL-recovered
-// successor's replay of the same (stream, epoch) — must not both ingest, and
-// a push rejected by backpressure must not be marked seen. Rather than
-// holding one lock across the whole check-ingest-mark sequence (which would
-// serialize every concurrent submission), a per-key busy set makes same-key
-// deliveries wait on each other while distinct keys ingest in parallel.
-type forwardDedup struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	seen map[[2]int64]bool
-	busy map[[2]int64]bool
-}
-
-// restore pre-loads marks recovered from a WAL, so upstream retries of
-// pushes ingested before a crash are still absorbed after the restart.
-func (d *forwardDedup) restore(marks [][2]int64) {
-	if len(marks) == 0 {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.seen == nil {
-		d.seen = make(map[[2]int64]bool, len(marks))
-	}
-	for _, m := range marks {
-		d.seen[m] = true
-	}
-}
-
-// ingest runs add once per (stream, epoch) key: a key already seen is
-// acknowledged without re-ingesting, a key mid-ingest by a concurrent
-// delivery is waited out, and only a successful add marks the key. Pushes
-// with a zero (stream, epoch) skip dedup entirely.
-func (d *forwardDedup) ingest(stream, epoch int64, n int, reply *SubmitReply, add func() error) error {
-	if stream == 0 && epoch == 0 {
-		if err := add(); err != nil {
-			return err
-		}
-		reply.Accepted = n
-		return nil
-	}
-	key := [2]int64{stream, epoch}
-	d.mu.Lock()
-	if d.cond == nil {
-		d.cond = sync.NewCond(&d.mu)
-	}
-	for d.busy[key] {
-		d.cond.Wait()
-	}
-	if d.seen[key] {
-		d.mu.Unlock()
-		reply.Accepted = n
-		return nil
-	}
-	if d.busy == nil {
-		d.busy = make(map[[2]int64]bool)
-	}
-	d.busy[key] = true
-	d.mu.Unlock()
-
-	err := add()
-
-	d.mu.Lock()
-	delete(d.busy, key)
-	if err == nil {
-		if d.seen == nil {
-			d.seen = make(map[[2]int64]bool)
-		}
-		d.seen[key] = true
-	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	reply.Accepted = n
-	return nil
-}
-
-// ShufflerService exposes a single-shuffler stage over RPC — the plain
-// trusted shuffler or the SGX-hardened variant, both ingesting client
-// envelopes and pushing peeled payloads to an analyzer service. See the
-// package comment for the epoch/backpressure model.
-type ShufflerService struct {
-	eng *engine[core.Envelope]
-	pub []byte
-	fwd forwardDedup
-
-	attMu sync.Mutex
-	att   *AttestationReply
-
-	fleetMu    sync.Mutex
-	partitions int
-	peers      []string
-}
-
-// NewShufflerService wraps a shuffler whose output is pushed to the
-// analyzer service at analyzerAddr, with manual flushing only (zero
-// EpochConfig); use NewStreamingShufflerService for the epoch scheduler.
-func NewShufflerService(sh *shuffler.Shuffler, pub []byte, analyzerAddr string) (*ShufflerService, error) {
-	return NewStreamingShufflerService(sh, pub, analyzerAddr, EpochConfig{})
-}
-
-// NewStreamingShufflerService wraps a plain shuffler whose epochs are pushed
-// to the analyzer service at analyzerAddr according to cfg. The caller
-// should Close the service to drain and release the analyzer connection.
-func NewStreamingShufflerService(sh *shuffler.Shuffler, pub []byte, analyzerAddr string, cfg EpochConfig) (*ShufflerService, error) {
-	return NewStageShufflerService(sh, pub, analyzerAddr, cfg)
-}
-
-// NewStageShufflerService wraps any envelope-ingesting stage (the plain
-// Shuffler or an SGXShuffler) whose epochs are pushed to the analyzer
-// service at analyzerAddr according to cfg. pub is the key served to
-// clients over Shuffler.PublicKey.
-func NewStageShufflerService(st shuffler.Stage, pub []byte, analyzerAddr string, cfg EpochConfig) (*ShufflerService, error) {
-	return NewStageShufflerFleetService(st, pub, []string{analyzerAddr}, cfg)
-}
-
-// NewStageShufflerFleetService is NewStageShufflerService for a partitioned
-// analyzer tier: each processed epoch is split across analyzerAddrs by
-// content hash and pushed to every non-empty partition, with per-partition
-// (stream, epoch) dedup keeping the fan-in exactly-once.
-func NewStageShufflerFleetService(st shuffler.Stage, pub []byte, analyzerAddrs []string, cfg EpochConfig) (*ShufflerService, error) {
-	ab := newAborter()
-	snk, err := newAnalyzerTier(analyzerAddrs, cfg, ab)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := newEngine(cfg, st.Floor(), snk, ab,
-		func(batch []core.Envelope) (core.Batch, shuffler.Stats, error) {
-			return st.ProcessEpoch(core.Batch{Envelopes: batch})
-		},
-		envelopeOps)
-	if err != nil {
-		return nil, err
-	}
-	svc := &ShufflerService{eng: eng, pub: pub}
-	svc.fwd.restore(eng.recMarks)
-	return svc, nil
-}
-
-// SetAttestation installs the quote served over the Shuffler.Attestation
-// RPC (the SGX deployment: the quote covers the service's public key and
-// caKey is the attestation CA's ECDSA verification key).
-func (s *ShufflerService) SetAttestation(quote sgx.Quote, caKey *ecdsa.PublicKey) error {
-	der, err := x509.MarshalPKIXPublicKey(caKey)
-	if err != nil {
-		return fmt.Errorf("transport: marshal CA key: %w", err)
-	}
-	s.attMu.Lock()
-	s.att = &AttestationReply{Quote: quote, CAKey: der}
-	s.attMu.Unlock()
-	return nil
-}
-
-// Attestation serves the SGX quote over the service's public key; it fails
-// on a service running without an enclave (clients requiring attestation
-// must not fall back silently).
-func (s *ShufflerService) Attestation(_ struct{}, reply *AttestationReply) error {
-	s.attMu.Lock()
-	defer s.attMu.Unlock()
-	if s.att == nil {
-		return errors.New("transport: shuffler runs without SGX attestation")
-	}
-	*reply = *s.att
-	return nil
-}
-
-// Config returns the service's effective epoch configuration, with every
-// default and clamp applied.
-func (s *ShufflerService) Config() EpochConfig { return s.eng.cfg }
-
-// SetFleetInfo installs the fleet-topology metadata served over Healthz:
-// the downstream partition count this replica fans out to and the sibling
-// replicas of its own tier. Purely informational — routing is configured at
-// construction.
-func (s *ShufflerService) SetFleetInfo(partitions int, peers []string) {
-	s.fleetMu.Lock()
-	s.partitions = partitions
-	s.peers = append([]string(nil), peers...)
-	s.fleetMu.Unlock()
-}
-
-// Healthz serves the cheap liveness probe; see HealthzReply.
-func (s *ShufflerService) Healthz(_ struct{}, reply *HealthzReply) error {
-	s.eng.healthz(reply)
-	s.fleetMu.Lock()
-	reply.Partitions = s.partitions
-	reply.Peers = s.peers
-	s.fleetMu.Unlock()
-	return nil
-}
-
-// PublicKey returns the shuffler's encryption key. (An SGX deployment
-// additionally serves the quote over it; see Attestation.)
-func (s *ShufflerService) PublicKey(_ struct{}, reply *KeyReply) error {
-	reply.Key = s.pub
-	return nil
-}
-
-// Submit queues one envelope (the reference path; see SubmitBatch).
-func (s *ShufflerService) Submit(args SubmitArgs, ack *bool) error {
-	if err := s.eng.add([]core.Envelope{args.Envelope}); err != nil {
-		return err
-	}
-	*ack = true
-	return nil
-}
-
-// SubmitBatch queues many envelopes in one round trip. The batch is
-// accepted or rejected atomically: on ErrEpochFull no envelope is ingested.
-// A stamped batch (nonzero Stream/Seq) is deduplicated like a forward push,
-// so a client's retry after an ambiguous connection error cannot
-// double-ingest; with a WAL the mark persists with the items.
-func (s *ShufflerService) SubmitBatch(args SubmitBatchArgs, reply *SubmitReply) error {
-	if args.Stream == 0 && args.Seq == 0 {
-		if err := s.eng.add(args.Envelopes); err != nil {
-			return err
-		}
-		reply.Accepted = len(args.Envelopes)
-		return nil
-	}
-	return s.fwd.ingest(args.Stream, args.Seq, len(args.Envelopes), reply, func() error {
-		return s.eng.addForward(args.Stream, args.Seq, args.Envelopes)
-	})
-}
-
-// Forward ingests an epoch pushed by an upstream stage daemon, deduplicating
-// at-least-once retries by (stream, epoch). The single-shuffler stage
-// ingests client envelopes.
-func (s *ShufflerService) Forward(args ForwardArgs, reply *SubmitReply) error {
-	if k := args.Batch.Kind(); k != core.KindEnvelopes && k != core.KindEmpty {
-		return fmt.Errorf("transport: shuffler ingests %v, got %v", core.KindEnvelopes, k)
-	}
-	return s.fwd.ingest(args.Stream, args.Epoch, len(args.Batch.Envelopes), reply, func() error {
-		return s.eng.addForward(args.Stream, args.Epoch, args.Batch.Envelopes)
-	})
-}
-
-// Flush cuts and processes the current epoch, returning its stats. An
-// empty or below-minimum epoch fails with shuffler.ErrBatchTooSmall (the
-// anonymity floor) and is left pending; use Drain for a tolerant barrier.
-func (s *ShufflerService) Flush(_ struct{}, reply *FlushReply) error {
-	stats, err := s.eng.forceFlush(false, false)
-	if err != nil {
-		return err
-	}
-	reply.Stats = stats
-	return nil
-}
-
-// Drain cuts the current epoch if it meets the anonymity floor — a
-// below-floor epoch is left pending, where it can still grow — waits for
-// every queued epoch to reach the analyzer, and returns the service stats.
-// Unlike Flush it succeeds when nothing is pending, so clients use it as a
-// barrier before querying the analyzer. With DrainArgs.Force a below-floor
-// epoch is released as Dropped instead of left pending (final drain).
-func (s *ShufflerService) Drain(args DrainArgs, reply *ServiceStats) error {
-	if _, err := s.eng.forceFlush(true, args.Force); err != nil {
-		return err
-	}
-	return s.Stats(struct{}{}, reply)
-}
-
-// Stats reports the service's occupancy, epoch counters, and cumulative
-// selectivity.
-func (s *ShufflerService) Stats(_ struct{}, reply *ServiceStats) error {
-	s.eng.stats(reply)
-	return nil
-}
-
-// BatchSize reports the current epoch occupancy (kept for compatibility;
-// Stats is the richer call).
-func (s *ShufflerService) BatchSize(_ struct{}, n *int) error {
-	*n = int(s.eng.occupancy.Load())
-	return nil
-}
-
-// Close gracefully shuts the service down: it stops accepting submissions,
-// cuts and flushes the final epoch (if it meets the anonymity floor), waits
-// for every queued epoch to reach the analyzer, and releases the analyzer
-// connection.
-func (s *ShufflerService) Close() error { return s.eng.close() }
-
-// Abort simulates a crash (kill -9) for the recovery test harness: no final
-// cut, no flush, no WAL sync — the log directory is left exactly as a dead
-// process would leave it, for a successor service on the same WALDir to
-// recover. Production shutdown is Close.
-func (s *ShufflerService) Abort() { s.eng.abort() }
-
-// IngestArgs carries shuffled inner ciphertexts to the analyzer. Stream and
-// Epoch identify the push for dedup: the shuffler's push retry is
-// at-least-once (a reply can be lost after the analyzer ingested), so the
-// analyzer drops an (Stream, Epoch) pair it has already materialized. Zero
-// values skip dedup (older callers).
-type IngestArgs struct {
-	Stream int64
-	Epoch  int64
-	Items  [][]byte
-}
-
-// HistogramReply is the analyzer's histogram of its materialized database.
-type HistogramReply struct {
-	Counts        map[string]int
-	Undecryptable int
-}
-
-// AnalyzerStats is the analyzer service's health snapshot.
-type AnalyzerStats struct {
-	Records       int // materialized database rows
-	Undecryptable int
-	Ingests       int // ingest RPCs served
-}
-
-// AnalyzerService exposes an analyzer over RPC.
-type AnalyzerService struct {
-	start time.Time
-
-	mu            sync.Mutex
-	an            *analyzer.Analyzer
-	pub           []byte
-	db            [][]byte
-	undecryptable int
-	ingests       int
-	// seen dedups retried pushes by (stream, epoch); see IngestArgs.
-	seen map[[2]int64]bool
-}
-
-// NewAnalyzerService wraps an analyzer.
-func NewAnalyzerService(an *analyzer.Analyzer, pub []byte) *AnalyzerService {
-	return &AnalyzerService{start: time.Now(), an: an, pub: pub, seen: make(map[[2]int64]bool)}
-}
-
-// Healthz serves the cheap liveness probe (lock-free; see HealthzReply).
-func (a *AnalyzerService) Healthz(_ struct{}, reply *HealthzReply) error {
-	reply.Healthy = true
-	reply.UptimeMillis = time.Since(a.start).Milliseconds()
-	return nil
-}
-
-// PublicKey returns the analyzer's encryption key.
-func (a *AnalyzerService) PublicKey(_ struct{}, reply *KeyReply) error {
-	reply.Key = a.pub
-	return nil
-}
-
-// Ingest decrypts and materializes a batch of shuffled records. A retried
-// push of an epoch this service already materialized (the shuffler's reply
-// was lost) is acknowledged without re-ingesting.
-func (a *AnalyzerService) Ingest(args IngestArgs, ack *bool) error {
-	key := [2]int64{args.Stream, args.Epoch}
-	dedup := args.Stream != 0 || args.Epoch != 0
-	if dedup {
-		a.mu.Lock()
-		if a.seen[key] {
-			a.mu.Unlock()
-			*ack = true
-			return nil
-		}
-		a.mu.Unlock()
-	}
-	db, undec := a.an.Open(args.Items)
-	a.mu.Lock()
-	if dedup && a.seen[key] {
-		// A concurrent retry of the same epoch won the race.
-		a.mu.Unlock()
-		*ack = true
-		return nil
-	}
-	if dedup {
-		a.seen[key] = true
-	}
-	a.db = append(a.db, db...)
-	a.undecryptable += undec
-	a.ingests++
-	a.mu.Unlock()
-	*ack = true
-	return nil
-}
-
-// Histogram returns the histogram of the materialized database.
-func (a *AnalyzerService) Histogram(_ struct{}, reply *HistogramReply) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	reply.Counts = analyzer.Histogram(a.db)
-	reply.Undecryptable = a.undecryptable
-	return nil
-}
-
-// Stats reports the analyzer service's database size and ingest counters.
-func (a *AnalyzerService) Stats(_ struct{}, reply *AnalyzerStats) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	reply.Records = len(a.db)
-	reply.Undecryptable = a.undecryptable
-	reply.Ingests = a.ingests
-	return nil
-}
-
-// Serve registers rcvr under name and serves RPC on addr (use "127.0.0.1:0"
-// for an ephemeral port). Every accepted connection is protocol-sniffed: the
-// binary data plane and gob net/rpc share the one listener (see wire.go).
-// It returns the listener; callers close it to stop.
-func Serve(addr, name string, rcvr any) (net.Listener, error) {
-	srv, err := NewRPCServer(name, rcvr)
-	if err != nil {
-		return nil, err
-	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	return l, nil
-}
-
-// IsTransient reports whether err looks like a connection-level failure —
-// the RPC may or may not have reached the service — rather than an error
-// the service itself returned. Transient errors are worth retrying on a
-// fresh connection to the same address; with a stamped (stream, seq) the
-// service's dedup absorbs the ambiguous redelivery.
-func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	var se rpc.ServerError
-	if errors.As(err, &se) {
-		return false
-	}
-	if errors.Is(err, rpc.ErrShutdown) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
-// Client-side transient-retry policy for SubmitAll: how many fresh
-// connections to attempt after a connection-level failure, starting from
-// this backoff (doubled and jittered per redialPolicy).
-const (
-	DefaultClientRedials    = 8
-	DefaultClientRedialBase = 25 * time.Millisecond
-)
-
-// Client is a convenience handle for submitting reports to a shuffler-role
-// service — a plain/SGX shuffler daemon or either hop of the blinded chain.
-// It remembers the address it dialed: SubmitAll/SubmitAllBlinded transparently
-// redial it on connection-level failures, and every batch submission carries
-// a (stream, seq) stamp so such a retry is deduplicated service-side even
-// when the original attempt was ingested but its ack was lost.
-type Client struct {
-	addr    string
-	timeout time.Duration
-	stream  int64
-	seq     atomic.Int64
-	wire    WireMode
-
-	// Transient-redial budget for SubmitAll; see SetRedial.
-	redials    int
-	redialBase time.Duration
-
-	mu         sync.Mutex
-	rpc        *rpc.Client
-	wc         *wireConn // lazily negotiated binary data plane
-	wireBroken bool      // peer refused the binary handshake; stay on gob
-}
-
-// Dial connects to a shuffler service with the default connect timeout.
-func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, 0)
-}
-
-// DialTimeout connects to a shuffler service, bounding the TCP connect
-// (timeout <= 0 selects DefaultDialTimeout).
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	c, err := dialRPC(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	stream, err := newStreamID()
-	if err != nil {
-		c.Close()
-		return nil, fmt.Errorf("transport: client stream id: %w", err)
-	}
-	return &Client{
-		addr:       addr,
-		timeout:    timeout,
-		stream:     stream,
-		redials:    DefaultClientRedials,
-		redialBase: DefaultClientRedialBase,
-		rpc:        c,
-	}, nil
-}
-
-// SetRedial tunes the transient-failure retry budget of SubmitAll and
-// SubmitAllBlinded: up to attempts fresh connections, with jittered
-// exponential backoff from base. attempts < 0 disables transient retries;
-// base <= 0 keeps the default.
-func (c *Client) SetRedial(attempts int, base time.Duration) {
-	if attempts < 0 {
-		attempts = 0
-	}
-	c.redials = attempts
-	if base > 0 {
-		c.redialBase = base
-	}
-}
-
-// SetWire selects the data-plane protocol for submissions (default
-// WireBinary, with per-connection gob fallback). Call before submitting;
-// it does not resync connections already negotiated.
-func (c *Client) SetWire(mode WireMode) { c.wire = mode }
-
-// Addr returns the address the client dialed.
-func (c *Client) Addr() string { return c.addr }
-
-// call issues one RPC: data-plane methods ride the negotiated binary
-// connection when the client and peer both speak it, everything else (and
-// the gob fallback) rides net/rpc with the data-plane timeout applied.
-func (c *Client) call(method string, args, reply any) error {
-	if c.wire == WireBinary && wireMethods[method] {
-		wc, err := c.wireDataConn()
-		switch {
-		case err == nil:
-			return (&wireCaller{wc: wc}).Call(method, args, reply)
-		case !errors.Is(err, errWireUnsupported):
-			return err // connection-level: transient, redial machinery applies
-		}
-		// Peer speaks only gob; fall through.
-	}
-	c.mu.Lock()
-	cl := c.rpc
-	c.mu.Unlock()
-	return callRPCTimeout(cl, method, args, reply, DefaultWireTimeout)
-}
-
-// wireDataConn returns the client's binary data-plane connection, dialing
-// and negotiating it on first use. errWireUnsupported means the peer is
-// reachable but gob-only; any other error is connection-level.
-func (c *Client) wireDataConn() (*wireConn, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.wireBroken {
-		return nil, errWireUnsupported
-	}
-	if c.wc != nil {
-		if !c.wc.isBroken() {
-			return c.wc, nil
-		}
-		c.wc.close()
-		c.wc = nil
-	}
-	wc, err := dialWire(c.addr, c.timeout, DefaultWireTimeout)
-	if err != nil {
-		if errors.Is(err, errWireUnsupported) {
-			c.wireBroken = true
-		}
-		return nil, err
-	}
-	c.wc = wc
-	return wc, nil
-}
-
-// redial replaces the connection with a fresh one to the same address. The
-// binary data plane is dropped and renegotiated lazily — a restarted peer
-// gets a fresh handshake rather than inheriting a stale verdict.
-func (c *Client) redial() error {
-	cl, err := dialRPC(c.addr, c.timeout)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	old := c.rpc
-	c.rpc = cl
-	oldWC := c.wc
-	c.wc = nil
-	c.wireBroken = false
-	c.mu.Unlock()
-	old.Close()
-	if oldWC != nil {
-		oldWC.close()
-	}
-	return nil
-}
-
-// callRetryTransient issues one RPC, retrying connection-level failures on
-// fresh connections under the client's redial budget. The args must carry a
-// dedup stamp when the call is not idempotent: an attempt that died mid-call
-// may have been ingested, and only the stamp makes the retry safe.
-func (c *Client) callRetryTransient(method string, args, reply any) error {
-	err := c.call(method, args, reply)
-	pol := redialPolicy{attempts: c.redials, base: c.redialBase, jitter: DefaultRedialJitter}
-	for attempt := 0; IsTransient(err) && attempt < pol.attempts; attempt++ {
-		time.Sleep(pol.delay(attempt))
-		if derr := c.redial(); derr != nil {
-			err = derr
-			continue
-		}
-		err = c.call(method, args, reply)
-	}
-	return err
-}
-
-// ShufflerKey fetches the shuffler's public key.
-func (c *Client) ShufflerKey() ([]byte, error) {
-	var reply KeyReply
-	if err := c.call("Shuffler.PublicKey", struct{}{}, &reply); err != nil {
-		return nil, err
-	}
-	if len(reply.Key) == 0 {
-		return nil, errors.New("transport: empty shuffler key")
-	}
-	return reply.Key, nil
-}
-
-// Attestation fetches an SGX shuffler's quote and attestation-CA key and
-// verifies both §4.1.1 client-side checks: the CA signature over the quote
-// and the expected code measurement. It returns the attested public key
-// (the quote's report data) only when verification succeeds.
-func (c *Client) Attestation(measurement [32]byte) ([]byte, error) {
-	var reply AttestationReply
-	if err := c.call("Shuffler.Attestation", struct{}{}, &reply); err != nil {
-		return nil, err
-	}
-	caAny, err := x509.ParsePKIXPublicKey(reply.CAKey)
-	if err != nil {
-		return nil, fmt.Errorf("transport: attestation CA key: %w", err)
-	}
-	caKey, ok := caAny.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("transport: attestation CA key is %T, want ECDSA", caAny)
-	}
-	if err := sgx.VerifyQuote(caKey, reply.Quote, measurement); err != nil {
-		return nil, err
-	}
-	return reply.Quote.ReportData, nil
-}
-
-// BlindedKeys fetches the split-shuffler key material (Shuffler 2's
-// blinding and hybrid keys). Only the shuffler2 role serves it.
-func (c *Client) BlindedKeys() (BlindedKeysReply, error) {
-	var reply BlindedKeysReply
-	if err := c.call("Shuffler.Keys", struct{}{}, &reply); err != nil {
-		return BlindedKeysReply{}, err
-	}
-	if len(reply.Blinding) == 0 || len(reply.Key) == 0 {
-		return BlindedKeysReply{}, errors.New("transport: empty blinded shuffler keys")
-	}
-	return reply, nil
-}
-
-// Submit sends one envelope (the reference path; see SubmitBatch).
-func (c *Client) Submit(env core.Envelope) error {
-	var ack bool
-	return c.call("Shuffler.Submit", SubmitArgs{Envelope: env}, &ack)
-}
-
-// SubmitBatch ships a whole batch of envelopes in one RPC round trip. The
-// batch is accepted atomically; on an IsEpochFull error nothing was
-// ingested and the caller should back off and resubmit. The batch carries a
-// fresh (stream, seq) stamp, so a later retry of the same call's args would
-// be deduplicated — SubmitAll relies on this for its transient retries.
-func (c *Client) SubmitBatch(envs []core.Envelope) error {
-	var reply SubmitReply
-	return c.call("Shuffler.SubmitBatch", c.stampEnvelopes(envs), &reply)
-}
-
-// SubmitBlindedBatch ships a batch of split-shuffler envelopes in one RPC
-// round trip (accepted atomically and stamped, like SubmitBatch).
-func (c *Client) SubmitBlindedBatch(envs []core.BlindedEnvelope) error {
-	var reply SubmitReply
-	return c.call("Shuffler.SubmitBlindedBatch", c.stampBlinded(envs), &reply)
-}
-
-func (c *Client) stampEnvelopes(envs []core.Envelope) SubmitBatchArgs {
-	return SubmitBatchArgs{Envelopes: envs, Stream: c.stream, Seq: c.seq.Add(1)}
-}
-
-func (c *Client) stampBlinded(envs []core.BlindedEnvelope) SubmitBlindedBatchArgs {
-	return SubmitBlindedBatchArgs{Envelopes: envs, Stream: c.stream, Seq: c.seq.Add(1)}
-}
-
-// Default epoch-full retry policy shared by SubmitAll callers.
-const (
-	DefaultSubmitRetries = 50
-	DefaultSubmitDelay   = 20 * time.Millisecond
-)
-
-// submitAll is the backpressure-adapting submission loop shared by
-// SubmitAll and SubmitAllBlinded; see SubmitAll for the contract.
-func submitAll[T any](submit func([]T) error, envs []T, retries int, delay time.Duration) (accepted int, err error) {
-	err = submit(envs)
-	if err == nil {
-		return len(envs), nil
-	}
-	if !IsEpochFull(err) {
-		return 0, err
-	}
-	if len(envs) > 1 {
-		mid := len(envs) / 2
-		n, err := submitAll(submit, envs[:mid], retries, delay)
-		if err != nil {
-			return n, err
-		}
-		m, err := submitAll(submit, envs[mid:], retries, delay)
-		return n + m, err
-	}
-	for attempt := 0; IsEpochFull(err) && attempt < retries; attempt++ {
-		time.Sleep(delay)
-		err = submit(envs)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return 1, nil
-}
-
-// SubmitAll ships a batch of envelopes, adapting to the service's
-// backpressure: a batch rejected as epoch-full is split in half and the
-// halves submitted in order (a batch larger than the occupancy cap can
-// never be accepted whole), and a single epoch-full envelope is retried
-// with backoff — up to retries attempts at delay apart — until the epoch
-// drains. Splitting preserves submission order, so a seeded deployment
-// stays deterministic.
-//
-// It returns how many envelopes the service accepted. Submission stops at
-// the first unrecoverable error, and splitting preserves order, so the
-// accepted envelopes are exactly the prefix envs[:accepted]: on error a
-// caller resumes from envs[accepted:] rather than resubmitting the whole
-// batch (which would double-count the accepted prefix).
-//
-// Connection-level failures are also retried, on fresh connections to the
-// same address under the client's SetRedial budget. Each slice is stamped
-// with a (stream, seq) pair before its first attempt, and the retry resends
-// the identical args, so a slice whose original attempt was ingested but
-// whose ack was lost is absorbed by the service's dedup — the retry cannot
-// double-submit. Only after the redial budget is exhausted does the error
-// surface, with the accepted-prefix contract intact.
-func (c *Client) SubmitAll(envs []core.Envelope, retries int, delay time.Duration) (accepted int, err error) {
-	return submitAll(func(slice []core.Envelope) error {
-		var reply SubmitReply
-		return c.callRetryTransient("Shuffler.SubmitBatch", c.stampEnvelopes(slice), &reply)
-	}, envs, retries, delay)
-}
-
-// SubmitAllBlinded is SubmitAll for split-shuffler envelopes: same
-// splitting, backoff, transient-redial, and accepted-prefix contract.
-func (c *Client) SubmitAllBlinded(envs []core.BlindedEnvelope, retries int, delay time.Duration) (accepted int, err error) {
-	return submitAll(func(slice []core.BlindedEnvelope) error {
-		var reply SubmitReply
-		return c.callRetryTransient("Shuffler.SubmitBlindedBatch", c.stampBlinded(slice), &reply)
-	}, envs, retries, delay)
-}
-
-// Flush asks the shuffler to process its current epoch.
-func (c *Client) Flush() (shuffler.Stats, error) {
-	var reply FlushReply
-	err := c.call("Shuffler.Flush", struct{}{}, &reply)
-	return reply.Stats, err
-}
-
-// Drain flushes anything pending, waits for every queued epoch to reach the
-// next hop, and returns the service stats — the barrier to use before
-// querying downstream. Draining a chain is hop order: drain Shuffler 1 so
-// its final epoch reaches Shuffler 2, then drain Shuffler 2 so it reaches
-// the analyzer.
-func (c *Client) Drain() (ServiceStats, error) {
-	return c.DrainMode(false)
-}
-
-// DrainMode is Drain with an explicit mode: force additionally releases a
-// below-floor final epoch as Dropped instead of leaving it pending — the
-// final drain of a deployment that is shutting down for good.
-//
-// Draining is idempotent (a second drain of a drained service is an empty
-// barrier), so connection-level failures are retried on fresh connections
-// under the client's redial budget: a fleet drain tolerates a replica that
-// crashed and is restarting over its WAL, surfacing the recovered
-// successor's stats instead of failing the barrier.
-func (c *Client) DrainMode(force bool) (ServiceStats, error) {
-	var reply ServiceStats
-	err := c.callRetryTransient("Shuffler.Drain", DrainArgs{Force: force}, &reply)
-	return reply, err
-}
-
-// Stats fetches the shuffler service's health snapshot.
-func (c *Client) Stats() (ServiceStats, error) {
-	var reply ServiceStats
-	err := c.call("Shuffler.Stats", struct{}{}, &reply)
-	return reply, err
-}
-
-// Healthz fetches the cheap liveness snapshot (no engine locks server-side;
-// see HealthzReply). Balancer probes use it.
-func (c *Client) Healthz() (HealthzReply, error) {
-	var reply HealthzReply
-	err := c.call("Shuffler.Healthz", struct{}{}, &reply)
-	return reply, err
-}
-
-// Close releases the connections (gob and, if negotiated, binary).
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.wc != nil {
-		c.wc.close()
-		c.wc = nil
-	}
-	return c.rpc.Close()
-}
-
-// AnalyzerClient is a convenience handle for querying an analyzer service.
-type AnalyzerClient struct {
-	rpc *rpc.Client
-}
-
-// DialAnalyzer connects to an analyzer service with the default connect
-// timeout.
-func DialAnalyzer(addr string) (*AnalyzerClient, error) {
-	return DialAnalyzerTimeout(addr, 0)
-}
-
-// DialAnalyzerTimeout connects to an analyzer service, bounding the TCP
-// connect (timeout <= 0 selects DefaultDialTimeout).
-func DialAnalyzerTimeout(addr string, timeout time.Duration) (*AnalyzerClient, error) {
-	c, err := dialRPC(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return &AnalyzerClient{rpc: c}, nil
-}
-
-// AnalyzerKey fetches the analyzer's public key.
-func (c *AnalyzerClient) AnalyzerKey() ([]byte, error) {
-	var reply KeyReply
-	if err := c.rpc.Call("Analyzer.PublicKey", struct{}{}, &reply); err != nil {
-		return nil, err
-	}
-	if len(reply.Key) == 0 {
-		return nil, errors.New("transport: empty analyzer key")
-	}
-	return reply.Key, nil
-}
-
-// Histogram fetches the histogram of the analyzer's materialized database.
-func (c *AnalyzerClient) Histogram() (map[string]int, int, error) {
-	var reply HistogramReply
-	if err := c.rpc.Call("Analyzer.Histogram", struct{}{}, &reply); err != nil {
-		return nil, 0, err
-	}
-	return reply.Counts, reply.Undecryptable, nil
-}
-
-// Stats fetches the analyzer service's health snapshot.
-func (c *AnalyzerClient) Stats() (AnalyzerStats, error) {
-	var reply AnalyzerStats
-	err := c.rpc.Call("Analyzer.Stats", struct{}{}, &reply)
-	return reply, err
-}
-
-// Close releases the connection.
-func (c *AnalyzerClient) Close() error { return c.rpc.Close() }

@@ -3,7 +3,6 @@ package transport
 import (
 	crand "crypto/rand"
 	"math/rand/v2"
-	"net/rpc"
 	"testing"
 
 	"prochlo/internal/analyzer"
@@ -22,7 +21,7 @@ func TestNetworkedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +36,13 @@ func TestNetworkedPipeline(t *testing.T) {
 		Threshold: shuffler.Threshold{Noise: dp.ThresholdNoise{T: 20, D: 10, Sigma: 2}},
 		Rand:      rand.New(rand.NewPCG(1, 2)),
 	}
-	shufSvc, err := NewShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String())
+	shufSvc, err := NewStageService(sh, core.KindEnvelopes, Keys{Key: shufPriv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shufSvc.Close()
-	shufL, err := Serve("127.0.0.1:0", "Shuffler", shufSvc)
+	shufL, err := Serve("127.0.0.1:0", shufSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestNetworkedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	keyBytes, err := cl.ShufflerKey()
+	keys, err := cl.Keys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	shufKey, err := hybrid.ParsePublicKey(keyBytes)
+	shufKey, err := hybrid.ParsePublicKey(keys.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNetworkedPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := cl.Submit(env); err != nil {
+			if err := cl.SubmitBatch([]core.Envelope{env}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -77,12 +77,8 @@ func TestNetworkedPipeline(t *testing.T) {
 	submit("c:popular", "popular-value", 80)
 	submit("c:rare", "rare-value", 3)
 
-	var n int
-	if err := cl.rpc.Call("Shuffler.BatchSize", struct{}{}, &n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 83 {
-		t.Fatalf("batch size = %d, want 83", n)
+	if h, err := cl.Healthz(); err != nil || h.Pending != 83 {
+		t.Fatalf("healthz = %+v, %v, want 83 pending", h, err)
 	}
 
 	stats, err := cl.Flush()
@@ -94,42 +90,43 @@ func TestNetworkedPipeline(t *testing.T) {
 	}
 
 	// Query the analyzer directly.
-	ac, err := rpc.Dial("tcp", anlzL.Addr().String())
+	ac, err := DialAnalyzer(anlzL.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ac.Close()
-	var hist HistogramReply
-	if err := ac.Call("Analyzer.Histogram", struct{}{}, &hist); err != nil {
+	counts, undec, err := ac.Histogram()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if hist.Counts["rare-value"] != 0 {
+	if counts["rare-value"] != 0 {
 		t.Error("rare value leaked through networked thresholding")
 	}
-	if c := hist.Counts["popular-value"]; c < 50 || c > 80 {
+	if c := counts["popular-value"]; c < 50 || c > 80 {
 		t.Errorf("popular count = %d, want ~70", c)
 	}
-	if hist.Undecryptable != 0 {
-		t.Errorf("undecryptable = %d", hist.Undecryptable)
+	if undec != 0 {
+		t.Errorf("undecryptable = %d", undec)
 	}
 }
 
 func TestFlushEmptyBatchFails(t *testing.T) {
 	anlzPriv, _ := hybrid.GenerateKey(crand.Reader)
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer anlzL.Close()
 	shufPriv, _ := hybrid.GenerateKey(crand.Reader)
 	sh := &shuffler.Shuffler{Priv: shufPriv, Rand: rand.New(rand.NewPCG(3, 4))}
-	svc, err := NewShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String())
+	svc, err := NewStageService(sh, core.KindEnvelopes, Keys{Key: shufPriv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	shufL, err := Serve("127.0.0.1:0", "Shuffler", svc)
+	shufL, err := Serve("127.0.0.1:0", svc)
 	if err != nil {
 		t.Fatal(err)
 	}

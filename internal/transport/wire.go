@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"net/rpc"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -17,79 +16,58 @@ import (
 	"prochlo/internal/core"
 )
 
-// Binary data-plane protocol. The hot RPCs — client batch submission,
-// hop-to-hop Forward, analyzer Ingest — all move one core.Batch plus a
-// (stream, seq-or-epoch) dedup stamp and get back an accepted count or an
-// error string. gob/net-rpc spends most of a push re-encoding type metadata
-// and allocating per envelope; this transport frames the batch codec from
-// internal/core instead:
+// Frame protocol. Every call between two parties — client submission,
+// hop-to-hop Forward, analyzer Ingest, and the control calls — is one request
+// frame answered by one reply frame on a TCP connection:
 //
-//	request  frame: uvarint len | body
-//	  body:  uvarint reqID | method byte | varint stream | varint pos |
-//	         batch (kind byte, uvarint count, walwire items) | crc32 (LE)
-//	reply    frame: uvarint len | body
-//	  body:  uvarint reqID | status byte | varint accepted (status 0)
+//	request frame: uvarint len | body
+//	  body:  uvarint reqID | method byte | request body | crc32 (LE)
+//	reply   frame: uvarint len | body
+//	  body:  uvarint reqID | status byte | reply body (status 0)
 //	         or uvarint msglen + msg (status 1) | crc32 (LE)
+//
+// The request and reply bodies are opaque to the frame layer. Per method
+// (ints are varints, bytes and strings are uvarint-length-prefixed, a batch
+// is the internal/core codec: kind byte, uvarint count, walwire items):
+//
+//	method           request body                reply body
+//	 1 Submit        stream | seq | batch        accepted
+//	 2 Forward       stream | epoch | batch      accepted
+//	 3 Ingest        stream | epoch | batch      accepted
+//	 4 Keys          -                           blinding bytes | key bytes
+//	 5 Healthz       -                           HealthzReply
+//	 6 Stats         -                           ServiceStats (analyzer: AnalyzerStats)
+//	 7 Drain         force byte                  ServiceStats
+//	 8 Flush         -                           shuffler.Stats
+//	 9 Attestation   -                           quote | CA key bytes
+//	10 Histogram     -                           count | (key bytes | n)* | undecryptable
+//
+// Histogram keys are decrypted report payloads — arbitrary bytes — which is
+// why every body is binary rather than text.
 //
 // The CRC covers the body up to itself (IEEE, like the WAL records). A
 // frame that fails the CRC, truncates, or exceeds maxWireFrame kills the
 // connection — the sender's redial machinery treats that as the transient
-// connection failure it is.
+// connection failure it is. A request the service refuses (unknown method, a
+// method its role does not serve, a malformed body inside a sound frame)
+// gets an error reply and the connection stays up.
 //
 // Requests are pipelined: a connection carries any number of in-flight
 // requests, correlated by reqID, and replies may arrive out of order (the
-// server handles each frame in its own goroutine, exactly as net/rpc
-// services gob requests). Server errors travel as strings and surface as
-// rpc.ServerError, so IsEpochFull and IsTransient behave identically across
-// both protocols.
+// server handles each frame in its own goroutine, at most maxConnHandlers at
+// once per connection). Server errors travel as strings and surface as
+// ServerError.
 //
-// Protocol negotiation happens at accept time: a binary client opens with a
-// 4-byte magic whose first byte (0x00) is impossible as the opening byte of
-// a gob stream, and the server peeks it — match serves binary frames,
-// anything else hands the connection (peeked bytes included) to net/rpc.
-// The server acks the magic, and a dialer that gets no ack (an old gob-only
-// server reading the magic as garbage and closing, or just silence until
-// the handshake deadline) falls back to dialing a plain gob connection, so
-// mixed-version fleets interoperate. Control-plane RPCs (Keys, Healthz,
-// Stats, Drain, Attestation) always ride net/rpc.
+// A dialer opens with a 4-byte magic and the server acks it before any
+// frame flows, so dialing something that is not a prochlo party fails at
+// Dial instead of at the first call; a server closes a peer that opens with
+// anything else.
 
-// WireMode selects the data-plane protocol for dialed connections. The
-// zero value is WireBinary: the framed binary protocol, falling back to gob
-// per connection when the peer does not speak it.
-type WireMode uint8
-
-const (
-	// WireBinary frames the hot calls with the binary batch codec,
-	// negotiated at dial with per-connection fallback to gob.
-	WireBinary WireMode = iota
-	// WireGob forces the gob/net-rpc data plane (the pre-binary protocol,
-	// kept for cross-version compatibility and A/B measurement).
-	WireGob
-)
-
-// ParseWireMode parses a -wire flag value: "binary" (or empty) and "gob".
-func ParseWireMode(s string) (WireMode, error) {
-	switch s {
-	case "", "binary":
-		return WireBinary, nil
-	case "gob":
-		return WireGob, nil
-	}
-	return WireBinary, fmt.Errorf("transport: unknown wire mode %q (want binary or gob)", s)
-}
-
-// String names the mode like the flag that selects it.
-func (m WireMode) String() string {
-	if m == WireGob {
-		return "gob"
-	}
-	return "binary"
-}
-
-// DefaultWireTimeout bounds one data-plane call end to end: a peer that
-// accepted the connection but never answers (hung process, black-holed
-// route) fails the call with a deadline error — transient, so the pusher
-// redials — instead of blocking its flusher goroutine forever.
+// DefaultWireTimeout bounds one call end to end: a peer that accepted the
+// connection but never answers (hung process, black-holed route) fails the
+// call with a deadline error — transient, so the pusher redials — instead of
+// blocking its flusher goroutine forever. Drain and Flush are exempt: they
+// legitimately block for as long as the downstream barrier takes.
 const DefaultWireTimeout = 2 * time.Minute
 
 // wireIOTimeout bounds individual frame reads and writes once a frame has
@@ -100,26 +78,45 @@ const wireIOTimeout = 30 * time.Second
 // maxWireFrame caps a frame body; anything larger is corruption, not data.
 const maxWireFrame = 1 << 30
 
-// Data-plane method ids, and their net/rpc names for the caller adapter.
+// frameReadChunk is the most a frame reader allocates ahead of the bytes it
+// has actually received; see readBody. It is sized so the frames a chain
+// normally carries — a client batch, an epoch of a few thousand reports —
+// fit in it and are read into one exact-size buffer with no regrowth.
+const frameReadChunk = 1 << 20
+
+// maxConnHandlers bounds the request handlers one connection may have in
+// flight. Past it the read loop stops parsing frames, so a peer that floods
+// requests is back-pressured by TCP instead of growing the server's
+// goroutine count without limit.
+const maxConnHandlers = 64
+
+// Frame method ids.
 const (
-	wireSubmitBatch   = 1 // Shuffler.SubmitBatch
-	wireSubmitBlinded = 2 // Shuffler.SubmitBlindedBatch
-	wireForward       = 3 // Shuffler.Forward
-	wireIngest        = 4 // Analyzer.Ingest
+	methodSubmit uint8 = iota + 1
+	methodForward
+	methodIngest
+	methodKeys
+	methodHealthz
+	methodStats
+	methodDrain
+	methodFlush
+	methodAttestation
+	methodHistogram
 )
 
-// wireMagic opens a binary connection; wireMagicAck confirms it. The 0x00
-// lead byte can never open a gob stream (gob's first byte is a nonzero
-// message length), which is what lets one listener serve both protocols.
+// wireMagic opens a connection; wireMagicAck confirms it.
 var (
 	wireMagic    = [4]byte{0x00, 'P', 'W', '1'}
 	wireMagicAck = [4]byte{0x00, 'P', 'A', '1'}
 )
 
-// errWireUnsupported marks a failed binary handshake: the peer is reachable
-// but does not speak the framed protocol, so the dialer should fall back to
-// gob rather than treat the address as down.
-var errWireUnsupported = errors.New("transport: peer does not speak the binary wire protocol")
+// ServerError is an error the peer's service returned, as opposed to a
+// failure of the connection that carried the call. It crosses the wire as
+// its message, so IsEpochFull and IsBatchTooSmall match on text; IsTransient
+// is false for it (the call was delivered and answered).
+type ServerError string
+
+func (e ServerError) Error() string { return string(e) }
 
 // framePool recycles frame encode buffers so a steady-state push allocates
 // nothing for its marshal: the arena grows to the fleet's epoch size and is
@@ -131,23 +128,19 @@ var framePool = sync.Pool{
 	},
 }
 
-// appendFrame prefixes body (built at buf[frameHeaderMax:]) with its uvarint
-// length so the whole frame is one contiguous write. It returns the frame
-// slice within buf.
+// frameHeaderMax is the room a frame under construction leaves in front of
+// its body for the uvarint length finishFrame writes last.
 const frameHeaderMax = binary.MaxVarintLen64
 
+// finishFrame seals the body built at buf[frameHeaderMax:] with its checksum
+// and prefixes it with its length, so the whole frame is one contiguous
+// write. It returns the frame slice within buf.
 func finishFrame(buf []byte) []byte {
-	body := buf[frameHeaderMax:]
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[frameHeaderMax:]))
 	var hdr [frameHeaderMax]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(body)))
+	n := binary.PutUvarint(hdr[:], uint64(len(buf)-frameHeaderMax))
 	copy(buf[frameHeaderMax-n:], hdr[:n])
 	return buf[frameHeaderMax-n:]
-}
-
-// appendCRC seals a frame body with its checksum.
-func appendCRC(body []byte) []byte {
-	sum := crc32.ChecksumIEEE(body[frameHeaderMax:])
-	return binary.LittleEndian.AppendUint32(body, sum)
 }
 
 // checkCRC verifies and strips a received body's trailing checksum.
@@ -168,11 +161,7 @@ func checkCRC(body []byte) ([]byte, error) {
 // a torn frame from a hung peer becomes an error instead of a stuck
 // goroutine.
 func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, error) {
-	first, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if err := br.UnreadByte(); err != nil {
+	if _, err := br.Peek(1); err != nil {
 		return nil, err
 	}
 	if err := conn.SetReadDeadline(time.Now().Add(wireIOTimeout)); err != nil {
@@ -186,14 +175,30 @@ func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, error) {
 	if n > maxWireFrame {
 		return nil, fmt.Errorf("transport: wire frame of %d bytes exceeds limit", n)
 	}
-	// A fresh exact-size buffer per frame: the decoded batch aliases it, so
-	// it is handed over with the items rather than pooled and reused.
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
+	body, err := readBody(br, int(n))
+	if err != nil {
 		return nil, fmt.Errorf("transport: wire frame body: %w", err)
 	}
-	_ = first
 	return checkCRC(body)
+}
+
+// readBody reads an n-byte frame body into a fresh buffer (a decoded batch
+// aliases it, so it is handed over with the items rather than pooled). The
+// length prefix comes from a peer nobody has authenticated, so the buffer
+// grows only as bytes actually arrive — doubling from frameReadChunk — and a
+// peer that announces maxWireFrame and then stalls costs one chunk, not n.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	var body []byte
+	for len(body) < n {
+		next := min(n, max(2*len(body), frameReadChunk))
+		body = append(make([]byte, 0, next), body...)
+		m, err := io.ReadFull(r, body[len(body):next])
+		body = body[:len(body)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
 }
 
 // writeFrame writes one already-finished frame under a write deadline.
@@ -205,124 +210,163 @@ func writeFrame(conn net.Conn, frame []byte) error {
 	return err
 }
 
-// encodeRequest marshals one data-plane call into a pooled frame buffer.
-func encodeRequest(buf []byte, reqID uint64, method uint8, stream, pos int64, b core.Batch) []byte {
-	buf = buf[:frameHeaderMax]
-	buf = binary.AppendUvarint(buf, reqID)
-	buf = append(buf, method)
-	buf = binary.AppendVarint(buf, stream)
-	buf = binary.AppendVarint(buf, pos)
-	buf = core.AppendBatch(buf, b)
-	return appendCRC(buf)
+// beginRequest starts a request frame in a pooled buffer; the caller appends
+// the request body and finishes the frame.
+func beginRequest(buf []byte, reqID uint64, method uint8) []byte {
+	buf = binary.AppendUvarint(buf[:frameHeaderMax], reqID)
+	return append(buf, method)
 }
 
-// wireRequest is a parsed request frame; the batch aliases the frame buffer.
-type wireRequest struct {
-	reqID  uint64
-	method uint8
-	stream int64
-	pos    int64
-	batch  core.Batch
+// parseRequest splits a checksum-verified request frame body into its
+// header and the method's opaque request body (which aliases frame).
+func parseRequest(frame []byte) (reqID uint64, method uint8, body []byte, err error) {
+	reqID, k := binary.Uvarint(frame)
+	if k <= 0 || len(frame) == k {
+		return 0, 0, nil, fmt.Errorf("transport: wire request header: corrupt or truncated")
+	}
+	return reqID, frame[k], frame[k+1:], nil
 }
 
-func parseRequest(body []byte) (wireRequest, error) {
-	var req wireRequest
-	var k int
-	req.reqID, k = binary.Uvarint(body)
-	if k <= 0 {
-		return req, fmt.Errorf("transport: wire request id: corrupt varint")
+// beginReply starts a reply frame; an error reply is complete after this,
+// a success reply gets the method's reply body appended.
+func beginReply(buf []byte, reqID uint64, herr error) []byte {
+	buf = binary.AppendUvarint(buf[:frameHeaderMax], reqID)
+	if herr != nil {
+		return appendWireBytes(append(buf, 1), []byte(herr.Error()))
 	}
-	body = body[k:]
-	if len(body) == 0 {
-		return req, fmt.Errorf("transport: wire request truncated before method")
+	return append(buf, 0)
+}
+
+// parseReply splits a checksum-verified reply frame body. A status-1 reply
+// yields its message as a ServerError in serverErr; err reports a frame
+// that cannot be trusted at all.
+func parseReply(frame []byte) (reqID uint64, body []byte, serverErr, err error) {
+	reqID, k := binary.Uvarint(frame)
+	if k <= 0 || len(frame) == k {
+		return 0, nil, nil, fmt.Errorf("transport: wire reply header: corrupt or truncated")
 	}
-	req.method, body = body[0], body[1:]
-	if req.stream, k = binary.Varint(body); k <= 0 {
-		return req, fmt.Errorf("transport: wire request stream: corrupt varint")
+	status, body := frame[k], frame[k+1:]
+	switch status {
+	case 0:
+		return reqID, body, nil, nil
+	case 1:
+		r := wireReader{b: body}
+		msg := r.bytes()
+		if r.err != nil {
+			return 0, nil, nil, fmt.Errorf("transport: wire reply error text: %w", r.err)
+		}
+		return reqID, nil, ServerError(msg), nil
 	}
-	body = body[k:]
-	if req.pos, k = binary.Varint(body); k <= 0 {
-		return req, fmt.Errorf("transport: wire request pos: corrupt varint")
+	return 0, nil, nil, fmt.Errorf("transport: wire reply status 0x%02x", status)
+}
+
+// appendBatchCall encodes the request body shared by Submit, Forward and
+// Ingest: the (stream, seq-or-epoch) dedup stamp and the batch.
+func appendBatchCall(dst []byte, stream, pos int64, b core.Batch) []byte {
+	dst = binary.AppendVarint(dst, stream)
+	dst = binary.AppendVarint(dst, pos)
+	return core.AppendBatch(dst, b)
+}
+
+// parseBatchCall decodes a Submit/Forward/Ingest request body. The batch
+// aliases body, which the caller must therefore not reuse.
+func parseBatchCall(body []byte) (stream, pos int64, b core.Batch, err error) {
+	r := wireReader{b: body}
+	stream, pos = r.int(), r.int()
+	if r.err != nil {
+		return 0, 0, b, fmt.Errorf("transport: wire request stamp: %w", r.err)
 	}
-	body = body[k:]
-	batch, rest, err := core.DecodeBatchAlias(body)
+	b, rest, err := core.DecodeBatchAlias(r.b)
 	if err != nil {
-		return req, err
+		return 0, 0, b, err
 	}
 	if len(rest) != 0 {
-		return req, fmt.Errorf("transport: wire request has %d trailing bytes", len(rest))
+		return 0, 0, b, fmt.Errorf("transport: wire request has %d trailing bytes", len(rest))
 	}
-	req.batch = batch
-	return req, nil
+	return stream, pos, b, nil
 }
 
-// encodeReply marshals one reply into a pooled frame buffer.
-func encodeReply(buf []byte, reqID uint64, accepted int, errMsg string, isErr bool) []byte {
-	buf = buf[:frameHeaderMax]
-	buf = binary.AppendUvarint(buf, reqID)
-	if isErr {
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(len(errMsg)))
-		buf = append(buf, errMsg...)
-	} else {
-		buf = append(buf, 0)
-		buf = binary.AppendVarint(buf, int64(accepted))
+// appendWireBytes appends one uvarint-length-prefixed field.
+func appendWireBytes(dst, b []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+}
+
+// appendWireInts appends each value as a varint.
+func appendWireInts(dst []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		dst = binary.AppendVarint(dst, v)
 	}
-	return appendCRC(buf)
+	return dst
+}
+
+// wireReader decodes a body field by field. The first malformed field
+// sticks in err and every later read returns a zero value, so a decoder
+// reads all its fields and checks err once.
+type wireReader struct {
+	b   []byte
+	err error
+}
+
+func (r *wireReader) int() int64 {
+	v, k := binary.Varint(r.b)
+	if k <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[k:]
+	return v
+}
+
+// bytes returns the next length-prefixed field, aliasing the body.
+func (r *wireReader) bytes() []byte {
+	n, k := binary.Uvarint(r.b)
+	if k <= 0 || n > uint64(len(r.b)-k) {
+		r.fail()
+		return nil
+	}
+	v := r.b[k : k+int(n)]
+	r.b = r.b[k+int(n):]
+	return v
+}
+
+// count reads an element count and rejects one the remaining bytes could
+// not possibly hold (every element is at least one byte), so a hostile
+// count cannot size an allocation.
+func (r *wireReader) count() int {
+	n := r.int()
+	if n < 0 || n > int64(len(r.b)) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+func (r *wireReader) fail() {
+	if r.err == nil {
+		r.err = errors.New("corrupt or truncated field")
+	}
+	r.b = nil
+}
+
+// done reports the sticky error, or trailing bytes the decoder did not
+// consume.
+func (r *wireReader) done() error {
+	if r.err == nil && len(r.b) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(r.b))
+	}
+	return r.err
 }
 
 // wireResult is one decoded reply, delivered to the waiting call.
 type wireResult struct {
-	accepted int
-	err      error
+	body []byte
+	err  error
 }
 
-func parseReply(body []byte) (reqID uint64, res wireResult, err error) {
-	var k int
-	reqID, k = binary.Uvarint(body)
-	if k <= 0 {
-		return 0, res, fmt.Errorf("transport: wire reply id: corrupt varint")
-	}
-	body = body[k:]
-	if len(body) == 0 {
-		return 0, res, fmt.Errorf("transport: wire reply truncated before status")
-	}
-	status, body := body[0], body[1:]
-	switch status {
-	case 0:
-		n, k := binary.Varint(body)
-		if k <= 0 {
-			return 0, res, fmt.Errorf("transport: wire reply accepted: corrupt varint")
-		}
-		res.accepted = int(n)
-	case 1:
-		msg, _, cerr := consumeWireBytes(body)
-		if cerr != nil {
-			return 0, res, fmt.Errorf("transport: wire reply error text: %w", cerr)
-		}
-		// The same string-typed error net/rpc delivers, so IsEpochFull's
-		// string match and IsTransient's "server errors are not transient"
-		// rule hold across protocols.
-		res.err = rpc.ServerError(msg)
-	default:
-		return 0, res, fmt.Errorf("transport: wire reply status 0x%02x", status)
-	}
-	return reqID, res, nil
-}
-
-// consumeWireBytes reads one uvarint-length-prefixed field.
-func consumeWireBytes(b []byte) (string, []byte, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || n > uint64(len(b)-k) {
-		return "", nil, fmt.Errorf("corrupt length prefix")
-	}
-	return string(b[k : k+int(n)]), b[k+int(n):], nil
-}
-
-// wireConn is one negotiated binary connection: safe for concurrent calls,
-// which pipeline — each call writes its frame under the write lock and
-// parks on its reqID while the reader goroutine dispatches replies in
-// whatever order the server finishes them.
+// wireConn is one established connection: safe for concurrent calls, which
+// pipeline — each call writes its frame under the write lock and parks on
+// its reqID while the reader goroutine dispatches replies in whatever order
+// the server finishes them.
 type wireConn struct {
 	conn    net.Conn
 	timeout time.Duration // per-call bound; <= 0 disables
@@ -336,9 +380,8 @@ type wireConn struct {
 	broken  error // set once the connection is unusable; fails new calls fast
 }
 
-// dialWire negotiates a binary connection to addr. A reachable peer that
-// does not complete the handshake yields errWireUnsupported, the signal to
-// fall back to gob on a fresh connection.
+// dialWire connects to addr and completes the handshake. dialTimeout <= 0
+// selects DefaultDialTimeout.
 func dialWire(addr string, dialTimeout, callTimeout time.Duration) (*wireConn, error) {
 	if dialTimeout <= 0 {
 		dialTimeout = DefaultDialTimeout
@@ -347,32 +390,30 @@ func dialWire(addr string, dialTimeout, callTimeout time.Duration) (*wireConn, e
 	if err != nil {
 		return nil, err
 	}
-	if err := conn.SetDeadline(time.Now().Add(dialTimeout)); err != nil {
+	if err := handshake(conn, dialTimeout); err != nil {
 		conn.Close()
-		return nil, err
-	}
-	if _, err := conn.Write(wireMagic[:]); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %v", errWireUnsupported, err)
-	}
-	var ack [4]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil || ack != wireMagicAck {
-		// An old gob-only server reads the magic as a garbage gob frame and
-		// closes (or says nothing until the deadline); either way the
-		// address serves RPC, just not this protocol.
-		conn.Close()
-		if err == nil {
-			err = fmt.Errorf("bad ack % x", ack)
-		}
-		return nil, fmt.Errorf("%w: %v", errWireUnsupported, err)
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("transport: handshake with %s: %w", addr, err)
 	}
 	wc := &wireConn{conn: conn, timeout: callTimeout, pending: make(map[uint64]chan wireResult)}
 	go wc.readLoop()
 	return wc, nil
+}
+
+func handshake(conn net.Conn, timeout time.Duration) error {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
+	}
+	if _, err := conn.Write(wireMagic[:]); err != nil {
+		return err
+	}
+	var ack [4]byte
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		return err
+	}
+	if ack != wireMagicAck {
+		return fmt.Errorf("peer does not speak the frame protocol (ack % x)", ack)
+	}
+	return conn.SetDeadline(time.Time{})
 }
 
 // readLoop dispatches reply frames to their waiting calls until the
@@ -381,12 +422,12 @@ func dialWire(addr string, dialTimeout, callTimeout time.Duration) (*wireConn, e
 func (w *wireConn) readLoop() {
 	br := bufio.NewReaderSize(w.conn, 32<<10)
 	for {
-		body, err := readFrame(br, w.conn)
+		frame, err := readFrame(br, w.conn)
 		if err != nil {
 			w.fail(err)
 			return
 		}
-		reqID, res, err := parseReply(body)
+		reqID, body, serverErr, err := parseReply(frame)
 		if err != nil {
 			w.fail(err)
 			return
@@ -396,7 +437,7 @@ func (w *wireConn) readLoop() {
 		delete(w.pending, reqID)
 		w.mu.Unlock()
 		if ch != nil {
-			ch <- res
+			ch <- wireResult{body: body, err: serverErr}
 		}
 	}
 }
@@ -418,16 +459,17 @@ func (w *wireConn) fail(cause error) {
 	}
 }
 
-// call issues one pipelined data-plane request and waits for its reply. A
-// call that outlives the configured timeout kills the connection (the only
-// way to unstick a hung peer) and returns a deadline error, which
-// IsTransient recognizes.
-func (w *wireConn) call(method uint8, stream, pos int64, b core.Batch) (int, error) {
+// call issues one pipelined request — appendBody writes the method's request
+// body into the frame — and returns the reply body, which the caller owns.
+// A call that outlives the connection's timeout kills the connection (the
+// only way to unstick a hung peer) and returns a deadline error, which
+// IsTransient recognizes; Drain and Flush wait without a bound.
+func (w *wireConn) call(method uint8, appendBody func(dst []byte) []byte) ([]byte, error) {
 	w.mu.Lock()
 	if w.broken != nil {
 		err := w.broken
 		w.mu.Unlock()
-		return 0, fmt.Errorf("%w (%v)", io.ErrUnexpectedEOF, err)
+		return nil, fmt.Errorf("%w (%v)", io.ErrUnexpectedEOF, err)
 	}
 	id := w.nextID.Add(1)
 	ch := make(chan wireResult, 1)
@@ -435,7 +477,11 @@ func (w *wireConn) call(method uint8, stream, pos int64, b core.Batch) (int, err
 	w.mu.Unlock()
 
 	bufp := framePool.Get().(*[]byte)
-	frame := finishFrame(encodeRequest(*bufp, id, method, stream, pos, b))
+	buf := beginRequest(*bufp, id, method)
+	if appendBody != nil {
+		buf = appendBody(buf)
+	}
+	frame := finishFrame(buf)
 	w.wmu.Lock()
 	err := writeFrame(w.conn, frame)
 	w.wmu.Unlock()
@@ -448,18 +494,18 @@ func (w *wireConn) call(method uint8, stream, pos int64, b core.Batch) (int, err
 		delete(w.pending, id)
 		w.mu.Unlock()
 		w.fail(err)
-		return 0, fmt.Errorf("%w (%v)", io.ErrUnexpectedEOF, err)
+		return nil, fmt.Errorf("%w (%v)", io.ErrUnexpectedEOF, err)
 	}
 
-	if w.timeout <= 0 {
+	if w.timeout <= 0 || method == methodDrain || method == methodFlush {
 		res := <-ch
-		return res.accepted, res.err
+		return res.body, res.err
 	}
 	timer := time.NewTimer(w.timeout)
 	defer timer.Stop()
 	select {
 	case res := <-ch:
-		return res.accepted, res.err
+		return res.body, res.err
 	case <-timer.C:
 		// Deregister first so fail does not overwrite this call's outcome
 		// with the generic broken-connection error; the deadline is the
@@ -472,14 +518,29 @@ func (w *wireConn) call(method uint8, stream, pos int64, b core.Batch) (int, err
 		// buffered channel keeps the racing sender unblocked either way.
 		select {
 		case res := <-ch:
-			return res.accepted, res.err
+			return res.body, res.err
 		default:
 		}
-		return 0, fmt.Errorf("transport: wire call timed out after %v: %w", w.timeout, os.ErrDeadlineExceeded)
+		return nil, fmt.Errorf("transport: wire call timed out after %v: %w", w.timeout, os.ErrDeadlineExceeded)
 	}
 }
 
-// Close tears the connection down, failing any in-flight calls.
+// push issues one Submit, Forward or Ingest and returns the accepted count.
+// It is the pusher the sinks drive and FaultPlan wraps.
+func (w *wireConn) push(method uint8, stream, pos int64, b core.Batch) (int, error) {
+	reply, err := w.call(method, func(dst []byte) []byte { return appendBatchCall(dst, stream, pos, b) })
+	if err != nil {
+		return 0, err
+	}
+	r := wireReader{b: reply}
+	n := r.int()
+	if err := r.done(); err != nil {
+		return 0, fmt.Errorf("transport: wire reply accepted count: %w", err)
+	}
+	return int(n), nil
+}
+
+// close tears the connection down, failing any in-flight calls.
 func (w *wireConn) close() error {
 	w.fail(errors.New("connection closed"))
 	return nil
@@ -493,103 +554,8 @@ func (w *wireConn) isBroken() bool {
 	return w.broken != nil
 }
 
-// wireCaller adapts a wireConn to the caller interface the sinks and fault
-// layer use, translating the net/rpc method names and arg structs the rest
-// of the package speaks. Methods outside the data plane are rejected —
-// control traffic belongs on net/rpc.
-type wireCaller struct {
-	wc *wireConn
-}
-
-func (c *wireCaller) Call(serviceMethod string, args any, reply any) error {
-	switch a := args.(type) {
-	case ForwardArgs:
-		n, err := c.wc.call(wireForward, a.Stream, a.Epoch, a.Batch)
-		if rep, ok := reply.(*SubmitReply); ok && err == nil {
-			rep.Accepted = n
-		}
-		return err
-	case IngestArgs:
-		_, err := c.wc.call(wireIngest, a.Stream, a.Epoch, core.Batch{Payloads: a.Items})
-		if ack, ok := reply.(*bool); ok && err == nil {
-			*ack = true
-		}
-		return err
-	case SubmitBatchArgs:
-		n, err := c.wc.call(wireSubmitBatch, a.Stream, a.Seq, core.Batch{Envelopes: a.Envelopes})
-		if rep, ok := reply.(*SubmitReply); ok && err == nil {
-			rep.Accepted = n
-		}
-		return err
-	case SubmitBlindedBatchArgs:
-		n, err := c.wc.call(wireSubmitBlinded, a.Stream, a.Seq, core.Batch{Blinded: a.Envelopes})
-		if rep, ok := reply.(*SubmitReply); ok && err == nil {
-			rep.Accepted = n
-		}
-		return err
-	}
-	return fmt.Errorf("transport: %s is not carried on the binary wire", serviceMethod)
-}
-
-func (c *wireCaller) Close() error { return c.wc.close() }
-
-// wireMethods are the batch calls carried on the binary protocol; the
-// single-envelope Shuffler.Submit stays on gob (it has no batch encoding
-// and no hot path). dataMethods additionally lists every call the per-call
-// timeout applies to on the gob data plane. Control RPCs are exempt from
-// both: Drain legitimately blocks for as long as the barrier takes.
-var wireMethods = map[string]bool{
-	"Shuffler.SubmitBatch":        true,
-	"Shuffler.SubmitBlindedBatch": true,
-	"Shuffler.Forward":            true,
-	"Analyzer.Ingest":             true,
-}
-
-var dataMethods = map[string]bool{
-	"Shuffler.Submit":             true,
-	"Shuffler.SubmitBatch":        true,
-	"Shuffler.SubmitBlindedBatch": true,
-	"Shuffler.Forward":            true,
-	"Analyzer.Ingest":             true,
-}
-
-// timeoutCaller bounds data-plane calls on a gob connection the same way
-// wireConn bounds binary calls: a hung peer fails the call with a deadline
-// error (transient, so the pusher redials) instead of wedging the flusher.
-type timeoutCaller struct {
-	cl      *rpc.Client
-	timeout time.Duration
-}
-
-func (t *timeoutCaller) Call(serviceMethod string, args any, reply any) error {
-	return callRPCTimeout(t.cl, serviceMethod, args, reply, t.timeout)
-}
-
-func (t *timeoutCaller) Close() error { return t.cl.Close() }
-
-// callRPCTimeout issues one net/rpc call, bounding data-plane methods by
-// timeout. On expiry the client is closed — the only way to abandon a gob
-// call — so the shared connection's other in-flight calls fail transient
-// and redial, exactly as if the peer had died (from the caller's view, it
-// has).
-func callRPCTimeout(cl *rpc.Client, serviceMethod string, args, reply any, timeout time.Duration) error {
-	if timeout <= 0 || !dataMethods[serviceMethod] {
-		return cl.Call(serviceMethod, args, reply)
-	}
-	call := cl.Go(serviceMethod, args, reply, make(chan *rpc.Call, 1))
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-call.Done:
-		return call.Error
-	case <-timer.C:
-		cl.Close()
-		return fmt.Errorf("transport: %s timed out after %v: %w", serviceMethod, timeout, os.ErrDeadlineExceeded)
-	}
-}
-
-// wireTimeout resolves the per-call data-plane bound (0 selects the
-// default; negative disables).
+// wireTimeout resolves the per-call bound (0 selects the default; negative
+// disables).
 func (cfg EpochConfig) wireTimeout() time.Duration {
 	switch {
 	case cfg.WireTimeout < 0:
@@ -600,124 +566,85 @@ func (cfg EpochConfig) wireTimeout() time.Duration {
 	return cfg.WireTimeout
 }
 
-// wireHandler is the server half of the data plane: each service maps the
-// method ids onto the same RPC handlers gob requests hit, so dedup,
-// backpressure, and WAL semantics are identical across protocols.
-type wireHandler interface {
-	serveWire(method uint8, stream, pos int64, b core.Batch, reply *SubmitReply) error
+// Service is a party's frame-method handler — a StageService or an
+// AnalyzerService. serveFrame runs one request and appends the method's
+// reply body to dst; an error becomes an error reply, never a dropped
+// connection. body may be aliased by what the handler keeps (ingested
+// batches are), so the server hands each request its own buffer.
+type Service interface {
+	serveFrame(method uint8, body, dst []byte) ([]byte, error)
 }
 
-func (s *ShufflerService) serveWire(method uint8, stream, pos int64, b core.Batch, reply *SubmitReply) error {
-	switch method {
-	case wireSubmitBatch:
-		return s.SubmitBatch(SubmitBatchArgs{Envelopes: b.Envelopes, Stream: stream, Seq: pos}, reply)
-	case wireForward:
-		return s.Forward(ForwardArgs{Stream: stream, Epoch: pos, Batch: b}, reply)
-	}
-	return fmt.Errorf("transport: shuffler does not serve wire method %d", method)
-}
-
-func (s *BlindedShufflerService) serveWire(method uint8, stream, pos int64, b core.Batch, reply *SubmitReply) error {
-	switch method {
-	case wireSubmitBlinded:
-		return s.SubmitBlindedBatch(SubmitBlindedBatchArgs{Envelopes: b.Blinded, Stream: stream, Seq: pos}, reply)
-	case wireForward:
-		return s.Forward(ForwardArgs{Stream: stream, Epoch: pos, Batch: b}, reply)
-	}
-	return fmt.Errorf("transport: blinded shuffler does not serve wire method %d", method)
-}
-
-func (a *AnalyzerService) serveWire(method uint8, stream, pos int64, b core.Batch, reply *SubmitReply) error {
-	if method != wireIngest {
-		return fmt.Errorf("transport: analyzer does not serve wire method %d", method)
-	}
-	if k := b.Kind(); k != core.KindPayloads && k != core.KindEmpty {
-		return fmt.Errorf("transport: analyzer ingests %v, got %v", core.KindPayloads, k)
-	}
-	var ack bool
-	if err := a.Ingest(IngestArgs{Stream: stream, Epoch: pos, Items: b.Payloads}, &ack); err != nil {
-		return err
-	}
-	reply.Accepted = len(b.Payloads)
-	return nil
-}
-
-// RPCServer serves one registered receiver over both protocols: every
-// accepted connection is sniffed for the binary magic and served as framed
-// data-plane traffic on a match, or handed (peeked bytes intact) to net/rpc
-// otherwise. Serve wraps it with a listener; tests that manage their own
-// listeners (crash harnesses that must sever live connections) drive
-// ServeConn directly.
-type RPCServer struct {
-	srv *rpc.Server
-	h   wireHandler // nil when rcvr has no data plane
-}
-
-// NewRPCServer registers rcvr under name for both protocols.
-func NewRPCServer(name string, rcvr any) (*RPCServer, error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(name, rcvr); err != nil {
+// Serve serves svc on addr (use "127.0.0.1:0" for an ephemeral port). It
+// returns the listener; callers close it to stop accepting.
+func Serve(addr string, svc Service) (net.Listener, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
 		return nil, err
 	}
-	h, _ := rcvr.(wireHandler)
-	return &RPCServer{srv: srv, h: h}, nil
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return // listener closed
+			}
+			go ServeConn(conn, svc)
+		}
+	}()
+	return l, nil
 }
 
-// ServeConn serves one connection until it closes, speaking whichever
-// protocol the peer opens with.
-func (s *RPCServer) ServeConn(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 32<<10)
-	lead, err := br.Peek(len(wireMagic))
-	if err != nil || [4]byte(lead) != wireMagic {
-		// Not the binary magic (or the peer hung up mid-peek): net/rpc owns
-		// the connection, reading through the buffer so nothing is lost.
-		s.srv.ServeConn(&peekedConn{Conn: conn, r: br})
+// ServeConn serves one accepted connection until it closes. Serve wraps it
+// with a listener; tests that manage their own listeners (crash harnesses
+// that must sever live connections) drive it directly. A peer that does not
+// open with the magic within DefaultDialTimeout is closed.
+//
+// Each request is handled in its own goroutine (pipelining — a Drain that
+// blocks for minutes must not hold up the submissions behind it), at most
+// maxConnHandlers at a time, with replies serialized by a write lock.
+func ServeConn(conn net.Conn, svc Service) {
+	defer conn.Close()
+	var magic [4]byte
+	if err := conn.SetReadDeadline(time.Now().Add(DefaultDialTimeout)); err != nil {
 		return
 	}
-	if _, err := br.Discard(len(wireMagic)); err != nil {
-		conn.Close()
+	if _, err := io.ReadFull(conn, magic[:]); err != nil || magic != wireMagic {
+		return
+	}
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		return
 	}
 	if err := writeFrame(conn, wireMagicAck[:]); err != nil {
-		conn.Close()
 		return
 	}
-	s.serveWireConn(conn, br)
-}
-
-// serveWireConn is the binary frame loop: each request is parsed off the
-// connection and handled in its own goroutine (pipelining — slow epochs
-// must not block later frames), with replies serialized by a write lock.
-func (s *RPCServer) serveWireConn(conn net.Conn, br *bufio.Reader) {
-	defer conn.Close()
+	br := bufio.NewReaderSize(conn, 32<<10)
 	var wmu sync.Mutex
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
+	slots := make(chan struct{}, maxConnHandlers)
 	for {
-		body, err := readFrame(br, conn)
+		frame, err := readFrame(br, conn)
 		if err != nil {
 			return // torn frame, checksum mismatch, or ordinary close
 		}
-		req, err := parseRequest(body)
+		reqID, method, body, err := parseRequest(frame)
 		if err != nil {
 			return // cannot trust the frame enough to even address a reply
 		}
+		slots <- struct{}{}
 		handlers.Add(1)
 		go func() {
-			defer handlers.Done()
-			var reply SubmitReply
-			var herr error
-			if s.h == nil {
-				herr = fmt.Errorf("transport: service has no binary data plane")
-			} else {
-				herr = s.h.serveWire(req.method, req.stream, req.pos, req.batch, &reply)
-			}
+			defer func() {
+				<-slots
+				handlers.Done()
+			}()
 			bufp := framePool.Get().(*[]byte)
-			var msg string
+			buf := beginReply(*bufp, reqID, nil)
+			buf, herr := svc.serveFrame(method, body, buf)
 			if herr != nil {
-				msg = herr.Error()
+				buf = beginReply(*bufp, reqID, herr)
 			}
-			frame := finishFrame(encodeReply(*bufp, req.reqID, reply.Accepted, msg, herr != nil))
+			frame := finishFrame(buf)
 			wmu.Lock()
 			werr := writeFrame(conn, frame)
 			wmu.Unlock()
@@ -731,12 +658,3 @@ func (s *RPCServer) serveWireConn(conn net.Conn, br *bufio.Reader) {
 		}()
 	}
 }
-
-// peekedConn splices a bufio.Reader's buffered bytes back in front of a
-// connection handed to net/rpc after protocol sniffing.
-type peekedConn struct {
-	net.Conn
-	r *bufio.Reader
-}
-
-func (c *peekedConn) Read(p []byte) (int, error) { return c.r.Read(p) }

@@ -1,51 +1,34 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"os"
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"prochlo/internal/core"
+	"prochlo/internal/shuffler"
 )
 
-func TestParseWireMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want WireMode
-		ok   bool
-	}{
-		{"", WireBinary, true},
-		{"binary", WireBinary, true},
-		{"gob", WireGob, true},
-		{"json", WireBinary, false},
-	} {
-		got, err := ParseWireMode(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseWireMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if WireBinary.String() != "binary" || WireGob.String() != "gob" {
-		t.Error("WireMode.String does not match the flag values")
-	}
+// batchRequest builds one finished Submit/Forward/Ingest request frame.
+func batchRequest(reqID uint64, method uint8, stream, pos int64, b core.Batch) []byte {
+	return finishFrame(appendBatchCall(beginRequest(make([]byte, 0, 256), reqID, method), stream, pos, b))
 }
 
-// TestWireFrameRoundTrip covers the frame codec symmetrically and checks
-// that corrupting any body byte is caught by the checksum.
-func TestWireFrameRoundTrip(t *testing.T) {
-	batch := core.Batch{Payloads: [][]byte{[]byte("alpha"), nil, []byte("gamma")}}
-	frame := finishFrame(encodeRequest(make([]byte, 0, 256), 7, wireIngest, 42, -9, batch))
-
-	// Strip the uvarint length prefix the way the read loop does.
+// openFrame strips a finished frame's length prefix and checksum.
+func openFrame(t testing.TB, frame []byte) []byte {
+	t.Helper()
 	n, k := binary.Uvarint(frame)
 	if k <= 0 || int(n) != len(frame)-k {
 		t.Fatalf("frame length prefix = %d (%d bytes), frame body = %d", n, k, len(frame)-k)
@@ -54,19 +37,28 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := parseRequest(body)
-	if err != nil {
-		t.Fatal(err)
+	return body
+}
+
+// TestWireFrameRoundTrip covers the frame codec symmetrically and checks
+// that corrupting any body byte is caught by the checksum.
+func TestWireFrameRoundTrip(t *testing.T) {
+	batch := core.Batch{Payloads: [][]byte{[]byte("alpha"), nil, []byte("gamma")}}
+	frame := batchRequest(7, methodIngest, 42, -9, batch)
+	reqID, method, body, err := parseRequest(openFrame(t, frame))
+	if err != nil || reqID != 7 || method != methodIngest {
+		t.Fatalf("request header = %d, %d, %v", reqID, method, err)
 	}
-	if req.reqID != 7 || req.method != wireIngest || req.stream != 42 || req.pos != -9 {
-		t.Fatalf("request header = %+v", req)
+	stream, pos, got, err := parseBatchCall(body)
+	if err != nil || stream != 42 || pos != -9 {
+		t.Fatalf("request stamp = %d, %d, %v", stream, pos, err)
 	}
-	if req.batch.Kind() != core.KindPayloads || req.batch.Len() != 3 ||
-		!bytes.Equal(req.batch.Payloads[0], []byte("alpha")) {
-		t.Fatalf("request batch = %+v", req.batch)
+	if got.Kind() != core.KindPayloads || got.Len() != 3 || !bytes.Equal(got.Payloads[0], []byte("alpha")) {
+		t.Fatalf("request batch = %+v", got)
 	}
 
 	// Every single-byte corruption of the body must fail the checksum.
+	_, k := binary.Uvarint(frame)
 	for i := k; i < len(frame); i++ {
 		torn := append([]byte(nil), frame...)
 		torn[i] ^= 0x40
@@ -76,72 +68,119 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	}
 
 	// Reply framing, success and error forms.
-	rf := finishFrame(encodeReply(make([]byte, 0, 64), 9, 1234, "", false))
-	_, k = binary.Uvarint(rf)
-	body, err = checkCRC(rf[k:])
-	if err != nil {
-		t.Fatal(err)
+	rf := finishFrame(appendWireInts(beginReply(make([]byte, 0, 64), 9, nil), 1234))
+	id, body, serverErr, err := parseReply(openFrame(t, rf))
+	if err != nil || serverErr != nil || id != 9 || !bytes.Equal(body, appendWireInts(nil, 1234)) {
+		t.Fatalf("success reply = %d, % x, %v, %v", id, body, serverErr, err)
 	}
-	id, res, err := parseReply(body)
-	if err != nil || id != 9 || res.accepted != 1234 || res.err != nil {
-		t.Fatalf("success reply = %d, %+v, %v", id, res, err)
+	rf = finishFrame(beginReply(make([]byte, 0, 64), 10, ErrEpochFull))
+	id, _, serverErr, err = parseReply(openFrame(t, rf))
+	if err != nil || id != 10 || serverErr == nil {
+		t.Fatalf("error reply = %d, %v, %v", id, serverErr, err)
 	}
-	rf = finishFrame(encodeReply(make([]byte, 0, 64), 10, 0, errEpochFullMsg, true))
-	_, k = binary.Uvarint(rf)
-	body, err = checkCRC(rf[k:])
-	if err != nil {
-		t.Fatal(err)
+	if !IsEpochFull(serverErr) {
+		t.Fatalf("epoch-full error did not survive the wire: %v", serverErr)
 	}
-	id, res, err = parseReply(body)
-	if err != nil || id != 10 || res.err == nil {
-		t.Fatalf("error reply = %d, %+v, %v", id, res, err)
-	}
-	if !IsEpochFull(res.err) {
-		t.Fatalf("epoch-full error did not survive the wire: %v", res.err)
-	}
-	if IsTransient(res.err) {
+	if IsTransient(serverErr) {
 		t.Fatal("a server-returned error must not look transient")
 	}
 }
 
-// TestWireClientBothProtocols drives the same traffic through a binary and
-// a gob client against one listener: both must negotiate, land every
-// report, and agree on the result.
-func TestWireClientBothProtocols(t *testing.T) {
+// fillDistinct sets every int, bool, string and byte-slice field reachable
+// from v to a distinct non-zero value, so a codec that drops, swaps or
+// truncates a field cannot round-trip it.
+func fillDistinct(v reflect.Value, next *int64) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(v.Field(i), next)
+		}
+	case reflect.Int, reflect.Int64:
+		*next += 1000003 // spans one to four varint bytes across a message
+		v.SetInt(*next)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		*next++
+		v.SetString(fmt.Sprintf("s%d\xff", *next))
+	case reflect.Slice:
+		*next++
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			v.SetBytes([]byte(fmt.Sprintf("b%d\x00", *next)))
+		} else {
+			v.Set(reflect.ValueOf([]string{"p1", "", fmt.Sprintf("p%d", *next)}))
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			v.Index(i).SetUint(uint64(i + 1))
+		}
+	default:
+		panic("fillDistinct: unhandled kind " + v.Kind().String())
+	}
+}
+
+// TestControlBodiesRoundTrip pins every control-call body: each message,
+// with every field distinct, must decode to exactly what was encoded, and
+// no truncation of the encoding may decode.
+func TestControlBodiesRoundTrip(t *testing.T) {
+	check := func(name string, msg any, enc []byte, dec func([]byte) (any, error)) {
+		t.Helper()
+		got, err := dec(enc)
+		if err != nil || !reflect.DeepEqual(got, msg) {
+			t.Errorf("%s round trip = %+v, %v\nwant %+v", name, got, err, msg)
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := dec(enc[:cut]); err == nil {
+				t.Errorf("%s: %d/%d-byte prefix decoded", name, cut, len(enc))
+			}
+		}
+		if _, err := dec(append(append([]byte(nil), enc...), 0)); err == nil {
+			t.Errorf("%s: trailing byte went undetected", name)
+		}
+	}
+	var next int64
+	var ss ServiceStats
+	fillDistinct(reflect.ValueOf(&ss).Elem(), &next)
+	check("ServiceStats", ss, ss.appendWire(nil), func(b []byte) (any, error) { return decodeServiceStats(b) })
+	var hz HealthzReply
+	fillDistinct(reflect.ValueOf(&hz).Elem(), &next)
+	check("HealthzReply", hz, hz.appendWire(nil), func(b []byte) (any, error) { return decodeHealthz(b) })
+	var ks Keys
+	fillDistinct(reflect.ValueOf(&ks).Elem(), &next)
+	check("Keys", ks, ks.appendWire(nil), func(b []byte) (any, error) { return decodeKeys(b) })
+	var att AttestationReply
+	fillDistinct(reflect.ValueOf(&att).Elem(), &next)
+	check("AttestationReply", att, att.appendWire(nil), func(b []byte) (any, error) { return decodeAttestation(b) })
+	var as AnalyzerStats
+	fillDistinct(reflect.ValueOf(&as).Elem(), &next)
+	check("AnalyzerStats", as, as.appendWire(nil), func(b []byte) (any, error) { return decodeAnalyzerStats(b) })
+	var es shuffler.Stats
+	fillDistinct(reflect.ValueOf(&es).Elem(), &next)
+	check("shuffler.Stats", es, appendEpochStats(nil, es), func(b []byte) (any, error) {
+		r := wireReader{b: b}
+		st := readEpochStats(&r)
+		return st, r.done()
+	})
+}
+
+// TestHistogramKeysAreBytes: histogram keys are decrypted report payloads,
+// so a key that is not UTF-8, contains NUL, or is empty must reach the
+// querying client byte-exact — through the whole chain and the frame.
+func TestHistogramKeysAreBytes(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
-	for _, mode := range []WireMode{WireBinary, WireGob} {
-		cl, err := Dial(rig.shuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.SetWire(mode)
-		batch := make([]core.Envelope, 8)
-		for i := range batch {
-			batch[i] = rig.envelope(t, "c:wire", "wire-"+mode.String())
-		}
-		if err := cl.SubmitBatch(batch); err != nil {
-			t.Fatalf("%v submit: %v", mode, err)
-		}
-		cl.mu.Lock()
-		negotiated := cl.wc != nil
-		cl.mu.Unlock()
-		if want := mode == WireBinary; negotiated != want {
-			t.Fatalf("%v client: binary conn negotiated = %v, want %v", mode, negotiated, want)
-		}
-		cl.Close()
-	}
-	var st ServiceStats
-	if err := rig.svc.Stats(struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Accepted != 16 {
-		t.Fatalf("accepted = %d, want 16 (8 per protocol)", st.Accepted)
-	}
 	cl, err := Dial(rig.shuf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	values := []string{"\xff\xfe\x00\x80binary", "", "plain", "\xff\xfe\x00\x80binary"}
+	batch := make([]core.Envelope, len(values))
+	for i, v := range values {
+		batch[i] = rig.envelope(t, "c:bytes", v)
+	}
+	if err := cl.SubmitBatch(batch); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,103 +189,287 @@ func TestWireClientBothProtocols(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ac.Close()
-	counts, _, err := ac.Histogram()
+	counts, undec, err := ac.Histogram()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts["wire-binary"] != 8 || counts["wire-gob"] != 8 {
-		t.Fatalf("histogram = %v, want 8 of each", counts)
+	want := map[string]int{"\xff\xfe\x00\x80binary": 2, "": 1, "plain": 1}
+	if undec != 0 || !reflect.DeepEqual(counts, want) {
+		t.Fatalf("histogram over the wire = %q (undec %d), want %q", counts, undec, want)
+	}
+	if local, _ := rig.anlzSvc.Histogram(); !reflect.DeepEqual(counts, local) {
+		t.Fatalf("wire histogram %q differs from the service's own %q", counts, local)
 	}
 }
 
-// TestWireGobOnlyServerFallback dials a binary-default client into a plain
-// net/rpc server (an old daemon): the handshake must fail cleanly and the
-// client must fall back to gob without losing the submission.
-func TestWireGobOnlyServerFallback(t *testing.T) {
-	rig := newStreamingRig(t, EpochConfig{})
-	// A gob-only listener in front of the same service, bypassing RPCServer.
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Shuffler", rig.svc); err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+// rawConn dials addr and completes the handshake by hand, for tests that
+// write frames the client code never would.
+func rawConn(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-
-	cl, err := Dial(l.Addr().String())
-	if err != nil {
+	t.Cleanup(func() { conn.Close() })
+	if err := handshake(conn, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	batch := []core.Envelope{rig.envelope(t, "c:fb", "fallback-value")}
-	if err := cl.SubmitBatch(batch); err != nil {
-		t.Fatalf("submit through gob-only server: %v", err)
-	}
-	cl.mu.Lock()
-	broken, negotiated := cl.wireBroken, cl.wc != nil
-	cl.mu.Unlock()
-	if !broken || negotiated {
-		t.Fatalf("fallback state: wireBroken=%v wc=%v, want true/nil", broken, negotiated)
-	}
-	var st ServiceStats
-	if err := rig.svc.Stats(struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Accepted != 1 {
-		t.Fatalf("accepted = %d, want 1", st.Accepted)
-	}
+	return conn
 }
 
 // TestWireServerKillsCorruptConnection sends a checksum-corrupted frame:
 // the server must drop the connection rather than act on the frame.
 func TestWireServerKillsCorruptConnection(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
-	conn, err := net.Dial("tcp", rig.shuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(wireMagic[:]); err != nil {
-		t.Fatal(err)
-	}
-	var ack [4]byte
-	if _, err := io.ReadFull(conn, ack[:]); err != nil || ack != wireMagicAck {
-		t.Fatalf("handshake ack = % x, %v", ack, err)
-	}
-	frame := finishFrame(encodeRequest(make([]byte, 0, 256), 1, wireForward, 1, 1,
-		core.Batch{Payloads: [][]byte{[]byte("x")}}))
+	conn := rawConn(t, rig.shuf)
+	frame := batchRequest(1, methodForward, 1, 1, core.Batch{Envelopes: []core.Envelope{{Blob: []byte("x")}}})
 	frame[len(frame)-1] ^= 0xff // corrupt the CRC
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(ack[:1]); err == nil {
+	var one [1]byte
+	if _, err := conn.Read(one[:]); err == nil {
 		t.Fatal("server replied to a checksum-corrupted frame instead of killing the connection")
 	} else if os.IsTimeout(err) {
 		t.Fatalf("connection not killed within deadline: %v", err)
 	}
-	var st ServiceStats
-	if err := rig.svc.Stats(struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Accepted != 0 {
+	if st := rig.svc.Stats(); st.Accepted != 0 {
 		t.Fatalf("corrupt frame was ingested: accepted = %d", st.Accepted)
 	}
 }
 
-// hungWireServer completes the binary handshake and then never answers —
-// the black-holed peer of the deadline satellite.
+// waitGoroutines polls until the process is back to at most base
+// goroutines, failing with a dump if it never gets there.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, want <= %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestWireNonMagicPeerClosed: a peer that opens with anything but the magic
+// (a port scanner, an HTTP client) is closed promptly, is never answered,
+// and leaves no goroutine behind.
+func TestWireNonMagicPeerClosed(t *testing.T) {
+	rig := newStreamingRig(t, EpochConfig{})
+	base := runtime.NumGoroutine()
+	conn, err := net.Dial("tcp", rig.shuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var one [1]byte
+	if n, err := conn.Read(one[:]); n != 0 || err == nil || os.IsTimeout(err) {
+		t.Fatalf("read after a non-magic opening = %d bytes, %v; want a prompt close", n, err)
+	}
+	waitGoroutines(t, base)
+}
+
+// stallConn scripts the read side of a connection: the first Read delivers
+// head, the second signals stalled and blocks until the test releases it.
+type stallConn struct {
+	net.Conn // nil: only the methods below are reached
+	head     []byte
+	stalled  chan struct{}
+	release  chan struct{}
+}
+
+func (c *stallConn) Read(p []byte) (int, error) {
+	if len(c.head) > 0 {
+		n := copy(p, c.head)
+		c.head = c.head[n:]
+		return n, nil
+	}
+	close(c.stalled)
+	<-c.release
+	return 0, io.ErrUnexpectedEOF
+}
+
+func (c *stallConn) SetReadDeadline(time.Time) error { return nil }
+
+// TestWireHostileLengthPrefix: a peer that announces a maximal frame and
+// then stalls must cost the reader no more than one read chunk — the body
+// buffer grows with the bytes that arrive, not with the length prefix.
+func TestWireHostileLengthPrefix(t *testing.T) {
+	head := append(binary.AppendUvarint(nil, maxWireFrame), "ten bytes."...)
+	conn := &stallConn{head: head, stalled: make(chan struct{}), release: make(chan struct{})}
+	br := bufio.NewReaderSize(conn, 4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan error, 1)
+	go func() {
+		_, err := readFrame(br, conn)
+		done <- err
+	}()
+	<-conn.stalled
+	runtime.ReadMemStats(&after)
+	close(conn.release)
+	if err := <-done; err == nil {
+		t.Fatal("torn frame read succeeded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*frameReadChunk {
+		t.Fatalf("a stalled %d-byte announcement allocated %d bytes, want at most one %d-byte chunk",
+			maxWireFrame, grew, frameReadChunk)
+	}
+
+	// Growth must still deliver a body larger than several chunks intact.
+	big := make([]byte, 5*frameReadChunk+123)
+	crand.Read(big) //nolint:errcheck
+	got, err := readBody(bytes.NewReader(big), len(big))
+	if err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("readBody of %d bytes = %d bytes, %v", len(big), len(got), err)
+	}
+}
+
+// gateService is a scripted Service: Stats requests park until released,
+// a Drain parks on its own gate, and the handler high-water mark is
+// recorded.
+type gateService struct {
+	running, peak atomic.Int64
+	stats, drain  chan struct{}
+}
+
+func (g *gateService) serveFrame(method uint8, _, dst []byte) ([]byte, error) {
+	n := g.running.Add(1)
+	defer g.running.Add(-1)
+	for {
+		p := g.peak.Load()
+		if n <= p || g.peak.CompareAndSwap(p, n) {
+			break
+		}
+	}
+	switch method {
+	case methodStats:
+		<-g.stats
+	case methodDrain:
+		<-g.drain
+	}
+	return append(dst, method), nil
+}
+
+// TestWireHandlersBounded floods one connection with ten times the handler
+// bound of blocking requests behind an in-flight Drain: the server must
+// hold at the bound (back-pressuring the read loop, not growing goroutines),
+// and the Drain must still be answered while the flood is parked.
+func TestWireHandlersBounded(t *testing.T) {
+	svc := &gateService{stats: make(chan struct{}), drain: make(chan struct{})}
+	l, err := Serve("127.0.0.1:0", svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	conn := rawConn(t, l.Addr().String())
+	base := runtime.NumGoroutine()
+
+	const flood = 10 * maxConnHandlers
+	frames := finishFrame(append(beginRequest(make([]byte, 0, 32), 1, methodDrain), 0))
+	for i := 0; i < flood; i++ {
+		frames = append(frames, finishFrame(beginRequest(make([]byte, 0, 32), uint64(2+i), methodStats))...)
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.running.Load() < maxConnHandlers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d handlers running, want the bound %d reached", svc.running.Load(), maxConnHandlers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond) // let an unbounded server overshoot
+	if peak := svc.peak.Load(); peak != maxConnHandlers {
+		t.Fatalf("peak concurrent handlers = %d, want exactly the bound %d", peak, maxConnHandlers)
+	}
+	if n := runtime.NumGoroutine(); n > base+maxConnHandlers+2 {
+		t.Fatalf("%d goroutines for a %d-frame flood (base %d), want at most the bound %d more",
+			n, flood, base, maxConnHandlers)
+	}
+
+	// The Drain finishes while every other slot is parked and the read loop
+	// is back-pressured; its reply must come through.
+	close(svc.drain)
+	br := bufio.NewReader(conn)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	frame, err := readFrame(br, conn)
+	if err != nil {
+		t.Fatalf("drain reply behind a parked flood: %v", err)
+	}
+	if id, body, _, err := parseReply(frame); err != nil || id != 1 || !bytes.Equal(body, []byte{methodDrain}) {
+		t.Fatalf("first reply = id %d body % x (%v), want the drain's", id, body, err)
+	}
+	close(svc.stats)
+	for i := 0; i < flood; i++ {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := readFrame(br, conn); err != nil {
+			t.Fatalf("flood reply %d/%d: %v", i, flood, err)
+		}
+	}
+	if peak := svc.peak.Load(); peak != maxConnHandlers {
+		t.Fatalf("peak concurrent handlers = %d after the flood drained, want %d", peak, maxConnHandlers)
+	}
+}
+
+// TestWireRefusedMethodKeepsConnection: an unknown method id, and a method
+// the role does not serve, get an error reply — and the connection carries
+// the next call as if nothing happened.
+func TestWireRefusedMethodKeepsConnection(t *testing.T) {
+	rig := newStreamingRig(t, EpochConfig{})
+	for _, tc := range []struct {
+		name, addr string
+		method     uint8
+	}{
+		{"unknown method id", rig.shuf, 0xee},
+		{"histogram asked of a shuffler", rig.shuf, methodHistogram},
+		{"forward pushed at an analyzer", rig.anlz, methodForward},
+		{"drain asked of an analyzer", rig.anlz, methodDrain},
+	} {
+		wc, err := dialWire(tc.addr, time.Second, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = wc.call(tc.method, nil)
+		var se ServerError
+		if !errors.As(err, &se) {
+			t.Errorf("%s: err = %v, want a ServerError reply", tc.name, err)
+		}
+		if wc.isBroken() {
+			t.Errorf("%s: refusal broke the connection", tc.name)
+		}
+		if body, err := wc.call(methodHealthz, nil); err != nil {
+			t.Errorf("%s: healthz on the same connection afterwards: %v", tc.name, err)
+		} else if h, err := decodeHealthz(body); err != nil || !h.Healthy {
+			t.Errorf("%s: healthz afterwards = %+v, %v", tc.name, h, err)
+		}
+		wc.close()
+	}
+	// A sound frame whose body is malformed for its method is refused the
+	// same way (the frame layer cannot see inside the body).
+	wc, err := dialWire(rig.shuf, time.Second, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.close()
+	for _, method := range []uint8{methodDrain, methodForward} {
+		_, err = wc.call(method, func(dst []byte) []byte { return append(dst, 0x07, 0x07) })
+		var se ServerError
+		if !errors.As(err, &se) || wc.isBroken() {
+			t.Errorf("malformed body for method %d: err = %v, broken = %v", method, err, wc.isBroken())
+		}
+	}
+}
+
+// hungWireServer completes the handshake and then never answers — the
+// black-holed peer.
 func hungWireServer(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -276,7 +499,7 @@ func hungWireServer(t *testing.T) string {
 	return l.Addr().String()
 }
 
-// TestWireHungPeerTimesOut: a peer that accepts frames but never replies
+// TestWireHungPeerTimesOut: a peer that accepts a Forward but never replies
 // must fail the call with a deadline error the retry machinery recognizes
 // as transient, not wedge the calling goroutine.
 func TestWireHungPeerTimesOut(t *testing.T) {
@@ -287,7 +510,7 @@ func TestWireHungPeerTimesOut(t *testing.T) {
 	}
 	defer wc.close()
 	start := time.Now()
-	_, err = wc.call(wireIngest, 1, 1, core.Batch{Payloads: [][]byte{[]byte("x")}})
+	_, err = wc.push(methodForward, 1, 1, core.Batch{Payloads: [][]byte{[]byte("x")}})
 	if err == nil {
 		t.Fatal("call against a hung peer succeeded")
 	}
@@ -305,45 +528,41 @@ func TestWireHungPeerTimesOut(t *testing.T) {
 	if !wc.isBroken() {
 		t.Fatal("timed-out connection not marked broken")
 	}
-	if _, err := wc.call(wireIngest, 1, 2, core.Batch{}); err == nil {
+	if _, err := wc.push(methodForward, 1, 2, core.Batch{}); err == nil {
 		t.Fatal("call on a broken connection succeeded")
 	}
 }
 
-// TestGobDataPlaneTimeout: the same hung-peer bound on the gob fallback —
-// a data method must time out, while the mechanism leaves control methods
-// (Drain barriers) unbounded by construction (dataMethods).
-func TestGobDataPlaneTimeout(t *testing.T) {
-	if dataMethods["Shuffler.Drain"] || dataMethods["Shuffler.Stats"] {
-		t.Fatal("control-plane methods must not be deadline-bounded (Drain blocks legitimately)")
+// TestDrainOutlivesWireTimeout: Drain and Flush are exempt from the per-call
+// bound — a barrier legitimately waits on the downstream push — so a Drain
+// several timeouts long returns its stats on a connection whose other calls
+// are bounded, and the connection survives it.
+func TestDrainOutlivesWireTimeout(t *testing.T) {
+	const timeout = 40 * time.Millisecond
+	fault := &FaultPlan{Seed: 1, PDelay: 1, Delay: 6 * timeout}
+	rig := newStreamingRig(t, EpochConfig{Fault: fault})
+	if _, err := rig.svc.Submit(0, 0, core.Batch{Envelopes: []core.Envelope{rig.envelope(t, "c:slow", "slow")}}); err != nil {
+		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	wc, err := dialWire(rig.shuf, time.Second, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go io.Copy(io.Discard, conn) //nolint:errcheck // never reply
-		}
-	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
+	defer wc.close()
+	start := time.Now()
+	body, err := wc.call(methodDrain, func(dst []byte) []byte { return append(dst, 0) })
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("drain past the wire timeout: %v", err)
 	}
-	cl := rpc.NewClient(conn)
-	defer cl.Close()
-	var reply SubmitReply
-	err = callRPCTimeout(cl, "Shuffler.Forward", ForwardArgs{Stream: 1, Epoch: 1}, &reply, 50*time.Millisecond)
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want a deadline error", err)
+	if took := time.Since(start); took < 2*timeout {
+		t.Fatalf("drain took %v, want it to outlive the %v timeout (the push is delayed %v)", took, timeout, fault.Delay)
 	}
-	if !IsTransient(err) {
-		t.Fatalf("gob data-plane timeout must be transient: %v", err)
+	st, err := decodeServiceStats(body)
+	if err != nil || st.EpochsFlushed != 1 || st.Cumulative.Forwarded != 1 || st.Unaccounted != 0 {
+		t.Fatalf("drain stats = %+v, %v, want the one delayed epoch flushed", st, err)
+	}
+	if wc.isBroken() {
+		t.Fatal("an unbounded Drain broke the connection")
 	}
 }
 
@@ -373,42 +592,29 @@ func TestWirePipelinedOutOfOrderReplies(t *testing.T) {
 			if _, err := conn.Write(wireMagicAck[:]); err != nil {
 				return err
 			}
-			readReq := func() (wireRequest, error) {
-				var lenBuf []byte
-				one := make([]byte, 1)
-				for {
-					if _, err := io.ReadFull(conn, one); err != nil {
-						return wireRequest{}, err
-					}
-					lenBuf = append(lenBuf, one[0])
-					if one[0] < 0x80 {
-						break
-					}
-				}
-				n, _ := binary.Uvarint(lenBuf)
-				body := make([]byte, n)
-				if _, err := io.ReadFull(conn, body); err != nil {
-					return wireRequest{}, err
-				}
-				body, err := checkCRC(body)
-				if err != nil {
-					return wireRequest{}, err
-				}
-				return parseRequest(body)
-			}
-			req1, err := readReq()
-			if err != nil {
-				return fmt.Errorf("request 1: %w", err)
-			}
-			close(firstSeen)
-			req2, err := readReq()
-			if err != nil {
-				return fmt.Errorf("request 2: %w", err)
-			}
+			br := bufio.NewReader(conn)
 			// Answer in reverse order, echoing 100+stream as accepted so
 			// each reply is attributable.
-			for _, req := range []wireRequest{req2, req1} {
-				frame := finishFrame(encodeReply(make([]byte, 0, 64), req.reqID, int(100+req.stream), "", false))
+			var replies [2][]byte
+			for i := range replies {
+				frame, err := readFrame(br, conn)
+				if err != nil {
+					return fmt.Errorf("request %d: %w", i+1, err)
+				}
+				reqID, _, body, err := parseRequest(frame)
+				if err != nil {
+					return err
+				}
+				stream, _, _, err := parseBatchCall(body)
+				if err != nil {
+					return err
+				}
+				replies[1-i] = finishFrame(appendWireInts(beginReply(make([]byte, 0, 64), reqID, nil), 100+stream))
+				if i == 0 {
+					close(firstSeen)
+				}
+			}
+			for _, frame := range replies {
 				if _, err := conn.Write(frame); err != nil {
 					return err
 				}
@@ -429,12 +635,12 @@ func TestWirePipelinedOutOfOrderReplies(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		results[0], callErrs[0] = wc.call(wireForward, 1, 1, core.Batch{})
+		results[0], callErrs[0] = wc.push(methodForward, 1, 1, core.Batch{})
 	}()
 	go func() {
 		defer wg.Done()
 		<-firstSeen // guarantee ordering: call 0 is on the wire first
-		results[1], callErrs[1] = wc.call(wireForward, 2, 1, core.Batch{})
+		results[1], callErrs[1] = wc.push(methodForward, 2, 1, core.Batch{})
 	}()
 	wg.Wait()
 	if err := <-serverErr; err != nil {
@@ -450,35 +656,116 @@ func TestWirePipelinedOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// FuzzWireFrameParse hammers the frame parsers with arbitrary bodies: they
-// must reject garbage gracefully, never panic, and anything parseRequest
-// accepts must re-encode to a body that parses identically.
+// TestErrorPredicates pins IsEpochFull, IsBatchTooSmall and IsTransient
+// over every error shape the chain produces: local sentinels, the same
+// errors after crossing the wire as ServerError, the injected faults, a
+// deadline hit, and dead connections.
+func TestErrorPredicates(t *testing.T) {
+	_, dialErr := net.DialTimeout("tcp", deadAddr(t), time.Second)
+	if dialErr == nil {
+		t.Fatal("dialing a dead address succeeded")
+	}
+	tooSmall := fmt.Errorf("%w: 3 < 5", shuffler.ErrBatchTooSmall)
+	for _, tc := range []struct {
+		name                           string
+		err                            error
+		epochFull, tooSmall, transient bool
+	}{
+		{"nil", nil, false, false, false},
+		{"ErrEpochFull", ErrEpochFull, true, false, false},
+		{"epoch-full over the wire", ServerError(ErrEpochFull.Error()), true, false, false},
+		{"epoch-full after sink retries", fmt.Errorf("transport: next hop still epoch-full after 400 retries: %w", ServerError(ErrEpochFull.Error())), true, false, false},
+		{"epoch-full through the balancer", fmt.Errorf("127.0.0.1:1: %w", ServerError(ErrEpochFull.Error())), true, false, false},
+		{"batch too small", tooSmall, false, true, false},
+		{"batch too small over the wire", ServerError(tooSmall.Error()), false, true, false},
+		{"other server error", ServerError("transport: shuffler stage does not serve method 238"), false, false, false},
+		{"ErrClosed over the wire", ServerError(ErrClosed.Error()), false, false, false},
+		{"injected drop", errInjectedDrop, false, false, false},
+		{"injected ack loss", errInjectedAckLoss, false, false, false},
+		{"injected kill", errInjectedKill, false, false, false},
+		{"injected partition", errInjectedPartition, false, false, false},
+		{"deadline hit", fmt.Errorf("transport: wire call timed out after 2m0s: %w", os.ErrDeadlineExceeded), false, false, true},
+		{"peer hung up", io.EOF, false, false, true},
+		{"broken connection", fmt.Errorf("%w (transport: wire connection: read tcp: connection reset)", io.ErrUnexpectedEOF), false, false, true},
+		{"handshake refused", fmt.Errorf("transport: handshake with 127.0.0.1:1: %w", io.EOF), false, false, true},
+		{"dial refused", dialErr, false, false, true},
+		{"redial refused", fmt.Errorf("transport: redial next hop 127.0.0.1:1: %w", dialErr), false, false, true},
+		{"plain error", errors.New("boom"), false, false, false},
+	} {
+		if got := IsEpochFull(tc.err); got != tc.epochFull {
+			t.Errorf("IsEpochFull(%s) = %v, want %v", tc.name, got, tc.epochFull)
+		}
+		if got := IsBatchTooSmall(tc.err); got != tc.tooSmall {
+			t.Errorf("IsBatchTooSmall(%s) = %v, want %v", tc.name, got, tc.tooSmall)
+		}
+		if got := IsTransient(tc.err); got != tc.transient {
+			t.Errorf("IsTransient(%s) = %v, want %v", tc.name, got, tc.transient)
+		}
+	}
+}
+
+// FuzzWireFrameParse hammers the frame parsers and every body decoder with
+// arbitrary bytes: they must reject garbage gracefully, never panic, and a
+// batch call parseRequest and parseBatchCall accept must re-encode to a
+// frame that parses identically.
 func FuzzWireFrameParse(f *testing.F) {
-	valid := encodeRequest(make([]byte, 0, 256), 3, wireSubmitBatch, 5, 6,
-		core.Batch{Envelopes: []core.Envelope{{Blob: []byte("b"), SourceIP: "ip"}}})
-	f.Add(valid[frameHeaderMax:])
-	f.Add(encodeReply(make([]byte, 0, 64), 1, 10, "", false)[frameHeaderMax:])
-	f.Add(encodeReply(make([]byte, 0, 64), 2, 0, "boom", true)[frameHeaderMax:])
+	body := func(frame []byte) []byte {
+		n, k := binary.Uvarint(frame)
+		return frame[k : k+int(n)]
+	}
+	f.Add(body(batchRequest(3, methodSubmit, 5, 6,
+		core.Batch{Envelopes: []core.Envelope{{Blob: []byte("b"), SourceIP: "ip"}}})))
+	f.Add(body(batchRequest(4, methodIngest, 5, 6, core.Batch{Payloads: [][]byte{[]byte("p"), nil}})))
+	f.Add(body(finishFrame(append(beginRequest(make([]byte, 0, 32), 5, methodDrain), 1))))
+	for _, m := range []uint8{methodKeys, methodHealthz, methodStats, methodFlush, methodAttestation, methodHistogram} {
+		f.Add(body(finishFrame(beginRequest(make([]byte, 0, 32), 6, m))))
+	}
+	reply := func(b []byte) []byte {
+		return body(finishFrame(append(beginReply(make([]byte, 0, 256), 1, nil), b...)))
+	}
+	f.Add(reply(appendWireInts(nil, 10)))
+	f.Add(reply(Keys{Blinding: []byte("h"), Key: []byte("k")}.appendWire(nil)))
+	f.Add(reply(HealthzReply{Healthy: true, Pending: 3, Peers: []string{"a:1", ""}}.appendWire(nil)))
+	f.Add(reply(ServiceStats{Accepted: 9, LastError: "boom", Cumulative: shuffler.Stats{Received: 9}}.appendWire(nil)))
+	f.Add(reply(AnalyzerStats{Records: 4, Ingests: 1}.appendWire(nil)))
+	f.Add(reply(AttestationReply{CAKey: []byte("der")}.appendWire(nil)))
+	f.Add(reply(appendHistogram(nil, map[string]int{"\xff\x00": 2, "": 1}, 3)))
+	f.Add(body(finishFrame(beginReply(make([]byte, 0, 64), 2, errors.New("boom")))))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, body []byte) {
-		if data, err := checkCRC(body); err == nil {
-			parseReply(data) //nolint:errcheck // must not panic
-			if req, err := parseRequest(data); err == nil {
-				re := encodeRequest(make([]byte, 0, 256), req.reqID, req.method, req.stream, req.pos, req.batch)
-				reData, err := checkCRC(re[frameHeaderMax:])
-				if err != nil {
-					t.Fatalf("re-encoded frame fails its own checksum: %v", err)
-				}
-				req2, err := parseRequest(reData)
-				if err != nil {
-					t.Fatalf("re-encoded frame does not parse: %v", err)
-				}
-				if req2.reqID != req.reqID || req2.method != req.method ||
-					req2.stream != req.stream || req2.pos != req.pos ||
-					req2.batch.Kind() != req.batch.Kind() || req2.batch.Len() != req.batch.Len() {
-					t.Fatalf("re-encode changed the request: %+v vs %+v", req, req2)
-				}
-			}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		data, err := checkCRC(frame)
+		if err != nil {
+			return
+		}
+		if _, rb, _, err := parseReply(data); err == nil {
+			// None of these may panic, whatever the body.
+			decodeKeys(rb)          //nolint:errcheck
+			decodeHealthz(rb)       //nolint:errcheck
+			decodeServiceStats(rb)  //nolint:errcheck
+			decodeAnalyzerStats(rb) //nolint:errcheck
+			decodeAttestation(rb)   //nolint:errcheck
+			decodeHistogram(rb)     //nolint:errcheck
+		}
+		reqID, method, rb, err := parseRequest(data)
+		if err != nil {
+			return
+		}
+		stream, pos, b, err := parseBatchCall(rb)
+		if err != nil {
+			return
+		}
+		id2, m2, rb2, err := parseRequest(openFrame(t, batchRequest(reqID, method, stream, pos, b)))
+		if err != nil {
+			t.Fatalf("re-encoded frame does not parse: %v", err)
+		}
+		s2, p2, b2, err := parseBatchCall(rb2)
+		if err != nil {
+			t.Fatalf("re-encoded batch call does not parse: %v", err)
+		}
+		if id2 != reqID || m2 != method || s2 != stream || p2 != pos ||
+			b2.Kind() != b.Kind() || b2.Len() != b.Len() {
+			t.Fatalf("re-encode changed the request: (%d %d %d %d %v/%d) vs (%d %d %d %d %v/%d)",
+				reqID, method, stream, pos, b.Kind(), b.Len(), id2, m2, s2, p2, b2.Kind(), b2.Len())
 		}
 	})
 }
@@ -494,9 +781,8 @@ func benchBatch(n, blobSize int) core.Batch {
 	return core.Batch{Envelopes: envs}
 }
 
-// BenchmarkWireCodec compares one marshal+unmarshal of a 500-envelope batch
-// through the binary codec against a persistent gob stream (net/rpc's
-// steady state, type metadata already amortized).
+// BenchmarkWireCodec measures one marshal+unmarshal of a 500-envelope batch
+// through the batch codec, receiver-side buffer included.
 func BenchmarkWireCodec(b *testing.B) {
 	batch := benchBatch(500, 128)
 	b.Run("binary", func(b *testing.B) {
@@ -512,53 +798,31 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		b.SetBytes(int64(len(arena)))
 	})
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		var n int
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := enc.Encode(batch); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-			var out core.Batch
-			if err := dec.Decode(&out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(n))
-	})
 }
 
 // BenchmarkForwardPush measures one hop-to-hop Forward push end to end over
-// loopback TCP on each protocol. Every push reuses the same (stream, epoch),
-// so the receiver's dedup absorbs it after the first — the benchmark stays
+// loopback TCP. Every push reuses the same (stream, epoch), so the
+// receiver's dedup absorbs it after the first — the benchmark stays
 // allocation- and memory-flat and measures pure wire cost.
 func BenchmarkForwardPush(b *testing.B) {
 	rig := newStreamingRig(b, EpochConfig{})
 	batch := benchBatch(500, 128)
-	for _, mode := range []WireMode{WireBinary, WireGob} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cl, err := (EpochConfig{Wire: mode}).dialCaller(rig.shuf)
+	b.Run("binary", func(b *testing.B) {
+		cl, err := (EpochConfig{}).dialPusher(rig.shuf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			accepted, err := cl.push(methodForward, 77, 1, batch)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer cl.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var reply SubmitReply
-				args := ForwardArgs{Stream: 77, Epoch: 1, Batch: batch}
-				if err := cl.Call("Shuffler.Forward", args, &reply); err != nil {
-					b.Fatal(err)
-				}
-				if reply.Accepted != batch.Len() {
-					b.Fatalf("accepted = %d, want %d", reply.Accepted, batch.Len())
-				}
+			if accepted != batch.Len() {
+				b.Fatalf("accepted = %d, want %d", accepted, batch.Len())
 			}
-		})
-	}
+		}
+	})
 }

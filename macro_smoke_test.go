@@ -45,7 +45,7 @@ func newMetricsFleetRig(tb testing.TB, flushAt int) *metricsFleetRig {
 	for i := 0; i < 2; i++ {
 		svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
 		svc.RegisterMetrics(rig.reg, metrics.Labels{"role": "analyzer", "replica": strconv.Itoa(i)})
-		l, err := transport.Serve("127.0.0.1:0", "Analyzer", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -67,12 +67,12 @@ func newMetricsFleetRig(tb testing.TB, flushAt int) *metricsFleetRig {
 			Blinding: blindKP, Priv: s2Priv,
 			Rand: workload.NewRand(uint64(60 + i)), MinBatch: 1,
 		}
-		svc, err := transport.NewShuffler2FleetService(s2, rig.anlzAddrs, cfg("shuffler2", i))
+		svc, err := newShuffler2Service(s2, rig.anlzAddrs, cfg("shuffler2", i))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", "Shuffler", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -85,12 +85,12 @@ func newMetricsFleetRig(tb testing.TB, flushAt int) *metricsFleetRig {
 			tb.Fatal(err)
 		}
 		s1.MinBatch = 1
-		svc, err := transport.NewShuffler1FleetService(s1, rig.s2Addrs, cfg("shuffler1", i))
+		svc, err := newShuffler1Service(s1, rig.s2Addrs, cfg("shuffler1", i))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", "Shuffler", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			tb.Fatal(err)
 		}

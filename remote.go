@@ -17,22 +17,22 @@ import (
 
 // RemotePipeline is the networked counterpart of Pipeline: it plays the
 // client fleet against long-lived stage daemons (cmd/prochlod or the
-// transport services directly), fetching the stage keys over RPC, encoding
-// locally, and shipping whole batches per round trip. Submission
+// transport services directly), fetching the stage keys from the daemons,
+// encoding locally, and shipping whole batches per round trip. Submission
 // transparently retries the entry hop's retryable "epoch full" backpressure
 // error; Flush drains every hop's epoch queue in chain order and returns
 // the analyzer's cumulative histogram.
 //
 // All three shuffler deployments are supported by the dial functions:
-// DialRemote speaks to a single plain shuffler daemon (ModePlain),
-// DialRemote with WithRemoteAttestation verifies an SGX daemon's quote
-// before trusting its key (ModeSGX), and DialRemoteChain enters the §4.3
-// split-shuffler chain at the Shuffler 1 daemon (ModeBlinded).
+// DialRemoteFleet speaks to a plain shuffler tier (ModePlain),
+// DialRemoteFleet with WithRemoteAttestation verifies an SGX daemon's quote
+// before trusting its key (ModeSGX), and DialRemoteChainFleet enters the
+// §4.3 split-shuffler chain at the Shuffler 1 tier (ModeBlinded).
 //
-// Each hop may also be a replicated fleet (DialRemoteFleet,
-// DialRemoteChainFleet): submissions enter through a health-checked
-// balancer that spreads batches across the entry replicas and fails over
-// on provably non-ingesting errors; blinded envelopes are stamped with
+// Every hop is a replica set — a single daemon is a fleet of one.
+// Submissions enter through a health-checked balancer that spreads batches
+// across the entry replicas and fails over on provably non-ingesting
+// errors; blinded envelopes are stamped with
 // their crowd's owning hop-2 partition so every replica of a crowd meets
 // at the partition that thresholds it; and the analyzer tier is sharded by
 // content hash, its partition histograms merged at query time. Replicas of
@@ -61,7 +61,6 @@ type RemotePipeline struct {
 	retryDelay  time.Duration
 	dialTimeout time.Duration
 	attest      bool
-	wire        transport.WireMode
 	balCfg      transport.BalancerConfig
 	// redialAttempts/redialBase (when redialSet) tune every hop client's
 	// transient-retry budget; see WithRemoteRedial.
@@ -125,10 +124,10 @@ func WithRemoteDialTimeout(d time.Duration) RemoteOption {
 	}
 }
 
-// WithRemoteAttestation makes DialRemote require and verify the shuffler
-// daemon's SGX quote (§4.1.1): the quote's CA signature and code
+// WithRemoteAttestation makes DialRemoteFleet require and verify the
+// shuffler daemon's SGX quote (§4.1.1): the quote's CA signature and code
 // measurement are checked, and the attested key from the quote is used for
-// encoding instead of the unauthenticated PublicKey RPC — the networked
+// encoding instead of the unauthenticated Keys call — the networked
 // ModeSGX deployment. Dialing fails if the daemon serves no quote, and a
 // fleet dial fails if the attested tier has more than one replica (the
 // quote binds the key to one enclave).
@@ -176,22 +175,6 @@ func WithRemoteMetrics(reg *MetricsRegistry, labels map[string]string) RemoteOpt
 	}
 }
 
-// WithRemoteWire selects the data-plane protocol for every hop client this
-// pipeline dials: "binary" (the default — the framed batch codec of
-// transport/wire.go, negotiated per connection with automatic gob fallback)
-// or "gob" (force the net/rpc data plane, for cross-version fleets and A/B
-// measurement). Control-plane RPCs always ride net/rpc.
-func WithRemoteWire(mode string) RemoteOption {
-	return func(r *RemotePipeline) error {
-		m, err := transport.ParseWireMode(mode)
-		if err != nil {
-			return err
-		}
-		r.wire = m
-		return nil
-	}
-}
-
 // WithRemoteRedial tunes every hop client's transient-failure retry budget
 // (see transport.Client.SetRedial): drain barriers and stamped submissions
 // redial a crashed replica up to attempts times with jittered backoff from
@@ -232,7 +215,6 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string)
 				r.Close()
 				return fmt.Errorf("prochlo: dial shuffler %s: %w", addr, err)
 			}
-			cl.SetWire(r.wire)
 			if r.redialSet {
 				cl.SetRedial(r.redialAttempts, r.redialBase)
 			}
@@ -254,9 +236,6 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string)
 	bcfg := r.balCfg
 	if bcfg.DialTimeout == 0 {
 		bcfg.DialTimeout = r.dialTimeout
-	}
-	if bcfg.Wire == transport.WireBinary {
-		bcfg.Wire = r.wire // WithRemoteWire unless WithBalancer forced gob
 	}
 	if r.redialSet && bcfg.Redials == 0 {
 		bcfg.Redials = r.redialAttempts
@@ -302,38 +281,34 @@ func firstOf[T any](tier []*transport.Client, fetch func(*transport.Client) (T, 
 // analyzerKey fetches and parses the analyzer fleet's public key from the
 // first reachable partition (partitions share the key).
 func (r *RemotePipeline) analyzerKey() (*hybrid.PublicKey, error) {
-	var keyBytes []byte
+	var keys transport.Keys
 	var err error
 	for _, anlz := range r.anlzs {
-		if keyBytes, err = anlz.AnalyzerKey(); err == nil {
+		if keys, err = anlz.Keys(); err == nil {
 			break
 		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("prochlo: analyzer key: %w", err)
 	}
-	key, err := hybrid.ParsePublicKey(keyBytes)
+	key, err := hybrid.ParsePublicKey(keys.Key)
 	if err != nil {
 		return nil, fmt.Errorf("prochlo: analyzer key: %w", err)
 	}
 	return key, nil
 }
 
-// DialRemote connects to a single shuffler daemon and an analyzer daemon
-// and fetches their public keys, returning a pipeline handle ready to
-// encode and submit (ModePlain; add WithRemoteAttestation for ModeSGX).
-// The analyzer connection is used only for key fetch and histogram queries
-// — report data flows exclusively through the shuffler, preserving the ESA
-// trust split.
-func DialRemote(shufflerAddr, analyzerAddr string, opts ...RemoteOption) (*RemotePipeline, error) {
-	return DialRemoteFleet([]string{shufflerAddr}, []string{analyzerAddr}, opts...)
-}
-
-// DialRemoteFleet is DialRemote for a replicated deployment: submissions
-// are balanced across the shuffler replicas with health-checked failover,
-// and the analyzer partitions' histograms are merged at query time. The
+// DialRemoteFleet connects to a single-shuffler deployment — the shuffler
+// tier's replicas and the analyzer tier's partitions — and fetches their
+// public keys, returning a pipeline handle ready to encode and submit
+// (ModePlain; add WithRemoteAttestation for ModeSGX). Submissions are
+// balanced across the shuffler replicas with health-checked failover, and
+// the analyzer partitions' histograms are merged at query time. The
 // shuffler replicas must share one key pair and push to the same analyzer
-// partition list (cmd/prochlod: -key-file and a comma-separated -next).
+// partition list (cmd/prochlod: -key-file and a comma-separated -next). The
+// analyzer connections are used only for key fetch and histogram queries —
+// report data flows exclusively through the shufflers, preserving the ESA
+// trust split.
 func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption) (*RemotePipeline, error) {
 	r, err := newRemotePipeline(opts)
 	if err != nil {
@@ -355,11 +330,12 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 		}
 	} else {
 		r.mode = ModePlain
-		shufKeyBytes, err = firstOf(r.tiers[0], (*transport.Client).ShufflerKey)
-		if err != nil {
+		keys, kerr := firstOf(r.tiers[0], (*transport.Client).Keys)
+		if kerr != nil {
 			r.Close()
-			return nil, fmt.Errorf("prochlo: shuffler key: %w", err)
+			return nil, fmt.Errorf("prochlo: shuffler key: %w", kerr)
 		}
+		shufKeyBytes = keys.Key
 	}
 	shufKey, err := hybrid.ParsePublicKey(shufKeyBytes)
 	if err != nil {
@@ -376,20 +352,15 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 	return r, nil
 }
 
-// DialRemoteChain connects to the §4.3 split-shuffler chain — the Shuffler 1
-// daemon clients submit to, the Shuffler 2 daemon that serves the chain's
-// key material (its El Gamal blinding key and hybrid key; Shuffler 1 holds
-// no keys), and the analyzer — returning a ModeBlinded pipeline handle.
-// Reports enter at Shuffler 1 and flow shuffler1 -> shuffler2 -> analyzer
-// over the daemons' Forward pushes; the Shuffler 2 and analyzer connections
-// carry only key fetches, drain barriers, and histogram queries.
-func DialRemoteChain(shuffler1Addr, shuffler2Addr, analyzerAddr string, opts ...RemoteOption) (*RemotePipeline, error) {
-	return DialRemoteChainFleet([]string{shuffler1Addr}, []string{shuffler2Addr}, []string{analyzerAddr}, opts...)
-}
-
-// DialRemoteChainFleet is DialRemoteChain for a replicated chain: clients
-// enter through a balancer over the hop-1 replicas, each blinded envelope
-// is stamped with its crowd's owning hop-2 partition
+// DialRemoteChainFleet connects to the §4.3 split-shuffler chain — the
+// Shuffler 1 tier clients submit to, the Shuffler 2 tier that serves the
+// chain's key material (its El Gamal blinding key and hybrid key; Shuffler 1
+// holds no keys), and the analyzer tier — returning a ModeBlinded pipeline
+// handle. Reports enter at Shuffler 1 and flow shuffler1 -> shuffler2 ->
+// analyzer over the daemons' Forward pushes; the Shuffler 2 and analyzer
+// connections carry only key fetches, drain barriers, and histogram
+// queries. Clients enter through a balancer over the hop-1 replicas, each
+// blinded envelope is stamped with its crowd's owning hop-2 partition
 // (core.PartitionOf(crowd, len(shuffler2Addrs))) so a crowd's reports meet
 // at the replica that thresholds them no matter which hop-1 replica they
 // entered through, and the analyzer partitions' histograms are merged at
@@ -409,7 +380,7 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 	if err := r.dialTiers([][]string{shuffler1Addrs, shuffler2Addrs}, analyzerAddrs); err != nil {
 		return nil, err
 	}
-	keys, err := firstOf(r.tiers[1], (*transport.Client).BlindedKeys)
+	keys, err := firstOf(r.tiers[1], (*transport.Client).Keys)
 	if err != nil {
 		r.Close()
 		return nil, fmt.Errorf("prochlo: shuffler 2 keys: %w", err)
@@ -453,28 +424,6 @@ func (r *RemotePipeline) stampPartitions(envs []core.BlindedEnvelope, labels []s
 	}
 }
 
-// Submit encodes one report and ships it over the single-report RPC (the
-// compatibility path; fleets should batch with SubmitBatch). It pins the
-// first entry replica rather than balancing.
-func (r *RemotePipeline) Submit(crowdLabel string, data []byte) error {
-	if r.mode == ModeBlinded {
-		env, err := r.benc.Encode(crowdLabel, data)
-		if err != nil {
-			return err
-		}
-		envs := []core.BlindedEnvelope{env}
-		r.stampPartitions(envs, []string{crowdLabel})
-		return r.retry(func() error {
-			return r.tiers[0][0].SubmitBlindedBatch(envs)
-		})
-	}
-	env, err := r.enc.Encode(core.Report{CrowdID: core.HashCrowdID(crowdLabel), Data: data})
-	if err != nil {
-		return err
-	}
-	return r.retry(func() error { return r.tiers[0][0].Submit(env) })
-}
-
 // SubmitBatch encodes a batch of reports on the worker pool and ships the
 // envelopes to the chain's entry tier through the balancer, retrying the
 // retryable backpressure error with backoff and failing over between entry
@@ -512,20 +461,6 @@ func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
 		// The accepted prefix is ingested; resubmitting the whole batch
 		// would double-count it. Tell the caller exactly where to resume.
 		return fmt.Errorf("prochlo: batch partially submitted (%d of %d reports accepted): %w", n, len(labels), err)
-	}
-	return err
-}
-
-// retry runs submit, backing off and resubmitting while the entry hop
-// reports epoch-full backpressure. It deliberately does not delegate to
-// Client.SubmitAll: Submit's purpose is to exercise the single-report RPC
-// (the compatibility path), which SubmitAll would silently replace with the
-// batch RPC.
-func (r *RemotePipeline) retry(submit func() error) error {
-	err := submit()
-	for attempt := 0; transport.IsEpochFull(err) && attempt < r.retries; attempt++ {
-		time.Sleep(r.retryDelay)
-		err = submit()
 	}
 	return err
 }

@@ -19,26 +19,20 @@ import (
 	"prochlo/internal/workload"
 )
 
-// trackedServer serves one RPC receiver while tracking every accepted
+// trackedServer serves one party while tracking every accepted
 // connection, so a test can kill a replica the way kill -9 does: the
 // listener and all established sockets die together. transport.Serve only
 // closes the listener, which leaves old connections pointing at the dead
 // service — fine when each phase re-dials, but a fleet's long-lived balancer
 // and drain clients must instead see the connection sever and redial the
-// WAL-recovered successor at the same address. Connections are served
-// through transport.RPCServer, so the soak exercises whichever data-plane
-// protocol (binary or gob) the fleet under test negotiates.
+// WAL-recovered successor at the same address.
 type trackedServer struct {
 	l     net.Listener
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
 }
 
-func serveTracked(addr, name string, rcvr any) (*trackedServer, error) {
-	srv, err := transport.NewRPCServer(name, rcvr)
-	if err != nil {
-		return nil, err
-	}
+func serveTracked(addr string, svc transport.Service) (*trackedServer, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -54,11 +48,10 @@ func serveTracked(addr, name string, rcvr any) (*trackedServer, error) {
 			s.conns[conn] = struct{}{}
 			s.mu.Unlock()
 			go func() {
-				srv.ServeConn(conn)
+				transport.ServeConn(conn, svc)
 				s.mu.Lock()
 				delete(s.conns, conn)
 				s.mu.Unlock()
-				conn.Close()
 			}()
 		}
 	}()
@@ -77,14 +70,14 @@ func (s *trackedServer) kill() {
 	s.mu.Unlock()
 }
 
-// serveTrackedAt binds rcvr at a concrete address, retrying briefly: a
+// serveTrackedAt binds svc at a concrete address, retrying briefly: a
 // restarted replica must reclaim its predecessor's address so redialing
 // peers find the successor.
-func serveTrackedAt(addr, name string, rcvr any) (*trackedServer, error) {
+func serveTrackedAt(addr string, svc transport.Service) (*trackedServer, error) {
 	var srv *trackedServer
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {
-		if srv, err = serveTracked(addr, name, rcvr); err == nil {
+		if srv, err = serveTracked(addr, svc); err == nil {
 			return srv, nil
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -144,7 +137,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	var anlzAddrs []string
 	for i := 0; i < 2; i++ {
 		anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-		anlzL, err := transport.Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+		anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +156,8 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// Replica state, guarded by mu: the seeded kill hook mutates it from a
 	// hop-1 flusher goroutine while the test goroutine reads it.
 	var mu sync.Mutex
-	s1svcs := make([]*transport.BlindedShufflerService, 2)
-	s2svcs := make([]*transport.BlindedShufflerService, 2)
+	s1svcs := make([]*transport.StageService, 2)
+	s2svcs := make([]*transport.StageService, 2)
 	s1Srvs := make([]*trackedServer, 2)
 	s2Srvs := make([]*trackedServer, 2)
 	s1WALs := [2]string{t.TempDir(), t.TempDir()}
@@ -186,13 +179,13 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 			Blinding: blindKP, Priv: s2Priv,
 			Rand: workload.NewRand(uint64(20 + i)), MinBatch: 1,
 		}
-		svc, err := transport.NewShuffler2FleetService(s2, anlzAddrs,
-			transport.EpochConfig{WALDir: s2WALs[i], Fault: s2Faults[i], Wire: testWire(t)})
+		svc, err := newShuffler2Service(s2, anlzAddrs,
+			transport.EpochConfig{WALDir: s2WALs[i], Fault: s2Faults[i]})
 		if err != nil {
 			return err
 		}
 		svc.SetFleetInfo(2, nil)
-		srv, err := serveTrackedAt(addr, "Shuffler", svc)
+		srv, err := serveTrackedAt(addr, svc)
 		if err != nil {
 			return err
 		}
@@ -235,13 +228,13 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 			return err
 		}
 		s1.MinBatch = 1
-		svc, err := transport.NewShuffler1FleetService(s1, s2Addrs,
-			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WALs[i], Fault: s1Faults[i], Wire: testWire(t)})
+		svc, err := newShuffler1Service(s1, s2Addrs,
+			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WALs[i], Fault: s1Faults[i]})
 		if err != nil {
 			return err
 		}
 		svc.SetFleetInfo(2, nil)
-		srv, err := serveTrackedAt(addr, "Shuffler", svc)
+		srv, err := serveTrackedAt(addr, svc)
 		if err != nil {
 			return err
 		}
@@ -275,11 +268,9 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// balancer, and the drain barrier all live through the replica deaths.
 	rp, err := prochlo.DialRemoteChainFleet(s1Addrs, s2Addrs, anlzAddrs,
 		prochlo.WithRemoteWorkers(1),
-		prochlo.WithRemoteWire(testWire(t).String()),
 		prochlo.WithBalancer(transport.BalancerConfig{
 			ProbeInterval:    15 * time.Millisecond,
 			BreakerThreshold: 2,
-			Wire:             testWire(t),
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -329,11 +320,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	mu.Lock()
 	svc0 = s1svcs[0]
 	mu.Unlock()
-	var st transport.ServiceStats
-	if err := svc0.Stats(struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.RecoveredItems != chunk {
+	if st := svc0.Stats(); st.RecoveredItems != chunk {
 		t.Fatalf("restarted hop-1 replica recovered %d items, want %d", st.RecoveredItems, chunk)
 	}
 	waitBalancer("readmission of the recovered replica", func(bs transport.BalancerStats) bool {
@@ -410,7 +397,7 @@ func newFleetRig(tb testing.TB, replicas int) *fleetRig {
 	}
 	for i := 0; i < replicas; i++ {
 		svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-		l, err := transport.Serve("127.0.0.1:0", "Analyzer", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -431,12 +418,12 @@ func newFleetRig(tb testing.TB, replicas int) *fleetRig {
 			Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
 			Rand:      workload.NewRand(uint64(40 + i)), MinBatch: 1,
 		}
-		svc, err := transport.NewShuffler2FleetService(s2, rig.anlzAddrs, transport.EpochConfig{Wire: testWire(tb)})
+		svc, err := newShuffler2Service(s2, rig.anlzAddrs, transport.EpochConfig{})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", "Shuffler", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -449,12 +436,12 @@ func newFleetRig(tb testing.TB, replicas int) *fleetRig {
 			tb.Fatal(err)
 		}
 		s1.MinBatch = 1
-		svc, err := transport.NewShuffler1FleetService(s1, rig.s2Addrs, transport.EpochConfig{Wire: testWire(tb)})
+		svc, err := newShuffler1Service(s1, rig.s2Addrs, transport.EpochConfig{})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		tb.Cleanup(func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", "Shuffler", svc)
+		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -477,8 +464,7 @@ func BenchmarkRemoteChainFleet(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rig := newFleetRig(b, replicas)
-				rp, err := prochlo.DialRemoteChainFleet(rig.s1Addrs, rig.s2Addrs, rig.anlzAddrs,
-					prochlo.WithRemoteWire(testWire(b).String()))
+				rp, err := prochlo.DialRemoteChainFleet(rig.s1Addrs, rig.s2Addrs, rig.anlzAddrs)
 				if err != nil {
 					b.Fatal(err)
 				}

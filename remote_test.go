@@ -15,6 +15,7 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
+	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
@@ -28,7 +29,7 @@ import (
 // whose batch RNG matches prochlo.WithSeed(seed)'s construction, so a
 // daemon deployment reproduces the in-process pipeline's thresholding draws.
 type remoteRig struct {
-	svc          *transport.ShufflerService
+	svc          *transport.StageService
 	shufL, anlzL net.Listener
 }
 
@@ -39,7 +40,7 @@ func newRemoteRig(t testing.TB, seed uint64, workers int, cfg transport.EpochCon
 		t.Fatal(err)
 	}
 	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv, Workers: workers}, anlzPriv.Public().Bytes())
-	anlzL, err := transport.Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +61,13 @@ func newRemoteRig(t testing.TB, seed uint64, workers int, cfg transport.EpochCon
 		Rand:      rng,
 		Workers:   workers,
 	}
-	svc, err := transport.NewStreamingShufflerService(sh, shufPriv.Public().Bytes(), anlzL.Addr().String(), cfg)
+	svc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: shufPriv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, transport.SinkAnalyzer, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	shufL, err := transport.Serve("127.0.0.1:0", "Shuffler", svc)
+	shufL, err := transport.Serve("127.0.0.1:0", svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 				FlushAt: chunk,
 				Shards:  tc.shards,
 			})
-			rp, err := prochlo.DialRemote(rig.shufL.Addr().String(), rig.anlzL.Addr().String(),
+			rp, err := prochlo.DialRemoteFleet([]string{rig.shufL.Addr().String()}, []string{rig.anlzL.Addr().String()},
 				prochlo.WithRemoteWorkers(tc.workers))
 			if err != nil {
 				t.Fatal(err)
@@ -214,7 +216,7 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 // BenchmarkRemotePipeline measures the daemon deployment end to end —
 // encode, batched RPC over loopback TCP, shuffle, push, analyze — per
 // report, for comparison against the in-process BenchmarkEndToEndPipeline:
-// the difference is the transport's round-trip and gob cost.
+// the difference is the transport's round-trip and codec cost.
 func BenchmarkRemotePipeline(b *testing.B) {
 	const batch = 500
 	labels, data := sampleReports(batch)
@@ -222,7 +224,7 @@ func BenchmarkRemotePipeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rig := newRemoteRig(b, 42, 0, transport.EpochConfig{})
-		rp, err := prochlo.DialRemote(rig.shufL.Addr().String(), rig.anlzL.Addr().String())
+		rp, err := prochlo.DialRemoteFleet([]string{rig.shufL.Addr().String()}, []string{rig.anlzL.Addr().String()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,7 +263,7 @@ func BenchmarkRemotePipelineWAL(b *testing.B) {
 					WALDir:  b.TempDir(),
 					WALSync: tc.sync,
 				})
-				rp, err := prochlo.DialRemote(rig.shufL.Addr().String(), rig.anlzL.Addr().String())
+				rp, err := prochlo.DialRemoteFleet([]string{rig.shufL.Addr().String()}, []string{rig.anlzL.Addr().String()})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -278,73 +280,25 @@ func BenchmarkRemotePipelineWAL(b *testing.B) {
 	}
 }
 
-// TestRemoteSubmitSingleMatchesInProcess drives the single-envelope Submit
-// compatibility path end to end and checks it against the in-process
-// pipeline's serial Submit under the same seed.
-func TestRemoteSubmitSingleMatchesInProcess(t *testing.T) {
-	const seed = 77
-	labels, data := sampleReports(60)
-
-	p, err := prochlo.New(prochlo.WithSeed(seed), prochlo.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range labels {
-		if err := p.Submit(labels[i], data[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inProcess, err := p.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rig := newRemoteRig(t, seed, 1, transport.EpochConfig{})
-	rp, err := prochlo.DialRemote(rig.shufL.Addr().String(), rig.anlzL.Addr().String(),
-		prochlo.WithRemoteWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rp.Close()
-	for i := range labels {
-		if err := rp.Submit(labels[i], data[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	remote, err := rp.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := canonicalHistogram(remote.Histogram), canonicalHistogram(inProcess.Histogram); !bytes.Equal(got, want) {
-		t.Errorf("single-submit daemon histogram differs:\nremote:\n%s\nin-process:\n%s", got, want)
-	}
-	if remote.ShufflerStats != inProcess.ShufflerStats {
-		t.Errorf("stats = %+v, want %+v", remote.ShufflerStats, inProcess.ShufflerStats)
-	}
-}
-
 // chainRig runs the three daemon parties of the §4.3 split-shuffler chain
 // on loopback: a Shuffler 1 daemon forwarding blinded epochs to a Shuffler 2
 // daemon forwarding peeled payloads to the analyzer. Seeded stages use the
 // same per-stage RNG streams prochlo.WithSeed derives, so a seeded chain
 // reproduces the in-process ModeBlinded pipeline.
 type chainRig struct {
-	s1svc           *transport.BlindedShufflerService
-	s2svc           *transport.BlindedShufflerService
+	s1svc           *transport.StageService
+	s2svc           *transport.StageService
 	s1L, s2L, anlzL net.Listener
 }
 
 func newChainRig(t testing.TB, seed uint64, workers int, th shuffler.Threshold, s1cfg, s2cfg transport.EpochConfig) *chainRig {
 	t.Helper()
-	s1cfg.Wire = testWire(t)
-	s2cfg.Wire = testWire(t)
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv, Workers: workers}, anlzPriv.Public().Bytes())
-	anlzL, err := transport.Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,12 +321,12 @@ func newChainRig(t testing.TB, seed uint64, workers int, th shuffler.Threshold, 
 		Blinding: blindKP, Priv: s2Priv, Threshold: th, Rand: rng2,
 		MinBatch: 1, Workers: workers,
 	}
-	s2svc, err := transport.NewShuffler2Service(s2, anlzL.Addr().String(), s2cfg)
+	s2svc, err := newShuffler2Service(s2, []string{anlzL.Addr().String()}, s2cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s2svc.Close() })
-	s2L, err := transport.Serve("127.0.0.1:0", "Shuffler", s2svc)
+	s2L, err := transport.Serve("127.0.0.1:0", s2svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,12 +343,12 @@ func newChainRig(t testing.TB, seed uint64, workers int, th shuffler.Threshold, 
 	}
 	s1.MinBatch = 1
 	s1.Workers = workers
-	s1svc, err := transport.NewShuffler1Service(s1, s2L.Addr().String(), s1cfg)
+	s1svc, err := newShuffler1Service(s1, []string{s2L.Addr().String()}, s1cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s1svc.Close() })
-	s1L, err := transport.Serve("127.0.0.1:0", "Shuffler", s1svc)
+	s1L, err := transport.Serve("127.0.0.1:0", s1svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,12 +356,25 @@ func newChainRig(t testing.TB, seed uint64, workers int, th shuffler.Threshold, 
 	return &chainRig{s1svc: s1svc, s2svc: s2svc, s1L: s1L, s2L: s2L, anlzL: anlzL}
 }
 
+// newShuffler1Service and newShuffler2Service build the two split-chain
+// hops the way cmd/prochlod's roles do: both admit blinded envelopes; hop 1
+// holds no keys and forwards to the hop-2 tier, hop 2 serves the chain's
+// key material and pushes to the analyzer tier.
+func newShuffler1Service(s1 *shuffler.Shuffler1, s2Addrs []string, cfg transport.EpochConfig) (*transport.StageService, error) {
+	return transport.NewStageService(s1, core.KindBlinded, transport.Keys{}, s2Addrs, transport.SinkStage, cfg)
+}
+
+func newShuffler2Service(s2 *shuffler.Shuffler2, anlzAddrs []string, cfg transport.EpochConfig) (*transport.StageService, error) {
+	keys := transport.Keys{Blinding: s2.Blinding.H.Bytes(), Key: s2.Priv.Public().Bytes()}
+	return transport.NewStageService(s2, core.KindBlinded, keys, anlzAddrs, transport.SinkAnalyzer, cfg)
+}
+
 // dial returns a RemotePipeline entering the chain at hop 1.
 func (r *chainRig) dial(t testing.TB, workers int) *prochlo.RemotePipeline {
 	t.Helper()
-	rp, err := prochlo.DialRemoteChain(
-		r.s1L.Addr().String(), r.s2L.Addr().String(), r.anlzL.Addr().String(),
-		prochlo.WithRemoteWorkers(workers), prochlo.WithRemoteWire(testWire(t).String()))
+	rp, err := prochlo.DialRemoteChainFleet(
+		[]string{r.s1L.Addr().String()}, []string{r.s2L.Addr().String()}, []string{r.anlzL.Addr().String()},
+		prochlo.WithRemoteWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,24 +401,17 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 		name      string
 		workers   int
 		shards    int
-		s2FlushAt int    // 0: hop 2 cuts only on drain; chunk: auto-flush
-		wire      string // "": the PROCHLO_WIRE/binary default
+		s2FlushAt int // 0: hop 2 cuts only on drain; chunk: auto-flush
 	}{
-		{"serial-1shard", 1, 1, 0, ""},
-		{"workers2-3shards", 2, 3, chunk, ""},
-		{"gomaxprocs", runtime.GOMAXPROCS(0), 0, chunk, ""},
-		// The gob fallback protocol must produce the identical histogram —
-		// the wire format may never change results.
-		{"gob-wire", 2, 3, chunk, "gob"},
+		{"serial-1shard", 1, 1, 0},
+		{"workers2-3shards", 2, 3, chunk},
+		{"gomaxprocs", runtime.GOMAXPROCS(0), 0, chunk},
 	}
 	var want []byte
 	var wantStats shuffler.Stats
 	var wantUndec int
 	for ci, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.wire != "" {
-				t.Setenv("PROCHLO_WIRE", tc.wire)
-			}
 			// In-process reference: same seed, same chunk boundaries.
 			p, err := prochlo.New(prochlo.WithSeed(seed), prochlo.WithMode(prochlo.ModeBlinded),
 				prochlo.WithWorkers(tc.workers))
@@ -571,8 +531,8 @@ func TestRemoteChainConcurrentSoak(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rp, err := prochlo.DialRemoteChain(
-				rig.s1L.Addr().String(), rig.s2L.Addr().String(), rig.anlzL.Addr().String(),
+			rp, err := prochlo.DialRemoteChainFleet(
+				[]string{rig.s1L.Addr().String()}, []string{rig.s2L.Addr().String()}, []string{rig.anlzL.Addr().String()},
 				prochlo.WithRemoteWorkers(1),
 				prochlo.WithSubmitRetry(500, time.Millisecond))
 			if err != nil {
@@ -644,18 +604,6 @@ func faultSeed(t *testing.T, def int64) int64 {
 	return seed
 }
 
-// testWire resolves the PROCHLO_WIRE override ("binary" or "gob"; empty
-// selects the binary default). CI runs the soaks under both values so
-// protocol negotiation and crash recovery stay interoperable; tests pin a
-// protocol per subtest with t.Setenv.
-func testWire(tb testing.TB) transport.WireMode {
-	m, err := transport.ParseWireMode(os.Getenv("PROCHLO_WIRE"))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return m
-}
-
 // TestRemoteChainCrashRestartSoak is the crash-safety acceptance run: the
 // seeded two-hop chain runs with the WAL enabled at both hops and fault
 // injection on both inter-stage links, each shuffler hop is killed
@@ -702,7 +650,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := transport.Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -727,15 +675,15 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	s2Fault := &transport.FaultPlan{Seed: fs + 1, PDropAck: 1, MaxFaults: 1}
 	s1WAL, s2WAL := t.TempDir(), t.TempDir()
 
-	var s1svc, s2svc *transport.BlindedShufflerService
+	var s1svc, s2svc *transport.StageService
 	var s1L, s2L net.Listener
-	serveAt := func(addr, name string, svc any) net.Listener {
+	serveAt := func(addr string, svc transport.Service) net.Listener {
 		// Restarts rebind the dead hop's concrete address so the upstream
 		// sink's redial finds the successor.
 		var l net.Listener
 		var err error
 		for attempt := 0; attempt < 50; attempt++ {
-			if l, err = transport.Serve(addr, name, svc); err == nil {
+			if l, err = transport.Serve(addr, svc); err == nil {
 				return l
 			}
 			time.Sleep(10 * time.Millisecond)
@@ -749,12 +697,12 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 			Rand: workload.NewRand(2), MinBatch: 1,
 		}
 		var err error
-		s2svc, err = transport.NewShuffler2Service(s2, anlzL.Addr().String(),
-			transport.EpochConfig{WALDir: s2WAL, Fault: s2Fault, Wire: testWire(t)})
+		s2svc, err = newShuffler2Service(s2, []string{anlzL.Addr().String()},
+			transport.EpochConfig{WALDir: s2WAL, Fault: s2Fault})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2L = serveAt(addr, "Shuffler", s2svc)
+		s2L = serveAt(addr, s2svc)
 	}
 	start1 := func(addr string) {
 		s1, err := shuffler.NewShuffler1(workload.NewRand(1))
@@ -762,12 +710,12 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		s1.MinBatch = 1
-		s1svc, err = transport.NewShuffler1Service(s1, s2L.Addr().String(),
-			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WAL, Fault: s1Fault, Wire: testWire(t)})
+		s1svc, err = newShuffler1Service(s1, []string{s2L.Addr().String()},
+			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WAL, Fault: s1Fault})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s1L = serveAt(addr, "Shuffler", s1svc)
+		s1L = serveAt(addr, s1svc)
 	}
 	start2("127.0.0.1:0")
 	start1("127.0.0.1:0")
@@ -778,8 +726,8 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 		s2svc.Close()
 	}()
 	submit := func(at int) {
-		rp, err := prochlo.DialRemoteChain(
-			s1L.Addr().String(), s2L.Addr().String(), anlzL.Addr().String(),
+		rp, err := prochlo.DialRemoteChainFleet(
+			[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, []string{anlzL.Addr().String()},
 			prochlo.WithRemoteWorkers(1))
 		if err != nil {
 			t.Fatal(err)
@@ -797,19 +745,15 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	s1L.Close()
 	s1svc.Abort()
 	start1(s1Addr)
-	var stats transport.ServiceStats
-	if err := s1svc.Stats(struct{}{}, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.RecoveredItems != chunk {
+	if stats := s1svc.Stats(); stats.RecoveredItems != chunk {
 		t.Fatalf("hop 1 recovered %d items, want %d", stats.RecoveredItems, chunk)
 	}
 
 	// Chunk 1 joins the recovered epoch; draining hop 1 forwards both
 	// chunks (duplicated by the fault plan) through hop 2 to the analyzer.
 	submit(chunk)
-	rp, err := prochlo.DialRemoteChain(
-		s1L.Addr().String(), s2L.Addr().String(), anlzL.Addr().String(),
+	rp, err := prochlo.DialRemoteChainFleet(
+		[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, []string{anlzL.Addr().String()},
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -823,25 +767,22 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	// pending there when hop 2 dies mid-epoch; the restarted hop must
 	// recover both the reports and the forward-dedup marks.
 	submit(2 * chunk)
-	if err := s1svc.Drain(transport.DrainArgs{}, &stats); err != nil {
+	if _, err := s1svc.Drain(false); err != nil {
 		t.Fatal(err)
 	}
 	s2Addr := s2L.Addr().String()
 	s2L.Close()
 	s2svc.Abort()
 	start2(s2Addr)
-	if err := s2svc.Stats(struct{}{}, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.RecoveredItems != chunk {
+	if stats := s2svc.Stats(); stats.RecoveredItems != chunk {
 		t.Fatalf("hop 2 recovered %d items, want %d", stats.RecoveredItems, chunk)
 	}
 
 	// The final chunk flows through both restarted hops; hop 1's sink
 	// redials the successor hop 2 at the old address.
 	submit(3 * chunk)
-	rp, err = prochlo.DialRemoteChain(
-		s1L.Addr().String(), s2L.Addr().String(), anlzL.Addr().String(),
+	rp, err = prochlo.DialRemoteChainFleet(
+		[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, []string{anlzL.Addr().String()},
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -876,7 +817,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 }
 
 // TestRemoteSGXAttestation covers the networked ModeSGX deployment: the
-// daemon serves a quote over its key, DialRemote with WithRemoteAttestation
+// daemon serves a quote over its key, DialRemoteFleet with WithRemoteAttestation
 // verifies it before encoding, and a daemon without an enclave is refused.
 func TestRemoteSGXAttestation(t *testing.T) {
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
@@ -884,7 +825,7 @@ func TestRemoteSGXAttestation(t *testing.T) {
 		t.Fatal(err)
 	}
 	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := transport.Serve("127.0.0.1:0", "Analyzer", anlzSvc)
+	anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -903,7 +844,8 @@ func TestRemoteSGXAttestation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.Seed = 7
-	svc, err := transport.NewStageShufflerService(sh, quote.ReportData, anlzL.Addr().String(), transport.EpochConfig{})
+	svc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: quote.ReportData},
+		[]string{anlzL.Addr().String()}, transport.SinkAnalyzer, transport.EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -911,13 +853,13 @@ func TestRemoteSGXAttestation(t *testing.T) {
 	if err := svc.SetAttestation(quote, ca.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
-	shufL, err := transport.Serve("127.0.0.1:0", "Shuffler", svc)
+	shufL, err := transport.Serve("127.0.0.1:0", svc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shufL.Close()
 
-	rp, err := prochlo.DialRemote(shufL.Addr().String(), anlzL.Addr().String(),
+	rp, err := prochlo.DialRemoteFleet([]string{shufL.Addr().String()}, []string{anlzL.Addr().String()},
 		prochlo.WithRemoteAttestation(), prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -928,10 +870,12 @@ func TestRemoteSGXAttestation(t *testing.T) {
 		copy(b, s)
 		return b
 	}
-	for i := 0; i < 12; i++ {
-		if err := rp.Submit("app:attested", pad("attested")); err != nil {
-			t.Fatal(err)
-		}
+	labels, data := make([]string, 12), make([][]byte, 12)
+	for i := range labels {
+		labels[i], data[i] = "app:attested", pad("attested")
+	}
+	if err := rp.SubmitBatch(labels, data); err != nil {
+		t.Fatal(err)
 	}
 	res, err := rp.Flush()
 	if err != nil {
@@ -944,7 +888,7 @@ func TestRemoteSGXAttestation(t *testing.T) {
 	// A daemon without an enclave must be refused when the client demands
 	// attestation.
 	plain := newRemoteRig(t, 1, 1, transport.EpochConfig{})
-	if _, err := prochlo.DialRemote(plain.shufL.Addr().String(), plain.anlzL.Addr().String(),
+	if _, err := prochlo.DialRemoteFleet([]string{plain.shufL.Addr().String()}, []string{plain.anlzL.Addr().String()},
 		prochlo.WithRemoteAttestation()); err == nil {
 		t.Error("unattested daemon accepted under WithRemoteAttestation")
 	}
@@ -963,8 +907,8 @@ func BenchmarkRemoteChain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rig := newChainRig(b, 42, 0, th, transport.EpochConfig{}, transport.EpochConfig{})
-		rp, err := prochlo.DialRemoteChain(
-			rig.s1L.Addr().String(), rig.s2L.Addr().String(), rig.anlzL.Addr().String())
+		rp, err := prochlo.DialRemoteChainFleet(
+			[]string{rig.s1L.Addr().String()}, []string{rig.s2L.Addr().String()}, []string{rig.anlzL.Addr().String()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,16 +23,20 @@
 # raw scalar-mult primitives (comb vs wNAF vs crypto/elliptic) and the
 # uncached HashToPoint path. scripts/bench_delta.sh diffs two captures.
 #
-# A third artifact, BENCH_wire.json, tracks the data-plane wire protocol:
-# BenchmarkWireCodec (one batch marshal+unmarshal, binary codec vs a
-# persistent gob stream) and BenchmarkForwardPush (a hop-to-hop Forward
-# push over loopback TCP, binary frames vs gob/net-rpc).
+# A third artifact, BENCH_wire.json, tracks the frame protocol:
+# BenchmarkWireCodec (one batch marshal+unmarshal through the batch codec)
+# and BenchmarkForwardPush (a hop-to-hop Forward push over loopback TCP).
+#
+# Row names are the benchmark names without Go's "-N" GOMAXPROCS suffix; N
+# is recorded once per file as "cpus", so bench_delta.sh matches rows
+# between captures taken on machines with different core counts.
 #
 # Usage: scripts/capture_bench.sh [benchtime]    (default: 3x)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${1:-3x}"
+procs="${GOMAXPROCS:-$(nproc)}"
 raw="$(mktemp)"
 macro="$(mktemp)"
 crypto="$(mktemp)"
@@ -40,12 +44,16 @@ wire="$(mktemp)"
 trap 'rm -f "$raw" "$macro" "$crypto" "$wire"' EXIT
 
 # bench_json converts `go test -bench` output lines to JSON benchmark rows
-# (every "value unit" pair after the iteration count becomes a field).
+# (every "value unit" pair after the iteration count becomes a field). Go
+# appends "-N" to a benchmark's name when it runs at GOMAXPROCS N > 1; that
+# suffix (and only that one — "sync-every-64" keeps its 64) is stripped.
 bench_json() {
-  awk '
+  awk -v procs="$procs" '
   BEGIN { sep = "" }
   /^Benchmark/ {
-    printf "%s    {\"name\": \"%s\", \"iterations\": %s", sep, $1, $2
+    name = $1
+    if (procs != 1) sub("-" procs "$", "", name)
+    printf "%s    {\"name\": \"%s\", \"iterations\": %s", sep, name, $2
     for (i = 3; i < NF; i += 2) printf ", \"%s\": %s", $(i + 1), $i
     printf "}"
     sep = ",\n"
@@ -65,7 +73,7 @@ go run ./cmd/prochloload -sweep 1x1x1,2x2x2 -seed 7 -format json -out "$macro"
 
 {
   printf '{\n  "captured": "%s",\n  "cpus": %s,\n  "benchmarks": [\n' \
-    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(nproc)"
+    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$procs"
   bench_json "$raw"
   printf '\n  ],\n'
   printf '  "macro": [\n'
@@ -87,20 +95,20 @@ go test -run '^$' \
 
 {
   printf '{\n  "captured": "%s",\n  "cpus": %s,\n  "benchmarks": [\n' \
-    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(nproc)"
+    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$procs"
   bench_json "$crypto"
   printf '\n  ]\n}\n'
 } > BENCH_crypto.json
 
 echo "wrote BENCH_crypto.json"
 
-# Wire-protocol rows: the binary-vs-gob codec and push benchmarks.
+# Frame-protocol rows: the batch codec and the Forward push.
 go test -run '^$' -bench 'BenchmarkWireCodec|BenchmarkForwardPush' \
   -benchtime "$benchtime" -benchmem ./internal/transport | tee -a "$wire"
 
 {
   printf '{\n  "captured": "%s",\n  "cpus": %s,\n  "benchmarks": [\n' \
-    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$(nproc)"
+    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$procs"
   bench_json "$wire"
   printf '\n  ]\n}\n'
 } > BENCH_wire.json
