@@ -48,14 +48,10 @@
 // shuffler1 daemon splits each epoch by the client-stamped crowd partition
 // and pushes each slice to its owning shuffler2 replica, and a thresholding
 // hop spreads its output across the analyzer partitions by content hash.
-// Replicas of a key-holding tier share keys via one -key-file. -peer lists
-// this daemon's sibling replicas and -partitions overrides the advertised
-// downstream partition count; both are topology metadata served over the
-// cheap Healthz liveness call (and logged by -stats-interval), which client
-// balancers probe without touching engine locks:
+// Replicas of a key-holding tier share keys via one -key-file:
 //
 //	prochlod -role shuffler2 -listen 127.0.0.1:7102 -key-file s2.key \
-//	         -next 127.0.0.1:7110,127.0.0.1:7111 -peer 127.0.0.1:7103
+//	         -next 127.0.0.1:7110,127.0.0.1:7111
 //
 // Clients connect with prochlo.DialRemoteFleet (single shuffler tier,
 // optionally -sgx attested) or prochlo.DialRemoteChainFleet (split chain)
@@ -94,10 +90,7 @@ func main() {
 	role := flag.String("role", "", "party to run: shuffler | shuffler1 | shuffler2 | analyzer")
 	listen := flag.String("listen", "127.0.0.1:0", "service listen address")
 	next := flag.String("next", "127.0.0.1:7101", "downstream hop address: the analyzer for shuffler/shuffler2, the shuffler2 daemon for shuffler1; a comma-separated list fans out to a partitioned downstream tier, its replicas in partition order (identical on every replica of this tier)")
-	partitions := flag.Int("partitions", 0, "downstream partition count advertised over Healthz (0 = number of -next addresses)")
-	peers := flag.String("peer", "", "comma-separated sibling replicas of this daemon's tier, advertised over Healthz")
 	workers := flag.Int("workers", 0, "worker pool size per stage (0 = GOMAXPROCS, 1 = serial)")
-	groupName := flag.String("group", "", "elliptic-group backend for this daemon's keys: ristretto255 (the default) or p256; every stage of a chain and its clients must agree")
 	sgxMode := flag.Bool("sgx", false, "shuffler role only: run inside a simulated SGX enclave (oblivious Stash Shuffle, key served with an attestation quote)")
 
 	thresholdT := flag.Int("threshold", 20, "crowd threshold T (0 disables thresholding)")
@@ -123,13 +116,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and a liveness probe at /healthz on this address (empty disables; see docs/OPERATIONS.md for the catalog)")
 	flag.Parse()
 
-	grp, err := group.ByName(*groupName)
-	if err != nil {
-		fatal(err)
-	}
-	if *sgxMode && *groupName != "" && *groupName != group.Default().Name() {
-		fatal(errors.New("-group is incompatible with -sgx: the enclave attests a key on the default backend"))
-	}
 	var reg *metrics.Registry
 	if *metricsAddr != "" {
 		reg = metrics.NewRegistry()
@@ -155,9 +141,6 @@ func main() {
 		workers: *workers, thresholdT: *thresholdT, minBatch: *minBatch,
 		noiseD: *noiseD, noiseSigma: *noiseSigma,
 		seed: *seed, sgx: *sgxMode,
-		group:         grp,
-		partitions:    *partitions,
-		peers:         splitAddrs(*peers),
 		statsInterval: *statsInterval,
 		keyFile:       *keyFile,
 		cfg:           cfg,
@@ -167,7 +150,7 @@ func main() {
 
 	switch *role {
 	case "analyzer":
-		runAnalyzer(*listen, *workers, *statsInterval, *keyFile, grp, *metricsAddr, reg)
+		runAnalyzer(*listen, *workers, *statsInterval, *keyFile, *metricsAddr, reg)
 	case "shuffler":
 		runShuffler(o)
 	case "shuffler1":
@@ -228,8 +211,8 @@ func healthzPrefix(h transport.HealthzReply) string {
 	return fmt.Sprintf("healthy=%v uptime=%v ", h.Healthy, up)
 }
 
-func runAnalyzer(listen string, workers int, statsInterval time.Duration, keyFile string, g group.Group, metricsAddr string, reg *metrics.Registry) {
-	priv, _, err := loadKeys(keyFile, g, false)
+func runAnalyzer(listen string, workers int, statsInterval time.Duration, keyFile string, metricsAddr string, reg *metrics.Registry) {
+	priv, _, err := loadKeys(keyFile, false)
 	if err != nil {
 		fatal(err)
 	}
@@ -266,9 +249,6 @@ type shufflerOpts struct {
 	noiseD, noiseSigma            float64
 	seed                          uint64
 	sgx                           bool
-	group                         group.Group // elliptic-group backend for this daemon's keys
-	partitions                    int         // advertised downstream partition count; 0 infers len(nexts)
-	peers                         []string    // sibling replicas advertised over Healthz
 	statsInterval                 time.Duration
 	keyFile                       string
 	cfg                           transport.EpochConfig
@@ -287,27 +267,35 @@ func splitAddrs(s string) []string {
 	return out
 }
 
-// fleetInfo resolves the Healthz topology metadata from the flags.
-func (o shufflerOpts) fleetInfo() (partitions int, peers []string) {
-	if o.partitions > 0 {
-		return o.partitions, o.peers
-	}
-	return len(o.nexts), o.peers
-}
-
 // nextList formats the downstream tier for log lines.
 func (o shufflerOpts) nextList() string { return strings.Join(o.nexts, ",") }
+
+// deployedScalar decodes one hex line of a key file and refuses a scalar
+// outside the deployed group's scalar field. The file holds bare scalars, so
+// the range is all it shows of the group a key was made for: a file written
+// for P-256 (order near 2^256) carries a scalar above the ristretto255 order
+// (near 2^252) fifteen times in sixteen, and is refused here; one that
+// happens to fit is indistinguishable from a ristretto255 key and loads as
+// one.
+func deployedScalar(path, line string) ([]byte, error) {
+	b, err := hex.DecodeString(line)
+	if err != nil {
+		return nil, fmt.Errorf("key file %s: %w", path, err)
+	}
+	if g := group.Default(); new(big.Int).SetBytes(b).Cmp(g.Order()) >= 0 {
+		return nil, fmt.Errorf("key file %s: key is on another group (its scalar is outside the %s scalar field, as most P-256 scalars are), this build deploys %s",
+			path, g.Name(), g.Name())
+	}
+	return b, nil
+}
 
 // loadKeys reads the daemon's long-lived secrets from path, generating and
 // persisting them (0600, atomic rename) on first start. The file holds hex
 // scalars, one per line: the hybrid decryption key, plus the El Gamal
 // blinding secret when wantBlinding (the shuffler2 role). An empty path
 // generates ephemeral keys — fine until the daemon must decrypt reports it
-// recovered from a WAL written by its predecessor. Keys are generated and
-// parsed on g, the daemon's -group backend: a key file written under one
-// backend is a plain scalar, so it reloads cleanly under either, but the
-// derived public keys differ — keep -group stable across restarts.
-func loadKeys(path string, g group.Group, wantBlinding bool) (*hybrid.PrivateKey, *elgamal.KeyPair, error) {
+// recovered from a WAL written by its predecessor.
+func loadKeys(path string, wantBlinding bool) (*hybrid.PrivateKey, *elgamal.KeyPair, error) {
 	if path != "" {
 		if raw, err := os.ReadFile(path); err == nil {
 			lines := strings.Fields(string(raw))
@@ -318,21 +306,21 @@ func loadKeys(path string, g group.Group, wantBlinding bool) (*hybrid.PrivateKey
 			if len(lines) != want {
 				return nil, nil, fmt.Errorf("key file %s: %d keys, want %d", path, len(lines), want)
 			}
-			kb, err := hex.DecodeString(lines[0])
+			kb, err := deployedScalar(path, lines[0])
 			if err != nil {
-				return nil, nil, fmt.Errorf("key file %s: %w", path, err)
+				return nil, nil, err
 			}
-			priv, err := hybrid.ParsePrivateKeyGroup(g, kb)
+			priv, err := hybrid.ParsePrivateKey(kb)
 			if err != nil {
 				return nil, nil, fmt.Errorf("key file %s: %w", path, err)
 			}
 			var blind *elgamal.KeyPair
 			if wantBlinding {
-				xb, err := hex.DecodeString(lines[1])
+				xb, err := deployedScalar(path, lines[1])
 				if err != nil {
-					return nil, nil, fmt.Errorf("key file %s: %w", path, err)
+					return nil, nil, err
 				}
-				if blind, err = elgamal.NewKeyPairGroup(g, new(big.Int).SetBytes(xb)); err != nil {
+				if blind, err = elgamal.NewKeyPair(new(big.Int).SetBytes(xb)); err != nil {
 					return nil, nil, fmt.Errorf("key file %s: %w", path, err)
 				}
 			}
@@ -342,13 +330,13 @@ func loadKeys(path string, g group.Group, wantBlinding bool) (*hybrid.PrivateKey
 			return nil, nil, err
 		}
 	}
-	priv, err := hybrid.GenerateKeyGroup(g, crand.Reader)
+	priv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		return nil, nil, err
 	}
 	var blind *elgamal.KeyPair
 	if wantBlinding {
-		if blind, err = elgamal.GenerateKeyPairGroup(g, crand.Reader); err != nil {
+		if blind, err = elgamal.GenerateKeyPair(crand.Reader); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -389,11 +377,10 @@ func stageRand(seed uint64, stage string) *rand.Rand {
 	return rng
 }
 
-// serveStage installs the fleet metadata on svc, serves it, logs stats,
-// exposes /metrics when -metrics-addr is set, and on SIGINT/SIGTERM drains
-// it gracefully: stop accepting, flush the final epoch downstream, then exit.
+// serveStage serves svc, logs stats, exposes /metrics when -metrics-addr is
+// set, and on SIGINT/SIGTERM drains it gracefully: stop accepting, flush the
+// final epoch downstream, then exit.
 func serveStage(role string, o shufflerOpts, svc *transport.StageService) {
-	svc.SetFleetInfo(o.fleetInfo())
 	printEpochs(svc.Config())
 	if st := svc.Stats(); st.RecoveredItems > 0 {
 		fmt.Printf("prochlod %s: recovered %d reports (%d in-flight epochs, %d pending) from the WAL\n",
@@ -463,7 +450,7 @@ func runShuffler(o shufflerOpts) {
 		}
 		fmt.Println("sgx: key attested, measurement", hex.EncodeToString(shuffler.SGXShufflerMeasurement[:8]))
 	} else {
-		priv, _, err := loadKeys(o.keyFile, o.group, false)
+		priv, _, err := loadKeys(o.keyFile, false)
 		if err != nil {
 			fatal(err)
 		}
@@ -481,7 +468,7 @@ func runShuffler(o shufflerOpts) {
 }
 
 func runShuffler1(o shufflerOpts) {
-	s1, err := shuffler.NewShuffler1Group(o.group, stageRand(o.seed, "shuffler1"))
+	s1, err := shuffler.NewShuffler1(stageRand(o.seed, "shuffler1"))
 	if err != nil {
 		fatal(err)
 	}
@@ -493,7 +480,7 @@ func runShuffler1(o shufflerOpts) {
 }
 
 func runShuffler2(o shufflerOpts) {
-	priv, blindKP, err := loadKeys(o.keyFile, o.group, true)
+	priv, blindKP, err := loadKeys(o.keyFile, true)
 	if err != nil {
 		fatal(err)
 	}

@@ -11,8 +11,7 @@ import (
 // logs. A crash-safe stage service must persist every accepted item before
 // acknowledging it, so this encoding is built for the append path: length-
 // prefixed fields into a caller-owned buffer, no reflection, no per-item
-// type metadata (unlike gob, which re-encodes its schema per stream). The
-// sequence number is deliberately not part of the encoding — the log record
+// type metadata. The sequence number is deliberately not part of the encoding — the log record
 // that wraps an item carries its global sequence stamp, and decoding
 // restores it from there — so re-encoding an item is stable across restarts.
 

@@ -9,10 +9,9 @@ import (
 // kind tag, a uvarint item count, and the items back to back (envelopes and
 // blinded envelopes in their durable AppendWire layout, payloads as plain
 // length-prefixed blobs). Like the per-item codec it carries no per-stream
-// type metadata — unlike gob, which re-encodes its schema on every
-// connection — so a hop-to-hop push is a single reflection-free marshal.
+// type metadata, so a hop-to-hop push is a single reflection-free marshal.
 // SeqNo is deliberately not encoded: the receiving stage stamps fresh
-// arrival metadata on ingest, exactly as it does for gob submissions.
+// arrival metadata on ingest.
 
 // AppendBatch appends b's binary wire encoding to dst and returns the
 // extended buffer. An empty batch of a concrete kind (e.g. zero envelopes)

@@ -11,11 +11,11 @@
 // alone.
 //
 // Group arithmetic lives in internal/crypto/group behind the
-// Group/Element/Scalar interface: NIST P-256 (Jacobian batch kernels,
-// crypto/elliptic-compatible encodings) or ristretto255 (the default, ~6x
-// faster fixed-point multiplication in pure Go). Every stage has a batch
-// entry point — Encrypter.EncryptCrowdIDBatch, Blinder.BlindBatch,
-// Decrypter.DecryptBatch — that feeds whole slices to the kernels: fixed
+// Group/Element/Scalar interface: ristretto255 is the deployed group, and
+// the explicit-group constructors let tests run the same code over the
+// stdlib-backed P-256 reference. Every stage has a batch entry point —
+// Encrypter.EncryptCrowdIDBatch, Blinder.BlindBatch, Decrypter.DecryptBatch
+// — that feeds whole slices to the kernels: fixed
 // scalars are recoded once per slice, fixed points go through precomputed
 // comb tables, and affine normalization costs one shared field inversion
 // per slice instead of one per point.
@@ -78,8 +78,9 @@ func (p Point) Bytes() []byte { return p.Group().Encode(p.e) }
 func (p Point) Compressed() []byte { return p.Group().Compress(p.e) }
 
 // ParsePoint decodes any encoding produced by Bytes or Compressed,
-// inferring the backend from the length and tag. Legacy 33-byte compressed
-// P-256 points parse too.
+// inferring the backend from the length and tag. A caller that parses
+// bytes a peer sent must check Group() against group.Default() before
+// trusting the point: one on the reference backend parses too.
 func ParsePoint(b []byte) (Point, error) {
 	g, err := group.Infer(b)
 	if err != nil {
@@ -109,10 +110,9 @@ func RandomScalarGroup(g group.Group, rng io.Reader) (*big.Int, error) {
 	return group.ScalarToBig(k), nil
 }
 
-// HashToPoint maps arbitrary data to an element of the default group. On
-// P-256 this is try-and-increment with the loop constants hoisted out of
-// the per-candidate iteration; on ristretto255 it is a single Elligator
-// map with cofactor clearing.
+// HashToPoint maps arbitrary data to an element of the default group: a
+// single Elligator map with cofactor clearing (the P-256 reference backend
+// uses try-and-increment).
 func HashToPoint(data []byte) Point {
 	return HashToPointGroup(group.Default(), data)
 }

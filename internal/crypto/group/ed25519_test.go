@@ -368,3 +368,39 @@ func TestEdScalarMulRandomized(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkEdCombMul(b *testing.B) {
+	r := mrand.New(mrand.NewSource(27))
+	var seed [32]byte
+	r.Read(seed[:])
+	p := edHashToPoint(seed[:])
+	normalizeEd([]*edPoint{p})
+	table := buildEdComb(p, 6)
+	k := make([]byte, 32)
+	r.Read(k)
+	k[0] &= 0x0f
+	b.ReportAllocs()
+	b.ResetTimer()
+	var out edPoint
+	for i := 0; i < b.N; i++ {
+		table.mulComb(&out, k)
+	}
+}
+
+func BenchmarkEdWNAFMul(b *testing.B) {
+	r := mrand.New(mrand.NewSource(28))
+	var seed [32]byte
+	r.Read(seed[:])
+	p := edHashToPoint(seed[:])
+	k := make([]byte, 32)
+	r.Read(k)
+	k[0] &= 0x0f
+	var digits [258]int8
+	n := wnafDigits(k, &digits)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var out edPoint
+	for i := 0; i < b.N; i++ {
+		edScalarMulWNAF(&out, digits[:n], p)
+	}
+}

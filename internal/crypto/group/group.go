@@ -1,9 +1,11 @@
-// Package group abstracts the prime-order groups used by the crowd-ID
-// El Gamal layer and the hybrid envelope layer behind a small
-// Group/Element/Scalar interface, so the Prochlo chain can run on either
-// NIST P-256 (crypto/elliptic-compatible, the historical default) or
-// ristretto255 (edwards25519's prime-order subgroup, the faster backend and
-// the current default).
+// Package group puts the prime-order group under the crowd-ID El Gamal
+// layer and the hybrid envelope layer behind a small Group/Element/Scalar
+// interface. One group is deployed: ristretto255 (edwards25519's prime-order
+// subgroup), hand-written here from the field up, is what Default returns and
+// what every pipeline, daemon and client runs. NIST P-256 — the paper's
+// curve — is the reference backend: stdlib arithmetic (crypto/elliptic),
+// used by tests, which run the ristretto255 stack against it through the
+// same interface.
 //
 // The ristretto255 field arithmetic has two build variants and no runtime
 // switch between them: on amd64 fe25519.Mul and Square are baseline-ISA
@@ -13,14 +15,15 @@
 // on both. Everything above the field — point formulas, wNAF and comb
 // ladders, encodings — is one body of Go.
 //
-// The API is batch-oriented: projective kernels (Jacobian for P-256,
-// extended Edwards for ristretto255) never invert per operation, Normalize
-// converts an epoch-sized slice to affine with one shared field inversion
-// (Montgomery trick), MulBatch and MulDHBatch recode a scalar that is fixed
-// across a slice once, and Precompute builds signed-digit comb tables for
-// points that are fixed across a batch — the recipient key in the encoder,
-// the analyzer key — turning each fixed-point multiplication into ~43 table
-// additions with no doublings.
+// The API is batch-oriented: the extended-Edwards kernels never invert per
+// operation, Normalize converts an epoch-sized slice to affine with one
+// shared field inversion (Montgomery trick), MulBatch and MulDHBatch recode a
+// scalar that is fixed across a slice once, and Precompute builds signed-digit
+// comb tables for points that are fixed across a batch — the recipient key in
+// the encoder, the analyzer key — turning each fixed-point multiplication
+// into ~43 table additions with no doublings. The reference backend meets
+// the same contracts the plain way: it is always affine, so Normalize has
+// nothing to do, and its batches and tables are loops over ScalarMult.
 //
 // Wire encodings are uniform across backends: Encode emits a 1-byte
 // identity sentinel {0} or a 65-byte tagged uncompressed point (0x04 for
@@ -31,16 +34,15 @@
 // public keys. Decode accepts every form and infers which it is from the
 // length and tag.
 //
-// All kernels are variable-time. This repository reproduces a research
-// system; the scalars being multiplied (blinding exponents, ephemeral
-// secrets) are per-epoch or per-report values processed in bulk on trusted
-// infrastructure, and the big.Int arithmetic this package replaces was
-// variable-time too.
+// All ristretto255 kernels are variable-time. This repository reproduces a
+// research system; the scalars being multiplied (blinding exponents,
+// ephemeral secrets) are per-epoch or per-report values processed in bulk on
+// trusted infrastructure, and the big.Int arithmetic this package replaces
+// was variable-time too.
 package group
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/big"
 	"sync"
@@ -79,7 +81,8 @@ type Table interface {
 
 // Group is a prime-order group with batch-oriented kernels.
 type Group interface {
-	// Name is the registry name ("p256" or "ristretto255").
+	// Name identifies the backend ("p256" or "ristretto255") in errors,
+	// logs and subtest names.
 	Name() string
 	// Order returns the group order (a fresh copy may not be assumed;
 	// callers must not mutate it).
@@ -145,28 +148,17 @@ type Group interface {
 }
 
 var (
-	// P256 is the NIST P-256 backend, byte-compatible with the
-	// crypto/elliptic + crypto/ecdh paths it replaced.
+	// P256 is the NIST P-256 reference backend (see group_p256.go),
+	// byte-compatible with crypto/elliptic encodings and crypto/ecdh
+	// shared secrets.
 	P256 Group = p256Group{}
 	// Ristretto255 is the edwards25519 prime-order-subgroup backend.
 	Ristretto255 Group = edGroup{}
 )
 
-// Default returns the default backend for new deployments.
+// Default returns the deployed group. It is a constant of the build, not a
+// setting: nothing selects another backend at run time.
 func Default() Group { return Ristretto255 }
-
-// ByName resolves a registry name.
-func ByName(name string) (Group, error) {
-	switch name {
-	case "p256", "P256", "P-256":
-		return P256, nil
-	case "ristretto255", "ristretto":
-		return Ristretto255, nil
-	case "":
-		return Default(), nil
-	}
-	return nil, fmt.Errorf("group: unknown group %q", name)
-}
 
 // Infer guesses the backend from an encoded element. The 1-byte identity
 // sentinel is backend-agnostic and resolves to the default group.
@@ -221,9 +213,7 @@ func ScalarToBig(k Scalar) *big.Int { return new(big.Int).SetBytes(k) }
 var identityEncoding = []byte{0}
 
 // edBaseComb lazily builds the ristretto base-point comb table (width 8:
-// 32 positions, one-time cost amortized over the process lifetime). P-256
-// base multiplication delegates to crypto/elliptic's assembly table, which
-// a portable comb cannot beat.
+// 32 positions, one-time cost amortized over the process lifetime).
 var (
 	edBaseTableOnce sync.Once
 	edBaseTable     *edCombTable

@@ -3,6 +3,7 @@ package group
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 )
@@ -310,25 +311,6 @@ func TestGroupRandomScalarRange(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for name, want := range map[string]string{
-		"p256": "p256", "P-256": "p256",
-		"ristretto255": "ristretto255", "ristretto": "ristretto255",
-		"": Default().Name(),
-	} {
-		g, err := ByName(name)
-		if err != nil || g.Name() != want {
-			t.Fatalf("ByName(%q) = %v, %v", name, g, err)
-		}
-	}
-	if _, err := ByName("curve9000"); err == nil {
-		t.Fatal("unknown group accepted")
-	}
-	if Default().Name() != "ristretto255" {
-		t.Fatal("default group changed unexpectedly")
-	}
-}
-
 func TestGroupCrossBackendMixingPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -348,5 +330,112 @@ func TestHashDomainSeparation(t *testing.T) {
 	b := sha256.Sum256(Ristretto255.Compress(Ristretto255.HashToElement(in)))
 	if a == b {
 		t.Fatal("backends produced identical hash encodings")
+	}
+}
+
+// katScalar is the fixed multiplier of the known-answer vectors: 0x0102…20,
+// below both group orders.
+func katScalar() Scalar {
+	k := make(Scalar, ScalarSize)
+	for i := range k {
+		k[i] = byte(i + 1)
+	}
+	return k
+}
+
+// katStream is the vectors' rng input: 32 bytes of 0xff — a candidate the
+// P-256 rejection sampler must discard, not reduce — then 0, 1, 2, …
+func katStream() *bytes.Reader {
+	s := bytes.Repeat([]byte{0xff}, 32)
+	for i := 0; i < 96; i++ {
+		s = append(s, byte(i))
+	}
+	return bytes.NewReader(s)
+}
+
+// groupKATs pins the bytes each backend emits for fixed inputs. They were
+// generated at the commit before P-256 became the stdlib-backed reference
+// and pass unchanged on both sides of it: P-256 stays byte-compatible, and
+// the next ristretto255 kernel change is checked against the same constants.
+var groupKATs = []struct {
+	g Group
+	// Encode and Compress of H = HashToElement("prochlo-kat").
+	hashWire, hashComp string
+	// Encode and Compress of katScalar*H, and Compress of katScalar*G.
+	mulWire, mulComp, baseComp string
+	// SharedBytes(MulDH(Decode(hashWire), PrepareDH(katScalar))).
+	shared string
+	// RandomScalar(katStream()) and the bytes it consumed.
+	scalar   string
+	consumed int
+}{
+	{
+		g:        P256,
+		hashWire: "048802019304027e77213d73767b32589d02f4742418255bc5473fab5514077528ae561623c62885bae56021acdfd66e42af553c6d608115724bdf34358f2de593",
+		hashComp: "038802019304027e77213d73767b32589d02f4742418255bc5473fab5514077528",
+		mulWire:  "04ac5c7a648e9df419238620b2d9708cfa99ab8a32242564063e9d5b95993748873016073eb67ac4dd171e6a1d184fe0c85fb2f1f17c351c2d8d4fb95c49d50d8a",
+		mulComp:  "02ac5c7a648e9df419238620b2d9708cfa99ab8a32242564063e9d5b9599374887",
+		baseComp: "02515c3d6eb9e396b904d3feca7f54fdcd0cc1e997bf375dca515ad0a6c3b4035f",
+		shared:   "ac5c7a648e9df419238620b2d9708cfa99ab8a32242564063e9d5b9599374887",
+		scalar:   "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+		consumed: 64,
+	},
+	{
+		g:        Ristretto255,
+		hashWire: "05140d5a49219fea8728bbaa0c7f5968643a15f60bd5ff79d8ea82a3ae7b2cd564301b08a5a752d0772dec24a61886db57cd103d2c6879ae7f8ce9c6487186ee41",
+		hashComp: "301b08a5a752d0772dec24a61886db57cd103d2c6879ae7f8ce9c6487186ee41",
+		mulWire:  "053cbe6c25c17506da36888ba37725f163a0fd592d499a1865d1439e8401c8242d21775b4b9e31f78e85d21e9331051c472c4c4f680e0b818d5f387c4479cc3a2a",
+		mulComp:  "21775b4b9e31f78e85d21e9331051c472c4c4f680e0b818d5f387c4479cc3a2a",
+		baseComp: "80334024b705b5fd76b1bce1b26d96234ab7b2d989987895fa72c43b3e5c5f85",
+		shared:   "21775b4b9e31f78e85d21e9331051c472c4c4f680e0b818d5f387c4479cc3a2a",
+		scalar:   "039a431e8035a044d6f57ddd2402cc762e0ecba4ac1476c43d455da430166bf0",
+		consumed: 64,
+	},
+}
+
+func TestGroupKnownAnswers(t *testing.T) {
+	for _, kat := range groupKATs {
+		g := kat.g
+		t.Run(g.Name(), func(t *testing.T) {
+			check := func(what string, got []byte, want string) {
+				t.Helper()
+				if hex.EncodeToString(got) != want {
+					t.Errorf("%s = %x, want %s", what, got, want)
+				}
+			}
+			k := katScalar()
+			h := g.HashToElement([]byte("prochlo-kat"))
+			check("Encode(H)", g.Encode(h), kat.hashWire)
+			check("Compress(H)", g.Compress(h), kat.hashComp)
+
+			kh := g.Mul(h, k)
+			check("Encode(k*H)", g.Encode(kh), kat.mulWire)
+			check("Compress(k*H)", g.Compress(kh), kat.mulComp)
+			check("Compress(k*G)", g.Compress(g.BaseMul(k)), kat.baseComp)
+
+			// the batch and fixed-point kernels land on the same bytes
+			batch := []Element{h}
+			g.MulBatch(batch, batch, k)
+			g.Normalize(batch)
+			check("Encode(MulBatch)", g.Encode(batch[0]), kat.mulWire)
+			check("Compress(Precompute(H).Mul(k))", g.Compress(g.Precompute(h).Mul(k)), kat.mulComp)
+
+			decoded, err := g.Decode(g.Encode(h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("SharedBytes", g.SharedBytes(g.MulDH(decoded, g.PrepareDH(k))), kat.shared)
+
+			rng := katStream()
+			before := rng.Len()
+			s, err := g.RandomScalar(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("RandomScalar", s, kat.scalar)
+			if got := before - rng.Len(); got != kat.consumed {
+				t.Errorf("RandomScalar consumed %d rng bytes, want %d", got, kat.consumed)
+			}
+		})
 	}
 }

@@ -3,8 +3,9 @@
 // pluggable prime-order group, HKDF-SHA256 key derivation, and AES-128-GCM
 // authenticated encryption. This mirrors Prochlo's wire cryptography (§5.1:
 // "NIST P-256 asymmetric key pairs used to derive AES-128 GCM symmetric
-// keys"); the group layer adds a ristretto255 backend (the default) whose
-// fixed-point kernels make sealing several times cheaper in pure Go.
+// keys") over the deployed group, ristretto255, whose fixed-point kernels
+// make sealing several times cheaper in pure Go; the same code runs over the
+// P-256 reference backend in tests.
 //
 // A client encrypts its report first to the analyzer's public key (the inner
 // layer) and then, together with the crowd ID, to the shuffler's public key
@@ -130,10 +131,8 @@ func (p *PrivateKey) Group() group.Group { return p.g }
 func (p *PublicKey) Group() group.Group { return p.g }
 
 // Bytes returns the wire encoding of the public key, suitable for embedding
-// in client software or publishing in an attestation quote. On P-256 this is
-// the SEC1 uncompressed form, byte-compatible with the crypto/ecdh encoding
-// used before the group layer existed. The returned slice is fresh; callers
-// may modify it.
+// in client software or publishing in an attestation quote. The returned
+// slice is fresh; callers may modify it.
 func (p *PublicKey) Bytes() []byte {
 	out := make([]byte, len(p.enc))
 	copy(out, p.enc)
@@ -155,8 +154,9 @@ func (p *PublicKey) dhTable() group.Table {
 }
 
 // ParsePublicKey decodes a public key produced by (*PublicKey).Bytes,
-// inferring the group backend from the tag byte. Legacy compressed P-256
-// points parse too.
+// inferring the group backend from the tag byte. A caller that parses bytes
+// a peer sent must check Group() against group.Default() before trusting
+// the key: a key on the reference backend parses too.
 func ParsePublicKey(b []byte) (*PublicKey, error) {
 	g, err := group.Infer(b)
 	if err != nil {

@@ -3,6 +3,7 @@ package hybrid
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/hex"
 	"io"
 	mrand "math/rand/v2"
 	"testing"
@@ -682,6 +683,52 @@ func BenchmarkHybridBackends(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/env")
+		})
+	}
+}
+
+// TestSealedEnvelopeKnownAnswer pins one envelope per group: sealed to the
+// key 0x0102…20 from the rng stream 0, 1, 2, …, the bytes below came out of
+// the commit before P-256 became the stdlib-backed reference. Sealing must
+// still produce them (scalar draw, base and table multiplication, encodings,
+// key derivation) and the key must still open them, on both sides of that
+// change and of any later ristretto255 kernel.
+func TestSealedEnvelopeKnownAnswer(t *testing.T) {
+	for _, kat := range []struct {
+		g      group.Group
+		sealed string
+	}{
+		{group.P256, "047a593180860c4037c83c12749845c8ee1424dd297fadcb895e358255d2c7d2b2a8ca25580f2626fe579062ff1b99ff91c24a0da06fb32b5be20148c9249f5650202122232425262728292a2b1e3a55c3a8de0aa0c7db9f5bd87966ef0c9aa1760d4fb44abf88ed4d"},
+		{group.Ristretto255, "05d8ce32861bc717fb1e525458f9968d1341f9448da362fb68c1617fa931fd8e20559d101ce6c084337a34c8a381c6a20a03c1107fcfa4d88e267a9eb712988950404142434445464748494a4bc7e84e47a9fb3057469f65c04bca81782151b50b6e2b56daab5e1f09"},
+	} {
+		t.Run(kat.g.Name(), func(t *testing.T) {
+			key := make([]byte, group.ScalarSize)
+			stream := make([]byte, 128)
+			for i := range key {
+				key[i] = byte(i + 1)
+			}
+			for i := range stream {
+				stream[i] = byte(i)
+			}
+			priv, err := ParsePrivateKeyGroup(kat.g, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := Seal(bytes.NewReader(stream), priv.Public(), []byte("known answer"), []byte("aad"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hex.EncodeToString(sealed) != kat.sealed {
+				t.Errorf("sealed = %x, want %s", sealed, kat.sealed)
+			}
+			pinned, err := hex.DecodeString(kat.sealed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := priv.Open(pinned, []byte("aad"))
+			if err != nil || string(got) != "known answer" {
+				t.Fatalf("pinned envelope opened to %q, %v", got, err)
+			}
 		})
 	}
 }

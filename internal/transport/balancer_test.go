@@ -442,10 +442,9 @@ func TestDrainForceReleasesBelowFloor(t *testing.T) {
 }
 
 // TestHealthzLiveness pins the cheap liveness call: it answers without
-// touching the ingestion path and carries the installed fleet topology.
+// touching the ingestion path, healthy until the service is aborted.
 func TestHealthzLiveness(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
-	rig.svc.SetFleetInfo(4, []string{"10.0.0.1:9000", "10.0.0.2:9000"})
 
 	cl, err := Dial(rig.shuf)
 	if err != nil {
@@ -458,9 +457,6 @@ func TestHealthzLiveness(t *testing.T) {
 	}
 	if !reply.Healthy {
 		t.Error("Healthz on a live service reports unhealthy")
-	}
-	if reply.Partitions != 4 || len(reply.Peers) != 2 {
-		t.Errorf("fleet info = partitions %d, peers %v, want 4 and 2 peers", reply.Partitions, reply.Peers)
 	}
 	rig.svc.Abort()
 	if reply, err = cl.Healthz(); err != nil {

@@ -366,13 +366,7 @@ type AnalyzerClient struct {
 // DialAnalyzer connects to an analyzer service with the default connect
 // timeout.
 func DialAnalyzer(addr string) (*AnalyzerClient, error) {
-	return DialAnalyzerTimeout(addr, 0)
-}
-
-// DialAnalyzerTimeout connects to an analyzer service, bounding the TCP
-// connect (timeout <= 0 selects DefaultDialTimeout).
-func DialAnalyzerTimeout(addr string, timeout time.Duration) (*AnalyzerClient, error) {
-	p, err := dialPeer(addr, timeout)
+	p, err := dialPeer(addr, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ import (
 // Every dial in this package — service constructors, push redials, client
 // Dial — goes through it, so a daemon chained to a dead next hop fails fast
 // instead of hanging in the TCP handshake forever. Override per service with
-// EpochConfig.DialTimeout, or per client with DialTimeout/DialAnalyzerTimeout.
+// EpochConfig.DialTimeout or BalancerConfig.DialTimeout.
 const DefaultDialTimeout = 5 * time.Second
 
 // dialPusher dials a downstream peer and applies the configured fault

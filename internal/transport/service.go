@@ -120,10 +120,8 @@ type StageService struct {
 	eng  stageEngine
 	keys Keys
 
-	mu         sync.Mutex // guards the fields below
-	att        *AttestationReply
-	partitions int
-	peers      []string
+	mu  sync.Mutex // guards att
+	att *AttestationReply
 }
 
 // NewStageService wraps a stage that ingests batches of kind admits
@@ -195,25 +193,8 @@ func (s *StageService) Attestation() (AttestationReply, error) {
 // default and clamp applied.
 func (s *StageService) Config() EpochConfig { return s.eng.config() }
 
-// SetFleetInfo installs the fleet-topology metadata served over Healthz:
-// the downstream partition count this replica fans out to and the sibling
-// replicas of its own tier. Purely informational — routing is configured at
-// construction.
-func (s *StageService) SetFleetInfo(partitions int, peers []string) {
-	s.mu.Lock()
-	s.partitions = partitions
-	s.peers = append([]string(nil), peers...)
-	s.mu.Unlock()
-}
-
 // Healthz is the cheap liveness probe; see HealthzReply.
-func (s *StageService) Healthz() HealthzReply {
-	h := s.eng.healthz()
-	s.mu.Lock()
-	h.Partitions, h.Peers = s.partitions, s.peers
-	s.mu.Unlock()
-	return h
-}
+func (s *StageService) Healthz() HealthzReply { return s.eng.healthz() }
 
 // Keys returns the key material clients encrypt to; it fails at a hop that
 // holds none.

@@ -85,11 +85,6 @@ type HealthzReply struct {
 	UptimeMillis int64
 	Pending      int
 	Accepted     int64
-	// Partitions and Peers are fleet-topology metadata installed with
-	// SetFleetInfo: the downstream partition count this replica fans out
-	// to, and the sibling replica addresses of its own tier.
-	Partitions int
-	Peers      []string
 }
 
 func (h HealthzReply) appendWire(dst []byte) []byte {
@@ -97,12 +92,7 @@ func (h HealthzReply) appendWire(dst []byte) []byte {
 	if h.Healthy {
 		healthy = 1
 	}
-	dst = appendWireInts(dst, healthy, h.UptimeMillis, int64(h.Pending), h.Accepted,
-		int64(h.Partitions), int64(len(h.Peers)))
-	for _, p := range h.Peers {
-		dst = appendWireBytes(dst, []byte(p))
-	}
-	return dst
+	return appendWireInts(dst, healthy, h.UptimeMillis, int64(h.Pending), h.Accepted)
 }
 
 func decodeHealthz(body []byte) (HealthzReply, error) {
@@ -112,13 +102,6 @@ func decodeHealthz(body []byte) (HealthzReply, error) {
 		UptimeMillis: r.int(),
 		Pending:      int(r.int()),
 		Accepted:     r.int(),
-		Partitions:   int(r.int()),
-	}
-	if n := r.count(); n > 0 {
-		h.Peers = make([]string, n)
-		for i := range h.Peers {
-			h.Peers[i] = string(r.bytes())
-		}
 	}
 	return h, r.done()
 }

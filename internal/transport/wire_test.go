@@ -725,7 +725,7 @@ func FuzzWireFrameParse(f *testing.F) {
 	}
 	f.Add(reply(appendWireInts(nil, 10)))
 	f.Add(reply(Keys{Blinding: []byte("h"), Key: []byte("k")}.appendWire(nil)))
-	f.Add(reply(HealthzReply{Healthy: true, Pending: 3, Peers: []string{"a:1", ""}}.appendWire(nil)))
+	f.Add(reply(HealthzReply{Healthy: true, Pending: 3, Accepted: 7}.appendWire(nil)))
 	f.Add(reply(ServiceStats{Accepted: 9, LastError: "boom", Cumulative: shuffler.Stats{Received: 9}}.appendWire(nil)))
 	f.Add(reply(AnalyzerStats{Records: 4, Ingests: 1}.appendWire(nil)))
 	f.Add(reply(AttestationReply{CAKey: []byte("der")}.appendWire(nil)))

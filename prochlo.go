@@ -23,6 +23,12 @@
 //	res, err := p.Flush()
 //	// res.Histogram now holds only values from large-enough crowds.
 //
+// All public-key cryptography — the nested envelopes and, in ModeBlinded, the
+// El Gamal crowd-ID blinding — runs over one group, ristretto255. It is a
+// constant of the build (internal/crypto/group), not an option: keys, daemons
+// and clients cannot disagree about it, and the dial functions refuse key
+// material a daemon serves on any other group.
+//
 // Submit is the single-report reference path. At scale, hand whole batches
 // to SubmitBatch instead: it encodes on a worker pool (WithWorkers; the
 // default uses every core), as do the shuffler and analyzer stages, so the
@@ -77,7 +83,10 @@ type Pipeline struct {
 	minBatch  int
 	seed      uint64
 	workers   int
-	group     group.Group
+	// group is the deployed group; no option changes it (the cross-group
+	// equivalence test swaps in the reference backend from inside the
+	// package).
+	group group.Group
 
 	// stages is the shuffler chain Flush drives, in hop order.
 	stages []shuffler.Stage
@@ -176,25 +185,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithGroup selects the elliptic-group backend for all of the pipeline's
-// public-key cryptography — hybrid envelope encryption and, in ModeBlinded,
-// the El Gamal crowd-ID blinding. Valid names are "ristretto255" (the
-// default: ~3x cheaper encoding in pure Go) and "p256" (the paper's NIST
-// P-256, wire-compatible with crypto/ecdh key material). Both backends
-// produce identical histograms for identical inputs; only key and envelope
-// bytes differ. ModeSGX ignores the option: the enclave generates its own
-// attested key on the default backend.
-func WithGroup(name string) Option {
-	return func(p *Pipeline) error {
-		g, err := group.ByName(name)
-		if err != nil {
-			return fmt.Errorf("prochlo: %w", err)
-		}
-		p.group = g
-		return nil
-	}
-}
-
 // WithWorkers sets the pipeline-wide worker count: n <= 0 selects
 // GOMAXPROCS, 1 forces the serial reference path. Workers parallelize the
 // per-report public-key hot path of every stage — batch encoding
@@ -216,14 +206,12 @@ func New(opts ...Option) (*Pipeline, error) {
 	p := &Pipeline{
 		threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
 		minBatch:  shuffler.DefaultMinBatch,
+		group:     group.Default(),
 	}
 	for _, o := range opts {
 		if err := o(p); err != nil {
 			return nil, err
 		}
-	}
-	if p.group == nil {
-		p.group = group.Default()
 	}
 	var err error
 	p.analyzerPriv, err = hybrid.GenerateKeyGroup(p.group, crand.Reader)
@@ -367,6 +355,30 @@ func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 	return nil
 }
 
+// encodeBatch is the SubmitBatch encode path Pipeline and RemotePipeline
+// share: it checks the batch's shape and encodes report i (labels[i],
+// data[i]) on the worker pool with whichever client the mode wired — benc
+// in ModeBlinded, enc otherwise — returning the envelopes as the wire batch
+// the first stage ingests.
+func encodeBatch(enc *encoder.Client, benc *encoder.BlindedClient, labels []string, data [][]byte, workers int) (core.Batch, error) {
+	if len(labels) != len(data) {
+		return core.Batch{}, fmt.Errorf("prochlo: %d labels for %d data payloads", len(labels), len(data))
+	}
+	if len(labels) == 0 {
+		return core.Batch{}, nil
+	}
+	if benc != nil {
+		envs, err := benc.EncodeBatch(labels, data, workers)
+		return core.Batch{Blinded: envs}, err
+	}
+	reports := make([]core.Report, len(labels))
+	for i := range reports {
+		reports[i] = core.Report{CrowdID: core.HashCrowdID(labels[i]), Data: data[i]}
+	}
+	envs, err := enc.EncodeBatch(reports, workers)
+	return core.Batch{Envelopes: envs}, err
+}
+
 // SubmitBatch encodes a batch of client reports — labels[i] is report i's
 // crowd label, data[i] its payload — into the pending batch. It is
 // equivalent to calling Submit per report but runs the per-report
@@ -376,12 +388,6 @@ func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 // scales with cores instead of serializing two ECDH key agreements per
 // report.
 func (p *Pipeline) SubmitBatch(labels []string, data [][]byte) error {
-	if len(labels) != len(data) {
-		return fmt.Errorf("prochlo: %d labels for %d data payloads", len(labels), len(data))
-	}
-	if len(labels) == 0 {
-		return nil
-	}
 	if p.secretT > 0 {
 		shared := make([][]byte, len(data))
 		errs := make([]error, len(data))
@@ -393,32 +399,21 @@ func (p *Pipeline) SubmitBatch(labels []string, data [][]byte) error {
 		}
 		data = shared
 	}
-	switch p.mode {
-	case ModeBlinded:
-		envs, err := p.blindedClient.EncodeBatch(labels, data, p.workers)
-		if err != nil {
-			return err
-		}
-		for i := range envs {
-			p.seq++
-			envs[i].SeqNo = p.seq
-		}
-		p.blindedBatch = append(p.blindedBatch, envs...)
-	default:
-		reports := make([]core.Report, len(labels))
-		for i := range reports {
-			reports[i] = core.Report{CrowdID: core.HashCrowdID(labels[i]), Data: data[i]}
-		}
-		envs, err := p.client.EncodeBatch(reports, p.workers)
-		if err != nil {
-			return err
-		}
-		for i := range envs {
-			p.seq++
-			envs[i].SeqNo = p.seq
-		}
-		p.pending = append(p.pending, envs...)
+	batch, err := encodeBatch(p.client, p.blindedClient, labels, data, p.workers)
+	if err != nil {
+		return err
 	}
+	// Exactly one of the two is non-empty, by mode.
+	for i := range batch.Envelopes {
+		p.seq++
+		batch.Envelopes[i].SeqNo = p.seq
+	}
+	for i := range batch.Blinded {
+		p.seq++
+		batch.Blinded[i].SeqNo = p.seq
+	}
+	p.pending = append(p.pending, batch.Envelopes...)
+	p.blindedBatch = append(p.blindedBatch, batch.Blinded...)
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"prochlo/internal/crypto/group"
 )
 
 // TestPlainPipelineEndToEnd: reports in big crowds reach the analyzer's
@@ -362,10 +364,21 @@ func TestSubmitBatchValidation(t *testing.T) {
 	}
 }
 
-// TestCrossGroupHistogramEquivalence: the elliptic-group backend is an
-// implementation detail of the envelope and blinding cryptography — under
-// the same seed and workload, P-256 and ristretto255 pipelines must produce
-// identical histograms in every mode that accepts WithGroup.
+// withGroup builds the pipeline's keys and stages on g. It exists only here:
+// the deployed group is not an option, and this is how the cross-group test
+// puts the P-256 reference backend under a whole pipeline.
+func withGroup(g group.Group) Option {
+	return func(p *Pipeline) error {
+		p.group = g
+		return nil
+	}
+}
+
+// TestCrossGroupHistogramEquivalence: the group is an implementation detail
+// of the envelope and blinding cryptography — under the same seed and
+// workload, a pipeline on the stdlib-backed P-256 reference and one on the
+// deployed ristretto255 must produce identical histograms in the plain and
+// blinded modes.
 func TestCrossGroupHistogramEquivalence(t *testing.T) {
 	run := func(t *testing.T, opts ...Option) map[string]int {
 		t.Helper()
@@ -397,8 +410,8 @@ func TestCrossGroupHistogramEquivalence(t *testing.T) {
 		{"blinded", []Option{WithSeed(11), WithMode(ModeBlinded), WithNoisyThreshold(20, 10, 2)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			p256 := run(t, append([]Option{WithGroup("p256")}, mode.opts...)...)
-			ristretto := run(t, append([]Option{WithGroup("ristretto255")}, mode.opts...)...)
+			p256 := run(t, append([]Option{withGroup(group.P256)}, mode.opts...)...)
+			ristretto := run(t, mode.opts...)
 			if len(p256) != len(ristretto) {
 				t.Fatalf("histogram sizes differ: p256 %v, ristretto255 %v", p256, ristretto)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
+	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
 	"prochlo/internal/metrics"
@@ -55,18 +56,12 @@ import (
 // after a daemon restart is an ordinary Dial; see
 // TestRemoteChainCrashRestartSoak for the full kill-and-restart exercise.
 type RemotePipeline struct {
-	mode        Mode
-	workers     int
-	retries     int
-	retryDelay  time.Duration
-	dialTimeout time.Duration
-	attest      bool
-	balCfg      transport.BalancerConfig
-	// redialAttempts/redialBase (when redialSet) tune every hop client's
-	// transient-retry budget; see WithRemoteRedial.
-	redialSet      bool
-	redialAttempts int
-	redialBase     time.Duration
+	mode       Mode
+	workers    int
+	retries    int
+	retryDelay time.Duration
+	attest     bool
+	balCfg     transport.BalancerConfig
 	// partitions is the hop-2 replica count of a chain fleet; blinded
 	// envelopes are stamped with PartitionOf(crowd, partitions) so hop-1
 	// replicas route each crowd to its owning thresholding partition.
@@ -111,15 +106,6 @@ func WithSubmitRetry(retries int, delay time.Duration) RemoteOption {
 		}
 		r.retries = retries
 		r.retryDelay = delay
-		return nil
-	}
-}
-
-// WithRemoteDialTimeout bounds each daemon connect (0 selects
-// transport.DefaultDialTimeout), so dialing a dead daemon fails fast.
-func WithRemoteDialTimeout(d time.Duration) RemoteOption {
-	return func(r *RemotePipeline) error {
-		r.dialTimeout = d
 		return nil
 	}
 }
@@ -175,20 +161,6 @@ func WithRemoteMetrics(reg *MetricsRegistry, labels map[string]string) RemoteOpt
 	}
 }
 
-// WithRemoteRedial tunes every hop client's transient-failure retry budget
-// (see transport.Client.SetRedial): drain barriers and stamped submissions
-// redial a crashed replica up to attempts times with jittered backoff from
-// base, which bounds how long a restart may take before a fleet operation
-// gives up on the replica.
-func WithRemoteRedial(attempts int, base time.Duration) RemoteOption {
-	return func(r *RemotePipeline) error {
-		r.redialSet = true
-		r.redialAttempts = attempts
-		r.redialBase = base
-		return nil
-	}
-}
-
 // newRemotePipeline applies options over the defaults.
 func newRemotePipeline(opts []RemoteOption) (*RemotePipeline, error) {
 	r := &RemotePipeline{retries: transport.DefaultSubmitRetries, retryDelay: transport.DefaultSubmitDelay}
@@ -210,13 +182,10 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string)
 		}
 		r.tiers = append(r.tiers, nil)
 		for _, addr := range addrs {
-			cl, err := transport.DialTimeout(addr, r.dialTimeout)
+			cl, err := transport.Dial(addr)
 			if err != nil {
 				r.Close()
 				return fmt.Errorf("prochlo: dial shuffler %s: %w", addr, err)
-			}
-			if r.redialSet {
-				cl.SetRedial(r.redialAttempts, r.redialBase)
 			}
 			r.tiers[t] = append(r.tiers[t], cl)
 		}
@@ -226,22 +195,14 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string)
 		return errors.New("prochlo: no analyzer addresses")
 	}
 	for _, addr := range analyzerAddrs {
-		anlz, err := transport.DialAnalyzerTimeout(addr, r.dialTimeout)
+		anlz, err := transport.DialAnalyzer(addr)
 		if err != nil {
 			r.Close()
 			return fmt.Errorf("prochlo: dial analyzer %s: %w", addr, err)
 		}
 		r.anlzs = append(r.anlzs, anlz)
 	}
-	bcfg := r.balCfg
-	if bcfg.DialTimeout == 0 {
-		bcfg.DialTimeout = r.dialTimeout
-	}
-	if r.redialSet && bcfg.Redials == 0 {
-		bcfg.Redials = r.redialAttempts
-		bcfg.RedialBase = r.redialBase
-	}
-	entry, err := transport.NewBalancer(tierAddrs[0], bcfg)
+	entry, err := transport.NewBalancer(tierAddrs[0], r.balCfg)
 	if err != nil {
 		r.Close()
 		return fmt.Errorf("prochlo: entry balancer: %w", err)
@@ -278,6 +239,30 @@ func firstOf[T any](tier []*transport.Client, fetch func(*transport.Client) (T, 
 	return out, err
 }
 
+// refuseOtherGroup is the check every key a daemon serves passes before a
+// report is encoded to it. The key parsers infer the group from the bytes,
+// so without it a misconfigured or hostile daemon serving a key on the test
+// reference backend would move this client's cryptography there.
+func refuseOtherGroup(g group.Group) error {
+	if d := group.Default(); g.Name() != d.Name() {
+		return fmt.Errorf("key is on group %s, this build deploys %s", g.Name(), d.Name())
+	}
+	return nil
+}
+
+// deployedKey parses a hybrid public key a daemon served; what names it in
+// the error.
+func deployedKey(what string, b []byte) (*hybrid.PublicKey, error) {
+	key, err := hybrid.ParsePublicKey(b)
+	if err == nil {
+		err = refuseOtherGroup(key.Group())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("prochlo: %s: %w", what, err)
+	}
+	return key, nil
+}
+
 // analyzerKey fetches and parses the analyzer fleet's public key from the
 // first reachable partition (partitions share the key).
 func (r *RemotePipeline) analyzerKey() (*hybrid.PublicKey, error) {
@@ -291,11 +276,7 @@ func (r *RemotePipeline) analyzerKey() (*hybrid.PublicKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("prochlo: analyzer key: %w", err)
 	}
-	key, err := hybrid.ParsePublicKey(keys.Key)
-	if err != nil {
-		return nil, fmt.Errorf("prochlo: analyzer key: %w", err)
-	}
-	return key, nil
+	return deployedKey("analyzer key", keys.Key)
 }
 
 // DialRemoteFleet connects to a single-shuffler deployment — the shuffler
@@ -337,10 +318,10 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 		}
 		shufKeyBytes = keys.Key
 	}
-	shufKey, err := hybrid.ParsePublicKey(shufKeyBytes)
+	shufKey, err := deployedKey("shuffler key", shufKeyBytes)
 	if err != nil {
 		r.Close()
-		return nil, fmt.Errorf("prochlo: shuffler key: %w", err)
+		return nil, err
 	}
 	anlzKey, err := r.analyzerKey()
 	if err != nil {
@@ -386,14 +367,17 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 		return nil, fmt.Errorf("prochlo: shuffler 2 keys: %w", err)
 	}
 	blinding, err := elgamal.ParsePoint(keys.Blinding)
+	if err == nil {
+		err = refuseOtherGroup(blinding.Group())
+	}
 	if err != nil {
 		r.Close()
 		return nil, fmt.Errorf("prochlo: shuffler 2 blinding key: %w", err)
 	}
-	s2Key, err := hybrid.ParsePublicKey(keys.Key)
+	s2Key, err := deployedKey("shuffler 2 key", keys.Key)
 	if err != nil {
 		r.Close()
-		return nil, fmt.Errorf("prochlo: shuffler 2 key: %w", err)
+		return nil, err
 	}
 	anlzKey, err := r.analyzerKey()
 	if err != nil {
@@ -429,33 +413,16 @@ func (r *RemotePipeline) stampPartitions(envs []core.BlindedEnvelope, labels []s
 // retryable backpressure error with backoff and failing over between entry
 // replicas on provably non-ingesting errors.
 func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
-	if len(labels) != len(data) {
-		return fmt.Errorf("prochlo: %d labels for %d data payloads", len(labels), len(data))
-	}
-	if len(labels) == 0 {
-		return nil
+	batch, err := encodeBatch(r.enc, r.benc, labels, data, r.workers)
+	if err != nil || len(labels) == 0 {
+		return err
 	}
 	var n int
-	var err error
 	if r.mode == ModeBlinded {
-		var envs []core.BlindedEnvelope
-		envs, err = r.benc.EncodeBatch(labels, data, r.workers)
-		if err != nil {
-			return err
-		}
-		r.stampPartitions(envs, labels)
-		n, err = r.entry.SubmitAllBlinded(envs, r.retries, r.retryDelay)
+		r.stampPartitions(batch.Blinded, labels)
+		n, err = r.entry.SubmitAllBlinded(batch.Blinded, r.retries, r.retryDelay)
 	} else {
-		reports := make([]core.Report, len(labels))
-		for i := range reports {
-			reports[i] = core.Report{CrowdID: core.HashCrowdID(labels[i]), Data: data[i]}
-		}
-		var envs []core.Envelope
-		envs, err = r.enc.EncodeBatch(reports, r.workers)
-		if err != nil {
-			return err
-		}
-		n, err = r.entry.SubmitAll(envs, r.retries, r.retryDelay)
+		n, err = r.entry.SubmitAll(batch.Envelopes, r.retries, r.retryDelay)
 	}
 	if err != nil && n > 0 {
 		// The accepted prefix is ingested; resubmitting the whole batch
@@ -633,19 +600,7 @@ func (r *RemotePipeline) histogram() (map[string]int, int, error) {
 // auto-flush Flush reports the whole deployment's trajectory, not one
 // epoch's.
 func (r *RemotePipeline) Flush() (*Result, error) {
-	return r.flush(false)
-}
-
-// FlushFinal is Flush for a deployment shutting down for good: below-floor
-// final epochs are released as Dropped (the anonymity floor forbids
-// forwarding them) instead of left pending forever, and the loss is
-// visible in the drained stats' Dropped counters.
-func (r *RemotePipeline) FlushFinal() (*Result, error) {
-	return r.flush(true)
-}
-
-func (r *RemotePipeline) flush(force bool) (*Result, error) {
-	stats, err := r.DrainAll(force)
+	stats, err := r.DrainAll(false)
 	if err != nil {
 		return nil, err
 	}

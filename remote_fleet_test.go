@@ -184,7 +184,6 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		svc.SetFleetInfo(2, nil)
 		srv, err := serveTrackedAt(addr, svc)
 		if err != nil {
 			return err
@@ -233,7 +232,6 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		svc.SetFleetInfo(2, nil)
 		srv, err := serveTrackedAt(addr, svc)
 		if err != nil {
 			return err

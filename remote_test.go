@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
+	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/sgx"
@@ -891,6 +893,119 @@ func TestRemoteSGXAttestation(t *testing.T) {
 	if _, err := prochlo.DialRemoteFleet([]string{plain.shufL.Addr().String()}, []string{plain.anlzL.Addr().String()},
 		prochlo.WithRemoteAttestation()); err == nil {
 		t.Error("unattested daemon accepted under WithRemoteAttestation")
+	}
+}
+
+// TestDialRefusesKeysOffTheDeployedGroup drives every key a dial fetches —
+// shuffler, attested, blinding, hop-2 hybrid, analyzer — with a P-256 one.
+// The key parsers infer the group from the bytes a peer sent, so the dial is
+// the door: it must fail, naming the key and both groups, and hand back no
+// pipeline to encode a report with.
+func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
+	good, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := hybrid.GenerateKeyGroup(group.P256, crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodBlind, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badBlind, err := elgamal.GenerateKeyPairGroup(group.P256, crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodKey, badKey := good.Public().Bytes(), bad.Public().Bytes()
+
+	analyzerAt := func(key []byte) string {
+		l, err := transport.Serve("127.0.0.1:0", transport.NewAnalyzerService(&analyzer.Analyzer{Priv: good}, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l.Addr().String()
+	}
+	goodAnlz, badAnlz := analyzerAt(goodKey), analyzerAt(badKey)
+
+	// stageAt serves keys (and, when attested is set, a valid quote over it)
+	// from a stage that never sees a report.
+	ca, err := sgx.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stageAt := func(keys transport.Keys, attested []byte) string {
+		svc, err := transport.NewStageService(&shuffler.Shuffler{Priv: good}, core.KindEnvelopes, keys,
+			[]string{goodAnlz}, transport.SinkAnalyzer, transport.EpochConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		if attested != nil {
+			enclave := sgx.New(sgx.DefaultEPC, shuffler.SGXShufflerMeasurement)
+			ca.Provision(enclave)
+			quote, err := enclave.GenerateQuote(attested)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.SetAttestation(quote, ca.PublicKey()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, err := transport.Serve("127.0.0.1:0", svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		return l.Addr().String()
+	}
+	hop1 := stageAt(transport.Keys{}, nil)
+	fleet := func(shuf, anlz string, opts ...prochlo.RemoteOption) func() (*prochlo.RemotePipeline, error) {
+		return func() (*prochlo.RemotePipeline, error) {
+			return prochlo.DialRemoteFleet([]string{shuf}, []string{anlz}, opts...)
+		}
+	}
+	chain := func(hop2, anlz string) func() (*prochlo.RemotePipeline, error) {
+		return func() (*prochlo.RemotePipeline, error) {
+			return prochlo.DialRemoteChainFleet([]string{hop1}, []string{hop2}, []string{anlz})
+		}
+	}
+
+	for _, tc := range []struct {
+		name, key string
+		dial      func() (*prochlo.RemotePipeline, error)
+	}{
+		{"fleet shuffler key", "shuffler key", fleet(stageAt(transport.Keys{Key: badKey}, nil), goodAnlz)},
+		{"fleet attested key", "shuffler key", fleet(stageAt(transport.Keys{Key: goodKey}, badKey), goodAnlz, prochlo.WithRemoteAttestation())},
+		{"fleet analyzer key", "analyzer key", fleet(stageAt(transport.Keys{Key: goodKey}, nil), badAnlz)},
+		{"chain blinding key", "shuffler 2 blinding key", chain(stageAt(transport.Keys{Blinding: badBlind.H.Bytes(), Key: goodKey}, nil), goodAnlz)},
+		{"chain hybrid key", "shuffler 2 key", chain(stageAt(transport.Keys{Blinding: goodBlind.H.Bytes(), Key: badKey}, nil), goodAnlz)},
+		{"chain analyzer key", "analyzer key", chain(stageAt(transport.Keys{Blinding: goodBlind.H.Bytes(), Key: goodKey}, nil), badAnlz)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rp, err := tc.dial()
+			if err == nil {
+				rp.Close()
+				t.Fatal("dial accepted a P-256 key")
+			}
+			want := tc.key + ": key is on group p256, this build deploys ristretto255"
+			if rp != nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("dial = %v, %v; want no pipeline and an error containing %q", rp, err, want)
+			}
+		})
+	}
+	// The same dials with every key on the deployed group go through.
+	for _, dial := range []func() (*prochlo.RemotePipeline, error){
+		fleet(stageAt(transport.Keys{Key: goodKey}, goodKey), goodAnlz, prochlo.WithRemoteAttestation()),
+		chain(stageAt(transport.Keys{Blinding: goodBlind.H.Bytes(), Key: goodKey}, nil), goodAnlz),
+	} {
+		rp, err := dial()
+		if err != nil {
+			t.Fatalf("dial with ristretto255 keys: %v", err)
+		}
+		rp.Close()
 	}
 }
 

@@ -15,13 +15,14 @@
 # (1x1x1 and 2x2x2 loopback fleets, closed loop) lands in the same file
 # under "macro", so the per-commit artifact carries both the per-stage
 # micro trajectory and the whole-deployment latency/throughput trajectory.
-# BENCH_shuffler.json is the PR 1 baseline and is kept for trajectory.
 #
 # A second artifact, BENCH_crypto.json, tracks the crypto kernels under
-# the pipeline: per-backend (p256 vs ristretto255) seal/open and El Gamal
+# the pipeline on the deployed group: seal/open and El Gamal
 # encrypt/blind/decrypt, serial vs the amortized batch kernels, plus the
-# raw scalar-mult primitives (comb vs wNAF vs crypto/elliptic) and the
-# uncached HashToPoint path. scripts/bench_delta.sh diffs two captures.
+# raw scalar-mult primitives (comb vs wNAF) and the uncached HashToPoint
+# path. The P-256 reference backend is not captured: it exists for tests
+# and its speed is not tracked (its last rows are in EXPERIMENTS.md).
+# scripts/bench_delta.sh diffs two captures.
 #
 # A third artifact, BENCH_wire.json, tracks the frame protocol:
 # BenchmarkWireCodec (one batch marshal+unmarshal through the batch codec)
@@ -83,14 +84,13 @@ go run ./cmd/prochloload -sweep 1x1x1,2x2x2 -seed 7 -format json -out "$macro"
 
 echo "wrote BENCH_pipeline.json"
 
-# Crypto kernel rows: the per-backend hot-path benchmarks plus the raw
-# scalar-mult primitives they are built on.
-go test -run '^$' -bench 'BenchmarkElGamalBackends|BenchmarkHashToPointCacheMiss' \
+# Crypto kernel rows: the hot-path benchmarks' ristretto255 legs plus the
+# raw scalar-mult primitives they are built on.
+go test -run '^$' -bench 'BenchmarkElGamalBackends/ristretto255|BenchmarkHashToPointCacheMiss/ristretto255' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/elgamal | tee -a "$crypto"
-go test -run '^$' -bench 'BenchmarkHybridBackends' \
+go test -run '^$' -bench 'BenchmarkHybridBackends/ristretto255' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/hybrid | tee -a "$crypto"
-go test -run '^$' \
-  -bench 'BenchmarkP256CombMul|BenchmarkP256EllipticScalarMult|BenchmarkEdCombMul|BenchmarkEdWNAFMul' \
+go test -run '^$' -bench 'BenchmarkEdCombMul|BenchmarkEdWNAFMul' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/group | tee -a "$crypto"
 
 {
