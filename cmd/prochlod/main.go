@@ -119,6 +119,7 @@ func main() {
 	var reg *metrics.Registry
 	if *metricsAddr != "" {
 		reg = metrics.NewRegistry()
+		group.RegisterMetrics(reg)
 	}
 	cfg := transport.EpochConfig{
 		FlushAt:         *flushAt,

@@ -40,6 +40,7 @@ import (
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
+	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/load"
@@ -128,6 +129,7 @@ func main() {
 		var srv *metrics.Server
 		if *metricsAddr != "" {
 			reg = metrics.NewRegistry()
+			group.RegisterMetrics(reg)
 			var err error
 			if srv, err = metrics.Serve(*metricsAddr, reg, nil); err != nil {
 				log.Fatal(err)

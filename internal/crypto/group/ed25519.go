@@ -1,9 +1,9 @@
 // Edwards25519 point arithmetic for the ristretto255 backend: extended
 // (X:Y:Z:T) coordinates so that additions and doublings need no per-op field
 // inversion, Niels-form precomputation for the fixed-point comb tables, a
-// width-5 wNAF kernel for variable-point multiplication, and batch affine
-// normalization via the Montgomery trick — the edwards counterpart of the
-// P-256 Jacobian kernels in p256.go.
+// width-5 wNAF kernel for variable-point multiplication (and its eight-lane
+// form for batches that share a scalar, ed25519x8_amd64.go), and batch affine
+// normalization via the Montgomery trick.
 //
 // Group structure: all long-lived elements live in the prime-order subgroup
 // (order l). HashToElement clears the cofactor, honest keys and ciphertexts

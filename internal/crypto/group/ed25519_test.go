@@ -404,3 +404,33 @@ func BenchmarkEdWNAFMul(b *testing.B) {
 		edScalarMulWNAF(&out, digits[:n], p)
 	}
 }
+
+// BenchmarkEdMulBatch is what the batch API is for: one scalar across a
+// 256-point slice (the chunk hybrid and shuffler hand the group), through
+// whichever kernel this process selected. ns/point is comparable with
+// BenchmarkEdWNAFMul's ns/op.
+func BenchmarkEdMulBatch(b *testing.B) {
+	g := edGroup{}
+	r := mrand.New(mrand.NewSource(29))
+	ps := make([]Element, 256)
+	for i := range ps {
+		var seed [32]byte
+		r.Read(seed[:])
+		ps[i] = Element{ed: edHashToPoint(seed[:])}
+	}
+	k := ScalarFromBig(randEdScalar(r))
+	dst := make([]Element, len(ps))
+	for _, dh := range []bool{false, true} {
+		name := "plain"
+		if dh {
+			name = "dh"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.mulBatch(dst, ps, k, dh)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/point")
+		})
+	}
+}

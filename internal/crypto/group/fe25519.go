@@ -2,16 +2,18 @@
 // ristretto255 backend. Five 51-bit limbs in uint64s leave headroom for lazy
 // carries, and every public operation returns fully carried limbs (< 2^52),
 // which keeps the bounds analysis trivial at a cost of a few nanoseconds per
-// op. The multiplication kernel is the batch hot path: one Jacobian-style
+// op. The multiplication kernel is the batch hot path: one extended-Edwards
 // point operation is 7-9 of these, and an epoch-sized slice runs millions.
 //
 // Mul and Square exist in two build variants, selected by build constraint
 // and nothing else. On amd64 they are the MULQ/ADCQ kernels of
-// fe25519_amd64.s (baseline ISA, so no CPUID dispatch); on every other
-// GOARCH, and on amd64 under -tags purego, they are mulGeneric and
+// fe25519_amd64.s (baseline ISA, so they need no CPUID check); on every
+// other GOARCH, and on amd64 under -tags purego, they are mulGeneric and
 // squareGeneric below (fe25519_noasm.go). The two compute identical limbs,
 // not merely identical field values, so nothing downstream can tell them
-// apart.
+// apart. The eight-lane fe25519x8 of the batch ladder is a separate type
+// with its own limb contract (fe25519x8_amd64.go); the dispatch rule for all
+// three kernels is stated once, in group.go.
 //
 // Correctness is pinned three ways: TestFe25519Arithmetic cross-validates
 // every operation against math/big on random and boundary inputs, the

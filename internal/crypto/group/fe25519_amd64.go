@@ -2,6 +2,9 @@
 
 package group
 
+// feKernel names this build variant of Mul and Square (see kernel).
+const feKernel = "amd64"
+
 // Mul sets v = a * b. v may alias a and b.
 func (v *fe25519) Mul(a, b *fe25519) { feMul(v, a, b) }
 

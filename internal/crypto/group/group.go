@@ -7,13 +7,20 @@
 // used by tests, which run the ristretto255 stack against it through the
 // same interface.
 //
-// The ristretto255 field arithmetic has two build variants and no runtime
-// switch between them: on amd64 fe25519.Mul and Square are baseline-ISA
-// assembly kernels (fe25519_amd64.s); on every other GOARCH, and on amd64
-// under -tags purego, they are the portable Go bodies in fe25519.go. The
-// two produce identical limbs, so every byte this package emits is the same
-// on both. Everything above the field — point formulas, wNAF and comb
-// ladders, encodings — is one body of Go.
+// Three kernels compute the ristretto255 arithmetic, and this is the whole
+// dispatch rule. The field multiply and square are chosen at build time: on
+// amd64 they are MULQ assembly (fe25519_amd64.s, kernel "amd64"); on every
+// other GOARCH, and on amd64 under -tags purego, the portable Go bodies in
+// fe25519.go (kernel "generic"). On top of the amd64 build, the batch
+// multiplications MulBatch and MulDHBatch are chosen once at package init:
+// when CPUID and XCR0 report AVX-512 IFMA they run the lane ladder of
+// ed25519x8_amd64.go, eight points per instruction (kernel "avx512ifma");
+// otherwise, and always for the solo Mul and MulDH, the scalar wNAF ladder.
+// No flag, environment variable or option takes part. The three produce
+// identical bytes — every encoding, pseudonym and shared secret — so a
+// fleet may mix them; RegisterMetrics says which one a process runs.
+// Everything outside those kernels — point formulas, wNAF and comb ladders,
+// encodings — is one body of Go.
 //
 // The API is batch-oriented: the extended-Edwards kernels never invert per
 // operation, Normalize converts an epoch-sized slice to affine with one
@@ -46,6 +53,8 @@ import (
 	"io"
 	"math/big"
 	"sync"
+
+	"prochlo/internal/metrics"
 )
 
 // Scalar is an opaque scalar: 32 bytes, big-endian, reduced into the
@@ -68,8 +77,8 @@ const (
 // backend. Elements are created by a Group and must only be combined with
 // elements of the same Group.
 type Element struct {
-	ed *edPoint
-	pj *p256Point
+	ed  *edPoint
+	ref *p256Point
 }
 
 // Table is a precomputed fixed-point multiplication table.
@@ -159,6 +168,25 @@ var (
 // Default returns the deployed group. It is a constant of the build, not a
 // setting: nothing selects another backend at run time.
 func Default() Group { return Ristretto255 }
+
+// kernel names the arithmetic this process runs under the deployed group:
+// "avx512ifma", "amd64" or "generic" (see the package comment).
+func kernel() string {
+	if laneLadder != nil {
+		return "avx512ifma"
+	}
+	return feKernel
+}
+
+// RegisterMetrics exports which kernel this process selected as the info
+// gauge prochlo_group_kernel_info{kernel="..."} 1. CPU per report differs
+// about twofold between hosts with and without AVX-512 IFMA, which an
+// operator comparing replicas needs to know. No-op when reg is nil.
+func RegisterMetrics(reg *metrics.Registry) {
+	reg.GaugeFunc("prochlo_group_kernel_info",
+		"The ristretto255 arithmetic kernel this process selected at start-up (constant 1; the kernel label carries the value).",
+		metrics.Labels{"kernel": kernel()}, func() float64 { return 1 })
+}
 
 // Infer guesses the backend from an encoded element. The 1-byte identity
 // sentinel is backend-agnostic and resolves to the default group.

@@ -77,6 +77,13 @@ func (g edGroup) Mul(p Element, k Scalar) Element {
 
 func (g edGroup) MulBatch(dst, ps []Element, k Scalar) { g.mulBatch(dst, ps, k, false) }
 
+// laneLadder, when set, is the vector form of mulBatch's loop: outs[i] =
+// k*ps[i] for the scalar with the given wNAF digits, each point cofactor-
+// cleared first when dh. Package init sets it once, on amd64 hosts whose CPU
+// reports AVX-512 IFMA (ed25519x8_amd64.go), and nothing else writes it
+// outside tests; nil means the scalar ladder is the only path.
+var laneLadder func(outs []edPoint, ps []Element, digits []int8, dh bool)
+
 // mulBatch is MulBatch and, with dh set, MulDHBatch (each point is cofactor-
 // cleared first): the shared scalar is recoded once per slice and all
 // results live in one allocation.
@@ -88,13 +95,19 @@ func (g edGroup) mulBatch(dst, ps []Element, k Scalar, dh bool) {
 	var digits [258]int8
 	n := wnafDigits(kb[:], &digits)
 	outs := make([]edPoint, len(ps))
-	for i := range ps {
-		q := ps[i].edwards(g)
-		if dh {
-			outs[i].clearCofactor(q)
-			q = &outs[i]
+	if laneLadder != nil {
+		laneLadder(outs, ps, digits[:n], dh)
+	} else {
+		for i := range ps {
+			q := ps[i].edwards(g)
+			if dh {
+				outs[i].clearCofactor(q)
+				q = &outs[i]
+			}
+			edScalarMulWNAF(&outs[i], digits[:n], q)
 		}
-		edScalarMulWNAF(&outs[i], digits[:n], q)
+	}
+	for i := range outs {
 		dst[i] = Element{ed: &outs[i]}
 	}
 }
@@ -264,7 +277,7 @@ func (g edGroup) SharedBytes(p Element) []byte {
 // edwards extracts the backend point, treating the zero Element as identity
 // and rejecting cross-backend mixing.
 func (e Element) edwards(edGroup) *edPoint {
-	if e.pj != nil {
+	if e.ref != nil {
 		panic("group: p256 element passed to the ristretto255 group")
 	}
 	if e.ed == nil {

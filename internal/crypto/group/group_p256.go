@@ -39,7 +39,7 @@ var p256Infinity = &p256Point{new(big.Int), new(big.Int)}
 
 func (p *p256Point) isInfinity() bool { return p.x.Sign() == 0 && p.y.Sign() == 0 }
 
-func p256Element(x, y *big.Int) Element { return Element{pj: &p256Point{x, y}} }
+func p256Element(x, y *big.Int) Element { return Element{ref: &p256Point{x, y}} }
 
 func (p256Group) Name() string    { return "p256" }
 func (p256Group) Order() *big.Int { return p256N }
@@ -61,7 +61,7 @@ func (p256Group) RandomScalar(rng io.Reader) (Scalar, error) {
 	}
 }
 
-func (p256Group) Identity() Element { return Element{pj: p256Infinity} }
+func (p256Group) Identity() Element { return Element{ref: p256Infinity} }
 
 func (p256Group) Generator() Element {
 	return p256Element(p256Curve.Params().Gx, p256Curve.Params().Gy)
@@ -220,8 +220,8 @@ func (e Element) p256(p256Group) *p256Point {
 	if e.ed != nil {
 		panic("group: ristretto255 element passed to the p256 group")
 	}
-	if e.pj == nil {
+	if e.ref == nil {
 		return p256Infinity
 	}
-	return e.pj
+	return e.ref
 }

@@ -4,7 +4,10 @@
 # tags regressions beyond the threshold with WARN; it always exits 0,
 # because shared-runner benchmark noise must never gate a merge — the
 # warnings exist for a human scanning the CI log, and the checked-in
-# BENCH_*.json baselines stay the honest record.
+# BENCH_*.json baselines stay the honest record. When the two captures ran
+# different ristretto255 kernels (the "kernel" field capture_bench.sh
+# records), the report opens by saying so: the batch crypto rows differ
+# severalfold between kernels, and that is the machine, not the commit.
 #
 # Usage: scripts/bench_delta.sh baseline.json current.json [warn_pct]
 #   warn_pct: flag regressions slower than this percentage (default 25)
@@ -17,6 +20,13 @@ fi
 baseline="$1"
 current="$2"
 warn_pct="${3:-25}"
+
+kernel_of() { sed -n 's/.*"kernel": "\([a-z0-9]*\)".*/\1/p' "$1" | head -1; }
+bk="$(kernel_of "$baseline")"
+ck="$(kernel_of "$current")"
+if [ "${bk:-unrecorded}" != "${ck:-unrecorded}" ]; then
+  echo "NOTE: kernels differ (baseline ${bk:-unrecorded}, current ${ck:-unrecorded}): the batch crypto rows compare kernels, not only commits"
+fi
 
 awk -v warn="$warn_pct" -v basefile="$baseline" '
   function field(line, key,    re, v) {

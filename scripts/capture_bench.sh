@@ -19,7 +19,8 @@
 # A second artifact, BENCH_crypto.json, tracks the crypto kernels under
 # the pipeline on the deployed group: seal/open and El Gamal
 # encrypt/blind/decrypt, serial vs the amortized batch kernels, plus the
-# raw scalar-mult primitives (comb vs wNAF) and the uncached HashToPoint
+# raw scalar-mult primitives (comb, solo wNAF, and the 256-point
+# shared-scalar batch the lane kernel serves) and the uncached HashToPoint
 # path. The P-256 reference backend is not captured: it exists for tests
 # and its speed is not tracked (its last rows are in EXPERIMENTS.md).
 # scripts/bench_delta.sh diffs two captures.
@@ -30,7 +31,12 @@
 #
 # Row names are the benchmark names without Go's "-N" GOMAXPROCS suffix; N
 # is recorded once per file as "cpus", so bench_delta.sh matches rows
-# between captures taken on machines with different core counts.
+# between captures taken on machines with different core counts. Each file
+# also records "kernel" — the ristretto255 arithmetic the capturing process
+# selected (avx512ifma, amd64 or generic; see internal/crypto/group) — and
+# whether /proc/cpuinfo lists avx512ifma: the batch crypto rows differ
+# severalfold between kernels, and bench_delta.sh says so when two captures
+# disagree instead of reporting a regression.
 #
 # Usage: scripts/capture_bench.sh [benchtime]    (default: 3x)
 set -euo pipefail
@@ -38,6 +44,13 @@ cd "$(dirname "$0")/.."
 
 benchtime="${1:-3x}"
 procs="${GOMAXPROCS:-$(nproc)}"
+kernel="$(go test -count=1 -run '^TestKernelMatchesCPU$' -v ./internal/crypto/group |
+  sed -n 's/.*selected kernel: \([a-z0-9]*\).*/\1/p')"
+if [ -z "$kernel" ]; then
+  echo "could not read the selected kernel from TestKernelMatchesCPU" >&2
+  exit 1
+fi
+if grep -qw avx512ifma /proc/cpuinfo 2>/dev/null; then ifma=true; else ifma=false; fi
 raw="$(mktemp)"
 macro="$(mktemp)"
 crypto="$(mktemp)"
@@ -62,6 +75,12 @@ bench_json() {
   ' "$1"
 }
 
+# header opens a capture file: when, on how many cores, on which kernel.
+header() {
+  printf '{\n  "captured": "%s",\n  "cpus": %s,\n  "kernel": "%s",\n  "avx512ifma": %s,\n  "benchmarks": [\n' \
+    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$procs" "$kernel" "$ifma"
+}
+
 go test -run '^$' \
   -bench 'BenchmarkShufflerProcess|BenchmarkEndToEndPipeline|BenchmarkRemotePipeline|BenchmarkRemoteChain|BenchmarkEncodeSerial|BenchmarkEncodeBatch|BenchmarkAnalyzerOpen|BenchmarkHistogram' \
   -benchtime "$benchtime" -benchmem . | tee -a "$raw"
@@ -73,8 +92,7 @@ go test -run '^$' -bench 'BenchmarkSeal64B|BenchmarkSealInto64B|BenchmarkOpen64B
 go run ./cmd/prochloload -sweep 1x1x1,2x2x2 -seed 7 -format json -out "$macro"
 
 {
-  printf '{\n  "captured": "%s",\n  "cpus": %s,\n  "benchmarks": [\n' \
-    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$procs"
+  header
   bench_json "$raw"
   printf '\n  ],\n'
   printf '  "macro": [\n'
@@ -90,12 +108,11 @@ go test -run '^$' -bench 'BenchmarkElGamalBackends/ristretto255|BenchmarkHashToP
   -benchtime "$benchtime" -benchmem ./internal/crypto/elgamal | tee -a "$crypto"
 go test -run '^$' -bench 'BenchmarkHybridBackends/ristretto255' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/hybrid | tee -a "$crypto"
-go test -run '^$' -bench 'BenchmarkEdCombMul|BenchmarkEdWNAFMul' \
+go test -run '^$' -bench 'BenchmarkEdCombMul|BenchmarkEdWNAFMul|BenchmarkEdMulBatch' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/group | tee -a "$crypto"
 
 {
-  printf '{\n  "captured": "%s",\n  "cpus": %s,\n  "benchmarks": [\n' \
-    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$procs"
+  header
   bench_json "$crypto"
   printf '\n  ]\n}\n'
 } > BENCH_crypto.json
@@ -107,8 +124,7 @@ go test -run '^$' -bench 'BenchmarkWireCodec|BenchmarkForwardPush' \
   -benchtime "$benchtime" -benchmem ./internal/transport | tee -a "$wire"
 
 {
-  printf '{\n  "captured": "%s",\n  "cpus": %s,\n  "benchmarks": [\n' \
-    "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$procs"
+  header
   bench_json "$wire"
   printf '\n  ]\n}\n'
 } > BENCH_wire.json

@@ -10,6 +10,12 @@
 #     backticked `-flag` token OPERATIONS.md mentions must still exist in
 #     one of the binaries. Renaming or removing a flag without touching
 #     the manual — or documenting a flag that was never shipped — fails CI.
+#  3. Stale series names between the registry and the metrics catalog:
+#     every "prochlo_…" series name in non-test Go (what the daemons
+#     register and the examples read back) must appear backticked in
+#     docs/OPERATIONS.md, and every backticked `prochlo_…` name there must
+#     still be in the code. benchmark/ is skipped: it is a separate module
+#     that scrapes exposition-format names (…_sum, …_count).
 #
 # Usage: scripts/check_docs.sh
 set -euo pipefail
@@ -70,8 +76,32 @@ while IFS= read -r f; do
   fi
 done <<<"$doc_flags"
 
+# --- 3. metric series vs docs/OPERATIONS.md ---------------------------------
+code_series="$(git ls-files '*.go' | grep -v '_test\.go$' | grep -v '^benchmark/' |
+  xargs grep -hoE '"prochlo_[a-z_]+"' | tr -d '"' | sort -u)"
+if [ -z "$code_series" ]; then
+  echo "could not find any prochlo_ series name in the Go sources" >&2
+  exit 1
+fi
+doc_series="$(grep -oE '`prochlo_[a-z_]+' "$ops" | tr -d '`' | sort -u)"
+
+while IFS= read -r m; do
+  if ! grep -qx -- "$m" <<<"$doc_series"; then
+    echo "UNDOCUMENTED SERIES: $m (named in the Go sources, missing from $ops)" >&2
+    fail=1
+  fi
+done <<<"$code_series"
+
+while IFS= read -r m; do
+  [ -z "$m" ] && continue
+  if ! grep -qx -- "$m" <<<"$code_series"; then
+    echo "STALE SERIES REFERENCE: $m (in $ops, named by no Go source)" >&2
+    fail=1
+  fi
+done <<<"$doc_series"
+
 if [ "$fail" -ne 0 ]; then
   echo "docs check failed" >&2
   exit 1
 fi
-echo "docs check passed: links resolve, flags and $ops agree"
+echo "docs check passed: links resolve; flags, metric series and $ops agree"
