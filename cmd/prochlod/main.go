@@ -5,7 +5,7 @@
 //
 //	prochlod -role analyzer  -listen 127.0.0.1:7101
 //	prochlod -role shuffler  -listen 127.0.0.1:7100 -next 127.0.0.1:7101 \
-//	         -flush-at 2000 -epoch 10s -max-pending 4000 -inflight 2
+//	         -flush-at 2000 -epoch 10s -max-pending 4000
 //
 // or the §4.3 split-shuffler chain, where two mutually distrusting daemons
 // threshold on blinded crowd IDs (clients enter at shuffler1, which
@@ -24,9 +24,7 @@
 // retryable "epoch full" error — backpressure instead of unbounded growth,
 // and it composes across a chain: a congested downstream hop pushes back on
 // its upstream, which pushes back on clients. Peer dials are bounded by
-// -dial-timeout so a daemon never hangs forever on a dead next hop, and
-// -stats-interval logs the service's health counters periodically for
-// observability without a client.
+// -dial-timeout so a daemon never hangs forever on a dead next hop.
 //
 // -wal-dir makes a shuffler-role daemon crash-safe: every accepted report is
 // written to a per-shard write-ahead log before the submission is acked, and
@@ -36,11 +34,9 @@
 // durability/throughput knob). Pair -wal-dir with -key-file, which persists
 // the daemon's private keys across restarts (created 0600 on first start):
 // without it a restarted daemon draws fresh keys and every recovered report
-// is undecryptable. Redials to a dead downstream back off
-// exponentially with jitter, tuned by -redial-attempts, -redial-base, and
-// -redial-jitter. SIGINT or SIGTERM shuts down
-// gracefully: the listener closes, the final epoch is drained downstream,
-// and only then does the process exit.
+// is undecryptable. SIGINT or SIGTERM shuts down gracefully: the listener
+// closes, the final epoch is drained downstream, and only then does the
+// process exit.
 //
 // Any hop can also run as a replicated fleet: a comma-separated -next lists
 // the downstream tier's replicas in partition order (the same order on
@@ -65,17 +61,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"math/big"
 	"math/rand/v2"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"prochlo/internal/analyzer"
-	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
@@ -102,17 +95,10 @@ func main() {
 	flushAt := flag.Int("flush-at", 0, "auto-flush when occupancy reaches this many envelopes (0 = manual Flush only)")
 	epochInterval := flag.Duration("epoch", 0, "auto-flush epoch interval (0 = no timer)")
 	maxPending := flag.Int("max-pending", 0, "occupancy cap before submissions get a retryable epoch-full error (0 = 2*flush-at); must fit the upstream hop's epochs in a chain")
-	inFlight := flag.Int("inflight", 2, "bounded queue of cut-but-unflushed epochs")
-	shards := flag.Int("shards", 0, "ingestion sub-batch shards (0 = GOMAXPROCS)")
 	dialTimeout := flag.Duration("dial-timeout", transport.DefaultDialTimeout, "TCP connect timeout for the downstream hop (constructor and redials)")
-	statsInterval := flag.Duration("stats-interval", 0, "periodically log service stats (0 disables)")
 	keyFile := flag.String("key-file", "", "persist the daemon's private keys at this path (created on first start, 0600): a restarted daemon decrypts the reports it recovers from -wal-dir; empty generates fresh keys per process")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: accepted reports are persisted before they are acked and recovered on restart (empty disables durability; pair with -key-file or recovered reports are undecryptable)")
 	walSync := flag.Int("wal-sync", 0, "fsync the WAL every N submissions (0 = every submission; larger trades crash-durability tail for throughput)")
-	walSegment := flag.Int("wal-segment-bytes", 0, "rotate WAL segments at this size (0 = default)")
-	redialAttempts := flag.Int("redial-attempts", 0, "reconnects to a dead downstream per push before the epoch fails (0 = default, negative disables)")
-	redialBase := flag.Duration("redial-base", 0, "first redial backoff, doubling per attempt (0 = default)")
-	redialJitter := flag.Float64("redial-jitter", 0, "redial backoff jitter fraction (0 = default, negative disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and a liveness probe at /healthz on this address (empty disables; see docs/OPERATIONS.md for the catalog)")
 	flag.Parse()
 
@@ -122,36 +108,29 @@ func main() {
 		group.RegisterMetrics(reg)
 	}
 	cfg := transport.EpochConfig{
-		FlushAt:         *flushAt,
-		Interval:        *epochInterval,
-		MaxPending:      *maxPending,
-		InFlight:        *inFlight,
-		Shards:          *shards,
-		DialTimeout:     *dialTimeout,
-		WALDir:          *walDir,
-		WALSync:         *walSync,
-		WALSegmentBytes: *walSegment,
-		RedialAttempts:  *redialAttempts,
-		RedialBase:      *redialBase,
-		RedialJitter:    *redialJitter,
-		Metrics:         reg,
-		MetricsLabels:   metrics.Labels{"role": *role},
+		FlushAt:       *flushAt,
+		Interval:      *epochInterval,
+		MaxPending:    *maxPending,
+		DialTimeout:   *dialTimeout,
+		WALDir:        *walDir,
+		WALSync:       *walSync,
+		Metrics:       reg,
+		MetricsLabels: metrics.Labels{"role": *role},
 	}
 	o := shufflerOpts{
 		listen: *listen, nexts: splitAddrs(*next),
 		workers: *workers, thresholdT: *thresholdT, minBatch: *minBatch,
 		noiseD: *noiseD, noiseSigma: *noiseSigma,
 		seed: *seed, sgx: *sgxMode,
-		statsInterval: *statsInterval,
-		keyFile:       *keyFile,
-		cfg:           cfg,
-		metricsAddr:   *metricsAddr,
-		metricsReg:    reg,
+		keyFile:     *keyFile,
+		cfg:         cfg,
+		metricsAddr: *metricsAddr,
+		metricsReg:  reg,
 	}
 
 	switch *role {
 	case "analyzer":
-		runAnalyzer(*listen, *workers, *statsInterval, *keyFile, *metricsAddr, reg)
+		runAnalyzer(*listen, *workers, *keyFile, *metricsAddr, reg)
 	case "shuffler":
 		runShuffler(o)
 	case "shuffler1":
@@ -167,27 +146,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "prochlod:", err)
 	os.Exit(1)
-}
-
-// logStats periodically logs a service's health snapshot until stop closes,
-// so long-running daemons are observable without a client. snapshot
-// fetches and formats the role's counters.
-func logStats(role string, interval time.Duration, stop <-chan struct{}, snapshot func() string) {
-	if interval <= 0 {
-		return
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				log.Printf("%s stats: %s", role, snapshot())
-			}
-		}
-	}()
 }
 
 // serveMetrics starts the /metrics + /healthz endpoint when -metrics-addr
@@ -206,13 +164,7 @@ func serveMetrics(addr string, reg *metrics.Registry, healthz func() transport.H
 	return ms
 }
 
-// healthzPrefix formats a service's Healthz snapshot for logStats.
-func healthzPrefix(h transport.HealthzReply) string {
-	up := (time.Duration(h.UptimeMillis) * time.Millisecond).Round(time.Second)
-	return fmt.Sprintf("healthy=%v uptime=%v ", h.Healthy, up)
-}
-
-func runAnalyzer(listen string, workers int, statsInterval time.Duration, keyFile string, metricsAddr string, reg *metrics.Registry) {
+func runAnalyzer(listen string, workers int, keyFile string, metricsAddr string, reg *metrics.Registry) {
 	priv, _, err := loadKeys(keyFile, false)
 	if err != nil {
 		fatal(err)
@@ -228,14 +180,7 @@ func runAnalyzer(listen string, workers int, statsInterval time.Duration, keyFil
 	}
 	fmt.Println("prochlod analyzer listening on", l.Addr())
 	fmt.Println("analyzer public key:", hex.EncodeToString(priv.Public().Bytes()))
-	stop := make(chan struct{})
-	logStats("analyzer", statsInterval, stop, func() string {
-		s := svc.Stats()
-		return healthzPrefix(svc.Healthz()) + fmt.Sprintf("records=%d undecryptable=%d ingests=%d",
-			s.Records, s.Undecryptable, s.Ingests)
-	})
 	waitForSignal()
-	close(stop)
 	l.Close()
 	if ms != nil {
 		ms.Close()
@@ -250,7 +195,6 @@ type shufflerOpts struct {
 	noiseD, noiseSigma            float64
 	seed                          uint64
 	sgx                           bool
-	statsInterval                 time.Duration
 	keyFile                       string
 	cfg                           transport.EpochConfig
 	metricsAddr                   string
@@ -378,9 +322,9 @@ func stageRand(seed uint64, stage string) *rand.Rand {
 	return rng
 }
 
-// serveStage serves svc, logs stats, exposes /metrics when -metrics-addr is
-// set, and on SIGINT/SIGTERM drains it gracefully: stop accepting, flush the
-// final epoch downstream, then exit.
+// serveStage serves svc, exposes /metrics when -metrics-addr is set, and on
+// SIGINT/SIGTERM drains it gracefully: stop accepting, flush the final epoch
+// downstream, then exit.
 func serveStage(role string, o shufflerOpts, svc *transport.StageService) {
 	printEpochs(svc.Config())
 	if st := svc.Stats(); st.RecoveredItems > 0 {
@@ -393,19 +337,7 @@ func serveStage(role string, o shufflerOpts, svc *transport.StageService) {
 		fatal(err)
 	}
 	fmt.Printf("prochlod %s listening on %v\n", role, l.Addr())
-	stop := make(chan struct{})
-	logStats(role, o.statsInterval, stop, func() string {
-		s := svc.Stats()
-		line := healthzPrefix(svc.Healthz()) + fmt.Sprintf("pending=%d queued=%d flushed=%d failed=%d accepted=%d rejected=%d dropped=%d forwarded=%d",
-			s.Pending, s.QueuedEpochs, s.EpochsFlushed, s.EpochsFailed,
-			s.Accepted, s.Rejected, s.Dropped, s.Cumulative.Forwarded)
-		if s.LastError != "" {
-			line += " last-error=" + s.LastError
-		}
-		return line
-	})
 	waitForSignal()
-	close(stop)
 	l.Close()
 	if ms != nil {
 		defer ms.Close()
@@ -445,7 +377,7 @@ func runShuffler(o shufflerOpts) {
 		sh.Seed = o.seed
 		sh.MinBatch = o.minBatch
 		sh.Workers = o.workers
-		svc = newStage(sh, core.KindEnvelopes, transport.Keys{Key: quote.ReportData}, transport.SinkAnalyzer, o)
+		svc = newStage(sh, transport.Keys{Key: quote.ReportData}, o)
 		if err := svc.SetAttestation(quote, ca.PublicKey()); err != nil {
 			fatal(err)
 		}
@@ -462,7 +394,7 @@ func runShuffler(o shufflerOpts) {
 			MinBatch:  o.minBatch,
 			Workers:   o.workers,
 		}
-		svc = newStage(sh, core.KindEnvelopes, transport.Keys{Key: priv.Public().Bytes()}, transport.SinkAnalyzer, o)
+		svc = newStage(sh, transport.Keys{Key: priv.Public().Bytes()}, o)
 	}
 	fmt.Println("forwarding to analyzer at", o.nextList())
 	serveStage("shuffler", o, svc)
@@ -475,7 +407,7 @@ func runShuffler1(o shufflerOpts) {
 	}
 	s1.MinBatch = o.minBatch
 	s1.Workers = o.workers
-	svc := newStage(s1, core.KindBlinded, transport.Keys{}, transport.SinkStage, o)
+	svc := newStage(s1, transport.Keys{}, o)
 	fmt.Println("forwarding blinded epochs to shuffler2 at", o.nextList())
 	serveStage("shuffler1", o, svc)
 }
@@ -496,7 +428,7 @@ func runShuffler2(o shufflerOpts) {
 		Workers:  o.workers,
 	}
 	keys := transport.Keys{Blinding: blindKP.H.Bytes(), Key: priv.Public().Bytes()}
-	svc := newStage(s2, core.KindBlinded, keys, transport.SinkAnalyzer, o)
+	svc := newStage(s2, keys, o)
 	fmt.Println("forwarding to analyzer at", o.nextList())
 	fmt.Println("blinding public key:", hex.EncodeToString(keys.Blinding))
 	fmt.Println("shuffler2 public key:", hex.EncodeToString(keys.Key))
@@ -504,8 +436,8 @@ func runShuffler2(o shufflerOpts) {
 }
 
 // newStage builds the role's stage service over the -next tier.
-func newStage(st shuffler.Stage, admits core.BatchKind, keys transport.Keys, sink transport.SinkKind, o shufflerOpts) *transport.StageService {
-	svc, err := transport.NewStageService(st, admits, keys, o.nexts, sink, o.cfg)
+func newStage(st shuffler.Stage, keys transport.Keys, o shufflerOpts) *transport.StageService {
+	svc, err := transport.NewStageService(st, keys, o.nexts, o.cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -38,7 +38,6 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
-	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
@@ -266,7 +265,7 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 			MinBatch:  1,
 			Workers:   workers,
 		}
-		svc, err := transport.NewStageService(s2, core.KindBlinded, s2Keys, f.anlzAddrs, transport.SinkAnalyzer, epochCfg("shuffler2", i))
+		svc, err := transport.NewStageService(s2, s2Keys, f.anlzAddrs, epochCfg("shuffler2", i))
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +285,7 @@ func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *m
 		}
 		s1.MinBatch = 1
 		s1.Workers = workers
-		svc, err := transport.NewStageService(s1, core.KindBlinded, transport.Keys{}, f.s2Addrs, transport.SinkStage, epochCfg("shuffler1", i))
+		svc, err := transport.NewStageService(s1, transport.Keys{}, f.s2Addrs, epochCfg("shuffler1", i))
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
-	"prochlo/internal/core"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
@@ -93,8 +92,8 @@ func ExampleDialRemoteFleet() {
 			Rand:      workload.NewRand(uint64(80 + i)),
 			MinBatch:  1,
 		}
-		svc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: shufPriv.Public().Bytes()},
-			anlzAddrs, transport.SinkAnalyzer, transport.EpochConfig{})
+		svc, err := transport.NewStageService(sh, transport.Keys{Key: shufPriv.Public().Bytes()},
+			anlzAddrs, transport.EpochConfig{})
 		if err != nil {
 			panic(err)
 		}

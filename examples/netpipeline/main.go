@@ -36,7 +36,6 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
-	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
@@ -193,8 +192,8 @@ func dialSingle(workers, flushAt int) *prochlo.RemotePipeline {
 		Rand:      rand.New(rand.NewPCG(17, 19)),
 		Workers:   workers,
 	}
-	shufSvc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: shufPriv.Public().Bytes()},
-		anlzAddrs, transport.SinkAnalyzer, epochCfg("shuffler", 0, flushAt))
+	shufSvc, err := transport.NewStageService(sh, transport.Keys{Key: shufPriv.Public().Bytes()},
+		anlzAddrs, epochCfg("shuffler", 0, flushAt))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -237,8 +236,8 @@ func dialChain(replicas, workers, flushAt int) *prochlo.RemotePipeline {
 			MinBatch:  1,
 			Workers:   workers,
 		}
-		s2Svc, err := transport.NewStageService(s2, core.KindBlinded, s2Keys,
-			anlzAddrs, transport.SinkAnalyzer, epochCfg("shuffler2", i, flushAt))
+		s2Svc, err := transport.NewStageService(s2, s2Keys,
+			anlzAddrs, epochCfg("shuffler2", i, flushAt))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -252,8 +251,8 @@ func dialChain(replicas, workers, flushAt int) *prochlo.RemotePipeline {
 			log.Fatal(err)
 		}
 		s1.Workers = workers
-		s1Svc, err := transport.NewStageService(s1, core.KindBlinded, transport.Keys{},
-			s2Addrs, transport.SinkStage, epochCfg("shuffler1", i, flushAt))
+		s1Svc, err := transport.NewStageService(s1, transport.Keys{},
+			s2Addrs, epochCfg("shuffler1", i, flushAt))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"fmt"
+	"time"
+)
+
 // BatchKind discriminates the payload of a wire Batch.
 type BatchKind uint8
 
@@ -63,4 +68,70 @@ func (b Batch) Kind() BatchKind {
 // Len is the number of items the batch carries.
 func (b Batch) Len() int {
 	return len(b.Envelopes) + len(b.Blinded) + len(b.Payloads)
+}
+
+// Slice returns items [lo, hi) as a batch of the same kind. The result
+// shares b's storage but not its spare capacity, so appending to a slice
+// never writes over its neighbour.
+func (b Batch) Slice(lo, hi int) Batch {
+	switch b.Kind() {
+	case KindEnvelopes:
+		return Batch{Envelopes: b.Envelopes[lo:hi:hi]}
+	case KindBlinded:
+		return Batch{Blinded: b.Blinded[lo:hi:hi]}
+	case KindPayloads:
+		return Batch{Payloads: b.Payloads[lo:hi:hi]}
+	}
+	return Batch{}
+}
+
+// Append returns b extended by other's items (as append does: the result
+// may reuse b's storage, never other's spare capacity). An empty batch takes
+// the other's kind; two concrete kinds must agree — a batch never mixes item
+// layouts.
+func (b Batch) Append(other Batch) (Batch, error) {
+	bk, ok := b.Kind(), other.Kind()
+	switch {
+	case ok == KindEmpty:
+		return b, nil
+	case bk == KindEmpty:
+		return other.Slice(0, other.Len()), nil
+	case bk != ok:
+		return b, fmt.Errorf("core: cannot append %v to a batch of %v", ok, bk)
+	}
+	switch bk {
+	case KindEnvelopes:
+		b.Envelopes = append(b.Envelopes, other.Envelopes...)
+	case KindBlinded:
+		b.Blinded = append(b.Blinded, other.Blinded...)
+	case KindPayloads:
+		b.Payloads = append(b.Payloads, other.Payloads...)
+	}
+	return b, nil
+}
+
+// Stamp records, in place, the arrival metadata a network service
+// inevitably sees (a stage's first processing step strips it, §3.3): item i
+// gets sequence number base+i+1 and the arrival time. Peeled payloads carry
+// no metadata and are left alone.
+func (b Batch) Stamp(at time.Time, base int64) {
+	for i := range b.Envelopes {
+		b.Envelopes[i].ArrivalTime = at
+		b.Envelopes[i].SeqNo = int(base) + i + 1
+	}
+	for i := range b.Blinded {
+		b.Blinded[i].ArrivalTime = at
+		b.Blinded[i].SeqNo = int(base) + i + 1
+	}
+}
+
+// Seq is item i's sequence number (0 for a payload, which has none).
+func (b Batch) Seq(i int) int64 {
+	switch b.Kind() {
+	case KindEnvelopes:
+		return int64(b.Envelopes[i].SeqNo)
+	case KindBlinded:
+		return int64(b.Blinded[i].SeqNo)
+	}
+	return 0
 }

@@ -170,10 +170,58 @@ func TestBatchWireRejectsHostileCount(t *testing.T) {
 	}
 }
 
+// checkBatchOps holds the kind-switching operations to the codec: cutting a
+// batch at any point and appending the halves re-encodes to the same bytes, a
+// second kind is refused, and every item survives the per-item durable form
+// with the sequence stamp its log record would carry.
+func checkBatchOps(t *testing.T, b Batch, enc []byte) {
+	t.Helper()
+	n := b.Len()
+	for k := 0; k <= n; k++ {
+		joined, err := b.Slice(0, k).Append(b.Slice(k, n))
+		if err != nil {
+			t.Fatalf("append of a batch's own halves: %v", err)
+		}
+		if got := AppendBatch(nil, joined); !bytes.Equal(got, enc) {
+			t.Fatalf("Append(Slice(0,%d), Slice(%d,%d)) re-encodes to %x, want %x", k, k, n, got, enc)
+		}
+	}
+	if b.Kind() == KindEmpty {
+		return
+	}
+	other := Batch{Payloads: [][]byte{nil}}
+	if b.Kind() == KindPayloads {
+		other = Batch{Envelopes: []Envelope{{}}}
+	}
+	if _, err := b.Append(other); err == nil {
+		t.Fatalf("a batch of %v took %v", b.Kind(), other.Kind())
+	}
+	if b.Kind() == KindPayloads {
+		if _, err := DecodeItem(KindPayloads, []byte{0}, 1); err == nil {
+			t.Fatal("a payload decoded as a log item; payloads are never logged")
+		}
+		return
+	}
+	b.Stamp(time.Unix(0, 42), 100)
+	for i := 0; i < n; i++ {
+		item, err := DecodeItem(b.Kind(), b.AppendItem(nil, i), 101+int64(i))
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+		if !batchesEquivalent(item, b.Slice(i, i+1)) || item.Seq(0) != b.Seq(i) {
+			t.Fatalf("item %d changed in its durable form:\n got %+v\nwant %+v", i, item, b.Slice(i, i+1))
+		}
+		if _, err := DecodeItem(b.Kind(), append(b.AppendItem(nil, i), 0), 1); err == nil {
+			t.Fatalf("item %d decoded with a trailing byte", i)
+		}
+	}
+}
+
 // FuzzBatchWireRoundTrip feeds arbitrary bytes to the decoder: it must
 // never panic, and anything it accepts must re-encode and re-decode to an
 // equivalent batch (both copy and alias forms), with every truncation of
-// the re-encoding rejected.
+// the re-encoding rejected, and must satisfy the Slice/Append/item-codec
+// identities of checkBatchOps.
 func FuzzBatchWireRoundTrip(f *testing.F) {
 	for _, b := range sampleBatches() {
 		f.Add(AppendBatch(nil, b))
@@ -207,5 +255,6 @@ func FuzzBatchWireRoundTrip(f *testing.F) {
 				}
 			}
 		}
+		checkBatchOps(t, b, enc)
 	})
 }

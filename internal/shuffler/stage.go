@@ -25,6 +25,11 @@ type Stage interface {
 	// allowed to observe. It fails if the batch kind is not the stage's
 	// input kind (a miswired topology) or violates the anonymity floor.
 	ProcessEpoch(in core.Batch) (out core.Batch, stats Stats, err error)
+	// Kinds declares the batch kind ProcessEpoch consumes and the kind it
+	// emits. It is the one statement of a role's place in a chain: what an
+	// epoch engine around the stage admits, and whether its output goes to
+	// another stage or to the analyzer, both follow from it.
+	Kinds() (consumes, emits core.BatchKind)
 	// Floor is the stage's anonymity floor: the minimum number of items an
 	// epoch must hold before the stage may process it. Epoch schedulers use
 	// it to refuse cutting smaller epochs.
@@ -46,6 +51,11 @@ func (s *Shuffler) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
 	return core.Batch{Payloads: out}, stats, err
 }
 
+// Kinds implements Stage.
+func (s *Shuffler) Kinds() (consumes, emits core.BatchKind) {
+	return core.KindEnvelopes, core.KindPayloads
+}
+
 // Floor implements Stage.
 func (s *Shuffler) Floor() int {
 	if s.MinBatch > 0 {
@@ -65,6 +75,11 @@ func (s *SGXShuffler) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
 	}
 	out, stats, err := s.Process(in.Envelopes)
 	return core.Batch{Payloads: out}, stats, err
+}
+
+// Kinds implements Stage.
+func (s *SGXShuffler) Kinds() (consumes, emits core.BatchKind) {
+	return core.KindEnvelopes, core.KindPayloads
 }
 
 // Floor implements Stage.
@@ -95,6 +110,11 @@ func (s *Shuffler1) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
 	return core.Batch{Blinded: out}, stats, err
 }
 
+// Kinds implements Stage.
+func (s *Shuffler1) Kinds() (consumes, emits core.BatchKind) {
+	return core.KindBlinded, core.KindBlinded
+}
+
 // Floor implements Stage.
 func (s *Shuffler1) Floor() int {
 	if s.MinBatch > 0 {
@@ -113,6 +133,11 @@ func (s *Shuffler2) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
 	}
 	out, stats, err := s.Process(in.Blinded)
 	return core.Batch{Payloads: out}, stats, err
+}
+
+// Kinds implements Stage.
+func (s *Shuffler2) Kinds() (consumes, emits core.BatchKind) {
+	return core.KindBlinded, core.KindPayloads
 }
 
 // Floor implements Stage.

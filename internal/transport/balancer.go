@@ -267,32 +267,19 @@ func (b *Balancer) probe(r *balancerReplica) bool {
 // SubmitAll ships a batch across the replica set with failover; see
 // Balancer for the safety rule. It returns how many envelopes the fleet
 // accepted; as with Client.SubmitAll, the accepted envelopes are exactly
-// the prefix envs[:accepted].
-func (b *Balancer) SubmitAll(envs []core.Envelope, retries int, delay time.Duration) (int, error) {
-	return balanceSubmit(b, envs, func(cl *Client, slice []core.Envelope) (int, error) {
-		return cl.SubmitAll(slice, retries, delay)
-	})
-}
-
-// SubmitAllBlinded is SubmitAll for split-shuffler envelopes.
-func (b *Balancer) SubmitAllBlinded(envs []core.BlindedEnvelope, retries int, delay time.Duration) (int, error) {
-	return balanceSubmit(b, envs, func(cl *Client, slice []core.BlindedEnvelope) (int, error) {
-		return cl.SubmitAllBlinded(slice, retries, delay)
-	})
-}
-
-// balanceSubmit is the shared failover loop. Each attempt submits the
-// unaccepted suffix to the picked replica; a safe failure (dial error or
-// epoch-full) moves the suffix to the next replica, anything else surfaces.
-// The failover budget is two full passes over the replica set, with a
-// jittered pause between passes so a briefly-down fleet gets a beat to
-// come back instead of burning the budget in microseconds.
-func balanceSubmit[T any](b *Balancer, envs []T, submit func(*Client, []T) (int, error)) (int, error) {
-	accepted := 0
-	pol := redialPolicy{base: DefaultClientRedialBase, jitter: DefaultRedialJitter}
+// the prefix batch.Slice(0, accepted).
+//
+// Each attempt submits the unaccepted suffix to the picked replica; a safe
+// failure (dial error or epoch-full) moves the suffix to the next replica,
+// anything else surfaces. The failover budget is two full passes over the
+// replica set, with a jittered pause between passes so a briefly-down fleet
+// gets a beat to come back instead of burning the budget in microseconds.
+func (b *Balancer) SubmitAll(batch core.Batch, retries int, delay time.Duration) (int, error) {
+	accepted, total := 0, batch.Len()
+	pol := redialPolicy{base: DefaultClientRedialBase}
 	budget := 2 * len(b.replicas)
 	var lastErr error
-	for attempt := 0; accepted < len(envs); attempt++ {
+	for attempt := 0; accepted < total; attempt++ {
 		if attempt >= budget {
 			return accepted, fmt.Errorf("transport: balancer failover budget exhausted: %w", lastErr)
 		}
@@ -309,7 +296,7 @@ func balanceSubmit[T any](b *Balancer, envs []T, submit func(*Client, []T) (int,
 			lastErr = fmt.Errorf("dial %s: %w", r.addr, err)
 			continue
 		}
-		n, err := submit(cl, envs[accepted:])
+		n, err := cl.SubmitAll(batch.Slice(accepted, total), retries, delay)
 		accepted += n
 		b.submitted.Add(int64(n))
 		if err == nil {

@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,7 +102,7 @@ func TestBalancerDialFailover(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:failover", "failover-value")
 	}
-	accepted, err := b.SubmitAll(envs, 0, 0)
+	accepted, err := b.SubmitAll(core.Batch{Envelopes: envs}, 0, 0)
 	if err != nil {
 		t.Fatalf("SubmitAll with a dead first replica: %v", err)
 	}
@@ -169,7 +170,7 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:breaker", "breaker-value")
 	}
-	accepted, err := b.SubmitAll(envs, 0, 0)
+	accepted, err := b.SubmitAll(core.Batch{Envelopes: envs}, 0, 0)
 	if err != nil || accepted != len(envs) {
 		t.Fatalf("SubmitAll with one replica ejected = (%d, %v), want (%d, nil)", accepted, err, len(envs))
 	}
@@ -206,7 +207,7 @@ func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	env := rig.envelope(t, "c:ambiguous", "ambiguous-value")
 	// Two submissions dial both replicas.
 	for i := 0; i < 2; i++ {
-		if _, err := b.SubmitAll([]core.Envelope{env}, 0, 0); err != nil {
+		if _, err := b.SubmitAll(core.Batch{Envelopes: []core.Envelope{env}}, 0, 0); err != nil {
 			t.Fatalf("priming submission %d: %v", i, err)
 		}
 	}
@@ -214,7 +215,7 @@ func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	// it, the severed call is ambiguous, and the redial budget exhausts
 	// against the dead port.
 	srvA.kill()
-	accepted, err := b.SubmitAll([]core.Envelope{env}, 0, 0)
+	accepted, err := b.SubmitAll(core.Batch{Envelopes: []core.Envelope{env}}, 0, 0)
 	if err == nil {
 		t.Fatal("SubmitAll against a died-mid-connection replica succeeded, want a surfaced error")
 	}
@@ -274,7 +275,7 @@ func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:drop", "drop-value")
 	}
-	accepted, err := cl.SubmitAll(envs, 0, 0)
+	accepted, err := cl.SubmitAll(core.Batch{Envelopes: envs}, 0, 0)
 	if err != nil {
 		t.Fatalf("SubmitAll across a dropped connection: %v", err)
 	}
@@ -305,13 +306,22 @@ func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 // TestForwardDedupConcurrentRace pins the fan-in dedup under the race the
 // fleet makes routine: two upstream replicas (here, goroutines) pushing the
 // same (stream, epoch) concurrently. Exactly one push may ingest; every
-// racer must still be acked with the accepted count.
+// racer must still be acked with the accepted count. The analyzer shares the
+// stage's dedup: racing deliveries of one epoch decrypt it once, the losers
+// waiting for the winner instead of opening the batch only to discard it.
 func TestForwardDedupConcurrentRace(t *testing.T) {
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
+	var opens atomic.Int64
+	open := anlzSvc.open
+	anlzSvc.open = func(items [][]byte) ([][]byte, int) {
+		opens.Add(1)
+		time.Sleep(10 * time.Millisecond) // hold the window the racers must not slip through
+		return open(items)
+	}
 	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +340,8 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 		Blinding: blindKP, Priv: s2Priv,
 		Rand: rand.New(rand.NewPCG(27, 31)), MinBatch: 1,
 	}
-	svc, err := NewStageService(s2, core.KindBlinded, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{})
+	svc, err := NewStageService(s2, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,6 +391,22 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 	if records := anlzSvc.Stats().Records; records != len(envs) {
 		t.Errorf("analyzer records = %d, want %d (exactly-once under the race)", records, len(envs))
 	}
+
+	opensBefore := opens.Load()
+	for g := 0; g < racers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			anlzSvc.Ingest(11, 2, [][]byte{[]byte("not a ciphertext")})
+		}()
+	}
+	wg.Wait()
+	if n := opens.Load() - opensBefore; n != 1 {
+		t.Errorf("analyzer opened the raced epoch %d times, want once", n)
+	}
+	if st := anlzSvc.Stats(); st.Ingests != 2 || st.Undecryptable != 1 {
+		t.Errorf("analyzer stats after the race = %+v, want 2 ingests and the 1 bad record counted once", st)
+	}
 }
 
 // TestDrainForceReleasesBelowFloor pins the final-drain contract: a plain
@@ -397,7 +423,7 @@ func TestDrainForceReleasesBelowFloor(t *testing.T) {
 	defer cl.Close()
 
 	env := rig.envelope(t, "c:floor", "floor-value")
-	if err := cl.SubmitBatch([]core.Envelope{env, env, env}); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env, env}}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := cl.Drain()

@@ -3,6 +3,7 @@ package transport
 import (
 	crand "crypto/rand"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,10 +36,10 @@ func TestSubmitAllPartialAccept(t *testing.T) {
 	// Fill half the cap, then ship the rest with a tight retry budget: the
 	// whole batch bounces (2+4 > 4), the first split half fits (occupancy
 	// 4), and the second half exhausts its retries against the full epoch.
-	if err := cl.SubmitBatch(envs[:2]); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: envs[:2]}); err != nil {
 		t.Fatal(err)
 	}
-	accepted, err := cl.SubmitAll(envs[2:], 1, time.Millisecond)
+	accepted, err := cl.SubmitAll(core.Batch{Envelopes: envs[2:]}, 1, time.Millisecond)
 	if !IsEpochFull(err) {
 		t.Fatalf("SubmitAll on a full epoch: err = %v, want epoch-full", err)
 	}
@@ -72,7 +73,7 @@ func TestSubmitAllPartialAccept(t *testing.T) {
 	}
 
 	// Resume from the reported prefix: the remainder lands exactly once.
-	accepted, err = cl.SubmitAll(envs[2+accepted:], 1, time.Millisecond)
+	accepted, err = cl.SubmitAll(core.Batch{Envelopes: envs[2+accepted:]}, 1, time.Millisecond)
 	if err != nil || accepted != 2 {
 		t.Fatalf("resumed SubmitAll = (%d, %v), want (2, nil)", accepted, err)
 	}
@@ -107,10 +108,10 @@ func TestSubmitAllBackoffDrains(t *testing.T) {
 	for i := range fill {
 		fill[i] = env
 	}
-	if err := cl.SubmitBatch(fill); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: fill}); err != nil {
 		t.Fatal(err)
 	}
-	accepted, err := cl.SubmitAll(fill, 200, 2*time.Millisecond)
+	accepted, err := cl.SubmitAll(core.Batch{Envelopes: fill}, 200, 2*time.Millisecond)
 	if err != nil {
 		t.Fatalf("SubmitAll with auto-flush draining: %v", err)
 	}
@@ -155,7 +156,7 @@ func TestDrainEmptyBelowFloor(t *testing.T) {
 	}
 
 	env := rig.envelope(t, "c:floor", "floor-value")
-	if err := cl.SubmitBatch([]core.Envelope{env, env}); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env}}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err = cl.Drain()
@@ -194,8 +195,8 @@ func TestForwardDedup(t *testing.T) {
 		Blinding: blindKP, Priv: s2Priv,
 		Rand: rand.New(rand.NewPCG(21, 23)), MinBatch: 1,
 	}
-	svc, err := NewStageService(s2, core.KindBlinded, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{})
+	svc, err := NewStageService(s2, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,5 +258,56 @@ func TestDialTimeoutFailsFast(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("dials took %v, want the ~150ms timeout to bound them", elapsed)
+	}
+}
+
+// TestMiswiredChainNamesTheKind: how a hop pushes follows from what its stage
+// emits, with no argument left to state the intent — so a chain wired to the
+// wrong sort of tier must still fail at its first push, naming the kind the
+// receiver refused, rather than deliver somewhere that cannot use it.
+func TestMiswiredChainNamesTheKind(t *testing.T) {
+	rig := newCrashRig(t, core.KindBlinded, EpochConfig{RedialAttempts: -1})
+	stageL, err := Serve("127.0.0.1:0", rig.svc) // hop 2, which ingests blinded envelopes
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stageL.Close()
+	s1, err := shuffler.NewShuffler1(rand.New(rand.NewPCG(3, 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.MinBatch = 1
+
+	for _, tc := range []struct {
+		name  string
+		stage shuffler.Stage
+		next  string
+		want  string
+	}{
+		{"blinded envelopes at an analyzer", s1, rig.anlz,
+			"analyzer ingests " + core.KindPayloads.String() + ", got " + core.KindBlinded.String()},
+		{"payloads at a stage", rig.stage(core.KindBlinded), stageL.Addr().String(),
+			"stage ingests " + core.KindBlinded.String() + ", got " + core.KindPayloads.String()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := NewStageService(tc.stage, Keys{}, []string{tc.next}, EpochConfig{RedialAttempts: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Abort()
+			if _, err := svc.Submit(0, 0, rig.batch(3, "astray")); err != nil {
+				t.Fatal(err)
+			}
+			_, err = svc.Drain(false)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("first push of the miswired hop = %v, want a refusal saying %q", err, tc.want)
+			}
+		})
+	}
+	if st := rig.svc.Stats(); st.Accepted != 0 {
+		t.Errorf("the stage ingested %d of the stray payloads", st.Accepted)
+	}
+	if st := rig.anlzSvc.Stats(); st.Ingests != 0 {
+		t.Errorf("the analyzer ingested %d stray pushes", st.Ingests)
 	}
 }

@@ -175,7 +175,7 @@ func (c *Client) SetRedial(attempts int, base time.Duration) {
 // mid-call may have been ingested, and only the stamp makes the retry safe.
 func (c *Client) callRetryTransient(method uint8, appendBody func([]byte) []byte) ([]byte, error) {
 	body, err := c.call(method, appendBody)
-	pol := redialPolicy{attempts: c.redials, base: c.redialBase, jitter: DefaultRedialJitter}
+	pol := redialPolicy{attempts: c.redials, base: c.redialBase}
 	for attempt := 0; IsTransient(err) && attempt < pol.attempts; attempt++ {
 		time.Sleep(pol.delay(attempt))
 		body, err = c.call(method, appendBody)
@@ -225,17 +225,12 @@ func (c *Client) submit(b core.Batch, retry bool) error {
 	return err
 }
 
-// SubmitBatch ships a whole batch of envelopes in one round trip. The batch
-// is accepted atomically; on an IsEpochFull error nothing was ingested and
-// the caller should back off and resubmit.
-func (c *Client) SubmitBatch(envs []core.Envelope) error {
-	return c.submit(core.Batch{Envelopes: envs}, false)
-}
-
-// SubmitBlindedBatch ships a batch of split-shuffler envelopes in one round
-// trip (accepted atomically, like SubmitBatch).
-func (c *Client) SubmitBlindedBatch(envs []core.BlindedEnvelope) error {
-	return c.submit(core.Batch{Blinded: envs}, false)
+// Submit ships a whole batch — client envelopes or split-shuffler envelopes,
+// whichever the service's stage consumes — in one round trip. The batch is
+// accepted atomically; on an IsEpochFull error nothing was ingested and the
+// caller should back off and resubmit.
+func (c *Client) Submit(b core.Batch) error {
+	return c.submit(b, false)
 }
 
 // Default epoch-full retry policy shared by SubmitAll callers.
@@ -244,37 +239,8 @@ const (
 	DefaultSubmitDelay   = 20 * time.Millisecond
 )
 
-// submitAll is the backpressure-adapting submission loop shared by
-// SubmitAll and SubmitAllBlinded; see SubmitAll for the contract.
-func submitAll[T any](submit func([]T) error, envs []T, retries int, delay time.Duration) (accepted int, err error) {
-	err = submit(envs)
-	if err == nil {
-		return len(envs), nil
-	}
-	if !IsEpochFull(err) {
-		return 0, err
-	}
-	if len(envs) > 1 {
-		mid := len(envs) / 2
-		n, err := submitAll(submit, envs[:mid], retries, delay)
-		if err != nil {
-			return n, err
-		}
-		m, err := submitAll(submit, envs[mid:], retries, delay)
-		return n + m, err
-	}
-	for attempt := 0; IsEpochFull(err) && attempt < retries; attempt++ {
-		time.Sleep(delay)
-		err = submit(envs)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return 1, nil
-}
-
-// SubmitAll ships a batch of envelopes, adapting to the service's
-// backpressure: a batch rejected as epoch-full is split in half and the
+// SubmitAll ships a batch of envelopes (of either kind), adapting to the
+// service's backpressure: a batch rejected as epoch-full is split in half and the
 // halves submitted in order (a batch larger than the occupancy cap can
 // never be accepted whole), and a single epoch-full envelope is retried
 // with backoff — up to retries attempts at delay apart — until the epoch
@@ -283,9 +249,9 @@ func submitAll[T any](submit func([]T) error, envs []T, retries int, delay time.
 //
 // It returns how many envelopes the service accepted. Submission stops at
 // the first unrecoverable error, and splitting preserves order, so the
-// accepted envelopes are exactly the prefix envs[:accepted]: on error a
-// caller resumes from envs[accepted:] rather than resubmitting the whole
-// batch (which would double-count the accepted prefix).
+// accepted envelopes are exactly the prefix b.Slice(0, accepted): on error a
+// caller resumes from b.Slice(accepted, b.Len()) rather than resubmitting
+// the whole batch (which would double-count the accepted prefix).
 //
 // Connection-level failures are also retried, on fresh connections to the
 // same address under the client's SetRedial budget. Each slice is stamped
@@ -294,18 +260,32 @@ func submitAll[T any](submit func([]T) error, envs []T, retries int, delay time.
 // whose ack was lost is absorbed by the service's dedup — the retry cannot
 // double-submit. Only after the redial budget is exhausted does the error
 // surface, with the accepted-prefix contract intact.
-func (c *Client) SubmitAll(envs []core.Envelope, retries int, delay time.Duration) (accepted int, err error) {
-	return submitAll(func(slice []core.Envelope) error {
-		return c.submit(core.Batch{Envelopes: slice}, true)
-	}, envs, retries, delay)
-}
-
-// SubmitAllBlinded is SubmitAll for split-shuffler envelopes: same
-// splitting, backoff, transient-redial, and accepted-prefix contract.
-func (c *Client) SubmitAllBlinded(envs []core.BlindedEnvelope, retries int, delay time.Duration) (accepted int, err error) {
-	return submitAll(func(slice []core.BlindedEnvelope) error {
-		return c.submit(core.Batch{Blinded: slice}, true)
-	}, envs, retries, delay)
+func (c *Client) SubmitAll(b core.Batch, retries int, delay time.Duration) (accepted int, err error) {
+	n := b.Len()
+	err = c.submit(b, true)
+	if err == nil {
+		return n, nil
+	}
+	if !IsEpochFull(err) {
+		return 0, err
+	}
+	if n > 1 {
+		mid := n / 2
+		accepted, err = c.SubmitAll(b.Slice(0, mid), retries, delay)
+		if err != nil {
+			return accepted, err
+		}
+		m, err := c.SubmitAll(b.Slice(mid, n), retries, delay)
+		return accepted + m, err
+	}
+	for attempt := 0; IsEpochFull(err) && attempt < retries; attempt++ {
+		time.Sleep(delay)
+		err = c.submit(b, true)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return 1, nil
 }
 
 // Flush asks the shuffler to process its current epoch.

@@ -27,7 +27,7 @@ const DefaultDialTimeout = 5 * time.Second
 // transient instead of wedging the flusher; fault injection wraps the
 // outside, so an injected delay does not eat into the call budget.
 func (cfg EpochConfig) dialPusher(addr string) (pusher, error) {
-	wc, err := dialWire(addr, cfg.DialTimeout, cfg.wireTimeout())
+	wc, err := dialWire(addr, cfg.DialTimeout, DefaultWireTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -61,17 +61,6 @@ type sink interface {
 	close() error
 }
 
-// SinkKind names what a stage service's downstream tier is, which decides
-// the frame method its epochs are pushed with.
-type SinkKind uint8
-
-const (
-	// SinkAnalyzer pushes peeled payloads to an analyzer tier (Ingest).
-	SinkAnalyzer SinkKind = iota
-	// SinkStage pushes the epoch to the next shuffler hop (Forward).
-	SinkStage
-)
-
 // Push retry policy: a downstream hop rejecting with the retryable
 // epoch-full error is backpressure, not failure — the upstream flusher backs
 // off and retries while the downstream epoch drains. The bound exists so a
@@ -92,18 +81,14 @@ const (
 // pushes are deduplicated by the receiver on (stream, epoch): a reply lost
 // after ingestion must not double-count.
 type pushSink struct {
-	method uint8 // methodIngest or methodForward, from the SinkKind
+	method uint8 // methodIngest or methodForward, from the kind the stage emits
 	cl     pusher
 	addr   string
 	cfg    EpochConfig
 	ab     *aborter
 }
 
-func newPushSink(kind SinkKind, addr string, cfg EpochConfig, ab *aborter) (*pushSink, error) {
-	method := methodIngest
-	if kind == SinkStage {
-		method = methodForward
-	}
+func newPushSink(method uint8, addr string, cfg EpochConfig, ab *aborter) (*pushSink, error) {
 	cl, err := cfg.dialPusher(addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial next hop %s: %w", addr, err)
@@ -237,13 +222,13 @@ func partitionBatch(out core.Batch, m int) []core.Batch {
 
 // newTier builds the sink for a downstream tier: a plain pushSink for one
 // address, a fanout over one pushSink per partition otherwise.
-func newTier(kind SinkKind, addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
+func newTier(method uint8, addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: downstream tier needs at least one address")
 	}
 	parts := make([]sink, len(addrs))
 	for i, addr := range addrs {
-		s, err := newPushSink(kind, addr, cfg, ab)
+		s, err := newPushSink(method, addr, cfg, ab)
 		if err != nil {
 			for _, p := range parts[:i] {
 				p.close()
@@ -258,18 +243,25 @@ func newTier(kind SinkKind, addrs []string, cfg EpochConfig, ab *aborter) (sink,
 	return &fanoutSink{parts: parts}, nil
 }
 
+// chunk is one ingest call's batch, kept whole: its items carry the
+// contiguous sequence numbers base+1 … base+Len().
+type chunk struct {
+	base  int64
+	items core.Batch
+}
+
 // ingestShard is one independently locked ingestion sub-batch.
-type ingestShard[T any] struct {
-	mu    sync.Mutex
-	items []T
+type ingestShard struct {
+	mu     sync.Mutex
+	chunks []chunk
 }
 
 // epoch is a cut batch traveling to the flusher. id is assigned at cut time
 // (before the WAL cut record), so a crash between cut and push replays the
 // epoch under the same id and downstream dedup stays exact. reply is non-nil
 // for forced (manual Flush / Drain) epochs.
-type epoch[T any] struct {
-	batch      []T
+type epoch struct {
+	batch      core.Batch
 	id         int64
 	reply      chan flushResult
 	allowEmpty bool // Drain: an empty cut is a barrier, not an error
@@ -291,63 +283,17 @@ type forceReq struct {
 	forceDrop bool
 }
 
-// wireOps bundles the per-item operations an engine needs for its wire type:
-// the core.Batch member that carries it, arrival stamping, sequence
-// extraction, and the durable (WAL) codec.
-type wireOps[T any] struct {
-	kind  core.BatchKind
-	items func(core.Batch) []T
-	batch func([]T) core.Batch
-	// stamp records the arrival metadata a network service inevitably sees
-	// (the stage's first processing step strips it, §3.3): item i gets
-	// sequence number base+i+1 and the arrival time.
-	stamp func(items []T, at time.Time, base int64)
-	seqOf func(item *T) int
-	enc   func(item *T, dst []byte) []byte
-	dec   func(b []byte, seq int64) (T, error)
-}
-
-var envelopeOps = wireOps[core.Envelope]{
-	kind:  core.KindEnvelopes,
-	items: func(b core.Batch) []core.Envelope { return b.Envelopes },
-	batch: func(items []core.Envelope) core.Batch { return core.Batch{Envelopes: items} },
-	stamp: stampEnvelopes,
-	seqOf: envelopeSeq,
-	enc:   func(e *core.Envelope, dst []byte) []byte { return e.AppendWire(dst) },
-	dec: func(b []byte, seq int64) (core.Envelope, error) {
-		var e core.Envelope
-		err := e.DecodeWire(b)
-		e.SeqNo = int(seq)
-		return e, err
-	},
-}
-
-var blindedOps = wireOps[core.BlindedEnvelope]{
-	kind:  core.KindBlinded,
-	items: func(b core.Batch) []core.BlindedEnvelope { return b.Blinded },
-	batch: func(items []core.BlindedEnvelope) core.Batch { return core.Batch{Blinded: items} },
-	stamp: stampBlinded,
-	seqOf: blindedSeq,
-	enc:   func(e *core.BlindedEnvelope, dst []byte) []byte { return e.AppendWire(dst) },
-	dec: func(b []byte, seq int64) (core.BlindedEnvelope, error) {
-		var e core.BlindedEnvelope
-		err := e.DecodeWire(b)
-		e.SeqNo = int(seq)
-		return e, err
-	},
-}
-
 // engine is the reusable epoch machinery every stage daemon runs: sharded
 // ingestion with global sequence stamping, an epoch scheduler (occupancy- and
 // timer-driven cuts, respecting the stage's anonymity floor), submission
 // backpressure at MaxPending, (stream, epoch) dedup of stamped ingests, a
 // single in-order flusher feeding the stage, and an at-least-once push of
-// each processed epoch into the sink. It is generic over the ingested wire
-// item (client envelopes for the plain and SGX shufflers, blinded envelopes
-// for the split-shuffler hops) and takes and emits core.Batch at its edges,
-// so StageService drives either instantiation through stageEngine and any
-// stage can feed any sink. See the package comment for the streaming and
-// backpressure model.
+// each processed epoch into the sink. It admits the one batch kind its stage
+// consumes (client envelopes for the plain and SGX shufflers, blinded
+// envelopes for the split-shuffler hops) and is otherwise indifferent to
+// what an item is: stamping, ordering and the durable item form are
+// core.Batch's. See the package comment for the streaming and backpressure
+// model.
 //
 // With EpochConfig.WALDir set, the engine is crash-safe: accepted items are
 // logged before the submission is acknowledged, cut epochs before they are
@@ -355,10 +301,10 @@ var blindedOps = wireOps[core.BlindedEnvelope]{
 // re-ingests pending items (sequence stamps preserved, so the shard merge
 // is byte-identical), and re-pushes unresolved epochs under their original
 // (stream, epoch) pairs for downstream dedup to absorb.
-type engine[T any] struct {
+type engine struct {
 	stage shuffler.Stage
 	sink  sink
-	ops   wireOps[T]
+	kind  core.BatchKind // the one batch kind ingested: what the stage consumes
 	floor int
 	cfg   EpochConfig
 	wal   *wal
@@ -376,7 +322,7 @@ type engine[T any] struct {
 	closed    atomic.Bool
 	start     time.Time
 	// closeMu serializes close — and epoch cuts — against in-flight ingests:
-	// add holds the read side for the whole stamp-log-append, so once a cut
+	// ingest holds the read side for the whole stamp-log-append, so once a cut
 	// holds the write side every stamped item is in a shard (and the WAL).
 	// That makes every cut a contiguous sequence range, which is what lets
 	// the WAL record an epoch's membership as (id, minSeq, maxSeq) and
@@ -384,17 +330,17 @@ type engine[T any] struct {
 	// acknowledged submission cannot race past the drain and strand.
 	closeMu sync.RWMutex
 
-	shards []ingestShard[T]
+	shards []ingestShard
 
-	kick   chan struct{}  // occupancy crossed FlushAt
-	force  chan forceReq  // manual Flush / Drain
-	epochs chan *epoch[T] // scheduler -> flusher, cap InFlight
-	stop   chan struct{}  // close -> scheduler
-	done   chan struct{}  // flusher exited
+	kick   chan struct{} // occupancy crossed FlushAt
+	force  chan forceReq // manual Flush / Drain
+	epochs chan *epoch   // scheduler -> flusher, cap InFlight
+	stop   chan struct{} // close -> scheduler
+	done   chan struct{} // flusher exited
 
 	// recovered epochs (cut before the last crash, never resolved) are
 	// re-processed and re-pushed by the flusher before any live epoch.
-	recovered []recoveredEpoch[T]
+	recovered []*epoch
 	recItems  int64
 	recEpochs int64
 
@@ -414,10 +360,15 @@ type engine[T any] struct {
 
 // newEngine wires an engine: cfg defaults and clamps applied, stream id
 // drawn (or recovered from the WAL), scheduler and flusher started. st
-// processes every cut epoch and sets the anonymity floor; snk receives every
-// processed epoch and is closed by close(); ab is shared with the sinks so
-// Abort can interrupt an in-flight push.
-func newEngine[T any](cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter, ops wireOps[T]) (*engine[T], error) {
+// processes every cut epoch, sets the anonymity floor and names the admitted
+// kind; snk receives every processed epoch and is closed by close(); ab is
+// shared with the sinks so Abort can interrupt an in-flight push.
+func newEngine(cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter) (*engine, error) {
+	kind, _ := st.Kinds()
+	if kind != core.KindEnvelopes && kind != core.KindBlinded {
+		snk.close()
+		return nil, fmt.Errorf("transport: no stage ingests %v", kind)
+	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -458,10 +409,10 @@ func newEngine[T any](cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter,
 
 	var (
 		w   *wal
-		rec *walRecovery[T]
+		rec *walRecovery
 	)
 	if cfg.WALDir != "" {
-		if rec, err = recoverWAL[T](cfg.WALDir, ops.dec); err != nil {
+		if rec, err = recoverWAL(cfg.WALDir, kind); err != nil {
 			snk.close()
 			return nil, err
 		}
@@ -471,13 +422,13 @@ func newEngine[T any](cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter,
 			stream = rec.stream
 		}
 		w, err = openWAL(cfg.WALDir, cfg.Shards, cfg.WALSync,
-			int64(cfg.WALSegmentBytes), stream, walStartGen(cfg.WALDir))
+			DefaultWALSegmentBytes, stream, kind, walStartGen(cfg.WALDir))
 		if err != nil {
 			snk.close()
 			return nil, err
 		}
 		if rec != nil {
-			if err := migrateWAL(w, rec, ops.seqOf, ops.enc); err != nil {
+			if err := migrateWAL(w, rec); err != nil {
 				w.closeFiles()
 				snk.close()
 				return nil, fmt.Errorf("transport: wal migrate: %w", err)
@@ -485,33 +436,30 @@ func newEngine[T any](cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter,
 		}
 	}
 
-	e := &engine[T]{
+	e := &engine{
 		stage:  st,
 		sink:   snk,
-		ops:    ops,
+		kind:   kind,
 		floor:  floor,
 		cfg:    cfg,
 		wal:    w,
 		ab:     ab,
 		stream: stream,
 		start:  time.Now(),
-		shards: make([]ingestShard[T], cfg.Shards),
+		shards: make([]ingestShard, cfg.Shards),
 		kick:   make(chan struct{}, 1),
 		force:  make(chan forceReq),
-		epochs: make(chan *epoch[T], cfg.InFlight),
+		epochs: make(chan *epoch, cfg.InFlight),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	if rec != nil {
 		e.seq.Store(rec.seqMax)
 		e.epochID.Store(rec.epochMax)
-		if len(rec.pending) > 0 {
-			e.shards[0].items = append(e.shards[0].items, rec.pending...)
-			e.occupancy.Store(int64(len(rec.pending)))
-			e.recItems += int64(len(rec.pending))
-		}
+		e.putBack(rec.pending)
+		e.recItems += int64(rec.pending.Len())
 		for _, ep := range rec.epochs {
-			e.recItems += int64(len(ep.batch))
+			e.recItems += int64(ep.batch.Len())
 		}
 		e.accepted.Store(e.recItems)
 		e.recovered = rec.epochs
@@ -532,25 +480,7 @@ func newEngine[T any](cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter,
 	return e, nil
 }
 
-func (e *engine[T]) isKilled() bool { return e.ab.aborted() }
-
-func (e *engine[T]) config() EpochConfig { return e.cfg }
-
-// admit refuses a batch of a wire kind this engine does not ingest.
-func (e *engine[T]) admit(b core.Batch) error {
-	if k := b.Kind(); k != e.ops.kind && k != core.KindEmpty {
-		return fmt.Errorf("transport: stage ingests %v, got %v", e.ops.kind, k)
-	}
-	return nil
-}
-
-// add stamps and ingests an unstamped submission, enforcing backpressure.
-func (e *engine[T]) add(b core.Batch) error {
-	if err := e.admit(b); err != nil {
-		return err
-	}
-	return e.ingest(e.ops.items(b), false, 0, 0)
-}
+func (e *engine) isKilled() bool { return e.ab.aborted() }
 
 // addForward ingests a batch stamped (stream, epoch) — an upstream hop's
 // forwarded epoch or a client's stamped submission — exactly once: an
@@ -558,22 +488,25 @@ func (e *engine[T]) add(b core.Batch) error {
 // re-ingesting. With a WAL, the items and the dedup mark are persisted as
 // one fsynced record before the pair is marked seen (and acked upstream), so
 // a crash can never keep the mark without the items or vice versa.
-func (e *engine[T]) addForward(stream, epoch int64, b core.Batch) error {
-	if err := e.admit(b); err != nil {
-		return err
-	}
-	items := e.ops.items(b)
-	return e.fwd.ingest(stream, epoch, func() error { return e.ingest(items, true, stream, epoch) })
+func (e *engine) addForward(stream, epoch int64, b core.Batch) error {
+	return e.fwd.ingest(stream, epoch, func() error { return e.ingest(b, true, stream, epoch) })
 }
 
-// ingest stamps and appends a submission. The whole call takes one shard
-// lock: the shard is picked round-robin per call (not from the sequence
-// number, which advances by the batch size and would park every uniform-size
-// batch on one shard), so concurrent calls spread across shards while each
-// call stays a single append. With a WAL, the items are logged under the same
-// shard lock, so "in the log" and "visible to the next cut" are atomic.
-func (e *engine[T]) ingest(items []T, fwd bool, fwdStream, fwdEpoch int64) error {
-	if len(items) == 0 {
+// ingest stamps a submission of the admitted kind, enforcing backpressure,
+// and keeps it, whole, as one chunk (the engine owns b's items from here on;
+// nothing is copied until the cut). fwd marks a stamped ingest. The call
+// reserves a contiguous sequence range and takes one shard lock: the shard is
+// picked round-robin per call (not from the sequence number, which advances
+// by the batch size and would park every uniform-size batch on one shard), so
+// concurrent calls spread across shards. With a WAL, the items are logged
+// under the same shard lock, so "in the log" and "visible to the next cut"
+// are atomic.
+func (e *engine) ingest(b core.Batch, fwd bool, fwdStream, fwdEpoch int64) error {
+	if k := b.Kind(); k != e.kind && k != core.KindEmpty {
+		return fmt.Errorf("transport: stage ingests %v, got %v", e.kind, k)
+	}
+	n := int64(b.Len())
+	if n == 0 {
 		return nil
 	}
 	e.closeMu.RLock()
@@ -581,7 +514,6 @@ func (e *engine[T]) ingest(items []T, fwd bool, fwdStream, fwdEpoch int64) error
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	n := int64(len(items))
 	if limit := int64(e.cfg.MaxPending); limit > 0 {
 		if cur := e.occupancy.Add(n); cur > limit {
 			e.occupancy.Add(-n)
@@ -591,18 +523,17 @@ func (e *engine[T]) ingest(items []T, fwd bool, fwdStream, fwdEpoch int64) error
 	} else {
 		e.occupancy.Add(n)
 	}
-	e.ops.stamp(items, time.Now(), e.seq.Add(n)-n)
+	base := e.seq.Add(n) - n
+	b.Stamp(time.Now(), base)
 	idx := int(uint64(e.shardRR.Add(1)) % uint64(len(e.shards)))
 	shard := &e.shards[idx]
 	shard.mu.Lock()
 	if e.wal != nil {
-		seqFn := func(i int) int64 { return int64(e.ops.seqOf(&items[i])) }
-		encFn := func(i int, dst []byte) []byte { return e.ops.enc(&items[i], dst) }
 		var werr error
 		if fwd {
-			werr = e.wal.appendForward(fwdStream, fwdEpoch, len(items), seqFn, encFn)
+			werr = e.wal.appendForward(fwdStream, fwdEpoch, b)
 		} else {
-			werr = e.wal.appendItems(idx, len(items), seqFn, encFn)
+			werr = e.wal.appendItems(idx, b)
 		}
 		if werr != nil {
 			shard.mu.Unlock()
@@ -617,7 +548,7 @@ func (e *engine[T]) ingest(items []T, fwd bool, fwdStream, fwdEpoch int64) error
 			return werr
 		}
 	}
-	shard.items = append(shard.items, items...)
+	shard.chunks = append(shard.chunks, chunk{base: base, items: b})
 	shard.mu.Unlock()
 	e.accepted.Add(n)
 	if e.cfg.FlushAt > 0 && e.occupancy.Load() >= int64(e.cfg.FlushAt) {
@@ -629,64 +560,80 @@ func (e *engine[T]) ingest(items []T, fwd bool, fwdStream, fwdEpoch int64) error
 	return nil
 }
 
-// cut snapshots every shard and merges the result into one epoch batch,
+// cut takes every shard's chunks and merges them into one epoch batch,
 // ordered by global sequence number — a total order that, for in-order
 // submission, is independent of the shard count. Holding closeMu excludes
 // in-flight ingests, so the cut is a contiguous sequence range (see the
-// closeMu comment).
-func (e *engine[T]) cut() []T {
-	var batch []T
+// closeMu comment). Each chunk is a range reserved by one ingest call (or a
+// whole earlier cut put back, or the recovered pending set, both of which
+// precede everything stamped since), so chunks are internally ordered and
+// pairwise disjoint: sorting them by base and concatenating is the per-item
+// sort by sequence number, and only the gathering needs the exclusive lock.
+func (e *engine) cut() core.Batch {
+	var chunks []chunk
 	e.closeMu.Lock()
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		batch = append(batch, sh.items...)
-		sh.items = nil
+		chunks = append(chunks, sh.chunks...)
+		sh.chunks = nil
 		sh.mu.Unlock()
 	}
 	e.closeMu.Unlock()
-	e.occupancy.Add(-int64(len(batch)))
-	sort.Slice(batch, func(i, j int) bool { return e.ops.seqOf(&batch[i]) < e.ops.seqOf(&batch[j]) })
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i].base < chunks[j].base })
+	var batch core.Batch
+	for _, c := range chunks {
+		var err error
+		if batch, err = batch.Append(c.items); err != nil {
+			panic(err) // ingest let a second kind in: a bug, not an input
+		}
+	}
+	e.occupancy.Add(-int64(batch.Len()))
 	return batch
 }
 
-// putBack returns a cut batch to ingestion (the items keep their sequence
-// stamps, so the next cut's merge restores their order).
-func (e *engine[T]) putBack(batch []T) {
-	if len(batch) == 0 {
+// putBack returns a cut batch to ingestion as one chunk (the items keep
+// their sequence stamps, so the next cut's merge restores their order).
+func (e *engine) putBack(batch core.Batch) {
+	if batch.Len() == 0 {
 		return
 	}
 	sh := &e.shards[0]
 	sh.mu.Lock()
-	sh.items = append(sh.items, batch...)
+	sh.chunks = append(sh.chunks, chunk{base: batch.Seq(0) - 1, items: batch})
 	sh.mu.Unlock()
-	e.occupancy.Add(int64(len(batch)))
+	e.occupancy.Add(int64(batch.Len()))
 }
 
 // cutFloor cuts the pending epoch if it holds at least the stage's anonymity
 // floor, and puts a smaller cut back (occupancy can momentarily exceed what
 // has been appended, because ingestion bumps the counter before the shard
-// append — the cut, not the counter, is authoritative). Returns nil when
-// nothing was cut.
-func (e *engine[T]) cutFloor() []T {
+// append — the cut, not the counter, is authoritative). It returns the empty
+// batch when nothing was cut.
+func (e *engine) cutFloor() core.Batch {
 	batch := e.cut()
-	if len(batch) >= e.floor {
+	if batch.Len() >= e.floor {
 		return batch
 	}
 	e.putBack(batch)
-	return nil
+	return core.Batch{}
+}
+
+// seqRange is a cut batch's first and last sequence number: its membership,
+// as the WAL's cut record states it.
+func seqRange(batch core.Batch) (min, max int64) {
+	return batch.Seq(0), batch.Seq(batch.Len() - 1)
 }
 
 // sendEpoch assigns the epoch its id, persists the cut (items synced, then
 // the cut record — after this the epoch replays under the same id across a
 // crash), and queues it for the flusher, blocking when the in-flight queue
 // is full (submission-side backpressure keeps occupancy bounded meanwhile).
-func (e *engine[T]) sendEpoch(ep *epoch[T]) {
-	if len(ep.batch) > 0 {
+func (e *engine) sendEpoch(ep *epoch) {
+	if ep.batch.Len() > 0 {
 		ep.id = e.epochID.Add(1)
 		if e.wal != nil {
-			min := int64(e.ops.seqOf(&ep.batch[0]))
-			max := int64(e.ops.seqOf(&ep.batch[len(ep.batch)-1]))
+			min, max := seqRange(ep.batch)
 			if err := e.wal.logCut(ep.id, min, max); err != nil {
 				e.mu.Lock()
 				e.lastErr = err
@@ -708,7 +655,7 @@ func (e *engine[T]) sendEpoch(ep *epoch[T]) {
 
 // scheduler is the only goroutine that cuts epochs, serializing occupancy
 // triggers, timer fires, and forced flushes into one deterministic order.
-func (e *engine[T]) scheduler() {
+func (e *engine) scheduler() {
 	defer close(e.epochs)
 	var tick <-chan time.Time
 	if e.cfg.Interval > 0 {
@@ -727,28 +674,28 @@ func (e *engine[T]) scheduler() {
 			// below the anonymity floor (a smaller batch must not be
 			// forwarded; those reports are dropped with the connection,
 			// and the loss is counted in Dropped).
-			if batch := e.cut(); len(batch) >= e.floor {
-				e.sendEpoch(&epoch[T]{batch: batch})
+			if batch := e.cut(); batch.Len() >= e.floor {
+				e.sendEpoch(&epoch{batch: batch})
 			} else {
 				e.dropCut(batch)
 			}
 			return
 		case <-e.kick:
 			if e.occupancy.Load() >= int64(e.cfg.FlushAt) {
-				if batch := e.cutFloor(); batch != nil {
-					e.sendEpoch(&epoch[T]{batch: batch})
+				if batch := e.cutFloor(); batch.Len() > 0 {
+					e.sendEpoch(&epoch{batch: batch})
 				}
 			}
 		case <-tick:
 			if e.occupancy.Load() >= int64(e.floor) {
-				if batch := e.cutFloor(); batch != nil {
-					e.sendEpoch(&epoch[T]{batch: batch})
+				if batch := e.cutFloor(); batch.Len() > 0 {
+					e.sendEpoch(&epoch{batch: batch})
 				}
 			}
 		case req := <-e.force:
 			switch batch := e.cutFloor(); {
-			case batch != nil:
-				e.sendEpoch(&epoch[T]{batch: batch, reply: req.reply, allowEmpty: req.allowEmpty})
+			case batch.Len() > 0:
+				e.sendEpoch(&epoch{batch: batch, reply: req.reply, allowEmpty: req.allowEmpty})
 			case req.forceDrop:
 				// Final drain: the anonymity floor forbids forwarding a
 				// below-floor epoch, and the caller has declared no more
@@ -756,11 +703,11 @@ func (e *engine[T]) scheduler() {
 				// (counted, WAL-resolved) instead of leaking it as
 				// pending forever, then barrier.
 				e.dropCut(e.cut())
-				e.sendEpoch(&epoch[T]{reply: req.reply, allowEmpty: true})
+				e.sendEpoch(&epoch{reply: req.reply, allowEmpty: true})
 			case req.allowEmpty:
 				// Drain of a below-floor epoch: leave it pending (it may
 				// yet grow past the floor) and send a pure barrier.
-				e.sendEpoch(&epoch[T]{reply: req.reply, allowEmpty: true})
+				e.sendEpoch(&epoch{reply: req.reply, allowEmpty: true})
 			default:
 				// Flush of a below-floor epoch: refuse without destroying
 				// the pending reports — they keep accumulating.
@@ -774,15 +721,14 @@ func (e *engine[T]) scheduler() {
 // dropCut counts a cut batch as dropped and records the loss in the WAL so
 // a restart over this directory does not resurrect reports the daemon
 // already counted as lost. The batch must be cut()-sorted.
-func (e *engine[T]) dropCut(batch []T) {
-	if len(batch) == 0 {
+func (e *engine) dropCut(batch core.Batch) {
+	if batch.Len() == 0 {
 		return
 	}
-	e.dropped.Add(int64(len(batch)))
+	e.dropped.Add(int64(batch.Len()))
 	if e.wal != nil {
 		id := e.epochID.Add(1)
-		min := int64(e.ops.seqOf(&batch[0]))
-		max := int64(e.ops.seqOf(&batch[len(batch)-1]))
+		min, max := seqRange(batch)
 		e.wal.logCut(id, min, max)
 		e.wal.resolve(id, false)
 	}
@@ -792,13 +738,13 @@ func (e *engine[T]) dropCut(batch []T) {
 // RNG, so processing them FIFO keeps a seeded deployment deterministic —
 // and pushes each processed epoch into the sink. Epochs recovered from the
 // WAL flush first, under their pre-crash ids.
-func (e *engine[T]) flusher() {
+func (e *engine) flusher() {
 	defer close(e.done)
-	for _, rep := range e.recovered {
+	for _, ep := range e.recovered {
 		if e.isKilled() {
 			return
 		}
-		e.flushOne(&epoch[T]{batch: rep.batch, id: rep.id})
+		e.flushOne(ep)
 	}
 	e.recovered = nil
 	for ep := range e.epochs {
@@ -811,14 +757,14 @@ func (e *engine[T]) flusher() {
 
 // flushOne processes and pushes a single epoch, then resolves it in the WAL
 // (ack on delivery, drop on permanent failure) and updates the counters.
-func (e *engine[T]) flushOne(ep *epoch[T]) {
+func (e *engine) flushOne(ep *epoch) {
 	var res flushResult
-	if len(ep.batch) == 0 && ep.allowEmpty {
+	if ep.batch.Len() == 0 && ep.allowEmpty {
 		// A Drain barrier: every earlier epoch has been flushed.
 	} else {
 		var out core.Batch
 		procStart := time.Now()
-		out, res.stats, res.err = e.stage.ProcessEpoch(e.ops.batch(ep.batch))
+		out, res.stats, res.err = e.stage.ProcessEpoch(ep.batch)
 		observeSeconds(e.procSeconds, procStart)
 		if res.err == nil {
 			pushStart := time.Now()
@@ -841,8 +787,8 @@ func (e *engine[T]) flushOne(ep *epoch[T]) {
 	if res.err != nil {
 		e.epochsFailed++
 		e.lastErr = res.err
-		e.dropped.Add(int64(len(ep.batch)))
-	} else if len(ep.batch) > 0 {
+		e.dropped.Add(int64(ep.batch.Len()))
+	} else if ep.batch.Len() > 0 {
 		e.epochsFlushed++
 		e.cum.Received += res.stats.Received
 		e.cum.Undecryptable += res.stats.Undecryptable
@@ -859,7 +805,7 @@ func (e *engine[T]) flushOne(ep *epoch[T]) {
 // forceFlush cuts the current epoch immediately and waits for it (and every
 // earlier queued epoch) to be flushed. forceDrop additionally releases a
 // below-floor cut as Dropped instead of leaving it pending (final drain).
-func (e *engine[T]) forceFlush(allowEmpty, forceDrop bool) (shuffler.Stats, error) {
+func (e *engine) forceFlush(allowEmpty, forceDrop bool) (shuffler.Stats, error) {
 	if e.closed.Load() {
 		return shuffler.Stats{}, ErrClosed
 	}
@@ -881,7 +827,7 @@ func (e *engine[T]) forceFlush(allowEmpty, forceDrop bool) (shuffler.Stats, erro
 
 // stats snapshots the service's occupancy, epoch counters, and cumulative
 // selectivity.
-func (e *engine[T]) stats() ServiceStats {
+func (e *engine) stats() ServiceStats {
 	var reply ServiceStats
 	e.mu.Lock()
 	reply.QueuedEpochs = e.queuedEpochs
@@ -911,7 +857,7 @@ func (e *engine[T]) stats() ServiceStats {
 // healthz is the cheap liveness snapshot. Unlike stats it takes no engine
 // locks — only atomics — so a probe cannot block behind an epoch cut
 // (closeMu), a slow drain, or a wedged flusher.
-func (e *engine[T]) healthz() HealthzReply {
+func (e *engine) healthz() HealthzReply {
 	return HealthzReply{
 		Healthy:      !e.closed.Load() && !e.ab.aborted(),
 		UptimeMillis: time.Since(e.start).Milliseconds(),
@@ -925,7 +871,7 @@ func (e *engine[T]) healthz() HealthzReply {
 // for every queued epoch to reach the sink, closes the sink, and — when
 // nothing is left pending or unresolved — wipes the WAL so the next start
 // is fresh.
-func (e *engine[T]) close() error {
+func (e *engine) close() error {
 	e.closeMu.Lock()
 	swapped := e.closed.CompareAndSwap(false, true)
 	e.closeMu.Unlock()
@@ -962,7 +908,7 @@ func (e *engine[T]) close() error {
 // no flush, no WAL sync — in-flight pushes are interrupted by closing the
 // sink, and the log directory is left exactly as a dead process would leave
 // it, for a successor engine to recover.
-func (e *engine[T]) abort() {
+func (e *engine) abort() {
 	e.closeMu.Lock()
 	swapped := e.closed.CompareAndSwap(false, true)
 	e.closeMu.Unlock()
@@ -976,24 +922,3 @@ func (e *engine[T]) abort() {
 		e.wal.closeFiles()
 	}
 }
-
-// Per-item stamping and ordering for the two wire item types the stage
-// engines ingest.
-
-func stampEnvelopes(items []core.Envelope, at time.Time, base int64) {
-	for i := range items {
-		items[i].ArrivalTime = at
-		items[i].SeqNo = int(base) + i + 1
-	}
-}
-
-func envelopeSeq(item *core.Envelope) int { return item.SeqNo }
-
-func stampBlinded(items []core.BlindedEnvelope, at time.Time, base int64) {
-	for i := range items {
-		items[i].ArrivalTime = at
-		items[i].SeqNo = int(base) + i + 1
-	}
-}
-
-func blindedSeq(item *core.BlindedEnvelope) int { return item.SeqNo }

@@ -53,8 +53,8 @@ func newStreamingRigMin(t testing.TB, cfg EpochConfig, minBatch int) *streamingR
 		Rand:     rand.New(rand.NewPCG(5, 7)),
 		MinBatch: minBatch,
 	}
-	svc, err := NewStageService(sh, core.KindEnvelopes, Keys{Key: shufPriv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, SinkAnalyzer, cfg)
+	svc, err := NewStageService(sh, Keys{Key: shufPriv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestSubmitBatch(t *testing.T) {
 	for i := range batch {
 		batch[i] = rig.envelope(t, "c:batch", "batch-value")
 	}
-	if err := cl.SubmitBatch(batch); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.SubmitBatch([]core.Envelope{rig.envelope(t, "c:single", "single-value")}); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{rig.envelope(t, "c:single", "single-value")}}); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := cl.Stats()
@@ -146,7 +146,7 @@ func TestAutoFlushAtThreshold(t *testing.T) {
 		for j := range batch {
 			batch[j] = env
 		}
-		if err := cl.SubmitBatch(batch); err != nil {
+		if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestEpochTimerFlush(t *testing.T) {
 	defer cl.Close()
 
 	env := rig.envelope(t, "c:timer", "timer-value")
-	if err := cl.SubmitBatch([]core.Envelope{env, env, env}); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env, env}}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -235,14 +235,14 @@ func TestBackpressureEpochFull(t *testing.T) {
 	for i := range full {
 		full[i] = env
 	}
-	if err := cl.SubmitBatch(full); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: full}); err != nil {
 		t.Fatal(err)
 	}
-	err = cl.SubmitBatch([]core.Envelope{env})
+	err = cl.Submit(core.Batch{Envelopes: []core.Envelope{env}})
 	if !IsEpochFull(err) {
 		t.Fatalf("submit over MaxPending: err = %v, want epoch-full", err)
 	}
-	err = cl.SubmitBatch([]core.Envelope{env, env})
+	err = cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env}})
 	if !IsEpochFull(err) {
 		t.Fatalf("batch over MaxPending: err = %v, want epoch-full", err)
 	}
@@ -257,7 +257,7 @@ func TestBackpressureEpochFull(t *testing.T) {
 	if _, err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.SubmitBatch([]core.Envelope{env}); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env}}); err != nil {
 		t.Fatalf("submit after drain: %v", err)
 	}
 }
@@ -292,7 +292,7 @@ func TestBelowFloorEpochPreserved(t *testing.T) {
 	defer cl.Close()
 
 	env := rig.envelope(t, "c:floor", "floor-value")
-	if err := cl.SubmitBatch([]core.Envelope{env, env, env}); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env, env}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Flush(); !IsBatchTooSmall(err) {
@@ -310,7 +310,7 @@ func TestBelowFloorEpochPreserved(t *testing.T) {
 	}
 
 	// Two more reports cross the floor; the epoch now flushes whole.
-	if err := cl.SubmitBatch([]core.Envelope{env, env}); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env}}); err != nil {
 		t.Fatal(err)
 	}
 	flushStats, err := cl.Flush()
@@ -346,13 +346,13 @@ func TestCloseDrainsFinalEpoch(t *testing.T) {
 	defer cl.Close()
 
 	env := rig.envelope(t, "c:close", "close-value")
-	if err := cl.SubmitBatch([]core.Envelope{env, env, env, env}); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env, env, env}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rig.svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.SubmitBatch([]core.Envelope{env}); err == nil {
+	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env}}); err == nil {
 		t.Error("submit after Close succeeded, want error")
 	}
 	ac, err := DialAnalyzer(rig.anlz)
@@ -411,7 +411,7 @@ func TestConcurrentSubmitDuringAutoFlush(t *testing.T) {
 				// a rejected attempt ingests nothing and a retry cannot
 				// double-count.
 				for {
-					err := cl.SubmitBatch(batch)
+					err := cl.Submit(core.Batch{Envelopes: batch})
 					if err == nil {
 						break
 					}

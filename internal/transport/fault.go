@@ -20,11 +20,11 @@ type pusher interface {
 	close() error
 }
 
-// Redial policy defaults (see EpochConfig.RedialAttempts/RedialBase/
-// RedialJitter): a dead downstream is redialed with jittered exponential
-// backoff so a restarting hop is not hammered in lockstep by every upstream,
-// and a budget so a permanently dead hop surfaces as a failed epoch instead
-// of an unbounded stall.
+// Redial policy (see EpochConfig.RedialAttempts/RedialBase): a dead
+// downstream is redialed with exponential backoff, each delay spread by
+// ±DefaultRedialJitter so a restarting hop is not hammered in lockstep by
+// every upstream, and a budget so a permanently dead hop surfaces as a failed
+// epoch instead of an unbounded stall.
 const (
 	DefaultRedialAttempts = 2
 	DefaultRedialBase     = 200 * time.Millisecond
@@ -35,13 +35,12 @@ const (
 type redialPolicy struct {
 	attempts int
 	base     time.Duration
-	jitter   float64
 }
 
 // redial resolves the config's redial knobs against the defaults (zero
-// selects the default; a negative attempt count or jitter disables it).
+// selects the default; a negative attempt count disables redialing).
 func (cfg EpochConfig) redial() redialPolicy {
-	p := redialPolicy{attempts: cfg.RedialAttempts, base: cfg.RedialBase, jitter: cfg.RedialJitter}
+	p := redialPolicy{attempts: cfg.RedialAttempts, base: cfg.RedialBase}
 	if p.attempts == 0 {
 		p.attempts = DefaultRedialAttempts
 	} else if p.attempts < 0 {
@@ -50,24 +49,17 @@ func (cfg EpochConfig) redial() redialPolicy {
 	if p.base <= 0 {
 		p.base = DefaultRedialBase
 	}
-	if p.jitter == 0 {
-		p.jitter = DefaultRedialJitter
-	} else if p.jitter < 0 {
-		p.jitter = 0
-	}
 	return p
 }
 
 // delay computes the backoff before redial attempt (0-based), doubling from
-// the base and spreading by ±jitter.
+// the base and spreading by ±DefaultRedialJitter.
 func (p redialPolicy) delay(attempt int) time.Duration {
 	if attempt > 16 {
 		attempt = 16
 	}
 	d := p.base << uint(attempt)
-	if p.jitter > 0 {
-		d = time.Duration(float64(d) * (1 + p.jitter*(2*rand.Float64()-1)))
-	}
+	d = time.Duration(float64(d) * (1 + DefaultRedialJitter*(2*rand.Float64()-1)))
 	if d < 0 {
 		d = p.base
 	}

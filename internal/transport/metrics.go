@@ -21,7 +21,7 @@ import (
 // already live under it, and that lock is never held across blocking
 // operations (pushes, WAL writes, channel sends), so a scrape can never
 // deadlock against a drain — pinned by TestScrapeDuringDrain.
-func (e *engine[T]) registerMetrics() {
+func (e *engine) registerMetrics() {
 	reg := e.cfg.Metrics
 	if reg == nil {
 		return

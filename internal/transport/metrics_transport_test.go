@@ -74,7 +74,7 @@ func TestScrapeDuringDrain(t *testing.T) {
 		for i := range batch {
 			batch[i] = rig.envelope(t, "c:scrape", "scrape-value")
 		}
-		if err := cl.SubmitBatch(batch); err != nil {
+		if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestBalancerMetrics(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:bal", "bal-value")
 	}
-	if _, err := bal.SubmitAll(envs, 0, 0); err != nil {
+	if _, err := bal.SubmitAll(core.Batch{Envelopes: envs}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -169,7 +169,7 @@ func TestAnalyzerMetrics(t *testing.T) {
 	for i := range batch {
 		batch[i] = rig.envelope(t, "c:anlz", "anlz-value")
 	}
-	if err := cl.SubmitBatch(batch); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Drain(); err != nil {

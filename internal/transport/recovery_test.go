@@ -3,6 +3,10 @@ package transport
 import (
 	crand "crypto/rand"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,19 +21,23 @@ import (
 // crashRig is a two-party loopback deployment whose shuffler can be crashed
 // (Abort — no final cut, no drain, WAL left as a dead process would leave
 // it) and restarted over the same WAL directory, same keys, same analyzer.
+// kind picks the stage in front of the analyzer, and with it the item layout
+// the engine and its WAL carry: the plain shuffler for client envelopes, hop
+// 2 of the split chain for blinded ones.
 type crashRig struct {
 	t        *testing.T
+	kind     core.BatchKind
 	anlzSvc  *AnalyzerService
 	anlz     string
 	anlzPriv *hybrid.PrivateKey
 	shufPriv *hybrid.PrivateKey
+	blindKP  *elgamal.KeyPair
 	cfg      EpochConfig
-	enc      *encoder.Client
 
 	svc *StageService
 }
 
-func newCrashRig(t *testing.T, cfg EpochConfig) *crashRig {
+func newCrashRig(t *testing.T, kind core.BatchKind, cfg EpochConfig) *crashRig {
 	t.Helper()
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
@@ -46,15 +54,20 @@ func newCrashRig(t *testing.T, cfg EpochConfig) *crashRig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.WALDir = t.TempDir()
 	r := &crashRig{
 		t:        t,
+		kind:     kind,
 		anlzSvc:  anlzSvc,
 		anlz:     anlzL.Addr().String(),
 		anlzPriv: anlzPriv,
 		shufPriv: shufPriv,
+		blindKP:  blindKP,
 		cfg:      cfg,
-		enc:      &encoder.Client{ShufflerKey: shufPriv.Public(), AnalyzerKey: anlzPriv.Public(), Rand: crand.Reader},
 	}
 	r.start()
 	t.Cleanup(func() { r.svc.Close() })
@@ -67,35 +80,55 @@ func newCrashRig(t *testing.T, cfg EpochConfig) *crashRig {
 // the restart-determinism contract the engine promises.
 func (r *crashRig) start() {
 	r.t.Helper()
-	sh := &shuffler.Shuffler{
-		Priv:     r.shufPriv,
-		Rand:     rand.New(rand.NewPCG(5, 7)),
-		MinBatch: 1,
-	}
-	svc, err := NewStageService(sh, core.KindEnvelopes, Keys{Key: r.shufPriv.Public().Bytes()},
-		[]string{r.anlz}, SinkAnalyzer, r.cfg)
+	svc, err := r.startOn(r.stage(r.kind))
 	if err != nil {
 		r.t.Fatal(err)
 	}
 	r.svc = svc
 }
 
-func (r *crashRig) envelope(crowd, value string) core.Envelope {
+// stage builds the rig's stage for a kind; both emit payloads for the
+// analyzer.
+func (r *crashRig) stage(kind core.BatchKind) shuffler.Stage {
+	rng := rand.New(rand.NewPCG(5, 7))
+	if kind == core.KindBlinded {
+		return &shuffler.Shuffler2{Blinding: r.blindKP, Priv: r.shufPriv, Rand: rng, MinBatch: 1}
+	}
+	return &shuffler.Shuffler{Priv: r.shufPriv, Rand: rng, MinBatch: 1}
+}
+
+func (r *crashRig) startOn(st shuffler.Stage) (*StageService, error) {
+	return NewStageService(st, Keys{Key: r.shufPriv.Public().Bytes()}, []string{r.anlz}, r.cfg)
+}
+
+// batch encodes n reports of value as the rig's kind.
+func (r *crashRig) batch(n int, value string) core.Batch {
 	r.t.Helper()
-	env, err := r.enc.Encode(core.Report{CrowdID: core.HashCrowdID(crowd), Data: []byte(value)})
+	var b core.Batch
+	var err error
+	if r.kind == core.KindBlinded {
+		benc := &encoder.BlindedClient{Shuffler2Blinding: r.blindKP.H, Shuffler2Key: r.shufPriv.Public(),
+			AnalyzerKey: r.anlzPriv.Public(), Rand: crand.Reader}
+		b.Blinded = make([]core.BlindedEnvelope, n)
+		for i := 0; i < n && err == nil; i++ {
+			b.Blinded[i], err = benc.Encode("c:"+value, []byte(value))
+		}
+	} else {
+		enc := &encoder.Client{ShufflerKey: r.shufPriv.Public(), AnalyzerKey: r.anlzPriv.Public(), Rand: crand.Reader}
+		b.Envelopes = make([]core.Envelope, n)
+		for i := 0; i < n && err == nil; i++ {
+			b.Envelopes[i], err = enc.Encode(core.Report{CrowdID: core.HashCrowdID("c:" + value), Data: []byte(value)})
+		}
+	}
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	return env
+	return b
 }
 
 func (r *crashRig) submit(n int, value string) {
 	r.t.Helper()
-	batch := make([]core.Envelope, n)
-	for i := range batch {
-		batch[i] = r.envelope("c:"+value, value)
-	}
-	if _, err := r.svc.Submit(0, 0, core.Batch{Envelopes: batch}); err != nil {
+	if _, err := r.svc.Submit(0, 0, r.batch(n, value)); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -131,8 +164,10 @@ func checkReconciled(t *testing.T, stats ServiceStats) {
 // TestRestartRecoversPending crashes a daemon with accepted-but-uncut
 // reports and checks the restarted daemon recovers and delivers every one
 // of them exactly once, with the books balanced.
-func TestRestartRecoversPending(t *testing.T) {
-	rig := newCrashRig(t, EpochConfig{FlushAt: 1000}) // nothing auto-flushes
+func TestRestartRecoversPending(t *testing.T) { forEachKind(t, testRestartRecoversPending) }
+
+func testRestartRecoversPending(t *testing.T, kind core.BatchKind) {
+	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 1000}) // nothing auto-flushes
 	rig.submit(7, "pending-value")
 	rig.svc.Abort()
 
@@ -168,9 +203,11 @@ func TestRestartRecoversPending(t *testing.T) {
 // daemon re-pushes the epoch under its original (stream, epoch) id so the
 // analyzer counts each report exactly once whether or not the original push
 // landed.
-func TestRestartResumesInFlightEpoch(t *testing.T) {
+func TestRestartResumesInFlightEpoch(t *testing.T) { forEachKind(t, testRestartResumesInFlightEpoch) }
+
+func testRestartResumesInFlightEpoch(t *testing.T, kind core.BatchKind) {
 	fault := &FaultPlan{Seed: 1, PDelay: 1, Delay: 400 * time.Millisecond, MaxFaults: 1}
-	rig := newCrashRig(t, EpochConfig{FlushAt: 5, Fault: fault})
+	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 5, Fault: fault})
 	rig.submit(5, "inflight-value") // cuts an epoch; its push hangs in the fault delay
 	time.Sleep(100 * time.Millisecond)
 	rig.svc.Abort() // crash with the epoch cut but unresolved
@@ -195,9 +232,11 @@ func TestRestartResumesInFlightEpoch(t *testing.T) {
 // re-push the same (stream, epoch) and the analyzer's dedup must swallow the
 // replay — delivered-then-crashed and crashed-then-delivered both end at
 // exactly-once.
-func TestRestartAfterAckLost(t *testing.T) {
+func TestRestartAfterAckLost(t *testing.T) { forEachKind(t, testRestartAfterAckLost) }
+
+func testRestartAfterAckLost(t *testing.T, kind core.BatchKind) {
 	fault := &FaultPlan{Seed: 1, PDropAck: 1, MaxFaults: 1}
-	rig := newCrashRig(t, EpochConfig{
+	rig := newCrashRig(t, kind, EpochConfig{
 		FlushAt: 4,
 		Fault:   fault,
 		// A long redial backoff keeps the sink in its post-fault sleep while
@@ -232,82 +271,88 @@ func TestRestartAfterAckLost(t *testing.T) {
 }
 
 // TestForwardDedupAcrossRestart extends TestForwardDedup across a receiver
-// crash: hop 2 ingests a forwarded epoch (persisting the dedup mark with the
+// crash: a hop ingests a forwarded epoch (persisting the dedup mark with the
 // items), crashes before flushing, restarts, and the upstream's retry of the
 // same (stream, epoch) must be acknowledged without re-ingesting — the
 // analyzer counts each report exactly once.
-func TestForwardDedupAcrossRestart(t *testing.T) {
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anlzL.Close()
+func TestForwardDedupAcrossRestart(t *testing.T) { forEachKind(t, testForwardDedupAcrossRestart) }
 
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	walDir := t.TempDir()
-	newHop2 := func() *StageService {
-		s2 := &shuffler.Shuffler2{
-			Blinding: blindKP, Priv: s2Priv,
-			Rand: rand.New(rand.NewPCG(21, 23)), MinBatch: 1,
-		}
-		svc, err := NewStageService(s2, core.KindBlinded, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
-			[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{WALDir: walDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return svc
-	}
-	svc := newHop2()
-
-	benc := &encoder.BlindedClient{
-		Shuffler2Blinding: blindKP.H,
-		Shuffler2Key:      s2Priv.Public(),
-		AnalyzerKey:       anlzPriv.Public(),
-		Rand:              crand.Reader,
-	}
-	envs := make([]core.BlindedEnvelope, 3)
-	for i := range envs {
-		envs[i], err = benc.Encode("c:dedup", []byte("dedup-value"))
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch := core.Batch{Blinded: envs}
-	if n, err := svc.Forward(9, 1, batch); err != nil || n != 3 {
+func testForwardDedupAcrossRestart(t *testing.T, kind core.BatchKind) {
+	rig := newCrashRig(t, kind, EpochConfig{})
+	batch := rig.batch(3, "dedup-value")
+	if n, err := rig.svc.Forward(9, 1, batch); err != nil || n != 3 {
 		t.Fatalf("first forward = (%d, %v), want 3 accepted", n, err)
 	}
 
-	// Hop 2 dies before flushing; the upstream never saw the ack and retries
-	// the same (stream, epoch) against the restarted hop.
-	svc.Abort()
-	svc = newHop2()
-	defer svc.Close()
-	if stats := svc.Stats(); stats.RecoveredItems != 3 || stats.Pending != 3 {
+	// The hop dies before flushing; the upstream never saw the ack and
+	// retries the same (stream, epoch) against the restarted hop.
+	rig.svc.Abort()
+	rig.start()
+	if stats := rig.svc.Stats(); stats.RecoveredItems != 3 || stats.Pending != 3 {
 		t.Fatalf("post-restart stats = %+v, want the 3 forwarded reports pending", stats)
 	}
-	if n, err := svc.Forward(9, 1, batch); err != nil || n != 3 {
+	if n, err := rig.svc.Forward(9, 1, batch); err != nil || n != 3 {
 		t.Fatalf("retried forward = (%d, %v), want 3 accepted (idempotent ack across restart)", n, err)
 	}
 
-	drained, err := svc.Drain(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkReconciled(t, drained)
-	if records := anlzSvc.Stats().Records; records != 3 {
+	checkReconciled(t, rig.drain())
+	if records := rig.anlzSvc.Stats().Records; records != 3 {
 		t.Errorf("analyzer records = %d, want 3 (dedup mark survived the restart)", records)
+	}
+}
+
+// TestRestartRefusesOtherRolesWAL restarts a daemon of one role over the
+// directory a daemon of the other wrote: the constructor must fail naming
+// both kinds and leave every file as it found it, so the right role can still
+// recover the reports.
+func TestRestartRefusesOtherRolesWAL(t *testing.T) { forEachKind(t, testRestartRefusesOtherRolesWAL) }
+
+func testRestartRefusesOtherRolesWAL(t *testing.T, kind core.BatchKind) {
+	other := core.KindEnvelopes
+	if kind == core.KindEnvelopes {
+		other = core.KindBlinded
+	}
+	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 1000})
+	rig.submit(4, "kept-value")
+	rig.svc.Abort()
+
+	snapshot := func() map[string]string {
+		files := make(map[string]string)
+		entries, err := os.ReadDir(rig.cfg.WALDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(rig.cfg.WALDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	before := snapshot()
+	svc, err := rig.startOn(rig.stage(other))
+	if err == nil {
+		svc.Abort()
+		t.Fatalf("a stage ingesting %v started over a WAL of %v", other, kind)
+	}
+	for _, k := range []core.BatchKind{kind, other} {
+		if !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("error %q does not name %v", err, k)
+		}
+	}
+	if after := snapshot(); !reflect.DeepEqual(before, after) {
+		t.Errorf("the refused restart changed the directory: %d files before, %d after", len(before), len(after))
+	}
+
+	rig.start()
+	if stats := rig.svc.Stats(); stats.RecoveredItems != 4 {
+		t.Fatalf("the right role recovered %+v after the refusal, want the 4 reports", stats)
+	}
+	checkReconciled(t, rig.drain())
+	if got := rig.histogram()["kept-value"]; got != 4 {
+		t.Errorf("histogram = %d, want 4", got)
 	}
 }
 

@@ -87,27 +87,13 @@ func (d *forwardDedup) ingest(stream, epoch int64, add func() error) error {
 	return err
 }
 
-// stageEngine is the epoch engine with its wire item type erased: what
-// StageService drives, whichever of engine[core.Envelope] and
-// engine[core.BlindedEnvelope] the role's input kind selected.
-type stageEngine interface {
-	add(b core.Batch) error
-	addForward(stream, epoch int64, b core.Batch) error
-	forceFlush(allowEmpty, forceDrop bool) (shuffler.Stats, error)
-	stats() ServiceStats
-	healthz() HealthzReply
-	config() EpochConfig
-	close() error
-	abort()
-}
-
 // StageService serves one shuffler stage — the plain or SGX shuffler, or
 // either hop of the §4.3 split chain — over the frame protocol. Every role
 // runs the same epoch engine around its shuffler.Stage; what distinguishes
-// the roles is data handed to NewStageService: the batch kind the stage
-// admits, the keys it serves, where its epochs go, and (SGX only) an
-// attestation quote. See the package comment for the epoch/backpressure
-// model.
+// the roles is the stage itself — the batch kind it consumes is what the
+// service admits, the kind it emits decides how its epochs are pushed — plus
+// the keys it serves, where its epochs go, and (SGX only) an attestation
+// quote. See the package comment for the epoch/backpressure model.
 //
 // Clients enter a chain at its first hop with Submit; later hops receive
 // exclusively forwarded epochs. Both are deduplicated by their (stream,
@@ -117,18 +103,21 @@ type stageEngine interface {
 // fills, and hop 1 starts rejecting its own clients with the same retryable
 // error.
 type StageService struct {
-	eng  stageEngine
+	eng  *engine
 	keys Keys
 
 	mu  sync.Mutex // guards att
 	att *AttestationReply
 }
 
-// NewStageService wraps a stage that ingests batches of kind admits
-// (core.KindEnvelopes for the plain and SGX shufflers, core.KindBlinded for
-// both split-chain hops) and pushes each processed epoch to the downstream
-// tier next, whose kind is sink. next lists the tier's replicas in
-// partition order: one address is a plain push, several split every epoch —
+// NewStageService wraps a stage: the service admits the batch kind the stage
+// consumes (st.Kinds: envelopes for the plain and SGX shufflers, blinded
+// envelopes for both split-chain hops) and pushes each processed epoch to
+// the downstream tier next — as an Ingest when the stage emits peeled
+// payloads, which only an analyzer takes, and as a Forward to the next
+// shuffler hop otherwise. A tier of the wrong sort refuses the first push,
+// naming the kind it got. next lists the tier's replicas in partition
+// order: one address is a plain push, several split every epoch —
 // blinded envelopes by the client-stamped crowd partition, so the replica
 // that thresholds a crowd sees all of it no matter which upstream replica
 // the reports entered through; payloads by content hash, which suffices
@@ -141,22 +130,17 @@ type StageService struct {
 // from the shuffler2 daemon directly, preserving the rule that no single hop
 // could both see traffic metadata and decrypt. The caller should Close the
 // service to drain it and release the downstream connections.
-func NewStageService(st shuffler.Stage, admits core.BatchKind, keys Keys, next []string, sink SinkKind, cfg EpochConfig) (*StageService, error) {
+func NewStageService(st shuffler.Stage, keys Keys, next []string, cfg EpochConfig) (*StageService, error) {
+	method := methodForward
+	if _, emits := st.Kinds(); emits == core.KindPayloads {
+		method = methodIngest
+	}
 	ab := newAborter()
-	snk, err := newTier(sink, next, cfg, ab)
+	snk, err := newTier(method, next, cfg, ab)
 	if err != nil {
 		return nil, err
 	}
-	var eng stageEngine
-	switch admits {
-	case core.KindEnvelopes:
-		eng, err = newEngine(cfg, st, snk, ab, envelopeOps)
-	case core.KindBlinded:
-		eng, err = newEngine(cfg, st, snk, ab, blindedOps)
-	default:
-		snk.close()
-		err = fmt.Errorf("transport: no stage ingests %v", admits)
-	}
+	eng, err := newEngine(cfg, st, snk, ab)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +175,7 @@ func (s *StageService) Attestation() (AttestationReply, error) {
 
 // Config returns the service's effective epoch configuration, with every
 // default and clamp applied.
-func (s *StageService) Config() EpochConfig { return s.eng.config() }
+func (s *StageService) Config() EpochConfig { return s.eng.cfg }
 
 // Healthz is the cheap liveness probe; see HealthzReply.
 func (s *StageService) Healthz() HealthzReply { return s.eng.healthz() }
@@ -209,12 +193,14 @@ func (s *StageService) Keys() (Keys, error) {
 // batch is accepted or rejected atomically: on ErrEpochFull nothing is
 // ingested. A stamped batch (nonzero stream/seq) is deduplicated like a
 // forwarded epoch, so a client's retry after an ambiguous connection error
-// cannot double-ingest; with a WAL the mark persists with the items.
+// cannot double-ingest; with a WAL the mark persists with the items. The
+// service keeps an accepted batch's items without copying them: the caller
+// hands b over and must not reuse it.
 func (s *StageService) Submit(stream, seq int64, b core.Batch) (int, error) {
 	if stream != 0 || seq != 0 {
 		return s.Forward(stream, seq, b)
 	}
-	if err := s.eng.add(b); err != nil {
+	if err := s.eng.ingest(b, false, 0, 0); err != nil {
 		return 0, err
 	}
 	return b.Len(), nil
@@ -272,14 +258,17 @@ func (s *StageService) Abort() { s.eng.abort() }
 
 func (s *StageService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
 	switch method {
-	case methodSubmit, methodForward:
+	case methodSubmit, methodForward, methodIngest:
+		// Ingest is what a stage emitting payloads sends when it is pointed
+		// at this stage instead of an analyzer: it takes the Forward path so
+		// the refusal names the kind.
 		stream, pos, b, err := parseBatchCall(body)
 		if err != nil {
 			return nil, err
 		}
-		ingest := s.Submit
-		if method == methodForward {
-			ingest = s.Forward
+		ingest := s.Forward
+		if method == methodSubmit {
+			ingest = s.Submit
 		}
 		n, err := ingest(stream, pos, b)
 		return appendWireInts(dst, int64(n)), err
@@ -309,20 +298,20 @@ func (s *StageService) serveFrame(method uint8, body, dst []byte) ([]byte, error
 // AnalyzerService serves an analyzer over the frame protocol.
 type AnalyzerService struct {
 	start time.Time
+	open  func(items [][]byte) (db [][]byte, undecryptable int) // the analyzer's Open
+	pub   []byte
+	// dedup absorbs retried pushes by (stream, epoch); see Ingest.
+	dedup forwardDedup
 
 	mu            sync.Mutex
-	an            *analyzer.Analyzer
-	pub           []byte
 	db            [][]byte
 	undecryptable int
 	ingests       int
-	// seen dedups retried pushes by (stream, epoch); see Ingest.
-	seen map[[2]int64]bool
 }
 
 // NewAnalyzerService wraps an analyzer; pub is the key served over Keys.
 func NewAnalyzerService(an *analyzer.Analyzer, pub []byte) *AnalyzerService {
-	return &AnalyzerService{start: time.Now(), an: an, pub: pub, seen: make(map[[2]int64]bool)}
+	return &AnalyzerService{start: time.Now(), open: an.Open, pub: pub}
 }
 
 // Healthz is the cheap liveness probe (lock-free; see HealthzReply).
@@ -334,30 +323,19 @@ func (a *AnalyzerService) Healthz() HealthzReply {
 // epoch identify the push for dedup: the shuffler's push retry is
 // at-least-once (a reply can be lost after the analyzer ingested), so a
 // retried push of an epoch this service already materialized is
-// acknowledged without re-ingesting. Zero values skip dedup.
+// acknowledged without re-ingesting, and a concurrent delivery of the same
+// epoch waits for the first instead of decrypting it a second time. Zero
+// values skip dedup.
 func (a *AnalyzerService) Ingest(stream, epoch int64, items [][]byte) {
-	key := [2]int64{stream, epoch}
-	dedup := stream != 0 || epoch != 0
-	if dedup {
+	a.dedup.ingest(stream, epoch, func() error {
+		db, undec := a.open(items)
 		a.mu.Lock()
-		seen := a.seen[key]
-		a.mu.Unlock()
-		if seen {
-			return
-		}
-	}
-	db, undec := a.an.Open(items)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if dedup {
-		if a.seen[key] {
-			return // a concurrent retry of the same epoch won the race
-		}
-		a.seen[key] = true
-	}
-	a.db = append(a.db, db...)
-	a.undecryptable += undec
-	a.ingests++
+		defer a.mu.Unlock()
+		a.db = append(a.db, db...)
+		a.undecryptable += undec
+		a.ingests++
+		return nil
+	})
 }
 
 // Histogram returns the histogram of the materialized database and the
@@ -377,7 +355,10 @@ func (a *AnalyzerService) Stats() AnalyzerStats {
 
 func (a *AnalyzerService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
 	switch method {
-	case methodIngest:
+	case methodIngest, methodForward:
+		// Forward is what a stage emitting envelopes sends when it is pointed
+		// at an analyzer instead of the next hop: parse it so the refusal
+		// names the kind.
 		stream, epoch, b, err := parseBatchCall(body)
 		if err != nil {
 			return nil, err

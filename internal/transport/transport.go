@@ -25,9 +25,10 @@
 // # Streaming model
 //
 // The services are built for continuous report traffic, not one-shot
-// batches. Ingestion is sharded: submissions are stamped with a global
-// sequence number and appended to one of N independently locked sub-batches,
-// so concurrent clients do not serialize on a single mutex. An epoch
+// batches. Ingestion is sharded: each submission reserves a contiguous range
+// of global sequence numbers and is kept whole in one of N independently
+// locked sub-batches, so concurrent clients do not serialize on a single
+// mutex. An epoch
 // scheduler cuts the accumulated sub-batches into an epoch — merging them
 // by sequence number, which makes the cut deterministic for in-order
 // submission — whenever occupancy reaches EpochConfig.FlushAt or the
@@ -332,12 +333,10 @@ type EpochConfig struct {
 	// the epoch cut merges shards by global sequence number.
 	Shards int
 	// DialTimeout bounds connecting to the downstream peer (construction
-	// and redials). 0 selects DefaultDialTimeout.
+	// and redials). 0 selects DefaultDialTimeout. One downstream push is
+	// bounded end to end by DefaultWireTimeout, so a hung peer becomes a
+	// retryable fault instead of a stuck flusher.
 	DialTimeout time.Duration
-	// WireTimeout bounds one downstream push end to end, so a
-	// hung peer becomes a retryable fault instead of a stuck flusher.
-	// 0 selects DefaultWireTimeout; negative disables the bound.
-	WireTimeout time.Duration
 	// WALDir enables the write-ahead log: accepted items are persisted to
 	// this directory before submissions are acknowledged, and a restart
 	// over the same directory recovers pending items, resumes unresolved
@@ -348,22 +347,17 @@ type EpochConfig struct {
 	// WALSync is the fsync cadence for item records: sync after every N
 	// append calls. 0 (the default) syncs every append — full durability;
 	// larger values trade the tail of accepted-but-unsynced submissions
-	// for throughput. Cut records and forward ingests always sync.
+	// for throughput. Cut records and forward ingests always sync. Segment
+	// files rotate at DefaultWALSegmentBytes so resolved epochs' records
+	// can be reclaimed.
 	WALSync int
-	// WALSegmentBytes rotates WAL segment files at this size so resolved
-	// epochs' records can be reclaimed. 0 selects DefaultWALSegmentBytes.
-	WALSegmentBytes int
 	// RedialAttempts bounds reconnects to a dead downstream per push before
 	// the epoch is declared failed. 0 selects DefaultRedialAttempts;
 	// negative disables redialing.
 	RedialAttempts int
-	// RedialBase is the first redial backoff; each attempt doubles it.
-	// 0 selects DefaultRedialBase.
+	// RedialBase is the first redial backoff; each attempt doubles it and
+	// spreads it by ±DefaultRedialJitter. 0 selects DefaultRedialBase.
 	RedialBase time.Duration
-	// RedialJitter spreads each backoff by ±this fraction so restarting
-	// hops are not hammered in lockstep. 0 selects DefaultRedialJitter;
-	// negative disables jitter.
-	RedialJitter float64
 	// Fault, when non-nil, injects failures into this service's downstream
 	// pushes on a seeded schedule — the crash-recovery test harness. Nil in
 	// production.

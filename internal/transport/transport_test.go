@@ -36,8 +36,8 @@ func TestNetworkedPipeline(t *testing.T) {
 		Threshold: shuffler.Threshold{Noise: dp.ThresholdNoise{T: 20, D: 10, Sigma: 2}},
 		Rand:      rand.New(rand.NewPCG(1, 2)),
 	}
-	shufSvc, err := NewStageService(sh, core.KindEnvelopes, Keys{Key: shufPriv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{})
+	shufSvc, err := NewStageService(sh, Keys{Key: shufPriv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNetworkedPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := cl.SubmitBatch([]core.Envelope{env}); err != nil {
+			if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -120,8 +120,8 @@ func TestFlushEmptyBatchFails(t *testing.T) {
 	defer anlzL.Close()
 	shufPriv, _ := hybrid.GenerateKey(crand.Reader)
 	sh := &shuffler.Shuffler{Priv: shufPriv, Rand: rand.New(rand.NewPCG(3, 4))}
-	svc, err := NewStageService(sh, core.KindEnvelopes, Keys{Key: shufPriv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, SinkAnalyzer, EpochConfig{})
+	svc, err := NewStageService(sh, Keys{Key: shufPriv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

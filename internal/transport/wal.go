@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"prochlo/internal/core"
 	"prochlo/internal/metrics"
 )
 
@@ -51,7 +52,7 @@ import (
 
 // WAL record types.
 const (
-	walRecMeta byte = 1 // stream id
+	walRecMeta byte = 1 // stream id + admitted batch kind
 	walRecItem byte = 2 // seq + item payload
 	walRecCut  byte = 3 // epoch id + [minSeq, maxSeq]
 	walRecAck  byte = 4 // epoch id resolved: delivered downstream
@@ -60,12 +61,9 @@ const (
 	walRecMark byte = 7 // mark replica in the epoch log (survives truncation)
 )
 
-// WAL tuning defaults (see EpochConfig).
-const (
-	// DefaultWALSegmentBytes rotates a segment once it exceeds this size;
-	// sealed segments become deletable as their epochs resolve.
-	DefaultWALSegmentBytes = 4 << 20
-)
+// DefaultWALSegmentBytes rotates a segment once it exceeds this size; sealed
+// segments become deletable as their epochs resolve.
+const DefaultWALSegmentBytes = 4 << 20
 
 const walMetaName = "wal.meta"
 
@@ -158,19 +156,15 @@ func readRecord(r *bufio.Reader, buf []byte) (byte, []byte, []byte, error) {
 	return typ, body, buf, nil
 }
 
-// openWAL opens (or creates) the log directory for appending. stream is
-// persisted on first creation; on an existing directory the caller passes
-// the recovered stream. New segment generations continue after startGen so
-// fresh files never collide with files a recovery still has to delete.
-func openWAL(dir string, shards int, syncEvery int, segBytes int64, stream int64, startGen int64) (*wal, error) {
+// openWAL opens (or creates) the log directory for appending. stream and
+// the batch kind the items are encoded as are persisted on first creation
+// (item records carry no kind of their own; recoverWAL checks the directory's
+// against the engine's); on an existing directory the caller passes the
+// recovered stream. New segment generations continue after startGen so fresh
+// files never collide with files a recovery still has to delete.
+func openWAL(dir string, shards int, syncEvery int, segBytes int64, stream int64, kind core.BatchKind, startGen int64) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("transport: wal dir: %w", err)
-	}
-	if segBytes <= 0 {
-		segBytes = DefaultWALSegmentBytes
-	}
-	if shards <= 0 {
-		shards = 1
 	}
 	w := &wal{
 		dir:        dir,
@@ -182,7 +176,7 @@ func openWAL(dir string, shards int, syncEvery int, segBytes int64, stream int64
 	}
 	metaPath := filepath.Join(dir, walMetaName)
 	if _, err := os.Stat(metaPath); os.IsNotExist(err) {
-		body := binary.AppendVarint(nil, stream)
+		body := appendWireInts(nil, stream, int64(kind))
 		if err := os.WriteFile(metaPath, appendRecord(nil, walRecMeta, body), 0o644); err != nil {
 			return nil, fmt.Errorf("transport: wal meta: %w", err)
 		}
@@ -275,18 +269,28 @@ func (w *wal) rotateLocked(s *walSegment, prefix string) error {
 	return nil
 }
 
-// appendItems logs n accepted items into shard idx's segment: one item
-// record each, fsynced per the WALSync cadence. Must be called under the
-// engine's matching ingest-shard lock (it is what makes "item in the log"
-// and "item visible to the epoch cut" atomic).
-func (w *wal) appendItems(idx int, n int, seq func(int) int64, enc func(int, []byte) []byte) error {
+// appendItems logs a stamped batch into shard idx's segment: one item record
+// each, fsynced per the WALSync cadence. Must be called under the engine's
+// matching ingest-shard lock (it is what makes "item in the log" and "item
+// visible to the epoch cut" atomic).
+func (w *wal) appendItems(idx int, b core.Batch) error {
 	s := w.shards[idx%len(w.shards)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := w.appendItemsLocked(s, n, seq, enc); err != nil {
-		return err
+	s.buf = s.buf[:0]
+	var body []byte
+	for i, n := 0, b.Len(); i < n; i++ {
+		sq := b.Seq(i)
+		body = b.AppendItem(binary.AppendUvarint(body[:0], uint64(sq)), i)
+		s.buf = appendRecord(s.buf, walRecItem, body)
+		if sq > s.maxSeq {
+			s.maxSeq = sq
+		}
 	}
-	w.appendRecords.Add(float64(n))
+	if err := s.write(s.buf, b.Len()); err != nil {
+		return fmt.Errorf("transport: wal append: %w", err)
+	}
+	w.appendRecords.Add(float64(b.Len()))
 	if w.syncEvery <= 0 || s.unsynced >= w.syncEvery {
 		if err := s.syncLocked(); err != nil {
 			return fmt.Errorf("transport: wal sync: %w", err)
@@ -298,44 +302,26 @@ func (w *wal) appendItems(idx int, n int, seq func(int) int64, enc func(int, []b
 	return nil
 }
 
-// appendItemsLocked frames and writes the item records of one append call.
-func (w *wal) appendItemsLocked(s *walSegment, n int, seq func(int) int64, enc func(int, []byte) []byte) error {
-	s.buf = s.buf[:0]
-	var body []byte
-	for i := 0; i < n; i++ {
-		sq := seq(i)
-		body = binary.AppendUvarint(body[:0], uint64(sq))
-		body = enc(i, body)
-		s.buf = appendRecord(s.buf, walRecItem, body)
-		if sq > s.maxSeq {
-			s.maxSeq = sq
-		}
-	}
-	if err := s.write(s.buf, n); err != nil {
-		return fmt.Errorf("transport: wal append: %w", err)
-	}
-	return nil
-}
-
 // appendForward logs a forward ingest as one atomic, fsynced record carrying
 // the (stream, epoch) dedup mark and every item — acknowledged to the
 // upstream pusher only after this returns, so a crash can never persist the
 // mark without the items (a retry swallowed, items lost) or the items
 // without the mark (a retry double-ingesting). A best-effort mark replica
 // goes into the epoch log, which outlives the forward segment's truncation.
-func (w *wal) appendForward(stream, epoch int64, n int, seq func(int) int64, enc func(int, []byte) []byte) error {
+func (w *wal) appendForward(stream, epoch int64, b core.Batch) error {
 	s := w.fwd
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	n := b.Len()
 	body := s.buf[:0]
 	body = binary.AppendVarint(body, stream)
 	body = binary.AppendVarint(body, epoch)
 	body = binary.AppendUvarint(body, uint64(n))
 	var item []byte
 	for i := 0; i < n; i++ {
-		sq := seq(i)
+		sq := b.Seq(i)
 		body = binary.AppendUvarint(body, uint64(sq))
-		item = enc(i, item[:0])
+		item = b.AppendItem(item[:0], i)
 		body = binary.AppendUvarint(body, uint64(len(item)))
 		body = append(body, item...)
 		if sq > s.maxSeq {
@@ -497,29 +483,26 @@ func (w *wal) close(wipe bool) error {
 	return err
 }
 
-// recoveredEpoch is a cut-but-unresolved epoch rebuilt from the log: its
-// items must be re-processed and re-pushed under the same id so downstream
-// (stream, epoch) dedup absorbs the replay.
-type recoveredEpoch[T any] struct {
-	id    int64
-	batch []T
-}
-
 // walRecovery is everything a restarted engine rebuilds from the log.
-type walRecovery[T any] struct {
+type walRecovery struct {
 	stream   int64
 	seqMax   int64
 	epochMax int64
-	pending  []T                 // accepted, never cut; sorted by seq
-	epochs   []recoveredEpoch[T] // cut but unresolved; sorted by id
-	marks    [][2]int64          // forward dedup marks to restore
-	files    []string            // every log file read (deleted post-migration)
+	pending  core.Batch // accepted, never cut; sorted by seq
+	// epochs were cut but never resolved, sorted by id: their items must be
+	// re-processed and re-pushed under the same id so downstream
+	// (stream, epoch) dedup absorbs the replay.
+	epochs []*epoch
+	marks  [][2]int64 // forward dedup marks to restore
+	files  []string   // every log file read (deleted post-migration)
 }
 
 // recoverWAL reads a log directory back into engine state. It returns
-// (nil, nil) when the directory holds no recoverable state. dec decodes one
-// item payload and restores its sequence stamp.
-func recoverWAL[T any](dir string, dec func([]byte, int64) (T, error)) (*walRecovery[T], error) {
+// (nil, nil) when the directory holds no recoverable state. Items decode as
+// kind, the batch kind the recovering engine admits; a directory whose meta
+// record names another kind was written by a different role and is refused
+// before anything in it is read, let alone rewritten.
+func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 	metaPath := filepath.Join(dir, walMetaName)
 	metaBytes, err := os.ReadFile(metaPath)
 	if os.IsNotExist(err) {
@@ -528,12 +511,17 @@ func recoverWAL[T any](dir string, dec func([]byte, int64) (T, error)) (*walReco
 	if err != nil {
 		return nil, fmt.Errorf("transport: wal recover meta: %w", err)
 	}
-	rec := &walRecovery[T]{}
+	rec := &walRecovery{}
 	r := bufio.NewReader(strings.NewReader(string(metaBytes)))
-	if typ, body, _, rerr := readRecord(r, nil); rerr == nil && typ == walRecMeta {
-		rec.stream, _ = binary.Varint(body)
-	} else {
+	typ, body, _, rerr := readRecord(r, nil)
+	meta := wireReader{b: body}
+	rec.stream = meta.int()
+	held := core.BatchKind(meta.int())
+	if rerr != nil || typ != walRecMeta || meta.done() != nil {
 		return nil, fmt.Errorf("transport: wal meta corrupt")
+	}
+	if held != kind {
+		return nil, fmt.Errorf("transport: wal dir %s holds %v, this stage ingests %v", dir, held, kind)
 	}
 
 	items := make(map[int64][]byte) // seq -> payload (first writer wins)
@@ -716,15 +704,17 @@ func recoverWAL[T any](dir string, dec func([]byte, int64) (T, error)) (*walReco
 	}
 	sort.Slice(pendingSeqs, func(i, j int) bool { return pendingSeqs[i] < pendingSeqs[j] })
 
-	decode := func(seqs []int64) ([]T, error) {
+	decode := func(seqs []int64) (core.Batch, error) {
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		out := make([]T, 0, len(seqs))
+		var out core.Batch
 		for _, sq := range seqs {
-			item, err := dec(items[sq], sq)
-			if err != nil {
-				return nil, fmt.Errorf("transport: wal decode seq %d: %w", sq, err)
+			item, err := core.DecodeItem(kind, items[sq], sq)
+			if err == nil {
+				out, err = out.Append(item)
 			}
-			out = append(out, item)
+			if err != nil {
+				return core.Batch{}, fmt.Errorf("transport: wal decode seq %d: %w", sq, err)
+			}
 		}
 		return out, nil
 	}
@@ -736,10 +726,10 @@ func recoverWAL[T any](dir string, dec func([]byte, int64) (T, error)) (*walReco
 		if err != nil {
 			return nil, err
 		}
-		if len(batch) == 0 {
+		if batch.Len() == 0 {
 			continue
 		}
-		rec.epochs = append(rec.epochs, recoveredEpoch[T]{id: id, batch: batch})
+		rec.epochs = append(rec.epochs, &epoch{id: id, batch: batch})
 	}
 	for mark := range markSet {
 		rec.marks = append(rec.marks, mark)
@@ -774,21 +764,15 @@ func walStartGen(dir string) int64 {
 // unresolved epoch's cut record, and the forward marks — all fsynced — then
 // deletes the old files. A crash mid-migration leaves both generations on
 // disk; the next recovery's seq/id dedup reads them as one.
-func migrateWAL[T any](w *wal, rec *walRecovery[T], seqOf func(*T) int, enc func(*T, []byte) []byte) error {
-	logBatch := func(batch []T) error {
-		return w.appendItems(0, len(batch),
-			func(i int) int64 { return int64(seqOf(&batch[i])) },
-			func(i int, dst []byte) []byte { return enc(&batch[i], dst) })
-	}
-	if err := logBatch(rec.pending); err != nil {
+func migrateWAL(w *wal, rec *walRecovery) error {
+	if err := w.appendItems(0, rec.pending); err != nil {
 		return err
 	}
 	for _, ep := range rec.epochs {
-		if err := logBatch(ep.batch); err != nil {
+		if err := w.appendItems(0, ep.batch); err != nil {
 			return err
 		}
-		min := int64(seqOf(&ep.batch[0]))
-		max := int64(seqOf(&ep.batch[len(ep.batch)-1]))
+		min, max := seqRange(ep.batch)
 		if err := w.logCut(ep.id, min, max); err != nil {
 			return err
 		}

@@ -554,18 +554,6 @@ func (w *wireConn) isBroken() bool {
 	return w.broken != nil
 }
 
-// wireTimeout resolves the per-call bound (0 selects the default; negative
-// disables).
-func (cfg EpochConfig) wireTimeout() time.Duration {
-	switch {
-	case cfg.WireTimeout < 0:
-		return 0
-	case cfg.WireTimeout == 0:
-		return DefaultWireTimeout
-	}
-	return cfg.WireTimeout
-}
-
 // Service is a party's frame-method handler — a StageService or an
 // AnalyzerService. serveFrame runs one request and appends the method's
 // reply body to dst; an error becomes an error reply, never a dropped

@@ -178,7 +178,7 @@ func TestHistogramKeysAreBytes(t *testing.T) {
 	for i, v := range values {
 		batch[i] = rig.envelope(t, "c:bytes", v)
 	}
-	if err := cl.SubmitBatch(batch); err != nil {
+	if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.Drain(); err != nil {

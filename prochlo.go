@@ -41,6 +41,7 @@ import (
 	crand "crypto/rand"
 	"errors"
 	"fmt"
+	"time"
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
@@ -94,10 +95,13 @@ type Pipeline struct {
 	analyzerPriv *hybrid.PrivateKey
 	an           *analyzer.Analyzer
 
+	// pending is the batch awaiting a Flush: the kind the mode's first stage
+	// consumes.
+	pending core.Batch
+
 	// ModePlain / ModeSGX.
 	shufflerPriv *hybrid.PrivateKey
 	client       *encoder.Client
-	pending      []core.Envelope
 	sgxShuffler  *shuffler.SGXShuffler
 	quote        sgx.Quote
 	ca           *sgx.CA
@@ -106,7 +110,6 @@ type Pipeline struct {
 	s1            *shuffler.Shuffler1
 	s2            *shuffler.Shuffler2
 	blindedClient *encoder.BlindedClient
-	blindedBatch  []core.BlindedEnvelope
 
 	seq int
 }
@@ -328,7 +331,6 @@ func (p *Pipeline) PrivacyGuarantee(delta float64) (eps float64, err error) {
 
 // Submit encodes one client's report into the pending batch.
 func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
-	p.seq++
 	if p.secretT > 0 {
 		var err error
 		data, err = encoder.SecretShareData(crand.Reader, p.secretT, data)
@@ -336,23 +338,28 @@ func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 			return err
 		}
 	}
-	switch p.mode {
-	case ModeBlinded:
+	if p.mode == ModeBlinded {
 		env, err := p.blindedClient.Encode(crowdLabel, data)
 		if err != nil {
 			return err
 		}
-		env.SeqNo = p.seq
-		p.blindedBatch = append(p.blindedBatch, env)
-	default:
-		env, err := p.client.Encode(core.Report{CrowdID: core.HashCrowdID(crowdLabel), Data: data})
-		if err != nil {
-			return err
-		}
-		env.SeqNo = p.seq
-		p.pending = append(p.pending, env)
+		return p.enqueue(core.Batch{Blinded: []core.BlindedEnvelope{env}})
 	}
-	return nil
+	env, err := p.client.Encode(core.Report{CrowdID: core.HashCrowdID(crowdLabel), Data: data})
+	if err != nil {
+		return err
+	}
+	return p.enqueue(core.Batch{Envelopes: []core.Envelope{env}})
+}
+
+// enqueue numbers freshly encoded envelopes in submission order and adds
+// them to the pending batch.
+func (p *Pipeline) enqueue(batch core.Batch) error {
+	batch.Stamp(time.Time{}, int64(p.seq))
+	p.seq += batch.Len()
+	var err error
+	p.pending, err = p.pending.Append(batch)
+	return err
 }
 
 // encodeBatch is the SubmitBatch encode path Pipeline and RemotePipeline
@@ -403,27 +410,11 @@ func (p *Pipeline) SubmitBatch(labels []string, data [][]byte) error {
 	if err != nil {
 		return err
 	}
-	// Exactly one of the two is non-empty, by mode.
-	for i := range batch.Envelopes {
-		p.seq++
-		batch.Envelopes[i].SeqNo = p.seq
-	}
-	for i := range batch.Blinded {
-		p.seq++
-		batch.Blinded[i].SeqNo = p.seq
-	}
-	p.pending = append(p.pending, batch.Envelopes...)
-	p.blindedBatch = append(p.blindedBatch, batch.Blinded...)
-	return nil
+	return p.enqueue(batch)
 }
 
 // Pending returns the number of reports awaiting a Flush.
-func (p *Pipeline) Pending() int {
-	if p.mode == ModeBlinded {
-		return len(p.blindedBatch)
-	}
-	return len(p.pending)
-}
+func (p *Pipeline) Pending() int { return p.pending.Len() }
 
 // Result is the analyzer-side outcome of one batch.
 type Result struct {
@@ -440,19 +431,6 @@ type Result struct {
 	Undecryptable int
 }
 
-// takeBatch detaches the pending reports as the wire batch entering the
-// first stage of the chain.
-func (p *Pipeline) takeBatch() core.Batch {
-	if p.mode == ModeBlinded {
-		b := core.Batch{Blinded: p.blindedBatch}
-		p.blindedBatch = nil
-		return b
-	}
-	b := core.Batch{Envelopes: p.pending}
-	p.pending = nil
-	return b
-}
-
 // Flush drives the pending batch through the shuffler stage chain —
 // each stage's output is the next stage's input, exactly as the networked
 // daemons forward epochs — and the analyzer over the final stage's output,
@@ -460,7 +438,8 @@ func (p *Pipeline) takeBatch() core.Batch {
 // (the thresholding hop's) selectivity, the only stage whose stats describe
 // what reaches the analyzer.
 func (p *Pipeline) Flush() (*Result, error) {
-	batch := p.takeBatch()
+	batch := p.pending
+	p.pending = core.Batch{}
 	var stats shuffler.Stats
 	for _, st := range p.stages {
 		var err error

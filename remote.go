@@ -56,7 +56,6 @@ import (
 // after a daemon restart is an ordinary Dial; see
 // TestRemoteChainCrashRestartSoak for the full kill-and-restart exercise.
 type RemotePipeline struct {
-	mode       Mode
 	workers    int
 	retries    int
 	retryDelay time.Duration
@@ -303,14 +302,12 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 	}
 	var shufKeyBytes []byte
 	if r.attest {
-		r.mode = ModeSGX
 		shufKeyBytes, err = r.tiers[0][0].Attestation(shuffler.SGXShufflerMeasurement)
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("prochlo: shuffler attestation: %w", err)
 		}
 	} else {
-		r.mode = ModePlain
 		keys, kerr := firstOf(r.tiers[0], (*transport.Client).Keys)
 		if kerr != nil {
 			r.Close()
@@ -356,7 +353,6 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 		r.Close()
 		return nil, errors.New("prochlo: attestation applies to the SGX deployment, not the blinded chain")
 	}
-	r.mode = ModeBlinded
 	r.partitions = len(shuffler2Addrs)
 	if err := r.dialTiers([][]string{shuffler1Addrs, shuffler2Addrs}, analyzerAddrs); err != nil {
 		return nil, err
@@ -417,13 +413,8 @@ func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
 	if err != nil || len(labels) == 0 {
 		return err
 	}
-	var n int
-	if r.mode == ModeBlinded {
-		r.stampPartitions(batch.Blinded, labels)
-		n, err = r.entry.SubmitAllBlinded(batch.Blinded, r.retries, r.retryDelay)
-	} else {
-		n, err = r.entry.SubmitAll(batch.Envelopes, r.retries, r.retryDelay)
-	}
+	r.stampPartitions(batch.Blinded, labels)
+	n, err := r.entry.SubmitAll(batch, r.retries, r.retryDelay)
 	if err != nil && n > 0 {
 		// The accepted prefix is ingested; resubmitting the whole batch
 		// would double-count it. Tell the caller exactly where to resume.
@@ -459,17 +450,14 @@ func aggregateStats(tier []transport.ServiceStats) transport.ServiceStats {
 	return agg
 }
 
-// Stats fetches the entry tier's aggregate occupancy and epoch counters.
+// Stats fetches the entry tier's aggregate occupancy and epoch counters: the
+// first element of HopStats.
 func (r *RemotePipeline) Stats() (transport.ServiceStats, error) {
-	stats := make([]transport.ServiceStats, 0, len(r.tiers[0]))
-	for i, cl := range r.tiers[0] {
-		s, err := cl.Stats()
-		if err != nil {
-			return transport.ServiceStats{}, fmt.Errorf("prochlo: entry replica %d stats: %w", i, err)
-		}
-		stats = append(stats, s)
+	hops, err := r.HopStats()
+	if err != nil {
+		return transport.ServiceStats{}, err
 	}
-	return aggregateStats(stats), nil
+	return hops[0], nil
 }
 
 // BalancerStats snapshots the entry balancer's failover and breaker
@@ -482,17 +470,13 @@ func (r *RemotePipeline) BalancerStats() transport.BalancerStats {
 // observability for chained deployments. Replicated tiers are summed; use
 // FleetStats for the per-replica view.
 func (r *RemotePipeline) HopStats() ([]transport.ServiceStats, error) {
-	out := make([]transport.ServiceStats, len(r.tiers))
-	for t, tier := range r.tiers {
-		stats := make([]transport.ServiceStats, 0, len(tier))
-		for i, cl := range tier {
-			s, err := cl.Stats()
-			if err != nil {
-				return nil, fmt.Errorf("prochlo: hop %d replica %d stats: %w", t+1, i, err)
-			}
-			stats = append(stats, s)
-		}
-		out[t] = aggregateStats(stats)
+	fleet, err := r.FleetStats()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]transport.ServiceStats, len(fleet))
+	for t, tier := range fleet {
+		out[t] = aggregateStats(tier)
 	}
 	return out, nil
 }

@@ -16,7 +16,6 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
-	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
@@ -63,8 +62,8 @@ func newRemoteRig(t testing.TB, seed uint64, workers int, cfg transport.EpochCon
 		Rand:      rng,
 		Workers:   workers,
 	}
-	svc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: shufPriv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, transport.SinkAnalyzer, cfg)
+	svc, err := transport.NewStageService(sh, transport.Keys{Key: shufPriv.Public().Bytes()},
+		[]string{anlzL.Addr().String()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,12 +362,12 @@ func newChainRig(t testing.TB, seed uint64, workers int, th shuffler.Threshold, 
 // holds no keys and forwards to the hop-2 tier, hop 2 serves the chain's
 // key material and pushes to the analyzer tier.
 func newShuffler1Service(s1 *shuffler.Shuffler1, s2Addrs []string, cfg transport.EpochConfig) (*transport.StageService, error) {
-	return transport.NewStageService(s1, core.KindBlinded, transport.Keys{}, s2Addrs, transport.SinkStage, cfg)
+	return transport.NewStageService(s1, transport.Keys{}, s2Addrs, cfg)
 }
 
 func newShuffler2Service(s2 *shuffler.Shuffler2, anlzAddrs []string, cfg transport.EpochConfig) (*transport.StageService, error) {
 	keys := transport.Keys{Blinding: s2.Blinding.H.Bytes(), Key: s2.Priv.Public().Bytes()}
-	return transport.NewStageService(s2, core.KindBlinded, keys, anlzAddrs, transport.SinkAnalyzer, cfg)
+	return transport.NewStageService(s2, keys, anlzAddrs, cfg)
 }
 
 // dial returns a RemotePipeline entering the chain at hop 1.
@@ -846,8 +845,8 @@ func TestRemoteSGXAttestation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh.Seed = 7
-	svc, err := transport.NewStageService(sh, core.KindEnvelopes, transport.Keys{Key: quote.ReportData},
-		[]string{anlzL.Addr().String()}, transport.SinkAnalyzer, transport.EpochConfig{})
+	svc, err := transport.NewStageService(sh, transport.Keys{Key: quote.ReportData},
+		[]string{anlzL.Addr().String()}, transport.EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -937,8 +936,8 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	stageAt := func(keys transport.Keys, attested []byte) string {
-		svc, err := transport.NewStageService(&shuffler.Shuffler{Priv: good}, core.KindEnvelopes, keys,
-			[]string{goodAnlz}, transport.SinkAnalyzer, transport.EpochConfig{})
+		svc, err := transport.NewStageService(&shuffler.Shuffler{Priv: good}, keys,
+			[]string{goodAnlz}, transport.EpochConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
