@@ -26,17 +26,16 @@
 // its upstream, which pushes back on clients. Peer dials are bounded by
 // -dial-timeout so a daemon never hangs forever on a dead next hop.
 //
-// -wal-dir makes a shuffler-role daemon crash-safe: every accepted report is
-// written to a per-shard write-ahead log before the submission is acked, and
-// a restarted daemon recovers the directory — re-ingesting pending reports
-// and re-pushing in-flight epochs under the same (stream, epoch) ids so the
-// downstream dedup absorbs the replay. -wal-sync sets the fsync cadence (the
-// durability/throughput knob). Pair -wal-dir with -key-file, which persists
-// the daemon's private keys across restarts (created 0600 on first start):
-// without it a restarted daemon draws fresh keys and every recovered report
-// is undecryptable. SIGINT or SIGTERM shuts down gracefully: the listener
-// closes, the final epoch is drained downstream, and only then does the
-// process exit.
+// -wal-dir makes a shuffler-role daemon crash-safe: every accepted batch is
+// fsynced to the write-ahead log, with its dedup stamp, before it is acked,
+// and a restarted daemon recovers the directory — re-ingesting pending
+// reports and re-pushing in-flight epochs under the same (stream, epoch) ids
+// so the downstream dedup absorbs the replay. Pair -wal-dir with -key-file,
+// which persists the daemon's private keys across restarts (created 0600 on
+// first start): without it a restarted daemon draws fresh keys and every
+// recovered report is undecryptable. SIGINT or SIGTERM shuts down
+// gracefully: the listener closes, the final epoch is drained downstream, and
+// only then does the process exit.
 //
 // Any hop can also run as a replicated fleet: a comma-separated -next lists
 // the downstream tier's replicas in partition order (the same order on
@@ -92,13 +91,12 @@ func main() {
 	minBatch := flag.Int("min-batch", shuffler.DefaultMinBatch, "minimum envelopes per processed epoch (the anonymity floor)")
 	seed := flag.Uint64("seed", 0, "deterministic batch RNG seed (0 = cryptographically random); stages derive independent per-role streams, so a seeded chain reproduces the in-process pipeline")
 
-	flushAt := flag.Int("flush-at", 0, "auto-flush when occupancy reaches this many envelopes (0 = manual Flush only)")
+	flushAt := flag.Int("flush-at", 0, "auto-flush when occupancy reaches this many envelopes (0 = off)")
 	epochInterval := flag.Duration("epoch", 0, "auto-flush epoch interval (0 = no timer)")
 	maxPending := flag.Int("max-pending", 0, "occupancy cap before submissions get a retryable epoch-full error (0 = 2*flush-at); must fit the upstream hop's epochs in a chain")
 	dialTimeout := flag.Duration("dial-timeout", transport.DefaultDialTimeout, "TCP connect timeout for the downstream hop (constructor and redials)")
 	keyFile := flag.String("key-file", "", "persist the daemon's private keys at this path (created on first start, 0600): a restarted daemon decrypts the reports it recovers from -wal-dir; empty generates fresh keys per process")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: accepted reports are persisted before they are acked and recovered on restart (empty disables durability; pair with -key-file or recovered reports are undecryptable)")
-	walSync := flag.Int("wal-sync", 0, "fsync the WAL every N submissions (0 = every submission; larger trades crash-durability tail for throughput)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and a liveness probe at /healthz on this address (empty disables; see docs/OPERATIONS.md for the catalog)")
 	flag.Parse()
 
@@ -113,7 +111,6 @@ func main() {
 		MaxPending:    *maxPending,
 		DialTimeout:   *dialTimeout,
 		WALDir:        *walDir,
-		WALSync:       *walSync,
 		Metrics:       reg,
 		MetricsLabels: metrics.Labels{"role": *role},
 	}
@@ -355,7 +352,7 @@ func printEpochs(cfg transport.EpochConfig) {
 		fmt.Printf("epochs: flush-at %d, interval %v, max-pending %d, in-flight %d\n",
 			cfg.FlushAt, cfg.Interval, cfg.MaxPending, cfg.InFlight)
 	} else {
-		fmt.Println("epochs: manual Flush only")
+		fmt.Println("epochs: cut by Drain only")
 	}
 }
 

@@ -370,7 +370,7 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			accepted[g], errs[g] = svc.Forward(11, 1, batch)
+			accepted[g], errs[g] = svc.Submit(11, 1, batch)
 		}(g)
 	}
 	wg.Wait()
@@ -496,12 +496,12 @@ func TestHealthzLiveness(t *testing.T) {
 // countPusher records pass-through pushes for fault-plan tests.
 type countPusher struct{ calls int }
 
-func (c *countPusher) push(uint8, int64, int64, core.Batch) (int, error) { c.calls++; return 0, nil }
-func (c *countPusher) close() error                                      { return nil }
+func (c *countPusher) push(int64, int64, core.Batch) (int, error) { c.calls++; return 0, nil }
+func (c *countPusher) close() error                               { return nil }
 
-// push issues one Forward through a fault-wrapped pusher.
+// push issues one push through a fault-wrapped pusher.
 func push(p pusher) error {
-	_, err := p.push(methodForward, 1, 1, core.Batch{})
+	_, err := p.push(1, 1, core.Batch{})
 	return err
 }
 

@@ -169,7 +169,7 @@ func TestDrainEmptyBelowFloor(t *testing.T) {
 }
 
 // TestForwardDedup pins the inter-hop ingestion contract: an at-least-once
-// Forward retry of the same (stream, epoch) must be acknowledged without
+// push retry of the same (stream, epoch) must be acknowledged without
 // re-ingesting, and a batch of the wrong wire kind must be refused.
 func TestForwardDedup(t *testing.T) {
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
@@ -217,11 +217,11 @@ func TestForwardDedup(t *testing.T) {
 	}
 
 	batch := core.Batch{Blinded: envs}
-	if n, err := svc.Forward(9, 1, batch); err != nil || n != 3 {
+	if n, err := svc.Submit(9, 1, batch); err != nil || n != 3 {
 		t.Fatalf("first forward = (%d, %v), want 3 accepted", n, err)
 	}
 	// The retry (reply lost upstream) must ack without ingesting again.
-	if n, err := svc.Forward(9, 1, batch); err != nil || n != 3 {
+	if n, err := svc.Submit(9, 1, batch); err != nil || n != 3 {
 		t.Fatalf("retried forward = (%d, %v), want 3 accepted (idempotent ack)", n, err)
 	}
 	if pending := svc.Stats().Pending; pending != 3 {
@@ -230,7 +230,7 @@ func TestForwardDedup(t *testing.T) {
 
 	// Wrong wire kind: a blinded hop must refuse plain envelopes.
 	bad := core.Batch{Envelopes: []core.Envelope{{Blob: []byte("x")}}}
-	if _, err := svc.Forward(9, 2, bad); err == nil {
+	if _, err := svc.Submit(9, 2, bad); err == nil {
 		t.Error("forward of plain envelopes into a blinded hop succeeded")
 	}
 

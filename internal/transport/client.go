@@ -11,7 +11,6 @@ import (
 
 	"prochlo/internal/core"
 	"prochlo/internal/sgx"
-	"prochlo/internal/shuffler"
 )
 
 // peerConn is a client's connection to one party: a single pipelined frame
@@ -286,17 +285,6 @@ func (c *Client) SubmitAll(b core.Batch, retries int, delay time.Duration) (acce
 		return 0, err
 	}
 	return 1, nil
-}
-
-// Flush asks the shuffler to process its current epoch.
-func (c *Client) Flush() (shuffler.Stats, error) {
-	body, err := c.call(methodFlush, nil)
-	if err != nil {
-		return shuffler.Stats{}, err
-	}
-	r := wireReader{b: body}
-	st := readEpochStats(&r)
-	return decoded(st, r.done())
 }
 
 // Drain flushes anything pending, waits for every queued epoch to reach the

@@ -81,23 +81,22 @@ const (
 // pushes are deduplicated by the receiver on (stream, epoch): a reply lost
 // after ingestion must not double-count.
 type pushSink struct {
-	method uint8 // methodIngest or methodForward, from the kind the stage emits
-	cl     pusher
-	addr   string
-	cfg    EpochConfig
-	ab     *aborter
+	cl   pusher
+	addr string
+	cfg  EpochConfig
+	ab   *aborter
 }
 
-func newPushSink(method uint8, addr string, cfg EpochConfig, ab *aborter) (*pushSink, error) {
+func newPushSink(addr string, cfg EpochConfig, ab *aborter) (*pushSink, error) {
 	cl, err := cfg.dialPusher(addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial next hop %s: %w", addr, err)
 	}
-	return &pushSink{method: method, cl: cl, addr: addr, cfg: cfg, ab: ab}, nil
+	return &pushSink{cl: cl, addr: addr, cfg: cfg, ab: ab}, nil
 }
 
 func (s *pushSink) push(stream, epoch int64, out core.Batch) error {
-	_, err := s.cl.push(s.method, stream, epoch, out)
+	_, err := s.cl.push(stream, epoch, out)
 	pol := s.cfg.redial()
 	redials := 0
 	for attempt := 0; err != nil && attempt < forwardRetries; attempt++ {
@@ -105,7 +104,7 @@ func (s *pushSink) push(stream, epoch int64, out core.Batch) error {
 			if !s.ab.sleep(forwardDelay) {
 				return err
 			}
-			_, err = s.cl.push(s.method, stream, epoch, out)
+			_, err = s.cl.push(stream, epoch, out)
 			continue
 		}
 		if redials >= pol.attempts {
@@ -122,7 +121,7 @@ func (s *pushSink) push(stream, epoch int64, out core.Batch) error {
 		}
 		s.cl.close()
 		s.cl = cl
-		_, err = s.cl.push(s.method, stream, epoch, out)
+		_, err = s.cl.push(stream, epoch, out)
 	}
 	if IsEpochFull(err) {
 		return fmt.Errorf("transport: next hop still epoch-full after %d retries "+
@@ -222,13 +221,13 @@ func partitionBatch(out core.Batch, m int) []core.Batch {
 
 // newTier builds the sink for a downstream tier: a plain pushSink for one
 // address, a fanout over one pushSink per partition otherwise.
-func newTier(method uint8, addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
+func newTier(addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: downstream tier needs at least one address")
 	}
 	parts := make([]sink, len(addrs))
 	for i, addr := range addrs {
-		s, err := newPushSink(method, addr, cfg, ab)
+		s, err := newPushSink(addr, cfg, ab)
 		if err != nil {
 			for _, p := range parts[:i] {
 				p.close()
@@ -259,23 +258,16 @@ type ingestShard struct {
 // epoch is a cut batch traveling to the flusher. id is assigned at cut time
 // (before the WAL cut record), so a crash between cut and push replays the
 // epoch under the same id and downstream dedup stays exact. reply is non-nil
-// for forced (manual Flush / Drain) epochs.
+// for an epoch a Drain cut; an empty batch is a Drain's pure barrier.
 type epoch struct {
-	batch      core.Batch
-	id         int64
-	reply      chan flushResult
-	allowEmpty bool // Drain: an empty cut is a barrier, not an error
-}
-
-type flushResult struct {
-	stats shuffler.Stats
-	err   error
+	batch core.Batch
+	id    int64
+	reply chan error
 }
 
 // forceReq asks the scheduler to cut the current epoch immediately.
 type forceReq struct {
-	reply      chan flushResult
-	allowEmpty bool
+	reply chan error
 	// forceDrop releases a below-floor epoch as Dropped (counted and
 	// WAL-resolved) instead of leaving it pending — the final-drain path
 	// for a deployment shutting down for good, where "pending forever" is
@@ -295,12 +287,13 @@ type forceReq struct {
 // core.Batch's. See the package comment for the streaming and backpressure
 // model.
 //
-// With EpochConfig.WALDir set, the engine is crash-safe: accepted items are
+// With EpochConfig.WALDir set, the engine is crash-safe: accepted batches are
 // logged before the submission is acknowledged, cut epochs before they are
 // pushed, and a restart over the same directory resumes the same stream id,
 // re-ingests pending items (sequence stamps preserved, so the shard merge
-// is byte-identical), and re-pushes unresolved epochs under their original
-// (stream, epoch) pairs for downstream dedup to absorb.
+// is byte-identical), restores the dedup marks, and re-pushes unresolved
+// epochs under their original (stream, epoch) pairs for downstream dedup to
+// absorb.
 type engine struct {
 	stage shuffler.Stage
 	sink  sink
@@ -309,7 +302,7 @@ type engine struct {
 	cfg   EpochConfig
 	wal   *wal
 	ab    *aborter
-	fwd   forwardDedup
+	dedup forwardDedup
 
 	stream    int64 // id naming this engine's push stream for dedup; persisted in the WAL
 	epochID   atomic.Int64
@@ -333,7 +326,7 @@ type engine struct {
 	shards []ingestShard
 
 	kick   chan struct{} // occupancy crossed FlushAt
-	force  chan forceReq // manual Flush / Drain
+	force  chan forceReq // Drain
 	epochs chan *epoch   // scheduler -> flusher, cap InFlight
 	stop   chan struct{} // close -> scheduler
 	done   chan struct{} // flusher exited
@@ -421,8 +414,7 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter) (*engi
 			// the same (stream, epoch) pairs for downstream dedup.
 			stream = rec.stream
 		}
-		w, err = openWAL(cfg.WALDir, cfg.Shards, cfg.WALSync,
-			DefaultWALSegmentBytes, stream, kind, walStartGen(cfg.WALDir))
+		w, err = openWAL(cfg.WALDir, DefaultWALSegmentBytes, stream, kind, walStartGen(cfg.WALDir))
 		if err != nil {
 			snk.close()
 			return nil, err
@@ -464,7 +456,7 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter) (*engi
 		e.accepted.Store(e.recItems)
 		e.recovered = rec.epochs
 		e.recEpochs = int64(len(rec.epochs))
-		e.fwd.restore(rec.marks)
+		e.dedup.restore(rec.marks)
 		e.queuedEpochs = len(rec.epochs)
 	}
 	e.registerMetrics()
@@ -482,33 +474,34 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter) (*engi
 
 func (e *engine) isKilled() bool { return e.ab.aborted() }
 
-// addForward ingests a batch stamped (stream, epoch) — an upstream hop's
-// forwarded epoch or a client's stamped submission — exactly once: an
+// ingest is the one way a batch of the admitted kind enters the engine,
+// whether a client submitted it or the upstream hop pushed it as an epoch.
+// A batch stamped (stream, pos) — nonzero — goes in exactly once: an
 // at-least-once retry of a pair already ingested is acknowledged without
-// re-ingesting. With a WAL, the items and the dedup mark are persisted as
-// one fsynced record before the pair is marked seen (and acked upstream), so
-// a crash can never keep the mark without the items or vice versa.
-func (e *engine) addForward(stream, epoch int64, b core.Batch) error {
-	return e.fwd.ingest(stream, epoch, func() error { return e.ingest(b, true, stream, epoch) })
-}
-
-// ingest stamps a submission of the admitted kind, enforcing backpressure,
-// and keeps it, whole, as one chunk (the engine owns b's items from here on;
-// nothing is copied until the cut). fwd marks a stamped ingest. The call
-// reserves a contiguous sequence range and takes one shard lock: the shard is
-// picked round-robin per call (not from the sequence number, which advances
-// by the batch size and would park every uniform-size batch on one shard), so
-// concurrent calls spread across shards. With a WAL, the items are logged
-// under the same shard lock, so "in the log" and "visible to the next cut"
-// are atomic.
-func (e *engine) ingest(b core.Batch, fwd bool, fwdStream, fwdEpoch int64) error {
+// re-ingesting. The engine owns b's items from here on (nothing is copied
+// until the cut).
+func (e *engine) ingest(stream, pos int64, b core.Batch) error {
 	if k := b.Kind(); k != e.kind && k != core.KindEmpty {
 		return fmt.Errorf("transport: stage ingests %v, got %v", e.kind, k)
 	}
-	n := int64(b.Len())
-	if n == 0 {
+	if b.Len() == 0 {
 		return nil
 	}
+	return e.dedup.ingest(stream, pos, func() error { return e.keep(stream, pos, b) })
+}
+
+// keep stamps an ingested batch, enforcing backpressure, and keeps it, whole,
+// as one chunk. The call reserves a contiguous sequence range and takes one
+// shard lock: the shard is picked round-robin per call (not from the
+// sequence number, which advances by the batch size and would park every
+// uniform-size batch on one shard), so concurrent calls spread across shards.
+// With a WAL, the batch and its (stream, pos) mark are logged as one fsynced
+// record under the same shard lock — before the pair is marked seen and the
+// batch acked — so "in the log" and "visible to the next cut" are atomic, and
+// a crash can never keep the mark without the items or the items without
+// the mark.
+func (e *engine) keep(stream, pos int64, b core.Batch) error {
+	n := int64(b.Len())
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed.Load() {
@@ -525,17 +518,10 @@ func (e *engine) ingest(b core.Batch, fwd bool, fwdStream, fwdEpoch int64) error
 	}
 	base := e.seq.Add(n) - n
 	b.Stamp(time.Now(), base)
-	idx := int(uint64(e.shardRR.Add(1)) % uint64(len(e.shards)))
-	shard := &e.shards[idx]
+	shard := &e.shards[uint64(e.shardRR.Add(1))%uint64(len(e.shards))]
 	shard.mu.Lock()
 	if e.wal != nil {
-		var werr error
-		if fwd {
-			werr = e.wal.appendForward(fwdStream, fwdEpoch, b)
-		} else {
-			werr = e.wal.appendItems(idx, b)
-		}
-		if werr != nil {
+		if werr := e.wal.appendBatch(stream, pos, b); werr != nil {
 			shard.mu.Unlock()
 			// Durability was promised but cannot be provided: refuse the
 			// submission so the client retries (or fails loudly) rather
@@ -654,7 +640,7 @@ func (e *engine) sendEpoch(ep *epoch) {
 }
 
 // scheduler is the only goroutine that cuts epochs, serializing occupancy
-// triggers, timer fires, and forced flushes into one deterministic order.
+// triggers, timer fires, and drains into one deterministic order.
 func (e *engine) scheduler() {
 	defer close(e.epochs)
 	var tick <-chan time.Time
@@ -693,27 +679,17 @@ func (e *engine) scheduler() {
 				}
 			}
 		case req := <-e.force:
-			switch batch := e.cutFloor(); {
-			case batch.Len() > 0:
-				e.sendEpoch(&epoch{batch: batch, reply: req.reply, allowEmpty: req.allowEmpty})
-			case req.forceDrop:
-				// Final drain: the anonymity floor forbids forwarding a
-				// below-floor epoch, and the caller has declared no more
-				// traffic is coming to grow it — release it as Dropped
-				// (counted, WAL-resolved) instead of leaking it as
-				// pending forever, then barrier.
+			// A Drain: cut the epoch if it meets the floor; otherwise leave
+			// it pending (it may yet grow past the floor) and send the empty
+			// batch, a pure barrier. A final drain instead releases the
+			// below-floor epoch as Dropped (counted, WAL-resolved): the
+			// floor forbids forwarding it, and the caller has declared no
+			// more traffic is coming to grow it.
+			batch := e.cutFloor()
+			if batch.Len() == 0 && req.forceDrop {
 				e.dropCut(e.cut())
-				e.sendEpoch(&epoch{reply: req.reply, allowEmpty: true})
-			case req.allowEmpty:
-				// Drain of a below-floor epoch: leave it pending (it may
-				// yet grow past the floor) and send a pure barrier.
-				e.sendEpoch(&epoch{reply: req.reply, allowEmpty: true})
-			default:
-				// Flush of a below-floor epoch: refuse without destroying
-				// the pending reports — they keep accumulating.
-				req.reply <- flushResult{err: fmt.Errorf("%w: %d < %d",
-					shuffler.ErrBatchTooSmall, e.occupancy.Load(), e.floor)}
 			}
+			e.sendEpoch(&epoch{batch: batch, reply: req.reply})
 		}
 	}
 }
@@ -758,17 +734,18 @@ func (e *engine) flusher() {
 // flushOne processes and pushes a single epoch, then resolves it in the WAL
 // (ack on delivery, drop on permanent failure) and updates the counters.
 func (e *engine) flushOne(ep *epoch) {
-	var res flushResult
-	if ep.batch.Len() == 0 && ep.allowEmpty {
-		// A Drain barrier: every earlier epoch has been flushed.
-	} else {
+	var (
+		stats shuffler.Stats
+		err   error
+	)
+	if ep.batch.Len() > 0 { // else a Drain barrier: every earlier epoch has been flushed
 		var out core.Batch
 		procStart := time.Now()
-		out, res.stats, res.err = e.stage.ProcessEpoch(ep.batch)
+		out, stats, err = e.stage.ProcessEpoch(ep.batch)
 		observeSeconds(e.procSeconds, procStart)
-		if res.err == nil {
+		if err == nil {
 			pushStart := time.Now()
-			res.err = e.sink.push(e.stream, ep.id, out)
+			err = e.sink.push(e.stream, ep.id, out)
 			observeSeconds(e.pushSeconds, pushStart)
 		}
 		if e.isKilled() {
@@ -779,49 +756,50 @@ func (e *engine) flushOne(ep *epoch) {
 			return
 		}
 		if e.wal != nil {
-			e.wal.resolve(ep.id, res.err == nil)
+			e.wal.resolve(ep.id, err == nil)
 		}
 	}
 	e.mu.Lock()
 	e.queuedEpochs--
-	if res.err != nil {
+	if err != nil {
 		e.epochsFailed++
-		e.lastErr = res.err
+		e.lastErr = err
 		e.dropped.Add(int64(ep.batch.Len()))
 	} else if ep.batch.Len() > 0 {
 		e.epochsFlushed++
-		e.cum.Received += res.stats.Received
-		e.cum.Undecryptable += res.stats.Undecryptable
-		e.cum.Crowds += res.stats.Crowds
-		e.cum.CrowdsForwarded += res.stats.CrowdsForwarded
-		e.cum.Forwarded += res.stats.Forwarded
+		e.cum.Received += stats.Received
+		e.cum.Undecryptable += stats.Undecryptable
+		e.cum.Crowds += stats.Crowds
+		e.cum.CrowdsForwarded += stats.CrowdsForwarded
+		e.cum.Forwarded += stats.Forwarded
 	}
 	e.mu.Unlock()
 	if ep.reply != nil {
-		ep.reply <- res
+		ep.reply <- err
 	}
 }
 
-// forceFlush cuts the current epoch immediately and waits for it (and every
-// earlier queued epoch) to be flushed. forceDrop additionally releases a
+// drain cuts the current epoch if it meets the anonymity floor and waits for
+// it (and every earlier queued epoch) to be flushed, returning the cut
+// epoch's processing or push error. forceDrop additionally releases a
 // below-floor cut as Dropped instead of leaving it pending (final drain).
-func (e *engine) forceFlush(allowEmpty, forceDrop bool) (shuffler.Stats, error) {
+func (e *engine) drain(forceDrop bool) error {
 	if e.closed.Load() {
-		return shuffler.Stats{}, ErrClosed
+		return ErrClosed
 	}
-	req := forceReq{reply: make(chan flushResult, 1), allowEmpty: allowEmpty, forceDrop: forceDrop}
+	req := forceReq{reply: make(chan error, 1), forceDrop: forceDrop}
 	select {
 	case e.force <- req:
 	case <-e.stop:
-		return shuffler.Stats{}, ErrClosed
+		return ErrClosed
 	case <-e.ab.ch:
-		return shuffler.Stats{}, ErrClosed
+		return ErrClosed
 	}
 	select {
-	case res := <-req.reply:
-		return res.stats, res.err
+	case err := <-req.reply:
+		return err
 	case <-e.ab.ch:
-		return shuffler.Stats{}, ErrClosed
+		return ErrClosed
 	}
 }
 
@@ -879,7 +857,7 @@ func (e *engine) close() error {
 		return nil
 	}
 	// Report only failures from the drain itself (epochs still queued or
-	// cut now); earlier failures were already surfaced to Flush/Drain/Stats
+	// cut now); earlier failures were already surfaced to Drain/Stats
 	// callers and must not turn a clean shutdown into an error.
 	e.mu.Lock()
 	failedBefore := e.epochsFailed

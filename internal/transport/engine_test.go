@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -33,8 +32,8 @@ func (nullSink) push(stream, epoch int64, out core.Batch) error { return nil }
 func (nullSink) close() error                                   { return nil }
 
 // TestCutOrderMatchesSeqSort pins the chunk merge against the per-item sort
-// it replaced. Ingest calls of mixed sizes race each other over plain and
-// forward ingestion; a below-floor cut is put back, a crash turns it into
+// it replaced. Ingest calls of mixed sizes, unstamped and stamped, race each
+// other; a below-floor cut is put back, a crash turns it into
 // WAL-recovered pending items, and more calls race on top. Whatever the
 // shard count, the epoch the stage then sees must be exactly the accepted
 // items sorted by the sequence number each was stamped with, and the cut
@@ -75,20 +74,18 @@ func testCutOrder(t *testing.T, kind core.BatchKind, shards int) {
 			t.Fatal(err)
 		}
 	}
-	// ingest submits one batch of n fresh items, forwarded (with its own
-	// dedup stamp) when fwd is nonzero.
+	// ingest submits one batch of n fresh items, stamped (77, fwd) when fwd
+	// is nonzero.
 	ingest := func(tag string, n int, fwd int64) {
 		var b core.Batch
 		for i := 0; i < n; i++ {
 			b, _ = b.Append(walItem(kind, 0, fmt.Sprintf("%s-%d", tag, i)))
 		}
-		var err error
+		stream := int64(0)
 		if fwd != 0 {
-			err = eng.addForward(77, fwd, b)
-		} else {
-			err = eng.ingest(b, false, 0, 0)
+			stream = 77
 		}
-		if err != nil {
+		if err := eng.ingest(stream, fwd, b); err != nil {
 			t.Error(err)
 			return
 		}
@@ -120,7 +117,7 @@ func testCutOrder(t *testing.T, kind core.BatchKind, shards int) {
 	flushed := 0
 	flush := func() {
 		t.Helper()
-		if _, err := eng.forceFlush(false, false); err != nil {
+		if err := eng.drain(false); err != nil {
 			t.Fatal(err)
 		}
 		got := epochs[len(epochs)-1]
@@ -158,8 +155,9 @@ func testCutOrder(t *testing.T, kind core.BatchKind, shards int) {
 	ingest("early-a", 1, 0)
 	ingest("early-b", 7, 5)
 	ingest("early-c", 13, 0)
-	if _, err := eng.forceFlush(false, false); !errors.Is(err, shuffler.ErrBatchTooSmall) {
-		t.Fatalf("flush of 21 < %d items = %v, want the floor to refuse it", floor, err)
+	if err := eng.drain(false); err != nil || len(epochs) != 0 || eng.stats().Pending != 21 {
+		t.Fatalf("drain of 21 < %d items = %v with %d epochs cut and %+v, want the floor to leave them pending",
+			floor, err, len(epochs), eng.stats())
 	}
 	race("putback") // on top of the cut that was put back
 	flush()

@@ -130,8 +130,8 @@ func TestSubmitBatch(t *testing.T) {
 }
 
 // TestAutoFlushAtThreshold checks occupancy-driven epoch cutting: three
-// times FlushAt reports must produce multiple epochs without any manual
-// Flush, and the analyzer must see every report.
+// times FlushAt reports must produce multiple epochs before the final
+// Drain, and the analyzer must see every report.
 func TestAutoFlushAtThreshold(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{FlushAt: 20, MaxPending: 200})
 	cl, err := Dial(rig.shuf)
@@ -262,27 +262,10 @@ func TestBackpressureEpochFull(t *testing.T) {
 	}
 }
 
-// TestFlushVsDrainSemantics: manual Flush on an empty epoch fails (the
-// anonymity floor), while Drain succeeds as a barrier.
-func TestFlushVsDrainSemantics(t *testing.T) {
-	rig := newStreamingRig(t, EpochConfig{})
-	cl, err := Dial(rig.shuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Flush(); !IsBatchTooSmall(err) {
-		t.Errorf("empty Flush err = %v, want batch-too-small", err)
-	}
-	if _, err := cl.Drain(); err != nil {
-		t.Errorf("empty Drain err = %v, want nil (barrier)", err)
-	}
-}
-
-// TestBelowFloorEpochPreserved: neither Flush nor Drain may destroy a
-// pending epoch smaller than the shuffler's minimum batch — the reports
-// must keep accumulating until they can legitimately be forwarded, and the
-// refusals must not pollute the failure stats.
+// TestBelowFloorEpochPreserved: a Drain may not destroy a pending epoch
+// smaller than the shuffler's minimum batch — the reports must show as
+// Pending, not as an error, and keep accumulating until they can
+// legitimately be forwarded, without polluting the failure stats.
 func TestBelowFloorEpochPreserved(t *testing.T) {
 	rig := newStreamingRigMin(t, EpochConfig{}, 5)
 	cl, err := Dial(rig.shuf)
@@ -295,30 +278,31 @@ func TestBelowFloorEpochPreserved(t *testing.T) {
 	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env, env}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Flush(); !IsBatchTooSmall(err) {
-		t.Fatalf("below-floor Flush err = %v, want batch-too-small", err)
-	}
-	stats, err := cl.Drain()
-	if err != nil {
-		t.Fatalf("below-floor Drain err = %v, want nil (barrier)", err)
-	}
-	if stats.Pending != 3 {
-		t.Fatalf("pending after refused flushes = %d, want 3 (reports preserved)", stats.Pending)
-	}
-	if stats.EpochsFailed != 0 {
-		t.Fatalf("epochs failed = %d (%s), refusals must not pollute stats", stats.EpochsFailed, stats.LastError)
+	for range 2 { // a repeated barrier must not wear the epoch down either
+		stats, err := cl.Drain()
+		if err != nil {
+			t.Fatalf("below-floor Drain err = %v, want nil (barrier)", err)
+		}
+		if stats.Pending != 3 || stats.EpochsFlushed != 0 {
+			t.Fatalf("after a below-floor Drain: pending %d, flushed %d, want 3 pending (reports preserved)",
+				stats.Pending, stats.EpochsFlushed)
+		}
+		if stats.EpochsFailed != 0 || stats.Dropped != 0 {
+			t.Fatalf("epochs failed = %d, dropped = %d (%s), a barrier must not pollute stats",
+				stats.EpochsFailed, stats.Dropped, stats.LastError)
+		}
 	}
 
 	// Two more reports cross the floor; the epoch now flushes whole.
 	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env}}); err != nil {
 		t.Fatal(err)
 	}
-	flushStats, err := cl.Flush()
+	stats, err := cl.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flushStats.Received != 5 {
-		t.Errorf("flushed epoch received = %d, want all 5 preserved reports", flushStats.Received)
+	if stats.EpochsFlushed != 1 || stats.Cumulative.Received != 5 || stats.Pending != 0 {
+		t.Errorf("drain across the floor = %+v, want one epoch of all 5 preserved reports", stats)
 	}
 	ac, err := DialAnalyzer(rig.anlz)
 	if err != nil {

@@ -9,14 +9,14 @@ import (
 	"prochlo/internal/core"
 )
 
-// pusher is the one call the push sinks make on a connection: a Forward or
-// Ingest frame carrying an epoch, answered with the accepted count. Sinks
-// dial through EpochConfig.dialPusher, which wraps the connection with the
-// configured FaultPlan — fault injection sits below the retry/redial logic,
-// exactly where a flaky network would, so the recovery machinery is
-// exercised by the same code paths production runs.
+// pusher is the one call the push sinks make on a connection: a Submit frame
+// carrying an epoch, answered with the accepted count. Sinks dial through
+// EpochConfig.dialPusher, which wraps the connection with the configured
+// FaultPlan — fault injection sits below the retry/redial logic, exactly
+// where a flaky network would, so the recovery machinery is exercised by the
+// same code paths production runs.
 type pusher interface {
-	push(method uint8, stream, epoch int64, b core.Batch) (accepted int, err error)
+	push(stream, epoch int64, b core.Batch) (accepted int, err error)
 	close() error
 }
 
@@ -249,7 +249,7 @@ type faultPusher struct {
 	c    pusher
 }
 
-func (f *faultPusher) push(method uint8, stream, epoch int64, b core.Batch) (int, error) {
+func (f *faultPusher) push(stream, epoch int64, b core.Batch) (int, error) {
 	if f.plan.partitioned() {
 		return 0, errInjectedPartition
 	}
@@ -263,18 +263,18 @@ func (f *faultPusher) push(method uint8, stream, epoch int64, b core.Batch) (int
 	case faultError:
 		return 0, errInjectedDrop
 	case faultDropAck:
-		if _, err := f.c.push(method, stream, epoch, b); err != nil {
+		if _, err := f.c.push(stream, epoch, b); err != nil {
 			return 0, err
 		}
 		return 0, errInjectedAckLoss
 	case faultDup:
-		if _, err := f.c.push(method, stream, epoch, b); err != nil {
+		if _, err := f.c.push(stream, epoch, b); err != nil {
 			return 0, err
 		}
 	case faultDelay:
 		time.Sleep(f.plan.Delay)
 	}
-	return f.c.push(method, stream, epoch, b)
+	return f.c.push(stream, epoch, b)
 }
 
 func (f *faultPusher) close() error { return f.c.close() }

@@ -87,13 +87,10 @@ func (w *wal) attachMetrics(reg *metrics.Registry, l metrics.Labels) {
 		return
 	}
 	w.appendRecords = reg.Counter("prochlo_wal_append_records_total",
-		"Item and forward records appended to the write-ahead log.", l)
+		"Reports appended to the write-ahead log.", l)
 	h := reg.Histogram("prochlo_wal_fsync_seconds",
 		"Latency of one WAL segment fsync.", l, metrics.FsyncBuckets)
-	for _, s := range w.shards {
-		s.fsync = h
-	}
-	w.fwd.fsync = h
+	w.ingest.fsync = h
 	w.epochLog.fsync = h
 }
 

@@ -35,7 +35,13 @@ type crashRig struct {
 	cfg      EpochConfig
 
 	svc *StageService
+	seq int64 // the rig's client: last (crashRigStream, seq) stamp submitted
 }
+
+// crashRigStream is the stream id the rig submits under, as a
+// transport.Client would: every submission stamped, so the tests drive the
+// one ingest path a daemon runs.
+const crashRigStream = 4242
 
 func newCrashRig(t *testing.T, kind core.BatchKind, cfg EpochConfig) *crashRig {
 	t.Helper()
@@ -128,7 +134,8 @@ func (r *crashRig) batch(n int, value string) core.Batch {
 
 func (r *crashRig) submit(n int, value string) {
 	r.t.Helper()
-	if _, err := r.svc.Submit(0, 0, r.batch(n, value)); err != nil {
+	r.seq++
+	if _, err := r.svc.Submit(crashRigStream, r.seq, r.batch(n, value)); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -280,7 +287,7 @@ func TestForwardDedupAcrossRestart(t *testing.T) { forEachKind(t, testForwardDed
 func testForwardDedupAcrossRestart(t *testing.T, kind core.BatchKind) {
 	rig := newCrashRig(t, kind, EpochConfig{})
 	batch := rig.batch(3, "dedup-value")
-	if n, err := rig.svc.Forward(9, 1, batch); err != nil || n != 3 {
+	if n, err := rig.svc.Submit(9, 1, batch); err != nil || n != 3 {
 		t.Fatalf("first forward = (%d, %v), want 3 accepted", n, err)
 	}
 
@@ -291,7 +298,7 @@ func testForwardDedupAcrossRestart(t *testing.T, kind core.BatchKind) {
 	if stats := rig.svc.Stats(); stats.RecoveredItems != 3 || stats.Pending != 3 {
 		t.Fatalf("post-restart stats = %+v, want the 3 forwarded reports pending", stats)
 	}
-	if n, err := rig.svc.Forward(9, 1, batch); err != nil || n != 3 {
+	if n, err := rig.svc.Submit(9, 1, batch); err != nil || n != 3 {
 		t.Fatalf("retried forward = (%d, %v), want 3 accepted (idempotent ack across restart)", n, err)
 	}
 

@@ -14,15 +14,16 @@ import (
 	"prochlo/internal/shuffler"
 )
 
-// forwardDedup tracks inter-hop pushes (and stamped client submissions)
-// already ingested, so an at-least-once retry (the pusher's reply was lost)
-// is acknowledged without re-ingesting. Two concurrent deliveries of the
-// same key — e.g. a dead replica's in-flight push racing its WAL-recovered
-// successor's replay of the same (stream, epoch) — must not both ingest, and
-// a push rejected by backpressure must not be marked seen. Rather than
-// holding one lock across the whole check-ingest-mark sequence (which would
-// serialize every concurrent submission), a per-key busy set makes same-key
-// deliveries wait on each other while distinct keys ingest in parallel.
+// forwardDedup tracks the stamped batches — hop pushes and client
+// submissions alike — already ingested, so an at-least-once retry (the
+// pusher's reply was lost) is acknowledged without re-ingesting. Two
+// concurrent deliveries of the same key — e.g. a dead replica's in-flight
+// push racing its WAL-recovered successor's replay of the same (stream,
+// epoch) — must not both ingest, and a push rejected by backpressure must
+// not be marked seen. Rather than holding one lock across the whole
+// check-ingest-mark sequence (which would serialize every concurrent
+// submission), a per-key busy set makes same-key deliveries wait on each
+// other while distinct keys ingest in parallel.
 type forwardDedup struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -48,7 +49,7 @@ func (d *forwardDedup) restore(marks [][2]int64) {
 
 // ingest runs add once per (stream, epoch) key: a key already seen is
 // acknowledged without re-ingesting, a key mid-ingest by a concurrent
-// delivery is waited out, and only a successful add marks the key. Pushes
+// delivery is waited out, and only a successful add marks the key. Batches
 // with a zero (stream, epoch) skip dedup entirely.
 func (d *forwardDedup) ingest(stream, epoch int64, add func() error) error {
 	if stream == 0 && epoch == 0 {
@@ -91,17 +92,17 @@ func (d *forwardDedup) ingest(stream, epoch int64, add func() error) error {
 // either hop of the §4.3 split chain — over the frame protocol. Every role
 // runs the same epoch engine around its shuffler.Stage; what distinguishes
 // the roles is the stage itself — the batch kind it consumes is what the
-// service admits, the kind it emits decides how its epochs are pushed — plus
+// service admits, the kind it emits is what the next tier must take — plus
 // the keys it serves, where its epochs go, and (SGX only) an attestation
 // quote. See the package comment for the epoch/backpressure model.
 //
-// Clients enter a chain at its first hop with Submit; later hops receive
-// exclusively forwarded epochs. Both are deduplicated by their (stream,
-// epoch-or-seq) stamp, since pushes and client retries are at-least-once.
-// Backpressure composes across the chain: when hop 2 rejects a forward as
-// epoch-full, hop 1's flusher backs off and retries, its in-flight queue
-// fills, and hop 1 starts rejecting its own clients with the same retryable
-// error.
+// Clients enter a chain at its first hop with Submit, and each hop pushes
+// its epochs to the next with the same call. Both are deduplicated by their
+// (stream, seq-or-epoch) stamp, since pushes and client retries are
+// at-least-once. Backpressure composes across the chain: when hop 2 rejects
+// a push as epoch-full, hop 1's flusher backs off and retries, its in-flight
+// queue fills, and hop 1 starts rejecting its own clients with the same
+// retryable error.
 type StageService struct {
 	eng  *engine
 	keys Keys
@@ -113,10 +114,9 @@ type StageService struct {
 // NewStageService wraps a stage: the service admits the batch kind the stage
 // consumes (st.Kinds: envelopes for the plain and SGX shufflers, blinded
 // envelopes for both split-chain hops) and pushes each processed epoch to
-// the downstream tier next — as an Ingest when the stage emits peeled
-// payloads, which only an analyzer takes, and as a Forward to the next
-// shuffler hop otherwise. A tier of the wrong sort refuses the first push,
-// naming the kind it got. next lists the tier's replicas in partition
+// the downstream tier next: an analyzer when the stage emits peeled payloads,
+// the next shuffler hop otherwise. A tier of the wrong sort refuses the first
+// push, naming the kind it got. next lists the tier's replicas in partition
 // order: one address is a plain push, several split every epoch —
 // blinded envelopes by the client-stamped crowd partition, so the replica
 // that thresholds a crowd sees all of it no matter which upstream replica
@@ -131,12 +131,8 @@ type StageService struct {
 // could both see traffic metadata and decrypt. The caller should Close the
 // service to drain it and release the downstream connections.
 func NewStageService(st shuffler.Stage, keys Keys, next []string, cfg EpochConfig) (*StageService, error) {
-	method := methodForward
-	if _, emits := st.Kinds(); emits == core.KindPayloads {
-		method = methodIngest
-	}
 	ab := newAborter()
-	snk, err := newTier(method, next, cfg, ab)
+	snk, err := newTier(next, cfg, ab)
 	if err != nil {
 		return nil, err
 	}
@@ -189,52 +185,33 @@ func (s *StageService) Keys() (Keys, error) {
 	return s.keys, nil
 }
 
-// Submit queues a client batch, returning how many items were accepted. The
-// batch is accepted or rejected atomically: on ErrEpochFull nothing is
-// ingested. A stamped batch (nonzero stream/seq) is deduplicated like a
-// forwarded epoch, so a client's retry after an ambiguous connection error
-// cannot double-ingest; with a WAL the mark persists with the items. The
-// service keeps an accepted batch's items without copying them: the caller
-// hands b over and must not reuse it.
-func (s *StageService) Submit(stream, seq int64, b core.Batch) (int, error) {
-	if stream != 0 || seq != 0 {
-		return s.Forward(stream, seq, b)
-	}
-	if err := s.eng.ingest(b, false, 0, 0); err != nil {
+// Submit ingests one batch — a client's submission or an epoch the upstream
+// hop pushed — returning how many items were accepted. The batch is accepted
+// or rejected atomically: on ErrEpochFull nothing is ingested. A stamped
+// batch (nonzero stream/pos: a client's (stream, seq), a hop's (stream,
+// epoch)) is deduplicated, so an at-least-once retry is acknowledged with the
+// same count and ingests nothing; with a WAL the mark persists with the
+// items. The service keeps an accepted batch's items without copying them:
+// the caller hands b over and must not reuse it.
+func (s *StageService) Submit(stream, pos int64, b core.Batch) (int, error) {
+	if err := s.eng.ingest(stream, pos, b); err != nil {
 		return 0, err
 	}
 	return b.Len(), nil
-}
-
-// Forward ingests an epoch pushed by the upstream hop, deduplicating
-// at-least-once retries by (stream, epoch): a retry is acknowledged with
-// the same accepted count and ingests nothing.
-func (s *StageService) Forward(stream, epoch int64, b core.Batch) (int, error) {
-	if err := s.eng.addForward(stream, epoch, b); err != nil {
-		return 0, err
-	}
-	return b.Len(), nil
-}
-
-// Flush cuts and processes the current epoch, returning its stats. An
-// empty or below-floor epoch fails with shuffler.ErrBatchTooSmall (the
-// anonymity floor) and is left pending; use Drain for a tolerant barrier.
-func (s *StageService) Flush() (shuffler.Stats, error) {
-	return s.eng.forceFlush(false, false)
 }
 
 // Drain cuts the current epoch if it meets the anonymity floor — a
 // below-floor epoch is left pending, where it can still grow — waits for
 // every queued epoch to reach the next hop, and returns the service stats.
-// Unlike Flush it succeeds when nothing is pending, so clients use it as a
-// barrier before querying downstream. Chains drain in hop order: hop 1
+// It succeeds when nothing is pending, so it is the barrier clients use
+// before querying downstream. Chains drain in hop order: hop 1
 // first (its final epoch must reach hop 2's ingestion before hop 2's drain
 // cuts), then hop 2. With force a below-floor epoch is released as Dropped
 // (counted in ServiceStats.Dropped and WAL-resolved, so the reconciliation
 // invariant still closes) instead of left pending — the final drain of a
 // fleet shutting down for good.
 func (s *StageService) Drain(force bool) (ServiceStats, error) {
-	if _, err := s.eng.forceFlush(true, force); err != nil {
+	if err := s.eng.drain(force); err != nil {
 		return ServiceStats{}, err
 	}
 	return s.eng.stats(), nil
@@ -258,19 +235,12 @@ func (s *StageService) Abort() { s.eng.abort() }
 
 func (s *StageService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
 	switch method {
-	case methodSubmit, methodForward, methodIngest:
-		// Ingest is what a stage emitting payloads sends when it is pointed
-		// at this stage instead of an analyzer: it takes the Forward path so
-		// the refusal names the kind.
+	case methodSubmit:
 		stream, pos, b, err := parseBatchCall(body)
 		if err != nil {
 			return nil, err
 		}
-		ingest := s.Forward
-		if method == methodSubmit {
-			ingest = s.Submit
-		}
-		n, err := ingest(stream, pos, b)
+		n, err := s.Submit(stream, pos, b)
 		return appendWireInts(dst, int64(n)), err
 	case methodKeys:
 		k, err := s.Keys()
@@ -285,9 +255,6 @@ func (s *StageService) serveFrame(method uint8, body, dst []byte) ([]byte, error
 		}
 		st, err := s.Drain(body[0] == 1)
 		return st.appendWire(dst), err
-	case methodFlush:
-		st, err := s.Flush()
-		return appendEpochStats(dst, st), err
 	case methodAttestation:
 		att, err := s.Attestation()
 		return att.appendWire(dst), err
@@ -355,10 +322,7 @@ func (a *AnalyzerService) Stats() AnalyzerStats {
 
 func (a *AnalyzerService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
 	switch method {
-	case methodIngest, methodForward:
-		// Forward is what a stage emitting envelopes sends when it is pointed
-		// at an analyzer instead of the next hop: parse it so the refusal
-		// names the kind.
+	case methodSubmit:
 		stream, epoch, b, err := parseBatchCall(body)
 		if err != nil {
 			return nil, err

@@ -2,8 +2,8 @@
 // the deployment shape of Figure 1, where encoders, shufflers, and analyzers
 // are distinct long-lived parties. Every call between two parties is a
 // request/reply frame pair on one pipelined TCP connection (wire.go): report
-// batches, hop-to-hop pushes, and the control calls (keys, health, stats,
-// drain barriers, attestation, the analyzer's histogram) alike.
+// batches and the control calls (keys, health, stats, drain barriers,
+// attestation, the analyzer's histogram) alike.
 //
 // # Stage topology
 //
@@ -11,16 +11,17 @@
 // around a shuffler.Stage. The service ingests wire items, cuts them into
 // epochs, processes each epoch through its stage, and pushes the output to a
 // downstream tier. Because stage output travels as the shared core.Batch
-// wire union, the downstream can be an analyzer (Ingest) or another
-// shuffler hop (Forward), so the split-shuffler chain of §4.3 deploys as
-// real networked daemons:
+// wire union, the downstream can be an analyzer or another shuffler hop, so
+// the split-shuffler chain of §4.3 deploys as real networked daemons:
 //
 //	clients -> Shuffler1 daemon -> Shuffler2 daemon -> analyzer daemon
 //
-// Inter-hop pushes are at-least-once and deduplicated by (stream, epoch);
-// downstream epoch-full backpressure propagates upstream because the pushing
-// flusher blocks, its in-flight queue fills, and the hop starts rejecting
-// its own clients.
+// Ingest is one path whatever the sender: a client's batch and a hop's
+// pushed epoch are the same stamped Submit frame, the same engine.ingest
+// and the same WAL record. Every batch is at-least-once and deduplicated by
+// its (stream, seq-or-epoch) stamp; downstream epoch-full backpressure
+// propagates upstream because the pushing flusher blocks, its in-flight
+// queue fills, and the hop starts rejecting its own clients.
 //
 // # Streaming model
 //
@@ -37,7 +38,7 @@
 // each epoch (stripping the arrival metadata the service inevitably
 // recorded) and pushes the output downstream asynchronously, in epoch order.
 // A zero EpochConfig disables the scheduler: epochs are cut only by an
-// explicit Flush or Drain.
+// explicit Drain.
 //
 // # Backpressure
 //
@@ -49,16 +50,16 @@
 //
 // # Durability
 //
-// With EpochConfig.WALDir set, a service is crash-safe: every accepted item
-// is appended to a per-shard write-ahead log before the submission is
-// acknowledged, every cut epoch's membership is persisted before it is
-// pushed, and segments are reclaimed only once their epochs are pushed and
-// acked downstream. A restarted daemon recovers the directory — same stream
-// id, pending items with their sequence stamps, unresolved epochs re-pushed
-// under their original (stream, epoch) pairs — so the at-least-once push
-// plus receiver dedup becomes exactly-once across process crashes. See
-// wal.go for the log format and EXPERIMENTS.md for a kill-and-restart
-// walkthrough.
+// With EpochConfig.WALDir set, a service is crash-safe: every accepted batch
+// is appended to the ingest log as one fsynced record, with its dedup stamp,
+// before it is acknowledged; every cut epoch's membership is persisted
+// before it is pushed; and segments are reclaimed only once their epochs are
+// pushed and acked downstream. A restarted daemon recovers the directory —
+// same stream id, pending items with their sequence stamps, dedup marks,
+// unresolved epochs re-pushed under their original (stream, epoch) pairs —
+// so the at-least-once push plus receiver dedup becomes exactly-once across
+// process crashes. See wal.go for the log format and EXPERIMENTS.md for a
+// kill-and-restart walkthrough.
 //
 // # Shutdown
 //
@@ -210,8 +211,8 @@ func decodeServiceStats(body []byte) (ServiceStats, error) {
 	return s, r.done()
 }
 
-// appendEpochStats encodes one epoch's (or a cumulative) selectivity stats:
-// the Flush reply body, and the tail of ServiceStats.
+// appendEpochStats encodes cumulative selectivity stats, the tail of
+// ServiceStats.
 func appendEpochStats(dst []byte, s shuffler.Stats) []byte {
 	return appendWireInts(dst, int64(s.Received), int64(s.Undecryptable), int64(s.Crowds),
 		int64(s.CrowdsForwarded), int64(s.Forwarded))
@@ -281,12 +282,6 @@ func IsEpochFull(err error) bool {
 	return err != nil && strings.Contains(err.Error(), errEpochFullMsg)
 }
 
-// IsBatchTooSmall reports whether err is shuffler.ErrBatchTooSmall,
-// including its ServerError form after crossing the wire.
-func IsBatchTooSmall(err error) bool {
-	return err != nil && strings.Contains(err.Error(), shuffler.ErrBatchTooSmall.Error())
-}
-
 // IsTransient reports whether err looks like a connection-level failure —
 // the call may or may not have reached the service — rather than an error
 // the service itself returned. Transient errors are worth retrying on a
@@ -312,7 +307,7 @@ var ErrClosed = errors.New("transport: shuffler service closed")
 
 // EpochConfig tunes a stage service's streaming behavior. The zero value
 // disables the scheduler: nothing auto-flushes and batches are only
-// processed by an explicit Flush or Drain.
+// processed by an explicit Drain.
 type EpochConfig struct {
 	// FlushAt cuts an epoch as soon as occupancy reaches this many items.
 	// 0 disables occupancy-driven flushing.
@@ -337,20 +332,13 @@ type EpochConfig struct {
 	// bounded end to end by DefaultWireTimeout, so a hung peer becomes a
 	// retryable fault instead of a stuck flusher.
 	DialTimeout time.Duration
-	// WALDir enables the write-ahead log: accepted items are persisted to
-	// this directory before submissions are acknowledged, and a restart
-	// over the same directory recovers pending items, resumes unresolved
-	// epoch pushes under the same (stream, epoch) ids, and restores the
-	// forward dedup marks — making the at-least-once push chain
-	// exactly-once across process crashes. Empty disables durability.
+	// WALDir enables the write-ahead log: every accepted batch is fsynced
+	// to this directory before it is acknowledged, and a restart over the
+	// same directory recovers pending items, resumes unresolved epoch
+	// pushes under the same (stream, epoch) ids, and restores the dedup
+	// marks — making the at-least-once push chain exactly-once across
+	// process crashes. Empty disables durability.
 	WALDir string
-	// WALSync is the fsync cadence for item records: sync after every N
-	// append calls. 0 (the default) syncs every append — full durability;
-	// larger values trade the tail of accepted-but-unsynced submissions
-	// for throughput. Cut records and forward ingests always sync. Segment
-	// files rotate at DefaultWALSegmentBytes so resolved epochs' records
-	// can be reclaimed.
-	WALSync int
 	// RedialAttempts bounds reconnects to a dead downstream per push before
 	// the epoch is declared failed. 0 selects DefaultRedialAttempts;
 	// negative disables redialing.

@@ -81,12 +81,12 @@ func TestNetworkedPipeline(t *testing.T) {
 		t.Fatalf("healthz = %+v, %v, want 83 pending", h, err)
 	}
 
-	stats, err := cl.Flush()
+	stats, err := cl.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Crowds != 2 || stats.CrowdsForwarded != 1 {
-		t.Errorf("stats = %+v", stats)
+	if stats.Cumulative.Crowds != 2 || stats.Cumulative.CrowdsForwarded != 1 {
+		t.Errorf("stats = %+v", stats.Cumulative)
 	}
 
 	// Query the analyzer directly.
@@ -110,7 +110,10 @@ func TestNetworkedPipeline(t *testing.T) {
 	}
 }
 
-func TestFlushEmptyBatchFails(t *testing.T) {
+// TestDrainEmptyPushesNothing: draining a service with nothing pending, at
+// the default anonymity floor, is a pure barrier — it succeeds, cuts no
+// epoch, and sends the analyzer nothing.
+func TestDrainEmptyPushesNothing(t *testing.T) {
 	anlzPriv, _ := hybrid.GenerateKey(crand.Reader)
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
 	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
@@ -136,8 +139,15 @@ func TestFlushEmptyBatchFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Flush(); err == nil {
-		t.Error("flushing an empty batch should fail (batch minimum)")
+	stats, err := cl.Drain()
+	if err != nil {
+		t.Fatalf("empty Drain err = %v, want nil (barrier)", err)
+	}
+	if stats.Pending != 0 || stats.EpochsFlushed != 0 || stats.EpochsFailed != 0 || stats.Unaccounted != 0 {
+		t.Errorf("empty Drain stats = %+v, want all-zero epoch counters", stats)
+	}
+	if as := anlzSvc.Stats(); as.Ingests != 0 {
+		t.Errorf("analyzer ingests after an empty Drain = %d, want 0", as.Ingests)
 	}
 }
 

@@ -19,29 +19,28 @@ import (
 )
 
 // The write-ahead log makes a stage engine's accepted-but-unflushed items
-// survive a process crash. Every accepted item is appended (with its global
-// sequence stamp) to one of the per-ingest-shard segment files before the
-// submission is acknowledged; when the scheduler cuts an epoch it records the
-// epoch's id and sequence range (cuts take every pending item, and stamping
-// completes under the shard lock, so an epoch is always a contiguous range);
-// and when the flusher's push is acked downstream — or permanently fails —
-// the epoch is resolved with an ack/drop record. Segments whose every item
-// belongs to a resolved epoch are deleted. Forward ingests (at-least-once
-// pushes from an upstream hop) are logged as a single fsynced record that
-// carries both the items and the (stream, epoch) dedup mark, so the mark and
-// the data it guards cannot be separated by a crash.
+// survive a process crash. It is two segment families in one directory
+// beside the wal.meta record. The ingest log (fwd-*.log) holds one record
+// per accepted batch, whoever sent it: the batch's (stream, pos) dedup stamp
+// and every item with its global sequence stamp, so the mark and the data it
+// guards cannot be separated by a crash. The epoch log (epochs-*.log) holds the rest: when the
+// scheduler cuts an epoch, its id and sequence range (cuts take every
+// pending item, and stamping completes under the shard lock, so an epoch is
+// always a contiguous range); when the flusher's push is acked downstream —
+// or permanently fails — an ack/drop record; and a replica of each nonzero
+// dedup mark. Ingest segments whose every item belongs to a resolved epoch
+// are deleted.
 //
 // Durability points:
 //
-//   - item records: fsynced every EpochConfig.WALSync records (default every
-//     append call), the throughput/durability trade-off knob;
-//   - cut records: every dirty segment is fsynced, then the cut record is
-//     appended and fsynced, before the epoch may be pushed — so a pushed
-//     epoch's membership is always recoverable and a retried push after
-//     restart reuses the same epoch id for downstream dedup;
-//   - forward records: fsynced before the upstream push is acknowledged;
-//   - ack/drop records: not fsynced. Losing one re-pushes a delivered epoch,
-//     which downstream (stream, epoch) dedup absorbs.
+//   - batch records: fsynced before the batch is acknowledged;
+//   - cut records: fsynced before the epoch may be pushed — every item the
+//     cut covers was fsynced before it was acknowledged, so a pushed epoch's
+//     membership is always recoverable and a retried push after restart
+//     reuses the same epoch id for downstream dedup;
+//   - ack/drop and mark-replica records: not fsynced. Losing an ack re-pushes
+//     a delivered epoch, which downstream (stream, epoch) dedup absorbs; the
+//     authoritative copy of a mark is its batch record.
 //
 // Recovery (recoverWAL) reads every file back, drops items of resolved
 // epochs, regroups items of cut-but-unresolved epochs under their original
@@ -50,16 +49,19 @@ import (
 // files. Recovery is idempotent: items dedup by sequence number, cuts by
 // epoch id, so a crash mid-migration is absorbed by the next recovery.
 
-// WAL record types.
+// WAL record types. Type 2 is retired, never reused.
 const (
-	walRecMeta byte = 1 // stream id + admitted batch kind
-	walRecItem byte = 2 // seq + item payload
-	walRecCut  byte = 3 // epoch id + [minSeq, maxSeq]
-	walRecAck  byte = 4 // epoch id resolved: delivered downstream
-	walRecDrop byte = 5 // epoch id resolved: permanently failed / dropped
-	walRecFwd  byte = 6 // forward ingest: (stream, epoch) mark + items
-	walRecMark byte = 7 // mark replica in the epoch log (survives truncation)
+	walRecMeta  byte = 1 // stream id + admitted batch kind
+	walRecCut   byte = 3 // epoch id + [minSeq, maxSeq]
+	walRecAck   byte = 4 // epoch id resolved: delivered downstream
+	walRecDrop  byte = 5 // epoch id resolved: permanently failed / dropped
+	walRecBatch byte = 6 // one ingested batch: (stream, pos) mark + items
+	walRecMark  byte = 7 // mark replica in the epoch log (survives truncation)
 )
+
+// walMigrateSlice bounds the items migrateWAL writes per batch record, so a
+// recovered backlog is rewritten as records far below readRecord's cap.
+const walMigrateSlice = 4096
 
 // DefaultWALSegmentBytes rotates a segment once it exceeds this size; sealed
 // segments become deletable as their epochs resolve.
@@ -67,20 +69,22 @@ const DefaultWALSegmentBytes = 4 << 20
 
 const walMetaName = "wal.meta"
 
+// walIngestPrefix names the ingest log's segments (fwd-<gen>.log).
+const walIngestPrefix = "fwd"
+
 // walRange is an epoch's contiguous sequence range, inclusive.
 type walRange struct{ min, max int64 }
 
 // walSegment is one append-only record file.
 type walSegment struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	size     int64
-	maxSeq   int64
-	unsynced int  // records appended since the last fsync
-	dirty    bool // has records not yet fsynced
-	buf      []byte
-	fsync    *metrics.Histogram // fsync latency; nil disables (see attachMetrics)
+	mu     sync.Mutex
+	f      *os.File
+	path   string
+	size   int64
+	maxSeq int64
+	dirty  bool // has records not yet fsynced
+	buf    []byte
+	fsync  *metrics.Histogram // fsync latency; nil disables (see attachMetrics)
 }
 
 // walSealed is a rotated (immutable) segment awaiting resolution.
@@ -90,19 +94,16 @@ type walSealed struct {
 }
 
 // wal is the engine's write-ahead log over one directory. It is shared by
-// the engine's ingest path (per-shard appends under the engine's shard
-// locks), its scheduler (cut records), and its flusher (resolve records);
-// each segment has its own lock and the epoch log has the wal lock, so the
-// paths only contend where they genuinely share a file.
+// the engine's ingest path (batch appends under the engine's shard locks),
+// its scheduler (cut records), and its flusher (resolve records); each
+// segment has its own lock and the epoch log has the wal lock, so the paths
+// only contend where they genuinely share a file.
 type wal struct {
-	dir       string
-	syncEvery int // fsync a segment every N records; <= 0: every append
-	segBytes  int64
-	stream    int64
+	dir      string
+	segBytes int64
 
 	gen    int64 // monotonic file-generation counter (naming only)
-	shards []*walSegment
-	fwd    *walSegment
+	ingest *walSegment
 
 	mu         sync.Mutex // epoch log, sealed registry, resolution state
 	epochLog   *walSegment
@@ -111,7 +112,7 @@ type wal struct {
 	stableSeq  int64 // every seq <= stableSeq belongs to a resolved epoch
 	logErr     error // first write failure, surfaced on close
 
-	appendRecords *metrics.Counter // item+forward records logged; nil disables
+	appendRecords *metrics.Counter // items logged; nil disables
 }
 
 // appendRecord frames one record (type, uvarint length, body, crc32 over
@@ -126,51 +127,49 @@ func appendRecord(dst []byte, typ byte, body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc.Sum32())
 }
 
-// readRecord reads one framed record, reusing buf. io.EOF means a clean end
-// of file; any other error (short read, CRC mismatch, absurd length) means
-// the rest of the file is unreadable — a torn tail from a crash — and the
-// reader stops there.
-func readRecord(r *bufio.Reader, buf []byte) (byte, []byte, []byte, error) {
+// readRecord reads one framed record into a fresh buffer. io.EOF means a
+// clean end of file; any other error (short read, CRC mismatch, absurd
+// length) means the rest of the file is unreadable — a torn tail from a
+// crash — and the reader stops there. The length is read from a file a crash
+// may have torn, so the buffer grows only as bytes arrive (readBody): a
+// corrupt length costs one read chunk, not the length it claims.
+func readRecord(r *bufio.Reader) (byte, []byte, error) {
 	typ, err := r.ReadByte()
 	if err != nil {
-		return 0, nil, buf, io.EOF
+		return 0, nil, io.EOF
 	}
 	n, err := binary.ReadUvarint(r)
-	if err != nil || n > 1<<30 {
-		return 0, nil, buf, io.ErrUnexpectedEOF
+	if err != nil || n > maxWireFrame {
+		return 0, nil, io.ErrUnexpectedEOF
 	}
-	if cap(buf) < int(n)+4 {
-		buf = make([]byte, int(n)+4)
+	rec, err := readBody(r, int(n)+4)
+	if err != nil {
+		return 0, nil, io.ErrUnexpectedEOF
 	}
-	buf = buf[:int(n)+4]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, buf, io.ErrUnexpectedEOF
-	}
-	body := buf[:n]
+	body := rec[:n]
 	crc := crc32.NewIEEE()
 	crc.Write([]byte{typ})
 	crc.Write(body)
-	if crc.Sum32() != binary.LittleEndian.Uint32(buf[n:]) {
-		return 0, nil, buf, io.ErrUnexpectedEOF
+	if crc.Sum32() != binary.LittleEndian.Uint32(rec[n:]) {
+		return 0, nil, io.ErrUnexpectedEOF
 	}
-	return typ, body, buf, nil
+	return typ, body, nil
 }
 
 // openWAL opens (or creates) the log directory for appending. stream and
 // the batch kind the items are encoded as are persisted on first creation
-// (item records carry no kind of their own; recoverWAL checks the directory's
-// against the engine's); on an existing directory the caller passes the
-// recovered stream. New segment generations continue after startGen so fresh
-// files never collide with files a recovery still has to delete.
-func openWAL(dir string, shards int, syncEvery int, segBytes int64, stream int64, kind core.BatchKind, startGen int64) (*wal, error) {
+// (batch records carry no kind of their own; recoverWAL checks the
+// directory's against the engine's); on an existing directory the caller
+// passes the recovered stream. New segment generations continue after
+// startGen so fresh files never collide with files a recovery still has to
+// delete.
+func openWAL(dir string, segBytes int64, stream int64, kind core.BatchKind, startGen int64) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("transport: wal dir: %w", err)
 	}
 	w := &wal{
 		dir:        dir,
-		syncEvery:  syncEvery,
 		segBytes:   segBytes,
-		stream:     stream,
 		gen:        startGen,
 		unresolved: make(map[int64]walRange),
 	}
@@ -186,14 +185,7 @@ func openWAL(dir string, shards int, syncEvery int, segBytes int64, stream int64
 		}
 	}
 	var err error
-	w.shards = make([]*walSegment, shards)
-	for i := range w.shards {
-		if w.shards[i], err = w.newSegment(fmt.Sprintf("shard-%04d", i)); err != nil {
-			w.closeFiles()
-			return nil, err
-		}
-	}
-	if w.fwd, err = w.newSegment("fwd"); err != nil {
+	if w.ingest, err = w.newSegment(walIngestPrefix); err != nil {
 		w.closeFiles()
 		return nil, err
 	}
@@ -219,12 +211,11 @@ func (w *wal) newSegment(prefix string) (*walSegment, error) {
 }
 
 // write appends framed bytes to a locked segment.
-func (s *walSegment) write(b []byte, records int) error {
+func (s *walSegment) write(b []byte) error {
 	if _, err := s.f.Write(b); err != nil {
 		return err
 	}
 	s.size += int64(len(b))
-	s.unsynced += records
 	s.dirty = true
 	return nil
 }
@@ -244,7 +235,6 @@ func (s *walSegment) syncLocked() error {
 	if s.fsync != nil {
 		s.fsync.Observe(time.Since(start).Seconds())
 	}
-	s.unsynced = 0
 	s.dirty = false
 	return nil
 }
@@ -265,57 +255,27 @@ func (w *wal) rotateLocked(s *walSegment, prefix string) error {
 	w.sealed = append(w.sealed, walSealed{path: s.path, maxSeq: s.maxSeq})
 	w.mu.Unlock()
 	s.f, s.path, s.size, s.maxSeq = next.f, next.path, 0, 0
-	s.unsynced, s.dirty = 0, false
+	s.dirty = false
 	return nil
 }
 
-// appendItems logs a stamped batch into shard idx's segment: one item record
-// each, fsynced per the WALSync cadence. Must be called under the engine's
-// matching ingest-shard lock (it is what makes "item in the log" and "item
-// visible to the epoch cut" atomic).
-func (w *wal) appendItems(idx int, b core.Batch) error {
-	s := w.shards[idx%len(w.shards)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buf = s.buf[:0]
-	var body []byte
-	for i, n := 0, b.Len(); i < n; i++ {
-		sq := b.Seq(i)
-		body = b.AppendItem(binary.AppendUvarint(body[:0], uint64(sq)), i)
-		s.buf = appendRecord(s.buf, walRecItem, body)
-		if sq > s.maxSeq {
-			s.maxSeq = sq
-		}
-	}
-	if err := s.write(s.buf, b.Len()); err != nil {
-		return fmt.Errorf("transport: wal append: %w", err)
-	}
-	w.appendRecords.Add(float64(b.Len()))
-	if w.syncEvery <= 0 || s.unsynced >= w.syncEvery {
-		if err := s.syncLocked(); err != nil {
-			return fmt.Errorf("transport: wal sync: %w", err)
-		}
-	}
-	if s.size >= w.segBytes {
-		return w.rotateLocked(s, fmt.Sprintf("shard-%04d", idx%len(w.shards)))
-	}
-	return nil
-}
-
-// appendForward logs a forward ingest as one atomic, fsynced record carrying
-// the (stream, epoch) dedup mark and every item — acknowledged to the
-// upstream pusher only after this returns, so a crash can never persist the
-// mark without the items (a retry swallowed, items lost) or the items
-// without the mark (a retry double-ingesting). A best-effort mark replica
-// goes into the epoch log, which outlives the forward segment's truncation.
-func (w *wal) appendForward(stream, epoch int64, b core.Batch) error {
-	s := w.fwd
+// appendBatch logs one ingested, sequence-stamped batch as one atomic,
+// fsynced record carrying its (stream, pos) dedup stamp and every item. The
+// engine acknowledges the batch only after this returns, so a crash can never
+// persist the mark without the items (a retry swallowed, items lost) or the
+// items without the mark (a retry double-ingesting). A nonzero stamp also
+// gets a best-effort mark replica in the epoch log, which outlives the
+// ingest segment's truncation. Must be called under the engine's ingest-shard
+// lock (it is what makes "batch in the log" and "batch visible to the epoch
+// cut" atomic).
+func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
+	s := w.ingest
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := b.Len()
 	body := s.buf[:0]
 	body = binary.AppendVarint(body, stream)
-	body = binary.AppendVarint(body, epoch)
+	body = binary.AppendVarint(body, pos)
 	body = binary.AppendUvarint(body, uint64(n))
 	var item []byte
 	for i := 0; i < n; i++ {
@@ -329,16 +289,18 @@ func (w *wal) appendForward(stream, epoch int64, b core.Batch) error {
 		}
 	}
 	s.buf = body
-	if err := s.write(appendRecord(nil, walRecFwd, body), 1); err != nil {
-		return fmt.Errorf("transport: wal forward: %w", err)
+	if err := s.write(appendRecord(nil, walRecBatch, body)); err != nil {
+		return fmt.Errorf("transport: wal append: %w", err)
 	}
 	if err := s.syncLocked(); err != nil {
-		return fmt.Errorf("transport: wal forward sync: %w", err)
+		return fmt.Errorf("transport: wal append sync: %w", err)
 	}
 	w.appendRecords.Add(float64(n))
-	w.logMark(stream, epoch)
+	if stream != 0 || pos != 0 {
+		w.logMark(stream, pos)
+	}
 	if s.size >= w.segBytes {
-		return w.rotateLocked(s, "fwd")
+		return w.rotateLocked(s, walIngestPrefix)
 	}
 	return nil
 }
@@ -347,7 +309,7 @@ func (w *wal) appendForward(stream, epoch int64, b core.Batch) error {
 func (w *wal) appendEpochLocked(typ byte, body []byte, sync bool) error {
 	w.epochLog.mu.Lock()
 	defer w.epochLog.mu.Unlock()
-	if err := w.epochLog.write(appendRecord(w.epochLog.buf[:0], typ, body), 1); err != nil {
+	if err := w.epochLog.write(appendRecord(w.epochLog.buf[:0], typ, body)); err != nil {
 		w.logErr = err
 		return err
 	}
@@ -360,19 +322,11 @@ func (w *wal) appendEpochLocked(typ byte, body []byte, sync bool) error {
 	return nil
 }
 
-// logCut records a cut epoch's id and sequence range, fsyncing first every
-// dirty item segment (the epoch's items must be durable before its
-// membership is) and then the cut record itself — the barrier that makes a
-// pushed epoch replayable under the same id after a crash.
+// logCut records a cut epoch's id and sequence range as an fsynced record —
+// the barrier that makes a pushed epoch replayable under the same id after a
+// crash. The epoch's items are already durable: appendBatch fsyncs every
+// batch before it becomes visible to a cut.
 func (w *wal) logCut(id, minSeq, maxSeq int64) error {
-	for _, s := range append(append([]*walSegment{}, w.shards...), w.fwd) {
-		s.mu.Lock()
-		err := s.syncLocked()
-		s.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("transport: wal cut sync: %w", err)
-		}
-	}
 	body := binary.AppendVarint(nil, id)
 	body = binary.AppendUvarint(body, uint64(minSeq))
 	body = binary.AppendUvarint(body, uint64(maxSeq))
@@ -385,11 +339,11 @@ func (w *wal) logCut(id, minSeq, maxSeq int64) error {
 	return nil
 }
 
-// logMark replicates a forward dedup mark into the epoch log (unsynced;
-// the authoritative copy is the forward record).
-func (w *wal) logMark(stream, epoch int64) {
+// logMark replicates a dedup mark into the epoch log (unsynced; the
+// authoritative copy is the batch record).
+func (w *wal) logMark(stream, pos int64) {
 	body := binary.AppendVarint(nil, stream)
-	body = binary.AppendVarint(body, epoch)
+	body = binary.AppendVarint(body, pos)
 	w.mu.Lock()
 	w.appendEpochLocked(walRecMark, body, false)
 	w.mu.Unlock()
@@ -435,10 +389,10 @@ func (w *wal) unresolvedCount() int {
 	return len(w.unresolved)
 }
 
-// syncAll fsyncs every dirty segment and the epoch log.
+// syncAll fsyncs the ingest segment and the epoch log if dirty.
 func (w *wal) syncAll() error {
 	var first error
-	for _, s := range append(append([]*walSegment{}, w.shards...), w.fwd, w.epochLog) {
+	for _, s := range []*walSegment{w.ingest, w.epochLog} {
 		s.mu.Lock()
 		err := s.syncLocked()
 		s.mu.Unlock()
@@ -451,7 +405,7 @@ func (w *wal) syncAll() error {
 
 // closeFiles closes every open segment without syncing (the crash path).
 func (w *wal) closeFiles() {
-	for _, s := range append(append([]*walSegment{}, w.shards...), w.fwd, w.epochLog) {
+	for _, s := range []*walSegment{w.ingest, w.epochLog} {
 		if s == nil {
 			continue
 		}
@@ -493,7 +447,7 @@ type walRecovery struct {
 	// re-processed and re-pushed under the same id so downstream
 	// (stream, epoch) dedup absorbs the replay.
 	epochs []*epoch
-	marks  [][2]int64 // forward dedup marks to restore
+	marks  [][2]int64 // dedup marks to restore
 	files  []string   // every log file read (deleted post-migration)
 }
 
@@ -513,7 +467,7 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 	}
 	rec := &walRecovery{}
 	r := bufio.NewReader(strings.NewReader(string(metaBytes)))
-	typ, body, _, rerr := readRecord(r, nil)
+	typ, body, rerr := readRecord(r)
 	meta := wireReader{b: body}
 	rec.stream = meta.int()
 	held := core.BatchKind(meta.int())
@@ -536,10 +490,8 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 		}
 		defer f.Close()
 		br := bufio.NewReader(f)
-		var buf []byte
 		for {
-			typ, body, nbuf, err := readRecord(br, buf)
-			buf = nbuf
+			typ, body, err := readRecord(br)
 			if err != nil {
 				return nil // clean EOF or torn tail: stop reading this file
 			}
@@ -560,25 +512,10 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 		sort.Strings(paths) // generation order (zero-padded)
 		return paths
 	}
-	for _, path := range glob("shard-*.log") {
+	for _, path := range glob(walIngestPrefix + "-*.log") {
 		rec.files = append(rec.files, path)
 		if err := readFile(path, func(typ byte, body []byte) {
-			if typ != walRecItem {
-				return
-			}
-			seq, k := binary.Uvarint(body)
-			if k <= 0 {
-				return
-			}
-			addItem(int64(seq), body[k:])
-		}); err != nil {
-			return nil, fmt.Errorf("transport: wal recover %s: %w", path, err)
-		}
-	}
-	for _, path := range glob("fwd-*.log") {
-		rec.files = append(rec.files, path)
-		if err := readFile(path, func(typ byte, body []byte) {
-			if typ != walRecFwd {
+			if typ != walRecBatch {
 				return
 			}
 			stream, k := binary.Varint(body)
@@ -586,7 +523,7 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 				return
 			}
 			body = body[k:]
-			epoch, k := binary.Varint(body)
+			pos, k := binary.Varint(body)
 			if k <= 0 {
 				return
 			}
@@ -609,7 +546,9 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 				addItem(int64(seq), body[k:k+int(ln)])
 				body = body[k+int(ln):]
 			}
-			markSet[[2]int64{stream, epoch}] = true
+			if stream != 0 || pos != 0 {
+				markSet[[2]int64{stream, pos}] = true
+			}
 		}); err != nil {
 			return nil, fmt.Errorf("transport: wal recover %s: %w", path, err)
 		}
@@ -760,16 +699,25 @@ func walStartGen(dir string) int64 {
 }
 
 // migrateWAL rewrites recovered state into the fresh log (compaction): the
-// pending items and each unresolved epoch's items as item records, every
-// unresolved epoch's cut record, and the forward marks — all fsynced — then
-// deletes the old files. A crash mid-migration leaves both generations on
-// disk; the next recovery's seq/id dedup reads them as one.
+// pending items and each unresolved epoch's items as unstamped batch records
+// of at most walMigrateSlice items, every unresolved epoch's cut record, and
+// the dedup marks — all fsynced — then deletes the old files. A crash
+// mid-migration leaves both generations on disk; the next recovery's seq/id
+// dedup reads them as one.
 func migrateWAL(w *wal, rec *walRecovery) error {
-	if err := w.appendItems(0, rec.pending); err != nil {
+	appendSlices := func(b core.Batch) error {
+		for lo := 0; lo < b.Len(); lo += walMigrateSlice {
+			if err := w.appendBatch(0, 0, b.Slice(lo, min(lo+walMigrateSlice, b.Len()))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := appendSlices(rec.pending); err != nil {
 		return err
 	}
 	for _, ep := range rec.epochs {
-		if err := w.appendItems(0, ep.batch); err != nil {
+		if err := appendSlices(ep.batch); err != nil {
 			return err
 		}
 		min, max := seqRange(ep.batch)

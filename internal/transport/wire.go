@@ -16,9 +16,10 @@ import (
 	"prochlo/internal/core"
 )
 
-// Frame protocol. Every call between two parties — client submission,
-// hop-to-hop Forward, analyzer Ingest, and the control calls — is one request
-// frame answered by one reply frame on a TCP connection:
+// Frame protocol. Every call between two parties — a batch (a client's
+// submission, an epoch one hop pushes to the next or to an analyzer) and the
+// control calls — is one request frame answered by one reply frame on a TCP
+// connection:
 //
 //	request frame: uvarint len | body
 //	  body:  uvarint reqID | method byte | request body | crc32 (LE)
@@ -31,19 +32,18 @@ import (
 // is the internal/core codec: kind byte, uvarint count, walwire items):
 //
 //	method           request body                reply body
-//	 1 Submit        stream | seq | batch        accepted
-//	 2 Forward       stream | epoch | batch      accepted
-//	 3 Ingest        stream | epoch | batch      accepted
+//	 1 Submit        stream | pos | batch        accepted
 //	 4 Keys          -                           blinding bytes | key bytes
 //	 5 Healthz       -                           HealthzReply
 //	 6 Stats         -                           ServiceStats (analyzer: AnalyzerStats)
 //	 7 Drain         force byte                  ServiceStats
-//	 8 Flush         -                           shuffler.Stats
 //	 9 Attestation   -                           quote | CA key bytes
 //	10 Histogram     -                           count | (key bytes | n)* | undecryptable
 //
-// Histogram keys are decrypted report payloads — arbitrary bytes — which is
-// why every body is binary rather than text.
+// Submit carries every batch: pos is a client's sequence number or the
+// pushing hop's epoch id, and (stream, pos) is the receiver's dedup key.
+// Ids 2, 3 and 8 are retired. Histogram keys are decrypted report payloads —
+// arbitrary bytes — which is why every body is binary rather than text.
 //
 // The CRC covers the body up to itself (IEEE, like the WAL records). A
 // frame that fails the CRC, truncates, or exceeds maxWireFrame kills the
@@ -66,8 +66,8 @@ import (
 // DefaultWireTimeout bounds one call end to end: a peer that accepted the
 // connection but never answers (hung process, black-holed route) fails the
 // call with a deadline error — transient, so the pusher redials — instead of
-// blocking its flusher goroutine forever. Drain and Flush are exempt: they
-// legitimately block for as long as the downstream barrier takes.
+// blocking its flusher goroutine forever. Drain is exempt: it legitimately
+// blocks for as long as the downstream barrier takes.
 const DefaultWireTimeout = 2 * time.Minute
 
 // wireIOTimeout bounds individual frame reads and writes once a frame has
@@ -90,18 +90,15 @@ const frameReadChunk = 1 << 20
 // goroutine count without limit.
 const maxConnHandlers = 64
 
-// Frame method ids.
+// Frame method ids. The gaps are retired ids, never reused.
 const (
-	methodSubmit uint8 = iota + 1
-	methodForward
-	methodIngest
-	methodKeys
-	methodHealthz
-	methodStats
-	methodDrain
-	methodFlush
-	methodAttestation
-	methodHistogram
+	methodSubmit      uint8 = 1
+	methodKeys        uint8 = 4
+	methodHealthz     uint8 = 5
+	methodStats       uint8 = 6
+	methodDrain       uint8 = 7
+	methodAttestation uint8 = 9
+	methodHistogram   uint8 = 10
 )
 
 // wireMagic opens a connection; wireMagicAck confirms it.
@@ -112,7 +109,7 @@ var (
 
 // ServerError is an error the peer's service returned, as opposed to a
 // failure of the connection that carried the call. It crosses the wire as
-// its message, so IsEpochFull and IsBatchTooSmall match on text; IsTransient
+// its message, so IsEpochFull matches on text; IsTransient
 // is false for it (the call was delivered and answered).
 type ServerError string
 
@@ -260,15 +257,15 @@ func parseReply(frame []byte) (reqID uint64, body []byte, serverErr, err error) 
 	return 0, nil, nil, fmt.Errorf("transport: wire reply status 0x%02x", status)
 }
 
-// appendBatchCall encodes the request body shared by Submit, Forward and
-// Ingest: the (stream, seq-or-epoch) dedup stamp and the batch.
+// appendBatchCall encodes a Submit request body: the (stream, pos) dedup
+// stamp and the batch.
 func appendBatchCall(dst []byte, stream, pos int64, b core.Batch) []byte {
 	dst = binary.AppendVarint(dst, stream)
 	dst = binary.AppendVarint(dst, pos)
 	return core.AppendBatch(dst, b)
 }
 
-// parseBatchCall decodes a Submit/Forward/Ingest request body. The batch
+// parseBatchCall decodes a Submit request body. The batch
 // aliases body, which the caller must therefore not reuse.
 func parseBatchCall(body []byte) (stream, pos int64, b core.Batch, err error) {
 	r := wireReader{b: body}
@@ -463,7 +460,7 @@ func (w *wireConn) fail(cause error) {
 // body into the frame — and returns the reply body, which the caller owns.
 // A call that outlives the connection's timeout kills the connection (the
 // only way to unstick a hung peer) and returns a deadline error, which
-// IsTransient recognizes; Drain and Flush wait without a bound.
+// IsTransient recognizes; Drain waits without a bound.
 func (w *wireConn) call(method uint8, appendBody func(dst []byte) []byte) ([]byte, error) {
 	w.mu.Lock()
 	if w.broken != nil {
@@ -497,7 +494,7 @@ func (w *wireConn) call(method uint8, appendBody func(dst []byte) []byte) ([]byt
 		return nil, fmt.Errorf("%w (%v)", io.ErrUnexpectedEOF, err)
 	}
 
-	if w.timeout <= 0 || method == methodDrain || method == methodFlush {
+	if w.timeout <= 0 || method == methodDrain {
 		res := <-ch
 		return res.body, res.err
 	}
@@ -525,10 +522,10 @@ func (w *wireConn) call(method uint8, appendBody func(dst []byte) []byte) ([]byt
 	}
 }
 
-// push issues one Submit, Forward or Ingest and returns the accepted count.
-// It is the pusher the sinks drive and FaultPlan wraps.
-func (w *wireConn) push(method uint8, stream, pos int64, b core.Batch) (int, error) {
-	reply, err := w.call(method, func(dst []byte) []byte { return appendBatchCall(dst, stream, pos, b) })
+// push issues one Submit and returns the accepted count. It is the pusher
+// the sinks drive and FaultPlan wraps.
+func (w *wireConn) push(stream, pos int64, b core.Batch) (int, error) {
+	reply, err := w.call(methodSubmit, func(dst []byte) []byte { return appendBatchCall(dst, stream, pos, b) })
 	if err != nil {
 		return 0, err
 	}

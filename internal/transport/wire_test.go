@@ -21,7 +21,8 @@ import (
 	"prochlo/internal/shuffler"
 )
 
-// batchRequest builds one finished Submit/Forward/Ingest request frame.
+// batchRequest builds one finished batch-call request frame (method is
+// methodSubmit except where a test sends a method id the service refuses).
 func batchRequest(reqID uint64, method uint8, stream, pos int64, b core.Batch) []byte {
 	return finishFrame(appendBatchCall(beginRequest(make([]byte, 0, 256), reqID, method), stream, pos, b))
 }
@@ -44,9 +45,9 @@ func openFrame(t testing.TB, frame []byte) []byte {
 // that corrupting any body byte is caught by the checksum.
 func TestWireFrameRoundTrip(t *testing.T) {
 	batch := core.Batch{Payloads: [][]byte{[]byte("alpha"), nil, []byte("gamma")}}
-	frame := batchRequest(7, methodIngest, 42, -9, batch)
+	frame := batchRequest(7, methodSubmit, 42, -9, batch)
 	reqID, method, body, err := parseRequest(openFrame(t, frame))
-	if err != nil || reqID != 7 || method != methodIngest {
+	if err != nil || reqID != 7 || method != methodSubmit {
 		t.Fatalf("request header = %d, %d, %v", reqID, method, err)
 	}
 	stream, pos, got, err := parseBatchCall(body)
@@ -222,7 +223,7 @@ func rawConn(t *testing.T, addr string) net.Conn {
 func TestWireServerKillsCorruptConnection(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
 	conn := rawConn(t, rig.shuf)
-	frame := batchRequest(1, methodForward, 1, 1, core.Batch{Envelopes: []core.Envelope{{Blob: []byte("x")}}})
+	frame := batchRequest(1, methodSubmit, 1, 1, core.Batch{Envelopes: []core.Envelope{{Blob: []byte("x")}}})
 	frame[len(frame)-1] ^= 0xff // corrupt the CRC
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
@@ -419,9 +420,9 @@ func TestWireHandlersBounded(t *testing.T) {
 	}
 }
 
-// TestWireRefusedMethodKeepsConnection: an unknown method id, and a method
-// the role does not serve, get an error reply — and the connection carries
-// the next call as if nothing happened.
+// TestWireRefusedMethodKeepsConnection: an unknown method id, a retired one,
+// and a method the role does not serve get an error reply — and the
+// connection carries the next call as if nothing happened.
 func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
 	for _, tc := range []struct {
@@ -429,8 +430,10 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 		method     uint8
 	}{
 		{"unknown method id", rig.shuf, 0xee},
+		{"retired Forward id at a shuffler", rig.shuf, 2},
+		{"retired Ingest id at an analyzer", rig.anlz, 3},
+		{"retired Flush id at a shuffler", rig.shuf, 8},
 		{"histogram asked of a shuffler", rig.shuf, methodHistogram},
-		{"forward pushed at an analyzer", rig.anlz, methodForward},
 		{"drain asked of an analyzer", rig.anlz, methodDrain},
 	} {
 		wc, err := dialWire(tc.addr, time.Second, time.Second)
@@ -459,7 +462,7 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.close()
-	for _, method := range []uint8{methodDrain, methodForward} {
+	for _, method := range []uint8{methodDrain, methodSubmit} {
 		_, err = wc.call(method, func(dst []byte) []byte { return append(dst, 0x07, 0x07) })
 		var se ServerError
 		if !errors.As(err, &se) || wc.isBroken() {
@@ -499,7 +502,7 @@ func hungWireServer(t *testing.T) string {
 	return l.Addr().String()
 }
 
-// TestWireHungPeerTimesOut: a peer that accepts a Forward but never replies
+// TestWireHungPeerTimesOut: a peer that accepts a push but never replies
 // must fail the call with a deadline error the retry machinery recognizes
 // as transient, not wedge the calling goroutine.
 func TestWireHungPeerTimesOut(t *testing.T) {
@@ -510,7 +513,7 @@ func TestWireHungPeerTimesOut(t *testing.T) {
 	}
 	defer wc.close()
 	start := time.Now()
-	_, err = wc.push(methodForward, 1, 1, core.Batch{Payloads: [][]byte{[]byte("x")}})
+	_, err = wc.push(1, 1, core.Batch{Payloads: [][]byte{[]byte("x")}})
 	if err == nil {
 		t.Fatal("call against a hung peer succeeded")
 	}
@@ -528,13 +531,13 @@ func TestWireHungPeerTimesOut(t *testing.T) {
 	if !wc.isBroken() {
 		t.Fatal("timed-out connection not marked broken")
 	}
-	if _, err := wc.push(methodForward, 1, 2, core.Batch{}); err == nil {
+	if _, err := wc.push(1, 2, core.Batch{}); err == nil {
 		t.Fatal("call on a broken connection succeeded")
 	}
 }
 
-// TestDrainOutlivesWireTimeout: Drain and Flush are exempt from the per-call
-// bound — a barrier legitimately waits on the downstream push — so a Drain
+// TestDrainOutlivesWireTimeout: Drain is exempt from the per-call bound — a
+// barrier legitimately waits on the downstream push — so a Drain
 // several timeouts long returns its stats on a connection whose other calls
 // are bounded, and the connection survives it.
 func TestDrainOutlivesWireTimeout(t *testing.T) {
@@ -635,12 +638,12 @@ func TestWirePipelinedOutOfOrderReplies(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		results[0], callErrs[0] = wc.push(methodForward, 1, 1, core.Batch{})
+		results[0], callErrs[0] = wc.push(1, 1, core.Batch{})
 	}()
 	go func() {
 		defer wg.Done()
 		<-firstSeen // guarantee ordering: call 0 is on the wire first
-		results[1], callErrs[1] = wc.push(methodForward, 2, 1, core.Batch{})
+		results[1], callErrs[1] = wc.push(2, 1, core.Batch{})
 	}()
 	wg.Wait()
 	if err := <-serverErr; err != nil {
@@ -656,47 +659,41 @@ func TestWirePipelinedOutOfOrderReplies(t *testing.T) {
 	}
 }
 
-// TestErrorPredicates pins IsEpochFull, IsBatchTooSmall and IsTransient
-// over every error shape the chain produces: local sentinels, the same
-// errors after crossing the wire as ServerError, the injected faults, a
-// deadline hit, and dead connections.
+// TestErrorPredicates pins IsEpochFull and IsTransient over every error
+// shape the chain produces: local sentinels, the same errors after crossing
+// the wire as ServerError, the injected faults, a deadline hit, and dead
+// connections.
 func TestErrorPredicates(t *testing.T) {
 	_, dialErr := net.DialTimeout("tcp", deadAddr(t), time.Second)
 	if dialErr == nil {
 		t.Fatal("dialing a dead address succeeded")
 	}
-	tooSmall := fmt.Errorf("%w: 3 < 5", shuffler.ErrBatchTooSmall)
 	for _, tc := range []struct {
-		name                           string
-		err                            error
-		epochFull, tooSmall, transient bool
+		name                 string
+		err                  error
+		epochFull, transient bool
 	}{
-		{"nil", nil, false, false, false},
-		{"ErrEpochFull", ErrEpochFull, true, false, false},
-		{"epoch-full over the wire", ServerError(ErrEpochFull.Error()), true, false, false},
-		{"epoch-full after sink retries", fmt.Errorf("transport: next hop still epoch-full after 400 retries: %w", ServerError(ErrEpochFull.Error())), true, false, false},
-		{"epoch-full through the balancer", fmt.Errorf("127.0.0.1:1: %w", ServerError(ErrEpochFull.Error())), true, false, false},
-		{"batch too small", tooSmall, false, true, false},
-		{"batch too small over the wire", ServerError(tooSmall.Error()), false, true, false},
-		{"other server error", ServerError("transport: shuffler stage does not serve method 238"), false, false, false},
-		{"ErrClosed over the wire", ServerError(ErrClosed.Error()), false, false, false},
-		{"injected drop", errInjectedDrop, false, false, false},
-		{"injected ack loss", errInjectedAckLoss, false, false, false},
-		{"injected kill", errInjectedKill, false, false, false},
-		{"injected partition", errInjectedPartition, false, false, false},
-		{"deadline hit", fmt.Errorf("transport: wire call timed out after 2m0s: %w", os.ErrDeadlineExceeded), false, false, true},
-		{"peer hung up", io.EOF, false, false, true},
-		{"broken connection", fmt.Errorf("%w (transport: wire connection: read tcp: connection reset)", io.ErrUnexpectedEOF), false, false, true},
-		{"handshake refused", fmt.Errorf("transport: handshake with 127.0.0.1:1: %w", io.EOF), false, false, true},
-		{"dial refused", dialErr, false, false, true},
-		{"redial refused", fmt.Errorf("transport: redial next hop 127.0.0.1:1: %w", dialErr), false, false, true},
-		{"plain error", errors.New("boom"), false, false, false},
+		{"nil", nil, false, false},
+		{"ErrEpochFull", ErrEpochFull, true, false},
+		{"epoch-full over the wire", ServerError(ErrEpochFull.Error()), true, false},
+		{"epoch-full after sink retries", fmt.Errorf("transport: next hop still epoch-full after 400 retries: %w", ServerError(ErrEpochFull.Error())), true, false},
+		{"epoch-full through the balancer", fmt.Errorf("127.0.0.1:1: %w", ServerError(ErrEpochFull.Error())), true, false},
+		{"other server error", ServerError("transport: shuffler stage does not serve method 238"), false, false},
+		{"ErrClosed over the wire", ServerError(ErrClosed.Error()), false, false},
+		{"injected drop", errInjectedDrop, false, false},
+		{"injected ack loss", errInjectedAckLoss, false, false},
+		{"injected kill", errInjectedKill, false, false},
+		{"injected partition", errInjectedPartition, false, false},
+		{"deadline hit", fmt.Errorf("transport: wire call timed out after 2m0s: %w", os.ErrDeadlineExceeded), false, true},
+		{"peer hung up", io.EOF, false, true},
+		{"broken connection", fmt.Errorf("%w (transport: wire connection: read tcp: connection reset)", io.ErrUnexpectedEOF), false, true},
+		{"handshake refused", fmt.Errorf("transport: handshake with 127.0.0.1:1: %w", io.EOF), false, true},
+		{"dial refused", dialErr, false, true},
+		{"redial refused", fmt.Errorf("transport: redial next hop 127.0.0.1:1: %w", dialErr), false, true},
+		{"plain error", errors.New("boom"), false, false},
 	} {
 		if got := IsEpochFull(tc.err); got != tc.epochFull {
 			t.Errorf("IsEpochFull(%s) = %v, want %v", tc.name, got, tc.epochFull)
-		}
-		if got := IsBatchTooSmall(tc.err); got != tc.tooSmall {
-			t.Errorf("IsBatchTooSmall(%s) = %v, want %v", tc.name, got, tc.tooSmall)
 		}
 		if got := IsTransient(tc.err); got != tc.transient {
 			t.Errorf("IsTransient(%s) = %v, want %v", tc.name, got, tc.transient)
@@ -715,11 +712,16 @@ func FuzzWireFrameParse(f *testing.F) {
 	}
 	f.Add(body(batchRequest(3, methodSubmit, 5, 6,
 		core.Batch{Envelopes: []core.Envelope{{Blob: []byte("b"), SourceIP: "ip"}}})))
-	f.Add(body(batchRequest(4, methodIngest, 5, 6, core.Batch{Payloads: [][]byte{[]byte("p"), nil}})))
+	f.Add(body(batchRequest(4, methodSubmit, 5, 6, core.Batch{Payloads: [][]byte{[]byte("p"), nil}})))
 	f.Add(body(finishFrame(append(beginRequest(make([]byte, 0, 32), 5, methodDrain), 1))))
-	for _, m := range []uint8{methodKeys, methodHealthz, methodStats, methodFlush, methodAttestation, methodHistogram} {
+	for _, m := range []uint8{methodKeys, methodHealthz, methodStats, methodAttestation, methodHistogram} {
 		f.Add(body(finishFrame(beginRequest(make([]byte, 0, 32), 6, m))))
 	}
+	// A sound frame whose batch announces 2^40 payloads in two bytes: the
+	// count must be refused before it sizes anything.
+	oversized := appendWireInts(beginRequest(make([]byte, 0, 32), 7, methodSubmit), 5, 6)
+	oversized = append(binary.AppendUvarint(append(oversized, byte(core.KindPayloads)), 1<<40), 1, 'p')
+	f.Add(body(finishFrame(oversized)))
 	reply := func(b []byte) []byte {
 		return body(finishFrame(append(beginReply(make([]byte, 0, 256), 1, nil), b...)))
 	}
@@ -770,7 +772,7 @@ func FuzzWireFrameParse(f *testing.F) {
 	})
 }
 
-// benchBatch builds a Forward-shaped batch: n envelopes of blobSize bytes.
+// benchBatch builds a push-shaped batch: n envelopes of blobSize bytes.
 func benchBatch(n, blobSize int) core.Batch {
 	envs := make([]core.Envelope, n)
 	blob := make([]byte, blobSize)
@@ -800,7 +802,7 @@ func BenchmarkWireCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkForwardPush measures one hop-to-hop Forward push end to end over
+// BenchmarkForwardPush measures one hop-to-hop push end to end over
 // loopback TCP. Every push reuses the same (stream, epoch), so the
 // receiver's dedup absorbs it after the first — the benchmark stays
 // allocation- and memory-flat and measures pure wire cost.
@@ -816,7 +818,7 @@ func BenchmarkForwardPush(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			accepted, err := cl.push(methodForward, 77, 1, batch)
+			accepted, err := cl.push(77, 1, batch)
 			if err != nil {
 				b.Fatal(err)
 			}

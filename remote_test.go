@@ -241,44 +241,28 @@ func BenchmarkRemotePipeline(b *testing.B) {
 }
 
 // BenchmarkRemotePipelineWAL is BenchmarkRemotePipeline with the shuffler's
-// write-ahead log enabled, so BENCH_pipeline.json tracks the durability
-// tax. Sub-benchmarks sweep the fsync cadence: the every-append default
-// (safest) against a relaxed 64-append cadence that trades a short
-// accepted-but-unsynced tail for throughput.
+// write-ahead log enabled (every accepted batch fsynced before its ack), so
+// BENCH_pipeline.json tracks the durability tax.
 func BenchmarkRemotePipelineWAL(b *testing.B) {
-	cadences := []struct {
-		name string
-		sync int
-	}{
-		{"sync-every-append", 0}, // the full-durability default
-		{"sync-every-64", 64},
+	const batch = 500
+	labels, data := sampleReports(batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rig := newRemoteRig(b, 42, 0, transport.EpochConfig{WALDir: b.TempDir()})
+		rp, err := prochlo.DialRemoteFleet([]string{rig.shufL.Addr().String()}, []string{rig.anlzL.Addr().String()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rp.SubmitBatch(labels, data); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := rp.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		rp.Close()
 	}
-	for _, tc := range cadences {
-		b.Run(tc.name, func(b *testing.B) {
-			const batch = 500
-			labels, data := sampleReports(batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rig := newRemoteRig(b, 42, 0, transport.EpochConfig{
-					WALDir:  b.TempDir(),
-					WALSync: tc.sync,
-				})
-				rp, err := prochlo.DialRemoteFleet([]string{rig.shufL.Addr().String()}, []string{rig.anlzL.Addr().String()})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := rp.SubmitBatch(labels, data); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := rp.Flush(); err != nil {
-					b.Fatal(err)
-				}
-				rp.Close()
-			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
-		})
-	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
 }
 
 // chainRig runs the three daemon parties of the §4.3 split-shuffler chain

@@ -8,9 +8,8 @@
 # overhead, and BenchmarkRemoteChainFleet, matched by the same pattern,
 # tracks the replicated chain with its balanced entry tier and partitioned
 # fan-in against the one-replica-per-tier baseline), the WAL durability tax
-# (BenchmarkRemotePipelineWAL, matched by
-# the BenchmarkRemotePipeline pattern, captures WAL-on vs WAL-off and the
-# fsync-cadence sweep next to the WAL-off baseline), and the hybrid
+# (BenchmarkRemotePipelineWAL, matched by the BenchmarkRemotePipeline
+# pattern, captures WAL-on next to the WAL-off baseline), and the hybrid
 # Seal/Open allocation counts. A seeded prochloload macro sweep
 # (1x1x1 and 2x2x2 loopback fleets, closed loop) lands in the same file
 # under "macro", so the per-commit artifact carries both the per-stage
@@ -60,7 +59,7 @@ trap 'rm -f "$raw" "$macro" "$crypto" "$wire"' EXIT
 # bench_json converts `go test -bench` output lines to JSON benchmark rows
 # (every "value unit" pair after the iteration count becomes a field). Go
 # appends "-N" to a benchmark's name when it runs at GOMAXPROCS N > 1; that
-# suffix (and only that one — "sync-every-64" keeps its 64) is stripped.
+# suffix, and only that one, is stripped.
 bench_json() {
   awk -v procs="$procs" '
   BEGIN { sep = "" }
