@@ -23,8 +23,9 @@
 // queue is full and occupancy reaches -max-pending, submissions fail with a
 // retryable "epoch full" error — backpressure instead of unbounded growth,
 // and it composes across a chain: a congested downstream hop pushes back on
-// its upstream, which pushes back on clients. Peer dials are bounded by
-// -dial-timeout so a daemon never hangs forever on a dead next hop.
+// its upstream, which pushes back on clients. A hop pushes an epoch the way
+// a client submits: one redial policy (eight attempts, about 6 s) rides out
+// a short restart of the -next hop, and a refusal fails the epoch at once.
 //
 // -wal-dir makes a shuffler-role daemon crash-safe: every accepted batch is
 // fsynced to the write-ahead log, with its dedup stamp, before it is acked,
@@ -94,7 +95,6 @@ func main() {
 	flushAt := flag.Int("flush-at", 0, "auto-flush when occupancy reaches this many envelopes (0 = off)")
 	epochInterval := flag.Duration("epoch", 0, "auto-flush epoch interval (0 = no timer)")
 	maxPending := flag.Int("max-pending", 0, "occupancy cap before submissions get a retryable epoch-full error (0 = 2*flush-at); must fit the upstream hop's epochs in a chain")
-	dialTimeout := flag.Duration("dial-timeout", transport.DefaultDialTimeout, "TCP connect timeout for the downstream hop (constructor and redials)")
 	keyFile := flag.String("key-file", "", "persist the daemon's private keys at this path (created on first start, 0600): a restarted daemon decrypts the reports it recovers from -wal-dir; empty generates fresh keys per process")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: accepted reports are persisted before they are acked and recovered on restart (empty disables durability; pair with -key-file or recovered reports are undecryptable)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and a liveness probe at /healthz on this address (empty disables; see docs/OPERATIONS.md for the catalog)")
@@ -109,7 +109,6 @@ func main() {
 		FlushAt:       *flushAt,
 		Interval:      *epochInterval,
 		MaxPending:    *maxPending,
-		DialTimeout:   *dialTimeout,
 		WALDir:        *walDir,
 		Metrics:       reg,
 		MetricsLabels: metrics.Labels{"role": *role},

@@ -19,8 +19,6 @@ const (
 
 // BalancerConfig tunes a Balancer. The zero value selects every default.
 type BalancerConfig struct {
-	// DialTimeout bounds each replica connect; 0 selects DefaultDialTimeout.
-	DialTimeout time.Duration
 	// ProbeInterval is the health-probe cadence; 0 selects
 	// DefaultProbeInterval, negative disables background probing (the
 	// breaker then reopens only through submission successes).
@@ -28,11 +26,6 @@ type BalancerConfig struct {
 	// BreakerThreshold is how many consecutive failures eject a replica;
 	// 0 selects DefaultBreakerThreshold.
 	BreakerThreshold int
-	// Redials/RedialBase configure each replica client's transient-retry
-	// budget (Client.SetRedial); 0 keeps the client default, Redials < 0
-	// disables transient retries.
-	Redials    int
-	RedialBase time.Duration
 	// Metrics, when non-nil, registers the balancer's health gauges and
 	// failover counters (the prochlo_balancer_* series) on the given
 	// registry; MetricsLabels is attached to every series.
@@ -68,7 +61,7 @@ type balancerReplica struct {
 // the service definitively rejected the slice as epoch-full), so a fleet
 // with write-ahead logs can lose and recover replicas without ever counting
 // a report twice. Ambiguous connection failures — the call died mid-flight —
-// are retried against the same replica under the client's redial budget,
+// are retried against the same replica under the sender's redial policy,
 // where the (stream, seq) dedup stamp absorbs a redelivery; if that budget
 // exhausts, the error surfaces with the accepted-prefix contract intact
 // rather than risking a double ingest on a sibling.
@@ -168,20 +161,15 @@ func (b *Balancer) Close() error {
 }
 
 // client returns the replica's lazily-dialed client.
-func (r *balancerReplica) client(cfg BalancerConfig) (*Client, error) {
+func (r *balancerReplica) client() (*Client, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.cl != nil {
 		return r.cl, nil
 	}
-	cl, err := DialTimeout(r.addr, cfg.DialTimeout)
+	cl, err := Dial(r.addr)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Redials != 0 {
-		cl.SetRedial(cfg.Redials, cfg.RedialBase)
-	} else if cfg.RedialBase > 0 {
-		cl.SetRedial(DefaultClientRedials, cfg.RedialBase)
 	}
 	r.cl = cl
 	return cl, nil
@@ -255,7 +243,7 @@ func (b *Balancer) probeLoop(interval time.Duration) {
 // submission client can never make a healthy replica look dead and the
 // probe never disturbs an in-flight submission's connection.
 func (b *Balancer) probe(r *balancerReplica) bool {
-	p, err := dialPeer(r.addr, b.cfg.DialTimeout)
+	p, err := dialPeer(r.addr, nil, nil)
 	if err != nil {
 		return false
 	}
@@ -276,7 +264,6 @@ func (b *Balancer) probe(r *balancerReplica) bool {
 // gets a beat to come back instead of burning the budget in microseconds.
 func (b *Balancer) SubmitAll(batch core.Batch, retries int, delay time.Duration) (int, error) {
 	accepted, total := 0, batch.Len()
-	pol := redialPolicy{base: DefaultClientRedialBase}
 	budget := 2 * len(b.replicas)
 	var lastErr error
 	for attempt := 0; accepted < total; attempt++ {
@@ -284,10 +271,10 @@ func (b *Balancer) SubmitAll(batch core.Batch, retries int, delay time.Duration)
 			return accepted, fmt.Errorf("transport: balancer failover budget exhausted: %w", lastErr)
 		}
 		if attempt > 0 && attempt%len(b.replicas) == 0 {
-			time.Sleep(pol.delay(attempt/len(b.replicas) - 1))
+			time.Sleep(redial.delay(attempt/len(b.replicas) - 1))
 		}
 		r := b.pick()
-		cl, err := r.client(b.cfg)
+		cl, err := r.client()
 		if err != nil {
 			// The dial never connected: nothing touched the wire, so the
 			// suffix is safe to take elsewhere.

@@ -90,9 +90,7 @@ func (s *killableServer) kill() {
 // report exactly once.
 func TestBalancerDialFailover(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
-	b, err := NewBalancer([]string{deadAddr(t), rig.shuf}, BalancerConfig{
-		ProbeInterval: -1, DialTimeout: 500 * time.Millisecond,
-	})
+	b, err := NewBalancer([]string{deadAddr(t), rig.shuf}, BalancerConfig{ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +143,6 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 	downAddr := deadAddr(t)
 	b, err := NewBalancer([]string{downAddr, rig.shuf}, BalancerConfig{
 		ProbeInterval: 10 * time.Millisecond, BreakerThreshold: 2,
-		DialTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,12 +190,10 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 // than fail the slice over to a sibling (which could double-count when the
 // dead replica's WAL recovers).
 func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
+	shrinkRedial(t, 1, time.Millisecond)
 	rig := newStreamingRig(t, EpochConfig{})
 	srvA := serveKillable(t, rig.svc)
-	b, err := NewBalancer([]string{srvA.addr(), rig.shuf}, BalancerConfig{
-		ProbeInterval: -1, DialTimeout: 500 * time.Millisecond,
-		Redials: 1, RedialBase: time.Millisecond,
-	})
+	b, err := NewBalancer([]string{srvA.addr(), rig.shuf}, BalancerConfig{ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +264,6 @@ func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.SetRedial(5, time.Millisecond)
 
 	envs := make([]core.Envelope, 6)
 	for i := range envs {
@@ -493,17 +487,20 @@ func TestHealthzLiveness(t *testing.T) {
 	}
 }
 
-// countPusher records pass-through pushes for fault-plan tests.
-type countPusher struct{ calls int }
-
-func (c *countPusher) push(int64, int64, core.Batch) (int, error) { c.calls++; return 0, nil }
-func (c *countPusher) close() error                               { return nil }
-
-// push issues one push through a fault-wrapped pusher.
-func push(p pusher) error {
-	_, err := p.push(1, 1, core.Batch{})
-	return err
+// shrinkRedial makes every send give up after attempts redials from base
+// until the test ends, for tests that must exhaust the budget quickly. Call
+// it before starting any party, so the policy is restored after they stop.
+func shrinkRedial(t *testing.T, attempts int, base time.Duration) {
+	t.Helper()
+	saved := redial
+	redial = redialPolicy{attempts: attempts, base: base}
+	t.Cleanup(func() { redial = saved })
 }
+
+// countCall is a pass-through call that counts its deliveries.
+type countCall struct{ calls int }
+
+func (c *countCall) call() ([]byte, error) { c.calls++; return nil, nil }
 
 // TestFaultPlanKillAndPartition pins the fleet fault modes: a drawn kill
 // invokes the harness hook exactly once and fails the call without
@@ -513,15 +510,14 @@ func push(p pusher) error {
 func TestFaultPlanKillAndPartition(t *testing.T) {
 	killed := 0
 	kp := &FaultPlan{Seed: 1, PKill: 1, MaxFaults: 1, Kill: func() { killed++ }}
-	under := &countPusher{}
-	fc := kp.wrap(under)
-	if err := push(fc); err == nil || !strings.Contains(err.Error(), "replica killed") {
+	under := &countCall{}
+	if _, err := kp.inject(under.call); err == nil || !strings.Contains(err.Error(), "replica killed") {
 		t.Fatalf("first call = %v, want the injected kill error", err)
 	}
 	if killed != 1 || under.calls != 0 {
 		t.Fatalf("killed=%d delivered=%d, want the hook invoked once and nothing delivered", killed, under.calls)
 	}
-	if err := push(fc); err != nil {
+	if _, err := kp.inject(under.call); err != nil {
 		t.Fatalf("post-budget call = %v, want pass-through", err)
 	}
 	if killed != 1 || under.calls != 1 || kp.Injected() != 1 {
@@ -530,26 +526,23 @@ func TestFaultPlanKillAndPartition(t *testing.T) {
 
 	// A kill draw with no hook installed is a no-op, not a stuck schedule.
 	np := &FaultPlan{Seed: 1, PKill: 1, MaxFaults: 1}
-	nunder := &countPusher{}
-	nfc := np.wrap(nunder)
-	if err := push(nfc); err != nil || np.Injected() != 0 {
+	if _, err := np.inject((&countCall{}).call); err != nil || np.Injected() != 0 {
 		t.Fatalf("hookless kill draw = (%v, %d injected), want pass-through and nothing injected", err, np.Injected())
 	}
 
 	pp := &FaultPlan{Seed: 3, PPartition: 1, PartitionFor: 60 * time.Millisecond, MaxFaults: 1}
-	punder := &countPusher{}
-	pfc := pp.wrap(punder)
-	if err := push(pfc); err == nil || !strings.Contains(err.Error(), "partitioned") {
+	punder := &countCall{}
+	if _, err := pp.inject(punder.call); err == nil || !strings.Contains(err.Error(), "partitioned") {
 		t.Fatalf("first call = %v, want the injected partition error", err)
 	}
-	if err := push(pfc); err == nil {
+	if _, err := pp.inject(punder.call); err == nil {
 		t.Fatal("call inside the partition window succeeded")
 	}
 	if pp.Injected() != 1 || punder.calls != 0 {
 		t.Fatalf("injected=%d delivered=%d, want the window to blanket calls without new draws", pp.Injected(), punder.calls)
 	}
 	time.Sleep(80 * time.Millisecond)
-	if err := push(pfc); err != nil {
+	if _, err := pp.inject(punder.call); err != nil {
 		t.Fatalf("call after the window closed = %v, want pass-through", err)
 	}
 	if punder.calls != 1 {

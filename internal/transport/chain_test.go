@@ -247,26 +247,29 @@ func TestForwardDedup(t *testing.T) {
 // the portable dead peer (an unroutable address can be swallowed by
 // sandboxed-network proxies); the connect-timeout itself is stdlib
 // net.DialTimeout behavior, and every dial in this package routes through
-// it.
+// it with DefaultDialTimeout. Dial itself does not retry: the redial policy
+// belongs to calls on a connection that was once up.
 func TestDialTimeoutFailsFast(t *testing.T) {
 	start := time.Now()
-	if _, err := DialTimeout("127.0.0.1:1", 150*time.Millisecond); err == nil {
+	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Fatal("dialing a closed port succeeded")
 	}
 	if _, err := DialAnalyzer("127.0.0.1:1"); err == nil {
 		t.Fatal("dialing a closed analyzer port succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("dials took %v, want the ~150ms timeout to bound them", elapsed)
+		t.Errorf("dials took %v, want a refused connect to fail at once", elapsed)
 	}
 }
 
 // TestMiswiredChainNamesTheKind: how a hop pushes follows from what its stage
 // emits, with no argument left to state the intent — so a chain wired to the
 // wrong sort of tier must still fail at its first push, naming the kind the
-// receiver refused, rather than deliver somewhere that cannot use it.
+// receiver refused, rather than deliver somewhere that cannot use it. The
+// refusal is an answer, not a connection failure, so the sender returns it
+// at once instead of redialing for an answer that cannot change.
 func TestMiswiredChainNamesTheKind(t *testing.T) {
-	rig := newCrashRig(t, core.KindBlinded, EpochConfig{RedialAttempts: -1})
+	rig := newCrashRig(t, core.KindBlinded, EpochConfig{})
 	stageL, err := Serve("127.0.0.1:0", rig.svc) // hop 2, which ingests blinded envelopes
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +293,7 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 			"stage ingests " + core.KindBlinded.String() + ", got " + core.KindPayloads.String()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			svc, err := NewStageService(tc.stage, Keys{}, []string{tc.next}, EpochConfig{RedialAttempts: -1})
+			svc, err := NewStageService(tc.stage, Keys{}, []string{tc.next}, EpochConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,9 +301,13 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 			if _, err := svc.Submit(0, 0, rig.batch(3, "astray")); err != nil {
 				t.Fatal(err)
 			}
+			start := time.Now()
 			_, err = svc.Drain(false)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("first push of the miswired hop = %v, want a refusal saying %q", err, tc.want)
+			}
+			if took := time.Since(start); took > 300*time.Millisecond {
+				t.Errorf("the refusal took %v to surface, want it at once (no redial)", took)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,21 +14,63 @@ import (
 	"prochlo/internal/sgx"
 )
 
-// peerConn is a client's connection to one party: a single pipelined frame
+// Redial policy of the one sender, (*peerConn).retry — a client's
+// submission and a hop's epoch push alike: after a connection-level failure
+// a call is repeated on a fresh connection, up to DefaultClientRedials times,
+// backing off from DefaultClientRedialBase and doubling, each delay spread
+// by ±DefaultRedialJitter so a restarting party is not hammered in lockstep
+// by every client and upstream hop. The budget (about 6.4 s in all) rides
+// out a daemon restart and still surfaces a permanently dead peer instead of
+// stalling forever.
+const (
+	DefaultClientRedials    = 8
+	DefaultClientRedialBase = 25 * time.Millisecond
+	DefaultRedialJitter     = 0.2
+)
+
+// redialPolicy is a backoff schedule: attempts redials from base.
+type redialPolicy struct {
+	attempts int
+	base     time.Duration
+}
+
+// redial is the policy every send follows. Tests that must exhaust it
+// quickly shrink it here; nothing else sets it.
+var redial = redialPolicy{attempts: DefaultClientRedials, base: DefaultClientRedialBase}
+
+// delay computes the backoff before redial attempt (0-based), doubling from
+// the base and spreading by ±DefaultRedialJitter.
+func (p redialPolicy) delay(attempt int) time.Duration {
+	if attempt > 16 {
+		attempt = 16
+	}
+	d := p.base << uint(attempt)
+	d = time.Duration(float64(d) * (1 + DefaultRedialJitter*(2*rand.Float64()-1)))
+	if d < 0 {
+		d = p.base
+	}
+	return d
+}
+
+// peerConn is one party's connection to another: a single pipelined frame
 // connection, replaced by a fresh dial to the same address the next time it
-// is needed after it breaks — so a restarted daemon is picked up without
-// the caller re-dialing.
+// is needed after it breaks — so a restarted daemon is picked up without the
+// caller re-dialing. A client holds one per daemon; a stage holds one per
+// replica of its downstream tier, with the engine's aborter and fault plan.
 type peerConn struct {
-	addr    string
-	timeout time.Duration // connect timeout; <= 0 selects DefaultDialTimeout
+	addr  string
+	ab    *aborter   // cuts the sender's backoff short; nil for a client
+	fault *FaultPlan // draws one fault per send attempt; nil outside crash tests
 
 	mu     sync.Mutex
 	wc     *wireConn
 	closed bool
 }
 
-func dialPeer(addr string, timeout time.Duration) (*peerConn, error) {
-	p := &peerConn{addr: addr, timeout: timeout}
+// dialPeer connects to addr. A stage passes its engine's aborter and fault
+// plan; a client passes nil for both.
+func dialPeer(addr string, ab *aborter, fault *FaultPlan) (*peerConn, error) {
+	p := &peerConn{addr: addr, ab: ab, fault: fault}
 	if _, err := p.conn(); err != nil {
 		return nil, err
 	}
@@ -42,7 +85,7 @@ func (p *peerConn) conn() (*wireConn, error) {
 		return nil, errors.New("transport: client closed")
 	}
 	if p.wc == nil || p.wc.isBroken() {
-		wc, err := dialWire(p.addr, p.timeout, DefaultWireTimeout)
+		wc, err := dialWire(p.addr)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +99,41 @@ func (p *peerConn) call(method uint8, appendBody func([]byte) []byte) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	return wc.call(method, appendBody)
+	body, err := wc.call(method, appendBody)
+	if IsTransient(err) {
+		// Nothing more will be answered on this connection: a broken one has
+		// failed already, and a party that answered ErrClosed is shutting
+		// down. Drop it, so the next call dials whoever serves the address.
+		wc.close()
+	}
+	return body, err
+}
+
+// retry issues one call and, after each transient failure (IsTransient: the
+// connection failed, or the peer is shutting down), repeats it on a fresh
+// connection under the redial policy, the aborter cutting the backoff
+// short. Any other answer — a reply, a refusal, epoch-full — returns at
+// once, unchanged. The request must carry a dedup stamp when the call is
+// not idempotent: an attempt that died mid-call may have been ingested, and
+// only the stamp makes the repeat safe.
+func (p *peerConn) retry(method uint8, appendBody func([]byte) []byte) ([]byte, error) {
+	attempt := func() ([]byte, error) { return p.call(method, appendBody) }
+	body, err := p.fault.inject(attempt)
+	for i := 0; IsTransient(err) && i < redial.attempts; i++ {
+		if !p.ab.sleep(redial.delay(i)) {
+			break
+		}
+		body, err = p.fault.inject(attempt)
+	}
+	return body, err
+}
+
+// send is the one sender of batches: every Submit frame — a client's
+// submission, a hop's epoch push — is written here, stamped (stream, pos),
+// and a retry resends the same stamp for the receiver's dedup to absorb.
+func (p *peerConn) send(stream, pos int64, b core.Batch) error {
+	_, err := p.retry(methodSubmit, func(dst []byte) []byte { return appendBatchCall(dst, stream, pos, b) })
+	return err
 }
 
 // Addr returns the address the client dialed.
@@ -105,17 +182,9 @@ func decoded[T any](v T, err error) (T, error) {
 	return v, err
 }
 
-// Client-side transient-retry policy for SubmitAll: how many fresh
-// connections to attempt after a connection-level failure, starting from
-// this backoff (doubled and jittered per redialPolicy).
-const (
-	DefaultClientRedials    = 8
-	DefaultClientRedialBase = 25 * time.Millisecond
-)
-
 // Client is a handle for submitting reports to a shuffler-role service — a
 // plain/SGX shuffler daemon or either hop of the blinded chain — and for its
-// control calls. SubmitAll and Drain transparently retry connection-level
+// control calls. Submissions and Drain transparently retry connection-level
 // failures on fresh connections, and every batch submission carries a
 // (stream, seq) stamp so such a retry is deduplicated service-side even when
 // the original attempt was ingested but its ack was lost.
@@ -123,21 +192,11 @@ type Client struct {
 	*peerConn
 	stream int64
 	seq    atomic.Int64
-
-	// Transient-redial budget for SubmitAll; see SetRedial.
-	redials    int
-	redialBase time.Duration
 }
 
-// Dial connects to a shuffler service with the default connect timeout.
+// Dial connects to a shuffler service.
 func Dial(addr string) (*Client, error) {
-	return DialTimeout(addr, 0)
-}
-
-// DialTimeout connects to a shuffler service, bounding the TCP connect
-// (timeout <= 0 selects DefaultDialTimeout).
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	p, err := dialPeer(addr, timeout)
+	p, err := dialPeer(addr, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -146,40 +205,7 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		p.Close()
 		return nil, fmt.Errorf("transport: client stream id: %w", err)
 	}
-	return &Client{
-		peerConn:   p,
-		stream:     stream,
-		redials:    DefaultClientRedials,
-		redialBase: DefaultClientRedialBase,
-	}, nil
-}
-
-// SetRedial tunes the transient-failure retry budget of SubmitAll and
-// Drain: up to attempts fresh connections, with jittered exponential
-// backoff from base. attempts < 0 disables transient retries; base <= 0
-// keeps the default.
-func (c *Client) SetRedial(attempts int, base time.Duration) {
-	if attempts < 0 {
-		attempts = 0
-	}
-	c.redials = attempts
-	if base > 0 {
-		c.redialBase = base
-	}
-}
-
-// callRetryTransient issues one call, retrying connection-level failures on
-// fresh connections under the client's redial budget. The request must
-// carry a dedup stamp when the call is not idempotent: an attempt that died
-// mid-call may have been ingested, and only the stamp makes the retry safe.
-func (c *Client) callRetryTransient(method uint8, appendBody func([]byte) []byte) ([]byte, error) {
-	body, err := c.call(method, appendBody)
-	pol := redialPolicy{attempts: c.redials, base: c.redialBase}
-	for attempt := 0; IsTransient(err) && attempt < pol.attempts; attempt++ {
-		time.Sleep(pol.delay(attempt))
-		body, err = c.call(method, appendBody)
-	}
-	return body, err
+	return &Client{peerConn: p, stream: stream}, nil
 }
 
 // Attestation fetches an SGX shuffler's quote and attestation-CA key and
@@ -209,27 +235,13 @@ func (c *Client) Attestation(measurement [32]byte) ([]byte, error) {
 	return reply.Quote.ReportData, nil
 }
 
-// submit ships one stamped batch. retry selects SubmitAll's behaviour:
-// connection-level failures resend the identical stamped request on a fresh
-// connection.
-func (c *Client) submit(b core.Batch, retry bool) error {
-	stream, seq := c.stream, c.seq.Add(1)
-	appendBody := func(dst []byte) []byte { return appendBatchCall(dst, stream, seq, b) }
-	var err error
-	if retry {
-		_, err = c.callRetryTransient(methodSubmit, appendBody)
-	} else {
-		_, err = c.call(methodSubmit, appendBody)
-	}
-	return err
-}
-
 // Submit ships a whole batch — client envelopes or split-shuffler envelopes,
-// whichever the service's stage consumes — in one round trip. The batch is
-// accepted atomically; on an IsEpochFull error nothing was ingested and the
-// caller should back off and resubmit.
+// whichever the service's stage consumes — in one round trip, retrying
+// connection-level failures like SubmitAll. The batch is accepted
+// atomically; on an IsEpochFull error nothing was ingested and the caller
+// should back off and resubmit.
 func (c *Client) Submit(b core.Batch) error {
-	return c.submit(b, false)
+	return c.send(c.stream, c.seq.Add(1), b)
 }
 
 // Default epoch-full retry policy shared by SubmitAll callers.
@@ -253,7 +265,8 @@ const (
 // the whole batch (which would double-count the accepted prefix).
 //
 // Connection-level failures are also retried, on fresh connections to the
-// same address under the client's SetRedial budget. Each slice is stamped
+// same address under the redial policy (DefaultClientRedials from
+// DefaultClientRedialBase). Each slice is stamped
 // with a (stream, seq) pair before its first attempt, and the retry resends
 // the identical request, so a slice whose original attempt was ingested but
 // whose ack was lost is absorbed by the service's dedup — the retry cannot
@@ -261,7 +274,7 @@ const (
 // surface, with the accepted-prefix contract intact.
 func (c *Client) SubmitAll(b core.Batch, retries int, delay time.Duration) (accepted int, err error) {
 	n := b.Len()
-	err = c.submit(b, true)
+	err = c.Submit(b)
 	if err == nil {
 		return n, nil
 	}
@@ -279,7 +292,7 @@ func (c *Client) SubmitAll(b core.Batch, retries int, delay time.Duration) (acce
 	}
 	for attempt := 0; IsEpochFull(err) && attempt < retries; attempt++ {
 		time.Sleep(delay)
-		err = c.submit(b, true)
+		err = c.Submit(b)
 	}
 	if err != nil {
 		return 0, err
@@ -302,7 +315,7 @@ func (c *Client) Drain() (ServiceStats, error) {
 //
 // Draining is idempotent (a second drain of a drained service is an empty
 // barrier), so connection-level failures are retried on fresh connections
-// under the client's redial budget: a fleet drain tolerates a replica that
+// under the redial policy: a fleet drain tolerates a replica that
 // crashed and is restarting over its WAL, surfacing the recovered
 // successor's stats instead of failing the barrier.
 func (c *Client) DrainMode(force bool) (ServiceStats, error) {
@@ -310,7 +323,7 @@ func (c *Client) DrainMode(force bool) (ServiceStats, error) {
 	if force {
 		mode = 1
 	}
-	body, err := c.callRetryTransient(methodDrain, func(dst []byte) []byte { return append(dst, mode) })
+	body, err := c.retry(methodDrain, func(dst []byte) []byte { return append(dst, mode) })
 	if err != nil {
 		return ServiceStats{}, err
 	}
@@ -331,17 +344,16 @@ type AnalyzerClient struct {
 	*peerConn
 }
 
-// DialAnalyzer connects to an analyzer service with the default connect
-// timeout.
+// DialAnalyzer connects to an analyzer service.
 func DialAnalyzer(addr string) (*AnalyzerClient, error) {
-	p, err := dialPeer(addr, 0)
+	p, err := dialPeer(addr, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &AnalyzerClient{peerConn: p}, nil
 }
 
-// Histogram fetches the histogram of the analyzer's materialized database.
+// Histogram fetches the analyzer's cumulative histogram.
 func (c *AnalyzerClient) Histogram() (map[string]int, int, error) {
 	body, err := c.call(methodHistogram, nil)
 	if err != nil {

@@ -15,25 +15,6 @@ import (
 	"prochlo/internal/shuffler"
 )
 
-// DefaultDialTimeout bounds how long connecting to a peer daemon may block.
-// Every dial in this package — service constructors, push redials, client
-// Dial — goes through it, so a daemon chained to a dead next hop fails fast
-// instead of hanging in the TCP handshake forever. Override per service with
-// EpochConfig.DialTimeout or BalancerConfig.DialTimeout.
-const DefaultDialTimeout = 5 * time.Second
-
-// dialPusher dials a downstream peer and applies the configured fault
-// plan. Every push is bounded by the wire timeout so a hung peer fails
-// transient instead of wedging the flusher; fault injection wraps the
-// outside, so an injected delay does not eat into the call budget.
-func (cfg EpochConfig) dialPusher(addr string) (pusher, error) {
-	wc, err := dialWire(addr, cfg.DialTimeout, DefaultWireTimeout)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.Fault.wrap(wc), nil
-}
-
 // newStreamID draws a random 63-bit stream id. Stream ids name a pusher's
 // (stream, epoch)/(stream, seq) dedup space; randomness keeps independent
 // pushers (engines, clients, restarted successors without a WAL) from
@@ -50,17 +31,6 @@ func newStreamID() (int64, error) {
 	return id, nil
 }
 
-// sink delivers one processed epoch to the next hop of the chain. Pushes are
-// at-least-once — implementations retry transient failures and redial broken
-// connections — so receivers dedup by the (stream, epoch) pair stamped on
-// every push. A sink is only ever driven by its engine's single flusher
-// goroutine (close strictly after the flusher exits), so implementations
-// need no locking around their connection.
-type sink interface {
-	push(stream, epoch int64, out core.Batch) error
-	close() error
-}
-
 // Push retry policy: a downstream hop rejecting with the retryable
 // epoch-full error is backpressure, not failure — the upstream flusher backs
 // off and retries while the downstream epoch drains. The bound exists so a
@@ -72,99 +42,65 @@ const (
 	forwardDelay   = 25 * time.Millisecond
 )
 
-// pushSink pushes each processed epoch to one downstream peer. Epoch-full
-// rejections are retried with backoff (downstream backpressure propagates
-// upstream: the flusher blocks, the in-flight queue fills, and this hop
-// starts rejecting its own clients); any other failure is retried on a fresh
-// connection with jittered exponential backoff — a long-lived daemon must
-// survive a downstream restart — before the epoch is declared lost. Retried
-// pushes are deduplicated by the receiver on (stream, epoch): a reply lost
-// after ingestion must not double-count.
-type pushSink struct {
-	cl   pusher
-	addr string
-	cfg  EpochConfig
-	ab   *aborter
-}
+// tier is an engine's downstream tier: its replicas' connections in
+// partition order. Pushes are at-least-once — the sender resends after a
+// connection failure — so receivers dedup by the (stream, epoch) pair
+// stamped on every push.
+type tier []*peerConn
 
-func newPushSink(addr string, cfg EpochConfig, ab *aborter) (*pushSink, error) {
-	cl, err := cfg.dialPusher(addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial next hop %s: %w", addr, err)
+// dialTier connects to every replica of a downstream tier.
+func dialTier(addrs []string, ab *aborter, fault *FaultPlan) (tier, error) {
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("transport: downstream tier needs at least one address")
 	}
-	return &pushSink{cl: cl, addr: addr, cfg: cfg, ab: ab}, nil
-}
-
-func (s *pushSink) push(stream, epoch int64, out core.Batch) error {
-	_, err := s.cl.push(stream, epoch, out)
-	pol := s.cfg.redial()
-	redials := 0
-	for attempt := 0; err != nil && attempt < forwardRetries; attempt++ {
-		if IsEpochFull(err) {
-			if !s.ab.sleep(forwardDelay) {
-				return err
-			}
-			_, err = s.cl.push(stream, epoch, out)
-			continue
+	t := make(tier, 0, len(addrs))
+	for _, addr := range addrs {
+		p, err := dialPeer(addr, ab, fault)
+		if err != nil {
+			t.close()
+			return nil, fmt.Errorf("transport: dial next hop %s: %w", addr, err)
 		}
-		if redials >= pol.attempts {
-			break
-		}
-		if !s.ab.sleep(pol.delay(redials)) {
-			return err
-		}
-		redials++
-		cl, derr := s.cfg.dialPusher(s.addr)
-		if derr != nil {
-			err = fmt.Errorf("transport: redial next hop %s: %w", s.addr, derr)
-			continue
-		}
-		s.cl.close()
-		s.cl = cl
-		_, err = s.cl.push(stream, epoch, out)
+		t = append(t, p)
 	}
-	if IsEpochFull(err) {
-		return fmt.Errorf("transport: next hop still epoch-full after %d retries "+
-			"(its MaxPending must fit this hop's epochs): %w", forwardRetries, err)
+	return t, nil
+}
+
+func (t tier) close() {
+	for _, p := range t {
+		p.Close()
 	}
-	return err
 }
 
-func (s *pushSink) close() error { return s.cl.close() }
-
-// fanoutSink splits each processed epoch across a partitioned downstream
-// tier. Blinded envelopes route by the client-stamped owning partition
-// (core.PartitionOf over the crowd ID — consistent, so the partition that
-// thresholds a crowd sees all of it no matter which upstream replica the
-// reports entered through); payloads and plain envelopes route by content
-// hash, which is deterministic and sufficient because their downstream
-// merge is commutative. Every partition receives at most one push per
-// (stream, epoch), so per-partition dedup keeps the fan-in exactly-once:
-// when a multi-partition push fails halfway and is retried (same epoch id,
-// possibly by a WAL-recovered successor), the partitions that already
-// ingested absorb the replay and only the missing ones ingest.
-type fanoutSink struct {
-	parts []sink
-}
-
-// push delivers the epoch's partitions concurrently — each partition sink
-// owns its own connection, so the epoch's wall-clock cost is the slowest
-// partition, not the sum. Per-partition (stream, epoch) dedup keeps a
-// partially failed, retried push exactly-once regardless of delivery order.
-// The first (lowest-partition) error is reported.
-func (f *fanoutSink) push(stream, epoch int64, out core.Batch) error {
-	split := partitionBatch(out, len(f.parts))
-	errs := make([]error, len(split))
+// push delivers one processed epoch to the downstream tier: whole to a single
+// replica, split by partitionBatch across several. Blinded envelopes route
+// by the client-stamped owning partition (core.PartitionOf over the crowd
+// ID — consistent, so the partition that thresholds a crowd sees all of it
+// no matter which upstream replica the reports entered through); payloads
+// and plain envelopes route by content hash, which is deterministic and
+// sufficient because their downstream merge is commutative. The parts are
+// pushed concurrently, each on its replica's own connection, so the epoch
+// costs the slowest partition, not the sum. Every partition receives at most
+// one push per (stream, epoch), so per-partition dedup keeps the fan-in
+// exactly-once: when a multi-partition push fails halfway and is retried
+// (same epoch id, possibly by a WAL-recovered successor), the partitions
+// that already ingested absorb the replay. The first (lowest-partition)
+// error is reported.
+func (e *engine) push(id int64, out core.Batch) error {
+	if len(e.next) == 1 {
+		return e.pushTo(e.next[0], id, out)
+	}
+	parts := partitionBatch(out, len(e.next))
+	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
-	for i, sub := range split {
-		if sub.Len() == 0 {
+	for i, part := range parts {
+		if part.Len() == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, sub core.Batch) {
+		go func() {
 			defer wg.Done()
-			errs[i] = f.parts[i].push(stream, epoch, sub)
-		}(i, sub)
+			errs[i] = e.pushTo(e.next[i], id, part)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -175,14 +111,28 @@ func (f *fanoutSink) push(stream, epoch int64, out core.Batch) error {
 	return nil
 }
 
-func (f *fanoutSink) close() error {
-	var first error
-	for _, p := range f.parts {
-		if err := p.close(); err != nil && first == nil {
-			first = err
+// pushTo sends an epoch, or its partition, to one replica. The sender has
+// already ridden out connection failures; an epoch-full answer is
+// downstream backpressure, so the whole epoch is resent after a pause (the
+// flusher blocks, the in-flight queue fills, and this hop starts rejecting
+// its own clients). An epoch is never split: its stamp is the epoch id,
+// which a WAL-recovered successor replays whole. Any other answer is final.
+func (e *engine) pushTo(p *peerConn, id int64, b core.Batch) error {
+	err := p.send(e.stream, id, b)
+	for i := 0; IsEpochFull(err) && i < forwardRetries; i++ {
+		if !e.ab.sleep(forwardDelay) {
+			break
 		}
+		err = p.send(e.stream, id, b)
 	}
-	return first
+	switch {
+	case err == nil:
+		return nil
+	case IsEpochFull(err):
+		return fmt.Errorf("transport: next hop %s still epoch-full after %d retries "+
+			"(its MaxPending must fit this hop's epochs): %w", p.addr, forwardRetries, err)
+	}
+	return fmt.Errorf("transport: push to next hop %s: %w", p.addr, err)
 }
 
 // contentPartition spreads a blob over m partitions by FNV-1a hash.
@@ -217,29 +167,6 @@ func partitionBatch(out core.Batch, m int) []core.Batch {
 		}
 	}
 	return split
-}
-
-// newTier builds the sink for a downstream tier: a plain pushSink for one
-// address, a fanout over one pushSink per partition otherwise.
-func newTier(addrs []string, cfg EpochConfig, ab *aborter) (sink, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("transport: downstream tier needs at least one address")
-	}
-	parts := make([]sink, len(addrs))
-	for i, addr := range addrs {
-		s, err := newPushSink(addr, cfg, ab)
-		if err != nil {
-			for _, p := range parts[:i] {
-				p.close()
-			}
-			return nil, err
-		}
-		parts[i] = s
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return &fanoutSink{parts: parts}, nil
 }
 
 // chunk is one ingest call's batch, kept whole: its items carry the
@@ -280,10 +207,10 @@ type forceReq struct {
 // timer-driven cuts, respecting the stage's anonymity floor), submission
 // backpressure at MaxPending, (stream, epoch) dedup of stamped ingests, a
 // single in-order flusher feeding the stage, and an at-least-once push of
-// each processed epoch into the sink. It admits the one batch kind its stage
-// consumes (client envelopes for the plain and SGX shufflers, blinded
-// envelopes for the split-shuffler hops) and is otherwise indifferent to
-// what an item is: stamping, ordering and the durable item form are
+// each processed epoch to the downstream tier. It admits the one batch kind
+// its stage consumes (client envelopes for the plain and SGX shufflers,
+// blinded envelopes for the split-shuffler hops) and is otherwise
+// indifferent to what an item is: stamping, ordering and the durable item form are
 // core.Batch's. See the package comment for the streaming and backpressure
 // model.
 //
@@ -296,7 +223,7 @@ type forceReq struct {
 // absorb.
 type engine struct {
 	stage shuffler.Stage
-	sink  sink
+	next  tier
 	kind  core.BatchKind // the one batch kind ingested: what the stage consumes
 	floor int
 	cfg   EpochConfig
@@ -351,16 +278,20 @@ type engine struct {
 	pushSeconds *metrics.Histogram
 }
 
-// newEngine wires an engine: cfg defaults and clamps applied, stream id
-// drawn (or recovered from the WAL), scheduler and flusher started. st
-// processes every cut epoch, sets the anonymity floor and names the admitted
-// kind; snk receives every processed epoch and is closed by close(); ab is
-// shared with the sinks so Abort can interrupt an in-flight push.
-func newEngine(cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter) (*engine, error) {
+// newEngine wires an engine: cfg defaults and clamps applied, downstream
+// tier dialed, stream id drawn (or recovered from the WAL), scheduler and
+// flusher started. st processes every cut epoch, sets the anonymity floor
+// and names the admitted kind; next lists the downstream replicas in
+// partition order.
+func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, error) {
 	kind, _ := st.Kinds()
 	if kind != core.KindEnvelopes && kind != core.KindBlinded {
-		snk.close()
 		return nil, fmt.Errorf("transport: no stage ingests %v", kind)
+	}
+	ab := newAborter()
+	t, err := dialTier(next, ab, cfg.Fault)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -396,7 +327,7 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter) (*engi
 	}
 	stream, err := newStreamID()
 	if err != nil {
-		snk.close()
+		t.close()
 		return nil, fmt.Errorf("transport: stream id: %w", err)
 	}
 
@@ -406,7 +337,7 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter) (*engi
 	)
 	if cfg.WALDir != "" {
 		if rec, err = recoverWAL(cfg.WALDir, kind); err != nil {
-			snk.close()
+			t.close()
 			return nil, err
 		}
 		if rec != nil {
@@ -416,13 +347,13 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter) (*engi
 		}
 		w, err = openWAL(cfg.WALDir, DefaultWALSegmentBytes, stream, kind, walStartGen(cfg.WALDir))
 		if err != nil {
-			snk.close()
+			t.close()
 			return nil, err
 		}
 		if rec != nil {
 			if err := migrateWAL(w, rec); err != nil {
 				w.closeFiles()
-				snk.close()
+				t.close()
 				return nil, fmt.Errorf("transport: wal migrate: %w", err)
 			}
 		}
@@ -430,7 +361,7 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, snk sink, ab *aborter) (*engi
 
 	e := &engine{
 		stage:  st,
-		sink:   snk,
+		next:   t,
 		kind:   kind,
 		floor:  floor,
 		cfg:    cfg,
@@ -712,7 +643,7 @@ func (e *engine) dropCut(batch core.Batch) {
 
 // flusher consumes cut epochs in order — epochs share the stage's batch
 // RNG, so processing them FIFO keeps a seeded deployment deterministic —
-// and pushes each processed epoch into the sink. Epochs recovered from the
+// and pushes each processed epoch downstream. Epochs recovered from the
 // WAL flush first, under their pre-crash ids.
 func (e *engine) flusher() {
 	defer close(e.done)
@@ -732,7 +663,11 @@ func (e *engine) flusher() {
 }
 
 // flushOne processes and pushes a single epoch, then resolves it in the WAL
-// (ack on delivery, drop on permanent failure) and updates the counters.
+// and updates the counters. A delivered epoch is acked; a failed one — its
+// processing failed, or its push got a final refusal or outlived the
+// sender's redial budget — is dropped: its reports count in Dropped and the
+// WAL records the drop, so they are never pushed again, not even after a
+// restart.
 func (e *engine) flushOne(ep *epoch) {
 	var (
 		stats shuffler.Stats
@@ -745,7 +680,7 @@ func (e *engine) flushOne(ep *epoch) {
 		observeSeconds(e.procSeconds, procStart)
 		if err == nil {
 			pushStart := time.Now()
-			err = e.sink.push(e.stream, ep.id, out)
+			err = e.push(ep.id, out)
 			observeSeconds(e.pushSeconds, pushStart)
 		}
 		if e.isKilled() {
@@ -846,9 +781,9 @@ func (e *engine) healthz() HealthzReply {
 
 // close gracefully shuts the engine down: it stops accepting submissions,
 // cuts and flushes the final epoch (if it meets the anonymity floor), waits
-// for every queued epoch to reach the sink, closes the sink, and — when
-// nothing is left pending or unresolved — wipes the WAL so the next start
-// is fresh.
+// for every queued epoch to reach the downstream tier, closes its
+// connections, and — when nothing is left pending or unresolved — wipes the
+// WAL so the next start is fresh.
 func (e *engine) close() error {
 	e.closeMu.Lock()
 	swapped := e.closed.CompareAndSwap(false, true)
@@ -870,9 +805,7 @@ func (e *engine) close() error {
 		err = e.lastErr
 	}
 	e.mu.Unlock()
-	if cerr := e.sink.close(); err == nil {
-		err = cerr
-	}
+	e.next.close()
 	if e.wal != nil {
 		wipe := e.occupancy.Load() == 0 && e.wal.unresolvedCount() == 0
 		if werr := e.wal.close(wipe); err == nil {
@@ -884,8 +817,8 @@ func (e *engine) close() error {
 
 // abort simulates a crash (kill -9) for the recovery tests: no final cut,
 // no flush, no WAL sync — in-flight pushes are interrupted by closing the
-// sink, and the log directory is left exactly as a dead process would leave
-// it, for a successor engine to recover.
+// tier's connections, and the log directory is left exactly as a dead
+// process would leave it, for a successor engine to recover.
 func (e *engine) abort() {
 	e.closeMu.Lock()
 	swapped := e.closed.CompareAndSwap(false, true)
@@ -894,7 +827,7 @@ func (e *engine) abort() {
 		return
 	}
 	e.ab.abort()
-	e.sink.close()
+	e.next.close()
 	<-e.done
 	if e.wal != nil {
 		e.wal.closeFiles()

@@ -26,10 +26,23 @@ func (s *recordStage) ProcessEpoch(in core.Batch) (core.Batch, shuffler.Stats, e
 func (s *recordStage) Kinds() (consumes, emits core.BatchKind) { return s.kind, s.kind }
 func (s *recordStage) Floor() int                              { return s.floor }
 
-type nullSink struct{}
+// nullService acknowledges every call and keeps nothing: the downstream
+// tier of a test that watches the engine, not what it pushes.
+type nullService struct{}
 
-func (nullSink) push(stream, epoch int64, out core.Batch) error { return nil }
-func (nullSink) close() error                                   { return nil }
+func (nullService) serveFrame(_ uint8, _, dst []byte) ([]byte, error) {
+	return appendWireInts(dst, 0), nil
+}
+
+func serveNull(t *testing.T) string {
+	t.Helper()
+	l, err := Serve("127.0.0.1:0", nullService{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l.Addr().String()
+}
 
 // TestCutOrderMatchesSeqSort pins the chunk merge against the per-item sort
 // it replaced. Ingest calls of mixed sizes, unstamped and stamped, race each
@@ -49,6 +62,7 @@ func TestCutOrderMatchesSeqSort(t *testing.T) {
 func testCutOrder(t *testing.T, kind core.BatchKind, shards int) {
 	const floor = 30
 	cfg := EpochConfig{Shards: shards, WALDir: t.TempDir()}
+	next := []string{serveNull(t)}
 
 	// stamped is value -> the sequence number the engine gave it, read back
 	// from the submitted batch once the ingest call returned.
@@ -70,7 +84,7 @@ func testCutOrder(t *testing.T, kind core.BatchKind, shards int) {
 	start := func() {
 		t.Helper()
 		var err error
-		if eng, err = newEngine(cfg, stage, nullSink{}, newAborter()); err != nil {
+		if eng, err = newEngine(cfg, stage, next); err != nil {
 			t.Fatal(err)
 		}
 	}

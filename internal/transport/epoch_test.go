@@ -320,8 +320,10 @@ func TestBelowFloorEpochPreserved(t *testing.T) {
 
 // TestCloseDrainsFinalEpoch: graceful shutdown must push the pending epoch
 // to the analyzer before releasing the connection, and reject later
-// submissions.
+// submissions. (A client retries ErrClosed, in case a successor takes the
+// address, so the rejection surfaces once a shrunk redial budget runs out.)
 func TestCloseDrainsFinalEpoch(t *testing.T) {
+	shrinkRedial(t, 1, time.Millisecond)
 	rig := newStreamingRig(t, EpochConfig{FlushAt: 1000})
 	cl, err := Dial(rig.shuf)
 	if err != nil {

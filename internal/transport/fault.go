@@ -1,73 +1,15 @@
 package transport
 
 import (
-	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"time"
-
-	"prochlo/internal/core"
 )
-
-// pusher is the one call the push sinks make on a connection: a Submit frame
-// carrying an epoch, answered with the accepted count. Sinks dial through
-// EpochConfig.dialPusher, which wraps the connection with the configured
-// FaultPlan — fault injection sits below the retry/redial logic, exactly
-// where a flaky network would, so the recovery machinery is exercised by the
-// same code paths production runs.
-type pusher interface {
-	push(stream, epoch int64, b core.Batch) (accepted int, err error)
-	close() error
-}
-
-// Redial policy (see EpochConfig.RedialAttempts/RedialBase): a dead
-// downstream is redialed with exponential backoff, each delay spread by
-// ±DefaultRedialJitter so a restarting hop is not hammered in lockstep by
-// every upstream, and a budget so a permanently dead hop surfaces as a failed
-// epoch instead of an unbounded stall.
-const (
-	DefaultRedialAttempts = 2
-	DefaultRedialBase     = 200 * time.Millisecond
-	DefaultRedialJitter   = 0.2
-)
-
-// redialPolicy is the resolved backoff schedule for one sink.
-type redialPolicy struct {
-	attempts int
-	base     time.Duration
-}
-
-// redial resolves the config's redial knobs against the defaults (zero
-// selects the default; a negative attempt count disables redialing).
-func (cfg EpochConfig) redial() redialPolicy {
-	p := redialPolicy{attempts: cfg.RedialAttempts, base: cfg.RedialBase}
-	if p.attempts == 0 {
-		p.attempts = DefaultRedialAttempts
-	} else if p.attempts < 0 {
-		p.attempts = 0
-	}
-	if p.base <= 0 {
-		p.base = DefaultRedialBase
-	}
-	return p
-}
-
-// delay computes the backoff before redial attempt (0-based), doubling from
-// the base and spreading by ±DefaultRedialJitter.
-func (p redialPolicy) delay(attempt int) time.Duration {
-	if attempt > 16 {
-		attempt = 16
-	}
-	d := p.base << uint(attempt)
-	d = time.Duration(float64(d) * (1 + DefaultRedialJitter*(2*rand.Float64()-1)))
-	if d < 0 {
-		d = p.base
-	}
-	return d
-}
 
 // aborter lets a simulated crash (StageService.Abort) cut through the
-// sinks' retry sleeps and the engine's blocking hand-offs: everything that
+// sender's retry sleeps and the engine's blocking hand-offs: everything that
 // waits selects against the channel, so an abort stops the world in
 // milliseconds instead of after a retry budget drains.
 type aborter struct {
@@ -88,23 +30,32 @@ func (a *aborter) aborted() bool {
 	}
 }
 
-// sleep waits d, returning false if the abort fired first.
+// sleep waits d, returning false if the abort fired first. A nil aborter —
+// a client's connection — never fires.
 func (a *aborter) sleep(d time.Duration) bool {
+	var abort <-chan struct{}
+	if a != nil {
+		abort = a.ch
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 		return true
-	case <-a.ch:
+	case <-abort:
 		return false
 	}
 }
 
 // FaultPlan injects failures into a stage's downstream pushes on a seeded
-// schedule, for crash-recovery testing (EpochConfig.Fault). Each push draws
-// one fault mode from the plan's deterministic stream; the plan is shared
-// across redialed connections so the schedule keeps advancing through
-// reconnects. The modes mirror the failures a real chain sees:
+// schedule, for crash-recovery testing (EpochConfig.Fault). Every attempt of
+// the sender draws one fault mode from the plan's deterministic stream, below
+// its retry loop — exactly where a flaky network would strike — so recovery
+// is exercised by the code paths production runs. The plan is shared across
+// redialed connections, so the schedule keeps advancing through reconnects.
+// Every injected failure is a connection failure (IsTransient), which the
+// sender retries like a real one. The modes mirror the failures a real chain
+// sees:
 //
 //   - PError: the push is dropped — nothing delivered, an error returned
 //     (a connection severed before the request landed);
@@ -230,51 +181,42 @@ func (p *FaultPlan) Injected() int {
 	return p.injected
 }
 
-// wrap decorates a dialed connection with the plan; a nil plan is a no-op.
-func (p *FaultPlan) wrap(c pusher) pusher {
+var (
+	errInjectedDrop      = fmt.Errorf("transport: injected fault: push dropped: %w", io.ErrUnexpectedEOF)
+	errInjectedAckLoss   = fmt.Errorf("transport: injected fault: ack dropped: %w", io.ErrUnexpectedEOF)
+	errInjectedKill      = fmt.Errorf("transport: injected fault: replica killed: %w", io.ErrUnexpectedEOF)
+	errInjectedPartition = fmt.Errorf("transport: injected fault: network partitioned: %w", io.ErrUnexpectedEOF)
+)
+
+// inject runs one attempt of a call under the plan, applying the one fault it
+// draws; a nil plan makes the call as is.
+func (p *FaultPlan) inject(call func() ([]byte, error)) ([]byte, error) {
 	if p == nil {
-		return c
+		return call()
 	}
-	return &faultPusher{plan: p, c: c}
-}
-
-var errInjectedDrop = errors.New("transport: injected fault: push dropped")
-var errInjectedAckLoss = errors.New("transport: injected fault: ack dropped")
-var errInjectedKill = errors.New("transport: injected fault: replica killed")
-var errInjectedPartition = errors.New("transport: injected fault: network partitioned")
-
-// faultPusher applies one drawn fault per push.
-type faultPusher struct {
-	plan *FaultPlan
-	c    pusher
-}
-
-func (f *faultPusher) push(stream, epoch int64, b core.Batch) (int, error) {
-	if f.plan.partitioned() {
-		return 0, errInjectedPartition
+	if p.partitioned() {
+		return nil, errInjectedPartition
 	}
-	switch f.plan.draw() {
+	switch p.draw() {
 	case faultKill:
-		f.plan.invokeKill()
-		return 0, errInjectedKill
+		p.invokeKill()
+		return nil, errInjectedKill
 	case faultPartition:
-		f.plan.openPartition()
-		return 0, errInjectedPartition
+		p.openPartition()
+		return nil, errInjectedPartition
 	case faultError:
-		return 0, errInjectedDrop
+		return nil, errInjectedDrop
 	case faultDropAck:
-		if _, err := f.c.push(stream, epoch, b); err != nil {
-			return 0, err
+		if _, err := call(); err != nil {
+			return nil, err
 		}
-		return 0, errInjectedAckLoss
+		return nil, errInjectedAckLoss
 	case faultDup:
-		if _, err := f.c.push(stream, epoch, b); err != nil {
-			return 0, err
+		if _, err := call(); err != nil {
+			return nil, err
 		}
 	case faultDelay:
-		time.Sleep(f.plan.Delay)
+		time.Sleep(p.Delay)
 	}
-	return f.c.push(stream, epoch, b)
+	return call()
 }
-
-func (f *faultPusher) close() error { return f.c.close() }

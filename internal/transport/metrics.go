@@ -137,10 +137,10 @@ func (a *AnalyzerService) RegisterMetrics(reg *metrics.Registry, l metrics.Label
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("prochlo_analyzer_records", "Decrypted records materialized in the analyzer database.", l,
+	reg.GaugeFunc("prochlo_analyzer_records", "Decrypted records materialized and counted in the analyzer's histogram.", l,
 		func() float64 {
 			a.mu.Lock()
-			n := len(a.db)
+			n := a.records
 			a.mu.Unlock()
 			return float64(n)
 		})

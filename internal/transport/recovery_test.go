@@ -3,6 +3,7 @@ package transport
 import (
 	crand "crypto/rand"
 	"math/rand/v2"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -242,14 +243,11 @@ func testRestartResumesInFlightEpoch(t *testing.T, kind core.BatchKind) {
 func TestRestartAfterAckLost(t *testing.T) { forEachKind(t, testRestartAfterAckLost) }
 
 func testRestartAfterAckLost(t *testing.T, kind core.BatchKind) {
-	fault := &FaultPlan{Seed: 1, PDropAck: 1, MaxFaults: 1}
-	rig := newCrashRig(t, kind, EpochConfig{
-		FlushAt: 4,
-		Fault:   fault,
-		// A long redial backoff keeps the sink in its post-fault sleep while
-		// the crash lands, so the epoch stays unresolved.
-		RedialBase: 2 * time.Second,
-	})
+	// Every attempt of the first incarnation is delivered and loses its ack,
+	// so the sender is still retrying — the epoch unresolved — when the
+	// crash lands.
+	fault := &FaultPlan{Seed: 1, PDropAck: 1}
+	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 4, Fault: fault})
 	rig.submit(4, "acklost-value")
 	// Wait until the analyzer has materialized the push (the ack was eaten).
 	deadline := time.Now().Add(5 * time.Second)
@@ -265,6 +263,7 @@ func testRestartAfterAckLost(t *testing.T, kind core.BatchKind) {
 	}
 	rig.svc.Abort() // crash during the redial backoff: delivered, unacked
 
+	rig.cfg.Fault = nil // the successor's network is sound
 	rig.start()
 	stats := rig.svc.Stats()
 	if stats.RecoveredEpochs != 1 || stats.RecoveredItems != 4 {
@@ -363,26 +362,33 @@ func testRestartRefusesOtherRolesWAL(t *testing.T, kind core.BatchKind) {
 	}
 }
 
-// TestReconciliationWithDrops checks the accounting invariant when epochs
-// genuinely fail: with every push erroring and redials disabled, the
+// TestReconciliationWithDrops checks the accounting invariant when an epoch
+// genuinely fails: the downstream refuses what the hop pushes (a stage that
+// ingests envelopes, sent payloads), an answer no retry can change, so the
 // accepted reports must all land in Dropped — and Unaccounted must still be
 // zero at the barrier. This is the Stats-side debug assertion the Dropped
 // field promises.
 func TestReconciliationWithDrops(t *testing.T) {
-	fault := &FaultPlan{Seed: 3, PError: 1} // every push fails
-	rig := newStreamingRig(t, EpochConfig{FlushAt: 1000, Fault: fault, RedialAttempts: -1})
-	batch := make([]core.Envelope, 6)
-	for i := range batch {
-		batch[i] = rig.envelope(t, "c:drop", "drop-value")
-	}
-	if _, err := rig.svc.Submit(0, 0, core.Batch{Envelopes: batch}); err != nil {
+	rig := newCrashRig(t, core.KindEnvelopes, EpochConfig{})
+	refuser, err := Serve("127.0.0.1:0", rig.svc) // ingests envelopes, not payloads
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rig.svc.Drain(false); err == nil {
-		t.Fatal("drain with a dead sink succeeded, want the push failure surfaced")
+	defer refuser.Close()
+	svc, err := NewStageService(rig.stage(core.KindEnvelopes), Keys{}, []string{refuser.Addr().String()},
+		EpochConfig{FlushAt: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if _, err := svc.Submit(0, 0, rig.batch(6, "drop-value")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Drain(false); err == nil {
+		t.Fatal("drain into a refusing downstream succeeded, want the push failure surfaced")
 	}
 	// The failed epoch is accounted; the next drain is a pure barrier.
-	drained, err := rig.svc.Drain(false)
+	drained, err := svc.Drain(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +396,80 @@ func TestReconciliationWithDrops(t *testing.T) {
 		t.Fatalf("stats after failed epoch = %+v, want 6 dropped in 1 failed epoch", drained)
 	}
 	checkReconciled(t, drained)
-	if fault.Injected() == 0 {
-		t.Error("fault plan injected nothing")
+	if st := rig.svc.Stats(); st.Accepted != 0 {
+		t.Errorf("the refusing stage ingested %d reports", st.Accepted)
+	}
+}
+
+// TestPushRidesOutDownstreamRestart: the analyzer goes down for about 1.2 s
+// while a hop pushes an epoch, then listens again at the same address. A
+// hop pushes the way a client submits — one sender, one redial policy of
+// about 6 s — so the epoch must arrive exactly once: nothing dropped, no
+// epoch failed, every report counted.
+func TestPushRidesOutDownstreamRestart(t *testing.T) {
+	const downFor = 1200 * time.Millisecond
+	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
+	anlzSrv := serveKillable(t, anlzSvc)
+	anlzAddr := anlzSrv.addr()
+	shufPriv, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := &shuffler.Shuffler{Priv: shufPriv, Rand: rand.New(rand.NewPCG(9, 11)), MinBatch: 1}
+	svc, err := NewStageService(sh, Keys{Key: shufPriv.Public().Bytes()}, []string{anlzAddr}, EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	enc := &encoder.Client{ShufflerKey: shufPriv.Public(), AnalyzerKey: anlzPriv.Public(), Rand: crand.Reader}
+	const reports = 3
+	envs := make([]core.Envelope, reports)
+	for i := range envs {
+		if envs[i], err = enc.Encode(core.Report{CrowdID: core.HashCrowdID("c:restart"), Data: []byte("restart-value")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.Submit(crashRigStream, 1, core.Batch{Envelopes: envs}); err != nil {
+		t.Fatal(err)
+	}
+
+	anlzSrv.kill()
+	drained := make(chan error, 1)
+	var stats ServiceStats
+	go func() {
+		var err error
+		stats, err = svc.Drain(false)
+		drained <- err
+	}()
+	time.Sleep(downFor)
+	var l net.Listener
+	for attempt := 0; attempt < 50; attempt++ {
+		if l, err = Serve(anlzAddr, anlzSvc); err == nil {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatalf("rebinding the analyzer at %s: %v", anlzAddr, err)
+	}
+	defer l.Close()
+
+	if err := <-drained; err != nil {
+		t.Fatalf("drain across a %v downstream restart: %v", downFor, err)
+	}
+	if stats.Dropped != 0 || stats.EpochsFailed != 0 || stats.EpochsFlushed != 1 {
+		t.Errorf("stats = %+v, want the one epoch flushed, nothing dropped or failed", stats)
+	}
+	checkReconciled(t, stats)
+	if as := anlzSvc.Stats(); as.Records != reports || as.Ingests != 1 {
+		t.Errorf("analyzer stats = %+v, want %d records in one ingest", as, reports)
+	}
+	if counts, _ := anlzSvc.Histogram(); counts["restart-value"] != reports {
+		t.Errorf("histogram = %v, want %d restart-value", counts, reports)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/x509"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -131,12 +132,7 @@ type StageService struct {
 // could both see traffic metadata and decrypt. The caller should Close the
 // service to drain it and release the downstream connections.
 func NewStageService(st shuffler.Stage, keys Keys, next []string, cfg EpochConfig) (*StageService, error) {
-	ab := newAborter()
-	snk, err := newTier(next, cfg, ab)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := newEngine(cfg, st, snk, ab)
+	eng, err := newEngine(cfg, st, next)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +258,10 @@ func (s *StageService) serveFrame(method uint8, body, dst []byte) ([]byte, error
 	return nil, fmt.Errorf("transport: shuffler stage does not serve method %d", method)
 }
 
-// AnalyzerService serves an analyzer over the frame protocol.
+// AnalyzerService serves an analyzer over the frame protocol. It keeps the
+// histogram, not the records: each ingest is opened and folded into the
+// running counts, so its memory grows with the distinct values seen, not
+// with the reports.
 type AnalyzerService struct {
 	start time.Time
 	open  func(items [][]byte) (db [][]byte, undecryptable int) // the analyzer's Open
@@ -271,14 +270,15 @@ type AnalyzerService struct {
 	dedup forwardDedup
 
 	mu            sync.Mutex
-	db            [][]byte
+	counts        map[string]int // histogram of every record materialized
+	records       int
 	undecryptable int
 	ingests       int
 }
 
 // NewAnalyzerService wraps an analyzer; pub is the key served over Keys.
 func NewAnalyzerService(an *analyzer.Analyzer, pub []byte) *AnalyzerService {
-	return &AnalyzerService{start: time.Now(), open: an.Open, pub: pub}
+	return &AnalyzerService{start: time.Now(), open: an.Open, pub: pub, counts: make(map[string]int)}
 }
 
 // Healthz is the cheap liveness probe (lock-free; see HealthzReply).
@@ -286,38 +286,42 @@ func (a *AnalyzerService) Healthz() HealthzReply {
 	return HealthzReply{Healthy: true, UptimeMillis: time.Since(a.start).Milliseconds()}
 }
 
-// Ingest decrypts and materializes a batch of shuffled records. Stream and
-// epoch identify the push for dedup: the shuffler's push retry is
-// at-least-once (a reply can be lost after the analyzer ingested), so a
-// retried push of an epoch this service already materialized is
+// Ingest decrypts a batch of shuffled records and folds them into the
+// histogram. Stream and epoch identify the push for dedup: the shuffler's
+// push retry is at-least-once (a reply can be lost after the analyzer
+// ingested), so a retried push of an epoch this service already counted is
 // acknowledged without re-ingesting, and a concurrent delivery of the same
 // epoch waits for the first instead of decrypting it a second time. Zero
 // values skip dedup.
 func (a *AnalyzerService) Ingest(stream, epoch int64, items [][]byte) {
 	a.dedup.ingest(stream, epoch, func() error {
 		db, undec := a.open(items)
+		h := analyzer.Histogram(db) // interned outside the lock
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		a.db = append(a.db, db...)
+		for k, n := range h {
+			a.counts[k] += n
+		}
+		a.records += len(db)
 		a.undecryptable += undec
 		a.ingests++
 		return nil
 	})
 }
 
-// Histogram returns the histogram of the materialized database and the
-// number of payloads that failed to decrypt.
+// Histogram returns a copy of the histogram of every record materialized
+// and the number of payloads that failed to decrypt.
 func (a *AnalyzerService) Histogram() (counts map[string]int, undecryptable int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return analyzer.Histogram(a.db), a.undecryptable
+	return maps.Clone(a.counts), a.undecryptable
 }
 
-// Stats reports the analyzer service's database size and ingest counters.
+// Stats reports the analyzer service's record and ingest counters.
 func (a *AnalyzerService) Stats() AnalyzerStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return AnalyzerStats{Records: len(a.db), Undecryptable: a.undecryptable, Ingests: a.ingests}
+	return AnalyzerStats{Records: a.records, Undecryptable: a.undecryptable, Ingests: a.ingests}
 }
 
 func (a *AnalyzerService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {

@@ -18,10 +18,19 @@
 //
 // Ingest is one path whatever the sender: a client's batch and a hop's
 // pushed epoch are the same stamped Submit frame, the same engine.ingest
-// and the same WAL record. Every batch is at-least-once and deduplicated by
-// its (stream, seq-or-epoch) stamp; downstream epoch-full backpressure
-// propagates upstream because the pushing flusher blocks, its in-flight
-// queue fills, and the hop starts rejecting its own clients.
+// and the same WAL record. They also leave through one sender,
+// (*peerConn).send: after a connection failure it resends the same stamp
+// on a fresh connection under one redial policy (DefaultClientRedials from
+// DefaultClientRedialBase, about 6.4 s), so a hop rides out a short
+// downstream restart exactly as a client rides out its shuffler's, and any
+// answer the receiver gives — a refusal, epoch-full — comes back at once.
+// Callers keep only what differs: Client.SubmitAll splits a batch on
+// epoch-full, a hop resends its epoch whole (its stamp is the epoch id,
+// which recovery replays), and the Balancer fails over between replicas.
+// Every batch is at-least-once and deduplicated by its (stream,
+// seq-or-epoch) stamp; downstream epoch-full backpressure propagates
+// upstream because the pushing flusher blocks, its in-flight queue fills,
+// and the hop starts rejecting its own clients.
 //
 // # Streaming model
 //
@@ -230,7 +239,7 @@ func readEpochStats(r *wireReader) shuffler.Stats {
 
 // AnalyzerStats is the analyzer service's health snapshot.
 type AnalyzerStats struct {
-	Records       int // materialized database rows
+	Records       int // records materialized (opened) across ingests
 	Undecryptable int
 	Ingests       int // ingest pushes served
 }
@@ -282,18 +291,20 @@ func IsEpochFull(err error) bool {
 	return err != nil && strings.Contains(err.Error(), errEpochFullMsg)
 }
 
-// IsTransient reports whether err looks like a connection-level failure —
-// the call may or may not have reached the service — rather than an error
-// the service itself returned. Transient errors are worth retrying on a
-// fresh connection to the same address; with a stamped (stream, seq) the
-// service's dedup absorbs the ambiguous redelivery.
+// IsTransient reports whether a fresh connection to the same address may get
+// a different answer: err is a connection-level failure — the call may or
+// may not have reached the service — or the service answered that it is
+// shutting down (ErrClosed), which a restarted successor at that address
+// replaces. Transient errors are what the sender retries; with a stamped
+// (stream, seq) the service's dedup absorbs the ambiguous redelivery. Any
+// other error the service returned is its answer.
 func IsTransient(err error) bool {
 	if err == nil {
 		return false
 	}
 	var se ServerError
 	if errors.As(err, &se) {
-		return false
+		return string(se) == errClosedMsg
 	}
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return true
@@ -302,8 +313,11 @@ func IsTransient(err error) bool {
 	return errors.As(err, &ne)
 }
 
+// errClosedMsg is ErrClosed's text, which IsTransient matches after the wire.
+const errClosedMsg = "transport: shuffler service closed"
+
 // ErrClosed is returned by submissions to a service that has been Closed.
-var ErrClosed = errors.New("transport: shuffler service closed")
+var ErrClosed = errors.New(errClosedMsg)
 
 // EpochConfig tunes a stage service's streaming behavior. The zero value
 // disables the scheduler: nothing auto-flushes and batches are only
@@ -327,11 +341,6 @@ type EpochConfig struct {
 	// 0 selects GOMAXPROCS. Sharding changes neither results nor ordering:
 	// the epoch cut merges shards by global sequence number.
 	Shards int
-	// DialTimeout bounds connecting to the downstream peer (construction
-	// and redials). 0 selects DefaultDialTimeout. One downstream push is
-	// bounded end to end by DefaultWireTimeout, so a hung peer becomes a
-	// retryable fault instead of a stuck flusher.
-	DialTimeout time.Duration
 	// WALDir enables the write-ahead log: every accepted batch is fsynced
 	// to this directory before it is acknowledged, and a restart over the
 	// same directory recovers pending items, resumes unresolved epoch
@@ -339,13 +348,6 @@ type EpochConfig struct {
 	// marks — making the at-least-once push chain exactly-once across
 	// process crashes. Empty disables durability.
 	WALDir string
-	// RedialAttempts bounds reconnects to a dead downstream per push before
-	// the epoch is declared failed. 0 selects DefaultRedialAttempts;
-	// negative disables redialing.
-	RedialAttempts int
-	// RedialBase is the first redial backoff; each attempt doubles it and
-	// spreads it by ±DefaultRedialJitter. 0 selects DefaultRedialBase.
-	RedialBase time.Duration
 	// Fault, when non-nil, injects failures into this service's downstream
 	// pushes on a seeded schedule — the crash-recovery test harness. Nil in
 	// production.

@@ -2,7 +2,9 @@ package transport
 
 import (
 	crand "crypto/rand"
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"prochlo/internal/analyzer"
@@ -154,5 +156,57 @@ func TestDrainEmptyPushesNothing(t *testing.T) {
 func TestDialBadAddress(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Error("dialing a closed port succeeded")
+	}
+}
+
+// TestAnalyzerKeepsCounts: the analyzer folds each ingest into a running
+// histogram instead of keeping its records. Over random ingests — repeated
+// (stream, epoch) keys among them, and blobs that do not decrypt — the
+// service's histogram must equal analyzer.Histogram over the opened records
+// of the distinct ingests, Records must count exactly those records, and a
+// caller holding a returned histogram must not see later ingests in it.
+func TestAnalyzerKeepsCounts(t *testing.T) {
+	priv, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := &analyzer.Analyzer{Priv: priv}
+	svc := NewAnalyzerService(an, priv.Public().Bytes())
+	rng := rand.New(rand.NewPCG(13, 17))
+	seen := make(map[[2]int64]bool)
+	var db [][]byte
+	undec := 0
+	for i := 0; i < 40; i++ {
+		key := [2]int64{1 + rng.Int64N(3), 1 + rng.Int64N(6)}
+		items := make([][]byte, rng.IntN(6))
+		for j := range items {
+			if rng.IntN(5) == 0 {
+				items[j] = []byte("not a ciphertext")
+				continue
+			}
+			value := []byte(fmt.Sprintf("v%d", rng.IntN(4)))
+			if items[j], err = hybrid.Seal(crand.Reader, priv.Public(), value, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Ingest(key[0], key[1], items)
+		if !seen[key] {
+			seen[key] = true
+			opened, u := an.Open(items)
+			db = append(db, opened...)
+			undec += u
+		}
+	}
+	want := analyzer.Histogram(db)
+	counts, gotUndec := svc.Histogram()
+	if !reflect.DeepEqual(counts, want) || gotUndec != undec {
+		t.Fatalf("histogram = %v (%d undecryptable), want %v (%d)", counts, gotUndec, want, undec)
+	}
+	if st := svc.Stats(); st.Records != len(db) || st.Undecryptable != undec || st.Ingests != len(seen) {
+		t.Errorf("stats = %+v, want %d records, %d undecryptable, %d ingests", st, len(db), undec, len(seen))
+	}
+	counts["v0"] += 100
+	if again, _ := svc.Histogram(); !reflect.DeepEqual(again, want) {
+		t.Errorf("writing to a returned histogram changed the service's: %v, want %v", again, want)
 	}
 }

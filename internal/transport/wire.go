@@ -47,8 +47,8 @@ import (
 //
 // The CRC covers the body up to itself (IEEE, like the WAL records). A
 // frame that fails the CRC, truncates, or exceeds maxWireFrame kills the
-// connection — the sender's redial machinery treats that as the transient
-// connection failure it is. A request the service refuses (unknown method, a
+// connection — the one sender, (*peerConn).retry, treats that as the
+// transient connection failure it is and resends on a fresh connection. A request the service refuses (unknown method, a
 // method its role does not serve, a malformed body inside a sound frame)
 // gets an error reply and the connection stays up.
 //
@@ -63,9 +63,15 @@ import (
 // Dial instead of at the first call; a server closes a peer that opens with
 // anything else.
 
+// DefaultDialTimeout bounds connecting to a peer and its handshake, so a
+// party whose peer is dead fails fast instead of hanging in the TCP
+// handshake forever; a server closes a peer that has not opened with the
+// magic by then.
+const DefaultDialTimeout = 5 * time.Second
+
 // DefaultWireTimeout bounds one call end to end: a peer that accepted the
 // connection but never answers (hung process, black-holed route) fails the
-// call with a deadline error — transient, so the pusher redials — instead of
+// call with a deadline error — transient, so the sender redials — instead of
 // blocking its flusher goroutine forever. Drain is exempt: it legitimately
 // blocks for as long as the downstream barrier takes.
 const DefaultWireTimeout = 2 * time.Minute
@@ -366,7 +372,7 @@ type wireResult struct {
 // the server finishes them.
 type wireConn struct {
 	conn    net.Conn
-	timeout time.Duration // per-call bound; <= 0 disables
+	timeout time.Duration // per-call bound: DefaultWireTimeout; <= 0 disables
 
 	wmu sync.Mutex // serializes frame writes
 
@@ -377,21 +383,19 @@ type wireConn struct {
 	broken  error // set once the connection is unusable; fails new calls fast
 }
 
-// dialWire connects to addr and completes the handshake. dialTimeout <= 0
-// selects DefaultDialTimeout.
-func dialWire(addr string, dialTimeout, callTimeout time.Duration) (*wireConn, error) {
-	if dialTimeout <= 0 {
-		dialTimeout = DefaultDialTimeout
-	}
-	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+// dialWire connects to addr and completes the handshake, each bounded by
+// DefaultDialTimeout; calls on the connection are bounded by
+// DefaultWireTimeout.
+func dialWire(addr string) (*wireConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	if err := handshake(conn, dialTimeout); err != nil {
+	if err := handshake(conn, DefaultDialTimeout); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: handshake with %s: %w", addr, err)
 	}
-	wc := &wireConn{conn: conn, timeout: callTimeout, pending: make(map[uint64]chan wireResult)}
+	wc := &wireConn{conn: conn, timeout: DefaultWireTimeout, pending: make(map[uint64]chan wireResult)}
 	go wc.readLoop()
 	return wc, nil
 }
@@ -520,21 +524,6 @@ func (w *wireConn) call(method uint8, appendBody func(dst []byte) []byte) ([]byt
 		}
 		return nil, fmt.Errorf("transport: wire call timed out after %v: %w", w.timeout, os.ErrDeadlineExceeded)
 	}
-}
-
-// push issues one Submit and returns the accepted count. It is the pusher
-// the sinks drive and FaultPlan wraps.
-func (w *wireConn) push(stream, pos int64, b core.Batch) (int, error) {
-	reply, err := w.call(methodSubmit, func(dst []byte) []byte { return appendBatchCall(dst, stream, pos, b) })
-	if err != nil {
-		return 0, err
-	}
-	r := wireReader{b: reply}
-	n := r.int()
-	if err := r.done(); err != nil {
-		return 0, fmt.Errorf("transport: wire reply accepted count: %w", err)
-	}
-	return int(n), nil
 }
 
 // close tears the connection down, failing any in-flight calls.

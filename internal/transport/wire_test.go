@@ -436,7 +436,7 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 		{"histogram asked of a shuffler", rig.shuf, methodHistogram},
 		{"drain asked of an analyzer", rig.anlz, methodDrain},
 	} {
-		wc, err := dialWire(tc.addr, time.Second, time.Second)
+		wc, err := dialWire(tc.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +457,7 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 	}
 	// A sound frame whose body is malformed for its method is refused the
 	// same way (the frame layer cannot see inside the body).
-	wc, err := dialWire(rig.shuf, time.Second, time.Second)
+	wc, err := dialWire(rig.shuf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,18 +502,30 @@ func hungWireServer(t *testing.T) string {
 	return l.Addr().String()
 }
 
+// submitCall issues one Submit on wc and decodes the accepted count.
+func submitCall(wc *wireConn, stream, pos int64, b core.Batch) (int, error) {
+	reply, err := wc.call(methodSubmit, func(dst []byte) []byte { return appendBatchCall(dst, stream, pos, b) })
+	if err != nil {
+		return 0, err
+	}
+	r := wireReader{b: reply}
+	n := r.int()
+	return int(n), r.done()
+}
+
 // TestWireHungPeerTimesOut: a peer that accepts a push but never replies
 // must fail the call with a deadline error the retry machinery recognizes
 // as transient, not wedge the calling goroutine.
 func TestWireHungPeerTimesOut(t *testing.T) {
 	addr := hungWireServer(t)
-	wc, err := dialWire(addr, time.Second, 50*time.Millisecond)
+	wc, err := dialWire(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wc.close()
+	wc.timeout = 50 * time.Millisecond
 	start := time.Now()
-	_, err = wc.push(1, 1, core.Batch{Payloads: [][]byte{[]byte("x")}})
+	_, err = submitCall(wc, 1, 1, core.Batch{Payloads: [][]byte{[]byte("x")}})
 	if err == nil {
 		t.Fatal("call against a hung peer succeeded")
 	}
@@ -531,7 +543,7 @@ func TestWireHungPeerTimesOut(t *testing.T) {
 	if !wc.isBroken() {
 		t.Fatal("timed-out connection not marked broken")
 	}
-	if _, err := wc.push(1, 2, core.Batch{}); err == nil {
+	if _, err := submitCall(wc, 1, 2, core.Batch{}); err == nil {
 		t.Fatal("call on a broken connection succeeded")
 	}
 }
@@ -547,11 +559,12 @@ func TestDrainOutlivesWireTimeout(t *testing.T) {
 	if _, err := rig.svc.Submit(0, 0, core.Batch{Envelopes: []core.Envelope{rig.envelope(t, "c:slow", "slow")}}); err != nil {
 		t.Fatal(err)
 	}
-	wc, err := dialWire(rig.shuf, time.Second, timeout)
+	wc, err := dialWire(rig.shuf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wc.close()
+	wc.timeout = timeout
 	start := time.Now()
 	body, err := wc.call(methodDrain, func(dst []byte) []byte { return append(dst, 0) })
 	if err != nil {
@@ -626,7 +639,7 @@ func TestWirePipelinedOutOfOrderReplies(t *testing.T) {
 		}()
 	}()
 
-	wc, err := dialWire(l.Addr().String(), time.Second, 10*time.Second)
+	wc, err := dialWire(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -638,12 +651,12 @@ func TestWirePipelinedOutOfOrderReplies(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		results[0], callErrs[0] = wc.push(1, 1, core.Batch{})
+		results[0], callErrs[0] = submitCall(wc, 1, 1, core.Batch{})
 	}()
 	go func() {
 		defer wg.Done()
 		<-firstSeen // guarantee ordering: call 0 is on the wire first
-		results[1], callErrs[1] = wc.push(2, 1, core.Batch{})
+		results[1], callErrs[1] = submitCall(wc, 2, 1, core.Batch{})
 	}()
 	wg.Wait()
 	if err := <-serverErr; err != nil {
@@ -661,8 +674,8 @@ func TestWirePipelinedOutOfOrderReplies(t *testing.T) {
 
 // TestErrorPredicates pins IsEpochFull and IsTransient over every error
 // shape the chain produces: local sentinels, the same errors after crossing
-// the wire as ServerError, the injected faults, a deadline hit, and dead
-// connections.
+// the wire as ServerError, the injected faults (connection failures, which
+// the sender retries like real ones), a deadline hit, and dead connections.
 func TestErrorPredicates(t *testing.T) {
 	_, dialErr := net.DialTimeout("tcp", deadAddr(t), time.Second)
 	if dialErr == nil {
@@ -676,20 +689,22 @@ func TestErrorPredicates(t *testing.T) {
 		{"nil", nil, false, false},
 		{"ErrEpochFull", ErrEpochFull, true, false},
 		{"epoch-full over the wire", ServerError(ErrEpochFull.Error()), true, false},
-		{"epoch-full after sink retries", fmt.Errorf("transport: next hop still epoch-full after 400 retries: %w", ServerError(ErrEpochFull.Error())), true, false},
+		{"epoch-full after push retries", fmt.Errorf("transport: next hop 127.0.0.1:1 still epoch-full after 400 retries: %w", ServerError(ErrEpochFull.Error())), true, false},
 		{"epoch-full through the balancer", fmt.Errorf("127.0.0.1:1: %w", ServerError(ErrEpochFull.Error())), true, false},
 		{"other server error", ServerError("transport: shuffler stage does not serve method 238"), false, false},
-		{"ErrClosed over the wire", ServerError(ErrClosed.Error()), false, false},
-		{"injected drop", errInjectedDrop, false, false},
-		{"injected ack loss", errInjectedAckLoss, false, false},
-		{"injected kill", errInjectedKill, false, false},
-		{"injected partition", errInjectedPartition, false, false},
+		{"ErrClosed over the wire", ServerError(ErrClosed.Error()), false, true},
+		{"ErrClosed inside another message", ServerError("stage: " + ErrClosed.Error()), false, false},
+		{"injected drop", errInjectedDrop, false, true},
+		{"injected ack loss", errInjectedAckLoss, false, true},
+		{"injected kill", errInjectedKill, false, true},
+		{"injected partition", errInjectedPartition, false, true},
 		{"deadline hit", fmt.Errorf("transport: wire call timed out after 2m0s: %w", os.ErrDeadlineExceeded), false, true},
 		{"peer hung up", io.EOF, false, true},
 		{"broken connection", fmt.Errorf("%w (transport: wire connection: read tcp: connection reset)", io.ErrUnexpectedEOF), false, true},
 		{"handshake refused", fmt.Errorf("transport: handshake with 127.0.0.1:1: %w", io.EOF), false, true},
 		{"dial refused", dialErr, false, true},
-		{"redial refused", fmt.Errorf("transport: redial next hop 127.0.0.1:1: %w", dialErr), false, true},
+		{"push refused at redial", fmt.Errorf("transport: push to next hop 127.0.0.1:1: %w", dialErr), false, true},
+		{"push refused by the hop", fmt.Errorf("transport: push to next hop 127.0.0.1:1: %w", ServerError("transport: stage ingests blinded envelopes, got payloads")), false, false},
 		{"plain error", errors.New("boom"), false, false},
 	} {
 		if got := IsEpochFull(tc.err); got != tc.epochFull {
@@ -803,28 +818,28 @@ func BenchmarkWireCodec(b *testing.B) {
 }
 
 // BenchmarkForwardPush measures one hop-to-hop push end to end over
-// loopback TCP. Every push reuses the same (stream, epoch), so the
-// receiver's dedup absorbs it after the first — the benchmark stays
-// allocation- and memory-flat and measures pure wire cost.
+// loopback TCP, through the sender a stage pushes with. Every push reuses
+// the same (stream, epoch), so the receiver's dedup absorbs it after the
+// first — the benchmark stays allocation- and memory-flat and measures pure
+// wire cost.
 func BenchmarkForwardPush(b *testing.B) {
 	rig := newStreamingRig(b, EpochConfig{})
 	batch := benchBatch(500, 128)
 	b.Run("binary", func(b *testing.B) {
-		cl, err := (EpochConfig{}).dialPusher(rig.shuf)
+		p, err := dialPeer(rig.shuf, newAborter(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer cl.close()
+		defer p.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			accepted, err := cl.push(77, 1, batch)
-			if err != nil {
+			if err := p.send(77, 1, batch); err != nil {
 				b.Fatal(err)
-			}
-			if accepted != batch.Len() {
-				b.Fatalf("accepted = %d, want %d", accepted, batch.Len())
 			}
 		}
 	})
+	if st := rig.svc.Stats(); st.Accepted != int64(batch.Len()) {
+		b.Fatalf("accepted = %d, want the one push of %d (the rest deduplicated)", st.Accepted, batch.Len())
+	}
 }

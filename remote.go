@@ -135,7 +135,7 @@ type (
 )
 
 // WithBalancer overrides the entry balancer's configuration (probe cadence,
-// breaker threshold, per-replica redial budget).
+// breaker threshold, metrics).
 func WithBalancer(cfg BalancerConfig) RemoteOption {
 	return func(r *RemotePipeline) error {
 		r.balCfg = cfg
@@ -533,7 +533,7 @@ func (r *RemotePipeline) drainReplica(t, i int, force bool) (transport.ServiceSt
 // is drained before the next tier, so each tier's final epochs reach the
 // next tier's ingestion before that tier cuts — and returns every
 // replica's post-drain stats, indexed [tier][replica]. A replica that is
-// mid-restart is retried under the hop client's redial budget (drains are
+// mid-restart is retried under the transport's one redial policy (drains are
 // idempotent), so a crash-recovering fleet still reaches the barrier; the
 // recovered replica's stats appear in its slot. Force additionally
 // releases below-floor final epochs as Dropped (counted, reconciled)
