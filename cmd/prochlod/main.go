@@ -16,10 +16,10 @@
 //	prochlod -role shuffler2 -listen 127.0.0.1:7102 -next 127.0.0.1:7101 -flush-at 2000
 //	prochlod -role shuffler1 -listen 127.0.0.1:7103 -next 127.0.0.1:7102 -flush-at 2000
 //
-// Every shuffler-role daemon streams: submissions land in sharded
-// sub-batches, an epoch is cut and processed whenever occupancy reaches
+// Every shuffler-role daemon streams: submissions accumulate as pending
+// chunks, an epoch is cut and processed whenever occupancy reaches
 // -flush-at or the -epoch timer fires, and processed epochs are pushed to
-// the -next hop asynchronously through a bounded in-flight queue. When the
+// the -next hop asynchronously through an in-flight queue of two. When the
 // queue is full and occupancy reaches -max-pending, submissions fail with a
 // retryable "epoch full" error — backpressure instead of unbounded growth,
 // and it composes across a chain: a congested downstream hop pushes back on
@@ -345,11 +345,12 @@ func serveStage(role string, o shufflerOpts, svc *transport.StageService) {
 }
 
 // printEpochs prints a service's effective epoch configuration (defaults
-// and clamps applied), not the raw flags.
+// and clamps applied), not the raw flags. The in-flight queue is the
+// engine's fixed two epochs.
 func printEpochs(cfg transport.EpochConfig) {
 	if cfg.FlushAt > 0 || cfg.Interval > 0 {
-		fmt.Printf("epochs: flush-at %d, interval %v, max-pending %d, in-flight %d\n",
-			cfg.FlushAt, cfg.Interval, cfg.MaxPending, cfg.InFlight)
+		fmt.Printf("epochs: flush-at %d, interval %v, max-pending %d, in-flight 2\n",
+			cfg.FlushAt, cfg.Interval, cfg.MaxPending)
 	} else {
 		fmt.Println("epochs: cut by Drain only")
 	}

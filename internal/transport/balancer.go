@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,26 +10,33 @@ import (
 	"prochlo/internal/metrics"
 )
 
-// Balancer defaults; see BalancerConfig.
+// The entry tier's policy, one for every pipeline: a balancer probes each
+// replica every DefaultProbeInterval and ejects it after
+// DefaultBreakerThreshold consecutive failures, and SubmitAll resubmits an
+// epoch-full envelope up to DefaultSubmitRetries times, DefaultSubmitDelay
+// apart (about 1 s), before the error surfaces.
 const (
 	DefaultProbeInterval    = 500 * time.Millisecond
 	DefaultBreakerThreshold = 3
+	DefaultSubmitRetries    = 50
+	DefaultSubmitDelay      = 20 * time.Millisecond
 )
 
-// BalancerConfig tunes a Balancer. The zero value selects every default.
-type BalancerConfig struct {
-	// ProbeInterval is the health-probe cadence; 0 selects
-	// DefaultProbeInterval, negative disables background probing (the
-	// breaker then reopens only through submission successes).
-	ProbeInterval time.Duration
-	// BreakerThreshold is how many consecutive failures eject a replica;
-	// 0 selects DefaultBreakerThreshold.
-	BreakerThreshold int
-	// Metrics, when non-nil, registers the balancer's health gauges and
-	// failover counters (the prochlo_balancer_* series) on the given
-	// registry; MetricsLabels is attached to every series.
-	Metrics       *metrics.Registry
-	MetricsLabels metrics.Labels
+// entryPolicy is the entry tier's schedule.
+type entryPolicy struct {
+	probeEvery  time.Duration // health-probe cadence
+	breakAfter  int           // consecutive failures that eject a replica
+	fullRetries int           // epoch-full resubmissions of one envelope
+	fullDelay   time.Duration // pause before each of them
+}
+
+// entry is the policy every balancer and SubmitAll follows. Tests that must
+// run it faster shrink it here; nothing else sets it.
+var entry = entryPolicy{
+	probeEvery:  DefaultProbeInterval,
+	breakAfter:  DefaultBreakerThreshold,
+	fullRetries: DefaultSubmitRetries,
+	fullDelay:   DefaultSubmitDelay,
 }
 
 // BalancerStats is a point-in-time snapshot of a Balancer's counters.
@@ -46,36 +52,37 @@ type BalancerStats struct {
 
 // balancerReplica is one member of the replica set.
 type balancerReplica struct {
-	addr string
+	cl *Client
 
 	mu      sync.Mutex
-	cl      *Client // lazily dialed; nil until the first successful dial
-	fails   int     // consecutive failures feeding the breaker
-	ejected bool    // breaker open: skipped by pick until a probe readmits
+	fails   int  // consecutive failures feeding the breaker
+	ejected bool // breaker open: skipped by pick until a probe readmits
 }
 
-// Balancer spreads client submissions across a replica set of one
-// shuffler-role hop — the chain's entry tier. Submission slices round-robin
-// over the healthy replicas; a replica that fails is retried elsewhere only
-// when the failure is provably non-ingesting (the dial never connected, or
-// the service definitively rejected the slice as epoch-full), so a fleet
-// with write-ahead logs can lose and recover replicas without ever counting
-// a report twice. Ambiguous connection failures — the call died mid-flight —
-// are retried against the same replica under the sender's redial policy,
-// where the (stream, seq) dedup stamp absorbs a redelivery; if that budget
-// exhausts, the error surfaces with the accepted-prefix contract intact
-// rather than risking a double ingest on a sibling.
+// Balancer spreads client submissions across the entry tier's replicas —
+// the connections its owner already dialed; it dials and closes nothing.
+// Submission slices round-robin over the healthy replicas; a replica that
+// fails is retried elsewhere only when the failure is provably
+// non-ingesting — its connection is down and would not redial, so nothing
+// was sent, or the service definitively rejected the slice as epoch-full —
+// so a fleet with write-ahead logs can lose and recover replicas without
+// ever counting a report twice. Ambiguous connection failures — the call
+// died mid-flight — are retried against the same replica under the
+// sender's redial policy, where the (stream, seq) dedup stamp absorbs a
+// redelivery; if that budget exhausts, the error surfaces with the
+// accepted-prefix contract intact rather than risking a double ingest on a
+// sibling.
 //
 // A half-open circuit breaker tracks per-replica consecutive failures:
 // past the threshold the replica is ejected from rotation, and a background
-// Healthz probe loop readmits it once it answers healthy again. While some
-// replicas are down the survivors absorb the full submission stream, so an
-// epoch's anonymity floor is still reached (graceful degradation); if every
-// replica is ejected the balancer still attempts one, preferring a doomed
-// call over failing without trying.
+// loop of Healthz probes, each one call on the replica's own connection,
+// readmits it once it answers healthy again. While some replicas are down
+// the survivors absorb the full submission stream, so an epoch's anonymity
+// floor is still reached (graceful degradation); if every replica is
+// ejected the balancer still attempts one, preferring a doomed call over
+// failing without trying.
 type Balancer struct {
 	replicas []*balancerReplica
-	cfg      BalancerConfig
 	rr       atomic.Int64 // round-robin cursor
 
 	submitted atomic.Int64
@@ -86,40 +93,21 @@ type Balancer struct {
 
 	stopOnce sync.Once
 	stop     chan struct{}
+	done     chan struct{} // closed when the probe loop has exited
 }
 
-// NewBalancer builds a balancer over the replica addresses and starts its
-// probe loop. Replicas are dialed lazily, so the fleet may still be coming
-// up when the balancer is created.
-func NewBalancer(addrs []string, cfg BalancerConfig) (*Balancer, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("transport: balancer needs at least one replica address")
+// NewBalancer builds a balancer over the entry tier's clients, registers
+// its prochlo_balancer_* series on reg (nil registers nothing) with labels,
+// and starts its probe loop. The caller keeps the clients: it closes them
+// after Close.
+func NewBalancer(clients []*Client, reg *metrics.Registry, labels metrics.Labels) *Balancer {
+	b := &Balancer{stop: make(chan struct{}), done: make(chan struct{})}
+	for _, cl := range clients {
+		b.replicas = append(b.replicas, &balancerReplica{cl: cl})
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	b := &Balancer{cfg: cfg, stop: make(chan struct{})}
-	for _, a := range addrs {
-		b.replicas = append(b.replicas, &balancerReplica{addr: a})
-	}
-	b.registerMetrics()
-	interval := cfg.ProbeInterval
-	if interval == 0 {
-		interval = DefaultProbeInterval
-	}
-	if interval > 0 {
-		go b.probeLoop(interval)
-	}
-	return b, nil
-}
-
-// Addrs returns the replica addresses in rotation order.
-func (b *Balancer) Addrs() []string {
-	out := make([]string, len(b.replicas))
-	for i, r := range b.replicas {
-		out[i] = r.addr
-	}
-	return out
+	b.registerMetrics(reg, labels)
+	go b.probeLoop()
+	return b
 }
 
 // Stats snapshots the balancer's counters.
@@ -142,37 +130,10 @@ func (b *Balancer) Stats() BalancerStats {
 	return s
 }
 
-// Close stops the probe loop and releases every dialed replica connection.
-func (b *Balancer) Close() error {
+// Close stops the probe loop and returns once it has exited.
+func (b *Balancer) Close() {
 	b.stopOnce.Do(func() { close(b.stop) })
-	var first error
-	for _, r := range b.replicas {
-		r.mu.Lock()
-		cl := r.cl
-		r.cl = nil
-		r.mu.Unlock()
-		if cl != nil {
-			if err := cl.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
-
-// client returns the replica's lazily-dialed client.
-func (r *balancerReplica) client() (*Client, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.cl != nil {
-		return r.cl, nil
-	}
-	cl, err := Dial(r.addr)
-	if err != nil {
-		return nil, err
-	}
-	r.cl = cl
-	return cl, nil
+	<-b.done
 }
 
 // pick returns the next replica in round-robin order, skipping ejected
@@ -199,7 +160,7 @@ func (b *Balancer) pick() *balancerReplica {
 func (b *Balancer) noteFailure(r *balancerReplica) {
 	r.mu.Lock()
 	r.fails++
-	if !r.ejected && r.fails >= b.cfg.BreakerThreshold {
+	if !r.ejected && r.fails >= entry.breakAfter {
 		r.ejected = true
 		b.ejections.Add(1)
 	}
@@ -218,9 +179,12 @@ func (b *Balancer) noteSuccess(r *balancerReplica) {
 	r.mu.Unlock()
 }
 
-// probeLoop probes every replica each interval until Close.
-func (b *Balancer) probeLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
+// probeLoop probes every replica each interval until Close. A probe is one
+// Healthz call, no retry, on the replica's connection — which redials a
+// broken one, so a restarted replica is found where it was lost.
+func (b *Balancer) probeLoop() {
+	defer close(b.done)
+	t := time.NewTicker(entry.probeEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -229,7 +193,7 @@ func (b *Balancer) probeLoop(interval time.Duration) {
 		case <-t.C:
 			for _, r := range b.replicas {
 				b.probes.Add(1)
-				if b.probe(r) {
+				if h, err := r.cl.Healthz(); err == nil && h.Healthy {
 					b.noteSuccess(r)
 				} else {
 					b.noteFailure(r)
@@ -239,30 +203,18 @@ func (b *Balancer) probeLoop(interval time.Duration) {
 	}
 }
 
-// probe issues one Healthz on a fresh throwaway connection, so a wedged
-// submission client can never make a healthy replica look dead and the
-// probe never disturbs an in-flight submission's connection.
-func (b *Balancer) probe(r *balancerReplica) bool {
-	p, err := dialPeer(r.addr, nil, nil)
-	if err != nil {
-		return false
-	}
-	defer p.Close()
-	h, err := p.Healthz()
-	return err == nil && h.Healthy
-}
-
 // SubmitAll ships a batch across the replica set with failover; see
 // Balancer for the safety rule. It returns how many envelopes the fleet
 // accepted; as with Client.SubmitAll, the accepted envelopes are exactly
 // the prefix batch.Slice(0, accepted).
 //
 // Each attempt submits the unaccepted suffix to the picked replica; a safe
-// failure (dial error or epoch-full) moves the suffix to the next replica,
-// anything else surfaces. The failover budget is two full passes over the
-// replica set, with a jittered pause between passes so a briefly-down fleet
-// gets a beat to come back instead of burning the budget in microseconds.
-func (b *Balancer) SubmitAll(batch core.Batch, retries int, delay time.Duration) (int, error) {
+// failure (a connection that would not redial, or epoch-full) moves the
+// suffix to the next replica, anything else surfaces. The failover budget is
+// two full passes over the replica set, with a jittered pause between passes
+// so a briefly-down fleet gets a beat to come back instead of burning the
+// budget in microseconds.
+func (b *Balancer) SubmitAll(batch core.Batch) (int, error) {
 	accepted, total := 0, batch.Len()
 	budget := 2 * len(b.replicas)
 	var lastErr error
@@ -274,16 +226,15 @@ func (b *Balancer) SubmitAll(batch core.Batch, retries int, delay time.Duration)
 			time.Sleep(redial.delay(attempt/len(b.replicas) - 1))
 		}
 		r := b.pick()
-		cl, err := r.client()
-		if err != nil {
-			// The dial never connected: nothing touched the wire, so the
-			// suffix is safe to take elsewhere.
+		if _, err := r.cl.conn(); err != nil {
+			// The connection is down and the redial failed: nothing touched
+			// the wire, so the suffix is safe to take elsewhere.
 			b.noteFailure(r)
 			b.failovers.Add(1)
-			lastErr = fmt.Errorf("dial %s: %w", r.addr, err)
+			lastErr = fmt.Errorf("dial %s: %w", r.cl.addr, err)
 			continue
 		}
-		n, err := cl.SubmitAll(batch.Slice(accepted, total), retries, delay)
+		n, err := r.cl.SubmitAll(batch.Slice(accepted, total))
 		accepted += n
 		b.submitted.Add(int64(n))
 		if err == nil {
@@ -295,7 +246,7 @@ func (b *Balancer) SubmitAll(batch core.Batch, retries int, delay time.Duration)
 			// it — safe to fail the suffix over to a less loaded replica.
 			b.noteFailure(r)
 			b.failovers.Add(1)
-			lastErr = fmt.Errorf("%s: %w", r.addr, err)
+			lastErr = fmt.Errorf("%s: %w", r.cl.addr, err)
 			continue
 		}
 		// Ambiguous: the client's own stamped retries are exhausted and the

@@ -15,6 +15,7 @@ import (
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
+	"prochlo/internal/metrics"
 	"prochlo/internal/shuffler"
 )
 
@@ -84,23 +85,72 @@ func (s *killableServer) kill() {
 	s.dropConns()
 }
 
-// TestBalancerDialFailover pins the safe-failover rule's clean case: a
-// replica whose dial never connects has ingested nothing, so the balancer
-// must move the slice to the next replica and the fleet must count every
-// report exactly once.
-func TestBalancerDialFailover(t *testing.T) {
-	rig := newStreamingRig(t, EpochConfig{})
-	b, err := NewBalancer([]string{deadAddr(t), rig.shuf}, BalancerConfig{ProbeInterval: -1})
+// undialed builds a client whose connection dials on first use, so a
+// replica that is down can stand in the replica set with nothing ever having
+// reached it. The client is closed when the test ends.
+func undialed(t *testing.T, addr string) *Client {
+	t.Helper()
+	stream, err := newStreamID()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
+	cl := &Client{peerConn: &peerConn{addr: addr}, stream: stream}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// dialed dials addr, closing the client when the test ends.
+func dialed(t *testing.T, addr string) *Client {
+	t.Helper()
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// balance starts a balancer over clients and, when the test ends, stops its
+// probes before the clients' own cleanups close them — the order
+// RemotePipeline.Close keeps.
+func balance(t *testing.T, reg *metrics.Registry, labels metrics.Labels, clients ...*Client) *Balancer {
+	t.Helper()
+	b := NewBalancer(clients, reg, labels)
+	t.Cleanup(b.Close)
+	return b
+}
+
+// useEntryPolicy runs the entry tier under p until the test ends. Call it
+// before starting any balancer, so the policy is restored after they stop.
+func useEntryPolicy(t *testing.T, p entryPolicy) {
+	t.Helper()
+	saved := entry
+	entry = p
+	t.Cleanup(func() { entry = saved })
+}
+
+// noProbes is the default policy with the probe loop idle for any test's
+// lifetime: the breaker then moves only on submissions.
+func noProbes() entryPolicy {
+	p := entry
+	p.probeEvery = time.Hour
+	return p
+}
+
+// TestBalancerDialFailover pins the safe-failover rule's clean case: a
+// replica whose connection cannot be dialed has ingested nothing, so the
+// balancer must move the slice to the next replica and the fleet must count
+// every report exactly once.
+func TestBalancerDialFailover(t *testing.T) {
+	useEntryPolicy(t, noProbes())
+	rig := newStreamingRig(t, EpochConfig{})
+	b := balance(t, nil, nil, undialed(t, deadAddr(t)), dialed(t, rig.shuf))
 
 	envs := make([]core.Envelope, 5)
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:failover", "failover-value")
 	}
-	accepted, err := b.SubmitAll(core.Batch{Envelopes: envs}, 0, 0)
+	accepted, err := b.SubmitAll(core.Batch{Envelopes: envs})
 	if err != nil {
 		t.Fatalf("SubmitAll with a dead first replica: %v", err)
 	}
@@ -112,12 +162,7 @@ func TestBalancerDialFailover(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 failover and %d submitted", bs, len(envs))
 	}
 
-	cl, err := Dial(rig.shuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Drain(); err != nil {
+	if _, err := dialed(t, rig.shuf).Drain(); err != nil {
 		t.Fatal(err)
 	}
 	ac, err := DialAnalyzer(rig.anlz)
@@ -139,15 +184,12 @@ func TestBalancerDialFailover(t *testing.T) {
 // concentrate on the survivor, and once the address answers Healthz again
 // the probe loop readmits it.
 func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
+	p := entry
+	p.probeEvery, p.breakAfter = 10*time.Millisecond, 2
+	useEntryPolicy(t, p)
 	rig := newStreamingRig(t, EpochConfig{})
 	downAddr := deadAddr(t)
-	b, err := NewBalancer([]string{downAddr, rig.shuf}, BalancerConfig{
-		ProbeInterval: 10 * time.Millisecond, BreakerThreshold: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	b := balance(t, nil, nil, undialed(t, downAddr), dialed(t, rig.shuf))
 
 	waitFor := func(what string, cond func(BalancerStats) bool) {
 		t.Helper()
@@ -167,7 +209,7 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:breaker", "breaker-value")
 	}
-	accepted, err := b.SubmitAll(core.Batch{Envelopes: envs}, 0, 0)
+	accepted, err := b.SubmitAll(core.Batch{Envelopes: envs})
 	if err != nil || accepted != len(envs) {
 		t.Fatalf("SubmitAll with one replica ejected = (%d, %v), want (%d, nil)", accepted, err, len(envs))
 	}
@@ -191,26 +233,18 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 // dead replica's WAL recovers).
 func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	shrinkRedial(t, 1, time.Millisecond)
+	useEntryPolicy(t, noProbes())
 	rig := newStreamingRig(t, EpochConfig{})
-	srvA := serveKillable(t, rig.svc)
-	b, err := NewBalancer([]string{srvA.addr(), rig.shuf}, BalancerConfig{ProbeInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	// Replica A ingests the first slice sent to it, then dies with its
+	// connections before the ack is written; the severed call is ambiguous,
+	// and the redial budget exhausts against the dead port.
+	dying := &dropOnceShuffler{StageService: rig.svc}
+	srvA := serveKillable(t, dying)
+	dying.drop = srvA.kill
+	b := balance(t, nil, nil, dialed(t, srvA.addr()), dialed(t, rig.shuf))
 
 	env := rig.envelope(t, "c:ambiguous", "ambiguous-value")
-	// Two submissions dial both replicas.
-	for i := 0; i < 2; i++ {
-		if _, err := b.SubmitAll(core.Batch{Envelopes: []core.Envelope{env}}, 0, 0); err != nil {
-			t.Fatalf("priming submission %d: %v", i, err)
-		}
-	}
-	// Replica A dies with its connections; the next rotation pick lands on
-	// it, the severed call is ambiguous, and the redial budget exhausts
-	// against the dead port.
-	srvA.kill()
-	accepted, err := b.SubmitAll(core.Batch{Envelopes: []core.Envelope{env}}, 0, 0)
+	accepted, err := b.SubmitAll(core.Batch{Envelopes: []core.Envelope{env}})
 	if err == nil {
 		t.Fatal("SubmitAll against a died-mid-connection replica succeeded, want a surfaced error")
 	}
@@ -269,7 +303,7 @@ func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:drop", "drop-value")
 	}
-	accepted, err := cl.SubmitAll(core.Batch{Envelopes: envs}, 0, 0)
+	accepted, err := cl.SubmitAll(core.Batch{Envelopes: envs})
 	if err != nil {
 		t.Fatalf("SubmitAll across a dropped connection: %v", err)
 	}

@@ -21,6 +21,9 @@ import (
 // ingested — in submission order — so the caller can resume from the
 // remainder without double-counting.
 func TestSubmitAllPartialAccept(t *testing.T) {
+	p := entry
+	p.fullRetries, p.fullDelay = 1, time.Millisecond
+	useEntryPolicy(t, p)
 	rig := newStreamingRig(t, EpochConfig{MaxPending: 4})
 	cl, err := Dial(rig.shuf)
 	if err != nil {
@@ -39,7 +42,7 @@ func TestSubmitAllPartialAccept(t *testing.T) {
 	if err := cl.Submit(core.Batch{Envelopes: envs[:2]}); err != nil {
 		t.Fatal(err)
 	}
-	accepted, err := cl.SubmitAll(core.Batch{Envelopes: envs[2:]}, 1, time.Millisecond)
+	accepted, err := cl.SubmitAll(core.Batch{Envelopes: envs[2:]})
 	if !IsEpochFull(err) {
 		t.Fatalf("SubmitAll on a full epoch: err = %v, want epoch-full", err)
 	}
@@ -73,7 +76,7 @@ func TestSubmitAllPartialAccept(t *testing.T) {
 	}
 
 	// Resume from the reported prefix: the remainder lands exactly once.
-	accepted, err = cl.SubmitAll(core.Batch{Envelopes: envs[2+accepted:]}, 1, time.Millisecond)
+	accepted, err = cl.SubmitAll(core.Batch{Envelopes: envs[2+accepted:]})
 	if err != nil || accepted != 2 {
 		t.Fatalf("resumed SubmitAll = (%d, %v), want (2, nil)", accepted, err)
 	}
@@ -111,7 +114,7 @@ func TestSubmitAllBackoffDrains(t *testing.T) {
 	if err := cl.Submit(core.Batch{Envelopes: fill}); err != nil {
 		t.Fatal(err)
 	}
-	accepted, err := cl.SubmitAll(core.Batch{Envelopes: fill}, 200, 2*time.Millisecond)
+	accepted, err := cl.SubmitAll(core.Batch{Envelopes: fill})
 	if err != nil {
 		t.Fatalf("SubmitAll with auto-flush draining: %v", err)
 	}

@@ -244,19 +244,13 @@ func (c *Client) Submit(b core.Batch) error {
 	return c.send(c.stream, c.seq.Add(1), b)
 }
 
-// Default epoch-full retry policy shared by SubmitAll callers.
-const (
-	DefaultSubmitRetries = 50
-	DefaultSubmitDelay   = 20 * time.Millisecond
-)
-
 // SubmitAll ships a batch of envelopes (of either kind), adapting to the
 // service's backpressure: a batch rejected as epoch-full is split in half and the
 // halves submitted in order (a batch larger than the occupancy cap can
 // never be accepted whole), and a single epoch-full envelope is retried
-// with backoff — up to retries attempts at delay apart — until the epoch
-// drains. Splitting preserves submission order, so a seeded deployment
-// stays deterministic.
+// with backoff — up to DefaultSubmitRetries attempts, DefaultSubmitDelay
+// apart — until the epoch drains. Splitting preserves submission order, so
+// a seeded deployment stays deterministic.
 //
 // It returns how many envelopes the service accepted. Submission stops at
 // the first unrecoverable error, and splitting preserves order, so the
@@ -272,7 +266,7 @@ const (
 // whose ack was lost is absorbed by the service's dedup — the retry cannot
 // double-submit. Only after the redial budget is exhausted does the error
 // surface, with the accepted-prefix contract intact.
-func (c *Client) SubmitAll(b core.Batch, retries int, delay time.Duration) (accepted int, err error) {
+func (c *Client) SubmitAll(b core.Batch) (accepted int, err error) {
 	n := b.Len()
 	err = c.Submit(b)
 	if err == nil {
@@ -283,15 +277,15 @@ func (c *Client) SubmitAll(b core.Batch, retries int, delay time.Duration) (acce
 	}
 	if n > 1 {
 		mid := n / 2
-		accepted, err = c.SubmitAll(b.Slice(0, mid), retries, delay)
+		accepted, err = c.SubmitAll(b.Slice(0, mid))
 		if err != nil {
 			return accepted, err
 		}
-		m, err := c.SubmitAll(b.Slice(mid, n), retries, delay)
+		m, err := c.SubmitAll(b.Slice(mid, n))
 		return accepted + m, err
 	}
-	for attempt := 0; IsEpochFull(err) && attempt < retries; attempt++ {
-		time.Sleep(delay)
+	for attempt := 0; IsEpochFull(err) && attempt < entry.fullRetries; attempt++ {
+		time.Sleep(entry.fullDelay)
 		err = c.Submit(b)
 	}
 	if err != nil {

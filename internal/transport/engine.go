@@ -4,7 +4,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -169,17 +168,16 @@ func partitionBatch(out core.Batch, m int) []core.Batch {
 	return split
 }
 
+// inFlightEpochs is how many cut epochs may queue ahead of the flusher. A
+// cut beyond it blocks the scheduler, occupancy then grows to MaxPending,
+// and submissions are refused as epoch-full: backpressure, not memory.
+const inFlightEpochs = 2
+
 // chunk is one ingest call's batch, kept whole: its items carry the
 // contiguous sequence numbers base+1 … base+Len().
 type chunk struct {
 	base  int64
 	items core.Batch
-}
-
-// ingestShard is one independently locked ingestion sub-batch.
-type ingestShard struct {
-	mu     sync.Mutex
-	chunks []chunk
 }
 
 // epoch is a cut batch traveling to the flusher. id is assigned at cut time
@@ -202,8 +200,8 @@ type forceReq struct {
 	forceDrop bool
 }
 
-// engine is the reusable epoch machinery every stage daemon runs: sharded
-// ingestion with global sequence stamping, an epoch scheduler (occupancy- and
+// engine is the reusable epoch machinery every stage daemon runs: ingestion
+// with global sequence stamping, an epoch scheduler (occupancy- and
 // timer-driven cuts, respecting the stage's anonymity floor), submission
 // backpressure at MaxPending, (stream, epoch) dedup of stamped ingests, a
 // single in-order flusher feeding the stage, and an at-least-once push of
@@ -217,7 +215,7 @@ type forceReq struct {
 // With EpochConfig.WALDir set, the engine is crash-safe: accepted batches are
 // logged before the submission is acknowledged, cut epochs before they are
 // pushed, and a restart over the same directory resumes the same stream id,
-// re-ingests pending items (sequence stamps preserved, so the shard merge
+// re-ingests pending items (sequence stamps preserved, so the cut's merge
 // is byte-identical), restores the dedup marks, and re-pushes unresolved
 // epochs under their original (stream, epoch) pairs for downstream dedup to
 // absorb.
@@ -234,7 +232,6 @@ type engine struct {
 	stream    int64 // id naming this engine's push stream for dedup; persisted in the WAL
 	epochID   atomic.Int64
 	seq       atomic.Int64
-	shardRR   atomic.Int64
 	occupancy atomic.Int64
 	accepted  atomic.Int64
 	rejected  atomic.Int64
@@ -242,19 +239,20 @@ type engine struct {
 	closed    atomic.Bool
 	start     time.Time
 	// closeMu serializes close — and epoch cuts — against in-flight ingests:
-	// ingest holds the read side for the whole stamp-log-append, so once a cut
-	// holds the write side every stamped item is in a shard (and the WAL).
-	// That makes every cut a contiguous sequence range, which is what lets
-	// the WAL record an epoch's membership as (id, minSeq, maxSeq) and
-	// truncate segments by a stable-sequence horizon; and it means an
+	// keep holds the read side for the whole stamp-log-append, so once a cut
+	// holds the write side every stamped item is both in the WAL and in
+	// chunks. That makes every cut a contiguous sequence range, which is
+	// what lets the WAL record an epoch's membership as (id, minSeq, maxSeq)
+	// and truncate segments by a stable-sequence horizon; and it means an
 	// acknowledged submission cannot race past the drain and strand.
 	closeMu sync.RWMutex
 
-	shards []ingestShard
+	chunkMu sync.Mutex // guards chunks: concurrent keeps append to it
+	chunks  []chunk
 
 	kick   chan struct{} // occupancy crossed FlushAt
 	force  chan forceReq // Drain
-	epochs chan *epoch   // scheduler -> flusher, cap InFlight
+	epochs chan *epoch   // scheduler -> flusher, cap inFlightEpochs
 	stop   chan struct{} // close -> scheduler
 	done   chan struct{} // flusher exited
 
@@ -293,9 +291,6 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	floor := st.Floor()
 	if floor <= 0 {
 		floor = 1
@@ -321,9 +316,6 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 		// crossed: submissions would bounce forever and no epoch would
 		// ever cut. Keep the threshold reachable.
 		cfg.MaxPending = cfg.FlushAt
-	}
-	if cfg.InFlight <= 0 {
-		cfg.InFlight = 2
 	}
 	stream, err := newStreamID()
 	if err != nil {
@@ -369,10 +361,9 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 		ab:     ab,
 		stream: stream,
 		start:  time.Now(),
-		shards: make([]ingestShard, cfg.Shards),
 		kick:   make(chan struct{}, 1),
 		force:  make(chan forceReq),
-		epochs: make(chan *epoch, cfg.InFlight),
+		epochs: make(chan *epoch, inFlightEpochs),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -422,15 +413,14 @@ func (e *engine) ingest(stream, pos int64, b core.Batch) error {
 }
 
 // keep stamps an ingested batch, enforcing backpressure, and keeps it, whole,
-// as one chunk. The call reserves a contiguous sequence range and takes one
-// shard lock: the shard is picked round-robin per call (not from the
-// sequence number, which advances by the batch size and would park every
-// uniform-size batch on one shard), so concurrent calls spread across shards.
-// With a WAL, the batch and its (stream, pos) mark are logged as one fsynced
-// record under the same shard lock — before the pair is marked seen and the
-// batch acked — so "in the log" and "visible to the next cut" are atomic, and
-// a crash can never keep the mark without the items or the items without
-// the mark.
+// as one chunk. The call reserves a contiguous sequence range. With a WAL,
+// the batch and its (stream, pos) mark are logged as one fsynced record
+// before the chunk becomes visible — and before the pair is marked seen and
+// the batch acked — so a crash can never keep the mark without the items or
+// the items without the mark. The read side of closeMu, held across the
+// whole call, is what makes "in the log" and "visible to the next cut"
+// atomic: a cut takes the write side, so it sees a kept batch either
+// logged and appended or not at all.
 func (e *engine) keep(stream, pos int64, b core.Batch) error {
 	n := int64(b.Len())
 	e.closeMu.RLock()
@@ -449,11 +439,8 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 	}
 	base := e.seq.Add(n) - n
 	b.Stamp(time.Now(), base)
-	shard := &e.shards[uint64(e.shardRR.Add(1))%uint64(len(e.shards))]
-	shard.mu.Lock()
 	if e.wal != nil {
 		if werr := e.wal.appendBatch(stream, pos, b); werr != nil {
-			shard.mu.Unlock()
 			// Durability was promised but cannot be provided: refuse the
 			// submission so the client retries (or fails loudly) rather
 			// than accepting data the log did not capture.
@@ -465,8 +452,9 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 			return werr
 		}
 	}
-	shard.chunks = append(shard.chunks, chunk{base: base, items: b})
-	shard.mu.Unlock()
+	e.chunkMu.Lock()
+	e.chunks = append(e.chunks, chunk{base: base, items: b})
+	e.chunkMu.Unlock()
 	e.accepted.Add(n)
 	if e.cfg.FlushAt > 0 && e.occupancy.Load() >= int64(e.cfg.FlushAt) {
 		select {
@@ -477,25 +465,22 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 	return nil
 }
 
-// cut takes every shard's chunks and merges them into one epoch batch,
-// ordered by global sequence number — a total order that, for in-order
-// submission, is independent of the shard count. Holding closeMu excludes
-// in-flight ingests, so the cut is a contiguous sequence range (see the
-// closeMu comment). Each chunk is a range reserved by one ingest call (or a
-// whole earlier cut put back, or the recovered pending set, both of which
-// precede everything stamped since), so chunks are internally ordered and
-// pairwise disjoint: sorting them by base and concatenating is the per-item
-// sort by sequence number, and only the gathering needs the exclusive lock.
+// cut takes every chunk and merges them into one epoch batch, ordered by
+// global sequence number — a total order that, for in-order submission, is
+// independent of how concurrent ingests interleaved their appends. Holding
+// closeMu excludes in-flight ingests, so the cut is a contiguous sequence
+// range (see the closeMu comment). Each chunk is a range reserved by one
+// ingest call (or a whole earlier cut put back, or the recovered pending
+// set, both of which precede everything stamped since), so chunks are
+// internally ordered and pairwise disjoint: sorting them by base and
+// concatenating is the per-item sort by sequence number, and only the
+// gathering needs the exclusive lock.
 func (e *engine) cut() core.Batch {
-	var chunks []chunk
 	e.closeMu.Lock()
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		chunks = append(chunks, sh.chunks...)
-		sh.chunks = nil
-		sh.mu.Unlock()
-	}
+	e.chunkMu.Lock()
+	chunks := e.chunks
+	e.chunks = nil
+	e.chunkMu.Unlock()
 	e.closeMu.Unlock()
 	sort.Slice(chunks, func(i, j int) bool { return chunks[i].base < chunks[j].base })
 	var batch core.Batch
@@ -515,16 +500,15 @@ func (e *engine) putBack(batch core.Batch) {
 	if batch.Len() == 0 {
 		return
 	}
-	sh := &e.shards[0]
-	sh.mu.Lock()
-	sh.chunks = append(sh.chunks, chunk{base: batch.Seq(0) - 1, items: batch})
-	sh.mu.Unlock()
+	e.chunkMu.Lock()
+	e.chunks = append(e.chunks, chunk{base: batch.Seq(0) - 1, items: batch})
+	e.chunkMu.Unlock()
 	e.occupancy.Add(int64(batch.Len()))
 }
 
 // cutFloor cuts the pending epoch if it holds at least the stage's anonymity
 // floor, and puts a smaller cut back (occupancy can momentarily exceed what
-// has been appended, because ingestion bumps the counter before the shard
+// has been appended, because ingestion bumps the counter before the chunk
 // append — the cut, not the counter, is authoritative). It returns the empty
 // batch when nothing was cut.
 func (e *engine) cutFloor() core.Batch {

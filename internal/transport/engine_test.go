@@ -47,21 +47,15 @@ func serveNull(t *testing.T) string {
 // TestCutOrderMatchesSeqSort pins the chunk merge against the per-item sort
 // it replaced. Ingest calls of mixed sizes, unstamped and stamped, race each
 // other; a below-floor cut is put back, a crash turns it into
-// WAL-recovered pending items, and more calls race on top. Whatever the
-// shard count, the epoch the stage then sees must be exactly the accepted
-// items sorted by the sequence number each was stamped with, and the cut
-// record in the log must be the first and last item's.
-func TestCutOrderMatchesSeqSort(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			forEachKind(t, func(t *testing.T, kind core.BatchKind) { testCutOrder(t, kind, shards) })
-		})
-	}
-}
+// WAL-recovered pending items, and more calls race on top. However the
+// racing appends interleave, the epoch the stage then sees must be exactly
+// the accepted items sorted by the sequence number each was stamped with,
+// and the cut record in the log must be the first and last item's.
+func TestCutOrderMatchesSeqSort(t *testing.T) { forEachKind(t, testCutOrder) }
 
-func testCutOrder(t *testing.T, kind core.BatchKind, shards int) {
+func testCutOrder(t *testing.T, kind core.BatchKind) {
 	const floor = 30
-	cfg := EpochConfig{Shards: shards, WALDir: t.TempDir()}
+	cfg := EpochConfig{WALDir: t.TempDir()}
 	next := []string{serveNull(t)}
 
 	// stamped is value -> the sequence number the engine gave it, read back

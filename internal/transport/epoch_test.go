@@ -364,8 +364,6 @@ func TestConcurrentSubmitDuringAutoFlush(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{
 		FlushAt:    40,
 		MaxPending: 60,
-		InFlight:   2,
-		Shards:     4,
 	})
 
 	const (

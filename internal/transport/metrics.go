@@ -94,29 +94,17 @@ func (w *wal) attachMetrics(reg *metrics.Registry, l metrics.Labels) {
 	w.epochLog.fsync = h
 }
 
-// registerBalancerMetrics exports the balancer's counters on cfg.Metrics.
-// The healthy-replica gauge takes each replica's lock exactly like Stats,
-// which the balancer never holds across calls, so scrapes stay non-blocking.
-func (b *Balancer) registerMetrics() {
-	reg := b.cfg.Metrics
+// registerMetrics exports the balancer's counters on reg. The
+// healthy-replica gauge reads Stats, whose replica locks the balancer never
+// holds across calls, so scrapes stay non-blocking.
+func (b *Balancer) registerMetrics(reg *metrics.Registry, l metrics.Labels) {
 	if reg == nil {
 		return
 	}
-	l := b.cfg.MetricsLabels
 	reg.GaugeFunc("prochlo_balancer_replicas", "Size of the entry-hop replica set.", l,
 		func() float64 { return float64(len(b.replicas)) })
 	reg.GaugeFunc("prochlo_balancer_healthy_replicas", "Replicas currently admitted by the circuit breaker.", l,
-		func() float64 {
-			healthy := 0
-			for _, r := range b.replicas {
-				r.mu.Lock()
-				if !r.ejected {
-					healthy++
-				}
-				r.mu.Unlock()
-			}
-			return float64(healthy)
-		})
+		func() float64 { return float64(b.Stats().Healthy) })
 	reg.CounterFunc("prochlo_balancer_submitted_total", "Envelopes accepted fleet-wide through this balancer.", l,
 		func() float64 { return float64(b.submitted.Load()) })
 	reg.CounterFunc("prochlo_balancer_failovers_total", "Submission slices moved to another replica after a provably-unsubmitted failure.", l,
@@ -125,7 +113,7 @@ func (b *Balancer) registerMetrics() {
 		func() float64 { return float64(b.ejections.Load()) })
 	reg.CounterFunc("prochlo_balancer_readmits_total", "Replicas readmitted into rotation by a probe or submission success.", l,
 		func() float64 { return float64(b.readmits.Load()) })
-	reg.CounterFunc("prochlo_balancer_probes_total", "Healthz probes issued to ejected replicas.", l,
+	reg.CounterFunc("prochlo_balancer_probes_total", "Healthz probes issued to entry-tier replicas.", l,
 		func() float64 { return float64(b.probes.Load()) })
 }
 

@@ -115,25 +115,18 @@ func TestScrapeDuringDrain(t *testing.T) {
 
 // TestBalancerMetrics pins the balancer's scrape series: replica-set and
 // healthy gauges plus the submitted counter, exported through the registry
-// handed in BalancerConfig.
+// handed to NewBalancer.
 func TestBalancerMetrics(t *testing.T) {
+	useEntryPolicy(t, noProbes())
 	reg := metrics.NewRegistry()
 	rig := newStreamingRig(t, EpochConfig{FlushAt: 8})
-	bal, err := NewBalancer([]string{rig.shuf}, BalancerConfig{
-		ProbeInterval: -1,
-		Metrics:       reg,
-		MetricsLabels: metrics.Labels{"tier": "shuffler1"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bal.Close()
+	bal := balance(t, reg, metrics.Labels{"tier": "shuffler1"}, dialed(t, rig.shuf))
 
 	envs := make([]core.Envelope, 8)
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:bal", "bal-value")
 	}
-	if _, err := bal.SubmitAll(core.Batch{Envelopes: envs}, 0, 0); err != nil {
+	if _, err := bal.SubmitAll(core.Batch{Envelopes: envs}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -35,15 +35,14 @@
 // # Streaming model
 //
 // The services are built for continuous report traffic, not one-shot
-// batches. Ingestion is sharded: each submission reserves a contiguous range
-// of global sequence numbers and is kept whole in one of N independently
-// locked sub-batches, so concurrent clients do not serialize on a single
-// mutex. An epoch
-// scheduler cuts the accumulated sub-batches into an epoch — merging them
-// by sequence number, which makes the cut deterministic for in-order
-// submission — whenever occupancy reaches EpochConfig.FlushAt or the
-// EpochConfig.Interval timer fires. Cut epochs enter a bounded in-flight
-// queue consumed by a single flusher goroutine, which runs the stage over
+// batches. Each submission reserves a contiguous range of global sequence
+// numbers and is kept whole as one chunk in a single list, its lock held
+// only for the append (the WAL fsync happens before it). An epoch scheduler
+// cuts the accumulated chunks into an epoch — merging them by sequence
+// number, which makes the cut deterministic for in-order submission —
+// whenever occupancy reaches EpochConfig.FlushAt or the
+// EpochConfig.Interval timer fires. Cut epochs enter an in-flight queue of
+// two, consumed by a single flusher goroutine, which runs the stage over
 // each epoch (stripping the arrival metadata the service inevitably
 // recorded) and pushes the output downstream asynchronously, in epoch order.
 // A zero EpochConfig disables the scheduler: epochs are cut only by an
@@ -335,12 +334,6 @@ type EpochConfig struct {
 	// In a chain, a hop's MaxPending must fit the epochs its upstream hop
 	// forwards (at least the upstream FlushAt), or forwards bounce forever.
 	MaxPending int
-	// InFlight bounds the queue of cut-but-unflushed epochs. 0 selects 2.
-	InFlight int
-	// Shards is the number of independently locked ingestion sub-batches.
-	// 0 selects GOMAXPROCS. Sharding changes neither results nor ordering:
-	// the epoch cut merges shards by global sequence number.
-	Shards int
 	// WALDir enables the write-ahead log: every accepted batch is fsynced
 	// to this directory before it is acknowledged, and a restart over the
 	// same directory recovers pending items, resumes unresolved epoch

@@ -25,9 +25,9 @@ import (
 // and every item with its global sequence stamp, so the mark and the data it
 // guards cannot be separated by a crash. The epoch log (epochs-*.log) holds the rest: when the
 // scheduler cuts an epoch, its id and sequence range (cuts take every
-// pending item, and stamping completes under the shard lock, so an epoch is
-// always a contiguous range); when the flusher's push is acked downstream —
-// or permanently fails — an ack/drop record; and a replica of each nonzero
+// pending item, and a cut excludes every ingest from its stamp to its
+// append, so an epoch is always a contiguous range); when the flusher's
+// push is acked downstream — or permanently fails — an ack/drop record; and a replica of each nonzero
 // dedup mark. Ingest segments whose every item belongs to a resolved epoch
 // are deleted.
 //
@@ -94,7 +94,7 @@ type walSealed struct {
 }
 
 // wal is the engine's write-ahead log over one directory. It is shared by
-// the engine's ingest path (batch appends under the engine's shard locks),
+// the engine's ingest path (batch appends, concurrent with each other),
 // its scheduler (cut records), and its flusher (resolve records); each
 // segment has its own lock and the epoch log has the wal lock, so the paths
 // only contend where they genuinely share a file.
@@ -265,9 +265,10 @@ func (w *wal) rotateLocked(s *walSegment, prefix string) error {
 // persist the mark without the items (a retry swallowed, items lost) or the
 // items without the mark (a retry double-ingesting). A nonzero stamp also
 // gets a best-effort mark replica in the epoch log, which outlives the
-// ingest segment's truncation. Must be called under the engine's ingest-shard
-// lock (it is what makes "batch in the log" and "batch visible to the epoch
-// cut" atomic).
+// ingest segment's truncation. The engine calls it under the read side of
+// its closeMu, before the batch joins the pending chunks, so an epoch cut
+// (the write side) never sees a batch that is logged but not visible, or
+// visible but not logged.
 func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
 	s := w.ingest
 	s.mu.Lock()

@@ -4,7 +4,6 @@ import (
 	crand "crypto/rand"
 	"errors"
 	"fmt"
-	"time"
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
@@ -19,10 +18,12 @@ import (
 // RemotePipeline is the networked counterpart of Pipeline: it plays the
 // client fleet against long-lived stage daemons (cmd/prochlod or the
 // transport services directly), fetching the stage keys from the daemons,
-// encoding locally, and shipping whole batches per round trip. Submission
-// transparently retries the entry hop's retryable "epoch full" backpressure
-// error; Flush drains every hop's epoch queue in chain order and returns
-// the analyzer's cumulative histogram.
+// encoding locally, and shipping whole batches per round trip. It holds one
+// connection per party, dialed once: submissions, health probes, stats,
+// drains and key fetches share it, and it redials itself after a break.
+// Submission transparently retries the entry hop's retryable "epoch full"
+// backpressure error; Flush drains every hop's epoch queue in chain order
+// and returns the analyzer's cumulative histogram.
 //
 // All three shuffler deployments are supported by the dial functions:
 // DialRemoteFleet speaks to a plain shuffler tier (ModePlain),
@@ -32,8 +33,8 @@ import (
 //
 // Every hop is a replica set — a single daemon is a fleet of one.
 // Submissions enter through a health-checked balancer that spreads batches
-// across the entry replicas and fails over on provably non-ingesting
-// errors; blinded envelopes are stamped with
+// across the entry replicas' connections and fails over on provably
+// non-ingesting errors; blinded envelopes are stamped with
 // their crowd's owning hop-2 partition so every replica of a crowd meets
 // at the partition that thresholds it; and the analyzer tier is sharded by
 // content hash, its partition histograms merged at query time. Replicas of
@@ -44,9 +45,8 @@ import (
 // A seeded daemon deployment is equivalent to the in-process pipeline: for
 // the same reports submitted in the same order and epochs cut at the same
 // boundaries, the analyzer's histogram is byte-identical to Pipeline.Flush's
-// at every worker and ingestion-shard count — including across the networked
-// two-hop chain (see TestRemotePipelineMatchesInProcess and
-// TestRemoteChainMatchesInProcess).
+// at every worker count — including across the networked two-hop chain (see
+// TestRemotePipelineMatchesInProcess and TestRemoteChainMatchesInProcess).
 //
 // Client resume semantics are unchanged by daemon-side durability
 // (EpochConfig.WALDir): a partially accepted SubmitBatch still reports the
@@ -56,11 +56,12 @@ import (
 // after a daemon restart is an ordinary Dial; see
 // TestRemoteChainCrashRestartSoak for the full kill-and-restart exercise.
 type RemotePipeline struct {
-	workers    int
-	retries    int
-	retryDelay time.Duration
-	attest     bool
-	balCfg     transport.BalancerConfig
+	workers int
+	attest  bool
+	// reg and labels are where the entry balancer registers its series
+	// (WithRemoteMetrics); a nil reg registers nothing.
+	reg    *metrics.Registry
+	labels metrics.Labels
 	// partitions is the hop-2 replica count of a chain fleet; blinded
 	// envelopes are stamped with PartitionOf(crowd, partitions) so hop-1
 	// replicas route each crowd to its owning thresholding partition.
@@ -76,8 +77,8 @@ type RemotePipeline struct {
 	// hop's replica set — and Flush drains them front to back so each
 	// tier's final epochs reach the next before that tier is drained.
 	tiers [][]*transport.Client
-	// entry balances submissions across tiers[0]; see transport.Balancer
-	// for the failover safety rule.
+	// entry balances submissions across tiers[0]'s clients; see
+	// transport.Balancer for the failover safety rule.
 	entry *transport.Balancer
 	anlzs []*transport.AnalyzerClient
 }
@@ -90,21 +91,6 @@ type RemoteOption func(*RemotePipeline) error
 func WithRemoteWorkers(n int) RemoteOption {
 	return func(r *RemotePipeline) error {
 		r.workers = n
-		return nil
-	}
-}
-
-// WithSubmitRetry tunes how SubmitBatch handles the shuffler's retryable
-// backpressure error: up to retries resubmissions, waiting delay between
-// attempts. The default is transport.DefaultSubmitRetries at
-// transport.DefaultSubmitDelay.
-func WithSubmitRetry(retries int, delay time.Duration) RemoteOption {
-	return func(r *RemotePipeline) error {
-		if retries < 0 {
-			return fmt.Errorf("prochlo: negative retry count %d", retries)
-		}
-		r.retries = retries
-		r.retryDelay = delay
 		return nil
 	}
 }
@@ -123,25 +109,14 @@ func WithRemoteAttestation() RemoteOption {
 	}
 }
 
-// BalancerConfig, BalancerStats, and ServiceStats alias their
-// internal/transport definitions so that importers of this module can
-// construct a WithBalancer configuration and name the stats types returned
-// by Stats, FleetStats, and DrainAll (the transport package itself is not
-// importable from outside the module).
+// BalancerStats and ServiceStats alias their internal/transport
+// definitions so that importers of this module can name the stats types
+// returned by BalancerStats, Stats, FleetStats, and DrainAll (the transport
+// package itself is not importable from outside the module).
 type (
-	BalancerConfig = transport.BalancerConfig
-	BalancerStats  = transport.BalancerStats
-	ServiceStats   = transport.ServiceStats
+	BalancerStats = transport.BalancerStats
+	ServiceStats  = transport.ServiceStats
 )
-
-// WithBalancer overrides the entry balancer's configuration (probe cadence,
-// breaker threshold, metrics).
-func WithBalancer(cfg BalancerConfig) RemoteOption {
-	return func(r *RemotePipeline) error {
-		r.balCfg = cfg
-		return nil
-	}
-}
 
 // MetricsRegistry aliases the internal metrics registry so in-module
 // binaries (cmd/prochlod, cmd/prochloload) can share one registry between
@@ -150,19 +125,18 @@ type MetricsRegistry = metrics.Registry
 
 // WithRemoteMetrics registers the entry balancer's health gauges and
 // failover counters (the prochlo_balancer_* series) on reg, labeled with
-// labels. Apply it after WithBalancer — the balancer configuration is one
-// struct, so a later WithBalancer would replace the registry.
+// labels.
 func WithRemoteMetrics(reg *MetricsRegistry, labels map[string]string) RemoteOption {
 	return func(r *RemotePipeline) error {
-		r.balCfg.Metrics = reg
-		r.balCfg.MetricsLabels = metrics.Labels(labels)
+		r.reg = reg
+		r.labels = metrics.Labels(labels)
 		return nil
 	}
 }
 
 // newRemotePipeline applies options over the defaults.
 func newRemotePipeline(opts []RemoteOption) (*RemotePipeline, error) {
-	r := &RemotePipeline{retries: transport.DefaultSubmitRetries, retryDelay: transport.DefaultSubmitDelay}
+	r := &RemotePipeline{}
 	for _, o := range opts {
 		if err := o(r); err != nil {
 			return nil, err
@@ -171,8 +145,9 @@ func newRemotePipeline(opts []RemoteOption) (*RemotePipeline, error) {
 	return r, nil
 }
 
-// dialTiers connects every shuffler replica tier by tier, the analyzer
-// partitions, and the entry balancer, cleaning up on partial failure.
+// dialTiers connects every shuffler replica tier by tier and the analyzer
+// partitions, and starts the entry balancer over tiers[0]'s connections,
+// cleaning up on partial failure.
 func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string) error {
 	for t, addrs := range tierAddrs {
 		if len(addrs) == 0 {
@@ -201,12 +176,7 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string)
 		}
 		r.anlzs = append(r.anlzs, anlz)
 	}
-	entry, err := transport.NewBalancer(tierAddrs[0], r.balCfg)
-	if err != nil {
-		r.Close()
-		return fmt.Errorf("prochlo: entry balancer: %w", err)
-	}
-	r.entry = entry
+	r.entry = transport.NewBalancer(r.tiers[0], r.reg, r.labels)
 	return nil
 }
 
@@ -414,7 +384,7 @@ func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
 		return err
 	}
 	r.stampPartitions(batch.Blinded, labels)
-	n, err := r.entry.SubmitAll(batch, r.retries, r.retryDelay)
+	n, err := r.entry.SubmitAll(batch)
 	if err != nil && n > 0 {
 		// The accepted prefix is ingested; resubmitting the whole batch
 		// would double-count it. Tell the caller exactly where to resume.
@@ -600,14 +570,13 @@ func (r *RemotePipeline) Flush() (*Result, error) {
 	}, nil
 }
 
-// Close releases every daemon connection and stops the entry balancer.
+// Close stops the entry balancer's probes, then releases every daemon
+// connection.
 func (r *RemotePipeline) Close() error {
-	var err error
 	if r.entry != nil {
-		if cerr := r.entry.Close(); err == nil {
-			err = cerr
-		}
+		r.entry.Close()
 	}
+	var err error
 	for _, tier := range r.tiers {
 		for _, cl := range tier {
 			if cerr := cl.Close(); err == nil {

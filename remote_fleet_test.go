@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,13 +24,15 @@ import (
 // connection, so a test can kill a replica the way kill -9 does: the
 // listener and all established sockets die together. transport.Serve only
 // closes the listener, which leaves old connections pointing at the dead
-// service — fine when each phase re-dials, but a fleet's long-lived balancer
-// and drain clients must instead see the connection sever and redial the
-// WAL-recovered successor at the same address.
+// service — fine when each phase re-dials, but a fleet pipeline's
+// long-lived connections must instead see the connection sever and redial
+// the WAL-recovered successor at the same address. It also counts the
+// connections it accepted.
 type trackedServer struct {
-	l     net.Listener
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
+	l       net.Listener
+	accepts atomic.Int64
+	mu      sync.Mutex
+	conns   map[net.Conn]struct{}
 }
 
 func serveTracked(addr string, svc transport.Service) (*trackedServer, error) {
@@ -44,6 +47,7 @@ func serveTracked(addr string, svc transport.Service) (*trackedServer, error) {
 			if err != nil {
 				return // listener closed
 			}
+			s.accepts.Add(1)
 			s.mu.Lock()
 			s.conns[conn] = struct{}{}
 			s.mu.Unlock()
@@ -228,7 +232,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		}
 		s1.MinBatch = 1
 		svc, err := newShuffler1Service(s1, s2Addrs,
-			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WALs[i], Fault: s1Faults[i]})
+			transport.EpochConfig{FlushAt: 1000, WALDir: s1WALs[i], Fault: s1Faults[i]})
 		if err != nil {
 			return err
 		}
@@ -262,14 +266,11 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		}
 	}()
 
-	// One long-lived fleet pipeline for the whole run — the clients, the
-	// balancer, and the drain barrier all live through the replica deaths.
+	// One long-lived fleet pipeline for the whole run — its connections,
+	// the balancer, and the drain barrier all live through the replica
+	// deaths, at the default probe cadence and breaker threshold.
 	rp, err := prochlo.DialRemoteChainFleet(s1Addrs, s2Addrs, anlzAddrs,
-		prochlo.WithRemoteWorkers(1),
-		prochlo.WithBalancer(transport.BalancerConfig{
-			ProbeInterval:    15 * time.Millisecond,
-			BreakerThreshold: 2,
-		}))
+		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,9 +326,9 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		return bs.Healthy == 2
 	})
 
-	// Chunk 2 lands back on the readmitted replica (its client redials the
-	// severed connection transparently) and joins the recovered epoch;
-	// chunk 3 goes to replica 1.
+	// Chunk 2 lands back on the readmitted replica (on the connection the
+	// readmitting probe redialed) and joins the recovered epoch; chunk 3
+	// goes to replica 1.
 	submit(2 * chunk)
 	submit(3 * chunk)
 
@@ -375,6 +376,109 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	for i, f := range append(s1Faults[:], s2Faults[:]...) {
 		if f.Injected() == 0 {
 			t.Errorf("fault plan %d injected no faults, want every link exercised", i)
+		}
+	}
+}
+
+// TestRemotePipelineDialsEachPartyOnce pins the one-connection-per-party
+// rule: a fleet pipeline dials every party once, and its submissions,
+// stats, drains and the balancer's health probes all travel on those
+// connections. Each entry replica accepts exactly one connection, and no
+// party accepts one after the dial returns, however long the pipeline runs.
+func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
+	labels, data := sampleReports(40)
+	var srvs []*trackedServer
+	serve := func(svc transport.Service) string {
+		srv, err := serveTracked("127.0.0.1:0", svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.kill)
+		srvs = append(srvs, srv)
+		return srv.addr()
+	}
+	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anlzAddr := serve(transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes()))
+	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2Priv, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2svc, err := newShuffler2Service(&shuffler.Shuffler2{
+		Blinding: blindKP, Priv: s2Priv, Rand: workload.NewRand(2), MinBatch: 1,
+	}, []string{anlzAddr}, transport.EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s2svc.Close() })
+	s2Addr := serve(s2svc)
+	var s1Addrs []string
+	for i := 0; i < 2; i++ {
+		s1, err := shuffler.NewShuffler1(workload.NewRand(uint64(10 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s1.MinBatch = 1
+		svc, err := newShuffler1Service(s1, []string{s2Addr}, transport.EpochConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		s1Addrs = append(s1Addrs, serve(svc))
+	}
+	entryReplicas := srvs[len(srvs)-2:]
+
+	rp, err := prochlo.DialRemoteChainFleet(s1Addrs, []string{s2Addr}, []string{anlzAddr},
+		prochlo.WithRemoteWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	atDial := make([]int64, len(srvs))
+	for i, srv := range srvs {
+		atDial[i] = srv.accepts.Load()
+	}
+
+	// Two submissions, one per entry replica, then stats and a drain.
+	for at := 0; at < len(labels); at += len(labels) / 2 {
+		if err := rp.SubmitBatch(labels[at:at+len(labels)/2], data[at:at+len(labels)/2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rp.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rp.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ShufflerStats.Received != len(labels) {
+		t.Fatalf("hop 2 received %d reports, want %d", res.ShufflerStats.Received, len(labels))
+	}
+	// Idle through at least three probe rounds: a round probes every entry
+	// replica, and the fourth has started only once three have finished.
+	deadline := time.Now().Add(10 * time.Second)
+	for rp.BalancerStats().Probes < int64(4*len(entryReplicas)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for three probe rounds: %+v", rp.BalancerStats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	for i, srv := range entryReplicas {
+		if n := srv.accepts.Load(); n != 1 {
+			t.Errorf("entry replica %d accepted %d connections, want 1", i, n)
+		}
+	}
+	for i, srv := range srvs {
+		if n := srv.accepts.Load(); n != atDial[i] {
+			t.Errorf("party %s accepted %d connections after the dial returned, want 0", srv.addr(), n-atDial[i])
 		}
 	}
 }

@@ -106,7 +106,7 @@ func sampleReports(n int) (labels []string, data [][]byte) {
 
 // TestRemotePipelineMatchesInProcess is the acceptance equivalence: a seeded
 // end-to-end run through the daemons — batch RPC, auto-flush epochs, any
-// worker and ingestion-shard count — must produce a histogram byte-identical
+// worker count — must produce a histogram byte-identical
 // to the in-process prochlo.SubmitBatch pipeline flushing the same chunks.
 func TestRemotePipelineMatchesInProcess(t *testing.T) {
 	const (
@@ -119,11 +119,10 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 	configs := []struct {
 		name    string
 		workers int
-		shards  int
 	}{
-		{"serial-1shard", 1, 1},
-		{"workers2-3shards", 2, 3},
-		{"gomaxprocs", runtime.GOMAXPROCS(0), 0},
+		{"serial", 1},
+		{"workers2", 2},
+		{"gomaxprocs", runtime.GOMAXPROCS(0)},
 	}
 	var want []byte
 	var wantStats shuffler.Stats
@@ -159,10 +158,7 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 
 			// Daemon deployment: auto-flush cuts an epoch per chunk (the
 			// per-chunk Flush is the drain barrier pinning the boundary).
-			rig := newRemoteRig(t, seed, tc.workers, transport.EpochConfig{
-				FlushAt: chunk,
-				Shards:  tc.shards,
-			})
+			rig := newRemoteRig(t, seed, tc.workers, transport.EpochConfig{FlushAt: chunk})
 			rp, err := prochlo.DialRemoteFleet([]string{rig.shufL.Addr().String()}, []string{rig.anlzL.Addr().String()},
 				prochlo.WithRemoteWorkers(tc.workers))
 			if err != nil {
@@ -199,7 +195,7 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 			}
 
 			// Every configuration must agree with the first, proving the
-			// result is independent of worker and shard counts.
+			// result is independent of the worker count.
 			if ci == 0 {
 				want, wantStats, wantUndec = wantHist, inStats, inUndec
 			} else {
@@ -370,8 +366,8 @@ func (r *chainRig) dial(t testing.TB, workers int) *prochlo.RemotePipeline {
 // TestRemoteChainMatchesInProcess is the chain acceptance equivalence: a
 // seeded end-to-end run through the networked two-hop chain — blinded batch
 // RPC into the Shuffler 1 daemon, Forward push to the Shuffler 2 daemon,
-// analyzer ingestion, auto-flush epochs, any worker and ingestion-shard
-// count — must produce a histogram byte-identical to the in-process
+// analyzer ingestion, auto-flush epochs, any worker count — must produce a
+// histogram byte-identical to the in-process
 // ModeBlinded pipeline flushing the same chunks.
 func TestRemoteChainMatchesInProcess(t *testing.T) {
 	const (
@@ -385,12 +381,11 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 	configs := []struct {
 		name      string
 		workers   int
-		shards    int
 		s2FlushAt int // 0: hop 2 cuts only on drain; chunk: auto-flush
 	}{
-		{"serial-1shard", 1, 1, 0},
-		{"workers2-3shards", 2, 3, chunk},
-		{"gomaxprocs", runtime.GOMAXPROCS(0), 0, chunk},
+		{"serial", 1, 0},
+		{"workers2", 2, chunk},
+		{"gomaxprocs", runtime.GOMAXPROCS(0), chunk},
 	}
 	var want []byte
 	var wantStats shuffler.Stats
@@ -429,8 +424,8 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 			// per-chunk Flush is the drain barrier pinning the boundary at
 			// both hops.
 			rig := newChainRig(t, seed, tc.workers, th,
-				transport.EpochConfig{FlushAt: chunk, Shards: tc.shards},
-				transport.EpochConfig{FlushAt: tc.s2FlushAt, Shards: tc.shards})
+				transport.EpochConfig{FlushAt: chunk},
+				transport.EpochConfig{FlushAt: tc.s2FlushAt})
 			rp := rig.dial(t, tc.workers)
 			var remote *prochlo.Result
 			for at := 0; at < reports; at += chunk {
@@ -470,8 +465,8 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 			}
 
 			// Every configuration must agree with the first, proving the
-			// result is independent of worker and shard counts and of hop
-			// 2's epoch trigger.
+			// result is independent of the worker count and of hop 2's
+			// epoch trigger.
 			if ci == 0 {
 				want, wantStats, wantUndec = wantHist, inStats, inUndec
 			} else {
@@ -495,8 +490,8 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 // boundaries.
 func TestRemoteChainConcurrentSoak(t *testing.T) {
 	rig := newChainRig(t, 0, 0, shuffler.Threshold{},
-		transport.EpochConfig{FlushAt: 40, MaxPending: 60, InFlight: 2, Shards: 4},
-		transport.EpochConfig{FlushAt: 48, MaxPending: 120, InFlight: 2, Shards: 4})
+		transport.EpochConfig{FlushAt: 40, MaxPending: 60},
+		transport.EpochConfig{FlushAt: 48, MaxPending: 120})
 	const (
 		goroutines = 8
 		batches    = 6
@@ -518,8 +513,7 @@ func TestRemoteChainConcurrentSoak(t *testing.T) {
 			defer wg.Done()
 			rp, err := prochlo.DialRemoteChainFleet(
 				[]string{rig.s1L.Addr().String()}, []string{rig.s2L.Addr().String()}, []string{rig.anlzL.Addr().String()},
-				prochlo.WithRemoteWorkers(1),
-				prochlo.WithSubmitRetry(500, time.Millisecond))
+				prochlo.WithRemoteWorkers(1))
 			if err != nil {
 				errs[g] = err
 				return
@@ -696,7 +690,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 		}
 		s1.MinBatch = 1
 		s1svc, err = newShuffler1Service(s1, []string{s2L.Addr().String()},
-			transport.EpochConfig{FlushAt: 1000, Shards: 3, WALDir: s1WAL, Fault: s1Fault})
+			transport.EpochConfig{FlushAt: 1000, WALDir: s1WAL, Fault: s1Fault})
 		if err != nil {
 			t.Fatal(err)
 		}
