@@ -386,29 +386,34 @@ func BenchmarkEncodeSerial(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
 }
 
-// BenchmarkEncodeBatch measures EncodeBatch at the same worker counts the
-// shuffler benchmark uses; the serial/parallel outputs are byte-identical
-// under a fixed seed (TestEncodeBatchParallelEquivalence), so this isolates
-// throughput and allocation differences.
+// BenchmarkEncodeBatch measures EncodeBatch at the batch sizes the
+// benchmark's workloads submit: one report (a device client, which stays on
+// the scalar comb), five (plain-durable's calls, one lane group per table)
+// and 250 (chain-stream's), serially and at GOMAXPROCS. Outputs are
+// byte-identical at every worker count under a fixed seed
+// (TestEncodeBatchParallelEquivalence), so this isolates throughput and
+// allocation differences.
 func BenchmarkEncodeBatch(b *testing.B) {
-	const batch = 200
-	client, reports := newBenchEncoder(b, batch)
+	client, reports := newBenchEncoder(b, 250)
 	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 4}, {"gomaxprocs", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
+		n, workers int
+	}{{1, 1}, {5, 1}, {250, 1}, {250, 0}} {
+		name := fmt.Sprintf("n=%d/serial", bc.n)
+		if bc.workers == 0 {
+			name = fmt.Sprintf("n=%d/gomaxprocs", bc.n)
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				envs, err := client.EncodeBatch(reports, bc.workers)
+				envs, err := client.EncodeBatch(reports[:bc.n], bc.workers)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(envs) != batch {
+				if len(envs) != bc.n {
 					b.Fatalf("encoded %d envelopes", len(envs))
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*bc.n), "us/report")
 		})
 	}
 }

@@ -397,8 +397,10 @@ func (e *Encrypter) EncryptCrowdID(rng io.Reader, crowdID []byte) (Ciphertext, e
 // (0 selects GOMAXPROCS), drawing each report's ephemeral scalar from that
 // report's own rng (so batch output is byte-identical to per-report
 // EncryptCrowdID calls on the same streams, at any worker count or
-// chunking). Both components of every ciphertext are normalized with one
-// shared inversion, so the Bytes() calls that follow are divisions-free.
+// chunking). Each worker's range of reports goes through the generator's
+// and the key's comb tables as one Table.MulBatch each, and both components
+// of every ciphertext are normalized with one shared inversion, so the
+// Bytes() calls that follow are divisions-free.
 func (e *Encrypter) EncryptCrowdIDBatch(rngs []io.Reader, crowdIDs [][]byte, workers int) ([]Ciphertext, error) {
 	if len(rngs) != len(crowdIDs) {
 		return nil, fmt.Errorf("elgamal: %d rngs for %d crowd IDs", len(rngs), len(crowdIDs))
@@ -407,17 +409,25 @@ func (e *Encrypter) EncryptCrowdIDBatch(rngs []io.Reader, crowdIDs [][]byte, wor
 	if n == 0 {
 		return nil, nil
 	}
-	table := e.keyTable()
+	base, table := e.g.BaseTable(), e.keyTable()
+	rs := make([]group.Scalar, n)
 	els := make([]group.Element, 2*n)
+	c1s, c2s := els[:n], els[n:]
 	errs := make([]error, n)
-	parallel.For(parallel.Workers(workers), n, func(i int) {
-		r, err := e.g.RandomScalar(rngs[i])
-		if err != nil {
-			errs[i] = err
-			return
+	parallel.Ranges(parallel.Workers(workers), n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r, err := e.g.RandomScalar(rngs[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			rs[i] = r
 		}
-		els[2*i] = e.g.BaseMul(r)
-		els[2*i+1] = e.g.Add(table.Mul(r), e.hashPoint(crowdIDs[i]))
+		base.MulBatch(c1s[lo:hi], rs[lo:hi])
+		table.MulBatch(c2s[lo:hi], rs[lo:hi])
+		for i := lo; i < hi; i++ {
+			c2s[i] = e.g.Add(c2s[i], e.hashPoint(crowdIDs[i]))
+		}
 	})
 	if i, err := parallel.FirstError(errs); err != nil {
 		return nil, fmt.Errorf("elgamal: report %d: %w", i, err)
@@ -425,10 +435,7 @@ func (e *Encrypter) EncryptCrowdIDBatch(rngs []io.Reader, crowdIDs [][]byte, wor
 	e.g.Normalize(els)
 	cts := make([]Ciphertext, n)
 	for i := range cts {
-		cts[i] = Ciphertext{
-			C1: Point{g: e.g, e: els[2*i]},
-			C2: Point{g: e.g, e: els[2*i+1]},
-		}
+		cts[i] = Ciphertext{C1: Point{g: e.g, e: c1s[i]}, C2: Point{g: e.g, e: c2s[i]}}
 	}
 	return cts, nil
 }

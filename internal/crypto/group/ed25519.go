@@ -1,9 +1,10 @@
 // Edwards25519 point arithmetic for the ristretto255 backend: extended
 // (X:Y:Z:T) coordinates so that additions and doublings need no per-op field
 // inversion, Niels-form precomputation for the fixed-point comb tables, a
-// width-5 wNAF kernel for variable-point multiplication (and its eight-lane
-// form for batches that share a scalar, ed25519x8_amd64.go), and batch affine
-// normalization via the Montgomery trick.
+// width-5 wNAF kernel for variable-point multiplication (the eight-lane forms
+// of both, for batches, are in ed25519x8_amd64.go), batch affine
+// normalization via the Montgomery trick, and the fixed-width scalar
+// reduction behind RandomScalar.
 //
 // Group structure: all long-lived elements live in the prime-order subgroup
 // (order l). HashToElement clears the cofactor, honest keys and ciphertexts
@@ -20,6 +21,7 @@ import (
 	"crypto/sha512"
 	"encoding/binary"
 	"math/big"
+	"math/bits"
 )
 
 // edPoint is a point in extended coordinates: x = X/Z, y = Y/Z, T·Z = X·Y.
@@ -270,10 +272,12 @@ func (p *edPoint) toProjNiels(n *projNiels) {
 }
 
 // toAffineNiels converts a normalized (z == 1) point to affine Niels form.
-// Entries are lazy like toProjNiels's.
+// Unlike toProjNiels's, these entries are carried (every limb below 2^52):
+// comb tables are read by the lane comb too, whose kernels take nothing
+// wider (see edCombTable).
 func (p *edPoint) toAffineNiels(n *affineNiels) {
-	n.yPlusX.addLazy(&p.y, &p.x)
-	n.yMinusX.subLazy(&p.y, &p.x)
+	n.yPlusX.Add(&p.y, &p.x)
+	n.yMinusX.Sub(&p.y, &p.x)
 	n.xy2d.Mul(&p.x, &p.y)
 	n.xy2d.Mul(&n.xy2d, &edD2)
 }
@@ -394,6 +398,12 @@ func edScalarMulWNAF(p *edPoint, digits []int8, q *edPoint) {
 // holds (v * 2^(w*j)) * P in affine Niels form, so a full multiplication is
 // one table add per digit and no doublings at all. Entries are batch-
 // normalized at build time with one shared inversion.
+//
+// One table serves both comb kernels: mulComb here and, for batches, the lane
+// comb (ed25519x8_amd64.go), which gathers entries straight into fe25519x8
+// rows. That is why every entry is stored carried, limbs below 2^52: the
+// lanes' input bound (fe8LimbBits), which a lazily stored y±x (up to 2^52.6)
+// would break, and which the scalar Mul accepts with room to spare.
 type edCombTable struct {
 	w       uint
 	entries [][]affineNiels // [positions][2^(w-1)]
@@ -446,7 +456,7 @@ func buildEdComb(p *edPoint, w uint) *edCombTable {
 }
 
 // combDigits recodes a scalar (32-byte big-endian) into signed radix-2^w
-// digits, least significant position first.
+// digits in [-2^(w-1), 2^(w-1)), least significant position first.
 func combDigits(k []byte, w uint, out []int16) {
 	// little-endian limbs
 	var limbs [5]uint64
@@ -514,6 +524,90 @@ var edOrder = func() *big.Int {
 // edInv8 is 8^-1 mod l, folded into private DH scalars so untrusted points
 // can be cofactor-cleared without changing honest shared secrets.
 var edInv8 = new(big.Int).ModInverse(big.NewInt(8), edOrder)
+
+// wide is a 512-bit integer in little-endian 64-bit limbs: the width of the
+// uniform bytes RandomScalar reduces.
+type wide [8]uint64
+
+// edOrderLimbs is l; edOrderDelta is l - 2^252, below 2^125.
+var (
+	edOrderLimbs = wide{0x5812631a5cf5d3ed, 0x14def9dea2f79cd6, 0, 1 << 60}
+	edOrderDelta = [2]uint64(edOrderLimbs[:2])
+)
+
+// edOrderFolds are the multiples of l that keep reduceWide's three folds
+// non-negative: l·2^133 > 2^260·delta, l·2^7 > 2^134·delta, l > 2^8·delta.
+var edOrderFolds = [3]wide{edOrderLimbs.shl(133), edOrderLimbs.shl(7), edOrderLimbs}
+
+// shl returns v << s (bits shifted past 2^512 are dropped).
+func (v wide) shl(s uint) wide {
+	var out wide
+	limbs, off := int(s/64), s%64
+	for i := len(v) - 1; i >= limbs; i-- {
+		out[i] = v[i-limbs] << off
+		if off != 0 && i > limbs {
+			out[i] |= v[i-limbs-1] >> (64 - off)
+		}
+	}
+	return out
+}
+
+// reduceWide returns x mod l in fixed width, the reduction behind
+// RandomScalar. Since 2^252 ≡ -delta (mod l), each fold replaces
+// x = hi·2^252 + lo by lo + m - hi·delta, with m the multiple of l that
+// keeps it non-negative: 512 bits fold to 386, then 260, then below 2l, and
+// one conditional subtraction finishes.
+func reduceWide(x wide) wide {
+	for i := range edOrderFolds {
+		x = foldOrder(x, &edOrderFolds[i])
+	}
+	for i := len(x) - 1; i >= 0; i-- {
+		if x[i] != edOrderLimbs[i] {
+			if x[i] > edOrderLimbs[i] {
+				var b uint64
+				for j := range x {
+					x[j], b = bits.Sub64(x[j], edOrderLimbs[j], b)
+				}
+			}
+			return x
+		}
+	}
+	return wide{} // x == l
+}
+
+// foldOrder returns lo + m - hi·delta for x = hi·2^252 + lo.
+func foldOrder(x wide, m *wide) wide {
+	var hi [5]uint64 // x >> 252: at most 260 bits
+	for i := range hi {
+		hi[i] = x[i+3] >> 60
+		if i+4 < len(x) {
+			hi[i] |= x[i+4] << 4
+		}
+	}
+	lo := wide{x[0], x[1], x[2], x[3] & (1<<60 - 1)}
+	var prod wide // hi·delta, below 2^385
+	for i, h := range hi {
+		var carry uint64
+		for j, d := range edOrderDelta {
+			ph, pl := bits.Mul64(h, d)
+			var c uint64
+			pl, c = bits.Add64(pl, prod[i+j], 0)
+			ph += c
+			pl, c = bits.Add64(pl, carry, 0)
+			ph += c
+			prod[i+j], carry = pl, ph
+		}
+		prod[i+len(edOrderDelta)] = carry
+	}
+	var out wide
+	var c, b uint64
+	for i := range out {
+		var s uint64
+		s, c = bits.Add64(lo[i], m[i], c)
+		out[i], b = bits.Sub64(s, prod[i], b)
+	}
+	return out
+}
 
 // --- hash to group (ristretto Elligator map) ---
 

@@ -1,7 +1,10 @@
 package group
 
 import (
+	"bytes"
 	"crypto/rand"
+	"encoding/binary"
+	"io"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -367,6 +370,72 @@ func TestEdScalarMulRandomized(t *testing.T) {
 			t.Fatal("(a+b)P != aP + bP")
 		}
 	}
+}
+
+// randomScalarBig is the math/big wide reduction edGroup.RandomScalar used
+// to run, kept as the reference its fixed-width reduction is fuzzed against.
+func randomScalarBig(rng io.Reader) (Scalar, error) {
+	var b [64]byte
+	for {
+		if _, err := io.ReadFull(rng, b[:]); err != nil {
+			return nil, err
+		}
+		k := new(big.Int).SetBytes(b[:])
+		k.Mod(k, edOrder)
+		if k.Sign() != 0 {
+			return ScalarFromBig(k), nil
+		}
+	}
+}
+
+// FuzzRandomScalarMatchesBig holds edGroup.RandomScalar to randomScalarBig
+// on the same stream — scalar bytes, error and bytes consumed — and
+// reduceWide to big.Int.Mod on the stream's first 64 bytes. The seeds put
+// multiples of l (which reduce to zero and must be rejected), l ± 1, powers
+// of two and all-ones in the first attempt.
+func FuzzRandomScalarMatchesBig(f *testing.F) {
+	wideBytes := func(v *big.Int) []byte {
+		b := make([]byte, 64)
+		v.FillBytes(b)
+		return b
+	}
+	two := big.NewInt(2)
+	for _, v := range []*big.Int{
+		big.NewInt(0), big.NewInt(1), edOrder,
+		new(big.Int).Sub(edOrder, big.NewInt(1)), new(big.Int).Add(edOrder, big.NewInt(1)),
+		new(big.Int).Mul(edOrder, two), new(big.Int).Lsh(edOrder, 259),
+		new(big.Int).Lsh(big.NewInt(1), 252), new(big.Int).Lsh(big.NewInt(1), 256),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 512), big.NewInt(1)),
+	} {
+		stream := wideBytes(v)
+		f.Add(append(stream, bytes.Repeat([]byte{0x5a}, 64)...))
+	}
+	f.Add(append(wideBytes(edOrder), wideBytes(new(big.Int).Mul(edOrder, two))...)) // two rejections, then EOF
+	f.Add([]byte("short"))
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		if len(stream) >= 64 {
+			var x wide
+			for i := range x {
+				x[i] = binary.BigEndian.Uint64(stream[56-8*i:])
+			}
+			got := reduceWide(x)
+			want := new(big.Int).Mod(new(big.Int).SetBytes(stream[:64]), edOrder)
+			var gotBytes [64]byte
+			for i := range got {
+				binary.BigEndian.PutUint64(gotBytes[56-8*i:], got[i])
+			}
+			if new(big.Int).SetBytes(gotBytes[:]).Cmp(want) != 0 {
+				t.Fatalf("reduceWide(%x) = %x, math/big says %x", stream[:64], gotBytes, want)
+			}
+		}
+		r1, r2 := bytes.NewReader(stream), bytes.NewReader(stream)
+		k1, err1 := edGroup{}.RandomScalar(r1)
+		k2, err2 := randomScalarBig(r2)
+		if !bytes.Equal(k1, k2) || err1 != err2 || r1.Len() != r2.Len() {
+			t.Fatalf("RandomScalar = %x, %v with %d bytes left; math/big reference = %x, %v with %d left",
+				k1, err1, r1.Len(), k2, err2, r2.Len())
+		}
+	})
 }
 
 func BenchmarkEdCombMul(b *testing.B) {

@@ -1,23 +1,42 @@
 //go:build amd64 && !purego
 
-// The lane ladder: edScalarMulWNAF over eight points at once. A batch whose
-// scalar is fixed for the whole slice (the Blinder's alpha, the Decrypter's
-// x, a prepared private key) shares its wNAF digits, so the double/add
-// schedule and every table index are the same for every point: one stream of
-// control flow over independent data. Each formula below is its scalar
-// namesake in ed25519.go with fe25519x8 operands, branching on the shared
-// digit and never on a lane. The a = -1 formulas are complete, so identity
-// and small-order lanes need no special case.
+// Two kernels run eight multiplications at once here, one per shape of
+// batch.
 //
-// Lanes need a shared scalar; the fixed-base comb (mulComb) has per-report
-// scalars, which would turn each table lookup into a gather, and is not
-// vectorised here.
+// The lane ladder is edScalarMulWNAF over eight points. A batch whose scalar
+// is fixed for the whole slice (the Blinder's alpha, the Decrypter's x, a
+// prepared private key) shares its wNAF digits, so the double/add schedule
+// and every table index are the same for every point: one stream of control
+// flow over independent data, branching on the shared digit and never on a
+// lane.
+//
+// The lane comb is mulComb over eight scalars. Here the point is fixed (the
+// generator, a recipient key) and every scalar differs, so the schedule is
+// still shared — one affine-Niels add per comb position, no doublings — and
+// only the table entry differs per lane: each position gathers every lane's
+// signed entry into three fe25519x8 rows, then runs one lane add. A negative
+// digit loads its entry with y+x and y-x swapped and xy2d negated, a zero
+// digit loads the identity entry (1, 1, 0). The gather is a few dozen loads
+// per lane against seven vector multiplies shared by all eight, which is why
+// it pays for itself; the entries are read straight from the scalar comb's
+// table, stored carried for exactly this (see edCombTable).
+//
+// Both run their point formulas — double, projective-Niels add, affine-Niels
+// add, the formulas of edPoint in ed25519.go — as point kernels of
+// fe25519x8_amd64.s, one call per formula with the temporaries in memory the
+// caller owns, rather than as one call per field operation: the formula's
+// seven to eleven multiplies and squares are the same either way, and what
+// one call saves is the per-call entry, the constant loads and a store and
+// reload for every intermediate, about a sixth of a ladder multiplication.
+// The a = -1 formulas are complete, so identity and small-order lanes, and
+// identity entries, need no special case.
 
 package group
 
 func init() {
 	if hasIFMA() {
 		laneLadder = edMulBatchx8
+		laneComb = edCombBatchx8
 	}
 }
 
@@ -34,17 +53,34 @@ type projNielsx8 struct {
 
 // edLadderx8 is the working state of one eight-point multiplication: the
 // points, their table of odd multiples, and the temporaries of the point
-// formulas. It lives on the heap — 64-byte rows want better alignment than a
+// kernels. It lives on the heap — 64-byte rows want better alignment than a
 // goroutine stack gives — and one value serves every group of a batch.
 type edLadderx8 struct {
 	q, q2, acc edPointx8
 	q2n        projNielsx8
 	table      [8]projNielsx8
 	d2         fe25519x8 // edD2 in every lane
-
-	a, b, c, e, f, g, h, xy fe25519x8 // double
-	t1, t2, tt, pp, mm, zz  fe25519x8 // addProjNiels (with e, f, g, h)
+	tmp        [7]fe25519x8
 }
+
+// The point kernels of fe25519x8_amd64.s, each one formula of edPoint in
+// one call, its temporaries in tmp; p may alias q, and every output limb is
+// below 2^51 + 2^15, as from any fe25519x8 kernel.
+//
+// fe8Double sets p = 2q, and p.t only when needT (edPoint.double).
+//
+//go:noescape
+func fe8Double(p, q *edPointx8, tmp *[7]fe25519x8, needT bool)
+
+// fe8AddNiels sets p = q + n, or q - n when sub (edPoint.addProjNiels).
+//
+//go:noescape
+func fe8AddNiels(p, q *edPointx8, n *projNielsx8, tmp *[7]fe25519x8, sub bool)
+
+// fe8AddAffine sets p = q + n (edPoint.addAffineNiels, n already signed).
+//
+//go:noescape
+func fe8AddAffine(p, q *edPointx8, n *affineNielsx8, tmp *[7]fe25519x8)
 
 func (v *fe25519x8) broadcast(a *fe25519) {
 	for i := 0; i < 8; i++ {
@@ -75,56 +111,6 @@ func (p *edPointx8) lane(i int, q *edPoint) {
 	p.t.lane(i, &q.t)
 }
 
-// double sets p = 2q in every lane (see edPoint.double).
-func (s *edLadderx8) double(p, q *edPointx8, needT bool) {
-	s.a.Square(&q.x)
-	s.b.Square(&q.y)
-	s.c.Square(&q.z)
-	s.c.Add(&s.c, &s.c)
-	s.h.Add(&s.a, &s.b)
-	s.xy.Add(&q.x, &q.y)
-	s.xy.Square(&s.xy)
-	s.e.Sub(&s.h, &s.xy)
-	s.g.Sub(&s.a, &s.b)
-	s.f.Add(&s.c, &s.g)
-	p.x.Mul(&s.e, &s.f)
-	p.y.Mul(&s.g, &s.h)
-	p.z.Mul(&s.f, &s.g)
-	if needT {
-		p.t.Mul(&s.e, &s.h)
-	}
-}
-
-// addProjNiels sets p = q + n in every lane, or q - n when sub (see
-// edPoint.addProjNiels).
-func (s *edLadderx8) addProjNiels(p, q *edPointx8, n *projNielsx8, sub bool) {
-	s.t1.Add(&q.y, &q.x)
-	s.t2.Sub(&q.y, &q.x)
-	s.tt.Mul(&q.t, &n.t2d)
-	if sub {
-		s.pp.Mul(&s.t1, &n.yMinusX)
-		s.mm.Mul(&s.t2, &n.yPlusX)
-	} else {
-		s.pp.Mul(&s.t1, &n.yPlusX)
-		s.mm.Mul(&s.t2, &n.yMinusX)
-	}
-	s.zz.Mul(&q.z, &n.z)
-	s.zz.Add(&s.zz, &s.zz)
-	s.e.Sub(&s.pp, &s.mm)
-	if sub {
-		s.f.Add(&s.zz, &s.tt)
-		s.g.Sub(&s.zz, &s.tt)
-	} else {
-		s.f.Sub(&s.zz, &s.tt)
-		s.g.Add(&s.zz, &s.tt)
-	}
-	s.h.Add(&s.pp, &s.mm)
-	p.x.Mul(&s.e, &s.f)
-	p.y.Mul(&s.g, &s.h)
-	p.z.Mul(&s.f, &s.g)
-	p.t.Mul(&s.e, &s.h)
-}
-
 func (s *edLadderx8) toProjNiels(n *projNielsx8, p *edPointx8) {
 	n.yPlusX.Add(&p.y, &p.x)
 	n.yMinusX.Sub(&p.y, &p.x)
@@ -138,9 +124,9 @@ func (s *edLadderx8) toProjNiels(n *projNielsx8, p *edPointx8) {
 func edScalarMulWNAFx8(s *edLadderx8, digits []int8, dh bool) {
 	q, acc := &s.q, &s.acc
 	if dh {
-		s.double(q, q, false)
-		s.double(q, q, false)
-		s.double(q, q, true)
+		fe8Double(q, q, &s.tmp, false)
+		fe8Double(q, q, &s.tmp, false)
+		fe8Double(q, q, &s.tmp, true)
 	}
 	acc.identity()
 	if len(digits) == 0 {
@@ -148,18 +134,18 @@ func edScalarMulWNAFx8(s *edLadderx8, digits []int8, dh bool) {
 	}
 	// table[i] = (2i+1)*q
 	s.toProjNiels(&s.table[0], q)
-	s.double(&s.q2, q, true)
+	fe8Double(&s.q2, q, &s.tmp, true)
 	s.toProjNiels(&s.q2n, &s.q2)
 	for i := 1; i < 8; i++ {
-		s.addProjNiels(q, q, &s.q2n, false)
+		fe8AddNiels(q, q, &s.q2n, &s.tmp, false)
 		s.toProjNiels(&s.table[i], q)
 	}
 	for i := len(digits) - 1; i >= 0; i-- {
-		s.double(acc, acc, digits[i] != 0 || i == 0)
+		fe8Double(acc, acc, &s.tmp, digits[i] != 0 || i == 0)
 		if d := digits[i]; d > 0 {
-			s.addProjNiels(acc, acc, &s.table[(d-1)/2], false)
+			fe8AddNiels(acc, acc, &s.table[(d-1)/2], &s.tmp, false)
 		} else if d < 0 {
-			s.addProjNiels(acc, acc, &s.table[(-d-1)/2], true)
+			fe8AddNiels(acc, acc, &s.table[(-d-1)/2], &s.tmp, true)
 		}
 	}
 }
@@ -177,6 +163,87 @@ func edMulBatchx8(outs []edPoint, ps []Element, digits []int8, dh bool) {
 			s.q.setLane(i, ps[base+i%n].edwards(edGroup{}))
 		}
 		edScalarMulWNAFx8(s, digits, dh)
+		for i := 0; i < n; i++ {
+			s.acc.lane(i, &outs[base+i])
+		}
+	}
+}
+
+// affineNielsx8 is eight comb-table entries (see affineNiels).
+type affineNielsx8 struct {
+	yPlusX, yMinusX, xy2d fe25519x8
+}
+
+// edCombx8 is the working state of one eight-scalar comb multiplication,
+// on the heap for the same reason as edLadderx8: the accumulator, the
+// gathered entries, the point kernel's temporaries, and each lane's comb
+// digits (last, so every row stays 64-byte aligned).
+type edCombx8 struct {
+	acc edPointx8
+	n   affineNielsx8
+	tmp [7]fe25519x8
+
+	digits [8][edCombMaxPositions]int16
+}
+
+// gather loads every lane's signed entry at comb position j into s.n.
+func (s *edCombx8) gather(t *edCombTable, j int) {
+	row := t.entries[j]
+	for i := range s.digits {
+		switch d := s.digits[i][j]; {
+		case d > 0:
+			s.n.setLane(i, &row[d-1], false)
+		case d < 0:
+			s.n.setLane(i, &row[-d-1], true)
+		default:
+			s.n.setLane(i, &affineNielsIdentity, false)
+		}
+	}
+}
+
+// affineNielsIdentity is the identity point's entry: y+x = y-x = 1, xy2d = 0.
+var affineNielsIdentity = affineNiels{yPlusX: fe25519{1}, yMinusX: fe25519{1}}
+
+// setLane stores n into lane i, or -n when neg: y+x and y-x swap, and xy2d is
+// subtracted from 2p without a carry pass, which stays below 2^52 for the
+// carried entries of a comb table.
+func (v *affineNielsx8) setLane(i int, n *affineNiels, neg bool) {
+	i &= 7
+	ypx, ymx, xy2d := &n.yPlusX, &n.yMinusX, &n.xy2d
+	var negXY fe25519
+	if neg {
+		ypx, ymx = ymx, ypx
+		negXY.subLazy(&negXY, xy2d)
+		xy2d = &negXY
+	}
+	for l := range ypx {
+		v.yPlusX[l][i] = ypx[l]
+		v.yMinusX[l][i] = ymx[l]
+		v.xy2d[l][i] = xy2d[l]
+	}
+}
+
+// edCombBatchx8 is the lane comb behind edTable.MulBatch: outs[i] =
+// ks[i]*P for the table's point P, eight scalars per pass. The spare lanes
+// of a last group shorter than eight carry all-zero digits, so they add
+// identity entries and their results are dropped.
+func edCombBatchx8(t *edCombTable, outs []edPoint, ks []Scalar) {
+	s := new(edCombx8)
+	positions := len(t.entries)
+	for base := 0; base < len(ks); base += 8 {
+		n := min(8, len(ks)-base)
+		for i := range s.digits {
+			if i < n {
+				combDigits(mustScalar(ks[base+i])[:], t.w, s.digits[i][:positions])
+			} else {
+				s.digits[i] = [edCombMaxPositions]int16{}
+			}
+		}
+		s.acc.identity()
+		for j := 0; j < positions; j++ {
+			s.gather(t, j)
+			fe8AddAffine(&s.acc, &s.acc, &s.n, &s.tmp)
+		}
 		for i := 0; i < n; i++ {
 			s.acc.lane(i, &outs[base+i])
 		}

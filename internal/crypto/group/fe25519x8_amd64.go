@@ -1,10 +1,11 @@
 //go:build amd64 && !purego
 
 // Eight field elements per instruction: fe25519x8 is the lane form of
-// fe25519 for the batch ladder in ed25519x8_amd64.go. The kernels are AVX-512
-// IFMA (fe25519x8_amd64.s, written by fe25519x8_gen.go) and exist in this
-// build variant only; whether a process runs them is decided once, at init,
-// from what the CPU and the operating system report (hasIFMA).
+// fe25519 for the lane ladder and the lane comb in ed25519x8_amd64.go. The
+// kernels are AVX-512 IFMA (fe25519x8_amd64.s, written by fe25519x8_gen.go)
+// and exist in this build variant only; whether a process runs them is
+// decided once, at init, from what the CPU and the operating system report
+// (hasIFMA).
 
 package group
 
@@ -35,9 +36,14 @@ type fe25519x8 [5][8]uint64
 // products in a different order. Add: two limbs below 2^52 sum below 2^53,
 // the carry is at most 3 and 19·3 = 57. Sub adds 4p limb-wise (limbs
 // 2^53-76, 2^53-4, …), which keeps a - b non-negative for any subtrahend limb
-// below 2^52; the sum is below 2^52 + 2^53, the carry at most 5.
-// TestFe25519x8Differential pins all of it with limbs at 0, 2^51-1 and
-// 2^52-1 in every position.
+// below 2^52; the sum is below 2^52 + 2^53, the carry at most 5. The point
+// kernels (ed25519x8_amd64.go) run these same bodies back to back, and two
+// of their products come out doubled, 2ab and 2a², doubled after the fold:
+// each limb below 2·267·2^52 < 2^61.1, its carry below 2^10.1, the
+// wrap-around one times 19 below 2^14.4, so those outputs too are below
+// 2^51 + 2^15. TestFe25519x8Differential pins the field kernels, and
+// TestPointKernelsx8 the point kernels, with limbs at 0, 2^51-1 and 2^52-1 in
+// every position.
 const fe8LimbBits = 52
 
 // Mul sets v = a * b. v may alias a and b.

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // The x8 kernel tests hold every lane of Mul/Square/Add/Sub to the scalar
@@ -134,6 +135,163 @@ func TestFe25519x8Differential(t *testing.T) {
 			}
 		}
 		checkKernelsx8(t, &as, &bs)
+	}
+}
+
+// pointKernelRef evaluates, with math/big, the formula a point kernel runs
+// on one lane: in holds the operand coordinates in kernel argument order (q,
+// then n), and the result is (X3, Y3, Z3, T3) as field values. The formulas
+// are polynomials, so they are checked on arbitrary field elements, not only
+// on curve points: that is what reaches every limb pattern.
+func pointKernelRef(kernel string, sub bool, in []*big.Int) [4]*big.Int {
+	P := p25519
+	mod := func(v *big.Int) *big.Int { return v.Mod(v, P) }
+	add := func(a, b *big.Int) *big.Int { return mod(new(big.Int).Add(a, b)) }
+	subm := func(a, b *big.Int) *big.Int { return mod(new(big.Int).Sub(a, b)) }
+	mul := func(a, b *big.Int) *big.Int { return mod(new(big.Int).Mul(a, b)) }
+	two := big.NewInt(2)
+	x, y, z, t := in[0], in[1], in[2], in[3]
+	var e, f, g, h *big.Int
+	switch kernel {
+	case "double":
+		a, b := mul(x, x), mul(y, y)
+		c := mul(two, mul(z, z))
+		e = mul(two, mul(x, y))
+		h, g = add(b, a), subm(b, a)
+		f = subm(c, g)
+	default:
+		yPlusX, yMinusX := in[4], in[5]
+		t1, t2 := add(y, x), subm(y, x)
+		var tt, zz *big.Int
+		if kernel == "addNiels" {
+			tt = mul(t, in[7])
+			zz = mul(two, mul(z, in[6]))
+		} else {
+			tt = mul(t, in[6])
+			zz = add(z, z)
+		}
+		if sub {
+			yPlusX, yMinusX = yMinusX, yPlusX
+		}
+		pp, mm := mul(t1, yPlusX), mul(t2, yMinusX)
+		e, h = subm(pp, mm), add(pp, mm)
+		f, g = subm(zz, tt), add(zz, tt)
+		if sub {
+			f, g = g, f
+		}
+	}
+	return [4]*big.Int{mul(e, f), mul(g, h), mul(f, g), mul(e, h)}
+}
+
+// TestPointKernelsx8 holds fe8Double, fe8AddNiels (both signs) and
+// fe8AddAffine to pointKernelRef in every lane, on limbs pinned at 0,
+// 2^51 - 1 and 2^52 - 1 and on random limbs below 2^52, in place (p == q)
+// and not: their values, their carried output limbs, and — for a double
+// without T — the T row left as it was.
+func TestPointKernelsx8(t *testing.T) {
+	requireIFMA(t)
+	r := rand.New(rand.NewSource(50))
+	pins := [3]uint64{0, mask51, fe8LimbMax}
+	operand := func(round int) fe25519 {
+		var v fe25519
+		for l := range v {
+			if round%3 == 0 {
+				v[l] = pins[r.Intn(3)]
+			} else {
+				v[l] = r.Uint64() & fe8LimbMax
+			}
+		}
+		return v
+	}
+	for round := 0; round < 300; round++ {
+		for _, c := range []struct {
+			kernel string
+			sub    bool
+			rows   int // q's four, then n's
+		}{
+			{"double", false, 4}, {"addNiels", false, 8}, {"addNiels", true, 8}, {"addAffine", false, 7},
+		} {
+			var lanes [8][]fe25519
+			rows := make([]fe25519x8, c.rows)
+			for i := range lanes {
+				for k := 0; k < c.rows; k++ {
+					v := operand(round)
+					lanes[i] = append(lanes[i], v)
+					rows[k].setLane(i, &v)
+				}
+			}
+			for _, inPlace := range []bool{false, true} {
+				q := edPointx8{rows[0], rows[1], rows[2], rows[3]}
+				var out edPointx8
+				p := &out
+				if inPlace {
+					p = &q
+				}
+				tBefore := p.t
+				var tmp [7]fe25519x8
+				switch c.kernel {
+				case "double":
+					fe8Double(p, &q, &tmp, round%2 == 0)
+				case "addNiels":
+					n := projNielsx8{rows[4], rows[5], rows[6], rows[7]}
+					fe8AddNiels(p, &q, &n, &tmp, c.sub)
+				case "addAffine":
+					n := affineNielsx8{rows[4], rows[5], rows[6]}
+					fe8AddAffine(p, &q, &n, &tmp)
+				}
+				for i := range lanes {
+					in := make([]*big.Int, len(lanes[i]))
+					for k := range lanes[i] {
+						in[k] = limbsBig(&lanes[i][k])
+					}
+					want := pointKernelRef(c.kernel, c.sub, in)
+					for k, row := range []*fe25519x8{&p.x, &p.y, &p.z, &p.t} {
+						var g fe25519
+						row.lane(i, &g)
+						if k == 3 && c.kernel == "double" && round%2 != 0 {
+							var before fe25519
+							tBefore.lane(i, &before)
+							if g != before {
+								t.Fatalf("double without T, lane %d: T row changed", i)
+							}
+							continue
+						}
+						for l, limb := range g {
+							if limb >= 1<<51+1<<15 {
+								t.Fatalf("%s sub=%v lane %d coordinate %d: limb %d = %#x is not carried", c.kernel, c.sub, i, k, l, limb)
+							}
+						}
+						if v := g.toBig(); v.Cmp(want[k]) != 0 {
+							t.Fatalf("%s sub=%v in-place=%v lane %d coordinate %d = %v, math/big says %v (inputs %x)",
+								c.kernel, c.sub, inPlace, i, k, v, want[k], lanes[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPointKernelLayout holds the Go types the point kernels address to the
+// offsets fe25519x8_gen.go assumes: each field one 320-byte fe25519x8 after
+// the last, in declaration order.
+func TestPointKernelLayout(t *testing.T) {
+	const row = unsafe.Sizeof(fe25519x8{})
+	var p edPointx8
+	var n projNielsx8
+	var a affineNielsx8
+	for _, c := range []struct {
+		name   string
+		got    uintptr
+		fields uintptr
+	}{
+		{"edPointx8.y", unsafe.Offsetof(p.y), 1}, {"edPointx8.z", unsafe.Offsetof(p.z), 2}, {"edPointx8.t", unsafe.Offsetof(p.t), 3},
+		{"projNielsx8.yMinusX", unsafe.Offsetof(n.yMinusX), 1}, {"projNielsx8.z", unsafe.Offsetof(n.z), 2}, {"projNielsx8.t2d", unsafe.Offsetof(n.t2d), 3},
+		{"affineNielsx8.yMinusX", unsafe.Offsetof(a.yMinusX), 1}, {"affineNielsx8.xy2d", unsafe.Offsetof(a.xy2d), 2},
+	} {
+		if c.got != c.fields*row || row != 320 {
+			t.Errorf("%s at byte %d, the kernels address it at %d", c.name, c.got, c.fields*320)
+		}
 	}
 }
 

@@ -6,6 +6,12 @@
 //
 //	go run fe25519x8_gen.go > fe25519x8_amd64.s
 //
+// Two kinds of kernel come out of the same field-operation bodies: one per
+// field operation (fe8Mul, fe8Square, fe8Add, fe8Sub), and one per point
+// formula of the lane kernels (fe8Double, fe8AddNiels, fe8AddAffine), which
+// runs a formula's field operations back to back in one call, its
+// temporaries in an array the caller provides.
+//
 // It imports only the standard library; CI regenerates the file and fails
 // when the output differs from what is committed.
 package main
@@ -22,8 +28,18 @@ func p(format string, args ...any) { fmt.Fprintf(&out, format+"\n", args...) }
 
 func z(i int) string { return fmt.Sprintf("Z%d", i) }
 
-// limb is the memory operand of limb i of the fe25519x8 base points at.
-func limb(base string, i int) string { return fmt.Sprintf("%d(%s)", 64*i, base) }
+// fe is the memory operand of one fe25519x8: a base register and a byte
+// offset. An fe25519x8 is five 64-byte rows, so field n of a struct or
+// array of them sits 320·n bytes in.
+type fe struct {
+	base string
+	off  int
+}
+
+func at(base string, n int) fe { return fe{base, 320 * n} }
+
+// limb is the memory operand of row i.
+func (f fe) limb(i int) string { return fmt.Sprintf("%d(%s)", f.off+64*i, f.base) }
 
 // Registers every kernel keeps for the same purpose.
 const (
@@ -57,10 +73,10 @@ func main() {
 	p("DATA fe8fourP<>+0(SB)/8, $0x001ffffffffffffc")
 	p("GLOBL fe8fourP<>(SB), RODATA|NOPTR, $8")
 	p("")
-	mul()
-	square()
-	addSub(false)
-	addSub(true)
+	fieldKernels()
+	double()
+	addNiels()
+	addAffine()
 	cpu()
 	if _, err := os.Stdout.Write(out.Bytes()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -73,9 +89,21 @@ func constants() {
 	p("\tVPBROADCASTQ fe8nineteen<>(SB), %s", z(z19))
 }
 
-func load(base string, first int) {
+func ret() {
+	p("\tVZEROUPPER")
+	p("\tRET")
+	p("")
+}
+
+func load(f fe, first int) {
 	for i := 0; i < 5; i++ {
-		p("\tVMOVDQU64 %s, %s", limb(base, i), z(first+i))
+		p("\tVMOVDQU64 %s, %s", f.limb(i), z(first+i))
+	}
+}
+
+func store(r [5]int, f fe) {
+	for k := 0; k < 5; k++ {
+		p("\tVMOVDQU64 %s, %s", z(r[k]), f.limb(k))
 	}
 }
 
@@ -87,11 +115,10 @@ func times19(t, tmp0, tmp1 int) {
 	p("\tVPADDQ %s, %s, %s", z(tmp1), z(t), z(t))
 }
 
-// carryStoreRet runs the one parallel carry pass over the five result limbs
-// in r (limb k hands its bits above 51 to limb k+1, limb 4's wrap to limb 0
-// times 19), stores them through DI and returns. c names five free
-// registers.
-func carryStoreRet(r, c [5]int) {
+// carry runs the one parallel carry pass over the five result limbs in r
+// (limb k hands its bits above 51 to limb k+1, limb 4's wrap to limb 0
+// times 19). c names five free registers.
+func carry(r, c [5]int) {
 	for k := 0; k < 5; k++ {
 		p("\tVPSRLQ $51, %s, %s", z(r[k]), z(c[k]))
 	}
@@ -102,18 +129,17 @@ func carryStoreRet(r, c [5]int) {
 		p("\tVPADDQ %s, %s, %s", z(c[k-1]), z(r[k]), z(r[k]))
 	}
 	p("\tVPMADD52LUQ %s, %s, %s", z(z19), z(c[4]), z(r[0]))
-	for k := 0; k < 5; k++ {
-		p("\tVMOVDQU64 %s, %s", z(r[k]), limb("DI", k))
-	}
-	p("\tVZEROUPPER")
-	p("\tRET")
-	p("")
 }
 
-// foldCarryStoreRet finishes a product whose ten columns are in col:
-// r_k = col[k] + 19·col[k+5], then the carry pass. free names ten registers
-// that are dead by now.
-func foldCarryStoreRet(col [10]int, free []int) {
+// foldCarryStore finishes a product whose ten columns are in col:
+// r_k = col[k] + 19·col[k+5], doubled when twice, then the carry pass and
+// the store to dst. free names ten registers that are dead by now.
+//
+// Doubling after the fold costs five shifts where an fe8Add would cost a
+// call: each folded limb is below 267·2^52, so twice that is below 2^61.1,
+// and the carry pass still leaves every limb below 2^51 + 2^15 (carries
+// below 2^10.1, the wrap-around one times 19 below 2^14.4).
+func foldCarryStore(dst fe, col [10]int, free []int, twice bool) {
 	for k := 0; k < 5; k++ {
 		times19(col[k+5], free[0], free[1])
 		p("\tVPADDQ %s, %s, %s", z(col[k+5]), z(col[k]), z(col[k]))
@@ -121,29 +147,30 @@ func foldCarryStoreRet(col [10]int, free []int) {
 		// each other's temporaries
 		free = append(free[2:], free[0], free[1])
 	}
-	carryStoreRet([5]int{col[0], col[1], col[2], col[3], col[4]},
-		[5]int{col[5], col[6], col[7], col[8], col[9]})
+	r := [5]int{col[0], col[1], col[2], col[3], col[4]}
+	if twice {
+		for k := 0; k < 5; k++ {
+			p("\tVPSLLQ $1, %s, %s", z(r[k]), z(r[k]))
+		}
+	}
+	carry(r, [5]int{col[5], col[6], col[7], col[8], col[9]})
+	store(r, dst)
 }
 
-func mul() {
+// mul emits dst = a·b, or 2·a·b when twice.
+//
+// A limb product a_i·b_j is 104 bits; VPMADD52LUQ adds its low 52 bits to a
+// column accumulator and VPMADD52HUQ its high 52. The low half sits at
+// 2^(51(i+j)); the high half at 2^(51(i+j)+52) = 2·2^(51(i+j+1)), so column
+// k of the product is L_k + 2·H_(k-1), and columns 5-9 fold onto 0-4 times
+// 19 (2^255 = 19 mod p).
+func mul(dst, a, b fe, twice bool) {
 	// a: Z0-Z4, b: Z5-Z9, lo columns L0-L8: Z10-Z18, hi columns H0-H8:
 	// Z19-Z27.
 	L := func(k int) int { return 10 + k }
 	H := func(k int) int { return 19 + k }
-	p("// func fe8Mul(out, a, b *fe25519x8)")
-	p("//")
-	p("// A limb product a_i·b_j is 104 bits; VPMADD52LUQ adds its low 52 bits to")
-	p("// a column accumulator and VPMADD52HUQ its high 52. The low half sits at")
-	p("// 2^(51(i+j)); the high half at 2^(51(i+j)+52) = 2·2^(51(i+j+1)), so column")
-	p("// k of the product is L_k + 2·H_(k-1), and columns 5-9 fold onto 0-4 times")
-	p("// 19 (2^255 = 19 mod p).")
-	p("TEXT ·fe8Mul(SB), NOSPLIT, $0-24")
-	p("\tMOVQ out+0(FP), DI")
-	p("\tMOVQ a+8(FP), SI")
-	p("\tMOVQ b+16(FP), DX")
-	constants()
-	load("SI", 0)
-	load("DX", 5)
+	load(a, 0)
+	load(b, 5)
 	for k := 0; k < 9; k++ {
 		p("\tVPXORQ %s, %s, %s", z(L(k)), z(L(k)), z(L(k)))
 		p("\tVPXORQ %s, %s, %s", z(H(k)), z(H(k)), z(H(k)))
@@ -165,13 +192,17 @@ func mul() {
 	}
 	col := [10]int{L(0), L(1), L(2), L(3), L(4), L(5), L(6), L(7), L(8), H(8)}
 	// a, b and H0-H7 are dead
-	foldCarryStoreRet(col, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	foldCarryStore(dst, col, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, twice)
 }
 
-func square() {
-	// a: Z0-Z4. A square has 5 diagonal products a_i·a_i and 10 cross
-	// products a_i·a_j (i < j) that count twice. Three families of
-	// accumulators, by the weight their sum carries in a column:
+// square emits dst = a², or 2·a² when twice: mul with the 10 symmetric
+// products computed once, 30 multiply-adds for 50. The doubling of a cross
+// product cannot go on an input (2·a_i may pass 2^52), so it goes on the
+// sums: diagonal low halves carry weight 1, cross low halves and diagonal
+// high halves weight 2, cross high halves weight 4.
+func square(dst, a fe, twice bool) {
+	// a: Z0-Z4. Three families of accumulators, by the weight their sum
+	// carries in a column:
 	//   W1_k (k even):   lo(a_i·a_i), k = 2i                  weight 1
 	//   W2_k (k = 1..9): lo(a_i·a_j), k = i+j, and
 	//                    hi(a_i·a_i), k = 2i+1                weight 2
@@ -180,17 +211,7 @@ func square() {
 	W1 := func(k int) int { return 5 + k/2 }    // Z5-Z9
 	W2 := func(k int) int { return 10 + k - 1 } // Z10-Z18
 	W4 := func(k int) int { return 19 + k - 2 } // Z19-Z25
-	p("// func fe8Square(out, a *fe25519x8)")
-	p("//")
-	p("// fe8Mul with the 10 symmetric products computed once: 30 multiply-adds")
-	p("// for 50. The doubling cannot go on an input (2·a_i may pass 2^52), so it")
-	p("// goes on the sums: diagonal low halves carry weight 1, cross low halves")
-	p("// and diagonal high halves weight 2, cross high halves weight 4.")
-	p("TEXT ·fe8Square(SB), NOSPLIT, $0-16")
-	p("\tMOVQ out+0(FP), DI")
-	p("\tMOVQ a+8(FP), SI")
-	constants()
-	load("SI", 0)
+	load(a, 0)
 	for r := 5; r <= 25; r++ {
 		p("\tVPXORQ %s, %s, %s", z(r), z(r), z(r))
 	}
@@ -214,26 +235,23 @@ func square() {
 	}
 	col := [10]int{W1(0), W2(1), W2(2), W2(3), W2(4), W2(5), W2(6), W2(7), W2(8), W2(9)}
 	// a, W1_2..W1_8 and every W4 are dead
-	foldCarryStoreRet(col, []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 19})
+	foldCarryStore(dst, col, []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 19}, twice)
 }
 
-func addSub(sub bool) {
-	name, op := "fe8Add", "a + b"
-	if sub {
-		name, op = "fe8Sub", "a - b"
+// addSub emits sum = a + b and diff = a - b, either of them when the other
+// is nil, both carried: unlike the scalar path's addLazy/subLazy the carry
+// pass cannot be skipped, because the multiply-adds read only the low 52
+// bits of a limb. The difference adds 4p first, which keeps it
+// non-negative for any subtrahend limb below 2^52.
+func addSub(sum, diff *fe, a, b fe) {
+	load(a, 0)
+	load(b, 5)
+	if sum != nil {
+		for k := 0; k < 5; k++ {
+			p("\tVPADDQ %s, %s, %s", z(5+k), z(k), z(10+k))
+		}
 	}
-	p("// func %s(out, a, b *fe25519x8)", name)
-	p("//")
-	p("// out = %s, carried: unlike the scalar path's addLazy/subLazy the carry", op)
-	p("// pass cannot be skipped, because the multiply-adds read only the low 52")
-	p("// bits of a limb.")
-	p("TEXT ·%s(SB), NOSPLIT, $0-24", name)
-	p("\tMOVQ out+0(FP), DI")
-	p("\tMOVQ a+8(FP), SI")
-	p("\tMOVQ b+16(FP), DX")
-	constants()
-	load("SI", 0)
-	if sub {
+	if diff != nil {
 		p("\tVPBROADCASTQ fe8fourP0<>(SB), %s", z(zTmp0))
 		p("\tVPBROADCASTQ fe8fourP<>(SB), %s", z(zTmp1))
 		p("\tVPADDQ %s, %s, %s", z(zTmp0), z(0), z(0))
@@ -241,14 +259,155 @@ func addSub(sub bool) {
 			p("\tVPADDQ %s, %s, %s", z(zTmp1), z(k), z(k))
 		}
 		for k := 0; k < 5; k++ {
-			p("\tVPSUBQ %s, %s, %s", limb("DX", k), z(k), z(k))
-		}
-	} else {
-		for k := 0; k < 5; k++ {
-			p("\tVPADDQ %s, %s, %s", limb("DX", k), z(k), z(k))
+			p("\tVPSUBQ %s, %s, %s", z(5+k), z(k), z(k))
 		}
 	}
-	carryStoreRet([5]int{0, 1, 2, 3, 4}, [5]int{5, 6, 7, 8, 9})
+	if sum != nil {
+		r := [5]int{10, 11, 12, 13, 14}
+		carry(r, [5]int{15, 16, 17, 18, 19})
+		store(r, *sum)
+	}
+	if diff != nil {
+		r := [5]int{0, 1, 2, 3, 4}
+		carry(r, [5]int{5, 6, 7, 8, 9})
+		store(r, *diff)
+	}
+}
+
+// kernel emits a TEXT header that loads each argument register from the
+// frame, then the constants every body uses.
+func kernel(name, sig string, frame int, args ...string) {
+	p("// func %s%s", name, sig)
+	p("TEXT ·%s(SB), NOSPLIT, $0-%d", name, frame)
+	for i, a := range args {
+		p("\tMOVQ %s+%d(FP), %s", a[:len(a)-3], 8*i, a[len(a)-2:])
+	}
+	constants()
+}
+
+func fieldKernels() {
+	out, a, b := at("DI", 0), at("SI", 0), at("DX", 0)
+	kernel("fe8Mul", "(out, a, b *fe25519x8)", 24, "out:DI", "a:SI", "b:DX")
+	mul(out, a, b, false)
+	ret()
+	kernel("fe8Square", "(out, a *fe25519x8)", 16, "out:DI", "a:SI")
+	square(out, a, false)
+	ret()
+	kernel("fe8Add", "(out, a, b *fe25519x8)", 24, "out:DI", "a:SI", "b:DX")
+	addSub(&out, nil, a, b)
+	ret()
+	kernel("fe8Sub", "(out, a, b *fe25519x8)", 24, "out:DI", "a:SI", "b:DX")
+	addSub(nil, &out, a, b)
+	ret()
+}
+
+// The point kernels address edPointx8 {x, y, z, t}, projNielsx8 {yPlusX,
+// yMinusX, z, t2d} and affineNielsx8 {yPlusX, yMinusX, xy2d} by field
+// index, and their temporaries by index into tmp, a [7]fe25519x8;
+// TestPointKernelLayout holds the Go types to these offsets.
+const (
+	fx, fy, fz, ft    = 0, 1, 2, 3
+	nYPlusX, nYMinusX = 0, 1
+	nZ, nT2d, nXY2d   = 2, 3, 2
+)
+
+// double emits fe8Double(p, q, tmp, needT): p = 2q in every lane,
+// dbl-2008-hwcd for a = -1 as edPoint.double computes it, arranged for the
+// lanes: E = 2XY and C = 2Z² come doubled out of the multiply, B+A and B-A
+// out of one load, and every output coordinate is negated, which is the
+// same projective point.
+func double() {
+	kernel("fe8Double", "(p, q *edPointx8, tmp *[7]fe25519x8, needT bool)", 25,
+		"p:DI", "q:SI", "tmp:DX")
+	p("\tMOVBLZX needT+24(FP), AX")
+	q := func(f int) fe { return at("SI", f) }
+	d := func(f int) fe { return at("DI", f) }
+	t := func(i int) fe { return at("DX", i) }
+	A, B, C, E, H, G, F := t(0), t(1), t(2), t(3), t(4), t(5), t(6)
+	square(A, q(fx), false)
+	square(B, q(fy), false)
+	square(C, q(fz), true)
+	mul(E, q(fx), q(fy), true)
+	addSub(&H, &G, B, A)
+	addSub(nil, &F, C, G)
+	mul(d(fx), E, F, false)
+	mul(d(fy), G, H, false)
+	mul(d(fz), F, G, false)
+	p("\tTESTQ AX, AX")
+	p("\tJZ double_done")
+	mul(d(ft), E, H, false)
+	p("double_done:")
+	ret()
+}
+
+// addNiels emits fe8AddNiels(p, q, n, tmp, sub): p = q + n in every lane,
+// or q - n when sub, as edPoint.addProjNiels computes it, with 2·Z·Zn out
+// of the multiply and each sum and difference of one pair out of one load.
+// Subtraction swaps which entry row each of t1 and t2 multiplies and which
+// of f and g takes the sum: both are pointer swaps (CMOV), so one body
+// serves both signs.
+func addNiels() {
+	kernel("fe8AddNiels", "(p, q *edPointx8, n *projNielsx8, tmp *[7]fe25519x8, sub bool)", 33,
+		"p:DI", "q:SI", "n:DX", "tmp:CX")
+	p("\tMOVBLZX sub+32(FP), AX")
+	q := func(f int) fe { return at("SI", f) }
+	d := func(f int) fe { return at("DI", f) }
+	n := func(f int) fe { return at("DX", f) }
+	t := func(i int) fe { return at("CX", i) }
+	T1, T2, TT, PP, MM, ZZ, E := t(0), t(1), t(2), t(3), t(4), t(5), t(6)
+	// H, F and G reuse slots whose values are dead by then
+	H, F, G := t(0), t(1), t(3)
+	// R8 multiplies t1 and R9 t2; R10 takes zz + tt and R11 zz - tt
+	p("\tLEAQ %s, R8", n(nYPlusX).limb(0))
+	p("\tLEAQ %s, R9", n(nYMinusX).limb(0))
+	p("\tLEAQ %s, R10", G.limb(0))
+	p("\tLEAQ %s, R11", F.limb(0))
+	p("\tTESTQ AX, AX")
+	p("\tMOVQ R8, R12")
+	p("\tCMOVQNE R9, R8")
+	p("\tCMOVQNE R12, R9")
+	p("\tMOVQ R10, R12")
+	p("\tCMOVQNE R11, R10")
+	p("\tCMOVQNE R12, R11")
+	sum, diff := at("R10", 0), at("R11", 0)
+	addSub(&T1, &T2, q(fy), q(fx))
+	mul(TT, q(ft), n(nT2d), false)
+	mul(PP, T1, at("R8", 0), false)
+	mul(MM, T2, at("R9", 0), false)
+	mul(ZZ, q(fz), n(nZ), true)
+	addSub(&H, &E, PP, MM)
+	addSub(&sum, &diff, ZZ, TT)
+	mul(d(fx), E, F, false)
+	mul(d(fy), G, H, false)
+	mul(d(fz), F, G, false)
+	mul(d(ft), E, H, false)
+	ret()
+}
+
+// addAffine emits fe8AddAffine(p, q, n, tmp): p = q + n in every lane for
+// a comb entry already signed by the gather, as edPoint.addAffineNiels
+// computes it.
+func addAffine() {
+	kernel("fe8AddAffine", "(p, q *edPointx8, n *affineNielsx8, tmp *[7]fe25519x8)", 32,
+		"p:DI", "q:SI", "n:DX", "tmp:CX")
+	q := func(f int) fe { return at("SI", f) }
+	d := func(f int) fe { return at("DI", f) }
+	n := func(f int) fe { return at("DX", f) }
+	t := func(i int) fe { return at("CX", i) }
+	T1, T2, TT, PP, MM, Z2, E := t(0), t(1), t(2), t(3), t(4), t(5), t(6)
+	H, F, G := t(0), t(1), t(3)
+	addSub(&T1, &T2, q(fy), q(fx))
+	mul(TT, q(ft), n(nXY2d), false)
+	mul(PP, T1, n(nYPlusX), false)
+	mul(MM, T2, n(nYMinusX), false)
+	addSub(&Z2, nil, q(fz), q(fz))
+	addSub(&H, &E, PP, MM)
+	addSub(&G, &F, Z2, TT)
+	mul(d(fx), E, F, false)
+	mul(d(fy), G, H, false)
+	mul(d(fz), F, G, false)
+	mul(d(ft), E, H, false)
+	ret()
 }
 
 func cpu() {

@@ -12,25 +12,37 @@
 // amd64 they are MULQ assembly (fe25519_amd64.s, kernel "amd64"); on every
 // other GOARCH, and on amd64 under -tags purego, the portable Go bodies in
 // fe25519.go (kernel "generic"). On top of the amd64 build, the batch
-// multiplications MulBatch and MulDHBatch are chosen once at package init:
-// when CPUID and XCR0 report AVX-512 IFMA they run the lane ladder of
-// ed25519x8_amd64.go, eight points per instruction (kernel "avx512ifma");
-// otherwise, and always for the solo Mul and MulDH, the scalar wNAF ladder.
+// multiplications are chosen once at package init: when CPUID and XCR0
+// report AVX-512 IFMA, MulBatch and MulDHBatch run the lane ladder and
+// Table.MulBatch the lane comb of ed25519x8_amd64.go, eight multiplications
+// per instruction (kernel "avx512ifma"); otherwise the scalar wNAF ladder and
+// the scalar comb. The solo Mul, MulDH, BaseMul and Table.Mul always run the
+// scalar kernels, as does a Table.MulBatch of fewer than three scalars (an
+// eight-lane pass costs about three solo combs however few lanes are live).
 // No flag, environment variable or option takes part. The three produce
 // identical bytes — every encoding, pseudonym and shared secret — so a
 // fleet may mix them; RegisterMetrics says which one a process runs.
 // Everything outside those kernels — point formulas, wNAF and comb ladders,
 // encodings — is one body of Go.
 //
+// The lane comb is for callers that encode many reports at once: a
+// Pipeline, a RemotePipeline and the load generator built on it, a future
+// gateway that seals for its devices. It reads the same comb tables as the
+// scalar comb (whose entries are therefore stored carried, below the lanes'
+// 2^52 input bound; see edCombTable), so it costs no memory. A device that
+// encodes one report per call never reaches it and needs nothing from it.
+//
 // The API is batch-oriented: the extended-Edwards kernels never invert per
 // operation, Normalize converts an epoch-sized slice to affine with one
 // shared field inversion (Montgomery trick), MulBatch and MulDHBatch recode a
-// scalar that is fixed across a slice once, and Precompute builds signed-digit
-// comb tables for points that are fixed across a batch — the recipient key in
-// the encoder, the analyzer key — turning each fixed-point multiplication
-// into ~43 table additions with no doublings. The reference backend meets
-// the same contracts the plain way: it is always affine, so Normalize has
-// nothing to do, and its batches and tables are loops over ScalarMult.
+// scalar that is fixed across a slice once, and Precompute (and BaseTable,
+// for the generator) builds signed-digit comb tables for points that are
+// fixed across a batch — the recipient key in the encoder, the analyzer key
+// — turning each fixed-point multiplication into ~43 table additions with no
+// doublings, and Table.MulBatch into one such sweep per eight scalars. The
+// reference backend meets the same contracts the plain way: it is always
+// affine, so Normalize has nothing to do, and its batches and tables are
+// loops over ScalarMult.
 //
 // Wire encodings are uniform across backends: Encode emits a 1-byte
 // identity sentinel {0} or a 65-byte tagged uncompressed point (0x04 for
@@ -86,6 +98,10 @@ type Table interface {
 	// Mul returns k*P for the fixed point P. The result may be in
 	// projective form; batch callers should Normalize slices of results.
 	Mul(k Scalar) Element
+	// MulBatch sets dst[i] = ks[i]*P, a scalar per entry: the batch form
+	// of Mul, with the same results in one allocation. Results are
+	// projective; call Normalize before encoding.
+	MulBatch(dst []Element, ks []Scalar)
 }
 
 // Group is a prime-order group with batch-oriented kernels.
@@ -106,6 +122,9 @@ type Group interface {
 	Generator() Element
 	// BaseMul returns k*G via the precomputed base table.
 	BaseMul(k Scalar) Element
+	// BaseTable returns the generator's table, built once per process:
+	// BaseTable().Mul(k) is BaseMul(k), and MulBatch is its batch form.
+	BaseTable() Table
 	// Mul returns k*P for a variable point.
 	Mul(p Element, k Scalar) Element
 	// MulBatch sets dst[i] = k*ps[i] for a scalar fixed across the batch,
@@ -240,17 +259,9 @@ func ScalarToBig(k Scalar) *big.Int { return new(big.Int).SetBytes(k) }
 // identityEncoding is the shared 1-byte identity sentinel.
 var identityEncoding = []byte{0}
 
-// edBaseComb lazily builds the ristretto base-point comb table (width 8:
+// edBaseTable lazily builds the ristretto base-point comb table (width 8:
 // 32 positions, one-time cost amortized over the process lifetime).
-var (
-	edBaseTableOnce sync.Once
-	edBaseTable     *edCombTable
-)
-
-func edBaseComb() *edCombTable {
-	edBaseTableOnce.Do(func() {
-		b := edBase
-		edBaseTable = buildEdComb(&b, 8)
-	})
-	return edBaseTable
-}
+var edBaseTable = sync.OnceValue(func() *edTable {
+	b := edBase
+	return &edTable{comb: buildEdComb(&b, 8)}
+})

@@ -20,6 +20,7 @@
 package group
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/big"
@@ -40,10 +41,16 @@ func (edGroup) RandomScalar(rng io.Reader) (Scalar, error) {
 		if _, err := io.ReadFull(rng, b[:]); err != nil {
 			return nil, err
 		}
-		k := new(big.Int).SetBytes(b[:])
-		k.Mod(k, edOrder)
-		if k.Sign() != 0 {
-			return ScalarFromBig(k), nil
+		var x wide
+		for i := range x {
+			x[i] = binary.BigEndian.Uint64(b[56-8*i:])
+		}
+		if k := reduceWide(x); k != (wide{}) {
+			out := make(Scalar, ScalarSize)
+			for i := 0; i < 4; i++ {
+				binary.BigEndian.PutUint64(out[24-8*i:], k[i])
+			}
+			return out, nil
 		}
 	}
 }
@@ -59,12 +66,7 @@ func (edGroup) Generator() Element {
 	return Element{ed: &p}
 }
 
-func (g edGroup) BaseMul(k Scalar) Element {
-	kb := mustScalar(k)
-	var out edPoint
-	edBaseComb().mulComb(&out, kb[:])
-	return Element{ed: &out}
-}
+func (edGroup) BaseMul(k Scalar) Element { return edBaseTable().Mul(k) }
 
 func (g edGroup) Mul(p Element, k Scalar) Element {
 	kb := mustScalar(k)
@@ -122,6 +124,41 @@ func (t *edTable) Mul(k Scalar) Element {
 	t.comb.mulComb(&out, kb[:])
 	return Element{ed: &out}
 }
+
+// laneComb, when set, is the vector form of MulBatch's loop: outs[i] =
+// ks[i]*P for the table's point, eight scalars per pass. Package init sets
+// it beside laneLadder, on the same hosts (ed25519x8_amd64.go), and nothing
+// else writes it outside tests; nil means mulComb is the only path.
+var laneComb func(t *edCombTable, outs []edPoint, ks []Scalar)
+
+// combLaneMin is the fewest multiplications the lane comb takes: an
+// eight-lane pass costs about the same however many lanes are live, and
+// below three it loses to that many mulComb calls (BenchmarkEdCombBatch).
+// A batch's last group is held to the same cutoff.
+const combLaneMin = 3
+
+func (t *edTable) MulBatch(dst []Element, ks []Scalar) {
+	if len(dst) != len(ks) {
+		panic("group: Table.MulBatch length mismatch")
+	}
+	outs := make([]edPoint, len(ks))
+	lanes := 0
+	if laneComb != nil {
+		lanes = len(ks)
+		if tail := lanes % 8; tail < combLaneMin {
+			lanes -= tail
+		}
+		laneComb(t.comb, outs[:lanes], ks[:lanes])
+	}
+	for i := lanes; i < len(ks); i++ {
+		t.comb.mulComb(&outs[i], mustScalar(ks[i])[:])
+	}
+	for i := range outs {
+		dst[i] = Element{ed: &outs[i]}
+	}
+}
+
+func (edGroup) BaseTable() Table { return edBaseTable() }
 
 func (g edGroup) Precompute(p Element) Table {
 	pt := *p.edwards(g)

@@ -93,7 +93,18 @@ type p256Table struct{ p Element }
 
 func (t p256Table) Mul(k Scalar) Element { return p256Group{}.Mul(t.p, k) }
 
+func (t p256Table) MulBatch(dst []Element, ks []Scalar) {
+	if len(dst) != len(ks) {
+		panic("group: Table.MulBatch length mismatch")
+	}
+	for i, k := range ks {
+		dst[i] = t.Mul(k)
+	}
+}
+
 func (p256Group) Precompute(p Element) Table { return p256Table{p} }
+
+func (g p256Group) BaseTable() Table { return p256Table{g.Generator()} }
 
 func (g p256Group) Add(p, q Element) Element {
 	a, b := p.p256(g), q.p256(g)

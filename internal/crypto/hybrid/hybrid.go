@@ -324,26 +324,33 @@ func encap(rng io.Reader, pub *PublicKey, out *Encap) error {
 // EncapBatch runs one key encapsulation per rng on a pool of workers
 // (0 selects GOMAXPROCS): record i's ephemeral scalar is drawn from rngs[i],
 // so the result is a pure function of that record's stream, independent of
-// worker count. All ephemeral and shared points of the batch are normalized
-// with one shared field inversion, which is what makes a batched seal two
-// comb multiplications and (amortized) nothing else.
+// worker count. Each worker's range of records goes through the generator's
+// and the recipient's comb tables as one Table.MulBatch each, and all
+// ephemeral and shared points of the batch are normalized with one shared
+// field inversion, which is what makes a batched seal two comb
+// multiplications and (amortized) nothing else.
 func EncapBatch(pub *PublicKey, rngs []io.Reader, workers int) ([]Encap, error) {
 	n := len(rngs)
 	if n == 0 {
 		return nil, nil
 	}
 	g := pub.g
-	table := pub.dhTable()
+	base, table := g.BaseTable(), pub.dhTable()
+	ks := make([]group.Scalar, n)
 	els := make([]group.Element, 2*n)
+	ephs, shareds := els[:n], els[n:]
 	errs := make([]error, n)
-	parallel.For(parallel.Workers(workers), n, func(i int) {
-		k, err := g.RandomScalar(rngs[i])
-		if err != nil {
-			errs[i] = err
-			return
+	parallel.Ranges(parallel.Workers(workers), n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k, err := g.RandomScalar(rngs[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			ks[i] = k
 		}
-		els[2*i] = g.BaseMul(k)
-		els[2*i+1] = table.Mul(k)
+		base.MulBatch(ephs[lo:hi], ks[lo:hi])
+		table.MulBatch(shareds[lo:hi], ks[lo:hi])
 	})
 	if i, err := parallel.FirstError(errs); err != nil {
 		return nil, fmt.Errorf("hybrid: record %d: %w", i, err)
@@ -351,8 +358,8 @@ func EncapBatch(pub *PublicKey, rngs []io.Reader, workers int) ([]Encap, error) 
 	g.Normalize(els)
 	out := make([]Encap, n)
 	parallel.For(parallel.Workers(workers), n, func(i int) {
-		ephPub := g.Encode(els[2*i])
-		shared := g.SharedBytes(els[2*i+1])
+		ephPub := g.Encode(ephs[i])
+		shared := g.SharedBytes(shareds[i])
 		sc := scratchPool.Get().(*scratch)
 		copy(out[i].Key[:], sc.sealKey(shared, ephPub, pub.enc))
 		scratchPool.Put(sc)

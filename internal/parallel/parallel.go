@@ -71,6 +71,30 @@ func FirstError(errs []error) (int, error) {
 	return -1, nil
 }
 
+// rangeMax caps a Ranges range: the records the crypto layer hands one
+// batch-kernel call (as hybrid's openChunk and the shufflers' blindChunk do),
+// past which per-call costs have vanished and a longer range only unbalances
+// the workers.
+const rangeMax = 256
+
+// Ranges runs fn(lo, hi) over [0, n) cut into contiguous ranges, one per
+// worker, none longer than rangeMax: the shape for a loop whose per-index
+// work is cheaper in bulk (a batch kernel) and whose ranges should still
+// keep every worker busy. Like For, it returns when every call has
+// completed, and with one worker the ranges run in order on the calling
+// goroutine.
+func Ranges(workers, n int, fn func(lo, hi int)) {
+	if n <= 0 {
+		return
+	}
+	w := max(workers, 1)
+	size := min(rangeMax, (n+w-1)/w)
+	For(workers, (n+size-1)/size, func(c int) {
+		lo := c * size
+		fn(lo, min(lo+size, n))
+	})
+}
+
 // For runs fn(i) for every i in [0, n), distributing indices over the given
 // number of workers. With workers <= 1 (or tiny n) it degenerates to an
 // in-order loop on the calling goroutine, which is the serial reference path:

@@ -66,6 +66,38 @@ func TestForSerialIsInOrder(t *testing.T) {
 	}
 }
 
+// TestRangesShape pins Ranges' cut: every index once, contiguous ranges,
+// one range per worker while that stays under rangeMax.
+func TestRangesShape(t *testing.T) {
+	for _, c := range []struct{ workers, n, ranges int }{
+		{1, 250, 1}, {2, 250, 2}, {2, 5, 2}, {2, 1, 1},
+		{1, 600, 3}, {2, 2000, 8}, {3, 0, 0}, {0, 7, 1},
+	} {
+		var mu sync.Mutex
+		hits := make([]int, c.n)
+		ranges := 0
+		Ranges(c.workers, c.n, func(lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			ranges++
+			if hi <= lo || hi-lo > rangeMax {
+				t.Errorf("%+v: range [%d, %d)", c, lo, hi)
+			}
+			for i := lo; i < hi; i++ {
+				hits[i]++
+			}
+		})
+		if ranges != c.ranges {
+			t.Errorf("%+v: %d ranges", c, ranges)
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("%+v: index %d visited %d times", c, i, h)
+			}
+		}
+	}
+}
+
 func TestFirstError(t *testing.T) {
 	if i, err := FirstError(nil); i != -1 || err != nil {
 		t.Errorf("FirstError(nil) = %d, %v", i, err)

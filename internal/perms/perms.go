@@ -9,7 +9,9 @@
 package perms
 
 import (
+	"cmp"
 	"math/rand/v2"
+	"slices"
 
 	"prochlo/internal/dp"
 	"prochlo/internal/encoder"
@@ -67,8 +69,21 @@ func Run(rng *rand.Rand, cfg Config, events []workload.PermEvent) Result {
 		byAction[k] = counts
 	}
 
+	// Crowds draw threshold noise from rng in a fixed order, so a seeded
+	// run gives one result (map order would reshuffle the draws).
+	keys := make([]key, 0, len(total))
+	for k := range total {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.page, b.page); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.feature, b.feature)
+	})
 	var res Result
-	for k, n := range total {
+	for _, k := range keys {
+		n := total[k]
 		if n >= cfg.Threshold {
 			res.Naive[k.feature]++
 		}

@@ -107,7 +107,7 @@ go test -run '^$' -bench 'BenchmarkElGamalBackends/ristretto255|BenchmarkHashToP
   -benchtime "$benchtime" -benchmem ./internal/crypto/elgamal | tee -a "$crypto"
 go test -run '^$' -bench 'BenchmarkHybridBackends/ristretto255' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/hybrid | tee -a "$crypto"
-go test -run '^$' -bench 'BenchmarkEdCombMul|BenchmarkEdWNAFMul|BenchmarkEdMulBatch' \
+go test -run '^$' -bench 'BenchmarkEdCombMul|BenchmarkEdCombBatch|BenchmarkEdWNAFMul|BenchmarkEdMulBatch' \
   -benchtime "$benchtime" -benchmem ./internal/crypto/group | tee -a "$crypto"
 
 {
