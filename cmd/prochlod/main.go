@@ -56,13 +56,11 @@
 package main
 
 import (
-	crand "crypto/rand"
 	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
 	"math/big"
-	"math/rand/v2"
 	"os"
 	"os/signal"
 	"strings"
@@ -105,34 +103,32 @@ func main() {
 		reg = metrics.NewRegistry()
 		group.RegisterMetrics(reg)
 	}
-	cfg := transport.EpochConfig{
-		FlushAt:       *flushAt,
-		Interval:      *epochInterval,
-		MaxPending:    *maxPending,
-		WALDir:        *walDir,
-		Metrics:       reg,
-		MetricsLabels: metrics.Labels{"role": *role},
-	}
-	o := shufflerOpts{
-		listen: *listen, nexts: splitAddrs(*next),
-		workers: *workers, thresholdT: *thresholdT, minBatch: *minBatch,
-		noiseD: *noiseD, noiseSigma: *noiseSigma,
-		seed: *seed, sgx: *sgxMode,
-		keyFile:     *keyFile,
-		cfg:         cfg,
+	o := stageOpts{
+		listen: *listen, nexts: splitAddrs(*next), sgx: *sgxMode, keyFile: *keyFile,
+		cfg: transport.EpochConfig{
+			FlushAt:       *flushAt,
+			Interval:      *epochInterval,
+			MaxPending:    *maxPending,
+			WALDir:        *walDir,
+			Metrics:       reg,
+			MetricsLabels: metrics.Labels{"role": *role},
+		},
 		metricsAddr: *metricsAddr,
 		metricsReg:  reg,
+	}
+	p := shuffler.Params{Seed: *seed, MinBatch: *minBatch, Workers: *workers}
+	switch {
+	case *thresholdT > 0 && *noiseSigma > 0:
+		p.Threshold.Noise = dp.ThresholdNoise{T: *thresholdT, D: *noiseD, Sigma: *noiseSigma}
+	case *thresholdT > 0:
+		p.Threshold.Naive = *thresholdT
 	}
 
 	switch *role {
 	case "analyzer":
 		runAnalyzer(*listen, *workers, *keyFile, *metricsAddr, reg)
-	case "shuffler":
-		runShuffler(o)
-	case "shuffler1":
-		runShuffler1(o)
-	case "shuffler2":
-		runShuffler2(o)
+	case "shuffler", "shuffler1", "shuffler2":
+		runStage(*role, p, o)
 	default:
 		fmt.Fprintln(os.Stderr, "prochlod: -role must be shuffler, shuffler1, shuffler2, or analyzer")
 		os.Exit(2)
@@ -161,11 +157,11 @@ func serveMetrics(addr string, reg *metrics.Registry, healthz func() transport.H
 }
 
 func runAnalyzer(listen string, workers int, keyFile string, metricsAddr string, reg *metrics.Registry) {
-	priv, _, err := loadKeys(keyFile, false)
+	sec, err := loadKeys(keyFile, false)
 	if err != nil {
 		fatal(err)
 	}
-	svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: priv, Workers: workers}, priv.Public().Bytes())
+	svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: sec.Priv, Workers: workers})
 	if reg != nil {
 		svc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer"})
 	}
@@ -175,7 +171,7 @@ func runAnalyzer(listen string, workers int, keyFile string, metricsAddr string,
 		fatal(err)
 	}
 	fmt.Println("prochlod analyzer listening on", l.Addr())
-	fmt.Println("analyzer public key:", hex.EncodeToString(priv.Public().Bytes()))
+	fmt.Println("analyzer public key:", hex.EncodeToString(sec.Priv.Public().Bytes()))
 	waitForSignal()
 	l.Close()
 	if ms != nil {
@@ -184,17 +180,13 @@ func runAnalyzer(listen string, workers int, keyFile string, metricsAddr string,
 	fmt.Println("prochlod analyzer: shut down")
 }
 
-type shufflerOpts struct {
-	listen                        string
-	nexts                         []string // downstream tier replicas in partition order
-	workers, thresholdT, minBatch int
-	noiseD, noiseSigma            float64
-	seed                          uint64
-	sgx                           bool
-	keyFile                       string
-	cfg                           transport.EpochConfig
-	metricsAddr                   string
-	metricsReg                    *metrics.Registry
+// stageOpts is what a shuffler role's daemon needs beyond its stage's Params.
+type stageOpts struct {
+	listen, keyFile, metricsAddr string
+	nexts                        []string // downstream tier replicas in partition order
+	sgx                          bool
+	cfg                          transport.EpochConfig
+	metricsReg                   *metrics.Registry
 }
 
 // splitAddrs parses a comma-separated address list, dropping empty entries.
@@ -207,9 +199,6 @@ func splitAddrs(s string) []string {
 	}
 	return out
 }
-
-// nextList formats the downstream tier for log lines.
-func (o shufflerOpts) nextList() string { return strings.Join(o.nexts, ",") }
 
 // deployedScalar decodes one hex line of a key file and refuses a scalar
 // outside the deployed group's scalar field. The file holds bare scalars, so
@@ -236,92 +225,60 @@ func deployedScalar(path, line string) ([]byte, error) {
 // blinding secret when wantBlinding (the shuffler2 role). An empty path
 // generates ephemeral keys — fine until the daemon must decrypt reports it
 // recovered from a WAL written by its predecessor.
-func loadKeys(path string, wantBlinding bool) (*hybrid.PrivateKey, *elgamal.KeyPair, error) {
+func loadKeys(path string, wantBlinding bool) (shuffler.Secrets, error) {
+	want := 1
+	if wantBlinding {
+		want = 2
+	}
 	if path != "" {
 		if raw, err := os.ReadFile(path); err == nil {
 			lines := strings.Fields(string(raw))
-			want := 1
-			if wantBlinding {
-				want = 2
-			}
 			if len(lines) != want {
-				return nil, nil, fmt.Errorf("key file %s: %d keys, want %d", path, len(lines), want)
+				return shuffler.Secrets{}, fmt.Errorf("key file %s: %d keys, want %d", path, len(lines), want)
 			}
 			kb, err := deployedScalar(path, lines[0])
 			if err != nil {
-				return nil, nil, err
+				return shuffler.Secrets{}, err
 			}
-			priv, err := hybrid.ParsePrivateKey(kb)
-			if err != nil {
-				return nil, nil, fmt.Errorf("key file %s: %w", path, err)
+			var sec shuffler.Secrets
+			if sec.Priv, err = hybrid.ParsePrivateKey(kb); err != nil {
+				return shuffler.Secrets{}, fmt.Errorf("key file %s: %w", path, err)
 			}
-			var blind *elgamal.KeyPair
 			if wantBlinding {
 				xb, err := deployedScalar(path, lines[1])
 				if err != nil {
-					return nil, nil, err
+					return shuffler.Secrets{}, err
 				}
-				if blind, err = elgamal.NewKeyPair(new(big.Int).SetBytes(xb)); err != nil {
-					return nil, nil, fmt.Errorf("key file %s: %w", path, err)
+				if sec.Blinding, err = elgamal.NewKeyPair(new(big.Int).SetBytes(xb)); err != nil {
+					return shuffler.Secrets{}, fmt.Errorf("key file %s: %w", path, err)
 				}
 			}
 			fmt.Println("loaded daemon keys from", path)
-			return priv, blind, nil
+			return sec, nil
 		} else if !os.IsNotExist(err) {
-			return nil, nil, err
+			return shuffler.Secrets{}, err
 		}
 	}
-	priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		return nil, nil, err
+	sec, err := shuffler.GenerateSecrets(group.Default())
+	if err != nil || path == "" {
+		return sec, err
 	}
-	var blind *elgamal.KeyPair
-	if wantBlinding {
-		if blind, err = elgamal.GenerateKeyPair(crand.Reader); err != nil {
-			return nil, nil, err
-		}
+	lines := []string{hex.EncodeToString(sec.Priv.Bytes()), hex.EncodeToString(sec.Blinding.X.Bytes())}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(strings.Join(lines[:want], "\n")+"\n"), 0o600); err != nil {
+		return shuffler.Secrets{}, err
 	}
-	if path != "" {
-		body := hex.EncodeToString(priv.Bytes()) + "\n"
-		if wantBlinding {
-			body += hex.EncodeToString(blind.X.Bytes()) + "\n"
-		}
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, []byte(body), 0o600); err != nil {
-			return nil, nil, err
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return nil, nil, err
-		}
-		fmt.Println("generated daemon keys at", path)
+	if err := os.Rename(tmp, path); err != nil {
+		return shuffler.Secrets{}, err
 	}
-	return priv, blind, nil
-}
-
-// threshold builds the crowd-thresholding config from the flags.
-func (o shufflerOpts) threshold() shuffler.Threshold {
-	switch {
-	case o.thresholdT > 0 && o.noiseSigma > 0:
-		return shuffler.Threshold{Noise: dp.ThresholdNoise{T: o.thresholdT, D: o.noiseD, Sigma: o.noiseSigma}}
-	case o.thresholdT > 0:
-		return shuffler.Threshold{Naive: o.thresholdT}
-	}
-	return shuffler.Threshold{}
-}
-
-// stageRand derives the role's deterministic batch RNG; see shuffler.StageRand.
-func stageRand(seed uint64, stage string) *rand.Rand {
-	rng, err := shuffler.StageRand(seed, stage)
-	if err != nil {
-		fatal(err)
-	}
-	return rng
+	fmt.Println("generated daemon keys at", path)
+	return sec, nil
 }
 
 // serveStage serves svc, exposes /metrics when -metrics-addr is set, and on
 // SIGINT/SIGTERM drains it gracefully: stop accepting, flush the final epoch
 // downstream, then exit.
-func serveStage(role string, o shufflerOpts, svc *transport.StageService) {
+func serveStage(role string, o stageOpts, svc *transport.StageService) {
 	printEpochs(svc.Config())
 	if st := svc.Stats(); st.RecoveredItems > 0 {
 		fmt.Printf("prochlod %s: recovered %d reports (%d in-flight epochs, %d pending) from the WAL\n",
@@ -356,89 +313,56 @@ func printEpochs(cfg transport.EpochConfig) {
 	}
 }
 
-func runShuffler(o shufflerOpts) {
-	rng := stageRand(o.seed, "shuffler")
-	var svc *transport.StageService
-	if o.sgx {
-		if o.keyFile != "" {
-			fatal(errors.New("-key-file is incompatible with -sgx: the enclave owns its key and attests it per process"))
+// runStage runs a shuffler role: the stage shuffler.NewStage builds from the
+// role, its tier's secrets in -key-file (shuffler1 holds none) and the flags
+// — or, with -sgx, a shuffler that makes and attests its key in an enclave —
+// serving the keys its stage holds and pushing its epochs to the -next tier.
+func runStage(role string, p shuffler.Params, o stageOpts) {
+	var (
+		st    shuffler.Stage
+		ca    *sgx.CA
+		quote sgx.Quote
+		err   error
+	)
+	switch {
+	case o.sgx:
+		if role != "shuffler" || o.keyFile != "" {
+			fatal(errors.New("-sgx runs the shuffler role without -key-file: the enclave owns its key and attests it per process"))
 		}
-		ca, err := sgx.NewCA()
-		if err != nil {
+		if ca, err = sgx.NewCA(); err != nil {
 			fatal(err)
 		}
-		sh, quote, err := shuffler.NewSGXShuffler(ca, o.threshold(), rng)
-		if err != nil {
-			fatal(err)
+		st, quote, err = shuffler.NewSGXShuffler(ca, p)
+	case role == "shuffler1":
+		st, err = shuffler.NewStage(role, shuffler.Secrets{}, p)
+	default:
+		var sec shuffler.Secrets
+		if sec, err = loadKeys(o.keyFile, role == "shuffler2"); err == nil {
+			st, err = shuffler.NewStage(role, sec, p)
 		}
-		sh.Seed = o.seed
-		sh.MinBatch = o.minBatch
-		sh.Workers = o.workers
-		svc = newStage(sh, transport.Keys{Key: quote.ReportData}, o)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	svc, err := transport.NewStageService(st, o.nexts, o.cfg)
+	if err != nil {
+		fatal(err)
+	}
+	if ca != nil {
 		if err := svc.SetAttestation(quote, ca.PublicKey()); err != nil {
 			fatal(err)
 		}
 		fmt.Println("sgx: key attested, measurement", hex.EncodeToString(shuffler.SGXShufflerMeasurement[:8]))
-	} else {
-		priv, _, err := loadKeys(o.keyFile, false)
-		if err != nil {
-			fatal(err)
+	}
+	if blinding, key := st.PublicKeys(); key != nil {
+		if blinding != nil {
+			fmt.Println("blinding public key:", hex.EncodeToString(blinding))
 		}
-		sh := &shuffler.Shuffler{
-			Priv:      priv,
-			Threshold: o.threshold(),
-			Rand:      rng,
-			MinBatch:  o.minBatch,
-			Workers:   o.workers,
-		}
-		svc = newStage(sh, transport.Keys{Key: priv.Public().Bytes()}, o)
+		fmt.Printf("%s public key: %x\n", role, key)
 	}
-	fmt.Println("forwarding to analyzer at", o.nextList())
-	serveStage("shuffler", o, svc)
-}
-
-func runShuffler1(o shufflerOpts) {
-	s1, err := shuffler.NewShuffler1(stageRand(o.seed, "shuffler1"))
-	if err != nil {
-		fatal(err)
-	}
-	s1.MinBatch = o.minBatch
-	s1.Workers = o.workers
-	svc := newStage(s1, transport.Keys{}, o)
-	fmt.Println("forwarding blinded epochs to shuffler2 at", o.nextList())
-	serveStage("shuffler1", o, svc)
-}
-
-func runShuffler2(o shufflerOpts) {
-	priv, blindKP, err := loadKeys(o.keyFile, true)
-	if err != nil {
-		fatal(err)
-	}
-	s2 := &shuffler.Shuffler2{
-		Blinding:  blindKP,
-		Priv:      priv,
-		Threshold: o.threshold(),
-		Rand:      stageRand(o.seed, "shuffler2"),
-		// The chain's entry hop enforces the anonymity floor on client
-		// traffic; this hop must accept whatever hop 1 forwards.
-		MinBatch: 1,
-		Workers:  o.workers,
-	}
-	keys := transport.Keys{Blinding: blindKP.H.Bytes(), Key: priv.Public().Bytes()}
-	svc := newStage(s2, keys, o)
-	fmt.Println("forwarding to analyzer at", o.nextList())
-	fmt.Println("blinding public key:", hex.EncodeToString(keys.Blinding))
-	fmt.Println("shuffler2 public key:", hex.EncodeToString(keys.Key))
-	serveStage("shuffler2", o, svc)
-}
-
-// newStage builds the role's stage service over the -next tier.
-func newStage(st shuffler.Stage, keys transport.Keys, o shufflerOpts) *transport.StageService {
-	svc, err := transport.NewStageService(st, keys, o.nexts, o.cfg)
-	if err != nil {
-		fatal(err)
-	}
-	return svc
+	_, emits := st.Kinds()
+	fmt.Printf("forwarding %v to %s\n", emits, strings.Join(o.nexts, ","))
+	serveStage(role, o, svc)
 }
 
 func waitForSignal() {

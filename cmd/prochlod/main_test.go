@@ -30,15 +30,15 @@ func TestLoadKeysRefusesOtherGroupScalar(t *testing.T) {
 	}
 	dir := t.TempDir()
 	own := filepath.Join(dir, "own.key")
-	priv, blind, err := loadKeys(own, true)
+	sec, err := loadKeys(own, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, blindAgain, err := loadKeys(own, true)
+	again, err := loadKeys(own, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again.Bytes(), priv.Bytes()) || blindAgain.X.Cmp(blind.X) != 0 {
+	if !bytes.Equal(again.Priv.Bytes(), sec.Priv.Bytes()) || again.Blinding.X.Cmp(sec.Blinding.X) != 0 {
 		t.Fatal("reloaded key file holds different keys")
 	}
 
@@ -55,7 +55,7 @@ func TestLoadKeysRefusesOtherGroupScalar(t *testing.T) {
 		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o600); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := loadKeys(path, true)
+		_, err := loadKeys(path, true)
 		if err == nil || !strings.Contains(err.Error(), "key is on another group") ||
 			!strings.Contains(err.Error(), "this build deploys ristretto255") {
 			t.Errorf("%s on P-256: loadKeys = %v, want the other-group refusal", name, err)

@@ -24,23 +24,18 @@
 package main
 
 import (
-	crand "crypto/rand"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math/rand/v2"
 	"os"
 	"strconv"
 	"strings"
 
 	"prochlo"
-	"prochlo/internal/analyzer"
-	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/group"
-	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/load"
 	"prochlo/internal/metrics"
@@ -183,142 +178,40 @@ func parseShape(shape string) (s1, s2, anlz int, err error) {
 	return dims[0], dims[1], dims[2], nil
 }
 
-// loopbackFleet is an in-process RxSxA blinded-chain fleet. Replicas of a
-// key-holding tier share key material, exactly as prochlod daemons would
-// via one -key-file.
-type loopbackFleet struct {
-	s1Addrs, s2Addrs, anlzAddrs []string
-	anlzSvcs                    []*transport.AnalyzerService
-	closers                     []func()
-}
-
-func (f *loopbackFleet) close() {
-	for i := len(f.closers) - 1; i >= 0; i-- {
-		f.closers[i]()
-	}
-}
-
-// records sums the materialized databases across analyzer partitions.
-func (f *loopbackFleet) records() int {
-	total := 0
-	for _, a := range f.anlzSvcs {
-		total += a.Stats().Records
-	}
-	return total
-}
-
-// newLoopbackFleet builds the fleet. The per-replica shuffle RNGs are
-// seeded from the workload seed, so a seeded run is reproducible end to
-// end. When reg is non-nil every service registers its metrics under
-// {role, replica} labels.
-func newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt int, seed uint64, reg *metrics.Registry) (*loopbackFleet, error) {
-	f := &loopbackFleet{}
-	ok := false
-	defer func() {
-		if !ok {
-			f.close()
-		}
-	}()
-
-	epochCfg := func(role string, replica int) transport.EpochConfig {
-		cfg := transport.EpochConfig{FlushAt: flushAt}
-		if reg != nil {
-			cfg.Metrics = reg
-			cfg.MetricsLabels = metrics.Labels{"role": role, "replica": strconv.Itoa(replica)}
-		}
-		return cfg
-	}
-
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
+// startLoopback starts the in-process blinded-chain fleet of one RxSxA
+// shape. Replicas of a tier share its secrets, as prochlod daemons sharing a
+// -key-file do, and draw StageRand(seed, role), as seeded prochlod daemons
+// do, so a seeded run is reproducible end to end. With reg set every party
+// registers its metrics under {role, replica} labels.
+func startLoopback(shape string, workers, flushAt int, seed uint64, reg *metrics.Registry) (*transport.Fleet, error) {
+	s1N, s2N, anlzN, err := parseShape(shape)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < anlzN; i++ {
-		svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv, Workers: workers}, anlzPriv.Public().Bytes())
-		if reg != nil {
-			svc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer", "replica": strconv.Itoa(i)})
-		}
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			return nil, err
-		}
-		f.closers = append(f.closers, func() { l.Close() })
-		f.anlzSvcs = append(f.anlzSvcs, svc)
-		f.anlzAddrs = append(f.anlzAddrs, l.Addr().String())
-	}
-
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	s2Keys := transport.Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()}
-	for i := 0; i < s2N; i++ {
-		s2 := &shuffler.Shuffler2{
-			Blinding:  blindKP,
-			Priv:      s2Priv,
-			Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
-			Rand:      rand.New(rand.NewPCG(seed, 1000+uint64(i))),
-			MinBatch:  1,
-			Workers:   workers,
-		}
-		svc, err := transport.NewStageService(s2, s2Keys, f.anlzAddrs, epochCfg("shuffler2", i))
-		if err != nil {
-			return nil, err
-		}
-		f.closers = append(f.closers, func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			return nil, err
-		}
-		f.closers = append(f.closers, func() { l.Close() })
-		f.s2Addrs = append(f.s2Addrs, l.Addr().String())
-	}
-
-	for i := 0; i < s1N; i++ {
-		s1, err := shuffler.NewShuffler1(rand.New(rand.NewPCG(seed, 2000+uint64(i))))
-		if err != nil {
-			return nil, err
-		}
-		s1.MinBatch = 1
-		s1.Workers = workers
-		svc, err := transport.NewStageService(s1, transport.Keys{}, f.s2Addrs, epochCfg("shuffler1", i))
-		if err != nil {
-			return nil, err
-		}
-		f.closers = append(f.closers, func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			return nil, err
-		}
-		f.closers = append(f.closers, func() { l.Close() })
-		f.s1Addrs = append(f.s1Addrs, l.Addr().String())
-	}
-	ok = true
-	return f, nil
+	epochs := transport.EpochConfig{FlushAt: flushAt}
+	return transport.StartFleet([]transport.Tier{
+		{Role: "shuffler1", Replicas: s1N, Epochs: epochs},
+		{Role: "shuffler2", Replicas: s2N, Epochs: epochs},
+	}, anlzN, shuffler.Params{
+		Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
+		Seed:      seed, MinBatch: 1, Workers: workers,
+	}, reg)
 }
 
 // runLoopback spins up one fleet shape, drives the load through a balanced
 // RemotePipeline, drains, and folds the reconciliation ledger into the row.
 func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metrics.Registry) (row, error) {
-	s1N, s2N, anlzN, err := parseShape(shape)
+	fleet, err := startLoopback(shape, workers, flushAt, cfg.Seed, reg)
 	if err != nil {
 		return row{}, err
 	}
-	fleet, err := newLoopbackFleet(s1N, s2N, anlzN, workers, flushAt, cfg.Seed, reg)
-	if err != nil {
-		return row{}, err
-	}
-	defer fleet.close()
+	defer fleet.Close()
 
 	opts := []prochlo.RemoteOption{prochlo.WithRemoteWorkers(workers)}
 	if reg != nil {
 		opts = append(opts, prochlo.WithRemoteMetrics(reg, map[string]string{"tier": "entry"}))
 	}
-	rp, err := prochlo.DialRemoteChainFleet(fleet.s1Addrs, fleet.s2Addrs, fleet.anlzAddrs, opts...)
+	rp, err := prochlo.DialRemoteChainFleet(fleet.Tiers[0], fleet.Tiers[1], fleet.Analyzers, opts...)
 	if err != nil {
 		return row{}, err
 	}
@@ -333,7 +226,7 @@ func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metri
 	if err := drainLedger(rp, &r); err != nil {
 		return row{}, err
 	}
-	r.Records = fleet.records()
+	r.Records = fleet.Records()
 	return r, nil
 }
 

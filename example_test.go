@@ -1,16 +1,12 @@
 package prochlo_test
 
 import (
-	crand "crypto/rand"
 	"fmt"
 	"sort"
 
 	"prochlo"
-	"prochlo/internal/analyzer"
-	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
-	"prochlo/internal/workload"
 )
 
 // ExamplePipeline_SubmitBatch runs the whole ESA chain in process: a
@@ -65,48 +61,14 @@ func ExamplePipeline_SubmitBatch() {
 // sharing another, and the client handle balances submissions across the
 // entry replicas and merges the partitions' histograms at query time.
 func ExampleDialRemoteFleet() {
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
+	fleet, err := transport.StartFleet([]transport.Tier{{Role: "shuffler", Replicas: 2}}, 2,
+		shuffler.Params{Threshold: shuffler.Threshold{Naive: 20}, MinBatch: 1}, nil)
 	if err != nil {
 		panic(err)
 	}
-	var anlzAddrs []string
-	for i := 0; i < 2; i++ {
-		svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			panic(err)
-		}
-		defer l.Close()
-		anlzAddrs = append(anlzAddrs, l.Addr().String())
-	}
+	defer fleet.Close()
 
-	shufPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		panic(err)
-	}
-	var shufAddrs []string
-	for i := 0; i < 2; i++ {
-		sh := &shuffler.Shuffler{
-			Priv:      shufPriv,
-			Threshold: shuffler.Threshold{Naive: 20},
-			Rand:      workload.NewRand(uint64(80 + i)),
-			MinBatch:  1,
-		}
-		svc, err := transport.NewStageService(sh, transport.Keys{Key: shufPriv.Public().Bytes()},
-			anlzAddrs, transport.EpochConfig{})
-		if err != nil {
-			panic(err)
-		}
-		defer svc.Close()
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			panic(err)
-		}
-		defer l.Close()
-		shufAddrs = append(shufAddrs, l.Addr().String())
-	}
-
-	rp, err := prochlo.DialRemoteFleet(shufAddrs, anlzAddrs)
+	rp, err := prochlo.DialRemoteFleet(fleet.Tiers[0], fleet.Analyzers)
 	if err != nil {
 		panic(err)
 	}

@@ -3,16 +3,16 @@
 // across machines. Three topologies are demonstrated:
 //
 // The default is the single-shuffler deployment: a fleet of clients ships
-// whole batches of nested-encrypted reports per round trip (Submit), epochs
+// whole batches of nested-encrypted reports, one Submit frame each; epochs
 // auto-flush to the analyzer whenever occupancy reaches -flush-at, and the
 // analyzer's histogram accumulates across epochs.
 //
 // With -chain, the §4.3 split-shuffler chain runs instead: clients submit
 // blinded envelopes to a Shuffler 1 daemon, which blinds, shuffles, and
-// forwards each epoch to a Shuffler 2 daemon (Forward), which thresholds on
-// blinded pseudonyms and pushes the survivors to the analyzer — three
-// mutually distrusting services, none of which sees both who reported and
-// what was reported.
+// pushes each epoch to a Shuffler 2 daemon (a Submit of its own, stamped with
+// the epoch), which thresholds on blinded pseudonyms and pushes the survivors
+// to the analyzer — three mutually distrusting services, none of which sees
+// both who reported and what was reported.
 //
 // With -fleet, every hop of the chain is a replica pair (2 shuffler1 ×
 // 2 shuffler2 × 2 analyzer partitions): submissions enter through a
@@ -26,39 +26,17 @@ package main
 import (
 	"bufio"
 	"bytes"
-	crand "crypto/rand"
 	"flag"
 	"fmt"
 	"log"
-	"math/rand/v2"
-	"strconv"
 	"strings"
 
 	"prochlo"
-	"prochlo/internal/analyzer"
-	"prochlo/internal/crypto/elgamal"
-	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/metrics"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
 )
-
-// reg is the shared metrics registry when -metrics-addr is set; nil
-// disables instrumentation everywhere it is threaded (the zero-cost path).
-var reg *metrics.Registry
-
-// epochCfg builds a stage's epoch config, carrying the shared registry and
-// a role/replica label pair the way cmd/prochlod labels its own series.
-func epochCfg(role string, replica, flushAt int) transport.EpochConfig {
-	return transport.EpochConfig{
-		FlushAt: flushAt,
-		Metrics: reg,
-		MetricsLabels: metrics.Labels{
-			"role": role, "replica": strconv.Itoa(replica),
-		},
-	}
-}
 
 func main() {
 	workers := flag.Int("workers", 0, "worker pool size per stage (0 = GOMAXPROCS, 1 = serial)")
@@ -69,6 +47,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve every party's metrics at /metrics on this address and print a gauge sample after the drain (empty disables)")
 	flag.Parse()
 
+	var reg *metrics.Registry
 	if *metricsAddr != "" {
 		reg = metrics.NewRegistry()
 		ms, err := metrics.Serve(*metricsAddr, reg, nil)
@@ -79,14 +58,41 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics\n", ms.Addr())
 	}
 
+	// Every party is shuffler.NewStage's stage for its role; replicas of a
+	// tier share its keys (shuffler1 holds none — the RemotePipeline fetches
+	// the chain's keys from hop 2), each hop-1 replica fans out to every
+	// hop-2 partition and each thresholding replica to every analyzer
+	// partition. The fixed seed makes every run print the same histogram.
+	epochs := transport.EpochConfig{FlushAt: *flushAt}
+	tiers, replicas := []transport.Tier{{Role: "shuffler", Replicas: 1, Epochs: epochs}}, 1
+	if *fleet {
+		replicas = 2
+	}
+	if *chain || *fleet {
+		tiers = []transport.Tier{
+			{Role: "shuffler1", Replicas: replicas, Epochs: epochs},
+			{Role: "shuffler2", Replicas: replicas, Epochs: epochs},
+		}
+	}
+	f, err := transport.StartFleet(tiers, replicas, shuffler.Params{
+		Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise}, Seed: 17, Workers: *workers,
+	}, reg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
+	fmt.Println("shuffler tiers:", f.Tiers, " analyzers:", f.Analyzers)
+
+	opts := []prochlo.RemoteOption{prochlo.WithRemoteWorkers(*workers),
+		prochlo.WithRemoteMetrics(reg, map[string]string{"tier": "entry"})}
 	var rp *prochlo.RemotePipeline
-	switch {
-	case *fleet:
-		rp = dialChain(2, *workers, *flushAt)
-	case *chain:
-		rp = dialChain(1, *workers, *flushAt)
-	default:
-		rp = dialSingle(*workers, *flushAt)
+	if len(f.Tiers) == 1 {
+		rp, err = prochlo.DialRemoteFleet(f.Tiers[0], f.Analyzers, opts...)
+	} else {
+		rp, err = prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers, opts...)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	defer rp.Close()
 
@@ -147,124 +153,4 @@ func main() {
 			}
 		}
 	}
-}
-
-// serve starts one party on an ephemeral loopback port and returns its
-// address; the listeners live for the rest of the process.
-func serve(svc transport.Service) string {
-	l, err := transport.Serve("127.0.0.1:0", svc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return l.Addr().String()
-}
-
-// serveAnalyzers starts n analyzer partitions sharing one key (as prochlod
-// daemons would via one -key-file).
-func serveAnalyzers(n, workers int) []string {
-	priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var addrs []string
-	for i := 0; i < n; i++ {
-		svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: priv, Workers: workers}, priv.Public().Bytes())
-		if reg != nil {
-			svc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer", "replica": strconv.Itoa(i)})
-		}
-		addrs = append(addrs, serve(svc))
-	}
-	return addrs
-}
-
-// dialSingle wires the single-shuffler topology: one streaming shuffler
-// daemon auto-flushing epochs to the analyzer through a bounded in-flight
-// queue, and a RemotePipeline playing the client fleet.
-func dialSingle(workers, flushAt int) *prochlo.RemotePipeline {
-	anlzAddrs := serveAnalyzers(1, workers)
-	shufPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sh := &shuffler.Shuffler{
-		Priv:      shufPriv,
-		Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
-		Rand:      rand.New(rand.NewPCG(17, 19)),
-		Workers:   workers,
-	}
-	shufSvc, err := transport.NewStageService(sh, transport.Keys{Key: shufPriv.Public().Bytes()},
-		anlzAddrs, epochCfg("shuffler", 0, flushAt))
-	if err != nil {
-		log.Fatal(err)
-	}
-	shufAddrs := []string{serve(shufSvc)}
-	fmt.Println("analyzer:", anlzAddrs, " shuffler:", shufAddrs)
-
-	rp, err := prochlo.DialRemoteFleet(shufAddrs, anlzAddrs, prochlo.WithRemoteWorkers(workers))
-	if err != nil {
-		log.Fatal(err)
-	}
-	return rp
-}
-
-// dialChain wires the split-shuffler chain with every hop a tier of the
-// given replica count. Replicas of a key-holding tier share key material:
-// every analyzer partition decrypts with one key, every shuffler2 replica
-// holds the same blinding and hybrid keys (shuffler1 holds none — the
-// RemotePipeline fetches the chain's keys from hop 2). Every hop-1 replica
-// fans out to every hop-2 partition, and every hop-2 replica to every
-// analyzer partition.
-func dialChain(replicas, workers, flushAt int) *prochlo.RemotePipeline {
-	anlzAddrs := serveAnalyzers(replicas, workers)
-
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s2Keys := transport.Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()}
-	var s2Addrs []string
-	for i := 0; i < replicas; i++ {
-		s2 := &shuffler.Shuffler2{
-			Blinding:  blindKP,
-			Priv:      s2Priv,
-			Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
-			Rand:      rand.New(rand.NewPCG(23, 29+uint64(i))),
-			MinBatch:  1,
-			Workers:   workers,
-		}
-		s2Svc, err := transport.NewStageService(s2, s2Keys,
-			anlzAddrs, epochCfg("shuffler2", i, flushAt))
-		if err != nil {
-			log.Fatal(err)
-		}
-		s2Addrs = append(s2Addrs, serve(s2Svc))
-	}
-
-	var s1Addrs []string
-	for i := 0; i < replicas; i++ {
-		s1, err := shuffler.NewShuffler1(rand.New(rand.NewPCG(31, 37+uint64(i))))
-		if err != nil {
-			log.Fatal(err)
-		}
-		s1.Workers = workers
-		s1Svc, err := transport.NewStageService(s1, transport.Keys{},
-			s2Addrs, epochCfg("shuffler1", i, flushAt))
-		if err != nil {
-			log.Fatal(err)
-		}
-		s1Addrs = append(s1Addrs, serve(s1Svc))
-	}
-	fmt.Println("shuffler1:", s1Addrs, " shuffler2:", s2Addrs, " analyzers:", anlzAddrs)
-
-	rp, err := prochlo.DialRemoteChainFleet(s1Addrs, s2Addrs, anlzAddrs,
-		prochlo.WithRemoteWorkers(workers),
-		prochlo.WithRemoteMetrics(reg, map[string]string{"tier": "entry"}))
-	if err != nil {
-		log.Fatal(err)
-	}
-	return rp
 }

@@ -20,7 +20,7 @@ func TestProcessLargeDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, _, err := NewSGXShuffler(ca, Threshold{Noise: dp.ThresholdNoise{T: 10, D: 4, Sigma: 1}}, newRNG())
+	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{Noise: dp.ThresholdNoise{T: 10, D: 4, Sigma: 1}}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestProcessLargeDomain(t *testing.T) {
 
 func TestProcessLargeDomainEmpty(t *testing.T) {
 	ca, _ := sgx.NewCA()
-	sh, _, err := NewSGXShuffler(ca, Threshold{}, newRNG())
+	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestProcessLargeDomainEmpty(t *testing.T) {
 // TestProcessLargeDomainAllBelowThreshold: nothing survives, no error.
 func TestProcessLargeDomainAllBelowThreshold(t *testing.T) {
 	ca, _ := sgx.NewCA()
-	sh, _, err := NewSGXShuffler(ca, Threshold{Naive: 100}, newRNG())
+	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{Naive: 100}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,11 +195,10 @@ func TestSGXShufflerParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, _, err := NewSGXShuffler(ca, Threshold{Noise: dp.PaperThresholdNoise}, nil)
+	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{Noise: dp.PaperThresholdNoise}, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.Seed = 99
 	anlz, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)

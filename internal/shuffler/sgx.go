@@ -41,8 +41,13 @@ var SGXShufflerMeasurement = sgx.Measure("prochlo-stash-shuffler-v1")
 // Clients must verify the quote against the CA key and
 // SGXShufflerMeasurement before encrypting to the key; keys are ephemeral
 // per §4.1.1 ("the shuffler must create a new key pair every time it
-// restarts").
-func NewSGXShuffler(ca *sgx.CA, threshold Threshold, rng *rand.Rand) (*SGXShuffler, sgx.Quote, error) {
+// restarts"). Like NewStage's "shuffler", it draws StageRand(p.Seed,
+// "shuffler"); p.Seed also seeds the Stash Shuffle.
+func NewSGXShuffler(ca *sgx.CA, p Params) (*SGXShuffler, sgx.Quote, error) {
+	rng, err := StageRand(p.Seed, "shuffler")
+	if err != nil {
+		return nil, sgx.Quote{}, err
+	}
 	enclave := sgx.New(sgx.DefaultEPC, SGXShufflerMeasurement)
 	ca.Provision(enclave)
 	priv, err := hybrid.GenerateKey(cryptoReader())
@@ -54,7 +59,10 @@ func NewSGXShuffler(ca *sgx.CA, threshold Threshold, rng *rand.Rand) (*SGXShuffl
 	if err != nil {
 		return nil, sgx.Quote{}, err
 	}
-	return &SGXShuffler{Enclave: enclave, Threshold: threshold, Rand: rng, priv: priv}, quote, nil
+	return &SGXShuffler{
+		Enclave: enclave, Threshold: p.Threshold, Rand: rng,
+		Seed: p.Seed, MinBatch: p.MinBatch, Workers: p.Workers, priv: priv,
+	}, quote, nil
 }
 
 // PublicKey returns the attested key clients should encrypt to.

@@ -99,11 +99,7 @@ type openedEnvelope struct {
 // shuffled order. Decryption (hybrid's chunked OpenBatch) and grouping run
 // on the worker pool; see the package comment for the determinism contract.
 func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
-	min := s.MinBatch
-	if min == 0 {
-		min = DefaultMinBatch
-	}
-	if len(batch) < min {
+	if min := s.Floor(); len(batch) < min {
 		return nil, Stats{}, fmt.Errorf("%w: %d < %d", ErrBatchTooSmall, len(batch), min)
 	}
 	stats := Stats{Received: len(batch)}

@@ -266,7 +266,7 @@ func TestSGXShufflerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, quote, err := NewSGXShuffler(ca, Threshold{Noise: dp.PaperThresholdNoise}, newRNG())
+	sh, quote, err := NewSGXShuffler(ca, Params{Threshold: Threshold{Noise: dp.PaperThresholdNoise}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestSGXShufflerEndToEnd(t *testing.T) {
 
 func TestSGXShufflerRejectsRaggedBatch(t *testing.T) {
 	ca, _ := sgx.NewCA()
-	sh, _, err := NewSGXShuffler(ca, Threshold{}, newRNG())
+	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestSGXShufflerRejectsRaggedBatch(t *testing.T) {
 
 func TestSGXShufflerEmptyBatch(t *testing.T) {
 	ca, _ := sgx.NewCA()
-	sh, _, err := NewSGXShuffler(ca, Threshold{}, newRNG())
+	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,9 @@ import (
 	"math/rand/v2"
 
 	"prochlo/internal/core"
+	"prochlo/internal/crypto/elgamal"
+	cgroup "prochlo/internal/crypto/group"
+	"prochlo/internal/crypto/hybrid"
 )
 
 // Stage is the common face of every shuffler variant: one hop of an ESA
@@ -34,6 +37,81 @@ type Stage interface {
 	// epoch must hold before the stage may process it. Epoch schedulers use
 	// it to refuse cutting smaller epochs.
 	Floor() int
+	// PublicKeys names the public keys the stage serves to clients: the
+	// hybrid key its reports are sealed to and, at shuffler2, the El Gamal
+	// key crowd IDs are encrypted to. Both are nil at shuffler1, which holds
+	// no key — clients fetch the chain's keys from shuffler2, so no single hop
+	// both sees traffic metadata and decrypts.
+	PublicKeys() (blinding, key []byte)
+}
+
+// Secrets is the key material a tier's replicas share (cmd/prochlod keeps it
+// in one -key-file): the hybrid key the tier decrypts with and the El Gamal
+// pair shuffler2 recovers blinded crowd IDs with.
+type Secrets struct {
+	Priv     *hybrid.PrivateKey
+	Blinding *elgamal.KeyPair
+}
+
+// GenerateSecrets draws a fresh hybrid key and blinding pair on g.
+func GenerateSecrets(g cgroup.Group) (Secrets, error) {
+	priv, err := hybrid.GenerateKeyGroup(g, crand.Reader)
+	if err != nil {
+		return Secrets{}, err
+	}
+	blinding, err := elgamal.GenerateKeyPairGroup(g, crand.Reader)
+	return Secrets{Priv: priv, Blinding: blinding}, err
+}
+
+// Params is what a deployment sets for every stage it builds.
+type Params struct {
+	Threshold Threshold
+	Seed      uint64 // batch RNG seed; 0 draws from crypto/rand (see StageRand)
+	MinBatch  int    // the entry hop's anonymity floor; 0 selects DefaultMinBatch
+	Workers   int    // 0 = GOMAXPROCS, 1 = serial
+}
+
+// NewStage builds the stage a role runs — "shuffler", "shuffler1" or
+// "shuffler2" — from its tier's secrets and the deployment's parameters. It is
+// the one place the rules of a role live: every stage draws
+// StageRand(p.Seed, role), so a seeded replica, daemon or in-process pipeline
+// reproduces the same draws; shuffler1 holds no key (it keeps only the group
+// of sec, drawing a fresh blinding exponent there); and shuffler2's floor is
+// 1, because the chain's entry hop enforces the anonymity floor and hop 2 must
+// accept whatever hop 1 forwards (malformed drops can shrink an epoch). The
+// SGX shuffler, which makes and attests its own key, is NewSGXShuffler.
+func NewStage(role string, sec Secrets, p Params) (Stage, error) {
+	rng, err := StageRand(p.Seed, role)
+	if err != nil {
+		return nil, err
+	}
+	switch role {
+	case "shuffler":
+		return &Shuffler{Priv: sec.Priv, Threshold: p.Threshold, Rand: rng, MinBatch: p.MinBatch, Workers: p.Workers}, nil
+	case "shuffler1":
+		g := cgroup.Default()
+		if sec.Priv != nil {
+			g = sec.Priv.Group()
+		}
+		s1, err := NewShuffler1Group(g, rng)
+		if err != nil {
+			return nil, err
+		}
+		s1.MinBatch, s1.Workers = p.MinBatch, p.Workers
+		return s1, nil
+	case "shuffler2":
+		return &Shuffler2{Blinding: sec.Blinding, Priv: sec.Priv, Threshold: p.Threshold, Rand: rng, MinBatch: 1, Workers: p.Workers}, nil
+	}
+	return nil, fmt.Errorf("shuffler: no role %q (want shuffler, shuffler1 or shuffler2)", role)
+}
+
+// floorOf is a stage's anonymity floor: its MinBatch, or DefaultMinBatch
+// when unset.
+func floorOf(minBatch int) int {
+	if minBatch > 0 {
+		return minBatch
+	}
+	return DefaultMinBatch
 }
 
 // wrongKind is the miswired-topology error: a stage was handed a batch of
@@ -57,12 +135,10 @@ func (s *Shuffler) Kinds() (consumes, emits core.BatchKind) {
 }
 
 // Floor implements Stage.
-func (s *Shuffler) Floor() int {
-	if s.MinBatch > 0 {
-		return s.MinBatch
-	}
-	return DefaultMinBatch
-}
+func (s *Shuffler) Floor() int { return floorOf(s.MinBatch) }
+
+// PublicKeys implements Stage.
+func (s *Shuffler) PublicKeys() (blinding, key []byte) { return nil, s.Priv.Public().Bytes() }
 
 // ProcessEpoch implements Stage: envelopes in, peeled payloads out, shuffled
 // obliviously inside the enclave.
@@ -83,12 +159,10 @@ func (s *SGXShuffler) Kinds() (consumes, emits core.BatchKind) {
 }
 
 // Floor implements Stage.
-func (s *SGXShuffler) Floor() int {
-	if s.MinBatch > 0 {
-		return s.MinBatch
-	}
-	return DefaultMinBatch
-}
+func (s *SGXShuffler) Floor() int { return floorOf(s.MinBatch) }
+
+// PublicKeys implements Stage.
+func (s *SGXShuffler) PublicKeys() (blinding, key []byte) { return nil, s.priv.Public().Bytes() }
 
 // ProcessEpoch implements Stage: blinded envelopes in, blinded-and-shuffled
 // envelopes out, bound for Shuffler 2. Shuffler 1 sees neither crowd IDs nor
@@ -116,12 +190,10 @@ func (s *Shuffler1) Kinds() (consumes, emits core.BatchKind) {
 }
 
 // Floor implements Stage.
-func (s *Shuffler1) Floor() int {
-	if s.MinBatch > 0 {
-		return s.MinBatch
-	}
-	return DefaultMinBatch
-}
+func (s *Shuffler1) Floor() int { return floorOf(s.MinBatch) }
+
+// PublicKeys implements Stage.
+func (s *Shuffler1) PublicKeys() (blinding, key []byte) { return nil, nil }
 
 // ProcessEpoch implements Stage: blinded envelopes in, peeled payloads out.
 func (s *Shuffler2) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
@@ -141,11 +213,11 @@ func (s *Shuffler2) Kinds() (consumes, emits core.BatchKind) {
 }
 
 // Floor implements Stage.
-func (s *Shuffler2) Floor() int {
-	if s.MinBatch > 0 {
-		return s.MinBatch
-	}
-	return DefaultMinBatch
+func (s *Shuffler2) Floor() int { return floorOf(s.MinBatch) }
+
+// PublicKeys implements Stage.
+func (s *Shuffler2) PublicKeys() (blinding, key []byte) {
+	return s.Blinding.H.Bytes(), s.Priv.Public().Bytes()
 }
 
 // StageRand derives the batch RNG for the named stage of a deployment. For

@@ -342,7 +342,7 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
+	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
 	var opens atomic.Int64
 	open := anlzSvc.open
 	anlzSvc.open = func(items [][]byte) ([][]byte, int) {
@@ -368,8 +368,7 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 		Blinding: blindKP, Priv: s2Priv,
 		Rand: rand.New(rand.NewPCG(27, 31)), MinBatch: 1,
 	}
-	svc, err := NewStageService(s2, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, EpochConfig{})
+	svc, err := NewStageService(s2, []string{anlzL.Addr().String()}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func TestForwardDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
+	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
 	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
@@ -198,8 +198,7 @@ func TestForwardDedup(t *testing.T) {
 		Blinding: blindKP, Priv: s2Priv,
 		Rand: rand.New(rand.NewPCG(21, 23)), MinBatch: 1,
 	}
-	svc, err := NewStageService(s2, Keys{Blinding: blindKP.H.Bytes(), Key: s2Priv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, EpochConfig{})
+	svc, err := NewStageService(s2, []string{anlzL.Addr().String()}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +295,7 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 			"stage ingests " + core.KindBlinded.String() + ", got " + core.KindPayloads.String()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			svc, err := NewStageService(tc.stage, Keys{}, []string{tc.next}, EpochConfig{})
+			svc, err := NewStageService(tc.stage, []string{tc.next}, EpochConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -446,9 +446,7 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 			// than accepting data the log did not capture.
 			e.occupancy.Add(-n)
 			e.rejected.Add(n)
-			e.mu.Lock()
-			e.lastErr = werr
-			e.mu.Unlock()
+			e.recordErr(werr)
 			return werr
 		}
 	}
@@ -535,11 +533,7 @@ func (e *engine) sendEpoch(ep *epoch) {
 		ep.id = e.epochID.Add(1)
 		if e.wal != nil {
 			min, max := seqRange(ep.batch)
-			if err := e.wal.logCut(ep.id, min, max); err != nil {
-				e.mu.Lock()
-				e.lastErr = err
-				e.mu.Unlock()
-			}
+			e.recordErr(e.wal.logCut(ep.id, min, max))
 		}
 	}
 	e.mu.Lock()
@@ -620,9 +614,19 @@ func (e *engine) dropCut(batch core.Batch) {
 	if e.wal != nil {
 		id := e.epochID.Add(1)
 		min, max := seqRange(batch)
-		e.wal.logCut(id, min, max)
+		e.recordErr(e.wal.logCut(id, min, max))
 		e.wal.resolve(id, false)
 	}
+}
+
+// recordErr keeps a non-nil err as the LastError Stats reports.
+func (e *engine) recordErr(err error) {
+	if err == nil {
+		return
+	}
+	e.mu.Lock()
+	e.lastErr = err
+	e.mu.Unlock()
 }
 
 // flusher consumes cut epochs in order — epochs share the stage's batch

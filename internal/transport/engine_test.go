@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -25,6 +26,7 @@ func (s *recordStage) ProcessEpoch(in core.Batch) (core.Batch, shuffler.Stats, e
 }
 func (s *recordStage) Kinds() (consumes, emits core.BatchKind) { return s.kind, s.kind }
 func (s *recordStage) Floor() int                              { return s.floor }
+func (s *recordStage) PublicKeys() (blinding, key []byte)      { return nil, nil }
 
 // nullService acknowledges every call and keeps nothing: the downstream
 // tier of a test that watches the engine, not what it pushes.
@@ -191,4 +193,29 @@ func walValue(b core.Batch, i int) string {
 		return string(b.Blinded[i].Blob)
 	}
 	return string(b.Envelopes[i].Blob)
+}
+
+// TestDropCutRecordsWALError: a final drain releases a below-floor epoch as
+// Dropped and logs the drop in the WAL. When the epoch log cannot take the
+// record, the failure must reach Stats().LastError, as a failed cut record
+// of a forwarded epoch does — an operator otherwise learns of it only when
+// a restart resurrects reports the daemon already counted as lost.
+func TestDropCutRecordsWALError(t *testing.T) {
+	stage := &recordStage{kind: core.KindEnvelopes, floor: 10, onEpoch: func(core.Batch) {}}
+	eng, err := newEngine(EpochConfig{WALDir: t.TempDir()}, stage, []string{serveNull(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.abort()
+	if err := eng.ingest(0, 0, walItem(core.KindEnvelopes, 0, "below-floor")); err != nil {
+		t.Fatal(err)
+	}
+	eng.wal.epochLog.f.Close()
+	if err := eng.drain(true); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.stats(); st.Dropped != 1 || !strings.Contains(st.LastError, "wal cut") {
+		t.Errorf("after a forced drop with the epoch log closed: dropped %d, last error %q; want 1 and the WAL's cut failure",
+			st.Dropped, st.LastError)
+	}
 }

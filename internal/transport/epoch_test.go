@@ -37,7 +37,7 @@ func newStreamingRigMin(t testing.TB, cfg EpochConfig, minBatch int) *streamingR
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
+	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
 	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +53,7 @@ func newStreamingRigMin(t testing.TB, cfg EpochConfig, minBatch int) *streamingR
 		Rand:     rand.New(rand.NewPCG(5, 7)),
 		MinBatch: minBatch,
 	}
-	svc, err := NewStageService(sh, Keys{Key: shufPriv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, cfg)
+	svc, err := NewStageService(sh, []string{anlzL.Addr().String()}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

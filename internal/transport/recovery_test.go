@@ -50,7 +50,7 @@ func newCrashRig(t *testing.T, kind core.BatchKind, cfg EpochConfig) *crashRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
+	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
 	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func (r *crashRig) stage(kind core.BatchKind) shuffler.Stage {
 }
 
 func (r *crashRig) startOn(st shuffler.Stage) (*StageService, error) {
-	return NewStageService(st, Keys{Key: r.shufPriv.Public().Bytes()}, []string{r.anlz}, r.cfg)
+	return NewStageService(st, []string{r.anlz}, r.cfg)
 }
 
 // batch encodes n reports of value as the rig's kind.
@@ -375,7 +375,7 @@ func TestReconciliationWithDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer refuser.Close()
-	svc, err := NewStageService(rig.stage(core.KindEnvelopes), Keys{}, []string{refuser.Addr().String()},
+	svc, err := NewStageService(rig.stage(core.KindEnvelopes), []string{refuser.Addr().String()},
 		EpochConfig{FlushAt: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +412,7 @@ func TestPushRidesOutDownstreamRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
+	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
 	anlzSrv := serveKillable(t, anlzSvc)
 	anlzAddr := anlzSrv.addr()
 	shufPriv, err := hybrid.GenerateKey(crand.Reader)
@@ -420,7 +420,7 @@ func TestPushRidesOutDownstreamRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &shuffler.Shuffler{Priv: shufPriv, Rand: rand.New(rand.NewPCG(9, 11)), MinBatch: 1}
-	svc, err := NewStageService(sh, Keys{Key: shufPriv.Public().Bytes()}, []string{anlzAddr}, EpochConfig{})
+	svc, err := NewStageService(sh, []string{anlzAddr}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,9 +93,10 @@ func (d *forwardDedup) ingest(stream, epoch int64, add func() error) error {
 // either hop of the §4.3 split chain — over the frame protocol. Every role
 // runs the same epoch engine around its shuffler.Stage; what distinguishes
 // the roles is the stage itself — the batch kind it consumes is what the
-// service admits, the kind it emits is what the next tier must take — plus
-// the keys it serves, where its epochs go, and (SGX only) an attestation
-// quote. See the package comment for the epoch/backpressure model.
+// service admits, the kind it emits is what the next tier must take, the keys
+// it holds are the keys it serves — plus where its epochs go and (SGX only)
+// an attestation quote. See the package comment for the epoch/backpressure
+// model.
 //
 // Clients enter a chain at its first hop with Submit, and each hop pushes
 // its epochs to the next with the same call. Both are deduplicated by their
@@ -125,18 +126,15 @@ type StageService struct {
 // because the analyzer merge is commutative — with per-partition
 // (stream, epoch) dedup keeping the fan-in exactly-once.
 //
-// keys is the public key material served to clients over Keys: the hybrid
-// key of a plain, SGX or shuffler2 stage, plus the El Gamal blinding key at
-// shuffler2; zero at shuffler1, which holds no keys — clients fetch them
-// from the shuffler2 daemon directly, preserving the rule that no single hop
-// could both see traffic metadata and decrypt. The caller should Close the
-// service to drain it and release the downstream connections.
-func NewStageService(st shuffler.Stage, keys Keys, next []string, cfg EpochConfig) (*StageService, error) {
+// The service serves the stage's PublicKeys over Keys. The caller should
+// Close the service to drain it and release the downstream connections.
+func NewStageService(st shuffler.Stage, next []string, cfg EpochConfig) (*StageService, error) {
 	eng, err := newEngine(cfg, st, next)
 	if err != nil {
 		return nil, err
 	}
-	return &StageService{eng: eng, keys: keys}, nil
+	blinding, key := st.PublicKeys()
+	return &StageService{eng: eng, keys: Keys{Blinding: blinding, Key: key}}, nil
 }
 
 // SetAttestation installs the quote served over Attestation (the SGX
@@ -276,9 +274,10 @@ type AnalyzerService struct {
 	ingests       int
 }
 
-// NewAnalyzerService wraps an analyzer; pub is the key served over Keys.
-func NewAnalyzerService(an *analyzer.Analyzer, pub []byte) *AnalyzerService {
-	return &AnalyzerService{start: time.Now(), open: an.Open, pub: pub, counts: make(map[string]int)}
+// NewAnalyzerService wraps an analyzer; the public half of the analyzer's
+// key is what it serves over Keys.
+func NewAnalyzerService(an *analyzer.Analyzer) *AnalyzerService {
+	return &AnalyzerService{start: time.Now(), open: an.Open, pub: an.Priv.Public().Bytes(), counts: make(map[string]int)}
 }
 
 // Healthz is the cheap liveness probe (lock-free; see HealthzReply).

@@ -1,17 +1,21 @@
 package transport
 
 import (
+	"bytes"
 	crand "crypto/rand"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
+	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/encoder"
+	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
 )
 
@@ -22,7 +26,7 @@ func TestNetworkedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
+	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
 	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +42,7 @@ func TestNetworkedPipeline(t *testing.T) {
 		Threshold: shuffler.Threshold{Noise: dp.ThresholdNoise{T: 20, D: 10, Sigma: 2}},
 		Rand:      rand.New(rand.NewPCG(1, 2)),
 	}
-	shufSvc, err := NewStageService(sh, Keys{Key: shufPriv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, EpochConfig{})
+	shufSvc, err := NewStageService(sh, []string{anlzL.Addr().String()}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestNetworkedPipeline(t *testing.T) {
 // epoch, and sends the analyzer nothing.
 func TestDrainEmptyPushesNothing(t *testing.T) {
 	anlzPriv, _ := hybrid.GenerateKey(crand.Reader)
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
+	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
 	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +128,7 @@ func TestDrainEmptyPushesNothing(t *testing.T) {
 	defer anlzL.Close()
 	shufPriv, _ := hybrid.GenerateKey(crand.Reader)
 	sh := &shuffler.Shuffler{Priv: shufPriv, Rand: rand.New(rand.NewPCG(3, 4))}
-	svc, err := NewStageService(sh, Keys{Key: shufPriv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, EpochConfig{})
+	svc, err := NewStageService(sh, []string{anlzL.Addr().String()}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestAnalyzerKeepsCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := &analyzer.Analyzer{Priv: priv}
-	svc := NewAnalyzerService(an, priv.Public().Bytes())
+	svc := NewAnalyzerService(an)
 	rng := rand.New(rand.NewPCG(13, 17))
 	seen := make(map[[2]int64]bool)
 	var db [][]byte
@@ -208,5 +210,74 @@ func TestAnalyzerKeepsCounts(t *testing.T) {
 	counts["v0"] += 100
 	if again, _ := svc.Histogram(); !reflect.DeepEqual(again, want) {
 		t.Errorf("writing to a returned histogram changed the service's: %v, want %v", again, want)
+	}
+}
+
+// TestStageServiceServesItsStagesKeys: a service serves the keys its stage
+// holds and no others — the hybrid key the stage decrypts with, plus the
+// blinding key at shuffler2 — and the analyzer serves its own. Shuffler1
+// holds none and refuses, pointing the client at shuffler2.
+func TestStageServiceServesItsStagesKeys(t *testing.T) {
+	sec, err := shuffler.GenerateSecrets(group.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := sgx.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sgxStage, quote, err := shuffler.NewSGXShuffler(ca, shuffler.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := []string{serveNull(t)}
+	stageService := func(st shuffler.Stage, err error) Service {
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := NewStageService(st, next, EpochConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		return svc
+	}
+	role := func(name string) Service { return stageService(shuffler.NewStage(name, sec, shuffler.Params{})) }
+	key := sec.Priv.Public().Bytes()
+	for _, tc := range []struct {
+		name    string
+		svc     Service
+		want    Keys
+		refusal string
+	}{
+		{"plain", role("shuffler"), Keys{Key: key}, ""},
+		{"sgx", stageService(sgxStage, nil), Keys{Key: quote.ReportData}, ""},
+		{"shuffler1", role("shuffler1"), Keys{}, "transport: this hop holds no keys (fetch them from the shuffler2 daemon)"},
+		{"shuffler2", role("shuffler2"), Keys{Blinding: sec.Blinding.H.Bytes(), Key: key}, ""},
+		{"analyzer", NewAnalyzerService(&analyzer.Analyzer{Priv: sec.Priv}), Keys{Key: key}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := Serve("127.0.0.1:0", tc.svc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			cl, err := Dial(l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			got, err := cl.Keys()
+			switch {
+			case tc.refusal != "":
+				if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+					t.Fatalf("Keys = %x, %v; want the refusal %q", got, err, tc.refusal)
+				}
+			case err != nil:
+				t.Fatal(err)
+			case !bytes.Equal(got.Key, tc.want.Key) || !bytes.Equal(got.Blinding, tc.want.Blinding):
+				t.Errorf("Keys = %x, want %x", got, tc.want)
+			}
+		})
 	}
 }

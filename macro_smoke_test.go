@@ -2,109 +2,22 @@ package prochlo_test
 
 import (
 	"bytes"
-	crand "crypto/rand"
 	"strconv"
 	"strings"
 	"testing"
 
 	"prochlo"
-	"prochlo/internal/analyzer"
-	"prochlo/internal/crypto/elgamal"
-	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/load"
 	"prochlo/internal/metrics"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
-	"prochlo/internal/workload"
 )
 
-// metricsFleetRig is a 2x2x2 blinded-chain fleet with every service
-// registered on one metrics registry — the deployment shape cmd/prochloload
-// spins up with -loopback 2x2x2 -metrics-addr.
-type metricsFleetRig struct {
-	s1Addrs, s2Addrs, anlzAddrs []string
-	reg                         *metrics.Registry
-}
-
-func newMetricsFleetRig(tb testing.TB, flushAt int) *metricsFleetRig {
-	tb.Helper()
-	rig := &metricsFleetRig{reg: metrics.NewRegistry()}
-	cfg := func(role string, i int) transport.EpochConfig {
-		return transport.EpochConfig{
-			FlushAt: flushAt,
-			Metrics: rig.reg,
-			MetricsLabels: metrics.Labels{
-				"role": role, "replica": strconv.Itoa(i),
-			},
-		}
-	}
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-		svc.RegisterMetrics(rig.reg, metrics.Labels{"role": "analyzer", "replica": strconv.Itoa(i)})
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { l.Close() })
-		rig.anlzAddrs = append(rig.anlzAddrs, l.Addr().String())
-	}
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		// No crowd threshold: the smoke pins exact end-to-end record
-		// accounting, so every accepted report must reach an analyzer.
-		s2 := &shuffler.Shuffler2{
-			Blinding: blindKP, Priv: s2Priv,
-			Rand: workload.NewRand(uint64(60 + i)), MinBatch: 1,
-		}
-		svc, err := newShuffler2Service(s2, rig.anlzAddrs, cfg("shuffler2", i))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { l.Close() })
-		rig.s2Addrs = append(rig.s2Addrs, l.Addr().String())
-	}
-	for i := 0; i < 2; i++ {
-		s1, err := shuffler.NewShuffler1(workload.NewRand(uint64(70 + i)))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		s1.MinBatch = 1
-		svc, err := newShuffler1Service(s1, rig.s2Addrs, cfg("shuffler1", i))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { l.Close() })
-		rig.s1Addrs = append(rig.s1Addrs, l.Addr().String())
-	}
-	return rig
-}
-
-// scrape renders the rig's registry as text.
-func (r *metricsFleetRig) scrape(tb testing.TB) string {
+// scrape renders a registry as text.
+func scrape(tb testing.TB, reg *metrics.Registry) string {
 	tb.Helper()
 	var b bytes.Buffer
-	if _, err := r.reg.WriteTo(&b); err != nil {
+	if _, err := reg.WriteTo(&b); err != nil {
 		tb.Fatal(err)
 	}
 	return b.String()
@@ -146,13 +59,14 @@ func TestMacroLoadSmoke(t *testing.T) {
 		batchSize = 50
 		total     = clients * batchesN * batchSize
 	)
-	rig := newMetricsFleetRig(t, total*10)
-	rp, err := prochlo.DialRemoteChainFleet(rig.s1Addrs, rig.s2Addrs, rig.anlzAddrs,
-		prochlo.WithRemoteMetrics(rig.reg, map[string]string{"tier": "entry"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rp.Close()
+	// The deployment cmd/prochloload spins up with -loopback 2x2x2
+	// -metrics-addr, every party on one registry — but with no crowd
+	// threshold: the smoke pins exact end-to-end record accounting, so every
+	// accepted report must reach an analyzer.
+	reg := metrics.NewRegistry()
+	epochs := transport.EpochConfig{FlushAt: total * 10}
+	f := startFleet(t, chainTiers(2, epochs, epochs), 2, shuffler.Params{MinBatch: 1}, reg)
+	rp := dialFleet(t, f, prochlo.WithRemoteMetrics(reg, map[string]string{"tier": "entry"}))
 
 	res, err := load.Run(rp, load.Config{
 		Clients: clients, Batches: batchesN, BatchSize: batchSize,
@@ -175,7 +89,7 @@ func TestMacroLoadSmoke(t *testing.T) {
 	// (FlushAt is above the offered total), so the entry tier's epoch
 	// occupancy is the whole offered load and both balancer replicas are
 	// healthy.
-	mid := rig.scrape(t)
+	mid := scrape(t, reg)
 	if occ := sumSeries(t, mid, "prochlo_epoch_occupancy"); occ != total {
 		t.Errorf("mid-run occupancy = %v, want %d", occ, total)
 	}
@@ -198,7 +112,7 @@ func TestMacroLoadSmoke(t *testing.T) {
 			}
 		}
 	}
-	end := rig.scrape(t)
+	end := scrape(t, reg)
 	if occ := sumSeries(t, end, "prochlo_epoch_occupancy"); occ != 0 {
 		t.Errorf("post-drain occupancy = %v, want 0", occ)
 	}

@@ -45,7 +45,6 @@ import (
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
-	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
@@ -99,16 +98,10 @@ type Pipeline struct {
 	// consumes.
 	pending core.Batch
 
-	// ModePlain / ModeSGX.
-	shufflerPriv *hybrid.PrivateKey
-	client       *encoder.Client
-	sgxShuffler  *shuffler.SGXShuffler
-	quote        sgx.Quote
-	ca           *sgx.CA
-
-	// ModeBlinded.
-	s1            *shuffler.Shuffler1
-	s2            *shuffler.Shuffler2
+	// The mode's encoder: client in ModePlain and ModeSGX (whose attested
+	// key is quote), blindedClient in ModeBlinded.
+	client        *encoder.Client
+	quote         sgx.Quote
 	blindedClient *encoder.BlindedClient
 
 	seq int
@@ -223,44 +216,38 @@ func New(opts ...Option) (*Pipeline, error) {
 	}
 	p.an = &analyzer.Analyzer{Priv: p.analyzerPriv, Workers: p.workers}
 
+	// One tier's secrets serve the mode's stages: the plain shuffler's key, or
+	// shuffler2's keys in the split chain (shuffler1 holds none; the SGX
+	// shuffler makes its own in the enclave).
+	sec, err := shuffler.GenerateSecrets(p.group)
+	if err != nil {
+		return nil, err
+	}
+	params := shuffler.Params{Threshold: p.threshold, Seed: p.seed, MinBatch: p.minBatch, Workers: p.workers}
 	switch p.mode {
 	case ModePlain:
-		rng, err := shuffler.StageRand(p.seed, "shuffler")
+		st, err := shuffler.NewStage("shuffler", sec, params)
 		if err != nil {
 			return nil, err
 		}
-		p.shufflerPriv, err = hybrid.GenerateKeyGroup(p.group, crand.Reader)
-		if err != nil {
-			return nil, err
-		}
-		p.stages = []shuffler.Stage{&shuffler.Shuffler{
-			Priv: p.shufflerPriv, Threshold: p.threshold, Rand: rng,
-			MinBatch: p.minBatch, Workers: p.workers,
-		}}
+		p.stages = []shuffler.Stage{st}
 		p.client = &encoder.Client{
-			ShufflerKey: p.shufflerPriv.Public(),
+			ShufflerKey: sec.Priv.Public(),
 			AnalyzerKey: p.analyzerPriv.Public(),
 			Rand:        crand.Reader,
 		}
 	case ModeSGX:
-		rng, err := shuffler.StageRand(p.seed, "shuffler")
+		ca, err := sgx.NewCA()
 		if err != nil {
 			return nil, err
 		}
-		p.ca, err = sgx.NewCA()
-		if err != nil {
+		var sh *shuffler.SGXShuffler
+		if sh, p.quote, err = shuffler.NewSGXShuffler(ca, params); err != nil {
 			return nil, err
 		}
-		p.sgxShuffler, p.quote, err = shuffler.NewSGXShuffler(p.ca, p.threshold, rng)
-		if err != nil {
-			return nil, err
-		}
-		p.sgxShuffler.Seed = p.seed
-		p.sgxShuffler.MinBatch = p.minBatch
-		p.sgxShuffler.Workers = p.workers
-		p.stages = []shuffler.Stage{p.sgxShuffler}
+		p.stages = []shuffler.Stage{sh}
 		// Client-side verification before trusting the key (§4.1.1).
-		if err := sgx.VerifyQuote(p.ca.PublicKey(), p.quote, shuffler.SGXShufflerMeasurement); err != nil {
+		if err := sgx.VerifyQuote(ca.PublicKey(), p.quote, shuffler.SGXShufflerMeasurement); err != nil {
 			return nil, fmt.Errorf("prochlo: shuffler attestation failed: %w", err)
 		}
 		attested, err := hybrid.ParsePublicKey(p.quote.ReportData)
@@ -273,39 +260,16 @@ func New(opts ...Option) (*Pipeline, error) {
 			Rand:        crand.Reader,
 		}
 	case ModeBlinded:
-		rng1, err := shuffler.StageRand(p.seed, "shuffler1")
-		if err != nil {
-			return nil, err
+		for _, role := range []string{"shuffler1", "shuffler2"} {
+			st, err := shuffler.NewStage(role, sec, params)
+			if err != nil {
+				return nil, err
+			}
+			p.stages = append(p.stages, st)
 		}
-		rng2, err := shuffler.StageRand(p.seed, "shuffler2")
-		if err != nil {
-			return nil, err
-		}
-		p.s1, err = shuffler.NewShuffler1Group(p.group, rng1)
-		if err != nil {
-			return nil, err
-		}
-		p.s1.MinBatch = p.minBatch
-		p.s1.Workers = p.workers
-		blindKP, err := elgamal.GenerateKeyPairGroup(p.group, crand.Reader)
-		if err != nil {
-			return nil, err
-		}
-		s2Priv, err := hybrid.GenerateKeyGroup(p.group, crand.Reader)
-		if err != nil {
-			return nil, err
-		}
-		p.s2 = &shuffler.Shuffler2{
-			Blinding: blindKP, Priv: s2Priv, Threshold: p.threshold, Rand: rng2,
-			// The entry hop enforces the anonymity floor; hop 2 must accept
-			// whatever hop 1 forwards (malformed drops can shrink an epoch).
-			MinBatch: 1,
-			Workers:  p.workers,
-		}
-		p.stages = []shuffler.Stage{p.s1, p.s2}
 		p.blindedClient = &encoder.BlindedClient{
-			Shuffler2Blinding: blindKP.H,
-			Shuffler2Key:      s2Priv.Public(),
+			Shuffler2Blinding: sec.Blinding.H,
+			Shuffler2Key:      sec.Priv.Public(),
 			AnalyzerKey:       p.analyzerPriv.Public(),
 			Rand:              crand.Reader,
 		}

@@ -305,14 +305,14 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 // chain's key material (its El Gamal blinding key and hybrid key; Shuffler 1
 // holds no keys), and the analyzer tier — returning a ModeBlinded pipeline
 // handle. Reports enter at Shuffler 1 and flow shuffler1 -> shuffler2 ->
-// analyzer over the daemons' Forward pushes; the Shuffler 2 and analyzer
-// connections carry only key fetches, drain barriers, and histogram
-// queries. Clients enter through a balancer over the hop-1 replicas, each
-// blinded envelope is stamped with its crowd's owning hop-2 partition
-// (core.PartitionOf(crowd, len(shuffler2Addrs))) so a crowd's reports meet
-// at the replica that thresholds them no matter which hop-1 replica they
-// entered through, and the analyzer partitions' histograms are merged at
-// query time. The hop-2 replicas must share one key pair (cmd/prochlod:
+// analyzer as the daemons' epoch pushes, each a Submit frame like a client
+// batch; the Shuffler 2 and analyzer connections carry only key fetches,
+// drain barriers, and histogram queries. Clients enter through a balancer
+// over the hop-1 replicas, each blinded envelope is stamped with its crowd's
+// owning hop-2 partition (core.PartitionOf(crowd, len(shuffler2Addrs))) so a
+// crowd's reports meet at the replica that thresholds them no matter which
+// hop-1 replica they entered through, and the analyzer partitions'
+// histograms are merged at query time. The hop-2 replicas must share one key pair (cmd/prochlod:
 // -key-file); hop-1 replicas hold no keys and need none.
 func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string, opts ...RemoteOption) (*RemotePipeline, error) {
 	r, err := newRemotePipeline(opts)

@@ -12,12 +12,11 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
-	"prochlo/internal/crypto/elgamal"
+	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
-	"prochlo/internal/workload"
 )
 
 // trackedServer serves one party while tracking every accepted
@@ -134,28 +133,12 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// Persistent parties and key material: both analyzer partitions share
 	// one key, both shuffler-2 replicas share the blinding and hybrid keys
 	// (as daemons sharing a key file would); only shuffler processes die.
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
+	anlzAddrs := startFleet(t, nil, 2, shuffler.Params{}, nil).Analyzers
+	s2Sec, err := shuffler.GenerateSecrets(group.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var anlzAddrs []string
-	for i := 0; i < 2; i++ {
-		anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-		anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer anlzL.Close()
-		anlzAddrs = append(anlzAddrs, anlzL.Addr().String())
-	}
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	params := shuffler.Params{Seed: seed, MinBatch: 1}
 
 	// Replica state, guarded by mu: the seeded kill hook mutates it from a
 	// hop-1 flusher goroutine while the test goroutine reads it.
@@ -179,11 +162,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		{Seed: fs + 3, PPartition: 1, PartitionFor: 100 * time.Millisecond, MaxFaults: 1},
 	}
 	start2 := func(i int, addr string) error {
-		s2 := &shuffler.Shuffler2{
-			Blinding: blindKP, Priv: s2Priv,
-			Rand: workload.NewRand(uint64(20 + i)), MinBatch: 1,
-		}
-		svc, err := newShuffler2Service(s2, anlzAddrs,
+		svc, err := newStage("shuffler2", s2Sec, params, anlzAddrs,
 			transport.EpochConfig{WALDir: s2WALs[i], Fault: s2Faults[i]})
 		if err != nil {
 			return err
@@ -226,12 +205,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		{Seed: fs + 1, PDup: 1, MaxFaults: 2},
 	}
 	start1 := func(i int, addr string) error {
-		s1, err := shuffler.NewShuffler1(workload.NewRand(uint64(10 + i)))
-		if err != nil {
-			return err
-		}
-		s1.MinBatch = 1
-		svc, err := newShuffler1Service(s1, s2Addrs,
+		svc, err := newStage("shuffler1", shuffler.Secrets{}, params, s2Addrs,
 			transport.EpochConfig{FlushAt: 1000, WALDir: s1WALs[i], Fault: s1Faults[i]})
 		if err != nil {
 			return err
@@ -401,18 +375,13 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzAddr := serve(transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes()))
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
+	anlzAddr := serve(transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}))
+	s2Sec, err := shuffler.GenerateSecrets(group.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2svc, err := newShuffler2Service(&shuffler.Shuffler2{
-		Blinding: blindKP, Priv: s2Priv, Rand: workload.NewRand(2), MinBatch: 1,
-	}, []string{anlzAddr}, transport.EpochConfig{})
+	params := shuffler.Params{MinBatch: 1}
+	s2svc, err := newStage("shuffler2", s2Sec, params, []string{anlzAddr}, transport.EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,12 +389,7 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 	s2Addr := serve(s2svc)
 	var s1Addrs []string
 	for i := 0; i < 2; i++ {
-		s1, err := shuffler.NewShuffler1(workload.NewRand(uint64(10 + i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1.MinBatch = 1
-		svc, err := newShuffler1Service(s1, []string{s2Addr}, transport.EpochConfig{})
+		svc, err := newStage("shuffler1", shuffler.Secrets{}, params, []string{s2Addr}, transport.EpochConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,76 +447,6 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 	}
 }
 
-// fleetRig is an R x R x R blinded-chain fleet for benchmarks: R analyzer
-// partitions sharing one key, R shuffler-2 replicas sharing the blinding
-// and hybrid keys, R shuffler-1 replicas fanning out to every partition.
-type fleetRig struct {
-	s1Addrs, s2Addrs, anlzAddrs []string
-}
-
-func newFleetRig(tb testing.TB, replicas int) *fleetRig {
-	tb.Helper()
-	rig := &fleetRig{}
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < replicas; i++ {
-		svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { l.Close() })
-		rig.anlzAddrs = append(rig.anlzAddrs, l.Addr().String())
-	}
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for i := 0; i < replicas; i++ {
-		s2 := &shuffler.Shuffler2{
-			Blinding: blindKP, Priv: s2Priv,
-			Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
-			Rand:      workload.NewRand(uint64(40 + i)), MinBatch: 1,
-		}
-		svc, err := newShuffler2Service(s2, rig.anlzAddrs, transport.EpochConfig{})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { l.Close() })
-		rig.s2Addrs = append(rig.s2Addrs, l.Addr().String())
-	}
-	for i := 0; i < replicas; i++ {
-		s1, err := shuffler.NewShuffler1(workload.NewRand(uint64(50 + i)))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		s1.MinBatch = 1
-		svc, err := newShuffler1Service(s1, rig.s2Addrs, transport.EpochConfig{})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { svc.Close() })
-		l, err := transport.Serve("127.0.0.1:0", svc)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { l.Close() })
-		rig.s1Addrs = append(rig.s1Addrs, l.Addr().String())
-	}
-	return rig
-}
-
 // BenchmarkRemoteChainFleet measures the replicated chain end to end —
 // balanced entry, partitioned fan-in, fleet drain — against the
 // single-replica chain baseline (replicas=1 runs the same fleet code over
@@ -565,8 +459,9 @@ func BenchmarkRemoteChainFleet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rig := newFleetRig(b, replicas)
-				rp, err := prochlo.DialRemoteChainFleet(rig.s1Addrs, rig.s2Addrs, rig.anlzAddrs)
+				f := startFleet(b, chainTiers(replicas, transport.EpochConfig{}, transport.EpochConfig{}), replicas,
+					shuffler.Params{Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise}, MinBatch: 1}, nil)
+				rp, err := prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -20,60 +20,69 @@ import (
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
+	"prochlo/internal/metrics"
 	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
 	"prochlo/internal/workload"
 )
 
-// remoteRig runs the two daemon parties on loopback with a seeded shuffler
-// whose batch RNG matches prochlo.WithSeed(seed)'s construction, so a
-// daemon deployment reproduces the in-process pipeline's thresholding draws.
-type remoteRig struct {
-	svc          *transport.StageService
-	shufL, anlzL net.Listener
+// startFleet starts a loopback fleet for the test and stops it at cleanup.
+// Seeded with prochlo.WithSeed's seed, its stages draw the streams the
+// in-process pipeline's do.
+func startFleet(tb testing.TB, tiers []transport.Tier, analyzers int, p shuffler.Params, reg *metrics.Registry) *transport.Fleet {
+	tb.Helper()
+	f, err := transport.StartFleet(tiers, analyzers, p, reg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(f.Close)
+	return f
 }
 
-func newRemoteRig(t testing.TB, seed uint64, workers int, cfg transport.EpochConfig) *remoteRig {
-	t.Helper()
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv, Workers: workers}, anlzPriv.Public().Bytes())
-	anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { anlzL.Close() })
+// plainFleet is one plain shuffler and one analyzer under the pipeline's
+// default threshold.
+func plainFleet(tb testing.TB, seed uint64, workers int, cfg transport.EpochConfig) *transport.Fleet {
+	return startFleet(tb, []transport.Tier{{Role: "shuffler", Replicas: 1, Epochs: cfg}}, 1,
+		shuffler.Params{Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise}, Seed: seed, Workers: workers}, nil)
+}
 
-	shufPriv, err := hybrid.GenerateKey(crand.Reader)
+// chainTiers is the §4.3 split chain with replicas per tier: shuffler1
+// replicas under s1, shuffler2 replicas under s2.
+func chainTiers(replicas int, s1, s2 transport.EpochConfig) []transport.Tier {
+	return []transport.Tier{
+		{Role: "shuffler1", Replicas: replicas, Epochs: s1},
+		{Role: "shuffler2", Replicas: replicas, Epochs: s2},
+	}
+}
+
+// dialFleet returns a RemotePipeline entering f at its first tier: the
+// single-shuffler dial for one tier, the chain dial for two.
+func dialFleet(tb testing.TB, f *transport.Fleet, opts ...prochlo.RemoteOption) *prochlo.RemotePipeline {
+	tb.Helper()
+	var rp *prochlo.RemotePipeline
+	var err error
+	if len(f.Tiers) == 1 {
+		rp, err = prochlo.DialRemoteFleet(f.Tiers[0], f.Analyzers, opts...)
+	} else {
+		rp, err = prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers, opts...)
+	}
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	// The same seeded per-stage stream prochlo.New uses for WithSeed.
-	rng, err := shuffler.StageRand(seed, "shuffler")
+	tb.Cleanup(func() { rp.Close() })
+	return rp
+}
+
+// newStage builds one replica of role as the fleet builder does, for the
+// crash soaks, which restart replicas at fixed addresses over their WALs and
+// so start each one themselves.
+func newStage(role string, sec shuffler.Secrets, p shuffler.Params, next []string, cfg transport.EpochConfig) (*transport.StageService, error) {
+	st, err := shuffler.NewStage(role, sec, p)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	sh := &shuffler.Shuffler{
-		Priv:      shufPriv,
-		Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
-		Rand:      rng,
-		Workers:   workers,
-	}
-	svc, err := transport.NewStageService(sh, transport.Keys{Key: shufPriv.Public().Bytes()},
-		[]string{anlzL.Addr().String()}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { svc.Close() })
-	shufL, err := transport.Serve("127.0.0.1:0", svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { shufL.Close() })
-	return &remoteRig{svc: svc, shufL: shufL, anlzL: anlzL}
+	return transport.NewStageService(st, next, cfg)
 }
 
 // canonicalHistogram serializes a histogram deterministically so two runs
@@ -158,13 +167,8 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 
 			// Daemon deployment: auto-flush cuts an epoch per chunk (the
 			// per-chunk Flush is the drain barrier pinning the boundary).
-			rig := newRemoteRig(t, seed, tc.workers, transport.EpochConfig{FlushAt: chunk})
-			rp, err := prochlo.DialRemoteFleet([]string{rig.shufL.Addr().String()}, []string{rig.anlzL.Addr().String()},
+			rp := dialFleet(t, plainFleet(t, seed, tc.workers, transport.EpochConfig{FlushAt: chunk}),
 				prochlo.WithRemoteWorkers(tc.workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rp.Close()
 			var remote *prochlo.Result
 			for at := 0; at < reports; at += chunk {
 				if err := rp.SubmitBatch(labels[at:at+chunk], data[at:at+chunk]); err != nil {
@@ -220,8 +224,8 @@ func BenchmarkRemotePipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rig := newRemoteRig(b, 42, 0, transport.EpochConfig{})
-		rp, err := prochlo.DialRemoteFleet([]string{rig.shufL.Addr().String()}, []string{rig.anlzL.Addr().String()})
+		f := plainFleet(b, 42, 0, transport.EpochConfig{})
+		rp, err := prochlo.DialRemoteFleet(f.Tiers[0], f.Analyzers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,8 +249,8 @@ func BenchmarkRemotePipelineWAL(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rig := newRemoteRig(b, 42, 0, transport.EpochConfig{WALDir: b.TempDir()})
-		rp, err := prochlo.DialRemoteFleet([]string{rig.shufL.Addr().String()}, []string{rig.anlzL.Addr().String()})
+		f := plainFleet(b, 42, 0, transport.EpochConfig{WALDir: b.TempDir()})
+		rp, err := prochlo.DialRemoteFleet(f.Tiers[0], f.Analyzers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,112 +265,10 @@ func BenchmarkRemotePipelineWAL(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
 }
 
-// chainRig runs the three daemon parties of the §4.3 split-shuffler chain
-// on loopback: a Shuffler 1 daemon forwarding blinded epochs to a Shuffler 2
-// daemon forwarding peeled payloads to the analyzer. Seeded stages use the
-// same per-stage RNG streams prochlo.WithSeed derives, so a seeded chain
-// reproduces the in-process ModeBlinded pipeline.
-type chainRig struct {
-	s1svc           *transport.StageService
-	s2svc           *transport.StageService
-	s1L, s2L, anlzL net.Listener
-}
-
-func newChainRig(t testing.TB, seed uint64, workers int, th shuffler.Threshold, s1cfg, s2cfg transport.EpochConfig) *chainRig {
-	t.Helper()
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv, Workers: workers}, anlzPriv.Public().Bytes())
-	anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { anlzL.Close() })
-
-	// Hop 2: thresholds on blinded pseudonyms, forwards to the analyzer.
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng2, err := shuffler.StageRand(seed, "shuffler2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := &shuffler.Shuffler2{
-		Blinding: blindKP, Priv: s2Priv, Threshold: th, Rand: rng2,
-		MinBatch: 1, Workers: workers,
-	}
-	s2svc, err := newShuffler2Service(s2, []string{anlzL.Addr().String()}, s2cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s2svc.Close() })
-	s2L, err := transport.Serve("127.0.0.1:0", s2svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s2L.Close() })
-
-	// Hop 1: blinds and shuffles, forwards to hop 2.
-	rng1, err := shuffler.StageRand(seed, "shuffler1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := shuffler.NewShuffler1(rng1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.MinBatch = 1
-	s1.Workers = workers
-	s1svc, err := newShuffler1Service(s1, []string{s2L.Addr().String()}, s1cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s1svc.Close() })
-	s1L, err := transport.Serve("127.0.0.1:0", s1svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s1L.Close() })
-	return &chainRig{s1svc: s1svc, s2svc: s2svc, s1L: s1L, s2L: s2L, anlzL: anlzL}
-}
-
-// newShuffler1Service and newShuffler2Service build the two split-chain
-// hops the way cmd/prochlod's roles do: both admit blinded envelopes; hop 1
-// holds no keys and forwards to the hop-2 tier, hop 2 serves the chain's
-// key material and pushes to the analyzer tier.
-func newShuffler1Service(s1 *shuffler.Shuffler1, s2Addrs []string, cfg transport.EpochConfig) (*transport.StageService, error) {
-	return transport.NewStageService(s1, transport.Keys{}, s2Addrs, cfg)
-}
-
-func newShuffler2Service(s2 *shuffler.Shuffler2, anlzAddrs []string, cfg transport.EpochConfig) (*transport.StageService, error) {
-	keys := transport.Keys{Blinding: s2.Blinding.H.Bytes(), Key: s2.Priv.Public().Bytes()}
-	return transport.NewStageService(s2, keys, anlzAddrs, cfg)
-}
-
-// dial returns a RemotePipeline entering the chain at hop 1.
-func (r *chainRig) dial(t testing.TB, workers int) *prochlo.RemotePipeline {
-	t.Helper()
-	rp, err := prochlo.DialRemoteChainFleet(
-		[]string{r.s1L.Addr().String()}, []string{r.s2L.Addr().String()}, []string{r.anlzL.Addr().String()},
-		prochlo.WithRemoteWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rp.Close() })
-	return rp
-}
-
 // TestRemoteChainMatchesInProcess is the chain acceptance equivalence: a
 // seeded end-to-end run through the networked two-hop chain — blinded batch
-// RPC into the Shuffler 1 daemon, Forward push to the Shuffler 2 daemon,
-// analyzer ingestion, auto-flush epochs, any worker count — must produce a
+// submitted to the Shuffler 1 daemon, each epoch pushed to the Shuffler 2
+// daemon as a Submit of its own, analyzer ingestion, auto-flush epochs, any worker count — must produce a
 // histogram byte-identical to the in-process
 // ModeBlinded pipeline flushing the same chunks.
 func TestRemoteChainMatchesInProcess(t *testing.T) {
@@ -423,10 +325,9 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 			// Daemon chain: hop 1 auto-flushes an epoch per chunk; the
 			// per-chunk Flush is the drain barrier pinning the boundary at
 			// both hops.
-			rig := newChainRig(t, seed, tc.workers, th,
-				transport.EpochConfig{FlushAt: chunk},
-				transport.EpochConfig{FlushAt: tc.s2FlushAt})
-			rp := rig.dial(t, tc.workers)
+			f := startFleet(t, chainTiers(1, transport.EpochConfig{FlushAt: chunk}, transport.EpochConfig{FlushAt: tc.s2FlushAt}), 1,
+				shuffler.Params{Threshold: th, Seed: seed, MinBatch: 1, Workers: tc.workers}, nil)
+			rp := dialFleet(t, f, prochlo.WithRemoteWorkers(tc.workers))
 			var remote *prochlo.Result
 			for at := 0; at < reports; at += chunk {
 				if err := rp.SubmitBatch(labels[at:at+chunk], data[at:at+chunk]); err != nil {
@@ -489,9 +390,9 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 // exactly once — no drops, no double counts across chained epoch
 // boundaries.
 func TestRemoteChainConcurrentSoak(t *testing.T) {
-	rig := newChainRig(t, 0, 0, shuffler.Threshold{},
+	f := startFleet(t, chainTiers(1,
 		transport.EpochConfig{FlushAt: 40, MaxPending: 60},
-		transport.EpochConfig{FlushAt: 48, MaxPending: 120})
+		transport.EpochConfig{FlushAt: 48, MaxPending: 120}), 1, shuffler.Params{MinBatch: 1}, nil)
 	const (
 		goroutines = 8
 		batches    = 6
@@ -511,9 +412,7 @@ func TestRemoteChainConcurrentSoak(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rp, err := prochlo.DialRemoteChainFleet(
-				[]string{rig.s1L.Addr().String()}, []string{rig.s2L.Addr().String()}, []string{rig.anlzL.Addr().String()},
-				prochlo.WithRemoteWorkers(1))
+			rp, err := prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers, prochlo.WithRemoteWorkers(1))
 			if err != nil {
 				errs[g] = err
 				return
@@ -534,7 +433,7 @@ func TestRemoteChainConcurrentSoak(t *testing.T) {
 		}
 	}
 
-	rp := rig.dial(t, 1)
+	rp := dialFleet(t, f, prochlo.WithRemoteWorkers(1))
 	res, err := rp.Flush()
 	if err != nil {
 		t.Fatal(err)
@@ -624,24 +523,12 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 
 	// Persistent parties: the analyzer and every key survive the crashes;
 	// only the hop processes die.
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
+	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	s2Sec, err := shuffler.GenerateSecrets(group.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anlzL.Close()
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	params := shuffler.Params{Seed: seed, MinBatch: 1}
 
 	// Seeded fault schedules, shared across restarts: hop 1's first two
 	// forwards are duplicated (hop 2's dedup must absorb them), hop 2's
@@ -671,12 +558,8 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 		return nil
 	}
 	start2 := func(addr string) {
-		s2 := &shuffler.Shuffler2{
-			Blinding: blindKP, Priv: s2Priv,
-			Rand: workload.NewRand(2), MinBatch: 1,
-		}
 		var err error
-		s2svc, err = newShuffler2Service(s2, []string{anlzL.Addr().String()},
+		s2svc, err = newStage("shuffler2", s2Sec, params, anlzAddrs,
 			transport.EpochConfig{WALDir: s2WAL, Fault: s2Fault})
 		if err != nil {
 			t.Fatal(err)
@@ -684,12 +567,8 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 		s2L = serveAt(addr, s2svc)
 	}
 	start1 := func(addr string) {
-		s1, err := shuffler.NewShuffler1(workload.NewRand(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1.MinBatch = 1
-		s1svc, err = newShuffler1Service(s1, []string{s2L.Addr().String()},
+		var err error
+		s1svc, err = newStage("shuffler1", shuffler.Secrets{}, params, []string{s2L.Addr().String()},
 			transport.EpochConfig{FlushAt: 1000, WALDir: s1WAL, Fault: s1Fault})
 		if err != nil {
 			t.Fatal(err)
@@ -706,7 +585,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	}()
 	submit := func(at int) {
 		rp, err := prochlo.DialRemoteChainFleet(
-			[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, []string{anlzL.Addr().String()},
+			[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, anlzAddrs,
 			prochlo.WithRemoteWorkers(1))
 		if err != nil {
 			t.Fatal(err)
@@ -732,7 +611,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	// chunks (duplicated by the fault plan) through hop 2 to the analyzer.
 	submit(chunk)
 	rp, err := prochlo.DialRemoteChainFleet(
-		[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, []string{anlzL.Addr().String()},
+		[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, anlzAddrs,
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -761,7 +640,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	// redials the successor hop 2 at the old address.
 	submit(3 * chunk)
 	rp, err = prochlo.DialRemoteChainFleet(
-		[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, []string{anlzL.Addr().String()},
+		[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, anlzAddrs,
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -799,32 +678,16 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 // daemon serves a quote over its key, DialRemoteFleet with WithRemoteAttestation
 // verifies it before encoding, and a daemon without an enclave is refused.
 func TestRemoteSGXAttestation(t *testing.T) {
-	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anlzSvc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}, anlzPriv.Public().Bytes())
-	anlzL, err := transport.Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anlzL.Close()
-
+	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
 	ca, err := sgx.NewCA()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng, err := shuffler.StageRand(7, "shuffler")
+	sh, quote, err := shuffler.NewSGXShuffler(ca, shuffler.Params{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, quote, err := shuffler.NewSGXShuffler(ca, shuffler.Threshold{}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh.Seed = 7
-	svc, err := transport.NewStageService(sh, transport.Keys{Key: quote.ReportData},
-		[]string{anlzL.Addr().String()}, transport.EpochConfig{})
+	svc, err := transport.NewStageService(sh, anlzAddrs, transport.EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -838,7 +701,7 @@ func TestRemoteSGXAttestation(t *testing.T) {
 	}
 	defer shufL.Close()
 
-	rp, err := prochlo.DialRemoteFleet([]string{shufL.Addr().String()}, []string{anlzL.Addr().String()},
+	rp, err := prochlo.DialRemoteFleet([]string{shufL.Addr().String()}, anlzAddrs,
 		prochlo.WithRemoteAttestation(), prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -866,9 +729,8 @@ func TestRemoteSGXAttestation(t *testing.T) {
 
 	// A daemon without an enclave must be refused when the client demands
 	// attestation.
-	plain := newRemoteRig(t, 1, 1, transport.EpochConfig{})
-	if _, err := prochlo.DialRemoteFleet([]string{plain.shufL.Addr().String()}, []string{plain.anlzL.Addr().String()},
-		prochlo.WithRemoteAttestation()); err == nil {
+	plain := plainFleet(t, 1, 1, transport.EpochConfig{})
+	if _, err := prochlo.DialRemoteFleet(plain.Tiers[0], plain.Analyzers, prochlo.WithRemoteAttestation()); err == nil {
 		t.Error("unattested daemon accepted under WithRemoteAttestation")
 	}
 }
@@ -895,27 +757,24 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodKey, badKey := good.Public().Bytes(), bad.Public().Bytes()
-
-	analyzerAt := func(key []byte) string {
-		l, err := transport.Serve("127.0.0.1:0", transport.NewAnalyzerService(&analyzer.Analyzer{Priv: good}, key))
+	analyzerAt := func(priv *hybrid.PrivateKey) string {
+		l, err := transport.Serve("127.0.0.1:0", transport.NewAnalyzerService(&analyzer.Analyzer{Priv: priv}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
 		return l.Addr().String()
 	}
-	goodAnlz, badAnlz := analyzerAt(goodKey), analyzerAt(badKey)
+	goodAnlz, badAnlz := analyzerAt(good), analyzerAt(bad)
 
-	// stageAt serves keys (and, when attested is set, a valid quote over it)
-	// from a stage that never sees a report.
+	// stageAt serves st's keys (and, when attested is set, a valid quote over
+	// it) from a stage that never sees a report.
 	ca, err := sgx.NewCA()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stageAt := func(keys transport.Keys, attested []byte) string {
-		svc, err := transport.NewStageService(&shuffler.Shuffler{Priv: good}, keys,
-			[]string{goodAnlz}, transport.EpochConfig{})
+	stageAt := func(st shuffler.Stage, attested *hybrid.PrivateKey) string {
+		svc, err := transport.NewStageService(st, []string{goodAnlz}, transport.EpochConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -923,7 +782,7 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 		if attested != nil {
 			enclave := sgx.New(sgx.DefaultEPC, shuffler.SGXShufflerMeasurement)
 			ca.Provision(enclave)
-			quote, err := enclave.GenerateQuote(attested)
+			quote, err := enclave.GenerateQuote(attested.Public().Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -938,7 +797,11 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 		t.Cleanup(func() { l.Close() })
 		return l.Addr().String()
 	}
-	hop1 := stageAt(transport.Keys{}, nil)
+	plain := func(priv *hybrid.PrivateKey) shuffler.Stage { return &shuffler.Shuffler{Priv: priv} }
+	hop2 := func(blinding *elgamal.KeyPair, priv *hybrid.PrivateKey) shuffler.Stage {
+		return &shuffler.Shuffler2{Blinding: blinding, Priv: priv}
+	}
+	hop1 := stageAt(&shuffler.Shuffler1{}, nil)
 	fleet := func(shuf, anlz string, opts ...prochlo.RemoteOption) func() (*prochlo.RemotePipeline, error) {
 		return func() (*prochlo.RemotePipeline, error) {
 			return prochlo.DialRemoteFleet([]string{shuf}, []string{anlz}, opts...)
@@ -954,12 +817,12 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 		name, key string
 		dial      func() (*prochlo.RemotePipeline, error)
 	}{
-		{"fleet shuffler key", "shuffler key", fleet(stageAt(transport.Keys{Key: badKey}, nil), goodAnlz)},
-		{"fleet attested key", "shuffler key", fleet(stageAt(transport.Keys{Key: goodKey}, badKey), goodAnlz, prochlo.WithRemoteAttestation())},
-		{"fleet analyzer key", "analyzer key", fleet(stageAt(transport.Keys{Key: goodKey}, nil), badAnlz)},
-		{"chain blinding key", "shuffler 2 blinding key", chain(stageAt(transport.Keys{Blinding: badBlind.H.Bytes(), Key: goodKey}, nil), goodAnlz)},
-		{"chain hybrid key", "shuffler 2 key", chain(stageAt(transport.Keys{Blinding: goodBlind.H.Bytes(), Key: badKey}, nil), goodAnlz)},
-		{"chain analyzer key", "analyzer key", chain(stageAt(transport.Keys{Blinding: goodBlind.H.Bytes(), Key: goodKey}, nil), badAnlz)},
+		{"fleet shuffler key", "shuffler key", fleet(stageAt(plain(bad), nil), goodAnlz)},
+		{"fleet attested key", "shuffler key", fleet(stageAt(plain(good), bad), goodAnlz, prochlo.WithRemoteAttestation())},
+		{"fleet analyzer key", "analyzer key", fleet(stageAt(plain(good), nil), badAnlz)},
+		{"chain blinding key", "shuffler 2 blinding key", chain(stageAt(hop2(badBlind, good), nil), goodAnlz)},
+		{"chain hybrid key", "shuffler 2 key", chain(stageAt(hop2(goodBlind, bad), nil), goodAnlz)},
+		{"chain analyzer key", "analyzer key", chain(stageAt(hop2(goodBlind, good), nil), badAnlz)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rp, err := tc.dial()
@@ -975,8 +838,8 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 	}
 	// The same dials with every key on the deployed group go through.
 	for _, dial := range []func() (*prochlo.RemotePipeline, error){
-		fleet(stageAt(transport.Keys{Key: goodKey}, goodKey), goodAnlz, prochlo.WithRemoteAttestation()),
-		chain(stageAt(transport.Keys{Blinding: goodBlind.H.Bytes(), Key: goodKey}, nil), goodAnlz),
+		fleet(stageAt(plain(good), good), goodAnlz, prochlo.WithRemoteAttestation()),
+		chain(stageAt(hop2(goodBlind, good), nil), goodAnlz),
 	} {
 		rp, err := dial()
 		if err != nil {
@@ -987,8 +850,8 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 }
 
 // BenchmarkRemoteChain measures the networked two-hop blinded chain end to
-// end — blinded encode, batched RPC into hop 1, Forward push to hop 2,
-// analyzer ingestion — per report, for comparison against
+// end — blinded encode, batched Submit into hop 1, the epoch's Submit push
+// to hop 2, analyzer ingestion — per report, for comparison against
 // BenchmarkRemotePipeline: the difference is the second hop's transport and
 // El Gamal cost.
 func BenchmarkRemoteChain(b *testing.B) {
@@ -998,9 +861,9 @@ func BenchmarkRemoteChain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rig := newChainRig(b, 42, 0, th, transport.EpochConfig{}, transport.EpochConfig{})
-		rp, err := prochlo.DialRemoteChainFleet(
-			[]string{rig.s1L.Addr().String()}, []string{rig.s2L.Addr().String()}, []string{rig.anlzL.Addr().String()})
+		f := startFleet(b, chainTiers(1, transport.EpochConfig{}, transport.EpochConfig{}), 1,
+			shuffler.Params{Threshold: th, Seed: 42, MinBatch: 1}, nil)
+		rp, err := prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers)
 		if err != nil {
 			b.Fatal(err)
 		}
