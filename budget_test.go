@@ -1,0 +1,166 @@
+package prochlo_test
+
+import (
+	crand "crypto/rand"
+	"fmt"
+	"testing"
+
+	"prochlo/internal/analyzer"
+	"prochlo/internal/core"
+	"prochlo/internal/crypto/group"
+	"prochlo/internal/crypto/hybrid"
+	"prochlo/internal/encoder"
+	"prochlo/internal/shuffler"
+)
+
+// raceEnabled is set under -race (race_test.go), whose instrumentation
+// allocates on its own.
+var raceEnabled bool
+
+// budgetKit is one batch of budgetReports reports at every stage of both
+// chains, each stage built with one worker: the inputs of the allocation
+// and wire-size gates below.
+type budgetKit struct {
+	reports       []core.Report
+	labels        []string
+	data          [][]byte
+	client        *encoder.Client
+	bclient       *encoder.BlindedClient
+	plain, s1, s2 shuffler.Stage
+	anlzPriv      *hybrid.PrivateKey
+	envs          []core.Envelope        // the plain client's batch
+	blinded       []core.BlindedEnvelope // the blinded client's batch
+	mixed         []core.BlindedEnvelope // the blinded batch as hop 1 forwards it
+	inner         [][]byte               // the plain shuffler's output, for the analyzer
+}
+
+const budgetReports = 250
+
+func newBudgetKit(t *testing.T) *budgetKit {
+	t.Helper()
+	k := &budgetKit{}
+	payload := []byte("payload........................")
+	for i := 0; i < budgetReports; i++ {
+		label := fmt.Sprintf("crowd-%d", i%20)
+		k.reports = append(k.reports, core.Report{CrowdID: core.HashCrowdID(label), Data: payload})
+		k.labels, k.data = append(k.labels, label), append(k.data, payload)
+	}
+	stage := func(role string) (shuffler.Stage, shuffler.Secrets) {
+		sec, err := shuffler.GenerateSecrets(group.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := shuffler.NewStage(role, sec, shuffler.Params{Seed: 1, MinBatch: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, sec
+	}
+	var plainSec, s2Sec shuffler.Secrets
+	k.plain, plainSec = stage("shuffler")
+	k.s1, _ = stage("shuffler1")
+	k.s2, s2Sec = stage("shuffler2")
+	var err error
+	if k.anlzPriv, err = hybrid.GenerateKey(crand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	k.client = &encoder.Client{ShufflerKey: plainSec.Priv.Public(), AnalyzerKey: k.anlzPriv.Public(), Rand: crand.Reader}
+	k.bclient = &encoder.BlindedClient{Shuffler2Blinding: s2Sec.Blinding.H, Shuffler2Key: s2Sec.Priv.Public(),
+		AnalyzerKey: k.anlzPriv.Public(), Rand: crand.Reader}
+	if k.envs, err = k.client.EncodeBatch(k.reports, 1); err != nil {
+		t.Fatal(err)
+	}
+	if k.blinded, err = k.bclient.EncodeBatch(k.labels, k.data, 1); err != nil {
+		t.Fatal(err)
+	}
+	mixed, _, err := k.s1.ProcessEpoch(core.Batch{Blinded: k.blinded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peeled, _, err := k.plain.ProcessEpoch(core.Batch{Envelopes: k.envs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.mixed, k.inner = mixed.Blinded, peeled.Payloads
+	if len(k.mixed) != budgetReports || len(k.inner) != budgetReports {
+		t.Fatalf("hop 1 forwarded %d, the shuffler %d, want %d each", len(k.mixed), len(k.inner), budgetReports)
+	}
+	return k
+}
+
+// TestAllocBudgets gates the allocation counts per report (per record at
+// the analyzer) of the per-report hot paths, one worker each. Unlike their
+// times, these counts barely move between runs of one toolchain, so a rise
+// past a bound is a change, not noise. Each bound is the value measured on
+// Go 1.24 when the gate was set, rounded up; lower one when a change takes
+// allocations out.
+func TestAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	k := newBudgetKit(t)
+	analyzerOpen := &analyzer.Analyzer{Priv: k.anlzPriv, Workers: 1}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		run  func() error
+	}{
+		{"Client.EncodeBatch", 13, func() error { _, err := k.client.EncodeBatch(k.reports, 1); return err }},
+		{"BlindedClient.EncodeBatch", 19, func() error { _, err := k.bclient.EncodeBatch(k.labels, k.data, 1); return err }},
+		{"PrivateKey.OpenBatch", 5, func() error {
+			_, errs := k.anlzPriv.OpenBatch(k.inner, nil, 1)
+			return errs[0]
+		}},
+		{"Analyzer.Open", 5, func() error { analyzerOpen.Open(k.inner); return nil }},
+		{"Shuffler.ProcessEpoch", 5, func() error {
+			_, _, err := k.plain.ProcessEpoch(core.Batch{Envelopes: k.envs})
+			return err
+		}},
+		{"Shuffler1.ProcessEpoch", 5, func() error {
+			_, _, err := k.s1.ProcessEpoch(core.Batch{Blinded: k.blinded})
+			return err
+		}},
+		{"Shuffler2.ProcessEpoch", 10, func() error {
+			_, _, err := k.s2.ProcessEpoch(core.Batch{Blinded: k.mixed})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			perReport := testing.AllocsPerRun(3, func() {
+				if e := tc.run(); e != nil {
+					err = e
+				}
+			}) / budgetReports
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%.2f allocs per report (bound %.0f)", perReport, tc.max)
+			if perReport > tc.max {
+				t.Errorf("%.2f allocs per report, bound %.0f", perReport, tc.max)
+			}
+		})
+	}
+}
+
+// TestWireBytesPerReport pins core.AppendBatch's size for each batch kind of
+// budgetReports reports: what a report costs on the wire moves only when an
+// envelope's layout or a sealed size does.
+func TestWireBytesPerReport(t *testing.T) {
+	k := newBudgetKit(t)
+	for _, tc := range []struct {
+		name  string
+		batch core.Batch
+		want  int
+	}{
+		{"envelopes", core.Batch{Envelopes: k.envs}, 57253},
+		{"blinded", core.Batch{Blinded: k.blinded}, 88503},
+		{"payloads", core.Batch{Payloads: k.inner}, 31253},
+	} {
+		got := len(core.AppendBatch(nil, tc.batch))
+		if got != tc.want {
+			t.Errorf("%s: %d bytes for %d reports (%.3f per report), want %d (%.3f)", tc.name,
+				got, budgetReports, float64(got)/budgetReports, tc.want, float64(tc.want)/budgetReports)
+		}
+	}
+}

@@ -44,7 +44,8 @@
 // shuffler1 daemon splits each epoch by the client-stamped crowd partition
 // and pushes each slice to its owning shuffler2 replica, and a thresholding
 // hop spreads its output across the analyzer partitions by content hash.
-// Replicas of a key-holding tier share keys via one -key-file:
+// Replicas of a tier share keys via one -key-file (shuffler1's holds the
+// blinding exponent; replicas with different ones split crowds at hop 2):
 //
 //	prochlod -role shuffler2 -listen 127.0.0.1:7102 -key-file s2.key \
 //	         -next 127.0.0.1:7110,127.0.0.1:7111
@@ -221,10 +222,11 @@ func deployedScalar(path, line string) ([]byte, error) {
 
 // loadKeys reads the daemon's long-lived secrets from path, generating and
 // persisting them (0600, atomic rename) on first start. The file holds hex
-// scalars, one per line: the hybrid decryption key, plus the El Gamal
-// blinding secret when wantBlinding (the shuffler2 role). An empty path
-// generates ephemeral keys — fine until the daemon must decrypt reports it
-// recovered from a WAL written by its predecessor.
+// scalars, one per line: the hybrid decryption key, plus, when wantBlinding,
+// the El Gamal secret — shuffler2's crowd-ID key or shuffler1's α (shuffler1
+// leaves the first line unused). An empty path generates ephemeral keys —
+// fine until the daemon must decrypt reports it recovered from a WAL written
+// by its predecessor, or a shuffler1 must blind as its tier does.
 func loadKeys(path string, wantBlinding bool) (shuffler.Secrets, error) {
 	want := 1
 	if wantBlinding {
@@ -313,34 +315,32 @@ func printEpochs(cfg transport.EpochConfig) {
 	}
 }
 
-// runStage runs a shuffler role: the stage shuffler.NewStage builds from the
-// role, its tier's secrets in -key-file (shuffler1 holds none) and the flags
-// — or, with -sgx, a shuffler that makes and attests its key in an enclave —
-// serving the keys its stage holds and pushing its epochs to the -next tier.
-func runStage(role string, p shuffler.Params, o stageOpts) {
-	var (
-		st    shuffler.Stage
-		ca    *sgx.CA
-		quote sgx.Quote
-		err   error
-	)
-	switch {
-	case o.sgx:
+// buildStage builds a shuffler role's stage: the one shuffler.NewStage builds
+// from the role, its tier's secrets in -key-file and the flags — or, with
+// -sgx, a shuffler that makes and attests its key in an enclave.
+func buildStage(role string, p shuffler.Params, o stageOpts) (st shuffler.Stage, ca *sgx.CA, quote sgx.Quote, err error) {
+	if o.sgx {
 		if role != "shuffler" || o.keyFile != "" {
-			fatal(errors.New("-sgx runs the shuffler role without -key-file: the enclave owns its key and attests it per process"))
+			return nil, nil, quote, errors.New("-sgx runs the shuffler role without -key-file: the enclave owns its key and attests it per process")
 		}
 		if ca, err = sgx.NewCA(); err != nil {
-			fatal(err)
+			return nil, nil, quote, err
 		}
 		st, quote, err = shuffler.NewSGXShuffler(ca, p)
-	case role == "shuffler1":
-		st, err = shuffler.NewStage(role, shuffler.Secrets{}, p)
-	default:
-		var sec shuffler.Secrets
-		if sec, err = loadKeys(o.keyFile, role == "shuffler2"); err == nil {
-			st, err = shuffler.NewStage(role, sec, p)
-		}
+		return st, ca, quote, err
 	}
+	sec, err := loadKeys(o.keyFile, role != "shuffler")
+	if err != nil {
+		return nil, nil, quote, err
+	}
+	st, err = shuffler.NewStage(role, sec, p)
+	return st, nil, quote, err
+}
+
+// runStage runs a shuffler role, serving the keys its stage holds and
+// pushing its epochs to the -next tier.
+func runStage(role string, p shuffler.Params, o stageOpts) {
+	st, ca, quote, err := buildStage(role, p, o)
 	if err != nil {
 		fatal(err)
 	}

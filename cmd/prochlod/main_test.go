@@ -12,6 +12,7 @@ import (
 
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
+	"prochlo/internal/shuffler"
 )
 
 // TestLoadKeysRefusesOtherGroupScalar: a key file holds bare scalars, so the
@@ -60,5 +61,26 @@ func TestLoadKeysRefusesOtherGroupScalar(t *testing.T) {
 			!strings.Contains(err.Error(), "this build deploys ristretto255") {
 			t.Errorf("%s on P-256: loadKeys = %v, want the other-group refusal", name, err)
 		}
+	}
+}
+
+// TestShuffler1KeyFileKeepsAlpha: shuffler1's -key-file holds its tier's
+// blinding exponent in the El Gamal line, so every replica and every restart
+// started from the file blinds with the same α — and still serves no key.
+func TestShuffler1KeyFileKeepsAlpha(t *testing.T) {
+	o := stageOpts{keyFile: filepath.Join(t.TempDir(), "s1.key")}
+	var alphas []*big.Int
+	for start := 0; start < 2; start++ {
+		st, _, _, err := buildStage("shuffler1", shuffler.Params{}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blinding, key := st.PublicKeys(); blinding != nil || key != nil {
+			t.Fatal("shuffler1 serves a key")
+		}
+		alphas = append(alphas, st.(*shuffler.Shuffler1).Alpha)
+	}
+	if alphas[0].Cmp(alphas[1]) != 0 {
+		t.Fatal("a shuffler1 restarted from its key file blinds with another α")
 	}
 }

@@ -2,8 +2,7 @@
 // deployment: K concurrent client goroutines offer encoded report batches
 // to a shuffler fleet in closed- or open-loop mode and emit one structured
 // JSON (or CSV) result row — throughput, latency percentiles, and the
-// fleet's reconciliation ledger — so BENCH_pipeline.json accumulates
-// macro curves instead of single-core points.
+// fleet's reconciliation ledger — per fleet shape.
 //
 // Two ways to point it at a fleet:
 //

@@ -478,152 +478,3 @@ func FuzzDecryptBatchEquivalence(f *testing.F) {
 		}
 	})
 }
-
-func BenchmarkEncryptCrowdID(b *testing.B) {
-	kp, _ := GenerateKeyPair(rand.Reader)
-	e := NewEncrypter(kp.H)
-	e.keyTable() // build outside the timer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.EncryptCrowdID(rand.Reader, []byte("crowd")); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBlind(b *testing.B) {
-	kp, _ := GenerateKeyPair(rand.Reader)
-	alpha, _ := RandomScalar(rand.Reader)
-	ct, _ := EncryptCrowdID(rand.Reader, kp.H, []byte("crowd"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Blind(ct, alpha)
-	}
-}
-
-func BenchmarkDecrypt(b *testing.B) {
-	kp, _ := GenerateKeyPair(rand.Reader)
-	ct, _ := EncryptCrowdID(rand.Reader, kp.H, []byte("crowd"))
-	d := kp.Decrypter()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Decrypt(ct)
-	}
-}
-
-// BenchmarkHashToPointCacheMiss measures the uncached try-and-increment
-// path (every iteration hashes a fresh label), the case the hoisted loop
-// constants speed up; the P-256 variant is the historical hot spot.
-func BenchmarkHashToPointCacheMiss(b *testing.B) {
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		b.Run(g.Name(), func(b *testing.B) {
-			var label [8]byte
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				label[0], label[1], label[2], label[3] = byte(i), byte(i>>8), byte(i>>16), byte(i>>24)
-				HashToPointGroup(g, label[:])
-			}
-		})
-	}
-}
-
-// BenchmarkElGamalBackends tracks the crowd-ID blinding hot path on each
-// group backend: encrypt/blind/decrypt one ciphertext per op serially, and
-// the batch kernels amortized over 256 ciphertexts on one worker (one
-// scalar recoding and one shared inversion per batch). ns/ct is the
-// comparable unit across serial and batch rows.
-func BenchmarkElGamalBackends(b *testing.B) {
-	const batch = 256
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := NewEncrypter(kp.H)
-		e.keyTable() // build outside the timer
-		alpha, err := RandomScalarGroup(g, rand.Reader)
-		if err != nil {
-			b.Fatal(err)
-		}
-		makeCts := func(n int) []Ciphertext {
-			cts := make([]Ciphertext, n)
-			for i := range cts {
-				ct, err := e.EncryptCrowdID(rand.Reader, []byte("crowd"))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cts[i] = ct
-			}
-			return cts
-		}
-		b.Run(g.Name()+"/encrypt", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.EncryptCrowdID(rand.Reader, []byte("crowd")); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ct")
-		})
-		b.Run(g.Name()+"/encrypt-batch", func(b *testing.B) {
-			ids := make([][]byte, batch)
-			rngs := make([]io.Reader, batch)
-			for i := range ids {
-				ids[i] = []byte("crowd")
-				rngs[i] = rand.Reader
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.EncryptCrowdIDBatch(rngs, ids, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ct")
-		})
-		b.Run(g.Name()+"/blind", func(b *testing.B) {
-			ct := makeCts(1)[0]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Blind(ct, alpha)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ct")
-		})
-		b.Run(g.Name()+"/blind-batch", func(b *testing.B) {
-			blinder := NewBlinderGroup(g, alpha)
-			cts := makeCts(batch)
-			scratch := make([]Ciphertext, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(scratch, cts)
-				blinder.BlindBatch(scratch)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ct")
-		})
-		b.Run(g.Name()+"/decrypt", func(b *testing.B) {
-			ct := makeCts(1)[0]
-			d := kp.Decrypter()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.Decrypt(ct)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ct")
-		})
-		b.Run(g.Name()+"/decrypt-batch", func(b *testing.B) {
-			cts := makeCts(batch)
-			d := kp.Decrypter()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.DecryptBatch(cts)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/ct")
-		})
-	}
-}

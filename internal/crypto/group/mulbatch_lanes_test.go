@@ -13,7 +13,7 @@ import (
 // reports: the lane ladder is selected exactly when this is the amd64
 // assembly build and /proc/cpuinfo lists avx512f and avx512ifma (Linux lists
 // them only when it also saves the ZMM state). It logs the selected kernel
-// either way; scripts/capture_bench.sh and CI read that line.
+// either way; CI prints that line, to name the kernel a green run covered.
 func TestKernelMatchesCPU(t *testing.T) {
 	t.Logf("selected kernel: %s", kernel())
 	cpuinfo, err := os.ReadFile("/proc/cpuinfo")

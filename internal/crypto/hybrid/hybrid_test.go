@@ -450,61 +450,6 @@ func TestSealBatchDeterministic(t *testing.T) {
 	}
 }
 
-func BenchmarkSeal64B(b *testing.B) {
-	priv, _ := GenerateKey(rand.Reader)
-	pub := priv.Public()
-	pt := make([]byte, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Seal(rand.Reader, pub, pt, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOpen64B(b *testing.B) {
-	priv, _ := GenerateKey(rand.Reader)
-	ct, _ := Seal(rand.Reader, priv.Public(), make([]byte, 64), nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := priv.Open(ct, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSealInto64B is the encoder workers' calling convention: the
-// envelope destination is carved out of a pre-sized batch buffer.
-func BenchmarkSealInto64B(b *testing.B) {
-	priv, _ := GenerateKey(rand.Reader)
-	pub := priv.Public()
-	pt := make([]byte, 64)
-	dst := make([]byte, 0, 64+Overhead)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SealInto(rand.Reader, pub, dst, pt, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOpenInto64B is the shuffler workers' calling convention: the
-// plaintext destination is reused across records.
-func BenchmarkOpenInto64B(b *testing.B) {
-	priv, _ := GenerateKey(rand.Reader)
-	ct, _ := Seal(rand.Reader, priv.Public(), make([]byte, 64), nil)
-	dst := make([]byte, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := priv.OpenInto(dst, ct, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestBothGroupBackends runs the core seal/open contract on each group
 // backend explicitly (the tests above exercise whichever is the default).
 func TestBothGroupBackends(t *testing.T) {
@@ -615,75 +560,6 @@ func TestOpenRejectsIdentityHeader(t *testing.T) {
 	}
 	if _, err := priv.Open(ct, nil); err == nil {
 		t.Fatal("identity ephemeral header accepted")
-	}
-}
-
-// BenchmarkHybridBackends tracks the envelope hot path on each group
-// backend: one Seal/Open per op serially, and the batch kernels amortized
-// over 256 envelopes on one worker. ns/env is the comparable unit — it is
-// what a pipeline report pays per encryption layer.
-func BenchmarkHybridBackends(b *testing.B) {
-	const batch = 256
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		priv, err := GenerateKeyGroup(g, rand.Reader)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pub := priv.Public()
-		pt := make([]byte, 64)
-		b.Run(g.Name()+"/seal", func(b *testing.B) {
-			dst := make([]byte, 0, 64+Overhead)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := SealInto(rand.Reader, pub, dst, pt, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/env")
-		})
-		b.Run(g.Name()+"/seal-batch", func(b *testing.B) {
-			pts := make([][]byte, batch)
-			for i := range pts {
-				pts[i] = pt
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := SealBatch(rand.Reader, pub, pts, nil, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/env")
-		})
-		ct, err := Seal(rand.Reader, pub, pt, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(g.Name()+"/open", func(b *testing.B) {
-			dst := make([]byte, 0, 64)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := priv.OpenInto(dst, ct, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/env")
-		})
-		b.Run(g.Name()+"/open-batch", func(b *testing.B) {
-			cts := make([][]byte, batch)
-			for i := range cts {
-				cts[i] = ct
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_, errs := priv.OpenBatch(cts, nil, 1)
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/env")
-		})
 	}
 }
 

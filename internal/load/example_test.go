@@ -18,8 +18,7 @@ func (c *countingSubmitter) SubmitBatch(labels []string, data [][]byte) error {
 
 // ExampleRun drives a submitter with four seeded clients and reads the
 // measured (post-warmup) report count off the structured result. Against a
-// real fleet the submitter would be prochlo.DialRemoteChainFleet's pipeline
-// and the result row would be appended to BENCH_pipeline.json.
+// real fleet the submitter would be prochlo.DialRemoteChainFleet's pipeline.
 func ExampleRun() {
 	var sink countingSubmitter
 	res, err := load.Run(&sink, load.Config{

@@ -1,7 +1,7 @@
 // Package load is the macro-scale load harness: it drives a PROCHLO
 // pipeline with K concurrent client goroutines submitting encoded report
-// batches, and reports latency percentiles and throughput instead of the
-// single-core microbenchmark means in BENCH_*.json.
+// batches, and reports latency percentiles, throughput and the fleet's
+// reconciliation ledger.
 //
 // Two pacing modes:
 //
@@ -107,7 +107,7 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // Result is one run's structured outcome — the JSON/CSV row the harness
-// emits, so BENCH_pipeline.json can accumulate macro curves.
+// emits, one per fleet shape of a sweep.
 type Result struct {
 	Clients    int     `json:"clients"`
 	Batches    int     `json:"batches"`

@@ -23,6 +23,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	crand "crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -159,20 +160,17 @@ func (s *sealer) open(ct []byte) ([]byte, error) {
 	return s.gcm.Open(nil, ct[:12], ct[12:], nil)
 }
 
-// newRand returns a seeded PRNG if seed != 0 (reproducible tests) or a
-// cryptographically seeded one otherwise.
+// newRand returns the ChaCha8 stream a shuffle draws its permutation from:
+// keyed by SHA-256 over a domain string and the seed if seed != 0
+// (reproducible tests), by 32 bytes from crypto/rand otherwise.
 func newRand(seed uint64) *rand.Rand {
+	var key [32]byte
 	if seed != 0 {
-		return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	}
-	var b [16]byte
-	if _, err := io.ReadFull(crand.Reader, b[:]); err != nil {
+		key = sha256.Sum256(binary.LittleEndian.AppendUint64([]byte("prochlo-oblivious-rng:"), seed))
+	} else if _, err := io.ReadFull(crand.Reader, key[:]); err != nil {
 		panic("oblivious: no entropy: " + err.Error())
 	}
-	return rand.New(rand.NewPCG(
-		binary.LittleEndian.Uint64(b[:8]),
-		binary.LittleEndian.Uint64(b[8:]),
-	))
+	return rand.New(rand.NewChaCha8(key))
 }
 
 // meteredCodec wraps a Codec so that every Open/Seal is charged to the

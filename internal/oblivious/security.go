@@ -20,8 +20,8 @@ import "math"
 //
 // These bounds characterize *this implementation's* infeasible-permutation
 // mass. They are not the paper's ε (whose analysis also accounts for the
-// distributional distance of feasible permutations), so Table 1 benchmarks
-// print both values side by side; see EXPERIMENTS.md.
+// distributional distance of feasible permutations), so `prochlo-paper
+// stashbench` prints both values side by side; see EXPERIMENTS.md.
 
 // StashSecurityBound returns log2 of an upper bound on the probability that
 // a Stash Shuffle with the given parameters hits an infeasible permutation

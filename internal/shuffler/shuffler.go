@@ -136,7 +136,7 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 // metadata, and shuffles. It cannot decrypt crowd IDs (no Shuffler 2 private
 // key) nor data (no analyzer key).
 type Shuffler1 struct {
-	Alpha    *big.Int     // blinding exponent, fixed per batch epoch
+	Alpha    *big.Int     // blinding exponent, fixed per tier (every replica and restart blinds with it)
 	Group    cgroup.Group // El Gamal group backend; nil selects the default
 	Rand     *rand.Rand
 	MinBatch int // anonymity floor per epoch; 0 selects DefaultMinBatch
@@ -150,14 +150,9 @@ func (s *Shuffler1) group() cgroup.Group {
 	return s.Group
 }
 
-// NewShuffler1 draws a fresh blinding exponent on the default group.
-func NewShuffler1(rng *rand.Rand) (*Shuffler1, error) {
-	return NewShuffler1Group(cgroup.Default(), rng)
-}
-
-// NewShuffler1Group draws a fresh blinding exponent on an explicit group
-// (the exponent range is the group order, so the backend must be fixed
-// before the draw).
+// NewShuffler1Group draws a fresh blinding exponent on an explicit group (the
+// exponent range is the group order, so the backend must be fixed before the
+// draw). A tier's replicas must share one α instead: build them with NewStage.
 func NewShuffler1Group(g cgroup.Group, rng *rand.Rand) (*Shuffler1, error) {
 	alpha, err := elgamal.RandomScalarGroup(g, crand.Reader)
 	if err != nil {

@@ -214,10 +214,11 @@ func TestBlindedPipeline(t *testing.T) {
 	add("crowd-popular", "popular", 80)
 	add("crowd-rare", "rare", 2)
 
-	s1, err := NewShuffler1(newRNG())
+	alpha, err := elgamal.RandomScalar(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1 := &Shuffler1{Alpha: alpha, Rand: newRNG()}
 	blinded, err := s1.Process(batch)
 	if err != nil {
 		t.Fatal(err)

@@ -46,8 +46,9 @@ type Stage interface {
 }
 
 // Secrets is the key material a tier's replicas share (cmd/prochlod keeps it
-// in one -key-file): the hybrid key the tier decrypts with and the El Gamal
-// pair shuffler2 recovers blinded crowd IDs with.
+// in one -key-file): the hybrid key the tier decrypts with and an El Gamal
+// pair — shuffler2's crowd-ID key, or shuffler1's blinding exponent α, which
+// every hop-1 replica must share and shuffler2 must not hold.
 type Secrets struct {
 	Priv     *hybrid.PrivateKey
 	Blinding *elgamal.KeyPair
@@ -75,9 +76,9 @@ type Params struct {
 // "shuffler2" — from its tier's secrets and the deployment's parameters. It is
 // the one place the rules of a role live: every stage draws
 // StageRand(p.Seed, role), so a seeded replica, daemon or in-process pipeline
-// reproduces the same draws; shuffler1 holds no key (it keeps only the group
-// of sec, drawing a fresh blinding exponent there); and shuffler2's floor is
-// 1, because the chain's entry hop enforces the anonymity floor and hop 2 must
+// reproduces the same draws; shuffler1 blinds with its tier's α,
+// sec.Blinding.X, and holds no decryption key; and shuffler2's floor is 1,
+// because the chain's entry hop enforces the anonymity floor and hop 2 must
 // accept whatever hop 1 forwards (malformed drops can shrink an epoch). The
 // SGX shuffler, which makes and attests its own key, is NewSGXShuffler.
 func NewStage(role string, sec Secrets, p Params) (Stage, error) {
@@ -89,16 +90,10 @@ func NewStage(role string, sec Secrets, p Params) (Stage, error) {
 	case "shuffler":
 		return &Shuffler{Priv: sec.Priv, Threshold: p.Threshold, Rand: rng, MinBatch: p.MinBatch, Workers: p.Workers}, nil
 	case "shuffler1":
-		g := cgroup.Default()
-		if sec.Priv != nil {
-			g = sec.Priv.Group()
+		if sec.Blinding == nil {
+			return nil, fmt.Errorf("shuffler: shuffler1 needs its tier's blinding exponent")
 		}
-		s1, err := NewShuffler1Group(g, rng)
-		if err != nil {
-			return nil, err
-		}
-		s1.MinBatch, s1.Workers = p.MinBatch, p.Workers
-		return s1, nil
+		return &Shuffler1{Alpha: sec.Blinding.X, Group: sec.Blinding.G, Rand: rng, MinBatch: p.MinBatch, Workers: p.Workers}, nil
 	case "shuffler2":
 		return &Shuffler2{Blinding: sec.Blinding, Priv: sec.Priv, Threshold: p.Threshold, Rand: rng, MinBatch: 1, Workers: p.Workers}, nil
 	}
@@ -230,18 +225,18 @@ func (s *Shuffler2) PublicKeys() (blinding, key []byte) {
 // draws stage A consumed in the same process.) Stage names in use:
 // "shuffler" (plain and SGX), "shuffler1", "shuffler2".
 //
-// For seed == 0 the RNG is seeded from crypto/rand (production).
+// The stream is ChaCha8, a CSPRNG: it draws the permutation and the
+// threshold noise, so its outputs must not predict the rest of it. For
+// seed == 0 its key is 32 bytes from crypto/rand (production); otherwise it
+// is SHA-256 over a domain string, the stage name and the seed.
 func StageRand(seed uint64, stage string) (*rand.Rand, error) {
+	var key [32]byte
 	if seed == 0 {
-		var b [16]byte
-		if _, err := crand.Read(b[:]); err != nil {
+		if _, err := crand.Read(key[:]); err != nil {
 			return nil, err
 		}
-		return rand.New(rand.NewPCG(
-			binary.LittleEndian.Uint64(b[:8]), binary.LittleEndian.Uint64(b[8:]))), nil
+	} else {
+		key = sha256.Sum256(binary.LittleEndian.AppendUint64([]byte("prochlo-stage-rng:"+stage+":"), seed))
 	}
-	h := sha256.Sum256([]byte("prochlo-stage-rng:" + stage))
-	return rand.New(rand.NewPCG(
-		seed^binary.LittleEndian.Uint64(h[:8]),
-		(seed^0xa5a5a5a5)^binary.LittleEndian.Uint64(h[8:16]))), nil
+	return rand.New(rand.NewChaCha8(key)), nil
 }

@@ -10,6 +10,7 @@ import (
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
+	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
 	"prochlo/internal/shuffler"
@@ -277,11 +278,14 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stageL.Close()
-	s1, err := shuffler.NewShuffler1(rand.New(rand.NewPCG(3, 5)))
+	sec, err := shuffler.GenerateSecrets(group.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.MinBatch = 1
+	s1, err := shuffler.NewStage("shuffler1", sec, shuffler.Params{MinBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name  string

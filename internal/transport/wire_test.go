@@ -816,30 +816,3 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.SetBytes(int64(len(arena)))
 	})
 }
-
-// BenchmarkForwardPush measures one hop-to-hop push end to end over
-// loopback TCP, through the sender a stage pushes with. Every push reuses
-// the same (stream, epoch), so the receiver's dedup absorbs it after the
-// first — the benchmark stays allocation- and memory-flat and measures pure
-// wire cost.
-func BenchmarkForwardPush(b *testing.B) {
-	rig := newStreamingRig(b, EpochConfig{})
-	batch := benchBatch(500, 128)
-	b.Run("binary", func(b *testing.B) {
-		p, err := dialPeer(rig.shuf, newAborter(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := p.send(77, 1, batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if st := rig.svc.Stats(); st.Accepted != int64(batch.Len()) {
-		b.Fatalf("accepted = %d, want the one push of %d (the rest deduplicated)", st.Accepted, batch.Len())
-	}
-}

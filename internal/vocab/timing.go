@@ -3,11 +3,10 @@ package vocab
 import (
 	crand "crypto/rand"
 	"fmt"
-	"math/rand/v2"
 	"time"
 
 	"prochlo/internal/core"
-	"prochlo/internal/crypto/elgamal"
+	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
 	"prochlo/internal/shuffler"
@@ -36,17 +35,24 @@ type TimingResult struct {
 // operations, the property the paper calls out.
 func MeasureTiming(nClients int) (TimingResult, error) {
 	res := TimingResult{Clients: nClients}
-	rng := rand.New(rand.NewPCG(99, 101))
-
-	shufPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		return res, err
+	// One tier's secrets and stage per role, as a deployment builds them.
+	secs, stages := map[string]shuffler.Secrets{}, map[string]shuffler.Stage{}
+	for _, role := range []string{"shuffler", "shuffler1", "shuffler2"} {
+		sec, err := shuffler.GenerateSecrets(group.Default())
+		if err != nil {
+			return res, err
+		}
+		st, err := shuffler.NewStage(role, sec, shuffler.Params{Seed: 99, MinBatch: 1})
+		if err != nil {
+			return res, err
+		}
+		secs[role], stages[role] = sec, st
 	}
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		return res, err
 	}
-	client := &encoder.Client{ShufflerKey: shufPriv.Public(), AnalyzerKey: anlzPriv.Public(), Rand: crand.Reader}
+	client := &encoder.Client{ShufflerKey: secs["shuffler"].Priv.Public(), AnalyzerKey: anlzPriv.Public(), Rand: crand.Reader}
 
 	// Single-shuffler path: encode every report, then shuffler-process.
 	start := time.Now()
@@ -59,23 +65,15 @@ func MeasureTiming(nClients int) (TimingResult, error) {
 		}
 		batch[i] = env
 	}
-	s := &shuffler.Shuffler{Priv: shufPriv, Threshold: shuffler.Threshold{}, Rand: rng, MinBatch: 1}
-	if _, _, err := s.Process(batch); err != nil {
+	if _, _, err := stages["shuffler"].ProcessEpoch(core.Batch{Envelopes: batch}); err != nil {
 		return res, err
 	}
 	res.EncoderShuffler1 = time.Since(start)
 
 	// Blinded path.
-	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
-	if err != nil {
-		return res, err
-	}
-	s2Priv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		return res, err
-	}
+	s2 := secs["shuffler2"]
 	bclient := &encoder.BlindedClient{
-		Shuffler2Blinding: blindKP.H, Shuffler2Key: s2Priv.Public(),
+		Shuffler2Blinding: s2.Blinding.H, Shuffler2Key: s2.Priv.Public(),
 		AnalyzerKey: anlzPriv.Public(), Rand: crand.Reader,
 	}
 	start = time.Now()
@@ -88,19 +86,14 @@ func MeasureTiming(nClients int) (TimingResult, error) {
 		}
 		bbatch[i] = env
 	}
-	s1, err := shuffler.NewShuffler1(rng)
-	if err != nil {
-		return res, err
-	}
-	blinded, err := s1.Process(bbatch)
+	blinded, _, err := stages["shuffler1"].ProcessEpoch(core.Batch{Blinded: bbatch})
 	if err != nil {
 		return res, err
 	}
 	res.BlindedEncoderShuffler1 = time.Since(start)
 
 	start = time.Now()
-	s2 := &shuffler.Shuffler2{Blinding: blindKP, Priv: s2Priv, Threshold: shuffler.Threshold{}, Rand: rng}
-	if _, _, err := s2.Process(blinded); err != nil {
+	if _, _, err := stages["shuffler2"].ProcessEpoch(blinded); err != nil {
 		return res, err
 	}
 	res.BlindedShuffler2 = time.Since(start)

@@ -216,9 +216,9 @@ func New(opts ...Option) (*Pipeline, error) {
 	}
 	p.an = &analyzer.Analyzer{Priv: p.analyzerPriv, Workers: p.workers}
 
-	// One tier's secrets serve the mode's stages: the plain shuffler's key, or
-	// shuffler2's keys in the split chain (shuffler1 holds none; the SGX
-	// shuffler makes its own in the enclave).
+	// sec is the secrets of the tier clients encrypt to: the plain shuffler's
+	// key, or shuffler2's keys in the split chain (shuffler1 blinds with a
+	// tier of its own; the SGX shuffler makes its key in the enclave).
 	sec, err := shuffler.GenerateSecrets(p.group)
 	if err != nil {
 		return nil, err
@@ -260,8 +260,14 @@ func New(opts ...Option) (*Pipeline, error) {
 			Rand:        crand.Reader,
 		}
 	case ModeBlinded:
-		for _, role := range []string{"shuffler1", "shuffler2"} {
-			st, err := shuffler.NewStage(role, sec, params)
+		// Were hop 1's α shuffler2's El Gamal secret, hop 2 could
+		// dictionary-attack crowd IDs.
+		s1Sec, err := shuffler.GenerateSecrets(p.group)
+		if err != nil {
+			return nil, err
+		}
+		for i, role := range []string{"shuffler1", "shuffler2"} {
+			st, err := shuffler.NewStage(role, []shuffler.Secrets{s1Sec, sec}[i], params)
 			if err != nil {
 				return nil, err
 			}

@@ -131,9 +131,14 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	inProcess := ref.Histogram
 
 	// Persistent parties and key material: both analyzer partitions share
-	// one key, both shuffler-2 replicas share the blinding and hybrid keys
-	// (as daemons sharing a key file would); only shuffler processes die.
+	// one key, both shuffler-1 replicas one blinding exponent and both
+	// shuffler-2 replicas the blinding and hybrid keys (as daemons sharing a
+	// key file would); only shuffler processes die.
 	anlzAddrs := startFleet(t, nil, 2, shuffler.Params{}, nil).Analyzers
+	s1Sec, err := shuffler.GenerateSecrets(group.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
 	s2Sec, err := shuffler.GenerateSecrets(group.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +210,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		{Seed: fs + 1, PDup: 1, MaxFaults: 2},
 	}
 	start1 := func(i int, addr string) error {
-		svc, err := newStage("shuffler1", shuffler.Secrets{}, params, s2Addrs,
+		svc, err := newStage("shuffler1", s1Sec, params, s2Addrs,
 			transport.EpochConfig{FlushAt: 1000, WALDir: s1WALs[i], Fault: s1Faults[i]})
 		if err != nil {
 			return err
@@ -387,9 +392,13 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 	}
 	t.Cleanup(func() { s2svc.Close() })
 	s2Addr := serve(s2svc)
+	s1Sec, err := shuffler.GenerateSecrets(group.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var s1Addrs []string
 	for i := 0; i < 2; i++ {
-		svc, err := newStage("shuffler1", shuffler.Secrets{}, params, []string{s2Addr}, transport.EpochConfig{})
+		svc, err := newStage("shuffler1", s1Sec, params, []string{s2Addr}, transport.EpochConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -444,6 +453,116 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 		if n := srv.accepts.Load(); n != atDial[i] {
 			t.Errorf("party %s accepted %d connections after the dial returned, want 0", srv.addr(), n-atDial[i])
 		}
+	}
+}
+
+// oneCrowd is n reports of one crowd, every one carrying the same value.
+func oneCrowd(n int) (labels []string, data [][]byte) {
+	for i := 0; i < n; i++ {
+		labels, data = append(labels, "one-crowd"), append(data, []byte("one-value"))
+	}
+	return labels, data
+}
+
+// TestHop1ReplicasShareAlpha: the blinding exponent α is tier key material.
+// A crowd of exactly T reports that enters half through each of two hop-1
+// replicas must reach hop 2 as one pseudonym and pass a threshold of T; were
+// each replica to blind with an α of its own, hop 2 would see two crowds of
+// T/2 and drop both.
+func TestHop1ReplicasShareAlpha(t *testing.T) {
+	const T = 10
+	labels, data := oneCrowd(T)
+	f := startFleet(t, []transport.Tier{{Role: "shuffler1", Replicas: 2}, {Role: "shuffler2", Replicas: 1}}, 1,
+		shuffler.Params{Threshold: shuffler.Threshold{Naive: T}}, nil)
+	rp := dialFleet(t, f, prochlo.WithRemoteWorkers(1))
+	for at := 0; at < T; at += T / 2 {
+		if err := rp.SubmitBatch(labels[at:at+T/2], data[at:at+T/2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fleet, err := rp.FleetStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ri, s := range fleet[0] {
+		if s.Accepted != T/2 {
+			t.Fatalf("hop-1 replica %d accepted %d reports, want %d (one half each)", ri, s.Accepted, T/2)
+		}
+	}
+	res, err := rp.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Histogram["one-value"]; got != T {
+		t.Errorf("analyzer counted %d of the crowd's %d reports, want all: the replicas split the crowd", got, T)
+	}
+}
+
+// TestRestartedHop1KeepsItsAlpha: a hop-1 replica restarted from its tier's
+// Secrets blinds with the α it blinded with before, so a crowd of T reports
+// that straddles the restart is still one crowd of T at hop 2.
+func TestRestartedHop1KeepsItsAlpha(t *testing.T) {
+	const T = 10
+	labels, data := oneCrowd(T)
+	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	s1Sec, err := shuffler.GenerateSecrets(group.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2Sec, err := shuffler.GenerateSecrets(group.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := shuffler.Params{Threshold: shuffler.Threshold{Naive: T}}
+	s2svc, err := newStage("shuffler2", s2Sec, params, anlzAddrs, transport.EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s2svc.Close() })
+	s2srv, err := serveTracked("127.0.0.1:0", s2svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2srv.kill)
+	start1 := func(addr string) (*transport.StageService, *trackedServer) {
+		svc, err := newStage("shuffler1", s1Sec, params, []string{s2srv.addr()}, transport.EpochConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		srv, err := serveTrackedAt(addr, svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.kill)
+		return svc, srv
+	}
+	svc, srv := start1("127.0.0.1:0")
+	rp, err := prochlo.DialRemoteChainFleet([]string{srv.addr()}, []string{s2srv.addr()}, anlzAddrs,
+		prochlo.WithRemoteWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if err := rp.SubmitBatch(labels[:T/2], data[:T/2]); err != nil {
+		t.Fatal(err)
+	}
+	// The replica stops gracefully, draining its half into hop 2 (which cuts
+	// only on a drain, so holds it), and a successor takes over its address.
+	srv.kill()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	start1(srv.addr())
+	if err := rp.SubmitBatch(labels[T/2:], data[T/2:]); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rp.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Histogram["one-value"]; got != T {
+		t.Errorf("analyzer counted %d of the crowd's %d reports, want all: the restart changed α", got, T)
 	}
 }
 

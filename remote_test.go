@@ -214,57 +214,6 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 	}
 }
 
-// BenchmarkRemotePipeline measures the daemon deployment end to end —
-// encode, batched RPC over loopback TCP, shuffle, push, analyze — per
-// report, for comparison against the in-process BenchmarkEndToEndPipeline:
-// the difference is the transport's round-trip and codec cost.
-func BenchmarkRemotePipeline(b *testing.B) {
-	const batch = 500
-	labels, data := sampleReports(batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := plainFleet(b, 42, 0, transport.EpochConfig{})
-		rp, err := prochlo.DialRemoteFleet(f.Tiers[0], f.Analyzers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rp.SubmitBatch(labels, data); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rp.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		rp.Close()
-	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
-}
-
-// BenchmarkRemotePipelineWAL is BenchmarkRemotePipeline with the shuffler's
-// write-ahead log enabled (every accepted batch fsynced before its ack), so
-// BENCH_pipeline.json tracks the durability tax.
-func BenchmarkRemotePipelineWAL(b *testing.B) {
-	const batch = 500
-	labels, data := sampleReports(batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := plainFleet(b, 42, 0, transport.EpochConfig{WALDir: b.TempDir()})
-		rp, err := prochlo.DialRemoteFleet(f.Tiers[0], f.Analyzers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rp.SubmitBatch(labels, data); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rp.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		rp.Close()
-	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
-}
-
 // TestRemoteChainMatchesInProcess is the chain acceptance equivalence: a
 // seeded end-to-end run through the networked two-hop chain — blinded batch
 // submitted to the Shuffler 1 daemon, each epoch pushed to the Shuffler 2
@@ -524,6 +473,10 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	// Persistent parties: the analyzer and every key survive the crashes;
 	// only the hop processes die.
 	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	s1Sec, err := shuffler.GenerateSecrets(group.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
 	s2Sec, err := shuffler.GenerateSecrets(group.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +521,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	}
 	start1 := func(addr string) {
 		var err error
-		s1svc, err = newStage("shuffler1", shuffler.Secrets{}, params, []string{s2L.Addr().String()},
+		s1svc, err = newStage("shuffler1", s1Sec, params, []string{s2L.Addr().String()},
 			transport.EpochConfig{FlushAt: 1000, WALDir: s1WAL, Fault: s1Fault})
 		if err != nil {
 			t.Fatal(err)
@@ -847,33 +800,4 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 		}
 		rp.Close()
 	}
-}
-
-// BenchmarkRemoteChain measures the networked two-hop blinded chain end to
-// end — blinded encode, batched Submit into hop 1, the epoch's Submit push
-// to hop 2, analyzer ingestion — per report, for comparison against
-// BenchmarkRemotePipeline: the difference is the second hop's transport and
-// El Gamal cost.
-func BenchmarkRemoteChain(b *testing.B) {
-	const batch = 500
-	labels, data := sampleReports(batch)
-	th := shuffler.Threshold{Noise: dp.PaperThresholdNoise}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := startFleet(b, chainTiers(1, transport.EpochConfig{}, transport.EpochConfig{}), 1,
-			shuffler.Params{Threshold: th, Seed: 42, MinBatch: 1}, nil)
-		rp, err := prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := rp.SubmitBatch(labels, data); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rp.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		rp.Close()
-	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/report")
 }
