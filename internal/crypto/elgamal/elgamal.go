@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"prochlo/internal/crypto/group"
-	"prochlo/internal/parallel"
 )
 
 // Point is an element of the configured group. The zero value is the
@@ -393,14 +392,35 @@ func (e *Encrypter) EncryptCrowdID(rng io.Reader, crowdID []byte) (Ciphertext, e
 	}, nil
 }
 
+// QueueCrowdID draws an encryption's scalar r from rng and sets slots i and
+// i+1 of b to its products, C1 = r*G and C2 = r*H + H(crowdID): the split
+// form of EncryptCrowdID for a batch encoder that puts the fixed-base work
+// of every encryption and seal of a call in one group.CombBatch. Once b has
+// run over both slots and been normalized, Queued returns the ciphertext
+// EncryptCrowdID draws from the same stream.
+func (e *Encrypter) QueueCrowdID(rng io.Reader, crowdID []byte, b *group.CombBatch, i int) error {
+	r, err := e.g.RandomScalar(rng)
+	if err != nil {
+		return err
+	}
+	b.Set(i, e.g.BaseTable(), r, group.Element{})
+	b.Set(i+1, e.keyTable(), r, e.hashPoint(crowdID))
+	return nil
+}
+
+// Queued returns the ciphertext QueueCrowdID put at slots i and i+1 of b.
+func (e *Encrypter) Queued(b *group.CombBatch, i int) Ciphertext {
+	return Ciphertext{C1: Point{g: e.g, e: b.Out(i)}, C2: Point{g: e.g, e: b.Out(i + 1)}}
+}
+
 // EncryptCrowdIDBatch encrypts one crowd ID per report on a pool of workers
 // (0 selects GOMAXPROCS), drawing each report's ephemeral scalar from that
 // report's own rng (so batch output is byte-identical to per-report
 // EncryptCrowdID calls on the same streams, at any worker count or
-// chunking). Each worker's range of reports goes through the generator's
-// and the key's comb tables as one Table.MulBatch each, and both components
-// of every ciphertext are normalized with one shared inversion, so the
-// Bytes() calls that follow are divisions-free.
+// chunking). Every encryption is queued in one group.CombBatch, run a
+// worker's range of reports at a time, and both components of every
+// ciphertext are normalized with one shared inversion, so the Bytes() calls
+// that follow are divisions-free.
 func (e *Encrypter) EncryptCrowdIDBatch(rngs []io.Reader, crowdIDs [][]byte, workers int) ([]Ciphertext, error) {
 	if len(rngs) != len(crowdIDs) {
 		return nil, fmt.Errorf("elgamal: %d rngs for %d crowd IDs", len(rngs), len(crowdIDs))
@@ -409,33 +429,16 @@ func (e *Encrypter) EncryptCrowdIDBatch(rngs []io.Reader, crowdIDs [][]byte, wor
 	if n == 0 {
 		return nil, nil
 	}
-	base, table := e.g.BaseTable(), e.keyTable()
-	rs := make([]group.Scalar, n)
-	els := make([]group.Element, 2*n)
-	c1s, c2s := els[:n], els[n:]
-	errs := make([]error, n)
-	parallel.Ranges(parallel.Workers(workers), n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r, err := e.g.RandomScalar(rngs[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rs[i] = r
-		}
-		base.MulBatch(c1s[lo:hi], rs[lo:hi])
-		table.MulBatch(c2s[lo:hi], rs[lo:hi])
-		for i := lo; i < hi; i++ {
-			c2s[i] = e.g.Add(c2s[i], e.hashPoint(crowdIDs[i]))
-		}
-	})
-	if i, err := parallel.FirstError(errs); err != nil {
+	b := group.NewCombBatch(e.g, 2*n)
+	if i, err := b.RunRecords(workers, 2, func(i int) error {
+		return e.QueueCrowdID(rngs[i], crowdIDs[i], b, 2*i)
+	}); err != nil {
 		return nil, fmt.Errorf("elgamal: report %d: %w", i, err)
 	}
-	e.g.Normalize(els)
+	b.Normalize()
 	cts := make([]Ciphertext, n)
 	for i := range cts {
-		cts[i] = Ciphertext{C1: Point{g: e.g, e: c1s[i]}, C2: Point{g: e.g, e: c2s[i]}}
+		cts[i] = e.Queued(b, 2*i)
 	}
 	return cts, nil
 }

@@ -394,32 +394,39 @@ func edScalarMulWNAF(p *edPoint, digits []int8, q *edPoint) {
 
 // --- fixed-point comb tables ---
 
-// edCombTable is a signed-digit comb table for a fixed point: entry [j][v-1]
-// holds (v * 2^(w*j)) * P in affine Niels form, so a full multiplication is
-// one table add per digit and no doublings at all. Entries are batch-
+// edCombTable is a signed-digit comb table for a fixed point: row j holds
+// v * 2^(w*j) * P in affine Niels form at entry v-1, so a full multiplication
+// is one table add per digit and no doublings at all. Entries are batch-
 // normalized at build time with one shared inversion.
 //
 // One table serves both comb kernels: mulComb here and, for batches, the lane
-// comb (ed25519x8_amd64.go), which gathers entries straight into fe25519x8
-// rows. That is why every entry is stored carried, limbs below 2^52: the
-// lanes' input bound (fe8LimbBits), which a lazily stored y±x (up to 2^52.6)
-// would break, and which the scalar Mul accepts with room to spare.
+// comb (ed25519x8_amd64.go), whose kernel gathers each lane's entry by its
+// address. That is why the rows are one flat array, a fixed stride apart,
+// and why every entry is stored carried, limbs below 2^52: the lanes' input
+// bound (fe8LimbBits), which a lazily stored y±x (up to 2^52.6) would break,
+// and which the scalar Mul accepts with room to spare.
 type edCombTable struct {
-	w       uint
-	entries [][]affineNiels // [positions][2^(w-1)]
+	w         uint
+	positions int
+	entries   []affineNiels // positions rows of 2^(w-1) entries
+}
+
+// entry returns the entry of row j for the digit magnitude v >= 1.
+func (t *edCombTable) entry(j, v int) *affineNiels {
+	return &t.entries[j<<(t.w-1)+v-1]
 }
 
 // edCombMaxPositions is the digit count of the narrowest window in use
 // (width 6: the per-key tables; the base table is width 8, 32 positions). It
-// sizes mulComb's digit array so a fixed-base multiplication stays off the
-// heap.
+// sizes the digit arrays so a fixed-base multiplication stays off the heap.
 const edCombMaxPositions = 43
 
-// buildEdComb precomputes the comb table for p with window width w >= 6.
+// buildEdComb precomputes the comb table for p with window width 6 <= w <= 8
+// (so every signed digit fits an int8).
 func buildEdComb(p *edPoint, w uint) *edCombTable {
 	positions := (256 + int(w) - 1) / int(w)
-	if positions > edCombMaxPositions {
-		panic("group: comb window narrower than edCombMaxPositions allows")
+	if positions > edCombMaxPositions || w > 8 {
+		panic("group: comb window outside the widths edCombMaxPositions and int8 digits allow")
 	}
 	half := 1 << (w - 1)
 	// build all entries in extended coordinates first
@@ -445,46 +452,40 @@ func buildEdComb(p *edPoint, w uint) *edCombTable {
 		}
 	}
 	normalizeEd(flat)
-	t := &edCombTable{w: w, entries: make([][]affineNiels, positions)}
+	t := &edCombTable{w: w, positions: positions, entries: make([]affineNiels, positions*half)}
 	for j := range ext {
-		t.entries[j] = make([]affineNiels, half)
 		for v := range ext[j] {
-			ext[j][v].toAffineNiels(&t.entries[j][v])
+			ext[j][v].toAffineNiels(t.entry(j, v+1))
 		}
 	}
 	return t
 }
 
-// combDigits recodes a scalar (32-byte big-endian) into signed radix-2^w
-// digits in [-2^(w-1), 2^(w-1)), least significant position first.
-func combDigits(k []byte, w uint, out []int16) {
-	// little-endian limbs
-	var limbs [5]uint64
-	for i := 0; i < 32; i++ {
-		limbs[i/8] |= uint64(k[31-i]) << ((i % 8) * 8)
+// combDigits recodes a scalar (big-endian, at most 32 bytes) into the
+// table's signed radix-2^w digits, each in [-2^(w-1), 2^(w-1)), least
+// significant position first: digit j goes to out[j*stride], so the lane comb
+// writes each lane's digits straight into its position-major layout and the
+// scalar comb passes a stride of 1. Each digit is its window plus the carry
+// from below, re-centred without a branch.
+func combDigits(k []byte, t *edCombTable, out []int8, stride int) {
+	if len(k) != ScalarSize {
+		k = mustScalar(k)[:]
 	}
-	half := int16(1) << (w - 1)
-	full := int16(1) << w
-	carry := int16(0)
-	for j := range out {
+	// little-endian limbs; the zero fifth serves the top window's read
+	var limbs [5]uint64
+	for i := 0; i < 4; i++ {
+		limbs[i] = binary.BigEndian.Uint64(k[24-8*i:])
+	}
+	w := t.w
+	mask, half := uint64(1)<<w-1, uint64(1)<<(w-1)
+	carry := uint64(0)
+	for j := 0; j < t.positions; j++ {
 		bit := uint(j) * w
-		limb := bit / 64
-		off := bit % 64
-		var raw uint64
-		if limb < 5 {
-			raw = limbs[limb] >> off
-			if off != 0 && limb+1 < 5 {
-				raw |= limbs[limb+1] << (64 - off)
-			}
-		}
-		d := int16(raw&uint64(full-1)) + carry
-		if d >= half {
-			d -= full
-			carry = 1
-		} else {
-			carry = 0
-		}
-		out[j] = d
+		limb, off := bit/64, bit%64
+		// a shift by 64 is zero in Go, so off == 0 needs no case
+		d := (limbs[limb]>>off|limbs[limb+1]<<(64-off))&mask + carry
+		carry = (d + half) >> w
+		out[j*stride] = int8(int64(d) - int64(carry<<w))
 	}
 	if carry != 0 {
 		panic("group: comb recoding overflow")
@@ -494,16 +495,15 @@ func combDigits(k []byte, w uint, out []int16) {
 // mulComb sets p = k*P for the table's fixed point P: one affine-Niels add
 // per non-zero digit, no doublings.
 func (t *edCombTable) mulComb(p *edPoint, k []byte) {
-	var buf [edCombMaxPositions]int16
-	digits := buf[:len(t.entries)]
-	combDigits(k, t.w, digits)
+	var digits [edCombMaxPositions]int8
+	combDigits(k, t, digits[:], 1)
 	var acc edPoint
 	acc.identity()
-	for j, d := range digits {
+	for j, d := range digits[:t.positions] {
 		if d > 0 {
-			acc.addAffineNiels(&acc, &t.entries[j][d-1], false)
+			acc.addAffineNiels(&acc, t.entry(j, int(d)), false)
 		} else if d < 0 {
-			acc.addAffineNiels(&acc, &t.entries[j][-d-1], true)
+			acc.addAffineNiels(&acc, t.entry(j, -int(d)), true)
 		}
 	}
 	*p = acc

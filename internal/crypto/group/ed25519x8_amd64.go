@@ -10,26 +10,38 @@
 // flow over independent data, branching on the shared digit and never on a
 // lane.
 //
-// The lane comb is mulComb over eight scalars. Here the point is fixed (the
-// generator, a recipient key) and every scalar differs, so the schedule is
-// still shared — one affine-Niels add per comb position, no doublings — and
-// only the table entry differs per lane: each position gathers every lane's
-// signed entry into three fe25519x8 rows, then runs one lane add. A negative
-// digit loads its entry with y+x and y-x swapped and xy2d negated, a zero
-// digit loads the identity entry (1, 1, 0). The gather is a few dozen loads
-// per lane against seven vector multiplies shared by all eight, which is why
-// it pays for itself; the entries are read straight from the scalar comb's
-// table, stored carried for exactly this (see edCombTable).
+// The lane comb is mulComb over eight multiplications of a comb batch. Here
+// each lane's point is fixed (the generator, a recipient key) and brings its
+// own scalar, so the schedule is still shared — one affine-Niels add per comb
+// position, no doublings — and only the table entry differs per lane, which
+// need not even be the same table: a client's encode call puts all of its
+// fixed-base multiplications, generator and key tables mixed, through one
+// batch (group.CombBatch), so the 20 of a plain 5-report call fill three
+// passes. A pass runs as many positions as its longest table has (43 for a
+// key's, 32 for the generator's), a shorter table's lanes adding the
+// identity past their last.
 //
-// Both run their point formulas — double, projective-Niels add, affine-Niels
-// add, the formulas of edPoint in ed25519.go — as point kernels of
-// fe25519x8_amd64.s, one call per formula with the temporaries in memory the
-// caller owns, rather than as one call per field operation: the formula's
-// seven to eleven multiplies and squares are the same either way, and what
-// one call saves is the per-call entry, the constant loads and a store and
-// reload for every intermediate, about a sixth of a ladder multiplication.
-// The a = -1 formulas are complete, so identity and small-order lanes, and
-// identity entries, need no special case.
+// One kernel call, fe8Comb, runs a whole pass. At each position it gathers
+// every lane's entry into registers with masked VPGATHERQQs, one per limb,
+// from the address tables[i] + j·stride + (|d|-1)·120 — a per-lane copy in
+// Go cost about as much per position as the add it fed. A zero digit masks
+// its lane off and keeps the identity entry (1, 1, 0), a negative digit
+// swaps y+x and y-x by blend and negates xy2d as 2p - xy2d, and the signed
+// entries go to memory once for the affine-Niels add that follows in the
+// same call. The digits are
+// recoded straight into the pass's position-major layout; the entries are
+// read from the scalar comb's own table, one flat array stored carried for
+// exactly this (see edCombTable).
+//
+// The ladder runs its point formulas — double and projective-Niels add, the
+// formulas of edPoint in ed25519.go — as point kernels of fe25519x8_amd64.s,
+// one call per formula with the temporaries in memory the caller owns,
+// rather than as one call per field operation: the formula's seven to
+// eleven multiplies and squares are the same either way, and what one call
+// saves is the per-call entry, the constant loads and a store and reload for
+// every intermediate, about a sixth of a ladder multiplication. The a = -1
+// formulas are complete, so identity and small-order lanes, and identity
+// entries, need no special case.
 
 package group
 
@@ -76,11 +88,6 @@ func fe8Double(p, q *edPointx8, tmp *[7]fe25519x8, needT bool)
 //
 //go:noescape
 func fe8AddNiels(p, q *edPointx8, n *projNielsx8, tmp *[7]fe25519x8, sub bool)
-
-// fe8AddAffine sets p = q + n (edPoint.addAffineNiels, n already signed).
-//
-//go:noescape
-func fe8AddAffine(p, q *edPointx8, n *affineNielsx8, tmp *[7]fe25519x8)
 
 func (v *fe25519x8) broadcast(a *fe25519) {
 	for i := 0; i < 8; i++ {
@@ -174,78 +181,62 @@ type affineNielsx8 struct {
 	yPlusX, yMinusX, xy2d fe25519x8
 }
 
-// edCombx8 is the working state of one eight-scalar comb multiplication,
-// on the heap for the same reason as edLadderx8: the accumulator, the
-// gathered entries, the point kernel's temporaries, and each lane's comb
-// digits (last, so every row stays 64-byte aligned).
+// affineNielsBytes is the size of one comb-table entry, three fe25519s: the
+// stride fe8Comb steps a digit's magnitude by (TestPointKernelLayout).
+const affineNielsBytes = 120
+
+// edCombx8 is the working state of one eight-lane comb pass, on the heap for
+// the same reason as edLadderx8, and laid out as fe8Comb addresses it
+// (TestPointKernelLayout): the accumulator, the signed entries of one
+// position, the point kernel's temporaries, then each lane's table — the
+// address of its first entry and the bytes from one row to the next — and
+// the pass's digits, position-major: lane i's digit at position j is
+// digits[8*j+i].
 type edCombx8 struct {
 	acc edPointx8
 	n   affineNielsx8
 	tmp [7]fe25519x8
 
-	digits [8][edCombMaxPositions]int16
+	tables  [8]*affineNiels
+	strides [8]uint64
+	digits  [8 * edCombMaxPositions]int8
 }
 
-// gather loads every lane's signed entry at comb position j into s.n.
-func (s *edCombx8) gather(t *edCombTable, j int) {
-	row := t.entries[j]
-	for i := range s.digits {
-		switch d := s.digits[i][j]; {
-		case d > 0:
-			s.n.setLane(i, &row[d-1], false)
-		case d < 0:
-			s.n.setLane(i, &row[-d-1], true)
-		default:
-			s.n.setLane(i, &affineNielsIdentity, false)
-		}
-	}
-}
+// fe8Comb runs positions 0 to positions-1 of a comb pass: at each it
+// gathers every lane's entry for the magnitude of its digit — a masked
+// gather, so a zero digit keeps the identity entry (1, 1, 0) — makes it the
+// entry's negative where the digit is negative (y+x and y-x swap, xy2d
+// becomes 2p - xy2d, below 2^52 for a carried entry), and adds it to
+// s.acc with the formula of edPoint.addAffineNiels. Its sign step uses
+// AVX512DQ's VPMOVQ2M besides AVX512F (see hasIFMA).
+//
+//go:noescape
+func fe8Comb(s *edCombx8, positions int)
 
-// affineNielsIdentity is the identity point's entry: y+x = y-x = 1, xy2d = 0.
-var affineNielsIdentity = affineNiels{yPlusX: fe25519{1}, yMinusX: fe25519{1}}
-
-// setLane stores n into lane i, or -n when neg: y+x and y-x swap, and xy2d is
-// subtracted from 2p without a carry pass, which stays below 2^52 for the
-// carried entries of a comb table.
-func (v *affineNielsx8) setLane(i int, n *affineNiels, neg bool) {
-	i &= 7
-	ypx, ymx, xy2d := &n.yPlusX, &n.yMinusX, &n.xy2d
-	var negXY fe25519
-	if neg {
-		ypx, ymx = ymx, ypx
-		negXY.subLazy(&negXY, xy2d)
-		xy2d = &negXY
-	}
-	for l := range ypx {
-		v.yPlusX[l][i] = ypx[l]
-		v.yMinusX[l][i] = ymx[l]
-		v.xy2d[l][i] = xy2d[l]
-	}
-}
-
-// edCombBatchx8 is the lane comb behind edTable.MulBatch: outs[i] =
-// ks[i]*P for the table's point P, eight scalars per pass. The spare lanes
-// of a last group shorter than eight carry all-zero digits, so they add
-// identity entries and their results are dropped.
-func edCombBatchx8(t *edCombTable, outs []edPoint, ks []Scalar) {
+// edCombBatchx8 is the lane comb behind edGroup.mulTables: *m.out =
+// m.k*P + *m.q for the point P of each m.t, eight multiplications per pass
+// from any mix of tables. A pass runs the positions of its longest table; a
+// shorter table's lanes past their last position, and the spare lanes of a
+// last group smaller than eight, have zero digits and add the identity.
+func edCombBatchx8(ms []edCombMul) {
 	s := new(edCombx8)
-	positions := len(t.entries)
-	for base := 0; base < len(ks); base += 8 {
-		n := min(8, len(ks)-base)
-		for i := range s.digits {
-			if i < n {
-				combDigits(mustScalar(ks[base+i])[:], t.w, s.digits[i][:positions])
-			} else {
-				s.digits[i] = [edCombMaxPositions]int16{}
+	for base := 0; base < len(ms); base += 8 {
+		group := ms[base:min(base+8, len(ms))]
+		s.acc.identity()
+		s.digits = [8 * edCombMaxPositions]int8{}
+		positions := 0
+		for i, m := range group {
+			s.tables[i] = &m.t.entries[0]
+			s.strides[i] = affineNielsBytes << (m.t.w - 1)
+			combDigits(m.k, m.t, s.digits[i:], 8)
+			positions = max(positions, m.t.positions)
+			if m.q != nil {
+				s.acc.setLane(i, m.q)
 			}
 		}
-		s.acc.identity()
-		for j := 0; j < positions; j++ {
-			s.gather(t, j)
-			fe8AddAffine(&s.acc, &s.acc, &s.n, &s.tmp)
-		}
-		for i := 0; i < n; i++ {
-			s.acc.lane(i, &outs[base+i])
+		fe8Comb(s, positions)
+		for i, m := range group {
+			s.acc.lane(i, m.out)
 		}
 	}
 }

@@ -88,8 +88,9 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // hasIFMA reports whether the kernels in fe25519x8_amd64.s can run: the CPU
-// implements AVX512F and AVX512IFMA (the only extensions they use) and the
-// operating system saves the opmask and ZMM state across context switches.
+// implements AVX512F, AVX512IFMA and AVX512DQ (the only extensions they use;
+// DQ for fe8Comb's VPMOVQ2M) and the operating system saves the opmask and
+// ZMM state across context switches.
 func hasIFMA() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -104,7 +105,7 @@ func hasIFMA() bool {
 	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
 		return false
 	}
-	const avx512f, avx512ifma = 1 << 16, 1 << 21
+	const avx512f, avx512dq, avx512ifma = 1 << 16, 1 << 17, 1 << 21
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx512f != 0 && ebx&avx512ifma != 0
+	return ebx&avx512f != 0 && ebx&avx512dq != 0 && ebx&avx512ifma != 0
 }

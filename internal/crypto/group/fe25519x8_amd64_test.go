@@ -183,11 +183,32 @@ func pointKernelRef(kernel string, sub bool, in []*big.Int) [4]*big.Int {
 	return [4]*big.Int{mul(e, f), mul(g, h), mul(f, g), mul(e, h)}
 }
 
-// TestPointKernelsx8 holds fe8Double, fe8AddNiels (both signs) and
-// fe8AddAffine to pointKernelRef in every lane, on limbs pinned at 0,
-// 2^51 - 1 and 2^52 - 1 and on random limbs below 2^52, in place (p == q)
-// and not: their values, their carried output limbs, and — for a double
-// without T — the T row left as it was.
+// combAddx8 runs fe8Comb over one position whose entry in lane i is lane i
+// of n, with digit digits[i]: 1 adds the entry to q, -1 its negative, 0 the
+// identity entry. It is the comb kernel's affine-Niels add on entries the
+// test chooses, always in place.
+func combAddx8(p, q *edPointx8, n *affineNielsx8, digits [8]int8) {
+	s := new(edCombx8)
+	s.acc = *q
+	entries := make([]affineNiels, 8)
+	for i := range entries {
+		n.yPlusX.lane(i, &entries[i].yPlusX)
+		n.yMinusX.lane(i, &entries[i].yMinusX)
+		n.xy2d.lane(i, &entries[i].xy2d)
+		s.tables[i] = &entries[i]
+		s.digits[i] = digits[i]
+	}
+	fe8Comb(s, 1)
+	*p = s.acc
+}
+
+// TestPointKernelsx8 holds fe8Double, fe8AddNiels (both signs) and the
+// affine-Niels add of fe8Comb (positive, negative and zero digits) to
+// pointKernelRef in every lane, on limbs pinned at 0, 2^51 - 1 and 2^52 - 1
+// and on random limbs below 2^52 — a negated entry's xy2d below 2^51, as a
+// comb table's carried entries are — in place (p == q) and not: their
+// values, their carried output limbs, and — for a double without T — the T
+// row left as it was.
 func TestPointKernelsx8(t *testing.T) {
 	requireIFMA(t)
 	r := rand.New(rand.NewSource(50))
@@ -209,15 +230,32 @@ func TestPointKernelsx8(t *testing.T) {
 			sub    bool
 			rows   int // q's four, then n's
 		}{
-			{"double", false, 4}, {"addNiels", false, 8}, {"addNiels", true, 8}, {"addAffine", false, 7},
+			{"double", false, 4}, {"addNiels", false, 8}, {"addNiels", true, 8}, {"addAffine", false, 7}, {"addAffine", true, 7},
 		} {
+			// the comb's digits: every fourth lane adds the identity entry
+			var digits [8]int8
 			var lanes [8][]fe25519
 			rows := make([]fe25519x8, c.rows)
 			for i := range lanes {
+				digits[i] = 1
+				if c.sub {
+					digits[i] = -1
+				}
+				if i%4 == 3 {
+					digits[i] = 0
+				}
 				for k := 0; k < c.rows; k++ {
 					v := operand(round)
-					lanes[i] = append(lanes[i], v)
+					if c.kernel == "addAffine" && c.sub && k == 6 {
+						for l := range v {
+							v[l] &= mask51
+						}
+					}
 					rows[k].setLane(i, &v)
+					if c.kernel == "addAffine" && digits[i] == 0 && k >= 4 {
+						v = [3]fe25519{{1}, {1}, {}}[k-4]
+					}
+					lanes[i] = append(lanes[i], v)
 				}
 			}
 			for _, inPlace := range []bool{false, true} {
@@ -237,14 +275,14 @@ func TestPointKernelsx8(t *testing.T) {
 					fe8AddNiels(p, &q, &n, &tmp, c.sub)
 				case "addAffine":
 					n := affineNielsx8{rows[4], rows[5], rows[6]}
-					fe8AddAffine(p, &q, &n, &tmp)
+					combAddx8(p, &q, &n, digits)
 				}
 				for i := range lanes {
 					in := make([]*big.Int, len(lanes[i]))
 					for k := range lanes[i] {
 						in[k] = limbsBig(&lanes[i][k])
 					}
-					want := pointKernelRef(c.kernel, c.sub, in)
+					want := pointKernelRef(c.kernel, c.sub && (c.kernel != "addAffine" || digits[i] != 0), in)
 					for k, row := range []*fe25519x8{&p.x, &p.y, &p.z, &p.t} {
 						var g fe25519
 						row.lane(i, &g)
@@ -274,12 +312,15 @@ func TestPointKernelsx8(t *testing.T) {
 
 // TestPointKernelLayout holds the Go types the point kernels address to the
 // offsets fe25519x8_gen.go assumes: each field one 320-byte fe25519x8 after
-// the last, in declaration order.
+// the last, in declaration order, and fe8Comb's state after its fourteen
+// fe25519x8s the lanes' table addresses, their strides and the digits, over
+// 120-byte table entries.
 func TestPointKernelLayout(t *testing.T) {
 	const row = unsafe.Sizeof(fe25519x8{})
 	var p edPointx8
 	var n projNielsx8
 	var a affineNielsx8
+	var s edCombx8
 	for _, c := range []struct {
 		name   string
 		got    uintptr
@@ -288,9 +329,23 @@ func TestPointKernelLayout(t *testing.T) {
 		{"edPointx8.y", unsafe.Offsetof(p.y), 1}, {"edPointx8.z", unsafe.Offsetof(p.z), 2}, {"edPointx8.t", unsafe.Offsetof(p.t), 3},
 		{"projNielsx8.yMinusX", unsafe.Offsetof(n.yMinusX), 1}, {"projNielsx8.z", unsafe.Offsetof(n.z), 2}, {"projNielsx8.t2d", unsafe.Offsetof(n.t2d), 3},
 		{"affineNielsx8.yMinusX", unsafe.Offsetof(a.yMinusX), 1}, {"affineNielsx8.xy2d", unsafe.Offsetof(a.xy2d), 2},
+		{"edCombx8.n", unsafe.Offsetof(s.n), 4}, {"edCombx8.tmp", unsafe.Offsetof(s.tmp), 7},
 	} {
 		if c.got != c.fields*row || row != 320 {
 			t.Errorf("%s at byte %d, the kernels address it at %d", c.name, c.got, c.fields*320)
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"edCombx8.tables", unsafe.Offsetof(s.tables), 14 * 320},
+		{"edCombx8.strides", unsafe.Offsetof(s.strides), 14*320 + 64},
+		{"edCombx8.digits", unsafe.Offsetof(s.digits), 14*320 + 128},
+		{"affineNiels size", unsafe.Sizeof(affineNiels{}), affineNielsBytes},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d, fe8Comb assumes %d", c.name, c.got, c.want)
 		}
 	}
 }

@@ -6,11 +6,13 @@
 //
 //	go run fe25519x8_gen.go > fe25519x8_amd64.s
 //
-// Two kinds of kernel come out of the same field-operation bodies: one per
-// field operation (fe8Mul, fe8Square, fe8Add, fe8Sub), and one per point
-// formula of the lane kernels (fe8Double, fe8AddNiels, fe8AddAffine), which
-// runs a formula's field operations back to back in one call, its
-// temporaries in an array the caller provides.
+// Three kinds of kernel come out of the same field-operation bodies: one per
+// field operation (fe8Mul, fe8Square, fe8Add, fe8Sub); one per point formula
+// of the lane ladder (fe8Double, fe8AddNiels), which runs a formula's field
+// operations back to back in one call, its temporaries in an array the
+// caller provides; and the lane comb's whole pass (fe8Comb), a loop over
+// comb positions that gathers each lane's table entry and runs the
+// affine-Niels add formula.
 //
 // It imports only the standard library; CI regenerates the file and fails
 // when the output differs from what is committed.
@@ -72,11 +74,18 @@ func main() {
 	p("GLOBL fe8fourP0<>(SB), RODATA|NOPTR, $8")
 	p("DATA fe8fourP<>+0(SB)/8, $0x001ffffffffffffc")
 	p("GLOBL fe8fourP<>(SB), RODATA|NOPTR, $8")
+	p("// 2p, limb by limb: what fe8Comb subtracts a negative entry's xy2d from.")
+	p("DATA fe8twoP0<>+0(SB)/8, $0x000fffffffffffda")
+	p("GLOBL fe8twoP0<>(SB), RODATA|NOPTR, $8")
+	p("DATA fe8twoP<>+0(SB)/8, $0x000ffffffffffffe")
+	p("GLOBL fe8twoP<>(SB), RODATA|NOPTR, $8")
+	p("DATA fe8one<>+0(SB)/8, $1")
+	p("GLOBL fe8one<>(SB), RODATA|NOPTR, $8")
 	p("")
 	fieldKernels()
 	double()
 	addNiels()
-	addAffine()
+	comb()
 	cpu()
 	if _, err := os.Stdout.Write(out.Bytes()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -384,16 +393,91 @@ func addNiels() {
 	ret()
 }
 
-// addAffine emits fe8AddAffine(p, q, n, tmp): p = q + n in every lane for
-// a comb entry already signed by the gather, as edPoint.addAffineNiels
-// computes it.
-func addAffine() {
-	kernel("fe8AddAffine", "(p, q *edPointx8, n *affineNielsx8, tmp *[7]fe25519x8)", 32,
-		"p:DI", "q:SI", "n:DX", "tmp:CX")
-	q := func(f int) fe { return at("SI", f) }
-	d := func(f int) fe { return at("DI", f) }
-	n := func(f int) fe { return at("DX", f) }
-	t := func(i int) fe { return at("CX", i) }
+// edCombx8 as fe8Comb addresses it (TestPointKernelLayout): the
+// accumulator is fe25519x8s 0-3, the signed entry 4-6 and the temporaries
+// 7-13; then the lanes' table addresses, their row strides and the digits,
+// eight per position.
+const (
+	combN          = 4
+	combTmp        = 7
+	combTables     = 14 * 320
+	combStrides    = combTables + 64
+	combDigits     = combStrides + 64
+	combEntryBytes = 120 // affineNielsBytes: three fe25519s
+)
+
+// comb emits fe8Comb(s, positions), a whole lane-comb pass, one position per
+// iteration. The gather builds lane i's entry address in Z22 as
+// tables[i] + j·strides[i] + |d|·120 and reads 120 bytes below it, so a
+// digit of magnitude v reads entry v-1; every gather is masked to the lanes
+// with a non-zero digit (a gather clears its mask, hence the copy into K3
+// each time) into registers preset to the identity entry. The negative
+// lanes then swap y+x and y-x by blend and take xy2d from 2p, the entry is
+// stored to s.n, and addAffine adds it to s.acc in place.
+func comb() {
+	kernel("fe8Comb", "(s *edCombx8, positions int)", 16, "s:DI", "positions:BX")
+	s := func(i int) fe { return at("DI", i) }
+	acc := func(f int) fe { return s(f) }
+	n := func(f int) fe { return s(combN + f) }
+	tmp := func(i int) fe { return s(combTmp + i) }
+	p("\tXORQ AX, AX") // position j
+	p("\tXORQ R8, R8") // the gathers' base: their indices are whole addresses
+	p("\tLEAQ %d(DI), R9", combDigits)
+	p("\tTESTQ BX, BX")
+	p("\tJLE comb_done")
+	p("comb_loop:")
+	p("\tVPMOVSXBQ (R9), Z20")
+	p("\tVPABSQ Z20, Z21")
+	p("\tVPTESTMQ Z21, Z21, K1") // lanes whose digit is not zero
+	p("\tVPMOVQ2M Z20, K2")      // lanes whose digit is negative
+	p("\tVPBROADCASTQ AX, Z22")
+	p("\tVPMULUDQ %d(DI), Z22, Z22", combStrides)
+	p("\tVPADDQ %d(DI), Z22, Z22", combTables)
+	p("\tVPSLLQ $7, Z21, Z23")
+	p("\tVPSLLQ $3, Z21, Z21")
+	p("\tVPSUBQ Z21, Z23, Z23")
+	p("\tVPADDQ Z23, Z22, Z22")
+	// y+x in Z0-Z4, y-x in Z5-Z9, xy2d in Z10-Z14, each the identity's
+	p("\tVPBROADCASTQ fe8one<>(SB), Z0")
+	p("\tVMOVDQA64 Z0, Z5")
+	for r := 1; r < 15; r++ {
+		if r != 5 {
+			p("\tVPXORQ %s, %s, %s", z(r), z(r), z(r))
+		}
+	}
+	for f := 0; f < 3; f++ {
+		for l := 0; l < 5; l++ {
+			p("\tKMOVW K1, K3")
+			p("\tVPGATHERQQ %d(R8)(Z22*1), K3, %s", 40*f+8*l-combEntryBytes, z(5*f+l))
+		}
+	}
+	for l := 0; l < 5; l++ {
+		p("\tVPBLENDMQ %s, %s, K2, %s", z(5+l), z(l), z(15+l))
+	}
+	for l := 0; l < 5; l++ {
+		p("\tVPBLENDMQ %s, %s, K2, %s", z(l), z(5+l), z(5+l))
+	}
+	p("\tVPBROADCASTQ fe8twoP0<>(SB), %s", z(zTmp0))
+	p("\tVPBROADCASTQ fe8twoP<>(SB), %s", z(zTmp1))
+	p("\tVPSUBQ Z10, %s, K2, Z10", z(zTmp0))
+	for l := 1; l < 5; l++ {
+		p("\tVPSUBQ %s, %s, K2, %s", z(10+l), z(zTmp1), z(10+l))
+	}
+	store([5]int{15, 16, 17, 18, 19}, n(nYPlusX))
+	store([5]int{5, 6, 7, 8, 9}, n(nYMinusX))
+	store([5]int{10, 11, 12, 13, 14}, n(nXY2d))
+	addAffine(acc, acc, n, tmp)
+	p("\tINCQ AX")
+	p("\tADDQ $8, R9")
+	p("\tCMPQ AX, BX")
+	p("\tJLT comb_loop")
+	p("comb_done:")
+	ret()
+}
+
+// addAffine emits d = q + n for a signed comb entry n, as
+// edPoint.addAffineNiels computes it; d may be q.
+func addAffine(d, q, n, t func(int) fe) {
 	T1, T2, TT, PP, MM, Z2, E := t(0), t(1), t(2), t(3), t(4), t(5), t(6)
 	H, F, G := t(0), t(1), t(3)
 	addSub(&T1, &T2, q(fy), q(fx))
@@ -407,7 +491,6 @@ func addAffine() {
 	mul(d(fy), G, H, false)
 	mul(d(fz), F, G, false)
 	mul(d(ft), E, H, false)
-	ret()
 }
 
 func cpu() {

@@ -13,15 +13,17 @@
 // other GOARCH, and on amd64 under -tags purego, the portable Go bodies in
 // fe25519.go (kernel "generic"). On top of the amd64 build, the batch
 // multiplications are chosen once at package init: when CPUID and XCR0
-// report AVX-512 IFMA, MulBatch and MulDHBatch run the lane ladder and
-// Table.MulBatch the lane comb of ed25519x8_amd64.go, eight multiplications
-// per instruction (kernel "avx512ifma"); otherwise the scalar wNAF ladder and
-// the scalar comb. The solo Mul, MulDH, BaseMul and Table.Mul always run the
-// scalar kernels, as does a Table.MulBatch of fewer than three scalars (an
-// eight-lane pass costs about three solo combs however few lanes are live).
-// No flag, environment variable or option takes part. The three produce
-// identical bytes — every encoding, pseudonym and shared secret — so a
-// fleet may mix them; RegisterMetrics says which one a process runs.
+// report AVX-512 IFMA (and AVX512DQ, for one instruction of the comb's
+// gather), MulBatch and MulDHBatch run the lane ladder and a CombBatch the
+// lane comb of ed25519x8_amd64.go, eight multiplications per instruction
+// (kernel "avx512ifma"); otherwise the scalar wNAF ladder and the scalar
+// comb. The solo Mul, MulDH, BaseMul and Table.Mul always run the scalar
+// kernels, as does a CombBatch's last group when it holds one
+// multiplication (an eight-lane pass costs about one and a half solo combs
+// however few lanes are live). No flag, environment variable or option
+// takes part. The three produce identical bytes — every encoding,
+// pseudonym and shared secret — so a fleet may mix them; RegisterMetrics
+// says which one a process runs.
 // Everything outside those kernels — point formulas, wNAF and comb ladders,
 // encodings — is one body of Go.
 //
@@ -39,10 +41,10 @@
 // for the generator) builds signed-digit comb tables for points that are
 // fixed across a batch — the recipient key in the encoder, the analyzer key
 // — turning each fixed-point multiplication into ~43 table additions with no
-// doublings, and Table.MulBatch into one such sweep per eight scalars. The
-// reference backend meets the same contracts the plain way: it is always
-// affine, so Normalize has nothing to do, and its batches and tables are
-// loops over ScalarMult.
+// doublings, and a CombBatch into one such sweep per eight multiplications,
+// whichever tables they read. The reference backend meets the same contracts
+// the plain way: it is always affine, so Normalize has nothing to do, and
+// its batches and tables are loops over ScalarMult.
 //
 // Wire encodings are uniform across backends: Encode emits a 1-byte
 // identity sentinel {0} or a 65-byte tagged uncompressed point (0x04 for
@@ -67,6 +69,7 @@ import (
 	"sync"
 
 	"prochlo/internal/metrics"
+	"prochlo/internal/parallel"
 )
 
 // Scalar is an opaque scalar: 32 bytes, big-endian, reduced into the
@@ -96,13 +99,74 @@ type Element struct {
 // Table is a precomputed fixed-point multiplication table.
 type Table interface {
 	// Mul returns k*P for the fixed point P. The result may be in
-	// projective form; batch callers should Normalize slices of results.
+	// projective form; batch callers put their multiplications in a
+	// CombBatch instead.
 	Mul(k Scalar) Element
-	// MulBatch sets dst[i] = ks[i]*P, a scalar per entry: the batch form
-	// of Mul, with the same results in one allocation. Results are
-	// projective; call Normalize before encoding.
-	MulBatch(dst []Element, ks []Scalar)
 }
+
+// CombBatch is a batch of fixed-base multiplications over any mix of one
+// group's tables (BaseTable, Precompute): slot i holds k*P + Q for its
+// table's point P, its scalar k and an addend Q, the identity when unset. A
+// batch encoder puts every fixed-base multiplication of one call in one
+// CombBatch — each seal's k*G and k*K, each El Gamal encryption's r*G and
+// r*Y + M — so that they share the lane comb's passes whichever tables
+// they read, and all of the products one field inversion.
+//
+// Set fills slots; Run computes the products of a range of set slots, and
+// distinct ranges may run concurrently; RunRecords does both for a batch
+// of records on a pool of workers; Normalize, after every Run, brings all
+// products to affine form; Out reads one.
+type CombBatch struct {
+	g     Group
+	slots []combSlot
+	out   []Element
+}
+
+// combSlot is one multiplication of a CombBatch.
+type combSlot struct {
+	t Table
+	k Scalar
+	q Element
+}
+
+// NewCombBatch returns a batch of n unset slots on g.
+func NewCombBatch(g Group, n int) *CombBatch {
+	return &CombBatch{g: g, slots: make([]combSlot, n), out: make([]Element, n)}
+}
+
+// Set puts k*P + q in slot i, for the fixed point P of t; q may be the zero
+// Element.
+func (b *CombBatch) Set(i int, t Table, k Scalar, q Element) { b.slots[i] = combSlot{t, k, q} }
+
+// Run computes the products of slots [lo, hi). They are projective until
+// Normalize.
+func (b *CombBatch) Run(lo, hi int) { b.g.mulTables(b.out[lo:hi], b.slots[lo:hi]) }
+
+// RunRecords fills and runs the batch as records of per slots each, on a
+// pool of workers (0 selects GOMAXPROCS): queue(i) sets record i's slots,
+// per*i to per*i+per-1, and each worker's range of records runs as one
+// batch once every record in it is queued. It returns the lowest record
+// whose queue failed, with its error (a failed record's range is not run),
+// or -1 and nil.
+func (b *CombBatch) RunRecords(workers, per int, queue func(i int) error) (int, error) {
+	errs := make([]error, len(b.slots)/per)
+	parallel.Ranges(parallel.Workers(workers), len(errs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if errs[i] = queue(i); errs[i] != nil {
+				return
+			}
+		}
+		b.Run(per*lo, per*hi)
+	})
+	return parallel.FirstError(errs)
+}
+
+// Normalize converts every product to affine form with one shared field
+// inversion.
+func (b *CombBatch) Normalize() { b.g.Normalize(b.out) }
+
+// Out returns the product of slot i.
+func (b *CombBatch) Out(i int) Element { return b.out[i] }
 
 // Group is a prime-order group with batch-oriented kernels.
 type Group interface {
@@ -173,6 +237,9 @@ type Group interface {
 	// affine x coordinate for p256 (crypto/ecdh-compatible), the
 	// compressed encoding for ristretto255.
 	SharedBytes(p Element) []byte
+
+	// mulTables sets dst[i] to slot i's product: CombBatch.Run.
+	mulTables(dst []Element, slots []combSlot)
 }
 
 var (

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"io"
 	"math/big"
+	"slices"
 )
 
 type edGroup struct{}
@@ -119,42 +120,62 @@ type edTable struct {
 }
 
 func (t *edTable) Mul(k Scalar) Element {
-	kb := mustScalar(k)
 	var out edPoint
-	t.comb.mulComb(&out, kb[:])
+	t.comb.mulComb(&out, k)
 	return Element{ed: &out}
 }
 
-// laneComb, when set, is the vector form of MulBatch's loop: outs[i] =
-// ks[i]*P for the table's point, eight scalars per pass. Package init sets
-// it beside laneLadder, on the same hosts (ed25519x8_amd64.go), and nothing
+// edCombMul is one multiplication of a comb batch: *out = k*P + *q for the
+// point P of t, where a nil q is the identity.
+type edCombMul struct {
+	t   *edCombTable
+	k   Scalar
+	q   *edPoint
+	out *edPoint
+}
+
+// laneComb, when set, is the vector form of mulTables's loop, eight
+// multiplications per pass from any mix of tables. Package init sets it
+// beside laneLadder, on the same hosts (ed25519x8_amd64.go), and nothing
 // else writes it outside tests; nil means mulComb is the only path.
-var laneComb func(t *edCombTable, outs []edPoint, ks []Scalar)
+var laneComb func(ms []edCombMul)
 
 // combLaneMin is the fewest multiplications the lane comb takes: an
-// eight-lane pass costs about the same however many lanes are live, and
-// below three it loses to that many mulComb calls (BenchmarkEdCombBatch).
-// A batch's last group is held to the same cutoff.
-const combLaneMin = 3
+// eight-lane pass costs about the same however many lanes are live, about
+// one and a half mulComb calls, so a lone multiplication loses to mulComb
+// and two already win (BenchmarkEdCombBatch). A batch's last group is held
+// to the same cutoff.
+const combLaneMin = 2
 
-func (t *edTable) MulBatch(dst []Element, ks []Scalar) {
-	if len(dst) != len(ks) {
-		panic("group: Table.MulBatch length mismatch")
+// mulTables is CombBatch.Run. A pass costs as many positions as its longest
+// table has, so the multiplications go to the lanes longest table first,
+// in slot order among equals: every pass but one reads tables of a single
+// length, and a group of fewer than combLaneMin left for mulComb reads the
+// shortest.
+func (g edGroup) mulTables(dst []Element, slots []combSlot) {
+	outs := make([]edPoint, len(slots))
+	ms := make([]edCombMul, len(slots))
+	for i, s := range slots {
+		ms[i] = edCombMul{t: s.t.(*edTable).comb, k: s.k, out: &outs[i]}
+		if s.q != (Element{}) {
+			ms[i].q = s.q.edwards(g)
+		}
+		dst[i] = Element{ed: &outs[i]}
 	}
-	outs := make([]edPoint, len(ks))
+	slices.SortStableFunc(ms, func(a, b edCombMul) int { return b.t.positions - a.t.positions })
 	lanes := 0
 	if laneComb != nil {
-		lanes = len(ks)
+		lanes = len(ms)
 		if tail := lanes % 8; tail < combLaneMin {
 			lanes -= tail
 		}
-		laneComb(t.comb, outs[:lanes], ks[:lanes])
+		laneComb(ms[:lanes])
 	}
-	for i := lanes; i < len(ks); i++ {
-		t.comb.mulComb(&outs[i], mustScalar(ks[i])[:])
-	}
-	for i := range outs {
-		dst[i] = Element{ed: &outs[i]}
+	for _, m := range ms[lanes:] {
+		m.t.mulComb(m.out, m.k)
+		if m.q != nil {
+			m.out.add(m.out, m.q)
+		}
 	}
 }
 

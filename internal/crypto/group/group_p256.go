@@ -3,8 +3,9 @@
 // coordinates, so the only arithmetic written here is what the standard
 // library has no entry point for — the curve equation, for the
 // try-and-increment hash and for validating decoded points. No deployment
-// runs this backend and nothing about it is tuned: MulBatch is a loop,
-// Normalize has nothing to do, a Precompute table multiplies from scratch.
+// runs this backend and nothing about it is tuned: MulBatch and a
+// CombBatch are loops, Normalize has nothing to do, a Precompute table
+// multiplies from scratch.
 // What it must keep is its bytes: SEC1 wire and compressed encodings, the
 // x-coordinate shared secret crypto/ecdh derives, and 32 rng bytes per
 // RandomScalar attempt.
@@ -93,12 +94,10 @@ type p256Table struct{ p Element }
 
 func (t p256Table) Mul(k Scalar) Element { return p256Group{}.Mul(t.p, k) }
 
-func (t p256Table) MulBatch(dst []Element, ks []Scalar) {
-	if len(dst) != len(ks) {
-		panic("group: Table.MulBatch length mismatch")
-	}
-	for i, k := range ks {
-		dst[i] = t.Mul(k)
+// mulTables is CombBatch.Run: a loop over Mul and Add.
+func (g p256Group) mulTables(dst []Element, slots []combSlot) {
+	for i, s := range slots {
+		dst[i] = g.Add(s.t.Mul(s.k), s.q)
 	}
 }
 

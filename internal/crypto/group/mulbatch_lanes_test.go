@@ -10,8 +10,9 @@ import (
 )
 
 // TestKernelMatchesCPU holds the dispatch rule to what the operating system
-// reports: the lane ladder is selected exactly when this is the amd64
-// assembly build and /proc/cpuinfo lists avx512f and avx512ifma (Linux lists
+// reports: the lane kernels are selected exactly when this is the amd64
+// assembly build and /proc/cpuinfo lists every extension they use —
+// avx512f, avx512ifma, and avx512dq for the comb's VPMOVQ2M (Linux lists
 // them only when it also saves the ZMM state). It logs the selected kernel
 // either way; CI prints that line, to name the kernel a green run covered.
 func TestKernelMatchesCPU(t *testing.T) {
@@ -24,10 +25,10 @@ func TestKernelMatchesCPU(t *testing.T) {
 		return regexp.MustCompile(`(?m)^flags\s*:.*\b` + name + `\b`).Match(cpuinfo)
 	}
 	want := feKernel
-	if feKernel == "amd64" && flag("avx512f") && flag("avx512ifma") {
+	if feKernel == "amd64" && flag("avx512f") && flag("avx512ifma") && flag("avx512dq") {
 		want = "avx512ifma"
 	}
-	t.Logf("/proc/cpuinfo lists avx512ifma: %v", flag("avx512ifma"))
+	t.Logf("/proc/cpuinfo lists avx512ifma: %v, avx512dq: %v", flag("avx512ifma"), flag("avx512dq"))
 	if got := kernel(); got != want {
 		t.Errorf("kernel() = %q, want %q for this build and CPU", got, want)
 	}

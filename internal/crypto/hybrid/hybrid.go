@@ -18,12 +18,14 @@
 // key's DH-prepared scalar. The key-derivation state (HKDF/HMAC blocks, salt
 // and key buffers) lives in a sync.Pool-recycled scratch rather than being
 // reallocated per call. Both directions amortize everything but the scalar
-// multiplication and the AEAD over a batch: EncapBatch/SealIntoEncap
-// normalize all ephemeral and shared points of a batch with one field
-// inversion instead of two per seal, and OpenBatch — the one open kernel the
-// thresholding shufflers and the analyzer share — works in 256-record
-// chunks, recoding the private scalar once and normalizing the shared points
-// with one inversion per chunk, with all plaintexts in one arena.
+// multiplication and the AEAD over a batch: QueueSeal/PendingSeal.Seal put
+// a seal's two multiplications in a group.CombBatch that a batch encoder
+// shares across every seal and El Gamal encryption of a call, normalized
+// with one field inversion for all of them, and OpenBatch — the one open
+// kernel the thresholding shufflers and the analyzer share — works in
+// 256-record chunks, recoding the private scalar once and normalizing the
+// shared points with one inversion per chunk, with all plaintexts in one
+// arena.
 // OpenInto/SealInto are the solo forms (the SGX shuffler's in-enclave open,
 // single-report Submit) and the reference the batch paths are tested
 // against. All of them are safe for concurrent use.
@@ -293,79 +295,61 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// Encap is one report's key encapsulation: the ephemeral public key that
-// travels in the envelope header and the AES key derived from the shared
-// secret. EncapBatch produces them in bulk; SealIntoEncap consumes one.
-type Encap struct {
-	EphPub []byte
-	Key    [keyLen]byte
+// PendingSeal is a seal between its draws and its AEAD: a batch encoder
+// queues every seal of a call (QueueSeal) before any is sealed, so that
+// their multiplications — and those of the El Gamal encryptions beside them
+// — share one group.CombBatch and one field inversion. SealInto is the same
+// steps on a batch of one.
+type PendingSeal struct {
+	pub   *PublicKey
+	slot  int
+	nonce [nonceLen]byte
 }
 
-// encap performs one key encapsulation: draw the ephemeral scalar from rng
-// (a deterministic number of bytes per attempt, so batch scheduling cannot
-// change the stream), multiply the base and the recipient's comb table, and
-// derive the AES key. The solo paths normalize the two points individually;
-// EncapBatch shares one normalization across a whole batch instead.
-func encap(rng io.Reader, pub *PublicKey, out *Encap) error {
-	g := pub.g
-	k, err := g.RandomScalar(rng)
+// QueueSeal makes s a seal to p: it draws the seal's randomness from rng —
+// the ephemeral scalar k, then the nonce, the order every seal path draws
+// them in — and sets slots i and i+1 of b to k's two products, the
+// ephemeral public key k*G and the shared point k*K. RandomScalar reads a
+// fixed number of bytes per attempt, so a record's stream does not depend
+// on how its batch is scheduled. The nonce is read straight into s, which
+// batch callers keep in a slice, so it costs no allocation.
+func (p *PublicKey) QueueSeal(s *PendingSeal, rng io.Reader, b *group.CombBatch, i int) error {
+	k, err := p.g.RandomScalar(rng)
 	if err != nil {
 		return fmt.Errorf("hybrid: %w", err)
 	}
-	ephPub := g.Encode(g.BaseMul(k))
-	shared := g.SharedBytes(pub.dhTable().Mul(k))
-	sc := scratchPool.Get().(*scratch)
-	copy(out.Key[:], sc.sealKey(shared, ephPub, pub.enc))
-	scratchPool.Put(sc)
-	out.EphPub = ephPub
+	s.pub, s.slot = p, i
+	if _, err := io.ReadFull(rng, s.nonce[:]); err != nil {
+		return fmt.Errorf("hybrid: %w", err)
+	}
+	b.Set(i, p.g.BaseTable(), k, group.Element{})
+	b.Set(i+1, p.dhTable(), k, group.Element{})
 	return nil
 }
 
-// EncapBatch runs one key encapsulation per rng on a pool of workers
-// (0 selects GOMAXPROCS): record i's ephemeral scalar is drawn from rngs[i],
-// so the result is a pure function of that record's stream, independent of
-// worker count. Each worker's range of records goes through the generator's
-// and the recipient's comb tables as one Table.MulBatch each, and all
-// ephemeral and shared points of the batch are normalized with one shared
-// field inversion, which is what makes a batched seal two comb
-// multiplications and (amortized) nothing else.
-func EncapBatch(pub *PublicKey, rngs []io.Reader, workers int) ([]Encap, error) {
-	n := len(rngs)
-	if n == 0 {
-		return nil, nil
+// Seal finishes a queued seal once b has run over its slots and been
+// normalized: it derives the AES key from the two products and appends the
+// envelope to dst as SealInto does.
+func (s *PendingSeal) Seal(b *group.CombBatch, dst, plaintext, aad []byte) ([]byte, error) {
+	g := s.pub.g
+	need := pubKeyLen + nonceLen + len(plaintext) + tagLen
+	base := len(dst)
+	if cap(dst)-base < need {
+		grown := make([]byte, base, base+need)
+		copy(grown, dst)
+		dst = grown
 	}
-	g := pub.g
-	base, table := g.BaseTable(), pub.dhTable()
-	ks := make([]group.Scalar, n)
-	els := make([]group.Element, 2*n)
-	ephs, shareds := els[:n], els[n:]
-	errs := make([]error, n)
-	parallel.Ranges(parallel.Workers(workers), n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k, err := g.RandomScalar(rngs[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			ks[i] = k
-		}
-		base.MulBatch(ephs[lo:hi], ks[lo:hi])
-		table.MulBatch(shareds[lo:hi], ks[lo:hi])
-	})
-	if i, err := parallel.FirstError(errs); err != nil {
-		return nil, fmt.Errorf("hybrid: record %d: %w", i, err)
+	hdr := dst[base : base+pubKeyLen+nonceLen]
+	copy(hdr, g.Encode(b.Out(s.slot)))
+	nonce := hdr[pubKeyLen:]
+	copy(nonce, s.nonce[:])
+	sc := scratchPool.Get().(*scratch)
+	gcm, err := newAEAD(sc.sealKey(g.SharedBytes(b.Out(s.slot+1)), hdr[:pubKeyLen], s.pub.enc))
+	scratchPool.Put(sc)
+	if err != nil {
+		return nil, err
 	}
-	g.Normalize(els)
-	out := make([]Encap, n)
-	parallel.For(parallel.Workers(workers), n, func(i int) {
-		ephPub := g.Encode(ephs[i])
-		shared := g.SharedBytes(shareds[i])
-		sc := scratchPool.Get().(*scratch)
-		copy(out[i].Key[:], sc.sealKey(shared, ephPub, pub.enc))
-		scratchPool.Put(sc)
-		out[i].EphPub = ephPub
-	})
-	return out, nil
+	return gcm.Seal(dst[:base+pubKeyLen+nonceLen], nonce, plaintext, aad), nil
 }
 
 // Seal encrypts plaintext to the recipient pub, binding aad (which is
@@ -385,37 +369,14 @@ func Seal(rng io.Reader, pub *PublicKey, plaintext, aad []byte) ([]byte, error) 
 // (ephemeral scalar, then nonce), so given the same rng stream all of them
 // produce identical bytes. It is safe for concurrent use.
 func SealInto(rng io.Reader, pub *PublicKey, dst, plaintext, aad []byte) ([]byte, error) {
-	var enc Encap
-	if err := encap(rng, pub, &enc); err != nil {
+	b := group.NewCombBatch(pub.g, 2)
+	var s PendingSeal
+	if err := pub.QueueSeal(&s, rng, b, 0); err != nil {
 		return nil, err
 	}
-	return SealIntoEncap(rng, &enc, dst, plaintext, aad)
-}
-
-// SealIntoEncap finishes a seal from a prepared encapsulation: it writes the
-// ephemeral public key and a nonce drawn from rng into dst, then seals the
-// plaintext under the encapsulated AES key. Combined with EncapBatch it is
-// byte-for-byte the same construction as SealInto, split so the public-key
-// work batches; pass the same per-record rng to both halves.
-func SealIntoEncap(rng io.Reader, enc *Encap, dst, plaintext, aad []byte) ([]byte, error) {
-	need := pubKeyLen + nonceLen + len(plaintext) + tagLen
-	base := len(dst)
-	if cap(dst)-base < need {
-		grown := make([]byte, base, base+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	hdr := dst[base : base+pubKeyLen+nonceLen]
-	copy(hdr, enc.EphPub)
-	nonce := hdr[pubKeyLen:]
-	if _, err := io.ReadFull(rng, nonce); err != nil {
-		return nil, fmt.Errorf("hybrid: %w", err)
-	}
-	gcm, err := newAEAD(enc.Key[:])
-	if err != nil {
-		return nil, err
-	}
-	return gcm.Seal(dst[:base+pubKeyLen+nonceLen], nonce, plaintext, aad), nil
+	b.Run(0, 2)
+	b.Normalize()
+	return s.Seal(b, dst, plaintext, aad)
 }
 
 // SeedLen is the per-record seed width of the batch randomness convention
@@ -458,11 +419,11 @@ func (s Seeds) RNG(i int) *rand.ChaCha8 {
 func PutRNG(r *rand.ChaCha8) { rngPool.Put(r) }
 
 // SealBatch encrypts a batch of plaintexts to pub on a pool of workers
-// (0 selects GOMAXPROCS), mirroring OpenBatch. The encapsulations run
-// through EncapBatch (one shared normalization for the whole batch), all
-// ciphertexts share one backing buffer, and randomness follows the Seeds
-// convention, so for a deterministic rng the output is byte-identical at
-// every worker count.
+// (0 selects GOMAXPROCS), mirroring OpenBatch. Every seal is queued in one
+// group.CombBatch, run a worker's range of records at a time and normalized
+// with one field inversion, all ciphertexts share one backing buffer, and
+// randomness follows the Seeds convention, so for a deterministic rng the
+// output is byte-identical at every worker count.
 func SealBatch(rng io.Reader, pub *PublicKey, plaintexts [][]byte, aad []byte, workers int) ([][]byte, error) {
 	n := len(plaintexts)
 	if n == 0 {
@@ -472,26 +433,21 @@ func SealBatch(rng io.Reader, pub *PublicKey, plaintexts [][]byte, aad []byte, w
 	if err != nil {
 		return nil, err
 	}
-	// Each record's rng serves both halves of its seal (scalar, then
-	// nonce), so the checkouts span the two phases.
-	rngs := make([]io.Reader, n)
-	for i := range rngs {
-		rngs[i] = seeds.RNG(i)
+	b := group.NewCombBatch(pub.g, 2*n)
+	pending := make([]PendingSeal, n)
+	if i, err := b.RunRecords(workers, 2, func(i int) error {
+		r := seeds.RNG(i)
+		defer PutRNG(r)
+		return pub.QueueSeal(&pending[i], r, b, 2*i)
+	}); err != nil {
+		return nil, fmt.Errorf("hybrid: record %d: %w", i, err)
 	}
-	defer func() {
-		for _, r := range rngs {
-			PutRNG(r.(*rand.ChaCha8))
-		}
-	}()
-	encs, err := EncapBatch(pub, rngs, workers)
-	if err != nil {
-		return nil, err
-	}
+	b.Normalize()
 	arena := parallel.NewArena(n, func(i int) int { return len(plaintexts[i]) + Overhead })
 	out := make([][]byte, n)
 	errs := make([]error, n)
 	parallel.For(parallel.Workers(workers), n, func(i int) {
-		out[i], errs[i] = SealIntoEncap(rngs[i], &encs[i], arena.Slot(i), plaintexts[i], aad)
+		out[i], errs[i] = pending[i].Seal(b, arena.Slot(i), plaintexts[i], aad)
 	})
 	if i, err := parallel.FirstError(errs); err != nil {
 		return nil, fmt.Errorf("hybrid: record %d: %w", i, err)

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"encoding/hex"
-	"io"
+	"fmt"
 	mrand "math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -497,50 +497,76 @@ func TestBothGroupBackends(t *testing.T) {
 	}
 }
 
-// TestEncapBatchMatchesSealInto pins the split EncapBatch+SealIntoEncap path
-// to the solo SealInto construction: same per-record rng streams, identical
-// bytes, at every worker count.
-func TestEncapBatchMatchesSealInto(t *testing.T) {
+// TestQueuedSealMatchesSealInto pins the split seal — QueueSeal into one
+// group.CombBatch shared by every record and by a second recipient's seals,
+// then PendingSeal.Seal — and SealBatch at every worker count to the solo
+// SealInto construction: same per-record rng streams, identical bytes.
+func TestQueuedSealMatchesSealInto(t *testing.T) {
 	for _, g := range []group.Group{group.P256, group.Ristretto255} {
 		t.Run(g.Name(), func(t *testing.T) {
 			priv, err := GenerateKeyGroup(g, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
+			other, err := GenerateKeyGroup(g, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
 			pub := priv.Public()
 			const n = 23
+			var master [32]byte
+			seeds, err := DrawSeeds(mrand.NewChaCha8(master), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts := make([][]byte, n)
 			want := make([][]byte, n)
 			for i := range want {
-				var seed [32]byte
-				seed[0] = byte(i)
-				ct, err := SealInto(mrand.NewChaCha8(seed), pub, nil, []byte{byte(i)}, []byte("aad"))
-				if err != nil {
+				pts[i] = []byte{byte(i)}
+				if want[i], err = SealInto(seeds.RNG(i), pub, nil, pts[i], []byte("aad")); err != nil {
 					t.Fatal(err)
 				}
-				want[i] = ct
 			}
-			for _, workers := range []int{1, 4} {
-				rngs := make([]io.Reader, n)
-				for i := range rngs {
-					var seed [32]byte
-					seed[0] = byte(i)
-					rngs[i] = mrand.NewChaCha8(seed)
+			check := func(name string, i int, got []byte) {
+				t.Helper()
+				if !bytes.Equal(got, want[i]) {
+					t.Fatalf("%s record %d: diverges from SealInto", name, i)
 				}
-				encs, err := EncapBatch(pub, rngs, workers)
+				if _, err := priv.Open(got, []byte("aad")); err != nil {
+					t.Fatalf("%s record %d: %v", name, i, err)
+				}
+			}
+
+			// slots 4i, 4i+1 seal to pub; 4i+2, 4i+3 to another key
+			b := group.NewCombBatch(g, 4*n)
+			pending := make([]PendingSeal, n)
+			var discard PendingSeal
+			for i := range pending {
+				rng := seeds.RNG(i)
+				if err := pub.QueueSeal(&pending[i], rng, b, 4*i); err != nil {
+					t.Fatal(err)
+				}
+				if err := other.Public().QueueSeal(&discard, rng, b, 4*i+2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b.Run(0, 4*n)
+			b.Normalize()
+			for i := range pending {
+				got, err := pending[i].Seal(b, nil, pts[i], []byte("aad"))
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i := range encs {
-					got, err := SealIntoEncap(rngs[i], &encs[i], nil, []byte{byte(i)}, []byte("aad"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want[i]) {
-						t.Fatalf("workers=%d record %d: batched seal diverges from SealInto", workers, i)
-					}
-					if _, err := priv.Open(got, []byte("aad")); err != nil {
-						t.Fatalf("workers=%d record %d: %v", workers, i, err)
-					}
+				check("queued", i, got)
+			}
+
+			for _, workers := range []int{1, 4} {
+				got, err := SealBatch(mrand.NewChaCha8(master), pub, pts, []byte("aad"), workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range got {
+					check(fmt.Sprintf("SealBatch workers=%d", workers), i, got[i])
 				}
 			}
 		})

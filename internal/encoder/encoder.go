@@ -21,6 +21,7 @@ import (
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
+	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/crypto/secretshare"
 	"prochlo/internal/parallel"
@@ -61,34 +62,31 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// batchRNGs checks out one pooled ChaCha8 per record. The checkouts span
-// every phase of a batch encode — each record's rng serves its El Gamal
-// scalar, both ephemeral scalars, and both nonces, in the same order the
-// solo Encode draws them — so release must wait until the batch is done.
-func batchRNGs(seeds hybrid.Seeds, n int) (rngs []io.Reader, release func()) {
-	chachas := make([]*rand.ChaCha8, n)
-	rngs = make([]io.Reader, n)
-	for i := range rngs {
-		chachas[i] = seeds.RNG(i)
-		rngs[i] = chachas[i]
+// runRecords queues every record's fixed-base multiplications in b and runs
+// them, per slots a record (CombBatch.RunRecords): queue(rng, i) draws
+// record i's randomness from its own seeded stream.
+func runRecords(b *group.CombBatch, workers, per int, seeds hybrid.Seeds, queue func(rng io.Reader, i int) error) error {
+	if i, err := b.RunRecords(workers, per, func(i int) error {
+		rng := seeds.RNG(i)
+		defer hybrid.PutRNG(rng)
+		return queue(rng, i)
+	}); err != nil {
+		return fmt.Errorf("encoder: report %d: %w", i, err)
 	}
-	return rngs, func() {
-		for _, r := range chachas {
-			hybrid.PutRNG(r)
-		}
-	}
+	return nil
 }
 
 // EncodeBatch encodes a batch of reports on a worker pool (workers <= 0
-// selects GOMAXPROCS, 1 is the serial reference path). The batch runs in
-// phases so the public-key work feeds the group layer's batch kernels: one
-// key encapsulation sweep per layer (all ephemeral and shared points of the
-// batch normalized with a single field inversion), then the AEAD seals, each
-// report's nested envelope composed in place in one batch-wide buffer.
-// Per-report randomness follows the hybrid.Seeds convention — record i's
-// draws come from its own seeded stream in the solo Encode order — so the
-// output is identical in distribution to calling Encode per report, and
-// byte-identical across worker counts for a fixed Rand.
+// selects GOMAXPROCS, 1 is the serial reference path). Every fixed-base
+// multiplication of the batch — each report's two seals, k*G and k*K each —
+// goes in one group.CombBatch, one comb sweep per worker's range of reports
+// and one field inversion for all of them; then the AEAD seals compose each
+// report's nested envelope in place in one batch-wide buffer. Per-report
+// randomness follows the hybrid.Seeds convention — record i's draws come
+// from its own seeded stream in the solo Encode order (inner scalar and
+// nonce, then outer) — so the output is identical in distribution to
+// calling Encode per report, and byte-identical across worker counts for a
+// fixed Rand.
 func (c *Client) EncodeBatch(reports []core.Report, workers int) ([]core.Envelope, error) {
 	n := len(reports)
 	if n == 0 {
@@ -98,49 +96,44 @@ func (c *Client) EncodeBatch(reports []core.Report, workers int) ([]core.Envelop
 	if err != nil {
 		return nil, err
 	}
-	rngs, release := batchRNGs(seeds, n)
-	defer release()
 	w := parallel.Workers(workers)
 
-	innerEncs, err := hybrid.EncapBatch(c.AnalyzerKey, rngs, w)
-	if err != nil {
-		return nil, fmt.Errorf("encoder: inner layer: %w", err)
+	// record i's inner seal sits at slots 4i and 4i+1, its outer at 4i+2, 4i+3
+	b := group.NewCombBatch(c.AnalyzerKey.Group(), 4*n)
+	inner, outer := make([]hybrid.PendingSeal, n), make([]hybrid.PendingSeal, n)
+	if err := runRecords(b, w, 4, seeds, func(rng io.Reader, i int) error {
+		if err := c.AnalyzerKey.QueueSeal(&inner[i], rng, b, 4*i); err != nil {
+			return fmt.Errorf("inner layer: %w", err)
+		}
+		if err := c.ShufflerKey.QueueSeal(&outer[i], rng, b, 4*i+2); err != nil {
+			return fmt.Errorf("outer layer: %w", err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	b.Normalize()
+
 	// Staging and envelope sizes are known exactly: data + inner overhead,
 	// wrapped with the crowd ID and outer overhead.
 	staging := parallel.NewArena(n, func(i int) int {
 		return core.CrowdIDSize + len(reports[i].Data) + hybrid.Overhead
 	})
-	payloads := make([][]byte, n)
-	errs := make([]error, n)
-	parallel.For(w, n, func(i int) {
-		payload := append(staging.Slot(i), reports[i].CrowdID[:]...)
-		payload, err := hybrid.SealIntoEncap(rngs[i], &innerEncs[i], payload, reports[i].Data, nil)
-		if err != nil {
-			errs[i] = fmt.Errorf("inner layer: %w", err)
-			return
-		}
-		payloads[i] = payload
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	outerEncs, err := hybrid.EncapBatch(c.ShufflerKey, rngs, w)
-	if err != nil {
-		return nil, fmt.Errorf("encoder: outer layer: %w", err)
-	}
 	arena := parallel.NewArena(n, func(i int) int {
 		return core.CrowdIDSize + len(reports[i].Data) + 2*hybrid.Overhead
 	})
 	envs := make([]core.Envelope, n)
+	errs := make([]error, n)
 	parallel.For(w, n, func(i int) {
-		blob, err := hybrid.SealIntoEncap(rngs[i], &outerEncs[i], arena.Slot(i), payloads[i], nil)
+		payload := append(staging.Slot(i), reports[i].CrowdID[:]...)
+		payload, err := inner[i].Seal(b, payload, reports[i].Data, nil)
 		if err != nil {
-			errs[i] = fmt.Errorf("outer layer: %w", err)
+			errs[i] = fmt.Errorf("inner layer: %w", err)
 			return
 		}
-		envs[i].Blob = blob
+		if envs[i].Blob, err = outer[i].Seal(b, arena.Slot(i), payload, nil); err != nil {
+			errs[i] = fmt.Errorf("outer layer: %w", err)
+		}
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -194,12 +187,14 @@ func (c *BlindedClient) Encode(crowdLabel string, data []byte) (core.BlindedEnve
 }
 
 // EncodeBatch encodes a batch of (crowd label, data) reports on a worker
-// pool, the split-shuffler counterpart of Client.EncodeBatch: the El Gamal
-// crowd-ID encryptions run through the cached hash-to-curve fast path and
-// the batch comb kernels (one shared normalization for all 2n ciphertext
-// components), each hybrid layer through one EncapBatch sweep, and both
-// layers are composed in a single batch-wide buffer. Byte output is
-// identical across worker counts for a fixed Rand.
+// pool, the split-shuffler counterpart of Client.EncodeBatch: each report's
+// El Gamal crowd-ID encryption (through the cached hash-to-curve fast path)
+// and both of its seals queue their six fixed-base multiplications in one
+// group.CombBatch, normalized with one inversion for the whole batch, and
+// both layers are composed in a single batch-wide buffer. Record i draws El
+// Gamal scalar, inner scalar and nonce, then outer, from its own stream, as
+// Encode does, so byte output is identical across worker counts for a
+// fixed Rand.
 func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers int) ([]core.BlindedEnvelope, error) {
 	if len(crowdLabels) != len(data) {
 		return nil, fmt.Errorf("encoder: %d labels for %d data payloads", len(crowdLabels), len(data))
@@ -212,51 +207,46 @@ func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers
 	if err != nil {
 		return nil, err
 	}
-	rngs, release := batchRNGs(seeds, n)
-	defer release()
 	w := parallel.Workers(workers)
 
-	labels := make([][]byte, n)
-	for i, l := range crowdLabels {
-		labels[i] = []byte(l)
+	// record i's El Gamal encryption sits at slots 6i and 6i+1, its inner
+	// seal at 6i+2 and 6i+3, its shuffler-2 seal at 6i+4 and 6i+5
+	enc := c.encrypter()
+	b := group.NewCombBatch(c.AnalyzerKey.Group(), 6*n)
+	inner, outer := make([]hybrid.PendingSeal, n), make([]hybrid.PendingSeal, n)
+	if err := runRecords(b, w, 6, seeds, func(rng io.Reader, i int) error {
+		if err := enc.QueueCrowdID(rng, []byte(crowdLabels[i]), b, 6*i); err != nil {
+			return fmt.Errorf("crowd ID: %w", err)
+		}
+		if err := c.AnalyzerKey.QueueSeal(&inner[i], rng, b, 6*i+2); err != nil {
+			return fmt.Errorf("inner layer: %w", err)
+		}
+		if err := c.Shuffler2Key.QueueSeal(&outer[i], rng, b, 6*i+4); err != nil {
+			return fmt.Errorf("shuffler-2 layer: %w", err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	cts, err := c.encrypter().EncryptCrowdIDBatch(rngs, labels, w)
-	if err != nil {
-		return nil, fmt.Errorf("encoder: crowd ID: %w", err)
-	}
+	b.Normalize()
 
-	innerEncs, err := hybrid.EncapBatch(c.AnalyzerKey, rngs, w)
-	if err != nil {
-		return nil, fmt.Errorf("encoder: inner layer: %w", err)
-	}
 	staging := parallel.NewArena(n, func(i int) int { return len(data[i]) + hybrid.Overhead })
-	payloads := make([][]byte, n)
+	arena := parallel.NewArena(n, func(i int) int { return len(data[i]) + 2*hybrid.Overhead })
+	envs := make([]core.BlindedEnvelope, n)
 	errs := make([]error, n)
 	parallel.For(w, n, func(i int) {
-		inner, err := hybrid.SealIntoEncap(rngs[i], &innerEncs[i], staging.Slot(i), data[i], nil)
+		payload, err := inner[i].Seal(b, staging.Slot(i), data[i], nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("inner layer: %w", err)
 			return
 		}
-		payloads[i] = inner
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	outerEncs, err := hybrid.EncapBatch(c.Shuffler2Key, rngs, w)
-	if err != nil {
-		return nil, fmt.Errorf("encoder: shuffler-2 layer: %w", err)
-	}
-	arena := parallel.NewArena(n, func(i int) int { return len(data[i]) + 2*hybrid.Overhead })
-	envs := make([]core.BlindedEnvelope, n)
-	parallel.For(w, n, func(i int) {
-		blob, err := hybrid.SealIntoEncap(rngs[i], &outerEncs[i], arena.Slot(i), payloads[i], nil)
+		blob, err := outer[i].Seal(b, arena.Slot(i), payload, nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("shuffler-2 layer: %w", err)
 			return
 		}
-		envs[i] = core.BlindedEnvelope{CrowdC1: cts[i].C1.Bytes(), CrowdC2: cts[i].C2.Bytes(), Blob: blob}
+		ct := enc.Queued(b, 6*i)
+		envs[i] = core.BlindedEnvelope{CrowdC1: ct.C1.Bytes(), CrowdC2: ct.C2.Bytes(), Blob: blob}
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err

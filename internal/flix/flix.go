@@ -15,8 +15,11 @@
 package flix
 
 import (
+	"cmp"
+	"maps"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"prochlo/internal/dp"
 	"prochlo/internal/encoder"
@@ -49,14 +52,17 @@ func DefaultConfig() Config {
 }
 
 // EncodeUsers runs the Flix encoder: per user, a capped random sample of
-// rating pairs with randomized movie identifiers.
+// rating pairs with randomized movie identifiers. Users draw from rng in
+// ascending ID order, so a seeded run gives one result (map order would
+// reshuffle the draws).
 func EncodeUsers(rng *rand.Rand, cfg Config, train []workload.Rating, movies int) []Tuple {
 	byUser := make(map[int32][]workload.Rating)
 	for _, r := range train {
 		byUser[r.User] = append(byUser[r.User], r)
 	}
 	var tuples []Tuple
-	for _, ratings := range byUser {
+	for _, u := range slices.Sorted(maps.Keys(byUser)) {
+		ratings := byUser[u]
 		pairs := encoder.SampledPairs(rng, len(ratings), cfg.MaxPairs)
 		for _, p := range pairs {
 			a, b := ratings[p[0]], ratings[p[1]]
@@ -84,10 +90,14 @@ func ThresholdTuples(rng *rand.Rand, cfg Config, tuples []Tuple) []Tuple {
 		counts[half{t.I, t.RI}]++
 		counts[half{t.J, t.RJ}]++
 	}
-	// One noisy thresholding decision per crowd.
+	// One noisy thresholding decision per crowd, drawn in crowd order so a
+	// seeded run gives one result.
+	halves := slices.SortedFunc(maps.Keys(counts), func(a, b half) int {
+		return cmp.Or(cmp.Compare(a.m, b.m), cmp.Compare(a.r, b.r))
+	})
 	ok := make(map[half]bool, len(counts))
-	for h, n := range counts {
-		_, pass := cfg.Threshold.Survives(rng, n)
+	for _, h := range halves {
+		_, pass := cfg.Threshold.Survives(rng, counts[h])
 		ok[h] = pass
 	}
 	out := tuples[:0:0]

@@ -150,6 +150,19 @@ func TestTable5SmallScale(t *testing.T) {
 	}
 }
 
+// TestSeededRunReproduces: two runs at one seed give one outcome. The
+// encoder draws per user and the shuffler per crowd from the run's rng, so
+// both must visit users and crowds in a fixed order, not a map's.
+func TestSeededRunReproduces(t *testing.T) {
+	wcfg := workload.DefaultFlix
+	wcfg.Users /= 10
+	cfg := DefaultConfig()
+	first, second := Run(workload.NewRand(47), wcfg, cfg), Run(workload.NewRand(47), wcfg, cfg)
+	if first != second {
+		t.Errorf("seed 47 ran twice: %+v, then %+v", first, second)
+	}
+}
+
 func TestPredictorClamps(t *testing.T) {
 	m := NewMatrices(2)
 	p := NewPredictor(m, 5)

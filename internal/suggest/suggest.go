@@ -9,7 +9,9 @@
 package suggest
 
 import (
+	"maps"
 	"math/rand/v2"
+	"slices"
 
 	"prochlo/internal/dp"
 	"prochlo/internal/encoder"
@@ -163,8 +165,11 @@ func (e Experiment) Run(rng *rand.Rand) Outcome {
 		}
 		groups[string(k)] = append(groups[string(k)], t)
 	}
+	// Crowds draw threshold noise in key order, so a seeded run gives one
+	// result (map order would reshuffle the draws).
 	var kept [][]uint32
-	for _, g := range groups {
+	for _, k := range slices.Sorted(maps.Keys(groups)) {
+		g := groups[k]
 		if keep, ok := e.Threshold.Survives(rng, len(g)); ok {
 			if keep > len(g) {
 				keep = len(g)

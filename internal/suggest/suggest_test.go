@@ -85,6 +85,19 @@ func TestFragmentLengthAblation(t *testing.T) {
 	}
 }
 
+// TestSeededRunReproduces: two runs at one seed give one outcome. Every
+// crowd draws its threshold noise from the run's rng, so the draws must
+// follow the crowds in a fixed order, not a map's.
+func TestSeededRunReproduces(t *testing.T) {
+	e := DefaultExperiment()
+	e.Users = 3000
+	e.TestUsers = 300
+	first, second := e.Run(workload.NewRand(37)), e.Run(workload.NewRand(37))
+	if first != second {
+		t.Errorf("seed 37 ran twice: %+v, then %+v", first, second)
+	}
+}
+
 func TestThresholdingDropsRareTuples(t *testing.T) {
 	e := DefaultExperiment()
 	e.Users = 3000
