@@ -31,6 +31,17 @@ import (
 // dedup mark. Ingest segments whose every item belongs to a resolved epoch
 // are deleted.
 //
+// Mark replicas are not written on their own. appendBatch queues each one
+// under w.mu, and they go out in the same write as the next epoch-log record
+// (cut, ack or drop); syncAll and close write any left. That is safe because
+// the fsynced batch record is the authoritative copy of a mark: an ingest
+// segment is deleted only once the epoch holding its batches resolves, which
+// is after that epoch's cut record, and the cut record's write carries every
+// mark queued before it (keep finishes — mark queued — before the cut that
+// takes its chunk). Queueing keeps the epoch log's records and their order;
+// only the tail since its last write waits in memory. Lock order: ingest.mu
+// → w.mu → epochLog.mu.
+//
 // Durability points:
 //
 //   - batch records: fsynced before the batch is acknowledged;
@@ -38,9 +49,9 @@ import (
 //     cut covers was fsynced before it was acknowledged, so a pushed epoch's
 //     membership is always recoverable and a retried push after restart
 //     reuses the same epoch id for downstream dedup;
-//   - ack/drop and mark-replica records: not fsynced. Losing an ack re-pushes
-//     a delivered epoch, which downstream (stream, epoch) dedup absorbs; the
-//     authoritative copy of a mark is its batch record.
+//   - ack/drop and mark-replica records: not fsynced (marks ride the next
+//     write, see above). Losing an ack re-pushes a delivered epoch, which
+//     downstream (stream, epoch) dedup absorbs.
 //
 // Recovery (recoverWAL) reads every file back, drops items of resolved
 // epochs, regroups items of cut-but-unresolved epochs under their original
@@ -82,8 +93,9 @@ type walSegment struct {
 	path   string
 	size   int64
 	maxSeq int64
-	dirty  bool // has records not yet fsynced
-	buf    []byte
+	dirty  bool               // has records not yet fsynced
+	buf    []byte             // reused by appendBatch: the batch body, then its framed record
+	item   []byte             // reused by appendBatch: one item's durable form
 	fsync  *metrics.Histogram // fsync latency; nil disables (see attachMetrics)
 }
 
@@ -111,20 +123,26 @@ type wal struct {
 	unresolved map[int64]walRange
 	stableSeq  int64 // every seq <= stableSeq belongs to a resolved epoch
 	logErr     error // first write failure, surfaced on close
+	// epochBuf is the epoch log's next write: queued mark replicas, then the
+	// record being appended. Reused between writes.
+	epochBuf []byte
 
 	appendRecords *metrics.Counter // items logged; nil disables
 }
 
 // appendRecord frames one record (type, uvarint length, body, crc32 over
-// type+body) into dst.
+// type+body) into dst. body may be dst's own contents (appendBatch frames a
+// record behind its body in one buffer): the checksum reads the copy just
+// appended.
 func appendRecord(dst []byte, typ byte, body []byte) []byte {
+	start := len(dst)
 	dst = append(dst, typ)
 	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	head := len(dst)
 	dst = append(dst, body...)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(body)
-	return binary.LittleEndian.AppendUint32(dst, crc.Sum32())
+	crc := crc32.Update(0, crc32.IEEETable, dst[start:start+1])
+	crc = crc32.Update(crc, crc32.IEEETable, dst[head:])
+	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
 // readRecord reads one framed record into a fresh buffer. io.EOF means a
@@ -264,33 +282,34 @@ func (w *wal) rotateLocked(s *walSegment, prefix string) error {
 // engine acknowledges the batch only after this returns, so a crash can never
 // persist the mark without the items (a retry swallowed, items lost) or the
 // items without the mark (a retry double-ingesting). A nonzero stamp also
-// gets a best-effort mark replica in the epoch log, which outlives the
-// ingest segment's truncation. The engine calls it under the read side of
-// its closeMu, before the batch joins the pending chunks, so an epoch cut
-// (the write side) never sees a batch that is logged but not visible, or
-// visible but not logged.
+// queues a mark replica for the epoch log, which outlives the ingest
+// segment's truncation (see the file comment). The engine calls it under the
+// read side of its closeMu, before the batch joins the pending chunks, so an
+// epoch cut (the write side) never sees a batch that is logged but not
+// visible, or visible but not logged.
 func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
 	s := w.ingest
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := b.Len()
-	body := s.buf[:0]
-	body = binary.AppendVarint(body, stream)
+	body := binary.AppendVarint(s.buf[:0], stream)
 	body = binary.AppendVarint(body, pos)
+	stamp := len(body)
 	body = binary.AppendUvarint(body, uint64(n))
-	var item []byte
 	for i := 0; i < n; i++ {
 		sq := b.Seq(i)
 		body = binary.AppendUvarint(body, uint64(sq))
-		item = b.AppendItem(item[:0], i)
-		body = binary.AppendUvarint(body, uint64(len(item)))
-		body = append(body, item...)
+		s.item = b.AppendItem(s.item[:0], i)
+		body = binary.AppendUvarint(body, uint64(len(s.item)))
+		body = append(body, s.item...)
 		if sq > s.maxSeq {
 			s.maxSeq = sq
 		}
 	}
-	s.buf = body
-	if err := s.write(appendRecord(nil, walRecBatch, body)); err != nil {
+	// The record is framed behind its body in the same buffer.
+	buf := appendRecord(body, walRecBatch, body)
+	s.buf = buf[:0]
+	if err := s.write(buf[len(body):]); err != nil {
 		return fmt.Errorf("transport: wal append: %w", err)
 	}
 	if err := s.syncLocked(); err != nil {
@@ -298,7 +317,9 @@ func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
 	}
 	w.appendRecords.Add(float64(n))
 	if stream != 0 || pos != 0 {
-		w.logMark(stream, pos)
+		w.mu.Lock()
+		w.epochBuf = appendRecord(w.epochBuf, walRecMark, body[:stamp])
+		w.mu.Unlock()
 	}
 	if s.size >= w.segBytes {
 		return w.rotateLocked(s, walIngestPrefix)
@@ -306,21 +327,31 @@ func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
 	return nil
 }
 
-// appendEpochLocked writes one record to the epoch log. Caller holds w.mu.
+// appendEpochLocked writes one record to the epoch log, behind the mark
+// replicas queued since the last write, in one write. Caller holds w.mu.
 func (w *wal) appendEpochLocked(typ byte, body []byte, sync bool) error {
+	w.epochBuf = appendRecord(w.epochBuf, typ, body)
+	return w.writeEpochLocked(sync)
+}
+
+// writeEpochLocked writes epochBuf to the epoch log, fsyncing it if sync.
+// A failed write loses the queued marks' replicas, not the marks: their
+// batch records hold them. Caller holds w.mu.
+func (w *wal) writeEpochLocked(sync bool) error {
 	w.epochLog.mu.Lock()
 	defer w.epochLog.mu.Unlock()
-	if err := w.epochLog.write(appendRecord(w.epochLog.buf[:0], typ, body)); err != nil {
+	var err error
+	if len(w.epochBuf) > 0 {
+		err = w.epochLog.write(w.epochBuf)
+		w.epochBuf = w.epochBuf[:0]
+	}
+	if err == nil && sync {
+		err = w.epochLog.syncLocked()
+	}
+	if err != nil {
 		w.logErr = err
-		return err
 	}
-	if sync {
-		if err := w.epochLog.syncLocked(); err != nil {
-			w.logErr = err
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // logCut records a cut epoch's id and sequence range as an fsynced record —
@@ -338,16 +369,6 @@ func (w *wal) logCut(id, minSeq, maxSeq int64) error {
 	}
 	w.unresolved[id] = walRange{min: minSeq, max: maxSeq}
 	return nil
-}
-
-// logMark replicates a dedup mark into the epoch log (unsynced; the
-// authoritative copy is the batch record).
-func (w *wal) logMark(stream, pos int64) {
-	body := binary.AppendVarint(nil, stream)
-	body = binary.AppendVarint(body, pos)
-	w.mu.Lock()
-	w.appendEpochLocked(walRecMark, body, false)
-	w.mu.Unlock()
 }
 
 // resolve marks an epoch delivered (ack) or permanently failed (drop),
@@ -390,16 +411,18 @@ func (w *wal) unresolvedCount() int {
 	return len(w.unresolved)
 }
 
-// syncAll fsyncs the ingest segment and the epoch log if dirty.
+// syncAll writes the queued mark replicas and fsyncs the ingest segment and
+// the epoch log if dirty.
 func (w *wal) syncAll() error {
-	var first error
-	for _, s := range []*walSegment{w.ingest, w.epochLog} {
-		s.mu.Lock()
-		err := s.syncLocked()
-		s.mu.Unlock()
-		if err != nil && first == nil {
-			first = err
-		}
+	s := w.ingest
+	s.mu.Lock()
+	first := s.syncLocked()
+	s.mu.Unlock()
+	w.mu.Lock()
+	err := w.writeEpochLocked(true)
+	w.mu.Unlock()
+	if first == nil {
+		first = err
 	}
 	return first
 }
@@ -726,9 +749,11 @@ func migrateWAL(w *wal, rec *walRecovery) error {
 			return err
 		}
 	}
+	w.mu.Lock()
 	for _, mark := range rec.marks {
-		w.logMark(mark[0], mark[1])
+		w.epochBuf = appendRecord(w.epochBuf, walRecMark, appendWireInts(nil, mark[0], mark[1]))
 	}
+	w.mu.Unlock()
 	if err := w.syncAll(); err != nil {
 		return err
 	}

@@ -219,6 +219,50 @@ func TestWALResolveReclaimsSegments(t *testing.T) {
 	})
 }
 
+// TestWALMarkOutlivesTruncation: a resolved epoch's ingest segments are
+// deleted, and with them the batch records holding its dedup marks, so the
+// marks must survive in the epoch log — and after a crash that skipped the
+// final sync, and again after the recovery's rewrite. Marks of batches no
+// cut has taken yet may still be queued in memory at the crash; their batch
+// records are still on disk.
+func TestWALMarkOutlivesTruncation(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		dir := t.TempDir()
+		w := walOpen(t, dir, 64, 7, kind) // rotate after every record
+		payload := strings.Repeat("segment-filler-payload-to-force-rotation", 3)
+		for seq := 1; seq <= 4; seq++ {
+			walAppend(t, w, int64(seq), walItem(kind, seq, payload))
+		}
+		if err := w.logCut(1, 1, 4); err != nil {
+			t.Fatal(err)
+		}
+		walAppend(t, w, 5, walItem(kind, 5, payload))
+		if err := w.appendBatch(99, 7, walItem(kind, 6, payload)); err != nil {
+			t.Fatal(err)
+		}
+		w.resolve(1, true)
+		walAppend(t, w, 6, walItem(kind, 7, payload))
+		if segs, _ := filepath.Glob(filepath.Join(dir, walIngestPrefix+"-*.log")); len(segs) != 4 {
+			t.Fatalf("ingest segments after the resolve = %v, want the three unresolved batches' and the active one", segs)
+		}
+		w.closeFiles() // crash: no syncAll
+
+		want := [][2]int64{{walClient, 1}, {walClient, 2}, {walClient, 3}, {walClient, 4}, {walClient, 5}, {walClient, 6}, {99, 7}}
+		rec := walRecover(t, dir, kind)
+		if !reflect.DeepEqual(rec.marks, want) {
+			t.Fatalf("marks after truncation and a crash = %v, want %v", rec.marks, want)
+		}
+		w2 := walOpen(t, dir, 64, rec.stream, kind)
+		if err := migrateWAL(w2, rec); err != nil {
+			t.Fatal(err)
+		}
+		w2.closeFiles() // crash right after the rewrite
+		if rec2 := walRecover(t, dir, kind); !reflect.DeepEqual(rec2.marks, want) {
+			t.Fatalf("marks after migration and a crash = %v, want %v", rec2.marks, want)
+		}
+	})
+}
+
 // TestWALCleanCloseWipes: a wiping close leaves nothing to recover.
 func TestWALCleanCloseWipes(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
@@ -368,6 +412,49 @@ func TestWALRecordsMatchParentEncoding(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s segment differs from the replaced encoder's:\n got %x\nwant %x", prefix, got, want)
 			}
+		}
+	})
+}
+
+// raceEnabled is set under -race (race_test.go), whose instrumentation
+// allocates on its own.
+var raceEnabled bool
+
+// walAppendAllocs bounds the allocations of logging one stamped 5-item
+// batch in steady state (EXPERIMENTS.md has the measured counts).
+const walAppendAllocs = 0
+
+// TestWALAppendBatchAllocs gates what the log costs a client's call beyond
+// its write and fsync: appending a stamped 5-item batch — the record, its
+// items and the queued mark replica — reuses the log's buffers and
+// allocates nothing once they have grown.
+func TestWALAppendBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		w := walOpen(t, t.TempDir(), DefaultWALSegmentBytes, 7, kind)
+		defer w.close(false)
+		blob := strings.Repeat("r", 300) // about one sealed report
+		var items []core.Batch
+		for i := 1; i <= 5; i++ {
+			items = append(items, walItem(kind, i, blob))
+		}
+		b := walBatch(t, items...)
+		var pos int64
+		var err error
+		allocs := testing.AllocsPerRun(50, func() {
+			pos++
+			if e := w.appendBatch(walClient, pos, b); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%.0f allocs per appendBatch (bound %d)", allocs, walAppendAllocs)
+		if allocs > walAppendAllocs {
+			t.Errorf("%.0f allocs per appendBatch, bound %d", allocs, walAppendAllocs)
 		}
 	})
 }

@@ -48,15 +48,17 @@ import (
 // The CRC covers the body up to itself (IEEE, like the WAL records). A
 // frame that fails the CRC, truncates, or exceeds maxWireFrame kills the
 // connection — the one sender, (*peerConn).retry, treats that as the
-// transient connection failure it is and resends on a fresh connection. A request the service refuses (unknown method, a
-// method its role does not serve, a malformed body inside a sound frame)
-// gets an error reply and the connection stays up.
+// transient connection failure it is and resends on a fresh connection. A
+// request the service refuses (unknown method, a method its role does not
+// serve, a malformed body inside a sound frame) gets an error reply and the
+// connection stays up.
 //
 // Requests are pipelined: a connection carries any number of in-flight
-// requests, correlated by reqID, and replies may arrive out of order (the
-// server handles each frame in its own goroutine, at most maxConnHandlers at
-// once per connection). Server errors travel as strings and surface as
-// ServerError.
+// requests, correlated by reqID. The server answers every method but Drain
+// on its read loop, in arrival order; a Drain — the one call that waits on
+// other parties — runs in its own goroutine (at most maxConnHandlers at once
+// per connection), so its reply may overtake the calls behind it. Server
+// errors travel as strings and surface as ServerError.
 //
 // A dialer opens with a 4-byte magic and the server acks it before any
 // frame flows, so dialing something that is not a prochlo party fails at
@@ -90,10 +92,10 @@ const maxWireFrame = 1 << 30
 // fit in it and are read into one exact-size buffer with no regrowth.
 const frameReadChunk = 1 << 20
 
-// maxConnHandlers bounds the request handlers one connection may have in
+// maxConnHandlers bounds the Drain handlers one connection may have in
 // flight. Past it the read loop stops parsing frames, so a peer that floods
-// requests is back-pressured by TCP instead of growing the server's
-// goroutine count without limit.
+// Drains is back-pressured by TCP instead of growing the server's goroutine
+// count without limit.
 const maxConnHandlers = 64
 
 // Frame method ids. The gaps are retired ids, never reused.
@@ -162,15 +164,18 @@ func checkCRC(body []byte) ([]byte, error) {
 // length byte is unbounded (idle connections are normal); once a frame has
 // begun, the remainder must arrive within wireIOTimeout or the read fails —
 // a torn frame from a hung peer becomes an error instead of a stuck
-// goroutine.
+// goroutine. A frame already whole in br's buffer is read without a
+// blocking read, so it sets no deadline.
 func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, error) {
 	if _, err := br.Peek(1); err != nil {
 		return nil, err
 	}
-	if err := conn.SetReadDeadline(time.Now().Add(wireIOTimeout)); err != nil {
-		return nil, err
+	if !frameBuffered(br) {
+		if err := conn.SetReadDeadline(time.Now().Add(wireIOTimeout)); err != nil {
+			return nil, err
+		}
+		defer conn.SetReadDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
-	defer conn.SetReadDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("transport: wire frame length: %w", err)
@@ -183,6 +188,14 @@ func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, error) {
 		return nil, fmt.Errorf("transport: wire frame body: %w", err)
 	}
 	return checkCRC(body)
+}
+
+// frameBuffered reports whether br's buffer holds a whole frame: its length
+// prefix and every body byte the prefix announces.
+func frameBuffered(br *bufio.Reader) bool {
+	buf, _ := br.Peek(br.Buffered())
+	n, k := binary.Uvarint(buf)
+	return k > 0 && n <= uint64(len(buf)-k)
 }
 
 // readBody reads an n-byte frame body into a fresh buffer (a decoded batch
@@ -573,9 +586,11 @@ func Serve(addr string, svc Service) (net.Listener, error) {
 // that must sever live connections) drive it directly. A peer that does not
 // open with the magic within DefaultDialTimeout is closed.
 //
-// Each request is handled in its own goroutine (pipelining — a Drain that
-// blocks for minutes must not hold up the submissions behind it), at most
-// maxConnHandlers at a time, with replies serialized by a write lock.
+// The read loop answers each request itself, in arrival order, except a
+// Drain: it blocks for as long as the downstream barrier takes, so it runs in
+// its own goroutine (pipelining — the submissions behind it must not wait
+// for it), at most maxConnHandlers at a time. Replies are serialized by a
+// write lock.
 func ServeConn(conn net.Conn, svc Service) {
 	defer conn.Close()
 	var magic [4]byte
@@ -593,8 +608,27 @@ func ServeConn(conn net.Conn, svc Service) {
 	}
 	br := bufio.NewReaderSize(conn, 32<<10)
 	var wmu sync.Mutex
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
+	serve := func(reqID uint64, method uint8, body []byte) {
+		bufp := framePool.Get().(*[]byte)
+		buf := beginReply(*bufp, reqID, nil)
+		buf, herr := svc.serveFrame(method, body, buf)
+		if herr != nil {
+			buf = beginReply(*bufp, reqID, herr)
+		}
+		frame := finishFrame(buf)
+		wmu.Lock()
+		werr := writeFrame(conn, frame)
+		wmu.Unlock()
+		if cap(frame) > cap(*bufp) {
+			*bufp = frame[:0]
+		}
+		framePool.Put(bufp)
+		if werr != nil {
+			conn.Close() // unblocks the read loop; callers redial
+		}
+	}
+	var drains sync.WaitGroup
+	defer drains.Wait()
 	slots := make(chan struct{}, maxConnHandlers)
 	for {
 		frame, err := readFrame(br, conn)
@@ -605,30 +639,18 @@ func ServeConn(conn net.Conn, svc Service) {
 		if err != nil {
 			return // cannot trust the frame enough to even address a reply
 		}
+		if method != methodDrain {
+			serve(reqID, method, body)
+			continue
+		}
 		slots <- struct{}{}
-		handlers.Add(1)
+		drains.Add(1)
 		go func() {
 			defer func() {
 				<-slots
-				handlers.Done()
+				drains.Done()
 			}()
-			bufp := framePool.Get().(*[]byte)
-			buf := beginReply(*bufp, reqID, nil)
-			buf, herr := svc.serveFrame(method, body, buf)
-			if herr != nil {
-				buf = beginReply(*bufp, reqID, herr)
-			}
-			frame := finishFrame(buf)
-			wmu.Lock()
-			werr := writeFrame(conn, frame)
-			wmu.Unlock()
-			if cap(frame) > cap(*bufp) {
-				*bufp = frame[:0]
-			}
-			framePool.Put(bufp)
-			if werr != nil {
-				conn.Close() // unblocks the read loop; callers redial
-			}
+			serve(reqID, method, body)
 		}()
 	}
 }

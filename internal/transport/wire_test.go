@@ -277,12 +277,19 @@ func TestWireNonMagicPeerClosed(t *testing.T) {
 }
 
 // stallConn scripts the read side of a connection: the first Read delivers
-// head, the second signals stalled and blocks until the test releases it.
+// head; the next — the one a real connection would block in — delivers
+// rest, or, without rest, signals stalled and blocks until the test releases
+// it. It records the read deadline and how often it was set, and counts the
+// reads past head made without one.
 type stallConn struct {
-	net.Conn // nil: only the methods below are reached
-	head     []byte
-	stalled  chan struct{}
-	release  chan struct{}
+	net.Conn  // nil: only the methods below are reached
+	head      []byte
+	rest      []byte
+	stalled   chan struct{}
+	release   chan struct{}
+	deadline  time.Time
+	deadlines int // SetReadDeadline calls
+	unbounded int // reads past head with no deadline set
 }
 
 func (c *stallConn) Read(p []byte) (int, error) {
@@ -291,12 +298,56 @@ func (c *stallConn) Read(p []byte) (int, error) {
 		c.head = c.head[n:]
 		return n, nil
 	}
+	if c.deadline.IsZero() {
+		c.unbounded++
+	}
+	if len(c.rest) > 0 {
+		n := copy(p, c.rest)
+		c.rest = c.rest[n:]
+		return n, nil
+	}
 	close(c.stalled)
 	<-c.release
 	return 0, io.ErrUnexpectedEOF
 }
 
-func (c *stallConn) SetReadDeadline(time.Time) error { return nil }
+func (c *stallConn) SetReadDeadline(t time.Time) error {
+	c.deadline = t
+	c.deadlines++
+	return nil
+}
+
+// TestReadFrameDeadline: once a frame has begun, every read that can block
+// runs under wireIOTimeout, and the deadline is cleared after it — but a
+// frame already whole in the buffer is read without touching the deadline.
+func TestReadFrameDeadline(t *testing.T) {
+	frame := batchRequest(3, methodSubmit, 1, 2, core.Batch{Payloads: [][]byte{bytes.Repeat([]byte("p"), 300)}})
+	if frame[0]&0x80 == 0 {
+		t.Fatalf("frame of %d bytes has a one-byte length prefix; the test splits inside it", len(frame))
+	}
+	for _, tc := range []struct {
+		name          string
+		split         int // bytes the first read delivers
+		wantDeadlines int
+	}{
+		{"whole in the buffer", len(frame), 0},
+		{"split inside the length prefix", 1, 2},
+		{"split inside the body", len(frame) / 2, 2},
+	} {
+		conn := &stallConn{head: frame[:tc.split], rest: frame[tc.split:]}
+		body, err := readFrame(bufio.NewReaderSize(conn, 4096), conn)
+		if err != nil || !bytes.Equal(body, openFrame(t, frame)) {
+			t.Errorf("%s: read %d bytes, %v", tc.name, len(body), err)
+		}
+		if conn.unbounded != 0 {
+			t.Errorf("%s: %d reads blocked with no deadline", tc.name, conn.unbounded)
+		}
+		if conn.deadlines != tc.wantDeadlines || !conn.deadline.IsZero() {
+			t.Errorf("%s: %d SetReadDeadline calls, deadline left %v; want %d and cleared",
+				tc.name, conn.deadlines, conn.deadline, tc.wantDeadlines)
+		}
+	}
+}
 
 // TestWireHostileLengthPrefix: a peer that announces a maximal frame and
 // then stalls must cost the reader no more than one read chunk — the body
@@ -332,12 +383,12 @@ func TestWireHostileLengthPrefix(t *testing.T) {
 	}
 }
 
-// gateService is a scripted Service: Stats requests park until released,
-// a Drain parks on its own gate, and the handler high-water mark is
-// recorded.
+// gateService is a scripted Service: a Drain parks until the gate is
+// released, every other method answers at once, and the handler high-water
+// mark is recorded.
 type gateService struct {
 	running, peak atomic.Int64
-	stats, drain  chan struct{}
+	drain         chan struct{}
 }
 
 func (g *gateService) serveFrame(method uint8, _, dst []byte) ([]byte, error) {
@@ -349,74 +400,116 @@ func (g *gateService) serveFrame(method uint8, _, dst []byte) ([]byte, error) {
 			break
 		}
 	}
-	switch method {
-	case methodStats:
-		<-g.stats
-	case methodDrain:
+	if method == methodDrain {
 		<-g.drain
 	}
 	return append(dst, method), nil
 }
 
-// TestWireHandlersBounded floods one connection with ten times the handler
-// bound of blocking requests behind an in-flight Drain: the server must
-// hold at the bound (back-pressuring the read loop, not growing goroutines),
-// and the Drain must still be answered while the flood is parked.
+// requestFrames concatenates one finished request frame per id, all of
+// method (Drain requests carry the force byte 0).
+func requestFrames(method uint8, ids ...uint64) []byte {
+	var frames []byte
+	for _, id := range ids {
+		buf := beginRequest(make([]byte, 0, 32), id, method)
+		if method == methodDrain {
+			buf = append(buf, 0)
+		}
+		frames = append(frames, finishFrame(buf)...)
+	}
+	return frames
+}
+
+// idRange lists the ids lo, lo+1, ..., lo+n-1.
+func idRange(lo uint64, n int) []uint64 {
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = lo + uint64(i)
+	}
+	return ids
+}
+
+// TestWireHandlersBounded: only a Drain leaves the read loop. A flood of
+// Stats queued behind a parked Drain is answered in order by the read loop
+// itself, with no goroutine per frame; a flood of blocking Drains holds at
+// the handler bound, back-pressuring the read loop instead of growing the
+// goroutine count; and the parked Drains are answered once released.
 func TestWireHandlersBounded(t *testing.T) {
-	svc := &gateService{stats: make(chan struct{}), drain: make(chan struct{})}
+	svc := &gateService{drain: make(chan struct{})}
 	l, err := Serve("127.0.0.1:0", svc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	conn := rawConn(t, l.Addr().String())
+	br := bufio.NewReader(conn)
 	base := runtime.NumGoroutine()
 
 	const flood = 10 * maxConnHandlers
-	frames := finishFrame(append(beginRequest(make([]byte, 0, 32), 1, methodDrain), 0))
-	for i := 0; i < flood; i++ {
-		frames = append(frames, finishFrame(beginRequest(make([]byte, 0, 32), uint64(2+i), methodStats))...)
-	}
+	frames := append(requestFrames(methodDrain, 1), requestFrames(methodStats, idRange(2, flood)...)...)
 	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < flood; i++ {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		frame, err := readFrame(br, conn)
+		if err != nil {
+			t.Fatalf("stats reply %d/%d behind a parked drain: %v", i, flood, err)
+		}
+		id, body, _, err := parseReply(frame)
+		if err != nil || id != uint64(2+i) || !bytes.Equal(body, []byte{methodStats}) {
+			t.Fatalf("reply %d = id %d body % x (%v), want stats id %d in arrival order", i, id, body, err, 2+i)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > base+2 {
+		t.Fatalf("%d goroutines after a %d-frame stats flood (base %d), want one for the parked drain",
+			n, flood, base)
+	}
+	if peak := svc.peak.Load(); peak > 2 {
+		t.Fatalf("peak concurrent handlers = %d over the stats flood, want the drain and the read loop's one", peak)
+	}
+
+	// Drains, unlike the rest, leave the read loop: a flood of them fills
+	// the bound (one is parked already) and no more.
+	if _, err := conn.Write(requestFrames(methodDrain, idRange(uint64(2+flood), flood)...)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for svc.running.Load() < maxConnHandlers {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d handlers running, want the bound %d reached", svc.running.Load(), maxConnHandlers)
+			t.Fatalf("only %d drains running, want the bound %d reached", svc.running.Load(), maxConnHandlers)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(50 * time.Millisecond) // let an unbounded server overshoot
 	if peak := svc.peak.Load(); peak != maxConnHandlers {
-		t.Fatalf("peak concurrent handlers = %d, want exactly the bound %d", peak, maxConnHandlers)
+		t.Fatalf("peak concurrent drains = %d, want exactly the bound %d", peak, maxConnHandlers)
 	}
 	if n := runtime.NumGoroutine(); n > base+maxConnHandlers+2 {
-		t.Fatalf("%d goroutines for a %d-frame flood (base %d), want at most the bound %d more",
+		t.Fatalf("%d goroutines for a %d-drain flood (base %d), want at most the bound %d more",
 			n, flood, base, maxConnHandlers)
 	}
 
-	// The Drain finishes while every other slot is parked and the read loop
-	// is back-pressured; its reply must come through.
+	// Released, every drain is answered — the first one included.
 	close(svc.drain)
-	br := bufio.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	frame, err := readFrame(br, conn)
-	if err != nil {
-		t.Fatalf("drain reply behind a parked flood: %v", err)
-	}
-	if id, body, _, err := parseReply(frame); err != nil || id != 1 || !bytes.Equal(body, []byte{methodDrain}) {
-		t.Fatalf("first reply = id %d body % x (%v), want the drain's", id, body, err)
-	}
-	close(svc.stats)
-	for i := 0; i < flood; i++ {
+	seen := make(map[uint64]bool)
+	for i := 0; i < 1+flood; i++ {
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := readFrame(br, conn); err != nil {
-			t.Fatalf("flood reply %d/%d: %v", i, flood, err)
+		frame, err := readFrame(br, conn)
+		if err != nil {
+			t.Fatalf("drain reply %d/%d: %v", i, 1+flood, err)
 		}
+		id, body, _, err := parseReply(frame)
+		if err != nil || !bytes.Equal(body, []byte{methodDrain}) || seen[id] {
+			t.Fatalf("drain reply %d = id %d body % x (%v)", i, id, body, err)
+		}
+		seen[id] = true
+	}
+	if !seen[1] {
+		t.Fatal("the drain parked behind the stats flood was never answered")
 	}
 	if peak := svc.peak.Load(); peak != maxConnHandlers {
-		t.Fatalf("peak concurrent handlers = %d after the flood drained, want %d", peak, maxConnHandlers)
+		t.Fatalf("peak concurrent drains = %d after the flood drained, want %d", peak, maxConnHandlers)
 	}
 }
 
