@@ -153,8 +153,8 @@ func TestWireBytesPerReport(t *testing.T) {
 		batch core.Batch
 		want  int
 	}{
-		{"envelopes", core.Batch{Envelopes: k.envs}, 57253},
-		{"blinded", core.Batch{Blinded: k.blinded}, 88503},
+		{"envelopes", core.Batch{Envelopes: k.envs}, 56753},
+		{"blinded", core.Batch{Blinded: k.blinded}, 88003},
 		{"payloads", core.Batch{Payloads: k.inner}, 31253},
 	} {
 		got := len(core.AppendBatch(nil, tc.batch))

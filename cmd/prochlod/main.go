@@ -51,12 +51,14 @@
 //	         -next 127.0.0.1:7110,127.0.0.1:7111
 //
 // Clients connect with prochlo.DialRemoteFleet (single shuffler tier,
-// optionally -sgx attested) or prochlo.DialRemoteChainFleet (split chain)
+// optionally -sgx attested: the client pins the attestation CA key the
+// daemon prints) or prochlo.DialRemoteChainFleet (split chain)
 // and submit whole batches per round trip; see examples/netpipeline for a
 // loopback walkthrough of the topologies.
 package main
 
 import (
+	"crypto/x509"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -349,10 +351,13 @@ func runStage(role string, p shuffler.Params, o stageOpts) {
 		fatal(err)
 	}
 	if ca != nil {
-		if err := svc.SetAttestation(quote, ca.PublicKey()); err != nil {
+		der, err := x509.MarshalPKIXPublicKey(ca.PublicKey())
+		if err != nil {
 			fatal(err)
 		}
+		svc.SetAttestation(quote)
 		fmt.Println("sgx: key attested, measurement", hex.EncodeToString(shuffler.SGXShufflerMeasurement[:8]))
+		fmt.Println("sgx: attestation CA key (PKIX, pin it in clients):", hex.EncodeToString(der))
 	}
 	if blinding, key := st.PublicKeys(); key != nil {
 		if blinding != nil {

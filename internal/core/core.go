@@ -1,14 +1,16 @@
 // Package core defines the wire types shared by the ESA pipeline stages:
 // the client report, the nested-encrypted envelope a client submits to a
 // shuffler, and the blinded-crowd-ID envelope of the split-shuffler protocol
-// (§4.3). Stage logic lives in packages encoder, shuffler, and analyzer; the
+// (§4.3). A party's connection address and the time an item arrived never
+// enter an item: the one piece of arrival metadata an item carries is the
+// sequence number its stage stamps on ingest, and the shuffle clears it
+// (§3.3). Stage logic lives in packages encoder, shuffler, and analyzer; the
 // public pipeline API is the repository root package.
 package core
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"time"
 )
 
 // CrowdIDSize is the fixed width of crowd identifiers on the wire — the
@@ -48,16 +50,12 @@ type Report struct {
 }
 
 // Envelope is what a client submits to a single shuffler: the nested
-// ciphertext Seal(shuffler, crowdID || Seal(analyzer, data)) plus the
-// implicit metadata a network service inevitably observes. The shuffler's
-// first job (§3.3) is to strip that metadata.
+// ciphertext Seal(shuffler, crowdID || Seal(analyzer, data)). SeqNo is the
+// arrival order the receiving stage stamps (Batch.Stamp); the shuffle strips
+// it (§3.3). The sender's address and the arrival time are not recorded.
 type Envelope struct {
-	Blob []byte
-
-	// Implicit metadata, visible to the shuffler and stripped by it.
-	SourceIP    string
-	ArrivalTime time.Time
-	SeqNo       int
+	Blob  []byte
+	SeqNo int
 }
 
 // BlindedEnvelope is the split-shuffler wire format (§4.3): the crowd ID
@@ -78,21 +76,13 @@ type BlindedEnvelope struct {
 	// crowd-consistent fan-in.
 	Partition int32
 
-	SourceIP    string
-	ArrivalTime time.Time
-	SeqNo       int
+	// SeqNo is the arrival order, as on Envelope.
+	SeqNo int
 }
 
-// StripMetadata zeroes an envelope's implicit metadata in place.
-func (e *Envelope) StripMetadata() {
-	e.SourceIP = ""
-	e.ArrivalTime = time.Time{}
-	e.SeqNo = 0
-}
+// StripMetadata clears an envelope's arrival order, the one piece of
+// implicit metadata an item carries, in place.
+func (e *Envelope) StripMetadata() { e.SeqNo = 0 }
 
-// StripMetadata zeroes a blinded envelope's implicit metadata in place.
-func (e *BlindedEnvelope) StripMetadata() {
-	e.SourceIP = ""
-	e.ArrivalTime = time.Time{}
-	e.SeqNo = 0
-}
+// StripMetadata clears a blinded envelope's arrival order in place.
+func (e *BlindedEnvelope) StripMetadata() { e.SeqNo = 0 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestHashCrowdIDDeterministic(t *testing.T) {
 	a := HashCrowdID("app:chrome")
@@ -18,17 +15,17 @@ func TestHashCrowdIDDeterministic(t *testing.T) {
 }
 
 func TestStripMetadata(t *testing.T) {
-	e := Envelope{Blob: []byte{1}, SourceIP: "10.0.0.1", ArrivalTime: time.Now(), SeqNo: 7}
+	e := Envelope{Blob: []byte{1}, SeqNo: 7}
 	e.StripMetadata()
-	if e.SourceIP != "" || !e.ArrivalTime.IsZero() || e.SeqNo != 0 {
+	if e.SeqNo != 0 {
 		t.Errorf("metadata not stripped: %+v", e)
 	}
 	if len(e.Blob) != 1 {
 		t.Error("blob must survive stripping")
 	}
-	b := BlindedEnvelope{Blob: []byte{1}, SourceIP: "10.0.0.1", ArrivalTime: time.Now(), SeqNo: 7}
+	b := BlindedEnvelope{Blob: []byte{1}, Partition: 3, SeqNo: 7}
 	b.StripMetadata()
-	if b.SourceIP != "" || !b.ArrivalTime.IsZero() || b.SeqNo != 0 {
+	if b.SeqNo != 0 || b.Partition != 3 {
 		t.Errorf("blinded metadata not stripped: %+v", b)
 	}
 }

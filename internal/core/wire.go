@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // BatchKind discriminates the payload of a wire Batch.
 type BatchKind uint8
@@ -110,17 +107,14 @@ func (b Batch) Append(other Batch) (Batch, error) {
 	return b, nil
 }
 
-// Stamp records, in place, the arrival metadata a network service
-// inevitably sees (a stage's first processing step strips it, §3.3): item i
-// gets sequence number base+i+1 and the arrival time. Peeled payloads carry
-// no metadata and are left alone.
-func (b Batch) Stamp(at time.Time, base int64) {
+// Stamp numbers the batch's items in arrival order, in place: item i gets
+// sequence number base+i+1 (a stage's first processing step strips it,
+// §3.3). Peeled payloads carry no sequence number and are left alone.
+func (b Batch) Stamp(base int64) {
 	for i := range b.Envelopes {
-		b.Envelopes[i].ArrivalTime = at
 		b.Envelopes[i].SeqNo = int(base) + i + 1
 	}
 	for i := range b.Blinded {
-		b.Blinded[i].ArrivalTime = at
 		b.Blinded[i].SeqNo = int(base) + i + 1
 	}
 }

@@ -5,13 +5,90 @@ import (
 	"fmt"
 )
 
-// Binary wire form of a whole Batch, built on the per-item walwire codec: a
-// kind tag, a uvarint item count, and the items back to back (envelopes and
-// blinded envelopes in their durable AppendWire layout, payloads as plain
-// length-prefixed blobs). Like the per-item codec it carries no per-stream
-// type metadata, so a hop-to-hop push is a single reflection-free marshal.
-// SeqNo is deliberately not encoded: the receiving stage stamps fresh
-// arrival metadata on ingest.
+// Binary wire form of a whole Batch, the one encoding of an item: a kind tag,
+// a uvarint item count, and the items back to back as uvarint-length-prefixed
+// fields (an envelope's blob; a blinded envelope's two crowd points, blob and
+// varint partition; a payload's bytes). No reflection and no per-item type
+// metadata, so a hop-to-hop push is a single marshal. SeqNo is deliberately
+// not encoded: the receiving stage stamps its own on ingest, and the WAL
+// logs a batch as this encoding behind the batch's sequence base.
+
+// appendBytes appends a uvarint length prefix and the bytes.
+func appendBytes(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+// consumeBytes decodes one length-prefixed field, returning the field and
+// the remaining buffer. The field aliases b; callers that retain it past the
+// buffer's lifetime must copy.
+func consumeBytes(b []byte) ([]byte, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return nil, nil, fmt.Errorf("core: corrupt length prefix")
+	}
+	return b[k : k+int(n) : k+int(n)], b[k+int(n):], nil
+}
+
+// AppendWire appends the envelope's wire form: its blob.
+func (e *Envelope) AppendWire(dst []byte) []byte {
+	return appendBytes(dst, e.Blob)
+}
+
+// consumeWire decodes one envelope from the front of b, returning the rest.
+// With alias set the blob aliases b instead of being copied out — legal
+// only when the buffer outlives the envelope (e.g. a freshly allocated
+// network frame handed over wholesale).
+func (e *Envelope) consumeWire(b []byte, alias bool) ([]byte, error) {
+	blob, b, err := consumeBytes(b)
+	if err != nil {
+		return nil, fmt.Errorf("envelope blob: %w", err)
+	}
+	if !alias {
+		blob = append([]byte(nil), blob...)
+	}
+	e.Blob = blob
+	return b, nil
+}
+
+// AppendWire appends the blinded envelope's wire form: the El Gamal crowd-ID
+// points, the blob and the owning partition.
+func (e *BlindedEnvelope) AppendWire(dst []byte) []byte {
+	dst = appendBytes(dst, e.CrowdC1)
+	dst = appendBytes(dst, e.CrowdC2)
+	dst = appendBytes(dst, e.Blob)
+	return binary.AppendVarint(dst, int64(e.Partition))
+}
+
+// consumeWire decodes one blinded envelope from the front of b, returning
+// the rest; see Envelope.consumeWire for the alias contract.
+func (e *BlindedEnvelope) consumeWire(b []byte, alias bool) ([]byte, error) {
+	c1, b, err := consumeBytes(b)
+	if err != nil {
+		return nil, fmt.Errorf("blinded crowd c1: %w", err)
+	}
+	c2, b, err := consumeBytes(b)
+	if err != nil {
+		return nil, fmt.Errorf("blinded crowd c2: %w", err)
+	}
+	blob, b, err := consumeBytes(b)
+	if err != nil {
+		return nil, fmt.Errorf("blinded blob: %w", err)
+	}
+	part, k := binary.Varint(b)
+	if k <= 0 {
+		return nil, fmt.Errorf("blinded partition: corrupt varint")
+	}
+	if alias {
+		e.CrowdC1, e.CrowdC2, e.Blob = c1, c2, blob
+	} else {
+		e.CrowdC1 = append([]byte(nil), c1...)
+		e.CrowdC2 = append([]byte(nil), c2...)
+		e.Blob = append([]byte(nil), blob...)
+	}
+	e.Partition = int32(part)
+	return b[k:], nil
+}
 
 // AppendBatch appends b's binary wire encoding to dst and returns the
 // extended buffer. An empty batch of a concrete kind (e.g. zero envelopes)

@@ -3,25 +3,23 @@ package core
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
 // sampleBatches covers every kind, including the empty-but-typed edge cases
 // the kind tag must preserve.
 func sampleBatches() []Batch {
-	at := time.Unix(0, 1722000000123456789)
 	return []Batch{
 		{},
 		{Envelopes: []Envelope{}},
 		{Envelopes: []Envelope{
-			{Blob: []byte("blob-a"), SourceIP: "10.0.0.1", ArrivalTime: at},
-			{Blob: nil, SourceIP: "", ArrivalTime: time.Time{}},
-			{Blob: []byte{0x00, 0xff}, SourceIP: "2001:db8::1", ArrivalTime: at.Add(time.Hour)},
+			{Blob: []byte("blob-a")},
+			{Blob: nil},
+			{Blob: []byte{0x00, 0xff}},
 		}},
 		{Blinded: []BlindedEnvelope{}},
 		{Blinded: []BlindedEnvelope{
 			{CrowdC1: []byte("c1"), CrowdC2: []byte("c2"), Blob: []byte("payload"),
-				Partition: 3, SourceIP: "192.0.2.7", ArrivalTime: at},
+				Partition: 3},
 			{CrowdC1: nil, CrowdC2: []byte{}, Blob: nil, Partition: -1},
 		}},
 		{Payloads: [][]byte{}},
@@ -39,8 +37,7 @@ func envelopesEquivalent(a, b []Envelope) bool {
 		return false
 	}
 	for i := range a {
-		if !bytesEquivalent(a[i].Blob, b[i].Blob) || a[i].SourceIP != b[i].SourceIP ||
-			!a[i].ArrivalTime.Equal(b[i].ArrivalTime) {
+		if !bytesEquivalent(a[i].Blob, b[i].Blob) {
 			return false
 		}
 	}
@@ -53,8 +50,7 @@ func blindedEquivalent(a, b []BlindedEnvelope) bool {
 	}
 	for i := range a {
 		if !bytesEquivalent(a[i].CrowdC1, b[i].CrowdC1) || !bytesEquivalent(a[i].CrowdC2, b[i].CrowdC2) ||
-			!bytesEquivalent(a[i].Blob, b[i].Blob) || a[i].Partition != b[i].Partition ||
-			a[i].SourceIP != b[i].SourceIP || !a[i].ArrivalTime.Equal(b[i].ArrivalTime) {
+			!bytesEquivalent(a[i].Blob, b[i].Blob) || a[i].Partition != b[i].Partition {
 			return false
 		}
 	}
@@ -172,8 +168,8 @@ func TestBatchWireRejectsHostileCount(t *testing.T) {
 
 // checkBatchOps holds the kind-switching operations to the codec: cutting a
 // batch at any point and appending the halves re-encodes to the same bytes, a
-// second kind is refused, and every item survives the per-item durable form
-// with the sequence stamp its log record would carry.
+// second kind is refused, and Stamp numbers the items from its base without
+// changing their encoding.
 func checkBatchOps(t *testing.T, b Batch, enc []byte) {
 	t.Helper()
 	n := b.Len()
@@ -196,31 +192,25 @@ func checkBatchOps(t *testing.T, b Batch, enc []byte) {
 	if _, err := b.Append(other); err == nil {
 		t.Fatalf("a batch of %v took %v", b.Kind(), other.Kind())
 	}
-	if b.Kind() == KindPayloads {
-		if _, err := DecodeItem(KindPayloads, []byte{0}, 1); err == nil {
-			t.Fatal("a payload decoded as a log item; payloads are never logged")
-		}
-		return
-	}
-	b.Stamp(time.Unix(0, 42), 100)
+	b.Stamp(100)
 	for i := 0; i < n; i++ {
-		item, err := DecodeItem(b.Kind(), b.AppendItem(nil, i), 101+int64(i))
-		if err != nil {
-			t.Fatalf("item %d: %v", i, err)
+		want := 101 + int64(i)
+		if b.Kind() == KindPayloads {
+			want = 0 // payloads carry no sequence number
 		}
-		if !batchesEquivalent(item, b.Slice(i, i+1)) || item.Seq(0) != b.Seq(i) {
-			t.Fatalf("item %d changed in its durable form:\n got %+v\nwant %+v", i, item, b.Slice(i, i+1))
+		if b.Seq(i) != want {
+			t.Fatalf("item %d stamped %d, want %d", i, b.Seq(i), want)
 		}
-		if _, err := DecodeItem(b.Kind(), append(b.AppendItem(nil, i), 0), 1); err == nil {
-			t.Fatalf("item %d decoded with a trailing byte", i)
-		}
+	}
+	if got := AppendBatch(nil, b); !bytes.Equal(got, enc) {
+		t.Fatalf("Stamp changed the encoding: %x, want %x", got, enc)
 	}
 }
 
 // FuzzBatchWireRoundTrip feeds arbitrary bytes to the decoder: it must
 // never panic, and anything it accepts must re-encode and re-decode to an
 // equivalent batch (both copy and alias forms), with every truncation of
-// the re-encoding rejected, and must satisfy the Slice/Append/item-codec
+// the re-encoding rejected, and must satisfy the Slice/Append/Stamp
 // identities of checkBatchOps.
 func FuzzBatchWireRoundTrip(f *testing.F) {
 	for _, b := range sampleBatches() {

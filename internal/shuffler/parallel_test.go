@@ -59,7 +59,6 @@ func TestProcessParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.SourceIP = "198.51.100.7"
 		env.SeqNo = i
 		batch = append(batch, env)
 	}
@@ -131,7 +130,7 @@ func TestSplitShufflerParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.SourceIP = "203.0.113.9"
+		env.SeqNo = i + 1
 		batch[i] = env
 	}
 	alpha, err := elgamal.RandomScalar(crand.Reader)

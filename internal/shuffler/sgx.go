@@ -38,8 +38,8 @@ var SGXShufflerMeasurement = sgx.Measure("prochlo-stash-shuffler-v1")
 
 // NewSGXShuffler generates the shuffler's key pair inside the enclave and
 // returns the shuffler along with the attestation quote over its public key.
-// Clients must verify the quote against the CA key and
-// SGXShufflerMeasurement before encrypting to the key; keys are ephemeral
+// Clients must verify the quote against the CA key they pin (never one the
+// shuffler serves) and SGXShufflerMeasurement before encrypting to the key; keys are ephemeral
 // per §4.1.1 ("the shuffler must create a new key pair every time it
 // restarts"). Like NewStage's "shuffler", it draws StageRand(p.Seed,
 // "shuffler"); p.Seed also seeds the Stash Shuffle.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"testing"
-	"time"
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
@@ -53,9 +52,7 @@ func (f *fixture) submit(t *testing.T, crowd string, data []byte, count int) []c
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.SourceIP = fmt.Sprintf("10.0.0.%d", i%250)
-		env.ArrivalTime = time.Now()
-		env.SeqNo = i
+		env.SeqNo = i + 1
 		envs[i] = env
 	}
 	return envs
@@ -109,7 +106,7 @@ func TestShufflerStripsMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range batch {
-		if batch[i].SourceIP != "" || !batch[i].ArrivalTime.IsZero() || batch[i].SeqNo != 0 {
+		if batch[i].SeqNo != 0 {
 			t.Fatalf("envelope %d metadata not stripped: %+v", i, batch[i])
 		}
 	}
@@ -207,7 +204,7 @@ func TestBlindedPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.SourceIP = "192.0.2.7"
+			env.SeqNo = len(batch) + 1
 			batch = append(batch, env)
 		}
 	}

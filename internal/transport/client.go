@@ -2,7 +2,6 @@ package transport
 
 import (
 	"crypto/ecdsa"
-	"crypto/x509"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -208,11 +207,12 @@ func Dial(addr string) (*Client, error) {
 	return &Client{peerConn: p, stream: stream}, nil
 }
 
-// Attestation fetches an SGX shuffler's quote and attestation-CA key and
-// verifies both §4.1.1 client-side checks: the CA signature over the quote
-// and the expected code measurement. It returns the attested public key
-// (the quote's report data) only when verification succeeds.
-func (c *Client) Attestation(measurement [32]byte) ([]byte, error) {
+// Attestation fetches an SGX shuffler's quote and verifies both §4.1.1
+// client-side checks: the signature of ca — the attestation CA the caller
+// trusts, never a key the shuffler serves — over the quote, and the expected
+// code measurement. It returns the attested public key (the quote's report
+// data) only when verification succeeds.
+func (c *Client) Attestation(ca *ecdsa.PublicKey, measurement [32]byte) ([]byte, error) {
 	body, err := c.call(methodAttestation, nil)
 	if err != nil {
 		return nil, err
@@ -221,15 +221,7 @@ func (c *Client) Attestation(measurement [32]byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	caAny, err := x509.ParsePKIXPublicKey(reply.CAKey)
-	if err != nil {
-		return nil, fmt.Errorf("transport: attestation CA key: %w", err)
-	}
-	caKey, ok := caAny.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("transport: attestation CA key is %T, want ECDSA", caAny)
-	}
-	if err := sgx.VerifyQuote(caKey, reply.Quote, measurement); err != nil {
+	if err := sgx.VerifyQuote(ca, reply.Quote, measurement); err != nil {
 		return nil, err
 	}
 	return reply.Quote.ReportData, nil

@@ -438,7 +438,7 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 		e.occupancy.Add(n)
 	}
 	base := e.seq.Add(n) - n
-	b.Stamp(time.Now(), base)
+	b.Stamp(base)
 	if e.wal != nil {
 		if werr := e.wal.appendBatch(stream, pos, b); werr != nil {
 			// Durability was promised but cannot be provided: refuse the

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"crypto/ecdsa"
-	"crypto/x509"
 	"errors"
 	"fmt"
 	"maps"
@@ -138,17 +136,12 @@ func NewStageService(st shuffler.Stage, next []string, cfg EpochConfig) (*StageS
 }
 
 // SetAttestation installs the quote served over Attestation (the SGX
-// deployment: the quote covers the service's public key and caKey is the
-// attestation CA's ECDSA verification key).
-func (s *StageService) SetAttestation(quote sgx.Quote, caKey *ecdsa.PublicKey) error {
-	der, err := x509.MarshalPKIXPublicKey(caKey)
-	if err != nil {
-		return fmt.Errorf("transport: marshal CA key: %w", err)
-	}
+// deployment: the quote covers the service's public key). The attestation
+// CA's key is not served: a client pins it (WithRemoteAttestation).
+func (s *StageService) SetAttestation(quote sgx.Quote) {
 	s.mu.Lock()
-	s.att = &AttestationReply{Quote: quote, CAKey: der}
+	s.att = &AttestationReply{Quote: quote}
 	s.mu.Unlock()
-	return nil
 }
 
 // Attestation returns the SGX quote over the service's public key; it fails

@@ -43,8 +43,8 @@
 // whenever occupancy reaches EpochConfig.FlushAt or the
 // EpochConfig.Interval timer fires. Cut epochs enter an in-flight queue of
 // two, consumed by a single flusher goroutine, which runs the stage over
-// each epoch (stripping the arrival metadata the service inevitably
-// recorded) and pushes the output downstream asynchronously, in epoch order.
+// each epoch (stripping the sequence numbers the service stamped on
+// ingest) and pushes the output downstream asynchronously, in epoch order.
 // A zero EpochConfig disables the scheduler: epochs are cut only by an
 // explicit Drain.
 //
@@ -135,16 +135,15 @@ func decodeKeys(body []byte) (Keys, error) {
 	return k, r.done()
 }
 
-// AttestationReply carries an SGX shuffler's quote over its public key plus
-// the attestation CA's verification key (PKIX-encoded), so a networked
-// client can perform the §4.1.1 checks before trusting the key.
+// AttestationReply carries an SGX shuffler's quote over its public key, so a
+// networked client can perform the §4.1.1 checks against the attestation CA
+// key it pins before trusting the key.
 type AttestationReply struct {
 	Quote sgx.Quote
-	CAKey []byte
 }
 
 func (a AttestationReply) appendWire(dst []byte) []byte {
-	for _, f := range [][]byte{a.Quote.Measurement[:], a.Quote.ReportData, a.Quote.R, a.Quote.S, a.CAKey} {
+	for _, f := range [][]byte{a.Quote.Measurement[:], a.Quote.ReportData, a.Quote.R, a.Quote.S} {
 		dst = appendWireBytes(dst, f)
 	}
 	return dst
@@ -158,7 +157,7 @@ func decodeAttestation(body []byte) (AttestationReply, error) {
 	} else {
 		r.fail()
 	}
-	a.Quote.ReportData, a.Quote.R, a.Quote.S, a.CAKey = r.bytes(), r.bytes(), r.bytes(), r.bytes()
+	a.Quote.ReportData, a.Quote.R, a.Quote.S = r.bytes(), r.bytes(), r.bytes()
 	return a, r.done()
 }
 

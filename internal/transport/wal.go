@@ -20,10 +20,14 @@ import (
 
 // The write-ahead log makes a stage engine's accepted-but-unflushed items
 // survive a process crash. It is two segment families in one directory
-// beside the wal.meta record. The ingest log (fwd-*.log) holds one record
-// per accepted batch, whoever sent it: the batch's (stream, pos) dedup stamp
-// and every item with its global sequence stamp, so the mark and the data it
-// guards cannot be separated by a crash. The epoch log (epochs-*.log) holds the rest: when the
+// beside the wal.meta record. The ingest log (fwd-*.log) is an event log of
+// the Submits the stage accepted, whoever sent them: one record per batch,
+// the batch's sequence base followed by the Submit request body as it
+// arrived (appendBatchCall: the (stream, pos) dedup stamp and the batch in
+// the wire codec), so the mark and the data it guards cannot be separated
+// by a crash. Item i of a record has sequence number base+1+i; a batch's
+// numbers are therefore contiguous, which Stamp, their only writer on the
+// ingest path, guarantees. The epoch log (epochs-*.log) holds the rest: when the
 // scheduler cuts an epoch, its id and sequence range (cuts take every
 // pending item, and a cut excludes every ingest from its stamp to its
 // append, so an epoch is always a contiguous range); when the flusher's
@@ -60,14 +64,17 @@ import (
 // files. Recovery is idempotent: items dedup by sequence number, cuts by
 // epoch id, so a crash mid-migration is absorbed by the next recovery.
 
-// WAL record types. Type 2 is retired, never reused.
+// WAL record types. Types 1, 2 and 6 are retired (1 and 6 were the meta and
+// batch records of a layout that logged each item in a codec of its own)
+// and never reused, so a directory in that layout is refused at its meta
+// record instead of misread.
 const (
-	walRecMeta  byte = 1 // stream id + admitted batch kind
 	walRecCut   byte = 3 // epoch id + [minSeq, maxSeq]
 	walRecAck   byte = 4 // epoch id resolved: delivered downstream
 	walRecDrop  byte = 5 // epoch id resolved: permanently failed / dropped
-	walRecBatch byte = 6 // one ingested batch: (stream, pos) mark + items
 	walRecMark  byte = 7 // mark replica in the epoch log (survives truncation)
+	walRecMeta  byte = 8 // stream id + admitted batch kind
+	walRecBatch byte = 9 // one ingested batch: uvarint base | Submit request body
 )
 
 // walMigrateSlice bounds the items migrateWAL writes per batch record, so a
@@ -95,7 +102,6 @@ type walSegment struct {
 	maxSeq int64
 	dirty  bool               // has records not yet fsynced
 	buf    []byte             // reused by appendBatch: the batch body, then its framed record
-	item   []byte             // reused by appendBatch: one item's durable form
 	fsync  *metrics.Histogram // fsync latency; nil disables (see attachMetrics)
 }
 
@@ -278,7 +284,9 @@ func (w *wal) rotateLocked(s *walSegment, prefix string) error {
 }
 
 // appendBatch logs one ingested, sequence-stamped batch as one atomic,
-// fsynced record carrying its (stream, pos) dedup stamp and every item. The
+// fsynced record: its sequence base and the Submit request body carrying its
+// (stream, pos) dedup stamp and every item. A batch whose sequence numbers
+// are not contiguous has no base to log and is refused. The
 // engine acknowledges the batch only after this returns, so a crash can never
 // persist the mark without the items (a retry swallowed, items lost) or the
 // items without the mark (a retry double-ingesting). A nonzero stamp also
@@ -288,24 +296,24 @@ func (w *wal) rotateLocked(s *walSegment, prefix string) error {
 // epoch cut (the write side) never sees a batch that is logged but not
 // visible, or visible but not logged.
 func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
+	n := b.Len()
+	base := b.Seq(0) - 1
+	for i := 1; i < n; i++ {
+		if b.Seq(i) != base+1+int64(i) {
+			return fmt.Errorf("transport: wal append: item %d has sequence number %d, want %d: a logged batch is one contiguous range", i, b.Seq(i), base+1+int64(i))
+		}
+	}
 	s := w.ingest
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := b.Len()
-	body := binary.AppendVarint(s.buf[:0], stream)
-	body = binary.AppendVarint(body, pos)
+	// The body is base, then appendBatchCall's bytes written in two steps,
+	// so the (stream, pos) stamp between them can be replicated as the mark.
+	body := binary.AppendUvarint(s.buf[:0], uint64(base))
+	mark := len(body)
+	body = appendWireInts(body, stream, pos)
 	stamp := len(body)
-	body = binary.AppendUvarint(body, uint64(n))
-	for i := 0; i < n; i++ {
-		sq := b.Seq(i)
-		body = binary.AppendUvarint(body, uint64(sq))
-		s.item = b.AppendItem(s.item[:0], i)
-		body = binary.AppendUvarint(body, uint64(len(s.item)))
-		body = append(body, s.item...)
-		if sq > s.maxSeq {
-			s.maxSeq = sq
-		}
-	}
+	body = core.AppendBatch(body, b)
+	s.maxSeq = max(s.maxSeq, base+int64(n))
 	// The record is framed behind its body in the same buffer.
 	buf := appendRecord(body, walRecBatch, body)
 	s.buf = buf[:0]
@@ -318,7 +326,7 @@ func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
 	w.appendRecords.Add(float64(n))
 	if stream != 0 || pos != 0 {
 		w.mu.Lock()
-		w.epochBuf = appendRecord(w.epochBuf, walRecMark, body[:stamp])
+		w.epochBuf = appendRecord(w.epochBuf, walRecMark, body[mark:stamp])
 		w.mu.Unlock()
 	}
 	if s.size >= w.segBytes {
@@ -476,10 +484,12 @@ type walRecovery struct {
 }
 
 // recoverWAL reads a log directory back into engine state. It returns
-// (nil, nil) when the directory holds no recoverable state. Items decode as
-// kind, the batch kind the recovering engine admits; a directory whose meta
-// record names another kind was written by a different role and is refused
-// before anything in it is read, let alone rewritten.
+// (nil, nil) when the directory holds no recoverable state. kind is the batch
+// kind the recovering engine admits; a directory whose meta record names
+// another kind was written by a different role, and one whose meta record is
+// of a retired type was written in another layout: both are refused before
+// anything in it is read, let alone rewritten. A CRC-valid batch record that
+// does not parse, or holds a batch of another kind, is refused too.
 func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 	metaPath := filepath.Join(dir, walMetaName)
 	metaBytes, err := os.ReadFile(metaPath)
@@ -492,22 +502,25 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 	rec := &walRecovery{}
 	r := bufio.NewReader(strings.NewReader(string(metaBytes)))
 	typ, body, rerr := readRecord(r)
+	if rerr == nil && typ != walRecMeta {
+		return nil, fmt.Errorf("transport: wal dir %s was written in a retired layout (meta record type %d, this build reads type %d); drain it with the build that wrote it, or remove it", dir, typ, walRecMeta)
+	}
 	meta := wireReader{b: body}
 	rec.stream = meta.int()
 	held := core.BatchKind(meta.int())
-	if rerr != nil || typ != walRecMeta || meta.done() != nil {
+	if rerr != nil || meta.done() != nil {
 		return nil, fmt.Errorf("transport: wal meta corrupt")
 	}
 	if held != kind {
 		return nil, fmt.Errorf("transport: wal dir %s holds %v, this stage ingests %v", dir, held, kind)
 	}
 
-	items := make(map[int64][]byte) // seq -> payload (first writer wins)
+	items := make(map[int64]core.Batch) // seq -> that item as a batch of one (first writer wins)
 	cuts := make(map[int64]walRange)
 	resolved := make(map[int64]bool)
 	markSet := make(map[[2]int64]bool)
 
-	readFile := func(path string, handle func(typ byte, body []byte)) error {
+	readFile := func(path string, handle func(typ byte, body []byte) error) error {
 		f, err := os.Open(path)
 		if err != nil {
 			return err
@@ -519,15 +532,9 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 			if err != nil {
 				return nil // clean EOF or torn tail: stop reading this file
 			}
-			handle(typ, body)
-		}
-	}
-	addItem := func(seq int64, payload []byte) {
-		if _, ok := items[seq]; !ok {
-			items[seq] = append([]byte(nil), payload...)
-		}
-		if seq > rec.seqMax {
-			rec.seqMax = seq
+			if err := handle(typ, body); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -538,62 +545,54 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 	}
 	for _, path := range glob(walIngestPrefix + "-*.log") {
 		rec.files = append(rec.files, path)
-		if err := readFile(path, func(typ byte, body []byte) {
+		if err := readFile(path, func(typ byte, body []byte) error {
 			if typ != walRecBatch {
-				return
+				return nil
 			}
-			stream, k := binary.Varint(body)
+			// readRecord's buffer is fresh, so the batch may alias it.
+			base, k := binary.Uvarint(body)
 			if k <= 0 {
-				return
+				return fmt.Errorf("batch record: corrupt sequence base")
 			}
-			body = body[k:]
-			pos, k := binary.Varint(body)
-			if k <= 0 {
-				return
+			stream, pos, b, err := parseBatchCall(body[k:])
+			if err != nil {
+				return fmt.Errorf("batch record: %w", err)
 			}
-			body = body[k:]
-			n, k := binary.Uvarint(body)
-			if k <= 0 {
-				return
+			if b.Kind() != kind {
+				return fmt.Errorf("batch record holds %v, this stage ingests %v", b.Kind(), kind)
 			}
-			body = body[k:]
-			for i := uint64(0); i < n; i++ {
-				seq, k := binary.Uvarint(body)
-				if k <= 0 {
-					return
+			b.Stamp(int64(base))
+			for i := 0; i < b.Len(); i++ {
+				if _, ok := items[b.Seq(i)]; !ok {
+					items[b.Seq(i)] = b.Slice(i, i+1)
 				}
-				body = body[k:]
-				ln, k := binary.Uvarint(body)
-				if k <= 0 || ln > uint64(len(body)-k) {
-					return
-				}
-				addItem(int64(seq), body[k:k+int(ln)])
-				body = body[k+int(ln):]
 			}
+			rec.seqMax = max(rec.seqMax, int64(base)+int64(b.Len()))
 			if stream != 0 || pos != 0 {
 				markSet[[2]int64{stream, pos}] = true
 			}
+			return nil
 		}); err != nil {
 			return nil, fmt.Errorf("transport: wal recover %s: %w", path, err)
 		}
 	}
 	for _, path := range glob("epochs-*.log") {
 		rec.files = append(rec.files, path)
-		if err := readFile(path, func(typ byte, body []byte) {
+		if err := readFile(path, func(typ byte, body []byte) error {
 			switch typ {
 			case walRecCut:
 				id, k := binary.Varint(body)
 				if k <= 0 {
-					return
+					return nil
 				}
 				body = body[k:]
 				min, k := binary.Uvarint(body)
 				if k <= 0 {
-					return
+					return nil
 				}
 				max, k2 := binary.Uvarint(body[k:])
 				if k2 <= 0 {
-					return
+					return nil
 				}
 				if _, ok := cuts[id]; !ok {
 					cuts[id] = walRange{min: int64(min), max: int64(max)}
@@ -607,7 +606,7 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 			case walRecAck, walRecDrop:
 				id, k := binary.Varint(body)
 				if k <= 0 {
-					return
+					return nil
 				}
 				resolved[id] = true
 				if id > rec.epochMax {
@@ -616,14 +615,15 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 			case walRecMark:
 				stream, k := binary.Varint(body)
 				if k <= 0 {
-					return
+					return nil
 				}
 				epoch, k2 := binary.Varint(body[k:])
 				if k2 <= 0 {
-					return
+					return nil
 				}
 				markSet[[2]int64{stream, epoch}] = true
 			}
+			return nil
 		}); err != nil {
 			return nil, fmt.Errorf("transport: wal recover %s: %w", path, err)
 		}
@@ -665,34 +665,20 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 			pendingSeqs = append(pendingSeqs, seq)
 		}
 	}
-	sort.Slice(pendingSeqs, func(i, j int) bool { return pendingSeqs[i] < pendingSeqs[j] })
 
-	decode := func(seqs []int64) (core.Batch, error) {
+	gather := func(seqs []int64) core.Batch {
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		var out core.Batch
 		for _, sq := range seqs {
-			item, err := core.DecodeItem(kind, items[sq], sq)
-			if err == nil {
-				out, err = out.Append(item)
-			}
-			if err != nil {
-				return core.Batch{}, fmt.Errorf("transport: wal decode seq %d: %w", sq, err)
-			}
+			out, _ = out.Append(items[sq]) // every record's kind was checked
 		}
-		return out, nil
+		return out
 	}
-	if rec.pending, err = decode(pendingSeqs); err != nil {
-		return nil, err
-	}
+	rec.pending = gather(pendingSeqs)
 	for _, id := range openIDs {
-		batch, err := decode(epochItems[id])
-		if err != nil {
-			return nil, err
+		if batch := gather(epochItems[id]); batch.Len() > 0 {
+			rec.epochs = append(rec.epochs, &epoch{id: id, batch: batch})
 		}
-		if batch.Len() == 0 {
-			continue
-		}
-		rec.epochs = append(rec.epochs, &epoch{id: id, batch: batch})
 	}
 	for mark := range markSet {
 		rec.marks = append(rec.marks, mark)
@@ -723,17 +709,23 @@ func walStartGen(dir string) int64 {
 }
 
 // migrateWAL rewrites recovered state into the fresh log (compaction): the
-// pending items and each unresolved epoch's items as unstamped batch records
-// of at most walMigrateSlice items, every unresolved epoch's cut record, and
-// the dedup marks — all fsynced — then deletes the old files. A crash
-// mid-migration leaves both generations on disk; the next recovery's seq/id
-// dedup reads them as one.
+// pending items and each unresolved epoch's items as unstamped batch records,
+// one per maximal run of consecutive sequence numbers of at most
+// walMigrateSlice items (so a range a refused append burned stays a gap),
+// every unresolved epoch's cut record, and the dedup marks — all fsynced —
+// then deletes the old files. A crash mid-migration leaves both generations
+// on disk; the next recovery's seq/id dedup reads them as one.
 func migrateWAL(w *wal, rec *walRecovery) error {
 	appendSlices := func(b core.Batch) error {
-		for lo := 0; lo < b.Len(); lo += walMigrateSlice {
-			if err := w.appendBatch(0, 0, b.Slice(lo, min(lo+walMigrateSlice, b.Len()))); err != nil {
+		for lo := 0; lo < b.Len(); {
+			hi := lo + 1
+			for hi < b.Len() && hi-lo < walMigrateSlice && b.Seq(hi) == b.Seq(hi-1)+1 {
+				hi++
+			}
+			if err := w.appendBatch(0, 0, b.Slice(lo, hi)); err != nil {
 				return err
 			}
+			lo = hi
 		}
 		return nil
 	}

@@ -32,10 +32,10 @@ func walItem(kind core.BatchKind, seq int, value string) core.Batch {
 	if kind == core.KindBlinded {
 		return core.Batch{Blinded: []core.BlindedEnvelope{{
 			CrowdC1: []byte("c1:" + value), CrowdC2: []byte("c2:" + value), Blob: []byte(value),
-			Partition: 3, SourceIP: "10.0.0.1", SeqNo: seq,
+			Partition: 3, SeqNo: seq,
 		}}}
 	}
-	return core.Batch{Envelopes: []core.Envelope{{Blob: []byte(value), SourceIP: "10.0.0.1", SeqNo: seq}}}
+	return core.Batch{Envelopes: []core.Envelope{{Blob: []byte(value), SeqNo: seq}}}
 }
 
 // walBatch concatenates items into one batch.
@@ -51,19 +51,19 @@ func walBatch(t *testing.T, items ...core.Batch) core.Batch {
 	return out
 }
 
-// walDescribe renders a recovered batch as "blob/seq/ip" per item; for a
+// walDescribe renders a recovered batch as "blob/seq" per item; for a
 // blinded batch the crowd points and partition must have survived too.
 func walDescribe(t *testing.T, b core.Batch) string {
 	t.Helper()
 	var out []string
 	for _, e := range b.Envelopes {
-		out = append(out, fmt.Sprintf("%s/%d/%s", e.Blob, e.SeqNo, e.SourceIP))
+		out = append(out, fmt.Sprintf("%s/%d", e.Blob, e.SeqNo))
 	}
 	for _, e := range b.Blinded {
 		if string(e.CrowdC1) != "c1:"+string(e.Blob) || string(e.CrowdC2) != "c2:"+string(e.Blob) || e.Partition != 3 {
 			t.Errorf("blinded fields lost: %+v", e)
 		}
-		out = append(out, fmt.Sprintf("%s/%d/%s", e.Blob, e.SeqNo, e.SourceIP))
+		out = append(out, fmt.Sprintf("%s/%d", e.Blob, e.SeqNo))
 	}
 	return strings.Join(out, " ")
 }
@@ -115,9 +115,10 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 		}
 		w.resolve(1, true)
 
-		// Epoch 2 (seqs 3-5, over two records): cut, never resolved.
-		walAppend(t, w, 2, walBatch(t, walItem(kind, 3, "open-a"), walItem(kind, 5, "open-c")))
-		walAppend(t, w, 3, walItem(kind, 4, "open-b"))
+		// Epoch 2 (seqs 3-5, over two records written out of seq order):
+		// cut, never resolved.
+		walAppend(t, w, 2, walBatch(t, walItem(kind, 4, "open-b"), walItem(kind, 5, "open-c")))
+		walAppend(t, w, 3, walItem(kind, 3, "open-a"))
 		if err := w.logCut(2, 3, 5); err != nil {
 			t.Fatal(err)
 		}
@@ -148,10 +149,10 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 		if k := rec.epochs[0].batch.Kind(); k != kind {
 			t.Errorf("recovered epoch is a batch of %v, want %v", k, kind)
 		}
-		if got := walDescribe(t, rec.epochs[0].batch); got != "open-a/3/10.0.0.1 open-b/4/10.0.0.1 open-c/5/10.0.0.1" {
+		if got := walDescribe(t, rec.epochs[0].batch); got != "open-a/3 open-b/4 open-c/5" {
 			t.Errorf("epoch 2 items = %q, want open-a open-b open-c in seq order", got)
 		}
-		if got := walDescribe(t, rec.pending); got != "pend-a/6/10.0.0.1 pend-b/7/10.0.0.1" {
+		if got := walDescribe(t, rec.pending); got != "pend-a/6 pend-b/7" {
 			t.Errorf("pending = %q, want pend-a/6 pend-b/7", got)
 		}
 		want := [][2]int64{{walClient, 1}, {walClient, 2}, {walClient, 3}, {walClient, 4}, {99, 7}}
@@ -184,7 +185,7 @@ func TestWALTornTailIgnored(t *testing.T) {
 		}
 
 		rec := walRecover(t, dir, kind)
-		if got := walDescribe(t, rec.pending); got != "whole/1/10.0.0.1" {
+		if got := walDescribe(t, rec.pending); got != "whole/1" {
 			t.Fatalf("pending after torn tail = %q, want just the whole record", got)
 		}
 	})
@@ -309,10 +310,10 @@ func TestWALMigrationIdempotent(t *testing.T) {
 			t.Errorf("post-migration recovery stream=%d seqMax=%d epochMax=%d, want 11/2/1",
 				rec2.stream, rec2.seqMax, rec2.epochMax)
 		}
-		if len(rec2.epochs) != 1 || walDescribe(t, rec2.epochs[0].batch) != "epoch-item/1/10.0.0.1" {
+		if len(rec2.epochs) != 1 || walDescribe(t, rec2.epochs[0].batch) != "epoch-item/1" {
 			t.Errorf("post-migration epochs = %+v", rec2.epochs)
 		}
-		if got := walDescribe(t, rec2.pending); got != "pending-item/2/10.0.0.1" {
+		if got := walDescribe(t, rec2.pending); got != "pending-item/2" {
 			t.Errorf("post-migration pending = %q", got)
 		}
 		if want := [][2]int64{{walClient, 1}}; !reflect.DeepEqual(rec2.marks, want) {
@@ -346,45 +347,45 @@ func TestWALRefusesOtherKind(t *testing.T) {
 				t.Errorf("error %q does not name %v", err, k)
 			}
 		}
-		if rec := walRecover(t, dir, kind); walDescribe(t, rec.pending) != "not-yours/1/10.0.0.1" {
+		if rec := walRecover(t, dir, kind); walDescribe(t, rec.pending) != "not-yours/1" {
 			t.Errorf("the refused directory no longer recovers as its own kind: %+v", rec)
 		}
 	})
 }
 
-// TestWALRecordsMatchParentEncoding feeds the same pushed batch to the record
-// writer and to the encoder it replaced — the per-item closures over typed
-// slices, written out here as they stood — and compares the segment files
-// byte for byte. The batch record (the forward record every wire submission
-// has taken since PR 7), the mark replica and the cut record did not move, so
-// a wire-fed daemon writes the same directory it always did: one ingest
-// segment and the epoch log.
-func TestWALRecordsMatchParentEncoding(t *testing.T) {
+// TestWALBatchRecordIsTheSubmitBody pins the ingest log's batch record byte
+// for byte: type 9, then the batch's sequence base, then the Submit request
+// body exactly as a client frames it — the (stream, pos) stamp and the batch
+// in the wire codec. The mark replica (type 7) and the cut record (type 3)
+// keep their bytes, and a wire-fed daemon's directory holds wal.meta, one
+// ingest segment and the epoch log.
+func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		fwd := walBatch(t, walItem(kind, 4, "forwarded"), walItem(kind, 5, "too"))
 
-		// The replaced encoder: seq and enc closures per typed item.
-		var seqOf func(b core.Batch, i int) int64
-		var enc func(b core.Batch, i int, dst []byte) []byte
-		if kind == core.KindBlinded {
-			seqOf = func(b core.Batch, i int) int64 { return int64(b.Blinded[i].SeqNo) }
-			enc = func(b core.Batch, i int, dst []byte) []byte { return b.Blinded[i].AppendWire(dst) }
-		} else {
-			seqOf = func(b core.Batch, i int) int64 { return int64(b.Envelopes[i].SeqNo) }
-			enc = func(b core.Batch, i int, dst []byte) []byte { return b.Envelopes[i].AppendWire(dst) }
+		// The Submit body, spelled out: stream 99 and pos 7 as zigzag
+		// varints, the kind, the count, then each item's fields.
+		submit := []byte{0xc6, 0x01, 0x0e, byte(kind), 2}
+		for _, v := range []string{"forwarded", "too"} {
+			if kind == core.KindBlinded {
+				submit = appendWireBytes(submit, []byte("c1:"+v))
+				submit = appendWireBytes(submit, []byte("c2:"+v))
+			}
+			submit = appendWireBytes(submit, []byte(v))
+			if kind == core.KindBlinded {
+				submit = append(submit, 0x06) // partition 3
+			}
 		}
-		body := binary.AppendVarint(nil, 99)
-		body = binary.AppendVarint(body, 7)
-		body = binary.AppendUvarint(body, uint64(fwd.Len()))
-		for i := 0; i < fwd.Len(); i++ {
-			body = binary.AppendUvarint(body, uint64(seqOf(fwd, i)))
-			item := enc(fwd, i, nil)
-			body = append(binary.AppendUvarint(body, uint64(len(item))), item...)
+		_, _, framed, err := parseRequest(openFrame(t, batchRequest(1, methodSubmit, 99, 7, fwd)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantFwd := appendRecord(nil, 6, body) // the parent's forward record type, spelled out
-		wantEpochs := appendRecord(nil, walRecMark, binary.AppendVarint(binary.AppendVarint(nil, 99), 7))
-		cut := binary.AppendUvarint(binary.AppendUvarint(binary.AppendVarint(nil, 1), 1), 3)
-		wantEpochs = appendRecord(wantEpochs, walRecCut, cut)
+		if !bytes.Equal(framed, submit) {
+			t.Fatalf("a client's Submit body is %x, want %x", framed, submit)
+		}
+		wantFwd := appendRecord(nil, 9, append([]byte{3}, submit...)) // base 3: items 4 and 5
+		wantEpochs := appendRecord(nil, 7, []byte{0xc6, 0x01, 0x0e})
+		wantEpochs = appendRecord(wantEpochs, 3, []byte{0x02, 0x01, 0x03}) // epoch 1, seqs [1, 3]
 
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 5, kind)
@@ -410,8 +411,103 @@ func TestWALRecordsMatchParentEncoding(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s segment differs from the replaced encoder's:\n got %x\nwant %x", prefix, got, want)
+				t.Errorf("%s segment:\n got %x\nwant %x", prefix, got, want)
 			}
+		}
+	})
+}
+
+// TestWALRefusesGappedBatch: a batch record states one sequence base, so a
+// batch whose numbers are not one contiguous range cannot be logged. The
+// append is refused, with an error, and writes nothing.
+func TestWALRefusesGappedBatch(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		dir := t.TempDir()
+		w := walOpen(t, dir, DefaultWALSegmentBytes, 5, kind)
+		err := w.appendBatch(walClient, 1, walBatch(t, walItem(kind, 3, "a"), walItem(kind, 5, "c")))
+		if err == nil || !strings.Contains(err.Error(), "contiguous") {
+			t.Fatalf("appendBatch of seqs {3, 5} = %v, want a refusal", err)
+		}
+		if w.ingest.size != 0 {
+			t.Errorf("the refused batch wrote %d bytes", w.ingest.size)
+		}
+		if err := w.close(false); err != nil {
+			t.Fatal(err)
+		}
+		if rec := walRecover(t, dir, kind); rec.pending.Len() != 0 || len(rec.marks) != 0 {
+			t.Errorf("recovered %d items and marks %v from a refused append", rec.pending.Len(), rec.marks)
+		}
+	})
+}
+
+// TestWALMigrationKeepsSeqGaps: an ingest whose append was refused burned its
+// sequence range, so the engine's pending items and a cut epoch can have
+// gaps. Migration writes each run of consecutive numbers as its own record,
+// so the numbers — gap included — survive recovery, compaction and a second
+// recovery.
+func TestWALMigrationKeepsSeqGaps(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		dir := t.TempDir()
+		w := walOpen(t, dir, DefaultWALSegmentBytes, 11, kind)
+		walAppend(t, w, 1, walBatch(t, walItem(kind, 1, "a"), walItem(kind, 2, "b")))
+		// Seqs 3-4 burned by a refused append; epoch 1 spans the gap.
+		walAppend(t, w, 3, walItem(kind, 5, "e"))
+		if err := w.logCut(1, 1, 5); err != nil {
+			t.Fatal(err)
+		}
+		// Seq 6 burned; seqs 7-8 pending.
+		walAppend(t, w, 5, walBatch(t, walItem(kind, 7, "g"), walItem(kind, 8, "h")))
+		if err := w.close(false); err != nil {
+			t.Fatal(err)
+		}
+
+		check := func(rec *walRecovery, when string) {
+			t.Helper()
+			if len(rec.epochs) != 1 || rec.epochs[0].id != 1 || walDescribe(t, rec.epochs[0].batch) != "a/1 b/2 e/5" {
+				t.Errorf("%s: epochs = %+v, want epoch 1 holding a/1 b/2 e/5", when, rec.epochs)
+			}
+			if got := walDescribe(t, rec.pending); got != "g/7 h/8" {
+				t.Errorf("%s: pending = %q, want g/7 h/8", when, got)
+			}
+			if rec.seqMax != 8 {
+				t.Errorf("%s: seqMax = %d, want 8", when, rec.seqMax)
+			}
+		}
+		rec := walRecover(t, dir, kind)
+		check(rec, "first recovery")
+		w2 := walOpen(t, dir, DefaultWALSegmentBytes, rec.stream, kind)
+		if err := migrateWAL(w2, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := w2.close(false); err != nil {
+			t.Fatal(err)
+		}
+		check(walRecover(t, dir, kind), "recovery after migration")
+	})
+}
+
+// TestWALRefusesRetiredLayout: a directory whose meta record has the retired
+// type 1 — the layout that logged each item in a codec of its own, behind
+// type-6 batch records — is refused at the meta check, with an error that
+// says so, and nothing in it is read as data.
+func TestWALRefusesRetiredLayout(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		dir := t.TempDir()
+		meta := appendRecord(nil, 1, appendWireInts(nil, 5, int64(kind)))
+		if err := os.WriteFile(filepath.Join(dir, walMetaName), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The retired batch record; its body is never read.
+		seg := appendRecord(nil, 6, []byte("a batch in the retired layout"))
+		if err := os.WriteFile(filepath.Join(dir, walIngestPrefix+"-000000000001.log"), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := recoverWAL(dir, kind)
+		if err == nil {
+			t.Fatalf("a retired-layout directory recovered: %+v", rec)
+		}
+		if want := "retired layout (meta record type 1"; !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
 		}
 	})
 }
@@ -524,7 +620,7 @@ func TestWALRecordLengthBeyondFile(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
 		t.Fatalf("recovering past a 1 GiB length claim allocated %d bytes, want under 2 MiB", grew)
 	}
-	if got := walDescribe(t, rec.pending); got != "fuzz-a/1/10.0.0.1 fuzz-b/2/10.0.0.1 fuzz-c/3/10.0.0.1" {
+	if got := walDescribe(t, rec.pending); got != "fuzz-a/1 fuzz-b/2 fuzz-c/3" {
 		t.Errorf("pending before the torn claim = %q, want the three whole items", got)
 	}
 }
@@ -567,6 +663,18 @@ func FuzzWALRecovery(f *testing.F) {
 		f.Add(blinded, seg[:len(seg)-3])
 		f.Add(blinded, append(seg, walOversizedClaim()...))
 	}
+	for _, blinded := range []bool{false, true} {
+		kind, other := core.KindEnvelopes, core.KindBlinded
+		if blinded {
+			kind, other = other, kind
+		}
+		// A gap: seq 2 was burned by a refused append.
+		gap := appendRecord(nil, walRecBatch, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(kind, 1, "fuzz-a"))...))
+		gap = appendRecord(gap, walRecBatch, append([]byte{2}, appendBatchCall(nil, walClient, 2, walItem(kind, 3, "fuzz-c"))...))
+		f.Add(blinded, gap)
+		// A CRC-valid record holding the other kind.
+		f.Add(blinded, appendRecord(nil, walRecBatch, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(other, 1, "fuzz-x"))...)))
+	}
 	f.Fuzz(func(t *testing.T, blinded bool, seg []byte) {
 		kind := core.KindEnvelopes
 		if blinded {
@@ -574,7 +682,7 @@ func FuzzWALRecovery(f *testing.F) {
 		}
 		rec, err := recoverWAL(walDirWith(t, kind, seg), kind)
 		if err != nil {
-			return // a CRC-valid record whose items do not decode as kind
+			return // a CRC-valid record that does not parse, or holds another kind
 		}
 		valid := walValidPrefix(seg)
 		ref, err := recoverWAL(walDirWith(t, kind, valid), kind)

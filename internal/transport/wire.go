@@ -29,7 +29,8 @@ import (
 //
 // The request and reply bodies are opaque to the frame layer. Per method
 // (ints are varints, bytes and strings are uvarint-length-prefixed, a batch
-// is the internal/core codec: kind byte, uvarint count, walwire items):
+// is the internal/core codec — kind byte, uvarint count, items — an item's
+// only encoding; the WAL logs a Submit's request body as it arrived):
 //
 //	method           request body                reply body
 //	 1 Submit        stream | pos | batch        accepted
@@ -37,7 +38,7 @@ import (
 //	 5 Healthz       -                           HealthzReply
 //	 6 Stats         -                           ServiceStats (analyzer: AnalyzerStats)
 //	 7 Drain         force byte                  ServiceStats
-//	 9 Attestation   -                           quote | CA key bytes
+//	 9 Attestation   -                           quote
 //	10 Histogram     -                           count | (key bytes | n)* | undecryptable
 //
 // Submit carries every batch: pos is a client's sequence number or the
@@ -279,9 +280,7 @@ func parseReply(frame []byte) (reqID uint64, body []byte, serverErr, err error) 
 // appendBatchCall encodes a Submit request body: the (stream, pos) dedup
 // stamp and the batch.
 func appendBatchCall(dst []byte, stream, pos int64, b core.Batch) []byte {
-	dst = binary.AppendVarint(dst, stream)
-	dst = binary.AppendVarint(dst, pos)
-	return core.AppendBatch(dst, b)
+	return core.AppendBatch(appendWireInts(dst, stream, pos), b)
 }
 
 // parseBatchCall decodes a Submit request body. The batch

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"prochlo/internal/core"
+	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
 )
 
@@ -819,7 +820,7 @@ func FuzzWireFrameParse(f *testing.F) {
 		return frame[k : k+int(n)]
 	}
 	f.Add(body(batchRequest(3, methodSubmit, 5, 6,
-		core.Batch{Envelopes: []core.Envelope{{Blob: []byte("b"), SourceIP: "ip"}}})))
+		core.Batch{Envelopes: []core.Envelope{{Blob: []byte("b")}}})))
 	f.Add(body(batchRequest(4, methodSubmit, 5, 6, core.Batch{Payloads: [][]byte{[]byte("p"), nil}})))
 	f.Add(body(finishFrame(append(beginRequest(make([]byte, 0, 32), 5, methodDrain), 1))))
 	for _, m := range []uint8{methodKeys, methodHealthz, methodStats, methodAttestation, methodHistogram} {
@@ -838,7 +839,7 @@ func FuzzWireFrameParse(f *testing.F) {
 	f.Add(reply(HealthzReply{Healthy: true, Pending: 3, Accepted: 7}.appendWire(nil)))
 	f.Add(reply(ServiceStats{Accepted: 9, LastError: "boom", Cumulative: shuffler.Stats{Received: 9}}.appendWire(nil)))
 	f.Add(reply(AnalyzerStats{Records: 4, Ingests: 1}.appendWire(nil)))
-	f.Add(reply(AttestationReply{CAKey: []byte("der")}.appendWire(nil)))
+	f.Add(reply(AttestationReply{Quote: sgx.Quote{ReportData: []byte("key")}}.appendWire(nil)))
 	f.Add(reply(appendHistogram(nil, map[string]int{"\xff\x00": 2, "": 1}, 3)))
 	f.Add(body(finishFrame(beginReply(make([]byte, 0, 64), 2, errors.New("boom")))))
 	f.Add([]byte{})
@@ -886,7 +887,7 @@ func benchBatch(n, blobSize int) core.Batch {
 	blob := make([]byte, blobSize)
 	crand.Read(blob) //nolint:errcheck
 	for i := range envs {
-		envs[i] = core.Envelope{Blob: blob, SourceIP: "203.0.113.9", ArrivalTime: time.Unix(0, 1)}
+		envs[i] = core.Envelope{Blob: blob}
 	}
 	return core.Batch{Envelopes: envs}
 }

@@ -41,7 +41,6 @@ import (
 	crand "crypto/rand"
 	"errors"
 	"fmt"
-	"time"
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
@@ -325,7 +324,7 @@ func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 // enqueue numbers freshly encoded envelopes in submission order and adds
 // them to the pending batch.
 func (p *Pipeline) enqueue(batch core.Batch) error {
-	batch.Stamp(time.Time{}, int64(p.seq))
+	batch.Stamp(int64(p.seq))
 	p.seq += batch.Len()
 	var err error
 	p.pending, err = p.pending.Append(batch)
@@ -406,8 +405,12 @@ type Result struct {
 // daemons forward epochs — and the analyzer over the final stage's output,
 // returning the analysis result. Result.ShufflerStats is the last stage's
 // (the thresholding hop's) selectivity, the only stage whose stats describe
-// what reaches the analyzer.
+// what reaches the analyzer. A pending batch below the first stage's
+// anonymity floor is refused and stays pending, as a daemon's epoch does.
 func (p *Pipeline) Flush() (*Result, error) {
+	if n, floor := p.pending.Len(), p.stages[0].Floor(); n < floor {
+		return nil, fmt.Errorf("%w: %d < %d", shuffler.ErrBatchTooSmall, n, floor)
+	}
 	batch := p.pending
 	p.pending = core.Batch{}
 	var stats shuffler.Stats

@@ -197,6 +197,23 @@ func TestFlushSmallBatchFails(t *testing.T) {
 	if _, err := p.Flush(); err == nil {
 		t.Error("batch below MinBatch flushed")
 	}
+	// The refused batch stays pending, as a daemon's below-floor epoch does,
+	// and counts once the floor is reached.
+	if n := p.Pending(); n != 1 {
+		t.Fatalf("Pending() = %d after the refused Flush, want 1", n)
+	}
+	for i := 0; i < 49; i++ {
+		if err := p.Submit("c", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := p.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ShufflerStats.Received != 50 {
+		t.Errorf("Flush received %d reports, want all 50", res.ShufflerStats.Received)
+	}
 }
 
 // TestWithWorkersAllModes exercises the pipeline-wide concurrency knob on

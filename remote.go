@@ -1,6 +1,7 @@
 package prochlo
 
 import (
+	"crypto/ecdsa"
 	crand "crypto/rand"
 	"errors"
 	"fmt"
@@ -57,7 +58,9 @@ import (
 // TestRemoteChainCrashRestartSoak for the full kill-and-restart exercise.
 type RemotePipeline struct {
 	workers int
-	attest  bool
+	// attestCA is the attestation CA key WithRemoteAttestation pins; nil
+	// means the deployment is not attested.
+	attestCA *ecdsa.PublicKey
 	// reg and labels are where the entry balancer registers its series
 	// (WithRemoteMetrics); a nil reg registers nothing.
 	reg    *metrics.Registry
@@ -96,15 +99,19 @@ func WithRemoteWorkers(n int) RemoteOption {
 }
 
 // WithRemoteAttestation makes DialRemoteFleet require and verify the
-// shuffler daemon's SGX quote (§4.1.1): the quote's CA signature and code
-// measurement are checked, and the attested key from the quote is used for
-// encoding instead of the unauthenticated Keys call — the networked
-// ModeSGX deployment. Dialing fails if the daemon serves no quote, and a
-// fleet dial fails if the attested tier has more than one replica (the
-// quote binds the key to one enclave).
-func WithRemoteAttestation() RemoteOption {
+// shuffler daemon's SGX quote (§4.1.1): the quote must be signed by ca, the
+// attestation CA's key the caller obtained out of band (prochlod -sgx prints
+// it), and carry the expected code measurement; the attested key from the
+// quote is then used for encoding instead of the unauthenticated Keys call —
+// the networked ModeSGX deployment. Dialing fails if the daemon serves no
+// quote or one another CA signed, and a fleet dial fails if the attested
+// tier has more than one replica (the quote binds the key to one enclave).
+func WithRemoteAttestation(ca *ecdsa.PublicKey) RemoteOption {
 	return func(r *RemotePipeline) error {
-		r.attest = true
+		if ca == nil {
+			return errors.New("prochlo: WithRemoteAttestation needs the attestation CA's key")
+		}
+		r.attestCA = ca
 		return nil
 	}
 }
@@ -264,15 +271,15 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 	if err != nil {
 		return nil, err
 	}
-	if r.attest && len(shufflerAddrs) != 1 {
+	if r.attestCA != nil && len(shufflerAddrs) != 1 {
 		return nil, errors.New("prochlo: an attested SGX tier cannot be replicated (the quote binds the key to one enclave)")
 	}
 	if err := r.dialTiers([][]string{shufflerAddrs}, analyzerAddrs); err != nil {
 		return nil, err
 	}
 	var shufKeyBytes []byte
-	if r.attest {
-		shufKeyBytes, err = r.tiers[0][0].Attestation(shuffler.SGXShufflerMeasurement)
+	if r.attestCA != nil {
+		shufKeyBytes, err = r.tiers[0][0].Attestation(r.attestCA, shuffler.SGXShufflerMeasurement)
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("prochlo: shuffler attestation: %w", err)
@@ -319,7 +326,7 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 	if err != nil {
 		return nil, err
 	}
-	if r.attest {
+	if r.attestCA != nil {
 		r.Close()
 		return nil, errors.New("prochlo: attestation applies to the SGX deployment, not the blinded chain")
 	}

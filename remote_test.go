@@ -627,35 +627,39 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	}
 }
 
+// sgxDaemon serves an SGX shuffler whose quote ca signs, pushing to anlz.
+func sgxDaemon(t *testing.T, ca *sgx.CA, anlz []string) string {
+	t.Helper()
+	sh, quote, err := shuffler.NewSGXShuffler(ca, shuffler.Params{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := transport.NewStageService(sh, anlz, transport.EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	svc.SetAttestation(quote)
+	l, err := transport.Serve("127.0.0.1:0", svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l.Addr().String()
+}
+
 // TestRemoteSGXAttestation covers the networked ModeSGX deployment: the
 // daemon serves a quote over its key, DialRemoteFleet with WithRemoteAttestation
-// verifies it before encoding, and a daemon without an enclave is refused.
+// verifies it against the pinned CA before encoding, and a daemon without an
+// enclave is refused.
 func TestRemoteSGXAttestation(t *testing.T) {
 	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
 	ca, err := sgx.NewCA()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, quote, err := shuffler.NewSGXShuffler(ca, shuffler.Params{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := transport.NewStageService(sh, anlzAddrs, transport.EpochConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	if err := svc.SetAttestation(quote, ca.PublicKey()); err != nil {
-		t.Fatal(err)
-	}
-	shufL, err := transport.Serve("127.0.0.1:0", svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shufL.Close()
-
-	rp, err := prochlo.DialRemoteFleet([]string{shufL.Addr().String()}, anlzAddrs,
-		prochlo.WithRemoteAttestation(), prochlo.WithRemoteWorkers(1))
+	rp, err := prochlo.DialRemoteFleet([]string{sgxDaemon(t, ca, anlzAddrs)}, anlzAddrs,
+		prochlo.WithRemoteAttestation(ca.PublicKey()), prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,8 +687,36 @@ func TestRemoteSGXAttestation(t *testing.T) {
 	// A daemon without an enclave must be refused when the client demands
 	// attestation.
 	plain := plainFleet(t, 1, 1, transport.EpochConfig{})
-	if _, err := prochlo.DialRemoteFleet(plain.Tiers[0], plain.Analyzers, prochlo.WithRemoteAttestation()); err == nil {
+	if _, err := prochlo.DialRemoteFleet(plain.Tiers[0], plain.Analyzers, prochlo.WithRemoteAttestation(ca.PublicKey())); err == nil {
 		t.Error("unattested daemon accepted under WithRemoteAttestation")
+	}
+}
+
+// TestRemoteSGXAttestationRefusesForeignCA: the client pins the attestation
+// CA's key, so a daemon whose quote another CA signed — a hostile daemon
+// with a CA of its own, or a man in the middle — is refused, whatever key
+// it would have served for that CA.
+func TestRemoteSGXAttestationRefusesForeignCA(t *testing.T) {
+	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	pinned, err := sgx.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := sgx.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := prochlo.DialRemoteFleet([]string{sgxDaemon(t, foreign, anlzAddrs)}, anlzAddrs,
+		prochlo.WithRemoteAttestation(pinned.PublicKey()))
+	if err == nil {
+		rp.Close()
+		t.Fatal("a quote signed by a foreign CA was accepted")
+	}
+	if want := "sgx: quote signature invalid"; rp != nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("dial = %v, %v; want no pipeline and an error containing %q", rp, err, want)
+	}
+	if _, err := prochlo.DialRemoteFleet(nil, anlzAddrs, prochlo.WithRemoteAttestation(nil)); err == nil {
+		t.Error("WithRemoteAttestation accepted no CA key")
 	}
 }
 
@@ -739,9 +771,7 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := svc.SetAttestation(quote, ca.PublicKey()); err != nil {
-				t.Fatal(err)
-			}
+			svc.SetAttestation(quote)
 		}
 		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
@@ -771,7 +801,7 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 		dial      func() (*prochlo.RemotePipeline, error)
 	}{
 		{"fleet shuffler key", "shuffler key", fleet(stageAt(plain(bad), nil), goodAnlz)},
-		{"fleet attested key", "shuffler key", fleet(stageAt(plain(good), bad), goodAnlz, prochlo.WithRemoteAttestation())},
+		{"fleet attested key", "shuffler key", fleet(stageAt(plain(good), bad), goodAnlz, prochlo.WithRemoteAttestation(ca.PublicKey()))},
 		{"fleet analyzer key", "analyzer key", fleet(stageAt(plain(good), nil), badAnlz)},
 		{"chain blinding key", "shuffler 2 blinding key", chain(stageAt(hop2(badBlind, good), nil), goodAnlz)},
 		{"chain hybrid key", "shuffler 2 key", chain(stageAt(hop2(goodBlind, bad), nil), goodAnlz)},
@@ -791,7 +821,7 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 	}
 	// The same dials with every key on the deployed group go through.
 	for _, dial := range []func() (*prochlo.RemotePipeline, error){
-		fleet(stageAt(plain(good), good), goodAnlz, prochlo.WithRemoteAttestation()),
+		fleet(stageAt(plain(good), good), goodAnlz, prochlo.WithRemoteAttestation(ca.PublicKey())),
 		chain(stageAt(hop2(goodBlind, good), nil), goodAnlz),
 	} {
 		rp, err := dial()
