@@ -7,7 +7,6 @@ import (
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
 	"prochlo/internal/shuffler"
@@ -46,7 +45,7 @@ func newBudgetKit(t *testing.T) *budgetKit {
 		k.labels, k.data = append(k.labels, label), append(k.data, payload)
 	}
 	stage := func(role string) (shuffler.Stage, shuffler.Secrets) {
-		sec, err := shuffler.GenerateSecrets(group.Default())
+		sec, err := shuffler.GenerateSecrets()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,8 +104,8 @@ func TestAllocBudgets(t *testing.T) {
 		max  float64
 		run  func() error
 	}{
-		{"Client.EncodeBatch", 13, func() error { _, err := k.client.EncodeBatch(k.reports, 1); return err }},
-		{"BlindedClient.EncodeBatch", 19, func() error { _, err := k.bclient.EncodeBatch(k.labels, k.data, 1); return err }},
+		{"Client.EncodeBatch", 11, func() error { _, err := k.client.EncodeBatch(k.reports, 1); return err }},
+		{"BlindedClient.EncodeBatch", 14, func() error { _, err := k.bclient.EncodeBatch(k.labels, k.data, 1); return err }},
 		{"PrivateKey.OpenBatch", 5, func() error {
 			_, errs := k.anlzPriv.OpenBatch(k.inner, nil, 1)
 			return errs[0]

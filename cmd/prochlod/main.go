@@ -34,9 +34,10 @@
 // so the downstream dedup absorbs the replay. Pair -wal-dir with -key-file,
 // which persists the daemon's private keys across restarts (created 0600 on
 // first start): without it a restarted daemon draws fresh keys and every
-// recovered report is undecryptable. SIGINT or SIGTERM shuts down
-// gracefully: the listener closes, the final epoch is drained downstream, and
-// only then does the process exit.
+// recovered report is undecryptable. An -sgx daemon takes neither: its
+// enclave draws a fresh key per process, so no WAL could be reopened.
+// SIGINT or SIGTERM shuts down gracefully: the listener closes, the final
+// epoch is drained downstream, and only then does the process exit.
 //
 // Any hop can also run as a replicated fleet: a comma-separated -next lists
 // the downstream tier's replicas in partition order (the same order on
@@ -85,7 +86,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "service listen address")
 	next := flag.String("next", "127.0.0.1:7101", "downstream hop address: the analyzer for shuffler/shuffler2, the shuffler2 daemon for shuffler1; a comma-separated list fans out to a partitioned downstream tier, its replicas in partition order (identical on every replica of this tier)")
 	workers := flag.Int("workers", 0, "worker pool size per stage (0 = GOMAXPROCS, 1 = serial)")
-	sgxMode := flag.Bool("sgx", false, "shuffler role only: run inside a simulated SGX enclave (oblivious Stash Shuffle, key served with an attestation quote)")
+	sgxMode := flag.Bool("sgx", false, "shuffler role only, without -key-file or -wal-dir: run inside a simulated SGX enclave (oblivious Stash Shuffle, key served with an attestation quote)")
 
 	thresholdT := flag.Int("threshold", 20, "crowd threshold T (0 disables thresholding)")
 	noiseD := flag.Float64("noise-d", 10, "randomized-threshold drop mean D (§3.5)")
@@ -204,20 +205,18 @@ func splitAddrs(s string) []string {
 }
 
 // deployedScalar decodes one hex line of a key file and refuses a scalar
-// outside the deployed group's scalar field. The file holds bare scalars, so
-// the range is all it shows of the group a key was made for: a file written
-// for P-256 (order near 2^256) carries a scalar above the ristretto255 order
-// (near 2^252) fifteen times in sixteen, and is refused here; one that
-// happens to fit is indistinguishable from a ristretto255 key and loads as
-// one.
+// that is not below the ristretto255 group order. The file holds bare
+// scalars, so the range is all it shows of the group a key was made for: a
+// key written for another group with a larger order, such as P-256 (the
+// paper's curve, order near 2^256 against ristretto255's 2^252), is refused
+// here fifteen times in sixteen.
 func deployedScalar(path, line string) ([]byte, error) {
 	b, err := hex.DecodeString(line)
 	if err != nil {
 		return nil, fmt.Errorf("key file %s: %w", path, err)
 	}
-	if g := group.Default(); new(big.Int).SetBytes(b).Cmp(g.Order()) >= 0 {
-		return nil, fmt.Errorf("key file %s: key is on another group (its scalar is outside the %s scalar field, as most P-256 scalars are), this build deploys %s",
-			path, g.Name(), g.Name())
+	if new(big.Int).SetBytes(b).Cmp(group.Default().Order()) >= 0 {
+		return nil, fmt.Errorf("key file %s: scalar is not below the ristretto255 group order; this build deploys ristretto255 alone, so a key made for another group cannot load", path)
 	}
 	return b, nil
 }
@@ -263,7 +262,7 @@ func loadKeys(path string, wantBlinding bool) (shuffler.Secrets, error) {
 			return shuffler.Secrets{}, err
 		}
 	}
-	sec, err := shuffler.GenerateSecrets(group.Default())
+	sec, err := shuffler.GenerateSecrets()
 	if err != nil || path == "" {
 		return sec, err
 	}
@@ -322,8 +321,8 @@ func printEpochs(cfg transport.EpochConfig) {
 // -sgx, a shuffler that makes and attests its key in an enclave.
 func buildStage(role string, p shuffler.Params, o stageOpts) (st shuffler.Stage, ca *sgx.CA, quote sgx.Quote, err error) {
 	if o.sgx {
-		if role != "shuffler" || o.keyFile != "" {
-			return nil, nil, quote, errors.New("-sgx runs the shuffler role without -key-file: the enclave owns its key and attests it per process")
+		if role != "shuffler" || o.keyFile != "" || o.cfg.WALDir != "" {
+			return nil, nil, quote, errors.New("-sgx runs the shuffler role without -key-file or -wal-dir: the enclave owns its key and attests it per process, so no other process could open the reports a WAL keeps")
 		}
 		if ca, err = sgx.NewCA(); err != nil {
 			return nil, nil, quote, err

@@ -2,33 +2,26 @@ package main
 
 import (
 	"bytes"
-	crand "crypto/rand"
-	"encoding/hex"
 	"math/big"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"prochlo/internal/crypto/group"
-	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/shuffler"
+	"prochlo/internal/transport"
 )
+
+// p256Scalar is n-1 for the P-256 order n: a valid P-256 private key, and
+// above the ristretto255 order, as most P-256 scalars are.
+const p256Scalar = "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632550"
 
 // TestLoadKeysRefusesOtherGroupScalar: a key file holds bare scalars, so the
 // one thing that can give a P-256 file away is a scalar above the
-// ristretto255 order — which most of them are. Such a file must be refused by
-// name, in either line, instead of failing later as undecryptable reports;
-// a file this build wrote reloads to the same key.
+// ristretto255 order. Such a file must be refused by name, in either line,
+// instead of failing later as undecryptable reports; a file this build wrote
+// reloads to the same key.
 func TestLoadKeysRefusesOtherGroupScalar(t *testing.T) {
-	var p256Scalar []byte
-	for p256Scalar == nil || new(big.Int).SetBytes(p256Scalar).Cmp(group.Default().Order()) < 0 {
-		priv, err := hybrid.GenerateKeyGroup(group.P256, crand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p256Scalar = priv.Bytes()
-	}
 	dir := t.TempDir()
 	own := filepath.Join(dir, "own.key")
 	sec, err := loadKeys(own, true)
@@ -49,18 +42,32 @@ func TestLoadKeysRefusesOtherGroupScalar(t *testing.T) {
 	}
 	ownLines := strings.Fields(string(raw))
 	for name, lines := range map[string][]string{
-		"hybrid key":   {hex.EncodeToString(p256Scalar), ownLines[1]},
-		"blinding key": {ownLines[0], hex.EncodeToString(p256Scalar)},
+		"hybrid key":   {p256Scalar, ownLines[1]},
+		"blinding key": {ownLines[0], p256Scalar},
 	} {
 		path := filepath.Join(dir, "p256.key")
 		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o600); err != nil {
 			t.Fatal(err)
 		}
 		_, err := loadKeys(path, true)
-		if err == nil || !strings.Contains(err.Error(), "key is on another group") ||
-			!strings.Contains(err.Error(), "this build deploys ristretto255") {
-			t.Errorf("%s on P-256: loadKeys = %v, want the other-group refusal", name, err)
+		if err == nil || !strings.Contains(err.Error(), "key file "+path+": scalar is not below the ristretto255 group order") {
+			t.Errorf("%s on P-256: loadKeys = %v, want the range refusal", name, err)
 		}
+	}
+}
+
+// TestSGXRefusesWALDir: the enclave draws its key per process (§4.1.1), so a
+// restarted -sgx daemon could open none of the reports a WAL recovered for
+// it. The pair is refused at start-up, as -sgx -key-file is, and the
+// shuffler role alone still builds without either.
+func TestSGXRefusesWALDir(t *testing.T) {
+	wal := stageOpts{sgx: true, cfg: transport.EpochConfig{WALDir: t.TempDir()}}
+	if _, _, _, err := buildStage("shuffler", shuffler.Params{}, wal); err == nil ||
+		!strings.Contains(err.Error(), "-sgx runs the shuffler role without -key-file or -wal-dir") {
+		t.Fatalf("buildStage(-sgx -wal-dir) = %v, want the refusal", err)
+	}
+	if _, ca, _, err := buildStage("shuffler", shuffler.Params{}, stageOpts{sgx: true}); err != nil || ca == nil {
+		t.Fatalf("buildStage(-sgx) = %v", err)
 	}
 }
 

@@ -63,8 +63,8 @@ type Envelope struct {
 // key, so that Shuffler 1 can blind it without seeing it and Shuffler 2 can
 // count it without un-blinding it.
 type BlindedEnvelope struct {
-	CrowdC1 []byte // compressed group element (tagged; backend inferred from the tag byte)
-	CrowdC2 []byte // compressed group element (tagged; backend inferred from the tag byte)
+	CrowdC1 []byte // group element, wire encoding (elgamal.Point.Bytes)
+	CrowdC2 []byte // group element, wire encoding (elgamal.Point.Bytes)
 	Blob    []byte // Seal(shuffler2, Seal(analyzer, data))
 
 	// Partition is the owning hop-2 partition, PartitionOf(crowdID, M),

@@ -1,7 +1,7 @@
-// Package elgamal implements El Gamal encryption over a pluggable
-// prime-order group together with the exponent-blinding trick that enables
-// Prochlo's split shuffler to threshold on sensitive crowd IDs without
-// seeing them in the clear (§4.3).
+// Package elgamal implements El Gamal encryption over a prime-order group
+// together with the exponent-blinding trick that enables Prochlo's split
+// shuffler to threshold on sensitive crowd IDs without seeing them in the
+// clear (§4.3).
 //
 // The encoder hashes a crowd ID to a group element µ = H(crowdID) and
 // encrypts it to Shuffler 2's public key as (rG, rH + µ). Shuffler 1 blinds
@@ -10,15 +10,13 @@
 // counting works) while resisting dictionary attacks by either shuffler
 // alone.
 //
-// Group arithmetic lives in internal/crypto/group behind the
-// Group/Element/Scalar interface: ristretto255 is the deployed group, and
-// the explicit-group constructors let tests run the same code over the
-// stdlib-backed P-256 reference. Every stage has a batch entry point —
+// Group arithmetic is internal/crypto/group's ristretto255, the one group
+// this build deploys. Every stage has a batch entry point —
 // Encrypter.EncryptCrowdIDBatch, Blinder.BlindBatch, Decrypter.DecryptBatch
-// — that feeds whole slices to the kernels: fixed
-// scalars are recoded once per slice, fixed points go through precomputed
-// comb tables, and affine normalization costs one shared field inversion
-// per slice instead of one per point.
+// — that feeds whole slices to the kernels: fixed scalars are recoded once
+// per slice, fixed points go through precomputed comb tables, and affine
+// normalization costs one shared field inversion per slice instead of one
+// per point.
 package elgamal
 
 import (
@@ -31,77 +29,51 @@ import (
 	"prochlo/internal/crypto/group"
 )
 
-// Point is an element of the configured group. The zero value is the
-// identity (the "point at infinity").
+// g is the group every point lives in.
+var g = group.Default()
+
+// Point is a group element. The zero value is the identity (the "point at
+// infinity").
 type Point struct {
-	g group.Group
 	e group.Element
 }
 
-// NewPoint wraps a group element.
-func NewPoint(g group.Group, e group.Element) Point { return Point{g: g, e: e} }
-
-// Group returns the group the point belongs to (the default group for the
-// zero value).
-func (p Point) Group() group.Group {
-	if p.g == nil {
-		return group.Default()
-	}
-	return p.g
-}
+// NewPoint wraps a group element of g, the deployed group (benchmark/sut.go
+// binds this signature).
+func NewPoint(_ group.Group, e group.Element) Point { return Point{e: e} }
 
 // Element returns the underlying group element.
 func (p Point) Element() group.Element { return p.e }
 
 // IsInfinity reports whether p is the identity element.
-func (p Point) IsInfinity() bool { return p.Group().IsIdentity(p.e) }
+func (p Point) IsInfinity() bool { return g.IsIdentity(p.e) }
 
 // Equal reports whether two points are the same.
-func (p Point) Equal(q Point) bool {
-	if p.IsInfinity() || q.IsInfinity() {
-		return p.IsInfinity() == q.IsInfinity()
-	}
-	if p.Group().Name() != q.Group().Name() {
-		return false
-	}
-	return p.Group().Equal(p.e, q.e)
-}
+func (p Point) Equal(q Point) bool { return g.Equal(p.e, q.e) }
 
 // Bytes returns the wire encoding of the point: a 1-byte identity sentinel
 // or a 65-byte tagged uncompressed encoding, chosen so the chain's parse
 // path never pays a square root per report.
-func (p Point) Bytes() []byte { return p.Group().Encode(p.e) }
+func (p Point) Bytes() []byte { return g.Encode(p.e) }
 
-// Compressed returns the short canonical encoding (33 bytes on P-256,
-// 32 on ristretto255), the form used for pseudonym map keys.
-func (p Point) Compressed() []byte { return p.Group().Compress(p.e) }
+// Compressed returns the short canonical encoding (32 bytes), the form used
+// for pseudonym map keys.
+func (p Point) Compressed() []byte { return g.Compress(p.e) }
 
-// ParsePoint decodes any encoding produced by Bytes or Compressed,
-// inferring the backend from the length and tag. A caller that parses
-// bytes a peer sent must check Group() against group.Default() before
-// trusting the point: one on the reference backend parses too.
+// ParsePoint decodes any encoding produced by Bytes or Compressed; any
+// other bytes, a point of another group among them, are an error.
 func ParsePoint(b []byte) (Point, error) {
-	g, err := group.Infer(b)
-	if err != nil {
-		return Point{}, fmt.Errorf("elgamal: %w", err)
-	}
 	e, err := g.Decode(b)
 	if err != nil {
 		return Point{}, fmt.Errorf("elgamal: %w", err)
 	}
-	return Point{g: g, e: e}, nil
+	return Point{e: e}, nil
 }
 
-// RandomScalar returns a uniformly random scalar in [1, n-1] for the
-// default group, by rejection sampling: each attempt consumes a fixed
-// number of rng bytes and out-of-range candidates are discarded rather
-// than reduced (a Mod would bias low residues).
+// RandomScalar returns a uniformly random scalar in [1, n-1]. Each attempt
+// consumes a fixed number of rng bytes, so seeded streams stay
+// deterministic.
 func RandomScalar(rng io.Reader) (*big.Int, error) {
-	return RandomScalarGroup(group.Default(), rng)
-}
-
-// RandomScalarGroup is RandomScalar for an explicit group.
-func RandomScalarGroup(g group.Group, rng io.Reader) (*big.Int, error) {
 	k, err := g.RandomScalar(rng)
 	if err != nil {
 		return nil, err
@@ -109,60 +81,43 @@ func RandomScalarGroup(g group.Group, rng io.Reader) (*big.Int, error) {
 	return group.ScalarToBig(k), nil
 }
 
-// HashToPoint maps arbitrary data to an element of the default group: a
-// single Elligator map with cofactor clearing (the P-256 reference backend
-// uses try-and-increment).
+// HashToPoint maps arbitrary data to a group element: a single Elligator
+// map with cofactor clearing.
 func HashToPoint(data []byte) Point {
-	return HashToPointGroup(group.Default(), data)
+	return Point{e: g.HashToElement(data)}
 }
 
-// HashToPointGroup is HashToPoint for an explicit group.
-func HashToPointGroup(g group.Group, data []byte) Point {
-	return Point{g: g, e: g.HashToElement(data)}
-}
+// HashToPointGroup is HashToPoint; benchmark/sut.go binds it.
+func HashToPointGroup(_ group.Group, data []byte) Point { return HashToPoint(data) }
 
 // KeyPair is Shuffler 2's decryption key pair: H = x*G.
 type KeyPair struct {
-	G group.Group // group the key lives on (nil means the default)
-	X *big.Int    // private
-	H Point       // public
+	X *big.Int // private
+	H Point    // public
 }
 
-func (k *KeyPair) group() group.Group {
-	if k.G == nil {
-		return group.Default()
-	}
-	return k.G
-}
-
-// GenerateKeyPair creates a fresh El Gamal key pair on the default group.
+// GenerateKeyPair creates a fresh El Gamal key pair.
 func GenerateKeyPair(rng io.Reader) (*KeyPair, error) {
-	return GenerateKeyPairGroup(group.Default(), rng)
-}
-
-// GenerateKeyPairGroup creates a fresh key pair on an explicit group.
-func GenerateKeyPairGroup(g group.Group, rng io.Reader) (*KeyPair, error) {
-	x, err := RandomScalarGroup(g, rng)
+	x, err := RandomScalar(rng)
 	if err != nil {
 		return nil, fmt.Errorf("elgamal: %w", err)
 	}
-	return NewKeyPairGroup(g, x)
+	return NewKeyPair(x)
+}
+
+// GenerateKeyPairGroup is GenerateKeyPair; benchmark/sut.go binds it.
+func GenerateKeyPairGroup(_ group.Group, rng io.Reader) (*KeyPair, error) {
+	return GenerateKeyPair(rng)
 }
 
 // NewKeyPair rebuilds a key pair from a persisted private scalar, for
 // daemons whose blinding key must survive restarts.
 func NewKeyPair(x *big.Int) (*KeyPair, error) {
-	return NewKeyPairGroup(group.Default(), x)
-}
-
-// NewKeyPairGroup is NewKeyPair on an explicit group.
-func NewKeyPairGroup(g group.Group, x *big.Int) (*KeyPair, error) {
 	if x == nil || x.Sign() <= 0 || x.Cmp(g.Order()) >= 0 {
 		return nil, errors.New("elgamal: private scalar out of range")
 	}
 	x = new(big.Int).Set(x)
-	h := g.BaseMul(group.ScalarFromBig(x))
-	return &KeyPair{G: g, X: x, H: Point{g: g, e: h}}, nil
+	return &KeyPair{X: x, H: Point{e: g.BaseMul(group.ScalarFromBig(x))}}, nil
 }
 
 // Ciphertext is an El Gamal encryption (C1, C2) = (rG, rH + M).
@@ -172,14 +127,13 @@ type Ciphertext struct {
 
 // Encrypt encrypts the message point m to the public key h.
 func Encrypt(rng io.Reader, h Point, m Point) (Ciphertext, error) {
-	g := h.Group()
 	r, err := g.RandomScalar(rng)
 	if err != nil {
 		return Ciphertext{}, err
 	}
 	return Ciphertext{
-		C1: Point{g: g, e: g.BaseMul(r)},
-		C2: Point{g: g, e: g.Add(g.Mul(h.e, r), m.e)},
+		C1: Point{e: g.BaseMul(r)},
+		C2: Point{e: g.Add(g.Mul(h.e, r), m.e)},
 	}, nil
 }
 
@@ -189,12 +143,7 @@ func Encrypt(rng io.Reader, h Point, m Point) (Ciphertext, error) {
 // preserves equality of plaintexts: two reports carry the same crowd ID iff
 // their blinded decryptions match.
 func Blind(ct Ciphertext, alpha *big.Int) Ciphertext {
-	g := ct.C1.Group()
-	k := group.ScalarFromBig(alpha)
-	return Ciphertext{
-		C1: Point{g: g, e: g.Mul(ct.C1.e, k)},
-		C2: Point{g: g, e: g.Mul(ct.C2.e, k)},
-	}
+	return NewBlinder(alpha).Blind(ct)
 }
 
 // Blinder is the batch fast path of Blind for a scalar that is fixed
@@ -203,25 +152,22 @@ func Blind(ct Ciphertext, alpha *big.Int) Ciphertext {
 // that follows costs no per-point division. A Blinder is safe for
 // concurrent use by the shuffler's blinding workers.
 type Blinder struct {
-	g     group.Group
 	alpha group.Scalar
 }
 
-// NewBlinder precomputes blinding state for alpha on the default group.
+// NewBlinder precomputes blinding state for alpha.
 func NewBlinder(alpha *big.Int) *Blinder {
-	return NewBlinderGroup(group.Default(), alpha)
+	return &Blinder{alpha: group.ScalarFromBig(alpha)}
 }
 
-// NewBlinderGroup is NewBlinder on an explicit group.
-func NewBlinderGroup(g group.Group, alpha *big.Int) *Blinder {
-	return &Blinder{g: g, alpha: group.ScalarFromBig(alpha)}
-}
+// NewBlinderGroup is NewBlinder; benchmark/sut.go binds it.
+func NewBlinderGroup(_ group.Group, alpha *big.Int) *Blinder { return NewBlinder(alpha) }
 
 // Blind is equivalent to Blind(ct, alpha) for the precomputed alpha.
 func (b *Blinder) Blind(ct Ciphertext) Ciphertext {
 	return Ciphertext{
-		C1: Point{g: b.g, e: b.g.Mul(ct.C1.e, b.alpha)},
-		C2: Point{g: b.g, e: b.g.Mul(ct.C2.e, b.alpha)},
+		C1: Point{e: g.Mul(ct.C1.e, b.alpha)},
+		C2: Point{e: g.Mul(ct.C2.e, b.alpha)},
 	}
 }
 
@@ -237,11 +183,11 @@ func (b *Blinder) BlindBatch(cts []Ciphertext) {
 		els[2*i] = ct.C1.e
 		els[2*i+1] = ct.C2.e
 	}
-	b.g.MulBatch(els, els, b.alpha)
-	b.g.Normalize(els)
+	g.MulBatch(els, els, b.alpha)
+	g.Normalize(els)
 	for i := range cts {
-		cts[i].C1 = Point{g: b.g, e: els[2*i]}
-		cts[i].C2 = Point{g: b.g, e: els[2*i+1]}
+		cts[i].C1 = Point{e: els[2*i]}
+		cts[i].C2 = Point{e: els[2*i+1]}
 	}
 }
 
@@ -262,18 +208,17 @@ func (k *KeyPair) BlindedPseudonym(ct Ciphertext) string {
 // slice and compresses all pseudonyms after one shared normalization.
 // Safe for concurrent use.
 type Decrypter struct {
-	g group.Group
 	x group.Scalar
 }
 
 // Decrypter returns precomputed decryption state for the key pair.
 func (k *KeyPair) Decrypter() *Decrypter {
-	return &Decrypter{g: k.group(), x: group.ScalarFromBig(k.X)}
+	return &Decrypter{x: group.ScalarFromBig(k.X)}
 }
 
 // Decrypt is equivalent to KeyPair.Decrypt for the precomputed key.
 func (d *Decrypter) Decrypt(ct Ciphertext) Point {
-	return Point{g: d.g, e: d.g.Sub(ct.C2.e, d.g.Mul(ct.C1.e, d.x))}
+	return Point{e: g.Sub(ct.C2.e, g.Mul(ct.C1.e, d.x))}
 }
 
 // BlindedPseudonym is equivalent to KeyPair.BlindedPseudonym for the
@@ -292,14 +237,14 @@ func (d *Decrypter) DecryptBatch(cts []Ciphertext) []Point {
 	for i, ct := range cts {
 		c1s[i] = ct.C1.e
 	}
-	d.g.MulBatch(c1s, c1s, d.x)
+	g.MulBatch(c1s, c1s, d.x)
 	out := make([]Point, len(cts))
 	for i, ct := range cts {
-		c1s[i] = d.g.Sub(ct.C2.e, c1s[i])
+		c1s[i] = g.Sub(ct.C2.e, c1s[i])
 	}
-	d.g.Normalize(c1s)
+	g.Normalize(c1s)
 	for i := range out {
-		out[i] = Point{g: d.g, e: c1s[i]}
+		out[i] = Point{e: c1s[i]}
 	}
 	return out
 }
@@ -318,7 +263,7 @@ func (d *Decrypter) PseudonymBatch(cts []Ciphertext) []string {
 // EncryptCrowdID is the encoder-side helper: hash the crowd ID to a point
 // and encrypt it to Shuffler 2's key.
 func EncryptCrowdID(rng io.Reader, h Point, crowdID []byte) (Ciphertext, error) {
-	return Encrypt(rng, h, HashToPointGroup(h.Group(), crowdID))
+	return Encrypt(rng, h, HashToPoint(crowdID))
 }
 
 // encrypterCacheMax bounds the Encrypter's hash-point cache; past it, new
@@ -337,11 +282,10 @@ const encrypterCacheMax = 4096
 // ~43 table additions with no doublings. An Encrypter is safe for
 // concurrent use by the encoder's batch workers.
 type Encrypter struct {
-	g group.Group
 	h Point
 
 	tableOnce sync.Once
-	table     group.Table
+	table     *group.Table
 
 	mu    sync.RWMutex
 	cache map[string]group.Element
@@ -349,13 +293,13 @@ type Encrypter struct {
 
 // NewEncrypter precomputes encryption state for Shuffler 2's public key h.
 func NewEncrypter(h Point) *Encrypter {
-	return &Encrypter{g: h.Group(), h: h, cache: make(map[string]group.Element)}
+	return &Encrypter{h: h, cache: make(map[string]group.Element)}
 }
 
 // keyTable lazily builds the comb table for h (one-time ~1ms, amortized
 // over every report the client ever seals).
-func (e *Encrypter) keyTable() group.Table {
-	e.tableOnce.Do(func() { e.table = e.g.Precompute(e.h.e) })
+func (e *Encrypter) keyTable() *group.Table {
+	e.tableOnce.Do(func() { e.table = g.Precompute(e.h.e) })
 	return e.table
 }
 
@@ -369,7 +313,7 @@ func (e *Encrypter) hashPoint(crowdID []byte) group.Element {
 	if ok {
 		return p
 	}
-	p = e.g.HashToElement(crowdID)
+	p = g.HashToElement(crowdID)
 	e.mu.Lock()
 	if len(e.cache) < encrypterCacheMax {
 		e.cache[string(crowdID)] = p
@@ -382,13 +326,13 @@ func (e *Encrypter) hashPoint(crowdID []byte) group.Element {
 // precomputed key: same ciphertext for the same rng stream.
 func (e *Encrypter) EncryptCrowdID(rng io.Reader, crowdID []byte) (Ciphertext, error) {
 	m := e.hashPoint(crowdID)
-	r, err := e.g.RandomScalar(rng)
+	r, err := g.RandomScalar(rng)
 	if err != nil {
 		return Ciphertext{}, err
 	}
 	return Ciphertext{
-		C1: Point{g: e.g, e: e.g.BaseMul(r)},
-		C2: Point{g: e.g, e: e.g.Add(e.keyTable().Mul(r), m)},
+		C1: Point{e: g.BaseMul(r)},
+		C2: Point{e: g.Add(e.keyTable().Mul(r), m)},
 	}, nil
 }
 
@@ -399,18 +343,18 @@ func (e *Encrypter) EncryptCrowdID(rng io.Reader, crowdID []byte) (Ciphertext, e
 // run over both slots and been normalized, Queued returns the ciphertext
 // EncryptCrowdID draws from the same stream.
 func (e *Encrypter) QueueCrowdID(rng io.Reader, crowdID []byte, b *group.CombBatch, i int) error {
-	r, err := e.g.RandomScalar(rng)
+	r, err := g.RandomScalar(rng)
 	if err != nil {
 		return err
 	}
-	b.Set(i, e.g.BaseTable(), r, group.Element{})
+	b.Set(i, g.BaseTable(), r, group.Element{})
 	b.Set(i+1, e.keyTable(), r, e.hashPoint(crowdID))
 	return nil
 }
 
 // Queued returns the ciphertext QueueCrowdID put at slots i and i+1 of b.
 func (e *Encrypter) Queued(b *group.CombBatch, i int) Ciphertext {
-	return Ciphertext{C1: Point{g: e.g, e: b.Out(i)}, C2: Point{g: e.g, e: b.Out(i + 1)}}
+	return Ciphertext{C1: Point{e: b.Out(i)}, C2: Point{e: b.Out(i + 1)}}
 }
 
 // EncryptCrowdIDBatch encrypts one crowd ID per report on a pool of workers
@@ -429,7 +373,7 @@ func (e *Encrypter) EncryptCrowdIDBatch(rngs []io.Reader, crowdIDs [][]byte, wor
 	if n == 0 {
 		return nil, nil
 	}
-	b := group.NewCombBatch(e.g, 2*n)
+	b := group.NewCombBatch(2 * n)
 	if i, err := b.RunRecords(workers, 2, func(i int) error {
 		return e.QueueCrowdID(rngs[i], crowdIDs[i], b, 2*i)
 	}); err != nil {

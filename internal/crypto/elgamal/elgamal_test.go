@@ -11,18 +11,15 @@ import (
 	"prochlo/internal/crypto/group"
 )
 
-// testGroups runs a subtest per backend.
-func testGroups(t *testing.T, fn func(t *testing.T, g group.Group)) {
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		g := g
-		t.Run(g.Name(), func(t *testing.T) { fn(t, g) })
-	}
+// forGroup runs fn as the group's subtest.
+func forGroup(t *testing.T, fn func(t *testing.T)) {
+	t.Run("ristretto255", fn)
 }
 
 func TestHashToPointValid(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
+	forGroup(t, func(t *testing.T) {
 		for _, s := range []string{"", "a", "crowd-42", "the quick brown fox"} {
-			p := HashToPointGroup(g, []byte(s))
+			p := HashToPoint([]byte(s))
 			if p.IsInfinity() {
 				t.Errorf("HashToPoint(%q) is infinity", s)
 			}
@@ -48,12 +45,12 @@ func TestHashToPointDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	forGroup(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := HashToPointGroup(g, []byte("message"))
+		m := HashToPoint([]byte("message"))
 		ct, err := Encrypt(rand.Reader, kp.H, m)
 		if err != nil {
 			t.Fatal(err)
@@ -67,19 +64,19 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 // TestNewKeyPairRoundTrip: a key pair rebuilt from its persisted scalar
 // must decrypt ciphertexts encrypted to the original public key.
 func TestNewKeyPairRoundTrip(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	forGroup(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reloaded, err := NewKeyPairGroup(g, kp.X)
+		reloaded, err := NewKeyPair(kp.X)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reloaded.H.Equal(kp.H) {
 			t.Fatal("rebuilt public point differs")
 		}
-		m := HashToPointGroup(g, []byte("persisted"))
+		m := HashToPoint([]byte("persisted"))
 		ct, err := Encrypt(rand.Reader, kp.H, m)
 		if err != nil {
 			t.Fatal(err)
@@ -87,10 +84,10 @@ func TestNewKeyPairRoundTrip(t *testing.T) {
 		if got := reloaded.Decrypt(ct); !got.Equal(m) {
 			t.Fatal("rebuilt key pair did not decrypt")
 		}
-		if _, err := NewKeyPairGroup(g, nil); err == nil {
+		if _, err := NewKeyPair(nil); err == nil {
 			t.Fatal("nil scalar accepted")
 		}
-		if _, err := NewKeyPairGroup(g, g.Order()); err == nil {
+		if _, err := NewKeyPair(group.Default().Order()); err == nil {
 			t.Fatal("scalar == order accepted")
 		}
 	})
@@ -110,9 +107,9 @@ func TestRandomizedCiphertexts(t *testing.T) {
 // with α and decrypting, equal crowd IDs yield equal pseudonyms and distinct
 // crowd IDs yield distinct pseudonyms.
 func TestBlindingPreservesEquality(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, _ := GenerateKeyPairGroup(g, rand.Reader)
-		alpha, _ := RandomScalarGroup(g, rand.Reader)
+	forGroup(t, func(t *testing.T) {
+		kp, _ := GenerateKeyPair(rand.Reader)
+		alpha, _ := RandomScalar(rand.Reader)
 
 		ct1, _ := EncryptCrowdID(rand.Reader, kp.H, []byte("zip-94043"))
 		ct2, _ := EncryptCrowdID(rand.Reader, kp.H, []byte("zip-94043"))
@@ -164,8 +161,8 @@ func TestDifferentAlphaDifferentPseudonym(t *testing.T) {
 }
 
 func TestPointBytesRoundTrip(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		p := HashToPointGroup(g, []byte("round trip"))
+	forGroup(t, func(t *testing.T) {
+		p := HashToPoint([]byte("round trip"))
 		q, err := ParsePoint(p.Bytes())
 		if err != nil {
 			t.Fatal(err)
@@ -201,51 +198,38 @@ func TestParsePointRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestRandomScalarRejectionSampling is the regression test for the two
-// historical RandomScalar bugs: the retry loop returned unconditionally
-// (dead loop), and out-of-range candidates were folded back with Mod+Add,
-// biasing low scalars. With rejection sampling, an out-of-range first
-// candidate must be discarded and the next attempt's bytes used verbatim.
+// TestRandomScalarRejectionSampling: a candidate that reduces to zero must
+// be discarded and the next attempt's bytes used, an exhausted rng must
+// surface an error, and every scalar lands in [1, n-1].
 func TestRandomScalarRejectionSampling(t *testing.T) {
 	want := big.NewInt(0x1234)
 	var second [32]byte
 	want.FillBytes(second[:])
 
-	// First 32 bytes decode to 2^256-1 >= N (must be rejected, where the
-	// old Mod+Add code would have produced ((2^256-1) mod (N-1)) + 1);
-	// next 32 bytes are the in-range candidate.
-	stream := append(bytes.Repeat([]byte{0xff}, 32), second[:]...)
-	k, err := RandomScalarGroup(group.P256, bytes.NewReader(stream))
+	// Each attempt reads 64 bytes and reduces them: 64 zero bytes are
+	// rejected, and a small candidate comes back verbatim.
+	stream := append(make([]byte, 64), make([]byte, 32)...)
+	stream = append(stream, second[:]...)
+	k, err := RandomScalar(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k.Cmp(want) != 0 {
-		t.Fatalf("rejection sampling broken: got %v want %v", k, want)
-	}
-
-	// a zero candidate must be rejected too
-	stream = append(make([]byte, 32), second[:]...)
-	k, err = RandomScalarGroup(group.P256, bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Cmp(want) != 0 {
-		t.Fatalf("zero candidate not rejected: got %v", k)
+		t.Fatalf("zero candidate not rejected: got %v want %v", k, want)
 	}
 
 	// an exhausted rng must surface an error, not spin or return junk
-	if _, err := RandomScalarGroup(group.P256, bytes.NewReader(bytes.Repeat([]byte{0xff}, 40))); err == nil {
+	if _, err := RandomScalar(bytes.NewReader(bytes.Repeat([]byte{0xff}, 40))); err == nil {
 		t.Fatal("truncated rng accepted")
 	}
 
-	// range check on both backends
-	testGroups(t, func(t *testing.T, g group.Group) {
+	forGroup(t, func(t *testing.T) {
 		for i := 0; i < 30; i++ {
-			k, err := RandomScalarGroup(g, rand.Reader)
+			k, err := RandomScalar(rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if k.Sign() <= 0 || k.Cmp(g.Order()) >= 0 {
+			if k.Sign() <= 0 || k.Cmp(group.Default().Order()) >= 0 {
 				t.Fatalf("scalar %v out of range", k)
 			}
 		}
@@ -253,16 +237,16 @@ func TestRandomScalarRejectionSampling(t *testing.T) {
 }
 
 func TestBlinderMatchesBlind(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	forGroup(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha, err := RandomScalarGroup(g, rand.Reader)
+		alpha, err := RandomScalar(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBlinderGroup(g, alpha)
+		b := NewBlinder(alpha)
 		for i := 0; i < 8; i++ {
 			ct, err := EncryptCrowdID(rand.Reader, kp.H, []byte{byte(i)})
 			if err != nil {
@@ -278,13 +262,13 @@ func TestBlinderMatchesBlind(t *testing.T) {
 }
 
 func TestDecrypterMatchesKeyPair(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	forGroup(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d := kp.Decrypter()
-		alpha, err := RandomScalarGroup(g, rand.Reader)
+		alpha, err := RandomScalar(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,8 +292,8 @@ func TestDecrypterMatchesKeyPair(t *testing.T) {
 // the reference EncryptCrowdID: same rng stream, same ciphertext — on both
 // a cold and a warm hash-point cache.
 func TestEncrypterMatchesEncryptCrowdID(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	forGroup(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,8 +323,8 @@ func TestEncrypterMatchesEncryptCrowdID(t *testing.T) {
 // byte-identical to per-report EncryptCrowdID calls on the same per-report
 // rng streams.
 func TestEncryptCrowdIDBatchMatchesSolo(t *testing.T) {
-	testGroups(t, func(t *testing.T, g group.Group) {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
+	forGroup(t, func(t *testing.T) {
+		kp, err := GenerateKeyPair(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +362,7 @@ func TestEncryptCrowdIDBatchMatchesSolo(t *testing.T) {
 }
 
 // fuzzCiphertexts derives n deterministic ciphertexts from a fuzz seed.
-func fuzzCiphertexts(g group.Group, kp *KeyPair, seed [32]byte, n int) ([]Ciphertext, error) {
+func fuzzCiphertexts(kp *KeyPair, seed [32]byte, n int) ([]Ciphertext, error) {
 	e := NewEncrypter(kp.H)
 	rng := mrand.NewChaCha8(seed)
 	cts := make([]Ciphertext, n)
@@ -392,41 +376,33 @@ func fuzzCiphertexts(g group.Group, kp *KeyPair, seed [32]byte, n int) ([]Cipher
 	return cts, nil
 }
 
-var fuzzKeys = func() map[string]*KeyPair {
-	out := map[string]*KeyPair{}
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		kp, err := GenerateKeyPairGroup(g, rand.Reader)
-		if err != nil {
-			panic(err)
-		}
-		out[g.Name()] = kp
+var fuzzKey = func() *KeyPair {
+	kp, err := GenerateKeyPair(rand.Reader)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return kp
 }()
 
 // FuzzBlindBatchEquivalence checks BlindBatch against the solo Blind path
-// on arbitrary seeds, sizes, and both backends.
+// on arbitrary seeds and sizes.
 func FuzzBlindBatchEquivalence(f *testing.F) {
-	f.Add([]byte("seed"), uint8(3), false)
-	f.Add([]byte{}, uint8(1), true)
-	f.Add([]byte{0xff, 0x01}, uint8(9), false)
-	f.Fuzz(func(t *testing.T, seedData []byte, n uint8, useP256 bool) {
-		g := group.Ristretto255
-		if useP256 {
-			g = group.P256
-		}
-		kp := fuzzKeys[g.Name()]
+	f.Add([]byte("seed"), uint8(3))
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{0xff, 0x01}, uint8(9))
+	f.Fuzz(func(t *testing.T, seedData []byte, n uint8) {
+		kp := fuzzKey
 		var seed [32]byte
 		copy(seed[:], seedData)
-		cts, err := fuzzCiphertexts(g, kp, seed, int(n%16))
+		cts, err := fuzzCiphertexts(kp, seed, int(n%16))
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha, err := RandomScalarGroup(g, mrand.NewChaCha8(seed))
+		alpha, err := RandomScalar(mrand.NewChaCha8(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBlinderGroup(g, alpha)
+		b := NewBlinder(alpha)
 		batch := append([]Ciphertext(nil), cts...)
 		b.BlindBatch(batch)
 		for i, ct := range cts {
@@ -442,28 +418,24 @@ func FuzzBlindBatchEquivalence(f *testing.F) {
 }
 
 // FuzzDecryptBatchEquivalence checks DecryptBatch/PseudonymBatch against
-// the solo Decrypt path on arbitrary seeds, sizes, and both backends.
+// the solo Decrypt path on arbitrary seeds and sizes.
 func FuzzDecryptBatchEquivalence(f *testing.F) {
-	f.Add([]byte("seed"), uint8(4), false)
-	f.Add([]byte{0x7}, uint8(1), true)
-	f.Add([]byte{0xaa, 0xbb, 0xcc}, uint8(12), false)
-	f.Fuzz(func(t *testing.T, seedData []byte, n uint8, useP256 bool) {
-		g := group.Ristretto255
-		if useP256 {
-			g = group.P256
-		}
-		kp := fuzzKeys[g.Name()]
+	f.Add([]byte("seed"), uint8(4))
+	f.Add([]byte{0x7}, uint8(1))
+	f.Add([]byte{0xaa, 0xbb, 0xcc}, uint8(12))
+	f.Fuzz(func(t *testing.T, seedData []byte, n uint8) {
+		kp := fuzzKey
 		var seed [32]byte
 		copy(seed[:], seedData)
-		cts, err := fuzzCiphertexts(g, kp, seed, int(n%16))
+		cts, err := fuzzCiphertexts(kp, seed, int(n%16))
 		if err != nil {
 			t.Fatal(err)
 		}
-		alpha, err := RandomScalarGroup(g, mrand.NewChaCha8(seed))
+		alpha, err := RandomScalar(mrand.NewChaCha8(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		NewBlinderGroup(g, alpha).BlindBatch(cts)
+		NewBlinder(alpha).BlindBatch(cts)
 		d := kp.Decrypter()
 		pts := d.DecryptBatch(cts)
 		pseudos := d.PseudonymBatch(cts)

@@ -11,7 +11,7 @@ import (
 // combTable is a table a client multiplies against, named for messages.
 type combTable struct {
 	name string
-	t    *edTable
+	t    *Table
 }
 
 // combTables returns the generator's table (width 8, 32 positions) and two
@@ -22,7 +22,7 @@ func combTables(r *mrand.Rand) []combTable {
 	for _, name := range []string{"key1", "key2"} {
 		var seed [32]byte
 		r.Read(seed[:])
-		tables = append(tables, combTable{name, edGroup{}.Precompute(Element{ed: edHashToPoint(seed[:])}).(*edTable)})
+		tables = append(tables, combTable{name, Group{}.Precompute(Element{ed: edHashToPoint(seed[:])})})
 	}
 	return tables
 }
@@ -51,7 +51,7 @@ func combScalars(w uint, positions int) []Scalar {
 // them alone scalar m runs in lane m mod 8, and j runs through every
 // residue mod 8. The top digit is 1, which keeps the scalar positive; the
 // recoding is checked to give the digits back.
-func digitScalars(t *testing.T, c *edCombTable) []Scalar {
+func digitScalars(t *testing.T, c *Table) []Scalar {
 	full := 1 << c.w
 	digit := func(m, j int) int { return (m+j)%full - full/2 }
 	out := make([]Scalar, full)
@@ -63,7 +63,7 @@ func digitScalars(t *testing.T, c *edCombTable) []Scalar {
 		}
 		out[m] = ScalarFromBig(k)
 		var digits [edCombMaxPositions]int8
-		combDigits(out[m], c, digits[:], 1)
+		combDigits(&out[m], c, digits[:], 1)
 		for j := 0; j < c.positions-1; j++ {
 			if int(digits[j]) != digit(m, j) {
 				t.Fatalf("width %d scalar %d: digit %d = %d, want %d", c.w, m, j, digits[j], digit(m, j))
@@ -93,13 +93,13 @@ type combMul struct {
 // It runs once with the lane comb forced off and once with it on, when this
 // process has one.
 func TestCombBatchLanesMatchSolo(t *testing.T) {
-	g := edGroup{}
+	g := Group{}
 	r := mrand.New(mrand.NewSource(47))
 	tables := combTables(r)
 	cases := map[string][]combMul{}
 	for _, tb := range tables[:2] {
 		var ms []combMul
-		for _, k := range digitScalars(t, tb.t.comb) {
+		for _, k := range digitScalars(t, tb.t) {
 			ms = append(ms, combMul{tb, k, Element{}})
 		}
 		cases["every digit, "+tb.name] = ms
@@ -113,7 +113,7 @@ func TestCombBatchLanesMatchSolo(t *testing.T) {
 	for i := 0; i < 257; i++ {
 		tb := tables[(i/3)%3]
 		m := combMul{tb, ScalarFromBig(randEdScalar(r)), Element{}}
-		if special := combScalars(tb.t.comb.w, tb.t.comb.positions); i%5 == 0 && i/5 < 4*len(special) {
+		if special := combScalars(tb.t.w, tb.t.positions); i%5 == 0 && i/5 < 4*len(special) {
 			m.k = special[(i/5)%len(special)]
 		}
 		switch i % 4 {
@@ -137,7 +137,7 @@ func TestCombBatchLanesMatchSolo(t *testing.T) {
 	}
 	check := func(t *testing.T, name string, n, split int) {
 		t.Helper()
-		b := NewCombBatch(g, n)
+		b := NewCombBatch(n)
 		for i, m := range cases[name][:n] {
 			b.Set(i, m.table.t, m.k, m.q)
 		}
@@ -199,13 +199,13 @@ func FuzzCombBatch(f *testing.F) {
 		ms := make([]edCombMul, 1+int(n)%8)
 		outs := make([]edPoint, len(ms))
 		for i := range ms {
-			s := make(Scalar, ScalarSize)
-			r.Read(s)
+			var s Scalar
+			r.Read(s[:])
 			if i == 0 {
-				copy(s, k)
+				copy(s[:], k)
 			}
 			s[0] &= 0x3f
-			ms[i] = edCombMul{t: tables[r.Intn(len(tables))].t.comb, k: s, out: &outs[i]}
+			ms[i] = edCombMul{t: tables[r.Intn(len(tables))].t, k: s, out: &outs[i]}
 			if r.Intn(2) == 0 {
 				var p [32]byte
 				r.Read(p[:])
@@ -215,7 +215,7 @@ func FuzzCombBatch(f *testing.F) {
 		laneComb(ms)
 		for i, m := range ms {
 			var want edPoint
-			m.t.mulComb(&want, m.k)
+			m.t.mulComb(&want, &m.k)
 			if m.q != nil {
 				want.add(&want, m.q)
 			}
@@ -234,7 +234,6 @@ func FuzzCombBatch(f *testing.F) {
 // table, five on each of two keys' — which fills three lane passes. The n
 // at which lanes first win is combLaneMin.
 func BenchmarkEdCombBatch(b *testing.B) {
-	g := edGroup{}
 	r := mrand.New(mrand.NewSource(49))
 	tables := combTables(r)
 	ks := make([]Scalar, 256)
@@ -242,11 +241,11 @@ func BenchmarkEdCombBatch(b *testing.B) {
 		ks[i] = ScalarFromBig(randEdScalar(r))
 	}
 	var out edPoint
-	batch := func(b *testing.B, n int, table func(i int) *edTable) {
+	batch := func(b *testing.B, n int, table func(i int) *Table) {
 		if laneComb == nil {
 			b.Skipf("lane comb not run: this process selected the %q kernel", kernel())
 		}
-		cb := NewCombBatch(g, n)
+		cb := NewCombBatch(n)
 		for i := 0; i < n; i++ {
 			cb.Set(i, table(i), ks[i], Element{})
 		}
@@ -261,17 +260,17 @@ func BenchmarkEdCombBatch(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/scalar/n=%d", tb.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, k := range ks[:n] {
-						tb.t.comb.mulComb(&out, k)
+						tb.t.mulComb(&out, &k)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
 			})
 			b.Run(fmt.Sprintf("%s/lanes/n=%d", tb.name, n), func(b *testing.B) {
-				batch(b, n, func(int) *edTable { return tb.t })
+				batch(b, n, func(int) *Table { return tb.t })
 			})
 		}
 	}
 	b.Run("mixed/lanes/n=20", func(b *testing.B) {
-		batch(b, 20, func(i int) *edTable { return tables[[]int{0, 1, 0, 2}[i%4]].t })
+		batch(b, 20, func(i int) *Table { return tables[[]int{0, 1, 0, 2}[i%4]].t })
 	})
 }

@@ -1,4 +1,4 @@
-// Edwards25519 point arithmetic for the ristretto255 backend: extended
+// Edwards25519 point arithmetic for ristretto255: extended
 // (X:Y:Z:T) coordinates so that additions and doublings need no per-op field
 // inversion, Niels-form precomputation for the fixed-point comb tables, a
 // width-5 wNAF kernel for variable-point multiplication (the eight-lane forms
@@ -274,7 +274,7 @@ func (p *edPoint) toProjNiels(n *projNiels) {
 // toAffineNiels converts a normalized (z == 1) point to affine Niels form.
 // Unlike toProjNiels's, these entries are carried (every limb below 2^52):
 // comb tables are read by the lane comb too, whose kernels take nothing
-// wider (see edCombTable).
+// wider (see Table).
 func (p *edPoint) toAffineNiels(n *affineNiels) {
 	n.yPlusX.Add(&p.y, &p.x)
 	n.yMinusX.Sub(&p.y, &p.x)
@@ -394,7 +394,8 @@ func edScalarMulWNAF(p *edPoint, digits []int8, q *edPoint) {
 
 // --- fixed-point comb tables ---
 
-// edCombTable is a signed-digit comb table for a fixed point: row j holds
+// Table is a precomputed fixed-point multiplication table (BaseTable,
+// Precompute): a signed-digit comb table for a fixed point. Row j holds
 // v * 2^(w*j) * P in affine Niels form at entry v-1, so a full multiplication
 // is one table add per digit and no doublings at all. Entries are batch-
 // normalized at build time with one shared inversion.
@@ -405,14 +406,14 @@ func edScalarMulWNAF(p *edPoint, digits []int8, q *edPoint) {
 // and why every entry is stored carried, limbs below 2^52: the lanes' input
 // bound (fe8LimbBits), which a lazily stored y±x (up to 2^52.6) would break,
 // and which the scalar Mul accepts with room to spare.
-type edCombTable struct {
+type Table struct {
 	w         uint
 	positions int
 	entries   []affineNiels // positions rows of 2^(w-1) entries
 }
 
 // entry returns the entry of row j for the digit magnitude v >= 1.
-func (t *edCombTable) entry(j, v int) *affineNiels {
+func (t *Table) entry(j, v int) *affineNiels {
 	return &t.entries[j<<(t.w-1)+v-1]
 }
 
@@ -423,7 +424,7 @@ const edCombMaxPositions = 43
 
 // buildEdComb precomputes the comb table for p with window width 6 <= w <= 8
 // (so every signed digit fits an int8).
-func buildEdComb(p *edPoint, w uint) *edCombTable {
+func buildEdComb(p *edPoint, w uint) *Table {
 	positions := (256 + int(w) - 1) / int(w)
 	if positions > edCombMaxPositions || w > 8 {
 		panic("group: comb window outside the widths edCombMaxPositions and int8 digits allow")
@@ -452,7 +453,7 @@ func buildEdComb(p *edPoint, w uint) *edCombTable {
 		}
 	}
 	normalizeEd(flat)
-	t := &edCombTable{w: w, positions: positions, entries: make([]affineNiels, positions*half)}
+	t := &Table{w: w, positions: positions, entries: make([]affineNiels, positions*half)}
 	for j := range ext {
 		for v := range ext[j] {
 			ext[j][v].toAffineNiels(t.entry(j, v+1))
@@ -461,16 +462,12 @@ func buildEdComb(p *edPoint, w uint) *edCombTable {
 	return t
 }
 
-// combDigits recodes a scalar (big-endian, at most 32 bytes) into the
-// table's signed radix-2^w digits, each in [-2^(w-1), 2^(w-1)), least
+// combDigits recodes a scalar into the table's signed radix-2^w digits, each in [-2^(w-1), 2^(w-1)), least
 // significant position first: digit j goes to out[j*stride], so the lane comb
 // writes each lane's digits straight into its position-major layout and the
 // scalar comb passes a stride of 1. Each digit is its window plus the carry
 // from below, re-centred without a branch.
-func combDigits(k []byte, t *edCombTable, out []int8, stride int) {
-	if len(k) != ScalarSize {
-		k = mustScalar(k)[:]
-	}
+func combDigits(k *Scalar, t *Table, out []int8, stride int) {
 	// little-endian limbs; the zero fifth serves the top window's read
 	var limbs [5]uint64
 	for i := 0; i < 4; i++ {
@@ -494,7 +491,7 @@ func combDigits(k []byte, t *edCombTable, out []int8, stride int) {
 
 // mulComb sets p = k*P for the table's fixed point P: one affine-Niels add
 // per non-zero digit, no doublings.
-func (t *edCombTable) mulComb(p *edPoint, k []byte) {
+func (t *Table) mulComb(p *edPoint, k *Scalar) {
 	var digits [edCombMaxPositions]int8
 	combDigits(k, t, digits[:], 1)
 	var acc edPoint

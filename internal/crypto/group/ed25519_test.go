@@ -242,10 +242,9 @@ func TestEdCombVsModel(t *testing.T) {
 			if i == 0 {
 				k.SetInt64(0)
 			}
-			var kb [32]byte
-			k.FillBytes(kb[:])
+			kb := ScalarFromBig(k)
 			var got edPoint
-			table.mulComb(&got, kb[:])
+			table.mulComb(&got, &kb)
 			want := p.model(t).mul(k)
 			if !modelEqual(got.model(t), want) {
 				t.Fatalf("comb w=%d mismatch at k=%v", w, k)
@@ -262,10 +261,9 @@ func TestEdCombMatchesWNAF(t *testing.T) {
 	table := buildEdComb(p, 6)
 	for i := 0; i < 10; i++ {
 		k := randEdScalar(r)
-		var kb [32]byte
-		k.FillBytes(kb[:])
+		kb := ScalarFromBig(k)
 		var a, b edPoint
-		table.mulComb(&a, kb[:])
+		table.mulComb(&a, &kb)
 		var digits [258]int8
 		n := wnafDigits(kb[:], &digits)
 		edScalarMulWNAF(&b, digits[:n], p)
@@ -372,13 +370,13 @@ func TestEdScalarMulRandomized(t *testing.T) {
 	}
 }
 
-// randomScalarBig is the math/big wide reduction edGroup.RandomScalar used
+// randomScalarBig is the math/big wide reduction Group.RandomScalar used
 // to run, kept as the reference its fixed-width reduction is fuzzed against.
 func randomScalarBig(rng io.Reader) (Scalar, error) {
 	var b [64]byte
 	for {
 		if _, err := io.ReadFull(rng, b[:]); err != nil {
-			return nil, err
+			return Scalar{}, err
 		}
 		k := new(big.Int).SetBytes(b[:])
 		k.Mod(k, edOrder)
@@ -388,7 +386,7 @@ func randomScalarBig(rng io.Reader) (Scalar, error) {
 	}
 }
 
-// FuzzRandomScalarMatchesBig holds edGroup.RandomScalar to randomScalarBig
+// FuzzRandomScalarMatchesBig holds Group.RandomScalar to randomScalarBig
 // on the same stream — scalar bytes, error and bytes consumed — and
 // reduceWide to big.Int.Mod on the stream's first 64 bytes. The seeds put
 // multiples of l (which reduce to zero and must be rejected), l ± 1, powers
@@ -429,9 +427,9 @@ func FuzzRandomScalarMatchesBig(f *testing.F) {
 			}
 		}
 		r1, r2 := bytes.NewReader(stream), bytes.NewReader(stream)
-		k1, err1 := edGroup{}.RandomScalar(r1)
+		k1, err1 := Group{}.RandomScalar(r1)
 		k2, err2 := randomScalarBig(r2)
-		if !bytes.Equal(k1, k2) || err1 != err2 || r1.Len() != r2.Len() {
+		if k1 != k2 || err1 != err2 || r1.Len() != r2.Len() {
 			t.Fatalf("RandomScalar = %x, %v with %d bytes left; math/big reference = %x, %v with %d left",
 				k1, err1, r1.Len(), k2, err2, r2.Len())
 		}
@@ -445,14 +443,14 @@ func BenchmarkEdCombMul(b *testing.B) {
 	p := edHashToPoint(seed[:])
 	normalizeEd([]*edPoint{p})
 	table := buildEdComb(p, 6)
-	k := make([]byte, 32)
-	r.Read(k)
+	var k Scalar
+	r.Read(k[:])
 	k[0] &= 0x0f
 	b.ReportAllocs()
 	b.ResetTimer()
 	var out edPoint
 	for i := 0; i < b.N; i++ {
-		table.mulComb(&out, k)
+		table.mulComb(&out, &k)
 	}
 }
 
@@ -479,7 +477,6 @@ func BenchmarkEdWNAFMul(b *testing.B) {
 // whichever kernel this process selected. ns/point is comparable with
 // BenchmarkEdWNAFMul's ns/op.
 func BenchmarkEdMulBatch(b *testing.B) {
-	g := edGroup{}
 	r := mrand.New(mrand.NewSource(29))
 	ps := make([]Element, 256)
 	for i := range ps {
@@ -497,7 +494,7 @@ func BenchmarkEdMulBatch(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.mulBatch(dst, ps, k, dh)
+				mulBatch(dst, ps, k, dh)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/point")
 		})

@@ -31,7 +31,7 @@
 // same call. The digits are
 // recoded straight into the pass's position-major layout; the entries are
 // read from the scalar comb's own table, one flat array stored carried for
-// exactly this (see edCombTable).
+// exactly this (see Table).
 //
 // The ladder runs its point formulas — double and projective-Niels add, the
 // formulas of edPoint in ed25519.go — as point kernels of fe25519x8_amd64.s,
@@ -157,7 +157,7 @@ func edScalarMulWNAFx8(s *edLadderx8, digits []int8, dh bool) {
 	}
 }
 
-// edMulBatchx8 is the lane ladder behind edGroup.mulBatch: outs[i] =
+// edMulBatchx8 is the lane ladder behind Group.mulBatch: outs[i] =
 // k*ps[i] (8*k*ps[i] when dh), eight points per pass. A last group shorter
 // than eight repeats its points in the spare lanes, so there is no
 // scalar tail path.
@@ -167,7 +167,7 @@ func edMulBatchx8(outs []edPoint, ps []Element, digits []int8, dh bool) {
 	for base := 0; base < len(ps); base += 8 {
 		n := min(8, len(ps)-base)
 		for i := 0; i < 8; i++ {
-			s.q.setLane(i, ps[base+i%n].edwards(edGroup{}))
+			s.q.setLane(i, ps[base+i%n].edwards())
 		}
 		edScalarMulWNAFx8(s, digits, dh)
 		for i := 0; i < n; i++ {
@@ -213,7 +213,7 @@ type edCombx8 struct {
 //go:noescape
 func fe8Comb(s *edCombx8, positions int)
 
-// edCombBatchx8 is the lane comb behind edGroup.mulTables: *m.out =
+// edCombBatchx8 is the lane comb behind Group.mulTables: *m.out =
 // m.k*P + *m.q for the point P of each m.t, eight multiplications per pass
 // from any mix of tables. A pass runs the positions of its longest table; a
 // shorter table's lanes past their last position, and the spare lanes of a
@@ -228,7 +228,7 @@ func edCombBatchx8(ms []edCombMul) {
 		for i, m := range group {
 			s.tables[i] = &m.t.entries[0]
 			s.strides[i] = affineNielsBytes << (m.t.w - 1)
-			combDigits(m.k, m.t, s.digits[i:], 8)
+			combDigits(&m.k, m.t, s.digits[i:], 8)
 			positions = max(positions, m.t.positions)
 			if m.q != nil {
 				s.acc.setLane(i, m.q)

@@ -1,5 +1,5 @@
-// Radix-51 field arithmetic over GF(2^255 - 19), the base field of the
-// ristretto255 backend. Five 51-bit limbs in uint64s leave headroom for lazy
+// Radix-51 field arithmetic over GF(2^255 - 19), the base field of
+// ristretto255. Five 51-bit limbs in uint64s leave headroom for lazy
 // carries, and every public operation returns fully carried limbs (< 2^52),
 // which keeps the bounds analysis trivial at a cost of a few nanoseconds per
 // op. The multiplication kernel is the batch hot path: one extended-Edwards

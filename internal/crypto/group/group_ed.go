@@ -1,4 +1,4 @@
-// The ristretto255 Group backend: arithmetic in the prime-order subgroup of
+// Group's methods: ristretto255 arithmetic in the prime-order subgroup of
 // edwards25519 on the extended-coordinate kernels in ed25519.go, ristretto
 // Elligator hash-to-group with cofactor clearing, and a DH path that
 // multiplies untrusted points by the cofactor (compensated by 8^-1 folded
@@ -27,27 +27,26 @@ import (
 	"slices"
 )
 
-type edGroup struct{}
+// Order returns the group order (callers must not mutate it).
+func (Group) Order() *big.Int { return edOrder }
 
-func (edGroup) Name() string    { return "ristretto255" }
-func (edGroup) Order() *big.Int { return edOrder }
-
-func (edGroup) RandomScalar(rng io.Reader) (Scalar, error) {
-	// Wide reduction: 64 uniform bytes mod the ~252-bit order leave
-	// negligible bias, and every attempt consumes exactly 64 bytes so
-	// seeded streams stay deterministic. Zero (probability ~2^-252) is
-	// rejected to keep scalars invertible.
+// RandomScalar samples a uniform non-zero scalar by wide reduction. Every
+// attempt consumes exactly 64 bytes of rng, so seeded streams stay
+// deterministic.
+func (Group) RandomScalar(rng io.Reader) (Scalar, error) {
+	// 64 uniform bytes mod the ~252-bit order leave negligible bias. Zero
+	// (probability ~2^-252) is rejected to keep scalars invertible.
 	var b [64]byte
 	for {
 		if _, err := io.ReadFull(rng, b[:]); err != nil {
-			return nil, err
+			return Scalar{}, err
 		}
 		var x wide
 		for i := range x {
 			x[i] = binary.BigEndian.Uint64(b[56-8*i:])
 		}
 		if k := reduceWide(x); k != (wide{}) {
-			out := make(Scalar, ScalarSize)
+			var out Scalar
 			for i := 0; i < 4; i++ {
 				binary.BigEndian.PutUint64(out[24-8*i:], k[i])
 			}
@@ -56,29 +55,29 @@ func (edGroup) RandomScalar(rng io.Reader) (Scalar, error) {
 	}
 }
 
-func (edGroup) Identity() Element {
+// Identity returns the neutral element.
+func (Group) Identity() Element {
 	var p edPoint
 	p.identity()
 	return Element{ed: &p}
 }
 
-func (edGroup) Generator() Element {
-	p := edBase
-	return Element{ed: &p}
-}
+// BaseMul returns k*G via the precomputed base table.
+func (Group) BaseMul(k Scalar) Element { return edBaseTable().Mul(k) }
 
-func (edGroup) BaseMul(k Scalar) Element { return edBaseTable().Mul(k) }
-
-func (g edGroup) Mul(p Element, k Scalar) Element {
-	kb := mustScalar(k)
+// Mul returns k*P for a variable point.
+func (Group) Mul(p Element, k Scalar) Element {
 	var digits [258]int8
-	n := wnafDigits(kb[:], &digits)
+	n := wnafDigits(k[:], &digits)
 	var out edPoint
-	edScalarMulWNAF(&out, digits[:n], p.edwards(g))
+	edScalarMulWNAF(&out, digits[:n], p.edwards())
 	return Element{ed: &out}
 }
 
-func (g edGroup) MulBatch(dst, ps []Element, k Scalar) { g.mulBatch(dst, ps, k, false) }
+// MulBatch sets dst[i] = k*ps[i] for a scalar fixed across the batch,
+// recoding the scalar once per slice. dst and ps may alias. Results are
+// projective; call Normalize before encoding.
+func (Group) MulBatch(dst, ps []Element, k Scalar) { mulBatch(dst, ps, k, false) }
 
 // laneLadder, when set, is the vector form of mulBatch's loop: outs[i] =
 // k*ps[i] for the scalar with the given wNAF digits, each point cofactor-
@@ -90,19 +89,18 @@ var laneLadder func(outs []edPoint, ps []Element, digits []int8, dh bool)
 // mulBatch is MulBatch and, with dh set, MulDHBatch (each point is cofactor-
 // cleared first): the shared scalar is recoded once per slice and all
 // results live in one allocation.
-func (g edGroup) mulBatch(dst, ps []Element, k Scalar, dh bool) {
+func mulBatch(dst, ps []Element, k Scalar, dh bool) {
 	if len(dst) != len(ps) {
 		panic("group: MulBatch length mismatch")
 	}
-	kb := mustScalar(k)
 	var digits [258]int8
-	n := wnafDigits(kb[:], &digits)
+	n := wnafDigits(k[:], &digits)
 	outs := make([]edPoint, len(ps))
 	if laneLadder != nil {
 		laneLadder(outs, ps, digits[:n], dh)
 	} else {
 		for i := range ps {
-			q := ps[i].edwards(g)
+			q := ps[i].edwards()
 			if dh {
 				outs[i].clearCofactor(q)
 				q = &outs[i]
@@ -115,20 +113,19 @@ func (g edGroup) mulBatch(dst, ps []Element, k Scalar, dh bool) {
 	}
 }
 
-type edTable struct {
-	comb *edCombTable
-}
-
-func (t *edTable) Mul(k Scalar) Element {
+// Mul returns k*P for the table's fixed point P. The result may be in
+// projective form; batch callers put their multiplications in a CombBatch
+// instead.
+func (t *Table) Mul(k Scalar) Element {
 	var out edPoint
-	t.comb.mulComb(&out, k)
+	t.mulComb(&out, &k)
 	return Element{ed: &out}
 }
 
 // edCombMul is one multiplication of a comb batch: *out = k*P + *q for the
 // point P of t, where a nil q is the identity.
 type edCombMul struct {
-	t   *edCombTable
+	t   *Table
 	k   Scalar
 	q   *edPoint
 	out *edPoint
@@ -152,13 +149,13 @@ const combLaneMin = 2
 // in slot order among equals: every pass but one reads tables of a single
 // length, and a group of fewer than combLaneMin left for mulComb reads the
 // shortest.
-func (g edGroup) mulTables(dst []Element, slots []combSlot) {
+func mulTables(dst []Element, slots []combSlot) {
 	outs := make([]edPoint, len(slots))
 	ms := make([]edCombMul, len(slots))
 	for i, s := range slots {
-		ms[i] = edCombMul{t: s.t.(*edTable).comb, k: s.k, out: &outs[i]}
+		ms[i] = edCombMul{t: s.t, k: s.k, out: &outs[i]}
 		if s.q != (Element{}) {
-			ms[i].q = s.q.edwards(g)
+			ms[i].q = s.q.edwards()
 		}
 		dst[i] = Element{ed: &outs[i]}
 	}
@@ -172,59 +169,65 @@ func (g edGroup) mulTables(dst []Element, slots []combSlot) {
 		laneComb(ms[:lanes])
 	}
 	for _, m := range ms[lanes:] {
-		m.t.mulComb(m.out, m.k)
+		m.t.mulComb(m.out, &m.k)
 		if m.q != nil {
 			m.out.add(m.out, m.q)
 		}
 	}
 }
 
-func (edGroup) BaseTable() Table { return edBaseTable() }
+// BaseTable returns the generator's table, built once per process:
+// BaseTable().Mul(k) is BaseMul(k).
+func (Group) BaseTable() *Table { return edBaseTable() }
 
-func (g edGroup) Precompute(p Element) Table {
-	pt := *p.edwards(g)
+// Precompute builds a comb table for a point fixed across batches.
+func (Group) Precompute(p Element) *Table {
+	pt := *p.edwards()
 	normalizeEd([]*edPoint{&pt})
-	return &edTable{comb: buildEdComb(&pt, 6)}
+	return buildEdComb(&pt, 6)
 }
 
-func (g edGroup) Add(p, q Element) Element {
+// Add returns p + q.
+func (Group) Add(p, q Element) Element {
 	var out edPoint
-	out.add(p.edwards(g), q.edwards(g))
+	out.add(p.edwards(), q.edwards())
 	return Element{ed: &out}
 }
 
-func (g edGroup) Sub(p, q Element) Element {
+// Sub returns p - q.
+func (Group) Sub(p, q Element) Element {
 	var nq, out edPoint
-	nq.neg(q.edwards(g))
-	out.add(p.edwards(g), &nq)
+	nq.neg(q.edwards())
+	out.add(p.edwards(), &nq)
 	return Element{ed: &out}
 }
 
-func (g edGroup) Neg(p Element) Element {
-	var out edPoint
-	out.neg(p.edwards(g))
-	return Element{ed: &out}
-}
+// Equal reports p == q (projective-aware).
+func (Group) Equal(p, q Element) bool { return p.edwards().equal(q.edwards()) }
 
-func (g edGroup) Equal(p, q Element) bool { return p.edwards(g).equal(q.edwards(g)) }
+// IsIdentity reports whether p is the neutral element.
+func (Group) IsIdentity(p Element) bool { return p.edwards().isIdentity() }
 
-func (g edGroup) IsIdentity(p Element) bool { return p.edwards(g).isIdentity() }
-
-func (g edGroup) HashToElement(data []byte) Element {
+// HashToElement maps data to a group element (ristretto Elligator with
+// cofactor clearing).
+func (Group) HashToElement(data []byte) Element {
 	return Element{ed: edHashToPoint(data)}
 }
 
-func (g edGroup) Normalize(ps []Element) {
+// Normalize converts a slice of elements to affine form with one shared
+// field inversion.
+func (Group) Normalize(ps []Element) {
 	pts := make([]*edPoint, len(ps))
 	for i := range ps {
-		pts[i] = ps[i].edwards(g)
+		pts[i] = ps[i].edwards()
 		ps[i] = Element{ed: pts[i]}
 	}
 	normalizeEd(pts)
 }
 
-func (g edGroup) Encode(p Element) []byte {
-	pt := p.edwards(g)
+// Encode returns the wire encoding: {0} for identity, else WireSize bytes.
+func (Group) Encode(p Element) []byte {
+	pt := p.edwards()
 	if pt.isIdentity() {
 		return identityEncoding
 	}
@@ -240,8 +243,10 @@ func (g edGroup) Encode(p Element) []byte {
 	return out
 }
 
-func (g edGroup) Compress(p Element) []byte {
-	pt := p.edwards(g)
+// Compress returns the short canonical encoding used as a map key: {0} for
+// identity, else 32 bytes.
+func (Group) Compress(p Element) []byte {
+	pt := p.edwards()
 	if pt.isIdentity() {
 		return identityEncoding
 	}
@@ -270,7 +275,8 @@ func edOnCurve(x, y *fe25519) bool {
 	return lhs.Equal(&rhs)
 }
 
-func (g edGroup) Decode(b []byte) (Element, error) {
+// Decode parses either encoding (wire or compressed) and validates it.
+func (g Group) Decode(b []byte) (Element, error) {
 	switch {
 	case len(b) == 1 && b[0] == 0:
 		return g.Identity(), nil
@@ -307,37 +313,42 @@ func (g edGroup) Decode(b []byte) (Element, error) {
 		}
 		return Element{ed: pt}, nil
 	}
-	return Element{}, errors.New("group: invalid ristretto255 encoding")
+	return Element{}, errors.New("group: not a ristretto255 encoding")
 }
 
-func (edGroup) PrepareDH(k Scalar) Scalar {
-	// Fold 8^-1 mod l into the scalar: MulDH multiplies untrusted points
-	// by 8 (cofactor clearing), and the inverse factor cancels it for
-	// honest subgroup points, leaving k*P.
-	v := new(big.Int).SetBytes(k)
+// PrepareDH turns a private scalar into the form MulDH expects: it folds
+// 8^-1 mod l into the scalar, so the cofactor clearing of MulDH cancels for
+// honest subgroup points, leaving k*P.
+func (Group) PrepareDH(k Scalar) Scalar {
+	v := ScalarToBig(k)
 	v.Mul(v, edInv8)
 	v.Mod(v, edOrder)
 	return ScalarFromBig(v)
 }
 
-func (g edGroup) MulDH(p Element, k Scalar) Element {
+// MulDH computes the Diffie-Hellman product of an untrusted decoded point
+// and a prepared scalar, clearing the cofactor first.
+func (g Group) MulDH(p Element, k Scalar) Element {
 	var cleared edPoint
-	cleared.clearCofactor(p.edwards(g))
+	cleared.clearCofactor(p.edwards())
 	return g.Mul(Element{ed: &cleared}, k)
 }
 
-func (g edGroup) MulDHBatch(dst, ps []Element, k Scalar) { g.mulBatch(dst, ps, k, true) }
+// MulDHBatch sets dst[i] = MulDH(ps[i], k) for a prepared scalar fixed
+// across the batch, recoding it once per slice. dst and ps may alias.
+// Results are projective; call Normalize before SharedBytes so the whole
+// slice shares one field inversion.
+func (Group) MulDHBatch(dst, ps []Element, k Scalar) { mulBatch(dst, ps, k, true) }
 
-func (g edGroup) SharedBytes(p Element) []byte {
+// SharedBytes derives the 32-byte KDF input from a DH result: its
+// compressed encoding.
+func (g Group) SharedBytes(p Element) []byte {
 	return g.Compress(p)
 }
 
-// edwards extracts the backend point, treating the zero Element as identity
-// and rejecting cross-backend mixing.
-func (e Element) edwards(edGroup) *edPoint {
-	if e.ref != nil {
-		panic("group: p256 element passed to the ristretto255 group")
-	}
+// edwards returns the element's point, treating the zero Element as the
+// identity.
+func (e Element) edwards() *edPoint {
 	if e.ed == nil {
 		var p edPoint
 		p.identity()

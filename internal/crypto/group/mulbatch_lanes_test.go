@@ -69,7 +69,7 @@ func edTorsionGenerator(t *testing.T) *edPoint {
 // torsion component. It runs once with the lane ladder forced off and once
 // with it on, when this process has one.
 func TestMulBatchLanesMatchSolo(t *testing.T) {
-	g := edGroup{}
+	g := Group{}
 	r := mrand.New(mrand.NewSource(46))
 
 	tor := edTorsionGenerator(t)
@@ -86,7 +86,7 @@ func TestMulBatchLanesMatchSolo(t *testing.T) {
 	}
 	shifted := *randEdPoint(t, r)
 	shifted.add(&shifted, tor)
-	special = append(special, Element{ed: &shifted}, g.Generator(), g.Generator())
+	special = append(special, Element{ed: &shifted}, generator(), generator())
 
 	const maxN = 257
 	points := make([]Element, maxN)
@@ -127,7 +127,7 @@ func TestMulBatchLanesMatchSolo(t *testing.T) {
 						if !alias {
 							dst = make([]Element, n)
 						}
-						g.mulBatch(dst, ps, k, dh)
+						mulBatch(dst, ps, k, dh)
 						g.Normalize(dst)
 						for i := range dst {
 							if got := g.Encode(dst[i]); !bytes.Equal(got, want[i]) {

@@ -1,11 +1,10 @@
 // Package hybrid implements the nested (hybrid) public-key encryption used
 // between ESA stages: an ephemeral Diffie-Hellman key agreement over a
-// pluggable prime-order group, HKDF-SHA256 key derivation, and AES-128-GCM
+// prime-order group, HKDF-SHA256 key derivation, and AES-128-GCM
 // authenticated encryption. This mirrors Prochlo's wire cryptography (§5.1:
 // "NIST P-256 asymmetric key pairs used to derive AES-128 GCM symmetric
-// keys") over the deployed group, ristretto255, whose fixed-point kernels
-// make sealing several times cheaper in pure Go; the same code runs over the
-// P-256 reference backend in tests.
+// keys") over the group this build deploys, ristretto255, whose fixed-point
+// kernels make sealing several times cheaper in pure Go.
 //
 // A client encrypts its report first to the analyzer's public key (the inner
 // layer) and then, together with the crowd ID, to the shuffler's public key
@@ -62,9 +61,11 @@ const (
 // ErrDecrypt is returned for any malformed or unauthentic ciphertext.
 var ErrDecrypt = errors.New("hybrid: decryption failed")
 
+// g is the group every key lives in.
+var g = group.Default()
+
 // PrivateKey is a recipient's decryption key. It is safe for concurrent use.
 type PrivateKey struct {
-	g        group.Group
 	x        *big.Int
 	prepared group.Scalar // DH-prepared scalar (cofactor inverse folded in)
 
@@ -74,43 +75,40 @@ type PrivateKey struct {
 
 // PublicKey is a recipient's encryption key. It is safe for concurrent use.
 type PublicKey struct {
-	g   group.Group
 	el  group.Element
 	enc []byte // cached wire encoding, used in every key derivation
 
 	tableOnce sync.Once
-	table     group.Table
+	table     *group.Table
 }
 
 // newPublicKey normalizes and caches the encoding once; both the seal and
 // open hot paths feed the bytes into HKDF.
-func newPublicKey(g group.Group, el group.Element) *PublicKey {
+func newPublicKey(el group.Element) *PublicKey {
 	els := []group.Element{el}
 	g.Normalize(els)
-	return &PublicKey{g: g, el: els[0], enc: g.Encode(els[0])}
+	return &PublicKey{el: els[0], enc: g.Encode(els[0])}
 }
 
-// GenerateKey creates a fresh key pair on the default group.
+// GenerateKey creates a fresh key pair. Key generation consumes a
+// deterministic number of rng bytes per attempt, so seeded harnesses produce
+// reproducible keys.
 func GenerateKey(rng io.Reader) (*PrivateKey, error) {
-	return GenerateKeyGroup(group.Default(), rng)
-}
-
-// GenerateKeyGroup creates a fresh key pair on an explicit group. Key
-// generation consumes a deterministic number of rng bytes per attempt, so
-// seeded harnesses produce reproducible keys.
-func GenerateKeyGroup(g group.Group, rng io.Reader) (*PrivateKey, error) {
 	k, err := g.RandomScalar(rng)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	return &PrivateKey{g: g, x: group.ScalarToBig(k), prepared: g.PrepareDH(k)}, nil
+	return &PrivateKey{x: group.ScalarToBig(k), prepared: g.PrepareDH(k)}, nil
 }
+
+// GenerateKeyGroup is GenerateKey; benchmark/sut.go binds it.
+func GenerateKeyGroup(_ group.Group, rng io.Reader) (*PrivateKey, error) { return GenerateKey(rng) }
 
 // initPublic caches the public half; Open needs its bytes for every key
 // derivation.
 func (p *PrivateKey) initPublic() {
 	p.pubOnce.Do(func() {
-		p.pub = newPublicKey(p.g, p.g.BaseMul(group.ScalarFromBig(p.x)))
+		p.pub = newPublicKey(g.BaseMul(group.ScalarFromBig(p.x)))
 	})
 }
 
@@ -126,12 +124,6 @@ func (p *PrivateKey) publicBytes() []byte {
 	return p.pub.enc
 }
 
-// Group returns the group the key lives on.
-func (p *PrivateKey) Group() group.Group { return p.g }
-
-// Group returns the group the key lives on.
-func (p *PublicKey) Group() group.Group { return p.g }
-
 // Bytes returns the wire encoding of the public key, suitable for embedding
 // in client software or publishing in an attestation quote. The returned
 // slice is fresh; callers may modify it.
@@ -146,24 +138,17 @@ func (p *PublicKey) Bytes() []byte {
 // over the DH image of the point (cofactor cleared and compensated), so seal
 // and open derive the same secret even for a public key encoding that carries
 // a small-subgroup component.
-func (p *PublicKey) dhTable() group.Table {
+func (p *PublicKey) dhTable() *group.Table {
 	p.tableOnce.Do(func() {
-		one := group.ScalarFromBig(big.NewInt(1))
-		dhEl := p.g.MulDH(p.el, p.g.PrepareDH(one))
-		p.table = p.g.Precompute(dhEl)
+		dhEl := g.MulDH(p.el, g.PrepareDH(group.Scalar{group.ScalarSize - 1: 1}))
+		p.table = g.Precompute(dhEl)
 	})
 	return p.table
 }
 
-// ParsePublicKey decodes a public key produced by (*PublicKey).Bytes,
-// inferring the group backend from the tag byte. A caller that parses bytes
-// a peer sent must check Group() against group.Default() before trusting
-// the key: a key on the reference backend parses too.
+// ParsePublicKey decodes a public key produced by (*PublicKey).Bytes. Any
+// other bytes, a key on another group among them, are an error.
 func ParsePublicKey(b []byte) (*PublicKey, error) {
-	g, err := group.Infer(b)
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: %w", err)
-	}
 	el, err := g.Decode(b)
 	if err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
@@ -171,23 +156,19 @@ func ParsePublicKey(b []byte) (*PublicKey, error) {
 	if g.IsIdentity(el) {
 		return nil, errors.New("hybrid: identity public key")
 	}
-	return newPublicKey(g, el), nil
+	return newPublicKey(el), nil
 }
 
 // Bytes returns the private scalar encoding (32 bytes big-endian), for
 // persisting a long-lived daemon key across restarts. Handle with care: this
-// is the secret. The group is not self-describing; reload with the matching
-// ParsePrivateKeyGroup.
-func (p *PrivateKey) Bytes() []byte { return group.ScalarFromBig(p.x) }
-
-// ParsePrivateKey decodes a private key produced by (*PrivateKey).Bytes on
-// the default group.
-func ParsePrivateKey(b []byte) (*PrivateKey, error) {
-	return ParsePrivateKeyGroup(group.Default(), b)
+// is the secret.
+func (p *PrivateKey) Bytes() []byte {
+	k := group.ScalarFromBig(p.x)
+	return k[:]
 }
 
-// ParsePrivateKeyGroup is ParsePrivateKey on an explicit group.
-func ParsePrivateKeyGroup(g group.Group, b []byte) (*PrivateKey, error) {
+// ParsePrivateKey decodes a private key produced by (*PrivateKey).Bytes.
+func ParsePrivateKey(b []byte) (*PrivateKey, error) {
 	if len(b) != group.ScalarSize {
 		return nil, errors.New("hybrid: invalid private key length")
 	}
@@ -195,7 +176,7 @@ func ParsePrivateKeyGroup(g group.Group, b []byte) (*PrivateKey, error) {
 	if x.Sign() <= 0 || x.Cmp(g.Order()) >= 0 {
 		return nil, errors.New("hybrid: private scalar out of range")
 	}
-	return &PrivateKey{g: g, x: x, prepared: g.PrepareDH(group.ScalarFromBig(x))}, nil
+	return &PrivateKey{x: x, prepared: g.PrepareDH(group.Scalar(b))}, nil
 }
 
 // hkdfInfo is the domain-separation label of the key derivation.
@@ -314,7 +295,7 @@ type PendingSeal struct {
 // on how its batch is scheduled. The nonce is read straight into s, which
 // batch callers keep in a slice, so it costs no allocation.
 func (p *PublicKey) QueueSeal(s *PendingSeal, rng io.Reader, b *group.CombBatch, i int) error {
-	k, err := p.g.RandomScalar(rng)
+	k, err := g.RandomScalar(rng)
 	if err != nil {
 		return fmt.Errorf("hybrid: %w", err)
 	}
@@ -322,7 +303,7 @@ func (p *PublicKey) QueueSeal(s *PendingSeal, rng io.Reader, b *group.CombBatch,
 	if _, err := io.ReadFull(rng, s.nonce[:]); err != nil {
 		return fmt.Errorf("hybrid: %w", err)
 	}
-	b.Set(i, p.g.BaseTable(), k, group.Element{})
+	b.Set(i, g.BaseTable(), k, group.Element{})
 	b.Set(i+1, p.dhTable(), k, group.Element{})
 	return nil
 }
@@ -331,7 +312,6 @@ func (p *PublicKey) QueueSeal(s *PendingSeal, rng io.Reader, b *group.CombBatch,
 // normalized: it derives the AES key from the two products and appends the
 // envelope to dst as SealInto does.
 func (s *PendingSeal) Seal(b *group.CombBatch, dst, plaintext, aad []byte) ([]byte, error) {
-	g := s.pub.g
 	need := pubKeyLen + nonceLen + len(plaintext) + tagLen
 	base := len(dst)
 	if cap(dst)-base < need {
@@ -369,7 +349,7 @@ func Seal(rng io.Reader, pub *PublicKey, plaintext, aad []byte) ([]byte, error) 
 // (ephemeral scalar, then nonce), so given the same rng stream all of them
 // produce identical bytes. It is safe for concurrent use.
 func SealInto(rng io.Reader, pub *PublicKey, dst, plaintext, aad []byte) ([]byte, error) {
-	b := group.NewCombBatch(pub.g, 2)
+	b := group.NewCombBatch(2)
 	var s PendingSeal
 	if err := pub.QueueSeal(&s, rng, b, 0); err != nil {
 		return nil, err
@@ -433,7 +413,7 @@ func SealBatch(rng io.Reader, pub *PublicKey, plaintexts [][]byte, aad []byte, w
 	if err != nil {
 		return nil, err
 	}
-	b := group.NewCombBatch(pub.g, 2*n)
+	b := group.NewCombBatch(2 * n)
 	pending := make([]PendingSeal, n)
 	if i, err := b.RunRecords(workers, 2, func(i int) error {
 		r := seeds.RNG(i)
@@ -472,11 +452,11 @@ func (p *PrivateKey) OpenInto(dst, sealed, aad []byte) ([]byte, error) {
 	if len(sealed) < Overhead {
 		return nil, ErrDecrypt
 	}
-	ephEl, err := p.g.Decode(sealed[:pubKeyLen])
-	if err != nil || p.g.IsIdentity(ephEl) {
+	ephEl, err := g.Decode(sealed[:pubKeyLen])
+	if err != nil || g.IsIdentity(ephEl) {
 		return nil, ErrDecrypt
 	}
-	shared := p.g.SharedBytes(p.g.MulDH(ephEl, p.prepared))
+	shared := g.SharedBytes(g.MulDH(ephEl, p.prepared))
 	sc := scratchPool.Get().(*scratch)
 	gcm, err := newAEAD(sc.sealKey(shared, sealed[:pubKeyLen], p.publicBytes()))
 	scratchPool.Put(sc)
@@ -522,7 +502,6 @@ func (p *PrivateKey) OpenBatch(sealed [][]byte, aad []byte, workers int) (pts []
 
 // openChunk opens records [lo, hi) of a batch into their arena slots.
 func (p *PrivateKey) openChunk(pts [][]byte, errs []error, sealed [][]byte, aad []byte, arena *parallel.Arena, lo, hi int) {
-	g := p.g
 	// Decode the headers, compacting to the well-formed ones: a hostile
 	// header costs its own record and nothing else.
 	idx := make([]int, 0, hi-lo)

@@ -233,17 +233,15 @@ func TestOpenIntoAppends(t *testing.T) {
 	}
 }
 
-// hostileRecord turns an honest sealed record into hostile variant kind, or
-// returns it unchanged when the group has no such variant.
+// hostileRecord turns an honest sealed record into hostile variant kind.
 func hostileRecord(t *testing.T, priv *PrivateKey, ct []byte, kind int, aad []byte) []byte {
 	t.Helper()
 	ct = append([]byte(nil), ct...)
 	x, y := ct[1:33], ct[33:65]
-	ed := priv.g.Name() == "ristretto255"
 	switch kind {
 	case 0: // short blob
 		return ct[:Overhead-1]
-	case 1: // non-canonical coordinate (out of field range on both groups)
+	case 1: // non-canonical coordinate (out of field range)
 		for i := range x {
 			x[i] = 0xff
 		}
@@ -252,9 +250,7 @@ func hostileRecord(t *testing.T, priv *PrivateKey, ct []byte, kind int, aad []by
 	case 3: // identity in the long form
 		clear(x)
 		clear(y)
-		if ed {
-			y[0] = 1 // (0, 1), little-endian
-		}
+		y[0] = 1 // (0, 1), little-endian
 	case 4: // flipped tag
 		ct[len(ct)-1] ^= 1
 	case 5, 6:
@@ -262,9 +258,6 @@ func hostileRecord(t *testing.T, priv *PrivateKey, ct []byte, kind int, aad []by
 		// it to the identity, so the "shared secret" is public. Kind 5 leaves
 		// the honest body (fails authentication); kind 6 re-seals under the
 		// public secret, so the record opens — on both paths or neither.
-		if !ed {
-			return ct
-		}
 		clear(x)
 		for i := range y {
 			y[i] = 0xff
@@ -290,48 +283,44 @@ func hostileRecord(t *testing.T, priv *PrivateKey, ct []byte, kind int, aad []by
 // worker count, and the hostile headers sprinkled through the batch.
 func TestOpenBatchMatchesOpenInto(t *testing.T) {
 	aad := []byte("aad")
-	for _, g := range []group.Group{group.Ristretto255, group.P256} {
-		priv, err := GenerateKeyGroup(g, rand.Reader)
+	priv, err := GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, openChunk - 1, openChunk, openChunk + 1, 2000} {
+		plain := make([][]byte, n)
+		for i := range plain {
+			plain[i] = []byte{byte(i), byte(i >> 8), 'x'}[:1+i%3]
+		}
+		sealed, err := SealBatch(rand.Reader, priv.Public(), plain, aad, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range []int{0, 1, openChunk - 1, openChunk, openChunk + 1, 2000} {
-			plain := make([][]byte, n)
-			for i := range plain {
-				plain[i] = []byte{byte(i), byte(i >> 8), 'x'}[:1+i%3]
+		want := make([][]byte, n)
+		wantErr := make([]error, n)
+		for i := range sealed {
+			kind := -1
+			if i%5 == 3 {
+				kind = (i / 5) % 7
+				sealed[i] = hostileRecord(t, priv, sealed[i], kind, aad)
 			}
-			sealed, err := SealBatch(rand.Reader, priv.Public(), plain, aad, 0)
-			if err != nil {
-				t.Fatal(err)
+			want[i], wantErr[i] = priv.OpenInto(nil, sealed[i], aad)
+			// only the honest and the forged records open
+			if opens := kind == -1 || kind == 6; opens != (wantErr[i] == nil) {
+				t.Fatalf("hostile kind %d at record %d: OpenInto error %v", kind, i, wantErr[i])
 			}
-			want := make([][]byte, n)
-			wantErr := make([]error, n)
+		}
+		for _, workers := range []int{1, 2, 0} {
+			pts, errs := priv.OpenBatch(sealed, aad, workers)
+			if len(pts) != n || len(errs) != n {
+				t.Fatalf("n=%d: OpenBatch returned %d plaintexts, %d errors", n, len(pts), len(errs))
+			}
 			for i := range sealed {
-				kind := -1
-				if i%5 == 3 {
-					kind = (i / 5) % 7
-					sealed[i] = hostileRecord(t, priv, sealed[i], kind, aad)
+				if errs[i] != wantErr[i] {
+					t.Fatalf("n=%d workers=%d: record %d error %v, OpenInto %v", n, workers, i, errs[i], wantErr[i])
 				}
-				want[i], wantErr[i] = priv.OpenInto(nil, sealed[i], aad)
-				// the forged record opens; P-256 has no small-order points,
-				// so kinds 5 and 6 stay honest there
-				opens := kind == -1 || kind == 6 || (kind == 5 && g == group.P256)
-				if opens != (wantErr[i] == nil) {
-					t.Fatalf("%s: hostile kind %d at record %d: OpenInto error %v", g.Name(), kind, i, wantErr[i])
-				}
-			}
-			for _, workers := range []int{1, 2, 0} {
-				pts, errs := priv.OpenBatch(sealed, aad, workers)
-				if len(pts) != n || len(errs) != n {
-					t.Fatalf("%s n=%d: OpenBatch returned %d plaintexts, %d errors", g.Name(), n, len(pts), len(errs))
-				}
-				for i := range sealed {
-					if errs[i] != wantErr[i] {
-						t.Fatalf("%s n=%d workers=%d: record %d error %v, OpenInto %v", g.Name(), n, workers, i, errs[i], wantErr[i])
-					}
-					if !bytes.Equal(pts[i], want[i]) || (errs[i] != nil && pts[i] != nil) {
-						t.Fatalf("%s n=%d workers=%d: record %d opened to %q, OpenInto %q", g.Name(), n, workers, i, pts[i], want[i])
-					}
+				if !bytes.Equal(pts[i], want[i]) || (errs[i] != nil && pts[i] != nil) {
+					t.Fatalf("n=%d workers=%d: record %d opened to %q, OpenInto %q", n, workers, i, pts[i], want[i])
 				}
 			}
 		}
@@ -450,127 +439,78 @@ func TestSealBatchDeterministic(t *testing.T) {
 	}
 }
 
-// TestBothGroupBackends runs the core seal/open contract on each group
-// backend explicitly (the tests above exercise whichever is the default).
-func TestBothGroupBackends(t *testing.T) {
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		t.Run(g.Name(), func(t *testing.T) {
-			priv, err := GenerateKeyGroup(g, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ct, err := Seal(rand.Reader, priv.Public(), []byte("payload"), []byte("aad"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ct) != len("payload")+Overhead {
-				t.Fatalf("overhead = %d", len(ct)-len("payload"))
-			}
-			got, err := priv.Open(ct, []byte("aad"))
-			if err != nil || string(got) != "payload" {
-				t.Fatalf("open = %q, %v", got, err)
-			}
-			// public key round trip through the wire encoding
-			pk, err := ParsePublicKey(priv.Public().Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			ct2, err := Seal(rand.Reader, pk, []byte("via parsed"), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := priv.Open(ct2, nil); err != nil {
-				t.Fatal("parsed public key mismatch")
-			}
-			// private key persistence round trip
-			reloaded, err := ParsePrivateKeyGroup(g, priv.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := reloaded.Open(ct, []byte("aad")); err != nil {
-				t.Fatal("reloaded private key cannot decrypt")
-			}
-			if priv.Group().Name() != g.Name() || pk.Group().Name() != g.Name() {
-				t.Fatal("Group() accessor mismatch")
-			}
-		})
-	}
-}
-
 // TestQueuedSealMatchesSealInto pins the split seal — QueueSeal into one
 // group.CombBatch shared by every record and by a second recipient's seals,
 // then PendingSeal.Seal — and SealBatch at every worker count to the solo
 // SealInto construction: same per-record rng streams, identical bytes.
 func TestQueuedSealMatchesSealInto(t *testing.T) {
-	for _, g := range []group.Group{group.P256, group.Ristretto255} {
-		t.Run(g.Name(), func(t *testing.T) {
-			priv, err := GenerateKeyGroup(g, rand.Reader)
-			if err != nil {
+	t.Run("ristretto255", func(t *testing.T) {
+		priv, err := GenerateKey(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := GenerateKey(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub := priv.Public()
+		const n = 23
+		var master [32]byte
+		seeds, err := DrawSeeds(mrand.NewChaCha8(master), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts := make([][]byte, n)
+		want := make([][]byte, n)
+		for i := range want {
+			pts[i] = []byte{byte(i)}
+			if want[i], err = SealInto(seeds.RNG(i), pub, nil, pts[i], []byte("aad")); err != nil {
 				t.Fatal(err)
 			}
-			other, err := GenerateKeyGroup(g, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
+		}
+		check := func(name string, i int, got []byte) {
+			t.Helper()
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("%s record %d: diverges from SealInto", name, i)
 			}
-			pub := priv.Public()
-			const n = 23
-			var master [32]byte
-			seeds, err := DrawSeeds(mrand.NewChaCha8(master), n)
-			if err != nil {
-				t.Fatal(err)
+			if _, err := priv.Open(got, []byte("aad")); err != nil {
+				t.Fatalf("%s record %d: %v", name, i, err)
 			}
-			pts := make([][]byte, n)
-			want := make([][]byte, n)
-			for i := range want {
-				pts[i] = []byte{byte(i)}
-				if want[i], err = SealInto(seeds.RNG(i), pub, nil, pts[i], []byte("aad")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check := func(name string, i int, got []byte) {
-				t.Helper()
-				if !bytes.Equal(got, want[i]) {
-					t.Fatalf("%s record %d: diverges from SealInto", name, i)
-				}
-				if _, err := priv.Open(got, []byte("aad")); err != nil {
-					t.Fatalf("%s record %d: %v", name, i, err)
-				}
-			}
+		}
 
-			// slots 4i, 4i+1 seal to pub; 4i+2, 4i+3 to another key
-			b := group.NewCombBatch(g, 4*n)
-			pending := make([]PendingSeal, n)
-			var discard PendingSeal
-			for i := range pending {
-				rng := seeds.RNG(i)
-				if err := pub.QueueSeal(&pending[i], rng, b, 4*i); err != nil {
-					t.Fatal(err)
-				}
-				if err := other.Public().QueueSeal(&discard, rng, b, 4*i+2); err != nil {
-					t.Fatal(err)
-				}
+		// slots 4i, 4i+1 seal to pub; 4i+2, 4i+3 to another key
+		b := group.NewCombBatch(4 * n)
+		pending := make([]PendingSeal, n)
+		var discard PendingSeal
+		for i := range pending {
+			rng := seeds.RNG(i)
+			if err := pub.QueueSeal(&pending[i], rng, b, 4*i); err != nil {
+				t.Fatal(err)
 			}
-			b.Run(0, 4*n)
-			b.Normalize()
-			for i := range pending {
-				got, err := pending[i].Seal(b, nil, pts[i], []byte("aad"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				check("queued", i, got)
+			if err := other.Public().QueueSeal(&discard, rng, b, 4*i+2); err != nil {
+				t.Fatal(err)
 			}
+		}
+		b.Run(0, 4*n)
+		b.Normalize()
+		for i := range pending {
+			got, err := pending[i].Seal(b, nil, pts[i], []byte("aad"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("queued", i, got)
+		}
 
-			for _, workers := range []int{1, 4} {
-				got, err := SealBatch(mrand.NewChaCha8(master), pub, pts, []byte("aad"), workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range got {
-					check(fmt.Sprintf("SealBatch workers=%d", workers), i, got[i])
-				}
+		for _, workers := range []int{1, 4} {
+			got, err := SealBatch(mrand.NewChaCha8(master), pub, pts, []byte("aad"), workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			for i := range got {
+				check(fmt.Sprintf("SealBatch workers=%d", workers), i, got[i])
+			}
+		}
+	})
 }
 
 // TestOpenRejectsIdentityHeader: an all-identity ephemeral key must fail
@@ -589,21 +529,17 @@ func TestOpenRejectsIdentityHeader(t *testing.T) {
 	}
 }
 
-// TestSealedEnvelopeKnownAnswer pins one envelope per group: sealed to the
-// key 0x0102…20 from the rng stream 0, 1, 2, …, the bytes below came out of
-// the commit before P-256 became the stdlib-backed reference. Sealing must
-// still produce them (scalar draw, base and table multiplication, encodings,
-// key derivation) and the key must still open them, on both sides of that
-// change and of any later ristretto255 kernel.
+// TestSealedEnvelopeKnownAnswer pins one envelope: sealed to the key
+// 0x0102…20 from the rng stream 0, 1, 2, …, sealing must produce the bytes
+// below (scalar draw, base and table multiplication, encodings, key
+// derivation) and the key must open them, across any kernel change.
 func TestSealedEnvelopeKnownAnswer(t *testing.T) {
 	for _, kat := range []struct {
-		g      group.Group
-		sealed string
+		name, sealed string
 	}{
-		{group.P256, "047a593180860c4037c83c12749845c8ee1424dd297fadcb895e358255d2c7d2b2a8ca25580f2626fe579062ff1b99ff91c24a0da06fb32b5be20148c9249f5650202122232425262728292a2b1e3a55c3a8de0aa0c7db9f5bd87966ef0c9aa1760d4fb44abf88ed4d"},
-		{group.Ristretto255, "05d8ce32861bc717fb1e525458f9968d1341f9448da362fb68c1617fa931fd8e20559d101ce6c084337a34c8a381c6a20a03c1107fcfa4d88e267a9eb712988950404142434445464748494a4bc7e84e47a9fb3057469f65c04bca81782151b50b6e2b56daab5e1f09"},
+		{"ristretto255", "05d8ce32861bc717fb1e525458f9968d1341f9448da362fb68c1617fa931fd8e20559d101ce6c084337a34c8a381c6a20a03c1107fcfa4d88e267a9eb712988950404142434445464748494a4bc7e84e47a9fb3057469f65c04bca81782151b50b6e2b56daab5e1f09"},
 	} {
-		t.Run(kat.g.Name(), func(t *testing.T) {
+		t.Run(kat.name, func(t *testing.T) {
 			key := make([]byte, group.ScalarSize)
 			stream := make([]byte, 128)
 			for i := range key {
@@ -612,7 +548,7 @@ func TestSealedEnvelopeKnownAnswer(t *testing.T) {
 			for i := range stream {
 				stream[i] = byte(i)
 			}
-			priv, err := ParsePrivateKeyGroup(kat.g, key)
+			priv, err := ParsePrivateKey(key)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -99,7 +99,7 @@ func (c *Client) EncodeBatch(reports []core.Report, workers int) ([]core.Envelop
 	w := parallel.Workers(workers)
 
 	// record i's inner seal sits at slots 4i and 4i+1, its outer at 4i+2, 4i+3
-	b := group.NewCombBatch(c.AnalyzerKey.Group(), 4*n)
+	b := group.NewCombBatch(4 * n)
 	inner, outer := make([]hybrid.PendingSeal, n), make([]hybrid.PendingSeal, n)
 	if err := runRecords(b, w, 4, seeds, func(rng io.Reader, i int) error {
 		if err := c.AnalyzerKey.QueueSeal(&inner[i], rng, b, 4*i); err != nil {
@@ -212,7 +212,7 @@ func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers
 	// record i's El Gamal encryption sits at slots 6i and 6i+1, its inner
 	// seal at 6i+2 and 6i+3, its shuffler-2 seal at 6i+4 and 6i+5
 	enc := c.encrypter()
-	b := group.NewCombBatch(c.AnalyzerKey.Group(), 6*n)
+	b := group.NewCombBatch(6 * n)
 	inner, outer := make([]hybrid.PendingSeal, n), make([]hybrid.PendingSeal, n)
 	if err := runRecords(b, w, 6, seeds, func(rng io.Reader, i int) error {
 		if err := enc.QueueCrowdID(rng, []byte(crowdLabels[i]), b, 6*i); err != nil {

@@ -69,14 +69,17 @@ func (s *SGXShuffler) ProcessLargeDomain(batch []core.Envelope) ([][]byte, Stats
 	var runID core.CrowdID
 	for _, rec := range sorted {
 		s.Enclave.ReadUntrusted(len(rec))
-		var id core.CrowdID
-		copy(id[:], rec[:core.CrowdIDSize])
+		id, inner, ok := peeled(rec)
+		if !ok {
+			stats.Undecryptable++
+			continue
+		}
 		if id != runID && run != nil {
 			flushRun(run)
 			run = nil
 		}
 		runID = id
-		run = append(run, rec[core.CrowdIDSize:])
+		run = append(run, inner)
 	}
 	flushRun(run)
 	stats.Forwarded = len(out)

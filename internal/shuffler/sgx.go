@@ -19,6 +19,13 @@ import (
 // thresholding with private counters (§4.1.5). The organization hosting it
 // learns only the sequence of fixed-size encrypted reads/writes and the
 // global selectivity of thresholding.
+//
+// A report whose outer layer does not open costs only itself. Inside the
+// enclave it becomes a dummy of the same size, marked invalid (outerPeelCodec):
+// the shuffle reads, re-encrypts and writes it like any other record, the
+// threshold passes skip it, and it counts in Undecryptable. The untrusted
+// reads and writes of the shuffle are therefore the same whichever input
+// failed, or whether one did.
 type SGXShuffler struct {
 	Enclave   *sgx.Enclave
 	Threshold Threshold
@@ -70,23 +77,40 @@ func (s *SGXShuffler) PublicKey() *hybrid.PublicKey { return s.priv.Public() }
 
 // outerPeelCodec peels the shuffler layer during the Stash Shuffle's
 // distribution phase (the public-key work that §5.1 identifies as the
-// dominant cost) and passes payloads through on output.
+// dominant cost) and passes payloads through on output. A payload is
+// crowdID || inner || 1; a record that does not open, or opens to less than
+// a crowd ID, becomes PlainSize zero bytes, whose last byte marks it invalid.
 type outerPeelCodec struct {
 	priv    *hybrid.PrivateKey
 	enclave *sgx.Enclave
-	pSize   int
 }
 
 func (c outerPeelCodec) Open(ct []byte) ([]byte, error) {
 	c.enclave.CountPubKey()
-	return c.priv.Open(ct, nil)
+	size := c.PlainSize(len(ct))
+	pt, err := c.priv.OpenInto(make([]byte, 0, size), ct, nil)
+	if err != nil || len(pt) < core.CrowdIDSize {
+		return make([]byte, size), nil
+	}
+	return append(pt, 1), nil
 }
 
 func (c outerPeelCodec) Seal(pt []byte) ([]byte, error) { return pt, nil }
 
-func (c outerPeelCodec) PlainSize(recordSize int) int { return recordSize - hybrid.Overhead }
+func (c outerPeelCodec) PlainSize(recordSize int) int { return max(recordSize-hybrid.Overhead, 0) + 1 }
 
 func (c outerPeelCodec) SealedSize(plainSize int) int { return plainSize }
+
+// peeled splits a payload of outerPeelCodec into its crowd ID and inner
+// ciphertext; ok is false for the dummy of a record that did not open.
+func peeled(rec []byte) (id core.CrowdID, inner []byte, ok bool) {
+	n := len(rec) - 1
+	if rec[n] == 0 {
+		return id, nil, false
+	}
+	copy(id[:], rec[:core.CrowdIDSize])
+	return id, rec[core.CrowdIDSize:n], true
+}
 
 // ErrNonUniformBatch is returned when envelopes differ in size; oblivious
 // shuffling requires uniform records, so encoders must pad data to a fixed
@@ -110,7 +134,7 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 		blobs[i] = batch[i].Blob
 	}
 
-	// Oblivious shuffle; output records are crowdID || inner.
+	// Oblivious shuffle; output records are outerPeelCodec payloads.
 	codec := outerPeelCodec{priv: s.priv, enclave: s.Enclave}
 	st := oblivious.NewStashShuffle(s.Enclave, codec, len(blobs))
 	st.Seed = s.Seed
@@ -132,8 +156,11 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	var order []core.CrowdID // first-appearance order, for deterministic RNG use
 	for _, rec := range shuffled {
 		s.Enclave.ReadUntrusted(len(rec))
-		var id core.CrowdID
-		copy(id[:], rec[:core.CrowdIDSize])
+		id, _, ok := peeled(rec)
+		if !ok {
+			stats.Undecryptable++
+			continue
+		}
 		if counts[id] == 0 {
 			order = append(order, id)
 		}
@@ -155,11 +182,9 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	var out [][]byte
 	for _, rec := range shuffled {
 		s.Enclave.ReadUntrusted(len(rec))
-		var id core.CrowdID
-		copy(id[:], rec[:core.CrowdIDSize])
-		if budget[id] > 0 {
+		id, inner, ok := peeled(rec)
+		if ok && budget[id] > 0 {
 			budget[id]--
-			inner := rec[core.CrowdIDSize:]
 			out = append(out, inner)
 			s.Enclave.WriteUntrusted(len(inner))
 		}

@@ -136,29 +136,22 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 // metadata, and shuffles. It cannot decrypt crowd IDs (no Shuffler 2 private
 // key) nor data (no analyzer key).
 type Shuffler1 struct {
-	Alpha    *big.Int     // blinding exponent, fixed per tier (every replica and restart blinds with it)
-	Group    cgroup.Group // El Gamal group backend; nil selects the default
+	Alpha    *big.Int // blinding exponent, fixed per tier (every replica and restart blinds with it)
 	Rand     *rand.Rand
 	MinBatch int // anonymity floor per epoch; 0 selects DefaultMinBatch
 	Workers  int // blinding workers; 0 = GOMAXPROCS, 1 = serial
 }
 
-func (s *Shuffler1) group() cgroup.Group {
-	if s.Group == nil {
-		return cgroup.Default()
-	}
-	return s.Group
-}
-
-// NewShuffler1Group draws a fresh blinding exponent on an explicit group (the
-// exponent range is the group order, so the backend must be fixed before the
-// draw). A tier's replicas must share one α instead: build them with NewStage.
-func NewShuffler1Group(g cgroup.Group, rng *rand.Rand) (*Shuffler1, error) {
-	alpha, err := elgamal.RandomScalarGroup(g, crand.Reader)
+// NewShuffler1Group draws a fresh blinding exponent; the group is the
+// deployed one whatever the argument (benchmark/sut.go binds this
+// signature). A tier's replicas must share one α instead: build them with
+// NewStage.
+func NewShuffler1Group(_ cgroup.Group, rng *rand.Rand) (*Shuffler1, error) {
+	alpha, err := elgamal.RandomScalar(crand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	return &Shuffler1{Alpha: alpha, Group: g, Rand: rng}, nil
+	return &Shuffler1{Alpha: alpha, Rand: rng}, nil
 }
 
 // blindChunk is the number of ciphertexts a worker feeds the El Gamal batch
@@ -173,8 +166,7 @@ const blindChunk = 256
 // recoded once per chunk and each chunk's outputs are normalized with one
 // shared inversion before encoding.
 func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelope, error) {
-	g := s.group()
-	blinder := elgamal.NewBlinderGroup(g, s.Alpha)
+	blinder := elgamal.NewBlinder(s.Alpha)
 	workers := parallel.Workers(s.Workers)
 	n := len(batch)
 	cts := make([]elgamal.Ciphertext, n)
@@ -182,18 +174,18 @@ func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelop
 	parallel.For(workers, n, func(i int) {
 		batch[i].StripMetadata()
 		c1, err := elgamal.ParsePoint(batch[i].CrowdC1)
-		if err != nil || c1.Group().Name() != g.Name() {
+		if err != nil {
 			return
 		}
 		c2, err := elgamal.ParsePoint(batch[i].CrowdC2)
-		if err != nil || c2.Group().Name() != g.Name() {
+		if err != nil {
 			return
 		}
 		cts[i] = elgamal.Ciphertext{C1: c1, C2: c2}
 		ok[i] = true
 	})
-	// Compact to the valid envelopes (dropping unparsable or wrong-backend
-	// crowd IDs), then blind chunk-wise on the pool.
+	// Compact to the valid envelopes (dropping unparsable crowd IDs), then
+	// blind chunk-wise on the pool.
 	idx := make([]int, 0, n)
 	for i := range ok {
 		if ok[i] {
@@ -254,18 +246,13 @@ func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, erro
 	stats := Stats{Received: len(batch)}
 	workers := parallel.Workers(s.Workers)
 	dec := s.Blinding.Decrypter()
-	g := s.Blinding.G
-	if g == nil {
-		g = cgroup.Default()
-	}
 	items := make([]openedBlinded, len(batch))
 	blobs := make([][]byte, len(batch))
 	parallel.For(workers, len(batch), func(i int) {
 		blobs[i] = batch[i].Blob
 		c1, err1 := elgamal.ParsePoint(batch[i].CrowdC1)
 		c2, err2 := elgamal.ParsePoint(batch[i].CrowdC2)
-		if err1 != nil || err2 != nil ||
-			c1.Group().Name() != g.Name() || c2.Group().Name() != g.Name() {
+		if err1 != nil || err2 != nil {
 			return
 		}
 		items[i].ct = elgamal.Ciphertext{C1: c1, C2: c2}
@@ -298,10 +285,8 @@ func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, erro
 		func(i int) bool { return items[i].ok },
 		func(i int) string { return items[i].pseudo },
 		func(k string) uint32 {
-			// Byte 1 of either canonical encoding — the x-coordinate's
-			// leading byte after the 0x02/0x03 tag on P-256, the
-			// y-coordinate's second little-endian byte on ristretto255 —
-			// is uniform enough to shard on.
+			// Byte 1 of the compressed encoding, the y-coordinate's
+			// second little-endian byte, is uniform enough to shard on.
 			if len(k) > 1 {
 				return uint32(k[1])
 			}

@@ -13,6 +13,7 @@ import (
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/encoder"
+	"prochlo/internal/oblivious"
 	"prochlo/internal/sgx"
 )
 
@@ -353,5 +354,78 @@ func TestSGXShufflerEmptyBatch(t *testing.T) {
 	}
 	if _, _, err := sh.Process(nil); !errors.Is(err, ErrBatchTooSmall) {
 		t.Fatalf("err = %v, want ErrBatchTooSmall", err)
+	}
+}
+
+// sgxBadBatch returns an SGX shuffler and seven uniform reports to it, the
+// fifth with a flipped tag, plus the same seven with every tag intact.
+func sgxBadBatch(t *testing.T) (sh *SGXShuffler, bad, honest []core.Envelope) {
+	t.Helper()
+	ca, err := sgx.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh, _, err = NewSGXShuffler(ca, Params{Seed: 11, MinBatch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	anlz, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &encoder.Client{ShufflerKey: sh.PublicKey(), AnalyzerKey: anlz.Public(), Rand: crand.Reader}
+	for i := 0; i < 7; i++ {
+		env, err := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: []byte("sgx")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		honest = append(honest, env)
+		bad = append(bad, core.Envelope{Blob: bytes.Clone(env.Blob)})
+	}
+	bad[4].Blob[len(bad[4].Blob)-1] ^= 1
+	return sh, bad, honest
+}
+
+// TestSGXShufflerSkipsBadEnvelope: a report that does not open is a dummy
+// inside the enclave, so both SGX paths forward the six honest reports and
+// count the seventh as undecryptable instead of failing the batch.
+func TestSGXShufflerSkipsBadEnvelope(t *testing.T) {
+	sh, bad, _ := sgxBadBatch(t)
+	for name, process := range map[string]func([]core.Envelope) ([][]byte, Stats, error){
+		"Process":            sh.Process,
+		"ProcessLargeDomain": sh.ProcessLargeDomain,
+	} {
+		batch := append([]core.Envelope(nil), bad...)
+		out, stats, err := process(batch)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(out) != 6 || stats.Forwarded != 6 || stats.Undecryptable != 1 || stats.Received != 7 {
+			t.Errorf("%s: %d forwarded, stats %+v; want 6 forwarded and 1 undecryptable of 7", name, len(out), stats)
+		}
+	}
+}
+
+// TestSGXShuffleAccessesHideBadEnvelope: the enclave's untrusted reads and
+// writes during the Stash Shuffle are the same with and without a report
+// that does not open, so its host learns neither that an input failed nor
+// which one.
+func TestSGXShuffleAccessesHideBadEnvelope(t *testing.T) {
+	sh, bad, honest := sgxBadBatch(t)
+	shuffle := func(batch []core.Envelope) sgx.Counters {
+		blobs := make([][]byte, len(batch))
+		for i := range batch {
+			blobs[i] = batch[i].Blob
+		}
+		sh.Enclave.ResetCounters()
+		st := oblivious.NewStashShuffle(sh.Enclave, outerPeelCodec{priv: sh.priv, enclave: sh.Enclave}, len(blobs))
+		st.Seed = 11
+		if _, err := st.Shuffle(blobs); err != nil {
+			t.Fatal(err)
+		}
+		return sh.Enclave.Counters()
+	}
+	want := shuffle(honest)
+	if got := shuffle(bad); got != want || want.BytesIn == 0 || want.BytesOut == 0 {
+		t.Fatalf("enclave counters with a bad report %+v, all honest %+v", got, want)
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
-	cgroup "prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 )
 
@@ -54,13 +53,13 @@ type Secrets struct {
 	Blinding *elgamal.KeyPair
 }
 
-// GenerateSecrets draws a fresh hybrid key and blinding pair on g.
-func GenerateSecrets(g cgroup.Group) (Secrets, error) {
-	priv, err := hybrid.GenerateKeyGroup(g, crand.Reader)
+// GenerateSecrets draws a fresh hybrid key and blinding pair.
+func GenerateSecrets() (Secrets, error) {
+	priv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		return Secrets{}, err
 	}
-	blinding, err := elgamal.GenerateKeyPairGroup(g, crand.Reader)
+	blinding, err := elgamal.GenerateKeyPair(crand.Reader)
 	return Secrets{Priv: priv, Blinding: blinding}, err
 }
 
@@ -93,7 +92,7 @@ func NewStage(role string, sec Secrets, p Params) (Stage, error) {
 		if sec.Blinding == nil {
 			return nil, fmt.Errorf("shuffler: shuffler1 needs its tier's blinding exponent")
 		}
-		return &Shuffler1{Alpha: sec.Blinding.X, Group: sec.Blinding.G, Rand: rng, MinBatch: p.MinBatch, Workers: p.Workers}, nil
+		return &Shuffler1{Alpha: sec.Blinding.X, Rand: rng, MinBatch: p.MinBatch, Workers: p.Workers}, nil
 	case "shuffler2":
 		return &Shuffler2{Blinding: sec.Blinding, Priv: sec.Priv, Threshold: p.Threshold, Rand: rng, MinBatch: 1, Workers: p.Workers}, nil
 	}

@@ -10,7 +10,6 @@ import (
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
 	"prochlo/internal/shuffler"
@@ -278,7 +277,7 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stageL.Close()
-	sec, err := shuffler.GenerateSecrets(group.Default())
+	sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"prochlo/internal/analyzer"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/metrics"
 	"prochlo/internal/shuffler"
 )
@@ -57,7 +56,7 @@ func StartFleet(tiers []Tier, analyzers int, p shuffler.Params, reg *metrics.Reg
 		return l.Addr().String(), nil
 	}
 
-	anlz, err := shuffler.GenerateSecrets(group.Default())
+	anlz, err := shuffler.GenerateSecrets()
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +74,7 @@ func StartFleet(tiers []Tier, analyzers int, p shuffler.Params, reg *metrics.Reg
 	}
 	next := f.Analyzers
 	for t := len(tiers) - 1; t >= 0; t-- {
-		sec, err := shuffler.GenerateSecrets(group.Default())
+		sec, err := shuffler.GenerateSecrets()
 		if err != nil {
 			return nil, err
 		}

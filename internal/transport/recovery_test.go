@@ -16,6 +16,7 @@ import (
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
+	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
 )
 
@@ -471,5 +472,48 @@ func TestPushRidesOutDownstreamRestart(t *testing.T) {
 	}
 	if counts, _ := anlzSvc.Histogram(); counts["restart-value"] != reports {
 		t.Errorf("histogram = %v, want %d restart-value", counts, reports)
+	}
+}
+
+// TestSGXShufflerSurvivesBadEnvelope: at the SGX shuffler, as at the plain
+// one, a report whose outer layer does not open costs only itself. Six
+// honest reports and one with a flipped tag, then one drain: six reach the
+// analyzer, one counts as undecryptable, and no epoch fails.
+func TestSGXShufflerSurvivesBadEnvelope(t *testing.T) {
+	rig := newCrashRig(t, core.KindEnvelopes, EpochConfig{})
+	ca, err := sgx.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, _, err := shuffler.NewSGXShuffler(ca, shuffler.Params{Seed: 3, MinBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewStageService(sh, []string{rig.anlz}, EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	enc := &encoder.Client{ShufflerKey: sh.PublicKey(), AnalyzerKey: rig.anlzPriv.Public(), Rand: crand.Reader}
+	envs := make([]core.Envelope, 7)
+	for i := range envs {
+		if envs[i], err = enc.Encode(core.Report{CrowdID: core.HashCrowdID("c:sgx"), Data: []byte("sgx")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	envs[4].Blob[len(envs[4].Blob)-1] ^= 1
+	if _, err := svc.Submit(crashRigStream, 1, core.Batch{Envelopes: envs}); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := svc.Drain(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.EpochsFailed != 0 || stats.Dropped != 0 || stats.Cumulative.Undecryptable != 1 || stats.Cumulative.Forwarded != 6 {
+		t.Fatalf("stats = %+v, want 6 forwarded, 1 undecryptable, no failed epoch", stats)
+	}
+	checkReconciled(t, stats)
+	if got := rig.histogram()["sgx"]; got != 6 {
+		t.Fatalf("analyzer counted %d reports, want 6", got)
 	}
 }

@@ -118,8 +118,7 @@ func decodeHealthz(body []byte) (HealthzReply, error) {
 
 // Keys is the public key material a party serves to clients: the hybrid key
 // reports are sealed to, and — from the shuffler2 role only — the El Gamal
-// blinding key crowd IDs are encrypted to (a compressed, backend-tagged
-// group element).
+// blinding key crowd IDs are encrypted to (a tagged group element).
 type Keys struct {
 	Blinding []byte
 	Key      []byte

@@ -11,7 +11,6 @@ import (
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/encoder"
@@ -218,7 +217,7 @@ func TestAnalyzerKeepsCounts(t *testing.T) {
 // blinding key at shuffler2 — and the analyzer serves its own. Shuffler1
 // holds none and refuses, pointing the client at shuffler2.
 func TestStageServiceServesItsStagesKeys(t *testing.T) {
-	sec, err := shuffler.GenerateSecrets(group.Default())
+	sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"prochlo/internal/core"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
 	"prochlo/internal/shuffler"
@@ -38,7 +37,7 @@ func MeasureTiming(nClients int) (TimingResult, error) {
 	// One tier's secrets and stage per role, as a deployment builds them.
 	secs, stages := map[string]shuffler.Secrets{}, map[string]shuffler.Stage{}
 	for _, role := range []string{"shuffler", "shuffler1", "shuffler2"} {
-		sec, err := shuffler.GenerateSecrets(group.Default())
+		sec, err := shuffler.GenerateSecrets()
 		if err != nil {
 			return res, err
 		}

@@ -26,8 +26,9 @@
 // All public-key cryptography — the nested envelopes and, in ModeBlinded, the
 // El Gamal crowd-ID blinding — runs over one group, ristretto255. It is a
 // constant of the build (internal/crypto/group), not an option: keys, daemons
-// and clients cannot disagree about it, and the dial functions refuse key
-// material a daemon serves on any other group.
+// and clients cannot disagree about it, and the key parsers the dial
+// functions use decode ristretto255 alone, so key material a daemon serves on
+// any other group fails to parse.
 //
 // Submit is the single-report reference path. At scale, hand whole batches
 // to SubmitBatch instead: it encodes on a worker pool (WithWorkers; the
@@ -44,7 +45,6 @@ import (
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/encoder"
@@ -82,10 +82,6 @@ type Pipeline struct {
 	minBatch  int
 	seed      uint64
 	workers   int
-	// group is the deployed group; no option changes it (the cross-group
-	// equivalence test swaps in the reference backend from inside the
-	// package).
-	group group.Group
 
 	// stages is the shuffler chain Flush drives, in hop order.
 	stages []shuffler.Stage
@@ -201,7 +197,6 @@ func New(opts ...Option) (*Pipeline, error) {
 	p := &Pipeline{
 		threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
 		minBatch:  shuffler.DefaultMinBatch,
-		group:     group.Default(),
 	}
 	for _, o := range opts {
 		if err := o(p); err != nil {
@@ -209,7 +204,7 @@ func New(opts ...Option) (*Pipeline, error) {
 		}
 	}
 	var err error
-	p.analyzerPriv, err = hybrid.GenerateKeyGroup(p.group, crand.Reader)
+	p.analyzerPriv, err = hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +213,7 @@ func New(opts ...Option) (*Pipeline, error) {
 	// sec is the secrets of the tier clients encrypt to: the plain shuffler's
 	// key, or shuffler2's keys in the split chain (shuffler1 blinds with a
 	// tier of its own; the SGX shuffler makes its key in the enclave).
-	sec, err := shuffler.GenerateSecrets(p.group)
+	sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +256,7 @@ func New(opts ...Option) (*Pipeline, error) {
 	case ModeBlinded:
 		// Were hop 1's α shuffler2's El Gamal secret, hop 2 could
 		// dictionary-attack crowd IDs.
-		s1Sec, err := shuffler.GenerateSecrets(p.group)
+		s1Sec, err := shuffler.GenerateSecrets()
 		if err != nil {
 			return nil, err
 		}

@@ -5,8 +5,6 @@ import (
 	"math"
 	"runtime"
 	"testing"
-
-	"prochlo/internal/crypto/group"
 )
 
 // TestPlainPipelineEndToEnd: reports in big crowds reach the analyzer's
@@ -378,68 +376,5 @@ func TestSubmitBatchValidation(t *testing.T) {
 	}
 	if p.Pending() != 0 {
 		t.Errorf("pending = %d after empty batch", p.Pending())
-	}
-}
-
-// withGroup builds the pipeline's keys and stages on g. It exists only here:
-// the deployed group is not an option, and this is how the cross-group test
-// puts the P-256 reference backend under a whole pipeline.
-func withGroup(g group.Group) Option {
-	return func(p *Pipeline) error {
-		p.group = g
-		return nil
-	}
-}
-
-// TestCrossGroupHistogramEquivalence: the group is an implementation detail
-// of the envelope and blinding cryptography — under the same seed and
-// workload, a pipeline on the stdlib-backed P-256 reference and one on the
-// deployed ristretto255 must produce identical histograms in the plain and
-// blinded modes.
-func TestCrossGroupHistogramEquivalence(t *testing.T) {
-	run := func(t *testing.T, opts ...Option) map[string]int {
-		t.Helper()
-		p, err := New(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 70; i++ {
-			if err := p.Submit(fmt.Sprintf("crowd:%d", i%3), []byte(fmt.Sprintf("value-%d", i%3))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i := 0; i < 4; i++ {
-			if err := p.Submit("crowd:rare", []byte("rare-value")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := p.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Histogram
-	}
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		{"plain", []Option{WithSeed(11), WithNoisyThreshold(20, 10, 2)}},
-		{"blinded", []Option{WithSeed(11), WithMode(ModeBlinded), WithNoisyThreshold(20, 10, 2)}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			p256 := run(t, append([]Option{withGroup(group.P256)}, mode.opts...)...)
-			ristretto := run(t, mode.opts...)
-			if len(p256) != len(ristretto) {
-				t.Fatalf("histogram sizes differ: p256 %v, ristretto255 %v", p256, ristretto)
-			}
-			for k, v := range p256 {
-				if ristretto[k] != v {
-					t.Errorf("histogram[%q] = %d on p256, %d on ristretto255", k, v, ristretto[k])
-				}
-			}
-			if p256["rare-value"] != 0 {
-				t.Error("rare crowd leaked through thresholding")
-			}
-		})
 	}
 }

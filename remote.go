@@ -8,7 +8,6 @@ import (
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
 	"prochlo/internal/metrics"
@@ -215,24 +214,10 @@ func firstOf[T any](tier []*transport.Client, fetch func(*transport.Client) (T, 
 	return out, err
 }
 
-// refuseOtherGroup is the check every key a daemon serves passes before a
-// report is encoded to it. The key parsers infer the group from the bytes,
-// so without it a misconfigured or hostile daemon serving a key on the test
-// reference backend would move this client's cryptography there.
-func refuseOtherGroup(g group.Group) error {
-	if d := group.Default(); g.Name() != d.Name() {
-		return fmt.Errorf("key is on group %s, this build deploys %s", g.Name(), d.Name())
-	}
-	return nil
-}
-
 // deployedKey parses a hybrid public key a daemon served; what names it in
 // the error.
 func deployedKey(what string, b []byte) (*hybrid.PublicKey, error) {
 	key, err := hybrid.ParsePublicKey(b)
-	if err == nil {
-		err = refuseOtherGroup(key.Group())
-	}
 	if err != nil {
 		return nil, fmt.Errorf("prochlo: %s: %w", what, err)
 	}
@@ -340,9 +325,6 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 		return nil, fmt.Errorf("prochlo: shuffler 2 keys: %w", err)
 	}
 	blinding, err := elgamal.ParsePoint(keys.Blinding)
-	if err == nil {
-		err = refuseOtherGroup(blinding.Group())
-	}
 	if err != nil {
 		r.Close()
 		return nil, fmt.Errorf("prochlo: shuffler 2 blinding key: %w", err)

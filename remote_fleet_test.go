@@ -12,7 +12,6 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
-	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/shuffler"
@@ -135,11 +134,11 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// shuffler-2 replicas the blinding and hybrid keys (as daemons sharing a
 	// key file would); only shuffler processes die.
 	anlzAddrs := startFleet(t, nil, 2, shuffler.Params{}, nil).Analyzers
-	s1Sec, err := shuffler.GenerateSecrets(group.Default())
+	s1Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2Sec, err := shuffler.GenerateSecrets(group.Default())
+	s2Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +380,7 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	anlzAddr := serve(transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}))
-	s2Sec, err := shuffler.GenerateSecrets(group.Default())
+	s2Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +391,7 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 	}
 	t.Cleanup(func() { s2svc.Close() })
 	s2Addr := serve(s2svc)
-	s1Sec, err := shuffler.GenerateSecrets(group.Default())
+	s1Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,11 +504,11 @@ func TestRestartedHop1KeepsItsAlpha(t *testing.T) {
 	const T = 10
 	labels, data := oneCrowd(T)
 	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
-	s1Sec, err := shuffler.GenerateSecrets(group.Default())
+	s1Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2Sec, err := shuffler.GenerateSecrets(group.Default())
+	s2Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
 	}
