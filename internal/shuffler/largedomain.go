@@ -40,7 +40,7 @@ func (s *SGXShuffler) ProcessLargeDomain(batch []core.Envelope) ([][]byte, Stats
 	}
 	sorter := &oblivious.BatcherShuffle{
 		Enclave: s.Enclave, Codec: codec,
-		BucketSize: bucket, SortByPrefix: true, Seed: s.Seed,
+		BucketSize: bucket, SortByPrefix: true, Seed: s.epochSeed(),
 	}
 	sorted, err := sorter.Shuffle(blobs)
 	if err != nil {
@@ -89,7 +89,7 @@ func (s *SGXShuffler) ProcessLargeDomain(batch []core.Envelope) ([][]byte, Stats
 
 	// Re-shuffle survivors so adjacency does not reveal crowd grouping.
 	final := oblivious.NewStashShuffle(s.Enclave, oblivious.Passthrough{}, len(out))
-	final.Seed = s.Seed
+	final.Seed = s.epochSeed()
 	final.Workers = s.Workers
 	shuffled, err := final.Shuffle(out)
 	if err != nil {

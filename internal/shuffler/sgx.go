@@ -30,7 +30,7 @@ type SGXShuffler struct {
 	Enclave   *sgx.Enclave
 	Threshold Threshold
 	Rand      *rand.Rand
-	Seed      uint64 // deterministic stash shuffling for tests
+	Seed      uint64 // nonzero: each epoch's oblivious shuffle is seeded from Rand (epochSeed)
 	MinBatch  int    // anonymity floor per epoch; 0 selects DefaultMinBatch
 	Workers   int    // Stash Shuffle distribution workers; 0 = GOMAXPROCS, 1 = serial
 
@@ -49,7 +49,8 @@ var SGXShufflerMeasurement = sgx.Measure("prochlo-stash-shuffler-v1")
 // shuffler serves) and SGXShufflerMeasurement before encrypting to the key; keys are ephemeral
 // per §4.1.1 ("the shuffler must create a new key pair every time it
 // restarts"). Like NewStage's "shuffler", it draws StageRand(p.Seed,
-// "shuffler"); p.Seed also seeds the Stash Shuffle.
+// "shuffler"); with p.Seed set, each epoch's Stash Shuffle is seeded from
+// that stream too.
 func NewSGXShuffler(ca *sgx.CA, p Params) (*SGXShuffler, sgx.Quote, error) {
 	rng, err := StageRand(p.Seed, "shuffler")
 	if err != nil {
@@ -137,7 +138,7 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	// Oblivious shuffle; output records are outerPeelCodec payloads.
 	codec := outerPeelCodec{priv: s.priv, enclave: s.Enclave}
 	st := oblivious.NewStashShuffle(s.Enclave, codec, len(blobs))
-	st.Seed = s.Seed
+	st.Seed = s.epochSeed()
 	st.Workers = s.Workers
 	shuffled, err := st.Shuffle(blobs)
 	if err != nil {
@@ -191,6 +192,17 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	}
 	stats.Forwarded = len(out)
 	return out, stats, nil
+}
+
+// epochSeed seeds one oblivious shuffle: zero (crypto-seeded) for an
+// unseeded shuffler, else a fresh draw from the stage's stream, so a seeded
+// shuffler is reproducible without applying one permutation to every epoch
+// of a size.
+func (s *SGXShuffler) epochSeed() uint64 {
+	if s.Seed == 0 {
+		return 0
+	}
+	return s.Rand.Uint64() | 1
 }
 
 // cryptoReader returns the process CSPRNG; isolated for symmetry with the

@@ -90,11 +90,7 @@ func (s *killableServer) kill() {
 // reached it. The client is closed when the test ends.
 func undialed(t *testing.T, addr string) *Client {
 	t.Helper()
-	stream, err := newStreamID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := &Client{peerConn: &peerConn{addr: addr}, stream: stream}
+	cl := &Client{peerConn: &peerConn{addr: addr}}
 	t.Cleanup(func() { cl.Close() })
 	return cl
 }

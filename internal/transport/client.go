@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"prochlo/internal/core"
@@ -187,11 +186,21 @@ func decoded[T any](v T, err error) (T, error) {
 // failures on fresh connections, and every batch submission carries a
 // (stream, seq) stamp so such a retry is deduplicated service-side even when
 // the original attempt was ingested but its ack was lost.
+//
+// The service keeps one last position per stream, so a Client keeps the
+// sender rule: at most one call in flight per stream, positions increasing.
+// It holds a pool of streams: a Submit takes an idle one (or draws a new
+// one), sends that stream's next position, and returns the stream to the
+// pool. Concurrent callers still pipeline, each on a stream of its own, and
+// a Client holds as many streams as its peak concurrency.
 type Client struct {
 	*peerConn
-	stream int64
-	seq    atomic.Int64
+	mu   sync.Mutex
+	idle []clientStream
 }
+
+// clientStream is one of a Client's streams and its last position sent.
+type clientStream struct{ id, pos int64 }
 
 // Dial connects to a shuffler service.
 func Dial(addr string) (*Client, error) {
@@ -199,12 +208,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	stream, err := newStreamID()
-	if err != nil {
-		p.Close()
-		return nil, fmt.Errorf("transport: client stream id: %w", err)
-	}
-	return &Client{peerConn: p, stream: stream}, nil
+	return &Client{peerConn: p}, nil
 }
 
 // Attestation fetches an SGX shuffler's quote and verifies both §4.1.1
@@ -233,7 +237,25 @@ func (c *Client) Attestation(ca *ecdsa.PublicKey, measurement [32]byte) ([]byte,
 // atomically; on an IsEpochFull error nothing was ingested and the caller
 // should back off and resubmit.
 func (c *Client) Submit(b core.Batch) error {
-	return c.send(c.stream, c.seq.Add(1), b)
+	c.mu.Lock()
+	var s clientStream
+	if n := len(c.idle); n > 0 {
+		s, c.idle = c.idle[n-1], c.idle[:n-1]
+	}
+	c.mu.Unlock()
+	if s.id == 0 {
+		id, err := newStreamID()
+		if err != nil {
+			return fmt.Errorf("transport: client stream id: %w", err)
+		}
+		s.id = id
+	}
+	s.pos++
+	err := c.send(s.id, s.pos, b)
+	c.mu.Lock()
+	c.idle = append(c.idle, s)
+	c.mu.Unlock()
+	return err
 }
 
 // SubmitAll ships a batch of envelopes (of either kind), adapting to the

@@ -14,10 +14,10 @@ import (
 	"prochlo/internal/shuffler"
 )
 
-// newStreamID draws a random 63-bit stream id. Stream ids name a pusher's
-// (stream, epoch)/(stream, seq) dedup space; randomness keeps independent
-// pushers (engines, clients, restarted successors without a WAL) from
-// colliding.
+// newStreamID draws a random 63-bit stream id. A stream id names a sender's
+// dedup space — the receiver keeps one last position per stream (see
+// forwardDedup); randomness keeps independent senders (engines, client
+// streams, restarted successors without a WAL) from colliding.
 func newStreamID() (int64, error) {
 	var b [8]byte
 	if _, err := crand.Read(b[:]); err != nil {
@@ -203,7 +203,7 @@ type forceReq struct {
 // engine is the reusable epoch machinery every stage daemon runs: ingestion
 // with global sequence stamping, an epoch scheduler (occupancy- and
 // timer-driven cuts, respecting the stage's anonymity floor), submission
-// backpressure at MaxPending, (stream, epoch) dedup of stamped ingests, a
+// backpressure at MaxPending, per-stream dedup of stamped ingests, a
 // single in-order flusher feeding the stage, and an at-least-once push of
 // each processed epoch to the downstream tier. It admits the one batch kind
 // its stage consumes (client envelopes for the plain and SGX shufflers,
@@ -337,17 +337,10 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 			// the same (stream, epoch) pairs for downstream dedup.
 			stream = rec.stream
 		}
-		w, err = openWAL(cfg.WALDir, DefaultWALSegmentBytes, stream, kind, walStartGen(cfg.WALDir))
+		w, err = openWAL(cfg.WALDir, DefaultWALSegmentBytes, stream, kind, rec)
 		if err != nil {
 			t.close()
 			return nil, err
-		}
-		if rec != nil {
-			if err := migrateWAL(w, rec); err != nil {
-				w.closeFiles()
-				t.close()
-				return nil, fmt.Errorf("transport: wal migrate: %w", err)
-			}
 		}
 	}
 
@@ -398,10 +391,10 @@ func (e *engine) isKilled() bool { return e.ab.aborted() }
 
 // ingest is the one way a batch of the admitted kind enters the engine,
 // whether a client submitted it or the upstream hop pushed it as an epoch.
-// A batch stamped (stream, pos) — nonzero — goes in exactly once: an
-// at-least-once retry of a pair already ingested is acknowledged without
-// re-ingesting. The engine owns b's items from here on (nothing is copied
-// until the cut).
+// A batch stamped (stream, pos) — nonzero stream — goes in exactly once:
+// an at-least-once retry, at or below the stream's last position, is
+// acknowledged without re-ingesting (forwardDedup). The engine owns b's
+// items from here on (nothing is copied until the cut).
 func (e *engine) ingest(stream, pos int64, b core.Batch) error {
 	if k := b.Kind(); k != e.kind && k != core.KindEmpty {
 		return fmt.Errorf("transport: stage ingests %v, got %v", e.kind, k)
@@ -415,9 +408,9 @@ func (e *engine) ingest(stream, pos int64, b core.Batch) error {
 // keep stamps an ingested batch, enforcing backpressure, and keeps it, whole,
 // as one chunk. The call reserves a contiguous sequence range. With a WAL,
 // the batch and its (stream, pos) mark are logged as one fsynced record
-// before the chunk becomes visible — and before the pair is marked seen and
-// the batch acked — so a crash can never keep the mark without the items or
-// the items without the mark. The read side of closeMu, held across the
+// before the chunk becomes visible — and before the stream's mark advances
+// and the batch is acked — so a crash can never keep the mark without the
+// items or the items without the mark. The read side of closeMu, held across the
 // whole call, is what makes "in the log" and "visible to the next cut"
 // atomic: a cut takes the write side, so it sees a kept batch either
 // logged and appended or not at all.
@@ -614,8 +607,11 @@ func (e *engine) dropCut(batch core.Batch) {
 	if e.wal != nil {
 		id := e.epochID.Add(1)
 		min, max := seqRange(batch)
-		e.recordErr(e.wal.logCut(id, min, max))
-		e.wal.resolve(id, false)
+		err := e.wal.logCut(id, min, max)
+		if err == nil {
+			err = e.wal.resolve(id, false)
+		}
+		e.recordErr(err)
 	}
 }
 
@@ -679,7 +675,7 @@ func (e *engine) flushOne(ep *epoch) {
 			return
 		}
 		if e.wal != nil {
-			e.wal.resolve(ep.id, err == nil)
+			e.recordErr(e.wal.resolve(ep.id, err == nil))
 		}
 	}
 	e.mu.Lock()

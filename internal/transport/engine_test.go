@@ -47,8 +47,9 @@ func serveNull(t *testing.T) string {
 }
 
 // TestCutOrderMatchesSeqSort pins the chunk merge against the per-item sort
-// it replaced. Ingest calls of mixed sizes, unstamped and stamped, race each
-// other; a below-floor cut is put back, a crash turns it into
+// it replaced. Ingest calls of mixed sizes, unstamped and stamped (each
+// racer on a stream of its own, as a sender keeps one call in flight per
+// stream), race each other; a below-floor cut is put back, a crash turns it into
 // WAL-recovered pending items, and more calls race on top. However the
 // racing appends interleave, the epoch the stage then sees must be exactly
 // the accepted items sorted by the sequence number each was stamped with,
@@ -67,14 +68,16 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 		stamped = map[string]int64{}
 		eng     *engine
 		epochs  []core.Batch
-		ranges  []walRange
+		ranges  []walCut
 	)
 	stage := &recordStage{kind: kind, floor: floor, onEpoch: func(in core.Batch) {
 		epochs = append(epochs, in)
 		eng.wal.mu.Lock()
 		defer eng.wal.mu.Unlock()
-		for _, rng := range eng.wal.unresolved { // the flusher is FIFO: at most this epoch
-			ranges = append(ranges, rng)
+		for _, c := range eng.wal.cuts { // the flusher is FIFO: at most this epoch is unresolved
+			if !c.resolved {
+				ranges = append(ranges, c)
+			}
 		}
 	}}
 	start := func() {
@@ -84,18 +87,14 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 			t.Fatal(err)
 		}
 	}
-	// ingest submits one batch of n fresh items, stamped (77, fwd) when fwd
-	// is nonzero.
-	ingest := func(tag string, n int, fwd int64) {
+	// ingest submits one batch of n fresh items, stamped (stream, pos);
+	// stream 0 is unstamped.
+	ingest := func(tag string, n int, stream, pos int64) {
 		var b core.Batch
 		for i := 0; i < n; i++ {
 			b, _ = b.Append(walItem(kind, 0, fmt.Sprintf("%s-%d", tag, i)))
 		}
-		stream := int64(0)
-		if fwd != 0 {
-			stream = 77
-		}
-		if err := eng.ingest(stream, fwd, b); err != nil {
+		if err := eng.ingest(stream, pos, b); err != nil {
 			t.Error(err)
 			return
 		}
@@ -112,11 +111,11 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 			go func(g, n int) {
 				defer wg.Done()
 				for r := 0; r < 3; r++ {
-					fwd := int64(0)
+					stream, pos := int64(0), int64(0)
 					if g%2 == 1 {
-						fwd = int64(1000*len(round) + 10*g + r + 1)
+						stream, pos = int64(100+g), int64(1000*len(round)+r+1)
 					}
-					ingest(fmt.Sprintf("%s-g%d-r%d", round, g, r), n, fwd)
+					ingest(fmt.Sprintf("%s-g%d-r%d", round, g, r), n, stream, pos)
 				}
 			}(g, n)
 		}
@@ -162,9 +161,9 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 	}
 
 	start()
-	ingest("early-a", 1, 0)
-	ingest("early-b", 7, 5)
-	ingest("early-c", 13, 0)
+	ingest("early-a", 1, 0, 0)
+	ingest("early-b", 7, 77, 5)
+	ingest("early-c", 13, 0, 0)
 	if err := eng.drain(false); err != nil || len(epochs) != 0 || eng.stats().Pending != 21 {
 		t.Fatalf("drain of 21 < %d items = %v with %d epochs cut and %+v, want the floor to leave them pending",
 			floor, err, len(epochs), eng.stats())
@@ -172,8 +171,8 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 	race("putback") // on top of the cut that was put back
 	flush()
 
-	ingest("late-a", 4, 0)
-	ingest("late-b", 9, 6)
+	ingest("late-a", 4, 0, 0)
+	ingest("late-b", 9, 77, 6)
 	eng.abort() // 13 accepted, never cut: the successor's recovered pending set
 	start()
 	if st := eng.stats(); st.RecoveredItems != 13 || st.Pending != 13 {
@@ -196,7 +195,7 @@ func walValue(b core.Batch, i int) string {
 }
 
 // TestDropCutRecordsWALError: a final drain releases a below-floor epoch as
-// Dropped and logs the drop in the WAL. When the epoch log cannot take the
+// Dropped and logs the drop in the WAL. When the log cannot take the
 // record, the failure must reach Stats().LastError, as a failed cut record
 // of a forwarded epoch does — an operator otherwise learns of it only when
 // a restart resurrects reports the daemon already counted as lost.
@@ -210,12 +209,74 @@ func TestDropCutRecordsWALError(t *testing.T) {
 	if err := eng.ingest(0, 0, walItem(core.KindEnvelopes, 0, "below-floor")); err != nil {
 		t.Fatal(err)
 	}
-	eng.wal.epochLog.f.Close()
+	eng.wal.mu.Lock()
+	eng.wal.f.Close()
+	eng.wal.mu.Unlock()
 	if err := eng.drain(true); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.stats(); st.Dropped != 1 || !strings.Contains(st.LastError, "wal cut") {
-		t.Errorf("after a forced drop with the epoch log closed: dropped %d, last error %q; want 1 and the WAL's cut failure",
+		t.Errorf("after a forced drop with the log closed: dropped %d, last error %q; want 1 and the WAL's cut failure",
 			st.Dropped, st.LastError)
+	}
+}
+
+// dedupStreams is how many stream marks an engine's dedup holds.
+func dedupStreams(e *engine) int {
+	e.dedup.mu.Lock()
+	defer e.dedup.mu.Unlock()
+	return len(e.dedup.streams)
+}
+
+// TestDedupHoldsOneMarkPerStream: dedup state grows with sender streams,
+// not submissions. Two clients submitting 1000 batches each, one at a time,
+// leave two marks; one client shared by eight goroutines submits on at most
+// eight streams of its own, and every batch is ingested — none is mistaken
+// for a replay on a stream another call is using.
+func TestDedupHoldsOneMarkPerStream(t *testing.T) {
+	stage := &recordStage{kind: core.KindEnvelopes, floor: 1, onEpoch: func(core.Batch) {}}
+	svc, err := NewStageService(stage, []string{serveNull(t)}, EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	l, err := Serve("127.0.0.1:0", svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	addr := l.Addr().String()
+	for c := 0; c < 2; c++ {
+		cl := dialed(t, addr)
+		for i := 0; i < 1000; i++ {
+			if err := cl.Submit(walItem(core.KindEnvelopes, 0, fmt.Sprintf("c%d-%d", c, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := dedupStreams(svc.eng); n != 2 {
+		t.Fatalf("dedup holds %d marks after 2000 submissions from 2 client streams, want 2", n)
+	}
+
+	shared := dialed(t, addr)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := shared.Submit(walItem(core.KindEnvelopes, 0, fmt.Sprintf("g%d-%d", g, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := svc.Stats(); st.Accepted != 2400 {
+		t.Errorf("accepted %d batches, want all 2400", st.Accepted)
+	}
+	if n := dedupStreams(svc.eng); n < 3 || n > 2+8 {
+		t.Errorf("dedup holds %d marks, want the 2 clients' and between 1 and 8 of the shared client's", n)
 	}
 }

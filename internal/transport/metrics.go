@@ -88,10 +88,8 @@ func (w *wal) attachMetrics(reg *metrics.Registry, l metrics.Labels) {
 	}
 	w.appendRecords = reg.Counter("prochlo_wal_append_records_total",
 		"Reports appended to the write-ahead log.", l)
-	h := reg.Histogram("prochlo_wal_fsync_seconds",
+	w.fsync = reg.Histogram("prochlo_wal_fsync_seconds",
 		"Latency of one WAL segment fsync.", l, metrics.FsyncBuckets)
-	w.ingest.fsync = h
-	w.epochLog.fsync = h
 }
 
 // registerMetrics exports the balancer's counters on reg. The

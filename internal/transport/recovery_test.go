@@ -36,6 +36,8 @@ type crashRig struct {
 	blindKP  *elgamal.KeyPair
 	cfg      EpochConfig
 
+	floor int // the stage's anonymity floor; 0 is 1
+
 	svc *StageService
 	seq int64 // the rig's client: last (crashRigStream, seq) stamp submitted
 }
@@ -100,9 +102,9 @@ func (r *crashRig) start() {
 func (r *crashRig) stage(kind core.BatchKind) shuffler.Stage {
 	rng := rand.New(rand.NewPCG(5, 7))
 	if kind == core.KindBlinded {
-		return &shuffler.Shuffler2{Blinding: r.blindKP, Priv: r.shufPriv, Rand: rng, MinBatch: 1}
+		return &shuffler.Shuffler2{Blinding: r.blindKP, Priv: r.shufPriv, Rand: rng, MinBatch: max(1, r.floor)}
 	}
-	return &shuffler.Shuffler{Priv: r.shufPriv, Rand: rng, MinBatch: 1}
+	return &shuffler.Shuffler{Priv: r.shufPriv, Rand: rng, MinBatch: max(1, r.floor)}
 }
 
 func (r *crashRig) startOn(st shuffler.Stage) (*StageService, error) {
@@ -515,5 +517,41 @@ func TestSGXShufflerSurvivesBadEnvelope(t *testing.T) {
 	checkReconciled(t, stats)
 	if got := rig.histogram()["sgx"]; got != 6 {
 		t.Fatalf("analyzer counted %d reports, want 6", got)
+	}
+}
+
+// TestForceDrainKeepsInFlightEpoch: a final drain drops a below-floor tail
+// while the epoch before it is still mid-push, so the drop resolves a cut
+// ahead of the one in flight. A crash then must not take the in-flight epoch
+// with it: the restarted daemon re-pushes it and the analyzer counts all
+// five reports, while the dropped tail stays dropped.
+func TestForceDrainKeepsInFlightEpoch(t *testing.T) { forEachKind(t, testForceDrainKeepsInFlightEpoch) }
+
+func testForceDrainKeepsInFlightEpoch(t *testing.T, kind core.BatchKind) {
+	fault := &FaultPlan{Seed: 1, PDelay: 1, Delay: 400 * time.Millisecond, MaxFaults: 1}
+	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 5, Fault: fault})
+	rig.svc.Close()
+	rig.floor = 3
+	rig.start()
+	rig.submit(5, "inflight-value") // cuts an epoch; its push hangs in the fault delay
+	time.Sleep(100 * time.Millisecond)
+	rig.submit(2, "tail-value") // below the floor of 3
+	drained := make(chan error, 1)
+	go func() {
+		_, err := rig.svc.Drain(true) // drops the tail, then waits behind the push
+		drained <- err
+	}()
+	time.Sleep(100 * time.Millisecond)
+	rig.svc.Abort() // crash with epoch 1 unresolved and the tail's drop logged
+	<-drained
+
+	rig.cfg.Fault = nil
+	rig.start()
+	if stats := rig.svc.Stats(); stats.RecoveredEpochs != 1 || stats.RecoveredItems != 5 {
+		t.Fatalf("post-restart stats = %+v, want the in-flight epoch of 5 recovered", stats)
+	}
+	checkReconciled(t, rig.drain())
+	if got := rig.histogram(); got["inflight-value"] != 5 || got["tail-value"] != 0 {
+		t.Errorf("histogram = %v, want 5 inflight-value and no tail-value", got)
 	}
 }

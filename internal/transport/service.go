@@ -13,78 +13,70 @@ import (
 	"prochlo/internal/shuffler"
 )
 
-// forwardDedup tracks the stamped batches — hop pushes and client
-// submissions alike — already ingested, so an at-least-once retry (the
-// pusher's reply was lost) is acknowledged without re-ingesting. Two
-// concurrent deliveries of the same key — e.g. a dead replica's in-flight
-// push racing its WAL-recovered successor's replay of the same (stream,
-// epoch) — must not both ingest, and a push rejected by backpressure must
-// not be marked seen. Rather than holding one lock across the whole
-// check-ingest-mark sequence (which would serialize every concurrent
-// submission), a per-key busy set makes same-key deliveries wait on each
-// other while distinct keys ingest in parallel.
+// forwardDedup keeps, per sender stream, the last position ingested, so an
+// at-least-once retry of a stamped batch — a hop push or a client
+// submission whose reply was lost — is acknowledged without re-ingesting.
+// One number per stream is enough because every stamped sender keeps the
+// sender rule: at most one call in flight per stream, and increasing
+// positions. An engine pushes its epochs in id order from its one FIFO
+// flusher (recovered epochs first), each partition a receiver of its own; a
+// Client gives each concurrent Submit a stream of its own. So a position at
+// or below the stream's last is a replay. The stream's lock is held across
+// the ingest: a replay racing its original — a dead replica's in-flight push
+// and its WAL-recovered successor's — waits for it, and an ingest that is
+// refused (epoch-full, a WAL error) leaves the mark where it was. Stream 0
+// is unstamped and skips dedup.
 type forwardDedup struct {
+	mu      sync.Mutex
+	streams map[int64]*streamMark
+}
+
+// streamMark is one stream's last ingested position.
+type streamMark struct {
 	mu   sync.Mutex
-	cond *sync.Cond
-	seen map[[2]int64]bool
-	busy map[[2]int64]bool
+	last int64
 }
 
 // restore pre-loads marks recovered from a WAL, so upstream retries of
-// pushes ingested before a crash are still absorbed after the restart.
-func (d *forwardDedup) restore(marks [][2]int64) {
-	if len(marks) == 0 {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.seen == nil {
-		d.seen = make(map[[2]int64]bool, len(marks))
-	}
-	for _, m := range marks {
-		d.seen[m] = true
+// batches ingested before a crash are still absorbed after the restart.
+func (d *forwardDedup) restore(marks map[int64]int64) {
+	for stream, pos := range marks {
+		d.mark(stream).last = pos
 	}
 }
 
-// ingest runs add once per (stream, epoch) key: a key already seen is
-// acknowledged without re-ingesting, a key mid-ingest by a concurrent
-// delivery is waited out, and only a successful add marks the key. Batches
-// with a zero (stream, epoch) skip dedup entirely.
-func (d *forwardDedup) ingest(stream, epoch int64, add func() error) error {
-	if stream == 0 && epoch == 0 {
+// mark returns a stream's mark, adding it on first sight.
+func (d *forwardDedup) mark(stream int64) *streamMark {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	m := d.streams[stream]
+	if m == nil {
+		if d.streams == nil {
+			d.streams = make(map[int64]*streamMark)
+		}
+		m = &streamMark{}
+		d.streams[stream] = m
+	}
+	return m
+}
+
+// ingest runs add unless pos is a replay on its stream, and advances the
+// stream's mark only when add succeeds.
+func (d *forwardDedup) ingest(stream, pos int64, add func() error) error {
+	if stream == 0 {
 		return add()
 	}
-	key := [2]int64{stream, epoch}
-	d.mu.Lock()
-	if d.cond == nil {
-		d.cond = sync.NewCond(&d.mu)
-	}
-	for d.busy[key] {
-		d.cond.Wait()
-	}
-	if d.seen[key] {
-		d.mu.Unlock()
+	m := d.mark(stream)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if pos <= m.last {
 		return nil
 	}
-	if d.busy == nil {
-		d.busy = make(map[[2]int64]bool)
+	if err := add(); err != nil {
+		return err
 	}
-	d.busy[key] = true
-	d.mu.Unlock()
-
-	err := add()
-
-	d.mu.Lock()
-	delete(d.busy, key)
-	if err == nil {
-		if d.seen == nil {
-			d.seen = make(map[[2]int64]bool)
-		}
-		d.seen[key] = true
-	}
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	return err
+	m.last = pos
+	return nil
 }
 
 // StageService serves one shuffler stage — the plain or SGX shuffler, or
@@ -175,10 +167,10 @@ func (s *StageService) Keys() (Keys, error) {
 // Submit ingests one batch — a client's submission or an epoch the upstream
 // hop pushed — returning how many items were accepted. The batch is accepted
 // or rejected atomically: on ErrEpochFull nothing is ingested. A stamped
-// batch (nonzero stream/pos: a client's (stream, seq), a hop's (stream,
-// epoch)) is deduplicated, so an at-least-once retry is acknowledged with the
-// same count and ingests nothing; with a WAL the mark persists with the
-// items. The service keeps an accepted batch's items without copying them:
+// batch (nonzero stream: a client stream's (stream, seq), a hop's (stream,
+// epoch)) is deduplicated, so an at-least-once retry — any position at or
+// below the stream's last — is acknowledged with the same count and ingests
+// nothing; with a WAL the mark persists with the items. The service keeps an accepted batch's items without copying them:
 // the caller hands b over and must not reuse it.
 func (s *StageService) Submit(stream, pos int64, b core.Batch) (int, error) {
 	if err := s.eng.ingest(stream, pos, b); err != nil {
@@ -257,7 +249,7 @@ type AnalyzerService struct {
 	start time.Time
 	open  func(items [][]byte) (db [][]byte, undecryptable int) // the analyzer's Open
 	pub   []byte
-	// dedup absorbs retried pushes by (stream, epoch); see Ingest.
+	// dedup absorbs retried pushes by their (stream, epoch) stamp; see Ingest.
 	dedup forwardDedup
 
 	mu            sync.Mutex
@@ -283,8 +275,8 @@ func (a *AnalyzerService) Healthz() HealthzReply {
 // push retry is at-least-once (a reply can be lost after the analyzer
 // ingested), so a retried push of an epoch this service already counted is
 // acknowledged without re-ingesting, and a concurrent delivery of the same
-// epoch waits for the first instead of decrypting it a second time. Zero
-// values skip dedup.
+// epoch waits for the first instead of decrypting it a second time. Stream
+// 0 skips dedup.
 func (a *AnalyzerService) Ingest(stream, epoch int64, items [][]byte) {
 	a.dedup.ingest(stream, epoch, func() error {
 		db, undec := a.open(items)

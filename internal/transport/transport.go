@@ -59,15 +59,20 @@
 // # Durability
 //
 // With EpochConfig.WALDir set, a service is crash-safe: every accepted batch
-// is appended to the ingest log as one fsynced record, with its dedup stamp,
-// before it is acknowledged; every cut epoch's membership is persisted
-// before it is pushed; and segments are reclaimed only once their epochs are
-// pushed and acked downstream. A restarted daemon recovers the directory —
-// same stream id, pending items with their sequence stamps, dedup marks,
-// unresolved epochs re-pushed under their original (stream, epoch) pairs —
-// so the at-least-once push plus receiver dedup becomes exactly-once across
-// process crashes. See wal.go for the log format and EXPERIMENTS.md for a
-// kill-and-restart walkthrough.
+// is appended to the log as one fsynced record, with its dedup stamp, before
+// it is acknowledged; every cut epoch's membership is fsynced before it is
+// pushed, and every drop before the next push. The log is one family of
+// segments, each opening with a checkpoint of the state before it (the
+// horizon below which every item is resolved, the cuts above it, each
+// stream's last position), and a segment is deleted once the horizon covers
+// its items — so the directory holds the unresolved epochs and one mark per
+// stream. A restarted daemon recovers the directory without rewriting it —
+// same stream id, pending items with their sequence stamps, each stream's
+// dedup mark, unresolved epochs re-pushed under their original (stream,
+// epoch) pairs — so the at-least-once push plus receiver dedup, one last
+// position per sender stream, becomes exactly-once across process crashes.
+// See wal.go for the log format and EXPERIMENTS.md for a kill-and-restart
+// walkthrough.
 //
 // # Shutdown
 //

@@ -161,8 +161,10 @@ func TestDialBadAddress(t *testing.T) {
 }
 
 // TestAnalyzerKeepsCounts: the analyzer folds each ingest into a running
-// histogram instead of keeping its records. Over random ingests — repeated
-// (stream, epoch) keys among them, and blobs that do not decrypt — the
+// histogram instead of keeping its records. Over random ingests from three
+// upstream streams, each keeping the sender rule — a push repeats the
+// stream's last epoch (a retry) or moves past it, sometimes skipping one (a
+// partition the epoch had nothing for) — and blobs that do not decrypt, the
 // service's histogram must equal analyzer.Histogram over the opened records
 // of the distinct ingests, Records must count exactly those records, and a
 // caller holding a returned histogram must not see later ingests in it.
@@ -174,11 +176,13 @@ func TestAnalyzerKeepsCounts(t *testing.T) {
 	an := &analyzer.Analyzer{Priv: priv}
 	svc := NewAnalyzerService(an)
 	rng := rand.New(rand.NewPCG(13, 17))
-	seen := make(map[[2]int64]bool)
+	last := make(map[int64]int64) // stream -> last epoch pushed
+	ingests := 0
 	var db [][]byte
 	undec := 0
 	for i := 0; i < 40; i++ {
-		key := [2]int64{1 + rng.Int64N(3), 1 + rng.Int64N(6)}
+		stream := 1 + rng.Int64N(3)
+		epoch := max(1, last[stream]+rng.Int64N(3))
 		items := make([][]byte, rng.IntN(6))
 		for j := range items {
 			if rng.IntN(5) == 0 {
@@ -190,9 +194,10 @@ func TestAnalyzerKeepsCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		svc.Ingest(key[0], key[1], items)
-		if !seen[key] {
-			seen[key] = true
+		svc.Ingest(stream, epoch, items)
+		if epoch > last[stream] {
+			last[stream] = epoch
+			ingests++
 			opened, u := an.Open(items)
 			db = append(db, opened...)
 			undec += u
@@ -203,8 +208,8 @@ func TestAnalyzerKeepsCounts(t *testing.T) {
 	if !reflect.DeepEqual(counts, want) || gotUndec != undec {
 		t.Fatalf("histogram = %v (%d undecryptable), want %v (%d)", counts, gotUndec, want, undec)
 	}
-	if st := svc.Stats(); st.Records != len(db) || st.Undecryptable != undec || st.Ingests != len(seen) {
-		t.Errorf("stats = %+v, want %d records, %d undecryptable, %d ingests", st, len(db), undec, len(seen))
+	if st := svc.Stats(); st.Records != len(db) || st.Undecryptable != undec || st.Ingests != ingests {
+		t.Errorf("stats = %+v, want %d records, %d undecryptable, %d ingests", st, len(db), undec, ingests)
 	}
 	counts["v0"] += 100
 	if again, _ := svc.Histogram(); !reflect.DeepEqual(again, want) {

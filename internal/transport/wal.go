@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,32 +20,36 @@ import (
 )
 
 // The write-ahead log makes a stage engine's accepted-but-unflushed items
-// survive a process crash. It is two segment families in one directory
-// beside the wal.meta record. The ingest log (fwd-*.log) is an event log of
-// the Submits the stage accepted, whoever sent them: one record per batch,
-// the batch's sequence base followed by the Submit request body as it
-// arrived (appendBatchCall: the (stream, pos) dedup stamp and the batch in
-// the wire codec), so the mark and the data it guards cannot be separated
-// by a crash. Item i of a record has sequence number base+1+i; a batch's
-// numbers are therefore contiguous, which Stamp, their only writer on the
-// ingest path, guarantees. The epoch log (epochs-*.log) holds the rest: when the
-// scheduler cuts an epoch, its id and sequence range (cuts take every
-// pending item, and a cut excludes every ingest from its stamp to its
-// append, so an epoch is always a contiguous range); when the flusher's
-// push is acked downstream — or permanently fails — an ack/drop record; and a replica of each nonzero
-// dedup mark. Ingest segments whose every item belongs to a resolved epoch
-// are deleted.
+// survive a process crash. It is one family of segment files (wal-<gen>.log)
+// beside the wal.meta record, an event log of everything the engine decided,
+// all appended to the one active segment:
 //
-// Mark replicas are not written on their own. appendBatch queues each one
-// under w.mu, and they go out in the same write as the next epoch-log record
-// (cut, ack or drop); syncAll and close write any left. That is safe because
-// the fsynced batch record is the authoritative copy of a mark: an ingest
-// segment is deleted only once the epoch holding its batches resolves, which
-// is after that epoch's cut record, and the cut record's write carries every
-// mark queued before it (keep finishes — mark queued — before the cut that
-// takes its chunk). Queueing keeps the epoch log's records and their order;
-// only the tail since its last write waits in memory. Lock order: ingest.mu
-// → w.mu → epochLog.mu.
+//   - a batch record per accepted Submit, whoever sent it: the batch's
+//     sequence base followed by the Submit request body as it arrived
+//     (appendBatchCall: the (stream, pos) dedup stamp and the batch in the
+//     wire codec), so the mark and the data it guards cannot be separated by
+//     a crash. Item i of a record has sequence number base+1+i; a batch's
+//     numbers are therefore contiguous, which Stamp, their only writer on
+//     the ingest path, guarantees;
+//   - a cut record when the scheduler cuts an epoch: its id and sequence
+//     range (cuts take every pending item, and a cut excludes every ingest
+//     from its stamp to its append, so an epoch is always a contiguous
+//     range);
+//   - an ack or drop record when the flusher's push is acked downstream or
+//     permanently fails.
+//
+// Every segment opens with a checkpoint record: the state the log's records
+// before it add up to. It holds the horizon H — every sequence number <= H
+// belongs to a resolved cut; H is the highest resolved cut's max, held one
+// below the lowest unresolved cut's min — the highest epoch id issued, every
+// cut above H with whether it has resolved, and each stream's last logged
+// position. A sealed segment whose every item is <= H therefore holds
+// nothing the active segment's checkpoint does not summarize, and is
+// deleted once that checkpoint is synced. The directory holds the items of
+// unresolved epochs, the cuts above H and one mark per stream.
+//
+// One lock, w.mu, guards the active segment and the log's state: appends,
+// cuts and resolutions share the one file, so they share its lock.
 //
 // Durability points:
 //
@@ -53,33 +58,34 @@ import (
 //     cut covers was fsynced before it was acknowledged, so a pushed epoch's
 //     membership is always recoverable and a retried push after restart
 //     reuses the same epoch id for downstream dedup;
-//   - ack/drop and mark-replica records: not fsynced (marks ride the next
-//     write, see above). Losing an ack re-pushes a delivered epoch, which
-//     downstream (stream, epoch) dedup absorbs.
+//   - drop records: fsynced before the next epoch is pushed. Downstream
+//     dedup keeps one position per stream, so a dropped epoch re-pushed
+//     after a restart would land behind a later epoch and be acked without
+//     being ingested; a synced drop is never pushed again;
+//   - ack records and checkpoints: not fsynced on their own (a checkpoint
+//     rides the segment's next fsync, and is synced before any segment it
+//     summarizes is deleted). Losing an ack re-pushes a delivered epoch,
+//     which downstream dedup absorbs.
 //
-// Recovery (recoverWAL) reads every file back, drops items of resolved
-// epochs, regroups items of cut-but-unresolved epochs under their original
-// ids, and returns the rest as pending — then the engine rewrites the
-// surviving state into fresh segments (compaction) and deletes the old
-// files. Recovery is idempotent: items dedup by sequence number, cuts by
-// epoch id, so a crash mid-migration is absorbed by the next recovery.
+// Recovery (recoverWAL) reads every segment and rewrites none: marks are the
+// highest position per stream, cuts and resolutions the union of the
+// checkpoints and records, and an item is dropped only when it is <= H or
+// lies inside a resolved cut. The recovered segments become the sealed
+// segments of the reopened log, so a burned sequence range stays a gap.
 
-// WAL record types. Types 1, 2 and 6 are retired (1 and 6 were the meta and
-// batch records of a layout that logged each item in a codec of its own)
-// and never reused, so a directory in that layout is refused at its meta
-// record instead of misread.
+// WAL record types. Types 1, 2, 6, 7 and 8 are retired (1 and 6 were the
+// meta and batch records of a layout that logged each item in a codec of its
+// own; 7 and 8 the mark replica and meta record of the layout with a
+// separate epoch log) and never reused, so a directory in an older layout is
+// refused at its meta record instead of misread.
 const (
-	walRecCut   byte = 3 // epoch id + [minSeq, maxSeq]
-	walRecAck   byte = 4 // epoch id resolved: delivered downstream
-	walRecDrop  byte = 5 // epoch id resolved: permanently failed / dropped
-	walRecMark  byte = 7 // mark replica in the epoch log (survives truncation)
-	walRecMeta  byte = 8 // stream id + admitted batch kind
-	walRecBatch byte = 9 // one ingested batch: uvarint base | Submit request body
+	walRecCut        byte = 3  // epoch id, min seq, max seq
+	walRecAck        byte = 4  // epoch id resolved: delivered downstream
+	walRecDrop       byte = 5  // epoch id resolved: permanently failed / dropped
+	walRecBatch      byte = 9  // one ingested batch: uvarint base | Submit request body
+	walRecMeta       byte = 10 // stream id + admitted batch kind
+	walRecCheckpoint byte = 11 // H, epoch max, cuts above H, marks
 )
-
-// walMigrateSlice bounds the items migrateWAL writes per batch record, so a
-// recovered backlog is rewritten as records far below readRecord's cap.
-const walMigrateSlice = 4096
 
 // DefaultWALSegmentBytes rotates a segment once it exceeds this size; sealed
 // segments become deletable as their epochs resolve.
@@ -87,25 +93,17 @@ const DefaultWALSegmentBytes = 4 << 20
 
 const walMetaName = "wal.meta"
 
-// walIngestPrefix names the ingest log's segments (fwd-<gen>.log).
-const walIngestPrefix = "fwd"
+// walSegmentPrefix names the log's segments (wal-<gen>.log).
+const walSegmentPrefix = "wal"
 
-// walRange is an epoch's contiguous sequence range, inclusive.
-type walRange struct{ min, max int64 }
-
-// walSegment is one append-only record file.
-type walSegment struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	size   int64
-	maxSeq int64
-	dirty  bool               // has records not yet fsynced
-	buf    []byte             // reused by appendBatch: the batch body, then its framed record
-	fsync  *metrics.Histogram // fsync latency; nil disables (see attachMetrics)
+// walCut is an epoch's contiguous sequence range, inclusive, and whether the
+// epoch has resolved.
+type walCut struct {
+	min, max int64
+	resolved bool
 }
 
-// walSealed is a rotated (immutable) segment awaiting resolution.
+// walSealed is a rotated (immutable) segment awaiting the horizon.
 type walSealed struct {
 	path   string
 	maxSeq int64
@@ -113,27 +111,28 @@ type walSealed struct {
 
 // wal is the engine's write-ahead log over one directory. It is shared by
 // the engine's ingest path (batch appends, concurrent with each other),
-// its scheduler (cut records), and its flusher (resolve records); each
-// segment has its own lock and the epoch log has the wal lock, so the paths
-// only contend where they genuinely share a file.
+// its scheduler (cut records), and its flusher (resolve records).
 type wal struct {
 	dir      string
 	segBytes int64
 
-	gen    int64 // monotonic file-generation counter (naming only)
-	ingest *walSegment
+	mu     sync.Mutex // everything below
+	f      *os.File   // the active segment
+	path   string
+	size   int64
+	maxSeq int64  // highest sequence number logged in the active segment
+	dirty  bool   // the active segment has records not yet fsynced
+	buf    []byte // reused by appendBatch: the batch body, then its framed record
+	gen    int64  // file-generation counter (naming only)
+	sealed []walSealed
 
-	mu         sync.Mutex // epoch log, sealed registry, resolution state
-	epochLog   *walSegment
-	sealed     []walSealed
-	unresolved map[int64]walRange
-	stableSeq  int64 // every seq <= stableSeq belongs to a resolved epoch
-	logErr     error // first write failure, surfaced on close
-	// epochBuf is the epoch log's next write: queued mark replicas, then the
-	// record being appended. Reused between writes.
-	epochBuf []byte
+	horizon  int64            // H: every seq <= horizon belongs to a resolved cut
+	epochMax int64            // highest epoch id cut
+	cuts     map[int64]walCut // every cut above the horizon
+	marks    map[int64]int64  // stream -> last position logged
 
-	appendRecords *metrics.Counter // items logged; nil disables
+	appendRecords *metrics.Counter   // items logged; nil disables
+	fsync         *metrics.Histogram // fsync latency; nil disables (see attachMetrics)
 }
 
 // appendRecord frames one record (type, uvarint length, body, crc32 over
@@ -180,25 +179,26 @@ func readRecord(r *bufio.Reader) (byte, []byte, error) {
 	return typ, body, nil
 }
 
-// openWAL opens (or creates) the log directory for appending. stream and
-// the batch kind the items are encoded as are persisted on first creation
-// (batch records carry no kind of their own; recoverWAL checks the
-// directory's against the engine's); on an existing directory the caller
-// passes the recovered stream. New segment generations continue after
-// startGen so fresh files never collide with files a recovery still has to
-// delete.
-func openWAL(dir string, segBytes int64, stream int64, kind core.BatchKind, startGen int64) (*wal, error) {
+// openWAL opens the log directory for appending. rec is what recoverWAL
+// read from it, nil for a directory without state: then stream and the batch
+// kind the items are encoded as are persisted as the meta record (batch
+// records carry no kind of their own; recoverWAL checks the directory's
+// against the engine's), and any segment a wipe left behind is deleted. A
+// fresh segment opens with a checkpoint and is synced; the recovered
+// segments become sealed ones, and those the horizon covers are deleted.
+func openWAL(dir string, segBytes int64, stream int64, kind core.BatchKind, rec *walRecovery) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("transport: wal dir: %w", err)
 	}
-	w := &wal{
-		dir:        dir,
-		segBytes:   segBytes,
-		gen:        startGen,
-		unresolved: make(map[int64]walRange),
-	}
-	metaPath := filepath.Join(dir, walMetaName)
-	if _, err := os.Stat(metaPath); os.IsNotExist(err) {
+	w := &wal{dir: dir, segBytes: segBytes, cuts: make(map[int64]walCut), marks: make(map[int64]int64)}
+	if rec != nil {
+		w.sealed, w.horizon, w.epochMax, w.cuts, w.marks = rec.sealed, rec.horizon, rec.epochMax, rec.cuts, rec.marks
+	} else {
+		stale, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
+		for _, p := range stale {
+			os.Remove(p)
+		}
+		metaPath := filepath.Join(dir, walMetaName)
 		body := appendWireInts(nil, stream, int64(kind))
 		if err := os.WriteFile(metaPath, appendRecord(nil, walRecMeta, body), 0o644); err != nil {
 			return nil, fmt.Errorf("transport: wal meta: %w", err)
@@ -208,93 +208,154 @@ func openWAL(dir string, segBytes int64, stream int64, kind core.BatchKind, star
 			f.Close()
 		}
 	}
-	var err error
-	if w.ingest, err = w.newSegment(walIngestPrefix); err != nil {
-		w.closeFiles()
+	w.gen = walStartGen(dir)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.advanceLocked()
+	err := w.startSegmentLocked()
+	if err == nil {
+		err = w.syncLocked()
+	}
+	if err != nil {
+		w.closeLocked()
 		return nil, err
 	}
-	if w.epochLog, err = w.newSegment("epochs"); err != nil {
-		w.closeFiles()
-		return nil, err
-	}
+	w.pruneLocked()
 	return w, nil
 }
 
-// newSegment creates the next generation of a prefix's segment file.
-func (w *wal) newSegment(prefix string) (*walSegment, error) {
-	w.mu.Lock()
+// startSegmentLocked opens the next generation's segment as the active one
+// and writes its checkpoint, unsynced: the segment's next fsync carries it
+// with the record that follows.
+func (w *wal) startSegmentLocked() error {
 	w.gen++
-	gen := w.gen
-	w.mu.Unlock()
-	path := filepath.Join(w.dir, fmt.Sprintf("%s-%012d.log", prefix, gen))
+	path := filepath.Join(w.dir, fmt.Sprintf("%s-%012d.log", walSegmentPrefix, w.gen))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("transport: wal segment: %w", err)
+		return fmt.Errorf("transport: wal segment: %w", err)
 	}
-	return &walSegment{f: f, path: path}, nil
+	w.f, w.path, w.size, w.maxSeq = f, path, 0, 0
+	return w.writeLocked(w.checkpoint(), false)
 }
 
-// write appends framed bytes to a locked segment.
-func (s *walSegment) write(b []byte) error {
-	if _, err := s.f.Write(b); err != nil {
+// checkpoint frames the checkpoint record of the log's state: H, the
+// highest epoch id, the cuts above H and the marks.
+func (w *wal) checkpoint() []byte {
+	body := appendWireInts(nil, w.horizon, w.epochMax, int64(len(w.cuts)))
+	for id, c := range w.cuts {
+		resolved := int64(0)
+		if c.resolved {
+			resolved = 1
+		}
+		body = appendWireInts(body, id, c.min, c.max, resolved)
+	}
+	body = appendWireInts(body, int64(len(w.marks)))
+	for stream, pos := range w.marks {
+		body = appendWireInts(body, stream, pos)
+	}
+	return appendRecord(nil, walRecCheckpoint, body)
+}
+
+// writeLocked appends framed bytes to the active segment, fsyncing it if
+// sync. An active segment that outgrew segBytes is sealed first — it joins
+// the sealed segments, deletable once the horizon covers its items — and
+// the record opens the next one, behind its checkpoint: a failed rotation
+// refuses the record instead of leaving it logged but refused. Every record
+// a sealed segment holds that must be durable already is; an ack that is
+// not may be lost, as anywhere.
+func (w *wal) writeLocked(b []byte, sync bool) error {
+	if w.size >= w.segBytes {
+		w.f.Close()
+		w.sealed = append(w.sealed, walSealed{path: w.path, maxSeq: w.maxSeq})
+		if err := w.startSegmentLocked(); err != nil {
+			return err
+		}
+	}
+	if _, err := w.f.Write(b); err != nil {
 		return err
 	}
-	s.size += int64(len(b))
-	s.dirty = true
+	w.size += int64(len(b))
+	w.dirty = true
+	if sync {
+		return w.syncLocked()
+	}
 	return nil
 }
 
-// syncLocked fsyncs a locked dirty segment.
-func (s *walSegment) syncLocked() error {
-	if !s.dirty {
+// syncLocked fsyncs the active segment if it is dirty.
+func (w *wal) syncLocked() error {
+	if !w.dirty {
 		return nil
 	}
 	var start time.Time
-	if s.fsync != nil {
+	if w.fsync != nil {
 		start = time.Now()
 	}
-	if err := s.f.Sync(); err != nil {
+	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	if s.fsync != nil {
-		s.fsync.Observe(time.Since(start).Seconds())
+	if w.fsync != nil {
+		w.fsync.Observe(time.Since(start).Seconds())
 	}
-	s.dirty = false
+	w.dirty = false
 	return nil
 }
 
-// rotateLocked seals a segment that outgrew segBytes: the current file joins
-// the sealed registry (deletable once its items resolve) and a fresh
-// generation takes over. Called with s.mu held.
-func (w *wal) rotateLocked(s *walSegment, prefix string) error {
-	if err := s.syncLocked(); err != nil {
-		return err
+// advanceLocked recomputes the horizon from the cuts — the highest resolved
+// max, held one below the lowest unresolved cut's min — and forgets the
+// cuts it covers.
+func (w *wal) advanceLocked() {
+	open, done := int64(math.MaxInt64), w.horizon
+	for _, c := range w.cuts {
+		if c.resolved {
+			done = max(done, c.max)
+		} else {
+			open = min(open, c.min-1)
+		}
 	}
-	next, err := w.newSegment(prefix)
-	if err != nil {
-		return err
+	w.horizon = max(w.horizon, min(open, done))
+	for id, c := range w.cuts {
+		if c.max <= w.horizon {
+			delete(w.cuts, id)
+		}
 	}
-	s.f.Close()
-	w.mu.Lock()
-	w.sealed = append(w.sealed, walSealed{path: s.path, maxSeq: s.maxSeq})
-	w.mu.Unlock()
-	s.f, s.path, s.size, s.maxSeq = next.f, next.path, 0, 0
-	s.dirty = false
-	return nil
+}
+
+// pruneLocked deletes the sealed segments whose every item is at or below
+// the horizon, after syncing the active segment, whose checkpoint
+// summarizes them. A failed sync deletes nothing.
+func (w *wal) pruneLocked() {
+	stale := 0
+	for _, sg := range w.sealed {
+		if sg.maxSeq <= w.horizon {
+			stale++
+		}
+	}
+	if stale == 0 || w.syncLocked() != nil {
+		return
+	}
+	kept := w.sealed[:0]
+	for _, sg := range w.sealed {
+		if sg.maxSeq <= w.horizon {
+			os.Remove(sg.path)
+		} else {
+			kept = append(kept, sg)
+		}
+	}
+	w.sealed = kept
 }
 
 // appendBatch logs one ingested, sequence-stamped batch as one atomic,
 // fsynced record: its sequence base and the Submit request body carrying its
 // (stream, pos) dedup stamp and every item. A batch whose sequence numbers
-// are not contiguous has no base to log and is refused. The
-// engine acknowledges the batch only after this returns, so a crash can never
+// are not contiguous has no base to log and is refused. The engine
+// acknowledges the batch only after this returns, so a crash can never
 // persist the mark without the items (a retry swallowed, items lost) or the
-// items without the mark (a retry double-ingesting). A nonzero stamp also
-// queues a mark replica for the epoch log, which outlives the ingest
-// segment's truncation (see the file comment). The engine calls it under the
-// read side of its closeMu, before the batch joins the pending chunks, so an
-// epoch cut (the write side) never sees a batch that is logged but not
-// visible, or visible but not logged.
+// items without the mark (a retry double-ingesting). The stamp becomes the
+// stream's mark once it is logged, so the checkpoint of the next segment
+// holds it. The engine calls it under the read side of its closeMu, before
+// the batch joins the pending chunks, so an epoch cut (the write side) never
+// sees a batch that is logged but not visible, or visible but not logged.
 func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
 	n := b.Len()
 	base := b.Seq(0) - 1
@@ -303,63 +364,22 @@ func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
 			return fmt.Errorf("transport: wal append: item %d has sequence number %d, want %d: a logged batch is one contiguous range", i, b.Seq(i), base+1+int64(i))
 		}
 	}
-	s := w.ingest
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The body is base, then appendBatchCall's bytes written in two steps,
-	// so the (stream, pos) stamp between them can be replicated as the mark.
-	body := binary.AppendUvarint(s.buf[:0], uint64(base))
-	mark := len(body)
-	body = appendWireInts(body, stream, pos)
-	stamp := len(body)
-	body = core.AppendBatch(body, b)
-	s.maxSeq = max(s.maxSeq, base+int64(n))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	body := binary.AppendUvarint(w.buf[:0], uint64(base))
+	body = appendBatchCall(body, stream, pos, b)
 	// The record is framed behind its body in the same buffer.
 	buf := appendRecord(body, walRecBatch, body)
-	s.buf = buf[:0]
-	if err := s.write(buf[len(body):]); err != nil {
+	w.buf = buf[:0]
+	if err := w.writeLocked(buf[len(body):], true); err != nil {
 		return fmt.Errorf("transport: wal append: %w", err)
 	}
-	if err := s.syncLocked(); err != nil {
-		return fmt.Errorf("transport: wal append sync: %w", err)
-	}
 	w.appendRecords.Add(float64(n))
-	if stream != 0 || pos != 0 {
-		w.mu.Lock()
-		w.epochBuf = appendRecord(w.epochBuf, walRecMark, body[mark:stamp])
-		w.mu.Unlock()
-	}
-	if s.size >= w.segBytes {
-		return w.rotateLocked(s, walIngestPrefix)
+	w.maxSeq = max(w.maxSeq, base+int64(n))
+	if stream != 0 {
+		w.marks[stream] = max(w.marks[stream], pos)
 	}
 	return nil
-}
-
-// appendEpochLocked writes one record to the epoch log, behind the mark
-// replicas queued since the last write, in one write. Caller holds w.mu.
-func (w *wal) appendEpochLocked(typ byte, body []byte, sync bool) error {
-	w.epochBuf = appendRecord(w.epochBuf, typ, body)
-	return w.writeEpochLocked(sync)
-}
-
-// writeEpochLocked writes epochBuf to the epoch log, fsyncing it if sync.
-// A failed write loses the queued marks' replicas, not the marks: their
-// batch records hold them. Caller holds w.mu.
-func (w *wal) writeEpochLocked(sync bool) error {
-	w.epochLog.mu.Lock()
-	defer w.epochLog.mu.Unlock()
-	var err error
-	if len(w.epochBuf) > 0 {
-		err = w.epochLog.write(w.epochBuf)
-		w.epochBuf = w.epochBuf[:0]
-	}
-	if err == nil && sync {
-		err = w.epochLog.syncLocked()
-	}
-	if err != nil {
-		w.logErr = err
-	}
-	return err
 }
 
 // logCut records a cut epoch's id and sequence range as an fsynced record —
@@ -367,104 +387,83 @@ func (w *wal) writeEpochLocked(sync bool) error {
 // crash. The epoch's items are already durable: appendBatch fsyncs every
 // batch before it becomes visible to a cut.
 func (w *wal) logCut(id, minSeq, maxSeq int64) error {
-	body := binary.AppendVarint(nil, id)
-	body = binary.AppendUvarint(body, uint64(minSeq))
-	body = binary.AppendUvarint(body, uint64(maxSeq))
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.appendEpochLocked(walRecCut, body, true); err != nil {
+	if err := w.writeLocked(appendRecord(nil, walRecCut, appendWireInts(nil, id, minSeq, maxSeq)), true); err != nil {
 		return fmt.Errorf("transport: wal cut: %w", err)
 	}
-	w.unresolved[id] = walRange{min: minSeq, max: maxSeq}
+	w.cuts[id] = walCut{min: minSeq, max: maxSeq}
+	w.epochMax = max(w.epochMax, id)
 	return nil
 }
 
-// resolve marks an epoch delivered (ack) or permanently failed (drop),
-// advances the stable sequence horizon, and deletes sealed segments whose
-// every item is now resolved. Epochs resolve in id order (the flusher is
-// FIFO), so the horizon only moves forward.
-func (w *wal) resolve(id int64, delivered bool) {
+// resolve marks an epoch delivered (ack) or permanently failed (drop, which
+// is fsynced: see the file comment), advances the horizon, and deletes the
+// sealed segments it now covers. A force drain's drop resolves its cut ahead
+// of an epoch still in flight, so resolutions come out of id order; the
+// horizon stays below the unresolved one.
+func (w *wal) resolve(id int64, delivered bool) error {
 	typ := walRecAck
 	if !delivered {
 		typ = walRecDrop
 	}
 	w.mu.Lock()
-	w.appendEpochLocked(typ, binary.AppendVarint(nil, id), false)
-	if rng, ok := w.unresolved[id]; ok {
-		delete(w.unresolved, id)
-		if rng.max > w.stableSeq {
-			w.stableSeq = rng.max
-		}
+	defer w.mu.Unlock()
+	if err := w.writeLocked(appendRecord(nil, typ, appendWireInts(nil, id)), !delivered); err != nil {
+		return fmt.Errorf("transport: wal resolve: %w", err)
 	}
-	var stale []string
-	kept := w.sealed[:0]
-	for _, sg := range w.sealed {
-		if sg.maxSeq <= w.stableSeq {
-			stale = append(stale, sg.path)
-		} else {
-			kept = append(kept, sg)
-		}
+	if c, ok := w.cuts[id]; ok {
+		c.resolved = true
+		w.cuts[id] = c
 	}
-	w.sealed = kept
-	w.mu.Unlock()
-	for _, path := range stale {
-		os.Remove(path)
-	}
+	w.advanceLocked()
+	w.pruneLocked()
+	return nil
 }
 
 // unresolvedCount reports how many cut epochs still await resolution.
 func (w *wal) unresolvedCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.unresolved)
-}
-
-// syncAll writes the queued mark replicas and fsyncs the ingest segment and
-// the epoch log if dirty.
-func (w *wal) syncAll() error {
-	s := w.ingest
-	s.mu.Lock()
-	first := s.syncLocked()
-	s.mu.Unlock()
-	w.mu.Lock()
-	err := w.writeEpochLocked(true)
-	w.mu.Unlock()
-	if first == nil {
-		first = err
+	n := 0
+	for _, c := range w.cuts {
+		if !c.resolved {
+			n++
+		}
 	}
-	return first
+	return n
 }
 
-// closeFiles closes every open segment without syncing (the crash path).
+// closeLocked closes the active segment without syncing it.
+func (w *wal) closeLocked() {
+	if w.f != nil {
+		w.f.Close()
+		w.f = nil
+	}
+}
+
+// closeFiles closes the active segment without syncing (the crash path).
 func (w *wal) closeFiles() {
-	for _, s := range []*walSegment{w.ingest, w.epochLog} {
-		if s == nil {
-			continue
-		}
-		s.mu.Lock()
-		if s.f != nil {
-			s.f.Close()
-			s.f = nil
-		}
-		s.mu.Unlock()
-	}
+	w.mu.Lock()
+	w.closeLocked()
+	w.mu.Unlock()
 }
 
 // close shuts the log down. wipe (set when the engine drained cleanly with
-// nothing pending or unresolved) deletes every log file: the directory then
-// holds no state to recover and the next start is fresh.
+// nothing pending or unresolved) deletes the meta record, then every
+// segment: the directory then holds no state to recover and the next start
+// is fresh.
 func (w *wal) close(wipe bool) error {
-	err := w.syncAll()
-	if w.logErr != nil && err == nil {
-		err = w.logErr
-	}
-	w.closeFiles()
+	w.mu.Lock()
+	err := w.syncLocked()
+	w.closeLocked()
+	w.mu.Unlock()
 	if wipe && err == nil {
-		paths, _ := filepath.Glob(filepath.Join(w.dir, "*.log"))
+		os.Remove(filepath.Join(w.dir, walMetaName))
+		paths, _ := filepath.Glob(filepath.Join(w.dir, walSegmentPrefix+"-*.log"))
 		for _, p := range paths {
 			os.Remove(p)
 		}
-		os.Remove(filepath.Join(w.dir, walMetaName))
 	}
 	return err
 }
@@ -474,13 +473,15 @@ type walRecovery struct {
 	stream   int64
 	seqMax   int64
 	epochMax int64
+	horizon  int64
 	pending  core.Batch // accepted, never cut; sorted by seq
 	// epochs were cut but never resolved, sorted by id: their items must be
 	// re-processed and re-pushed under the same id so downstream
 	// (stream, epoch) dedup absorbs the replay.
 	epochs []*epoch
-	marks  [][2]int64 // dedup marks to restore
-	files  []string   // every log file read (deleted post-migration)
+	marks  map[int64]int64  // stream -> last position logged
+	cuts   map[int64]walCut // every cut above the horizon
+	sealed []walSealed      // every segment read: the reopened log's sealed ones
 }
 
 // recoverWAL reads a log directory back into engine state. It returns
@@ -488,20 +489,18 @@ type walRecovery struct {
 // kind the recovering engine admits; a directory whose meta record names
 // another kind was written by a different role, and one whose meta record is
 // of a retired type was written in another layout: both are refused before
-// anything in it is read, let alone rewritten. A CRC-valid batch record that
-// does not parse, or holds a batch of another kind, is refused too.
+// anything in it is read. A CRC-valid batch or checkpoint record that does
+// not parse, or a batch of another kind, is refused too.
 func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
-	metaPath := filepath.Join(dir, walMetaName)
-	metaBytes, err := os.ReadFile(metaPath)
+	metaBytes, err := os.ReadFile(filepath.Join(dir, walMetaName))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("transport: wal recover meta: %w", err)
 	}
-	rec := &walRecovery{}
-	r := bufio.NewReader(strings.NewReader(string(metaBytes)))
-	typ, body, rerr := readRecord(r)
+	rec := &walRecovery{marks: make(map[int64]int64), cuts: make(map[int64]walCut)}
+	typ, body, rerr := readRecord(bufio.NewReader(strings.NewReader(string(metaBytes))))
 	if rerr == nil && typ != walRecMeta {
 		return nil, fmt.Errorf("transport: wal dir %s was written in a retired layout (meta record type %d, this build reads type %d); drain it with the build that wrote it, or remove it", dir, typ, walRecMeta)
 	}
@@ -515,40 +514,20 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 		return nil, fmt.Errorf("transport: wal dir %s holds %v, this stage ingests %v", dir, held, kind)
 	}
 
-	items := make(map[int64]core.Batch) // seq -> that item as a batch of one (first writer wins)
-	cuts := make(map[int64]walRange)
+	items := make(map[int64]core.Batch) // seq -> that item as a batch of one
 	resolved := make(map[int64]bool)
-	markSet := make(map[[2]int64]bool)
-
-	readFile := func(path string, handle func(typ byte, body []byte) error) error {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
+	addCut := func(id int64, c walCut) {
+		if c.resolved {
+			resolved[id] = true
 		}
-		defer f.Close()
-		br := bufio.NewReader(f)
-		for {
-			typ, body, err := readRecord(br)
-			if err != nil {
-				return nil // clean EOF or torn tail: stop reading this file
-			}
-			if err := handle(typ, body); err != nil {
-				return err
-			}
-		}
+		rec.cuts[id] = walCut{min: c.min, max: c.max}
+		rec.epochMax = max(rec.epochMax, id)
+		rec.seqMax = max(rec.seqMax, c.max)
 	}
-
-	glob := func(pattern string) []string {
-		paths, _ := filepath.Glob(filepath.Join(dir, pattern))
-		sort.Strings(paths) // generation order (zero-padded)
-		return paths
-	}
-	for _, path := range glob(walIngestPrefix + "-*.log") {
-		rec.files = append(rec.files, path)
-		if err := readFile(path, func(typ byte, body []byte) error {
-			if typ != walRecBatch {
-				return nil
-			}
+	handle := func(seg *walSealed, typ byte, body []byte) error {
+		r := wireReader{b: body}
+		switch typ {
+		case walRecBatch:
 			// readRecord's buffer is fresh, so the batch may alias it.
 			base, k := binary.Uvarint(body)
 			if k <= 0 {
@@ -563,109 +542,84 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 			}
 			b.Stamp(int64(base))
 			for i := 0; i < b.Len(); i++ {
-				if _, ok := items[b.Seq(i)]; !ok {
-					items[b.Seq(i)] = b.Slice(i, i+1)
-				}
+				items[b.Seq(i)] = b.Slice(i, i+1)
 			}
-			rec.seqMax = max(rec.seqMax, int64(base)+int64(b.Len()))
-			if stream != 0 || pos != 0 {
-				markSet[[2]int64{stream, pos}] = true
+			seg.maxSeq = max(seg.maxSeq, int64(base)+int64(b.Len()))
+			if stream != 0 {
+				rec.marks[stream] = max(rec.marks[stream], pos)
 			}
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("transport: wal recover %s: %w", path, err)
-		}
-	}
-	for _, path := range glob("epochs-*.log") {
-		rec.files = append(rec.files, path)
-		if err := readFile(path, func(typ byte, body []byte) error {
-			switch typ {
-			case walRecCut:
-				id, k := binary.Varint(body)
-				if k <= 0 {
-					return nil
-				}
-				body = body[k:]
-				min, k := binary.Uvarint(body)
-				if k <= 0 {
-					return nil
-				}
-				max, k2 := binary.Uvarint(body[k:])
-				if k2 <= 0 {
-					return nil
-				}
-				if _, ok := cuts[id]; !ok {
-					cuts[id] = walRange{min: int64(min), max: int64(max)}
-				}
-				if id > rec.epochMax {
-					rec.epochMax = id
-				}
-				if int64(max) > rec.seqMax {
-					rec.seqMax = int64(max)
-				}
-			case walRecAck, walRecDrop:
-				id, k := binary.Varint(body)
-				if k <= 0 {
-					return nil
-				}
+		case walRecCheckpoint:
+			rec.horizon = max(rec.horizon, r.int())
+			rec.epochMax = max(rec.epochMax, r.int())
+			for n := r.count(); n > 0; n-- {
+				addCut(r.int(), walCut{min: r.int(), max: r.int(), resolved: r.int() != 0})
+			}
+			for n := r.count(); n > 0; n-- {
+				stream, pos := r.int(), r.int()
+				rec.marks[stream] = max(rec.marks[stream], pos)
+			}
+			if err := r.done(); err != nil {
+				return fmt.Errorf("checkpoint record: %w", err)
+			}
+		case walRecCut:
+			if id, c := r.int(), (walCut{min: r.int(), max: r.int()}); r.done() == nil {
+				addCut(id, c)
+			}
+		case walRecAck, walRecDrop:
+			if id := r.int(); r.done() == nil {
 				resolved[id] = true
-				if id > rec.epochMax {
-					rec.epochMax = id
-				}
-			case walRecMark:
-				stream, k := binary.Varint(body)
-				if k <= 0 {
-					return nil
-				}
-				epoch, k2 := binary.Varint(body[k:])
-				if k2 <= 0 {
-					return nil
-				}
-				markSet[[2]int64{stream, epoch}] = true
+				rec.epochMax = max(rec.epochMax, id)
 			}
-			return nil
-		}); err != nil {
+		}
+		return nil
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
+	sort.Strings(paths) // generation order (zero-padded)
+	for _, path := range paths {
+		seg := walSealed{path: path}
+		if err := readSegment(path, func(typ byte, body []byte) error { return handle(&seg, typ, body) }); err != nil {
 			return nil, fmt.Errorf("transport: wal recover %s: %w", path, err)
 		}
+		rec.sealed = append(rec.sealed, seg)
+		rec.seqMax = max(rec.seqMax, seg.maxSeq)
 	}
+	rec.seqMax = max(rec.seqMax, rec.horizon)
 
-	// Drop every item of a resolved epoch; regroup the items of unresolved
-	// cut epochs under their original ids; the rest is pending.
-	var stable int64
+	// Drop every item at or below the horizon or inside a resolved cut;
+	// regroup the items of unresolved cuts under their original ids; the
+	// rest is pending.
 	var openIDs []int64
-	for id, rng := range cuts {
-		if resolved[id] {
-			if rng.max > stable {
-				stable = rng.max
-			}
-		} else {
+	for id, c := range rec.cuts {
+		switch {
+		case c.max <= rec.horizon:
+			delete(rec.cuts, id)
+		case resolved[id]:
+			rec.cuts[id] = walCut{min: c.min, max: c.max, resolved: true}
+		default:
 			openIDs = append(openIDs, id)
 		}
 	}
 	sort.Slice(openIDs, func(i, j int) bool { return openIDs[i] < openIDs[j] })
-
-	inOpen := func(seq int64) int64 {
-		for _, id := range openIDs {
-			rng := cuts[id]
-			if seq >= rng.min && seq <= rng.max {
-				return id
-			}
-		}
-		return 0
-	}
 	epochItems := make(map[int64][]int64)
 	var pendingSeqs []int64
 	for seq := range items {
-		if seq <= stable {
+		if seq <= rec.horizon {
 			continue
 		}
-		if id := inOpen(seq); id != 0 {
-			epochItems[id] = append(epochItems[id], seq)
-		} else {
+		in, id := false, int64(0)
+		for cid, c := range rec.cuts {
+			if seq >= c.min && seq <= c.max {
+				in, id = true, cid
+				break
+			}
+		}
+		switch {
+		case !in:
 			pendingSeqs = append(pendingSeqs, seq)
+		case !rec.cuts[id].resolved:
+			epochItems[id] = append(epochItems[id], seq)
 		}
 	}
-
 	gather := func(seqs []int64) core.Batch {
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		var out core.Batch
@@ -680,77 +634,39 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 			rec.epochs = append(rec.epochs, &epoch{id: id, batch: batch})
 		}
 	}
-	for mark := range markSet {
-		rec.marks = append(rec.marks, mark)
-	}
-	sort.Slice(rec.marks, func(i, j int) bool {
-		if rec.marks[i][0] != rec.marks[j][0] {
-			return rec.marks[i][0] < rec.marks[j][0]
-		}
-		return rec.marks[i][1] < rec.marks[j][1]
-	})
 	return rec, nil
 }
 
-// walStartGen scans a directory for the highest existing file generation so
-// fresh segments never collide with files recovery is about to delete.
-func walStartGen(dir string) int64 {
-	paths, _ := filepath.Glob(filepath.Join(dir, "*.log"))
-	var max int64
-	for _, p := range paths {
-		base := strings.TrimSuffix(filepath.Base(p), ".log")
-		if i := strings.LastIndexByte(base, '-'); i >= 0 {
-			if g, err := strconv.ParseInt(base[i+1:], 10, 64); err == nil && g > max {
-				max = g
-			}
+// readSegment hands every whole record of one segment to handle, stopping
+// at a clean end of file or a torn tail.
+func readSegment(path string, handle func(typ byte, body []byte) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	for {
+		typ, body, err := readRecord(br)
+		if err != nil {
+			return nil
+		}
+		if err := handle(typ, body); err != nil {
+			return err
 		}
 	}
-	return max
 }
 
-// migrateWAL rewrites recovered state into the fresh log (compaction): the
-// pending items and each unresolved epoch's items as unstamped batch records,
-// one per maximal run of consecutive sequence numbers of at most
-// walMigrateSlice items (so a range a refused append burned stays a gap),
-// every unresolved epoch's cut record, and the dedup marks — all fsynced —
-// then deletes the old files. A crash mid-migration leaves both generations
-// on disk; the next recovery's seq/id dedup reads them as one.
-func migrateWAL(w *wal, rec *walRecovery) error {
-	appendSlices := func(b core.Batch) error {
-		for lo := 0; lo < b.Len(); {
-			hi := lo + 1
-			for hi < b.Len() && hi-lo < walMigrateSlice && b.Seq(hi) == b.Seq(hi-1)+1 {
-				hi++
-			}
-			if err := w.appendBatch(0, 0, b.Slice(lo, hi)); err != nil {
-				return err
-			}
-			lo = hi
-		}
-		return nil
-	}
-	if err := appendSlices(rec.pending); err != nil {
-		return err
-	}
-	for _, ep := range rec.epochs {
-		if err := appendSlices(ep.batch); err != nil {
-			return err
-		}
-		min, max := seqRange(ep.batch)
-		if err := w.logCut(ep.id, min, max); err != nil {
-			return err
+// walStartGen scans a directory for the highest existing segment generation
+// so fresh segments never collide with recovered ones.
+func walStartGen(dir string) int64 {
+	paths, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
+	var gen int64
+	for _, p := range paths {
+		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), walSegmentPrefix+"-"), ".log")
+		if g, err := strconv.ParseInt(name, 10, 64); err == nil {
+			gen = max(gen, g)
 		}
 	}
-	w.mu.Lock()
-	for _, mark := range rec.marks {
-		w.epochBuf = appendRecord(w.epochBuf, walRecMark, appendWireInts(nil, mark[0], mark[1]))
-	}
-	w.mu.Unlock()
-	if err := w.syncAll(); err != nil {
-		return err
-	}
-	for _, path := range rec.files {
-		os.Remove(path)
-	}
-	return nil
+	return gen
 }

@@ -70,11 +70,23 @@ func walDescribe(t *testing.T, b core.Batch) string {
 
 func walOpen(t *testing.T, dir string, segBytes int64, stream int64, kind core.BatchKind) *wal {
 	t.Helper()
-	w, err := openWAL(dir, segBytes, stream, kind, walStartGen(dir))
+	w, err := openWAL(dir, segBytes, stream, kind, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// walReopen recovers a directory and reopens its log over what it read, as
+// a restarting engine does.
+func walReopen(t *testing.T, dir string, segBytes int64, kind core.BatchKind) (*wal, *walRecovery) {
+	t.Helper()
+	rec := walRecover(t, dir, kind)
+	w, err := openWAL(dir, segBytes, rec.stream, kind, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, rec
 }
 
 // walClient is the stream id walAppend stamps batches with, as a
@@ -102,7 +114,7 @@ func walRecover(t *testing.T, dir string, kind core.BatchKind) *walRecovery {
 // and a resolution, then recovers the directory and checks every piece of
 // state comes back: the stream id, the resolved epoch's items gone, the
 // unresolved epoch regrouped under its id, the rest pending in seq order, and
-// every dedup mark restored.
+// each stream's last position restored as its dedup mark.
 func TestWALRecoverRoundTrip(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
@@ -155,7 +167,7 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 		if got := walDescribe(t, rec.pending); got != "pend-a/6 pend-b/7" {
 			t.Errorf("pending = %q, want pend-a/6 pend-b/7", got)
 		}
-		want := [][2]int64{{walClient, 1}, {walClient, 2}, {walClient, 3}, {walClient, 4}, {99, 7}}
+		want := map[int64]int64{walClient: 4, 99: 7}
 		if !reflect.DeepEqual(rec.marks, want) {
 			t.Errorf("marks = %v, want %v", rec.marks, want)
 		}
@@ -170,7 +182,7 @@ func TestWALTornTailIgnored(t *testing.T) {
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
 		walAppend(t, w, 1, walItem(kind, 1, "whole"))
 		walAppend(t, w, 2, walItem(kind, 2, "torn-away"))
-		segPath := w.ingest.path
+		segPath := w.path
 		if err := w.close(false); err != nil {
 			t.Fatal(err)
 		}
@@ -204,13 +216,13 @@ func TestWALResolveReclaimsSegments(t *testing.T) {
 		if err := w.logCut(1, 1, 4); err != nil {
 			t.Fatal(err)
 		}
-		sealedBefore, _ := filepath.Glob(filepath.Join(dir, walIngestPrefix+"-*.log"))
+		sealedBefore, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
 		if len(sealedBefore) < 2 {
 			t.Fatalf("expected rotation to produce multiple segments, got %v", sealedBefore)
 		}
 		w.resolve(1, true)
-		left, _ := filepath.Glob(filepath.Join(dir, walIngestPrefix+"-*.log"))
-		// Only the active (empty) segment may survive.
+		left, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
+		// Only the active segment may survive.
 		if len(left) != 1 {
 			t.Errorf("segments after resolve = %v, want only the active one", left)
 		}
@@ -220,19 +232,23 @@ func TestWALResolveReclaimsSegments(t *testing.T) {
 	})
 }
 
-// TestWALMarkOutlivesTruncation: a resolved epoch's ingest segments are
-// deleted, and with them the batch records holding its dedup marks, so the
-// marks must survive in the epoch log — and after a crash that skipped the
-// final sync, and again after the recovery's rewrite. Marks of batches no
-// cut has taken yet may still be queued in memory at the crash; their batch
-// records are still on disk.
+// TestWALMarkOutlivesTruncation: a resolved epoch's segments are deleted,
+// and with them the batch records holding its dedup marks, so each stream's
+// mark must survive in the checkpoints of the segments that follow — after a
+// crash that skipped the final sync, and again after the log is reopened
+// over what recovery read, the old segments are deleted under a later
+// horizon, and the process crashes again. Stream 55's only batch is in a
+// deleted segment.
 func TestWALMarkOutlivesTruncation(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
-		w := walOpen(t, dir, 64, 7, kind) // rotate after every record
+		w := walOpen(t, dir, 64, 7, kind) // a batch record fills a segment
 		payload := strings.Repeat("segment-filler-payload-to-force-rotation", 3)
-		for seq := 1; seq <= 4; seq++ {
+		for seq := 1; seq <= 3; seq++ {
 			walAppend(t, w, int64(seq), walItem(kind, seq, payload))
+		}
+		if err := w.appendBatch(55, 9, walItem(kind, 4, payload)); err != nil {
+			t.Fatal(err)
 		}
 		if err := w.logCut(1, 1, 4); err != nil {
 			t.Fatal(err)
@@ -241,25 +257,38 @@ func TestWALMarkOutlivesTruncation(t *testing.T) {
 		if err := w.appendBatch(99, 7, walItem(kind, 6, payload)); err != nil {
 			t.Fatal(err)
 		}
-		w.resolve(1, true)
-		walAppend(t, w, 6, walItem(kind, 7, payload))
-		if segs, _ := filepath.Glob(filepath.Join(dir, walIngestPrefix+"-*.log")); len(segs) != 4 {
-			t.Fatalf("ingest segments after the resolve = %v, want the three unresolved batches' and the active one", segs)
+		if err := w.resolve(1, true); err != nil {
+			t.Fatal(err)
 		}
-		w.closeFiles() // crash: no syncAll
+		walAppend(t, w, 6, walItem(kind, 7, payload))
+		if segs, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log")); len(segs) != 3 {
+			t.Fatalf("segments after the resolve = %v, want the three holding the unresolved batches, the last of them active", segs)
+		}
+		w.closeFiles() // crash: no final sync
 
-		want := [][2]int64{{walClient, 1}, {walClient, 2}, {walClient, 3}, {walClient, 4}, {walClient, 5}, {walClient, 6}, {99, 7}}
-		rec := walRecover(t, dir, kind)
+		want := map[int64]int64{walClient: 6, 55: 9, 99: 7}
+		w2, rec := walReopen(t, dir, 64, kind)
 		if !reflect.DeepEqual(rec.marks, want) {
 			t.Fatalf("marks after truncation and a crash = %v, want %v", rec.marks, want)
 		}
-		w2 := walOpen(t, dir, 64, rec.stream, kind)
-		if err := migrateWAL(w2, rec); err != nil {
+		// Resolve the rest: every recovered segment falls under the horizon.
+		if err := w2.logCut(2, 5, 7); err != nil {
 			t.Fatal(err)
 		}
-		w2.closeFiles() // crash right after the rewrite
-		if rec2 := walRecover(t, dir, kind); !reflect.DeepEqual(rec2.marks, want) {
-			t.Fatalf("marks after migration and a crash = %v, want %v", rec2.marks, want)
+		if err := w2.resolve(2, true); err != nil {
+			t.Fatal(err)
+		}
+		if segs, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log")); len(segs) != 1 {
+			t.Fatalf("segments once everything resolved = %v, want only the active one", segs)
+		}
+		w2.closeFiles() // crash again
+		rec2 := walRecover(t, dir, kind)
+		if !reflect.DeepEqual(rec2.marks, want) {
+			t.Fatalf("marks after the reopen, a truncation and a crash = %v, want %v", rec2.marks, want)
+		}
+		if rec2.pending.Len() != 0 || len(rec2.epochs) != 0 || rec2.seqMax != 7 || rec2.epochMax != 2 {
+			t.Errorf("after everything resolved: %d pending, epochs %+v, seqMax %d, epochMax %d; want nothing, 7 and 2",
+				rec2.pending.Len(), rec2.epochs, rec2.seqMax, rec2.epochMax)
 		}
 	})
 }
@@ -283,9 +312,10 @@ func TestWALCleanCloseWipes(t *testing.T) {
 	})
 }
 
-// TestWALMigrationIdempotent: recovering, rewriting via migrateWAL, and
-// crashing before/after the old files are deleted must recover to the same
-// state — the seq/id dedup absorbs the overlap.
+// TestWALMigrationIdempotent: recovery rewrites nothing — the recovered
+// segments become the reopened log's sealed segments — so recovering,
+// reopening and crashing, twice over, must recover to the same state each
+// time.
 func TestWALMigrationIdempotent(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
@@ -298,26 +328,28 @@ func TestWALMigrationIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		rec := walRecover(t, dir, kind)
-		w2 := walOpen(t, dir, DefaultWALSegmentBytes, rec.stream, kind)
-		if err := migrateWAL(w2, rec); err != nil {
-			t.Fatal(err)
-		}
-		w2.closeFiles() // crash right after migration
-
-		rec2 := walRecover(t, dir, kind)
-		if rec2.stream != 11 || rec2.seqMax != 2 || rec2.epochMax != 1 {
-			t.Errorf("post-migration recovery stream=%d seqMax=%d epochMax=%d, want 11/2/1",
-				rec2.stream, rec2.seqMax, rec2.epochMax)
-		}
-		if len(rec2.epochs) != 1 || walDescribe(t, rec2.epochs[0].batch) != "epoch-item/1" {
-			t.Errorf("post-migration epochs = %+v", rec2.epochs)
-		}
-		if got := walDescribe(t, rec2.pending); got != "pending-item/2" {
-			t.Errorf("post-migration pending = %q", got)
-		}
-		if want := [][2]int64{{walClient, 1}}; !reflect.DeepEqual(rec2.marks, want) {
-			t.Errorf("post-migration marks = %v, want %v", rec2.marks, want)
+		for round := 1; round <= 3; round++ {
+			var rec *walRecovery
+			if round < 3 {
+				var w2 *wal
+				w2, rec = walReopen(t, dir, DefaultWALSegmentBytes, kind)
+				w2.closeFiles() // crash right after the reopen
+			} else {
+				rec = walRecover(t, dir, kind)
+			}
+			if rec.stream != 11 || rec.seqMax != 2 || rec.epochMax != 1 {
+				t.Errorf("recovery %d: stream=%d seqMax=%d epochMax=%d, want 11/2/1",
+					round, rec.stream, rec.seqMax, rec.epochMax)
+			}
+			if len(rec.epochs) != 1 || walDescribe(t, rec.epochs[0].batch) != "epoch-item/1" {
+				t.Errorf("recovery %d: epochs = %+v", round, rec.epochs)
+			}
+			if got := walDescribe(t, rec.pending); got != "pending-item/2" {
+				t.Errorf("recovery %d: pending = %q", round, got)
+			}
+			if want := map[int64]int64{walClient: 1}; !reflect.DeepEqual(rec.marks, want) {
+				t.Errorf("recovery %d: marks = %v, want %v", round, rec.marks, want)
+			}
 		}
 	})
 }
@@ -353,12 +385,12 @@ func TestWALRefusesOtherKind(t *testing.T) {
 	})
 }
 
-// TestWALBatchRecordIsTheSubmitBody pins the ingest log's batch record byte
-// for byte: type 9, then the batch's sequence base, then the Submit request
-// body exactly as a client frames it — the (stream, pos) stamp and the batch
-// in the wire codec. The mark replica (type 7) and the cut record (type 3)
-// keep their bytes, and a wire-fed daemon's directory holds wal.meta, one
-// ingest segment and the epoch log.
+// TestWALBatchRecordIsTheSubmitBody pins the log's batch record byte for
+// byte: type 9, then the batch's sequence base, then the Submit request body
+// exactly as a client frames it — the (stream, pos) stamp and the batch in
+// the wire codec. The segment opens with the checkpoint of an empty log
+// (type 11) and the cut record (type 3) follows the batch in the same file;
+// a wire-fed daemon's directory holds wal.meta and one segment.
 func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		fwd := walBatch(t, walItem(kind, 4, "forwarded"), walItem(kind, 5, "too"))
@@ -383,9 +415,9 @@ func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 		if !bytes.Equal(framed, submit) {
 			t.Fatalf("a client's Submit body is %x, want %x", framed, submit)
 		}
-		wantFwd := appendRecord(nil, 9, append([]byte{3}, submit...)) // base 3: items 4 and 5
-		wantEpochs := appendRecord(nil, 7, []byte{0xc6, 0x01, 0x0e})
-		wantEpochs = appendRecord(wantEpochs, 3, []byte{0x02, 0x01, 0x03}) // epoch 1, seqs [1, 3]
+		want := appendRecord(nil, 11, []byte{0, 0, 0, 0})          // H 0, epoch max 0, no cuts, no marks
+		want = appendRecord(want, 9, append([]byte{3}, submit...)) // base 3: items 4 and 5
+		want = appendRecord(want, 3, []byte{0x02, 0x02, 0x06})     // epoch 1, seqs [1, 3]
 
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 5, kind)
@@ -398,21 +430,19 @@ func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 		if err := w.close(false); err != nil {
 			t.Fatal(err)
 		}
-		if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 3 {
-			t.Errorf("wal dir holds %v, want wal.meta, one ingest segment and the epoch log", files)
+		if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 2 {
+			t.Errorf("wal dir holds %v, want wal.meta and one segment", files)
 		}
-		for prefix, want := range map[string][]byte{"fwd": wantFwd, "epochs": wantEpochs} {
-			paths, _ := filepath.Glob(filepath.Join(dir, prefix+"-*.log"))
-			if len(paths) != 1 {
-				t.Fatalf("%s segments = %v, want one", prefix, paths)
-			}
-			got, err := os.ReadFile(paths[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s segment:\n got %x\nwant %x", prefix, got, want)
-			}
+		paths, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
+		if len(paths) != 1 {
+			t.Fatalf("segments = %v, want one", paths)
+		}
+		got, err := os.ReadFile(paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("segment:\n got %x\nwant %x", got, want)
 		}
 	})
 }
@@ -424,12 +454,13 @@ func TestWALRefusesGappedBatch(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 5, kind)
+		size := w.size
 		err := w.appendBatch(walClient, 1, walBatch(t, walItem(kind, 3, "a"), walItem(kind, 5, "c")))
 		if err == nil || !strings.Contains(err.Error(), "contiguous") {
 			t.Fatalf("appendBatch of seqs {3, 5} = %v, want a refusal", err)
 		}
-		if w.ingest.size != 0 {
-			t.Errorf("the refused batch wrote %d bytes", w.ingest.size)
+		if w.size != size {
+			t.Errorf("the refused batch wrote %d bytes", w.size-size)
 		}
 		if err := w.close(false); err != nil {
 			t.Fatal(err)
@@ -442,9 +473,8 @@ func TestWALRefusesGappedBatch(t *testing.T) {
 
 // TestWALMigrationKeepsSeqGaps: an ingest whose append was refused burned its
 // sequence range, so the engine's pending items and a cut epoch can have
-// gaps. Migration writes each run of consecutive numbers as its own record,
-// so the numbers — gap included — survive recovery, compaction and a second
-// recovery.
+// gaps. Recovery rewrites nothing, so the numbers — gap included — survive
+// recovery, a reopen of the log and a second recovery.
 func TestWALMigrationKeepsSeqGaps(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
@@ -473,41 +503,56 @@ func TestWALMigrationKeepsSeqGaps(t *testing.T) {
 				t.Errorf("%s: seqMax = %d, want 8", when, rec.seqMax)
 			}
 		}
-		rec := walRecover(t, dir, kind)
+		w2, rec := walReopen(t, dir, DefaultWALSegmentBytes, kind)
 		check(rec, "first recovery")
-		w2 := walOpen(t, dir, DefaultWALSegmentBytes, rec.stream, kind)
-		if err := migrateWAL(w2, rec); err != nil {
-			t.Fatal(err)
-		}
 		if err := w2.close(false); err != nil {
 			t.Fatal(err)
 		}
-		check(walRecover(t, dir, kind), "recovery after migration")
+		check(walRecover(t, dir, kind), "recovery after the reopen")
 	})
 }
 
-// TestWALRefusesRetiredLayout: a directory whose meta record has the retired
-// type 1 — the layout that logged each item in a codec of its own, behind
-// type-6 batch records — is refused at the meta check, with an error that
-// says so, and nothing in it is read as data.
+// TestWALRefusesRetiredLayout: a directory whose meta record has a retired
+// type is refused at the meta check, with an error that says so, and no file
+// in it is read as data or changed. Type 1 is the layout that logged each
+// item in a codec of its own, behind type-6 batch records; type 8 the layout
+// with a separate epoch log (epochs-*.log) beside the ingest segments
+// (fwd-*.log).
 func TestWALRefusesRetiredLayout(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
-		dir := t.TempDir()
-		meta := appendRecord(nil, 1, appendWireInts(nil, 5, int64(kind)))
-		if err := os.WriteFile(filepath.Join(dir, walMetaName), meta, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// The retired batch record; its body is never read.
-		seg := appendRecord(nil, 6, []byte("a batch in the retired layout"))
-		if err := os.WriteFile(filepath.Join(dir, walIngestPrefix+"-000000000001.log"), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := recoverWAL(dir, kind)
-		if err == nil {
-			t.Fatalf("a retired-layout directory recovered: %+v", rec)
-		}
-		if want := "retired layout (meta record type 1"; !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not contain %q", err, want)
+		for _, layout := range []struct {
+			meta  byte
+			files map[string][]byte
+		}{
+			{1, map[string][]byte{"fwd-000000000001.log": appendRecord(nil, 6, []byte("a batch in the retired layout"))}},
+			{8, map[string][]byte{
+				"fwd-000000000001.log":    appendRecord(nil, 9, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(kind, 1, "old"))...)),
+				"epochs-000000000002.log": appendRecord(nil, 7, appendWireInts(nil, walClient, 1)),
+			}},
+		} {
+			dir := t.TempDir()
+			layout.files[walMetaName] = appendRecord(nil, layout.meta, appendWireInts(nil, 5, int64(kind)))
+			for name, b := range layout.files {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec, err := recoverWAL(dir, kind)
+			if err == nil {
+				t.Fatalf("a type-%d-layout directory recovered: %+v", layout.meta, rec)
+			}
+			if want := fmt.Sprintf("retired layout (meta record type %d", layout.meta); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+			entries, _ := os.ReadDir(dir)
+			if len(entries) != len(layout.files) {
+				t.Errorf("type-%d layout: the refusal left %d files, want the %d it found", layout.meta, len(entries), len(layout.files))
+			}
+			for name, b := range layout.files {
+				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, b) {
+					t.Errorf("type-%d layout: %s changed by the refusal", layout.meta, name)
+				}
+			}
 		}
 	})
 }
@@ -522,8 +567,8 @@ const walAppendAllocs = 0
 
 // TestWALAppendBatchAllocs gates what the log costs a client's call beyond
 // its write and fsync: appending a stamped 5-item batch — the record, its
-// items and the queued mark replica — reuses the log's buffers and
-// allocates nothing once they have grown.
+// items and the stream's mark — reuses the log's buffers and allocates
+// nothing once they have grown.
 func TestWALAppendBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -556,7 +601,7 @@ func TestWALAppendBatchAllocs(t *testing.T) {
 }
 
 // walDirWith writes a directory recoverWAL reads: a valid meta record for
-// kind beside seg as the one ingest segment.
+// kind beside seg as the one segment.
 func walDirWith(t testing.TB, kind core.BatchKind, seg []byte) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -564,18 +609,19 @@ func walDirWith(t testing.TB, kind core.BatchKind, seg []byte) string {
 	if err := os.WriteFile(filepath.Join(dir, walMetaName), meta, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, walIngestPrefix+"-000000000001.log"), seg, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walSegmentPrefix+"-000000000001.log"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
 }
 
-// walSegmentBytes returns the ingest segment a wal writes for two batches of
-// kind: a client's stamped submission and an unstamped migration slice.
+// walSegmentBytes returns the segment a wal writes for two batches of kind —
+// a client's stamped submission and an unstamped one — behind its opening
+// checkpoint.
 func walSegmentBytes(t testing.TB, kind core.BatchKind) []byte {
 	t.Helper()
 	dir := t.TempDir()
-	w, err := openWAL(dir, DefaultWALSegmentBytes, 5, kind, 0)
+	w, err := openWAL(dir, DefaultWALSegmentBytes, 5, kind, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +632,7 @@ func walSegmentBytes(t testing.TB, kind core.BatchKind) []byte {
 	if err := w.appendBatch(0, 0, two); err != nil {
 		t.Fatal(err)
 	}
-	path := w.ingest.path
+	path := w.path
 	if err := w.close(false); err != nil {
 		t.Fatal(err)
 	}
@@ -648,7 +694,7 @@ func walValidPrefix(seg []byte) []byte {
 	return seg[:off]
 }
 
-// FuzzWALRecovery writes arbitrary bytes as the ingest segment behind a valid
+// FuzzWALRecovery writes arbitrary bytes as the one segment behind a valid
 // meta record: recoverWAL must never panic, must recover exactly what the
 // CRC-valid prefix of the segment holds (nothing past the first bad record
 // counts), and every item it returns must come from that prefix.
@@ -706,4 +752,109 @@ func FuzzWALRecovery(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWALDropAheadKeepsInFlightEpoch: a force drain drops its below-floor
+// cut while an earlier epoch is still in flight, so epoch 2 resolves before
+// epoch 1. Every sequence number up to the highest resolved cut is not
+// resolved: epoch 1 must come back whole, whether or not its segments were
+// rotated.
+func TestWALDropAheadKeepsInFlightEpoch(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		for _, segBytes := range []int64{DefaultWALSegmentBytes, 64} {
+			dir := t.TempDir()
+			w := walOpen(t, dir, segBytes, 7, kind)
+			for seq := 1; seq <= 5; seq++ {
+				walAppend(t, w, int64(seq), walItem(kind, seq, fmt.Sprintf("item-%d", seq)))
+			}
+			if err := w.logCut(1, 1, 3); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.logCut(2, 4, 5); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.resolve(2, false); err != nil {
+				t.Fatal(err)
+			}
+			w.closeFiles() // crash with epoch 1 mid-push
+
+			rec := walRecover(t, dir, kind)
+			if len(rec.epochs) != 1 || rec.epochs[0].id != 1 || walDescribe(t, rec.epochs[0].batch) != "item-1/1 item-2/2 item-3/3" {
+				t.Errorf("%d-byte segments: recovered epochs %+v, want epoch 1 with its 3 items", segBytes, rec.epochs)
+			}
+			if rec.pending.Len() != 0 || rec.epochMax != 2 {
+				t.Errorf("%d-byte segments: %d pending, epoch max %d; want none and 2", segBytes, rec.pending.Len(), rec.epochMax)
+			}
+		}
+	})
+}
+
+// TestWALStateBoundedByStreams: 10⁴ one-batch epochs from two streams,
+// each cut and acked, keep the directory under three segments' bytes — the
+// log holds the unresolved epochs and one mark per stream, not one record
+// per submission — and after a crash a retry of each stream's last stamp is
+// absorbed by the dedup the recovered marks restore.
+func TestWALStateBoundedByStreams(t *testing.T) {
+	const segBytes = 64 << 10
+	dir := t.TempDir()
+	kind := core.KindEnvelopes
+	w := walOpen(t, dir, segBytes, 7, kind)
+	streams := [2]int64{101, 202}
+	pos := map[int64]int64{}
+	dirBytes := func() int64 {
+		var n int64
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if fi, err := e.Info(); err == nil {
+				n += fi.Size()
+			}
+		}
+		return n
+	}
+	var peak int64
+	for id := int64(1); id <= 10000; id++ {
+		stream := streams[id%2]
+		pos[stream]++
+		if err := w.appendBatch(stream, pos[stream], walItem(kind, int(id), "r")); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.logCut(id, id, id); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.resolve(id, true); err != nil {
+			t.Fatal(err)
+		}
+		if id%100 == 0 {
+			peak = max(peak, dirBytes())
+		}
+	}
+	t.Logf("peak directory size %d bytes over 10000 epochs (bound %d)", peak, 3*segBytes)
+	if peak >= 3*segBytes {
+		t.Errorf("directory reached %d bytes, want under three %d-byte segments", peak, segBytes)
+	}
+	w.closeFiles() // crash
+
+	rec := walRecover(t, dir, kind)
+	if want := map[int64]int64{101: 5000, 202: 5000}; !reflect.DeepEqual(rec.marks, want) {
+		t.Fatalf("recovered marks %v, want %v", rec.marks, want)
+	}
+	if rec.pending.Len() != 0 || len(rec.epochs) != 0 || rec.epochMax != 10000 || rec.seqMax != 10000 {
+		t.Errorf("recovered %d pending, %d epochs, epoch max %d, seq max %d; want nothing and 10000/10000",
+			rec.pending.Len(), len(rec.epochs), rec.epochMax, rec.seqMax)
+	}
+	var d forwardDedup
+	d.restore(rec.marks)
+	for _, stream := range streams {
+		if err := d.ingest(stream, pos[stream], func() error {
+			t.Errorf("stream %d: the retry of its last stamp was ingested again", stream)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ingested := false
+		d.ingest(stream, pos[stream]+1, func() error { ingested = true; return nil })
+		if !ingested {
+			t.Errorf("stream %d: its next position was absorbed as a replay", stream)
+		}
+	}
 }
