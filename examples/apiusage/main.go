@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("shuffler key attested by quote over measurement %x...\n\n", m[:6])
 
 	// Fixed-size reports: "app\x00api" padded to 48 bytes (the oblivious
-	// shuffler requires uniform records).
+	// shuffler sets aside, as undecryptable, any report of another size).
 	pad := func(s string) []byte {
 		b := make([]byte, 48)
 		copy(b, s)

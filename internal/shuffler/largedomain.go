@@ -20,15 +20,8 @@ func (s *SGXShuffler) ProcessLargeDomain(batch []core.Envelope) ([][]byte, Stats
 	if len(batch) == 0 {
 		return nil, stats, fmt.Errorf("%w: empty", ErrBatchTooSmall)
 	}
-	blobs := make([][]byte, len(batch))
-	size := len(batch[0].Blob)
-	for i := range batch {
-		batch[i].StripMetadata()
-		if len(batch[i].Blob) != size {
-			return nil, stats, ErrNonUniformBatch
-		}
-		blobs[i] = batch[i].Blob
-	}
+	blobs, size, aside := uniformBlobs(batch)
+	stats.Undecryptable = aside
 
 	// Oblivious sort by crowd ID, peeling the outer layer on ingest. The
 	// bucket size is chosen so two buckets fill at most a quarter of the

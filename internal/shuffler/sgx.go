@@ -2,7 +2,6 @@ package shuffler
 
 import (
 	crand "crypto/rand"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -26,6 +25,13 @@ import (
 // threshold passes skip it, and it counts in Undecryptable. The untrusted
 // reads and writes of the shuffle are therefore the same whichever input
 // failed, or whether one did.
+//
+// A report of another size costs only itself too. The oblivious passes need
+// records of one size, so before the enclave sees an epoch every record
+// whose size differs from the epoch's most common size is set aside
+// (uniformBlobs) and counted in Undecryptable. The host sees each record's
+// size as it arrives, so setting records aside by size reveals nothing it
+// does not already know.
 type SGXShuffler struct {
 	Enclave   *sgx.Enclave
 	Threshold Threshold
@@ -113,10 +119,28 @@ func peeled(rec []byte) (id core.CrowdID, inner []byte, ok bool) {
 	return id, rec[core.CrowdIDSize:n], true
 }
 
-// ErrNonUniformBatch is returned when envelopes differ in size; oblivious
-// shuffling requires uniform records, so encoders must pad data to a fixed
-// report size.
-var ErrNonUniformBatch = errors.New("shuffler: batch records are not uniform size")
+// uniformBlobs strips each envelope's metadata and returns the blobs of the
+// batch's most common size, the smaller size on a tie, with that size and
+// the number of envelopes of any other size, which it sets aside.
+func uniformBlobs(batch []core.Envelope) (blobs [][]byte, size, aside int) {
+	counts := make(map[int]int)
+	for i := range batch {
+		batch[i].StripMetadata()
+		counts[len(batch[i].Blob)]++
+	}
+	for n, c := range counts {
+		if c > counts[size] || c == counts[size] && n < size {
+			size = n
+		}
+	}
+	blobs = make([][]byte, 0, counts[size])
+	for _, e := range batch {
+		if len(e.Blob) == size {
+			blobs = append(blobs, e.Blob)
+		}
+	}
+	return blobs, size, len(batch) - len(blobs)
+}
 
 // Process obliviously shuffles the batch, thresholds crowds with private
 // counters, and returns the surviving inner ciphertexts in shuffled order.
@@ -125,15 +149,8 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	if len(batch) == 0 {
 		return nil, stats, fmt.Errorf("%w: empty", ErrBatchTooSmall)
 	}
-	blobs := make([][]byte, len(batch))
-	size := len(batch[0].Blob)
-	for i := range batch {
-		batch[i].StripMetadata()
-		if len(batch[i].Blob) != size {
-			return nil, stats, ErrNonUniformBatch
-		}
-		blobs[i] = batch[i].Blob
-	}
+	blobs, _, aside := uniformBlobs(batch)
+	stats.Undecryptable = aside
 
 	// Oblivious shuffle; output records are outerPeelCodec payloads.
 	codec := outerPeelCodec{priv: s.priv, enclave: s.Enclave}

@@ -331,18 +331,47 @@ func TestSGXShufflerEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSGXShufflerRejectsRaggedBatch(t *testing.T) {
+// TestSGXShufflerSetsAsideRaggedRecords: both SGX paths shuffle the records
+// of the batch's most common size and count every other record as
+// undecryptable, instead of failing the batch; on a tie the smaller size is
+// shuffled.
+func TestSGXShufflerSetsAsideRaggedRecords(t *testing.T) {
 	ca, _ := sgx.NewCA()
-	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{}, Seed: 11})
+	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{}, Seed: 11, MinBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	anlz, _ := hybrid.GenerateKey(crand.Reader)
 	client := &encoder.Client{ShufflerKey: sh.PublicKey(), AnalyzerKey: anlz.Public(), Rand: crand.Reader}
-	e1, _ := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: make([]byte, 64)})
-	e2, _ := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: make([]byte, 32)})
-	if _, _, err := sh.Process([]core.Envelope{e1, e2}); !errors.Is(err, ErrNonUniformBatch) {
-		t.Fatalf("err = %v, want ErrNonUniformBatch", err)
+	long, _ := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: make([]byte, 64)})
+	short, _ := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: make([]byte, 32)})
+	innerSize := func(e core.Envelope) int { return len(e.Blob) - hybrid.Overhead - core.CrowdIDSize }
+	for name, process := range map[string]func([]core.Envelope) ([][]byte, Stats, error){
+		"Process":            sh.Process,
+		"ProcessLargeDomain": sh.ProcessLargeDomain,
+	} {
+		for _, c := range []struct {
+			batch []core.Envelope
+			kept  core.Envelope
+		}{
+			{[]core.Envelope{long, short, long}, long},
+			{[]core.Envelope{short, long, short}, short},
+			{[]core.Envelope{long, short}, short}, // a tie
+		} {
+			out, stats, err := process(append([]core.Envelope(nil), c.batch...))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := len(c.batch) - 1
+			if len(out) != want || stats.Forwarded != want || stats.Undecryptable != 1 || stats.Received != len(c.batch) {
+				t.Errorf("%s: %d forwarded, stats %+v; want %d forwarded and 1 undecryptable", name, len(out), stats, want)
+			}
+			for _, inner := range out {
+				if len(inner) != innerSize(c.kept) {
+					t.Errorf("%s: forwarded a %d-byte inner ciphertext, want %d", name, len(inner), innerSize(c.kept))
+				}
+			}
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func (w *wal) attachMetrics(reg *metrics.Registry, l metrics.Labels) {
 	w.appendRecords = reg.Counter("prochlo_wal_append_records_total",
 		"Reports appended to the write-ahead log.", l)
 	w.fsync = reg.Histogram("prochlo_wal_fsync_seconds",
-		"Latency of one WAL segment fsync.", l, metrics.FsyncBuckets)
+		"Latency of one WAL record sync (fdatasync on Linux).", l, metrics.FsyncBuckets)
 }
 
 // registerMetrics exports the balancer's counters on reg. The

@@ -482,6 +482,26 @@ func TestPushRidesOutDownstreamRestart(t *testing.T) {
 // honest reports and one with a flipped tag, then one drain: six reach the
 // analyzer, one counts as undecryptable, and no epoch fails.
 func TestSGXShufflerSurvivesBadEnvelope(t *testing.T) {
+	testSGXShufflerSurvives(t, func(enc *encoder.Client, e *core.Envelope) error {
+		e.Blob[len(e.Blob)-1] ^= 1
+		return nil
+	})
+}
+
+// TestSGXShufflerSurvivesOddSizedEnvelope: a report one byte longer than the
+// epoch's others costs only itself too. It is set aside before the oblivious
+// shuffle, which needs records of one size, and counts as undecryptable.
+func TestSGXShufflerSurvivesOddSizedEnvelope(t *testing.T) {
+	testSGXShufflerSurvives(t, func(enc *encoder.Client, e *core.Envelope) (err error) {
+		*e, err = enc.Encode(core.Report{CrowdID: core.HashCrowdID("c:sgx"), Data: []byte("sgx+")})
+		return err
+	})
+}
+
+// testSGXShufflerSurvives submits seven reports of "sgx" to an SGX shuffler,
+// the fifth of them spoiled, and drains: the six others reach the analyzer,
+// the spoiled one counts as undecryptable, and no epoch fails.
+func testSGXShufflerSurvives(t *testing.T, spoil func(enc *encoder.Client, e *core.Envelope) error) {
 	rig := newCrashRig(t, core.KindEnvelopes, EpochConfig{})
 	ca, err := sgx.NewCA()
 	if err != nil {
@@ -503,7 +523,9 @@ func TestSGXShufflerSurvivesBadEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	envs[4].Blob[len(envs[4].Blob)-1] ^= 1
+	if err := spoil(enc, &envs[4]); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := svc.Submit(crashRigStream, 1, core.Batch{Envelopes: envs}); err != nil {
 		t.Fatal(err)
 	}
@@ -515,8 +537,8 @@ func TestSGXShufflerSurvivesBadEnvelope(t *testing.T) {
 		t.Fatalf("stats = %+v, want 6 forwarded, 1 undecryptable, no failed epoch", stats)
 	}
 	checkReconciled(t, stats)
-	if got := rig.histogram()["sgx"]; got != 6 {
-		t.Fatalf("analyzer counted %d reports, want 6", got)
+	if got := rig.histogram(); got["sgx"] != 6 || len(got) != 1 {
+		t.Fatalf("analyzer counted %v, want 6 of sgx", got)
 	}
 }
 

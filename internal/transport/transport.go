@@ -61,7 +61,9 @@
 // With EpochConfig.WALDir set, a service is crash-safe: every accepted batch
 // is appended to the log as one fsynced record, with its dedup stamp, before
 // it is acknowledged; every cut epoch's membership is fsynced before it is
-// pushed, and every drop before the next push. The log is one family of
+// pushed, and every drop before the next push. Each such sync is data-only
+// (fdatasync on Linux): a segment is written as zeros and synced when it is
+// created, and records overwrite the zeros. The log is one family of
 // segments, each opening with a checkpoint of the state before it (the
 // horizon below which every item is resolved, the cuts above it, each
 // stream's last position), and a segment is deleted once the horizon covers

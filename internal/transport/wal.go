@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,7 +23,7 @@ import (
 // The write-ahead log makes a stage engine's accepted-but-unflushed items
 // survive a process crash. It is one family of segment files (wal-<gen>.log)
 // beside the wal.meta record, an event log of everything the engine decided,
-// all appended to the one active segment:
+// all written at the log's end in the one active segment:
 //
 //   - a batch record per accepted Submit, whoever sent it: the batch's
 //     sequence base followed by the Submit request body as it arrived
@@ -48,24 +49,41 @@ import (
 // deleted once that checkpoint is synced. The directory holds the items of
 // unresolved epochs, the cuts above H and one mark per stream.
 //
+// A segment takes its full size on disk from the moment it is created: it is
+// written as segBytes of zeros and synced, file and directory entry, before
+// its checkpoint is written. Records then overwrite the zeros from the front;
+// the log's end is w.size, not the file's. A zero byte starts no valid
+// record (its checksum fails), so recovery stops at the first zero past the
+// log's end as it stops at a torn tail.
+//
 // One lock, w.mu, guards the active segment and the log's state: appends,
 // cuts and resolutions share the one file, so they share its lock.
 //
 // Durability points:
 //
-//   - batch records: fsynced before the batch is acknowledged;
-//   - cut records: fsynced before the epoch may be pushed — every item the
-//     cut covers was fsynced before it was acknowledged, so a pushed epoch's
+//   - batch records: synced before the batch is acknowledged;
+//   - cut records: synced before the epoch may be pushed — every item the
+//     cut covers was synced before it was acknowledged, so a pushed epoch's
 //     membership is always recoverable and a retried push after restart
 //     reuses the same epoch id for downstream dedup;
-//   - drop records: fsynced before the next epoch is pushed. Downstream
+//   - drop records: synced before the next epoch is pushed. Downstream
 //     dedup keeps one position per stream, so a dropped epoch re-pushed
 //     after a restart would land behind a later epoch and be acked without
 //     being ingested; a synced drop is never pushed again;
-//   - ack records and checkpoints: not fsynced on their own (a checkpoint
-//     rides the segment's next fsync, and is synced before any segment it
+//   - ack records and checkpoints: not synced on their own (a checkpoint
+//     rides the segment's next sync, and is synced before any segment it
 //     summarizes is deleted). Losing an ack re-pushes a delivered epoch,
-//     which downstream dedup absorbs.
+//     which downstream dedup absorbs;
+//   - the wal.meta record and each new segment: synced in full, and then
+//     their directory (syncDir), before anything is logged behind them.
+//
+// A record's sync is data-only (dataSync: fdatasync(2) on Linux, File.Sync
+// elsewhere), and that is enough: the blocks a record overwrites, and the
+// segment's size, were made durable when the segment was created, so the
+// record changes no metadata a reader needs. A record larger than a whole
+// segment extends its file; fdatasync(2) syncs the size a read of the data
+// needs along with the data. Each acknowledged Submit waits for one sync,
+// under w.mu.
 //
 // Recovery (recoverWAL) reads every segment and rewrites none: marks are the
 // highest position per stream, cuts and resolutions the union of the
@@ -87,8 +105,9 @@ const (
 	walRecCheckpoint byte = 11 // H, epoch max, cuts above H, marks
 )
 
-// DefaultWALSegmentBytes rotates a segment once it exceeds this size; sealed
-// segments become deletable as their epochs resolve.
+// DefaultWALSegmentBytes is a segment's size on disk: each is created as
+// this many zeros, and a record that does not fit in the space left opens
+// the next. Sealed segments become deletable as their epochs resolve.
 const DefaultWALSegmentBytes = 4 << 20
 
 const walMetaName = "wal.meta"
@@ -132,7 +151,7 @@ type wal struct {
 	marks    map[int64]int64  // stream -> last position logged
 
 	appendRecords *metrics.Counter   // items logged; nil disables
-	fsync         *metrics.Histogram // fsync latency; nil disables (see attachMetrics)
+	fsync         *metrics.Histogram // syncLocked latency, not a new segment's full sync; nil disables (see attachMetrics)
 }
 
 // appendRecord frames one record (type, uvarint length, body, crc32 over
@@ -198,14 +217,21 @@ func openWAL(dir string, segBytes int64, stream int64, kind core.BatchKind, rec 
 		for _, p := range stale {
 			os.Remove(p)
 		}
-		metaPath := filepath.Join(dir, walMetaName)
-		body := appendWireInts(nil, stream, int64(kind))
-		if err := os.WriteFile(metaPath, appendRecord(nil, walRecMeta, body), 0o644); err != nil {
-			return nil, fmt.Errorf("transport: wal meta: %w", err)
+		f, err := os.OpenFile(filepath.Join(dir, walMetaName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+		if err == nil {
+			_, err = f.Write(appendRecord(nil, walRecMeta, appendWireInts(nil, stream, int64(kind))))
+			if err == nil {
+				err = f.Sync()
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 		}
-		if f, err := os.Open(metaPath); err == nil {
-			f.Sync()
-			f.Close()
+		if err == nil {
+			err = syncDir(dir)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("transport: wal meta: %w", err)
 		}
 	}
 	w.gen = walStartGen(dir)
@@ -224,14 +250,33 @@ func openWAL(dir string, segBytes int64, stream int64, kind core.BatchKind, rec 
 	return w, nil
 }
 
-// startSegmentLocked opens the next generation's segment as the active one
-// and writes its checkpoint, unsynced: the segment's next fsync carries it
-// with the record that follows.
+// walZeros is what a new segment is written with, one chunk at a time.
+var walZeros [64 << 10]byte
+
+// startSegmentLocked opens the next generation's segment as the active one:
+// segBytes of zeros, synced in full with its directory entry (see the file
+// comment; a segment that fails this never held a record and is removed),
+// then its checkpoint, unsynced: the segment's next sync carries it with the
+// record that follows.
 func (w *wal) startSegmentLocked() error {
 	w.gen++
 	path := filepath.Join(w.dir, fmt.Sprintf("%s-%012d.log", walSegmentPrefix, w.gen))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
+		return fmt.Errorf("transport: wal segment: %w", err)
+	}
+	for off := int64(0); off < w.segBytes && err == nil; off += int64(len(walZeros)) {
+		_, err = f.Write(walZeros[:min(int64(len(walZeros)), w.segBytes-off)])
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = syncDir(w.dir)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
 		return fmt.Errorf("transport: wal segment: %w", err)
 	}
 	w.f, w.path, w.size, w.maxSeq = f, path, 0, 0
@@ -256,22 +301,25 @@ func (w *wal) checkpoint() []byte {
 	return appendRecord(nil, walRecCheckpoint, body)
 }
 
-// writeLocked appends framed bytes to the active segment, fsyncing it if
-// sync. An active segment that outgrew segBytes is sealed first — it joins
-// the sealed segments, deletable once the horizon covers its items — and
-// the record opens the next one, behind its checkpoint: a failed rotation
-// refuses the record instead of leaving it logged but refused. Every record
-// a sealed segment holds that must be durable already is; an ack that is
-// not may be lost, as anywhere.
+// writeLocked writes framed bytes at the log's end in the active segment,
+// syncing it if sync. A record that does not fit in the space the segment
+// has left seals it first — it joins the sealed segments, deletable once
+// the horizon covers its items — and opens the next one, behind its
+// checkpoint: a failed rotation refuses the record instead of leaving it
+// logged but refused. A record larger than a whole segment is written
+// where it starts, extending the file, unless the segment is full already.
+// Every record a sealed segment holds that must be durable already is; an
+// ack that is not may be lost, as anywhere.
 func (w *wal) writeLocked(b []byte, sync bool) error {
-	if w.size >= w.segBytes {
+	n := int64(len(b))
+	if w.size+n > w.segBytes && (n <= w.segBytes || w.size >= w.segBytes) {
 		w.f.Close()
 		w.sealed = append(w.sealed, walSealed{path: w.path, maxSeq: w.maxSeq})
 		if err := w.startSegmentLocked(); err != nil {
 			return err
 		}
 	}
-	if _, err := w.f.Write(b); err != nil {
+	if _, err := w.f.WriteAt(b, w.size); err != nil {
 		return err
 	}
 	w.size += int64(len(b))
@@ -282,7 +330,8 @@ func (w *wal) writeLocked(b []byte, sync bool) error {
 	return nil
 }
 
-// syncLocked fsyncs the active segment if it is dirty.
+// syncLocked makes the active segment's records durable, if it is dirty,
+// with a data-only sync (dataSync).
 func (w *wal) syncLocked() error {
 	if !w.dirty {
 		return nil
@@ -291,7 +340,7 @@ func (w *wal) syncLocked() error {
 	if w.fsync != nil {
 		start = time.Now()
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := dataSync(w.f); err != nil {
 		return err
 	}
 	if w.fsync != nil {
@@ -669,4 +718,22 @@ func walStartGen(dir string) int64 {
 		}
 	}
 	return gen
+}
+
+// syncDir makes the names created in dir durable: syncing a file does not
+// sync its directory entry (fsync(2)). Windows cannot sync a directory
+// handle, and there it does nothing.
+func syncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -175,30 +175,140 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 }
 
 // TestWALTornTailIgnored crash-truncates a segment mid-record and checks
-// recovery keeps every record before the tear and drops the torn one.
+// recovery keeps every record before the tear and drops the torn one. The
+// segment's zeros lie past the log's end, so the file is cut inside the last
+// record, not at the end of the file.
 func TestWALTornTailIgnored(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
 		walAppend(t, w, 1, walItem(kind, 1, "whole"))
 		walAppend(t, w, 2, walItem(kind, 2, "torn-away"))
-		segPath := w.path
+		segPath, end := w.path, w.size
 		if err := w.close(false); err != nil {
 			t.Fatal(err)
 		}
 
-		// Tear the last record: chop a few bytes off the file.
-		fi, err := os.Stat(segPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(segPath, fi.Size()-3); err != nil {
+		// Tear the last record: cut the file three bytes before its end.
+		if err := os.Truncate(segPath, end-3); err != nil {
 			t.Fatal(err)
 		}
 
 		rec := walRecover(t, dir, kind)
 		if got := walDescribe(t, rec.pending); got != "whole/1" {
 			t.Fatalf("pending after torn tail = %q, want just the whole record", got)
+		}
+	})
+}
+
+// TestWALTornRecordBeforeZeros: a record whose write reached the disk only
+// in part leaves its tail as the segment's zeros. Recovery drops that record
+// and keeps every one before it, and the log reopened over the segment
+// logs and recovers past it.
+func TestWALTornRecordBeforeZeros(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		dir := t.TempDir()
+		w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
+		walAppend(t, w, 1, walItem(kind, 1, "whole-a"))
+		walAppend(t, w, 2, walItem(kind, 2, "whole-b"))
+		start := w.size
+		walAppend(t, w, 3, walItem(kind, 3, "torn-away-"+strings.Repeat("x", 200)))
+		segPath, end := w.path, w.size
+		w.closeFiles() // crash
+
+		f, err := os.OpenFile(segPath, os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := (start + end) / 2
+		if _, err := f.WriteAt(make([]byte, end-mid), mid); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		w2, rec := walReopen(t, dir, DefaultWALSegmentBytes, kind)
+		if got := walDescribe(t, rec.pending); got != "whole-a/1 whole-b/2" {
+			t.Fatalf("pending after a torn record = %q, want the two whole records", got)
+		}
+		walAppend(t, w2, 3, walItem(kind, 3, "after"))
+		w2.closeFiles() // crash again
+		if got := walDescribe(t, walRecover(t, dir, kind).pending); got != "whole-a/1 whole-b/2 after/3" {
+			t.Errorf("pending after the reopen = %q, want the two whole records and the one logged after them", got)
+		}
+	})
+}
+
+// TestWALZeroSegmentRecoversEmpty: a crash after a new segment took its
+// zeros but before its checkpoint was written leaves a segment of zeros
+// only. It recovers as empty — the state the other segments hold comes back
+// unchanged — and the reopened log deletes it.
+func TestWALZeroSegmentRecoversEmpty(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		dir := t.TempDir()
+		w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
+		walAppend(t, w, 1, walBatch(t, walItem(kind, 1, "cut"), walItem(kind, 2, "pending")))
+		if err := w.logCut(1, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		w.closeFiles() // crash
+		want := walRecover(t, dir, kind)
+
+		zero := filepath.Join(dir, fmt.Sprintf("%s-%012d.log", walSegmentPrefix, walStartGen(dir)+1))
+		if err := os.WriteFile(zero, make([]byte, DefaultWALSegmentBytes), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w2, rec := walReopen(t, dir, DefaultWALSegmentBytes, kind)
+		defer w2.close(false)
+		rec.sealed, want.sealed = nil, nil
+		if !reflect.DeepEqual(rec, want) {
+			t.Errorf("recovered with a zero segment %+v, without it %+v", rec, want)
+		}
+		if _, err := os.Stat(zero); !os.IsNotExist(err) {
+			t.Errorf("the zero segment survived the reopen: %v", err)
+		}
+	})
+}
+
+// TestWALRecordsPastSegmentSpace: a record longer than the space its segment
+// has left opens the next segment, and one longer than a whole segment
+// extends the file it starts in; both, and the records around them, come
+// back byte for byte after a crash.
+func TestWALRecordsPastSegmentSpace(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		const segBytes = 1024
+		dir := t.TempDir()
+		w := walOpen(t, dir, segBytes, 7, kind)
+		per := 1 // a blinded item logs its value three times
+		if kind == core.KindBlinded {
+			per = 3
+		}
+		values := []string{
+			"a-" + strings.Repeat("a", 400/per),  // fits the first segment
+			"b-" + strings.Repeat("b", 700/per),  // longer than the space left: opens the second
+			"c-" + strings.Repeat("c", 3000/per), // longer than a segment: extends the second
+			"d-short",                            // the second is full: opens the third
+		}
+		var wantItems []string
+		for i, v := range values {
+			walAppend(t, w, int64(i+1), walItem(kind, i+1, v))
+			wantItems = append(wantItems, fmt.Sprintf("%s/%d", v, i+1))
+		}
+		w.closeFiles() // crash
+
+		segs, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
+		var sizes []int64
+		for _, p := range segs {
+			fi, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, fi.Size())
+		}
+		if len(sizes) != 3 || sizes[0] != segBytes || sizes[1] <= 3000 || sizes[2] != segBytes {
+			t.Errorf("segment sizes %v, want %d, over 3000 and %d", sizes, segBytes, segBytes)
+		}
+		if got, want := walDescribe(t, walRecover(t, dir, kind).pending), strings.Join(wantItems, " "); got != want {
+			t.Errorf("pending after the crash:\n got %q\nwant %q", got, want)
 		}
 	})
 }
@@ -390,7 +500,8 @@ func TestWALRefusesOtherKind(t *testing.T) {
 // exactly as a client frames it — the (stream, pos) stamp and the batch in
 // the wire codec. The segment opens with the checkpoint of an empty log
 // (type 11) and the cut record (type 3) follows the batch in the same file;
-// a wire-fed daemon's directory holds wal.meta and one segment.
+// a wire-fed daemon's directory holds wal.meta and one segment. The segment
+// has its full size from the start: every byte past the log's end is zero.
 func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		fwd := walBatch(t, walItem(kind, 4, "forwarded"), walItem(kind, 5, "too"))
@@ -427,6 +538,7 @@ func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 		if err := w.logCut(1, 1, 3); err != nil {
 			t.Fatal(err)
 		}
+		end := w.size
 		if err := w.close(false); err != nil {
 			t.Fatal(err)
 		}
@@ -441,8 +553,14 @@ func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("segment:\n got %x\nwant %x", got, want)
+		if int64(len(got)) != DefaultWALSegmentBytes || end != int64(len(want)) {
+			t.Fatalf("segment of %d bytes with a %d-byte log, want %d and %d", len(got), end, DefaultWALSegmentBytes, len(want))
+		}
+		if !bytes.Equal(got[:end], want) {
+			t.Errorf("segment:\n got %x\nwant %x", got[:end], want)
+		}
+		if i := bytes.IndexFunc(got[end:], func(r rune) bool { return r != 0 }); i >= 0 {
+			t.Errorf("byte %d past the log's end is not zero", i)
 		}
 	})
 }
@@ -615,9 +733,10 @@ func walDirWith(t testing.TB, kind core.BatchKind, seg []byte) string {
 	return dir
 }
 
-// walSegmentBytes returns the segment a wal writes for two batches of kind —
-// a client's stamped submission and an unstamped one — behind its opening
-// checkpoint.
+// walSegmentBytes returns the log a wal writes for two batches of kind — a
+// client's stamped submission and an unstamped one — behind its opening
+// checkpoint: the segment's bytes up to the log's end, without the zeros
+// past it.
 func walSegmentBytes(t testing.TB, kind core.BatchKind) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -632,7 +751,7 @@ func walSegmentBytes(t testing.TB, kind core.BatchKind) []byte {
 	if err := w.appendBatch(0, 0, two); err != nil {
 		t.Fatal(err)
 	}
-	path := w.path
+	path, end := w.path, w.size
 	if err := w.close(false); err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +759,7 @@ func walSegmentBytes(t testing.TB, kind core.BatchKind) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return seg
+	return seg[:end]
 }
 
 // walOversizedClaim is a torn tail whose length field claims 1 GiB and whose
@@ -708,6 +827,7 @@ func FuzzWALRecovery(f *testing.F) {
 		f.Add(blinded, seg)
 		f.Add(blinded, seg[:len(seg)-3])
 		f.Add(blinded, append(seg, walOversizedClaim()...))
+		f.Add(blinded, append(seg[:len(seg)-3], make([]byte, 64)...)) // a torn record, then the segment's zeros
 	}
 	for _, blinded := range []bool{false, true} {
 		kind, other := core.KindEnvelopes, core.KindBlinded
