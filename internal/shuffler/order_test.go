@@ -131,6 +131,29 @@ func TestShufflersPermuteUniformly(t *testing.T) {
 				}
 			}
 		}()},
+		// Threshold on, plus one report per epoch whose blob does not open:
+		// it is shuffled with the rest and dropped only when the peel fails,
+		// which must leave the survivors' order uniform.
+		{"Shuffler2/unopenable", func() orderRun {
+			s := &Shuffler2{Blinding: blindKP, Priv: s2Priv, Threshold: Threshold{Naive: orderSmall},
+				Rand: rand.New(rand.NewPCG(7, 8)), MinBatch: 1}
+			return func(n int) func() []int {
+				in := blinded(n + 1)
+				bad := in[n]
+				bad.Blob[len(bad.Blob)-1] ^= 1
+				in = slices.Insert(in[:n], n/2, bad)
+				return func() []int {
+					out, stats, err := s.Process(slices.Clone(in))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if stats.Undecryptable != 1 || stats.CrowdsForwarded != 1 {
+						t.Fatalf("stats %+v, want 1 undecryptable and the crowd forwarded", stats)
+					}
+					return opened.ranks(t, out)
+				}
+			}
+		}()},
 		{"SGXShuffler", func(n int) func() []int {
 			in := envelopes(sgxShuf.PublicKey(), n)
 			return func() []int {

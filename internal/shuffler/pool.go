@@ -7,12 +7,12 @@ import (
 )
 
 // This file is the shared worker-pool core of the three Process paths
-// (Shuffler, Shuffler1, Shuffler2): envelopes are decrypted or blinded by a
-// pool of workers writing positionally into a preallocated slice (no shared
-// state, no locks), then merged into crowd groups by shard-of-crowd-ID-prefix
-// maps — each shard goroutine owns its map outright, so there is no map
-// contention — and finally thresholded and shuffled serially, consuming the
-// batch RNG in a deterministic order.
+// (Shuffler, Shuffler1, Shuffler2): envelopes are peeled, blinded or
+// mapped to pseudonyms by a pool of workers writing positionally into a
+// preallocated slice (no shared state, no locks), then merged into crowd
+// groups by shard-of-crowd-ID-prefix maps — each shard goroutine owns its map
+// outright, so there is no map contention — and finally thresholded and
+// shuffled serially, consuming the batch RNG in a deterministic order.
 //
 // Determinism contract: for a fixed batch and a fixed *rand.Rand seed, the
 // output is byte-identical for every worker count. The parallel phases write
@@ -80,12 +80,13 @@ func groupBy[K comparable](shards, n int, live func(int) bool, keyAt func(int) K
 }
 
 // applyThreshold runs crowd thresholding over the groups in their
-// deterministic order, collects the surviving items' payloads, and shuffles
-// the result so output order carries no grouping signal. It is the single
-// point of RNG consumption in a Process call and always runs serially.
-func applyThreshold(groups []group, th Threshold, rng *rand.Rand, inner func(int) []byte, stats *Stats) [][]byte {
+// deterministic order and returns the batch positions of the selected items
+// in output order, shuffled so that order carries no grouping signal. It is
+// the single point of RNG consumption in a Process call and always runs
+// serially; its draws depend only on the group sizes.
+func applyThreshold(groups []group, th Threshold, rng *rand.Rand, stats *Stats) []int {
 	stats.Crowds = len(groups)
-	var out [][]byte
+	var out []int
 	for gi := range groups {
 		idxs := groups[gi].idxs
 		keep, ok := th.Apply(rng, len(idxs))
@@ -95,30 +96,8 @@ func applyThreshold(groups []group, th Threshold, rng *rand.Rand, inner func(int
 		stats.CrowdsForwarded++
 		// Drop a random subset down to the post-noise count.
 		rng.Shuffle(len(idxs), func(i, j int) { idxs[i], idxs[j] = idxs[j], idxs[i] })
-		if keep > len(idxs) {
-			keep = len(idxs)
-		}
-		for _, i := range idxs[:keep] {
-			out = append(out, inner(i))
-		}
+		out = append(out, idxs[:min(keep, len(idxs))]...)
 	}
-	// Shuffle the batch so output order carries no grouping signal.
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	stats.Forwarded = len(out)
-	// Detach the survivors from the decryption buffers: the collected slices
-	// alias the Process arena (the whole batch's peeled plaintext), so a
-	// caller retaining even one forwarded ciphertext — a transport queue,
-	// say — would pin the entire arena. After heavy thresholding the
-	// survivors are a small fraction of the batch; one exact-size buffer
-	// holds just their bytes, and the arena is collectable at return.
-	total := 0
-	for _, b := range out {
-		total += len(b)
-	}
-	buf := make([]byte, 0, total)
-	for i, b := range out {
-		buf = append(buf, b...)
-		out[i] = buf[len(buf)-len(b) : len(buf) : len(buf)]
-	}
 	return out
 }

@@ -9,7 +9,9 @@
 //     Shuffle and the §4.1.5 crowd thresholding inside a (simulated) SGX
 //     enclave and attests its public key per §4.1.1;
 //   - Shuffler1/Shuffler2: the split shuffler of §4.3, thresholding on
-//     blinded crowd IDs so neither party sees them in the clear.
+//     blinded crowd IDs so neither party sees them in the clear. Shuffler 2
+//     thresholds before it peels: only the reports it forwards lose their
+//     outer layer.
 //
 // Concurrency: each variant has a Workers knob (0 selects GOMAXPROCS,
 // 1 forces the serial reference path). Per-report public-key work —
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand/v2"
+	"slices"
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
@@ -37,9 +40,14 @@ import (
 // Stats summarizes one processed batch; the shuffler's host learns only the
 // global selectivity of thresholding (§4.1.5), which these stats model.
 type Stats struct {
-	Received        int // envelopes in the batch
-	Undecryptable   int // envelopes that failed the outer layer
-	Crowds          int // distinct crowd IDs seen
+	Received int // envelopes in the batch
+	// Undecryptable: envelopes dropped as malformed, for an outer layer that
+	// does not open or a crowd ciphertext that does not parse. Shuffler 2
+	// opens only the records its threshold keeps.
+	Undecryptable int
+	// Crowds: distinct crowd IDs seen (pseudonyms at Shuffler 2, where a
+	// record counts once its crowd ciphertext parses, opened or not).
+	Crowds          int
 	CrowdsForwarded int // crowds surviving the threshold
 	Forwarded       int // reports forwarded to the analyzer
 }
@@ -125,8 +133,20 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 		func(i int) bool { return items[i].ok },
 		func(i int) core.CrowdID { return items[i].crowd },
 		func(k core.CrowdID) uint32 { return uint32(k[0]) })
-	out := applyThreshold(groups, s.Threshold, s.Rand,
-		func(i int) []byte { return items[i].inner }, &stats)
+	sel := applyThreshold(groups, s.Threshold, s.Rand, &stats)
+	// Detach the survivors from the decryption arena, which holds the whole
+	// batch's peeled plaintext: a caller retaining even one forwarded
+	// ciphertext — a transport queue, say — would pin all of it. One
+	// exact-size buffer holds just the survivors' bytes.
+	out := make([][]byte, len(sel))
+	for j, i := range sel {
+		out[j] = items[i].inner
+	}
+	buf := slices.Concat(out...)
+	for j, b := range out {
+		out[j], buf = buf[:len(b):len(b)], buf[len(b):]
+	}
+	stats.Forwarded = len(out)
 	return out, stats, nil
 }
 
@@ -216,10 +236,19 @@ func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelop
 	return out, nil
 }
 
-// Shuffler2 decrypts blinded crowd-ID pseudonyms, thresholds on them, peels
-// its encryption layer, and forwards the inner ciphertexts. It never sees a
-// crowd ID in the clear: only α·H(crowdID), useless for dictionary attacks
-// without Shuffler 1's α.
+// Shuffler2 decrypts blinded crowd-ID pseudonyms, thresholds on them, and
+// only then peels its encryption layer off the reports the threshold keeps,
+// forwarding their inner ciphertexts. It never sees a crowd ID in the clear:
+// only α·H(crowdID), useless for dictionary attacks without Shuffler 1's α.
+//
+// A record counts toward its crowd once its crowd ciphertext parses, whether
+// or not its outer layer opens: a kept record whose blob does not open is
+// dropped after the threshold and counted Undecryptable, and the blobs of a
+// suppressed crowd are never opened. That is no weaker than the sybil model
+// the threshold already accepts — the hybrid and El Gamal keys are public, so
+// a client that can form a crowd ciphertext can also form a valid report for
+// that crowd — and hop 2 never holds the analyzer-layer ciphertexts of a
+// crowd it suppresses.
 type Shuffler2 struct {
 	Blinding  *elgamal.KeyPair
 	Priv      *hybrid.PrivateKey
@@ -229,61 +258,40 @@ type Shuffler2 struct {
 	Workers   int // decryption workers; 0 = GOMAXPROCS, 1 = serial
 }
 
-// openedBlinded is the per-position result of Shuffler 2's workers.
-type openedBlinded struct {
-	ct     elgamal.Ciphertext
-	pseudo string
-	inner  []byte
-	ok     bool
-}
-
-// Process thresholds on pseudonyms and returns surviving inner ciphertexts,
-// shuffled. Envelope parsing runs per report on the worker pool; the outer
-// layer is peeled by hybrid's chunked OpenBatch and the El Gamal decryptions
-// run through Decrypter.PseudonymBatch, so on both the private scalar is
-// recoded once per chunk and a chunk's points share one field inversion.
+// Process thresholds on pseudonyms and returns the surviving inner
+// ciphertexts, shuffled. Parsing runs per report on the worker pool; the
+// pseudonyms (Decrypter.PseudonymBatch), then the peel of the selected
+// reports in output order (hybrid's OpenBatch, whose arena so holds only what
+// is forwarded), run in chunks that recode the private scalar once and share
+// one field inversion.
 func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, error) {
 	stats := Stats{Received: len(batch)}
 	workers := parallel.Workers(s.Workers)
 	dec := s.Blinding.Decrypter()
-	items := make([]openedBlinded, len(batch))
-	blobs := make([][]byte, len(batch))
+	cts := make([]elgamal.Ciphertext, len(batch))
+	ok := make([]bool, len(batch))
 	parallel.For(workers, len(batch), func(i int) {
-		blobs[i] = batch[i].Blob
 		c1, err1 := elgamal.ParsePoint(batch[i].CrowdC1)
 		c2, err2 := elgamal.ParsePoint(batch[i].CrowdC2)
-		if err1 != nil || err2 != nil {
-			return
-		}
-		items[i].ct = elgamal.Ciphertext{C1: c1, C2: c2}
-		items[i].ok = true
+		cts[i], ok[i] = elgamal.Ciphertext{C1: c1, C2: c2}, err1 == nil && err2 == nil
 	})
-	inners, errs := s.Priv.OpenBatch(blobs, nil, workers)
+	// Compact to the parsable envelopes in place; idx maps back to the batch.
 	idx := make([]int, 0, len(batch))
-	for i := range items {
-		if !items[i].ok || errs[i] != nil {
-			items[i].ok = false
-			stats.Undecryptable++
-			continue
+	for i := range ok {
+		if ok[i] {
+			cts[len(idx)] = cts[i]
+			idx = append(idx, i)
 		}
-		items[i].inner = inners[i]
-		idx = append(idx, i)
 	}
-	valid := make([]elgamal.Ciphertext, len(idx))
-	for j, i := range idx {
-		valid[j] = items[i].ct
-	}
-	chunks := (len(valid) + blindChunk - 1) / blindChunk
-	parallel.For(workers, chunks, func(c int) {
+	stats.Undecryptable = len(batch) - len(idx)
+	pseudos := make([]string, len(idx))
+	parallel.For(workers, (len(idx)+blindChunk-1)/blindChunk, func(c int) {
 		lo := c * blindChunk
-		hi := min(lo+blindChunk, len(valid))
-		for j, pseudo := range dec.PseudonymBatch(valid[lo:hi]) {
-			items[idx[lo+j]].pseudo = pseudo
-		}
+		copy(pseudos[lo:], dec.PseudonymBatch(cts[lo:min(lo+blindChunk, len(idx))]))
 	})
-	groups := groupBy(workers, len(items),
-		func(i int) bool { return items[i].ok },
-		func(i int) string { return items[i].pseudo },
+	groups := groupBy(workers, len(pseudos),
+		func(int) bool { return true },
+		func(j int) string { return pseudos[j] },
 		func(k string) uint32 {
 			// Byte 1 of the compressed encoding, the y-coordinate's
 			// second little-endian byte, is uniform enough to shard on.
@@ -292,7 +300,19 @@ func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, erro
 			}
 			return 0
 		})
-	out := applyThreshold(groups, s.Threshold, s.Rand,
-		func(i int) []byte { return items[i].inner }, &stats)
+	sel := applyThreshold(groups, s.Threshold, s.Rand, &stats)
+	blobs := make([][]byte, len(sel))
+	for k, j := range sel {
+		blobs[k] = batch[idx[j]].Blob
+	}
+	inners, errs := s.Priv.OpenBatch(blobs, nil, workers)
+	out := inners[:0]
+	for j, inner := range inners {
+		if errs[j] == nil {
+			out = append(out, inner)
+		}
+	}
+	stats.Undecryptable += len(inners) - len(out)
+	stats.Forwarded = len(out)
 	return out, stats, nil
 }

@@ -258,6 +258,67 @@ func TestBlindedPipeline(t *testing.T) {
 	}
 }
 
+// TestShuffler2PeelsOnlyWhatItForwards: hop 2 thresholds on pseudonyms before
+// it opens anything, so only the records the threshold keeps are peeled.
+// Crowd A (six honest reports, one with a flipped tag) passes a threshold of
+// 5: the six are forwarded and the seventh counts as undecryptable. Crowd B's
+// three records, whose blobs are random bytes, are suppressed unopened, and
+// an envelope whose crowd ciphertext does not parse is undecryptable and in
+// no crowd.
+func TestShuffler2PeelsOnlyWhatItForwards(t *testing.T) {
+	anlz, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2Priv, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &encoder.BlindedClient{Shuffler2Blinding: blindKP.H, Shuffler2Key: s2Priv.Public(),
+		AnalyzerKey: anlz.Public(), Rand: crand.Reader}
+	encode := func(crowd string) core.BlindedEnvelope {
+		env, err := client.Encode(crowd, []byte("value-"+crowd))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	var batch []core.BlindedEnvelope
+	for i := 0; i < 7; i++ {
+		batch = append(batch, encode("A"))
+	}
+	batch[6].Blob[len(batch[6].Blob)-1] ^= 1
+	for i := 0; i < 3; i++ {
+		env := encode("B")
+		if _, err := crand.Read(env.Blob); err != nil {
+			t.Fatal(err)
+		}
+		batch = append(batch, env)
+	}
+	unparsable := encode("A")
+	unparsable.CrowdC1 = bytes.Repeat([]byte{0xff}, len(unparsable.CrowdC1))
+	batch = append(batch, unparsable)
+
+	s2 := &Shuffler2{Blinding: blindKP, Priv: s2Priv, Threshold: Threshold{Naive: 5}, Rand: newRNG(), MinBatch: 1}
+	out, stats, err := s2.Process(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Received: 11, Undecryptable: 2, Crowds: 2, CrowdsForwarded: 1, Forwarded: 6}
+	if stats != want || len(out) != 6 {
+		t.Fatalf("%d forwarded, stats %+v; want 6 forwarded, stats %+v", len(out), stats, want)
+	}
+	for _, ct := range out {
+		if pt, err := anlz.Open(ct, nil); err != nil || string(pt) != "value-A" {
+			t.Fatalf("forwarded %q (%v), want value-A", pt, err)
+		}
+	}
+}
+
 // TestSGXShufflerEndToEnd exercises attestation, oblivious shuffling, and
 // in-enclave thresholding.
 func TestSGXShufflerEndToEnd(t *testing.T) {

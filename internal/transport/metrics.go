@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"prochlo/internal/metrics"
+	"prochlo/internal/shuffler"
 )
 
 // Instrumentation for the stage engine, WAL, and balancer. Everything here
@@ -67,6 +68,23 @@ func (e *engine) registerMetrics() {
 			}
 			return float64(e.accepted.Load() - int64(received) - e.dropped.Load() - e.occupancy.Load())
 		})
+	// The stage's cumulative selectivity, the Stats RPC's Cumulative.
+	for _, c := range []struct {
+		name, help string
+		field      func(*shuffler.Stats) int
+	}{
+		{"prochlo_stage_received_total", "Reports the stage function was handed.", func(s *shuffler.Stats) int { return s.Received }},
+		{"prochlo_stage_undecryptable_total", "Reports the stage dropped as malformed.", func(s *shuffler.Stats) int { return s.Undecryptable }},
+		{"prochlo_stage_forwarded_total", "Reports the stage forwarded downstream.", func(s *shuffler.Stats) int { return s.Forwarded }},
+		{"prochlo_stage_crowds_total", "Crowds seen, summed over epochs.", func(s *shuffler.Stats) int { return s.Crowds }},
+		{"prochlo_stage_crowds_forwarded_total", "Crowds that survived the threshold, summed over epochs.", func(s *shuffler.Stats) int { return s.CrowdsForwarded }},
+	} {
+		reg.CounterFunc(c.name, c.help, l, func() float64 {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return float64(c.field(&e.cum))
+		})
+	}
 	reg.GaugeFunc("prochlo_wal_recovered_reports", "Reports recovered from the WAL at the last restart.", l,
 		func() float64 { return float64(e.recItems) })
 	reg.GaugeFunc("prochlo_wal_recovered_epochs", "Cut-but-unresolved epochs recovered from the WAL at the last restart.", l,

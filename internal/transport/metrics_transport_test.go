@@ -184,3 +184,51 @@ func TestAnalyzerMetrics(t *testing.T) {
 		t.Errorf("undecryptable = %v, want 0", v)
 	}
 }
+
+// TestStageSelectivityMetrics pins the stage's cumulative selectivity series
+// against a drained epoch of known content — eight reports of one crowd, one
+// of another, one whose outer layer does not open — and against the
+// Cumulative stats the Drain RPC returns.
+func TestStageSelectivityMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rig := newStreamingRig(t, EpochConfig{FlushAt: 10, Metrics: reg, MetricsLabels: metrics.Labels{"role": "shuffler"}})
+	cl, err := Dial(rig.shuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	batch := make([]core.Envelope, 10)
+	for i := range batch {
+		batch[i] = rig.envelope(t, "c:sel", "sel-value")
+	}
+	batch[8] = rig.envelope(t, "c:other", "sel-value")
+	batch[9].Blob[len(batch[9].Blob)-1] ^= 1
+	if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := cl.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var b bytes.Buffer
+	if _, err := reg.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	s := b.String()
+	cum := stats.Cumulative
+	for _, c := range []struct {
+		series    string
+		want, rpc int
+	}{
+		{"prochlo_stage_received_total", 10, cum.Received},
+		{"prochlo_stage_undecryptable_total", 1, cum.Undecryptable},
+		{"prochlo_stage_forwarded_total", 9, cum.Forwarded},
+		{"prochlo_stage_crowds_total", 2, cum.Crowds},
+		{"prochlo_stage_crowds_forwarded_total", 2, cum.CrowdsForwarded},
+	} {
+		if v := metricValue(t, s, c.series+`{role="shuffler"}`); v != float64(c.want) || c.rpc != c.want {
+			t.Errorf("%s = %v, Drain's Cumulative %d; want %d", c.series, v, c.rpc, c.want)
+		}
+	}
+}
