@@ -55,17 +55,17 @@ func newBudgetKit(t *testing.T) *budgetKit {
 		}
 		return st, sec
 	}
-	var plainSec, s2Sec shuffler.Secrets
+	var plainSec, s1Sec, s2Sec shuffler.Secrets
 	k.plain, plainSec = stage("shuffler")
-	k.s1, _ = stage("shuffler1")
+	k.s1, s1Sec = stage("shuffler1")
 	k.s2, s2Sec = stage("shuffler2")
 	var err error
 	if k.anlzPriv, err = hybrid.GenerateKey(crand.Reader); err != nil {
 		t.Fatal(err)
 	}
 	k.client = &encoder.Client{ShufflerKey: plainSec.Priv.Public(), AnalyzerKey: k.anlzPriv.Public(), Rand: crand.Reader}
-	k.bclient = &encoder.BlindedClient{Shuffler2Blinding: s2Sec.Blinding.H, Shuffler2Key: s2Sec.Priv.Public(),
-		AnalyzerKey: k.anlzPriv.Public(), Rand: crand.Reader}
+	k.bclient = &encoder.BlindedClient{Shuffler1Blinding: s1Sec.Blinding.H, Shuffler2Blinding: s2Sec.Blinding.H,
+		Shuffler2Key: s2Sec.Priv.Public(), AnalyzerKey: k.anlzPriv.Public(), Rand: crand.Reader}
 	if k.envs, err = k.client.EncodeBatch(k.reports, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAllocBudgets(t *testing.T) {
 			_, _, err := k.plain.ProcessEpoch(core.Batch{Envelopes: k.envs})
 			return err
 		}},
-		{"Shuffler1.ProcessEpoch", 5, func() error {
+		{"Shuffler1.ProcessEpoch", 4, func() error {
 			_, _, err := k.s1.ProcessEpoch(core.Batch{Blinded: k.blinded})
 			return err
 		}},

@@ -46,7 +46,10 @@
 // and pushes each slice to its owning shuffler2 replica, and a thresholding
 // hop spreads its output across the analyzer partitions by content hash.
 // Replicas of a tier share keys via one -key-file (shuffler1's holds the
-// blinding exponent; replicas with different ones split crowds at hop 2):
+// blinding exponent α, whose public key A = αG clients encrypt on; a client
+// refuses to dial replicas that serve different ones). A shuffler1 with
+// -wal-dir needs its -key-file, or its recovered reports would be blinded
+// with a fresh α:
 //
 //	prochlod -role shuffler2 -listen 127.0.0.1:7102 -key-file s2.key \
 //	         -next 127.0.0.1:7110,127.0.0.1:7111
@@ -330,6 +333,9 @@ func buildStage(role string, p shuffler.Params, o stageOpts) (st shuffler.Stage,
 		st, quote, err = shuffler.NewSGXShuffler(ca, p)
 		return st, ca, quote, err
 	}
+	if role == "shuffler1" && o.cfg.WALDir != "" && o.keyFile == "" {
+		return nil, nil, quote, errors.New("-role shuffler1 -wal-dir needs -key-file: clients encrypt on the tier's public blinding key, so a restart that drew a fresh α would reduce every report the WAL recovered to a suppressed crowd of one")
+	}
 	sec, err := loadKeys(o.keyFile, role != "shuffler")
 	if err != nil {
 		return nil, nil, quote, err
@@ -358,10 +364,11 @@ func runStage(role string, p shuffler.Params, o stageOpts) {
 		fmt.Println("sgx: key attested, measurement", hex.EncodeToString(shuffler.SGXShufflerMeasurement[:8]))
 		fmt.Println("sgx: attestation CA key (PKIX, pin it in clients):", hex.EncodeToString(der))
 	}
-	if blinding, key := st.PublicKeys(); key != nil {
-		if blinding != nil {
-			fmt.Println("blinding public key:", hex.EncodeToString(blinding))
-		}
+	blinding, key := st.PublicKeys()
+	if blinding != nil {
+		fmt.Println("blinding public key:", hex.EncodeToString(blinding))
+	}
+	if key != nil {
 		fmt.Printf("%s public key: %x\n", role, key)
 	}
 	_, emits := st.Kinds()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
 )
@@ -71,23 +72,56 @@ func TestSGXRefusesWALDir(t *testing.T) {
 	}
 }
 
+// TestShuffler1WALNeedsKeyFile: clients encrypt C1 on shuffler1's public
+// blinding key, so a shuffler1 that recovered its WAL under a fresh α would
+// reduce every recovered report to a suppressed crowd of one. -wal-dir
+// without -key-file is refused at start-up; with it, or without a WAL, the
+// role builds.
+func TestShuffler1WALNeedsKeyFile(t *testing.T) {
+	dir := t.TempDir()
+	wal := transport.EpochConfig{WALDir: filepath.Join(dir, "wal")}
+	if _, _, _, err := buildStage("shuffler1", shuffler.Params{}, stageOpts{cfg: wal}); err == nil ||
+		!strings.Contains(err.Error(), "-role shuffler1 -wal-dir needs -key-file") {
+		t.Fatalf("buildStage(shuffler1 -wal-dir) = %v, want the refusal", err)
+	}
+	for _, o := range []stageOpts{{cfg: wal, keyFile: filepath.Join(dir, "s1.key")}, {}} {
+		if _, _, _, err := buildStage("shuffler1", shuffler.Params{}, o); err != nil {
+			t.Fatalf("buildStage(shuffler1, key file %q, wal %q) = %v", o.keyFile, o.cfg.WALDir, err)
+		}
+	}
+}
+
 // TestShuffler1KeyFileKeepsAlpha: shuffler1's -key-file holds its tier's
 // blinding exponent in the El Gamal line, so every replica and every restart
-// started from the file blinds with the same α — and still serves no key.
+// started from the file blinds with the same α and serves the same public
+// blinding key A = αG, with its proof of α — and no hybrid key.
 func TestShuffler1KeyFileKeepsAlpha(t *testing.T) {
 	o := stageOpts{keyFile: filepath.Join(t.TempDir(), "s1.key")}
 	var alphas []*big.Int
+	var served [][]byte
 	for start := 0; start < 2; start++ {
 		st, _, _, err := buildStage("shuffler1", shuffler.Params{}, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if blinding, key := st.PublicKeys(); blinding != nil || key != nil {
-			t.Fatal("shuffler1 serves a key")
+		alpha := st.(*shuffler.Shuffler1).Alpha
+		a, err := elgamal.NewKeyPair(alpha)
+		if err != nil {
+			t.Fatal(err)
 		}
-		alphas = append(alphas, st.(*shuffler.Shuffler1).Alpha)
+		blinding, key := st.PublicKeys()
+		if key != nil || !bytes.Equal(blinding, a.ProvenKey()) {
+			t.Fatalf("shuffler1 serves (%x, %x), want (αG with its proof, nil)", blinding, key)
+		}
+		if served, err := elgamal.ParseProvenKey(blinding); err != nil || !served.Equal(a.H) {
+			t.Fatalf("shuffler1's served key parses to %v, %v; want αG", served, err)
+		}
+		alphas, served = append(alphas, alpha), append(served, blinding)
 	}
 	if alphas[0].Cmp(alphas[1]) != 0 {
 		t.Fatal("a shuffler1 restarted from its key file blinds with another α")
+	}
+	if !bytes.Equal(served[0], served[1]) {
+		t.Fatal("a shuffler1 restarted from its key file serves another A")
 	}
 }

@@ -59,10 +59,11 @@ func main() {
 	}
 
 	// Every party is shuffler.NewStage's stage for its role; replicas of a
-	// tier share its keys (shuffler1 holds none — the RemotePipeline fetches
-	// the chain's keys from hop 2), each hop-1 replica fans out to every
-	// hop-2 partition and each thresholding replica to every analyzer
-	// partition. The fixed seed makes every run print the same histogram.
+	// tier share its keys (the RemotePipeline fetches shuffler1's blinding
+	// key from every hop-1 replica and the chain's other keys from hop 2),
+	// each hop-1 replica fans out to every hop-2 partition and each
+	// thresholding replica to every analyzer partition. The fixed seed makes
+	// every run print the same histogram.
 	epochs := transport.EpochConfig{FlushAt: *flushAt}
 	tiers, replicas := []transport.Tier{{Role: "shuffler", Replicas: 1, Epochs: epochs}}, 1
 	if *fleet {

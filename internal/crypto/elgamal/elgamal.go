@@ -4,11 +4,17 @@
 // clear (§4.3).
 //
 // The encoder hashes a crowd ID to a group element µ = H(crowdID) and
-// encrypts it to Shuffler 2's public key as (rG, rH + µ). Shuffler 1 blinds
-// the pair with a secret scalar α, shuffles, and forwards; Shuffler 2
-// decrypts and obtains αµ — a pseudonym that preserves equality (so
-// counting works) while resisting dictionary attacks by either shuffler
-// alone.
+// encrypts it as (rA, rY + µ): Y = xG is Shuffler 2's key and A = αG is
+// Shuffler 1's public blinding key. Shuffler 1 multiplies C2 alone by its
+// secret α, shuffles, and forwards (rA, α(rY + µ)) — for the same r, the
+// pair the paper's Shuffler 1 forwards after multiplying both components of
+// (rG, rY + µ) by α. Shuffler 2 computes C2 − x·C1 = αrY + αµ − xrαG = αµ: a
+// pseudonym that preserves equality (so counting works) while resisting
+// dictionary attacks by either shuffler alone. Publishing A costs nothing:
+// to test a guessed crowd against αµ given A, Shuffler 2 would have to solve
+// a DDH instance. Shuffler 1 serves A with a proof that it knows α
+// (ProvenKey), and clients encrypt on no A whose proof fails: a hop 1 that
+// served a multiple of Y instead could strip C2's mask.
 //
 // Group arithmetic is internal/crypto/group's ristretto255, the one group
 // this build deploys. Every stage has a batch entry point —
@@ -20,6 +26,7 @@
 package elgamal
 
 import (
+	"crypto/sha512"
 	"errors"
 	"fmt"
 	"io"
@@ -90,7 +97,9 @@ func HashToPoint(data []byte) Point {
 // HashToPointGroup is HashToPoint; benchmark/sut.go binds it.
 func HashToPointGroup(_ group.Group, data []byte) Point { return HashToPoint(data) }
 
-// KeyPair is Shuffler 2's decryption key pair: H = x*G.
+// KeyPair is a private scalar and its public point H = X*G: Shuffler 2's
+// decryption key x with Y = xG, or Shuffler 1's blinding exponent α with its
+// public blinding key A = αG.
 type KeyPair struct {
 	X *big.Int // private
 	H Point    // public
@@ -120,12 +129,74 @@ func NewKeyPair(x *big.Int) (*KeyPair, error) {
 	return &KeyPair{X: x, H: Point{e: g.BaseMul(group.ScalarFromBig(x))}}, nil
 }
 
-// Ciphertext is an El Gamal encryption (C1, C2) = (rG, rH + M).
+// proofDomain prefixes every hash of a ProvenKey proof, so that no proof made
+// for another purpose verifies as one.
+const proofDomain = "prochlo/elgamal/proven-key/v1/"
+
+// proofSize is the length of the proof that ends a ProvenKey: the challenge
+// c and the response s, 32 bytes each.
+const proofSize = 64
+
+// ProvenKey returns the public key H with a non-interactive Schnorr proof
+// that its maker knows X = log_G H: c = Hash(H, tG) and s = t + cX. Shuffler 1
+// serves its blinding key A this way, because clients compute C1 on A. A hop
+// 1 that served a point whose log it does not know, such as Shuffler 2's Y or
+// kY, could take C2 − k⁻¹·C1 = H(crowd) and read every crowd ID; one that
+// knows α learns from C1 = rαG only rG, the C1 the paper's client sends it.
+// The nonce t is hashed from X and H, so the proof is the same every call.
+func (k *KeyPair) ProvenKey() []byte {
+	h := k.H.Compressed()
+	t := hashScalar("nonce", k.X.FillBytes(make([]byte, 32)), h)
+	c := hashScalar("challenge", h, Point{e: g.BaseMul(group.ScalarFromBig(t))}.Compressed())
+	s := new(big.Int).Mul(c, k.X)
+	s.Add(s, t).Mod(s, g.Order())
+	out := append(make([]byte, 0, len(h)+proofSize), h...)
+	out = append(out, c.FillBytes(make([]byte, 32))...)
+	return append(out, s.FillBytes(make([]byte, 32))...)
+}
+
+// ParseProvenKey decodes a ProvenKey — a key in any encoding ParsePoint
+// takes, then the proof — and returns the key only if the proof verifies:
+// sG − cH hashes, with H, back to c.
+func ParseProvenKey(b []byte) (Point, error) {
+	if len(b) <= proofSize {
+		return Point{}, fmt.Errorf("elgamal: a proven key is a point and a %d-byte proof, got %d bytes", proofSize, len(b))
+	}
+	at := len(b) - proofSize
+	h, err := ParsePoint(b[:at])
+	if err != nil {
+		return Point{}, err
+	}
+	c, s := new(big.Int).SetBytes(b[at:at+32]), new(big.Int).SetBytes(b[at+32:])
+	if h.IsInfinity() || c.Cmp(g.Order()) >= 0 || s.Cmp(g.Order()) >= 0 {
+		return Point{}, errors.New("elgamal: malformed proven key")
+	}
+	r := g.Sub(g.BaseMul(group.ScalarFromBig(s)), g.Mul(h.e, group.ScalarFromBig(c)))
+	if hashScalar("challenge", h.Compressed(), Point{e: r}.Compressed()).Cmp(c) != 0 {
+		return Point{}, errors.New("elgamal: the key's proof of knowledge does not verify")
+	}
+	return h, nil
+}
+
+// hashScalar hashes a labelled transcript to a scalar mod the group order.
+// SHA-512's 512 bits leave the reduction's bias below 2^-259.
+func hashScalar(label string, parts ...[]byte) *big.Int {
+	d := sha512.New()
+	d.Write([]byte(proofDomain + label))
+	for _, p := range parts {
+		d.Write(p)
+	}
+	return new(big.Int).Mod(new(big.Int).SetBytes(d.Sum(nil)), g.Order())
+}
+
+// Ciphertext is an El Gamal encryption (C1, C2) = (rB, rH + M) on a base B:
+// the generator G (Encrypt), or Shuffler 1's blinding key A in the split
+// chain (Encrypter).
 type Ciphertext struct {
 	C1, C2 Point
 }
 
-// Encrypt encrypts the message point m to the public key h.
+// Encrypt encrypts the message point m to the public key h, on G.
 func Encrypt(rng io.Reader, h Point, m Point) (Ciphertext, error) {
 	r, err := g.RandomScalar(rng)
 	if err != nil {
@@ -137,13 +208,13 @@ func Encrypt(rng io.Reader, h Point, m Point) (Ciphertext, error) {
 	}, nil
 }
 
-// Blind multiplies both ciphertext components by the scalar alpha. For a
-// ciphertext of M under key H this produces a valid encryption of αM under
-// the same key, so decryption yields the blinded pseudonym αM. Blinding
-// preserves equality of plaintexts: two reports carry the same crowd ID iff
-// their blinded decryptions match.
+// Blind multiplies C2 by the scalar alpha, Shuffler 1's blinding. For a
+// ciphertext (rA, rY + M) whose C1 the client computed on A = αG, it yields
+// (rA, α(rY + M)), which decrypts under Y's key to the blinded pseudonym αM.
+// Blinding preserves equality of plaintexts: two reports carry the same crowd
+// ID iff their blinded decryptions match. C1 passes through unchanged.
 func Blind(ct Ciphertext, alpha *big.Int) Ciphertext {
-	return NewBlinder(alpha).Blind(ct)
+	return Ciphertext{C1: ct.C1, C2: Point{e: g.Mul(ct.C2.e, group.ScalarFromBig(alpha))}}
 }
 
 // Blinder is the batch fast path of Blind for a scalar that is fixed
@@ -163,31 +234,22 @@ func NewBlinder(alpha *big.Int) *Blinder {
 // NewBlinderGroup is NewBlinder; benchmark/sut.go binds it.
 func NewBlinderGroup(_ group.Group, alpha *big.Int) *Blinder { return NewBlinder(alpha) }
 
-// Blind is equivalent to Blind(ct, alpha) for the precomputed alpha.
-func (b *Blinder) Blind(ct Ciphertext) Ciphertext {
-	return Ciphertext{
-		C1: Point{e: g.Mul(ct.C1.e, b.alpha)},
-		C2: Point{e: g.Mul(ct.C2.e, b.alpha)},
-	}
-}
-
-// BlindBatch blinds a slice of ciphertexts in place: 2*len(cts) fixed-
-// scalar multiplications with the scalar recoded once, then one shared
-// normalization so the caller's Bytes() calls are inversion-free.
+// BlindBatch is Blind over a slice, in place: len(cts) fixed-scalar
+// multiplications of C2 with the scalar recoded once, then one shared
+// normalization so the caller's Bytes() calls are inversion-free. C1 is left
+// as it is.
 func (b *Blinder) BlindBatch(cts []Ciphertext) {
 	if len(cts) == 0 {
 		return
 	}
-	els := make([]group.Element, 2*len(cts))
+	els := make([]group.Element, len(cts))
 	for i, ct := range cts {
-		els[2*i] = ct.C1.e
-		els[2*i+1] = ct.C2.e
+		els[i] = ct.C2.e
 	}
 	g.MulBatch(els, els, b.alpha)
 	g.Normalize(els)
 	for i := range cts {
-		cts[i].C1 = Point{e: els[2*i]}
-		cts[i].C2 = Point{e: els[2*i+1]}
+		cts[i].C2 = Point{e: els[i]}
 	}
 }
 
@@ -260,8 +322,9 @@ func (d *Decrypter) PseudonymBatch(cts []Ciphertext) []string {
 	return out
 }
 
-// EncryptCrowdID is the encoder-side helper: hash the crowd ID to a point
-// and encrypt it to Shuffler 2's key.
+// EncryptCrowdID is the reference encryption of a crowd ID: hash it to a
+// point and encrypt it to Shuffler 2's key, on G. The split chain's clients
+// encrypt on Shuffler 1's blinding key instead (NewEncrypterOn).
 func EncryptCrowdID(rng io.Reader, h Point, crowdID []byte) (Ciphertext, error) {
 	return Encrypt(rng, h, HashToPoint(crowdID))
 }
@@ -274,33 +337,48 @@ func EncryptCrowdID(rng io.Reader, h Point, crowdID []byte) (Ciphertext, error) 
 const encrypterCacheMax = 4096
 
 // Encrypter is the precomputed client-side fast path of EncryptCrowdID for
-// a fixed recipient key, the counterpart of Shuffler 1's Blinder and
-// Shuffler 2's Decrypter. Two precomputations amortize across a batch: the
-// hash-to-curve of each crowd ID is cached per distinct label, and the
-// recipient key h gets a signed-digit comb table (built lazily on first
-// use) that turns the per-report variable-point multiplication rH into
-// ~43 table additions with no doublings. An Encrypter is safe for
+// a fixed recipient key and C1 base, the counterpart of Shuffler 1's Blinder
+// and Shuffler 2's Decrypter. Two precomputations amortize across a batch:
+// the hash-to-curve of each crowd ID is cached per distinct label, and the
+// recipient key h and the base a get signed-digit comb tables (built lazily
+// on first use) that turn each per-report variable-point multiplication
+// into ~43 table additions with no doublings. An Encrypter is safe for
 // concurrent use by the encoder's batch workers.
 type Encrypter struct {
-	h Point
+	a, h Point
 
 	tableOnce sync.Once
-	table     *group.Table
+	baseTable *group.Table
+	keyTable  *group.Table
 
 	mu    sync.RWMutex
 	cache map[string]group.Element
 }
 
-// NewEncrypter precomputes encryption state for Shuffler 2's public key h.
-func NewEncrypter(h Point) *Encrypter {
-	return &Encrypter{h: h, cache: make(map[string]group.Element)}
+// NewEncrypter precomputes encryption state for Shuffler 2's public key h,
+// with C1 on the generator G (benchmark/sut.go binds this signature).
+func NewEncrypter(h Point) *Encrypter { return NewEncrypterOn(Point{}, h) }
+
+// NewEncrypterOn precomputes encryption state for Shuffler 2's public key h
+// with C1 on the base a: in the split chain, Shuffler 1's blinding key
+// A = αG, so that Shuffler 1 need blind C2 alone. The identity (the zero
+// Point) selects G.
+func NewEncrypterOn(a, h Point) *Encrypter {
+	return &Encrypter{a: a, h: h, cache: make(map[string]group.Element)}
 }
 
-// keyTable lazily builds the comb table for h (one-time ~1ms, amortized
-// over every report the client ever seals).
-func (e *Encrypter) keyTable() *group.Table {
-	e.tableOnce.Do(func() { e.table = g.Precompute(e.h.e) })
-	return e.table
+// tables lazily builds the comb tables for the base and for h (one-time
+// ~1ms each, amortized over every report the client ever seals); the
+// generator's table is the process-wide one.
+func (e *Encrypter) tables() (base, key *group.Table) {
+	e.tableOnce.Do(func() {
+		e.baseTable = g.BaseTable()
+		if !e.a.IsInfinity() {
+			e.baseTable = g.Precompute(e.a.e)
+		}
+		e.keyTable = g.Precompute(e.h.e)
+	})
+	return e.baseTable, e.keyTable
 }
 
 // hashPoint returns HashToPoint(crowdID), memoized. Cached elements are
@@ -322,22 +400,24 @@ func (e *Encrypter) hashPoint(crowdID []byte) group.Element {
 	return p
 }
 
-// EncryptCrowdID is equivalent to EncryptCrowdID(rng, h, crowdID) for the
-// precomputed key: same ciphertext for the same rng stream.
+// EncryptCrowdID encrypts the crowd ID as (r·a, r·h + H(crowdID)); on the
+// generator it is EncryptCrowdID(rng, h, crowdID) for the precomputed key:
+// same ciphertext for the same rng stream.
 func (e *Encrypter) EncryptCrowdID(rng io.Reader, crowdID []byte) (Ciphertext, error) {
 	m := e.hashPoint(crowdID)
 	r, err := g.RandomScalar(rng)
 	if err != nil {
 		return Ciphertext{}, err
 	}
+	base, key := e.tables()
 	return Ciphertext{
-		C1: Point{e: g.BaseMul(r)},
-		C2: Point{e: g.Add(e.keyTable().Mul(r), m)},
+		C1: Point{e: base.Mul(r)},
+		C2: Point{e: g.Add(key.Mul(r), m)},
 	}, nil
 }
 
 // QueueCrowdID draws an encryption's scalar r from rng and sets slots i and
-// i+1 of b to its products, C1 = r*G and C2 = r*H + H(crowdID): the split
+// i+1 of b to its products, C1 = r*a and C2 = r*h + H(crowdID): the split
 // form of EncryptCrowdID for a batch encoder that puts the fixed-base work
 // of every encryption and seal of a call in one group.CombBatch. Once b has
 // run over both slots and been normalized, Queued returns the ciphertext
@@ -347,8 +427,9 @@ func (e *Encrypter) QueueCrowdID(rng io.Reader, crowdID []byte, b *group.CombBat
 	if err != nil {
 		return err
 	}
-	b.Set(i, g.BaseTable(), r, group.Element{})
-	b.Set(i+1, e.keyTable(), r, e.hashPoint(crowdID))
+	base, key := e.tables()
+	b.Set(i, base, r, group.Element{})
+	b.Set(i+1, key, r, e.hashPoint(crowdID))
 	return nil
 }
 

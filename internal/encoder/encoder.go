@@ -142,10 +142,15 @@ func (c *Client) EncodeBatch(reports []core.Report, workers int) ([]core.Envelop
 }
 
 // BlindedClient encodes reports for the split-shuffler pipeline (§4.3): the
-// crowd ID is El Gamal-encrypted to Shuffler 2's blinding key, and the data
-// is nested-encrypted to Shuffler 2 and the analyzer. Shuffler 1 sees
-// neither crowd IDs nor data; it blinds, batches, and shuffles.
+// crowd ID is El Gamal-encrypted to Shuffler 2's blinding key on Shuffler
+// 1's public blinding key A = αG, so that Shuffler 1 need only blind C2, and
+// the data is nested-encrypted to Shuffler 2 and the analyzer. Shuffler 1
+// sees neither crowd IDs nor data; it blinds, batches, and shuffles.
 type BlindedClient struct {
+	// Shuffler1Blinding is Shuffler 1's public blinding key A, the base C1
+	// is computed on. The zero Point leaves C1 on G, a ciphertext no chain
+	// thresholds correctly: hop 2's pseudonyms then differ per report.
+	Shuffler1Blinding elgamal.Point
 	Shuffler2Blinding elgamal.Point // Shuffler 2's El Gamal public key
 	Shuffler2Key      *hybrid.PublicKey
 	AnalyzerKey       *hybrid.PublicKey
@@ -155,11 +160,11 @@ type BlindedClient struct {
 	enc     *elgamal.Encrypter
 }
 
-// encrypter returns the lazily-built El Gamal fast path for the blinding
-// key: hash-to-curve results are cached per crowd label, which matters
-// because a client reports the same few crowds all epoch.
+// encrypter returns the lazily-built El Gamal fast path for the two keys:
+// hash-to-curve results are cached per crowd label, which matters because a
+// client reports the same few crowds all epoch.
 func (c *BlindedClient) encrypter() *elgamal.Encrypter {
-	c.encOnce.Do(func() { c.enc = elgamal.NewEncrypter(c.Shuffler2Blinding) })
+	c.encOnce.Do(func() { c.enc = elgamal.NewEncrypterOn(c.Shuffler1Blinding, c.Shuffler2Blinding) })
 	return c.enc
 }
 

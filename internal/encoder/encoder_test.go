@@ -91,7 +91,12 @@ func TestBlindedEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hop1, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := &BlindedClient{
+		Shuffler1Blinding: hop1.H,
 		Shuffler2Blinding: blind.H,
 		Shuffler2Key:      s2Hybrid.Public(),
 		AnalyzerKey:       anlz.Public(),
@@ -101,12 +106,26 @@ func TestBlindedEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shuffler 2 decrypts the crowd point (unblinded here) to the hash.
+	// Once Shuffler 1 blinds C2, Shuffler 2 decrypts the crowd point to α
+	// times the hash.
 	c1, _ := elgamal.ParsePoint(env.CrowdC1)
 	c2, _ := elgamal.ParsePoint(env.CrowdC2)
-	m := blind.Decrypt(elgamal.Ciphertext{C1: c1, C2: c2})
-	if !m.Equal(elgamal.HashToPoint([]byte("zip-94043"))) {
-		t.Error("crowd ciphertext does not decrypt to the crowd hash point")
+	m := blind.Decrypt(elgamal.Blind(elgamal.Ciphertext{C1: c1, C2: c2}, hop1.X))
+	hash := elgamal.HashToPoint([]byte("zip-94043"))
+	if !m.Equal(elgamal.Blind(elgamal.Ciphertext{C2: hash}, hop1.X).C2) {
+		t.Error("blinded crowd ciphertext does not decrypt to α times the crowd hash point")
+	}
+	// A client without hop 1's key still encodes, on G: unblinded, its
+	// ciphertext decrypts to the hash itself.
+	onG, err := (&BlindedClient{Shuffler2Blinding: blind.H, Shuffler2Key: s2Hybrid.Public(),
+		AnalyzerKey: anlz.Public(), Rand: crand.Reader}).Encode("zip-94043", []byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, _ = elgamal.ParsePoint(onG.CrowdC1)
+	c2, _ = elgamal.ParsePoint(onG.CrowdC2)
+	if !blind.Decrypt(elgamal.Ciphertext{C1: c1, C2: c2}).Equal(hash) {
+		t.Error("a client without hop 1's key does not encrypt on G")
 	}
 	// Peeling the two data layers recovers the payload.
 	inner, err := s2Hybrid.Open(env.Blob, nil)

@@ -40,14 +40,16 @@ func katDigest(fields [][]byte) string {
 // BlindedClient.EncodeBatch output. They were generated before the
 // fixed-base multiplications of a batch ran through lanes and hold on every
 // kernel (the lane comb, the scalar comb, -tags purego) and worker count:
-// a kernel may change how a point is computed, never its bytes.
+// a kernel may change how a point is computed, never its bytes. The
+// blinded entries were regenerated when C1 moved onto hop 1's blinding key;
+// their C2 and blob bytes did not change.
 var encodeKATs = map[string]string{
 	"plain/n=1":     "680cdd04b3aae8713929bcc13ccd6387511abe29e9a19dd70c893cdd9a3aea6c",
 	"plain/n=5":     "9a20ecf7ce797d5ab9acdf5c2ab05d08761e58aed0c8d4e8556efdc62e10ac4c",
 	"plain/n=250":   "edeb546120cc072771253065bc236da9f3494d2273d170e3eb3555dcf6be68db",
-	"blinded/n=1":   "e7e4a6782a7532b90e8f5134c9f8dfb927b7a92f5119e193bbba408290440052",
-	"blinded/n=5":   "23b60661b6613dfe75eea08dd2d7aad9788b5b6a223abbb163093e3802c19db0",
-	"blinded/n=250": "3b185623889a8c2520edb69b46124d7e027737c063e951ed46778f01658c07f1",
+	"blinded/n=1":   "1e3492ab3d26d627b68554e5c7721f9a1a5723040a9242d5d743c5c6d6410f19",
+	"blinded/n=5":   "9f86a26144bfd60c66cb4d20d86d045b656c605c60fe8a9fd89eb60d971d5618",
+	"blinded/n=250": "a772ca33f14e6e0021f644143150b6ab7cad39037aa7e35b018ed74be8eebc5a",
 }
 
 func TestEncodeBatchKnownAnswers(t *testing.T) {
@@ -60,6 +62,10 @@ func TestEncodeBatchKnownAnswers(t *testing.T) {
 	}
 	shufPriv, anlzPriv, s2Priv := mustKey(1), mustKey(2), mustKey(3)
 	blindKP, err := elgamal.GenerateKeyPair(katSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop1, err := elgamal.GenerateKeyPair(katSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +94,7 @@ func TestEncodeBatchKnownAnswers(t *testing.T) {
 			}
 
 			bc := &BlindedClient{
+				Shuffler1Blinding: hop1.H,
 				Shuffler2Blinding: blindKP.H,
 				Shuffler2Key:      s2Priv.Public(),
 				AnalyzerKey:       anlzPriv.Public(),

@@ -146,6 +146,10 @@ func TestBlindedEncodeBatchParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hop1, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s2Priv, _ := hybrid.GenerateKey(crand.Reader)
 	anlzPriv, _ := hybrid.GenerateKey(crand.Reader)
 	n := 60
@@ -162,6 +166,7 @@ func TestBlindedEncodeBatchParallelEquivalence(t *testing.T) {
 	seed[7] = 9
 	run := func(workers int) []core.BlindedEnvelope {
 		c := &BlindedClient{
+			Shuffler1Blinding: hop1.H,
 			Shuffler2Blinding: blindKP.H,
 			Shuffler2Key:      s2Priv.Public(),
 			AnalyzerKey:       anlzPriv.Public(),
@@ -190,9 +195,9 @@ func TestBlindedEncodeBatchParallelEquivalence(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("envelope %d: bad crowd ciphertext", i)
 		}
-		m := blindKP.Decrypt(elgamal.Ciphertext{C1: c1, C2: c2})
-		if !m.Equal(elgamal.HashToPoint([]byte(labels[i]))) {
-			t.Fatalf("envelope %d: crowd ciphertext decrypts to the wrong point", i)
+		m := blindKP.Decrypt(elgamal.Blind(elgamal.Ciphertext{C1: c1, C2: c2}, hop1.X))
+		if !m.Equal(elgamal.Blind(elgamal.Ciphertext{C2: elgamal.HashToPoint([]byte(labels[i]))}, hop1.X).C2) {
+			t.Fatalf("envelope %d: blinded crowd ciphertext decrypts to the wrong point", i)
 		}
 		inner, err := s2Priv.Open(env.Blob, nil)
 		if err != nil {

@@ -57,8 +57,8 @@ func katEpoch(t *testing.T) ([]core.BlindedEnvelope, Secrets) {
 		labels[i] = fmt.Sprintf("crowd-%02d", int(math.Floor(60*u*u)))
 		data[i] = []byte(fmt.Sprintf("value-%04d", i))
 	}
-	client := &encoder.BlindedClient{Shuffler2Blinding: s2Blinding.H, Shuffler2Key: s2Priv.Public(),
-		AnalyzerKey: anlzPriv.Public(), Rand: katSeed(6)}
+	client := &encoder.BlindedClient{Shuffler1Blinding: s1Blinding.H, Shuffler2Blinding: s2Blinding.H,
+		Shuffler2Key: s2Priv.Public(), AnalyzerKey: anlzPriv.Public(), Rand: katSeed(6)}
 	envs, err := client.EncodeBatch(labels, data, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -105,5 +105,26 @@ func TestSplitChainKnownAnswer(t *testing.T) {
 		if stats != wantStats {
 			t.Errorf("workers=%d: stats %+v, want %+v", workers, stats, wantStats)
 		}
+	}
+}
+
+// TestHop1KnownAnswer pins what hop 1 forwards from katEpoch: the SHA-256 of
+// every output envelope's CrowdC1, CrowdC2 and Blob, each length-prefixed,
+// in output order. The answer was computed when clients encrypted the crowd
+// ID on G and hop 1 multiplied both components by α; a client that encrypts
+// on A = α·G and a hop 1 that multiplies only C2 must forward the same bytes,
+// so hop 2's view is unchanged.
+func TestHop1KnownAnswer(t *testing.T) {
+	const wantDigest = "2fb5ae6a15c9d22802a85f5f39dbd888cc72d3a2120fb6f755848e3bea26565e"
+	mixed, _ := katEpoch(t)
+	h := sha256.New()
+	for _, e := range mixed {
+		for _, f := range [][]byte{e.CrowdC1, e.CrowdC2, e.Blob} {
+			h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(f))))
+			h.Write(f)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
+		t.Errorf("hop-1 output digest %s, want %s", got, wantDigest)
 	}
 }

@@ -118,7 +118,12 @@ func TestSplitShufflerParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1KP, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
 	client := &encoder.BlindedClient{
+		Shuffler1Blinding: s1KP.H,
 		Shuffler2Blinding: blindKP.H,
 		Shuffler2Key:      s2Priv.Public(),
 		AnalyzerKey:       anlz.Public(),
@@ -133,10 +138,7 @@ func TestSplitShufflerParallelEquivalence(t *testing.T) {
 		env.SeqNo = i + 1
 		batch[i] = env
 	}
-	alpha, err := elgamal.RandomScalar(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
+	alpha := s1KP.X
 
 	runS1 := func(workers int) []core.BlindedEnvelope {
 		s1 := &Shuffler1{Alpha: alpha, Rand: rand.New(rand.NewPCG(3, 5)), Workers: workers}

@@ -154,12 +154,16 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 
 // Shuffler1 blinds crowd-ID ciphertexts with its secret exponent, strips
 // metadata, and shuffles. It cannot decrypt crowd IDs (no Shuffler 2 private
-// key) nor data (no analyzer key).
+// key) nor data (no analyzer key). Clients compute C1 on its public blinding
+// key A = αG (PublicKeys), so it multiplies C2 alone by α and forwards C1 as
+// received.
 type Shuffler1 struct {
 	Alpha    *big.Int // blinding exponent, fixed per tier (every replica and restart blinds with it)
 	Rand     *rand.Rand
 	MinBatch int // anonymity floor per epoch; 0 selects DefaultMinBatch
 	Workers  int // blinding workers; 0 = GOMAXPROCS, 1 = serial
+
+	provenKey []byte // A = αG with its proof of α, served by PublicKeys (NewStage sets it)
 }
 
 // NewShuffler1Group draws a fresh blinding exponent; the group is the
@@ -181,10 +185,11 @@ func NewShuffler1Group(_ cgroup.Group, rng *rand.Rand) (*Shuffler1, error) {
 const blindChunk = 256
 
 // Process blinds and shuffles a batch, forwarding it for Shuffler 2. Parsing
-// runs per envelope on the worker pool; the point multiplications run
-// through Blinder.BlindBatch in chunks, so the epoch-fixed exponent is
-// recoded once per chunk and each chunk's outputs are normalized with one
-// shared inversion before encoding.
+// of both crowd-ID points runs per envelope on the worker pool; the C2
+// multiplications run through Blinder.BlindBatch in chunks, so the
+// epoch-fixed exponent is recoded once per chunk and each chunk's outputs are
+// normalized with one shared inversion before encoding. C1 and the blob are
+// forwarded as received.
 func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelope, error) {
 	blinder := elgamal.NewBlinder(s.Alpha)
 	workers := parallel.Workers(s.Workers)
@@ -193,29 +198,26 @@ func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelop
 	ok := make([]bool, n)
 	parallel.For(workers, n, func(i int) {
 		batch[i].StripMetadata()
-		c1, err := elgamal.ParsePoint(batch[i].CrowdC1)
-		if err != nil {
+		if _, err := elgamal.ParsePoint(batch[i].CrowdC1); err != nil {
 			return
 		}
 		c2, err := elgamal.ParsePoint(batch[i].CrowdC2)
 		if err != nil {
 			return
 		}
-		cts[i] = elgamal.Ciphertext{C1: c1, C2: c2}
+		cts[i] = elgamal.Ciphertext{C2: c2}
 		ok[i] = true
 	})
-	// Compact to the valid envelopes (dropping unparsable crowd IDs), then
-	// blind chunk-wise on the pool.
+	// Compact to the valid envelopes (dropping unparsable crowd IDs) in
+	// place, then blind chunk-wise on the pool; idx maps back to the batch.
 	idx := make([]int, 0, n)
 	for i := range ok {
 		if ok[i] {
+			cts[len(idx)] = cts[i]
 			idx = append(idx, i)
 		}
 	}
-	valid := make([]elgamal.Ciphertext, len(idx))
-	for j, i := range idx {
-		valid[j] = cts[i]
-	}
+	valid := cts[:len(idx)]
 	chunks := (len(valid) + blindChunk - 1) / blindChunk
 	parallel.For(workers, chunks, func(c int) {
 		lo := c * blindChunk
@@ -223,13 +225,14 @@ func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelop
 	})
 	out := make([]core.BlindedEnvelope, len(idx))
 	parallel.For(workers, len(idx), func(j int) {
+		in := &batch[idx[j]]
 		out[j] = core.BlindedEnvelope{
-			CrowdC1: valid[j].C1.Bytes(),
+			CrowdC1: in.CrowdC1,
 			CrowdC2: valid[j].C2.Bytes(),
-			Blob:    batch[idx[j]].Blob,
+			Blob:    in.Blob,
 			// Routing, not metadata: the client-stamped owning partition
 			// must survive blinding for hop-2 fan-in.
-			Partition: batch[idx[j]].Partition,
+			Partition: in.Partition,
 		}
 	})
 	s.Rand.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })

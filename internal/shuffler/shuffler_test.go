@@ -192,7 +192,12 @@ func TestBlindedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1KP, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
 	client := &encoder.BlindedClient{
+		Shuffler1Blinding: s1KP.H,
 		Shuffler2Blinding: blindKP.H,
 		Shuffler2Key:      s2Priv.Public(),
 		AnalyzerKey:       anlz.Public(),
@@ -212,11 +217,14 @@ func TestBlindedPipeline(t *testing.T) {
 	add("crowd-popular", "popular", 80)
 	add("crowd-rare", "rare", 2)
 
-	alpha, err := elgamal.RandomScalar(crand.Reader)
-	if err != nil {
-		t.Fatal(err)
+	// Keep the input's bytes: Shuffler 1 strips metadata in place.
+	type sent struct{ c1, blob string }
+	inC2, inC1Blob := map[string]bool{}, map[sent]bool{}
+	for _, e := range batch {
+		inC2[string(e.CrowdC2)] = true
+		inC1Blob[sent{string(e.CrowdC1), string(e.Blob)}] = true
 	}
-	s1 := &Shuffler1{Alpha: alpha, Rand: newRNG()}
+	s1 := &Shuffler1{Alpha: s1KP.X, Rand: newRNG()}
 	blinded, err := s1.Process(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -224,14 +232,14 @@ func TestBlindedPipeline(t *testing.T) {
 	if len(blinded) != 82 {
 		t.Fatalf("shuffler 1 forwarded %d, want 82", len(blinded))
 	}
-	// Shuffler 1 must not forward the original crowd ciphertexts.
-	origC1 := map[string]bool{}
-	for _, e := range batch {
-		origC1[string(e.CrowdC1)] = true
-	}
+	// Shuffler 1 must blind every C2; C1 (computed on its key by the client)
+	// and the blob pass through as they arrived, together.
 	for _, e := range blinded {
-		if origC1[string(e.CrowdC1)] {
-			t.Fatal("shuffler 1 forwarded an unblinded crowd ciphertext")
+		if inC2[string(e.CrowdC2)] {
+			t.Fatal("shuffler 1 forwarded an unblinded C2")
+		}
+		if !inC1Blob[sent{string(e.CrowdC1), string(e.Blob)}] {
+			t.Fatal("shuffler 1 changed a C1 or a blob, or split the pair")
 		}
 	}
 

@@ -37,17 +37,22 @@ type Stage interface {
 	// it to refuse cutting smaller epochs.
 	Floor() int
 	// PublicKeys names the public keys the stage serves to clients: the
-	// hybrid key its reports are sealed to and, at shuffler2, the El Gamal
-	// key crowd IDs are encrypted to. Both are nil at shuffler1, which holds
-	// no key — clients fetch the chain's keys from shuffler2, so no single hop
-	// both sees traffic metadata and decrypts.
+	// hybrid key its reports are sealed to and the El Gamal point of the
+	// crowd-ID encryption — at shuffler2 the key crowd IDs are encrypted to,
+	// at shuffler1 its public blinding key A = αG, the base clients compute
+	// C1 on, with a proof that it knows α (elgamal.ProvenKey). Shuffler1
+	// serves no hybrid key (nil): it decrypts nothing. The proof keeps the
+	// rule that no single hop both sees traffic metadata and decrypts: a hop 1
+	// that served a point whose log it does not know, such as a multiple of
+	// shuffler2's key, could unmask C2 and read the crowd IDs.
 	PublicKeys() (blinding, key []byte)
 }
 
 // Secrets is the key material a tier's replicas share (cmd/prochlod keeps it
 // in one -key-file): the hybrid key the tier decrypts with and an El Gamal
-// pair — shuffler2's crowd-ID key, or shuffler1's blinding exponent α, which
-// every hop-1 replica must share and shuffler2 must not hold.
+// pair — shuffler2's crowd-ID key, or shuffler1's blinding exponent α with
+// the public A = αG it serves, which every hop-1 replica must share and
+// shuffler2 must not hold.
 type Secrets struct {
 	Priv     *hybrid.PrivateKey
 	Blinding *elgamal.KeyPair
@@ -76,10 +81,11 @@ type Params struct {
 // the one place the rules of a role live: every stage draws
 // StageRand(p.Seed, role), so a seeded replica, daemon or in-process pipeline
 // reproduces the same draws; shuffler1 blinds with its tier's α,
-// sec.Blinding.X, and holds no decryption key; and shuffler2's floor is 1,
-// because the chain's entry hop enforces the anonymity floor and hop 2 must
-// accept whatever hop 1 forwards (malformed drops can shrink an epoch). The
-// SGX shuffler, which makes and attests its own key, is NewSGXShuffler.
+// sec.Blinding.X, serves A = sec.Blinding.H with its proof of α as the base
+// clients encrypt on, and holds no decryption key; and shuffler2's floor is
+// 1, because the chain's entry hop enforces the anonymity floor and hop 2
+// must accept whatever hop 1 forwards (malformed drops can shrink an epoch).
+// The SGX shuffler, which makes and attests its own key, is NewSGXShuffler.
 func NewStage(role string, sec Secrets, p Params) (Stage, error) {
 	rng, err := StageRand(p.Seed, role)
 	if err != nil {
@@ -92,7 +98,8 @@ func NewStage(role string, sec Secrets, p Params) (Stage, error) {
 		if sec.Blinding == nil {
 			return nil, fmt.Errorf("shuffler: shuffler1 needs its tier's blinding exponent")
 		}
-		return &Shuffler1{Alpha: sec.Blinding.X, Rand: rng, MinBatch: p.MinBatch, Workers: p.Workers}, nil
+		return &Shuffler1{Alpha: sec.Blinding.X, Rand: rng, MinBatch: p.MinBatch, Workers: p.Workers,
+			provenKey: sec.Blinding.ProvenKey()}, nil
 	case "shuffler2":
 		return &Shuffler2{Blinding: sec.Blinding, Priv: sec.Priv, Threshold: p.Threshold, Rand: rng, MinBatch: 1, Workers: p.Workers}, nil
 	}
@@ -186,8 +193,10 @@ func (s *Shuffler1) Kinds() (consumes, emits core.BatchKind) {
 // Floor implements Stage.
 func (s *Shuffler1) Floor() int { return floorOf(s.MinBatch) }
 
-// PublicKeys implements Stage.
-func (s *Shuffler1) PublicKeys() (blinding, key []byte) { return nil, nil }
+// PublicKeys implements Stage: the public blinding key A = αG with its proof
+// of α (elgamal.ProvenKey), and no hybrid key. A Shuffler1 that NewStage did
+// not build serves neither.
+func (s *Shuffler1) PublicKeys() (blinding, key []byte) { return s.provenKey, nil }
 
 // ProcessEpoch implements Stage: blinded envelopes in, peeled payloads out.
 func (s *Shuffler2) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {

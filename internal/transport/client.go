@@ -62,6 +62,7 @@ type peerConn struct {
 
 	mu     sync.Mutex
 	wc     *wireConn
+	dials  int
 	closed bool
 }
 
@@ -88,8 +89,17 @@ func (p *peerConn) conn() (*wireConn, error) {
 			return nil, err
 		}
 		p.wc = wc
+		p.dials++
 	}
 	return p.wc, nil
+}
+
+// Dials counts the connections the handle has dialed, the first among them:
+// a count that moved means the party may have restarted since.
+func (p *peerConn) Dials() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.dials
 }
 
 func (p *peerConn) call(method uint8, appendBody func([]byte) []byte) ([]byte, error) {
@@ -159,14 +169,15 @@ func (p *peerConn) Healthz() (HealthzReply, error) {
 }
 
 // Keys fetches the key material reports are encrypted to: the party's
-// hybrid key, plus the blinding key when it is the chain's shuffler2.
+// hybrid key, plus the El Gamal point when it is a hop of the chain — at
+// shuffler1, which serves no hybrid key, the blinding key alone.
 func (p *peerConn) Keys() (Keys, error) {
 	body, err := p.call(methodKeys, nil)
 	if err != nil {
 		return Keys{}, err
 	}
 	k, err := decoded(decodeKeys(body))
-	if err == nil && len(k.Key) == 0 {
+	if err == nil && len(k.Key) == 0 && len(k.Blinding) == 0 {
 		err = fmt.Errorf("transport: %s served an empty key", p.addr)
 	}
 	return k, err

@@ -155,11 +155,11 @@ func (s *StageService) Config() EpochConfig { return s.eng.cfg }
 // Healthz is the cheap liveness probe; see HealthzReply.
 func (s *StageService) Healthz() HealthzReply { return s.eng.healthz() }
 
-// Keys returns the key material clients encrypt to; it fails at a hop that
-// holds none.
+// Keys returns the key material clients encrypt to — at shuffler1 its
+// public blinding key alone; it fails at a hop that serves neither key.
 func (s *StageService) Keys() (Keys, error) {
-	if len(s.keys.Key) == 0 {
-		return Keys{}, errors.New("transport: this hop holds no keys (fetch them from the shuffler2 daemon)")
+	if len(s.keys.Key) == 0 && len(s.keys.Blinding) == 0 {
+		return Keys{}, errors.New("transport: this hop serves no keys")
 	}
 	return s.keys, nil
 }

@@ -124,8 +124,10 @@ func decodeHealthz(body []byte) (HealthzReply, error) {
 }
 
 // Keys is the public key material a party serves to clients: the hybrid key
-// reports are sealed to, and — from the shuffler2 role only — the El Gamal
-// blinding key crowd IDs are encrypted to (a tagged group element).
+// reports are sealed to, and from a hop of the chain an El Gamal key —
+// shuffler2's key crowd IDs are encrypted to (a tagged group element), or
+// shuffler1's blinding key A = αG, the base of C1, with its proof of α
+// (elgamal.ProvenKey) and no hybrid key.
 type Keys struct {
 	Blinding []byte
 	Key      []byte

@@ -219,8 +219,9 @@ func TestAnalyzerKeepsCounts(t *testing.T) {
 
 // TestStageServiceServesItsStagesKeys: a service serves the keys its stage
 // holds and no others — the hybrid key the stage decrypts with, plus the
-// blinding key at shuffler2 — and the analyzer serves its own. Shuffler1
-// holds none and refuses, pointing the client at shuffler2.
+// El Gamal key at shuffler2 — and the analyzer serves its own. Shuffler1
+// serves its public blinding key A = αG, with its proof of α, alone; a stage with no key at all
+// refuses.
 func TestStageServiceServesItsStagesKeys(t *testing.T) {
 	sec, err := shuffler.GenerateSecrets()
 	if err != nil {
@@ -256,7 +257,8 @@ func TestStageServiceServesItsStagesKeys(t *testing.T) {
 	}{
 		{"plain", role("shuffler"), Keys{Key: key}, ""},
 		{"sgx", stageService(sgxStage, nil), Keys{Key: quote.ReportData}, ""},
-		{"shuffler1", role("shuffler1"), Keys{}, "transport: this hop holds no keys (fetch them from the shuffler2 daemon)"},
+		{"shuffler1", role("shuffler1"), Keys{Blinding: sec.Blinding.ProvenKey()}, ""},
+		{"keyless", stageService(&shuffler.Shuffler1{}, nil), Keys{}, "transport: this hop serves no keys"},
 		{"shuffler2", role("shuffler2"), Keys{Blinding: sec.Blinding.H.Bytes(), Key: key}, ""},
 		{"analyzer", NewAnalyzerService(&analyzer.Analyzer{Priv: sec.Priv}), Keys{Key: key}, ""},
 	} {

@@ -72,6 +72,7 @@ func MeasureTiming(nClients int) (TimingResult, error) {
 	// Blinded path.
 	s2 := secs["shuffler2"]
 	bclient := &encoder.BlindedClient{
+		Shuffler1Blinding: secs["shuffler1"].Blinding.H,
 		Shuffler2Blinding: s2.Blinding.H, Shuffler2Key: s2.Priv.Public(),
 		AnalyzerKey: anlzPriv.Public(), Rand: crand.Reader,
 	}

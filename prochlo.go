@@ -267,7 +267,10 @@ func New(opts ...Option) (*Pipeline, error) {
 			}
 			p.stages = append(p.stages, st)
 		}
+		// Clients compute C1 on hop 1's public blinding key A = αG, so
+		// that hop 1 blinds C2 alone.
 		p.blindedClient = &encoder.BlindedClient{
+			Shuffler1Blinding: s1Sec.Blinding.H,
 			Shuffler2Blinding: sec.Blinding.H,
 			Shuffler2Key:      sec.Priv.Public(),
 			AnalyzerKey:       p.analyzerPriv.Public(),

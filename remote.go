@@ -5,6 +5,7 @@ import (
 	crand "crypto/rand"
 	"errors"
 	"fmt"
+	"sync"
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
@@ -83,6 +84,11 @@ type RemotePipeline struct {
 	// transport.Balancer for the failover safety rule.
 	entry *transport.Balancer
 	anlzs []*transport.AnalyzerClient
+
+	// bencMu guards benc and hop1Dials, the entry tier's dial count when
+	// Shuffler 1's blinding key was last fetched (see blindedClient).
+	bencMu    sync.Mutex
+	hop1Dials int
 }
 
 // RemoteOption configures a RemotePipeline.
@@ -293,9 +299,9 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 }
 
 // DialRemoteChainFleet connects to the §4.3 split-shuffler chain — the
-// Shuffler 1 tier clients submit to, the Shuffler 2 tier that serves the
-// chain's key material (its El Gamal blinding key and hybrid key; Shuffler 1
-// holds no keys), and the analyzer tier — returning a ModeBlinded pipeline
+// Shuffler 1 tier clients submit to, which serves its public blinding key
+// A = αG, the Shuffler 2 tier that serves the chain's El Gamal key and
+// hybrid key, and the analyzer tier — returning a ModeBlinded pipeline
 // handle. Reports enter at Shuffler 1 and flow shuffler1 -> shuffler2 ->
 // analyzer as the daemons' epoch pushes, each a Submit frame like a client
 // batch; the Shuffler 2 and analyzer connections carry only key fetches,
@@ -304,8 +310,12 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 // owning hop-2 partition (core.PartitionOf(crowd, len(shuffler2Addrs))) so a
 // crowd's reports meet at the replica that thresholds them no matter which
 // hop-1 replica they entered through, and the analyzer partitions'
-// histograms are merged at query time. The hop-2 replicas must share one key pair (cmd/prochlod:
-// -key-file); hop-1 replicas hold no keys and need none.
+// histograms are merged at query time. Each tier's replicas must share one
+// key file (cmd/prochlod: -key-file): the dial fetches A from every hop-1
+// replica, verifies its proof of α, and refuses replicas that serve
+// different keys. After an entry connection redials, SubmitBatch fetches A
+// again, so a replica restarted with a fresh α splits only the crowds that
+// straddle the restart.
 func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string, opts ...RemoteOption) (*RemotePipeline, error) {
 	r, err := newRemotePipeline(opts)
 	if err != nil {
@@ -317,6 +327,12 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 	}
 	r.partitions = len(shuffler2Addrs)
 	if err := r.dialTiers([][]string{shuffler1Addrs, shuffler2Addrs}, analyzerAddrs); err != nil {
+		return nil, err
+	}
+	r.hop1Dials = entryDials(r.tiers[0])
+	hop1, err := hop1Key(r.tiers[0], false)
+	if err != nil {
+		r.Close()
 		return nil, err
 	}
 	keys, err := firstOf(r.tiers[1], (*transport.Client).Keys)
@@ -340,6 +356,7 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 		return nil, err
 	}
 	r.benc = &encoder.BlindedClient{
+		Shuffler1Blinding: hop1,
 		Shuffler2Blinding: blinding,
 		Shuffler2Key:      s2Key,
 		AnalyzerKey:       anlzKey,
@@ -347,6 +364,85 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 	}
 	r.baselineFailures()
 	return r, nil
+}
+
+// hop1Key fetches Shuffler 1's blinding key A from every replica of the
+// entry tier; with skipDown set it skips a replica it cannot reach, and
+// returns the zero Point if none answers. It refuses a key whose proof of α
+// fails (elgamal.ParseProvenKey): clients encrypt C1 on A, so a hop 1 that
+// served a point whose log it does not know, such as a multiple of Shuffler
+// 2's key, could unmask C2 and read the crowd IDs. It refuses replicas that
+// serve different keys too: the reports entering the odd replica would be
+// encrypted on an A whose α that replica does not blind with, and each would
+// reach hop 2 as a crowd of one, suppressed.
+func hop1Key(tier []*transport.Client, skipDown bool) (elgamal.Point, error) {
+	var first elgamal.Point
+	var firstAddr string
+	for _, cl := range tier {
+		keys, err := cl.Keys()
+		if skipDown && transport.IsTransient(err) {
+			continue
+		}
+		var a elgamal.Point
+		if err == nil {
+			a, err = elgamal.ParseProvenKey(keys.Blinding)
+		}
+		if err != nil {
+			return elgamal.Point{}, fmt.Errorf("prochlo: shuffler 1 blinding key: %w (served by %s)", err, cl.Addr())
+		}
+		if firstAddr == "" {
+			first, firstAddr = a, cl.Addr()
+		} else if !a.Equal(first) {
+			return elgamal.Point{}, fmt.Errorf("prochlo: shuffler 1 replicas %s and %s serve different blinding keys (start every replica of a tier from one key file)", firstAddr, cl.Addr())
+		}
+	}
+	return first, nil
+}
+
+// entryDials sums the connections a tier's clients have dialed.
+func entryDials(tier []*transport.Client) int {
+	n := 0
+	for _, cl := range tier {
+		n += cl.Dials()
+	}
+	return n
+}
+
+// blindedClient returns the chain's encoder (nil outside ModeBlinded) and the
+// entry tier's dial count it is current for. A hop-1 replica restarted
+// without its -key-file blinds with a fresh α, and reports still encrypted on
+// the old A would each reach hop 2 as a crowd of one. So once an entry
+// connection was redialed, the key is fetched again from the replicas that
+// answer, and clients encrypt on the key the tier now serves: only the crowds
+// that straddle the restart split, as any change of α splits them.
+func (r *RemotePipeline) blindedClient() (*encoder.BlindedClient, int, error) {
+	r.bencMu.Lock()
+	defer r.bencMu.Unlock()
+	if r.benc == nil {
+		return nil, 0, nil
+	}
+	dials := entryDials(r.tiers[0])
+	if dials == r.hop1Dials {
+		return r.benc, dials, nil
+	}
+	a, err := hop1Key(r.tiers[0], true)
+	if err != nil {
+		return nil, 0, err
+	}
+	if a.IsInfinity() { // no replica answered: keep the key, ask again next time
+		return r.benc, dials, nil
+	}
+	if old := r.benc; !a.Equal(old.Shuffler1Blinding) {
+		r.benc = &encoder.BlindedClient{
+			Shuffler1Blinding: a,
+			Shuffler2Blinding: old.Shuffler2Blinding,
+			Shuffler2Key:      old.Shuffler2Key,
+			AnalyzerKey:       old.AnalyzerKey,
+			Rand:              old.Rand,
+		}
+	}
+	r.hop1Dials = dials
+	return r.benc, dials, nil
 }
 
 // stampPartitions routes each blinded envelope to its crowd's owning hop-2
@@ -368,12 +464,24 @@ func (r *RemotePipeline) stampPartitions(envs []core.BlindedEnvelope, labels []s
 // retryable backpressure error with backoff and failing over between entry
 // replicas on provably non-ingesting errors.
 func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
-	batch, err := encodeBatch(r.enc, r.benc, labels, data, r.workers)
+	benc, dials, err := r.blindedClient()
+	if err != nil {
+		return err
+	}
+	batch, err := encodeBatch(r.enc, benc, labels, data, r.workers)
 	if err != nil || len(labels) == 0 {
 		return err
 	}
 	r.stampPartitions(batch.Blinded, labels)
 	n, err := r.entry.SubmitAll(batch)
+	if err == nil && benc != nil && entryDials(r.tiers[0]) != dials {
+		// An entry connection redialed between the key check and the ack:
+		// if hop 1 came back with another key, the batch may have reached it
+		// encrypted on the old one.
+		if now, _, kerr := r.blindedClient(); kerr == nil && now != benc {
+			return fmt.Errorf("prochlo: shuffler 1 changed its blinding key while this batch was in flight (a replica restarted without its -key-file?): if the batch reached the restarted replica, its %d reports were encrypted on the old key and hop 2 sees each as a crowd of one", len(labels))
+		}
+	}
 	if err != nil && n > 0 {
 		// The accepted prefix is ingested; resubmitting the whole batch
 		// would double-count it. Tell the caller exactly where to resume.

@@ -5,6 +5,7 @@ import (
 	crand "crypto/rand"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,8 @@ import (
 
 	"prochlo"
 	"prochlo/internal/analyzer"
+	"prochlo/internal/crypto/elgamal"
+	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/shuffler"
@@ -497,6 +500,81 @@ func TestHop1ReplicasShareAlpha(t *testing.T) {
 	}
 }
 
+// TestDialRefusesHop1ReplicasThatDisagree: clients encrypt C1 on the hop-1
+// tier's public blinding key A, so a 2×1×1 fleet whose entry replicas start
+// from two different key files would silently suppress every report that
+// enters the odd replica (each reaches hop 2 as a crowd of one). The dial
+// fetches A from every entry replica and refuses, naming both addresses. It
+// refuses a key served without a valid proof of α too: a hop 1 that served
+// Shuffler 2's Y, or 2Y, would compute C2 − C1 (or C2 − C1/2) = H(crowd) and
+// read every crowd ID.
+func TestDialRefusesHop1ReplicasThatDisagree(t *testing.T) {
+	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	s2Sec, err := shuffler.GenerateSecrets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(st shuffler.Stage, next []string) string {
+		svc, err := transport.NewStageService(st, next, transport.EpochConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		srv, err := serveTracked("127.0.0.1:0", svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.kill)
+		return srv.addr()
+	}
+	stage := func(role string, sec shuffler.Secrets) shuffler.Stage {
+		st, err := shuffler.NewStage(role, sec, shuffler.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	hop2 := serve(stage("shuffler2", s2Sec), anlzAddrs)
+	hop1 := func() (string, shuffler.Secrets) {
+		sec, err := shuffler.GenerateSecrets() // a key file of its own
+		if err != nil {
+			t.Fatal(err)
+		}
+		return serve(stage("shuffler1", sec), []string{hop2}), sec
+	}
+	a, aSec := hop1()
+	b, _ := hop1()
+	rp, err := prochlo.DialRemoteChainFleet([]string{a, b}, []string{hop2}, anlzAddrs)
+	if err == nil {
+		rp.Close()
+		t.Fatal("dial accepted hop-1 replicas that serve different blinding keys")
+	}
+	if rp != nil || !strings.Contains(err.Error(), a) || !strings.Contains(err.Error(), b) ||
+		!strings.Contains(err.Error(), "serve different blinding keys") {
+		t.Fatalf("dial = %v, %v; want no pipeline and an error naming %s and %s", rp, err, a, b)
+	}
+
+	proof := aSec.Blinding.ProvenKey()
+	proof = proof[len(proof)-64:]
+	y2 := elgamal.NewPoint(group.Default(), group.Default().Add(s2Sec.Blinding.H.Element(), s2Sec.Blinding.H.Element()))
+	for name, served := range map[string][]byte{
+		"Y with A's proof":  append(s2Sec.Blinding.H.Compressed(), proof...),
+		"2Y with A's proof": append(y2.Compressed(), proof...),
+		"A with no proof":   aSec.Blinding.H.Bytes(),
+		"the identity":      elgamal.Point{}.Bytes(),
+	} {
+		forged := serve(servedKeys{stage("shuffler1", aSec), served, nil}, []string{hop2})
+		rp, err = prochlo.DialRemoteChainFleet([]string{forged}, []string{hop2}, anlzAddrs)
+		if err == nil {
+			rp.Close()
+			t.Fatalf("dial accepted a hop 1 serving %s", name)
+		}
+		if want := "shuffler 1 blinding key: elgamal: "; rp != nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), forged) {
+			t.Fatalf("%s: dial = %v, %v; want no pipeline and an error containing %q and %s", name, rp, err, want, forged)
+		}
+	}
+}
+
 // TestRestartedHop1KeepsItsAlpha: a hop-1 replica restarted from its tier's
 // Secrets blinds with the α it blinded with before, so a crowd of T reports
 // that straddles the restart is still one crowd of T at hop 2.
@@ -562,6 +640,87 @@ func TestRestartedHop1KeepsItsAlpha(t *testing.T) {
 	}
 	if got := res.Histogram["one-value"]; got != T {
 		t.Errorf("analyzer counted %d of the crowd's %d reports, want all: the restart changed α", got, T)
+	}
+}
+
+// TestRestartedHop1WithAFreshAlpha: a hop-1 replica restarted without its
+// key file blinds with a fresh α and serves a fresh A. The pipeline fetches A
+// again once its entry connection redials, so a crowd submitted after the
+// restart reaches the analyzer whole, as one submitted before it does. A
+// batch that went out over the redialed connection still encrypted on the
+// old A is an error, never a silent loss; resubmitted, it counts.
+func TestRestartedHop1WithAFreshAlpha(t *testing.T) {
+	const T = 10
+	crowd := func(name string) (labels []string, data [][]byte) {
+		for i := 0; i < T; i++ {
+			labels, data = append(labels, name), append(data, []byte(name))
+		}
+		return labels, data
+	}
+	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	s2Sec, err := shuffler.GenerateSecrets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := shuffler.Params{Threshold: shuffler.Threshold{Naive: T}}
+	s2svc, err := newStage("shuffler2", s2Sec, params, anlzAddrs, transport.EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s2svc.Close() })
+	s2srv, err := serveTracked("127.0.0.1:0", s2svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2srv.kill)
+	start1 := func(addr string) (*transport.StageService, *trackedServer) {
+		sec, err := shuffler.GenerateSecrets() // no key file: a fresh α per start
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := newStage("shuffler1", sec, params, []string{s2srv.addr()}, transport.EpochConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close() })
+		srv, err := serveTrackedAt(addr, svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.kill)
+		return svc, srv
+	}
+	svc, srv := start1("127.0.0.1:0")
+	rp, err := prochlo.DialRemoteChainFleet([]string{srv.addr()}, []string{s2srv.addr()}, anlzAddrs,
+		prochlo.WithRemoteWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if err := rp.SubmitBatch(crowd("before")); err != nil {
+		t.Fatal(err)
+	}
+	srv.kill()
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	start1(srv.addr())
+	if err := rp.SubmitBatch(crowd("after")); err != nil {
+		if !strings.Contains(err.Error(), "changed its blinding key") {
+			t.Fatal(err)
+		}
+		if err := rp.SubmitBatch(crowd("after")); err != nil {
+			t.Fatalf("resubmission on the fresh key: %v", err)
+		}
+	}
+	res, err := rp.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"before", "after"} {
+		if got := res.Histogram[name]; got != T {
+			t.Errorf("analyzer counted %d of crowd %q's %d reports, want all", got, name, T)
+		}
 	}
 }
 

@@ -735,7 +735,8 @@ type servedKeys struct {
 func (s servedKeys) PublicKeys() (blinding, key []byte) { return s.blinding, s.key }
 
 // TestDialRefusesKeysOffTheDeployedGroup drives every key a dial fetches —
-// shuffler, attested, blinding, hop-2 hybrid, analyzer — with a P-256 point.
+// shuffler, attested, hop-1 blinding, hop-2 blinding, hop-2 hybrid,
+// analyzer — with a P-256 point.
 // The key parsers decode ristretto255 alone, so the dial must fail, naming
 // the key, and hand back no pipeline to encode a report with.
 func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
@@ -751,7 +752,7 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodKey, goodBlinding := good.Public().Bytes(), goodBlind.H.Bytes()
+	goodKey, goodBlinding, goodHop1 := good.Public().Bytes(), goodBlind.H.Bytes(), goodBlind.ProvenKey()
 	plain := &shuffler.Shuffler{Priv: good}
 	anlz, err := transport.Serve("127.0.0.1:0", transport.NewAnalyzerService(&analyzer.Analyzer{Priv: good}))
 	if err != nil {
@@ -791,17 +792,18 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 		return l.Addr().String()
 	}
 	badAnlz := keysAt(nil, bad, false)
-	hop1 := keysAt(nil, nil, false)
+	hop1 := keysAt(goodHop1, nil, false)
 	fleet := func(shuf, anlz string, opts ...prochlo.RemoteOption) func() (*prochlo.RemotePipeline, error) {
 		return func() (*prochlo.RemotePipeline, error) {
 			return prochlo.DialRemoteFleet([]string{shuf}, []string{anlz}, opts...)
 		}
 	}
-	chain := func(hop2, anlz string) func() (*prochlo.RemotePipeline, error) {
+	chainFrom := func(hop1, hop2, anlz string) func() (*prochlo.RemotePipeline, error) {
 		return func() (*prochlo.RemotePipeline, error) {
 			return prochlo.DialRemoteChainFleet([]string{hop1}, []string{hop2}, []string{anlz})
 		}
 	}
+	chain := func(hop2, anlz string) func() (*prochlo.RemotePipeline, error) { return chainFrom(hop1, hop2, anlz) }
 
 	for _, tc := range []struct {
 		name, key string
@@ -810,6 +812,7 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 		{"fleet shuffler key", "shuffler key", fleet(keysAt(nil, bad, false), goodAnlz)},
 		{"fleet attested key", "shuffler key", fleet(keysAt(nil, bad, true), goodAnlz, prochlo.WithRemoteAttestation(ca.PublicKey()))},
 		{"fleet analyzer key", "analyzer key", fleet(keysAt(nil, goodKey, false), badAnlz)},
+		{"chain hop-1 blinding key", "shuffler 1 blinding key", chainFrom(keysAt(append(bad, goodHop1[len(goodHop1)-64:]...), nil, false), keysAt(goodBlinding, goodKey, false), goodAnlz)},
 		{"chain blinding key", "shuffler 2 blinding key", chain(keysAt(bad, goodKey, false), goodAnlz)},
 		{"chain hybrid key", "shuffler 2 key", chain(keysAt(goodBlinding, bad, false), goodAnlz)},
 		{"chain analyzer key", "analyzer key", chain(keysAt(goodBlinding, goodKey, false), badAnlz)},
