@@ -104,14 +104,14 @@ func TestAllocBudgets(t *testing.T) {
 		max  float64
 		run  func() error
 	}{
-		{"Client.EncodeBatch", 11, func() error { _, err := k.client.EncodeBatch(k.reports, 1); return err }},
-		{"BlindedClient.EncodeBatch", 14, func() error { _, err := k.bclient.EncodeBatch(k.labels, k.data, 1); return err }},
-		{"PrivateKey.OpenBatch", 5, func() error {
+		{"Client.EncodeBatch", 5, func() error { _, err := k.client.EncodeBatch(k.reports, 1); return err }},
+		{"BlindedClient.EncodeBatch", 5, func() error { _, err := k.bclient.EncodeBatch(k.labels, k.data, 1); return err }},
+		{"PrivateKey.OpenBatch", 4, func() error {
 			_, errs := k.anlzPriv.OpenBatch(k.inner, nil, 1)
 			return errs[0]
 		}},
-		{"Analyzer.Open", 5, func() error { analyzerOpen.Open(k.inner); return nil }},
-		{"Shuffler.ProcessEpoch", 5, func() error {
+		{"Analyzer.Open", 4, func() error { analyzerOpen.Open(k.inner); return nil }},
+		{"Shuffler.ProcessEpoch", 4, func() error {
 			_, _, err := k.plain.ProcessEpoch(core.Batch{Envelopes: k.envs})
 			return err
 		}},
@@ -119,7 +119,7 @@ func TestAllocBudgets(t *testing.T) {
 			_, _, err := k.s1.ProcessEpoch(core.Batch{Blinded: k.blinded})
 			return err
 		}},
-		{"Shuffler2.ProcessEpoch", 10, func() error {
+		{"Shuffler2.ProcessEpoch", 8, func() error {
 			_, _, err := k.s2.ProcessEpoch(core.Batch{Blinded: k.mixed})
 			return err
 		}},

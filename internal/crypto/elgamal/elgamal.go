@@ -61,11 +61,21 @@ func (p Point) Equal(q Point) bool { return g.Equal(p.e, q.e) }
 // Bytes returns the wire encoding of the point: a 1-byte identity sentinel
 // or a 65-byte tagged uncompressed encoding, chosen so the chain's parse
 // path never pays a square root per report.
-func (p Point) Bytes() []byte { return g.Encode(p.e) }
+func (p Point) Bytes() []byte { return g.Encode(nil, p.e) }
+
+// AppendBytes appends the wire encoding of the point (Bytes) to dst.
+func (p Point) AppendBytes(dst []byte) []byte { return g.Encode(dst, p.e) }
 
 // Compressed returns the short canonical encoding (32 bytes), the form used
 // for pseudonym map keys.
-func (p Point) Compressed() []byte { return g.Compress(p.e) }
+func (p Point) Compressed() []byte { return g.Compress(nil, p.e) }
+
+// pseudonym returns the compressed encoding of p as a map key, encoded on
+// the stack: the string is its one allocation.
+func (p Point) pseudonym() string {
+	var b [32]byte
+	return string(g.Compress(b[:0], p.e))
+}
 
 // ParsePoint decodes any encoding produced by Bytes or Compressed; any
 // other bytes, a point of another group among them, are an error.
@@ -286,7 +296,7 @@ func (d *Decrypter) Decrypt(ct Ciphertext) Point {
 // BlindedPseudonym is equivalent to KeyPair.BlindedPseudonym for the
 // precomputed key.
 func (d *Decrypter) BlindedPseudonym(ct Ciphertext) string {
-	return string(d.Decrypt(ct).Compressed())
+	return d.Decrypt(ct).pseudonym()
 }
 
 // DecryptBatch decrypts a slice of ciphertexts with the private scalar
@@ -317,7 +327,7 @@ func (d *Decrypter) PseudonymBatch(cts []Ciphertext) []string {
 	pts := d.DecryptBatch(cts)
 	out := make([]string, len(pts))
 	for i, p := range pts {
-		out[i] = string(p.Compressed())
+		out[i] = p.pseudonym()
 	}
 	return out
 }

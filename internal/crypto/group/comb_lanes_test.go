@@ -27,6 +27,37 @@ func combTables(r *mrand.Rand) []combTable {
 	return tables
 }
 
+// recordTables returns the tables of one blinded record's six fixed-base
+// multiplications, in its slot order: C1 on Shuffler 1's key A, C2 on
+// Shuffler 2's El Gamal key Y, then each seal's k*G and k*K, for the
+// analyzer's key and Shuffler 2's hybrid key.
+func recordTables(r *mrand.Rand) [6]combTable {
+	key := func(name string) combTable {
+		var seed [32]byte
+		r.Read(seed[:])
+		return combTable{name, Group{}.Precompute(Element{ed: edHashToPoint(seed[:])})}
+	}
+	gen := combTable{"generator", edBaseTable()}
+	return [6]combTable{key("A"), key("Y"), gen, key("Ka"), gen, key("Ks2")}
+}
+
+// recordMuls returns n records of the blinded layout (recordTables), random
+// scalars throughout and an addend, the crowd's point, on each C2.
+func recordMuls(t testing.TB, r *mrand.Rand, n int) []combMul {
+	tables := recordTables(r)
+	var ms []combMul
+	for i := 0; i < n; i++ {
+		for j, tb := range tables {
+			m := combMul{tb, ScalarFromBig(randEdScalar(r)), Element{}}
+			if j == 1 {
+				m.q = Element{ed: randEdPoint(t, r)}
+			}
+			ms = append(ms, m)
+		}
+	}
+	return ms
+}
+
 // combScalars are the scalars a lane comb could get wrong for a table of
 // width w, besides random ones: zero, one and l-1; every digit but the top
 // one negative (each window 2^(w-1), so every lower digit borrows); every
@@ -88,7 +119,11 @@ type combMul struct {
 //     generator lanes run past their table's last position;
 //   - the special scalars, addends and repeats spread over lane positions in
 //     a long mixed batch, cut at lengths whose last pass is full, short, or
-//     below the cutoff and left to the scalar comb, and run in two ranges.
+//     below the cutoff and left to the scalar comb, and run in two ranges;
+//   - 250 blinded records (recordTables), six multiplications each over
+//     five tables, run in two uneven ranges: each range's multiplications
+//     reach the lanes in another order than their slots', so a product
+//     written back to the wrong slot fails.
 //
 // It runs once with the lane comb forced off and once with it on, when this
 // process has one.
@@ -128,11 +163,12 @@ func TestCombBatchLanesMatchSolo(t *testing.T) {
 		mixed = append(mixed, m)
 	}
 	cases["mixed"] = mixed
+	cases["blinded records"] = recordMuls(t, r, 250)
 
 	want := map[string][][]byte{}
 	for name, ms := range cases {
 		for _, m := range ms {
-			want[name] = append(want[name], g.Encode(g.Add(m.table.t.Mul(m.k), m.q)))
+			want[name] = append(want[name], g.Encode(nil, g.Add(m.table.t.Mul(m.k), m.q)))
 		}
 	}
 	check := func(t *testing.T, name string, n, split int) {
@@ -145,21 +181,25 @@ func TestCombBatchLanesMatchSolo(t *testing.T) {
 		b.Run(split, n)
 		b.Normalize()
 		for i, m := range cases[name][:n] {
-			if got := b.Out(i); !bytes.Equal(g.Encode(got), want[name][i]) {
+			if got := b.Out(i); !bytes.Equal(g.Encode(nil, got), want[name][i]) {
 				t.Fatalf("%s n=%d split=%d: slot %d (%s table, k=%x) = %x, Table.Mul says %x",
-					name, n, split, i, m.table.name, m.k, g.Encode(got), want[name][i])
+					name, n, split, i, m.table.name, m.k, g.Encode(nil, got), want[name][i])
 			}
 		}
 	}
 	run := func(t *testing.T) {
 		for name, ms := range cases {
-			if name != "mixed" {
+			switch name {
+			case "mixed":
+				for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 20, 255, 256, 257} {
+					check(t, name, n, n)
+					check(t, name, n, n/2)
+				}
+			case "blinded records":
+				check(t, name, len(ms), 6*97)
+				check(t, name, len(ms), 701)
+			default:
 				check(t, name, len(ms), len(ms))
-				continue
-			}
-			for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 20, 255, 256, 257} {
-				check(t, name, n, n)
-				check(t, name, n, n/2)
 			}
 		}
 	}
@@ -226,13 +266,22 @@ func FuzzCombBatch(f *testing.F) {
 	})
 }
 
+// combKernelPasses, where this build has the lane comb, loads the lane
+// passes of ms, in the order and with the digits a CombBatch's Run gives
+// them, and returns a function that runs the kernel alone over them: the
+// reference that prices the Go side of a Run (fe25519x8_amd64_test.go).
+var combKernelPasses func(ms []edCombMul) (run func())
+
 // BenchmarkEdCombBatch prices a comb batch per point, next to
 // BenchmarkEdCombMul: the scalar comb in a loop, and CombBatch.Run on the
 // lane comb (also below the cutoff, where Run hands the last group to the
-// scalar comb), on each table alone and on the mixed batch of a plain
-// 5-report encode call — 20 multiplications, half on the generator's
-// table, five on each of two keys' — which fills three lane passes. The n
-// at which lanes first win is combLaneMin.
+// scalar comb), on each table alone, on the mixed batch of a plain 5-report
+// encode call — 20 multiplications, half on the generator's table, five on
+// each of two keys' — which fills three lane passes, and on the 1500 of a
+// 250-report blinded call (recordMuls). The n at which lanes first win is
+// combLaneMin. Each kernel case runs fe8Comb alone over the passes of the
+// lanes case beside it, so lanes minus kernel is what a Run spends in Go:
+// ordering, recoding, loading and storing lanes.
 func BenchmarkEdCombBatch(b *testing.B) {
 	r := mrand.New(mrand.NewSource(49))
 	tables := combTables(r)
@@ -240,22 +289,45 @@ func BenchmarkEdCombBatch(b *testing.B) {
 	for i := range ks {
 		ks[i] = ScalarFromBig(randEdScalar(r))
 	}
+	records := recordMuls(b, r, 250)
 	var out edPoint
-	batch := func(b *testing.B, n int, table func(i int) *Table) {
+	newBatch := func(n int, mul func(i int) combMul) *CombBatch {
+		cb := NewCombBatch(n)
+		for i := 0; i < n; i++ {
+			m := mul(i)
+			cb.Set(i, m.table.t, m.k, m.q)
+		}
+		return cb
+	}
+	perPoint := func(b *testing.B, n int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+	}
+	lanes := func(b *testing.B, n int, mul func(i int) combMul) {
 		if laneComb == nil {
 			b.Skipf("lane comb not run: this process selected the %q kernel", kernel())
 		}
-		cb := NewCombBatch(n)
-		for i := 0; i < n; i++ {
-			cb.Set(i, table(i), ks[i], Element{})
-		}
+		cb := newBatch(n, mul)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cb.Run(0, n)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+		perPoint(b, n)
+	}
+	kernelOnly := func(b *testing.B, n int, mul func(i int) combMul) {
+		if laneComb == nil || combKernelPasses == nil {
+			b.Skipf("lane comb not run: this process selected the %q kernel", kernel())
+		}
+		cb := newBatch(n, mul)
+		combOrder(cb.pts, cb.slots, cb.ms)
+		run := combKernelPasses(cb.ms[:n-n%8])
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+		perPoint(b, n-n%8)
 	}
 	for _, tb := range tables[:2] {
+		one := func(i int) combMul { return combMul{tb, ks[i], Element{}} }
 		for _, n := range []int{1, 2, 3, 4, 8, 256} {
 			b.Run(fmt.Sprintf("%s/scalar/n=%d", tb.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -263,14 +335,15 @@ func BenchmarkEdCombBatch(b *testing.B) {
 						tb.t.mulComb(&out, &k)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+				perPoint(b, n)
 			})
-			b.Run(fmt.Sprintf("%s/lanes/n=%d", tb.name, n), func(b *testing.B) {
-				batch(b, n, func(int) *Table { return tb.t })
-			})
+			b.Run(fmt.Sprintf("%s/lanes/n=%d", tb.name, n), func(b *testing.B) { lanes(b, n, one) })
 		}
+		b.Run(fmt.Sprintf("%s/kernel/n=256", tb.name), func(b *testing.B) { kernelOnly(b, 256, one) })
 	}
-	b.Run("mixed/lanes/n=20", func(b *testing.B) {
-		batch(b, 20, func(i int) *Table { return tables[[]int{0, 1, 0, 2}[i%4]].t })
-	})
+	mixed := func(i int) combMul { return combMul{tables[[]int{0, 1, 0, 2}[i%4]], ks[i], Element{}} }
+	b.Run("mixed/lanes/n=20", func(b *testing.B) { lanes(b, 20, mixed) })
+	record := func(i int) combMul { return records[i] }
+	b.Run("records/lanes/n=1500", func(b *testing.B) { lanes(b, len(records), record) })
+	b.Run("records/kernel/n=1500", func(b *testing.B) { kernelOnly(b, len(records), record) })
 }

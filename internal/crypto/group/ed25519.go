@@ -422,12 +422,13 @@ func (t *Table) entry(j, v int) *affineNiels {
 // sizes the digit arrays so a fixed-base multiplication stays off the heap.
 const edCombMaxPositions = 43
 
-// buildEdComb precomputes the comb table for p with window width 6 <= w <= 8
-// (so every signed digit fits an int8).
+// buildEdComb precomputes the comb table for p with window width 6 (a key's
+// table) or 8 (the generator's): the widths the lane comb's recoder
+// (combWords) knows, whose signed digits fit an int8.
 func buildEdComb(p *edPoint, w uint) *Table {
 	positions := (256 + int(w) - 1) / int(w)
-	if positions > edCombMaxPositions || w > 8 {
-		panic("group: comb window outside the widths edCombMaxPositions and int8 digits allow")
+	if w != 6 && w != 8 {
+		panic("group: comb window of a width other than 6 or 8")
 	}
 	half := 1 << (w - 1)
 	// build all entries in extended coordinates first

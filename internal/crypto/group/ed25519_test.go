@@ -94,7 +94,7 @@ func checkOnCurve(t *testing.T, m edModel) {
 	}
 }
 
-func randEdPoint(t *testing.T, r *mrand.Rand) *edPoint {
+func randEdPoint(t testing.TB, r *mrand.Rand) *edPoint {
 	t.Helper()
 	var seed [32]byte
 	r.Read(seed[:])

@@ -28,10 +28,19 @@
 // its lane off and keeps the identity entry (1, 1, 0), a negative digit
 // swaps y+x and y-x by blend and negates xy2d as 2p - xy2d, and the signed
 // entries go to memory once for the affine-Niels add that follows in the
-// same call. The digits are
-// recoded straight into the pass's position-major layout; the entries are
-// read from the scalar comb's own table, one flat array stored carried for
-// exactly this (see Table).
+// same call. The entries are read from the scalar comb's own table, one
+// flat array stored carried for exactly this (see Table).
+//
+// The Go side of a pass is kept to a small share of the kernel's time
+// (BenchmarkEdCombBatch's kernel cases). Group.mulTables hands the passes
+// their multiplications in one counting pass by table length, into scratch
+// and outputs the CombBatch owns for the whole call, and a Run takes its
+// pass state from a pool. A pass recodes its eight scalars together
+// (edCombx8.recode): each scalar's digits come from one 256-bit addition
+// and byte-wise window arithmetic, eight digits a word (combWords, held to
+// combDigits), and one 8x8 byte transpose per eight positions lays the
+// lanes' words out position-major, eight lanes' digits a word, as fe8Comb
+// reads them.
 //
 // The ladder runs its point formulas — double and projective-Niels add, the
 // formulas of edPoint in ed25519.go — as point kernels of fe25519x8_amd64.s,
@@ -44,6 +53,12 @@
 // entries, need no special case.
 
 package group
+
+import (
+	"encoding/binary"
+	"math/bits"
+	"sync"
+)
 
 func init() {
 	if hasIFMA() {
@@ -190,8 +205,8 @@ const affineNielsBytes = 120
 // (TestPointKernelLayout): the accumulator, the signed entries of one
 // position, the point kernel's temporaries, then each lane's table — the
 // address of its first entry and the bytes from one row to the next — and
-// the pass's digits, position-major: lane i's digit at position j is
-// digits[8*j+i].
+// the pass's digits, position-major: lane i's digit at position j is byte i
+// of digits[j].
 type edCombx8 struct {
 	acc edPointx8
 	n   affineNielsx8
@@ -199,7 +214,7 @@ type edCombx8 struct {
 
 	tables  [8]*affineNiels
 	strides [8]uint64
-	digits  [8 * edCombMaxPositions]int8
+	digits  [edCombMaxPositions]uint64
 }
 
 // fe8Comb runs positions 0 to positions-1 of a comb pass: at each it
@@ -213,30 +228,142 @@ type edCombx8 struct {
 //go:noescape
 func fe8Comb(s *edCombx8, positions int)
 
+// combStates recycles the lane comb's pass state, about 5 KiB, across
+// calls: a CombBatch's Run takes one for its whole range.
+var combStates = sync.Pool{New: func() any { return new(edCombx8) }}
+
+// identityx8 is the identity in every lane.
+var identityx8 = func() (p edPointx8) {
+	p.identity()
+	return p
+}()
+
 // edCombBatchx8 is the lane comb behind Group.mulTables: *m.out =
 // m.k*P + *m.q for the point P of each m.t, eight multiplications per pass
 // from any mix of tables. A pass runs the positions of its longest table; a
 // shorter table's lanes past their last position, and the spare lanes of a
 // last group smaller than eight, have zero digits and add the identity.
 func edCombBatchx8(ms []edCombMul) {
-	s := new(edCombx8)
+	s := combStates.Get().(*edCombx8)
 	for base := 0; base < len(ms); base += 8 {
 		group := ms[base:min(base+8, len(ms))]
-		s.acc.identity()
-		s.digits = [8 * edCombMaxPositions]int8{}
-		positions := 0
-		for i, m := range group {
-			s.tables[i] = &m.t.entries[0]
-			s.strides[i] = affineNielsBytes << (m.t.w - 1)
-			combDigits(&m.k, m.t, s.digits[i:], 8)
-			positions = max(positions, m.t.positions)
-			if m.q != nil {
-				s.acc.setLane(i, m.q)
-			}
+		fe8Comb(s, s.load(group))
+		for i := range group {
+			s.acc.lane(i, group[i].out)
 		}
-		fe8Comb(s, positions)
-		for i, m := range group {
-			s.acc.lane(i, m.out)
+	}
+	combStates.Put(s)
+}
+
+// load sets s up for a pass over group, at most eight multiplications, and
+// returns the pass's positions: each lane's table and addend, and the
+// digits of every lane.
+func (s *edCombx8) load(group []edCombMul) (positions int) {
+	s.acc = identityx8
+	for i := range group {
+		m := &group[i]
+		s.tables[i] = &m.t.entries[0]
+		s.strides[i] = affineNielsBytes << (m.t.w - 1)
+		positions = max(positions, m.t.positions)
+		if m.q != nil {
+			s.acc.setLane(i, m.q)
 		}
+	}
+	s.recode(group, positions)
+	return positions
+}
+
+// recode writes the digits of a pass's positions, all lanes at once: each
+// lane's scalar becomes eight digits a word (combWords), and each eight
+// positions' words, one per lane, are transposed into eight position rows.
+// Spare lanes, and a shorter table's lanes past its last position, get zero
+// digits.
+func (s *edCombx8) recode(group []edCombMul, positions int) {
+	var words [8][combWordsPerLane]uint64
+	for i := range group {
+		combWords(&group[i].k, group[i].t, &words[i])
+	}
+	for c := 0; 8*c < positions; c++ {
+		rows := [8]uint64{words[0][c], words[1][c], words[2][c], words[3][c],
+			words[4][c], words[5][c], words[6][c], words[7][c]}
+		transposeBytes8(&rows)
+		copy(s.digits[8*c:positions], rows[:])
+	}
+}
+
+// combWordsPerLane is the words a lane's digits fill, eight digits each.
+const combWordsPerLane = (edCombMaxPositions + 7) / 8
+
+// combHalf6 and combHalf8 hold 2^(w-1) at every position of a width-w
+// table: bit w·j + w-1 for each of its positions j.
+var combHalf6, combHalf8 = combHalf(6, 43), combHalf(8, 32)
+
+func combHalf(w, positions int) (h [5]uint64) {
+	for j := 0; j < positions; j++ {
+		bit := w*j + w - 1
+		h[bit/64] |= 1 << (bit % 64)
+	}
+	return h
+}
+
+// combWords writes the digits combDigits gives k for t into words, one
+// byte each (two's complement), position j at byte j%8 of words[j/8], by a
+// route without a carry from digit to digit: each digit lies in
+// [-2^(w-1), 2^(w-1)), so digit + 2^(w-1) is a radix-2^w digit of
+// k + half, half holding 2^(w-1) at every position, and the digits are that
+// sum's windows less 2^(w-1). A width-8 window is a byte; a width-6 one is
+// spread out of each 48 bits into a byte of its own; those are the two
+// widths buildEdComb builds. Like combDigits it panics on a scalar whose top
+// digit would overflow, which none below 2^253 does.
+func combWords(k *Scalar, t *Table, words *[combWordsPerLane]uint64) {
+	half := &combHalf8
+	if t.w == 6 {
+		half = &combHalf6
+	}
+	var x [5]uint64
+	var c uint64
+	for i := 0; i < 4; i++ {
+		x[i], c = bits.Add64(binary.BigEndian.Uint64(k[24-8*i:]), half[i], c)
+	}
+	x[4] = half[4] + c
+	if t.w == 8 {
+		if x[4] != 0 {
+			panic("group: comb recoding overflow")
+		}
+		for i := 0; i < 4; i++ {
+			words[i] = x[i] ^ 0x8080808080808080
+		}
+		return
+	}
+	if x[4]>>2 != 0 { // 43 windows end at bit 258
+		panic("group: comb recoding overflow")
+	}
+	for c := 0; c < 6; c++ {
+		limb, off := 48*c/64, uint(48*c%64)
+		v := (x[limb]>>off | x[limb+1]<<(64-off)) & (1<<48 - 1)
+		v = v&0xffffff | v>>24&0xffffff<<32
+		v = v&0x00000fff00000fff | v>>12&0x00000fff00000fff<<16
+		v = v&0x003f003f003f003f | v>>6&0x003f003f003f003f<<8
+		// less 32, each byte: flip bit 5 and copy it into bits 6 and 7
+		v ^= 0x2020202020202020
+		words[c] = v | v&0x2020202020202020*6
+	}
+}
+
+// transposeBytes8 transposes the 8x8 byte matrix whose row i is the
+// little-endian bytes of r[i]: byte j of r[i] moves to byte i of r[j].
+// Three rounds swap the off-diagonal blocks of 4, 2 and 1 bytes.
+func transposeBytes8(r *[8]uint64) {
+	for i := 0; i < 4; i++ {
+		a, b := r[i], r[i+4]
+		r[i], r[i+4] = a&0x00000000ffffffff|b<<32, a>>32|b&0xffffffff00000000
+	}
+	for _, i := range [4]int{0, 1, 4, 5} {
+		a, b := r[i], r[i+2]
+		r[i], r[i+2] = a&0x0000ffff0000ffff|b&0x0000ffff0000ffff<<16, a>>16&0x0000ffff0000ffff|b&0xffff0000ffff0000
+	}
+	for i := 0; i < 8; i += 2 {
+		a, b := r[i], r[i+1]
+		r[i], r[i+1] = a&0x00ff00ff00ff00ff|b&0x00ff00ff00ff00ff<<8, a>>8&0x00ff00ff00ff00ff|b&0xff00ff00ff00ff00
 	}
 }

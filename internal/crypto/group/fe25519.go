@@ -496,7 +496,10 @@ func (v *fe25519) SqrtRatio(u, w *fe25519) bool {
 // batchInvert25519 replaces each non-zero element of zs with its inverse
 // using one field inversion for the whole slice (the Montgomery trick:
 // prefix products forward, one Invert, suffix unwinding backward). Zero
-// entries are left as zero, preserving point-at-infinity slots.
+// entries are left as zero, preserving point-at-infinity slots. Each entry
+// is tested for zero once, on the way forward: a zero one's prefix is left
+// as all-zero limbs, which no product of non-zero elements has (all-zero
+// limbs are the value 0), so the way back compares limbs without reducing.
 func batchInvert25519(zs []*fe25519) {
 	n := len(zs)
 	if n == 0 {
@@ -506,18 +509,18 @@ func batchInvert25519(zs []*fe25519) {
 	var acc fe25519
 	acc.One()
 	for i, z := range zs {
-		prefix[i] = acc
 		if !z.IsZero() {
+			prefix[i] = acc
 			acc.Mul(&acc, z)
 		}
 	}
 	var inv fe25519
 	inv.Invert(&acc)
 	for i := n - 1; i >= 0; i-- {
-		z := zs[i]
-		if z.IsZero() {
+		if prefix[i] == (fe25519{}) {
 			continue
 		}
+		z := zs[i]
 		var t fe25519
 		t.Mul(&inv, &prefix[i])
 		inv.Mul(&inv, z)

@@ -196,7 +196,7 @@ func combAddx8(p, q *edPointx8, n *affineNielsx8, digits [8]int8) {
 		n.yMinusX.lane(i, &entries[i].yMinusX)
 		n.xy2d.lane(i, &entries[i].xy2d)
 		s.tables[i] = &entries[i]
-		s.digits[i] = digits[i]
+		s.digits[0] |= uint64(uint8(digits[i])) << (8 * i)
 	}
 	fe8Comb(s, 1)
 	*p = s.acc
@@ -401,5 +401,78 @@ func BenchmarkFe25519x8Square(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		x.Square(x)
+	}
+}
+
+func init() {
+	combKernelPasses = func(ms []edCombMul) func() {
+		// one state, as a Run uses, with each pass's lanes copied in
+		type pass struct {
+			tables    [8]*affineNiels
+			strides   [8]uint64
+			digits    [edCombMaxPositions]uint64
+			positions int
+		}
+		s := new(edCombx8)
+		passes := make([]pass, (len(ms)+7)/8)
+		for p := range passes {
+			passes[p].positions = s.load(ms[8*p : min(8*p+8, len(ms))])
+			passes[p].tables, passes[p].strides, passes[p].digits = s.tables, s.strides, s.digits
+		}
+		return func() {
+			for p := range passes {
+				s.tables, s.strides, s.digits = passes[p].tables, passes[p].strides, passes[p].digits
+				fe8Comb(s, passes[p].positions)
+			}
+		}
+	}
+}
+
+// TestCombRecodeMatchesCombDigits holds a pass's recoding (edCombx8.recode:
+// combWords and the byte transpose) to combDigits lane by lane, for tables
+// of width 8 (the generator's) and 6 (a key's), alone and mixed in a pass,
+// on digitScalars, combScalars and random scalars, in passes of eight lanes
+// and shorter: each lane's digit at every position of its table, and zero
+// past its table's last position and in the spare lanes.
+func TestCombRecodeMatchesCombDigits(t *testing.T) {
+	r := rand.New(rand.NewSource(50))
+	tables := combTables(r)[:2]
+	if tables[0].t.w != 8 || tables[1].t.w != 6 {
+		t.Fatalf("tables of widths %d and %d, want 8 and 6", tables[0].t.w, tables[1].t.w)
+	}
+	var ms []edCombMul
+	for _, tb := range tables {
+		for _, k := range digitScalars(t, tb.t) {
+			ms = append(ms, edCombMul{t: tb.t, k: k})
+		}
+		for _, k := range combScalars(tb.t.w, tb.t.positions) {
+			ms = append(ms, edCombMul{t: tb.t, k: k})
+		}
+	}
+	for i := 0; i < 200; i++ {
+		ms = append(ms, edCombMul{t: tables[r.Intn(2)].t, k: ScalarFromBig(randEdScalar(r))})
+	}
+	s := new(edCombx8)
+	for base, pass := 0, 0; base < len(ms); base, pass = base+8-pass%8, pass+1 {
+		// passes of eight lanes, then seven, down to one, and again
+		group := ms[base:min(base+8-pass%8, len(ms))]
+		s.digits = [edCombMaxPositions]uint64{}
+		positions := 0
+		for _, m := range group {
+			positions = max(positions, m.t.positions)
+		}
+		s.recode(group, positions)
+		for i := 0; i < 8; i++ {
+			var want [edCombMaxPositions]int8
+			if i < len(group) {
+				combDigits(&group[i].k, group[i].t, want[:], 1)
+			}
+			for j := 0; j < positions; j++ {
+				if got := int8(s.digits[j] >> (8 * i)); got != want[j] {
+					t.Fatalf("pass at %d, lane %d of %d (width %d, k=%x): digit %d = %d, combDigits says %d",
+						base, i, len(group), group[min(i, len(group)-1)].t.w, group[min(i, len(group)-1)].k, j, got, want[j])
+				}
+			}
+		}
 	}
 }

@@ -42,11 +42,12 @@
 // doublings, and a CombBatch into one such sweep per eight multiplications,
 // whichever tables they read.
 //
-// Encode emits a 1-byte identity sentinel {0} or a 65-byte tagged
+// Encode appends a 1-byte identity sentinel {0} or a 65-byte tagged
 // uncompressed point (0x05 || x || y), chosen so parsing never pays a square
-// root on the hot path. Compress emits the short canonical form (32 bytes,
-// sign-bit-packed Edwards y) used for pseudonym map keys. Decode accepts both
-// and nothing else.
+// root on the hot path. Compress appends the short canonical form (32
+// bytes, sign-bit-packed Edwards y) used for pseudonym map keys. Both append
+// to the caller's buffer — an envelope arena, a stack array — so encoding
+// allocates nothing of its own. Decode accepts both and nothing else.
 //
 // All ristretto255 kernels are variable-time. This repository reproduces a
 // research system; the scalars being multiplied (blinding exponents,
@@ -93,10 +94,14 @@ type Element struct {
 // Set fills slots; Run computes the products of a range of set slots, and
 // distinct ranges may run concurrently; RunRecords does both for a batch
 // of records on a pool of workers; Normalize, after every Run, brings all
-// products to affine form; Out reads one.
+// products to affine form; Out reads one. The batch owns the products and
+// the scratch a Run orders its multiplications in for the whole call, and
+// the lane comb pools its pass state, so a Run allocates nothing.
 type CombBatch struct {
 	slots []combSlot
-	out   []Element
+	pts   []edPoint   // the products
+	out   []Element   // out[i] is pts[i]
+	ms    []edCombMul // a Run's multiplications in pass order, at its range
 }
 
 // combSlot is one multiplication of a CombBatch.
@@ -108,7 +113,12 @@ type combSlot struct {
 
 // NewCombBatch returns a batch of n unset slots.
 func NewCombBatch(n int) *CombBatch {
-	return &CombBatch{slots: make([]combSlot, n), out: make([]Element, n)}
+	b := &CombBatch{slots: make([]combSlot, n), pts: make([]edPoint, n),
+		out: make([]Element, n), ms: make([]edCombMul, n)}
+	for i := range b.out {
+		b.out[i] = Element{ed: &b.pts[i]}
+	}
+	return b
 }
 
 // Set puts k*P + q in slot i, for the fixed point P of t; q may be the zero
@@ -117,7 +127,7 @@ func (b *CombBatch) Set(i int, t *Table, k Scalar, q Element) { b.slots[i] = com
 
 // Run computes the products of slots [lo, hi). They are projective until
 // Normalize.
-func (b *CombBatch) Run(lo, hi int) { mulTables(b.out[lo:hi], b.slots[lo:hi]) }
+func (b *CombBatch) Run(lo, hi int) { mulTables(b.pts[lo:hi], b.slots[lo:hi], b.ms[lo:hi]) }
 
 // RunRecords fills and runs the batch as records of per slots each, on a
 // pool of workers (0 selects GOMAXPROCS): queue(i) sets record i's slots,
@@ -182,9 +192,6 @@ func ScalarFromBig(v *big.Int) Scalar {
 
 // ScalarToBig converts a Scalar to a big.Int.
 func ScalarToBig(k Scalar) *big.Int { return new(big.Int).SetBytes(k[:]) }
-
-// identityEncoding is the 1-byte identity sentinel.
-var identityEncoding = []byte{0}
 
 // edBaseTable lazily builds the base-point comb table (width 8: 32
 // positions, one-time cost amortized over the process lifetime).

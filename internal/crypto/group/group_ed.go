@@ -24,6 +24,7 @@ import (
 	"errors"
 	"io"
 	"math/big"
+	"math/rand/v2"
 	"slices"
 )
 
@@ -38,7 +39,7 @@ func (Group) RandomScalar(rng io.Reader) (Scalar, error) {
 	// (probability ~2^-252) is rejected to keep scalars invertible.
 	var b [64]byte
 	for {
-		if _, err := io.ReadFull(rng, b[:]); err != nil {
+		if err := read64(rng, &b); err != nil {
 			return Scalar{}, err
 		}
 		var x wide
@@ -53,6 +54,22 @@ func (Group) RandomScalar(rng io.Reader) (Scalar, error) {
 			return out, nil
 		}
 	}
+}
+
+// read64 fills b from rng. A ChaCha8 — every batch path's per-record stream
+// (hybrid.Seeds) — fills it in place; any other reader reads through a
+// buffer of its own, since a slice handed to an interface method escapes.
+func read64(rng io.Reader, b *[64]byte) error {
+	if c, ok := rng.(*rand.ChaCha8); ok {
+		c.Read(b[:])
+		return nil
+	}
+	buf := make([]byte, len(b))
+	if _, err := io.ReadFull(rng, buf); err != nil {
+		return err
+	}
+	copy(b[:], buf)
+	return nil
 }
 
 // Identity returns the neutral element.
@@ -144,22 +161,10 @@ var laneComb func(ms []edCombMul)
 // to the same cutoff.
 const combLaneMin = 2
 
-// mulTables is CombBatch.Run. A pass costs as many positions as its longest
-// table has, so the multiplications go to the lanes longest table first,
-// in slot order among equals: every pass but one reads tables of a single
-// length, and a group of fewer than combLaneMin left for mulComb reads the
-// shortest.
-func mulTables(dst []Element, slots []combSlot) {
-	outs := make([]edPoint, len(slots))
-	ms := make([]edCombMul, len(slots))
-	for i, s := range slots {
-		ms[i] = edCombMul{t: s.t, k: s.k, out: &outs[i]}
-		if s.q != (Element{}) {
-			ms[i].q = s.q.edwards()
-		}
-		dst[i] = Element{ed: &outs[i]}
-	}
-	slices.SortStableFunc(ms, func(a, b edCombMul) int { return b.t.positions - a.t.positions })
+// mulTables is CombBatch.Run: outs[i] = slots[i]'s product, with ms the
+// range's scratch.
+func mulTables(outs []edPoint, slots []combSlot, ms []edCombMul) {
+	combOrder(outs, slots, ms)
 	lanes := 0
 	if laneComb != nil {
 		lanes = len(ms)
@@ -172,6 +177,32 @@ func mulTables(dst []Element, slots []combSlot) {
 		m.t.mulComb(m.out, &m.k)
 		if m.q != nil {
 			m.out.add(m.out, m.q)
+		}
+	}
+}
+
+// combOrder fills ms with the multiplications of slots, outs[i] receiving
+// slot i's product, in the order the lanes take them. A pass costs as many
+// positions as its longest table has, so the longest tables come first, in
+// slot order among equals — one stable counting pass by table length — and
+// every pass but one reads tables of a single length, and a group of fewer
+// than combLaneMin left for mulComb reads the shortest.
+func combOrder(outs []edPoint, slots []combSlot, ms []edCombMul) {
+	var at [edCombMaxPositions + 1]int
+	for i := range slots {
+		at[slots[i].t.positions]++
+	}
+	next := 0
+	for p := edCombMaxPositions; p >= 0; p-- {
+		at[p], next = next, next+at[p]
+	}
+	for i := range slots {
+		s := &slots[i]
+		m := &ms[at[s.t.positions]]
+		at[s.t.positions]++
+		*m = edCombMul{t: s.t, k: s.k, out: &outs[i]}
+		if s.q != (Element{}) {
+			m.q = s.q.edwards()
 		}
 	}
 }
@@ -225,41 +256,43 @@ func (Group) Normalize(ps []Element) {
 	normalizeEd(pts)
 }
 
-// Encode returns the wire encoding: {0} for identity, else WireSize bytes.
-func (Group) Encode(p Element) []byte {
+// affine returns p's point scaled to z == 1, in place, and whether it is
+// the identity (left as it is).
+func affine(p Element) (*edPoint, bool) {
 	pt := p.edwards()
 	if pt.isIdentity() {
-		return identityEncoding
+		return pt, true
 	}
-	var one fe25519
-	one.One()
-	if !pt.z.Equal(&one) {
+	if pt.z != (fe25519{1}) {
 		normalizeEd([]*edPoint{pt})
 	}
-	out := make([]byte, WireSize)
-	out[0] = tagRistretto
-	pt.x.Bytes(out[1:1:33])
-	pt.y.Bytes(out[33:33:65])
-	return out
+	return pt, false
 }
 
-// Compress returns the short canonical encoding used as a map key: {0} for
-// identity, else 32 bytes.
-func (Group) Compress(p Element) []byte {
-	pt := p.edwards()
-	if pt.isIdentity() {
-		return identityEncoding
+// Encode appends the wire encoding of p to dst: {0} for identity, else
+// WireSize bytes.
+func (Group) Encode(dst []byte, p Element) []byte {
+	pt, identity := affine(p)
+	if identity {
+		return append(dst, 0)
 	}
-	var one fe25519
-	one.One()
-	if !pt.z.Equal(&one) {
-		normalizeEd([]*edPoint{pt})
+	dst = append(slices.Grow(dst, WireSize), tagRistretto)
+	dst = pt.x.Bytes(dst)
+	return pt.y.Bytes(dst)
+}
+
+// Compress appends the short canonical encoding of p, the form used as a map
+// key, to dst: {0} for identity, else 32 bytes.
+func (Group) Compress(dst []byte, p Element) []byte {
+	pt, identity := affine(p)
+	if identity {
+		return append(dst, 0)
 	}
-	out := pt.y.Bytes(make([]byte, 0, 32))
+	dst = pt.y.Bytes(slices.Grow(dst, 32))
 	if pt.x.IsNegative() {
-		out[31] |= 0x80
+		dst[len(dst)-1] |= 0x80
 	}
-	return out
+	return dst
 }
 
 // edOnCurve checks -x^2 + y^2 == 1 + d*x^2*y^2.
@@ -340,10 +373,10 @@ func (g Group) MulDH(p Element, k Scalar) Element {
 // slice shares one field inversion.
 func (Group) MulDHBatch(dst, ps []Element, k Scalar) { mulBatch(dst, ps, k, true) }
 
-// SharedBytes derives the 32-byte KDF input from a DH result: its
+// SharedBytes appends the 32-byte KDF input of a DH result to dst: its
 // compressed encoding.
-func (g Group) SharedBytes(p Element) []byte {
-	return g.Compress(p)
+func (g Group) SharedBytes(dst []byte, p Element) []byte {
+	return g.Compress(dst, p)
 }
 
 // edwards returns the element's point, treating the zero Element as the

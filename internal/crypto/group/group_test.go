@@ -29,6 +29,35 @@ func randomElement(g Group, r *rand.Rand) Element {
 	return g.HashToElement(seed[:])
 }
 
+// encodeRef and compressRef are the allocating forms of Encode and
+// Compress, as they were before both appended to a dst, on a copy of p's
+// point: the reference the append forms are held to.
+func encodeRef(p Element) []byte {
+	pt := *p.edwards()
+	if pt.isIdentity() {
+		return []byte{0}
+	}
+	normalizeEd([]*edPoint{&pt})
+	out := make([]byte, WireSize)
+	out[0] = tagRistretto
+	pt.x.Bytes(out[1:1:33])
+	pt.y.Bytes(out[33:33:65])
+	return out
+}
+
+func compressRef(p Element) []byte {
+	pt := *p.edwards()
+	if pt.isIdentity() {
+		return []byte{0}
+	}
+	normalizeEd([]*edPoint{&pt})
+	out := pt.y.Bytes(make([]byte, 0, 32))
+	if pt.x.IsNegative() {
+		out[31] |= 0x80
+	}
+	return out
+}
+
 func TestGroupLaws(t *testing.T) {
 	forGroup(t, func(t *testing.T, g Group) {
 		r := rand.New(rand.NewSource(40))
@@ -90,7 +119,7 @@ func TestGroupEncodeDecode(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			p := randomElement(g, r)
 
-			wire := g.Encode(p)
+			wire := g.Encode(nil, p)
 			if len(wire) != WireSize {
 				t.Fatalf("wire size %d", len(wire))
 			}
@@ -102,7 +131,7 @@ func TestGroupEncodeDecode(t *testing.T) {
 				t.Fatal("wire round trip mismatch")
 			}
 
-			comp := g.Compress(p)
+			comp := g.Compress(nil, p)
 			back2, err := g.Decode(comp)
 			if err != nil {
 				t.Fatal(err)
@@ -115,15 +144,41 @@ func TestGroupEncodeDecode(t *testing.T) {
 			// different projective representatives
 			doubleViaAdd := g.Add(p, p)
 			viaMul := g.Mul(p, Scalar{31: 2})
-			if !bytes.Equal(g.Compress(doubleViaAdd), g.Compress(viaMul)) {
+			if !bytes.Equal(g.Compress(nil, doubleViaAdd), g.Compress(nil, viaMul)) {
 				t.Fatal("compression not canonical across representatives")
 			}
 		}
 
 		// identity encodings
 		id := g.Identity()
-		if !bytes.Equal(g.Encode(id), []byte{0}) || !bytes.Equal(g.Compress(id), []byte{0}) {
+		if !bytes.Equal(g.Encode(nil, id), []byte{0}) || !bytes.Equal(g.Compress(nil, id), []byte{0}) {
 			t.Fatal("identity must use the 1-byte sentinel")
+		}
+
+		// the append forms equal the allocating ones they replaced, byte
+		// for byte, after any prefix, into a full or a roomy dst, for
+		// affine and projective points and the identity's 1-byte form
+		prefix := []byte("hdr")
+		q := randomElement(g, r)
+		for _, form := range []struct {
+			name      string
+			append    func(dst []byte, p Element) []byte
+			reference func(p Element) []byte
+		}{
+			{"Encode", g.Encode, encodeRef},
+			{"Compress", g.Compress, compressRef},
+			{"SharedBytes", g.SharedBytes, compressRef},
+		} {
+			// fresh elements per form: an append form normalizes its
+			// point in place
+			for i, p := range []Element{id, q, g.Add(q, generator()), g.Mul(generator(), Scalar{31: 3})} {
+				want := append(append([]byte{}, prefix...), form.reference(p)...)
+				for _, dst := range [][]byte{prefix[:len(prefix):len(prefix)], append(make([]byte, 0, 128), prefix...)} {
+					if got := form.append(dst, p); !bytes.Equal(got, want) {
+						t.Fatalf("element %d: %s(%q, p) = %x, the allocating form says %x", i, form.name, dst, got, want)
+					}
+				}
+			}
 		}
 		back, err := g.Decode([]byte{0})
 		if err != nil || !g.IsIdentity(back) {
@@ -138,7 +193,7 @@ func TestGroupEncodeDecode(t *testing.T) {
 		}
 		// corrupted wire point (off curve)
 		p := randomElement(g, rand.New(rand.NewSource(7)))
-		wire := g.Encode(p)
+		wire := g.Encode(nil, p)
 		wire[20] ^= 0x40
 		if _, err := g.Decode(wire); err == nil {
 			t.Fatal("off-curve wire point decoded")
@@ -174,7 +229,7 @@ func TestGroupMulBatchEquivalence(t *testing.T) {
 		// normalized results must encode identically to solo results
 		g.Normalize(dst)
 		for i := range dst {
-			if !bytes.Equal(g.Encode(dst[i]), g.Encode(want[i])) {
+			if !bytes.Equal(g.Encode(nil, dst[i]), g.Encode(nil, want[i])) {
 				t.Fatalf("entry %d encoding mismatch after Normalize", i)
 			}
 		}
@@ -186,7 +241,7 @@ func TestGroupMulBatchEquivalence(t *testing.T) {
 		g.MulDHBatch(ps, ps, dh)
 		g.Normalize(ps)
 		for i := range ps {
-			if !bytes.Equal(g.SharedBytes(ps[i]), g.SharedBytes(want[i])) {
+			if !bytes.Equal(g.SharedBytes(nil, ps[i]), g.SharedBytes(nil, want[i])) {
 				t.Fatalf("MulDHBatch entry %d: shared bytes differ from MulDH", i)
 			}
 		}
@@ -220,16 +275,16 @@ func TestGroupDH(t *testing.T) {
 		aPub := g.BaseMul(aPriv)
 		bPub := g.BaseMul(bPriv)
 		// receivers decode the wire form, as the daemons do
-		aPubD, err := g.Decode(g.Encode(aPub))
+		aPubD, err := g.Decode(g.Encode(nil, aPub))
 		if err != nil {
 			t.Fatal(err)
 		}
-		bPubD, err := g.Decode(g.Encode(bPub))
+		bPubD, err := g.Decode(g.Encode(nil, bPub))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s1 := g.SharedBytes(g.MulDH(bPubD, g.PrepareDH(aPriv)))
-		s2 := g.SharedBytes(g.MulDH(aPubD, g.PrepareDH(bPriv)))
+		s1 := g.SharedBytes(nil, g.MulDH(bPubD, g.PrepareDH(aPriv)))
+		s2 := g.SharedBytes(nil, g.MulDH(aPubD, g.PrepareDH(bPriv)))
 		if len(s1) != 32 || !bytes.Equal(s1, s2) {
 			t.Fatal("DH shared secrets disagree")
 		}
@@ -237,7 +292,7 @@ func TestGroupDH(t *testing.T) {
 		prod := ScalarToBig(aPriv)
 		prod.Mul(prod, ScalarToBig(bPriv))
 		prod.Mod(prod, g.Order())
-		s3 := g.SharedBytes(g.BaseMul(ScalarFromBig(prod)))
+		s3 := g.SharedBytes(nil, g.BaseMul(ScalarFromBig(prod)))
 		if !bytes.Equal(s1, s3) {
 			t.Fatal("DH disagrees with direct scalar product")
 		}
@@ -257,7 +312,7 @@ func TestGroupHashToElement(t *testing.T) {
 			if g.IsIdentity(p) {
 				t.Fatal("hash produced identity")
 			}
-			key := string(g.Compress(p))
+			key := string(g.Compress(nil, p))
 			if seen[key] {
 				t.Fatal("hash collision across distinct inputs")
 			}
@@ -347,26 +402,26 @@ func TestGroupKnownAnswers(t *testing.T) {
 			}
 			k := katScalar()
 			h := g.HashToElement([]byte("prochlo-kat"))
-			check("Encode(H)", g.Encode(h), kat.hashWire)
-			check("Compress(H)", g.Compress(h), kat.hashComp)
+			check("Encode(H)", g.Encode(nil, h), kat.hashWire)
+			check("Compress(H)", g.Compress(nil, h), kat.hashComp)
 
 			kh := g.Mul(h, k)
-			check("Encode(k*H)", g.Encode(kh), kat.mulWire)
-			check("Compress(k*H)", g.Compress(kh), kat.mulComp)
-			check("Compress(k*G)", g.Compress(g.BaseMul(k)), kat.baseComp)
+			check("Encode(k*H)", g.Encode(nil, kh), kat.mulWire)
+			check("Compress(k*H)", g.Compress(nil, kh), kat.mulComp)
+			check("Compress(k*G)", g.Compress(nil, g.BaseMul(k)), kat.baseComp)
 
 			// the batch and fixed-point kernels land on the same bytes
 			batch := []Element{h}
 			g.MulBatch(batch, batch, k)
 			g.Normalize(batch)
-			check("Encode(MulBatch)", g.Encode(batch[0]), kat.mulWire)
-			check("Compress(Precompute(H).Mul(k))", g.Compress(g.Precompute(h).Mul(k)), kat.mulComp)
+			check("Encode(MulBatch)", g.Encode(nil, batch[0]), kat.mulWire)
+			check("Compress(Precompute(H).Mul(k))", g.Compress(nil, g.Precompute(h).Mul(k)), kat.mulComp)
 
-			decoded, err := g.Decode(g.Encode(h))
+			decoded, err := g.Decode(g.Encode(nil, h))
 			if err != nil {
 				t.Fatal(err)
 			}
-			check("SharedBytes", g.SharedBytes(g.MulDH(decoded, g.PrepareDH(k))), kat.shared)
+			check("SharedBytes", g.SharedBytes(nil, g.MulDH(decoded, g.PrepareDH(k))), kat.shared)
 
 			rng := katStream()
 			before := rng.Len()

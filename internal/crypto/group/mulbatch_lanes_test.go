@@ -115,9 +115,9 @@ func TestMulBatchLanesMatchSolo(t *testing.T) {
 				want := make([][]byte, maxN)
 				for i, p := range points {
 					if dh {
-						want[i] = g.Encode(g.MulDH(p, k))
+						want[i] = g.Encode(nil, g.MulDH(p, k))
 					} else {
-						want[i] = g.Encode(g.Mul(p, k))
+						want[i] = g.Encode(nil, g.Mul(p, k))
 					}
 				}
 				for _, n := range []int{0, 1, 7, 8, 9, 255, 256, 257} {
@@ -130,7 +130,7 @@ func TestMulBatchLanesMatchSolo(t *testing.T) {
 						mulBatch(dst, ps, k, dh)
 						g.Normalize(dst)
 						for i := range dst {
-							if got := g.Encode(dst[i]); !bytes.Equal(got, want[i]) {
+							if got := g.Encode(nil, dst[i]); !bytes.Equal(got, want[i]) {
 								t.Fatalf("k=%s dh=%v n=%d alias=%v: entry %d = %x, solo path says %x",
 									name, dh, n, alias, i, got, want[i])
 							}

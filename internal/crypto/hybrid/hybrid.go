@@ -14,17 +14,20 @@
 // stage's. Per-recipient state is precomputed once: the public key's wire
 // encoding and a fixed-point comb table for the shared-secret multiplication
 // (so a seal is two comb multiplications, no doublings), and the private
-// key's DH-prepared scalar. The key-derivation state (HKDF/HMAC blocks, salt
-// and key buffers) lives in a sync.Pool-recycled scratch rather than being
-// reallocated per call. Both directions amortize everything but the scalar
-// multiplication and the AEAD over a batch: QueueSeal/PendingSeal.Seal put
-// a seal's two multiplications in a group.CombBatch that a batch encoder
-// shares across every seal and El Gamal encryption of a call, normalized
-// with one field inversion for all of them, and OpenBatch — the one open
-// kernel the thresholding shufflers and the analyzer share — works in
-// 256-record chunks, recoding the private scalar once and normalizing the
-// shared points with one inversion per chunk, with all plaintexts in one
-// arena.
+// key's DH-prepared scalar. The key-derivation state (HKDF/HMAC blocks, the
+// shared secret's encoding, salt and key buffers) lives in a
+// sync.Pool-recycled scratch rather than being reallocated per call. Both
+// directions amortize everything but the scalar multiplication and the AEAD
+// over a batch: QueueSeal/PendingSeal.Seal put a seal's two multiplications
+// in a group.CombBatch that a batch encoder shares across every seal and El
+// Gamal encryption of a call, normalized with one field inversion for all of
+// them, and PendingSeal.Seal appends the ephemeral key's encoding, the
+// nonce and the AEAD output straight into the caller's envelope buffer;
+// OpenBatch — the one open kernel the thresholding shufflers and the
+// analyzer share — works in 256-record chunks, recoding the private scalar
+// once and normalizing the shared points with one inversion per chunk, with
+// all plaintexts in one arena. A batched seal allocates its key's AES and
+// GCM objects and nothing else; an open, those and its decoded header.
 // OpenInto/SealInto are the solo forms (the SGX shuffler's in-enclave open,
 // single-report Submit) and the reference the batch paths are tested
 // against. All of them are safe for concurrent use.
@@ -41,6 +44,7 @@ import (
 	"io"
 	"math/big"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"prochlo/internal/crypto/group"
@@ -52,6 +56,7 @@ const (
 	nonceLen  = 12
 	tagLen    = 16
 	keyLen    = 16 // AES-128
+	sharedLen = 32 // the shared point's compressed encoding, the KDF input
 
 	// Overhead is the ciphertext expansion of one Seal: ephemeral public
 	// key, GCM nonce, and GCM tag.
@@ -87,7 +92,7 @@ type PublicKey struct {
 func newPublicKey(el group.Element) *PublicKey {
 	els := []group.Element{el}
 	g.Normalize(els)
-	return &PublicKey{el: els[0], enc: g.Encode(els[0])}
+	return &PublicKey{el: els[0], enc: g.Encode(nil, els[0])}
 }
 
 // GenerateKey creates a fresh key pair. Key generation consumes a
@@ -204,17 +209,20 @@ func hkdf(secret, salt, info []byte, length int) []byte {
 }
 
 // scratch is the reusable per-call state of one key derivation: the HMAC pad
-// blocks, one SHA-256 state, and the salt/PRK/OKM buffers. A scratch is the
-// working set HKDF-SHA256 needs for our fixed 16-byte output, kept off the
-// heap's per-call path via scratchPool.
+// blocks, one SHA-256 state, and the shared-secret/salt/PRK/OKM buffers. A
+// scratch is the working set HKDF-SHA256 needs for our fixed 16-byte output,
+// kept off the heap's per-call path via scratchPool. The shared secret is
+// encoded into it rather than onto the stack: the bytes go through the
+// hash.Hash interface, which would move a stack buffer to the heap.
 type scratch struct {
-	hash hash.Hash // one SHA-256 state, Reset between uses
-	ipad [64]byte
-	opad [64]byte
-	sum  [sha256.Size]byte // inner-digest staging
-	prk  [sha256.Size]byte
-	okm  [sha256.Size]byte
-	salt [2 * pubKeyLen]byte
+	hash   hash.Hash // one SHA-256 state, Reset between uses
+	ipad   [64]byte
+	opad   [64]byte
+	sum    [sha256.Size]byte // inner-digest staging
+	prk    [sha256.Size]byte
+	okm    [sha256.Size]byte
+	salt   [2 * pubKeyLen]byte
+	shared [sharedLen]byte
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{hash: sha256.New()} }}
@@ -253,15 +261,17 @@ func (s *scratch) hmacSum(out *[sha256.Size]byte, data ...[]byte) {
 	h.Sum(out[:0])
 }
 
-// sealKey derives the AES key for a (sender ephemeral, recipient) pair:
-// HKDF-SHA256(secret=shared, salt=ephPub||rcptPub, info=hkdfInfo). The
-// returned slice aliases the scratch and is consumed before the scratch is
-// reused (AES's key schedule copies it).
-func (s *scratch) sealKey(shared, ephPub, rcptPub []byte) []byte {
+// sealKey derives the AES key for a (sender ephemeral, recipient) pair from
+// the DH result shared: HKDF-SHA256(secret=SharedBytes(shared),
+// salt=ephPub||rcptPub, info=hkdfInfo). The returned slice aliases the
+// scratch and is consumed before the scratch is reused (AES's key schedule
+// copies it).
+func (s *scratch) sealKey(shared group.Element, ephPub, rcptPub []byte) []byte {
+	secret := g.SharedBytes(s.shared[:0], shared)
 	n := copy(s.salt[:], ephPub)
 	n += copy(s.salt[n:], rcptPub)
 	s.hmacKey(s.salt[:n])
-	s.hmacSum(&s.prk, shared)
+	s.hmacSum(&s.prk, secret)
 	s.hmacKey(s.prk[:])
 	s.hmacSum(&s.okm, hkdfInfo, one[:])
 	return s.okm[:keyLen]
@@ -309,27 +319,21 @@ func (p *PublicKey) QueueSeal(s *PendingSeal, rng io.Reader, b *group.CombBatch,
 }
 
 // Seal finishes a queued seal once b has run over its slots and been
-// normalized: it derives the AES key from the two products and appends the
-// envelope to dst as SealInto does.
+// normalized: it appends the envelope to dst as SealInto does — the
+// ephemeral key's encoding and the nonce straight into dst, the AES key
+// derived from a shared secret encoded on the stack.
 func (s *PendingSeal) Seal(b *group.CombBatch, dst, plaintext, aad []byte) ([]byte, error) {
-	need := pubKeyLen + nonceLen + len(plaintext) + tagLen
+	dst = slices.Grow(dst, pubKeyLen+nonceLen+len(plaintext)+tagLen)
 	base := len(dst)
-	if cap(dst)-base < need {
-		grown := make([]byte, base, base+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	hdr := dst[base : base+pubKeyLen+nonceLen]
-	copy(hdr, g.Encode(b.Out(s.slot)))
-	nonce := hdr[pubKeyLen:]
-	copy(nonce, s.nonce[:])
+	dst = g.Encode(dst, b.Out(s.slot)) // k ≠ 0, so never the identity's 1 byte
+	dst = append(dst, s.nonce[:]...)
 	sc := scratchPool.Get().(*scratch)
-	gcm, err := newAEAD(sc.sealKey(g.SharedBytes(b.Out(s.slot+1)), hdr[:pubKeyLen], s.pub.enc))
+	gcm, err := newAEAD(sc.sealKey(b.Out(s.slot+1), dst[base:base+pubKeyLen], s.pub.enc))
 	scratchPool.Put(sc)
 	if err != nil {
 		return nil, err
 	}
-	return gcm.Seal(dst[:base+pubKeyLen+nonceLen], nonce, plaintext, aad), nil
+	return gcm.Seal(dst, dst[base+pubKeyLen:], plaintext, aad), nil
 }
 
 // Seal encrypts plaintext to the recipient pub, binding aad (which is
@@ -456,9 +460,8 @@ func (p *PrivateKey) OpenInto(dst, sealed, aad []byte) ([]byte, error) {
 	if err != nil || g.IsIdentity(ephEl) {
 		return nil, ErrDecrypt
 	}
-	shared := g.SharedBytes(g.MulDH(ephEl, p.prepared))
 	sc := scratchPool.Get().(*scratch)
-	gcm, err := newAEAD(sc.sealKey(shared, sealed[:pubKeyLen], p.publicBytes()))
+	gcm, err := newAEAD(sc.sealKey(g.MulDH(ephEl, p.prepared), sealed[:pubKeyLen], p.publicBytes()))
 	scratchPool.Put(sc)
 	if err != nil {
 		return nil, err
@@ -525,7 +528,7 @@ func (p *PrivateKey) openChunk(pts [][]byte, errs []error, sealed [][]byte, aad 
 	defer scratchPool.Put(sc)
 	for j, i := range idx {
 		ct := sealed[i]
-		gcm, err := newAEAD(sc.sealKey(g.SharedBytes(els[j]), ct[:pubKeyLen], rcpt))
+		gcm, err := newAEAD(sc.sealKey(els[j], ct[:pubKeyLen], rcpt))
 		if err != nil {
 			errs[i] = err
 			continue

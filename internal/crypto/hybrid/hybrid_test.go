@@ -266,7 +266,7 @@ func hostileRecord(t *testing.T, priv *PrivateKey, ct []byte, kind int, aad []by
 		if kind == 6 {
 			hdr := ct[:pubKeyLen+nonceLen]
 			sc := scratchPool.Get().(*scratch)
-			gcm, err := newAEAD(sc.sealKey([]byte{0}, hdr[:pubKeyLen], priv.publicBytes()))
+			gcm, err := newAEAD(sc.sealKey(g.Identity(), hdr[:pubKeyLen], priv.publicBytes()))
 			scratchPool.Put(sc)
 			if err != nil {
 				t.Fatal(err)
@@ -330,16 +330,17 @@ func TestOpenBatchMatchesOpenInto(t *testing.T) {
 // TestScratchKeyMatchesReferenceHKDF pins the pooled-scratch key derivation
 // to the straightforward RFC 5869 implementation it replaced.
 func TestScratchKeyMatchesReferenceHKDF(t *testing.T) {
-	shared := bytes.Repeat([]byte{0xab}, 32)
 	ephPub := bytes.Repeat([]byte{0x01}, pubKeyLen)
 	rcptPub := bytes.Repeat([]byte{0x02}, pubKeyLen)
 	salt := append(append([]byte{}, ephPub...), rcptPub...)
-	want := hkdf(shared, salt, hkdfInfo, keyLen)
-	sc := scratchPool.Get().(*scratch)
-	got := append([]byte{}, sc.sealKey(shared, ephPub, rcptPub)...)
-	scratchPool.Put(sc)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("scratch sealKey = %x, reference HKDF = %x", got, want)
+	for _, shared := range []group.Element{g.BaseMul(group.Scalar{31: 0xab}), g.Identity()} {
+		want := hkdf(g.SharedBytes(nil, shared), salt, hkdfInfo, keyLen)
+		sc := scratchPool.Get().(*scratch)
+		got := append([]byte{}, sc.sealKey(shared, ephPub, rcptPub)...)
+		scratchPool.Put(sc)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("scratch sealKey = %x, reference HKDF = %x", got, want)
+		}
 	}
 }
 

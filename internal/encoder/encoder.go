@@ -237,6 +237,9 @@ func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers
 
 	staging := parallel.NewArena(n, func(i int) int { return len(data[i]) + hybrid.Overhead })
 	arena := parallel.NewArena(n, func(i int) int { return len(data[i]) + 2*hybrid.Overhead })
+	// every C1 and C2 in one buffer, a record's pair at 2*WireSize*i
+	const pair = 2 * group.WireSize
+	points := make([]byte, pair*n)
 	envs := make([]core.BlindedEnvelope, n)
 	errs := make([]error, n)
 	parallel.For(w, n, func(i int) {
@@ -251,7 +254,9 @@ func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers
 			return
 		}
 		ct := enc.Queued(b, 6*i)
-		envs[i] = core.BlindedEnvelope{CrowdC1: ct.C1.Bytes(), CrowdC2: ct.C2.Bytes(), Blob: blob}
+		c1 := ct.C1.AppendBytes(points[pair*i : pair*i : pair*(i+1)])
+		c12 := ct.C2.AppendBytes(c1)
+		envs[i] = core.BlindedEnvelope{CrowdC1: c12[:len(c1):len(c1)], CrowdC2: c12[len(c1):], Blob: blob}
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
