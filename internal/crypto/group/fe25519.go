@@ -25,6 +25,7 @@
 package group
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -298,17 +299,11 @@ func (v *fe25519) Bytes(dst []byte) []byte {
 	var t fe25519
 	t = *v
 	t.reduceFull()
-	w0 := t[0] | t[1]<<51
-	w1 := t[1]>>13 | t[2]<<38
-	w2 := t[2]>>26 | t[3]<<25
-	w3 := t[3]>>39 | t[4]<<12
-	var out [32]byte
-	for i, w := range [4]uint64{w0, w1, w2, w3} {
-		for j := 0; j < 8; j++ {
-			out[i*8+j] = byte(w >> (8 * j))
-		}
-	}
-	return append(dst, out[:]...)
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, t[0]|t[1]<<51)
+	dst = le.AppendUint64(dst, t[1]>>13|t[2]<<38)
+	dst = le.AppendUint64(dst, t[2]>>26|t[3]<<25)
+	return le.AppendUint64(dst, t[3]>>39|t[4]<<12)
 }
 
 // IsZero reports whether v == 0.

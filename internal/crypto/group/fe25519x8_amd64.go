@@ -92,20 +92,36 @@ func xgetbv() (eax, edx uint32)
 // DQ for fe8Comb's VPMOVQ2M) and the operating system saves the opmask and
 // ZMM state across context switches.
 func hasIFMA() bool {
+	const avx512f, avx512dq, avx512ifma = 1 << 16, 1 << 17, 1 << 21
+	return avx512Features()&(avx512f|avx512dq|avx512ifma) == avx512f|avx512dq|avx512ifma
+}
+
+// HasAVX512F reports whether AVX512F kernels can run: the CPU implements
+// AVX512F and the operating system saves the opmask and ZMM state. It is
+// the one CPU gate of the module's vector kernels outside this package
+// (hybrid's SHA-256 lanes), which need AVX512F alone; hasIFMA is this
+// gate plus the extensions the field kernels add.
+func HasAVX512F() bool {
+	const avx512f = 1 << 16
+	return avx512Features()&avx512f != 0
+}
+
+// avx512Features returns CPUID leaf 7's EBX feature bits when the operating
+// system saves the AVX-512 register state, and 0 when it does not.
+func avx512Features() uint32 {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+		return 0
 	}
 	const osxsave = 1 << 27
 	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 {
-		return false
+		return 0
 	}
 	// XCR0 bits 1-2: SSE and AVX state; 5-7: opmask, ZMM0-15 upper
 	// halves, ZMM16-31.
 	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
 	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
-		return false
+		return 0
 	}
-	const avx512f, avx512dq, avx512ifma = 1 << 16, 1 << 17, 1 << 21
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx512f != 0 && ebx&avx512dq != 0 && ebx&avx512ifma != 0
+	return ebx
 }

@@ -14,23 +14,26 @@
 // stage's. Per-recipient state is precomputed once: the public key's wire
 // encoding and a fixed-point comb table for the shared-secret multiplication
 // (so a seal is two comb multiplications, no doublings), and the private
-// key's DH-prepared scalar. The key-derivation state (HKDF/HMAC blocks, the
-// shared secret's encoding, salt and key buffers) lives in a
-// sync.Pool-recycled scratch rather than being reallocated per call. Both
-// directions amortize everything but the scalar multiplication and the AEAD
-// over a batch: QueueSeal/PendingSeal.Seal put a seal's two multiplications
-// in a group.CombBatch that a batch encoder shares across every seal and El
-// Gamal encryption of a call, normalized with one field inversion for all of
-// them, and PendingSeal.Seal appends the ephemeral key's encoding, the
-// nonce and the AEAD output straight into the caller's envelope buffer;
-// OpenBatch — the one open kernel the thresholding shufflers and the
-// analyzer share — works in 256-record chunks, recoding the private scalar
-// once and normalizing the shared points with one inversion per chunk, with
-// all plaintexts in one arena. A batched seal allocates its key's AES and
-// GCM objects and nothing else; an open, those and its decoded header.
-// OpenInto/SealInto are the solo forms (the SGX shuffler's in-enclave open,
-// single-report Submit) and the reference the batch paths are tested
-// against. All of them are safe for concurrent use.
+// key's DH-prepared scalar. Both directions amortize everything but the
+// scalar multiplication and the AEAD over a batch: QueueSeal puts a seal's
+// two multiplications in a group.CombBatch that a batch encoder shares
+// across every seal and El Gamal encryption of a call, normalized with one
+// field inversion for all of them, DeriveKeys derives every seal's key, and
+// PendingSeal.Seal appends the ephemeral key's encoding, the nonce and the
+// AEAD output straight into the caller's envelope buffer; OpenBatch — the
+// one open kernel the thresholding shufflers and the analyzer share — works
+// in 256-record chunks, recoding the private scalar once, normalizing the
+// shared points with one inversion and deriving the keys per chunk, with
+// all plaintexts in one arena. Every batch path derives its keys sixteen at
+// a time (keylanes.go): on amd64 CPUs with AVX512F one kernel call runs the
+// eleven SHA-256 compressions of sixteen HKDF derivations, any mix of
+// recipients; elsewhere, and for a group shorter than four, the scalar
+// derivation runs key by key in a pooled scratch. A batched seal allocates
+// its key's AES and GCM objects and nothing else; an open, those and its
+// decoded header. OpenInto/SealInto are the solo forms (the SGX shuffler's
+// in-enclave open, single-report Submit): they derive on the scalar path,
+// and they are the reference the batch paths are tested against. All of
+// them are safe for concurrent use.
 package hybrid
 
 import (
@@ -208,11 +211,11 @@ func hkdf(secret, salt, info []byte, length int) []byte {
 	return out[:length]
 }
 
-// scratch is the reusable per-call state of one key derivation: the HMAC pad
-// blocks, one SHA-256 state, and the shared-secret/salt/PRK/OKM buffers. A
-// scratch is the working set HKDF-SHA256 needs for our fixed 16-byte output,
-// kept off the heap's per-call path via scratchPool. The shared secret is
-// encoded into it rather than onto the stack: the bytes go through the
+// scratch is the working set of one scalar key derivation: the HMAC pad
+// blocks, one SHA-256 state, and the shared-secret/salt/PRK/OKM buffers that
+// HKDF-SHA256 needs for our fixed 16-byte output. It lives in a pooled
+// keyDeriver (keylanes.go), off the heap's per-call path. The shared secret
+// is encoded into it rather than onto the stack: the bytes go through the
 // hash.Hash interface, which would move a stack buffer to the heap.
 type scratch struct {
 	hash   hash.Hash // one SHA-256 state, Reset between uses
@@ -224,8 +227,6 @@ type scratch struct {
 	salt   [2 * pubKeyLen]byte
 	shared [sharedLen]byte
 }
-
-var scratchPool = sync.Pool{New: func() any { return &scratch{hash: sha256.New()} }}
 
 // one is the single-byte HKDF-expand block counter (keyLen <= 32 needs only
 // block 1).
@@ -263,11 +264,16 @@ func (s *scratch) hmacSum(out *[sha256.Size]byte, data ...[]byte) {
 
 // sealKey derives the AES key for a (sender ephemeral, recipient) pair from
 // the DH result shared: HKDF-SHA256(secret=SharedBytes(shared),
-// salt=ephPub||rcptPub, info=hkdfInfo). The returned slice aliases the
-// scratch and is consumed before the scratch is reused (AES's key schedule
-// copies it).
+// salt=ephPub||rcptPub, info=hkdfInfo). It is the scalar derivation — the
+// solo paths' and the reference the lanes are tested against. The returned
+// slice aliases the scratch and is consumed before the scratch is reused
+// (AES's key schedule copies it).
 func (s *scratch) sealKey(shared group.Element, ephPub, rcptPub []byte) []byte {
-	secret := g.SharedBytes(s.shared[:0], shared)
+	return s.kdf(g.SharedBytes(s.shared[:0], shared), ephPub, rcptPub)
+}
+
+// kdf is sealKey on the secret's encoding.
+func (s *scratch) kdf(secret, ephPub, rcptPub []byte) []byte {
 	n := copy(s.salt[:], ephPub)
 	n += copy(s.salt[n:], rcptPub)
 	s.hmacKey(s.salt[:n])
@@ -289,12 +295,15 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 // PendingSeal is a seal between its draws and its AEAD: a batch encoder
 // queues every seal of a call (QueueSeal) before any is sealed, so that
 // their multiplications — and those of the El Gamal encryptions beside them
-// — share one group.CombBatch and one field inversion. SealInto is the same
-// steps on a batch of one.
+// — share one group.CombBatch and one field inversion, and then derives
+// every seal's key (DeriveKeys) before any AEAD, so that the derivations
+// run in lanes. SealInto is the same steps on a batch of one.
 type PendingSeal struct {
 	pub   *PublicKey
 	slot  int
 	nonce [nonceLen]byte
+	eph   [pubKeyLen]byte // the ephemeral public key's encoding, once derived
+	key   [keyLen]byte    // the AES key, once derived
 }
 
 // QueueSeal makes s a seal to p: it draws the seal's randomness from rng —
@@ -318,18 +327,27 @@ func (p *PublicKey) QueueSeal(s *PendingSeal, rng io.Reader, b *group.CombBatch,
 	return nil
 }
 
-// Seal finishes a queued seal once b has run over its slots and been
-// normalized: it appends the envelope to dst as SealInto does — the
-// ephemeral key's encoding and the nonce straight into dst, the AES key
-// derived from a shared secret encoded on the stack.
-func (s *PendingSeal) Seal(b *group.CombBatch, dst, plaintext, aad []byte) ([]byte, error) {
+// encodeEph encodes the seal's ephemeral public key, slot s.slot of b, once
+// b has run and been normalized.
+func (s *PendingSeal) encodeEph(b *group.CombBatch) {
+	g.Encode(s.eph[:0], b.Out(s.slot)) // k ≠ 0, so never the identity's 1 byte
+}
+
+// queueKey queues the seal's key derivation in d.
+func (s *PendingSeal) queueKey(d *keyDeriver, b *group.CombBatch) {
+	s.encodeEph(b)
+	d.add(&s.key, b.Out(s.slot+1), s.eph[:], s.pub.enc)
+}
+
+// Seal finishes a seal whose key is derived (DeriveKeys): it appends the
+// envelope to dst as SealInto does, the ephemeral key's encoding and the
+// nonce straight into dst.
+func (s *PendingSeal) Seal(dst, plaintext, aad []byte) ([]byte, error) {
 	dst = slices.Grow(dst, pubKeyLen+nonceLen+len(plaintext)+tagLen)
 	base := len(dst)
-	dst = g.Encode(dst, b.Out(s.slot)) // k ≠ 0, so never the identity's 1 byte
+	dst = append(dst, s.eph[:]...)
 	dst = append(dst, s.nonce[:]...)
-	sc := scratchPool.Get().(*scratch)
-	gcm, err := newAEAD(sc.sealKey(b.Out(s.slot+1), dst[base:base+pubKeyLen], s.pub.enc))
-	scratchPool.Put(sc)
+	gcm, err := newAEAD(s.key[:])
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +378,11 @@ func SealInto(rng io.Reader, pub *PublicKey, dst, plaintext, aad []byte) ([]byte
 	}
 	b.Run(0, 2)
 	b.Normalize()
-	return s.Seal(b, dst, plaintext, aad)
+	s.encodeEph(b)
+	d := derivers.Get().(*keyDeriver)
+	copy(s.key[:], d.sealKey(b.Out(1), s.eph[:], pub.enc))
+	derivers.Put(d)
+	return s.Seal(dst, plaintext, aad)
 }
 
 // SeedLen is the per-record seed width of the batch randomness convention
@@ -405,7 +427,8 @@ func PutRNG(r *rand.ChaCha8) { rngPool.Put(r) }
 // SealBatch encrypts a batch of plaintexts to pub on a pool of workers
 // (0 selects GOMAXPROCS), mirroring OpenBatch. Every seal is queued in one
 // group.CombBatch, run a worker's range of records at a time and normalized
-// with one field inversion, all ciphertexts share one backing buffer, and
+// with one field inversion, the keys are derived in lanes (DeriveKeys), all
+// ciphertexts share one backing buffer, and
 // randomness follows the Seeds convention, so for a deterministic rng the
 // output is byte-identical at every worker count.
 func SealBatch(rng io.Reader, pub *PublicKey, plaintexts [][]byte, aad []byte, workers int) ([][]byte, error) {
@@ -427,11 +450,12 @@ func SealBatch(rng io.Reader, pub *PublicKey, plaintexts [][]byte, aad []byte, w
 		return nil, fmt.Errorf("hybrid: record %d: %w", i, err)
 	}
 	b.Normalize()
+	DeriveKeys(b, workers, pending)
 	arena := parallel.NewArena(n, func(i int) int { return len(plaintexts[i]) + Overhead })
 	out := make([][]byte, n)
 	errs := make([]error, n)
 	parallel.For(parallel.Workers(workers), n, func(i int) {
-		out[i], errs[i] = pending[i].Seal(b, arena.Slot(i), plaintexts[i], aad)
+		out[i], errs[i] = pending[i].Seal(arena.Slot(i), plaintexts[i], aad)
 	})
 	if i, err := parallel.FirstError(errs); err != nil {
 		return nil, fmt.Errorf("hybrid: record %d: %w", i, err)
@@ -460,9 +484,9 @@ func (p *PrivateKey) OpenInto(dst, sealed, aad []byte) ([]byte, error) {
 	if err != nil || g.IsIdentity(ephEl) {
 		return nil, ErrDecrypt
 	}
-	sc := scratchPool.Get().(*scratch)
-	gcm, err := newAEAD(sc.sealKey(g.MulDH(ephEl, p.prepared), sealed[:pubKeyLen], p.publicBytes()))
-	scratchPool.Put(sc)
+	d := derivers.Get().(*keyDeriver)
+	gcm, err := newAEAD(d.sealKey(g.MulDH(ephEl, p.prepared), sealed[:pubKeyLen], p.publicBytes()))
+	derivers.Put(d)
 	if err != nil {
 		return nil, err
 	}
@@ -524,11 +548,16 @@ func (p *PrivateKey) openChunk(pts [][]byte, errs []error, sealed [][]byte, aad 
 	g.MulDHBatch(els, els, p.prepared)
 	g.Normalize(els)
 	rcpt := p.publicBytes()
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	keys := make([][keyLen]byte, len(idx))
+	d := derivers.Get().(*keyDeriver)
+	for j, i := range idx {
+		d.add(&keys[j], els[j], sealed[i][:pubKeyLen], rcpt)
+	}
+	d.flush()
+	derivers.Put(d)
 	for j, i := range idx {
 		ct := sealed[i]
-		gcm, err := newAEAD(sc.sealKey(els[j], ct[:pubKeyLen], rcpt))
+		gcm, err := newAEAD(keys[j][:])
 		if err != nil {
 			errs[i] = err
 			continue

@@ -265,9 +265,9 @@ func hostileRecord(t *testing.T, priv *PrivateKey, ct []byte, kind int, aad []by
 		y[0], y[31] = 0xec, 0x7f // p - 1, little-endian
 		if kind == 6 {
 			hdr := ct[:pubKeyLen+nonceLen]
-			sc := scratchPool.Get().(*scratch)
-			gcm, err := newAEAD(sc.sealKey(g.Identity(), hdr[:pubKeyLen], priv.publicBytes()))
-			scratchPool.Put(sc)
+			d := derivers.Get().(*keyDeriver)
+			gcm, err := newAEAD(d.sealKey(g.Identity(), hdr[:pubKeyLen], priv.publicBytes()))
+			derivers.Put(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,17 +327,50 @@ func TestOpenBatchMatchesOpenInto(t *testing.T) {
 	}
 }
 
-// TestScratchKeyMatchesReferenceHKDF pins the pooled-scratch key derivation
-// to the straightforward RFC 5869 implementation it replaced.
+// TestHKDFRFC5869 pins the reference hkdf to the standard: the SHA-256 test
+// cases of RFC 5869, Appendix A.1-A.3.
+func TestHKDFRFC5869(t *testing.T) {
+	seq := func(from, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(from + i)
+		}
+		return b
+	}
+	ikm := bytes.Repeat([]byte{0x0b}, 22)
+	for _, tc := range []struct {
+		name            string
+		ikm, salt, info []byte
+		length          int
+		okm             string
+	}{
+		{"A.1", ikm, seq(0x00, 13), seq(0xf0, 10), 42,
+			"3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"},
+		{"A.2", seq(0x00, 80), seq(0x60, 80), seq(0xb0, 80), 82,
+			"b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c" +
+				"59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71" +
+				"cc30c58179ec3e87c14c01d5c1f3434f1d87"},
+		{"A.3", ikm, nil, nil, 42,
+			"8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8"},
+	} {
+		if got := hex.EncodeToString(hkdf(tc.ikm, tc.salt, tc.info, tc.length)); got != tc.okm {
+			t.Errorf("RFC 5869 %s: OKM = %s, want %s", tc.name, got, tc.okm)
+		}
+	}
+}
+
+// TestScratchKeyMatchesReferenceHKDF pins the scalar key derivation — the
+// reference the lanes are held to — to the straightforward RFC 5869
+// implementation it replaced (itself pinned by TestHKDFRFC5869).
 func TestScratchKeyMatchesReferenceHKDF(t *testing.T) {
 	ephPub := bytes.Repeat([]byte{0x01}, pubKeyLen)
 	rcptPub := bytes.Repeat([]byte{0x02}, pubKeyLen)
 	salt := append(append([]byte{}, ephPub...), rcptPub...)
 	for _, shared := range []group.Element{g.BaseMul(group.Scalar{31: 0xab}), g.Identity()} {
 		want := hkdf(g.SharedBytes(nil, shared), salt, hkdfInfo, keyLen)
-		sc := scratchPool.Get().(*scratch)
-		got := append([]byte{}, sc.sealKey(shared, ephPub, rcptPub)...)
-		scratchPool.Put(sc)
+		d := derivers.Get().(*keyDeriver)
+		got := append([]byte{}, d.sealKey(shared, ephPub, rcptPub)...)
+		derivers.Put(d)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("scratch sealKey = %x, reference HKDF = %x", got, want)
 		}
@@ -494,8 +527,9 @@ func TestQueuedSealMatchesSealInto(t *testing.T) {
 		}
 		b.Run(0, 4*n)
 		b.Normalize()
+		DeriveKeys(b, 0, pending)
 		for i := range pending {
-			got, err := pending[i].Seal(b, nil, pts[i], []byte("aad"))
+			got, err := pending[i].Seal(nil, pts[i], []byte("aad"))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -80,7 +80,8 @@ func runRecords(b *group.CombBatch, workers, per int, seeds hybrid.Seeds, queue 
 // selects GOMAXPROCS, 1 is the serial reference path). Every fixed-base
 // multiplication of the batch — each report's two seals, k*G and k*K each —
 // goes in one group.CombBatch, one comb sweep per worker's range of reports
-// and one field inversion for all of them; then the AEAD seals compose each
+// and one field inversion for all of them; every seal's key is derived in
+// lanes of sixteen (hybrid.DeriveKeys); then the AEAD seals compose each
 // report's nested envelope in place in one batch-wide buffer. Per-report
 // randomness follows the hybrid.Seeds convention — record i's draws come
 // from its own seeded stream in the solo Encode order (inner scalar and
@@ -113,6 +114,7 @@ func (c *Client) EncodeBatch(reports []core.Report, workers int) ([]core.Envelop
 		return nil, err
 	}
 	b.Normalize()
+	hybrid.DeriveKeys(b, w, inner, outer)
 
 	// Staging and envelope sizes are known exactly: data + inner overhead,
 	// wrapped with the crowd ID and outer overhead.
@@ -126,12 +128,12 @@ func (c *Client) EncodeBatch(reports []core.Report, workers int) ([]core.Envelop
 	errs := make([]error, n)
 	parallel.For(w, n, func(i int) {
 		payload := append(staging.Slot(i), reports[i].CrowdID[:]...)
-		payload, err := inner[i].Seal(b, payload, reports[i].Data, nil)
+		payload, err := inner[i].Seal(payload, reports[i].Data, nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("inner layer: %w", err)
 			return
 		}
-		if envs[i].Blob, err = outer[i].Seal(b, arena.Slot(i), payload, nil); err != nil {
+		if envs[i].Blob, err = outer[i].Seal(arena.Slot(i), payload, nil); err != nil {
 			errs[i] = fmt.Errorf("outer layer: %w", err)
 		}
 	})
@@ -195,8 +197,9 @@ func (c *BlindedClient) Encode(crowdLabel string, data []byte) (core.BlindedEnve
 // pool, the split-shuffler counterpart of Client.EncodeBatch: each report's
 // El Gamal crowd-ID encryption (through the cached hash-to-curve fast path)
 // and both of its seals queue their six fixed-base multiplications in one
-// group.CombBatch, normalized with one inversion for the whole batch, and
-// both layers are composed in a single batch-wide buffer. Record i draws El
+// group.CombBatch, normalized with one inversion for the whole batch, both
+// seals' keys are derived in lanes with every other report's, and both
+// layers are composed in a single batch-wide buffer. Record i draws El
 // Gamal scalar, inner scalar and nonce, then outer, from its own stream, as
 // Encode does, so byte output is identical across worker counts for a
 // fixed Rand.
@@ -234,6 +237,7 @@ func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers
 		return nil, err
 	}
 	b.Normalize()
+	hybrid.DeriveKeys(b, w, inner, outer)
 
 	staging := parallel.NewArena(n, func(i int) int { return len(data[i]) + hybrid.Overhead })
 	arena := parallel.NewArena(n, func(i int) int { return len(data[i]) + 2*hybrid.Overhead })
@@ -243,12 +247,12 @@ func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers
 	envs := make([]core.BlindedEnvelope, n)
 	errs := make([]error, n)
 	parallel.For(w, n, func(i int) {
-		payload, err := inner[i].Seal(b, staging.Slot(i), data[i], nil)
+		payload, err := inner[i].Seal(staging.Slot(i), data[i], nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("inner layer: %w", err)
 			return
 		}
-		blob, err := outer[i].Seal(b, arena.Slot(i), payload, nil)
+		blob, err := outer[i].Seal(arena.Slot(i), payload, nil)
 		if err != nil {
 			errs[i] = fmt.Errorf("shuffler-2 layer: %w", err)
 			return

@@ -85,6 +85,7 @@ func (e *engine) registerMetrics() {
 			return float64(c.field(&e.cum))
 		})
 	}
+	e.dedup.registerMetrics(reg, l)
 	reg.GaugeFunc("prochlo_wal_recovered_reports", "Reports recovered from the WAL at the last restart.", l,
 		func() float64 { return float64(e.recItems) })
 	reg.GaugeFunc("prochlo_wal_recovered_epochs", "Cut-but-unresolved epochs recovered from the WAL at the last restart.", l,
@@ -131,6 +132,20 @@ func (b *Balancer) registerMetrics(reg *metrics.Registry, l metrics.Labels) {
 		func() float64 { return float64(b.readmits.Load()) })
 	reg.CounterFunc("prochlo_balancer_probes_total", "Healthz probes issued to entry-tier replicas.", l,
 		func() float64 { return float64(b.probes.Load()) })
+}
+
+// registerMetrics exports what dedup holds and absorbs: one callback over
+// the stream map and one over the replay counter, which only the replay
+// branch of ingest touches.
+func (d *forwardDedup) registerMetrics(reg *metrics.Registry, l metrics.Labels) {
+	reg.GaugeFunc("prochlo_dedup_streams", "Sender streams dedup holds a last position for.", l,
+		func() float64 {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return float64(len(d.streams))
+		})
+	reg.CounterFunc("prochlo_dedup_replays_total", "Stamped submissions acked as replays without ingesting (a position at or below its stream's last).", l,
+		func() float64 { return float64(d.replays.Load()) })
 }
 
 // RegisterMetrics exports the analyzer service's database and ingest

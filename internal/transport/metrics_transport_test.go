@@ -232,3 +232,48 @@ func TestStageSelectivityMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestDedupMetrics pins the dedup series: a replayed stamped Submit is acked
+// and counted as a replay but not as accepted, and a second stream adds a
+// mark to the streams gauge.
+func TestDedupMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rig := newStreamingRig(t, EpochConfig{FlushAt: 100, Metrics: reg, MetricsLabels: metrics.Labels{"role": "shuffler"}})
+	batch := core.Batch{Envelopes: []core.Envelope{rig.envelope(t, "c:dedup", "v"), rig.envelope(t, "c:dedup", "v")}}
+	scrape := func() string {
+		var b bytes.Buffer
+		if _, err := reg.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	check := func(step string, accepted, replays, streams float64) {
+		t.Helper()
+		s := scrape()
+		for _, c := range []struct {
+			series string
+			want   float64
+		}{
+			{`prochlo_reports_accepted_total{role="shuffler"}`, accepted},
+			{`prochlo_dedup_replays_total{role="shuffler"}`, replays},
+			{`prochlo_dedup_streams{role="shuffler"}`, streams},
+		} {
+			if v := metricValue(t, s, c.series); v != c.want {
+				t.Errorf("%s: %s = %v, want %v", step, c.series, v, c.want)
+			}
+		}
+	}
+	check("before any submission", 0, 0, 0)
+	if n, err := rig.svc.Submit(9, 1, batch); err != nil || n != 2 {
+		t.Fatalf("first submit = (%d, %v)", n, err)
+	}
+	check("first submit", 2, 0, 1)
+	if n, err := rig.svc.Submit(9, 1, batch); err != nil || n != 2 {
+		t.Fatalf("replayed submit = (%d, %v), want an ack of 2", n, err)
+	}
+	check("replayed submit", 2, 1, 1)
+	if n, err := rig.svc.Submit(10, 1, batch); err != nil || n != 2 {
+		t.Fatalf("second stream's submit = (%d, %v)", n, err)
+	}
+	check("second stream", 4, 1, 2)
+}

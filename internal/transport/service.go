@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prochlo/internal/analyzer"
@@ -29,6 +30,7 @@ import (
 type forwardDedup struct {
 	mu      sync.Mutex
 	streams map[int64]*streamMark
+	replays atomic.Int64 // stamped ingests acked as replays, for the metrics
 }
 
 // streamMark is one stream's last ingested position.
@@ -70,6 +72,7 @@ func (d *forwardDedup) ingest(stream, pos int64, add func() error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if pos <= m.last {
+		d.replays.Add(1)
 		return nil
 	}
 	if err := add(); err != nil {
