@@ -25,16 +25,6 @@ type BatcherShuffle struct {
 	BucketSize int    // items per bucket; two buckets must fit in the enclave
 	Seed       uint64 // deterministic randomness for tests when nonzero
 
-	// SortByPrefix sorts by the first 8 bytes of each decoded payload
-	// instead of by random keys, turning the shuffle into an oblivious
-	// group-by: records with equal prefixes (e.g. crowd IDs) come out
-	// adjacent. This is the building block of §4.1.5's thresholding for
-	// crowd-ID domains too large for in-enclave counters. (A prefix equal
-	// to the all-ones dummy sentinel — probability 2^-64 for hashed crowd
-	// IDs — is nudged down one, which at worst merges it with a neighbor
-	// crowd for thresholding purposes.)
-	SortByPrefix bool
-
 	// Passes records the number of bucket-pair operations of the last run.
 	Passes int
 }
@@ -83,17 +73,7 @@ func (b *BatcherShuffle) Shuffle(in [][]byte) ([][]byte, error) {
 				return nil, err
 			}
 			// Random keys in [0, 2^63) keep real items below dummies.
-			key := rng.Uint64() >> 1
-			if b.SortByPrefix {
-				if len(pt) < 8 {
-					return nil, fmt.Errorf("oblivious: payload %d too short for prefix sort", i)
-				}
-				key = binary.BigEndian.Uint64(pt)
-				if key == dummyKey {
-					key--
-				}
-			}
-			it = keyedItem{key: key, payload: pt}
+			it = keyedItem{key: rng.Uint64() >> 1, payload: pt}
 		} else {
 			it = keyedItem{key: dummyKey, payload: make([]byte, pSize)}
 		}

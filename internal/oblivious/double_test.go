@@ -48,45 +48,3 @@ func TestDoubleShuffleIndependentPasses(t *testing.T) {
 		t.Errorf("double shuffle agrees with single pass on %d/%d positions", same, n)
 	}
 }
-
-func TestBatcherSortByPrefixGroups(t *testing.T) {
-	// Records with equal 8-byte prefixes must come out adjacent.
-	var in [][]byte
-	for i := 0; i < 300; i++ {
-		rec := make([]byte, 24)
-		rec[7] = byte(i % 7) // prefix = crowd id in [0,7)
-		rec[8] = byte(i)     // payload distinguisher
-		rec[9] = byte(i >> 8)
-		in = append(in, rec)
-	}
-	b := &BatcherShuffle{Enclave: testEnclave(), Codec: Passthrough{},
-		BucketSize: 32, SortByPrefix: true, Seed: 3}
-	out, err := b.Shuffle(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertPermutation(t, in, out)
-	transitions := 0
-	for i := 1; i < len(out); i++ {
-		if out[i][7] != out[i-1][7] {
-			transitions++
-		}
-	}
-	if transitions != 6 {
-		t.Errorf("%d prefix transitions in sorted output, want 6 (7 groups)", transitions)
-	}
-	// And the groups must be in ascending prefix order (it's a sort).
-	for i := 1; i < len(out); i++ {
-		if out[i][7] < out[i-1][7] {
-			t.Fatal("prefix order not ascending")
-		}
-	}
-}
-
-func TestBatcherSortByPrefixRejectsShortPayload(t *testing.T) {
-	b := &BatcherShuffle{Enclave: testEnclave(), Codec: Passthrough{},
-		BucketSize: 4, SortByPrefix: true, Seed: 1}
-	if _, err := b.Shuffle([][]byte{{1, 2, 3}, {4, 5, 6}}); err == nil {
-		t.Fatal("short payloads accepted for prefix sort")
-	}
-}

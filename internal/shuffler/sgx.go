@@ -120,10 +120,11 @@ func peeled(rec []byte) (id core.CrowdID, inner []byte, ok bool) {
 }
 
 // uniformBlobs strips each envelope's metadata and returns the blobs of the
-// batch's most common size, the smaller size on a tie, with that size and
-// the number of envelopes of any other size, which it sets aside.
-func uniformBlobs(batch []core.Envelope) (blobs [][]byte, size, aside int) {
+// batch's most common size, the smaller size on a tie, with the number of
+// envelopes of any other size, which it sets aside.
+func uniformBlobs(batch []core.Envelope) (blobs [][]byte, aside int) {
 	counts := make(map[int]int)
+	size := 0
 	for i := range batch {
 		batch[i].StripMetadata()
 		counts[len(batch[i].Blob)]++
@@ -139,7 +140,7 @@ func uniformBlobs(batch []core.Envelope) (blobs [][]byte, size, aside int) {
 			blobs = append(blobs, e.Blob)
 		}
 	}
-	return blobs, size, len(batch) - len(blobs)
+	return blobs, len(batch) - len(blobs)
 }
 
 // Process obliviously shuffles the batch, thresholds crowds with private
@@ -149,7 +150,7 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	if len(batch) == 0 {
 		return nil, stats, fmt.Errorf("%w: empty", ErrBatchTooSmall)
 	}
-	blobs, _, aside := uniformBlobs(batch)
+	blobs, aside := uniformBlobs(batch)
 	stats.Undecryptable = aside
 
 	// Oblivious shuffle; output records are outerPeelCodec payloads.

@@ -400,8 +400,8 @@ func TestSGXShufflerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSGXShufflerSetsAsideRaggedRecords: both SGX paths shuffle the records
-// of the batch's most common size and count every other record as
+// TestSGXShufflerSetsAsideRaggedRecords: the SGX shuffler shuffles the
+// records of the batch's most common size and counts every other record as
 // undecryptable, instead of failing the batch; on a tie the smaller size is
 // shuffled.
 func TestSGXShufflerSetsAsideRaggedRecords(t *testing.T) {
@@ -415,30 +415,25 @@ func TestSGXShufflerSetsAsideRaggedRecords(t *testing.T) {
 	long, _ := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: make([]byte, 64)})
 	short, _ := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: make([]byte, 32)})
 	innerSize := func(e core.Envelope) int { return len(e.Blob) - hybrid.Overhead - core.CrowdIDSize }
-	for name, process := range map[string]func([]core.Envelope) ([][]byte, Stats, error){
-		"Process":            sh.Process,
-		"ProcessLargeDomain": sh.ProcessLargeDomain,
+	for _, c := range []struct {
+		batch []core.Envelope
+		kept  core.Envelope
+	}{
+		{[]core.Envelope{long, short, long}, long},
+		{[]core.Envelope{short, long, short}, short},
+		{[]core.Envelope{long, short}, short}, // a tie
 	} {
-		for _, c := range []struct {
-			batch []core.Envelope
-			kept  core.Envelope
-		}{
-			{[]core.Envelope{long, short, long}, long},
-			{[]core.Envelope{short, long, short}, short},
-			{[]core.Envelope{long, short}, short}, // a tie
-		} {
-			out, stats, err := process(append([]core.Envelope(nil), c.batch...))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			want := len(c.batch) - 1
-			if len(out) != want || stats.Forwarded != want || stats.Undecryptable != 1 || stats.Received != len(c.batch) {
-				t.Errorf("%s: %d forwarded, stats %+v; want %d forwarded and 1 undecryptable", name, len(out), stats, want)
-			}
-			for _, inner := range out {
-				if len(inner) != innerSize(c.kept) {
-					t.Errorf("%s: forwarded a %d-byte inner ciphertext, want %d", name, len(inner), innerSize(c.kept))
-				}
+		out, stats, err := sh.Process(append([]core.Envelope(nil), c.batch...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(c.batch) - 1
+		if len(out) != want || stats.Forwarded != want || stats.Undecryptable != 1 || stats.Received != len(c.batch) {
+			t.Errorf("%d forwarded, stats %+v; want %d forwarded and 1 undecryptable", len(out), stats, want)
+		}
+		for _, inner := range out {
+			if len(inner) != innerSize(c.kept) {
+				t.Errorf("forwarded a %d-byte inner ciphertext, want %d", len(inner), innerSize(c.kept))
 			}
 		}
 	}
@@ -484,22 +479,16 @@ func sgxBadBatch(t *testing.T) (sh *SGXShuffler, bad, honest []core.Envelope) {
 }
 
 // TestSGXShufflerSkipsBadEnvelope: a report that does not open is a dummy
-// inside the enclave, so both SGX paths forward the six honest reports and
-// count the seventh as undecryptable instead of failing the batch.
+// inside the enclave, so the SGX shuffler forwards the six honest reports
+// and counts the seventh as undecryptable instead of failing the batch.
 func TestSGXShufflerSkipsBadEnvelope(t *testing.T) {
 	sh, bad, _ := sgxBadBatch(t)
-	for name, process := range map[string]func([]core.Envelope) ([][]byte, Stats, error){
-		"Process":            sh.Process,
-		"ProcessLargeDomain": sh.ProcessLargeDomain,
-	} {
-		batch := append([]core.Envelope(nil), bad...)
-		out, stats, err := process(batch)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(out) != 6 || stats.Forwarded != 6 || stats.Undecryptable != 1 || stats.Received != 7 {
-			t.Errorf("%s: %d forwarded, stats %+v; want 6 forwarded and 1 undecryptable of 7", name, len(out), stats)
-		}
+	out, stats, err := sh.Process(append([]core.Envelope(nil), bad...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 6 || stats.Forwarded != 6 || stats.Undecryptable != 1 || stats.Received != 7 {
+		t.Errorf("%d forwarded, stats %+v; want 6 forwarded and 1 undecryptable of 7", len(out), stats)
 	}
 }
 

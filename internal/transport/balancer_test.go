@@ -4,7 +4,6 @@ import (
 	crand "crypto/rand"
 	"math/rand/v2"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -524,57 +523,4 @@ func shrinkRedial(t *testing.T, attempts int, base time.Duration) {
 	saved := redial
 	redial = redialPolicy{attempts: attempts, base: base}
 	t.Cleanup(func() { redial = saved })
-}
-
-// countCall is a pass-through call that counts its deliveries.
-type countCall struct{ calls int }
-
-func (c *countCall) call() ([]byte, error) { c.calls++; return nil, nil }
-
-// TestFaultPlanKillAndPartition pins the fleet fault modes: a drawn kill
-// invokes the harness hook exactly once and fails the call without
-// delivering it; a drawn partition opens a window that fails every call
-// fast without consuming positional draws; and a kill draw with no hook
-// installed injects nothing.
-func TestFaultPlanKillAndPartition(t *testing.T) {
-	killed := 0
-	kp := &FaultPlan{Seed: 1, PKill: 1, MaxFaults: 1, Kill: func() { killed++ }}
-	under := &countCall{}
-	if _, err := kp.inject(under.call); err == nil || !strings.Contains(err.Error(), "replica killed") {
-		t.Fatalf("first call = %v, want the injected kill error", err)
-	}
-	if killed != 1 || under.calls != 0 {
-		t.Fatalf("killed=%d delivered=%d, want the hook invoked once and nothing delivered", killed, under.calls)
-	}
-	if _, err := kp.inject(under.call); err != nil {
-		t.Fatalf("post-budget call = %v, want pass-through", err)
-	}
-	if killed != 1 || under.calls != 1 || kp.Injected() != 1 {
-		t.Fatalf("killed=%d delivered=%d injected=%d, want budget respected", killed, under.calls, kp.Injected())
-	}
-
-	// A kill draw with no hook installed is a no-op, not a stuck schedule.
-	np := &FaultPlan{Seed: 1, PKill: 1, MaxFaults: 1}
-	if _, err := np.inject((&countCall{}).call); err != nil || np.Injected() != 0 {
-		t.Fatalf("hookless kill draw = (%v, %d injected), want pass-through and nothing injected", err, np.Injected())
-	}
-
-	pp := &FaultPlan{Seed: 3, PPartition: 1, PartitionFor: 60 * time.Millisecond, MaxFaults: 1}
-	punder := &countCall{}
-	if _, err := pp.inject(punder.call); err == nil || !strings.Contains(err.Error(), "partitioned") {
-		t.Fatalf("first call = %v, want the injected partition error", err)
-	}
-	if _, err := pp.inject(punder.call); err == nil {
-		t.Fatal("call inside the partition window succeeded")
-	}
-	if pp.Injected() != 1 || punder.calls != 0 {
-		t.Fatalf("injected=%d delivered=%d, want the window to blanket calls without new draws", pp.Injected(), punder.calls)
-	}
-	time.Sleep(80 * time.Millisecond)
-	if _, err := pp.inject(punder.call); err != nil {
-		t.Fatalf("call after the window closed = %v, want pass-through", err)
-	}
-	if punder.calls != 1 {
-		t.Fatalf("delivered = %d, want the post-window call through", punder.calls)
-	}
 }

@@ -54,11 +54,10 @@ func (p redialPolicy) delay(attempt int) time.Duration {
 // connection, replaced by a fresh dial to the same address the next time it
 // is needed after it breaks — so a restarted daemon is picked up without the
 // caller re-dialing. A client holds one per daemon; a stage holds one per
-// replica of its downstream tier, with the engine's aborter and fault plan.
+// replica of its downstream tier, with the engine's aborter.
 type peerConn struct {
-	addr  string
-	ab    *aborter   // cuts the sender's backoff short; nil for a client
-	fault *FaultPlan // draws one fault per send attempt; nil outside crash tests
+	addr string
+	ab   *aborter // cuts the sender's backoff short; nil for a client
 
 	mu     sync.Mutex
 	wc     *wireConn
@@ -66,10 +65,10 @@ type peerConn struct {
 	closed bool
 }
 
-// dialPeer connects to addr. A stage passes its engine's aborter and fault
-// plan; a client passes nil for both.
-func dialPeer(addr string, ab *aborter, fault *FaultPlan) (*peerConn, error) {
-	p := &peerConn{addr: addr, ab: ab, fault: fault}
+// dialPeer connects to addr. A stage passes its engine's aborter; a client
+// passes nil.
+func dialPeer(addr string, ab *aborter) (*peerConn, error) {
+	p := &peerConn{addr: addr, ab: ab}
 	if _, err := p.conn(); err != nil {
 		return nil, err
 	}
@@ -125,13 +124,12 @@ func (p *peerConn) call(method uint8, appendBody func([]byte) []byte) ([]byte, e
 // not idempotent: an attempt that died mid-call may have been ingested, and
 // only the stamp makes the repeat safe.
 func (p *peerConn) retry(method uint8, appendBody func([]byte) []byte) ([]byte, error) {
-	attempt := func() ([]byte, error) { return p.call(method, appendBody) }
-	body, err := p.fault.inject(attempt)
+	body, err := p.call(method, appendBody)
 	for i := 0; IsTransient(err) && i < redial.attempts; i++ {
 		if !p.ab.sleep(redial.delay(i)) {
 			break
 		}
-		body, err = p.fault.inject(attempt)
+		body, err = p.call(method, appendBody)
 	}
 	return body, err
 }
@@ -215,7 +213,7 @@ type clientStream struct{ id, pos int64 }
 
 // Dial connects to a shuffler service.
 func Dial(addr string) (*Client, error) {
-	p, err := dialPeer(addr, nil, nil)
+	p, err := dialPeer(addr, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +363,7 @@ type AnalyzerClient struct {
 
 // DialAnalyzer connects to an analyzer service.
 func DialAnalyzer(addr string) (*AnalyzerClient, error) {
-	p, err := dialPeer(addr, nil, nil)
+	p, err := dialPeer(addr, nil)
 	if err != nil {
 		return nil, err
 	}

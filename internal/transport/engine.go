@@ -48,13 +48,13 @@ const (
 type tier []*peerConn
 
 // dialTier connects to every replica of a downstream tier.
-func dialTier(addrs []string, ab *aborter, fault *FaultPlan) (tier, error) {
+func dialTier(addrs []string, ab *aborter) (tier, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: downstream tier needs at least one address")
 	}
 	t := make(tier, 0, len(addrs))
 	for _, addr := range addrs {
-		p, err := dialPeer(addr, ab, fault)
+		p, err := dialPeer(addr, ab)
 		if err != nil {
 			t.close()
 			return nil, fmt.Errorf("transport: dial next hop %s: %w", addr, err)
@@ -287,7 +287,7 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 		return nil, fmt.Errorf("transport: no stage ingests %v", kind)
 	}
 	ab := newAborter()
-	t, err := dialTier(next, ab, cfg.Fault)
+	t, err := dialTier(next, ab)
 	if err != nil {
 		return nil, err
 	}

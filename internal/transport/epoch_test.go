@@ -11,6 +11,7 @@ import (
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
+	"prochlo/internal/faultnet"
 	"prochlo/internal/shuffler"
 )
 
@@ -33,6 +34,14 @@ func newStreamingRig(t testing.TB, cfg EpochConfig) *streamingRig {
 
 func newStreamingRigMin(t testing.TB, cfg EpochConfig, minBatch int) *streamingRig {
 	t.Helper()
+	return newStreamingRigVia(t, cfg, minBatch, nil)
+}
+
+// newStreamingRigVia is newStreamingRigMin with the shuffler's link to the
+// analyzer through a faultnet proxy under plan; a nil plan links them
+// directly.
+func newStreamingRigVia(t testing.TB, cfg EpochConfig, minBatch int, plan *faultnet.Plan) *streamingRig {
+	t.Helper()
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +62,11 @@ func newStreamingRigMin(t testing.TB, cfg EpochConfig, minBatch int) *streamingR
 		Rand:     rand.New(rand.NewPCG(5, 7)),
 		MinBatch: minBatch,
 	}
-	svc, err := NewStageService(sh, []string{anlzL.Addr().String()}, cfg)
+	next := []string{anlzL.Addr().String()}
+	if plan != nil {
+		next = proxied(t, plan, next...)
+	}
+	svc, err := NewStageService(sh, next, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

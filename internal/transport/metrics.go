@@ -85,6 +85,14 @@ func (e *engine) registerMetrics() {
 			return float64(c.field(&e.cum))
 		})
 	}
+	reg.CounterFunc("prochlo_push_redials_total", "Connections to the downstream tier redialed after one broke (the first dial of each replica excluded).", l,
+		func() float64 {
+			n := 0
+			for _, p := range e.next {
+				n += p.Dials() - 1
+			}
+			return float64(n)
+		})
 	e.dedup.registerMetrics(reg, l)
 	reg.GaugeFunc("prochlo_wal_recovered_reports", "Reports recovered from the WAL at the last restart.", l,
 		func() float64 { return float64(e.recItems) })

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"prochlo/internal/core"
+	"prochlo/internal/faultnet"
 	"prochlo/internal/metrics"
 )
 
@@ -276,4 +277,50 @@ func TestDedupMetrics(t *testing.T) {
 		t.Fatalf("second stream's submit = (%d, %v)", n, err)
 	}
 	check("second stream", 4, 1, 2)
+}
+
+// TestPushRedialMetrics pins the redial series: a push whose ack a fault
+// proxy drops is resent on a fresh connection, which moves the sender's
+// prochlo_push_redials_total, while the receiver's dedup keeps its
+// prochlo_reports_accepted_total at one copy of the epoch.
+func TestPushRedialMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	rig := newStreamingRig(t, EpochConfig{FlushAt: 100, Metrics: reg, MetricsLabels: metrics.Labels{"role": "shuffler"}})
+	plan := &faultnet.Plan{Seed: 1, PDropAck: 1, MaxFaults: 1}
+	relay := &recordStage{kind: core.KindEnvelopes, floor: 1, onEpoch: func(core.Batch) {}}
+	up, err := NewStageService(relay, proxied(t, plan, rig.shuf), EpochConfig{Metrics: reg, MetricsLabels: metrics.Labels{"role": "relay"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { up.Close() })
+	scrape := func(series string) float64 {
+		t.Helper()
+		var b bytes.Buffer
+		if _, err := reg.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, b.String(), series)
+	}
+	if v := scrape(`prochlo_push_redials_total{role="relay"}`); v != 0 {
+		t.Fatalf("redials before any push = %v, want 0", v)
+	}
+	batch := core.Batch{Envelopes: []core.Envelope{rig.envelope(t, "c:redial", "v"), rig.envelope(t, "c:redial", "v"), rig.envelope(t, "c:redial", "v")}}
+	if _, err := up.Submit(9, 1, batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := up.Drain(false); err != nil {
+		t.Fatal(err)
+	}
+	if plan.Injected() != 1 {
+		t.Fatalf("injected = %d, want the one dropped ack", plan.Injected())
+	}
+	if v := scrape(`prochlo_push_redials_total{role="relay"}`); v < 1 {
+		t.Errorf("redials after a dropped ack = %v, want at least 1", v)
+	}
+	if v := scrape(`prochlo_reports_accepted_total{role="shuffler"}`); v != 3 {
+		t.Errorf("downstream accepted = %v, want 3 (the resent epoch deduplicated)", v)
+	}
+	if v := scrape(`prochlo_dedup_replays_total{role="shuffler"}`); v != 1 {
+		t.Errorf("downstream replays = %v, want 1", v)
+	}
 }

@@ -16,6 +16,7 @@ import (
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
+	"prochlo/internal/faultnet"
 	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
 )
@@ -31,6 +32,7 @@ type crashRig struct {
 	kind     core.BatchKind
 	anlzSvc  *AnalyzerService
 	anlz     string
+	next     string // where the shuffler pushes: anlz, or a faultnet proxy in front of it
 	anlzPriv *hybrid.PrivateKey
 	shufPriv *hybrid.PrivateKey
 	blindKP  *elgamal.KeyPair
@@ -48,6 +50,13 @@ type crashRig struct {
 const crashRigStream = 4242
 
 func newCrashRig(t *testing.T, kind core.BatchKind, cfg EpochConfig) *crashRig {
+	t.Helper()
+	return newFaultyCrashRig(t, kind, cfg, nil)
+}
+
+// newFaultyCrashRig is newCrashRig with the shuffler's link to the analyzer
+// through a faultnet proxy under plan; a nil plan links them directly.
+func newFaultyCrashRig(t *testing.T, kind core.BatchKind, cfg EpochConfig, plan *faultnet.Plan) *crashRig {
 	t.Helper()
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
@@ -79,6 +88,10 @@ func newCrashRig(t *testing.T, kind core.BatchKind, cfg EpochConfig) *crashRig {
 		blindKP:  blindKP,
 		cfg:      cfg,
 	}
+	r.next = r.anlz
+	if plan != nil {
+		r.next = proxied(t, plan, r.anlz)[0]
+	}
 	r.start()
 	t.Cleanup(func() { r.svc.Close() })
 	return r
@@ -108,7 +121,24 @@ func (r *crashRig) stage(kind core.BatchKind) shuffler.Stage {
 }
 
 func (r *crashRig) startOn(st shuffler.Stage) (*StageService, error) {
-	return NewStageService(st, []string{r.anlz}, r.cfg)
+	return NewStageService(st, []string{r.next}, r.cfg)
+}
+
+// proxied stands a faultnet proxy under plan in front of each target, for
+// the test's lifetime, and returns the proxies' addresses in target order:
+// a stage whose next tier is the result has plan on each outbound link.
+func proxied(t testing.TB, plan *faultnet.Plan, targets ...string) []string {
+	t.Helper()
+	addrs := make([]string, len(targets))
+	for i, target := range targets {
+		px, err := faultnet.Listen(plan, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { px.Close() })
+		addrs[i] = px.Addr()
+	}
+	return addrs
 }
 
 // batch encodes n reports of value as the rig's kind.
@@ -217,9 +247,9 @@ func testRestartRecoversPending(t *testing.T, kind core.BatchKind) {
 func TestRestartResumesInFlightEpoch(t *testing.T) { forEachKind(t, testRestartResumesInFlightEpoch) }
 
 func testRestartResumesInFlightEpoch(t *testing.T, kind core.BatchKind) {
-	fault := &FaultPlan{Seed: 1, PDelay: 1, Delay: 400 * time.Millisecond, MaxFaults: 1}
-	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 5, Fault: fault})
-	rig.submit(5, "inflight-value") // cuts an epoch; its push hangs in the fault delay
+	fault := &faultnet.Plan{Seed: 1, PDelay: 1, Delay: 400 * time.Millisecond, MaxFaults: 1}
+	rig := newFaultyCrashRig(t, kind, EpochConfig{FlushAt: 5}, fault)
+	rig.submit(5, "inflight-value") // cuts an epoch; the proxy holds its push
 	time.Sleep(100 * time.Millisecond)
 	rig.svc.Abort() // crash with the epoch cut but unresolved
 
@@ -249,8 +279,8 @@ func testRestartAfterAckLost(t *testing.T, kind core.BatchKind) {
 	// Every attempt of the first incarnation is delivered and loses its ack,
 	// so the sender is still retrying — the epoch unresolved — when the
 	// crash lands.
-	fault := &FaultPlan{Seed: 1, PDropAck: 1}
-	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 4, Fault: fault})
+	fault := &faultnet.Plan{Seed: 1, PDropAck: 1}
+	rig := newFaultyCrashRig(t, kind, EpochConfig{FlushAt: 4}, fault)
 	rig.submit(4, "acklost-value")
 	// Wait until the analyzer has materialized the push (the ack was eaten).
 	deadline := time.Now().Add(5 * time.Second)
@@ -266,7 +296,7 @@ func testRestartAfterAckLost(t *testing.T, kind core.BatchKind) {
 	}
 	rig.svc.Abort() // crash during the redial backoff: delivered, unacked
 
-	rig.cfg.Fault = nil // the successor's network is sound
+	rig.next = rig.anlz // the successor's network is sound
 	rig.start()
 	stats := rig.svc.Stats()
 	if stats.RecoveredEpochs != 1 || stats.RecoveredItems != 4 {
@@ -550,12 +580,12 @@ func testSGXShufflerSurvives(t *testing.T, spoil func(enc *encoder.Client, e *co
 func TestForceDrainKeepsInFlightEpoch(t *testing.T) { forEachKind(t, testForceDrainKeepsInFlightEpoch) }
 
 func testForceDrainKeepsInFlightEpoch(t *testing.T, kind core.BatchKind) {
-	fault := &FaultPlan{Seed: 1, PDelay: 1, Delay: 400 * time.Millisecond, MaxFaults: 1}
-	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 5, Fault: fault})
+	fault := &faultnet.Plan{Seed: 1, PDelay: 1, Delay: 400 * time.Millisecond, MaxFaults: 1}
+	rig := newFaultyCrashRig(t, kind, EpochConfig{FlushAt: 5}, fault)
 	rig.svc.Close()
 	rig.floor = 3
 	rig.start()
-	rig.submit(5, "inflight-value") // cuts an epoch; its push hangs in the fault delay
+	rig.submit(5, "inflight-value") // cuts an epoch; the proxy holds its push
 	time.Sleep(100 * time.Millisecond)
 	rig.submit(2, "tail-value") // below the floor of 3
 	drained := make(chan error, 1)
@@ -567,7 +597,7 @@ func testForceDrainKeepsInFlightEpoch(t *testing.T, kind core.BatchKind) {
 	rig.svc.Abort() // crash with epoch 1 unresolved and the tail's drop logged
 	<-drained
 
-	rig.cfg.Fault = nil
+	rig.next = rig.anlz
 	rig.start()
 	if stats := rig.svc.Stats(); stats.RecoveredEpochs != 1 || stats.RecoveredItems != 5 {
 		t.Fatalf("post-restart stats = %+v, want the in-flight epoch of 5 recovered", stats)

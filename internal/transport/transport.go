@@ -348,10 +348,6 @@ type EpochConfig struct {
 	// marks — making the at-least-once push chain exactly-once across
 	// process crashes. Empty disables durability.
 	WALDir string
-	// Fault, when non-nil, injects failures into this service's downstream
-	// pushes on a seeded schedule — the crash-recovery test harness. Nil in
-	// production.
-	Fault *FaultPlan
 	// Metrics, when non-nil, registers this service's engine, WAL, and
 	// stage-latency instruments (the prochlo_* series; see
 	// docs/OPERATIONS.md for the catalog) on the given registry. Nil

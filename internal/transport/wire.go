@@ -568,16 +568,37 @@ func Serve(addr string, svc Service) (net.Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			go ServeConn(conn, svc)
-		}
-	}()
+	go serveListener(l, svc)
 	return l, nil
+}
+
+// Accept backoff: after an Accept error other than a closed listener, the
+// loop waits acceptDelayMin, doubling to acceptDelayMax (net/http's schedule).
+const (
+	acceptDelayMin = 5 * time.Millisecond
+	acceptDelayMax = time.Second
+)
+
+// serveListener accepts on l until it is closed. Any other Accept error —
+// the process out of file descriptors (EMFILE), a connection aborted before
+// it was accepted — belongs to the moment, not the listener: the loop backs
+// off and accepts again, so a burst of connections past the fd limit leaves
+// a daemon that serves again once the burst is gone.
+func serveListener(l net.Listener, svc Service) {
+	var delay time.Duration
+	for {
+		conn, err := l.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			delay = min(max(2*delay, acceptDelayMin), acceptDelayMax)
+			time.Sleep(delay)
+			continue
+		}
+		delay = 0
+		go ServeConn(conn, svc)
+	}
 }
 
 // ServeConn serves one accepted connection until it closes. Serve wraps it

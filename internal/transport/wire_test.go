@@ -14,10 +14,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"prochlo/internal/core"
+	"prochlo/internal/faultnet"
 	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
 )
@@ -648,8 +650,8 @@ func TestWireHungPeerTimesOut(t *testing.T) {
 // are bounded, and the connection survives it.
 func TestDrainOutlivesWireTimeout(t *testing.T) {
 	const timeout = 40 * time.Millisecond
-	fault := &FaultPlan{Seed: 1, PDelay: 1, Delay: 6 * timeout}
-	rig := newStreamingRig(t, EpochConfig{Fault: fault})
+	fault := &faultnet.Plan{Seed: 1, PDelay: 1, Delay: 6 * timeout}
+	rig := newStreamingRigVia(t, EpochConfig{}, 1, fault)
 	if _, err := rig.svc.Submit(0, 0, core.Batch{Envelopes: []core.Envelope{rig.envelope(t, "c:slow", "slow")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -673,6 +675,54 @@ func TestDrainOutlivesWireTimeout(t *testing.T) {
 	}
 	if wc.isBroken() {
 		t.Fatal("an unbounded Drain broke the connection")
+	}
+}
+
+// emfileListener fails its first Accept as a process out of file
+// descriptors does, then accepts normally.
+type emfileListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeSurvivesAcceptError: an Accept error other than a closed
+// listener (here EMFILE, a burst of connections past the fd limit) must not
+// end the accept loop — a dial after it is served — and closing the
+// listener still does.
+func TestServeSurvivesAcceptError(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &emfileListener{Listener: inner}
+	done := make(chan struct{})
+	go func() {
+		serveListener(l, nullService{})
+		close(done)
+	}()
+	wc, err := dialWire(inner.Addr().String())
+	if err != nil {
+		t.Fatalf("dial after a failed Accept: %v", err)
+	}
+	defer wc.close()
+	if _, err := wc.call(methodHealthz, nil); err != nil {
+		t.Fatalf("call after a failed Accept: %v", err)
+	}
+	if !l.failed.Load() {
+		t.Fatal("the stub listener never failed an Accept")
+	}
+	inner.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the accept loop outlived its closed listener")
 	}
 }
 
@@ -768,8 +818,8 @@ func TestWirePipelinedOutOfOrderReplies(t *testing.T) {
 
 // TestErrorPredicates pins IsEpochFull and IsTransient over every error
 // shape the chain produces: local sentinels, the same errors after crossing
-// the wire as ServerError, the injected faults (connection failures, which
-// the sender retries like real ones), a deadline hit, and dead connections.
+// the wire as ServerError, a link a fault proxy closed (a connection
+// failure like any other), a deadline hit, and dead connections.
 func TestErrorPredicates(t *testing.T) {
 	_, dialErr := net.DialTimeout("tcp", deadAddr(t), time.Second)
 	if dialErr == nil {
@@ -788,10 +838,7 @@ func TestErrorPredicates(t *testing.T) {
 		{"other server error", ServerError("transport: shuffler stage does not serve method 238"), false, false},
 		{"ErrClosed over the wire", ServerError(ErrClosed.Error()), false, true},
 		{"ErrClosed inside another message", ServerError("stage: " + ErrClosed.Error()), false, false},
-		{"injected drop", errInjectedDrop, false, true},
-		{"injected ack loss", errInjectedAckLoss, false, true},
-		{"injected kill", errInjectedKill, false, true},
-		{"injected partition", errInjectedPartition, false, true},
+		{"link closed by a fault proxy", fmt.Errorf("%w (transport: wire connection: %w)", io.ErrUnexpectedEOF, io.EOF), false, true},
 		{"deadline hit", fmt.Errorf("transport: wire call timed out after 2m0s: %w", os.ErrDeadlineExceeded), false, true},
 		{"peer hung up", io.EOF, false, true},
 		{"broken connection", fmt.Errorf("%w (transport: wire connection: read tcp: connection reset)", io.ErrUnexpectedEOF), false, true},

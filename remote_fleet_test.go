@@ -17,6 +17,7 @@ import (
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
+	"prochlo/internal/faultnet"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
 )
@@ -93,7 +94,7 @@ func serveTrackedAt(addr string, svc transport.Service) (*trackedServer, error) 
 // TestRemoteChainFleetCrashRestartSoak is the fleet acceptance run: the
 // blinded chain deployed as 2 shuffler-1 replicas x 2 shuffler-2 partitions
 // x 2 analyzer partitions, with the WAL enabled at every shuffler replica
-// and seeded fault injection on the inter-tier links. Mid-run, a hop-1
+// and a seeded fault proxy on every inter-tier link. Mid-run, a hop-1
 // replica is crash-killed with an epoch pending and restarted over its WAL
 // (the balancer must eject it, concentrate load on the survivor, and
 // readmit the recovered successor), and the seeded fault plan crash-kills a
@@ -148,7 +149,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	params := shuffler.Params{Seed: seed, MinBatch: 1}
 
 	// Replica state, guarded by mu: the seeded kill hook mutates it from a
-	// hop-1 flusher goroutine while the test goroutine reads it.
+	// proxy goroutine while the test goroutine reads it.
 	var mu sync.Mutex
 	s1svcs := make([]*transport.StageService, 2)
 	s2svcs := make([]*transport.StageService, 2)
@@ -157,10 +158,11 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	s1WALs := [2]string{t.TempDir(), t.TempDir()}
 	s2WALs := [2]string{t.TempDir(), t.TempDir()}
 
-	// Seeded fault schedules, shared across restarts. CI derives the seed
-	// from the commit SHA via PROCHLO_FAULT_SEED.
+	// Seeded fault schedules, one per shuffler replica, each on proxies in
+	// front of every replica of the next tier and shared across restarts.
+	// CI derives the seed from the commit SHA via PROCHLO_FAULT_SEED.
 	fs := faultSeed(t, 0x7F17)
-	s2Faults := [2]*transport.FaultPlan{
+	s2Faults := [2]*faultnet.Plan{
 		// Replica 0's first analyzer push loses its ack: the redialed retry
 		// must be absorbed by the analyzer's (stream, epoch) dedup.
 		{Seed: fs + 2, PDropAck: 1, MaxFaults: 1},
@@ -168,9 +170,10 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		// the sink's backoff outlasts it and the retry goes through.
 		{Seed: fs + 3, PPartition: 1, PartitionFor: 100 * time.Millisecond, MaxFaults: 1},
 	}
+	s2Nexts := [2][]string{proxied(t, s2Faults[0], anlzAddrs...), proxied(t, s2Faults[1], anlzAddrs...)}
 	start2 := func(i int, addr string) error {
-		svc, err := newStage("shuffler2", s2Sec, params, anlzAddrs,
-			transport.EpochConfig{WALDir: s2WALs[i], Fault: s2Faults[i]})
+		svc, err := newStage("shuffler2", s2Sec, params, s2Nexts[i],
+			transport.EpochConfig{WALDir: s2WALs[i]})
 		if err != nil {
 			return err
 		}
@@ -193,7 +196,8 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// The seeded whole-replica kill: the first fan-out push from hop-1
 	// replica 0 crash-kills hop-2 partition 0 (listener and sockets sever,
 	// engine aborts mid-epoch — kill -9) and restarts it over its WAL at
-	// the same address. The failed push redials and lands on the successor.
+	// the same address. The proxy closes the push's connection; the sender
+	// redials, and the proxy's fresh connection lands on the successor.
 	killS2 := func() {
 		mu.Lock()
 		srv, svc := s2Srvs[0], s2svcs[0]
@@ -205,15 +209,16 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 			t.Errorf("restarting killed shuffler2 replica: %v", err)
 		}
 	}
-	s1Faults := [2]*transport.FaultPlan{
+	s1Faults := [2]*faultnet.Plan{
 		{Seed: fs, PKill: 1, MaxFaults: 1, Kill: killS2},
 		// Replica 1's first two partition pushes are duplicated: the
 		// per-partition (stream, epoch) dedup must absorb the replays.
 		{Seed: fs + 1, PDup: 1, MaxFaults: 2},
 	}
+	s1Nexts := [2][]string{proxied(t, s1Faults[0], s2Addrs...), proxied(t, s1Faults[1], s2Addrs...)}
 	start1 := func(i int, addr string) error {
-		svc, err := newStage("shuffler1", s1Sec, params, s2Addrs,
-			transport.EpochConfig{FlushAt: 1000, WALDir: s1WALs[i], Fault: s1Faults[i]})
+		svc, err := newStage("shuffler1", s1Sec, params, s1Nexts[i],
+			transport.EpochConfig{FlushAt: 1000, WALDir: s1WALs[i]})
 		if err != nil {
 			return err
 		}

@@ -20,6 +20,7 @@ import (
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
+	"prochlo/internal/faultnet"
 	"prochlo/internal/metrics"
 	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
@@ -83,6 +84,24 @@ func newStage(role string, sec shuffler.Secrets, p shuffler.Params, next []strin
 		return nil, err
 	}
 	return transport.NewStageService(st, next, cfg)
+}
+
+// proxied stands a faultnet proxy under plan in front of each target, for
+// the test's lifetime, and returns the proxies' addresses in target order:
+// a stage whose next tier is the result has plan on each outbound link, one
+// schedule shared across them and across the stage's restarts.
+func proxied(t *testing.T, plan *faultnet.Plan, targets ...string) []string {
+	t.Helper()
+	addrs := make([]string, len(targets))
+	for i, target := range targets {
+		px, err := faultnet.Listen(plan, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { px.Close() })
+		addrs[i] = px.Addr()
+	}
+	return addrs
 }
 
 // canonicalHistogram serializes a histogram deterministically so two runs
@@ -432,8 +451,8 @@ func faultSeed(t *testing.T, def int64) int64 {
 }
 
 // TestRemoteChainCrashRestartSoak is the crash-safety acceptance run: the
-// seeded two-hop chain runs with the WAL enabled at both hops and fault
-// injection on both inter-stage links, each shuffler hop is killed
+// seeded two-hop chain runs with the WAL enabled at both hops and a seeded
+// fault proxy on both inter-stage links, each shuffler hop is killed
 // (Abort — no final cut, no drain, exactly what kill -9 leaves) and
 // restarted over its WAL directory mid-epoch, and the drained histogram
 // must still be byte-identical to the uninterrupted in-process pipeline:
@@ -483,22 +502,23 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	}
 	params := shuffler.Params{Seed: seed, MinBatch: 1}
 
-	// Seeded fault schedules, shared across restarts: hop 1's first two
-	// forwards are duplicated (hop 2's dedup must absorb them), hop 2's
-	// first analyzer push loses its ack (the redialed retry must be
-	// deduplicated by the analyzer). CI derives the seed from the commit
-	// SHA via PROCHLO_FAULT_SEED, so every commit soaks a fresh schedule
-	// that is still reproducible from its log.
+	// Seeded fault schedules on proxies in front of each hop's next party,
+	// shared across restarts: hop 1's first two forwards are duplicated
+	// (hop 2's dedup must absorb them), hop 2's first analyzer push loses
+	// its ack (the redialed retry must be deduplicated by the analyzer). CI
+	// derives the seed from the commit SHA via PROCHLO_FAULT_SEED, so every
+	// commit soaks a fresh schedule that is still reproducible from its log.
 	fs := faultSeed(t, 0x5152)
-	s1Fault := &transport.FaultPlan{Seed: fs, PDup: 1, MaxFaults: 2}
-	s2Fault := &transport.FaultPlan{Seed: fs + 1, PDropAck: 1, MaxFaults: 1}
+	s1Fault := &faultnet.Plan{Seed: fs, PDup: 1, MaxFaults: 2}
+	s2Fault := &faultnet.Plan{Seed: fs + 1, PDropAck: 1, MaxFaults: 1}
+	s2Next := proxied(t, s2Fault, anlzAddrs...)
 	s1WAL, s2WAL := t.TempDir(), t.TempDir()
 
 	var s1svc, s2svc *transport.StageService
 	var s1L, s2L net.Listener
 	serveAt := func(addr string, svc transport.Service) net.Listener {
 		// Restarts rebind the dead hop's concrete address so the upstream
-		// sink's redial finds the successor.
+		// proxy's next connection finds the successor.
 		var l net.Listener
 		var err error
 		for attempt := 0; attempt < 50; attempt++ {
@@ -512,23 +532,25 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	}
 	start2 := func(addr string) {
 		var err error
-		s2svc, err = newStage("shuffler2", s2Sec, params, anlzAddrs,
-			transport.EpochConfig{WALDir: s2WAL, Fault: s2Fault})
+		s2svc, err = newStage("shuffler2", s2Sec, params, s2Next,
+			transport.EpochConfig{WALDir: s2WAL})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s2L = serveAt(addr, s2svc)
 	}
+	var s1Next []string // hop 2's proxy, stood up once hop 2 listens
 	start1 := func(addr string) {
 		var err error
-		s1svc, err = newStage("shuffler1", s1Sec, params, []string{s2L.Addr().String()},
-			transport.EpochConfig{FlushAt: 1000, WALDir: s1WAL, Fault: s1Fault})
+		s1svc, err = newStage("shuffler1", s1Sec, params, s1Next,
+			transport.EpochConfig{FlushAt: 1000, WALDir: s1WAL})
 		if err != nil {
 			t.Fatal(err)
 		}
 		s1L = serveAt(addr, s1svc)
 	}
 	start2("127.0.0.1:0")
+	s1Next = proxied(t, s1Fault, s2L.Addr().String())
 	start1("127.0.0.1:0")
 	defer func() {
 		s1L.Close()
