@@ -107,8 +107,7 @@ func main() {
 
 	var reg *metrics.Registry
 	if *metricsAddr != "" {
-		reg = metrics.NewRegistry()
-		group.RegisterMetrics(reg)
+		reg = newRegistry()
 	}
 	o := stageOpts{
 		listen: *listen, nexts: splitAddrs(*next), sgx: *sgxMode, keyFile: *keyFile,
@@ -145,6 +144,15 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "prochlod:", err)
 	os.Exit(1)
+}
+
+// newRegistry is the registry behind -metrics-addr, holding from the start
+// the series every role exports: the crypto kernels the process selected.
+func newRegistry() *metrics.Registry {
+	reg := metrics.NewRegistry()
+	group.RegisterMetrics(reg)
+	hybrid.RegisterMetrics(reg)
+	return reg
 }
 
 // serveMetrics starts the /metrics + /healthz endpoint when -metrics-addr

@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"math/big"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"prochlo/internal/crypto/elgamal"
+	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
 )
@@ -124,4 +127,34 @@ func TestShuffler1KeyFileKeepsAlpha(t *testing.T) {
 	if !bytes.Equal(served[0], served[1]) {
 		t.Fatal("a shuffler1 restarted from its key file serves another A")
 	}
+}
+
+// TestMetricsNameCryptoKernels scrapes a daemon's metrics listener: it
+// serves prochlo_crypto_kernels_info at 1 with the kernels this process
+// selected as its labels.
+func TestMetricsNameCryptoKernels(t *testing.T) {
+	ms := serveMetrics("127.0.0.1:0", newRegistry(), func() transport.HealthzReply { return transport.HealthzReply{Healthy: true} })
+	defer ms.Close()
+	resp, err := http.Get("http://" + ms.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder, kdf, aead := hybrid.Kernels()
+	var line string
+	for _, l := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(l, "prochlo_crypto_kernels_info{") {
+			line = l
+		}
+	}
+	for _, want := range []string{`ladder="` + ladder + `"`, `kdf="` + kdf + `"`, `aead="` + aead + `"`, "} 1"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("prochlo_crypto_kernels_info series %q lacks %s; scrape:\n%s", line, want, body)
+		}
+	}
+	t.Logf("%s", line)
 }

@@ -35,6 +35,7 @@ import (
 
 	"prochlo"
 	"prochlo/internal/crypto/group"
+	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/load"
 	"prochlo/internal/metrics"
@@ -123,6 +124,7 @@ func main() {
 		if *metricsAddr != "" {
 			reg = metrics.NewRegistry()
 			group.RegisterMetrics(reg)
+			hybrid.RegisterMetrics(reg)
 			var err error
 			if srv, err = metrics.Serve(*metricsAddr, reg, nil); err != nil {
 				log.Fatal(err)

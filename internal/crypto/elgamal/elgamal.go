@@ -87,6 +87,21 @@ func ParsePoint(b []byte) (Point, error) {
 	return Point{e: e}, nil
 }
 
+// ParsePoints is ParsePoint over a batch, every point in one allocation:
+// dst[i] is bs[i]'s point where ok[i], the identity where bs[i] does not
+// parse.
+func ParsePoints(dst []Point, ok []bool, bs [][]byte) {
+	els := make([]group.Element, len(bs))
+	g.DecodeBatch(els, ok, bs)
+	for i, e := range els {
+		dst[i] = Point{e: e}
+	}
+}
+
+// ValidPoint reports whether ParsePoint accepts b, without keeping the
+// point.
+func ValidPoint(b []byte) bool { return g.Valid(b) }
+
 // RandomScalar returns a uniformly random scalar in [1, n-1]. Each attempt
 // consumes a fixed number of rng bytes, so seeded streams stay
 // deterministic.

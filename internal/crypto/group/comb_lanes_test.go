@@ -211,7 +211,7 @@ func TestCombBatchLanesMatchSolo(t *testing.T) {
 	})
 	t.Run("lane-comb", func(t *testing.T) {
 		if selected == nil {
-			t.Skipf("lane comb not run: this process selected the %q kernel (no AVX-512 IFMA on this CPU, or a build without the vector files)", kernel())
+			t.Skipf("lane comb not run: this process selected the %q kernel (no AVX-512 IFMA on this CPU, or a build without the vector files)", Kernel())
 		}
 		run(t)
 	})
@@ -230,7 +230,7 @@ func FuzzCombBatch(f *testing.F) {
 	tables := combTables(mrand.New(mrand.NewSource(48)))
 	f.Fuzz(func(t *testing.T, k []byte, n uint8, seed int64) {
 		if laneComb == nil {
-			t.Skipf("lane comb not run: this process selected the %q kernel", kernel())
+			t.Skipf("lane comb not run: this process selected the %q kernel", Kernel())
 		}
 		// the fuzzed scalar in the first lane, derived ones in the others;
 		// the top bits are cleared as in every scalar below 2^254, which is
@@ -304,7 +304,7 @@ func BenchmarkEdCombBatch(b *testing.B) {
 	}
 	lanes := func(b *testing.B, n int, mul func(i int) combMul) {
 		if laneComb == nil {
-			b.Skipf("lane comb not run: this process selected the %q kernel", kernel())
+			b.Skipf("lane comb not run: this process selected the %q kernel", Kernel())
 		}
 		cb := newBatch(n, mul)
 		b.ReportAllocs()
@@ -315,7 +315,7 @@ func BenchmarkEdCombBatch(b *testing.B) {
 	}
 	kernelOnly := func(b *testing.B, n int, mul func(i int) combMul) {
 		if laneComb == nil || combKernelPasses == nil {
-			b.Skipf("lane comb not run: this process selected the %q kernel", kernel())
+			b.Skipf("lane comb not run: this process selected the %q kernel", Kernel())
 		}
 		cb := newBatch(n, mul)
 		combOrder(cb.pts, cb.slots, cb.ms)

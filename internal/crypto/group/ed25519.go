@@ -86,17 +86,15 @@ func init() {
 	yBig.Mod(yBig, p25519)
 	var y fe25519
 	y.fromBig(yBig)
-	p, ok := edFromY(&y, false)
-	if !ok {
+	if !edFromY(&edBase, &y, false) {
 		panic("group: generator y is not on the curve")
 	}
-	edBase = *p
 }
 
 // edFromY recovers the point with the given y coordinate and sign of x
 // (xNeg true selects the negative root). Returns false if y is not on the
 // curve.
-func edFromY(y *fe25519, xNeg bool) (*edPoint, bool) {
+func edFromY(p *edPoint, y *fe25519, xNeg bool) bool {
 	var one, u, v, x fe25519
 	one.One()
 	u.Square(y)
@@ -104,16 +102,16 @@ func edFromY(y *fe25519, xNeg bool) (*edPoint, bool) {
 	u.Sub(&u, &one) // y^2 - 1
 	v.Add(&v, &one) // d*y^2 + 1
 	if !x.SqrtRatio(&u, &v) {
-		return nil, false
+		return false
 	}
 	if x.IsZero() && xNeg {
-		return nil, false // -0 is not a valid sign choice
+		return false // -0 is not a valid sign choice
 	}
 	x.CondNeg(xNeg)
-	p := &edPoint{x: x, y: *y}
+	*p = edPoint{x: x, y: *y}
 	p.z.One()
 	p.t.Mul(&x, y)
-	return p, true
+	return true
 }
 
 // identity sets p to the neutral element (0, 1).

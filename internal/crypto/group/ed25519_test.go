@@ -333,8 +333,8 @@ func TestEdFromYRoundTrip(t *testing.T) {
 		p := randEdPoint(t, r)
 		normalizeEd([]*edPoint{p})
 		xNeg := p.x.IsNegative()
-		q, ok := edFromY(&p.y, xNeg)
-		if !ok {
+		q := new(edPoint)
+		if !edFromY(q, &p.y, xNeg) {
 			t.Fatal("edFromY rejected a valid y")
 		}
 		if !p.equal(q) {

@@ -2,7 +2,7 @@
 
 package group
 
-// feKernel names this build variant of Mul and Square (see kernel).
+// feKernel names this build variant of Mul and Square (see Kernel).
 const feKernel = "amd64"
 
 // Mul sets v = a * b. v may alias a and b.

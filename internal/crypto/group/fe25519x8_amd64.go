@@ -93,35 +93,50 @@ func xgetbv() (eax, edx uint32)
 // ZMM state across context switches.
 func hasIFMA() bool {
 	const avx512f, avx512dq, avx512ifma = 1 << 16, 1 << 17, 1 << 21
-	return avx512Features()&(avx512f|avx512dq|avx512ifma) == avx512f|avx512dq|avx512ifma
+	return cpu.avx512&(avx512f|avx512dq|avx512ifma) == avx512f|avx512dq|avx512ifma
 }
 
 // HasAVX512F reports whether AVX512F kernels can run: the CPU implements
 // AVX512F and the operating system saves the opmask and ZMM state. It is
-// the one CPU gate of the module's vector kernels outside this package
-// (hybrid's SHA-256 lanes), which need AVX512F alone; hasIFMA is this
-// gate plus the extensions the field kernels add.
+// the CPU gate of hybrid's SHA-256 lanes, which need AVX512F alone;
+// hasIFMA is this gate plus the extensions the field kernels add.
 func HasAVX512F() bool {
 	const avx512f = 1 << 16
-	return avx512Features()&avx512f != 0
+	return cpu.avx512&avx512f != 0
 }
 
-// avx512Features returns CPUID leaf 7's EBX feature bits when the operating
-// system saves the AVX-512 register state, and 0 when it does not.
-func avx512Features() uint32 {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return 0
+// HasAESCLMUL reports whether hybrid's AES-128-GCM kernel can run: the CPU
+// implements AES-NI and PCLMULQDQ, and SSSE3 and SSE4.1 for its PSHUFB and
+// PINSRD/PINSRQ. These are SSE instructions, whose register state every
+// amd64 operating system saves.
+func HasAESCLMUL() bool {
+	const pclmulqdq, ssse3, sse41, aes = 1 << 1, 1 << 9, 1 << 19, 1 << 25
+	return cpu.leaf1&(pclmulqdq|ssse3|sse41|aes) == pclmulqdq|ssse3|sse41|aes
+}
+
+// cpu is what the module's kernel gates read, queried once.
+var cpu = readCPU()
+
+// cpuFeatures is CPUID leaf 1's ECX feature bits and leaf 7's EBX, the
+// latter 0 when the operating system does not save the AVX-512 register
+// state.
+type cpuFeatures struct{ leaf1, avx512 uint32 }
+
+func readCPU() (f cpuFeatures) {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 1 {
+		return f
 	}
+	_, _, f.leaf1, _ = cpuid(1, 0)
 	const osxsave = 1 << 27
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 {
-		return 0
+	if maxLeaf < 7 || f.leaf1&osxsave == 0 {
+		return f
 	}
 	// XCR0 bits 1-2: SSE and AVX state; 5-7: opmask, ZMM0-15 upper
 	// halves, ZMM16-31.
 	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
-	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
-		return 0
+	if xcr0, _ := xgetbv(); xcr0&zmmState == zmmState {
+		_, f.avx512, _, _ = cpuid(7, 0)
 	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx
+	return f
 }

@@ -163,9 +163,9 @@ type Group struct{}
 // setting: nothing selects another group at run time.
 func Default() Group { return Group{} }
 
-// kernel names the arithmetic this process runs under the deployed group:
+// Kernel names the arithmetic this process runs under the deployed group:
 // "avx512ifma", "amd64" or "generic" (see the package comment).
-func kernel() string {
+func Kernel() string {
 	if laneLadder != nil {
 		return "avx512ifma"
 	}
@@ -179,7 +179,7 @@ func kernel() string {
 func RegisterMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("prochlo_group_kernel_info",
 		"The ristretto255 arithmetic kernel this process selected at start-up (constant 1; the kernel label carries the value).",
-		metrics.Labels{"kernel": kernel()}, func() float64 { return 1 })
+		metrics.Labels{"kernel": Kernel()}, func() float64 { return 1 })
 }
 
 // ScalarFromBig converts a big.Int (already reduced mod the group order)

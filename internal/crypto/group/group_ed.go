@@ -309,44 +309,72 @@ func edOnCurve(x, y *fe25519) bool {
 }
 
 // Decode parses either encoding (wire or compressed) and validates it.
-func (g Group) Decode(b []byte) (Element, error) {
+func (Group) Decode(b []byte) (Element, error) {
+	pt := new(edPoint)
+	if err := decode(pt, b); err != nil {
+		return Element{}, err
+	}
+	return Element{ed: pt}, nil
+}
+
+// DecodeBatch decodes bs[i] into dst[i] as Decode does, every point in one
+// backing array: a batch of headers or crowd ciphertexts costs one
+// allocation, not one per point. ok[i] reports whether bs[i] decoded;
+// where it did not, dst[i] is the zero Element.
+func (Group) DecodeBatch(dst []Element, ok []bool, bs [][]byte) {
+	pts := make([]edPoint, len(bs))
+	for i, b := range bs {
+		dst[i], ok[i] = Element{}, decode(&pts[i], b) == nil
+		if ok[i] {
+			dst[i] = Element{ed: &pts[i]}
+		}
+	}
+}
+
+// Valid reports whether Decode accepts b, without keeping the point.
+func (Group) Valid(b []byte) bool {
+	var pt edPoint
+	return decode(&pt, b) == nil
+}
+
+// decode is Decode into pt.
+func decode(pt *edPoint, b []byte) error {
 	switch {
 	case len(b) == 1 && b[0] == 0:
-		return g.Identity(), nil
+		pt.identity()
+		return nil
 	case len(b) == WireSize && b[0] == tagRistretto:
 		if !isCanonicalBytes25519(b[1:33]) || b[32]&0x80 != 0 ||
 			!isCanonicalBytes25519(b[33:65]) || b[64]&0x80 != 0 {
-			return Element{}, errors.New("group: non-canonical ristretto255 coordinate")
+			return errors.New("group: non-canonical ristretto255 coordinate")
 		}
-		var pt edPoint
 		pt.x.SetBytes(b[1:33])
 		pt.y.SetBytes(b[33:65])
 		if !edOnCurve(&pt.x, &pt.y) {
-			return Element{}, errors.New("group: ristretto255 point not on curve")
+			return errors.New("group: ristretto255 point not on curve")
 		}
 		pt.z.One()
 		pt.t.Mul(&pt.x, &pt.y)
 		if pt.isIdentity() {
-			return Element{}, errors.New("group: identity must use the 1-byte encoding")
+			return errors.New("group: identity must use the 1-byte encoding")
 		}
-		return Element{ed: &pt}, nil
+		return nil
 	case len(b) == 32:
-		yb := make([]byte, 32)
-		copy(yb, b)
+		var yb [32]byte
+		copy(yb[:], b)
 		xNeg := yb[31]&0x80 != 0
 		yb[31] &= 0x7f
-		if !isCanonicalBytes25519(yb) {
-			return Element{}, errors.New("group: non-canonical ristretto255 y")
+		if !isCanonicalBytes25519(yb[:]) {
+			return errors.New("group: non-canonical ristretto255 y")
 		}
 		var y fe25519
-		y.SetBytes(yb)
-		pt, ok := edFromY(&y, xNeg)
-		if !ok {
-			return Element{}, errors.New("group: invalid compressed ristretto255 point")
+		y.SetBytes(yb[:])
+		if !edFromY(pt, &y, xNeg) {
+			return errors.New("group: invalid compressed ristretto255 point")
 		}
-		return Element{ed: pt}, nil
+		return nil
 	}
-	return Element{}, errors.New("group: not a ristretto255 encoding")
+	return errors.New("group: not a ristretto255 encoding")
 }
 
 // PrepareDH turns a private scalar into the form MulDH expects: it folds

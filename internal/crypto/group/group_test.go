@@ -436,3 +436,40 @@ func TestGroupKnownAnswers(t *testing.T) {
 		})
 	}
 }
+
+// TestDecodeBatchMatchesDecode: DecodeBatch and Valid accept exactly what
+// Decode accepts — canonical, on the curve, no 65-byte identity — and a
+// batch's points equal Decode's.
+func TestDecodeBatchMatchesDecode(t *testing.T) {
+	g := Default()
+	r := rand.New(rand.NewSource(9))
+	p := randomElement(g, r)
+	offCurve := g.Encode(nil, p)
+	offCurve[20] ^= 0x40
+	longIdentity := make([]byte, WireSize)
+	longIdentity[0], longIdentity[33] = tagRistretto, 1
+	nonCanonical := bytes.Repeat([]byte{0xff}, WireSize)
+	nonCanonical[0] = tagRistretto
+	bs := [][]byte{
+		g.Encode(nil, p), g.Compress(nil, p), g.Encode(nil, randomElement(g, r)), {0},
+		offCurve, longIdentity, nonCanonical, bytes.Repeat([]byte{0xff}, 32),
+		nil, {1}, make([]byte, 64),
+	}
+	dst, ok := make([]Element, len(bs)), make([]bool, len(bs))
+	g.DecodeBatch(dst, ok, bs)
+	for i, b := range bs {
+		want, err := g.Decode(b)
+		if ok[i] != (err == nil) || g.Valid(b) != (err == nil) {
+			t.Fatalf("encoding %d (%x): DecodeBatch ok %v, Valid %v, Decode error %v", i, b, ok[i], g.Valid(b), err)
+		}
+		if err == nil && !g.Equal(dst[i], want) {
+			t.Fatalf("encoding %d: DecodeBatch and Decode disagree on the point", i)
+		}
+		if err != nil && dst[i] != (Element{}) {
+			t.Fatalf("encoding %d: a refused encoding left a point", i)
+		}
+	}
+	if !ok[0] || !ok[1] || !ok[3] || ok[4] || ok[5] || ok[6] {
+		t.Fatalf("acceptance changed: %v", ok)
+	}
+}

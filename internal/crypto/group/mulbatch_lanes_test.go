@@ -16,7 +16,7 @@ import (
 // them only when it also saves the ZMM state). It logs the selected kernel
 // either way; CI prints that line, to name the kernel a green run covered.
 func TestKernelMatchesCPU(t *testing.T) {
-	t.Logf("selected kernel: %s", kernel())
+	t.Logf("selected kernel: %s", Kernel())
 	cpuinfo, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skipf("cannot compare with the CPU's flags: %v", err)
@@ -29,8 +29,8 @@ func TestKernelMatchesCPU(t *testing.T) {
 		want = "avx512ifma"
 	}
 	t.Logf("/proc/cpuinfo lists avx512ifma: %v, avx512dq: %v", flag("avx512ifma"), flag("avx512dq"))
-	if got := kernel(); got != want {
-		t.Errorf("kernel() = %q, want %q for this build and CPU", got, want)
+	if got := Kernel(); got != want {
+		t.Errorf("Kernel() = %q, want %q for this build and CPU", got, want)
 	}
 }
 
@@ -46,8 +46,8 @@ func edTorsionGenerator(t *testing.T) *edPoint {
 	for yv := int64(2); yv < 64; yv++ {
 		var y fe25519
 		y.fromBig(big.NewInt(yv))
-		p, ok := edFromY(&y, false)
-		if !ok {
+		p := new(edPoint)
+		if !edFromY(p, &y, false) {
 			continue
 		}
 		var tor, four edPoint
@@ -149,7 +149,7 @@ func TestMulBatchLanesMatchSolo(t *testing.T) {
 	})
 	t.Run("lane-ladder", func(t *testing.T) {
 		if selected == nil {
-			t.Skipf("lane ladder not run: this process selected the %q kernel (no AVX-512 IFMA on this CPU, or a build without the vector files)", kernel())
+			t.Skipf("lane ladder not run: this process selected the %q kernel (no AVX-512 IFMA on this CPU, or a build without the vector files)", Kernel())
 		}
 		run(t)
 	})

@@ -22,23 +22,25 @@
 // PendingSeal.Seal appends the ephemeral key's encoding, the nonce and the
 // AEAD output straight into the caller's envelope buffer; OpenBatch — the
 // one open kernel the thresholding shufflers and the analyzer share — works
-// in 256-record chunks, recoding the private scalar once, normalizing the
-// shared points with one inversion and deriving the keys per chunk, with
-// all plaintexts in one arena. Every batch path derives its keys sixteen at
-// a time (keylanes.go): on amd64 CPUs with AVX512F one kernel call runs the
-// eleven SHA-256 compressions of sixteen HKDF derivations, any mix of
-// recipients; elsewhere, and for a group shorter than four, the scalar
-// derivation runs key by key in a pooled scratch. A batched seal allocates
-// its key's AES and GCM objects and nothing else; an open, those and its
-// decoded header. OpenInto/SealInto are the solo forms (the SGX shuffler's
-// in-enclave open, single-report Submit): they derive on the scalar path,
-// and they are the reference the batch paths are tested against. All of
-// them are safe for concurrent use.
+// in 256-record chunks, decoding the chunk's headers into one backing,
+// recoding the private scalar once, normalizing the shared points with one
+// inversion and deriving the keys per chunk, with all plaintexts in one
+// arena. Every batch path derives its keys sixteen at a time
+// (keylanes.go): on amd64 CPUs with AVX512F one kernel call runs the eleven
+// SHA-256 compressions of sixteen HKDF derivations, any mix of recipients;
+// elsewhere, and for a group shorter than four, the scalar derivation runs
+// key by key in a pooled scratch. Every AEAD — each envelope has its own
+// key — goes through sealGCM and openGCM (gcm.go): on amd64 CPUs with
+// AES-NI and PCLMULQDQ one kernel call does the whole AES-128-GCM of an
+// envelope, key schedule included, with nothing on the heap, so a batched
+// seal or open allocates nothing per envelope; elsewhere crypto/cipher does
+// it, at two objects per envelope. OpenInto/SealInto are the solo forms
+// (the SGX shuffler's in-enclave open, single-report Submit): they derive
+// on the scalar path, and they are the reference the batch paths are
+// tested against. All of them are safe for concurrent use.
 package hybrid
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
@@ -51,6 +53,7 @@ import (
 	"sync"
 
 	"prochlo/internal/crypto/group"
+	"prochlo/internal/metrics"
 	"prochlo/internal/parallel"
 )
 
@@ -267,7 +270,7 @@ func (s *scratch) hmacSum(out *[sha256.Size]byte, data ...[]byte) {
 // salt=ephPub||rcptPub, info=hkdfInfo). It is the scalar derivation — the
 // solo paths' and the reference the lanes are tested against. The returned
 // slice aliases the scratch and is consumed before the scratch is reused
-// (AES's key schedule copies it).
+// (every caller copies the key out).
 func (s *scratch) sealKey(shared group.Element, ephPub, rcptPub []byte) []byte {
 	return s.kdf(g.SharedBytes(s.shared[:0], shared), ephPub, rcptPub)
 }
@@ -281,15 +284,6 @@ func (s *scratch) kdf(secret, ephPub, rcptPub []byte) []byte {
 	s.hmacKey(s.prk[:])
 	s.hmacSum(&s.okm, hkdfInfo, one[:])
 	return s.okm[:keyLen]
-}
-
-// newAEAD builds the AES-128-GCM instance for a derived key.
-func newAEAD(key []byte) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	return cipher.NewGCM(block)
 }
 
 // PendingSeal is a seal between its draws and its AEAD: a batch encoder
@@ -340,18 +334,13 @@ func (s *PendingSeal) queueKey(d *keyDeriver, b *group.CombBatch) {
 }
 
 // Seal finishes a seal whose key is derived (DeriveKeys): it appends the
-// envelope to dst as SealInto does, the ephemeral key's encoding and the
-// nonce straight into dst.
-func (s *PendingSeal) Seal(dst, plaintext, aad []byte) ([]byte, error) {
-	dst = slices.Grow(dst, pubKeyLen+nonceLen+len(plaintext)+tagLen)
-	base := len(dst)
+// envelope to dst as SealInto does, the ephemeral key's encoding, the nonce
+// and the AEAD output straight into dst.
+func (s *PendingSeal) Seal(dst, plaintext, aad []byte) []byte {
+	dst = slices.Grow(dst, Overhead+len(plaintext))
 	dst = append(dst, s.eph[:]...)
 	dst = append(dst, s.nonce[:]...)
-	gcm, err := newAEAD(s.key[:])
-	if err != nil {
-		return nil, err
-	}
-	return gcm.Seal(dst, dst[base+pubKeyLen:], plaintext, aad), nil
+	return sealGCM(dst, &s.key, &s.nonce, plaintext, aad)
 }
 
 // Seal encrypts plaintext to the recipient pub, binding aad (which is
@@ -382,7 +371,7 @@ func SealInto(rng io.Reader, pub *PublicKey, dst, plaintext, aad []byte) ([]byte
 	d := derivers.Get().(*keyDeriver)
 	copy(s.key[:], d.sealKey(b.Out(1), s.eph[:], pub.enc))
 	derivers.Put(d)
-	return s.Seal(dst, plaintext, aad)
+	return s.Seal(dst, plaintext, aad), nil
 }
 
 // SeedLen is the per-record seed width of the batch randomness convention
@@ -453,13 +442,9 @@ func SealBatch(rng io.Reader, pub *PublicKey, plaintexts [][]byte, aad []byte, w
 	DeriveKeys(b, workers, pending)
 	arena := parallel.NewArena(n, func(i int) int { return len(plaintexts[i]) + Overhead })
 	out := make([][]byte, n)
-	errs := make([]error, n)
 	parallel.For(parallel.Workers(workers), n, func(i int) {
-		out[i], errs[i] = pending[i].Seal(arena.Slot(i), plaintexts[i], aad)
+		out[i] = pending[i].Seal(arena.Slot(i), plaintexts[i], aad)
 	})
-	if i, err := parallel.FirstError(errs); err != nil {
-		return nil, fmt.Errorf("hybrid: record %d: %w", i, err)
-	}
 	return out, nil
 }
 
@@ -485,17 +470,14 @@ func (p *PrivateKey) OpenInto(dst, sealed, aad []byte) ([]byte, error) {
 		return nil, ErrDecrypt
 	}
 	d := derivers.Get().(*keyDeriver)
-	gcm, err := newAEAD(d.sealKey(g.MulDH(ephEl, p.prepared), sealed[:pubKeyLen], p.publicBytes()))
+	key := [keyLen]byte(d.sealKey(g.MulDH(ephEl, p.prepared), sealed[:pubKeyLen], p.publicBytes()))
 	derivers.Put(d)
-	if err != nil {
-		return nil, err
-	}
-	nonce := sealed[pubKeyLen : pubKeyLen+nonceLen]
-	pt, err := gcm.Open(dst, nonce, sealed[pubKeyLen+nonceLen:], aad)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return pt, nil
+	return openGCM(dst, &key, nonceOf(sealed), sealed[pubKeyLen+nonceLen:], aad)
+}
+
+// nonceOf returns the nonce of an envelope at least Overhead bytes long.
+func nonceOf(sealed []byte) *[nonceLen]byte {
+	return (*[nonceLen]byte)(sealed[pubKeyLen : pubKeyLen+nonceLen])
 }
 
 // openChunk is the number of records OpenBatch hands the group's batch
@@ -529,22 +511,28 @@ func (p *PrivateKey) OpenBatch(sealed [][]byte, aad []byte, workers int) (pts []
 
 // openChunk opens records [lo, hi) of a batch into their arena slots.
 func (p *PrivateKey) openChunk(pts [][]byte, errs []error, sealed [][]byte, aad []byte, arena *parallel.Arena, lo, hi int) {
-	// Decode the headers, compacting to the well-formed ones: a hostile
-	// header costs its own record and nothing else.
+	// Decode the headers into one backing, then compact to the well-formed
+	// ones: a hostile header costs its own record and nothing else.
 	idx := make([]int, 0, hi-lo)
-	els := make([]group.Element, 0, hi-lo)
+	hdrs := make([][]byte, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		errs[i] = ErrDecrypt
-		if len(sealed[i]) < Overhead {
-			continue
+		if len(sealed[i]) >= Overhead {
+			idx = append(idx, i)
+			hdrs = append(hdrs, sealed[i][:pubKeyLen])
 		}
-		el, err := g.Decode(sealed[i][:pubKeyLen])
-		if err != nil || g.IsIdentity(el) {
-			continue
-		}
-		idx = append(idx, i)
-		els = append(els, el)
 	}
+	els := make([]group.Element, len(idx))
+	ok := make([]bool, len(idx))
+	g.DecodeBatch(els, ok, hdrs)
+	k := 0
+	for j := range idx {
+		if ok[j] && !g.IsIdentity(els[j]) {
+			idx[k], els[k] = idx[j], els[j]
+			k++
+		}
+	}
+	idx, els = idx[:k], els[:k]
 	g.MulDHBatch(els, els, p.prepared)
 	g.Normalize(els)
 	rcpt := p.publicBytes()
@@ -557,33 +545,20 @@ func (p *PrivateKey) openChunk(pts [][]byte, errs []error, sealed [][]byte, aad 
 	derivers.Put(d)
 	for j, i := range idx {
 		ct := sealed[i]
-		gcm, err := newAEAD(keys[j][:])
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		pt, err := gcm.Open(arena.Slot(i), ct[pubKeyLen:pubKeyLen+nonceLen], ct[pubKeyLen+nonceLen:], aad)
-		if err == nil {
+		if pt, err := openGCM(arena.Slot(i), &keys[j], nonceOf(ct), ct[pubKeyLen+nonceLen:], aad); err == nil {
 			pts[i], errs[i] = pt, nil
 		}
 	}
 }
 
-// SymmetricSeal encrypts with a raw 16-byte key (no key agreement); it is
-// the primitive the oblivious shuffler uses for its ephemeral intermediate
-// re-encryption, where both endpoints are the same enclave.
+// SymmetricSeal encrypts with a raw 16-byte key (no key agreement) under a
+// nonce drawn from rng: nonce || ciphertext || tag.
 func SymmetricSeal(rng io.Reader, key *[16]byte, plaintext []byte) ([]byte, error) {
-	gcm, err := newAEAD(key[:])
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, nonceLen)
-	if _, err := io.ReadFull(rng, nonce); err != nil {
+	out := make([]byte, nonceLen, nonceLen+len(plaintext)+tagLen)
+	if _, err := io.ReadFull(rng, out); err != nil {
 		return nil, fmt.Errorf("hybrid: %w", err)
 	}
-	out := make([]byte, 0, nonceLen+len(plaintext)+tagLen)
-	out = append(out, nonce...)
-	return gcm.Seal(out, nonce, plaintext, nil), nil
+	return sealGCM(out, key, (*[nonceLen]byte)(out), plaintext, nil), nil
 }
 
 // SymmetricOpen reverses SymmetricSeal.
@@ -591,16 +566,36 @@ func SymmetricOpen(key *[16]byte, sealed []byte) ([]byte, error) {
 	if len(sealed) < nonceLen+tagLen {
 		return nil, ErrDecrypt
 	}
-	gcm, err := newAEAD(key[:])
-	if err != nil {
-		return nil, err
-	}
-	pt, err := gcm.Open(nil, sealed[:nonceLen], sealed[nonceLen:], nil)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return pt, nil
+	return openGCM(nil, key, (*[nonceLen]byte)(sealed), sealed[nonceLen:], nil)
 }
 
 // SymmetricOverhead is the expansion of SymmetricSeal.
 const SymmetricOverhead = nonceLen + tagLen
+
+// Kernels names the crypto kernels this process selected at start-up: the
+// group's lane ladder and comb ("ifma", or "generic" for the scalar ones),
+// the envelope key derivation ("avx512f" for the SHA-256 lanes, or
+// "scalar") and the AEAD ("aesni" for gcm_amd64.s, or "stdlib"). All of
+// them produce the same bytes; they differ in cost.
+func Kernels() (ladder, kdf, aead string) {
+	ladder, kdf, aead = "generic", "scalar", "stdlib"
+	if group.Kernel() == "avx512ifma" {
+		ladder = "ifma"
+	}
+	if laneHKDF != nil {
+		kdf = "avx512f"
+	}
+	if aesni {
+		aead = "aesni"
+	}
+	return ladder, kdf, aead
+}
+
+// RegisterMetrics exports Kernels as the info gauge
+// prochlo_crypto_kernels_info{ladder, kdf, aead} 1. No-op when reg is nil.
+func RegisterMetrics(reg *metrics.Registry) {
+	ladder, kdf, aead := Kernels()
+	reg.GaugeFunc("prochlo_crypto_kernels_info",
+		"The crypto kernels this process selected at start-up (constant 1; the ladder, kdf and aead labels carry the values).",
+		metrics.Labels{"ladder": ladder, "kdf": kdf, "aead": aead}, func() float64 { return 1 })
+}

@@ -53,15 +53,6 @@ func (c *Client) Encode(r core.Report) (core.Envelope, error) {
 	return core.Envelope{Blob: blob}, nil
 }
 
-// firstError wraps parallel.FirstError with this package's report
-// terminology.
-func firstError(errs []error) error {
-	if i, err := parallel.FirstError(errs); err != nil {
-		return fmt.Errorf("encoder: report %d: %w", i, err)
-	}
-	return nil
-}
-
 // runRecords queues every record's fixed-base multiplications in b and runs
 // them, per slots a record (CombBatch.RunRecords): queue(rng, i) draws
 // record i's randomness from its own seeded stream.
@@ -125,21 +116,10 @@ func (c *Client) EncodeBatch(reports []core.Report, workers int) ([]core.Envelop
 		return core.CrowdIDSize + len(reports[i].Data) + 2*hybrid.Overhead
 	})
 	envs := make([]core.Envelope, n)
-	errs := make([]error, n)
 	parallel.For(w, n, func(i int) {
-		payload := append(staging.Slot(i), reports[i].CrowdID[:]...)
-		payload, err := inner[i].Seal(payload, reports[i].Data, nil)
-		if err != nil {
-			errs[i] = fmt.Errorf("inner layer: %w", err)
-			return
-		}
-		if envs[i].Blob, err = outer[i].Seal(arena.Slot(i), payload, nil); err != nil {
-			errs[i] = fmt.Errorf("outer layer: %w", err)
-		}
+		payload := inner[i].Seal(append(staging.Slot(i), reports[i].CrowdID[:]...), reports[i].Data, nil)
+		envs[i].Blob = outer[i].Seal(arena.Slot(i), payload, nil)
 	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
 	return envs, nil
 }
 
@@ -245,26 +225,13 @@ func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers
 	const pair = 2 * group.WireSize
 	points := make([]byte, pair*n)
 	envs := make([]core.BlindedEnvelope, n)
-	errs := make([]error, n)
 	parallel.For(w, n, func(i int) {
-		payload, err := inner[i].Seal(staging.Slot(i), data[i], nil)
-		if err != nil {
-			errs[i] = fmt.Errorf("inner layer: %w", err)
-			return
-		}
-		blob, err := outer[i].Seal(arena.Slot(i), payload, nil)
-		if err != nil {
-			errs[i] = fmt.Errorf("shuffler-2 layer: %w", err)
-			return
-		}
+		blob := outer[i].Seal(arena.Slot(i), inner[i].Seal(staging.Slot(i), data[i], nil), nil)
 		ct := enc.Queued(b, 6*i)
 		c1 := ct.C1.AppendBytes(points[pair*i : pair*i : pair*(i+1)])
 		c12 := ct.C2.AppendBytes(c1)
 		envs[i] = core.BlindedEnvelope{CrowdC1: c12[:len(c1):len(c1)], CrowdC2: c12[len(c1):], Blob: blob}
 	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
 	return envs, nil
 }
 

@@ -185,28 +185,31 @@ func NewShuffler1Group(_ cgroup.Group, rng *rand.Rand) (*Shuffler1, error) {
 const blindChunk = 256
 
 // Process blinds and shuffles a batch, forwarding it for Shuffler 2. Parsing
-// of both crowd-ID points runs per envelope on the worker pool; the C2
-// multiplications run through Blinder.BlindBatch in chunks, so the
-// epoch-fixed exponent is recoded once per chunk and each chunk's outputs are
-// normalized with one shared inversion before encoding. C1 and the blob are
-// forwarded as received.
+// runs in chunks on the worker pool: C1 is validated and dropped, and each
+// chunk's C2 points share one allocation. The C2 multiplications run
+// through Blinder.BlindBatch in chunks, so the epoch-fixed exponent is
+// recoded once per chunk and each chunk's outputs are normalized with one
+// shared inversion before they are encoded, all into one buffer. C1 and the
+// blob are forwarded as received.
 func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelope, error) {
 	blinder := elgamal.NewBlinder(s.Alpha)
 	workers := parallel.Workers(s.Workers)
 	n := len(batch)
 	cts := make([]elgamal.Ciphertext, n)
 	ok := make([]bool, n)
-	parallel.For(workers, n, func(i int) {
-		batch[i].StripMetadata()
-		if _, err := elgamal.ParsePoint(batch[i].CrowdC1); err != nil {
-			return
+	parallel.For(workers, (n+blindChunk-1)/blindChunk, func(c int) {
+		lo, hi := c*blindChunk, min((c+1)*blindChunk, n)
+		c2s := make([][]byte, hi-lo)
+		for i := lo; i < hi; i++ {
+			batch[i].StripMetadata()
+			c2s[i-lo] = batch[i].CrowdC2
 		}
-		c2, err := elgamal.ParsePoint(batch[i].CrowdC2)
-		if err != nil {
-			return
+		c2 := make([]elgamal.Point, hi-lo)
+		elgamal.ParsePoints(c2, ok[lo:hi], c2s)
+		for i := lo; i < hi; i++ {
+			cts[i].C2 = c2[i-lo]
+			ok[i] = ok[i] && elgamal.ValidPoint(batch[i].CrowdC1)
 		}
-		cts[i] = elgamal.Ciphertext{C2: c2}
-		ok[i] = true
 	})
 	// Compact to the valid envelopes (dropping unparsable crowd IDs) in
 	// place, then blind chunk-wise on the pool; idx maps back to the batch.
@@ -224,11 +227,12 @@ func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelop
 		blinder.BlindBatch(valid[lo:min(lo+blindChunk, len(valid))])
 	})
 	out := make([]core.BlindedEnvelope, len(idx))
+	c2s := make([]byte, cgroup.WireSize*len(idx))
 	parallel.For(workers, len(idx), func(j int) {
 		in := &batch[idx[j]]
 		out[j] = core.BlindedEnvelope{
 			CrowdC1: in.CrowdC1,
-			CrowdC2: valid[j].C2.Bytes(),
+			CrowdC2: valid[j].C2.AppendBytes(c2s[cgroup.WireSize*j : cgroup.WireSize*j : cgroup.WireSize*(j+1)]),
 			Blob:    in.Blob,
 			// Routing, not metadata: the client-stamped owning partition
 			// must survive blinding for hop-2 fan-in.
@@ -262,10 +266,11 @@ type Shuffler2 struct {
 }
 
 // Process thresholds on pseudonyms and returns the surviving inner
-// ciphertexts, shuffled. Parsing runs per report on the worker pool; the
-// pseudonyms (Decrypter.PseudonymBatch), then the peel of the selected
-// reports in output order (hybrid's OpenBatch, whose arena so holds only what
-// is forwarded), run in chunks that recode the private scalar once and share
+// ciphertexts, shuffled. Parsing runs in chunks on the worker pool, each
+// chunk's points in one allocation; the pseudonyms
+// (Decrypter.PseudonymBatch), then the peel of the selected reports in
+// output order (hybrid's OpenBatch, whose arena so holds only what is
+// forwarded), run in chunks that recode the private scalar once and share
 // one field inversion.
 func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, error) {
 	stats := Stats{Received: len(batch)}
@@ -273,10 +278,19 @@ func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, erro
 	dec := s.Blinding.Decrypter()
 	cts := make([]elgamal.Ciphertext, len(batch))
 	ok := make([]bool, len(batch))
-	parallel.For(workers, len(batch), func(i int) {
-		c1, err1 := elgamal.ParsePoint(batch[i].CrowdC1)
-		c2, err2 := elgamal.ParsePoint(batch[i].CrowdC2)
-		cts[i], ok[i] = elgamal.Ciphertext{C1: c1, C2: c2}, err1 == nil && err2 == nil
+	parallel.For(workers, (len(batch)+blindChunk-1)/blindChunk, func(c int) {
+		lo, hi := c*blindChunk, min((c+1)*blindChunk, len(batch))
+		// record i's C1 and C2 at 2(i-lo) and 2(i-lo)+1
+		bs := make([][]byte, 0, 2*(hi-lo))
+		for i := lo; i < hi; i++ {
+			bs = append(bs, batch[i].CrowdC1, batch[i].CrowdC2)
+		}
+		pts, parsed := make([]elgamal.Point, len(bs)), make([]bool, len(bs))
+		elgamal.ParsePoints(pts, parsed, bs)
+		for i := lo; i < hi; i++ {
+			j := 2 * (i - lo)
+			cts[i], ok[i] = elgamal.Ciphertext{C1: pts[j], C2: pts[j+1]}, parsed[j] && parsed[j+1]
+		}
 	})
 	// Compact to the parsable envelopes in place; idx maps back to the batch.
 	idx := make([]int, 0, len(batch))
