@@ -3,6 +3,8 @@ package prochlo_test
 import (
 	crand "crypto/rand"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"prochlo/internal/analyzer"
@@ -34,6 +36,16 @@ type budgetKit struct {
 }
 
 const budgetReports = 250
+
+// bytesRuns is how many runs of a path TestAllocBudgets averages the bytes
+// it allocates per report over, and bytesRounds how many such averages it
+// takes the least of: TotalAlloc counts every goroutine of the process, and
+// a pool the collector emptied refills on the next run, so noise only adds.
+const bytesRuns, bytesRounds = 10, 3
+
+// stdlibAEADBytes is what crypto/cipher's AES-GCM allocates per AEAD — the
+// cipher and the GCM object — rounded up.
+const stdlibAEADBytes = 1100
 
 func newBudgetKit(t *testing.T) *budgetKit {
 	t.Helper()
@@ -87,14 +99,15 @@ func newBudgetKit(t *testing.T) *budgetKit {
 	return k
 }
 
-// TestAllocBudgets gates the allocation counts per report (per record at
-// the analyzer) of the per-report hot paths, one worker each. Unlike their
-// times, these counts barely move between runs of one toolchain, so a rise
-// past a bound is a change, not noise. Each bound is the value measured on
-// Go 1.24 when the gate was set, rounded up; lower one when a change takes
-// allocations out. A bound is the AES-GCM kernel's; where the process runs
-// crypto/cipher's AEAD instead (-tags purego, other GOARCHes, a CPU without
-// AES-NI), each AEAD a path runs per report adds that path's two objects.
+// TestAllocBudgets gates the allocation counts and the bytes allocated per
+// report (per record at the analyzer) of the per-report hot paths, one
+// worker each. Unlike their times, these barely move between runs of one
+// toolchain, so a rise past a bound is a change, not noise. Each bound is
+// the value measured on Go 1.24 when the gate was set, rounded up; lower
+// one when a change takes allocations out. A bound is the AES-GCM
+// kernel's; where the process runs crypto/cipher's AEAD instead (-tags
+// purego, other GOARCHes, a CPU without AES-NI), each AEAD a path runs per
+// report adds that path's two objects and stdlibAEADBytes.
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -103,35 +116,37 @@ func TestAllocBudgets(t *testing.T) {
 	analyzerOpen := &analyzer.Analyzer{Priv: k.anlzPriv, Workers: 1}
 	_, _, aead := hybrid.Kernels()
 	for _, tc := range []struct {
-		name  string
-		max   float64
-		aeads int // AEADs per report
-		run   func() error
+		name     string
+		max      float64
+		maxBytes float64
+		aeads    int // AEADs per report
+		run      func() error
 	}{
-		{"Client.EncodeBatch", 1, 2, func() error { _, err := k.client.EncodeBatch(k.reports, 1); return err }},
-		{"BlindedClient.EncodeBatch", 1, 2, func() error { _, err := k.bclient.EncodeBatch(k.labels, k.data, 1); return err }},
-		{"PrivateKey.OpenBatch", 1, 1, func() error {
+		{"Client.EncodeBatch", 0.15, 1700, 2, func() error { _, err := k.client.EncodeBatch(k.reports, 1); return err }},
+		{"BlindedClient.EncodeBatch", 0.15, 2300, 2, func() error { _, err := k.bclient.EncodeBatch(k.labels, k.data, 1); return err }},
+		{"PrivateKey.OpenBatch", 0.1, 100, 1, func() error {
 			_, errs := k.anlzPriv.OpenBatch(k.inner, nil, 1)
 			return errs[0]
 		}},
-		{"Analyzer.Open", 1, 1, func() error { analyzerOpen.Open(k.inner); return nil }},
-		{"Shuffler.ProcessEpoch", 1, 1, func() error {
+		{"Analyzer.Open", 0.1, 100, 1, func() error { analyzerOpen.Open(k.inner); return nil }},
+		{"Shuffler.ProcessEpoch", 0.2, 600, 1, func() error {
 			_, _, err := k.plain.ProcessEpoch(core.Batch{Envelopes: k.envs})
 			return err
 		}},
-		{"Shuffler1.ProcessEpoch", 1, 0, func() error {
+		{"Shuffler1.ProcessEpoch", 0.1, 250, 0, func() error {
 			_, _, err := k.s1.ProcessEpoch(core.Batch{Blinded: k.blinded})
 			return err
 		}},
-		{"Shuffler2.ProcessEpoch", 3, 1, func() error {
+		{"Shuffler2.ProcessEpoch", 0.2, 420, 1, func() error {
 			_, _, err := k.s2.ProcessEpoch(core.Batch{Blinded: k.mixed})
 			return err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bound := tc.max
+			bound, maxBytes := tc.max, tc.maxBytes
 			if aead == "stdlib" {
 				bound += float64(2 * tc.aeads)
+				maxBytes += float64(stdlibAEADBytes * tc.aeads)
 			}
 			var err error
 			perReport := testing.AllocsPerRun(3, func() {
@@ -142,9 +157,22 @@ func TestAllocBudgets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%.2f allocs per report (bound %.0f, %s AEAD)", perReport, bound, aead)
+			bytesPerReport := math.Inf(1)
+			for range bytesRounds {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				for i := 0; i < bytesRuns; i++ {
+					_ = tc.run()
+				}
+				runtime.ReadMemStats(&m1)
+				bytesPerReport = min(bytesPerReport, float64(m1.TotalAlloc-m0.TotalAlloc)/bytesRuns/budgetReports)
+			}
+			t.Logf("%.2f allocs, %.0f bytes per report (bounds %.2f, %.0f; %s AEAD)", perReport, bytesPerReport, bound, maxBytes, aead)
 			if perReport > bound {
-				t.Errorf("%.2f allocs per report, bound %.0f", perReport, bound)
+				t.Errorf("%.2f allocs per report, bound %.2f", perReport, bound)
+			}
+			if bytesPerReport > maxBytes {
+				t.Errorf("%.0f bytes allocated per report, bound %.0f", bytesPerReport, maxBytes)
 			}
 		})
 	}

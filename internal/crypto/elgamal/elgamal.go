@@ -17,12 +17,14 @@
 // served a multiple of Y instead could strip C2's mask.
 //
 // Group arithmetic is internal/crypto/group's ristretto255, the one group
-// this build deploys. Every stage has a batch entry point —
-// Encrypter.EncryptCrowdIDBatch, Blinder.BlindBatch, Decrypter.DecryptBatch
-// — that feeds whole slices to the kernels: fixed scalars are recoded once
-// per slice, fixed points go through precomputed comb tables, and affine
-// normalization costs one shared field inversion per slice instead of one
-// per point.
+// this build deploys. Every stage has a batch entry point that feeds whole
+// chunks to the kernels — the encoder's QueueCrowdID into a comb batch,
+// Blinder.BlindEncode and Decrypter.Pseudonyms from wire bytes to wire
+// bytes — so fixed scalars are recoded once per chunk, fixed points go
+// through precomputed comb tables, and affine normalization costs one
+// shared field inversion per chunk instead of one per point.
+// EncryptCrowdIDBatch, BlindBatch and PseudonymBatch are the same paths
+// over Ciphertext values.
 package elgamal
 
 import (
@@ -85,17 +87,6 @@ func ParsePoint(b []byte) (Point, error) {
 		return Point{}, fmt.Errorf("elgamal: %w", err)
 	}
 	return Point{e: e}, nil
-}
-
-// ParsePoints is ParsePoint over a batch, every point in one allocation:
-// dst[i] is bs[i]'s point where ok[i], the identity where bs[i] does not
-// parse.
-func ParsePoints(dst []Point, ok []bool, bs [][]byte) {
-	els := make([]group.Element, len(bs))
-	g.DecodeBatch(els, ok, bs)
-	for i, e := range els {
-		dst[i] = Point{e: e}
-	}
 }
 
 // ValidPoint reports whether ParsePoint accepts b, without keeping the
@@ -243,10 +234,10 @@ func Blind(ct Ciphertext, alpha *big.Int) Ciphertext {
 }
 
 // Blinder is the batch fast path of Blind for a scalar that is fixed
-// across an epoch, as Shuffler 1's α is: BlindBatch recodes α once per
-// slice and normalizes results with one shared inversion, so the encode
-// that follows costs no per-point division. A Blinder is safe for
-// concurrent use by the shuffler's blinding workers.
+// across an epoch, as Shuffler 1's α is: BlindEncode recodes α once per
+// chunk and normalizes the results with one shared inversion on their way
+// to their encodings. A Blinder is safe for concurrent use by the
+// shuffler's blinding workers.
 type Blinder struct {
 	alpha group.Scalar
 }
@@ -259,22 +250,27 @@ func NewBlinder(alpha *big.Int) *Blinder {
 // NewBlinderGroup is NewBlinder; benchmark/sut.go binds it.
 func NewBlinderGroup(_ group.Group, alpha *big.Int) *Blinder { return NewBlinder(alpha) }
 
-// BlindBatch is Blind over a slice, in place: len(cts) fixed-scalar
-// multiplications of C2 with the scalar recoded once, then one shared
-// normalization so the caller's Bytes() calls are inversion-free. C1 is left
-// as it is.
+// BlindEncode blinds a chunk of C2 encodings: dst[WireSize*i:] receives
+// the encoding of α·C2_i and lens[i] its length, 0 where c2s[i] does not
+// parse (group.Group.MulEncode). α is recoded once per call and the chunk
+// never leaves the group's batch path between the bytes it reads and the
+// bytes it writes.
+func (b *Blinder) BlindEncode(dst []byte, lens []uint8, c2s [][]byte) {
+	op := group.MulOp{K: b.alpha, Form: group.WireSize}
+	g.MulEncode(&op, dst, lens, c2s, nil)
+}
+
+// BlindBatch is Blind over a slice, in place, through BlindEncode: C2 is
+// encoded, blinded and parsed back. C1 is left as it is.
 func (b *Blinder) BlindBatch(cts []Ciphertext) {
-	if len(cts) == 0 {
-		return
-	}
-	els := make([]group.Element, len(cts))
-	for i, ct := range cts {
-		els[i] = ct.C2.e
-	}
-	g.MulBatch(els, els, b.alpha)
-	g.Normalize(els)
+	c2s := make([][]byte, len(cts))
 	for i := range cts {
-		cts[i].C2 = Point{e: els[i]}
+		c2s[i] = cts[i].C2.Bytes()
+	}
+	dst, lens := make([]byte, group.WireSize*len(cts)), make([]uint8, len(cts))
+	b.BlindEncode(dst, lens, c2s)
+	for i := range cts {
+		cts[i].C2, _ = ParsePoint(dst[group.WireSize*i : group.WireSize*i+int(lens[i])])
 	}
 }
 
@@ -291,9 +287,9 @@ func (k *KeyPair) BlindedPseudonym(ct Ciphertext) string {
 }
 
 // Decrypter is the batch fast path of Decrypt/BlindedPseudonym for
-// Shuffler 2's fixed private scalar x: DecryptBatch recodes x once per
-// slice and compresses all pseudonyms after one shared normalization.
-// Safe for concurrent use.
+// Shuffler 2's fixed private scalar x: Pseudonyms recodes x once per chunk
+// and compresses all pseudonyms after one shared normalization. Safe for
+// concurrent use.
 type Decrypter struct {
 	x group.Scalar
 }
@@ -314,35 +310,28 @@ func (d *Decrypter) BlindedPseudonym(ct Ciphertext) string {
 	return d.Decrypt(ct).pseudonym()
 }
 
-// DecryptBatch decrypts a slice of ciphertexts with the private scalar
-// recoded once and one shared normalization over the results.
-func (d *Decrypter) DecryptBatch(cts []Ciphertext) []Point {
-	if len(cts) == 0 {
-		return nil
-	}
-	c1s := make([]group.Element, len(cts))
-	for i, ct := range cts {
-		c1s[i] = ct.C1.e
-	}
-	g.MulBatch(c1s, c1s, d.x)
-	out := make([]Point, len(cts))
-	for i, ct := range cts {
-		c1s[i] = g.Sub(ct.C2.e, c1s[i])
-	}
-	g.Normalize(c1s)
-	for i := range out {
-		out[i] = Point{e: c1s[i]}
-	}
-	return out
+// Pseudonyms computes the blinded pseudonyms of a chunk of ciphertexts
+// given as encodings: dst[32*i:] receives the compressed encoding of
+// C2_i − x·C1_i and lens[i] its length (32, or 1 for the identity's {0}),
+// or 0 where c1s[i] or c2s[i] does not parse (group.Group.MulEncode): x is
+// recoded once per call, and the chunk shares one field inversion.
+func (d *Decrypter) Pseudonyms(dst []byte, lens []uint8, c1s, c2s [][]byte) {
+	op := group.MulOp{K: d.x, Form: group.CompressedSize}
+	g.MulEncode(&op, dst, lens, c1s, c2s)
 }
 
-// PseudonymBatch is the batch form of BlindedPseudonym: one scalar recode
-// and one shared inversion for the whole slice.
+// PseudonymBatch is the batch form of BlindedPseudonym, through
+// Pseudonyms.
 func (d *Decrypter) PseudonymBatch(cts []Ciphertext) []string {
-	pts := d.DecryptBatch(cts)
-	out := make([]string, len(pts))
-	for i, p := range pts {
-		out[i] = p.pseudonym()
+	c1s, c2s := make([][]byte, len(cts)), make([][]byte, len(cts))
+	for i := range cts {
+		c1s[i], c2s[i] = cts[i].C1.Bytes(), cts[i].C2.Bytes()
+	}
+	dst, lens := make([]byte, group.CompressedSize*len(cts)), make([]uint8, len(cts))
+	d.Pseudonyms(dst, lens, c1s, c2s)
+	out := make([]string, len(cts))
+	for i := range out {
+		out[i] = string(dst[group.CompressedSize*i : group.CompressedSize*i+int(lens[i])])
 	}
 	return out
 }
@@ -445,7 +434,7 @@ func (e *Encrypter) EncryptCrowdID(rng io.Reader, crowdID []byte) (Ciphertext, e
 // i+1 of b to its products, C1 = r*a and C2 = r*h + H(crowdID): the split
 // form of EncryptCrowdID for a batch encoder that puts the fixed-base work
 // of every encryption and seal of a call in one group.CombBatch. Once b has
-// run over both slots and been normalized, Queued returns the ciphertext
+// run over both slots, Queued returns the encodings of the ciphertext
 // EncryptCrowdID draws from the same stream.
 func (e *Encrypter) QueueCrowdID(rng io.Reader, crowdID []byte, b *group.CombBatch, i int) error {
 	r, err := g.RandomScalar(rng)
@@ -453,24 +442,24 @@ func (e *Encrypter) QueueCrowdID(rng io.Reader, crowdID []byte, b *group.CombBat
 		return err
 	}
 	base, key := e.tables()
-	b.Set(i, base, r, group.Element{})
-	b.Set(i+1, key, r, e.hashPoint(crowdID))
+	b.Set(i, base, r, group.Element{}, group.WireSize)
+	b.Set(i+1, key, r, e.hashPoint(crowdID), group.WireSize)
 	return nil
 }
 
-// Queued returns the ciphertext QueueCrowdID put at slots i and i+1 of b.
-func (e *Encrypter) Queued(b *group.CombBatch, i int) Ciphertext {
-	return Ciphertext{C1: Point{e: b.Out(i)}, C2: Point{e: b.Out(i + 1)}}
+// Queued returns the encodings of the ciphertext QueueCrowdID put at slots
+// i and i+1 of b, which alias b.
+func (e *Encrypter) Queued(b *group.CombBatch, i int) (c1, c2 []byte) {
+	return b.Bytes(i), b.Bytes(i + 1)
 }
 
 // EncryptCrowdIDBatch encrypts one crowd ID per report on a pool of workers
 // (0 selects GOMAXPROCS), drawing each report's ephemeral scalar from that
 // report's own rng (so batch output is byte-identical to per-report
 // EncryptCrowdID calls on the same streams, at any worker count or
-// chunking). Every encryption is queued in one group.CombBatch, run a
-// worker's range of reports at a time, and both components of every
-// ciphertext are normalized with one shared inversion, so the Bytes() calls
-// that follow are divisions-free.
+// chunking). Every encryption is queued in one group.CombBatch and run a
+// worker's range of reports at a time; the ciphertexts are parsed from the
+// batch's encodings.
 func (e *Encrypter) EncryptCrowdIDBatch(rngs []io.Reader, crowdIDs [][]byte, workers int) ([]Ciphertext, error) {
 	if len(rngs) != len(crowdIDs) {
 		return nil, fmt.Errorf("elgamal: %d rngs for %d crowd IDs", len(rngs), len(crowdIDs))
@@ -485,10 +474,11 @@ func (e *Encrypter) EncryptCrowdIDBatch(rngs []io.Reader, crowdIDs [][]byte, wor
 	}); err != nil {
 		return nil, fmt.Errorf("elgamal: report %d: %w", i, err)
 	}
-	b.Normalize()
 	cts := make([]Ciphertext, n)
 	for i := range cts {
-		cts[i] = e.Queued(b, 2*i)
+		c1, c2 := e.Queued(b, 2*i)
+		cts[i].C1, _ = ParsePoint(c1)
+		cts[i].C2, _ = ParsePoint(c2)
 	}
 	return cts, nil
 }

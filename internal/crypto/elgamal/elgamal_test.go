@@ -477,8 +477,9 @@ func FuzzBlindBatchEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzDecryptBatchEquivalence checks DecryptBatch/PseudonymBatch against
-// the solo Decrypt path on arbitrary seeds and sizes.
+// FuzzDecryptBatchEquivalence checks the batch decryption, Pseudonyms and
+// PseudonymBatch, against the solo Decrypt path on arbitrary seeds and
+// sizes.
 func FuzzDecryptBatchEquivalence(f *testing.F) {
 	f.Add([]byte("seed"), uint8(4))
 	f.Add([]byte{0x7}, uint8(1))
@@ -497,12 +498,17 @@ func FuzzDecryptBatchEquivalence(f *testing.F) {
 		}
 		NewBlinder(alpha).BlindBatch(cts)
 		d := kp.Decrypter()
-		pts := d.DecryptBatch(cts)
 		pseudos := d.PseudonymBatch(cts)
+		c1s, c2s := make([][]byte, len(cts)), make([][]byte, len(cts))
+		for i := range cts {
+			c1s[i], c2s[i] = cts[i].C1.Bytes(), cts[i].C2.Bytes()
+		}
+		dst, lens := make([]byte, 32*len(cts)), make([]uint8, len(cts))
+		d.Pseudonyms(dst, lens, c1s, c2s)
 		for i, ct := range cts {
-			want := d.Decrypt(ct)
-			if !pts[i].Equal(want) {
-				t.Fatalf("DecryptBatch entry %d diverges from Decrypt", i)
+			want := d.Decrypt(ct).Compressed()
+			if !bytes.Equal(dst[32*i:32*i+int(lens[i])], want) {
+				t.Fatalf("Pseudonyms entry %d diverges from Decrypt", i)
 			}
 			if pseudos[i] != d.BlindedPseudonym(ct) {
 				t.Fatalf("PseudonymBatch entry %d diverges from BlindedPseudonym", i)

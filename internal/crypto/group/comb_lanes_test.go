@@ -112,8 +112,8 @@ type combMul struct {
 }
 
 // TestCombBatchLanesMatchSolo holds a CombBatch to the solo Table.Mul, plus
-// the slot's addend by Add, byte for byte after Normalize, on the shapes a
-// lane comb could get wrong:
+// the slot's addend by Add, byte for byte in both encodings, on the shapes
+// a lane comb could get wrong:
 //   - every digit value of both window widths, in every lane;
 //   - one pass mixing the generator's table and two keys' tables, whose
 //     generator lanes run past their table's last position;
@@ -165,25 +165,31 @@ func TestCombBatchLanesMatchSolo(t *testing.T) {
 	cases["mixed"] = mixed
 	cases["blinded records"] = recordMuls(t, r, 250)
 
+	// every third slot is encoded compressed, as a seal's shared point is
+	slotForm := func(i int) int { return []int{WireSize, WireSize, CompressedSize}[i%3] }
 	want := map[string][][]byte{}
 	for name, ms := range cases {
-		for _, m := range ms {
-			want[name] = append(want[name], g.Encode(nil, g.Add(m.table.t.Mul(m.k), m.q)))
+		for i, m := range ms {
+			p := g.Add(m.table.t.Mul(m.k), m.q)
+			if slotForm(i) == WireSize {
+				want[name] = append(want[name], g.Encode(nil, p))
+			} else {
+				want[name] = append(want[name], g.Compress(nil, p))
+			}
 		}
 	}
 	check := func(t *testing.T, name string, n, split int) {
 		t.Helper()
 		b := NewCombBatch(n)
 		for i, m := range cases[name][:n] {
-			b.Set(i, m.table.t, m.k, m.q)
+			b.Set(i, m.table.t, m.k, m.q, slotForm(i))
 		}
 		b.Run(0, split)
 		b.Run(split, n)
-		b.Normalize()
 		for i, m := range cases[name][:n] {
-			if got := b.Out(i); !bytes.Equal(g.Encode(nil, got), want[name][i]) {
+			if got := b.Bytes(i); !bytes.Equal(got, want[name][i]) {
 				t.Fatalf("%s n=%d split=%d: slot %d (%s table, k=%x) = %x, Table.Mul says %x",
-					name, n, split, i, m.table.name, m.k, g.Encode(nil, got), want[name][i])
+					name, n, split, i, m.table.name, m.k, got, want[name][i])
 			}
 		}
 	}
@@ -217,8 +223,8 @@ func TestCombBatchLanesMatchSolo(t *testing.T) {
 	})
 }
 
-// FuzzCombBatch holds the lane comb to mulComb on one to eight fuzzed
-// multiplications at once, each reading a table drawn from the generator's
+// FuzzCombBatch holds the lane comb, through its encodings, to mulComb on
+// one to eight fuzzed multiplications at once, each reading a table drawn from the generator's
 // and two keys' and about half of them with an addend: the kernel itself,
 // below the cutoff mulTables applies too, so one- and two-lane passes are
 // covered.
@@ -237,7 +243,6 @@ func FuzzCombBatch(f *testing.F) {
 		// all either table's recoding accepts
 		r := mrand.New(mrand.NewSource(seed))
 		ms := make([]edCombMul, 1+int(n)%8)
-		outs := make([]edPoint, len(ms))
 		for i := range ms {
 			var s Scalar
 			r.Read(s[:])
@@ -245,21 +250,22 @@ func FuzzCombBatch(f *testing.F) {
 				copy(s[:], k)
 			}
 			s[0] &= 0x3f
-			ms[i] = edCombMul{t: tables[r.Intn(len(tables))].t, k: s, out: &outs[i]}
+			ms[i] = edCombMul{t: tables[r.Intn(len(tables))].t, k: s, slot: i, form: WireSize}
 			if r.Intn(2) == 0 {
 				var p [32]byte
 				r.Read(p[:])
 				ms[i].q = edHashToPoint(p[:])
 			}
 		}
-		laneComb(ms)
+		enc, lens := make([]byte, WireSize*len(ms)), make([]uint8, len(ms))
+		laneComb(ms, sink{dst: enc, lens: lens, ms: ms})
 		for i, m := range ms {
 			var want edPoint
 			m.t.mulComb(&want, &m.k)
 			if m.q != nil {
 				want.add(&want, m.q)
 			}
-			if !outs[i].equal(&want) {
+			if got := enc[WireSize*i : WireSize*i+int(lens[i])]; !bytes.Equal(got, Group{}.Encode(nil, Element{ed: &want})) {
 				t.Fatalf("lane %d of %d (k=%x, addend %v): lane comb disagrees with mulComb", i, len(ms), m.k, m.q != nil)
 			}
 		}
@@ -295,7 +301,7 @@ func BenchmarkEdCombBatch(b *testing.B) {
 		cb := NewCombBatch(n)
 		for i := 0; i < n; i++ {
 			m := mul(i)
-			cb.Set(i, m.table.t, m.k, m.q)
+			cb.Set(i, m.table.t, m.k, m.q, WireSize)
 		}
 		return cb
 	}
@@ -318,7 +324,7 @@ func BenchmarkEdCombBatch(b *testing.B) {
 			b.Skipf("lane comb not run: this process selected the %q kernel", Kernel())
 		}
 		cb := newBatch(n, mul)
-		combOrder(cb.pts, cb.slots, cb.ms)
+		combOrder(cb.slots, 0, cb.ms)
 		run := combKernelPasses(cb.ms[:n-n%8])
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -32,10 +32,11 @@
 // flat array stored carried for exactly this (see Table).
 //
 // The Go side of a pass is kept to a small share of the kernel's time
-// (BenchmarkEdCombBatch's kernel cases). Group.mulTables hands the passes
-// their multiplications in one counting pass by table length, into scratch
-// and outputs the CombBatch owns for the whole call, and a Run takes its
-// pass state from a pool. A pass recodes its eight scalars together
+// (BenchmarkEdCombBatch's kernel cases). combOrder hands the passes their
+// multiplications in one counting pass by table length, into scratch the
+// CombBatch owns for the whole call, and a Run takes its pass state, with
+// the lane groups its products stay in until they are encoded
+// (batch_amd64.go), from a pool. A pass recodes its eight scalars together
 // (edCombx8.recode): each scalar's digits come from one 256-bit addition
 // and byte-wise window arithmetic, eight digits a word (combWords, held to
 // combDigits), and one 8x8 byte transpose per eight positions lays the
@@ -57,13 +58,12 @@ package group
 import (
 	"encoding/binary"
 	"math/bits"
-	"sync"
 )
 
 func init() {
 	if hasIFMA() {
-		laneLadder = edMulBatchx8
-		laneComb = edCombBatchx8
+		laneLadder = mulEncodex8
+		laneComb = combEncodex8
 	}
 }
 
@@ -80,14 +80,15 @@ type projNielsx8 struct {
 
 // edLadderx8 is the working state of one eight-point multiplication: the
 // points, their table of odd multiples, and the temporaries of the point
-// kernels. It lives on the heap — 64-byte rows want better alignment than a
-// goroutine stack gives — and one value serves every group of a batch.
+// kernels. It lives on the heap, in a laneScratch — 64-byte rows want
+// better alignment than a goroutine stack gives — and one value serves
+// every group of a batch.
 type edLadderx8 struct {
-	q, q2, acc edPointx8
-	q2n        projNielsx8
-	table      [8]projNielsx8
-	d2         fe25519x8 // edD2 in every lane
-	tmp        [7]fe25519x8
+	q, q2 edPointx8
+	q2n   projNielsx8
+	table [8]projNielsx8
+	d2    fe25519x8 // edD2 in every lane
+	tmp   [7]fe25519x8
 }
 
 // The point kernels of fe25519x8_amd64.s, each one formula of edPoint in
@@ -119,18 +120,18 @@ func (p *edPointx8) identity() {
 	p.t.broadcast(&zero)
 }
 
+// neg sets p = -p in every lane.
+func (p *edPointx8) neg() {
+	var zero fe25519x8
+	fe8Sub(&p.x, &zero, &p.x)
+	fe8Sub(&p.t, &zero, &p.t)
+}
+
 func (p *edPointx8) setLane(i int, q *edPoint) {
 	p.x.setLane(i, &q.x)
 	p.y.setLane(i, &q.y)
 	p.z.setLane(i, &q.z)
 	p.t.setLane(i, &q.t)
-}
-
-func (p *edPointx8) lane(i int, q *edPoint) {
-	p.x.lane(i, &q.x)
-	p.y.lane(i, &q.y)
-	p.z.lane(i, &q.z)
-	p.t.lane(i, &q.t)
 }
 
 func (s *edLadderx8) toProjNiels(n *projNielsx8, p *edPointx8) {
@@ -140,53 +141,47 @@ func (s *edLadderx8) toProjNiels(n *projNielsx8, p *edPointx8) {
 	n.t2d.Mul(&p.t, &s.d2)
 }
 
-// edScalarMulWNAFx8 sets s.acc = k*s.q in every lane for the scalar whose
+// edScalarMulWNAFx8 sets acc = k*s.q in every lane for the scalar whose
 // wNAF digits are given, clearing the cofactor of s.q first when dh: the
-// lane form of clearCofactor followed by edScalarMulWNAF. s.q is consumed.
-func edScalarMulWNAFx8(s *edLadderx8, digits []int8, dh bool) {
-	q, acc := &s.q, &s.acc
+// lane form of clearCofactor followed by edScalarMulWNAF, except that acc
+// starts at the top digit's table entry rather than doubling the identity
+// up to it. s.q is consumed.
+func edScalarMulWNAFx8(s *edLadderx8, acc *edPointx8, digits []int8, dh bool) {
+	q := &s.q
 	if dh {
 		fe8Double(q, q, &s.tmp, false)
 		fe8Double(q, q, &s.tmp, false)
 		fe8Double(q, q, &s.tmp, true)
 	}
-	acc.identity()
 	if len(digits) == 0 {
+		*acc = identityx8
 		return
 	}
+	top := len(digits) - 1 // wnafDigits ends at a non-zero digit
+	first := (max(digits[top], -digits[top]) - 1) / 2
 	// table[i] = (2i+1)*q
 	s.toProjNiels(&s.table[0], q)
+	if first == 0 {
+		*acc = *q
+	}
 	fe8Double(&s.q2, q, &s.tmp, true)
 	s.toProjNiels(&s.q2n, &s.q2)
-	for i := 1; i < 8; i++ {
+	for i := int8(1); i < 8; i++ {
 		fe8AddNiels(q, q, &s.q2n, &s.tmp, false)
 		s.toProjNiels(&s.table[i], q)
+		if i == first {
+			*acc = *q
+		}
 	}
-	for i := len(digits) - 1; i >= 0; i-- {
+	if digits[top] < 0 {
+		acc.neg()
+	}
+	for i := top - 1; i >= 0; i-- {
 		fe8Double(acc, acc, &s.tmp, digits[i] != 0 || i == 0)
 		if d := digits[i]; d > 0 {
 			fe8AddNiels(acc, acc, &s.table[(d-1)/2], &s.tmp, false)
 		} else if d < 0 {
 			fe8AddNiels(acc, acc, &s.table[(-d-1)/2], &s.tmp, true)
-		}
-	}
-}
-
-// edMulBatchx8 is the lane ladder behind Group.mulBatch: outs[i] =
-// k*ps[i] (8*k*ps[i] when dh), eight points per pass. A last group shorter
-// than eight repeats its points in the spare lanes, so there is no
-// scalar tail path.
-func edMulBatchx8(outs []edPoint, ps []Element, digits []int8, dh bool) {
-	s := new(edLadderx8)
-	s.d2.broadcast(&edD2)
-	for base := 0; base < len(ps); base += 8 {
-		n := min(8, len(ps)-base)
-		for i := 0; i < 8; i++ {
-			s.q.setLane(i, ps[base+i%n].edwards())
-		}
-		edScalarMulWNAFx8(s, digits, dh)
-		for i := 0; i < n; i++ {
-			s.acc.lane(i, &outs[base+i])
 		}
 	}
 }
@@ -228,32 +223,11 @@ type edCombx8 struct {
 //go:noescape
 func fe8Comb(s *edCombx8, positions int)
 
-// combStates recycles the lane comb's pass state, about 5 KiB, across
-// calls: a CombBatch's Run takes one for its whole range.
-var combStates = sync.Pool{New: func() any { return new(edCombx8) }}
-
 // identityx8 is the identity in every lane.
 var identityx8 = func() (p edPointx8) {
 	p.identity()
 	return p
 }()
-
-// edCombBatchx8 is the lane comb behind Group.mulTables: *m.out =
-// m.k*P + *m.q for the point P of each m.t, eight multiplications per pass
-// from any mix of tables. A pass runs the positions of its longest table; a
-// shorter table's lanes past their last position, and the spare lanes of a
-// last group smaller than eight, have zero digits and add the identity.
-func edCombBatchx8(ms []edCombMul) {
-	s := combStates.Get().(*edCombx8)
-	for base := 0; base < len(ms); base += 8 {
-		group := ms[base:min(base+8, len(ms))]
-		fe8Comb(s, s.load(group))
-		for i := range group {
-			s.acc.lane(i, group[i].out)
-		}
-	}
-	combStates.Put(s)
-}
 
 // load sets s up for a pass over group, at most eight multiplications, and
 // returns the pass's positions: each lane's table and addend, and the

@@ -41,9 +41,13 @@ type fe25519x8 [5][8]uint64
 // of their products come out doubled, 2ab and 2a², doubled after the fold:
 // each limb below 2·267·2^52 < 2^61.1, its carry below 2^10.1, the
 // wrap-around one times 19 below 2^14.4, so those outputs too are below
-// 2^51 + 2^15. TestFe25519x8Differential pins the field kernels, and
-// TestPointKernelsx8 the point kernels, with limbs at 0, 2^51-1 and 2^52-1 in
-// every position.
+// 2^51 + 2^15. Inside a point kernel, a product that feeds only a sum or
+// a difference is left uncarried, and the sum's carry pass carries both;
+// those sums stay below 2^51 + 2^16, inside the input bound (the argument
+// is at foldCarryStore in fe25519x8_gen.go). TestFe25519x8Differential
+// pins the field kernels, and TestPointKernelsx8 the point kernels, with
+// limbs at 0, 2^51-1 and 2^52-1 in every position, and
+// TestPointKernelsx8LimbBound the point kernels with every limb at 2^52-1.
 const fe8LimbBits = 52
 
 // Mul sets v = a * b. v may alias a and b.

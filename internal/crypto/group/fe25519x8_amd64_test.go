@@ -213,7 +213,7 @@ func TestPointKernelsx8(t *testing.T) {
 	requireIFMA(t)
 	r := rand.New(rand.NewSource(50))
 	pins := [3]uint64{0, mask51, fe8LimbMax}
-	operand := func(round int) fe25519 {
+	checkPointKernelsx8(t, 300, func(round int) fe25519 {
 		var v fe25519
 		for l := range v {
 			if round%3 == 0 {
@@ -223,8 +223,26 @@ func TestPointKernelsx8(t *testing.T) {
 			}
 		}
 		return v
-	}
-	for round := 0; round < 300; round++ {
+	})
+}
+
+// TestPointKernelsx8LimbBound is TestPointKernelsx8 with every input limb
+// at its largest allowed value, 2^52 - 1 (a negated comb entry's xy2d at
+// 2^51 - 1): the operands whose products, left uncarried into the sums and
+// differences of the point kernels, come nearest the bound derived at
+// foldCarryStore in fe25519x8_gen.go.
+func TestPointKernelsx8LimbBound(t *testing.T) {
+	requireIFMA(t)
+	checkPointKernelsx8(t, 2, func(int) fe25519 {
+		return fe25519{fe8LimbMax, fe8LimbMax, fe8LimbMax, fe8LimbMax, fe8LimbMax}
+	})
+}
+
+// checkPointKernelsx8 runs the point kernels of TestPointKernelsx8 for the
+// given rounds on the operands operand(round) returns, each call one
+// operand of one lane.
+func checkPointKernelsx8(t *testing.T, rounds int, operand func(round int) fe25519) {
+	for round := 0; round < rounds; round++ {
 		for _, c := range []struct {
 			kernel string
 			sub    bool

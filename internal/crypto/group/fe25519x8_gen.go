@@ -74,6 +74,12 @@ func main() {
 	p("GLOBL fe8fourP0<>(SB), RODATA|NOPTR, $8")
 	p("DATA fe8fourP<>+0(SB)/8, $0x001ffffffffffffc")
 	p("GLOBL fe8fourP<>(SB), RODATA|NOPTR, $8")
+	p("// 2^11·p, limb by limb: what a point kernel's subtraction adds when its")
+	p("// subtrahend is a product left uncarried (below 2^61.1, see foldCarryStore).")
+	p("DATA fe8lazyP0<>+0(SB)/8, $0x3fffffffffff6800")
+	p("GLOBL fe8lazyP0<>(SB), RODATA|NOPTR, $8")
+	p("DATA fe8lazyP<>+0(SB)/8, $0x3ffffffffffff800")
+	p("GLOBL fe8lazyP<>(SB), RODATA|NOPTR, $8")
 	p("// 2p, limb by limb: what fe8Comb subtracts a negative entry's xy2d from.")
 	p("DATA fe8twoP0<>+0(SB)/8, $0x000fffffffffffda")
 	p("GLOBL fe8twoP0<>(SB), RODATA|NOPTR, $8")
@@ -142,13 +148,28 @@ func carry(r, c [5]int) {
 
 // foldCarryStore finishes a product whose ten columns are in col:
 // r_k = col[k] + 19·col[k+5], doubled when twice, then the carry pass and
-// the store to dst. free names ten registers that are dead by now.
+// the store to dst — or, when lazy, the store alone. free names ten
+// registers that are dead by now.
 //
 // Doubling after the fold costs five shifts where an fe8Add would cost a
 // call: each folded limb is below 267·2^52, so twice that is below 2^61.1,
 // and the carry pass still leaves every limb below 2^51 + 2^15 (carries
 // below 2^10.1, the wrap-around one times 19 below 2^14.4).
-func foldCarryStore(dst fe, col [10]int, free []int, twice bool) {
+//
+// A lazy product skips its carry pass, and the point kernels leave lazy
+// every product that feeds only an addition or a subtraction (fe8Double's
+// A, B and C; fe8AddNiels's and fe8Comb's TT, PP and MM, and fe8AddNiels's
+// ZZ): the sum or difference runs the carry pass anyway, and one pass
+// carries both. The bound: an uncarried limb is below 267·2^52 < 2^60.1,
+// or 2^61.1 doubled. A sum of two is below 2^62.1. A difference whose
+// subtrahend is uncarried adds 2^11·p rather than 4p (addSub's lazyB):
+// its limbs, 2^62 - 19·2^11 and 2^62 - 2^11, exceed any uncarried limb,
+// so the difference stays non-negative, and below 2^61.1 + 2^62 < 2^62.7.
+// Every limb a carry pass sees is so below 2^62.7: its carries are below
+// 2^11.7, the wrap-around one times 19 below 2^16, and every output limb
+// below 2^51 + 2^16 < 2^52, inside the multiply-adds' input bound. A
+// product's own output keeps the 2^51 + 2^15 of a carried one.
+func foldCarryStore(dst fe, col [10]int, free []int, twice, lazy bool) {
 	for k := 0; k < 5; k++ {
 		times19(col[k+5], free[0], free[1])
 		p("\tVPADDQ %s, %s, %s", z(col[k+5]), z(col[k]), z(col[k]))
@@ -162,18 +183,20 @@ func foldCarryStore(dst fe, col [10]int, free []int, twice bool) {
 			p("\tVPSLLQ $1, %s, %s", z(r[k]), z(r[k]))
 		}
 	}
-	carry(r, [5]int{col[5], col[6], col[7], col[8], col[9]})
+	if !lazy {
+		carry(r, [5]int{col[5], col[6], col[7], col[8], col[9]})
+	}
 	store(r, dst)
 }
 
-// mul emits dst = a·b, or 2·a·b when twice.
+// mul emits dst = a·b, or 2·a·b when twice, uncarried when lazy.
 //
 // A limb product a_i·b_j is 104 bits; VPMADD52LUQ adds its low 52 bits to a
 // column accumulator and VPMADD52HUQ its high 52. The low half sits at
 // 2^(51(i+j)); the high half at 2^(51(i+j)+52) = 2·2^(51(i+j+1)), so column
 // k of the product is L_k + 2·H_(k-1), and columns 5-9 fold onto 0-4 times
 // 19 (2^255 = 19 mod p).
-func mul(dst, a, b fe, twice bool) {
+func mul(dst, a, b fe, twice, lazy bool) {
 	// a: Z0-Z4, b: Z5-Z9, lo columns L0-L8: Z10-Z18, hi columns H0-H8:
 	// Z19-Z27.
 	L := func(k int) int { return 10 + k }
@@ -201,15 +224,15 @@ func mul(dst, a, b fe, twice bool) {
 	}
 	col := [10]int{L(0), L(1), L(2), L(3), L(4), L(5), L(6), L(7), L(8), H(8)}
 	// a, b and H0-H7 are dead
-	foldCarryStore(dst, col, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, twice)
+	foldCarryStore(dst, col, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, twice, lazy)
 }
 
-// square emits dst = a², or 2·a² when twice: mul with the 10 symmetric
-// products computed once, 30 multiply-adds for 50. The doubling of a cross
-// product cannot go on an input (2·a_i may pass 2^52), so it goes on the
-// sums: diagonal low halves carry weight 1, cross low halves and diagonal
-// high halves weight 2, cross high halves weight 4.
-func square(dst, a fe, twice bool) {
+// square emits dst = a², or 2·a² when twice, uncarried when lazy: mul
+// with the 10 symmetric products computed once, 30 multiply-adds for 50.
+// The doubling of a cross product cannot go on an input (2·a_i may pass
+// 2^52), so it goes on the sums: diagonal low halves carry weight 1, cross
+// low halves and diagonal high halves weight 2, cross high halves weight 4.
+func square(dst, a fe, twice, lazy bool) {
 	// a: Z0-Z4. Three families of accumulators, by the weight their sum
 	// carries in a column:
 	//   W1_k (k even):   lo(a_i·a_i), k = 2i                  weight 1
@@ -244,15 +267,16 @@ func square(dst, a fe, twice bool) {
 	}
 	col := [10]int{W1(0), W2(1), W2(2), W2(3), W2(4), W2(5), W2(6), W2(7), W2(8), W2(9)}
 	// a, W1_2..W1_8 and every W4 are dead
-	foldCarryStore(dst, col, []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 19}, twice)
+	foldCarryStore(dst, col, []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 19}, twice, lazy)
 }
 
 // addSub emits sum = a + b and diff = a - b, either of them when the other
 // is nil, both carried: unlike the scalar path's addLazy/subLazy the carry
 // pass cannot be skipped, because the multiply-adds read only the low 52
 // bits of a limb. The difference adds 4p first, which keeps it
-// non-negative for any subtrahend limb below 2^52.
-func addSub(sum, diff *fe, a, b fe) {
+// non-negative for any subtrahend limb below 2^52, or 2^11·p when lazyB,
+// for a subtrahend left uncarried by a lazy product (foldCarryStore).
+func addSub(sum, diff *fe, a, b fe, lazyB bool) {
 	load(a, 0)
 	load(b, 5)
 	if sum != nil {
@@ -261,8 +285,12 @@ func addSub(sum, diff *fe, a, b fe) {
 		}
 	}
 	if diff != nil {
-		p("\tVPBROADCASTQ fe8fourP0<>(SB), %s", z(zTmp0))
-		p("\tVPBROADCASTQ fe8fourP<>(SB), %s", z(zTmp1))
+		multiple := "fe8fourP"
+		if lazyB {
+			multiple = "fe8lazyP"
+		}
+		p("\tVPBROADCASTQ %s0<>(SB), %s", multiple, z(zTmp0))
+		p("\tVPBROADCASTQ %s<>(SB), %s", multiple, z(zTmp1))
 		p("\tVPADDQ %s, %s, %s", z(zTmp0), z(0), z(0))
 		for k := 1; k < 5; k++ {
 			p("\tVPADDQ %s, %s, %s", z(zTmp1), z(k), z(k))
@@ -297,16 +325,16 @@ func kernel(name, sig string, frame int, args ...string) {
 func fieldKernels() {
 	out, a, b := at("DI", 0), at("SI", 0), at("DX", 0)
 	kernel("fe8Mul", "(out, a, b *fe25519x8)", 24, "out:DI", "a:SI", "b:DX")
-	mul(out, a, b, false)
+	mul(out, a, b, false, false)
 	ret()
 	kernel("fe8Square", "(out, a *fe25519x8)", 16, "out:DI", "a:SI")
-	square(out, a, false)
+	square(out, a, false, false)
 	ret()
 	kernel("fe8Add", "(out, a, b *fe25519x8)", 24, "out:DI", "a:SI", "b:DX")
-	addSub(&out, nil, a, b)
+	addSub(&out, nil, a, b, false)
 	ret()
 	kernel("fe8Sub", "(out, a, b *fe25519x8)", 24, "out:DI", "a:SI", "b:DX")
-	addSub(nil, &out, a, b)
+	addSub(nil, &out, a, b, false)
 	ret()
 }
 
@@ -324,7 +352,8 @@ const (
 // dbl-2008-hwcd for a = -1 as edPoint.double computes it, arranged for the
 // lanes: E = 2XY and C = 2Z² come doubled out of the multiply, B+A and B-A
 // out of one load, and every output coordinate is negated, which is the
-// same projective point.
+// same projective point. A, B and C feed only B ± A and C - G, and are
+// left lazy (foldCarryStore).
 func double() {
 	kernel("fe8Double", "(p, q *edPointx8, tmp *[7]fe25519x8, needT bool)", 25,
 		"p:DI", "q:SI", "tmp:DX")
@@ -333,18 +362,18 @@ func double() {
 	d := func(f int) fe { return at("DI", f) }
 	t := func(i int) fe { return at("DX", i) }
 	A, B, C, E, H, G, F := t(0), t(1), t(2), t(3), t(4), t(5), t(6)
-	square(A, q(fx), false)
-	square(B, q(fy), false)
-	square(C, q(fz), true)
-	mul(E, q(fx), q(fy), true)
-	addSub(&H, &G, B, A)
-	addSub(nil, &F, C, G)
-	mul(d(fx), E, F, false)
-	mul(d(fy), G, H, false)
-	mul(d(fz), F, G, false)
+	square(A, q(fx), false, true)
+	square(B, q(fy), false, true)
+	square(C, q(fz), true, true)
+	mul(E, q(fx), q(fy), true, false)
+	addSub(&H, &G, B, A, true)
+	addSub(nil, &F, C, G, false)
+	mul(d(fx), E, F, false, false)
+	mul(d(fy), G, H, false, false)
+	mul(d(fz), F, G, false, false)
 	p("\tTESTQ AX, AX")
 	p("\tJZ double_done")
-	mul(d(ft), E, H, false)
+	mul(d(ft), E, H, false, false)
 	p("double_done:")
 	ret()
 }
@@ -354,7 +383,8 @@ func double() {
 // of the multiply and each sum and difference of one pair out of one load.
 // Subtraction swaps which entry row each of t1 and t2 multiplies and which
 // of f and g takes the sum: both are pointer swaps (CMOV), so one body
-// serves both signs.
+// serves both signs. TT, PP, MM and ZZ feed only sums and differences, and
+// are left lazy (foldCarryStore).
 func addNiels() {
 	kernel("fe8AddNiels", "(p, q *edPointx8, n *projNielsx8, tmp *[7]fe25519x8, sub bool)", 33,
 		"p:DI", "q:SI", "n:DX", "tmp:CX")
@@ -379,17 +409,17 @@ func addNiels() {
 	p("\tCMOVQNE R11, R10")
 	p("\tCMOVQNE R12, R11")
 	sum, diff := at("R10", 0), at("R11", 0)
-	addSub(&T1, &T2, q(fy), q(fx))
-	mul(TT, q(ft), n(nT2d), false)
-	mul(PP, T1, at("R8", 0), false)
-	mul(MM, T2, at("R9", 0), false)
-	mul(ZZ, q(fz), n(nZ), true)
-	addSub(&H, &E, PP, MM)
-	addSub(&sum, &diff, ZZ, TT)
-	mul(d(fx), E, F, false)
-	mul(d(fy), G, H, false)
-	mul(d(fz), F, G, false)
-	mul(d(ft), E, H, false)
+	addSub(&T1, &T2, q(fy), q(fx), false)
+	mul(TT, q(ft), n(nT2d), false, true)
+	mul(PP, T1, at("R8", 0), false, true)
+	mul(MM, T2, at("R9", 0), false, true)
+	mul(ZZ, q(fz), n(nZ), true, true)
+	addSub(&H, &E, PP, MM, true)
+	addSub(&sum, &diff, ZZ, TT, true)
+	mul(d(fx), E, F, false, false)
+	mul(d(fy), G, H, false, false)
+	mul(d(fz), F, G, false, false)
+	mul(d(ft), E, H, false, false)
 	ret()
 }
 
@@ -476,21 +506,22 @@ func comb() {
 }
 
 // addAffine emits d = q + n for a signed comb entry n, as
-// edPoint.addAffineNiels computes it; d may be q.
+// edPoint.addAffineNiels computes it; d may be q. TT, PP and MM feed only
+// sums and differences, and are left lazy (foldCarryStore).
 func addAffine(d, q, n, t func(int) fe) {
 	T1, T2, TT, PP, MM, Z2, E := t(0), t(1), t(2), t(3), t(4), t(5), t(6)
 	H, F, G := t(0), t(1), t(3)
-	addSub(&T1, &T2, q(fy), q(fx))
-	mul(TT, q(ft), n(nXY2d), false)
-	mul(PP, T1, n(nYPlusX), false)
-	mul(MM, T2, n(nYMinusX), false)
-	addSub(&Z2, nil, q(fz), q(fz))
-	addSub(&H, &E, PP, MM)
-	addSub(&G, &F, Z2, TT)
-	mul(d(fx), E, F, false)
-	mul(d(fy), G, H, false)
-	mul(d(fz), F, G, false)
-	mul(d(ft), E, H, false)
+	addSub(&T1, &T2, q(fy), q(fx), false)
+	mul(TT, q(ft), n(nXY2d), false, true)
+	mul(PP, T1, n(nYPlusX), false, true)
+	mul(MM, T2, n(nYMinusX), false, true)
+	addSub(&Z2, nil, q(fz), q(fz), false)
+	addSub(&H, &E, PP, MM, true)
+	addSub(&G, &F, Z2, TT, true)
+	mul(d(fx), E, F, false, false)
+	mul(d(fy), G, H, false, false)
+	mul(d(fz), F, G, false, false)
+	mul(d(ft), E, H, false, false)
 }
 
 func cpu() {

@@ -12,13 +12,14 @@
 // fe25519.go (kernel "generic"). On top of the amd64 build, the batch
 // multiplications are chosen once at package init: when CPUID and XCR0
 // report AVX-512 IFMA (and AVX512DQ, for one instruction of the comb's
-// gather), MulBatch and MulDHBatch run the lane ladder and a CombBatch the
-// lane comb of ed25519x8_amd64.go, eight multiplications per instruction
-// (kernel "avx512ifma"); otherwise the scalar wNAF ladder and the scalar
-// comb. The solo Mul, MulDH, BaseMul and Table.Mul always run the scalar
-// kernels, as does a CombBatch's last group when it holds one
-// multiplication (an eight-lane pass costs about one and a half solo combs
-// however few lanes are live). No flag, environment variable or option
+// gather), MulEncode and MulBatch run the lane ladder and a CombBatch the
+// lane comb of ed25519x8_amd64.go, eight multiplications per instruction,
+// and the batch paths decode and normalize in lanes too (batch_amd64.go;
+// kernel "avx512ifma"); otherwise the scalar wNAF ladder, the scalar comb
+// and the scalar normalization. The solo Mul, MulDH, BaseMul and Table.Mul
+// always run the scalar kernels, as does a CombBatch's last group when it
+// holds one multiplication (an eight-lane pass costs about one and a half
+// solo combs however few lanes are live). No flag, environment variable or option
 // takes part. The three produce identical bytes — every encoding,
 // pseudonym and shared secret — so a fleet may mix them; RegisterMetrics
 // says which one a process runs.
@@ -32,20 +33,28 @@
 // 2^52 input bound; see Table), so it costs no memory. A device that
 // encodes one report per call never reaches it and needs nothing from it.
 //
-// The API is batch-oriented: the extended-Edwards kernels never invert per
-// operation, Normalize converts an epoch-sized slice to affine with one
-// shared field inversion (Montgomery trick), MulBatch and MulDHBatch recode a
-// scalar that is fixed across a slice once, and Precompute (and BaseTable,
-// for the generator) builds signed-digit comb tables for points that are
-// fixed across a batch — the recipient key in the encoder, the analyzer key
-// — turning each fixed-point multiplication into ~43 table additions with no
-// doublings, and a CombBatch into one such sweep per eight multiplications,
-// whichever tables they read.
+// The API is batch-oriented, and its batch paths start and end in bytes
+// (batch.go): MulEncode takes a chunk of encodings, multiplies every point
+// by a scalar recoded once — clearing cofactors, or subtracting the
+// products from minuends, where asked — and writes the canonical
+// encodings of the results, and a CombBatch runs a call's fixed-base
+// multiplications and writes theirs; in between, on the lane kernels, the
+// points stay in eight-lane groups from the decode to the encode. The
+// extended-Edwards kernels never invert per operation: a chunk's products
+// share one field inversion (Montgomery's trick, across its lane groups and
+// then their eight lane totals), as a slice does in Normalize. Precompute
+// (and BaseTable, for the generator) builds signed-digit comb tables for
+// points that are fixed across a batch — the recipient key in the encoder,
+// the analyzer key — turning each fixed-point multiplication into ~43
+// table additions with no doublings, and a CombBatch into one such sweep
+// per eight multiplications, whichever tables they read. MulBatch and
+// Normalize keep the element form, for callers that hold elements.
 //
 // Encode appends a 1-byte identity sentinel {0} or a 65-byte tagged
 // uncompressed point (0x05 || x || y), chosen so parsing never pays a square
 // root on the hot path. Compress appends the short canonical form (32
-// bytes, sign-bit-packed Edwards y) used for pseudonym map keys. Both append
+// bytes, sign-bit-packed Edwards y) used for pseudonym keys and as the key
+// derivation's input; the batch paths write the same two forms. Both append
 // to the caller's buffer — an envelope arena, a stack array — so encoding
 // allocates nothing of its own. Decode accepts both and nothing else.
 //
@@ -88,46 +97,60 @@ type Element struct {
 // P, its scalar k and an addend Q, the identity when unset. A batch encoder
 // puts every fixed-base multiplication of one call in one CombBatch — each
 // seal's k*G and k*K, each El Gamal encryption's r*G and r*Y + M — so that
-// they share the lane comb's passes whichever tables they read, and all of
-// the products one field inversion.
+// they share the lane comb's passes whichever tables they read.
 //
-// Set fills slots; Run computes the products of a range of set slots, and
-// distinct ranges may run concurrently; RunRecords does both for a batch
-// of records on a pool of workers; Normalize, after every Run, brings all
-// products to affine form; Out reads one. The batch owns the products and
-// the scratch a Run orders its multiplications in for the whole call, and
-// the lane comb pools its pass state, so a Run allocates nothing.
+// Set fills slots; Run computes the products of a range of set slots and
+// encodes each in its slot's form, and distinct ranges may run
+// concurrently; RunRecords does both for a batch of records on a pool of
+// workers; Bytes, after the Run, reads a slot's encoding. A Run normalizes
+// its products a chunk at a time with one field inversion each, in the
+// scratch of the batch paths (batch.go), so a Run allocates nothing; the
+// batch owns the encodings and the order a Run takes its multiplications
+// in.
 type CombBatch struct {
 	slots []combSlot
-	pts   []edPoint   // the products
-	out   []Element   // out[i] is pts[i]
 	ms    []edCombMul // a Run's multiplications in pass order, at its range
+	enc   []byte      // slot i's encoding at WireSize*i
+	lens  []uint8     // and its length
 }
 
 // combSlot is one multiplication of a CombBatch.
 type combSlot struct {
-	t *Table
-	k Scalar
-	q Element
+	t    *Table
+	k    Scalar
+	q    Element
+	form uint8
 }
 
 // NewCombBatch returns a batch of n unset slots.
 func NewCombBatch(n int) *CombBatch {
-	b := &CombBatch{slots: make([]combSlot, n), pts: make([]edPoint, n),
-		out: make([]Element, n), ms: make([]edCombMul, n)}
-	for i := range b.out {
-		b.out[i] = Element{ed: &b.pts[i]}
-	}
-	return b
+	return &CombBatch{slots: make([]combSlot, n), ms: make([]edCombMul, n),
+		enc: make([]byte, WireSize*n), lens: make([]uint8, n)}
 }
 
-// Set puts k*P + q in slot i, for the fixed point P of t; q may be the zero
-// Element.
-func (b *CombBatch) Set(i int, t *Table, k Scalar, q Element) { b.slots[i] = combSlot{t, k, q} }
+// Set puts k*P + q in slot i, for the fixed point P of t, encoded in form
+// (WireSize or CompressedSize); q may be the zero Element.
+func (b *CombBatch) Set(i int, t *Table, k Scalar, q Element, form int) {
+	if form != WireSize && form != CompressedSize {
+		panic("group: CombBatch form is neither WireSize nor CompressedSize")
+	}
+	b.slots[i] = combSlot{t, k, q, uint8(form)}
+}
 
-// Run computes the products of slots [lo, hi). They are projective until
-// Normalize.
-func (b *CombBatch) Run(lo, hi int) { mulTables(b.pts[lo:hi], b.slots[lo:hi], b.ms[lo:hi]) }
+// Run computes and encodes the products of slots [lo, hi).
+func (b *CombBatch) Run(lo, hi int) {
+	ms := b.ms[lo:hi]
+	combOrder(b.slots[lo:hi], lo, ms)
+	for c := 0; c < len(ms); c += batchChunk {
+		chunk := ms[c:min(c+batchChunk, len(ms))]
+		out := sink{dst: b.enc, lens: b.lens, ms: chunk}
+		if laneComb != nil {
+			laneComb(chunk, out)
+		} else {
+			combEncodeScalar(chunk, out)
+		}
+	}
+}
 
 // RunRecords fills and runs the batch as records of per slots each, on a
 // pool of workers (0 selects GOMAXPROCS): queue(i) sets record i's slots,
@@ -148,12 +171,9 @@ func (b *CombBatch) RunRecords(workers, per int, queue func(i int) error) (int, 
 	return parallel.FirstError(errs)
 }
 
-// Normalize converts every product to affine form with one shared field
-// inversion.
-func (b *CombBatch) Normalize() { Group{}.Normalize(b.out) }
-
-// Out returns the product of slot i.
-func (b *CombBatch) Out(i int) Element { return b.out[i] }
+// Bytes returns the encoding of slot i's product once it has run: what
+// Encode or Compress, by the slot's form, appends. It aliases the batch.
+func (b *CombBatch) Bytes(i int) []byte { return b.enc[WireSize*i : WireSize*i+int(b.lens[i])] }
 
 // Group is ristretto255 with batch-oriented kernels (group_ed.go). It holds
 // no state: every Group value is the same group.

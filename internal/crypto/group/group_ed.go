@@ -91,41 +91,27 @@ func (Group) Mul(p Element, k Scalar) Element {
 	return Element{ed: &out}
 }
 
-// MulBatch sets dst[i] = k*ps[i] for a scalar fixed across the batch,
-// recoding the scalar once per slice. dst and ps may alias. Results are
-// projective; call Normalize before encoding.
-func (Group) MulBatch(dst, ps []Element, k Scalar) { mulBatch(dst, ps, k, false) }
-
-// laneLadder, when set, is the vector form of mulBatch's loop: outs[i] =
-// k*ps[i] for the scalar with the given wNAF digits, each point cofactor-
-// cleared first when dh. Package init sets it once, on amd64 hosts whose CPU
-// reports AVX-512 IFMA (ed25519x8_amd64.go), and nothing else writes it
-// outside tests; nil means the scalar ladder is the only path.
-var laneLadder func(outs []edPoint, ps []Element, digits []int8, dh bool)
-
-// mulBatch is MulBatch and, with dh set, MulDHBatch (each point is cofactor-
-// cleared first): the shared scalar is recoded once per slice and all
-// results live in one allocation.
-func mulBatch(dst, ps []Element, k Scalar, dh bool) {
+// MulBatch sets dst[i] = k*ps[i] for a scalar fixed across the batch, for
+// callers that hold elements: it normalizes ps in place (the same
+// elements), runs MulEncode on their encodings and decodes the products,
+// all of them in one allocation. dst and ps may alias. The batch paths
+// hold bytes and call MulEncode directly.
+func (g Group) MulBatch(dst, ps []Element, k Scalar) {
 	if len(dst) != len(ps) {
 		panic("group: MulBatch length mismatch")
 	}
-	var digits [258]int8
-	n := wnafDigits(k[:], &digits)
-	outs := make([]edPoint, len(ps))
-	if laneLadder != nil {
-		laneLadder(outs, ps, digits[:n], dh)
-	} else {
-		for i := range ps {
-			q := ps[i].edwards()
-			if dh {
-				outs[i].clearCofactor(q)
-				q = &outs[i]
-			}
-			edScalarMulWNAF(&outs[i], digits[:n], q)
-		}
+	g.Normalize(ps)
+	in := make([][]byte, len(ps))
+	for i, p := range ps {
+		in[i] = g.Encode(nil, p)
 	}
+	enc, lens := make([]byte, WireSize*len(ps)), make([]uint8, len(ps))
+	g.MulEncode(&MulOp{K: k, Form: WireSize}, enc, lens, in, nil)
+	outs := make([]edPoint, len(ps))
 	for i := range outs {
+		if decode(&outs[i], enc[WireSize*i:WireSize*i+int(lens[i])]) != nil {
+			panic("group: MulEncode wrote an encoding decode refuses")
+		}
 		dst[i] = Element{ed: &outs[i]}
 	}
 }
@@ -139,20 +125,22 @@ func (t *Table) Mul(k Scalar) Element {
 	return Element{ed: &out}
 }
 
-// edCombMul is one multiplication of a comb batch: *out = k*P + *q for the
-// point P of t, where a nil q is the identity.
+// edCombMul is one multiplication of a comb batch: k*P + *q for the point
+// P of t, where a nil q is the identity, whose encoding in form goes to
+// the batch's slot.
 type edCombMul struct {
-	t   *Table
-	k   Scalar
-	q   *edPoint
-	out *edPoint
+	t    *Table
+	k    Scalar
+	q    *edPoint
+	slot int
+	form uint8
 }
 
-// laneComb, when set, is the vector form of mulTables's loop, eight
+// laneComb, when set, is the lane form of combEncodeScalar, eight
 // multiplications per pass from any mix of tables. Package init sets it
 // beside laneLadder, on the same hosts (ed25519x8_amd64.go), and nothing
 // else writes it outside tests; nil means mulComb is the only path.
-var laneComb func(ms []edCombMul)
+var laneComb func(ms []edCombMul, out sink)
 
 // combLaneMin is the fewest multiplications the lane comb takes: an
 // eight-lane pass costs about the same however many lanes are live, about
@@ -161,33 +149,28 @@ var laneComb func(ms []edCombMul)
 // to the same cutoff.
 const combLaneMin = 2
 
-// mulTables is CombBatch.Run: outs[i] = slots[i]'s product, with ms the
-// range's scratch.
-func mulTables(outs []edPoint, slots []combSlot, ms []edCombMul) {
-	combOrder(outs, slots, ms)
-	lanes := 0
-	if laneComb != nil {
-		lanes = len(ms)
-		if tail := lanes % 8; tail < combLaneMin {
-			lanes -= tail
-		}
-		laneComb(ms[:lanes])
-	}
-	for _, m := range ms[lanes:] {
-		m.t.mulComb(m.out, &m.k)
+// combEncodeScalar is one chunk of a CombBatch's Run on the scalar comb.
+func combEncodeScalar(ms []edCombMul, out sink) {
+	s := pointScratches.Get().(*pointScratch)
+	pts := s.pts[:len(ms)]
+	for j := range ms {
+		m := &ms[j]
+		m.t.mulComb(&pts[j], &m.k)
 		if m.q != nil {
-			m.out.add(m.out, m.q)
+			pts[j].add(&pts[j], m.q)
 		}
 	}
+	encodePoints(pts, s.prefix[:len(ms)], &out)
+	pointScratches.Put(s)
 }
 
-// combOrder fills ms with the multiplications of slots, outs[i] receiving
-// slot i's product, in the order the lanes take them. A pass costs as many
-// positions as its longest table has, so the longest tables come first, in
-// slot order among equals — one stable counting pass by table length — and
-// every pass but one reads tables of a single length, and a group of fewer
-// than combLaneMin left for mulComb reads the shortest.
-func combOrder(outs []edPoint, slots []combSlot, ms []edCombMul) {
+// combOrder fills ms with the multiplications of slots, the first of which
+// is the batch's slot base, in the order the lanes take them. A pass costs
+// as many positions as its longest table has, so the longest tables come
+// first, in slot order among equals — one stable counting pass by table
+// length — and every pass but one reads tables of a single length, and a
+// group of fewer than combLaneMin left for mulComb reads the shortest.
+func combOrder(slots []combSlot, base int, ms []edCombMul) {
 	var at [edCombMaxPositions + 1]int
 	for i := range slots {
 		at[slots[i].t.positions]++
@@ -200,7 +183,7 @@ func combOrder(outs []edPoint, slots []combSlot, ms []edCombMul) {
 		s := &slots[i]
 		m := &ms[at[s.t.positions]]
 		at[s.t.positions]++
-		*m = edCombMul{t: s.t, k: s.k, out: &outs[i]}
+		*m = edCombMul{t: s.t, k: s.k, slot: base + i, form: s.form}
 		if s.q != (Element{}) {
 			m.q = s.q.edwards()
 		}
@@ -317,20 +300,6 @@ func (Group) Decode(b []byte) (Element, error) {
 	return Element{ed: pt}, nil
 }
 
-// DecodeBatch decodes bs[i] into dst[i] as Decode does, every point in one
-// backing array: a batch of headers or crowd ciphertexts costs one
-// allocation, not one per point. ok[i] reports whether bs[i] decoded;
-// where it did not, dst[i] is the zero Element.
-func (Group) DecodeBatch(dst []Element, ok []bool, bs [][]byte) {
-	pts := make([]edPoint, len(bs))
-	for i, b := range bs {
-		dst[i], ok[i] = Element{}, decode(&pts[i], b) == nil
-		if ok[i] {
-			dst[i] = Element{ed: &pts[i]}
-		}
-	}
-}
-
 // Valid reports whether Decode accepts b, without keeping the point.
 func (Group) Valid(b []byte) bool {
 	var pt edPoint
@@ -394,12 +363,6 @@ func (g Group) MulDH(p Element, k Scalar) Element {
 	cleared.clearCofactor(p.edwards())
 	return g.Mul(Element{ed: &cleared}, k)
 }
-
-// MulDHBatch sets dst[i] = MulDH(ps[i], k) for a prepared scalar fixed
-// across the batch, recoding it once per slice. dst and ps may alias.
-// Results are projective; call Normalize before SharedBytes so the whole
-// slice shares one field inversion.
-func (Group) MulDHBatch(dst, ps []Element, k Scalar) { mulBatch(dst, ps, k, true) }
 
 // SharedBytes appends the 32-byte KDF input of a DH result to dst: its
 // compressed encoding.

@@ -233,16 +233,17 @@ func TestGroupMulBatchEquivalence(t *testing.T) {
 				t.Fatalf("entry %d encoding mismatch after Normalize", i)
 			}
 		}
-		// the DH batch, in place, derives the solo path's shared bytes
+		// the DH batch derives the solo path's shared bytes from the
+		// points' encodings
 		dh := g.PrepareDH(k)
+		encs := make([][]byte, len(ps))
 		for i := range ps {
-			want[i] = g.MulDH(ps[i], dh)
+			encs[i] = g.Encode(nil, ps[i])
 		}
-		g.MulDHBatch(ps, ps, dh)
-		g.Normalize(ps)
+		got := mulEncodeAll(&MulOp{K: dh, DH: true, Form: CompressedSize}, encs, nil)
 		for i := range ps {
-			if !bytes.Equal(g.SharedBytes(nil, ps[i]), g.SharedBytes(nil, want[i])) {
-				t.Fatalf("MulDHBatch entry %d: shared bytes differ from MulDH", i)
+			if !bytes.Equal(got[i], g.SharedBytes(nil, g.MulDH(ps[i], dh))) {
+				t.Fatalf("MulEncode DH entry %d: shared bytes differ from MulDH", i)
 			}
 		}
 	})
@@ -437,9 +438,9 @@ func TestGroupKnownAnswers(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchMatchesDecode: DecodeBatch and Valid accept exactly what
-// Decode accepts — canonical, on the curve, no 65-byte identity — and a
-// batch's points equal Decode's.
+// TestDecodeBatchMatchesDecode: the batch paths' decode (MulEncode's, by
+// one) and Valid accept exactly what Decode accepts — canonical, on the
+// curve, no 65-byte identity — and a batch's points equal Decode's.
 func TestDecodeBatchMatchesDecode(t *testing.T) {
 	g := Default()
 	r := rand.New(rand.NewSource(9))
@@ -455,21 +456,21 @@ func TestDecodeBatchMatchesDecode(t *testing.T) {
 		offCurve, longIdentity, nonCanonical, bytes.Repeat([]byte{0xff}, 32),
 		nil, {1}, make([]byte, 64),
 	}
-	dst, ok := make([]Element, len(bs)), make([]bool, len(bs))
-	g.DecodeBatch(dst, ok, bs)
-	for i, b := range bs {
-		want, err := g.Decode(b)
-		if ok[i] != (err == nil) || g.Valid(b) != (err == nil) {
-			t.Fatalf("encoding %d (%x): DecodeBatch ok %v, Valid %v, Decode error %v", i, b, ok[i], g.Valid(b), err)
+	forLanes(t, func(t *testing.T) {
+		got := mulEncodeAll(&MulOp{K: Scalar{ScalarSize - 1: 1}, Form: WireSize}, bs, nil)
+		ok := make([]bool, len(bs))
+		for i, b := range bs {
+			want, err := g.Decode(b)
+			ok[i] = got[i] != nil
+			if ok[i] != (err == nil) || g.Valid(b) != (err == nil) {
+				t.Fatalf("encoding %d (%x): batch decode %v, Valid %v, Decode error %v", i, b, ok[i], g.Valid(b), err)
+			}
+			if err == nil && !bytes.Equal(got[i], g.Encode(nil, want)) {
+				t.Fatalf("encoding %d: the batch decode and Decode disagree on the point", i)
+			}
 		}
-		if err == nil && !g.Equal(dst[i], want) {
-			t.Fatalf("encoding %d: DecodeBatch and Decode disagree on the point", i)
+		if !ok[0] || !ok[1] || !ok[3] || ok[4] || ok[5] || ok[6] {
+			t.Fatalf("acceptance changed: %v", ok)
 		}
-		if err != nil && dst[i] != (Element{}) {
-			t.Fatalf("encoding %d: a refused encoding left a point", i)
-		}
-	}
-	if !ok[0] || !ok[1] || !ok[3] || ok[4] || ok[5] || ok[6] {
-		t.Fatalf("acceptance changed: %v", ok)
-	}
+	})
 }

@@ -32,12 +32,16 @@ func TestKernelMatchesCPU(t *testing.T) {
 	if got := Kernel(); got != want {
 		t.Errorf("Kernel() = %q, want %q for this build and CPU", got, want)
 	}
+	if (laneComb == nil) != (laneLadder == nil) {
+		t.Errorf("lane hooks set apart (ladder %v, comb %v): every batch path runs lanes or none does",
+			laneLadder != nil, laneComb != nil)
+	}
 }
 
 // edTorsionGenerator returns a point of order exactly 8: l times a point
 // of the full curve (found by its y coordinate; hash-to-group images avoid
 // half the torsion) kills the prime-order part.
-func edTorsionGenerator(t *testing.T) *edPoint {
+func edTorsionGenerator(t testing.TB) *edPoint {
 	t.Helper()
 	var lb [32]byte
 	edOrder.FillBytes(lb[:])
@@ -62,12 +66,14 @@ func edTorsionGenerator(t *testing.T) *edPoint {
 	return nil
 }
 
-// TestMulBatchLanesMatchSolo holds MulBatch and MulDHBatch to the solo Mul and
-// MulDH, byte for byte after Normalize, across group-of-eight boundaries and
-// on the points a lane-parallel ladder could get wrong if its formulas were
-// not complete: the identity, every small-order point, a point with a
-// torsion component. It runs once with the lane ladder forced off and once
-// with it on, when this process has one.
+// TestMulBatchLanesMatchSolo holds MulBatch, byte for byte after Normalize,
+// and MulEncode, on the points' encodings, to the solo Mul, MulDH and Sub,
+// across group-of-eight boundaries and on the points a lane-parallel ladder
+// could get wrong if its formulas were not complete: the identity, every
+// small-order point, a point with a torsion component. MulEncode runs with
+// and without the cofactor clearing and minuends (the points in reverse
+// order), in both output forms. It runs once with the lane ladder forced
+// off and once with it on, when this process has one.
 func TestMulBatchLanesMatchSolo(t *testing.T) {
 	g := Group{}
 	r := mrand.New(mrand.NewSource(46))
@@ -109,30 +115,49 @@ func TestMulBatchLanesMatchSolo(t *testing.T) {
 		"random": ScalarFromBig(randEdScalar(r)),
 	}
 
+	encs := make([][]byte, maxN)
+	for i, p := range points {
+		encs[i] = g.Encode(nil, p)
+	}
 	run := func(t *testing.T) {
 		for name, k := range scalars {
-			for _, dh := range []bool{false, true} {
-				want := make([][]byte, maxN)
-				for i, p := range points {
-					if dh {
-						want[i] = g.Encode(nil, g.MulDH(p, k))
-					} else {
-						want[i] = g.Encode(nil, g.Mul(p, k))
+			want := make([][]byte, maxN)
+			for i, p := range points {
+				want[i] = g.Encode(nil, g.Mul(p, k))
+			}
+			for _, n := range []int{0, 1, 7, 8, 9, 255, 256, 257} {
+				for _, alias := range []bool{false, true} {
+					ps := append([]Element(nil), points[:n]...)
+					dst := ps
+					if !alias {
+						dst = make([]Element, n)
+					}
+					g.MulBatch(dst, ps, k)
+					g.Normalize(dst)
+					for i := range dst {
+						if got := g.Encode(nil, dst[i]); !bytes.Equal(got, want[i]) {
+							t.Fatalf("MulBatch k=%s n=%d alias=%v: entry %d = %x, solo path says %x",
+								name, n, alias, i, got, want[i])
+						}
 					}
 				}
-				for _, n := range []int{0, 1, 7, 8, 9, 255, 256, 257} {
-					for _, alias := range []bool{false, true} {
-						ps := append([]Element(nil), points[:n]...)
-						dst := ps
-						if !alias {
-							dst = make([]Element, n)
-						}
-						mulBatch(dst, ps, k, dh)
-						g.Normalize(dst)
-						for i := range dst {
-							if got := g.Encode(nil, dst[i]); !bytes.Equal(got, want[i]) {
-								t.Fatalf("k=%s dh=%v n=%d alias=%v: entry %d = %x, solo path says %x",
-									name, dh, n, alias, i, got, want[i])
+				for _, dh := range []bool{false, true} {
+					for _, form := range []int{WireSize, CompressedSize} {
+						for _, minuends := range []bool{false, true} {
+							op := &MulOp{K: k, DH: dh, Form: form}
+							var qs [][]byte
+							if minuends {
+								qs = make([][]byte, n)
+								for i := range qs {
+									qs[i] = encs[n-1-i]
+								}
+							}
+							got := mulEncodeAll(op, encs[:n], qs)
+							for i := range got {
+								if want := mulEncodeRef(op, encs[:n], qs, i); !bytes.Equal(got[i], want) {
+									t.Fatalf("MulEncode k=%s n=%d op %+v minuends=%v: entry %d = %x, solo path says %x",
+										name, n, *op, minuends, i, got[i], want)
+								}
 							}
 						}
 					}

@@ -17,19 +17,20 @@
 // key's DH-prepared scalar. Both directions amortize everything but the
 // scalar multiplication and the AEAD over a batch: QueueSeal puts a seal's
 // two multiplications in a group.CombBatch that a batch encoder shares
-// across every seal and El Gamal encryption of a call, normalized with one
-// field inversion for all of them, DeriveKeys derives every seal's key, and
-// PendingSeal.Seal appends the ephemeral key's encoding, the nonce and the
-// AEAD output straight into the caller's envelope buffer; OpenBatch — the
-// one open kernel the thresholding shufflers and the analyzer share — works
-// in 256-record chunks, decoding the chunk's headers into one backing,
-// recoding the private scalar once, normalizing the shared points with one
-// inversion and deriving the keys per chunk, with all plaintexts in one
-// arena. Every batch path derives its keys sixteen at a time
-// (keylanes.go): on amd64 CPUs with AVX512F one kernel call runs the eleven
-// SHA-256 compressions of sixteen HKDF derivations, any mix of recipients;
-// elsewhere, and for a group shorter than four, the scalar derivation runs
-// key by key in a pooled scratch. Every AEAD — each envelope has its own
+// across every seal and El Gamal encryption of a call, whose products come
+// out as the ephemeral key's wire encoding and the shared point's 32-byte
+// one, DeriveKeys derives every seal's key, and PendingSeal.Seal appends
+// the ephemeral key's encoding, the nonce and the AEAD output straight
+// into the caller's envelope buffer; OpenBatch — the one open kernel the
+// thresholding shufflers and the analyzer share — works in 256-record
+// chunks, handing the chunk's headers as bytes to group.Group.MulEncode,
+// which recodes the private scalar once and writes the shared points'
+// encodings after one inversion, and deriving the keys per chunk, with
+// all plaintexts in one arena. Every batch path derives its keys sixteen
+// at a time (keylanes.go): on amd64 CPUs with AVX512F one kernel call runs
+// the eleven SHA-256 compressions of sixteen HKDF derivations, any mix of
+// recipients; elsewhere, and for a group shorter than four, the scalar
+// derivation runs key by key in a pooled scratch. Every AEAD — each envelope has its own
 // key — goes through sealGCM and openGCM (gcm.go): on amd64 CPUs with
 // AES-NI and PCLMULQDQ one kernel call does the whole AES-128-GCM of an
 // envelope, key schedule included, with nothing on the heap, so a batched
@@ -316,21 +317,21 @@ func (p *PublicKey) QueueSeal(s *PendingSeal, rng io.Reader, b *group.CombBatch,
 	if _, err := io.ReadFull(rng, s.nonce[:]); err != nil {
 		return fmt.Errorf("hybrid: %w", err)
 	}
-	b.Set(i, g.BaseTable(), k, group.Element{})
-	b.Set(i+1, p.dhTable(), k, group.Element{})
+	b.Set(i, g.BaseTable(), k, group.Element{}, group.WireSize)
+	b.Set(i+1, p.dhTable(), k, group.Element{}, group.CompressedSize)
 	return nil
 }
 
-// encodeEph encodes the seal's ephemeral public key, slot s.slot of b, once
-// b has run and been normalized.
+// encodeEph copies the seal's ephemeral public key, slot s.slot of b, once
+// b has run.
 func (s *PendingSeal) encodeEph(b *group.CombBatch) {
-	g.Encode(s.eph[:0], b.Out(s.slot)) // k ≠ 0, so never the identity's 1 byte
+	copy(s.eph[:], b.Bytes(s.slot)) // k ≠ 0, so never the identity's 1 byte
 }
 
 // queueKey queues the seal's key derivation in d.
 func (s *PendingSeal) queueKey(d *keyDeriver, b *group.CombBatch) {
 	s.encodeEph(b)
-	d.add(&s.key, b.Out(s.slot+1), s.eph[:], s.pub.enc)
+	d.add(&s.key, b.Bytes(s.slot+1), s.eph[:], s.pub.enc)
 }
 
 // Seal finishes a seal whose key is derived (DeriveKeys): it appends the
@@ -366,10 +367,9 @@ func SealInto(rng io.Reader, pub *PublicKey, dst, plaintext, aad []byte) ([]byte
 		return nil, err
 	}
 	b.Run(0, 2)
-	b.Normalize()
 	s.encodeEph(b)
 	d := derivers.Get().(*keyDeriver)
-	copy(s.key[:], d.sealKey(b.Out(1), s.eph[:], pub.enc))
+	copy(s.key[:], d.kdf(b.Bytes(1), s.eph[:], pub.enc))
 	derivers.Put(d)
 	return s.Seal(dst, plaintext, aad), nil
 }
@@ -415,11 +415,10 @@ func PutRNG(r *rand.ChaCha8) { rngPool.Put(r) }
 
 // SealBatch encrypts a batch of plaintexts to pub on a pool of workers
 // (0 selects GOMAXPROCS), mirroring OpenBatch. Every seal is queued in one
-// group.CombBatch, run a worker's range of records at a time and normalized
-// with one field inversion, the keys are derived in lanes (DeriveKeys), all
-// ciphertexts share one backing buffer, and
-// randomness follows the Seeds convention, so for a deterministic rng the
-// output is byte-identical at every worker count.
+// group.CombBatch, run and encoded a worker's range of records at a time,
+// the keys are derived in lanes (DeriveKeys), all ciphertexts share one
+// backing buffer, and randomness follows the Seeds convention, so for a
+// deterministic rng the output is byte-identical at every worker count.
 func SealBatch(rng io.Reader, pub *PublicKey, plaintexts [][]byte, aad []byte, workers int) ([][]byte, error) {
 	n := len(plaintexts)
 	if n == 0 {
@@ -438,7 +437,6 @@ func SealBatch(rng io.Reader, pub *PublicKey, plaintexts [][]byte, aad []byte, w
 	}); err != nil {
 		return nil, fmt.Errorf("hybrid: record %d: %w", i, err)
 	}
-	b.Normalize()
 	DeriveKeys(b, workers, pending)
 	arena := parallel.NewArena(n, func(i int) int { return len(plaintexts[i]) + Overhead })
 	out := make([][]byte, n)
@@ -493,10 +491,11 @@ const openChunk = 256
 // the chain's one open kernel — both thresholding shufflers and the analyzer
 // call it — and it leaves nothing but the variable-base multiplication and
 // the AEAD on the per-record path: per chunk of openChunk records the
-// ephemeral headers are decoded, cofactor-cleared and multiplied with the
-// private scalar recoded once, the shared points are normalized with one
-// field inversion, and the plaintexts of the whole batch land in one arena
-// sized from the ciphertext lengths.
+// ephemeral headers go from their bytes to the shared points' encodings in
+// one group.Group.MulEncode call — decoded, cofactor-cleared and
+// multiplied with the private scalar recoded once, normalized with one
+// field inversion — and the plaintexts of the whole batch land in one
+// arena sized from the ciphertext lengths.
 func (p *PrivateKey) OpenBatch(sealed [][]byte, aad []byte, workers int) (pts [][]byte, errs []error) {
 	n := len(sealed)
 	pts = make([][]byte, n)
@@ -509,68 +508,56 @@ func (p *PrivateKey) OpenBatch(sealed [][]byte, aad []byte, workers int) (pts []
 	return pts, errs
 }
 
+// openScratch is one chunk's working set in openChunk, pooled: the
+// well-formed records' headers and batch positions, their shared secrets'
+// encodings and lengths (group.MulEncode's output) and their keys.
+type openScratch struct {
+	idx     [openChunk]int
+	hdrs    [openChunk][]byte
+	secrets [openChunk * sharedLen]byte
+	lens    [openChunk]uint8
+	keys    [openChunk][keyLen]byte
+}
+
+var openScratches = sync.Pool{New: func() any { return new(openScratch) }}
+
 // openChunk opens records [lo, hi) of a batch into their arena slots.
 func (p *PrivateKey) openChunk(pts [][]byte, errs []error, sealed [][]byte, aad []byte, arena *parallel.Arena, lo, hi int) {
-	// Decode the headers into one backing, then compact to the well-formed
-	// ones: a hostile header costs its own record and nothing else.
-	idx := make([]int, 0, hi-lo)
-	hdrs := make([][]byte, 0, hi-lo)
+	s := openScratches.Get().(*openScratch)
+	// The headers go to the group as wire bytes and their shared secrets
+	// come back as the KDF's input bytes: a hostile header (a length of 0)
+	// costs its own record and nothing else.
+	n := 0
 	for i := lo; i < hi; i++ {
 		errs[i] = ErrDecrypt
 		if len(sealed[i]) >= Overhead {
-			idx = append(idx, i)
-			hdrs = append(hdrs, sealed[i][:pubKeyLen])
+			s.idx[n], s.hdrs[n] = i, sealed[i][:pubKeyLen]
+			n++
 		}
 	}
-	els := make([]group.Element, len(idx))
-	ok := make([]bool, len(idx))
-	g.DecodeBatch(els, ok, hdrs)
-	k := 0
-	for j := range idx {
-		if ok[j] && !g.IsIdentity(els[j]) {
-			idx[k], els[k] = idx[j], els[j]
-			k++
-		}
-	}
-	idx, els = idx[:k], els[:k]
-	g.MulDHBatch(els, els, p.prepared)
-	g.Normalize(els)
+	op := group.MulOp{K: p.prepared, DH: true, Form: sharedLen}
+	g.MulEncode(&op, s.secrets[:], s.lens[:n], s.hdrs[:n], nil)
 	rcpt := p.publicBytes()
-	keys := make([][keyLen]byte, len(idx))
 	d := derivers.Get().(*keyDeriver)
-	for j, i := range idx {
-		d.add(&keys[j], els[j], sealed[i][:pubKeyLen], rcpt)
+	for j := range s.idx[:n] {
+		if s.lens[j] != 0 {
+			d.add(&s.keys[j], s.secrets[sharedLen*j:sharedLen*j+int(s.lens[j])], s.hdrs[j], rcpt)
+		}
 	}
 	d.flush()
 	derivers.Put(d)
-	for j, i := range idx {
+	for j, i := range s.idx[:n] {
+		if s.lens[j] == 0 {
+			continue
+		}
 		ct := sealed[i]
-		if pt, err := openGCM(arena.Slot(i), &keys[j], nonceOf(ct), ct[pubKeyLen+nonceLen:], aad); err == nil {
+		if pt, err := openGCM(arena.Slot(i), &s.keys[j], nonceOf(ct), ct[pubKeyLen+nonceLen:], aad); err == nil {
 			pts[i], errs[i] = pt, nil
 		}
 	}
+	clear(s.hdrs[:n])
+	openScratches.Put(s)
 }
-
-// SymmetricSeal encrypts with a raw 16-byte key (no key agreement) under a
-// nonce drawn from rng: nonce || ciphertext || tag.
-func SymmetricSeal(rng io.Reader, key *[16]byte, plaintext []byte) ([]byte, error) {
-	out := make([]byte, nonceLen, nonceLen+len(plaintext)+tagLen)
-	if _, err := io.ReadFull(rng, out); err != nil {
-		return nil, fmt.Errorf("hybrid: %w", err)
-	}
-	return sealGCM(out, key, (*[nonceLen]byte)(out), plaintext, nil), nil
-}
-
-// SymmetricOpen reverses SymmetricSeal.
-func SymmetricOpen(key *[16]byte, sealed []byte) ([]byte, error) {
-	if len(sealed) < nonceLen+tagLen {
-		return nil, ErrDecrypt
-	}
-	return openGCM(nil, key, (*[nonceLen]byte)(sealed), sealed[nonceLen:], nil)
-}
-
-// SymmetricOverhead is the expansion of SymmetricSeal.
-const SymmetricOverhead = nonceLen + tagLen
 
 // Kernels names the crypto kernels this process selected at start-up: the
 // group's lane ladder and comb ("ifma", or "generic" for the scalar ones),

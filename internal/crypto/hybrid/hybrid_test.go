@@ -7,7 +7,6 @@ import (
 	"fmt"
 	mrand "math/rand/v2"
 	"testing"
-	"testing/quick"
 
 	"prochlo/internal/crypto/group"
 )
@@ -171,40 +170,6 @@ func TestNestedTwoLayers(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("inner payload corrupted")
-	}
-}
-
-func TestSymmetricRoundTrip(t *testing.T) {
-	f := func(pt []byte) bool {
-		var key [16]byte
-		rand.Read(key[:])
-		ct, err := SymmetricSeal(rand.Reader, &key, pt)
-		if err != nil {
-			return false
-		}
-		if len(ct) != len(pt)+SymmetricOverhead {
-			return false
-		}
-		got, err := SymmetricOpen(&key, ct)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, pt)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSymmetricWrongKey(t *testing.T) {
-	var k1, k2 [16]byte
-	k2[0] = 1
-	ct, err := SymmetricSeal(rand.Reader, &k1, []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SymmetricOpen(&k2, ct); err == nil {
-		t.Fatal("wrong symmetric key accepted")
 	}
 }
 
@@ -523,7 +488,6 @@ func TestQueuedSealMatchesSealInto(t *testing.T) {
 			}
 		}
 		b.Run(0, 4*n)
-		b.Normalize()
 		DeriveKeys(b, 0, pending)
 		for i := range pending {
 			check("queued", i, pending[i].Seal(nil, pts[i], []byte("aad")))

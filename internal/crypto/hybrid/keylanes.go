@@ -147,18 +147,19 @@ type keyDeriver struct {
 
 var derivers = sync.Pool{New: func() any { return &keyDeriver{scratch: scratch{hash: sha256.New()}} }}
 
-// add queues the derivation of the key of the DH result shared between the
-// public keys eph and rcpt into dst. eph, rcpt and dst must stay as they
-// are until the next flush. Input the lanes do not take — an identity
-// secret, whose encoding is one byte, or a public key that is not
-// pubKeyLen bytes — is derived at once.
-func (d *keyDeriver) add(dst *[keyLen]byte, shared group.Element, eph, rcpt []byte) {
-	in := &d.queue[d.n]
-	if secret := g.SharedBytes(in.secret[:0], shared); len(secret) != sharedLen || len(eph) != pubKeyLen || len(rcpt) != pubKeyLen {
+// add queues the derivation of the key of a DH result shared between the
+// public keys eph and rcpt into dst, secret being the result's encoding
+// (group.Group.SharedBytes). eph, rcpt and dst must stay as they are until
+// the next flush. Input the lanes do not take — an identity secret, whose
+// encoding is one byte, or a public key that is not pubKeyLen bytes — is
+// derived at once.
+func (d *keyDeriver) add(dst *[keyLen]byte, secret, eph, rcpt []byte) {
+	if len(secret) != sharedLen || len(eph) != pubKeyLen || len(rcpt) != pubKeyLen {
 		copy(dst[:], d.kdf(secret, eph, rcpt))
 		return
 	}
-	in.dst, in.eph, in.rcpt = dst, eph, rcpt
+	in := &d.queue[d.n]
+	in.dst, in.secret, in.eph, in.rcpt = dst, [sharedLen]byte(secret), eph, rcpt
 	if d.n++; d.n == lanes {
 		d.flush()
 	}
@@ -196,8 +197,8 @@ func (d *keyDeriver) runLanes(q []laneInput) {
 	}
 }
 
-// DeriveKeys derives the AES key of every seal in sets once b has run and
-// been normalized over their slots: the last step before PendingSeal.Seal.
+// DeriveKeys derives the AES key of every seal in sets once b has run over
+// their slots: the last step before PendingSeal.Seal.
 // The sets are of equal length, and a worker (workers <= 0 selects
 // GOMAXPROCS) takes a range of records and queues record i's seal of every
 // set before record i+1's, so one kernel call derives keys for any mix of

@@ -12,6 +12,7 @@ import (
 // keyCase is one derivation's input.
 type keyCase struct {
 	shared    group.Element
+	secret    []byte // shared's encoding, what a batch path derives from
 	eph, rcpt []byte
 }
 
@@ -39,6 +40,7 @@ func keyCases(t testing.TB, n int, seed uint64, identities bool) []keyCase {
 		if identities && i%29 == 28 {
 			cs[i].shared = g.Identity()
 		}
+		cs[i].secret = g.SharedBytes(nil, cs[i].shared)
 		for j := range cs[i].eph {
 			cs[i].eph[j] = byte(rng.Uint32())
 		}
@@ -52,7 +54,7 @@ func deriveAll(cs []keyCase) [][keyLen]byte {
 	d := derivers.Get().(*keyDeriver)
 	defer derivers.Put(d)
 	for i, c := range cs {
-		d.add(&keys[i], c.shared, c.eph, c.rcpt)
+		d.add(&keys[i], c.secret, c.eph, c.rcpt)
 	}
 	d.flush()
 	return keys
@@ -142,6 +144,7 @@ func FuzzDeriveKeys(f *testing.F) {
 			if data[i%len(data)] == 0 {
 				cs[i].shared = g.Identity()
 			}
+			cs[i].secret = g.SharedBytes(nil, cs[i].shared)
 		}
 		if i := int(short); i < len(cs) {
 			cs[i].eph = cs[i].eph[:pubKeyLen-1]
@@ -168,7 +171,7 @@ func BenchmarkDeriveKeys(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			for i, c := range cs {
-				d.add(&keys[i], c.shared, c.eph, c.rcpt)
+				d.add(&keys[i], c.secret, c.eph, c.rcpt)
 			}
 			d.flush()
 		}

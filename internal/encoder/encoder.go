@@ -71,7 +71,7 @@ func runRecords(b *group.CombBatch, workers, per int, seeds hybrid.Seeds, queue 
 // selects GOMAXPROCS, 1 is the serial reference path). Every fixed-base
 // multiplication of the batch — each report's two seals, k*G and k*K each —
 // goes in one group.CombBatch, one comb sweep per worker's range of reports
-// and one field inversion for all of them; every seal's key is derived in
+// whose products leave it as encodings; every seal's key is derived in
 // lanes of sixteen (hybrid.DeriveKeys); then the AEAD seals compose each
 // report's nested envelope in place in one batch-wide buffer. Per-report
 // randomness follows the hybrid.Seeds convention — record i's draws come
@@ -104,7 +104,6 @@ func (c *Client) EncodeBatch(reports []core.Report, workers int) ([]core.Envelop
 	}); err != nil {
 		return nil, err
 	}
-	b.Normalize()
 	hybrid.DeriveKeys(b, w, inner, outer)
 
 	// Staging and envelope sizes are known exactly: data + inner overhead,
@@ -177,12 +176,11 @@ func (c *BlindedClient) Encode(crowdLabel string, data []byte) (core.BlindedEnve
 // pool, the split-shuffler counterpart of Client.EncodeBatch: each report's
 // El Gamal crowd-ID encryption (through the cached hash-to-curve fast path)
 // and both of its seals queue their six fixed-base multiplications in one
-// group.CombBatch, normalized with one inversion for the whole batch, both
-// seals' keys are derived in lanes with every other report's, and both
-// layers are composed in a single batch-wide buffer. Record i draws El
-// Gamal scalar, inner scalar and nonce, then outer, from its own stream, as
-// Encode does, so byte output is identical across worker counts for a
-// fixed Rand.
+// group.CombBatch, encoded as the comb computes them, both seals' keys are
+// derived in lanes with every other report's, and both layers are composed
+// in a single batch-wide buffer. Record i draws El Gamal scalar, inner
+// scalar and nonce, then outer, from its own stream, as Encode does, so
+// byte output is identical across worker counts for a fixed Rand.
 func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers int) ([]core.BlindedEnvelope, error) {
 	if len(crowdLabels) != len(data) {
 		return nil, fmt.Errorf("encoder: %d labels for %d data payloads", len(crowdLabels), len(data))
@@ -216,7 +214,6 @@ func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers
 	}); err != nil {
 		return nil, err
 	}
-	b.Normalize()
 	hybrid.DeriveKeys(b, w, inner, outer)
 
 	staging := parallel.NewArena(n, func(i int) int { return len(data[i]) + hybrid.Overhead })
@@ -227,9 +224,8 @@ func (c *BlindedClient) EncodeBatch(crowdLabels []string, data [][]byte, workers
 	envs := make([]core.BlindedEnvelope, n)
 	parallel.For(w, n, func(i int) {
 		blob := outer[i].Seal(arena.Slot(i), inner[i].Seal(staging.Slot(i), data[i], nil), nil)
-		ct := enc.Queued(b, 6*i)
-		c1 := ct.C1.AppendBytes(points[pair*i : pair*i : pair*(i+1)])
-		c12 := ct.C2.AppendBytes(c1)
+		c1, c2 := enc.Queued(b, 6*i)
+		c12 := append(append(points[pair*i:pair*i:pair*(i+1)], c1...), c2...)
 		envs[i] = core.BlindedEnvelope{CrowdC1: c12[:len(c1):len(c1)], CrowdC2: c12[len(c1):], Blob: blob}
 	})
 	return envs, nil

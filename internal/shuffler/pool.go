@@ -26,6 +26,7 @@ import (
 type group struct {
 	idxs  []int
 	first int
+	size  int // len(idxs) once filled
 }
 
 // groupBy partitions the live items of a batch into groups with equal keys.
@@ -35,10 +36,16 @@ type group struct {
 // appearance and each group's idxs are in increasing batch order, for every
 // shard count.
 func groupBy[K comparable](shards, n int, live func(int) bool, keyAt func(int) K, shardOf func(K) uint32) []group {
+	// collect makes one pass that numbers the groups and counts their
+	// items, then carves every group's idxs out of one backing array, so a
+	// crowd's membership costs no allocation of its own.
 	collect := func(claim func(K) bool) []group {
-		m := make(map[K]int)
+		m := make(map[K]int32)
 		var groups []group
+		of := make([]int32, n) // item i's group, or -1
+		total := 0
 		for i := 0; i < n; i++ {
+			of[i] = -1
 			if !live(i) {
 				continue
 			}
@@ -48,11 +55,23 @@ func groupBy[K comparable](shards, n int, live func(int) bool, keyAt func(int) K
 			}
 			gi, ok := m[k]
 			if !ok {
-				gi = len(groups)
+				gi = int32(len(groups))
 				m[k] = gi
 				groups = append(groups, group{first: i})
 			}
-			groups[gi].idxs = append(groups[gi].idxs, i)
+			of[i] = gi
+			groups[gi].size++
+			total++
+		}
+		backing := make([]int, total)
+		for gi := range groups {
+			size := groups[gi].size
+			groups[gi].idxs, backing = backing[:0:size], backing[size:]
+		}
+		for i, gi := range of {
+			if gi >= 0 {
+				groups[gi].idxs = append(groups[gi].idxs, i)
+			}
 		}
 		return groups
 	}

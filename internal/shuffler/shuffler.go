@@ -184,61 +184,53 @@ func NewShuffler1Group(_ cgroup.Group, rng *rand.Rand) (*Shuffler1, error) {
 // pool's tail balanced.
 const blindChunk = 256
 
-// Process blinds and shuffles a batch, forwarding it for Shuffler 2. Parsing
-// runs in chunks on the worker pool: C1 is validated and dropped, and each
-// chunk's C2 points share one allocation. The C2 multiplications run
-// through Blinder.BlindBatch in chunks, so the epoch-fixed exponent is
-// recoded once per chunk and each chunk's outputs are normalized with one
-// shared inversion before they are encoded, all into one buffer. C1 and the
-// blob are forwarded as received.
+// Process blinds and shuffles a batch, forwarding it for Shuffler 2. The
+// C2 multiplications run in chunks on the worker pool through
+// Blinder.BlindEncode, which recodes the epoch-fixed exponent once per chunk
+// and takes each chunk from its wire bytes to the blinded ones in one
+// buffer, sharing one field inversion; C1 is validated and forwarded as
+// received, as is the blob. A record whose C1 or C2 does not parse is
+// dropped.
 func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelope, error) {
 	blinder := elgamal.NewBlinder(s.Alpha)
 	workers := parallel.Workers(s.Workers)
 	n := len(batch)
-	cts := make([]elgamal.Ciphertext, n)
-	ok := make([]bool, n)
+	// record i's blinded C2 at WireSize*i, its length at lens[i], 0 when
+	// the record is dropped
+	c2s, lens := make([]byte, cgroup.WireSize*n), make([]uint8, n)
+	in := make([][]byte, n)
 	parallel.For(workers, (n+blindChunk-1)/blindChunk, func(c int) {
 		lo, hi := c*blindChunk, min((c+1)*blindChunk, n)
-		c2s := make([][]byte, hi-lo)
 		for i := lo; i < hi; i++ {
 			batch[i].StripMetadata()
-			c2s[i-lo] = batch[i].CrowdC2
+			in[i] = batch[i].CrowdC2
 		}
-		c2 := make([]elgamal.Point, hi-lo)
-		elgamal.ParsePoints(c2, ok[lo:hi], c2s)
+		blinder.BlindEncode(c2s[cgroup.WireSize*lo:cgroup.WireSize*hi], lens[lo:hi], in[lo:hi])
 		for i := lo; i < hi; i++ {
-			cts[i].C2 = c2[i-lo]
-			ok[i] = ok[i] && elgamal.ValidPoint(batch[i].CrowdC1)
+			if lens[i] != 0 && !elgamal.ValidPoint(batch[i].CrowdC1) {
+				lens[i] = 0
+			}
 		}
 	})
-	// Compact to the valid envelopes (dropping unparsable crowd IDs) in
-	// place, then blind chunk-wise on the pool; idx maps back to the batch.
-	idx := make([]int, 0, n)
-	for i := range ok {
-		if ok[i] {
-			cts[len(idx)] = cts[i]
-			idx = append(idx, i)
-		}
+	kept := 0
+	for _, l := range lens {
+		kept += min(int(l), 1)
 	}
-	valid := cts[:len(idx)]
-	chunks := (len(valid) + blindChunk - 1) / blindChunk
-	parallel.For(workers, chunks, func(c int) {
-		lo := c * blindChunk
-		blinder.BlindBatch(valid[lo:min(lo+blindChunk, len(valid))])
-	})
-	out := make([]core.BlindedEnvelope, len(idx))
-	c2s := make([]byte, cgroup.WireSize*len(idx))
-	parallel.For(workers, len(idx), func(j int) {
-		in := &batch[idx[j]]
-		out[j] = core.BlindedEnvelope{
-			CrowdC1: in.CrowdC1,
-			CrowdC2: valid[j].C2.AppendBytes(c2s[cgroup.WireSize*j : cgroup.WireSize*j : cgroup.WireSize*(j+1)]),
-			Blob:    in.Blob,
+	out := make([]core.BlindedEnvelope, 0, kept)
+	for i := range batch {
+		if lens[i] == 0 {
+			continue
+		}
+		from, to := cgroup.WireSize*i, cgroup.WireSize*i+int(lens[i])
+		out = append(out, core.BlindedEnvelope{
+			CrowdC1: batch[i].CrowdC1,
+			CrowdC2: c2s[from:to:to],
+			Blob:    batch[i].Blob,
 			// Routing, not metadata: the client-stamped owning partition
 			// must survive blinding for hop-2 fan-in.
-			Partition: in.Partition,
-		}
-	})
+			Partition: batch[i].Partition,
+		})
+	}
 	s.Rand.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out, nil
 }
@@ -266,57 +258,42 @@ type Shuffler2 struct {
 }
 
 // Process thresholds on pseudonyms and returns the surviving inner
-// ciphertexts, shuffled. Parsing runs in chunks on the worker pool, each
-// chunk's points in one allocation; the pseudonyms
-// (Decrypter.PseudonymBatch), then the peel of the selected reports in
-// output order (hybrid's OpenBatch, whose arena so holds only what is
-// forwarded), run in chunks that recode the private scalar once and share
-// one field inversion.
+// ciphertexts, shuffled. The pseudonyms (Decrypter.Pseudonyms) run in
+// chunks on the worker pool, each from its crowd ciphertexts' wire bytes to
+// the pseudonyms' compressed ones in one buffer, with the private scalar
+// recoded once and one field inversion per chunk; the grouping keys on
+// them as fixed 32-byte values. The peel of the selected reports then runs
+// in output order (hybrid's OpenBatch, whose arena so holds only what is
+// forwarded).
 func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, error) {
 	stats := Stats{Received: len(batch)}
 	workers := parallel.Workers(s.Workers)
 	dec := s.Blinding.Decrypter()
-	cts := make([]elgamal.Ciphertext, len(batch))
-	ok := make([]bool, len(batch))
-	parallel.For(workers, (len(batch)+blindChunk-1)/blindChunk, func(c int) {
-		lo, hi := c*blindChunk, min((c+1)*blindChunk, len(batch))
-		// record i's C1 and C2 at 2(i-lo) and 2(i-lo)+1
-		bs := make([][]byte, 0, 2*(hi-lo))
-		for i := lo; i < hi; i++ {
-			bs = append(bs, batch[i].CrowdC1, batch[i].CrowdC2)
-		}
-		pts, parsed := make([]elgamal.Point, len(bs)), make([]bool, len(bs))
-		elgamal.ParsePoints(pts, parsed, bs)
-		for i := lo; i < hi; i++ {
-			j := 2 * (i - lo)
-			cts[i], ok[i] = elgamal.Ciphertext{C1: pts[j], C2: pts[j+1]}, parsed[j] && parsed[j+1]
-		}
+	n := len(batch)
+	c1s, c2s := make([][]byte, n), make([][]byte, n)
+	for i := range batch {
+		c1s[i], c2s[i] = batch[i].CrowdC1, batch[i].CrowdC2
+	}
+	// record i's pseudonym at 32*i, its length at lens[i], 0 when its crowd
+	// ciphertext does not parse
+	pseudos, lens := make([]byte, cgroup.CompressedSize*n), make([]uint8, n)
+	parallel.For(workers, (n+blindChunk-1)/blindChunk, func(c int) {
+		lo, hi := c*blindChunk, min((c+1)*blindChunk, n)
+		dec.Pseudonyms(pseudos[cgroup.CompressedSize*lo:cgroup.CompressedSize*hi], lens[lo:hi], c1s[lo:hi], c2s[lo:hi])
 	})
-	// Compact to the parsable envelopes in place; idx maps back to the batch.
-	idx := make([]int, 0, len(batch))
-	for i := range ok {
-		if ok[i] {
-			cts[len(idx)] = cts[i]
+	idx := make([]int, 0, n)
+	for i, l := range lens {
+		if l != 0 {
 			idx = append(idx, i)
 		}
 	}
-	stats.Undecryptable = len(batch) - len(idx)
-	pseudos := make([]string, len(idx))
-	parallel.For(workers, (len(idx)+blindChunk-1)/blindChunk, func(c int) {
-		lo := c * blindChunk
-		copy(pseudos[lo:], dec.PseudonymBatch(cts[lo:min(lo+blindChunk, len(idx))]))
-	})
-	groups := groupBy(workers, len(pseudos),
+	stats.Undecryptable = n - len(idx)
+	groups := groupBy(workers, len(idx),
 		func(int) bool { return true },
-		func(j int) string { return pseudos[j] },
-		func(k string) uint32 {
-			// Byte 1 of the compressed encoding, the y-coordinate's
-			// second little-endian byte, is uniform enough to shard on.
-			if len(k) > 1 {
-				return uint32(k[1])
-			}
-			return 0
-		})
+		func(j int) [32]byte { return pseudonymKey(pseudos, lens, idx[j]) },
+		// Byte 1 of the compressed encoding, the y-coordinate's second
+		// little-endian byte, is uniform enough to shard on.
+		func(k [32]byte) uint32 { return uint32(k[1]) })
 	sel := applyThreshold(groups, s.Threshold, s.Rand, &stats)
 	blobs := make([][]byte, len(sel))
 	for k, j := range sel {
@@ -332,4 +309,14 @@ func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, erro
 	stats.Undecryptable += len(inners) - len(out)
 	stats.Forwarded = len(out)
 	return out, stats, nil
+}
+
+// pseudonymKey returns record i's pseudonym as a grouping key: its
+// compressed encoding, or for the identity, whose encoding is the one byte
+// {0}, the 32 bytes of its y = 1, which no other point compresses to.
+func pseudonymKey(pseudos []byte, lens []uint8, i int) [32]byte {
+	if lens[i] == 1 {
+		return [32]byte{1}
+	}
+	return [32]byte(pseudos[cgroup.CompressedSize*i:])
 }
