@@ -122,8 +122,8 @@ func TestAllocBudgets(t *testing.T) {
 		aeads    int // AEADs per report
 		run      func() error
 	}{
-		{"Client.EncodeBatch", 0.15, 1700, 2, func() error { _, err := k.client.EncodeBatch(k.reports, 1); return err }},
-		{"BlindedClient.EncodeBatch", 0.15, 2300, 2, func() error { _, err := k.bclient.EncodeBatch(k.labels, k.data, 1); return err }},
+		{"Client.EncodeBatch", 0.15, 1400, 2, func() error { _, err := k.client.EncodeBatch(k.reports, 1); return err }},
+		{"BlindedClient.EncodeBatch", 0.15, 1800, 2, func() error { _, err := k.bclient.EncodeBatch(k.labels, k.data, 1); return err }},
 		{"PrivateKey.OpenBatch", 0.1, 100, 1, func() error {
 			_, errs := k.anlzPriv.OpenBatch(k.inner, nil, 1)
 			return errs[0]

@@ -99,6 +99,15 @@ type pointScratch struct {
 
 var pointScratches = sync.Pool{New: func() any { return new(pointScratch) }}
 
+// combScratch is a CombBatch Run's working set: the order it takes its
+// range in, and one chunk of multiplications in that order for the kernels.
+type combScratch struct {
+	order []int32
+	chunk [batchChunk]edCombMul
+}
+
+var combScratches = sync.Pool{New: func() any { return new(combScratch) }}
+
 // mulEncodeScalar is one chunk of MulEncode on the scalar kernels.
 func mulEncodeScalar(op *MulOp, ps, qs [][]byte, out sink) {
 	var digits [258]int8

@@ -250,7 +250,7 @@ func FuzzCombBatch(f *testing.F) {
 				copy(s[:], k)
 			}
 			s[0] &= 0x3f
-			ms[i] = edCombMul{t: tables[r.Intn(len(tables))].t, k: s, slot: i, form: WireSize}
+			ms[i] = edCombMul{t: tables[r.Intn(len(tables))].t, k: s, slot: int32(i), form: WireSize}
 			if r.Intn(2) == 0 {
 				var p [32]byte
 				r.Read(p[:])
@@ -324,8 +324,13 @@ func BenchmarkEdCombBatch(b *testing.B) {
 			b.Skipf("lane comb not run: this process selected the %q kernel", Kernel())
 		}
 		cb := newBatch(n, mul)
-		combOrder(cb.slots, 0, cb.ms)
-		run := combKernelPasses(cb.ms[:n-n%8])
+		order := make([]int32, n)
+		combOrder(cb.ms, order)
+		ms := make([]edCombMul, n)
+		for j, i := range order {
+			ms[j] = cb.ms[i]
+		}
+		run := combKernelPasses(ms[:n-n%8])
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			run()

@@ -104,28 +104,18 @@ type Element struct {
 // concurrently; RunRecords does both for a batch of records on a pool of
 // workers; Bytes, after the Run, reads a slot's encoding. A Run normalizes
 // its products a chunk at a time with one field inversion each, in the
-// scratch of the batch paths (batch.go), so a Run allocates nothing; the
-// batch owns the encodings and the order a Run takes its multiplications
-// in.
+// scratch of the batch paths (batch.go), and takes its multiplications in
+// pass order through pooled scratch (combScratch), so a Run allocates
+// nothing; the batch owns one record per slot and the encodings.
 type CombBatch struct {
-	slots []combSlot
-	ms    []edCombMul // a Run's multiplications in pass order, at its range
-	enc   []byte      // slot i's encoding at WireSize*i
-	lens  []uint8     // and its length
-}
-
-// combSlot is one multiplication of a CombBatch.
-type combSlot struct {
-	t    *Table
-	k    Scalar
-	q    Element
-	form uint8
+	ms   []edCombMul // slot i's multiplication
+	enc  []byte      // slot i's encoding at WireSize*i
+	lens []uint8     // and its length
 }
 
 // NewCombBatch returns a batch of n unset slots.
 func NewCombBatch(n int) *CombBatch {
-	return &CombBatch{slots: make([]combSlot, n), ms: make([]edCombMul, n),
-		enc: make([]byte, WireSize*n), lens: make([]uint8, n)}
+	return &CombBatch{ms: make([]edCombMul, n), enc: make([]byte, WireSize*n), lens: make([]uint8, n)}
 }
 
 // Set puts k*P + q in slot i, for the fixed point P of t, encoded in form
@@ -134,15 +124,28 @@ func (b *CombBatch) Set(i int, t *Table, k Scalar, q Element, form int) {
 	if form != WireSize && form != CompressedSize {
 		panic("group: CombBatch form is neither WireSize nor CompressedSize")
 	}
-	b.slots[i] = combSlot{t, k, q, uint8(form)}
+	b.ms[i] = edCombMul{t: t, k: k, slot: int32(i), form: uint8(form)}
+	if q != (Element{}) {
+		b.ms[i].q = q.edwards()
+	}
 }
 
-// Run computes and encodes the products of slots [lo, hi).
+// Run computes and encodes the products of slots [lo, hi): in pass order
+// (combOrder), a chunk at a time, each chunk's multiplications copied into
+// the scratch the kernels read.
 func (b *CombBatch) Run(lo, hi int) {
+	s := combScratches.Get().(*combScratch)
 	ms := b.ms[lo:hi]
-	combOrder(b.slots[lo:hi], lo, ms)
-	for c := 0; c < len(ms); c += batchChunk {
-		chunk := ms[c:min(c+batchChunk, len(ms))]
+	if cap(s.order) < len(ms) {
+		s.order = make([]int32, len(ms))
+	}
+	order := s.order[:len(ms)]
+	combOrder(ms, order)
+	for c := 0; c < len(order); c += batchChunk {
+		chunk := s.chunk[:min(batchChunk, len(order)-c)]
+		for j := range chunk {
+			chunk[j] = ms[order[c+j]]
+		}
 		out := sink{dst: b.enc, lens: b.lens, ms: chunk}
 		if laneComb != nil {
 			laneComb(chunk, out)
@@ -150,6 +153,7 @@ func (b *CombBatch) Run(lo, hi int) {
 			combEncodeScalar(chunk, out)
 		}
 	}
+	combScratches.Put(s)
 }
 
 // RunRecords fills and runs the batch as records of per slots each, on a
@@ -159,7 +163,7 @@ func (b *CombBatch) Run(lo, hi int) {
 // whose queue failed, with its error (a failed record's range is not run),
 // or -1 and nil.
 func (b *CombBatch) RunRecords(workers, per int, queue func(i int) error) (int, error) {
-	errs := make([]error, len(b.slots)/per)
+	errs := make([]error, len(b.ms)/per)
 	parallel.Ranges(parallel.Workers(workers), len(errs), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if errs[i] = queue(i); errs[i] != nil {

@@ -132,7 +132,7 @@ type edCombMul struct {
 	t    *Table
 	k    Scalar
 	q    *edPoint
-	slot int
+	slot int32
 	form uint8
 }
 
@@ -164,29 +164,25 @@ func combEncodeScalar(ms []edCombMul, out sink) {
 	pointScratches.Put(s)
 }
 
-// combOrder fills ms with the multiplications of slots, the first of which
-// is the batch's slot base, in the order the lanes take them. A pass costs
-// as many positions as its longest table has, so the longest tables come
-// first, in slot order among equals — one stable counting pass by table
-// length — and every pass but one reads tables of a single length, and a
-// group of fewer than combLaneMin left for mulComb reads the shortest.
-func combOrder(slots []combSlot, base int, ms []edCombMul) {
+// combOrder fills order with the indices of ms in the order the lanes take
+// them. A pass costs as many positions as its longest table has, so the
+// longest tables come first, in index order among equals — one stable
+// counting pass by table length — and every pass but one reads tables of a
+// single length, and a group of fewer than combLaneMin left for mulComb
+// reads the shortest.
+func combOrder(ms []edCombMul, order []int32) {
 	var at [edCombMaxPositions + 1]int
-	for i := range slots {
-		at[slots[i].t.positions]++
+	for i := range ms {
+		at[ms[i].t.positions]++
 	}
 	next := 0
 	for p := edCombMaxPositions; p >= 0; p-- {
 		at[p], next = next, next+at[p]
 	}
-	for i := range slots {
-		s := &slots[i]
-		m := &ms[at[s.t.positions]]
-		at[s.t.positions]++
-		*m = edCombMul{t: s.t, k: s.k, slot: base + i, form: s.form}
-		if s.q != (Element{}) {
-			m.q = s.q.edwards()
-		}
+	for i := range ms {
+		p := ms[i].t.positions
+		order[at[p]] = int32(i)
+		at[p]++
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -175,6 +176,8 @@ type Proxy struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
+	accepted atomic.Int64
+
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -195,6 +198,10 @@ func Listen(plan *Plan, target string) (*Proxy, error) {
 
 // Addr is the address senders dial in place of the target.
 func (p *Proxy) Addr() string { return p.l.Addr().String() }
+
+// Accepted reports how many connections the proxy has accepted: the
+// connections senders dialed to the target through it.
+func (p *Proxy) Accepted() int { return int(p.accepted.Load()) }
 
 // Close stops accepting, closes every relayed connection and waits for the
 // relays to return.
@@ -224,6 +231,7 @@ func (p *Proxy) accept() {
 		if err != nil {
 			return
 		}
+		p.accepted.Add(1)
 		if !p.track(c) {
 			c.Close()
 			return

@@ -14,6 +14,7 @@ import (
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
+	"prochlo/internal/faultnet"
 	"prochlo/internal/metrics"
 	"prochlo/internal/shuffler"
 )
@@ -31,10 +32,9 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
-// killableServer serves a Service while tracking accepted
-// connections, so tests can sever a replica's transport the way a process
-// kill does — either everything (kill) or just the established
-// connections (dropConns), leaving the listener up for redials.
+// killableServer serves a Service while tracking accepted connections, so
+// a test can drop a live party's established connections (dropConns) and
+// leave its listener up for redials.
 type killableServer struct {
 	l     net.Listener
 	mu    sync.Mutex
@@ -58,14 +58,17 @@ func serveKillable(t *testing.T, svc Service) *killableServer {
 			s.conns[conn] = struct{}{}
 			s.mu.Unlock()
 			go func() {
-				ServeConn(conn, svc)
+				serveConn(conn, svc)
 				s.mu.Lock()
 				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
 		}
 	}()
-	t.Cleanup(func() { s.kill() })
+	t.Cleanup(func() {
+		s.l.Close()
+		s.dropConns()
+	})
 	return s
 }
 
@@ -77,11 +80,6 @@ func (s *killableServer) dropConns() {
 		c.Close()
 	}
 	s.mu.Unlock()
-}
-
-func (s *killableServer) kill() {
-	s.l.Close()
-	s.dropConns()
 }
 
 // undialed builds a client whose connection dials on first use, so a
@@ -221,22 +219,20 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 }
 
 // TestBalancerAmbiguousErrorSurfaces pins the other half of the safety
-// rule: when a replica dies under an established connection, the in-flight
-// slice may already sit in its write-ahead log, so after the client's own
+// rule: when a replica's connection dies under an in-flight call, the slice
+// may already sit in its write-ahead log, so after the client's own
 // same-address retries exhaust, the balancer must surface the error rather
 // than fail the slice over to a sibling (which could double-count when the
-// dead replica's WAL recovers).
+// replica, or its WAL-recovered successor, delivers it).
 func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	shrinkRedial(t, 1, time.Millisecond)
 	useEntryPolicy(t, noProbes())
 	rig := newStreamingRig(t, EpochConfig{})
-	// Replica A ingests the first slice sent to it, then dies with its
-	// connections before the ack is written; the severed call is ambiguous,
-	// and the redial budget exhausts against the dead port.
-	dying := &dropOnceShuffler{StageService: rig.svc}
-	srvA := serveKillable(t, dying)
-	dying.drop = srvA.kill
-	b := balance(t, nil, nil, dialed(t, srvA.addr()), dialed(t, rig.shuf))
+	// Replica A's link loses every answer: the replica ingests the slice,
+	// and the connection closes before the ack arrives. The severed call is
+	// ambiguous, and so is each retry, until the redial budget exhausts.
+	lossy := &faultnet.Plan{Seed: 1, PDropAck: 1}
+	b := balance(t, nil, nil, dialed(t, proxied(t, lossy, rig.shuf)[0]), dialed(t, rig.shuf))
 
 	env := rig.envelope(t, "c:ambiguous", "ambiguous-value")
 	accepted, err := b.SubmitAll(core.Batch{Envelopes: []core.Envelope{env}})
@@ -249,11 +245,14 @@ func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	if fo := b.Stats().Failovers; fo != 0 {
 		t.Errorf("failovers = %d, want 0 (an ambiguous failure must never fail over)", fo)
 	}
+	if lossy.Injected() == 0 {
+		t.Error("the lossy link injected no fault")
+	}
 }
 
-// dropOnceShuffler ingests a Submit and then severs every connection before
-// the ack can be written — a deterministic connection-drop mid-SubmitAll,
-// after the service accepted the batch.
+// dropOnceShuffler ingests a Submit and then drops every connection before
+// the ack can be written — a deterministic connection drop mid-SubmitAll,
+// after the live service accepted the batch.
 type dropOnceShuffler struct {
 	*StageService
 	drop func()
@@ -490,7 +489,7 @@ func TestDrainForceReleasesBelowFloor(t *testing.T) {
 }
 
 // TestHealthzLiveness pins the cheap liveness call: it answers without
-// touching the ingestion path, healthy until the service is aborted.
+// touching the ingestion path, healthy until the service is closed.
 func TestHealthzLiveness(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
 
@@ -506,12 +505,14 @@ func TestHealthzLiveness(t *testing.T) {
 	if !reply.Healthy {
 		t.Error("Healthz on a live service reports unhealthy")
 	}
-	rig.svc.Abort()
+	if err := rig.svc.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if reply, err = cl.Healthz(); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Healthy {
-		t.Error("Healthz on an aborted service still reports healthy")
+		t.Error("Healthz on a closed service still reports healthy")
 	}
 }
 

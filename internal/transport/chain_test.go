@@ -271,12 +271,7 @@ func TestDialTimeoutFailsFast(t *testing.T) {
 // refusal is an answer, not a connection failure, so the sender returns it
 // at once instead of redialing for an answer that cannot change.
 func TestMiswiredChainNamesTheKind(t *testing.T) {
-	rig := newCrashRig(t, core.KindBlinded, EpochConfig{})
-	stageL, err := Serve("127.0.0.1:0", rig.svc) // hop 2, which ingests blinded envelopes
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stageL.Close()
+	rig := newCrashRig(t, core.KindBlinded, EpochConfig{}) // hop 2, which ingests blinded envelopes
 	sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +289,7 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 	}{
 		{"blinded envelopes at an analyzer", s1, rig.anlz,
 			"analyzer ingests " + core.KindPayloads.String() + ", got " + core.KindBlinded.String()},
-		{"payloads at a stage", rig.stage(core.KindBlinded), stageL.Addr().String(),
+		{"payloads at a stage", rig.stage(core.KindBlinded), rig.addr,
 			"stage ingests " + core.KindBlinded.String() + ", got " + core.KindPayloads.String()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -302,7 +297,7 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer svc.Abort()
+			defer svc.Close()
 			if _, err := svc.Submit(0, 0, rig.batch(3, "astray")); err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +311,7 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 			}
 		})
 	}
-	if st := rig.svc.Stats(); st.Accepted != 0 {
+	if st := rig.stats(); st.Accepted != 0 {
 		t.Errorf("the stage ingested %d of the stray payloads", st.Accepted)
 	}
 	if st := rig.anlzSvc.Stats(); st.Ingests != 0 {

@@ -54,10 +54,9 @@ func (p redialPolicy) delay(attempt int) time.Duration {
 // connection, replaced by a fresh dial to the same address the next time it
 // is needed after it breaks — so a restarted daemon is picked up without the
 // caller re-dialing. A client holds one per daemon; a stage holds one per
-// replica of its downstream tier, with the engine's aborter.
+// replica of its downstream tier.
 type peerConn struct {
 	addr string
-	ab   *aborter // cuts the sender's backoff short; nil for a client
 
 	mu     sync.Mutex
 	wc     *wireConn
@@ -65,10 +64,9 @@ type peerConn struct {
 	closed bool
 }
 
-// dialPeer connects to addr. A stage passes its engine's aborter; a client
-// passes nil.
-func dialPeer(addr string, ab *aborter) (*peerConn, error) {
-	p := &peerConn{addr: addr, ab: ab}
+// dialPeer connects to addr.
+func dialPeer(addr string) (*peerConn, error) {
+	p := &peerConn{addr: addr}
 	if _, err := p.conn(); err != nil {
 		return nil, err
 	}
@@ -118,17 +116,15 @@ func (p *peerConn) call(method uint8, appendBody func([]byte) []byte) ([]byte, e
 
 // retry issues one call and, after each transient failure (IsTransient: the
 // connection failed, or the peer is shutting down), repeats it on a fresh
-// connection under the redial policy, the aborter cutting the backoff
-// short. Any other answer — a reply, a refusal, epoch-full — returns at
-// once, unchanged. The request must carry a dedup stamp when the call is
-// not idempotent: an attempt that died mid-call may have been ingested, and
-// only the stamp makes the repeat safe.
+// connection under the redial policy. Any other answer — a reply, a
+// refusal, epoch-full — returns at once, unchanged. The request must carry
+// a dedup stamp when the call is not idempotent: an attempt that died
+// mid-call may have been ingested, and only the stamp makes the repeat
+// safe.
 func (p *peerConn) retry(method uint8, appendBody func([]byte) []byte) ([]byte, error) {
 	body, err := p.call(method, appendBody)
 	for i := 0; IsTransient(err) && i < redial.attempts; i++ {
-		if !p.ab.sleep(redial.delay(i)) {
-			break
-		}
+		time.Sleep(redial.delay(i))
 		body, err = p.call(method, appendBody)
 	}
 	return body, err
@@ -213,7 +209,7 @@ type clientStream struct{ id, pos int64 }
 
 // Dial connects to a shuffler service.
 func Dial(addr string) (*Client, error) {
-	p, err := dialPeer(addr, nil)
+	p, err := dialPeer(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +359,7 @@ type AnalyzerClient struct {
 
 // DialAnalyzer connects to an analyzer service.
 func DialAnalyzer(addr string) (*AnalyzerClient, error) {
-	p, err := dialPeer(addr, nil)
+	p, err := dialPeer(addr)
 	if err != nil {
 		return nil, err
 	}

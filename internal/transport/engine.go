@@ -48,13 +48,13 @@ const (
 type tier []*peerConn
 
 // dialTier connects to every replica of a downstream tier.
-func dialTier(addrs []string, ab *aborter) (tier, error) {
+func dialTier(addrs []string) (tier, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: downstream tier needs at least one address")
 	}
 	t := make(tier, 0, len(addrs))
 	for _, addr := range addrs {
-		p, err := dialPeer(addr, ab)
+		p, err := dialPeer(addr)
 		if err != nil {
 			t.close()
 			return nil, fmt.Errorf("transport: dial next hop %s: %w", addr, err)
@@ -119,9 +119,7 @@ func (e *engine) push(id int64, out core.Batch) error {
 func (e *engine) pushTo(p *peerConn, id int64, b core.Batch) error {
 	err := p.send(e.stream, id, b)
 	for i := 0; IsEpochFull(err) && i < forwardRetries; i++ {
-		if !e.ab.sleep(forwardDelay) {
-			break
-		}
+		time.Sleep(forwardDelay)
 		err = p.send(e.stream, id, b)
 	}
 	switch {
@@ -226,7 +224,6 @@ type engine struct {
 	floor int
 	cfg   EpochConfig
 	wal   *wal
-	ab    *aborter
 	dedup forwardDedup
 
 	stream    int64 // id naming this engine's push stream for dedup; persisted in the WAL
@@ -286,8 +283,7 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 	if kind != core.KindEnvelopes && kind != core.KindBlinded {
 		return nil, fmt.Errorf("transport: no stage ingests %v", kind)
 	}
-	ab := newAborter()
-	t, err := dialTier(next, ab)
+	t, err := dialTier(next)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +347,6 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 		floor:  floor,
 		cfg:    cfg,
 		wal:    w,
-		ab:     ab,
 		stream: stream,
 		start:  time.Now(),
 		kick:   make(chan struct{}, 1),
@@ -386,8 +381,6 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 	}
 	return e, nil
 }
-
-func (e *engine) isKilled() bool { return e.ab.aborted() }
 
 // ingest is the one way a batch of the admitted kind enters the engine,
 // whether a client submitted it or the upstream hop pushed it as an epoch.
@@ -532,13 +525,7 @@ func (e *engine) sendEpoch(ep *epoch) {
 	e.mu.Lock()
 	e.queuedEpochs++
 	e.mu.Unlock()
-	select {
-	case e.epochs <- ep:
-	case <-e.ab.ch:
-		e.mu.Lock()
-		e.queuedEpochs--
-		e.mu.Unlock()
-	}
+	e.epochs <- ep
 }
 
 // scheduler is the only goroutine that cuts epochs, serializing occupancy
@@ -553,10 +540,6 @@ func (e *engine) scheduler() {
 	}
 	for {
 		select {
-		case <-e.ab.ch:
-			// Simulated crash: no final cut, no flush — the WAL is the
-			// only survivor, exactly like a real kill -9.
-			return
 		case <-e.stop:
 			// Drain: flush whatever the final epoch holds, unless it is
 			// below the anonymity floor (a smaller batch must not be
@@ -605,13 +588,8 @@ func (e *engine) dropCut(batch core.Batch) {
 	}
 	e.dropped.Add(int64(batch.Len()))
 	if e.wal != nil {
-		id := e.epochID.Add(1)
 		min, max := seqRange(batch)
-		err := e.wal.logCut(id, min, max)
-		if err == nil {
-			err = e.wal.resolve(id, false)
-		}
-		e.recordErr(err)
+		e.recordErr(e.wal.logDrop(e.epochID.Add(1), min, max))
 	}
 }
 
@@ -632,16 +610,10 @@ func (e *engine) recordErr(err error) {
 func (e *engine) flusher() {
 	defer close(e.done)
 	for _, ep := range e.recovered {
-		if e.isKilled() {
-			return
-		}
 		e.flushOne(ep)
 	}
 	e.recovered = nil
 	for ep := range e.epochs {
-		if e.isKilled() {
-			return
-		}
 		e.flushOne(ep)
 	}
 }
@@ -666,13 +638,6 @@ func (e *engine) flushOne(ep *epoch) {
 			pushStart := time.Now()
 			err = e.push(ep.id, out)
 			observeSeconds(e.pushSeconds, pushStart)
-		}
-		if e.isKilled() {
-			// Simulated crash mid-push: the outcome is unknowable from
-			// here (the ack may have been lost in the crash), so leave the
-			// epoch unresolved — recovery replays it and downstream dedup
-			// decides.
-			return
 		}
 		if e.wal != nil {
 			e.recordErr(e.wal.resolve(ep.id, err == nil))
@@ -711,15 +676,8 @@ func (e *engine) drain(forceDrop bool) error {
 	case e.force <- req:
 	case <-e.stop:
 		return ErrClosed
-	case <-e.ab.ch:
-		return ErrClosed
 	}
-	select {
-	case err := <-req.reply:
-		return err
-	case <-e.ab.ch:
-		return ErrClosed
-	}
+	return <-req.reply
 }
 
 // stats snapshots the service's occupancy, epoch counters, and cumulative
@@ -756,7 +714,7 @@ func (e *engine) stats() ServiceStats {
 // (closeMu), a slow drain, or a wedged flusher.
 func (e *engine) healthz() HealthzReply {
 	return HealthzReply{
-		Healthy:      !e.closed.Load() && !e.ab.aborted(),
+		Healthy:      !e.closed.Load(),
 		UptimeMillis: time.Since(e.start).Milliseconds(),
 		Pending:      int(e.occupancy.Load()),
 		Accepted:     e.accepted.Load(),
@@ -797,23 +755,4 @@ func (e *engine) close() error {
 		}
 	}
 	return err
-}
-
-// abort simulates a crash (kill -9) for the recovery tests: no final cut,
-// no flush, no WAL sync — in-flight pushes are interrupted by closing the
-// tier's connections, and the log directory is left exactly as a dead
-// process would leave it, for a successor engine to recover.
-func (e *engine) abort() {
-	e.closeMu.Lock()
-	swapped := e.closed.CompareAndSwap(false, true)
-	e.closeMu.Unlock()
-	if !swapped {
-		return
-	}
-	e.ab.abort()
-	e.next.close()
-	<-e.done
-	if e.wal != nil {
-		e.wal.closeFiles()
-	}
 }

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -49,11 +51,12 @@ func serveNull(t *testing.T) string {
 // TestCutOrderMatchesSeqSort pins the chunk merge against the per-item sort
 // it replaced. Ingest calls of mixed sizes, unstamped and stamped (each
 // racer on a stream of its own, as a sender keeps one call in flight per
-// stream), race each other; a below-floor cut is put back, a crash turns it into
-// WAL-recovered pending items, and more calls race on top. However the
-// racing appends interleave, the epoch the stage then sees must be exactly
-// the accepted items sorted by the sequence number each was stamped with,
-// and the cut record in the log must be the first and last item's.
+// stream), race each other; a below-floor cut is put back, a restart over a
+// copy of the log turns it into WAL-recovered pending items, and more calls
+// race on top. However the racing appends interleave, the epoch the stage
+// then sees must be exactly the accepted items sorted by the sequence
+// number each was stamped with, and the cut record in the log must be the
+// first and last item's.
 func TestCutOrderMatchesSeqSort(t *testing.T) { forEachKind(t, testCutOrder) }
 
 func testCutOrder(t *testing.T, kind core.BatchKind) {
@@ -173,7 +176,14 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 
 	ingest("late-a", 4, 0, 0)
 	ingest("late-b", 9, 77, 6)
-	eng.abort() // 13 accepted, never cut: the successor's recovered pending set
+	// 13 accepted, never cut: the successor's recovered pending set. No
+	// write is in flight, so a byte copy of the log is what a kill -9 would
+	// leave; the successor starts over the copy.
+	walCopy := copyDir(t, cfg.WALDir)
+	if err := eng.close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.WALDir = walCopy
 	start()
 	if st := eng.stats(); st.RecoveredItems != 13 || st.Pending != 13 {
 		t.Fatalf("restart recovered %+v, want the 13 pending items", st)
@@ -184,6 +194,27 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 	if err := eng.close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// copyDir copies the files of dir into a fresh temporary directory and
+// returns it.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), b, 0o600)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
 }
 
 // walValue is the distinguishing value walItem gave item i.
@@ -205,7 +236,7 @@ func TestDropCutRecordsWALError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.abort()
+	defer eng.close()
 	if err := eng.ingest(0, 0, walItem(core.KindEnvelopes, 0, "below-floor")); err != nil {
 		t.Fatal(err)
 	}

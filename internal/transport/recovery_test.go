@@ -2,8 +2,9 @@ package transport
 
 import (
 	crand "crypto/rand"
+	"fmt"
+	"hash/fnv"
 	"math/rand/v2"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,12 +22,13 @@ import (
 	"prochlo/internal/shuffler"
 )
 
-// crashRig is a two-party loopback deployment whose shuffler can be crashed
-// (Abort — no final cut, no drain, WAL left as a dead process would leave
-// it) and restarted over the same WAL directory, same keys, same analyzer.
-// kind picks the stage in front of the analyzer, and with it the item layout
-// the engine and its WAL carry: the plain shuffler for client envelopes, hop
-// 2 of the split chain for blinded ones.
+// crashRig is a two-party loopback deployment whose shuffler runs in a
+// child process (child_test.go), so a test can crash it with a real SIGKILL
+// and restart it over the same WAL directory, same keys, same address, same
+// analyzer. kind picks the stage in front of the analyzer, and with it the
+// item layout the engine and its WAL carry: the plain shuffler for client
+// envelopes, hop 2 of the split chain for blinded ones. The rig talks to
+// the child over the wire, as a daemon's upstream does.
 type crashRig struct {
 	t        *testing.T
 	kind     core.BatchKind
@@ -40,8 +42,10 @@ type crashRig struct {
 
 	floor int // the stage's anonymity floor; 0 is 1
 
-	svc *StageService
-	seq int64 // the rig's client: last (crashRigStream, seq) stamp submitted
+	proc *child  // the running shuffler
+	cl   *Client // the rig's connection to it
+	addr string  // the shuffler's address, kept across restarts
+	seq  int64   // the rig's client: last (crashRigStream, seq) stamp submitted
 }
 
 // crashRigStream is the stream id the rig submits under, as a
@@ -87,41 +91,49 @@ func newFaultyCrashRig(t *testing.T, kind core.BatchKind, cfg EpochConfig, plan 
 		shufPriv: shufPriv,
 		blindKP:  blindKP,
 		cfg:      cfg,
+		addr:     "127.0.0.1:0",
 	}
 	r.next = r.anlz
 	if plan != nil {
 		r.next = proxied(t, plan, r.anlz)[0]
 	}
 	r.start()
-	t.Cleanup(func() { r.svc.Close() })
 	return r
 }
 
-// start builds (or rebuilds, after a crash) the shuffler service over the
-// rig's WAL directory. The stage RNG restarts from a fresh seed — without
-// thresholding the histogram is permutation-independent, which is exactly
-// the restart-determinism contract the engine promises.
+// start starts (or restarts, after a crash or a stop) the shuffler over the
+// rig's WAL directory, at the address it had.
 func (r *crashRig) start() {
 	r.t.Helper()
-	svc, err := r.startOn(r.stage(r.kind))
-	if err != nil {
+	r.proc = startChild(r.t, childSpec{Kind: r.kind, Floor: r.floor, Priv: r.shufPriv.Bytes(), X: r.blindKP.X,
+		Next: []string{r.next}, Listen: r.addr, Cfg: r.cfg})
+	r.addr = r.proc.addr
+	r.cl = dialed(r.t, r.addr)
+}
+
+// crash SIGKILLs the shuffler: no final cut, no drain, its WAL left as a
+// dead process leaves it.
+func (r *crashRig) crash() {
+	r.t.Helper()
+	r.cl.Close()
+	if err := r.proc.kill(); err != nil {
 		r.t.Fatal(err)
 	}
-	r.svc = svc
 }
 
-// stage builds the rig's stage for a kind; both emit payloads for the
-// analyzer.
-func (r *crashRig) stage(kind core.BatchKind) shuffler.Stage {
-	rng := rand.New(rand.NewPCG(5, 7))
-	if kind == core.KindBlinded {
-		return &shuffler.Shuffler2{Blinding: r.blindKP, Priv: r.shufPriv, Rand: rng, MinBatch: max(1, r.floor)}
+// stop shuts the shuffler down gracefully, as a daemon's SIGTERM does.
+func (r *crashRig) stop() {
+	r.t.Helper()
+	r.cl.Close()
+	if err := r.proc.stop(); err != nil {
+		r.t.Fatalf("graceful stop: %v", err)
 	}
-	return &shuffler.Shuffler{Priv: r.shufPriv, Rand: rng, MinBatch: max(1, r.floor)}
 }
 
-func (r *crashRig) startOn(st shuffler.Stage) (*StageService, error) {
-	return NewStageService(st, []string{r.next}, r.cfg)
+// stage builds the rig's stage for a kind in this process; both emit
+// payloads for the analyzer.
+func (r *crashRig) stage(kind core.BatchKind) shuffler.Stage {
+	return crashStage(kind, r.floor, r.shufPriv, r.blindKP)
 }
 
 // proxied stands a faultnet proxy under plan in front of each target, for
@@ -169,14 +181,29 @@ func (r *crashRig) batch(n int, value string) core.Batch {
 func (r *crashRig) submit(n int, value string) {
 	r.t.Helper()
 	r.seq++
-	if _, err := r.svc.Submit(crashRigStream, r.seq, r.batch(n, value)); err != nil {
+	r.submitAs(crashRigStream, r.seq, r.batch(n, value))
+}
+
+// submitAs sends b stamped (stream, pos), as an upstream hop's push is.
+func (r *crashRig) submitAs(stream, pos int64, b core.Batch) {
+	r.t.Helper()
+	if err := r.cl.send(stream, pos, b); err != nil {
 		r.t.Fatal(err)
 	}
 }
 
+func (r *crashRig) stats() ServiceStats {
+	r.t.Helper()
+	stats, err := r.cl.Stats()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return stats
+}
+
 func (r *crashRig) drain() ServiceStats {
 	r.t.Helper()
-	stats, err := r.svc.Drain(false)
+	stats, err := r.cl.Drain()
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -210,10 +237,10 @@ func TestRestartRecoversPending(t *testing.T) { forEachKind(t, testRestartRecove
 func testRestartRecoversPending(t *testing.T, kind core.BatchKind) {
 	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 1000}) // nothing auto-flushes
 	rig.submit(7, "pending-value")
-	rig.svc.Abort()
+	rig.crash()
 
 	rig.start()
-	stats := rig.svc.Stats()
+	stats := rig.stats()
 	if stats.RecoveredItems != 7 || stats.Pending != 7 || stats.RecoveredEpochs != 0 {
 		t.Fatalf("post-restart stats = %+v, want 7 recovered pending items", stats)
 	}
@@ -225,13 +252,11 @@ func testRestartRecoversPending(t *testing.T, kind core.BatchKind) {
 	if got := rig.histogram()["pending-value"]; got != 7 {
 		t.Errorf("histogram = %d, want 7 (recovered exactly once)", got)
 	}
-	if err := rig.svc.Close(); err != nil {
-		t.Fatal(err)
-	}
+	rig.stop()
 	// The clean shutdown resolved everything; a further restart recovers
 	// nothing and must not resurrect the delivered reports.
 	rig.start()
-	if stats = rig.svc.Stats(); stats.RecoveredItems != 0 {
+	if stats = rig.stats(); stats.RecoveredItems != 0 {
 		t.Errorf("recovery after clean close = %+v, want nothing", stats)
 	}
 	if got := rig.histogram()["pending-value"]; got != 7 {
@@ -240,7 +265,7 @@ func testRestartRecoversPending(t *testing.T, kind core.BatchKind) {
 }
 
 // TestRestartResumesInFlightEpoch crashes a daemon while an epoch is cut and
-// mid-push (the push delayed by an injected fault), and checks the restarted
+// mid-push (the push held by an injected delay), and checks the restarted
 // daemon re-pushes the epoch under its original (stream, epoch) id so the
 // analyzer counts each report exactly once whether or not the original push
 // landed.
@@ -250,11 +275,11 @@ func testRestartResumesInFlightEpoch(t *testing.T, kind core.BatchKind) {
 	fault := &faultnet.Plan{Seed: 1, PDelay: 1, Delay: 400 * time.Millisecond, MaxFaults: 1}
 	rig := newFaultyCrashRig(t, kind, EpochConfig{FlushAt: 5}, fault)
 	rig.submit(5, "inflight-value") // cuts an epoch; the proxy holds its push
-	time.Sleep(100 * time.Millisecond)
-	rig.svc.Abort() // crash with the epoch cut but unresolved
+	untilTrue(t, "the push to reach the proxy", func() bool { return fault.Injected() == 1 })
+	rig.crash() // crash with the epoch cut but unresolved
 
 	rig.start()
-	stats := rig.svc.Stats()
+	stats := rig.stats()
 	if stats.RecoveredEpochs != 1 || stats.RecoveredItems != 5 {
 		t.Fatalf("post-restart stats = %+v, want one recovered in-flight epoch of 5", stats)
 	}
@@ -283,22 +308,12 @@ func testRestartAfterAckLost(t *testing.T, kind core.BatchKind) {
 	rig := newFaultyCrashRig(t, kind, EpochConfig{FlushAt: 4}, fault)
 	rig.submit(4, "acklost-value")
 	// Wait until the analyzer has materialized the push (the ack was eaten).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		as := rig.anlzSvc.Stats()
-		if as.Records == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("analyzer never saw the push: %+v", as)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	rig.svc.Abort() // crash during the redial backoff: delivered, unacked
+	untilTrue(t, "the analyzer to see the push", func() bool { return rig.anlzSvc.Stats().Records == 4 })
+	rig.crash() // crash during the redial backoff: delivered, unacked
 
 	rig.next = rig.anlz // the successor's network is sound
 	rig.start()
-	stats := rig.svc.Stats()
+	stats := rig.stats()
 	if stats.RecoveredEpochs != 1 || stats.RecoveredItems != 4 {
 		t.Fatalf("post-restart stats = %+v, want one recovered epoch of 4", stats)
 	}
@@ -319,19 +334,19 @@ func TestForwardDedupAcrossRestart(t *testing.T) { forEachKind(t, testForwardDed
 func testForwardDedupAcrossRestart(t *testing.T, kind core.BatchKind) {
 	rig := newCrashRig(t, kind, EpochConfig{})
 	batch := rig.batch(3, "dedup-value")
-	if n, err := rig.svc.Submit(9, 1, batch); err != nil || n != 3 {
-		t.Fatalf("first forward = (%d, %v), want 3 accepted", n, err)
-	}
+	rig.submitAs(9, 1, batch)
 
 	// The hop dies before flushing; the upstream never saw the ack and
-	// retries the same (stream, epoch) against the restarted hop.
-	rig.svc.Abort()
+	// retries the same (stream, epoch) against the restarted hop, which
+	// acknowledges it without ingesting it again.
+	rig.crash()
 	rig.start()
-	if stats := rig.svc.Stats(); stats.RecoveredItems != 3 || stats.Pending != 3 {
+	if stats := rig.stats(); stats.RecoveredItems != 3 || stats.Pending != 3 {
 		t.Fatalf("post-restart stats = %+v, want the 3 forwarded reports pending", stats)
 	}
-	if n, err := rig.svc.Submit(9, 1, batch); err != nil || n != 3 {
-		t.Fatalf("retried forward = (%d, %v), want 3 accepted (idempotent ack across restart)", n, err)
+	rig.submitAs(9, 1, batch)
+	if stats := rig.stats(); stats.Accepted != 3 || stats.Pending != 3 {
+		t.Fatalf("after the retried forward: %+v, want it acknowledged without re-ingesting", stats)
 	}
 
 	checkReconciled(t, rig.drain())
@@ -353,7 +368,7 @@ func testRestartRefusesOtherRolesWAL(t *testing.T, kind core.BatchKind) {
 	}
 	rig := newCrashRig(t, kind, EpochConfig{FlushAt: 1000})
 	rig.submit(4, "kept-value")
-	rig.svc.Abort()
+	rig.crash()
 
 	snapshot := func() map[string]string {
 		files := make(map[string]string)
@@ -371,9 +386,9 @@ func testRestartRefusesOtherRolesWAL(t *testing.T, kind core.BatchKind) {
 		return files
 	}
 	before := snapshot()
-	svc, err := rig.startOn(rig.stage(other))
+	svc, err := NewStageService(rig.stage(other), []string{rig.next}, rig.cfg)
 	if err == nil {
-		svc.Abort()
+		svc.Close()
 		t.Fatalf("a stage ingesting %v started over a WAL of %v", other, kind)
 	}
 	for _, k := range []core.BatchKind{kind, other} {
@@ -386,7 +401,7 @@ func testRestartRefusesOtherRolesWAL(t *testing.T, kind core.BatchKind) {
 	}
 
 	rig.start()
-	if stats := rig.svc.Stats(); stats.RecoveredItems != 4 {
+	if stats := rig.stats(); stats.RecoveredItems != 4 {
 		t.Fatalf("the right role recovered %+v after the refusal, want the 4 reports", stats)
 	}
 	checkReconciled(t, rig.drain())
@@ -402,13 +417,8 @@ func testRestartRefusesOtherRolesWAL(t *testing.T, kind core.BatchKind) {
 // zero at the barrier. This is the Stats-side debug assertion the Dropped
 // field promises.
 func TestReconciliationWithDrops(t *testing.T) {
-	rig := newCrashRig(t, core.KindEnvelopes, EpochConfig{})
-	refuser, err := Serve("127.0.0.1:0", rig.svc) // ingests envelopes, not payloads
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer refuser.Close()
-	svc, err := NewStageService(rig.stage(core.KindEnvelopes), []string{refuser.Addr().String()},
+	rig := newCrashRig(t, core.KindEnvelopes, EpochConfig{}) // ingests envelopes, not payloads
+	svc, err := NewStageService(rig.stage(core.KindEnvelopes), []string{rig.addr},
 		EpochConfig{FlushAt: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -429,14 +439,15 @@ func TestReconciliationWithDrops(t *testing.T) {
 		t.Fatalf("stats after failed epoch = %+v, want 6 dropped in 1 failed epoch", drained)
 	}
 	checkReconciled(t, drained)
-	if st := rig.svc.Stats(); st.Accepted != 0 {
+	if st := rig.stats(); st.Accepted != 0 {
 		t.Errorf("the refusing stage ingested %d reports", st.Accepted)
 	}
 }
 
-// TestPushRidesOutDownstreamRestart: the analyzer goes down for about 1.2 s
-// while a hop pushes an epoch, then listens again at the same address. A
-// hop pushes the way a client submits — one sender, one redial policy of
+// TestPushRidesOutDownstreamRestart: the analyzer is out of reach for 1.2 s
+// while a hop pushes an epoch — a partition window on the hop's link, which
+// is how a downstream restart looks from upstream — and then answers again.
+// A hop pushes the way a client submits — one sender, one redial policy of
 // about 6 s — so the epoch must arrive exactly once: nothing dropped, no
 // epoch failed, every report counted.
 func TestPushRidesOutDownstreamRestart(t *testing.T) {
@@ -446,14 +457,18 @@ func TestPushRidesOutDownstreamRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
-	anlzSrv := serveKillable(t, anlzSvc)
-	anlzAddr := anlzSrv.addr()
+	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer anlzL.Close()
+	down := &faultnet.Plan{Seed: 1, PPartition: 1, PartitionFor: downFor, MaxFaults: 1}
 	shufPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := &shuffler.Shuffler{Priv: shufPriv, Rand: rand.New(rand.NewPCG(9, 11)), MinBatch: 1}
-	svc, err := NewStageService(sh, []string{anlzAddr}, EpochConfig{})
+	svc, err := NewStageService(sh, proxied(t, down, anlzL.Addr().String()), EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,29 +486,13 @@ func TestPushRidesOutDownstreamRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	anlzSrv.kill()
-	drained := make(chan error, 1)
-	var stats ServiceStats
-	go func() {
-		var err error
-		stats, err = svc.Drain(false)
-		drained <- err
-	}()
-	time.Sleep(downFor)
-	var l net.Listener
-	for attempt := 0; attempt < 50; attempt++ {
-		if l, err = Serve(anlzAddr, anlzSvc); err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	start := time.Now()
+	stats, err := svc.Drain(false)
 	if err != nil {
-		t.Fatalf("rebinding the analyzer at %s: %v", anlzAddr, err)
+		t.Fatalf("drain across a %v downstream outage: %v", downFor, err)
 	}
-	defer l.Close()
-
-	if err := <-drained; err != nil {
-		t.Fatalf("drain across a %v downstream restart: %v", downFor, err)
+	if took := time.Since(start); took < downFor || down.Injected() != 1 {
+		t.Errorf("drain took %v with %d faults injected, want the push held out for %v", took, down.Injected(), downFor)
 	}
 	if stats.Dropped != 0 || stats.EpochsFailed != 0 || stats.EpochsFlushed != 1 {
 		t.Errorf("stats = %+v, want the one epoch flushed, nothing dropped or failed", stats)
@@ -582,28 +581,137 @@ func TestForceDrainKeepsInFlightEpoch(t *testing.T) { forEachKind(t, testForceDr
 func testForceDrainKeepsInFlightEpoch(t *testing.T, kind core.BatchKind) {
 	fault := &faultnet.Plan{Seed: 1, PDelay: 1, Delay: 400 * time.Millisecond, MaxFaults: 1}
 	rig := newFaultyCrashRig(t, kind, EpochConfig{FlushAt: 5}, fault)
-	rig.svc.Close()
+	rig.stop()
 	rig.floor = 3
 	rig.start()
 	rig.submit(5, "inflight-value") // cuts an epoch; the proxy holds its push
-	time.Sleep(100 * time.Millisecond)
+	untilTrue(t, "the push to reach the proxy", func() bool { return fault.Injected() == 1 })
 	rig.submit(2, "tail-value") // below the floor of 3
+	drainer := dialed(t, rig.addr)
 	drained := make(chan error, 1)
 	go func() {
-		_, err := rig.svc.Drain(true) // drops the tail, then waits behind the push
+		_, err := drainer.DrainMode(true) // drops the tail, then waits behind the push
 		drained <- err
 	}()
-	time.Sleep(100 * time.Millisecond)
-	rig.svc.Abort() // crash with epoch 1 unresolved and the tail's drop logged
+	// The drain's barrier queues behind the in-flight epoch only once the
+	// tail's drop is logged.
+	untilTrue(t, "the tail's drop", func() bool {
+		st := rig.stats()
+		return st.Dropped == 2 && st.QueuedEpochs == 2
+	})
+	rig.crash() // crash with epoch 1 unresolved and the tail's drop logged
+	drainer.Close()
 	<-drained
 
 	rig.next = rig.anlz
 	rig.start()
-	if stats := rig.svc.Stats(); stats.RecoveredEpochs != 1 || stats.RecoveredItems != 5 {
+	if stats := rig.stats(); stats.RecoveredEpochs != 1 || stats.RecoveredItems != 5 {
 		t.Fatalf("post-restart stats = %+v, want the in-flight epoch of 5 recovered", stats)
 	}
 	checkReconciled(t, rig.drain())
 	if got := rig.histogram(); got["inflight-value"] != 5 || got["tail-value"] != 0 {
 		t.Errorf("histogram = %v, want 5 inflight-value and no tail-value", got)
+	}
+}
+
+// TestRestartAfterKillAtAnyInstant: a client streams stamped Submits to a
+// WAL-backed shuffler that cuts an epoch every 4 reports and pushes it to
+// the analyzer, while the test SIGKILLs the shuffler at instants drawn from
+// faultSeed and restarts it at the same address each time. A kill can land
+// anywhere — mid-ingest, between a cut and its push, between a push and
+// its ack record, in the middle of a restart's recovery — and the client's
+// same-stamp retries, the WAL and downstream dedup must still deliver every
+// report exactly once: after the final drain the analyzer's counts equal
+// the submitted counts, and the shuffler's ledger balances with nothing
+// dropped.
+func TestRestartAfterKillAtAnyInstant(t *testing.T) {
+	const kills = 5
+	seed := faultSeed(t, 0x4b11)
+	rng := rand.New(rand.NewPCG(seed, 1))
+	rig := newCrashRig(t, core.KindEnvelopes, EpochConfig{FlushAt: 4})
+	cl := dialed(t, rig.addr)
+
+	// A pool of batches of 1 to 3 reports, each of one value, submitted
+	// round and round: a resubmitted batch is new reports to the pipeline.
+	type report struct {
+		batch core.Batch
+		value string
+	}
+	pool := make([]report, 24)
+	for i := range pool {
+		pool[i].value = fmt.Sprintf("value-%d", i%5)
+		pool[i].batch = rig.batch(1+i%3, pool[i].value)
+	}
+	want := make(map[string]int)
+	stop := make(chan struct{})
+	streamed := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				streamed <- nil
+				return
+			default:
+			}
+			r := pool[i%len(pool)]
+			if n, err := cl.SubmitAll(r.batch); err != nil || n != r.batch.Len() {
+				streamed <- fmt.Errorf("submit %d: %d of %d accepted: %v", i, n, r.batch.Len(), err)
+				return
+			}
+			want[r.value] += r.batch.Len()
+		}
+	}()
+
+	for k := 0; k < kills; k++ {
+		time.Sleep(time.Duration(rng.IntN(250)) * time.Millisecond)
+		rig.crash()
+		rig.start()
+	}
+	close(stop)
+	if err := <-streamed; err != nil {
+		t.Fatal(err)
+	}
+
+	stats := rig.drain()
+	checkReconciled(t, stats)
+	if stats.Dropped != 0 || stats.EpochsFailed != 0 {
+		t.Errorf("after %d kills: dropped %d, failed epochs %d (%s), want none", kills, stats.Dropped, stats.EpochsFailed, stats.LastError)
+	}
+	got, undec := rig.anlzSvc.Histogram()
+	if undec != 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("after %d kills the analyzer counted %v (%d undecryptable), want the submitted %v", kills, got, undec, want)
+	}
+	total := 0
+	for _, n := range want {
+		total += n
+	}
+	t.Logf("%d reports submitted across %d kills", total, kills)
+}
+
+// faultSeed derives a deterministic seed for a test's fault or kill
+// schedule: def when run locally, a hash of PROCHLO_FAULT_SEED (CI sets it
+// to the commit SHA) otherwise, so each commit draws a distinct schedule
+// that its log reproduces.
+func faultSeed(t *testing.T, def uint64) uint64 {
+	s := os.Getenv("PROCHLO_FAULT_SEED")
+	if s == "" {
+		return def
+	}
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	t.Logf("fault seed %#x (PROCHLO_FAULT_SEED=%q)", h.Sum64(), s)
+	return h.Sum64()
+}
+
+// untilTrue polls cond every 5 ms for up to 5 s and fails the test naming
+// what if it never holds.
+func untilTrue(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

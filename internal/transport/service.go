@@ -209,12 +209,6 @@ func (s *StageService) Stats() ServiceStats { return s.eng.stats() }
 // connections.
 func (s *StageService) Close() error { return s.eng.close() }
 
-// Abort simulates a crash (kill -9) for the recovery test harness: no final
-// cut, no flush, no WAL sync — the log directory is left exactly as a dead
-// process would leave it, for a successor service on the same WALDir to
-// recover. Production shutdown is Close.
-func (s *StageService) Abort() { s.eng.abort() }
-
 func (s *StageService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
 	switch method {
 	case methodSubmit:

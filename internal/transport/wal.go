@@ -37,7 +37,11 @@ import (
 //     from its stamp to its append, so an epoch is always a contiguous
 //     range);
 //   - an ack or drop record when the flusher's push is acked downstream or
-//     permanently fails.
+//     permanently fails;
+//   - a drop-cut record when a final drain releases a below-floor epoch as
+//     dropped: the cut and its drop in one record, so no crash can leave
+//     the cut without the drop and a restart push the batch below the
+//     anonymity floor.
 //
 // Every segment opens with a checkpoint record: the state the log's records
 // before it add up to. It holds the horizon H — every sequence number <= H
@@ -66,10 +70,10 @@ import (
 //     cut covers was synced before it was acknowledged, so a pushed epoch's
 //     membership is always recoverable and a retried push after restart
 //     reuses the same epoch id for downstream dedup;
-//   - drop records: synced before the next epoch is pushed. Downstream
-//     dedup keeps one position per stream, so a dropped epoch re-pushed
-//     after a restart would land behind a later epoch and be acked without
-//     being ingested; a synced drop is never pushed again;
+//   - drop and drop-cut records: synced before the next epoch is pushed.
+//     Downstream dedup keeps one position per stream, so a dropped epoch
+//     re-pushed after a restart would land behind a later epoch and be
+//     acked without being ingested; a synced drop is never pushed again;
 //   - ack records and checkpoints: not synced on their own (a checkpoint
 //     rides the segment's next sync, and is synced before any segment it
 //     summarizes is deleted). Losing an ack re-pushes a delivered epoch,
@@ -103,6 +107,7 @@ const (
 	walRecBatch      byte = 9  // one ingested batch: uvarint base | Submit request body
 	walRecMeta       byte = 10 // stream id + admitted batch kind
 	walRecCheckpoint byte = 11 // H, epoch max, cuts above H, marks
+	walRecDropCut    byte = 12 // epoch id, min seq, max seq: cut and resolved as dropped at once
 )
 
 // DefaultWALSegmentBytes is a segment's size on disk: each is created as
@@ -435,14 +440,28 @@ func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
 // the barrier that makes a pushed epoch replayable under the same id after a
 // crash. The epoch's items are already durable: appendBatch fsyncs every
 // batch before it becomes visible to a cut.
-func (w *wal) logCut(id, minSeq, maxSeq int64) error {
+func (w *wal) logCut(id, minSeq, maxSeq int64) error { return w.cut(walRecCut, id, minSeq, maxSeq) }
+
+// logDrop records a cut released as dropped — the below-floor epoch a final
+// drain gives up — in one fsynced drop-cut record, resolved at once.
+func (w *wal) logDrop(id, minSeq, maxSeq int64) error {
+	return w.cut(walRecDropCut, id, minSeq, maxSeq)
+}
+
+// cut writes a cut or drop-cut record and applies it.
+func (w *wal) cut(typ byte, id, minSeq, maxSeq int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.writeLocked(appendRecord(nil, walRecCut, appendWireInts(nil, id, minSeq, maxSeq)), true); err != nil {
+	if err := w.writeLocked(appendRecord(nil, typ, appendWireInts(nil, id, minSeq, maxSeq)), true); err != nil {
 		return fmt.Errorf("transport: wal cut: %w", err)
 	}
-	w.cuts[id] = walCut{min: minSeq, max: maxSeq}
+	dropped := typ == walRecDropCut
+	w.cuts[id] = walCut{min: minSeq, max: maxSeq, resolved: dropped}
 	w.epochMax = max(w.epochMax, id)
+	if dropped {
+		w.advanceLocked()
+		w.pruneLocked()
+	}
 	return nil
 }
 
@@ -489,13 +508,6 @@ func (w *wal) closeLocked() {
 		w.f.Close()
 		w.f = nil
 	}
-}
-
-// closeFiles closes the active segment without syncing (the crash path).
-func (w *wal) closeFiles() {
-	w.mu.Lock()
-	w.closeLocked()
-	w.mu.Unlock()
 }
 
 // close shuts the log down. wipe (set when the engine drained cleanly with
@@ -610,8 +622,8 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 			if err := r.done(); err != nil {
 				return fmt.Errorf("checkpoint record: %w", err)
 			}
-		case walRecCut:
-			if id, c := r.int(), (walCut{min: r.int(), max: r.int()}); r.done() == nil {
+		case walRecCut, walRecDropCut:
+			if id, c := r.int(), (walCut{min: r.int(), max: r.int(), resolved: typ == walRecDropCut}); r.done() == nil {
 				addCut(id, c)
 			}
 		case walRecAck, walRecDrop:

@@ -597,21 +597,19 @@ func serveListener(l net.Listener, svc Service) {
 			continue
 		}
 		delay = 0
-		go ServeConn(conn, svc)
+		go serveConn(conn, svc)
 	}
 }
 
-// ServeConn serves one accepted connection until it closes. Serve wraps it
-// with a listener; tests that manage their own listeners (crash harnesses
-// that must sever live connections) drive it directly. A peer that does not
-// open with the magic within DefaultDialTimeout is closed.
+// serveConn serves one accepted connection until it closes. A peer that
+// does not open with the magic within DefaultDialTimeout is closed.
 //
 // The read loop answers each request itself, in arrival order, except a
 // Drain: it blocks for as long as the downstream barrier takes, so it runs in
 // its own goroutine (pipelining — the submissions behind it must not wait
 // for it), at most maxConnHandlers at a time. Replies are serialized by a
 // write lock.
-func ServeConn(conn net.Conn, svc Service) {
+func serveConn(conn net.Conn, svc Service) {
 	defer conn.Close()
 	var magic [4]byte
 	if err := conn.SetReadDeadline(time.Now().Add(DefaultDialTimeout)); err != nil {

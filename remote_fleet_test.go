@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,87 +21,19 @@ import (
 	"prochlo/internal/transport"
 )
 
-// trackedServer serves one party while tracking every accepted
-// connection, so a test can kill a replica the way kill -9 does: the
-// listener and all established sockets die together. transport.Serve only
-// closes the listener, which leaves old connections pointing at the dead
-// service — fine when each phase re-dials, but a fleet pipeline's
-// long-lived connections must instead see the connection sever and redial
-// the WAL-recovered successor at the same address. It also counts the
-// connections it accepted.
-type trackedServer struct {
-	l       net.Listener
-	accepts atomic.Int64
-	mu      sync.Mutex
-	conns   map[net.Conn]struct{}
-}
-
-func serveTracked(addr string, svc transport.Service) (*trackedServer, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s := &trackedServer{l: l, conns: make(map[net.Conn]struct{})}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			s.accepts.Add(1)
-			s.mu.Lock()
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			go func() {
-				transport.ServeConn(conn, svc)
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-		}
-	}()
-	return s, nil
-}
-
-func (s *trackedServer) addr() string { return s.l.Addr().String() }
-
-// kill severs the listener and every established connection at once.
-func (s *trackedServer) kill() {
-	s.l.Close()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-}
-
-// serveTrackedAt binds svc at a concrete address, retrying briefly: a
-// restarted replica must reclaim its predecessor's address so redialing
-// peers find the successor.
-func serveTrackedAt(addr string, svc transport.Service) (*trackedServer, error) {
-	var srv *trackedServer
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		if srv, err = serveTracked(addr, svc); err == nil {
-			return srv, nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return nil, fmt.Errorf("rebinding %s: %w", addr, err)
-}
-
 // TestRemoteChainFleetCrashRestartSoak is the fleet acceptance run: the
 // blinded chain deployed as 2 shuffler-1 replicas x 2 shuffler-2 partitions
-// x 2 analyzer partitions, with the WAL enabled at every shuffler replica
-// and a seeded fault proxy on every inter-tier link. Mid-run, a hop-1
-// replica is crash-killed with an epoch pending and restarted over its WAL
-// (the balancer must eject it, concentrate load on the survivor, and
-// readmit the recovered successor), and the seeded fault plan crash-kills a
-// hop-2 partition out from under an in-flight fan-out push (the upstream
-// sink must redial the WAL-recovered successor and the partition's dedup
-// must absorb any replay). The fleet-wide drain must still produce a
-// histogram byte-identical to the uninterrupted in-process pipeline with
-// zero drops and a balanced ledger at every replica.
+// x 2 analyzer partitions, with the WAL enabled at every shuffler replica,
+// each replica in a child process, and a seeded fault proxy on every
+// inter-tier link. Mid-run, a hop-1 replica is SIGKILLed with an epoch
+// pending and restarted over its WAL (the balancer must eject it,
+// concentrate load on the survivor, and readmit the recovered successor),
+// and the seeded fault plan SIGKILLs a hop-2 partition out from under an
+// in-flight fan-out push (the upstream sink must redial the WAL-recovered
+// successor and the partition's dedup must absorb any replay). The
+// fleet-wide drain must still produce a histogram byte-identical to the
+// uninterrupted in-process pipeline with zero drops and a balanced ledger
+// at every replica.
 //
 // Thresholding is disabled for the same reason as the single-chain crash
 // soak: a restart reseeds the stage RNG, and here partitioning additionally
@@ -148,13 +79,11 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	}
 	params := shuffler.Params{Seed: seed, MinBatch: 1}
 
-	// Replica state, guarded by mu: the seeded kill hook mutates it from a
-	// proxy goroutine while the test goroutine reads it.
+	// The running replicas; s2s is guarded by mu, because the seeded kill
+	// hook replaces a replica from a proxy goroutine.
 	var mu sync.Mutex
-	s1svcs := make([]*transport.StageService, 2)
-	s2svcs := make([]*transport.StageService, 2)
-	s1Srvs := make([]*trackedServer, 2)
-	s2Srvs := make([]*trackedServer, 2)
+	s1s := make([]*child, 2)
+	s2s := make([]*child, 2)
 	s1WALs := [2]string{t.TempDir(), t.TempDir()}
 	s2WALs := [2]string{t.TempDir(), t.TempDir()}
 
@@ -171,41 +100,38 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		{Seed: fs + 3, PPartition: 1, PartitionFor: 100 * time.Millisecond, MaxFaults: 1},
 	}
 	s2Nexts := [2][]string{proxied(t, s2Faults[0], anlzAddrs...), proxied(t, s2Faults[1], anlzAddrs...)}
+	// Each start takes the address given: a restarted replica reclaims its
+	// predecessor's, so redialing peers find the successor.
 	start2 := func(i int, addr string) error {
-		svc, err := newStage("shuffler2", s2Sec, params, s2Nexts[i],
-			transport.EpochConfig{WALDir: s2WALs[i]})
-		if err != nil {
-			return err
-		}
-		srv, err := serveTrackedAt(addr, svc)
+		c, err := startChild(t, "shuffler2", s2Sec, params, s2Nexts[i], transport.EpochConfig{WALDir: s2WALs[i]}, addr)
 		if err != nil {
 			return err
 		}
 		mu.Lock()
-		s2svcs[i], s2Srvs[i] = svc, srv
+		s2s[i] = c
 		mu.Unlock()
 		return nil
 	}
-	for i := range s2svcs {
+	for i := range s2s {
 		if err := start2(i, "127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s2Addrs := []string{s2Srvs[0].addr(), s2Srvs[1].addr()}
+	s2Addrs := []string{s2s[0].addr, s2s[1].addr}
 
 	// The seeded whole-replica kill: the first fan-out push from hop-1
-	// replica 0 crash-kills hop-2 partition 0 (listener and sockets sever,
-	// engine aborts mid-epoch — kill -9) and restarts it over its WAL at
-	// the same address. The proxy closes the push's connection; the sender
-	// redials, and the proxy's fresh connection lands on the successor.
+	// replica 0 SIGKILLs hop-2 partition 0 mid-epoch and restarts it over
+	// its WAL at the same address. The proxy closes the push's connection;
+	// the sender redials, and the proxy's fresh connection lands on the
+	// successor.
 	killS2 := func() {
 		mu.Lock()
-		srv, svc := s2Srvs[0], s2svcs[0]
+		c := s2s[0]
 		mu.Unlock()
-		addr := srv.addr()
-		srv.kill()
-		svc.Abort()
-		if err := start2(0, addr); err != nil {
+		if err := c.kill(); err != nil {
+			t.Error(err)
+		}
+		if err := start2(0, c.addr); err != nil {
 			t.Errorf("restarting killed shuffler2 replica: %v", err)
 		}
 	}
@@ -216,41 +142,18 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		{Seed: fs + 1, PDup: 1, MaxFaults: 2},
 	}
 	s1Nexts := [2][]string{proxied(t, s1Faults[0], s2Addrs...), proxied(t, s1Faults[1], s2Addrs...)}
-	start1 := func(i int, addr string) error {
-		svc, err := newStage("shuffler1", s1Sec, params, s1Nexts[i],
-			transport.EpochConfig{FlushAt: 1000, WALDir: s1WALs[i]})
+	start1 := func(i int, addr string) {
+		c, err := startChild(t, "shuffler1", s1Sec, params, s1Nexts[i],
+			transport.EpochConfig{FlushAt: 1000, WALDir: s1WALs[i]}, addr)
 		if err != nil {
-			return err
-		}
-		srv, err := serveTrackedAt(addr, svc)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		s1svcs[i], s1Srvs[i] = svc, srv
-		mu.Unlock()
-		return nil
-	}
-	for i := range s1svcs {
-		if err := start1(i, "127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
+		s1s[i] = c
 	}
-	s1Addrs := []string{s1Srvs[0].addr(), s1Srvs[1].addr()}
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, srv := range append(s1Srvs, s2Srvs...) {
-			if srv != nil {
-				srv.kill()
-			}
-		}
-		for _, svc := range append(s1svcs, s2svcs...) {
-			if svc != nil {
-				svc.Close()
-			}
-		}
-	}()
+	for i := range s1s {
+		start1(i, "127.0.0.1:0")
+	}
+	s1Addrs := []string{s1s[0].addr, s1s[1].addr}
 
 	// One long-lived fleet pipeline for the whole run — its connections,
 	// the balancer, and the drain barrier all live through the replica
@@ -280,15 +183,12 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	}
 
 	// Chunk 0 enters through hop-1 replica 0 (round-robin starts there) and
-	// stays pending (FlushAt is beyond reach). Crash-kill the replica
+	// stays pending (FlushAt is beyond reach). SIGKILL the replica
 	// mid-epoch; the health probes must trip the breaker and eject it.
 	submit(0)
-	mu.Lock()
-	srv0, svc0 := s1Srvs[0], s1svcs[0]
-	mu.Unlock()
-	s1Addr0 := srv0.addr()
-	srv0.kill()
-	svc0.Abort()
+	if err := s1s[0].kill(); err != nil {
+		t.Fatal(err)
+	}
 	waitBalancer("ejection of the dead replica", func(bs transport.BalancerStats) bool {
 		return bs.Healthy == 1
 	})
@@ -299,13 +199,8 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 
 	// Restart replica 0 over its WAL at the same address: it must recover
 	// the killed epoch, and the probes must readmit it.
-	if err := start1(0, s1Addr0); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	svc0 = s1svcs[0]
-	mu.Unlock()
-	if st := svc0.Stats(); st.RecoveredItems != chunk {
+	start1(0, s1Addrs[0])
+	if st := stageStats(t, s1Addrs[0]); st.RecoveredItems != chunk {
 		t.Fatalf("restarted hop-1 replica recovered %d items, want %d", st.RecoveredItems, chunk)
 	}
 	waitBalancer("readmission of the recovered replica", func(bs transport.BalancerStats) bool {
@@ -373,15 +268,17 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 // party accepts one after the dial returns, however long the pipeline runs.
 func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 	labels, data := sampleReports(40)
-	var srvs []*trackedServer
+	// Every party is addressed through a fault-free proxy, which counts the
+	// connections dialed to it.
+	var srvs []*faultnet.Proxy
 	serve := func(svc transport.Service) string {
-		srv, err := serveTracked("127.0.0.1:0", svc)
+		srv, err := faultnet.Listen(&faultnet.Plan{}, serveAt(t, "127.0.0.1:0", svc).Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(srv.kill)
+		t.Cleanup(func() { srv.Close() })
 		srvs = append(srvs, srv)
-		return srv.addr()
+		return srv.Addr()
 	}
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
@@ -420,9 +317,9 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rp.Close()
-	atDial := make([]int64, len(srvs))
+	atDial := make([]int, len(srvs))
 	for i, srv := range srvs {
-		atDial[i] = srv.accepts.Load()
+		atDial[i] = srv.Accepted()
 	}
 
 	// Two submissions, one per entry replica, then stats and a drain.
@@ -452,13 +349,13 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 	}
 
 	for i, srv := range entryReplicas {
-		if n := srv.accepts.Load(); n != 1 {
+		if n := srv.Accepted(); n != 1 {
 			t.Errorf("entry replica %d accepted %d connections, want 1", i, n)
 		}
 	}
 	for i, srv := range srvs {
-		if n := srv.accepts.Load(); n != atDial[i] {
-			t.Errorf("party %s accepted %d connections after the dial returned, want 0", srv.addr(), n-atDial[i])
+		if n := srv.Accepted(); n != atDial[i] {
+			t.Errorf("party %s accepted %d connections after the dial returned, want 0", srv.Addr(), n-atDial[i])
 		}
 	}
 }
@@ -525,12 +422,7 @@ func TestDialRefusesHop1ReplicasThatDisagree(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { svc.Close() })
-		srv, err := serveTracked("127.0.0.1:0", svc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.kill)
-		return srv.addr()
+		return serveAt(t, "127.0.0.1:0", svc).Addr().String()
 	}
 	stage := func(role string, sec shuffler.Secrets) shuffler.Stage {
 		st, err := shuffler.NewStage(role, sec, shuffler.Params{})
@@ -601,26 +493,17 @@ func TestRestartedHop1KeepsItsAlpha(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s2svc.Close() })
-	s2srv, err := serveTracked("127.0.0.1:0", s2svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s2srv.kill)
-	start1 := func(addr string) (*transport.StageService, *trackedServer) {
-		svc, err := newStage("shuffler1", s1Sec, params, []string{s2srv.addr()}, transport.EpochConfig{})
+	s2Addr := serveAt(t, "127.0.0.1:0", s2svc).Addr().String()
+	start1 := func(addr string) (*transport.StageService, net.Listener) {
+		svc, err := newStage("shuffler1", s1Sec, params, []string{s2Addr}, transport.EpochConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { svc.Close() })
-		srv, err := serveTrackedAt(addr, svc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.kill)
-		return svc, srv
+		return svc, serveAt(t, addr, svc)
 	}
 	svc, srv := start1("127.0.0.1:0")
-	rp, err := prochlo.DialRemoteChainFleet([]string{srv.addr()}, []string{s2srv.addr()}, anlzAddrs,
+	rp, err := prochlo.DialRemoteChainFleet([]string{srv.Addr().String()}, []string{s2Addr}, anlzAddrs,
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -631,11 +514,11 @@ func TestRestartedHop1KeepsItsAlpha(t *testing.T) {
 	}
 	// The replica stops gracefully, draining its half into hop 2 (which cuts
 	// only on a drain, so holds it), and a successor takes over its address.
-	srv.kill()
+	srv.Close()
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	start1(srv.addr())
+	start1(srv.Addr().String())
 	if err := rp.SubmitBatch(labels[T/2:], data[T/2:]); err != nil {
 		t.Fatal(err)
 	}
@@ -673,30 +556,21 @@ func TestRestartedHop1WithAFreshAlpha(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s2svc.Close() })
-	s2srv, err := serveTracked("127.0.0.1:0", s2svc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s2srv.kill)
-	start1 := func(addr string) (*transport.StageService, *trackedServer) {
+	s2Addr := serveAt(t, "127.0.0.1:0", s2svc).Addr().String()
+	start1 := func(addr string) (*transport.StageService, net.Listener) {
 		sec, err := shuffler.GenerateSecrets() // no key file: a fresh α per start
 		if err != nil {
 			t.Fatal(err)
 		}
-		svc, err := newStage("shuffler1", sec, params, []string{s2srv.addr()}, transport.EpochConfig{})
+		svc, err := newStage("shuffler1", sec, params, []string{s2Addr}, transport.EpochConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { svc.Close() })
-		srv, err := serveTrackedAt(addr, svc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.kill)
-		return svc, srv
+		return svc, serveAt(t, addr, svc)
 	}
 	svc, srv := start1("127.0.0.1:0")
-	rp, err := prochlo.DialRemoteChainFleet([]string{srv.addr()}, []string{s2srv.addr()}, anlzAddrs,
+	rp, err := prochlo.DialRemoteChainFleet([]string{srv.Addr().String()}, []string{s2Addr}, anlzAddrs,
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -705,11 +579,11 @@ func TestRestartedHop1WithAFreshAlpha(t *testing.T) {
 	if err := rp.SubmitBatch(crowd("before")); err != nil {
 		t.Fatal(err)
 	}
-	srv.kill()
+	srv.Close()
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	start1(srv.addr())
+	start1(srv.Addr().String())
 	if err := rp.SubmitBatch(crowd("after")); err != nil {
 		if !strings.Contains(err.Error(), "changed its blinding key") {
 			t.Fatal(err)
@@ -727,6 +601,17 @@ func TestRestartedHop1WithAFreshAlpha(t *testing.T) {
 			t.Errorf("analyzer counted %d of crowd %q's %d reports, want all", got, name, T)
 		}
 	}
+}
+
+// serveAt serves svc at addr until the test ends.
+func serveAt(t *testing.T, addr string, svc transport.Service) net.Listener {
+	t.Helper()
+	l, err := transport.Serve(addr, svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
 }
 
 // BenchmarkRemoteChainFleet measures the replicated chain end to end —

@@ -6,14 +6,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
-	"net"
 	"os"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"prochlo"
 	"prochlo/internal/analyzer"
@@ -452,9 +450,9 @@ func faultSeed(t *testing.T, def int64) int64 {
 
 // TestRemoteChainCrashRestartSoak is the crash-safety acceptance run: the
 // seeded two-hop chain runs with the WAL enabled at both hops and a seeded
-// fault proxy on both inter-stage links, each shuffler hop is killed
-// (Abort — no final cut, no drain, exactly what kill -9 leaves) and
-// restarted over its WAL directory mid-epoch, and the drained histogram
+// fault proxy on both inter-stage links, each shuffler hop runs in a child
+// process that is SIGKILLed (no final cut, no drain, its sockets severed)
+// and restarted over its WAL directory mid-epoch, and the drained histogram
 // must still be byte-identical to the uninterrupted in-process pipeline:
 // zero drops, zero double counts.
 //
@@ -514,53 +512,33 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	s2Next := proxied(t, s2Fault, anlzAddrs...)
 	s1WAL, s2WAL := t.TempDir(), t.TempDir()
 
-	var s1svc, s2svc *transport.StageService
-	var s1L, s2L net.Listener
-	serveAt := func(addr string, svc transport.Service) net.Listener {
-		// Restarts rebind the dead hop's concrete address so the upstream
-		// proxy's next connection finds the successor.
-		var l net.Listener
-		var err error
-		for attempt := 0; attempt < 50; attempt++ {
-			if l, err = transport.Serve(addr, svc); err == nil {
-				return l
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		t.Fatalf("rebinding %s: %v", addr, err)
-		return nil
-	}
+	// Each start takes the dead hop's address, so the upstream proxy's next
+	// connection finds the successor.
+	var s1, s2 *child
 	start2 := func(addr string) {
 		var err error
-		s2svc, err = newStage("shuffler2", s2Sec, params, s2Next,
-			transport.EpochConfig{WALDir: s2WAL})
-		if err != nil {
+		if s2, err = startChild(t, "shuffler2", s2Sec, params, s2Next, transport.EpochConfig{WALDir: s2WAL}, addr); err != nil {
 			t.Fatal(err)
 		}
-		s2L = serveAt(addr, s2svc)
 	}
 	var s1Next []string // hop 2's proxy, stood up once hop 2 listens
 	start1 := func(addr string) {
 		var err error
-		s1svc, err = newStage("shuffler1", s1Sec, params, s1Next,
-			transport.EpochConfig{FlushAt: 1000, WALDir: s1WAL})
-		if err != nil {
+		if s1, err = startChild(t, "shuffler1", s1Sec, params, s1Next,
+			transport.EpochConfig{FlushAt: 1000, WALDir: s1WAL}, addr); err != nil {
 			t.Fatal(err)
 		}
-		s1L = serveAt(addr, s1svc)
+	}
+	kill := func(c *child) {
+		if err := c.kill(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	start2("127.0.0.1:0")
-	s1Next = proxied(t, s1Fault, s2L.Addr().String())
+	s1Next = proxied(t, s1Fault, s2.addr)
 	start1("127.0.0.1:0")
-	defer func() {
-		s1L.Close()
-		s2L.Close()
-		s1svc.Close()
-		s2svc.Close()
-	}()
 	submit := func(at int) {
-		rp, err := prochlo.DialRemoteChainFleet(
-			[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, anlzAddrs,
+		rp, err := prochlo.DialRemoteChainFleet([]string{s1.addr}, []string{s2.addr}, anlzAddrs,
 			prochlo.WithRemoteWorkers(1))
 		if err != nil {
 			t.Fatal(err)
@@ -574,19 +552,16 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	// Chunk 0 is accepted by hop 1 and still pending (FlushAt is beyond
 	// reach) when hop 1 dies; the restarted hop must recover it.
 	submit(0)
-	s1Addr := s1L.Addr().String()
-	s1L.Close()
-	s1svc.Abort()
-	start1(s1Addr)
-	if stats := s1svc.Stats(); stats.RecoveredItems != chunk {
+	kill(s1)
+	start1(s1.addr)
+	if stats := stageStats(t, s1.addr); stats.RecoveredItems != chunk {
 		t.Fatalf("hop 1 recovered %d items, want %d", stats.RecoveredItems, chunk)
 	}
 
 	// Chunk 1 joins the recovered epoch; draining hop 1 forwards both
 	// chunks (duplicated by the fault plan) through hop 2 to the analyzer.
 	submit(chunk)
-	rp, err := prochlo.DialRemoteChainFleet(
-		[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, anlzAddrs,
+	rp, err := prochlo.DialRemoteChainFleet([]string{s1.addr}, []string{s2.addr}, anlzAddrs,
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -600,22 +575,25 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	// pending there when hop 2 dies mid-epoch; the restarted hop must
 	// recover both the reports and the forward-dedup marks.
 	submit(2 * chunk)
-	if _, err := s1svc.Drain(false); err != nil {
+	hop1, err := transport.Dial(s1.addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2Addr := s2L.Addr().String()
-	s2L.Close()
-	s2svc.Abort()
-	start2(s2Addr)
-	if stats := s2svc.Stats(); stats.RecoveredItems != chunk {
+	_, err = hop1.Drain()
+	hop1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill(s2)
+	start2(s2.addr)
+	if stats := stageStats(t, s2.addr); stats.RecoveredItems != chunk {
 		t.Fatalf("hop 2 recovered %d items, want %d", stats.RecoveredItems, chunk)
 	}
 
 	// The final chunk flows through both restarted hops; hop 1's sink
 	// redials the successor hop 2 at the old address.
 	submit(3 * chunk)
-	rp, err = prochlo.DialRemoteChainFleet(
-		[]string{s1L.Addr().String()}, []string{s2L.Addr().String()}, anlzAddrs,
+	rp, err = prochlo.DialRemoteChainFleet([]string{s1.addr}, []string{s2.addr}, anlzAddrs,
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
