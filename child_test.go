@@ -1,40 +1,21 @@
 package prochlo_test
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/big"
-	"os"
-	"os/exec"
-	"strings"
-	"syscall"
 	"testing"
 
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
+	"prochlo/internal/faultnet"
 	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
 )
 
-// The crash soaks run each shuffler replica they crash in a child process:
-// this test binary run again with childEnv set, so the child is built like
-// the parent (-race included). The parent ends it with a real SIGKILL
-// (os.Process.Kill), which can land at any instruction and severs the
-// listener and every connection at once, as a dead daemon's do. The child
-// builds its replica from the childSpec in childEnv as the fleet builder
-// does, prints its listen address on stdout, and, when its stdin reaches
-// EOF, closes the service gracefully and exits — so no child outlives the
-// test that started it.
-const childEnv = "PROCHLO_STAGE_CHILD"
-
-func TestMain(m *testing.M) {
-	if spec := os.Getenv(childEnv); spec != "" {
-		os.Exit(runChild(spec))
-	}
-	os.Exit(m.Run())
-}
+// The crash soaks run each shuffler replica they crash in a child process
+// (faultnet.StartChild) and end it with a real SIGKILL, which severs the
+// listener and every connection at once, as a dead daemon's are. The child
+// builds its replica from a childSpec as the fleet builder does.
+func TestMain(m *testing.M) { faultnet.ChildMain(m, serveChild) }
 
 // childSpec is everything a child replica is built from: its role, its
 // tier's secrets, the deployment's seed and floor, where it pushes, where
@@ -50,103 +31,35 @@ type childSpec struct {
 	Cfg      transport.EpochConfig
 }
 
-// runChild is the child's main: it serves the replica spec describes until
-// stdin reaches EOF, then closes it gracefully. It returns the exit code.
-func runChild(raw string) int {
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "child replica:", err)
-		return 2
-	}
-	var spec childSpec
-	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
-		return fail(err)
-	}
+// serveChild is the child's main: it serves the replica spec describes and
+// returns its address and its graceful stop.
+func serveChild(spec childSpec) (string, func() error, error) {
 	var sec shuffler.Secrets
 	var err error
 	if sec.Priv, err = hybrid.ParsePrivateKey(spec.Priv); err != nil {
-		return fail(err)
+		return "", nil, err
 	}
 	if sec.Blinding, err = elgamal.NewKeyPair(spec.X); err != nil {
-		return fail(err)
+		return "", nil, err
 	}
 	svc, err := newStage(spec.Role, sec, shuffler.Params{Seed: spec.Seed, MinBatch: spec.MinBatch}, spec.Next, spec.Cfg)
 	if err != nil {
-		return fail(err)
+		return "", nil, err
 	}
 	l, err := transport.Serve(spec.Listen, svc)
 	if err != nil {
-		return fail(err)
+		return "", nil, err
 	}
-	fmt.Println(l.Addr())
-	io.Copy(io.Discard, os.Stdin) //nolint:errcheck // EOF or an error: either way the parent is gone
-	l.Close()
-	if err := svc.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "child replica close:", err)
-		return 1
-	}
-	return 0
-}
-
-// child is a replica running in a child process.
-type child struct {
-	addr   string
-	cmd    *exec.Cmd
-	stdin  io.Closer     // held open for the child's life
-	exited chan struct{} // closed once Wait has returned
+	return l.Addr().String(), func() error { l.Close(); return svc.Close() }, nil
 }
 
 // startChild starts a replica of role in a child process, listening at
 // listen, and waits for its address. It is safe to call from a fault
-// proxy's kill hook: it reports failure as an error, not through t.
+// plan's kill hook: it reports failure as an error, not through t.
 func startChild(t *testing.T, role string, sec shuffler.Secrets, p shuffler.Params, next []string,
-	cfg transport.EpochConfig, listen string) (*child, error) {
-	raw, err := json.Marshal(childSpec{Role: role, Priv: sec.Priv.Bytes(), X: sec.Blinding.X, Seed: p.Seed,
+	cfg transport.EpochConfig, listen string) (*faultnet.Child, error) {
+	return faultnet.StartChild(t, childSpec{Role: role, Priv: sec.Priv.Bytes(), X: sec.Blinding.X, Seed: p.Seed,
 		MinBatch: p.MinBatch, Next: next, Listen: listen, Cfg: cfg})
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^$")
-	cmd.Env = append(os.Environ(), childEnv+"="+string(raw))
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return nil, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	c := &child{cmd: cmd, stdin: stdin, exited: make(chan struct{})}
-	line, rerr := bufio.NewReader(stdout).ReadString('\n')
-	go func() {
-		cmd.Wait() //nolint:errcheck // the status is read from ProcessState
-		close(c.exited)
-	}()
-	t.Cleanup(func() {
-		cmd.Process.Kill() //nolint:errcheck // it may have exited already
-		<-c.exited
-	})
-	if rerr != nil {
-		<-c.exited
-		return nil, fmt.Errorf("child %s exited before it listened: %v", role, cmd.ProcessState)
-	}
-	c.addr = strings.TrimSpace(line)
-	return c, nil
-}
-
-// kill ends the replica with SIGKILL and checks its wait status says so.
-func (c *child) kill() error {
-	if err := c.cmd.Process.Kill(); err != nil {
-		return err
-	}
-	<-c.exited
-	if ws, ok := c.cmd.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
-		return fmt.Errorf("replica at %s ended with %v, want killed by SIGKILL", c.addr, c.cmd.ProcessState)
-	}
-	return nil
 }
 
 // stageStats fetches a stage's stats over the wire.

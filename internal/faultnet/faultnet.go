@@ -5,7 +5,9 @@
 // a Plan, and every fault it injects is a real connection event: a closed
 // socket, a frame delivered twice, a reply that never comes back. The
 // parties on either side run the code production runs, so the sender's
-// redial and the receiver's (stream, pos) dedup are what recover.
+// redial and the receiver's (stream, pos) dedup are what recover. A Child
+// is the adversary on the process: a party run in a child process that the
+// test ends with a real SIGKILL.
 //
 // The package imports only the standard library. It knows the frame
 // protocol's shape — a 4-byte magic answered by a 4-byte ack, then
@@ -21,7 +23,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -176,8 +177,6 @@ type Proxy struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	accepted atomic.Int64
-
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -198,10 +197,6 @@ func Listen(plan *Plan, target string) (*Proxy, error) {
 
 // Addr is the address senders dial in place of the target.
 func (p *Proxy) Addr() string { return p.l.Addr().String() }
-
-// Accepted reports how many connections the proxy has accepted: the
-// connections senders dialed to the target through it.
-func (p *Proxy) Accepted() int { return int(p.accepted.Load()) }
 
 // Close stops accepting, closes every relayed connection and waits for the
 // relays to return.
@@ -231,7 +226,6 @@ func (p *Proxy) accept() {
 		if err != nil {
 			return
 		}
-		p.accepted.Add(1)
 		if !p.track(c) {
 			c.Close()
 			return

@@ -237,7 +237,7 @@ func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	env := rig.envelope(t, "c:ambiguous", "ambiguous-value")
 	accepted, err := b.SubmitAll(core.Batch{Envelopes: []core.Envelope{env}})
 	if err == nil {
-		t.Fatal("SubmitAll against a died-mid-connection replica succeeded, want a surfaced error")
+		t.Fatal("SubmitAll through a link that loses every ack succeeded, want a surfaced error")
 	}
 	if accepted != 0 {
 		t.Fatalf("accepted = %d, want 0 (the ambiguous slice must not be acked)", accepted)

@@ -1,40 +1,22 @@
 package transport
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math/big"
 	"math/rand/v2"
-	"os"
-	"os/exec"
-	"strings"
-	"syscall"
 	"testing"
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
+	"prochlo/internal/faultnet"
 	"prochlo/internal/shuffler"
 )
 
-// A crash test runs the stage it crashes in a child process: this test
-// binary run again with childEnv set, so the child is built like the parent
-// (-race included). The parent ends it with a real SIGKILL (os.Process.Kill),
-// which can land at any instruction; the child's WAL directory is then
-// exactly what a dead daemon leaves. The child builds its StageService from
-// the childSpec in childEnv, prints its listen address on stdout, and, when
-// its stdin reaches EOF, closes the service gracefully and exits — so no
-// child outlives the test that started it.
-const childEnv = "PROCHLO_TRANSPORT_CHILD"
-
-func TestMain(m *testing.M) {
-	if spec := os.Getenv(childEnv); spec != "" {
-		os.Exit(runChild(spec))
-	}
-	os.Exit(m.Run())
-}
+// A crash test runs the stage it crashes in a child process
+// (faultnet.StartChild) and ends it with a real SIGKILL; the child's WAL
+// directory is then exactly what a dead daemon leaves. The child builds its
+// StageService from a childSpec.
+func TestMain(m *testing.M) { faultnet.ChildMain(m, serveChild) }
 
 // childSpec is everything a child stage is built from.
 type childSpec struct {
@@ -60,107 +42,34 @@ func crashStage(kind core.BatchKind, floor int, priv *hybrid.PrivateKey, blind *
 	return &shuffler.Shuffler{Priv: priv, Rand: rng, MinBatch: max(1, floor)}
 }
 
-// runChild is the child's main: it serves the stage spec describes until
-// stdin reaches EOF, then closes it gracefully. It returns the exit code.
-func runChild(raw string) int {
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "child stage:", err)
-		return 2
-	}
-	var spec childSpec
-	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
-		return fail(err)
-	}
+// serveChild is the child's main: it serves the stage spec describes and
+// returns its address and its graceful stop.
+func serveChild(spec childSpec) (string, func() error, error) {
 	priv, err := hybrid.ParsePrivateKey(spec.Priv)
 	if err != nil {
-		return fail(err)
+		return "", nil, err
 	}
 	blind, err := elgamal.NewKeyPair(spec.X)
 	if err != nil {
-		return fail(err)
+		return "", nil, err
 	}
 	svc, err := NewStageService(crashStage(spec.Kind, spec.Floor, priv, blind), spec.Next, spec.Cfg)
 	if err != nil {
-		return fail(err)
+		return "", nil, err
 	}
 	l, err := Serve(spec.Listen, svc)
 	if err != nil {
-		return fail(err)
+		return "", nil, err
 	}
-	fmt.Println(l.Addr())
-	io.Copy(io.Discard, os.Stdin) //nolint:errcheck // EOF or an error: either way the parent is gone
-	l.Close()
-	if err := svc.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "child stage close:", err)
-		return 1
-	}
-	return 0
-}
-
-// child is a stage running in a child process.
-type child struct {
-	addr   string
-	cmd    *exec.Cmd
-	stdin  io.Closer
-	exited chan struct{} // closed once Wait has returned, into err
-	err    error
+	return l.Addr().String(), func() error { l.Close(); return svc.Close() }, nil
 }
 
 // startChild starts a child stage and waits for its listen address.
-func startChild(t testing.TB, spec childSpec) *child {
+func startChild(t testing.TB, spec childSpec) *faultnet.Child {
 	t.Helper()
-	raw, err := json.Marshal(spec)
+	c, err := faultnet.StartChild(t, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^$")
-	cmd.Env = append(os.Environ(), childEnv+"="+string(raw))
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	c := &child{cmd: cmd, stdin: stdin, exited: make(chan struct{})}
-	line, rerr := bufio.NewReader(stdout).ReadString('\n')
-	go func() {
-		c.err = cmd.Wait()
-		close(c.exited)
-	}()
-	t.Cleanup(func() {
-		cmd.Process.Kill() //nolint:errcheck // it may have exited already
-		<-c.exited
-	})
-	if rerr != nil {
-		<-c.exited
-		t.Fatalf("child stage exited before it listened: %v", c.err)
-	}
-	c.addr = strings.TrimSpace(line)
 	return c
-}
-
-// kill ends the child with SIGKILL and checks its wait status says so.
-func (c *child) kill() error {
-	if err := c.cmd.Process.Kill(); err != nil {
-		return err
-	}
-	<-c.exited
-	if ws, ok := c.cmd.ProcessState.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
-		return fmt.Errorf("child stage at %s ended with %v, want killed by SIGKILL", c.addr, c.cmd.ProcessState)
-	}
-	return nil
-}
-
-// stop closes the child's stdin, which closes its service gracefully, and
-// waits for a clean exit.
-func (c *child) stop() error {
-	c.stdin.Close()
-	<-c.exited
-	return c.err
 }

@@ -42,10 +42,10 @@ type crashRig struct {
 
 	floor int // the stage's anonymity floor; 0 is 1
 
-	proc *child  // the running shuffler
-	cl   *Client // the rig's connection to it
-	addr string  // the shuffler's address, kept across restarts
-	seq  int64   // the rig's client: last (crashRigStream, seq) stamp submitted
+	proc *faultnet.Child // the running shuffler
+	cl   *Client         // the rig's connection to it
+	addr string          // the shuffler's address, kept across restarts
+	seq  int64           // the rig's client: last (crashRigStream, seq) stamp submitted
 }
 
 // crashRigStream is the stream id the rig submits under, as a
@@ -107,7 +107,7 @@ func (r *crashRig) start() {
 	r.t.Helper()
 	r.proc = startChild(r.t, childSpec{Kind: r.kind, Floor: r.floor, Priv: r.shufPriv.Bytes(), X: r.blindKP.X,
 		Next: []string{r.next}, Listen: r.addr, Cfg: r.cfg})
-	r.addr = r.proc.addr
+	r.addr = r.proc.Addr
 	r.cl = dialed(r.t, r.addr)
 }
 
@@ -116,7 +116,7 @@ func (r *crashRig) start() {
 func (r *crashRig) crash() {
 	r.t.Helper()
 	r.cl.Close()
-	if err := r.proc.kill(); err != nil {
+	if err := r.proc.Kill(); err != nil {
 		r.t.Fatal(err)
 	}
 }
@@ -125,7 +125,7 @@ func (r *crashRig) crash() {
 func (r *crashRig) stop() {
 	r.t.Helper()
 	r.cl.Close()
-	if err := r.proc.stop(); err != nil {
+	if err := r.proc.Stop(); err != nil {
 		r.t.Fatalf("graceful stop: %v", err)
 	}
 }
@@ -618,12 +618,11 @@ func testForceDrainKeepsInFlightEpoch(t *testing.T, kind core.BatchKind) {
 // WAL-backed shuffler that cuts an epoch every 4 reports and pushes it to
 // the analyzer, while the test SIGKILLs the shuffler at instants drawn from
 // faultSeed and restarts it at the same address each time. A kill can land
-// anywhere — mid-ingest, between a cut and its push, between a push and
-// its ack record, in the middle of a restart's recovery — and the client's
-// same-stamp retries, the WAL and downstream dedup must still deliver every
-// report exactly once: after the final drain the analyzer's counts equal
-// the submitted counts, and the shuffler's ledger balances with nothing
-// dropped.
+// anywhere in a running shuffler — mid-ingest, between a cut and its push,
+// between a push and its ack record — and the client's same-stamp retries,
+// the WAL and downstream dedup must still deliver every report exactly
+// once: after the final drain the analyzer's counts equal the submitted
+// counts, and the shuffler's ledger balances with nothing dropped.
 func TestRestartAfterKillAtAnyInstant(t *testing.T) {
 	const kills = 5
 	seed := faultSeed(t, 0x4b11)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	crand "crypto/rand"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,8 +84,8 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// The running replicas; s2s is guarded by mu, because the seeded kill
 	// hook replaces a replica from a proxy goroutine.
 	var mu sync.Mutex
-	s1s := make([]*child, 2)
-	s2s := make([]*child, 2)
+	s1s := make([]*faultnet.Child, 2)
+	s2s := make([]*faultnet.Child, 2)
 	s1WALs := [2]string{t.TempDir(), t.TempDir()}
 	s2WALs := [2]string{t.TempDir(), t.TempDir()}
 
@@ -117,7 +119,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s2Addrs := []string{s2s[0].addr, s2s[1].addr}
+	s2Addrs := []string{s2s[0].Addr, s2s[1].Addr}
 
 	// The seeded whole-replica kill: the first fan-out push from hop-1
 	// replica 0 SIGKILLs hop-2 partition 0 mid-epoch and restarts it over
@@ -128,10 +130,10 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 		mu.Lock()
 		c := s2s[0]
 		mu.Unlock()
-		if err := c.kill(); err != nil {
+		if err := c.Kill(); err != nil {
 			t.Error(err)
 		}
-		if err := start2(0, c.addr); err != nil {
+		if err := start2(0, c.Addr); err != nil {
 			t.Errorf("restarting killed shuffler2 replica: %v", err)
 		}
 	}
@@ -153,7 +155,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	for i := range s1s {
 		start1(i, "127.0.0.1:0")
 	}
-	s1Addrs := []string{s1s[0].addr, s1s[1].addr}
+	s1Addrs := []string{s1s[0].Addr, s1s[1].Addr}
 
 	// One long-lived fleet pipeline for the whole run — its connections,
 	// the balancer, and the drain barrier all live through the replica
@@ -186,7 +188,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// stays pending (FlushAt is beyond reach). SIGKILL the replica
 	// mid-epoch; the health probes must trip the breaker and eject it.
 	submit(0)
-	if err := s1s[0].kill(); err != nil {
+	if err := s1s[0].Kill(); err != nil {
 		t.Fatal(err)
 	}
 	waitBalancer("ejection of the dead replica", func(bs transport.BalancerStats) bool {
@@ -268,17 +270,13 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 // party accepts one after the dial returns, however long the pipeline runs.
 func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 	labels, data := sampleReports(40)
-	// Every party is addressed through a fault-free proxy, which counts the
-	// connections dialed to it.
-	var srvs []*faultnet.Proxy
+	// Every party is addressed through a relay that counts the connections
+	// dialed to it.
+	var accepts []*atomic.Int64
 	serve := func(svc transport.Service) string {
-		srv, err := faultnet.Listen(&faultnet.Plan{}, serveAt(t, "127.0.0.1:0", svc).Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		srvs = append(srvs, srv)
-		return srv.Addr()
+		addr, n := countConns(t, serveAt(t, "127.0.0.1:0", svc).Addr().String())
+		accepts = append(accepts, n)
+		return addr
 	}
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
@@ -309,7 +307,7 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 		t.Cleanup(func() { svc.Close() })
 		s1Addrs = append(s1Addrs, serve(svc))
 	}
-	entryReplicas := srvs[len(srvs)-2:]
+	entryReplicas := accepts[len(accepts)-2:]
 
 	rp, err := prochlo.DialRemoteChainFleet(s1Addrs, []string{s2Addr}, []string{anlzAddr},
 		prochlo.WithRemoteWorkers(1))
@@ -317,9 +315,9 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rp.Close()
-	atDial := make([]int, len(srvs))
-	for i, srv := range srvs {
-		atDial[i] = srv.Accepted()
+	atDial := make([]int64, len(accepts))
+	for i, n := range accepts {
+		atDial[i] = n.Load()
 	}
 
 	// Two submissions, one per entry replica, then stats and a drain.
@@ -348,16 +346,48 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	for i, srv := range entryReplicas {
-		if n := srv.Accepted(); n != 1 {
+	for i, n := range entryReplicas {
+		if n := n.Load(); n != 1 {
 			t.Errorf("entry replica %d accepted %d connections, want 1", i, n)
 		}
 	}
-	for i, srv := range srvs {
-		if n := srv.Accepted(); n != atDial[i] {
-			t.Errorf("party %s accepted %d connections after the dial returned, want 0", srv.Addr(), n-atDial[i])
+	for i, n := range accepts {
+		if n := n.Load(); n != atDial[i] {
+			t.Errorf("party %d accepted %d connections after the dial returned, want 0", i, n-atDial[i])
 		}
 	}
+}
+
+// countConns relays every connection to target through a fresh loopback
+// port, for the test's lifetime, and counts the connections it accepts.
+func countConns(t *testing.T, target string) (string, *atomic.Int64) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	n := new(atomic.Int64)
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			n.Add(1)
+			go func() {
+				defer c.Close()
+				u, err := net.Dial("tcp", target)
+				if err != nil {
+					return
+				}
+				defer u.Close()
+				go func() { io.Copy(u, c); u.Close() }() //nolint:errcheck // either side closing ends the relay
+				io.Copy(c, u)                            //nolint:errcheck // either side closing ends the relay
+			}()
+		}
+	}()
+	return l.Addr().String(), n
 }
 
 // oneCrowd is n reports of one crowd, every one carrying the same value.

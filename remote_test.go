@@ -514,7 +514,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 
 	// Each start takes the dead hop's address, so the upstream proxy's next
 	// connection finds the successor.
-	var s1, s2 *child
+	var s1, s2 *faultnet.Child
 	start2 := func(addr string) {
 		var err error
 		if s2, err = startChild(t, "shuffler2", s2Sec, params, s2Next, transport.EpochConfig{WALDir: s2WAL}, addr); err != nil {
@@ -529,16 +529,16 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	kill := func(c *child) {
-		if err := c.kill(); err != nil {
+	kill := func(c *faultnet.Child) {
+		if err := c.Kill(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	start2("127.0.0.1:0")
-	s1Next = proxied(t, s1Fault, s2.addr)
+	s1Next = proxied(t, s1Fault, s2.Addr)
 	start1("127.0.0.1:0")
 	submit := func(at int) {
-		rp, err := prochlo.DialRemoteChainFleet([]string{s1.addr}, []string{s2.addr}, anlzAddrs,
+		rp, err := prochlo.DialRemoteChainFleet([]string{s1.Addr}, []string{s2.Addr}, anlzAddrs,
 			prochlo.WithRemoteWorkers(1))
 		if err != nil {
 			t.Fatal(err)
@@ -553,15 +553,15 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	// reach) when hop 1 dies; the restarted hop must recover it.
 	submit(0)
 	kill(s1)
-	start1(s1.addr)
-	if stats := stageStats(t, s1.addr); stats.RecoveredItems != chunk {
+	start1(s1.Addr)
+	if stats := stageStats(t, s1.Addr); stats.RecoveredItems != chunk {
 		t.Fatalf("hop 1 recovered %d items, want %d", stats.RecoveredItems, chunk)
 	}
 
 	// Chunk 1 joins the recovered epoch; draining hop 1 forwards both
 	// chunks (duplicated by the fault plan) through hop 2 to the analyzer.
 	submit(chunk)
-	rp, err := prochlo.DialRemoteChainFleet([]string{s1.addr}, []string{s2.addr}, anlzAddrs,
+	rp, err := prochlo.DialRemoteChainFleet([]string{s1.Addr}, []string{s2.Addr}, anlzAddrs,
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -575,7 +575,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	// pending there when hop 2 dies mid-epoch; the restarted hop must
 	// recover both the reports and the forward-dedup marks.
 	submit(2 * chunk)
-	hop1, err := transport.Dial(s1.addr)
+	hop1, err := transport.Dial(s1.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,15 +585,15 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	kill(s2)
-	start2(s2.addr)
-	if stats := stageStats(t, s2.addr); stats.RecoveredItems != chunk {
+	start2(s2.Addr)
+	if stats := stageStats(t, s2.Addr); stats.RecoveredItems != chunk {
 		t.Fatalf("hop 2 recovered %d items, want %d", stats.RecoveredItems, chunk)
 	}
 
 	// The final chunk flows through both restarted hops; hop 1's sink
 	// redials the successor hop 2 at the old address.
 	submit(3 * chunk)
-	rp, err = prochlo.DialRemoteChainFleet([]string{s1.addr}, []string{s2.addr}, anlzAddrs,
+	rp, err = prochlo.DialRemoteChainFleet([]string{s1.Addr}, []string{s2.Addr}, anlzAddrs,
 		prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
