@@ -1,10 +1,9 @@
 // Package core defines the wire types shared by the ESA pipeline stages:
 // the client report, the nested-encrypted envelope a client submits to a
 // shuffler, and the blinded-crowd-ID envelope of the split-shuffler protocol
-// (§4.3). A party's connection address and the time an item arrived never
-// enter an item: the one piece of arrival metadata an item carries is the
-// sequence number its stage stamps on ingest, and the shuffle clears it
-// (§3.3). Stage logic lives in packages encoder, shuffler, and analyzer; the
+// (§4.3). No item carries arrival metadata: a party's connection address,
+// the time an item arrived and its arrival order never enter an item (§3.3);
+// a stage's epoch engine keeps the order beside its items. Stage logic lives in packages encoder, shuffler, and analyzer; the
 // public pipeline API is the repository root package.
 package core
 
@@ -50,12 +49,9 @@ type Report struct {
 }
 
 // Envelope is what a client submits to a single shuffler: the nested
-// ciphertext Seal(shuffler, crowdID || Seal(analyzer, data)). SeqNo is the
-// arrival order the receiving stage stamps (Batch.Stamp); the shuffle strips
-// it (§3.3). The sender's address and the arrival time are not recorded.
+// ciphertext Seal(shuffler, crowdID || Seal(analyzer, data)).
 type Envelope struct {
-	Blob  []byte
-	SeqNo int
+	Blob []byte
 }
 
 // BlindedEnvelope is the split-shuffler wire format (§4.3): the crowd ID
@@ -71,18 +67,8 @@ type BlindedEnvelope struct {
 	// stamped by the client because only the client still knows the crowd
 	// ID in the clear — downstream the ID travels El Gamal-encrypted and
 	// blinded, so no hop can recompute the owner. It is routing data, not
-	// implicit metadata: StripMetadata leaves it, and it deliberately
+	// implicit metadata, and it deliberately
 	// leaks log2(M) bits of the crowd ID to hop 1 in exchange for
 	// crowd-consistent fan-in.
 	Partition int32
-
-	// SeqNo is the arrival order, as on Envelope.
-	SeqNo int
 }
-
-// StripMetadata clears an envelope's arrival order, the one piece of
-// implicit metadata an item carries, in place.
-func (e *Envelope) StripMetadata() { e.SeqNo = 0 }
-
-// StripMetadata clears a blinded envelope's arrival order in place.
-func (e *BlindedEnvelope) StripMetadata() { e.SeqNo = 0 }

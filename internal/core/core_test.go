@@ -13,19 +13,3 @@ func TestHashCrowdIDDeterministic(t *testing.T) {
 		t.Error("distinct labels collided")
 	}
 }
-
-func TestStripMetadata(t *testing.T) {
-	e := Envelope{Blob: []byte{1}, SeqNo: 7}
-	e.StripMetadata()
-	if e.SeqNo != 0 {
-		t.Errorf("metadata not stripped: %+v", e)
-	}
-	if len(e.Blob) != 1 {
-		t.Error("blob must survive stripping")
-	}
-	b := BlindedEnvelope{Blob: []byte{1}, Partition: 3, SeqNo: 7}
-	b.StripMetadata()
-	if b.SeqNo != 0 || b.Partition != 3 {
-		t.Errorf("blinded metadata not stripped: %+v", b)
-	}
-}

@@ -106,26 +106,3 @@ func (b Batch) Append(other Batch) (Batch, error) {
 	}
 	return b, nil
 }
-
-// Stamp numbers the batch's items in arrival order, in place: item i gets
-// sequence number base+i+1 (a stage's first processing step strips it,
-// §3.3). Peeled payloads carry no sequence number and are left alone.
-func (b Batch) Stamp(base int64) {
-	for i := range b.Envelopes {
-		b.Envelopes[i].SeqNo = int(base) + i + 1
-	}
-	for i := range b.Blinded {
-		b.Blinded[i].SeqNo = int(base) + i + 1
-	}
-}
-
-// Seq is item i's sequence number (0 for a payload, which has none).
-func (b Batch) Seq(i int) int64 {
-	switch b.Kind() {
-	case KindEnvelopes:
-		return int64(b.Envelopes[i].SeqNo)
-	case KindBlinded:
-		return int64(b.Blinded[i].SeqNo)
-	}
-	return 0
-}

@@ -9,9 +9,8 @@ import (
 // a uvarint item count, and the items back to back as uvarint-length-prefixed
 // fields (an envelope's blob; a blinded envelope's two crowd points, blob and
 // varint partition; a payload's bytes). No reflection and no per-item type
-// metadata, so a hop-to-hop push is a single marshal. SeqNo is deliberately
-// not encoded: the receiving stage stamps its own on ingest, and the WAL
-// logs a batch as this encoding behind the batch's sequence base.
+// metadata, so a hop-to-hop push is a single marshal. The WAL logs a batch
+// as this encoding behind the sequence base its engine gave the batch.
 
 // appendBytes appends a uvarint length prefix and the bytes.
 func appendBytes(dst, b []byte) []byte {

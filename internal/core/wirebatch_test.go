@@ -69,8 +69,7 @@ func payloadsEquivalent(a, b [][]byte) bool {
 	return true
 }
 
-// batchesEquivalent compares item values; SeqNo is excluded (it is not part
-// of the encoding — receivers re-stamp on ingest) and kind is compared by
+// batchesEquivalent compares item values; kind is compared by
 // length-aware equivalence so a nil and a zero-length slice of the same
 // kind agree.
 func batchesEquivalent(a, b Batch) bool {
@@ -167,9 +166,8 @@ func TestBatchWireRejectsHostileCount(t *testing.T) {
 }
 
 // checkBatchOps holds the kind-switching operations to the codec: cutting a
-// batch at any point and appending the halves re-encodes to the same bytes, a
-// second kind is refused, and Stamp numbers the items from its base without
-// changing their encoding.
+// batch at any point and appending the halves re-encodes to the same bytes,
+// and a second kind is refused.
 func checkBatchOps(t *testing.T, b Batch, enc []byte) {
 	t.Helper()
 	n := b.Len()
@@ -192,26 +190,13 @@ func checkBatchOps(t *testing.T, b Batch, enc []byte) {
 	if _, err := b.Append(other); err == nil {
 		t.Fatalf("a batch of %v took %v", b.Kind(), other.Kind())
 	}
-	b.Stamp(100)
-	for i := 0; i < n; i++ {
-		want := 101 + int64(i)
-		if b.Kind() == KindPayloads {
-			want = 0 // payloads carry no sequence number
-		}
-		if b.Seq(i) != want {
-			t.Fatalf("item %d stamped %d, want %d", i, b.Seq(i), want)
-		}
-	}
-	if got := AppendBatch(nil, b); !bytes.Equal(got, enc) {
-		t.Fatalf("Stamp changed the encoding: %x, want %x", got, enc)
-	}
 }
 
 // FuzzBatchWireRoundTrip feeds arbitrary bytes to the decoder: it must
 // never panic, and anything it accepts must re-encode and re-decode to an
 // equivalent batch (both copy and alias forms), with every truncation of
-// the re-encoding rejected, and must satisfy the Slice/Append/Stamp
-// identities of checkBatchOps.
+// the re-encoding rejected, and must satisfy the Slice/Append identities of
+// checkBatchOps.
 func FuzzBatchWireRoundTrip(f *testing.F) {
 	for _, b := range sampleBatches() {
 		f.Add(AppendBatch(nil, b))

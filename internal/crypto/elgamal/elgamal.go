@@ -65,9 +65,6 @@ func (p Point) Equal(q Point) bool { return g.Equal(p.e, q.e) }
 // path never pays a square root per report.
 func (p Point) Bytes() []byte { return g.Encode(nil, p.e) }
 
-// AppendBytes appends the wire encoding of the point (Bytes) to dst.
-func (p Point) AppendBytes(dst []byte) []byte { return g.Encode(dst, p.e) }
-
 // Compressed returns the short canonical encoding (32 bytes), the form used
 // for pseudonym map keys.
 func (p Point) Compressed() []byte { return g.Compress(nil, p.e) }

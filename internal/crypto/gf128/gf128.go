@@ -11,10 +11,7 @@
 // against local timing attacks.
 package gf128
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "encoding/binary"
 
 // Elem is an element of GF(2^128). The zero value is the additive identity.
 // Bit i of the polynomial is bit (i mod 64) of word i/64, i.e. Lo holds
@@ -189,9 +186,3 @@ func (e Elem) Pow(n uint64) Elem {
 
 // FromUint64 lifts a 64-bit integer into the field.
 func FromUint64(x uint64) Elem { return Elem{Lo: x} }
-
-// Weight returns the Hamming weight of the element's bit representation;
-// useful for randomness sanity checks in tests.
-func (e Elem) Weight() int {
-	return bits.OnesCount64(e.Lo) + bits.OnesCount64(e.Hi)
-}

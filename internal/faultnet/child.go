@@ -61,6 +61,7 @@ type Child struct {
 	Addr   string // where the party listens
 	cmd    *exec.Cmd
 	stdin  io.Closer
+	stdout *bufio.Reader // the child prints its address here
 	exited chan struct{} // closed once Wait has returned
 	ended  atomic.Bool   // Kill or Stop was called
 }
@@ -71,6 +72,24 @@ type Child struct {
 // It returns its own failure instead of failing t, so a Plan's Kill hook
 // may call it.
 func StartChild(t testing.TB, spec any) (*Child, error) {
+	c, err := SpawnChild(t, spec)
+	if err != nil {
+		return nil, err
+	}
+	line, err := c.stdout.ReadString('\n')
+	if err != nil {
+		c.ended.Store(true)
+		<-c.exited
+		return nil, fmt.Errorf("faultnet: child exited before it listened: %v", c.cmd.ProcessState)
+	}
+	c.Addr = strings.TrimSpace(line)
+	return c, nil
+}
+
+// SpawnChild is StartChild without the wait for the address: it returns as
+// soon as the child runs, so a Kill lands somewhere in its start-up (a
+// stage's WAL replay, say), and the child's Addr stays empty.
+func SpawnChild(t testing.TB, spec any) (*Child, error) {
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
@@ -84,20 +103,25 @@ func StartChild(t testing.TB, spec any) (*Child, error) {
 	if err != nil {
 		return nil, err
 	}
-	stdout, err := cmd.StdoutPipe()
+	// The address is read from a pipe of the test's own, not StdoutPipe's,
+	// which Wait closes: Wait runs from the start, so Kill can reap a child
+	// that never printed.
+	stdout, w, err := os.Pipe()
 	if err != nil {
 		return nil, err
 	}
-	if err := cmd.Start(); err != nil {
+	cmd.Stdout = w
+	err = cmd.Start()
+	w.Close()
+	if err != nil {
+		stdout.Close()
 		return nil, err
 	}
-	c := &Child{cmd: cmd, stdin: stdin, exited: make(chan struct{})}
-	line, rerr := bufio.NewReader(stdout).ReadString('\n')
+	c := &Child{cmd: cmd, stdin: stdin, stdout: bufio.NewReader(stdout), exited: make(chan struct{})}
 	go func() {
 		cmd.Wait() //nolint:errcheck // the status is read from ProcessState
 		close(c.exited)
 	}()
-	c.Addr = strings.TrimSpace(line)
 	t.Cleanup(func() {
 		if !c.ended.Load() {
 			if err := c.Stop(); err != nil {
@@ -105,17 +129,13 @@ func StartChild(t testing.TB, spec any) (*Child, error) {
 			}
 		}
 		<-c.exited
+		stdout.Close()
 		reports, _ := filepath.Glob(raceLog + ".*")
 		for _, f := range reports {
 			b, _ := os.ReadFile(f)
 			t.Errorf("faultnet: data race in the child at %s:\n%s", c.Addr, b)
 		}
 	})
-	if rerr != nil {
-		c.ended.Store(true)
-		<-c.exited
-		return nil, fmt.Errorf("faultnet: child exited before it listened: %v", cmd.ProcessState)
-	}
 	return c, nil
 }
 

@@ -31,8 +31,15 @@ func TestMain(m *testing.M) {
 
 // TestChildKillAndStop: a killed child's wait status says SIGKILL, a
 // stopped one exits 0, and a child left running is stopped at the end of
-// its test.
+// its test; a spawned child killed before it printed its address too.
 func TestChildKillAndStop(t *testing.T) {
+	spawned, err := SpawnChild(t, childSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spawned.Kill(); err != nil {
+		t.Errorf("kill at spawn: %v", err)
+	}
 	for _, end := range []string{"kill", "stop", "cleanup"} {
 		c, err := StartChild(t, childSpec{})
 		if err != nil {

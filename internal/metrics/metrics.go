@@ -41,19 +41,6 @@ import (
 // the same contents always identify the same series.
 type Labels map[string]string
 
-// Merged returns a copy of l with the entries of extra added,
-// overwriting duplicate keys. Either map may be nil.
-func (l Labels) Merged(extra Labels) Labels {
-	out := make(Labels, len(l)+len(extra))
-	for k, v := range l {
-		out[k] = v
-	}
-	for k, v := range extra {
-		out[k] = v
-	}
-	return out
-}
-
 // renderLabels produces the canonical `{k="v",...}` form, or "" when
 // the set is empty. Values are escaped per the text exposition format.
 func renderLabels(l Labels) string {

@@ -87,9 +87,6 @@ func Measure(code string) [32]byte {
 	return sha256.Sum256([]byte("sgx-measurement:" + code))
 }
 
-// Limit returns the private-memory budget.
-func (e *Enclave) Limit() int64 { return e.limit }
-
 // Alloc reserves n bytes of private memory, failing if the budget would be
 // exceeded. Oblivious-shuffle implementations call this for every private
 // buffer so that algorithms which cannot fit (e.g. the Melbourne Shuffle's

@@ -59,7 +59,6 @@ func TestProcessParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.SeqNo = i
 		batch = append(batch, env)
 	}
 	// One undecryptable envelope keeps the failure path positional too.
@@ -135,7 +134,6 @@ func TestSplitShufflerParallelEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.SeqNo = i + 1
 		batch[i] = env
 	}
 	alpha := s1KP.X

@@ -119,15 +119,14 @@ func peeled(rec []byte) (id core.CrowdID, inner []byte, ok bool) {
 	return id, rec[core.CrowdIDSize:n], true
 }
 
-// uniformBlobs strips each envelope's metadata and returns the blobs of the
-// batch's most common size, the smaller size on a tie, with the number of
-// envelopes of any other size, which it sets aside.
+// uniformBlobs returns the blobs of the batch's most common size, the
+// smaller size on a tie, with the number of envelopes of any other size,
+// which it sets aside.
 func uniformBlobs(batch []core.Envelope) (blobs [][]byte, aside int) {
 	counts := make(map[int]int)
 	size := 0
-	for i := range batch {
-		batch[i].StripMetadata()
-		counts[len(batch[i].Blob)]++
+	for _, e := range batch {
+		counts[len(e.Blob)]++
 	}
 	for n, c := range counts {
 		if c > counts[size] || c == counts[size] && n < size {

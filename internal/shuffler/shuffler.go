@@ -1,7 +1,9 @@
-// Package shuffler implements the ESA intermediary (§3.3): it strips
-// implicit metadata, batches reports, shuffles them, applies (randomized)
-// crowd thresholding, peels the outer encryption layer, and forwards the
-// anonymous inner ciphertexts to the analyzer. Three variants are provided:
+// Package shuffler implements the ESA intermediary (§3.3): it batches
+// reports, shuffles them, applies (randomized) crowd thresholding, peels the
+// outer encryption layer, and forwards the anonymous inner ciphertexts to
+// the analyzer. Implicit metadata never reaches it: an item holds no
+// address, arrival time or arrival order (package core), and the shuffle
+// replaces the epoch's order. Three variants are provided:
 //
 //   - Shuffler: the plain, trusted-third-party shuffler used by the §5 case
 //     studies ("the four case studies use non-oblivious shufflers");
@@ -102,7 +104,7 @@ type openedEnvelope struct {
 	ok    bool
 }
 
-// Process strips metadata, peels the outer layer, groups by crowd ID,
+// Process peels the outer layer, groups by crowd ID,
 // applies thresholding, and returns the surviving inner ciphertexts in
 // shuffled order. Decryption (hybrid's chunked OpenBatch) and grouping run
 // on the worker pool; see the package comment for the determinism contract.
@@ -115,7 +117,6 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	items := make([]openedEnvelope, len(batch))
 	blobs := make([][]byte, len(batch))
 	for i := range batch {
-		batch[i].StripMetadata()
 		blobs[i] = batch[i].Blob
 	}
 	payloads, _ := s.Priv.OpenBatch(blobs, nil, workers)
@@ -152,8 +153,8 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 
 // --- Split shuffler with blinded crowd IDs (§4.3) ---
 
-// Shuffler1 blinds crowd-ID ciphertexts with its secret exponent, strips
-// metadata, and shuffles. It cannot decrypt crowd IDs (no Shuffler 2 private
+// Shuffler1 blinds crowd-ID ciphertexts with its secret exponent and
+// shuffles. It cannot decrypt crowd IDs (no Shuffler 2 private
 // key) nor data (no analyzer key). Clients compute C1 on its public blinding
 // key A = αG (PublicKeys), so it multiplies C2 alone by α and forwards C1 as
 // received.
@@ -202,7 +203,6 @@ func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelop
 	parallel.For(workers, (n+blindChunk-1)/blindChunk, func(c int) {
 		lo, hi := c*blindChunk, min((c+1)*blindChunk, n)
 		for i := lo; i < hi; i++ {
-			batch[i].StripMetadata()
 			in[i] = batch[i].CrowdC2
 		}
 		blinder.BlindEncode(c2s[cgroup.WireSize*lo:cgroup.WireSize*hi], lens[lo:hi], in[lo:hi])

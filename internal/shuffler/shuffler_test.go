@@ -53,7 +53,6 @@ func (f *fixture) submit(t *testing.T, crowd string, data []byte, count int) []c
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.SeqNo = i + 1
 		envs[i] = env
 	}
 	return envs
@@ -96,20 +95,6 @@ func TestShufflerThresholding(t *testing.T) {
 	// Noisy thresholding drops ~10 items from the big crowd.
 	if len(values) < 70 || len(values) > 100 {
 		t.Errorf("forwarded %d of 100, want ~90", len(values))
-	}
-}
-
-func TestShufflerStripsMetadata(t *testing.T) {
-	f := newFixture(t)
-	batch := f.submit(t, "c", []byte("data............................"), 30)
-	s := &Shuffler{Priv: f.shufPriv, Threshold: Threshold{}, Rand: newRNG()}
-	if _, _, err := s.Process(batch); err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		if batch[i].SeqNo != 0 {
-			t.Fatalf("envelope %d metadata not stripped: %+v", i, batch[i])
-		}
 	}
 }
 
@@ -210,14 +195,13 @@ func TestBlindedPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env.SeqNo = len(batch) + 1
 			batch = append(batch, env)
 		}
 	}
 	add("crowd-popular", "popular", 80)
 	add("crowd-rare", "rare", 2)
 
-	// Keep the input's bytes: Shuffler 1 strips metadata in place.
+	// Keep the input's bytes to compare with what Shuffler 1 forwards.
 	type sent struct{ c1, blob string }
 	inC2, inC1Blob := map[string]bool{}, map[sent]bool{}
 	for _, e := range batch {

@@ -171,19 +171,33 @@ func partitionBatch(out core.Batch, m int) []core.Batch {
 // and submissions are refused as epoch-full: backpressure, not memory.
 const inFlightEpochs = 2
 
-// chunk is one ingest call's batch, kept whole: its items carry the
-// contiguous sequence numbers base+1 … base+Len().
+// chunk is a run of items in arrival order with the sequence range
+// [min, max] the engine gave them. One ingest call's batch is one chunk, and
+// its item i is number min+i; a cut merges chunks into one, whose range may
+// hold numbers no item has (burned by a refused append). Sequence numbers
+// live here and in the WAL alone: no item carries one.
 type chunk struct {
-	base  int64
-	items core.Batch
+	min, max int64
+	items    core.Batch
 }
 
-// epoch is a cut batch traveling to the flusher. id is assigned at cut time
+// add appends next, the chunk that follows c in sequence order, to c.
+func (c *chunk) add(next chunk) error {
+	if c.items.Len() == 0 {
+		c.min = next.min
+	}
+	c.max = next.max
+	var err error
+	c.items, err = c.items.Append(next.items)
+	return err
+}
+
+// epoch is a cut chunk traveling to the flusher. id is assigned at cut time
 // (before the WAL cut record), so a crash between cut and push replays the
 // epoch under the same id and downstream dedup stays exact. reply is non-nil
-// for an epoch a Drain cut; an empty batch is a Drain's pure barrier.
+// for an epoch a Drain cut; an empty chunk is a Drain's pure barrier.
 type epoch struct {
-	batch core.Batch
+	chunk
 	id    int64
 	reply chan error
 }
@@ -199,21 +213,21 @@ type forceReq struct {
 }
 
 // engine is the reusable epoch machinery every stage daemon runs: ingestion
-// with global sequence stamping, an epoch scheduler (occupancy- and
+// in one global arrival order, an epoch scheduler (occupancy- and
 // timer-driven cuts, respecting the stage's anonymity floor), submission
 // backpressure at MaxPending, per-stream dedup of stamped ingests, a
 // single in-order flusher feeding the stage, and an at-least-once push of
 // each processed epoch to the downstream tier. It admits the one batch kind
 // its stage consumes (client envelopes for the plain and SGX shufflers,
 // blinded envelopes for the split-shuffler hops) and is otherwise
-// indifferent to what an item is: stamping, ordering and the durable item form are
-// core.Batch's. See the package comment for the streaming and backpressure
-// model.
+// indifferent to what an item is: the durable item form is core.Batch's, and
+// the arrival order is the engine's own (chunk). See the package comment for
+// the streaming and backpressure model.
 //
 // With EpochConfig.WALDir set, the engine is crash-safe: accepted batches are
 // logged before the submission is acknowledged, cut epochs before they are
 // pushed, and a restart over the same directory resumes the same stream id,
-// re-ingests pending items (sequence stamps preserved, so the cut's merge
+// re-ingests pending items (sequence ranges preserved, so the cut's merge
 // is byte-identical), restores the dedup marks, and re-pushes unresolved
 // epochs under their original (stream, epoch) pairs for downstream dedup to
 // absorb.
@@ -236,8 +250,8 @@ type engine struct {
 	closed    atomic.Bool
 	start     time.Time
 	// closeMu serializes close — and epoch cuts — against in-flight ingests:
-	// keep holds the read side for the whole stamp-log-append, so once a cut
-	// holds the write side every stamped item is both in the WAL and in
+	// keep holds the read side for the whole number-log-append, so once a cut
+	// holds the write side every numbered item is both in the WAL and in
 	// chunks. That makes every cut a contiguous sequence range, which is
 	// what lets the WAL record an epoch's membership as (id, minSeq, maxSeq)
 	// and truncate segments by a stable-sequence horizon; and it means an
@@ -359,9 +373,9 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 		e.seq.Store(rec.seqMax)
 		e.epochID.Store(rec.epochMax)
 		e.putBack(rec.pending)
-		e.recItems += int64(rec.pending.Len())
+		e.recItems += int64(rec.pending.items.Len())
 		for _, ep := range rec.epochs {
-			e.recItems += int64(ep.batch.Len())
+			e.recItems += int64(ep.items.Len())
 		}
 		e.accepted.Store(e.recItems)
 		e.recovered = rec.epochs
@@ -398,9 +412,9 @@ func (e *engine) ingest(stream, pos int64, b core.Batch) error {
 	return e.dedup.ingest(stream, pos, func() error { return e.keep(stream, pos, b) })
 }
 
-// keep stamps an ingested batch, enforcing backpressure, and keeps it, whole,
-// as one chunk. The call reserves a contiguous sequence range. With a WAL,
-// the batch and its (stream, pos) mark are logged as one fsynced record
+// keep numbers an ingested batch, enforcing backpressure, and keeps it,
+// whole, as one chunk: the call reserves a contiguous sequence range. With a
+// WAL, the batch and its (stream, pos) mark are logged as one fsynced record
 // before the chunk becomes visible — and before the stream's mark advances
 // and the batch is acked — so a crash can never keep the mark without the
 // items or the items without the mark. The read side of closeMu, held across the
@@ -423,10 +437,10 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 	} else {
 		e.occupancy.Add(n)
 	}
-	base := e.seq.Add(n) - n
-	b.Stamp(base)
+	last := e.seq.Add(n)
+	c := chunk{min: last - n + 1, max: last, items: b}
 	if e.wal != nil {
-		if werr := e.wal.appendBatch(stream, pos, b); werr != nil {
+		if werr := e.wal.appendBatch(stream, pos, c); werr != nil {
 			// Durability was promised but cannot be provided: refuse the
 			// submission so the client retries (or fails loudly) rather
 			// than accepting data the log did not capture.
@@ -437,7 +451,7 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 		}
 	}
 	e.chunkMu.Lock()
-	e.chunks = append(e.chunks, chunk{base: base, items: b})
+	e.chunks = append(e.chunks, c)
 	e.chunkMu.Unlock()
 	e.accepted.Add(n)
 	if e.cfg.FlushAt > 0 && e.occupancy.Load() >= int64(e.cfg.FlushAt) {
@@ -449,65 +463,59 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 	return nil
 }
 
-// cut takes every chunk and merges them into one epoch batch, ordered by
-// global sequence number — a total order that, for in-order submission, is
+// cut takes every chunk and merges them into one, ordered by global
+// sequence number — a total order that, for in-order submission, is
 // independent of how concurrent ingests interleaved their appends. Holding
 // closeMu excludes in-flight ingests, so the cut is a contiguous sequence
 // range (see the closeMu comment). Each chunk is a range reserved by one
 // ingest call (or a whole earlier cut put back, or the recovered pending
-// set, both of which precede everything stamped since), so chunks are
-// internally ordered and pairwise disjoint: sorting them by base and
+// set, both of which precede everything numbered since), so chunks are
+// internally ordered and pairwise disjoint: sorting them by min and
 // concatenating is the per-item sort by sequence number, and only the
-// gathering needs the exclusive lock.
-func (e *engine) cut() core.Batch {
+// gathering needs the exclusive lock. The merged range runs from the first
+// chunk's min to the last one's max: the WAL's cut record.
+func (e *engine) cut() chunk {
 	e.closeMu.Lock()
 	e.chunkMu.Lock()
 	chunks := e.chunks
 	e.chunks = nil
 	e.chunkMu.Unlock()
 	e.closeMu.Unlock()
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i].base < chunks[j].base })
-	var batch core.Batch
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i].min < chunks[j].min })
+	var cut chunk
 	for _, c := range chunks {
-		var err error
-		if batch, err = batch.Append(c.items); err != nil {
+		if err := cut.add(c); err != nil {
 			panic(err) // ingest let a second kind in: a bug, not an input
 		}
 	}
-	e.occupancy.Add(-int64(batch.Len()))
-	return batch
+	e.occupancy.Add(-int64(cut.items.Len()))
+	return cut
 }
 
-// putBack returns a cut batch to ingestion as one chunk (the items keep
-// their sequence stamps, so the next cut's merge restores their order).
-func (e *engine) putBack(batch core.Batch) {
-	if batch.Len() == 0 {
+// putBack returns a cut chunk to ingestion whole (it keeps its range, so
+// the next cut's merge restores its order).
+func (e *engine) putBack(c chunk) {
+	if c.items.Len() == 0 {
 		return
 	}
 	e.chunkMu.Lock()
-	e.chunks = append(e.chunks, chunk{base: batch.Seq(0) - 1, items: batch})
+	e.chunks = append(e.chunks, c)
 	e.chunkMu.Unlock()
-	e.occupancy.Add(int64(batch.Len()))
+	e.occupancy.Add(int64(c.items.Len()))
 }
 
 // cutFloor cuts the pending epoch if it holds at least the stage's anonymity
 // floor, and puts a smaller cut back (occupancy can momentarily exceed what
 // has been appended, because ingestion bumps the counter before the chunk
 // append — the cut, not the counter, is authoritative). It returns the empty
-// batch when nothing was cut.
-func (e *engine) cutFloor() core.Batch {
-	batch := e.cut()
-	if batch.Len() >= e.floor {
-		return batch
+// chunk when nothing was cut.
+func (e *engine) cutFloor() chunk {
+	c := e.cut()
+	if c.items.Len() >= e.floor {
+		return c
 	}
-	e.putBack(batch)
-	return core.Batch{}
-}
-
-// seqRange is a cut batch's first and last sequence number: its membership,
-// as the WAL's cut record states it.
-func seqRange(batch core.Batch) (min, max int64) {
-	return batch.Seq(0), batch.Seq(batch.Len() - 1)
+	e.putBack(c)
+	return chunk{}
 }
 
 // sendEpoch assigns the epoch its id, persists the cut (items synced, then
@@ -515,11 +523,10 @@ func seqRange(batch core.Batch) (min, max int64) {
 // crash), and queues it for the flusher, blocking when the in-flight queue
 // is full (submission-side backpressure keeps occupancy bounded meanwhile).
 func (e *engine) sendEpoch(ep *epoch) {
-	if ep.batch.Len() > 0 {
+	if ep.items.Len() > 0 {
 		ep.id = e.epochID.Add(1)
 		if e.wal != nil {
-			min, max := seqRange(ep.batch)
-			e.recordErr(e.wal.logCut(ep.id, min, max))
+			e.recordErr(e.wal.logCut(ep.id, ep.min, ep.max))
 		}
 	}
 	e.mu.Lock()
@@ -545,51 +552,50 @@ func (e *engine) scheduler() {
 			// below the anonymity floor (a smaller batch must not be
 			// forwarded; those reports are dropped with the connection,
 			// and the loss is counted in Dropped).
-			if batch := e.cut(); batch.Len() >= e.floor {
-				e.sendEpoch(&epoch{batch: batch})
+			if c := e.cut(); c.items.Len() >= e.floor {
+				e.sendEpoch(&epoch{chunk: c})
 			} else {
-				e.dropCut(batch)
+				e.dropCut(c)
 			}
 			return
 		case <-e.kick:
 			if e.occupancy.Load() >= int64(e.cfg.FlushAt) {
-				if batch := e.cutFloor(); batch.Len() > 0 {
-					e.sendEpoch(&epoch{batch: batch})
+				if c := e.cutFloor(); c.items.Len() > 0 {
+					e.sendEpoch(&epoch{chunk: c})
 				}
 			}
 		case <-tick:
 			if e.occupancy.Load() >= int64(e.floor) {
-				if batch := e.cutFloor(); batch.Len() > 0 {
-					e.sendEpoch(&epoch{batch: batch})
+				if c := e.cutFloor(); c.items.Len() > 0 {
+					e.sendEpoch(&epoch{chunk: c})
 				}
 			}
 		case req := <-e.force:
 			// A Drain: cut the epoch if it meets the floor; otherwise leave
 			// it pending (it may yet grow past the floor) and send the empty
-			// batch, a pure barrier. A final drain instead releases the
+			// chunk, a pure barrier. A final drain instead releases the
 			// below-floor epoch as Dropped (counted, WAL-resolved): the
 			// floor forbids forwarding it, and the caller has declared no
 			// more traffic is coming to grow it.
-			batch := e.cutFloor()
-			if batch.Len() == 0 && req.forceDrop {
+			c := e.cutFloor()
+			if c.items.Len() == 0 && req.forceDrop {
 				e.dropCut(e.cut())
 			}
-			e.sendEpoch(&epoch{batch: batch, reply: req.reply})
+			e.sendEpoch(&epoch{chunk: c, reply: req.reply})
 		}
 	}
 }
 
-// dropCut counts a cut batch as dropped and records the loss in the WAL so
+// dropCut counts a cut chunk as dropped and records the loss in the WAL so
 // a restart over this directory does not resurrect reports the daemon
-// already counted as lost. The batch must be cut()-sorted.
-func (e *engine) dropCut(batch core.Batch) {
-	if batch.Len() == 0 {
+// already counted as lost.
+func (e *engine) dropCut(c chunk) {
+	if c.items.Len() == 0 {
 		return
 	}
-	e.dropped.Add(int64(batch.Len()))
+	e.dropped.Add(int64(c.items.Len()))
 	if e.wal != nil {
-		min, max := seqRange(batch)
-		e.recordErr(e.wal.logDrop(e.epochID.Add(1), min, max))
+		e.recordErr(e.wal.logDrop(e.epochID.Add(1), c.min, c.max))
 	}
 }
 
@@ -629,10 +635,10 @@ func (e *engine) flushOne(ep *epoch) {
 		stats shuffler.Stats
 		err   error
 	)
-	if ep.batch.Len() > 0 { // else a Drain barrier: every earlier epoch has been flushed
+	if ep.items.Len() > 0 { // else a Drain barrier: every earlier epoch has been flushed
 		var out core.Batch
 		procStart := time.Now()
-		out, stats, err = e.stage.ProcessEpoch(ep.batch)
+		out, stats, err = e.stage.ProcessEpoch(ep.items)
 		observeSeconds(e.procSeconds, procStart)
 		if err == nil {
 			pushStart := time.Now()
@@ -648,8 +654,8 @@ func (e *engine) flushOne(ep *epoch) {
 	if err != nil {
 		e.epochsFailed++
 		e.lastErr = err
-		e.dropped.Add(int64(ep.batch.Len()))
-	} else if ep.batch.Len() > 0 {
+		e.dropped.Add(int64(ep.items.Len()))
+	} else if ep.items.Len() > 0 {
 		e.epochsFlushed++
 		e.cum.Received += stats.Received
 		e.cum.Undecryptable += stats.Undecryptable

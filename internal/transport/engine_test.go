@@ -55,8 +55,8 @@ func serveNull(t *testing.T) string {
 // copy of the log turns it into WAL-recovered pending items, and more calls
 // race on top. However the racing appends interleave, the epoch the stage
 // then sees must be exactly the accepted items sorted by the sequence
-// number each was stamped with, and the cut record in the log must be the
-// first and last item's.
+// number each was given, and the cut record in the log must be the first
+// and last item's.
 func TestCutOrderMatchesSeqSort(t *testing.T) { forEachKind(t, testCutOrder) }
 
 func testCutOrder(t *testing.T, kind core.BatchKind) {
@@ -64,14 +64,14 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 	cfg := EpochConfig{WALDir: t.TempDir()}
 	next := []string{serveNull(t)}
 
-	// stamped is value -> the sequence number the engine gave it, read back
-	// from the submitted batch once the ingest call returned.
+	// numbered is value -> the sequence number the engine gave it, read
+	// back from the call's chunk once the ingest call returned.
 	var (
-		mu      sync.Mutex
-		stamped = map[string]int64{}
-		eng     *engine
-		epochs  []core.Batch
-		ranges  []walCut
+		mu       sync.Mutex
+		numbered = map[string]int64{}
+		eng      *engine
+		epochs   []core.Batch
+		ranges   []walCut
 	)
 	stage := &recordStage{kind: kind, floor: floor, onEpoch: func(in core.Batch) {
 		epochs = append(epochs, in)
@@ -95,17 +95,27 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 	ingest := func(tag string, n int, stream, pos int64) {
 		var b core.Batch
 		for i := 0; i < n; i++ {
-			b, _ = b.Append(walItem(kind, 0, fmt.Sprintf("%s-%d", tag, i)))
+			b, _ = b.Append(walItem(kind, fmt.Sprintf("%s-%d", tag, i)))
 		}
 		if err := eng.ingest(stream, pos, b); err != nil {
 			t.Error(err)
 			return
 		}
+		// Only a drain cuts, and none runs while calls race, so the call's
+		// chunk is still pending: its range numbers the items.
+		eng.chunkMu.Lock()
+		defer eng.chunkMu.Unlock()
 		mu.Lock()
 		defer mu.Unlock()
-		for i := 0; i < n; i++ {
-			stamped[walValue(b, i)] = b.Seq(i)
+		for _, c := range eng.chunks {
+			if walValue(c.items, 0) == walValue(b, 0) {
+				for i := 0; i < n; i++ {
+					numbered[walValue(b, i)] = c.min + int64(i)
+				}
+				return
+			}
 		}
+		t.Errorf("no pending chunk holds the call of %s", tag)
 	}
 	race := func(round string) {
 		var wg sync.WaitGroup
@@ -138,7 +148,7 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 			seq   int64
 		}
 		var want []item
-		for v, sq := range stamped {
+		for v, sq := range numbered {
 			want = append(want, item{v, sq})
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].seq < want[j].seq })
@@ -148,15 +158,15 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 			t.Fatalf("epoch holds %d items, want the %d accepted since the last cut", got.Len(), len(want))
 		}
 		for i, w := range want {
-			if walValue(got, i) != w.value || got.Seq(i) != w.seq {
-				t.Fatalf("item %d of the cut is %s/%d, the per-item sort puts %s/%d there",
-					i, walValue(got, i), got.Seq(i), w.value, w.seq)
+			if walValue(got, i) != w.value {
+				t.Fatalf("item %d of the cut is %s, the per-item sort puts %s/%d there",
+					i, walValue(got, i), w.value, w.seq)
 			}
 		}
-		rng := ranges[len(ranges)-1]
-		if len(ranges) != len(epochs) || rng.min != got.Seq(0) || rng.max != got.Seq(got.Len()-1) {
+		rng, first, last := ranges[len(ranges)-1], want[0].seq, want[len(want)-1].seq
+		if len(ranges) != len(epochs) || rng.min != first || rng.max != last {
 			t.Errorf("cut record [%d, %d] (%d records for %d epochs), want the first and last item's [%d, %d]",
-				rng.min, rng.max, len(ranges), len(epochs), got.Seq(0), got.Seq(got.Len()-1))
+				rng.min, rng.max, len(ranges), len(epochs), first, last)
 		}
 		if st := eng.stats(); st.Pending != 0 || st.Unaccounted != 0 {
 			t.Errorf("after the cut: %+v, want nothing pending or unaccounted", st)
@@ -237,7 +247,7 @@ func TestDropCutRecordsWALError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.close()
-	if err := eng.ingest(0, 0, walItem(core.KindEnvelopes, 0, "below-floor")); err != nil {
+	if err := eng.ingest(0, 0, walItem(core.KindEnvelopes, "below-floor")); err != nil {
 		t.Fatal(err)
 	}
 	eng.wal.mu.Lock()
@@ -280,7 +290,7 @@ func TestDedupHoldsOneMarkPerStream(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		cl := dialed(t, addr)
 		for i := 0; i < 1000; i++ {
-			if err := cl.Submit(walItem(core.KindEnvelopes, 0, fmt.Sprintf("c%d-%d", c, i))); err != nil {
+			if err := cl.Submit(walItem(core.KindEnvelopes, fmt.Sprintf("c%d-%d", c, i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -296,7 +306,7 @@ func TestDedupHoldsOneMarkPerStream(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if err := shared.Submit(walItem(core.KindEnvelopes, 0, fmt.Sprintf("g%d-%d", g, i))); err != nil {
+				if err := shared.Submit(walItem(core.KindEnvelopes, fmt.Sprintf("g%d-%d", g, i))); err != nil {
 					t.Error(err)
 					return
 				}

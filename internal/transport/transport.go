@@ -43,8 +43,9 @@
 // whenever occupancy reaches EpochConfig.FlushAt or the
 // EpochConfig.Interval timer fires. Cut epochs enter an in-flight queue of
 // two, consumed by a single flusher goroutine, which runs the stage over
-// each epoch (stripping the sequence numbers the service stamped on
-// ingest) and pushes the output downstream asynchronously, in epoch order.
+// each epoch's items (which carry no sequence number: the numbers stay with
+// the chunks) and pushes the output downstream asynchronously, in epoch
+// order.
 // A zero EpochConfig disables the scheduler: epochs are cut only by an
 // explicit Drain.
 //
@@ -69,7 +70,7 @@
 // stream's last position), and a segment is deleted once the horizon covers
 // its items — so the directory holds the unresolved epochs and one mark per
 // stream. A restarted daemon recovers the directory without rewriting it —
-// same stream id, pending items with their sequence stamps, each stream's
+// same stream id, pending items with their sequence ranges, each stream's
 // dedup mark, unresolved epochs re-pushed under their original (stream,
 // epoch) pairs — so the at-least-once push plus receiver dedup, one last
 // position per sender stream, becomes exactly-once across process crashes.

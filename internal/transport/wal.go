@@ -25,16 +25,15 @@ import (
 // beside the wal.meta record, an event log of everything the engine decided,
 // all written at the log's end in the one active segment:
 //
-//   - a batch record per accepted Submit, whoever sent it: the batch's
-//     sequence base followed by the Submit request body as it arrived
-//     (appendBatchCall: the (stream, pos) dedup stamp and the batch in the
-//     wire codec), so the mark and the data it guards cannot be separated by
-//     a crash. Item i of a record has sequence number base+1+i; a batch's
-//     numbers are therefore contiguous, which Stamp, their only writer on
-//     the ingest path, guarantees;
+//   - a batch record per accepted Submit, whoever sent it: the engine's
+//     chunk of it (engine.go), as its sequence base min−1 followed by the
+//     Submit request body as it arrived (appendBatchCall: the (stream, pos)
+//     dedup stamp and the batch in the wire codec), so the mark and the data
+//     it guards cannot be separated by a crash. Item i of a record has
+//     sequence number base+1+i; no item carries a number of its own;
 //   - a cut record when the scheduler cuts an epoch: its id and sequence
-//     range (cuts take every pending item, and a cut excludes every ingest
-//     from its stamp to its append, so an epoch is always a contiguous
+//     range (cuts take every pending chunk, and a cut excludes every ingest
+//     from its numbering to its append, so an epoch is always a contiguous
 //     range);
 //   - an ack or drop record when the flusher's push is acked downstream or
 //     permanently fails;
@@ -91,9 +90,12 @@ import (
 //
 // Recovery (recoverWAL) reads every segment and rewrites none: marks are the
 // highest position per stream, cuts and resolutions the union of the
-// checkpoints and records, and an item is dropped only when it is <= H or
-// lies inside a resolved cut. The recovered segments become the sealed
-// segments of the reopened log, so a burned sequence range stays a gap.
+// checkpoints and records, and a batch record, kept whole, is dropped only
+// when it lies at or below H or inside a resolved cut. A cut takes whole
+// chunks, so a record that overlaps a cut (or H) without lying inside it was
+// not written by an engine, and recovery refuses the directory. The
+// recovered segments become the sealed segments of the reopened log, so a
+// burned sequence range stays a gap.
 
 // WAL record types. Types 1, 2, 6, 7 and 8 are retired (1 and 6 were the
 // meta and batch records of a layout that logged each item in a codec of its
@@ -399,10 +401,9 @@ func (w *wal) pruneLocked() {
 	w.sealed = kept
 }
 
-// appendBatch logs one ingested, sequence-stamped batch as one atomic,
-// fsynced record: its sequence base and the Submit request body carrying its
-// (stream, pos) dedup stamp and every item. A batch whose sequence numbers
-// are not contiguous has no base to log and is refused. The engine
+// appendBatch logs one ingested batch, the engine's chunk c, as one atomic,
+// fsynced record: its sequence base c.min−1 and the Submit request body
+// carrying its (stream, pos) dedup stamp and every item. The engine
 // acknowledges the batch only after this returns, so a crash can never
 // persist the mark without the items (a retry swallowed, items lost) or the
 // items without the mark (a retry double-ingesting). The stamp becomes the
@@ -410,26 +411,19 @@ func (w *wal) pruneLocked() {
 // holds it. The engine calls it under the read side of its closeMu, before
 // the batch joins the pending chunks, so an epoch cut (the write side) never
 // sees a batch that is logged but not visible, or visible but not logged.
-func (w *wal) appendBatch(stream, pos int64, b core.Batch) error {
-	n := b.Len()
-	base := b.Seq(0) - 1
-	for i := 1; i < n; i++ {
-		if b.Seq(i) != base+1+int64(i) {
-			return fmt.Errorf("transport: wal append: item %d has sequence number %d, want %d: a logged batch is one contiguous range", i, b.Seq(i), base+1+int64(i))
-		}
-	}
+func (w *wal) appendBatch(stream, pos int64, c chunk) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	body := binary.AppendUvarint(w.buf[:0], uint64(base))
-	body = appendBatchCall(body, stream, pos, b)
+	body := binary.AppendUvarint(w.buf[:0], uint64(c.min-1))
+	body = appendBatchCall(body, stream, pos, c.items)
 	// The record is framed behind its body in the same buffer.
 	buf := appendRecord(body, walRecBatch, body)
 	w.buf = buf[:0]
 	if err := w.writeLocked(buf[len(body):], true); err != nil {
 		return fmt.Errorf("transport: wal append: %w", err)
 	}
-	w.appendRecords.Add(float64(n))
-	w.maxSeq = max(w.maxSeq, base+int64(n))
+	w.appendRecords.Add(float64(c.items.Len()))
+	w.maxSeq = max(w.maxSeq, c.max)
 	if stream != 0 {
 		w.marks[stream] = max(w.marks[stream], pos)
 	}
@@ -535,10 +529,10 @@ type walRecovery struct {
 	seqMax   int64
 	epochMax int64
 	horizon  int64
-	pending  core.Batch // accepted, never cut; sorted by seq
-	// epochs were cut but never resolved, sorted by id: their items must be
-	// re-processed and re-pushed under the same id so downstream
-	// (stream, epoch) dedup absorbs the replay.
+	pending  chunk // accepted, never cut
+	// epochs were cut but never resolved, sorted by id, each with its cut's
+	// range: their items must be re-processed and re-pushed under the same
+	// id so downstream (stream, epoch) dedup absorbs the replay.
 	epochs []*epoch
 	marks  map[int64]int64  // stream -> last position logged
 	cuts   map[int64]walCut // every cut above the horizon
@@ -551,7 +545,8 @@ type walRecovery struct {
 // another kind was written by a different role, and one whose meta record is
 // of a retired type was written in another layout: both are refused before
 // anything in it is read. A CRC-valid batch or checkpoint record that does
-// not parse, or a batch of another kind, is refused too.
+// not parse, a batch of another kind, or a batch record that overlaps a cut
+// without lying inside it, is refused too.
 func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 	metaBytes, err := os.ReadFile(filepath.Join(dir, walMetaName))
 	if os.IsNotExist(err) {
@@ -575,7 +570,7 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 		return nil, fmt.Errorf("transport: wal dir %s holds %v, this stage ingests %v", dir, held, kind)
 	}
 
-	items := make(map[int64]core.Batch) // seq -> that item as a batch of one
+	var records []chunk // every nonempty batch record
 	resolved := make(map[int64]bool)
 	addCut := func(id int64, c walCut) {
 		if c.resolved {
@@ -601,11 +596,11 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 			if b.Kind() != kind {
 				return fmt.Errorf("batch record holds %v, this stage ingests %v", b.Kind(), kind)
 			}
-			b.Stamp(int64(base))
-			for i := 0; i < b.Len(); i++ {
-				items[b.Seq(i)] = b.Slice(i, i+1)
+			c := chunk{min: int64(base) + 1, max: int64(base) + int64(b.Len()), items: b}
+			if b.Len() > 0 {
+				records = append(records, c)
 			}
-			seg.maxSeq = max(seg.maxSeq, int64(base)+int64(b.Len()))
+			seg.maxSeq = max(seg.maxSeq, c.max)
 			if stream != 0 {
 				rec.marks[stream] = max(rec.marks[stream], pos)
 			}
@@ -646,53 +641,44 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 	}
 	rec.seqMax = max(rec.seqMax, rec.horizon)
 
-	// Drop every item at or below the horizon or inside a resolved cut;
-	// regroup the items of unresolved cuts under their original ids; the
-	// rest is pending.
-	var openIDs []int64
+	// Place each record whole, in sequence order: at or below the horizon or
+	// inside a resolved cut it is done, inside an unresolved cut it rejoins
+	// that epoch, and in no cut it is pending. Cuts are disjoint, so one walk
+	// over both, each sorted by min, places every record.
+	var cuts []*epoch // every cut above the horizon
 	for id, c := range rec.cuts {
-		switch {
-		case c.max <= rec.horizon:
+		if c.max <= rec.horizon {
 			delete(rec.cuts, id)
-		case resolved[id]:
-			rec.cuts[id] = walCut{min: c.min, max: c.max, resolved: true}
-		default:
-			openIDs = append(openIDs, id)
-		}
-	}
-	sort.Slice(openIDs, func(i, j int) bool { return openIDs[i] < openIDs[j] })
-	epochItems := make(map[int64][]int64)
-	var pendingSeqs []int64
-	for seq := range items {
-		if seq <= rec.horizon {
 			continue
 		}
-		in, id := false, int64(0)
-		for cid, c := range rec.cuts {
-			if seq >= c.min && seq <= c.max {
-				in, id = true, cid
-				break
-			}
+		c.resolved = resolved[id]
+		rec.cuts[id] = c
+		cuts = append(cuts, &epoch{chunk: chunk{min: c.min, max: c.max}, id: id})
+	}
+	sort.Slice(cuts, func(i, j int) bool { return cuts[i].min < cuts[j].min })
+	sort.Slice(records, func(i, j int) bool { return records[i].min < records[j].min })
+	next := 0
+	for _, r := range records {
+		for next < len(cuts) && cuts[next].max < r.min {
+			next++
 		}
 		switch {
-		case !in:
-			pendingSeqs = append(pendingSeqs, seq)
-		case !rec.cuts[id].resolved:
-			epochItems[id] = append(epochItems[id], seq)
+		case r.max <= rec.horizon: // resolved, and its segment not yet deleted
+		case r.min <= rec.horizon:
+			return nil, fmt.Errorf("transport: wal recover: batch record [%d, %d] straddles the horizon %d", r.min, r.max, rec.horizon)
+		case next == len(cuts) || r.max < cuts[next].min:
+			_ = rec.pending.add(r) // every record's kind was checked
+		case r.min < cuts[next].min || r.max > cuts[next].max:
+			return nil, fmt.Errorf("transport: wal recover: batch record [%d, %d] overlaps cut %d [%d, %d] without lying inside it",
+				r.min, r.max, cuts[next].id, cuts[next].min, cuts[next].max)
+		case !rec.cuts[cuts[next].id].resolved:
+			cuts[next].items, _ = cuts[next].items.Append(r.items)
 		}
 	}
-	gather := func(seqs []int64) core.Batch {
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		var out core.Batch
-		for _, sq := range seqs {
-			out, _ = out.Append(items[sq]) // every record's kind was checked
-		}
-		return out
-	}
-	rec.pending = gather(pendingSeqs)
-	for _, id := range openIDs {
-		if batch := gather(epochItems[id]); batch.Len() > 0 {
-			rec.epochs = append(rec.epochs, &epoch{id: id, batch: batch})
+	sort.Slice(cuts, func(i, j int) bool { return cuts[i].id < cuts[j].id })
+	for _, ep := range cuts {
+		if ep.items.Len() > 0 {
+			rec.epochs = append(rec.epochs, ep)
 		}
 	}
 	return rec, nil

@@ -35,44 +35,41 @@ func (w *wal) closeFiles() {
 	w.mu.Unlock()
 }
 
-// walItem builds a distinguishable one-item batch with a fixed sequence
-// stamp; every field of the kind's layout is populated.
-func walItem(kind core.BatchKind, seq int, value string) core.Batch {
+// walItem builds a distinguishable one-item batch; every field of the
+// kind's layout is populated.
+func walItem(kind core.BatchKind, value string) core.Batch {
 	if kind == core.KindBlinded {
 		return core.Batch{Blinded: []core.BlindedEnvelope{{
 			CrowdC1: []byte("c1:" + value), CrowdC2: []byte("c2:" + value), Blob: []byte(value),
-			Partition: 3, SeqNo: seq,
+			Partition: 3,
 		}}}
 	}
-	return core.Batch{Envelopes: []core.Envelope{{Blob: []byte(value), SeqNo: seq}}}
+	return core.Batch{Envelopes: []core.Envelope{{Blob: []byte(value)}}}
 }
 
-// walBatch concatenates items into one batch.
-func walBatch(t *testing.T, items ...core.Batch) core.Batch {
-	t.Helper()
-	var out core.Batch
-	for _, it := range items {
-		var err error
-		if out, err = out.Append(it); err != nil {
-			t.Fatal(err)
-		}
+// walChunk builds the chunk an engine keeps for one ingest call: one walItem
+// per value, numbered from min.
+func walChunk(kind core.BatchKind, min int64, values ...string) chunk {
+	c := chunk{min: min, max: min + int64(len(values)) - 1}
+	for _, v := range values {
+		c.items, _ = c.items.Append(walItem(kind, v))
 	}
-	return out
+	return c
 }
 
-// walDescribe renders a recovered batch as "blob/seq" per item; for a
-// blinded batch the crowd points and partition must have survived too.
-func walDescribe(t *testing.T, b core.Batch) string {
+// walDescribe renders a recovered chunk as "[min, max] blob blob …"; for a
+// blinded chunk the crowd points and partition must have survived too.
+func walDescribe(t *testing.T, c chunk) string {
 	t.Helper()
-	var out []string
-	for _, e := range b.Envelopes {
-		out = append(out, fmt.Sprintf("%s/%d", e.Blob, e.SeqNo))
+	out := []string{fmt.Sprintf("[%d, %d]", c.min, c.max)}
+	for _, e := range c.items.Envelopes {
+		out = append(out, string(e.Blob))
 	}
-	for _, e := range b.Blinded {
+	for _, e := range c.items.Blinded {
 		if string(e.CrowdC1) != "c1:"+string(e.Blob) || string(e.CrowdC2) != "c2:"+string(e.Blob) || e.Partition != 3 {
 			t.Errorf("blinded fields lost: %+v", e)
 		}
-		out = append(out, fmt.Sprintf("%s/%d", e.Blob, e.SeqNo))
+		out = append(out, string(e.Blob))
 	}
 	return strings.Join(out, " ")
 }
@@ -102,10 +99,10 @@ func walReopen(t *testing.T, dir string, segBytes int64, kind core.BatchKind) (*
 // transport.Client stamps its submissions.
 const walClient = 31
 
-// walAppend logs b as the client's submission number seq.
-func walAppend(t *testing.T, w *wal, seq int64, b core.Batch) {
+// walAppend logs c as the client's submission number pos.
+func walAppend(t *testing.T, w *wal, pos int64, c chunk) {
 	t.Helper()
-	if err := w.appendBatch(walClient, seq, b); err != nil {
+	if err := w.appendBatch(walClient, pos, c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -130,7 +127,7 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 42, kind)
 
 		// Epoch 1 (seqs 1-2): cut and resolved — must not come back.
-		walAppend(t, w, 1, walBatch(t, walItem(kind, 1, "resolved-a"), walItem(kind, 2, "resolved-b")))
+		walAppend(t, w, 1, walChunk(kind, 1, "resolved-a", "resolved-b"))
 		if err := w.logCut(1, 1, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -138,16 +135,16 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 
 		// Epoch 2 (seqs 3-5, over two records written out of seq order):
 		// cut, never resolved.
-		walAppend(t, w, 2, walBatch(t, walItem(kind, 4, "open-b"), walItem(kind, 5, "open-c")))
-		walAppend(t, w, 3, walItem(kind, 3, "open-a"))
+		walAppend(t, w, 2, walChunk(kind, 4, "open-b", "open-c"))
+		walAppend(t, w, 3, walChunk(kind, 3, "open-a"))
 		if err := w.logCut(2, 3, 5); err != nil {
 			t.Fatal(err)
 		}
 
 		// Pending (seqs 6-7): accepted, never cut. Seq 7 arrives as the
 		// upstream hop's epoch 7.
-		walAppend(t, w, 4, walItem(kind, 6, "pend-a"))
-		if err := w.appendBatch(99, 7, walItem(kind, 7, "pend-b")); err != nil {
+		walAppend(t, w, 4, walChunk(kind, 6, "pend-a"))
+		if err := w.appendBatch(99, 7, walChunk(kind, 7, "pend-b")); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.close(false); err != nil {
@@ -167,14 +164,14 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 		if len(rec.epochs) != 1 || rec.epochs[0].id != 2 {
 			t.Fatalf("recovered epochs = %+v, want one with id 2", rec.epochs)
 		}
-		if k := rec.epochs[0].batch.Kind(); k != kind {
+		if k := rec.epochs[0].items.Kind(); k != kind {
 			t.Errorf("recovered epoch is a batch of %v, want %v", k, kind)
 		}
-		if got := walDescribe(t, rec.epochs[0].batch); got != "open-a/3 open-b/4 open-c/5" {
-			t.Errorf("epoch 2 items = %q, want open-a open-b open-c in seq order", got)
+		if got := walDescribe(t, rec.epochs[0].chunk); got != "[3, 5] open-a open-b open-c" {
+			t.Errorf("epoch 2 = %q, want open-a open-b open-c in seq order", got)
 		}
-		if got := walDescribe(t, rec.pending); got != "pend-a/6 pend-b/7" {
-			t.Errorf("pending = %q, want pend-a/6 pend-b/7", got)
+		if got := walDescribe(t, rec.pending); got != "[6, 7] pend-a pend-b" {
+			t.Errorf("pending = %q, want [6, 7] pend-a pend-b", got)
 		}
 		want := map[int64]int64{walClient: 4, 99: 7}
 		if !reflect.DeepEqual(rec.marks, want) {
@@ -191,8 +188,8 @@ func TestWALTornTailIgnored(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
-		walAppend(t, w, 1, walItem(kind, 1, "whole"))
-		walAppend(t, w, 2, walItem(kind, 2, "torn-away"))
+		walAppend(t, w, 1, walChunk(kind, 1, "whole"))
+		walAppend(t, w, 2, walChunk(kind, 2, "torn-away"))
 		segPath, end := w.path, w.size
 		if err := w.close(false); err != nil {
 			t.Fatal(err)
@@ -204,7 +201,7 @@ func TestWALTornTailIgnored(t *testing.T) {
 		}
 
 		rec := walRecover(t, dir, kind)
-		if got := walDescribe(t, rec.pending); got != "whole/1" {
+		if got := walDescribe(t, rec.pending); got != "[1, 1] whole" {
 			t.Fatalf("pending after torn tail = %q, want just the whole record", got)
 		}
 	})
@@ -218,10 +215,10 @@ func TestWALTornRecordBeforeZeros(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
-		walAppend(t, w, 1, walItem(kind, 1, "whole-a"))
-		walAppend(t, w, 2, walItem(kind, 2, "whole-b"))
+		walAppend(t, w, 1, walChunk(kind, 1, "whole-a"))
+		walAppend(t, w, 2, walChunk(kind, 2, "whole-b"))
 		start := w.size
-		walAppend(t, w, 3, walItem(kind, 3, "torn-away-"+strings.Repeat("x", 200)))
+		walAppend(t, w, 3, walChunk(kind, 3, "torn-away-"+strings.Repeat("x", 200)))
 		segPath, end := w.path, w.size
 		w.closeFiles() // crash
 
@@ -236,12 +233,12 @@ func TestWALTornRecordBeforeZeros(t *testing.T) {
 		f.Close()
 
 		w2, rec := walReopen(t, dir, DefaultWALSegmentBytes, kind)
-		if got := walDescribe(t, rec.pending); got != "whole-a/1 whole-b/2" {
+		if got := walDescribe(t, rec.pending); got != "[1, 2] whole-a whole-b" {
 			t.Fatalf("pending after a torn record = %q, want the two whole records", got)
 		}
-		walAppend(t, w2, 3, walItem(kind, 3, "after"))
+		walAppend(t, w2, 3, walChunk(kind, 3, "after"))
 		w2.closeFiles() // crash again
-		if got := walDescribe(t, walRecover(t, dir, kind).pending); got != "whole-a/1 whole-b/2 after/3" {
+		if got := walDescribe(t, walRecover(t, dir, kind).pending); got != "[1, 3] whole-a whole-b after" {
 			t.Errorf("pending after the reopen = %q, want the two whole records and the one logged after them", got)
 		}
 	})
@@ -255,7 +252,8 @@ func TestWALZeroSegmentRecoversEmpty(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
-		walAppend(t, w, 1, walBatch(t, walItem(kind, 1, "cut"), walItem(kind, 2, "pending")))
+		walAppend(t, w, 1, walChunk(kind, 1, "cut"))
+		walAppend(t, w, 2, walChunk(kind, 2, "pending"))
 		if err := w.logCut(1, 1, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -297,10 +295,8 @@ func TestWALRecordsPastSegmentSpace(t *testing.T) {
 			"c-" + strings.Repeat("c", 3000/per), // longer than a segment: extends the second
 			"d-short",                            // the second is full: opens the third
 		}
-		var wantItems []string
 		for i, v := range values {
-			walAppend(t, w, int64(i+1), walItem(kind, i+1, v))
-			wantItems = append(wantItems, fmt.Sprintf("%s/%d", v, i+1))
+			walAppend(t, w, int64(i+1), walChunk(kind, int64(i+1), v))
 		}
 		w.closeFiles() // crash
 
@@ -316,7 +312,7 @@ func TestWALRecordsPastSegmentSpace(t *testing.T) {
 		if len(sizes) != 3 || sizes[0] != segBytes || sizes[1] <= 3000 || sizes[2] != segBytes {
 			t.Errorf("segment sizes %v, want %d, over 3000 and %d", sizes, segBytes, segBytes)
 		}
-		if got, want := walDescribe(t, walRecover(t, dir, kind).pending), strings.Join(wantItems, " "); got != want {
+		if got, want := walDescribe(t, walRecover(t, dir, kind).pending), "[1, 4] "+strings.Join(values, " "); got != want {
 			t.Errorf("pending after the crash:\n got %q\nwant %q", got, want)
 		}
 	})
@@ -329,8 +325,8 @@ func TestWALResolveReclaimsSegments(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, 64, 7, kind) // rotate after ~one record
-		for seq := 1; seq <= 4; seq++ {
-			walAppend(t, w, int64(seq), walItem(kind, seq, "segment-filler-payload-to-force-rotation"))
+		for seq := int64(1); seq <= 4; seq++ {
+			walAppend(t, w, seq, walChunk(kind, seq, "segment-filler-payload-to-force-rotation"))
 		}
 		if err := w.logCut(1, 1, 4); err != nil {
 			t.Fatal(err)
@@ -363,23 +359,23 @@ func TestWALMarkOutlivesTruncation(t *testing.T) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, 64, 7, kind) // a batch record fills a segment
 		payload := strings.Repeat("segment-filler-payload-to-force-rotation", 3)
-		for seq := 1; seq <= 3; seq++ {
-			walAppend(t, w, int64(seq), walItem(kind, seq, payload))
+		for seq := int64(1); seq <= 3; seq++ {
+			walAppend(t, w, seq, walChunk(kind, seq, payload))
 		}
-		if err := w.appendBatch(55, 9, walItem(kind, 4, payload)); err != nil {
+		if err := w.appendBatch(55, 9, walChunk(kind, 4, payload)); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.logCut(1, 1, 4); err != nil {
 			t.Fatal(err)
 		}
-		walAppend(t, w, 5, walItem(kind, 5, payload))
-		if err := w.appendBatch(99, 7, walItem(kind, 6, payload)); err != nil {
+		walAppend(t, w, 5, walChunk(kind, 5, payload))
+		if err := w.appendBatch(99, 7, walChunk(kind, 6, payload)); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.resolve(1, true); err != nil {
 			t.Fatal(err)
 		}
-		walAppend(t, w, 6, walItem(kind, 7, payload))
+		walAppend(t, w, 6, walChunk(kind, 7, payload))
 		if segs, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log")); len(segs) != 3 {
 			t.Fatalf("segments after the resolve = %v, want the three holding the unresolved batches, the last of them active", segs)
 		}
@@ -405,9 +401,9 @@ func TestWALMarkOutlivesTruncation(t *testing.T) {
 		if !reflect.DeepEqual(rec2.marks, want) {
 			t.Fatalf("marks after the reopen, a truncation and a crash = %v, want %v", rec2.marks, want)
 		}
-		if rec2.pending.Len() != 0 || len(rec2.epochs) != 0 || rec2.seqMax != 7 || rec2.epochMax != 2 {
+		if rec2.pending.items.Len() != 0 || len(rec2.epochs) != 0 || rec2.seqMax != 7 || rec2.epochMax != 2 {
 			t.Errorf("after everything resolved: %d pending, epochs %+v, seqMax %d, epochMax %d; want nothing, 7 and 2",
-				rec2.pending.Len(), rec2.epochs, rec2.seqMax, rec2.epochMax)
+				rec2.pending.items.Len(), rec2.epochs, rec2.seqMax, rec2.epochMax)
 		}
 	})
 }
@@ -417,7 +413,7 @@ func TestWALCleanCloseWipes(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
-		walAppend(t, w, 1, walItem(kind, 1, "gone"))
+		walAppend(t, w, 1, walChunk(kind, 1, "gone"))
 		if err := w.logCut(1, 1, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +435,8 @@ func TestWALMigrationIdempotent(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 11, kind)
-		walAppend(t, w, 1, walBatch(t, walItem(kind, 1, "epoch-item"), walItem(kind, 2, "pending-item")))
+		walAppend(t, w, 1, walChunk(kind, 1, "epoch-item"))
+		walAppend(t, w, 2, walChunk(kind, 2, "pending-item"))
 		if err := w.logCut(1, 1, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -460,13 +457,13 @@ func TestWALMigrationIdempotent(t *testing.T) {
 				t.Errorf("recovery %d: stream=%d seqMax=%d epochMax=%d, want 11/2/1",
 					round, rec.stream, rec.seqMax, rec.epochMax)
 			}
-			if len(rec.epochs) != 1 || walDescribe(t, rec.epochs[0].batch) != "epoch-item/1" {
+			if len(rec.epochs) != 1 || walDescribe(t, rec.epochs[0].chunk) != "[1, 1] epoch-item" {
 				t.Errorf("recovery %d: epochs = %+v", round, rec.epochs)
 			}
-			if got := walDescribe(t, rec.pending); got != "pending-item/2" {
+			if got := walDescribe(t, rec.pending); got != "[2, 2] pending-item" {
 				t.Errorf("recovery %d: pending = %q", round, got)
 			}
-			if want := map[int64]int64{walClient: 1}; !reflect.DeepEqual(rec.marks, want) {
+			if want := map[int64]int64{walClient: 2}; !reflect.DeepEqual(rec.marks, want) {
 				t.Errorf("recovery %d: marks = %v, want %v", round, rec.marks, want)
 			}
 		}
@@ -485,7 +482,7 @@ func TestWALRefusesOtherKind(t *testing.T) {
 		}
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 5, kind)
-		walAppend(t, w, 1, walItem(kind, 1, "not-yours"))
+		walAppend(t, w, 1, walChunk(kind, 1, "not-yours"))
 		if err := w.close(false); err != nil {
 			t.Fatal(err)
 		}
@@ -498,7 +495,7 @@ func TestWALRefusesOtherKind(t *testing.T) {
 				t.Errorf("error %q does not name %v", err, k)
 			}
 		}
-		if rec := walRecover(t, dir, kind); walDescribe(t, rec.pending) != "not-yours/1" {
+		if rec := walRecover(t, dir, kind); walDescribe(t, rec.pending) != "[1, 1] not-yours" {
 			t.Errorf("the refused directory no longer recovers as its own kind: %+v", rec)
 		}
 	})
@@ -513,7 +510,7 @@ func TestWALRefusesOtherKind(t *testing.T) {
 // has its full size from the start: every byte past the log's end is zero.
 func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
-		fwd := walBatch(t, walItem(kind, 4, "forwarded"), walItem(kind, 5, "too"))
+		fwd := walChunk(kind, 4, "forwarded", "too")
 
 		// The Submit body, spelled out: stream 99 and pos 7 as zigzag
 		// varints, the kind, the count, then each item's fields.
@@ -528,7 +525,7 @@ func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 				submit = append(submit, 0x06) // partition 3
 			}
 		}
-		_, _, framed, err := parseRequest(openFrame(t, batchRequest(1, methodSubmit, 99, 7, fwd)))
+		_, _, framed, err := parseRequest(openFrame(t, batchRequest(1, methodSubmit, 99, 7, fwd.items)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,30 +571,6 @@ func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 	})
 }
 
-// TestWALRefusesGappedBatch: a batch record states one sequence base, so a
-// batch whose numbers are not one contiguous range cannot be logged. The
-// append is refused, with an error, and writes nothing.
-func TestWALRefusesGappedBatch(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
-		dir := t.TempDir()
-		w := walOpen(t, dir, DefaultWALSegmentBytes, 5, kind)
-		size := w.size
-		err := w.appendBatch(walClient, 1, walBatch(t, walItem(kind, 3, "a"), walItem(kind, 5, "c")))
-		if err == nil || !strings.Contains(err.Error(), "contiguous") {
-			t.Fatalf("appendBatch of seqs {3, 5} = %v, want a refusal", err)
-		}
-		if w.size != size {
-			t.Errorf("the refused batch wrote %d bytes", w.size-size)
-		}
-		if err := w.close(false); err != nil {
-			t.Fatal(err)
-		}
-		if rec := walRecover(t, dir, kind); rec.pending.Len() != 0 || len(rec.marks) != 0 {
-			t.Errorf("recovered %d items and marks %v from a refused append", rec.pending.Len(), rec.marks)
-		}
-	})
-}
-
 // TestWALMigrationKeepsSeqGaps: an ingest whose append was refused burned its
 // sequence range, so the engine's pending items and a cut epoch can have
 // gaps. Recovery rewrites nothing, so the numbers — gap included — survive
@@ -606,25 +579,25 @@ func TestWALMigrationKeepsSeqGaps(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		dir := t.TempDir()
 		w := walOpen(t, dir, DefaultWALSegmentBytes, 11, kind)
-		walAppend(t, w, 1, walBatch(t, walItem(kind, 1, "a"), walItem(kind, 2, "b")))
+		walAppend(t, w, 1, walChunk(kind, 1, "a", "b"))
 		// Seqs 3-4 burned by a refused append; epoch 1 spans the gap.
-		walAppend(t, w, 3, walItem(kind, 5, "e"))
+		walAppend(t, w, 3, walChunk(kind, 5, "e"))
 		if err := w.logCut(1, 1, 5); err != nil {
 			t.Fatal(err)
 		}
 		// Seq 6 burned; seqs 7-8 pending.
-		walAppend(t, w, 5, walBatch(t, walItem(kind, 7, "g"), walItem(kind, 8, "h")))
+		walAppend(t, w, 5, walChunk(kind, 7, "g", "h"))
 		if err := w.close(false); err != nil {
 			t.Fatal(err)
 		}
 
 		check := func(rec *walRecovery, when string) {
 			t.Helper()
-			if len(rec.epochs) != 1 || rec.epochs[0].id != 1 || walDescribe(t, rec.epochs[0].batch) != "a/1 b/2 e/5" {
-				t.Errorf("%s: epochs = %+v, want epoch 1 holding a/1 b/2 e/5", when, rec.epochs)
+			if len(rec.epochs) != 1 || rec.epochs[0].id != 1 || walDescribe(t, rec.epochs[0].chunk) != "[1, 5] a b e" {
+				t.Errorf("%s: epochs = %+v, want epoch 1 [1, 5] holding a b e", when, rec.epochs)
 			}
-			if got := walDescribe(t, rec.pending); got != "g/7 h/8" {
-				t.Errorf("%s: pending = %q, want g/7 h/8", when, got)
+			if got := walDescribe(t, rec.pending); got != "[7, 8] g h" {
+				t.Errorf("%s: pending = %q, want [7, 8] g h", when, got)
 			}
 			if rec.seqMax != 8 {
 				t.Errorf("%s: seqMax = %d, want 8", when, rec.seqMax)
@@ -636,6 +609,43 @@ func TestWALMigrationKeepsSeqGaps(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(walRecover(t, dir, kind), "recovery after the reopen")
+	})
+}
+
+// TestWALRefusesStraddlingBatch: a cut takes whole chunks, so every batch
+// record an engine logs lies inside one cut or in none. A segment built by
+// hand whose record overlaps a cut without lying inside it — across the
+// cut's end, across its start, or across the horizon a checkpoint states —
+// does not recover, and the error names the record's range and the cut.
+func TestWALRefusesStraddlingBatch(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		// batch frames a record of values numbered from min, submitted as
+		// the client's position min.
+		batch := func(seg []byte, min int64, values ...string) []byte {
+			c := walChunk(kind, min, values...)
+			body := binary.AppendUvarint(nil, uint64(c.min-1))
+			return appendRecord(seg, walRecBatch, appendBatchCall(body, walClient, min, c.items))
+		}
+		cut := func(seg []byte, id, min, max int64) []byte {
+			return appendRecord(seg, walRecCut, appendWireInts(nil, id, min, max))
+		}
+		horizon := appendRecord(nil, walRecCheckpoint, appendWireInts(nil, 1, 1, 0, 0)) // H 1, epoch max 1
+		for _, tc := range []struct {
+			name, want string
+			seg        []byte
+		}{
+			{"across a cut's end", "batch record [1, 2] overlaps cut 1 [1, 1]",
+				cut(batch(nil, 1, "a", "b"), 1, 1, 1)},
+			{"across a cut's start", "batch record [2, 3] overlaps cut 4 [3, 5]",
+				cut(batch(batch(nil, 1, "a"), 2, "b", "c"), 4, 3, 5)},
+			{"across the horizon", "batch record [1, 2] straddles the horizon 1",
+				batch(horizon, 1, "a", "b")},
+		} {
+			rec, err := recoverWAL(walDirWith(t, kind, tc.seg), kind)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: recovery = %+v, %v; want an error naming %q", tc.name, rec, err, tc.want)
+			}
+		}
 	})
 }
 
@@ -653,7 +663,7 @@ func TestWALRefusesRetiredLayout(t *testing.T) {
 		}{
 			{1, map[string][]byte{"fwd-000000000001.log": appendRecord(nil, 6, []byte("a batch in the retired layout"))}},
 			{8, map[string][]byte{
-				"fwd-000000000001.log":    appendRecord(nil, 9, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(kind, 1, "old"))...)),
+				"fwd-000000000001.log":    appendRecord(nil, 9, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(kind, "old"))...)),
 				"epochs-000000000002.log": appendRecord(nil, 7, appendWireInts(nil, walClient, 1)),
 			}},
 		} {
@@ -688,12 +698,12 @@ func TestWALRefusesRetiredLayout(t *testing.T) {
 // allocates on its own.
 var raceEnabled bool
 
-// walAppendAllocs bounds the allocations of logging one stamped 5-item
-// batch in steady state (EXPERIMENTS.md has the measured counts).
+// walAppendAllocs bounds the allocations of logging one 5-item batch in
+// steady state (EXPERIMENTS.md has the measured counts).
 const walAppendAllocs = 0
 
 // TestWALAppendBatchAllocs gates what the log costs a client's call beyond
-// its write and fsync: appending a stamped 5-item batch — the record, its
+// its write and fsync: appending a 5-item batch — the record, its
 // items and the stream's mark — reuses the log's buffers and allocates
 // nothing once they have grown.
 func TestWALAppendBatchAllocs(t *testing.T) {
@@ -704,11 +714,7 @@ func TestWALAppendBatchAllocs(t *testing.T) {
 		w := walOpen(t, t.TempDir(), DefaultWALSegmentBytes, 7, kind)
 		defer w.close(false)
 		blob := strings.Repeat("r", 300) // about one sealed report
-		var items []core.Batch
-		for i := 1; i <= 5; i++ {
-			items = append(items, walItem(kind, i, blob))
-		}
-		b := walBatch(t, items...)
+		b := walChunk(kind, 1, blob, blob, blob, blob, blob)
 		var pos int64
 		var err error
 		allocs := testing.AllocsPerRun(50, func() {
@@ -753,11 +759,10 @@ func walSegmentBytes(t testing.TB, kind core.BatchKind) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, _ := walItem(kind, 2, "fuzz-b").Append(walItem(kind, 3, "fuzz-c"))
-	if err := w.appendBatch(walClient, 1, walItem(kind, 1, "fuzz-a")); err != nil {
+	if err := w.appendBatch(walClient, 1, walChunk(kind, 1, "fuzz-a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.appendBatch(0, 0, two); err != nil {
+	if err := w.appendBatch(0, 0, walChunk(kind, 2, "fuzz-b", "fuzz-c")); err != nil {
 		t.Fatal(err)
 	}
 	path, end := w.path, w.size
@@ -794,7 +799,7 @@ func TestWALRecordLengthBeyondFile(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
 		t.Fatalf("recovering past a 1 GiB length claim allocated %d bytes, want under 2 MiB", grew)
 	}
-	if got := walDescribe(t, rec.pending); got != "fuzz-a/1 fuzz-b/2 fuzz-c/3" {
+	if got := walDescribe(t, rec.pending); got != "[1, 3] fuzz-a fuzz-b fuzz-c" {
 		t.Errorf("pending before the torn claim = %q, want the three whole items", got)
 	}
 }
@@ -844,11 +849,11 @@ func FuzzWALRecovery(f *testing.F) {
 			kind, other = other, kind
 		}
 		// A gap: seq 2 was burned by a refused append.
-		gap := appendRecord(nil, walRecBatch, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(kind, 1, "fuzz-a"))...))
-		gap = appendRecord(gap, walRecBatch, append([]byte{2}, appendBatchCall(nil, walClient, 2, walItem(kind, 3, "fuzz-c"))...))
+		gap := appendRecord(nil, walRecBatch, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(kind, "fuzz-a"))...))
+		gap = appendRecord(gap, walRecBatch, append([]byte{2}, appendBatchCall(nil, walClient, 2, walItem(kind, "fuzz-c"))...))
 		f.Add(blinded, gap)
 		// A CRC-valid record holding the other kind.
-		f.Add(blinded, appendRecord(nil, walRecBatch, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(other, 1, "fuzz-x"))...)))
+		f.Add(blinded, appendRecord(nil, walRecBatch, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(other, "fuzz-x"))...)))
 	}
 	f.Fuzz(func(t *testing.T, blinded bool, seg []byte) {
 		kind := core.KindEnvelopes
@@ -866,13 +871,13 @@ func FuzzWALRecovery(f *testing.F) {
 		}
 		if !reflect.DeepEqual(rec.pending, ref.pending) || !reflect.DeepEqual(rec.marks, ref.marks) || rec.seqMax != ref.seqMax {
 			t.Fatalf("bytes past the first bad record changed recovery: %d items %v vs %d items %v",
-				rec.pending.Len(), rec.marks, ref.pending.Len(), ref.marks)
+				rec.pending.items.Len(), rec.marks, ref.pending.items.Len(), ref.marks)
 		}
-		blobs := make([][]byte, 0, rec.pending.Len())
-		for _, e := range rec.pending.Envelopes {
+		blobs := make([][]byte, 0, rec.pending.items.Len())
+		for _, e := range rec.pending.items.Envelopes {
 			blobs = append(blobs, e.Blob)
 		}
-		for _, e := range rec.pending.Blinded {
+		for _, e := range rec.pending.items.Blinded {
 			blobs = append(blobs, e.Blob)
 		}
 		for i, b := range blobs {
@@ -893,8 +898,8 @@ func TestWALDropAheadKeepsInFlightEpoch(t *testing.T) {
 		for _, segBytes := range []int64{DefaultWALSegmentBytes, 64} {
 			dir := t.TempDir()
 			w := walOpen(t, dir, segBytes, 7, kind)
-			for seq := 1; seq <= 5; seq++ {
-				walAppend(t, w, int64(seq), walItem(kind, seq, fmt.Sprintf("item-%d", seq)))
+			for seq := int64(1); seq <= 5; seq++ {
+				walAppend(t, w, seq, walChunk(kind, seq, fmt.Sprintf("item-%d", seq)))
 			}
 			if err := w.logCut(1, 1, 3); err != nil {
 				t.Fatal(err)
@@ -905,11 +910,11 @@ func TestWALDropAheadKeepsInFlightEpoch(t *testing.T) {
 			w.closeFiles() // crash with epoch 1 mid-push
 
 			rec := walRecover(t, dir, kind)
-			if len(rec.epochs) != 1 || rec.epochs[0].id != 1 || walDescribe(t, rec.epochs[0].batch) != "item-1/1 item-2/2 item-3/3" {
+			if len(rec.epochs) != 1 || rec.epochs[0].id != 1 || walDescribe(t, rec.epochs[0].chunk) != "[1, 3] item-1 item-2 item-3" {
 				t.Errorf("%d-byte segments: recovered epochs %+v, want epoch 1 with its 3 items", segBytes, rec.epochs)
 			}
-			if rec.pending.Len() != 0 || rec.epochMax != 2 {
-				t.Errorf("%d-byte segments: %d pending, epoch max %d; want none and 2", segBytes, rec.pending.Len(), rec.epochMax)
+			if rec.pending.items.Len() != 0 || rec.epochMax != 2 {
+				t.Errorf("%d-byte segments: %d pending, epoch max %d; want none and 2", segBytes, rec.pending.items.Len(), rec.epochMax)
 			}
 		}
 	})
@@ -941,7 +946,7 @@ func TestWALStateBoundedByStreams(t *testing.T) {
 	for id := int64(1); id <= 10000; id++ {
 		stream := streams[id%2]
 		pos[stream]++
-		if err := w.appendBatch(stream, pos[stream], walItem(kind, int(id), "r")); err != nil {
+		if err := w.appendBatch(stream, pos[stream], walChunk(kind, id, "r")); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.logCut(id, id, id); err != nil {
@@ -964,9 +969,9 @@ func TestWALStateBoundedByStreams(t *testing.T) {
 	if want := map[int64]int64{101: 5000, 202: 5000}; !reflect.DeepEqual(rec.marks, want) {
 		t.Fatalf("recovered marks %v, want %v", rec.marks, want)
 	}
-	if rec.pending.Len() != 0 || len(rec.epochs) != 0 || rec.epochMax != 10000 || rec.seqMax != 10000 {
+	if rec.pending.items.Len() != 0 || len(rec.epochs) != 0 || rec.epochMax != 10000 || rec.seqMax != 10000 {
 		t.Errorf("recovered %d pending, %d epochs, epoch max %d, seq max %d; want nothing and 10000/10000",
-			rec.pending.Len(), len(rec.epochs), rec.epochMax, rec.seqMax)
+			rec.pending.items.Len(), len(rec.epochs), rec.epochMax, rec.seqMax)
 	}
 	var d forwardDedup
 	d.restore(rec.marks)

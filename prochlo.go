@@ -98,8 +98,6 @@ type Pipeline struct {
 	client        *encoder.Client
 	quote         sgx.Quote
 	blindedClient *encoder.BlindedClient
-
-	seq int
 }
 
 // Option configures a Pipeline.
@@ -319,11 +317,8 @@ func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 	return p.enqueue(core.Batch{Envelopes: []core.Envelope{env}})
 }
 
-// enqueue numbers freshly encoded envelopes in submission order and adds
-// them to the pending batch.
+// enqueue adds freshly encoded envelopes to the pending batch.
 func (p *Pipeline) enqueue(batch core.Batch) error {
-	batch.Stamp(int64(p.seq))
-	p.seq += batch.Len()
 	var err error
 	p.pending, err = p.pending.Append(batch)
 	return err
