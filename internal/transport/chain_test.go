@@ -298,7 +298,7 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer svc.Close()
-			if _, err := svc.Submit(0, 0, rig.batch(3, "astray")); err != nil {
+			if _, err := svc.Submit(1, 1, rig.batch(3, "astray")); err != nil {
 				t.Fatal(err)
 			}
 			start := time.Now()

@@ -3,6 +3,7 @@ package transport
 import (
 	crand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -25,7 +26,7 @@ func newStreamID() (int64, error) {
 	}
 	id := int64(binary.LittleEndian.Uint64(b[:]) >> 1)
 	if id == 0 {
-		id = 1 // zero means "no dedup" on the wire
+		id = 1 // a Submit on stream 0 is refused (errStreamZero)
 	}
 	return id, nil
 }
@@ -75,8 +76,8 @@ func (t tier) close() {
 // by the client-stamped owning partition (core.PartitionOf over the crowd
 // ID — consistent, so the partition that thresholds a crowd sees all of it
 // no matter which upstream replica the reports entered through); payloads
-// and plain envelopes route by content hash, which is deterministic and
-// sufficient because their downstream merge is commutative. The parts are
+// route by content hash, which is deterministic and sufficient because
+// their downstream merge is commutative. The parts are
 // pushed concurrently, each on its replica's own connection, so the epoch
 // costs the slowest partition, not the sum. Every partition receives at most
 // one push per (stream, epoch), so per-partition dedup keeps the fan-in
@@ -143,7 +144,9 @@ func contentPartition(b []byte, m int) int {
 }
 
 // partitionBatch splits one epoch's output batch into per-partition
-// sub-batches, preserving the within-partition order.
+// sub-batches, preserving the within-partition order. A stage emits blinded
+// envelopes (shuffler1) or payloads (every other stage); none emits plain
+// envelopes.
 func partitionBatch(out core.Batch, m int) []core.Batch {
 	split := make([]core.Batch, m)
 	switch out.Kind() {
@@ -151,11 +154,6 @@ func partitionBatch(out core.Batch, m int) []core.Batch {
 		for _, env := range out.Blinded {
 			i := int(uint32(env.Partition)) % m
 			split[i].Blinded = append(split[i].Blinded, env)
-		}
-	case core.KindEnvelopes:
-		for _, env := range out.Envelopes {
-			i := contentPartition(env.Blob, m)
-			split[i].Envelopes = append(split[i].Envelopes, env)
 		}
 	case core.KindPayloads:
 		for _, p := range out.Payloads {
@@ -342,16 +340,14 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 			t.close()
 			return nil, err
 		}
-		if rec != nil {
-			// Resume the pre-crash push stream: replayed epochs must carry
-			// the same (stream, epoch) pairs for downstream dedup.
-			stream = rec.stream
-		}
 		w, err = openWAL(cfg.WALDir, DefaultWALSegmentBytes, stream, kind, rec)
 		if err != nil {
 			t.close()
 			return nil, err
 		}
+		// Resume the pre-crash push stream: replayed epochs must carry the
+		// same (stream, epoch) pairs for downstream dedup.
+		stream = w.stream
 	}
 
 	e := &engine{
@@ -398,11 +394,14 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 
 // ingest is the one way a batch of the admitted kind enters the engine,
 // whether a client submitted it or the upstream hop pushed it as an epoch.
-// A batch stamped (stream, pos) — nonzero stream — goes in exactly once:
-// an at-least-once retry, at or below the stream's last position, is
+// Every batch is stamped (stream, pos), stream nonzero, and goes in exactly
+// once: an at-least-once retry, at or below the stream's last position, is
 // acknowledged without re-ingesting (forwardDedup). The engine owns b's
 // items from here on (nothing is copied until the cut).
 func (e *engine) ingest(stream, pos int64, b core.Batch) error {
+	if stream == 0 {
+		return errStreamZero
+	}
 	if k := b.Kind(); k != e.kind && k != core.KindEmpty {
 		return fmt.Errorf("transport: stage ingests %v, got %v", e.kind, k)
 	}
@@ -522,11 +521,16 @@ func (e *engine) cutFloor() chunk {
 // the cut record — after this the epoch replays under the same id across a
 // crash), and queues it for the flusher, blocking when the in-flight queue
 // is full (submission-side backpressure keeps occupancy bounded meanwhile).
+// An epoch whose cut record the log refused never leaves: its items go back
+// to pending (their batch records leave them to a restart), and a Drain's
+// epoch goes on as its bare barrier.
 func (e *engine) sendEpoch(ep *epoch) {
 	if ep.items.Len() > 0 {
 		ep.id = e.epochID.Add(1)
-		if e.wal != nil {
-			e.recordErr(e.wal.logCut(ep.id, ep.min, ep.max))
+		if err := e.wal.logCut(ep.id, ep.min, ep.max); err != nil {
+			e.recordErr(err)
+			e.putBack(ep.chunk)
+			ep.chunk = chunk{}
 		}
 	}
 	e.mu.Lock()
@@ -586,17 +590,20 @@ func (e *engine) scheduler() {
 	}
 }
 
-// dropCut counts a cut chunk as dropped and records the loss in the WAL so
-// a restart over this directory does not resurrect reports the daemon
-// already counted as lost.
+// dropCut records a cut chunk's loss in the WAL, so a restart over this
+// directory does not resurrect reports the daemon already counted as lost,
+// and then counts it as dropped. A drop the log refused is not counted: the
+// chunk goes back to pending.
 func (e *engine) dropCut(c chunk) {
 	if c.items.Len() == 0 {
 		return
 	}
-	e.dropped.Add(int64(c.items.Len()))
-	if e.wal != nil {
-		e.recordErr(e.wal.logDrop(e.epochID.Add(1), c.min, c.max))
+	if err := e.wal.logDrop(e.epochID.Add(1), c.min, c.max); err != nil {
+		e.recordErr(err)
+		e.putBack(c)
+		return
 	}
+	e.dropped.Add(int64(c.items.Len()))
 }
 
 // recordErr keeps a non-nil err as the LastError Stats reports.
@@ -627,15 +634,15 @@ func (e *engine) flusher() {
 // flushOne processes and pushes a single epoch, then resolves it in the WAL
 // and updates the counters. A delivered epoch is acked; a failed one — its
 // processing failed, or its push got a final refusal or outlived the
-// sender's redial budget — is dropped: its reports count in Dropped and the
-// WAL records the drop, so they are never pushed again, not even after a
-// restart.
+// sender's redial budget — is dropped: the WAL records the drop, so its
+// reports are never pushed again, not even after a restart, and they count
+// in Dropped. Once the log has failed nothing is pushed behind a record that
+// may not be durable: the epoch is held, back in pending, for a restart.
 func (e *engine) flushOne(ep *epoch) {
-	var (
-		stats shuffler.Stats
-		err   error
-	)
-	if ep.items.Len() > 0 { // else a Drain barrier: every earlier epoch has been flushed
+	var stats shuffler.Stats
+	err := e.wal.failure()
+	held := err != nil && ep.items.Len() > 0
+	if ep.items.Len() > 0 && err == nil { // else a Drain barrier: every earlier epoch has been flushed
 		var out core.Batch
 		procStart := time.Now()
 		out, stats, err = e.stage.ProcessEpoch(ep.items)
@@ -645,17 +652,23 @@ func (e *engine) flushOne(ep *epoch) {
 			err = e.push(ep.id, out)
 			observeSeconds(e.pushSeconds, pushStart)
 		}
-		if e.wal != nil {
-			e.recordErr(e.wal.resolve(ep.id, err == nil))
+		if err == nil {
+			e.recordErr(e.wal.logAck(ep.id, ep.min, ep.max))
+		} else if werr := e.wal.logDrop(ep.id, ep.min, ep.max); werr != nil {
+			err, held = errors.Join(err, werr), true
 		}
 	}
 	e.mu.Lock()
 	e.queuedEpochs--
-	if err != nil {
+	switch {
+	case held:
+		e.lastErr = err
+	case ep.items.Len() == 0: // a barrier
+	case err != nil:
 		e.epochsFailed++
 		e.lastErr = err
 		e.dropped.Add(int64(ep.items.Len()))
-	} else if ep.items.Len() > 0 {
+	default:
 		e.epochsFlushed++
 		e.cum.Received += stats.Received
 		e.cum.Undecryptable += stats.Undecryptable
@@ -664,6 +677,9 @@ func (e *engine) flushOne(ep *epoch) {
 		e.cum.Forwarded += stats.Forwarded
 	}
 	e.mu.Unlock()
+	if held {
+		e.putBack(ep.chunk)
+	}
 	if ep.reply != nil {
 		ep.reply <- err
 	}
@@ -720,7 +736,7 @@ func (e *engine) stats() ServiceStats {
 // (closeMu), a slow drain, or a wedged flusher.
 func (e *engine) healthz() HealthzReply {
 	return HealthzReply{
-		Healthy:      !e.closed.Load(),
+		Healthy:      !e.closed.Load() && e.wal.failure() == nil,
 		UptimeMillis: time.Since(e.start).Milliseconds(),
 		Pending:      int(e.occupancy.Load()),
 		Accepted:     e.accepted.Load(),

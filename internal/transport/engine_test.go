@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,9 +50,9 @@ func serveNull(t *testing.T) string {
 }
 
 // TestCutOrderMatchesSeqSort pins the chunk merge against the per-item sort
-// it replaced. Ingest calls of mixed sizes, unstamped and stamped (each
-// racer on a stream of its own, as a sender keeps one call in flight per
-// stream), race each other; a below-floor cut is put back, a restart over a
+// it replaced. Ingest calls of mixed sizes, each racer stamping its own
+// stream (as a sender keeps one call in flight per stream), race each
+// other; a below-floor cut is put back, a restart over a
 // copy of the log turns it into WAL-recovered pending items, and more calls
 // race on top. However the racing appends interleave, the epoch the stage
 // then sees must be exactly the accepted items sorted by the sequence
@@ -90,8 +91,7 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 			t.Fatal(err)
 		}
 	}
-	// ingest submits one batch of n fresh items, stamped (stream, pos);
-	// stream 0 is unstamped.
+	// ingest submits one batch of n fresh items, stamped (stream, pos).
 	ingest := func(tag string, n int, stream, pos int64) {
 		var b core.Batch
 		for i := 0; i < n; i++ {
@@ -124,11 +124,7 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 			go func(g, n int) {
 				defer wg.Done()
 				for r := 0; r < 3; r++ {
-					stream, pos := int64(0), int64(0)
-					if g%2 == 1 {
-						stream, pos = int64(100+g), int64(1000*len(round)+r+1)
-					}
-					ingest(fmt.Sprintf("%s-g%d-r%d", round, g, r), n, stream, pos)
+					ingest(fmt.Sprintf("%s-g%d-r%d", round, g, r), n, int64(100+g), int64(1000*len(round)+r+1))
 				}
 			}(g, n)
 		}
@@ -174,9 +170,9 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 	}
 
 	start()
-	ingest("early-a", 1, 0, 0)
+	ingest("early-a", 1, 66, 1)
 	ingest("early-b", 7, 77, 5)
-	ingest("early-c", 13, 0, 0)
+	ingest("early-c", 13, 66, 2)
 	if err := eng.drain(false); err != nil || len(epochs) != 0 || eng.stats().Pending != 21 {
 		t.Fatalf("drain of 21 < %d items = %v with %d epochs cut and %+v, want the floor to leave them pending",
 			floor, err, len(epochs), eng.stats())
@@ -184,7 +180,7 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 	race("putback") // on top of the cut that was put back
 	flush()
 
-	ingest("late-a", 4, 0, 0)
+	ingest("late-a", 4, 66, 3)
 	ingest("late-b", 9, 77, 6)
 	// 13 accepted, never cut: the successor's recovered pending set. No
 	// write is in flight, so a byte copy of the log is what a kill -9 would
@@ -236,10 +232,10 @@ func walValue(b core.Batch, i int) string {
 }
 
 // TestDropCutRecordsWALError: a final drain releases a below-floor epoch as
-// Dropped and logs the drop in the WAL. When the log cannot take the
-// record, the failure must reach Stats().LastError, as a failed cut record
-// of a forwarded epoch does — an operator otherwise learns of it only when
-// a restart resurrects reports the daemon already counted as lost.
+// Dropped once the WAL holds its drop record. When the log cannot take the
+// record the drop is not counted — a restart brings the report back, so
+// counting it would count it twice — the report stays pending, and the
+// failure reaches the drain's answer, Stats().LastError and Healthz.
 func TestDropCutRecordsWALError(t *testing.T) {
 	stage := &recordStage{kind: core.KindEnvelopes, floor: 10, onEpoch: func(core.Batch) {}}
 	eng, err := newEngine(EpochConfig{WALDir: t.TempDir()}, stage, []string{serveNull(t)})
@@ -247,19 +243,156 @@ func TestDropCutRecordsWALError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.close()
-	if err := eng.ingest(0, 0, walItem(core.KindEnvelopes, "below-floor")); err != nil {
+	if err := eng.ingest(walClient, 1, walItem(core.KindEnvelopes, "below-floor")); err != nil {
 		t.Fatal(err)
 	}
-	eng.wal.mu.Lock()
-	eng.wal.f.Close()
-	eng.wal.mu.Unlock()
-	if err := eng.drain(true); err != nil {
-		t.Fatal(err)
+	eng.wal.closeFiles()
+	if err := eng.drain(true); err == nil {
+		t.Fatal("a final drain whose drop record failed succeeded")
 	}
-	if st := eng.stats(); st.Dropped != 1 || !strings.Contains(st.LastError, "wal cut") {
-		t.Errorf("after a forced drop with the log closed: dropped %d, last error %q; want 1 and the WAL's cut failure",
-			st.Dropped, st.LastError)
+	if st := eng.stats(); st.Dropped != 0 || st.Pending != 1 || st.Unaccounted != 0 || !strings.Contains(st.LastError, "wal failed") {
+		t.Errorf("after a forced drop with the log closed: %+v; want nothing dropped, the report pending and the WAL's failure", st)
 	}
+	if eng.healthz().Healthy {
+		t.Error("an engine whose log failed reports healthy")
+	}
+}
+
+// sinkService is a downstream tier that keeps what it ingests, deduplicated
+// by the push's stamp as a hop does, and refuses every push holding refuse.
+type sinkService struct {
+	refuse string
+	dedup  forwardDedup
+	mu     sync.Mutex
+	got    map[string]int
+}
+
+func (s *sinkService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
+	if method != methodSubmit {
+		return appendWireInts(dst, 0), nil
+	}
+	stream, pos, b, err := parseBatchCall(body)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < b.Len(); i++ {
+		if walValue(b, i) == s.refuse {
+			return nil, fmt.Errorf("sink refuses %s", s.refuse)
+		}
+	}
+	return appendWireInts(dst, 0), s.dedup.ingest(stream, pos, func() error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i := 0; i < b.Len(); i++ {
+			s.got[walValue(b, i)]++
+		}
+		return nil
+	})
+}
+
+func (s *sinkService) values() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.got)
+}
+
+// TestWALFailureStopsPushes: once a WAL write fails, the engine pushes no
+// epoch and counts no drop — a record that did not become durable must not
+// be followed by a push, or a restart delivers or drops the same reports a
+// second time — refuses submissions with the log's error and reports
+// unhealthy. Then a restart over the directory delivers every report
+// exactly once.
+//
+//   - cut: three items ingested, the log's file closed, a drain: the cut
+//     record fails, so the epoch does not leave;
+//   - drop: two epochs cut and queued, the log's file closed while the first
+//     is processed; the downstream refuses it, its drop record fails, and
+//     the second, whose cut is durable, is held too.
+func TestWALFailureStopsPushes(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		for _, tc := range []struct {
+			name, refuse string
+			values       []string
+			flushAt      int
+			want         map[string]int
+			dropped      int64
+		}{
+			{"cut", "", []string{"a", "b", "c"}, 0, map[string]int{"a": 1, "b": 1, "c": 1}, 0},
+			{"drop", "refused", []string{"refused", "next"}, 1, map[string]int{"next": 1}, 1},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				sink := &sinkService{refuse: tc.refuse, got: map[string]int{}}
+				l, err := Serve("127.0.0.1:0", sink)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer l.Close()
+				cfg := EpochConfig{WALDir: t.TempDir(), FlushAt: tc.flushAt}
+				var (
+					eng                *engine
+					restarted          bool
+					processing, closed = make(chan struct{}), make(chan struct{})
+				)
+				stage := &recordStage{kind: kind, floor: 1, onEpoch: func(in core.Batch) {
+					if !restarted && walValue(in, 0) == tc.refuse {
+						close(processing)
+						<-closed
+					}
+				}}
+				if eng, err = newEngine(cfg, stage, []string{l.Addr().String()}); err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range tc.values {
+					if err := eng.ingest(walClient, int64(i+1), walItem(kind, v)); err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 && tc.refuse != "" {
+						<-processing // the next ingest is an epoch of its own
+					}
+				}
+				if tc.refuse != "" {
+					untilTrue(t, "the second epoch's cut", func() bool { return eng.wal.unresolvedCount() == 2 })
+				}
+				eng.wal.closeFiles()
+				close(closed)
+				if err := eng.drain(false); err == nil {
+					t.Fatal("a drain over a failed log succeeded")
+				}
+				st := eng.stats()
+				if st.EpochsFlushed != 0 || st.Dropped != 0 || st.Pending != len(tc.values) || st.Unaccounted != 0 {
+					t.Errorf("after the log failed: %+v; want nothing flushed or dropped, every report pending", st)
+				}
+				if got := sink.values(); len(got) != 0 {
+					t.Errorf("the downstream received %v past a failed log record", got)
+				}
+				if err := eng.ingest(walClient, 99, walItem(kind, "late")); err == nil {
+					t.Error("a submission after the log failed was accepted")
+				}
+				if eng.healthz().Healthy {
+					t.Error("an engine whose log failed reports healthy")
+				}
+				eng.close()
+
+				restarted = true
+				if eng, err = newEngine(cfg, stage, []string{l.Addr().String()}); err != nil {
+					t.Fatal(err)
+				}
+				if st := eng.stats(); st.RecoveredItems != int64(len(tc.values)) {
+					t.Errorf("restart recovered %+v, want the %d reports", st, len(tc.values))
+				}
+				eng.drain(false) // a refused epoch fails this one
+				if st := eng.stats(); st.Dropped != tc.dropped || st.Pending != 0 || st.Unaccounted != 0 {
+					t.Errorf("after the restart's drain: %+v; want %d dropped and nothing pending", st, tc.dropped)
+				}
+				if err := eng.close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := sink.values(); !maps.Equal(got, tc.want) {
+					t.Errorf("the downstream received %v, want %v", got, tc.want)
+				}
+			})
+		}
+	})
 }
 
 // dedupStreams is how many stream marks an engine's dedup holds.

@@ -429,7 +429,7 @@ func TestReconciliationWithDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	if _, err := svc.Submit(0, 0, rig.batch(6, "drop-value")); err != nil {
+	if _, err := svc.Submit(1, 1, rig.batch(6, "drop-value")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Drain(false); err == nil {

@@ -25,8 +25,7 @@ import (
 // or below the stream's last is a replay. The stream's lock is held across
 // the ingest: a replay racing its original — a dead replica's in-flight push
 // and its WAL-recovered successor's — waits for it, and an ingest that is
-// refused (epoch-full, a WAL error) leaves the mark where it was. Stream 0
-// is unstamped and skips dedup.
+// refused (epoch-full, a WAL error) leaves the mark where it was.
 type forwardDedup struct {
 	mu      sync.Mutex
 	streams map[int64]*streamMark
@@ -65,9 +64,6 @@ func (d *forwardDedup) mark(stream int64) *streamMark {
 // ingest runs add unless pos is a replay on its stream, and advances the
 // stream's mark only when add succeeds.
 func (d *forwardDedup) ingest(stream, pos int64, add func() error) error {
-	if stream == 0 {
-		return add()
-	}
 	m := d.mark(stream)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -169,11 +165,11 @@ func (s *StageService) Keys() (Keys, error) {
 
 // Submit ingests one batch — a client's submission or an epoch the upstream
 // hop pushed — returning how many items were accepted. The batch is accepted
-// or rejected atomically: on ErrEpochFull nothing is ingested. A stamped
-// batch (nonzero stream: a client stream's (stream, seq), a hop's (stream,
-// epoch)) is deduplicated, so an at-least-once retry — any position at or
-// below the stream's last — is acknowledged with the same count and ingests
-// nothing; with a WAL the mark persists with the items. The service keeps an accepted batch's items without copying them:
+// or rejected atomically: on ErrEpochFull nothing is ingested. Every batch
+// is stamped — a client stream's (stream, seq), a hop's (stream, epoch); a
+// stream of 0 is refused — and deduplicated, so an at-least-once retry — any
+// position at or below the stream's last — is acknowledged with the same
+// count and ingests nothing; with a WAL the mark persists with the items. The service keeps an accepted batch's items without copying them:
 // the caller hands b over and must not reuse it.
 func (s *StageService) Submit(stream, pos int64, b core.Batch) (int, error) {
 	if err := s.eng.ingest(stream, pos, b); err != nil {
@@ -272,8 +268,8 @@ func (a *AnalyzerService) Healthz() HealthzReply {
 // push retry is at-least-once (a reply can be lost after the analyzer
 // ingested), so a retried push of an epoch this service already counted is
 // acknowledged without re-ingesting, and a concurrent delivery of the same
-// epoch waits for the first instead of decrypting it a second time. Stream
-// 0 skips dedup.
+// epoch waits for the first instead of decrypting it a second time. stream
+// is a sender's stream id, never 0 (parseBatchCall refuses it).
 func (a *AnalyzerService) Ingest(stream, epoch int64, items [][]byte) {
 	a.dedup.ingest(stream, epoch, func() error {
 		db, undec := a.open(items)

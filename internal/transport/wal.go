@@ -11,9 +11,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prochlo/internal/core"
@@ -22,8 +21,8 @@ import (
 
 // The write-ahead log makes a stage engine's accepted-but-unflushed items
 // survive a process crash. It is one family of segment files (wal-<gen>.log)
-// beside the wal.meta record, an event log of everything the engine decided,
-// all written at the log's end in the one active segment:
+// and nothing else: an event log of everything the engine decided, all
+// written at the log's end in the one active segment:
 //
 //   - a batch record per accepted Submit, whoever sent it: the engine's
 //     chunk of it (engine.go), as its sequence base min−1 followed by the
@@ -36,21 +35,21 @@ import (
 //     from its numbering to its append, so an epoch is always a contiguous
 //     range);
 //   - an ack or drop record when the flusher's push is acked downstream or
-//     permanently fails;
-//   - a drop-cut record when a final drain releases a below-floor epoch as
-//     dropped: the cut and its drop in one record, so no crash can leave
-//     the cut without the drop and a restart push the batch below the
-//     anonymity floor.
+//     permanently fails, or a final drain drops a below-floor epoch. Each
+//     carries the epoch's id and range, as the cut does, and resolves the
+//     range alone: the below-floor drop has no cut record to be torn from.
 //
-// Every segment opens with a checkpoint record: the state the log's records
-// before it add up to. It holds the horizon H — every sequence number <= H
+// Every segment opens with a checkpoint record: the log's push stream id and
+// the batch kind its items are, and the state the log's records before it
+// add up to. That state is the horizon H — every sequence number <= H
 // belongs to a resolved cut; H is the highest resolved cut's max, held one
 // below the lowest unresolved cut's min — the highest epoch id issued, every
 // cut above H with whether it has resolved, and each stream's last logged
 // position. A sealed segment whose every item is <= H therefore holds
 // nothing the active segment's checkpoint does not summarize, and is
-// deleted once that checkpoint is synced. The directory holds the items of
-// unresolved epochs, the cuts above H and one mark per stream.
+// deleted once that checkpoint is synced: any suffix of the segments is a
+// valid log. The directory holds the items of unresolved epochs, the cuts
+// above H and one mark per stream.
 //
 // A segment takes its full size on disk from the moment it is created: it is
 // written as segBytes of zeros and synced, file and directory entry, before
@@ -69,16 +68,16 @@ import (
 //     cut covers was synced before it was acknowledged, so a pushed epoch's
 //     membership is always recoverable and a retried push after restart
 //     reuses the same epoch id for downstream dedup;
-//   - drop and drop-cut records: synced before the next epoch is pushed.
-//     Downstream dedup keeps one position per stream, so a dropped epoch
-//     re-pushed after a restart would land behind a later epoch and be
-//     acked without being ingested; a synced drop is never pushed again;
+//   - drop records: synced before the next epoch is pushed. Downstream
+//     dedup keeps one position per stream, so a dropped epoch re-pushed
+//     after a restart would land behind a later epoch and be acked without
+//     being ingested; a synced drop is never pushed again;
 //   - ack records and checkpoints: not synced on their own (a checkpoint
 //     rides the segment's next sync, and is synced before any segment it
 //     summarizes is deleted). Losing an ack re-pushes a delivered epoch,
 //     which downstream dedup absorbs;
-//   - the wal.meta record and each new segment: synced in full, and then
-//     their directory (syncDir), before anything is logged behind them.
+//   - each new segment: synced in full, and then its directory (syncDir),
+//     before anything is logged in it.
 //
 // A record's sync is data-only (dataSync: fdatasync(2) on Linux, File.Sync
 // elsewhere), and that is enough: the blocks a record overwrites, and the
@@ -88,36 +87,35 @@ import (
 // needs along with the data. Each acknowledged Submit waits for one sync,
 // under w.mu.
 //
+// The first write or sync that fails fails the log for good (failure): after
+// a failed fsync the file's state is unknown (Rebello et al., USENIX ATC
+// 2020), so every later record is refused with that error, and the engine
+// pushes, drops and acknowledges nothing more until a restart.
+//
 // Recovery (recoverWAL) reads every segment and rewrites none: marks are the
 // highest position per stream, cuts and resolutions the union of the
 // checkpoints and records, and a batch record, kept whole, is dropped only
 // when it lies at or below H or inside a resolved cut. A cut takes whole
 // chunks, so a record that overlaps a cut (or H) without lying inside it was
-// not written by an engine, and recovery refuses the directory. The
-// recovered segments become the sealed segments of the reopened log, so a
-// burned sequence range stays a gap.
+// not written by an engine, and recovery refuses the directory, as it does a
+// record type this build does not write and a CRC-valid record that does not
+// parse. The recovered segments become the sealed segments of the reopened
+// log, so a burned sequence range stays a gap.
 
-// WAL record types. Types 1, 2, 6, 7 and 8 are retired (1 and 6 were the
-// meta and batch records of a layout that logged each item in a codec of its
-// own; 7 and 8 the mark replica and meta record of the layout with a
-// separate epoch log) and never reused, so a directory in an older layout is
-// refused at its meta record instead of misread.
+// WAL record types. Types 1, 2, 6, 7, 8, 10, 11 and 12 are retired and never
+// reused, so a directory an older build wrote is refused, not misread.
 const (
 	walRecCut        byte = 3  // epoch id, min seq, max seq
-	walRecAck        byte = 4  // epoch id resolved: delivered downstream
-	walRecDrop       byte = 5  // epoch id resolved: permanently failed / dropped
+	walRecAck        byte = 4  // epoch id, min seq, max seq: delivered downstream
+	walRecDrop       byte = 5  // epoch id, min seq, max seq: permanently failed / dropped
 	walRecBatch      byte = 9  // one ingested batch: uvarint base | Submit request body
-	walRecMeta       byte = 10 // stream id + admitted batch kind
-	walRecCheckpoint byte = 11 // H, epoch max, cuts above H, marks
-	walRecDropCut    byte = 12 // epoch id, min seq, max seq: cut and resolved as dropped at once
+	walRecCheckpoint byte = 13 // stream id, batch kind, H, epoch max, cuts above H, marks
 )
 
 // DefaultWALSegmentBytes is a segment's size on disk: each is created as
 // this many zeros, and a record that does not fit in the space left opens
 // the next. Sealed segments become deletable as their epochs resolve.
 const DefaultWALSegmentBytes = 4 << 20
-
-const walMetaName = "wal.meta"
 
 // walSegmentPrefix names the log's segments (wal-<gen>.log).
 const walSegmentPrefix = "wal"
@@ -137,10 +135,13 @@ type walSealed struct {
 
 // wal is the engine's write-ahead log over one directory. It is shared by
 // the engine's ingest path (batch appends, concurrent with each other),
-// its scheduler (cut records), and its flusher (resolve records).
+// its scheduler (cut records, and drop records for a final drain), and its
+// flusher (ack and drop records).
 type wal struct {
 	dir      string
 	segBytes int64
+	stream   int64          // the engine's push stream, named in every checkpoint
+	kind     core.BatchKind // the batch kind the items are, named in every checkpoint
 
 	mu     sync.Mutex // everything below
 	f      *os.File   // the active segment
@@ -156,6 +157,8 @@ type wal struct {
 	epochMax int64            // highest epoch id cut
 	cuts     map[int64]walCut // every cut above the horizon
 	marks    map[int64]int64  // stream -> last position logged
+
+	failed atomic.Pointer[error] // the first write or sync error; set, it refuses every record (failure)
 
 	appendRecords *metrics.Counter   // items logged; nil disables
 	fsync         *metrics.Histogram // syncLocked latency, not a new segment's full sync; nil disables (see attachMetrics)
@@ -206,42 +209,25 @@ func readRecord(r *bufio.Reader) (byte, []byte, error) {
 }
 
 // openWAL opens the log directory for appending. rec is what recoverWAL
-// read from it, nil for a directory without state: then stream and the batch
-// kind the items are encoded as are persisted as the meta record (batch
-// records carry no kind of their own; recoverWAL checks the directory's
-// against the engine's), and any segment a wipe left behind is deleted. A
-// fresh segment opens with a checkpoint and is synced; the recovered
-// segments become sealed ones, and those the horizon covers are deleted.
+// read from it, nil for a directory without segments. stream is a fresh
+// log's push stream; a recovered log keeps the one its checkpoints name.
+// Every segment's checkpoint names the stream and the kind the items are,
+// which recoverWAL checks against the engine's. A fresh segment opens with a
+// checkpoint and is synced; the recovered segments become sealed ones, and
+// those the horizon covers are deleted.
 func openWAL(dir string, segBytes int64, stream int64, kind core.BatchKind, rec *walRecovery) (*wal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("transport: wal dir: %w", err)
 	}
-	w := &wal{dir: dir, segBytes: segBytes, cuts: make(map[int64]walCut), marks: make(map[int64]int64)}
+	w := &wal{dir: dir, segBytes: segBytes, stream: stream, kind: kind, cuts: make(map[int64]walCut), marks: make(map[int64]int64)}
 	if rec != nil {
 		w.sealed, w.horizon, w.epochMax, w.cuts, w.marks = rec.sealed, rec.horizon, rec.epochMax, rec.cuts, rec.marks
-	} else {
-		stale, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
-		for _, p := range stale {
-			os.Remove(p)
+		if rec.stream != 0 { // else no checkpoint survived: nothing was ever logged
+			w.stream = rec.stream
 		}
-		f, err := os.OpenFile(filepath.Join(dir, walMetaName), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err == nil {
-			_, err = f.Write(appendRecord(nil, walRecMeta, appendWireInts(nil, stream, int64(kind))))
-			if err == nil {
-				err = f.Sync()
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err == nil {
-			err = syncDir(dir)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("transport: wal meta: %w", err)
-		}
+		// New segments go past the last one read (names sort by generation).
+		fmt.Sscanf(filepath.Base(rec.sealed[len(rec.sealed)-1].path), walSegmentPrefix+"-%d.log", &w.gen)
 	}
-	w.gen = walStartGen(dir)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.advanceLocked()
@@ -290,10 +276,10 @@ func (w *wal) startSegmentLocked() error {
 	return w.writeLocked(w.checkpoint(), false)
 }
 
-// checkpoint frames the checkpoint record of the log's state: H, the
-// highest epoch id, the cuts above H and the marks.
+// checkpoint frames the checkpoint record of the log's state: the stream
+// and kind, H, the highest epoch id, the cuts above H and the marks.
 func (w *wal) checkpoint() []byte {
-	body := appendWireInts(nil, w.horizon, w.epochMax, int64(len(w.cuts)))
+	body := appendWireInts(nil, w.stream, int64(w.kind), w.horizon, w.epochMax, int64(len(w.cuts)))
 	for id, c := range w.cuts {
 		resolved := int64(0)
 		if c.resolved {
@@ -316,18 +302,21 @@ func (w *wal) checkpoint() []byte {
 // logged but refused. A record larger than a whole segment is written
 // where it starts, extending the file, unless the segment is full already.
 // Every record a sealed segment holds that must be durable already is; an
-// ack that is not may be lost, as anywhere.
+// ack that is not may be lost, as anywhere. A failed write fails the log.
 func (w *wal) writeLocked(b []byte, sync bool) error {
+	if err := w.failure(); err != nil {
+		return err
+	}
 	n := int64(len(b))
 	if w.size+n > w.segBytes && (n <= w.segBytes || w.size >= w.segBytes) {
 		w.f.Close()
 		w.sealed = append(w.sealed, walSealed{path: w.path, maxSeq: w.maxSeq})
 		if err := w.startSegmentLocked(); err != nil {
-			return err
+			return w.failLocked(err)
 		}
 	}
 	if _, err := w.f.WriteAt(b, w.size); err != nil {
-		return err
+		return w.failLocked(err)
 	}
 	w.size += int64(len(b))
 	w.dirty = true
@@ -338,22 +327,43 @@ func (w *wal) writeLocked(b []byte, sync bool) error {
 }
 
 // syncLocked makes the active segment's records durable, if it is dirty,
-// with a data-only sync (dataSync).
+// with a data-only sync (dataSync). A failed sync fails the log.
 func (w *wal) syncLocked() error {
-	if !w.dirty {
-		return nil
+	if err := w.failure(); err != nil || !w.dirty {
+		return err
 	}
 	var start time.Time
 	if w.fsync != nil {
 		start = time.Now()
 	}
 	if err := dataSync(w.f); err != nil {
-		return err
+		return w.failLocked(err)
 	}
 	if w.fsync != nil {
 		w.fsync.Observe(time.Since(start).Seconds())
 	}
 	w.dirty = false
+	return nil
+}
+
+// failLocked fails the log with err, unless it has failed already, and
+// returns its failure.
+func (w *wal) failLocked(err error) error {
+	err = fmt.Errorf("transport: wal failed: %w", err)
+	w.failed.CompareAndSwap(nil, &err)
+	return w.failure()
+}
+
+// failure is the error that failed the log, nil while it has not failed (and
+// for a nil log: an engine without one). It takes no lock, so a liveness
+// probe does not wait behind a sync.
+func (w *wal) failure() error {
+	if w == nil {
+		return nil
+	}
+	if err := w.failed.Load(); err != nil {
+		return *err
+	}
 	return nil
 }
 
@@ -420,13 +430,11 @@ func (w *wal) appendBatch(stream, pos int64, c chunk) error {
 	buf := appendRecord(body, walRecBatch, body)
 	w.buf = buf[:0]
 	if err := w.writeLocked(buf[len(body):], true); err != nil {
-		return fmt.Errorf("transport: wal append: %w", err)
+		return err
 	}
 	w.appendRecords.Add(float64(c.items.Len()))
 	w.maxSeq = max(w.maxSeq, c.max)
-	if stream != 0 {
-		w.marks[stream] = max(w.marks[stream], pos)
-	}
+	w.marks[stream] = max(w.marks[stream], pos)
 	return nil
 }
 
@@ -434,52 +442,44 @@ func (w *wal) appendBatch(stream, pos int64, c chunk) error {
 // the barrier that makes a pushed epoch replayable under the same id after a
 // crash. The epoch's items are already durable: appendBatch fsyncs every
 // batch before it becomes visible to a cut.
-func (w *wal) logCut(id, minSeq, maxSeq int64) error { return w.cut(walRecCut, id, minSeq, maxSeq) }
-
-// logDrop records a cut released as dropped — the below-floor epoch a final
-// drain gives up — in one fsynced drop-cut record, resolved at once.
-func (w *wal) logDrop(id, minSeq, maxSeq int64) error {
-	return w.cut(walRecDropCut, id, minSeq, maxSeq)
+func (w *wal) logCut(id, minSeq, maxSeq int64) error {
+	return w.logEpoch(walRecCut, id, minSeq, maxSeq)
 }
 
-// cut writes a cut or drop-cut record and applies it.
-func (w *wal) cut(typ byte, id, minSeq, maxSeq int64) error {
+// logAck records an epoch delivered downstream, not synced: a lost ack
+// re-pushes the epoch after a restart, and downstream dedup absorbs it.
+func (w *wal) logAck(id, minSeq, maxSeq int64) error {
+	return w.logEpoch(walRecAck, id, minSeq, maxSeq)
+}
+
+// logDrop records an epoch given up as dropped — a failed push, or the
+// below-floor epoch a final drain releases without a cut record of its own —
+// as an fsynced record, before the next epoch is pushed (see the file
+// comment).
+func (w *wal) logDrop(id, minSeq, maxSeq int64) error {
+	return w.logEpoch(walRecDrop, id, minSeq, maxSeq)
+}
+
+// logEpoch writes a cut, ack or drop record and applies it; without a log
+// (nil) it does nothing. An ack or drop resolves its range, advances the
+// horizon and deletes the sealed segments it now covers. A force drain's
+// drop resolves its range ahead of an epoch still in flight, so resolutions
+// come out of id order; the horizon stays below the unresolved one.
+func (w *wal) logEpoch(typ byte, id, minSeq, maxSeq int64) error {
+	if w == nil {
+		return nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.writeLocked(appendRecord(nil, typ, appendWireInts(nil, id, minSeq, maxSeq)), true); err != nil {
-		return fmt.Errorf("transport: wal cut: %w", err)
+	if err := w.writeLocked(appendRecord(nil, typ, appendWireInts(nil, id, minSeq, maxSeq)), typ != walRecAck); err != nil {
+		return err
 	}
-	dropped := typ == walRecDropCut
-	w.cuts[id] = walCut{min: minSeq, max: maxSeq, resolved: dropped}
+	w.cuts[id] = walCut{min: minSeq, max: maxSeq, resolved: typ != walRecCut}
 	w.epochMax = max(w.epochMax, id)
-	if dropped {
+	if typ != walRecCut {
 		w.advanceLocked()
 		w.pruneLocked()
 	}
-	return nil
-}
-
-// resolve marks an epoch delivered (ack) or permanently failed (drop, which
-// is fsynced: see the file comment), advances the horizon, and deletes the
-// sealed segments it now covers. A force drain's drop resolves its cut ahead
-// of an epoch still in flight, so resolutions come out of id order; the
-// horizon stays below the unresolved one.
-func (w *wal) resolve(id int64, delivered bool) error {
-	typ := walRecAck
-	if !delivered {
-		typ = walRecDrop
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.writeLocked(appendRecord(nil, typ, appendWireInts(nil, id)), !delivered); err != nil {
-		return fmt.Errorf("transport: wal resolve: %w", err)
-	}
-	if c, ok := w.cuts[id]; ok {
-		c.resolved = true
-		w.cuts[id] = c
-	}
-	w.advanceLocked()
-	w.pruneLocked()
 	return nil
 }
 
@@ -505,17 +505,17 @@ func (w *wal) closeLocked() {
 }
 
 // close shuts the log down. wipe (set when the engine drained cleanly with
-// nothing pending or unresolved) deletes the meta record, then every
-// segment: the directory then holds no state to recover and the next start
-// is fresh.
+// nothing pending or unresolved) deletes every segment, oldest first: the
+// directory then holds no state to recover and the next start is fresh, and
+// a crash in the middle leaves the newest segments, whose checkpoints hold
+// the state the deleted ones added up to.
 func (w *wal) close(wipe bool) error {
 	w.mu.Lock()
 	err := w.syncLocked()
 	w.closeLocked()
 	w.mu.Unlock()
 	if wipe && err == nil {
-		os.Remove(filepath.Join(w.dir, walMetaName))
-		paths, _ := filepath.Glob(filepath.Join(w.dir, walSegmentPrefix+"-*.log"))
+		paths, _ := filepath.Glob(filepath.Join(w.dir, walSegmentPrefix+"-*.log")) // generation order (zero-padded)
 		for _, p := range paths {
 			os.Remove(p)
 		}
@@ -525,7 +525,7 @@ func (w *wal) close(wipe bool) error {
 
 // walRecovery is everything a restarted engine rebuilds from the log.
 type walRecovery struct {
-	stream   int64
+	stream   int64 // named by the checkpoints; 0 if none survived
 	seqMax   int64
 	epochMax int64
 	horizon  int64
@@ -540,43 +540,25 @@ type walRecovery struct {
 }
 
 // recoverWAL reads a log directory back into engine state. It returns
-// (nil, nil) when the directory holds no recoverable state. kind is the batch
-// kind the recovering engine admits; a directory whose meta record names
-// another kind was written by a different role, and one whose meta record is
-// of a retired type was written in another layout: both are refused before
-// anything in it is read. A CRC-valid batch or checkpoint record that does
-// not parse, a batch of another kind, or a batch record that overlaps a cut
-// without lying inside it, is refused too.
+// (nil, nil) when the directory holds no segment. kind is the batch kind the
+// recovering engine admits; a checkpoint naming another kind was written by a
+// different role, and the directory is refused. So is one holding a record of
+// a type this build does not write (an older build's layout), a CRC-valid
+// record that does not parse, a batch of another kind, checkpoints naming
+// different streams, or a batch record that overlaps a cut without lying
+// inside it. A refusal changes no file.
 func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
-	metaBytes, err := os.ReadFile(filepath.Join(dir, walMetaName))
-	if os.IsNotExist(err) {
+	paths, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
+	if len(paths) == 0 {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, fmt.Errorf("transport: wal recover meta: %w", err)
-	}
 	rec := &walRecovery{marks: make(map[int64]int64), cuts: make(map[int64]walCut)}
-	typ, body, rerr := readRecord(bufio.NewReader(strings.NewReader(string(metaBytes))))
-	if rerr == nil && typ != walRecMeta {
-		return nil, fmt.Errorf("transport: wal dir %s was written in a retired layout (meta record type %d, this build reads type %d); drain it with the build that wrote it, or remove it", dir, typ, walRecMeta)
-	}
-	meta := wireReader{b: body}
-	rec.stream = meta.int()
-	held := core.BatchKind(meta.int())
-	if rerr != nil || meta.done() != nil {
-		return nil, fmt.Errorf("transport: wal meta corrupt")
-	}
-	if held != kind {
-		return nil, fmt.Errorf("transport: wal dir %s holds %v, this stage ingests %v", dir, held, kind)
-	}
-
 	var records []chunk // every nonempty batch record
-	resolved := make(map[int64]bool)
+	// addCut merges a cut, its resolution or a checkpoint's copy of either;
+	// records come in log order, so a resolution sticks.
 	addCut := func(id int64, c walCut) {
-		if c.resolved {
-			resolved[id] = true
-		}
-		rec.cuts[id] = walCut{min: c.min, max: c.max}
+		c.resolved = c.resolved || rec.cuts[id].resolved
+		rec.cuts[id] = c
 		rec.epochMax = max(rec.epochMax, id)
 		rec.seqMax = max(rec.seqMax, c.max)
 	}
@@ -601,10 +583,9 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 				records = append(records, c)
 			}
 			seg.maxSeq = max(seg.maxSeq, c.max)
-			if stream != 0 {
-				rec.marks[stream] = max(rec.marks[stream], pos)
-			}
+			rec.marks[stream] = max(rec.marks[stream], pos)
 		case walRecCheckpoint:
+			stream, held := r.int(), core.BatchKind(r.int())
 			rec.horizon = max(rec.horizon, r.int())
 			rec.epochMax = max(rec.epochMax, r.int())
 			for n := r.count(); n > 0; n-- {
@@ -614,22 +595,26 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 				stream, pos := r.int(), r.int()
 				rec.marks[stream] = max(rec.marks[stream], pos)
 			}
-			if err := r.done(); err != nil {
+			switch err := r.done(); {
+			case err != nil:
 				return fmt.Errorf("checkpoint record: %w", err)
+			case held != kind:
+				return fmt.Errorf("checkpoint record holds %v, this stage ingests %v", held, kind)
+			case stream == 0 || rec.stream != 0 && stream != rec.stream:
+				return fmt.Errorf("checkpoint record names stream %d where the log's is %d", stream, rec.stream)
 			}
-		case walRecCut, walRecDropCut:
-			if id, c := r.int(), (walCut{min: r.int(), max: r.int(), resolved: typ == walRecDropCut}); r.done() == nil {
-				addCut(id, c)
+			rec.stream = stream
+		case walRecCut, walRecAck, walRecDrop:
+			id, c := r.int(), walCut{min: r.int(), max: r.int(), resolved: typ != walRecCut}
+			if err := r.done(); err != nil {
+				return fmt.Errorf("record type %d: %w", typ, err)
 			}
-		case walRecAck, walRecDrop:
-			if id := r.int(); r.done() == nil {
-				resolved[id] = true
-				rec.epochMax = max(rec.epochMax, id)
-			}
+			addCut(id, c)
+		default:
+			return fmt.Errorf("record type %d is not one this build writes; recover the directory with the build that wrote it, or remove it", typ)
 		}
 		return nil
 	}
-	paths, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
 	sort.Strings(paths) // generation order (zero-padded)
 	for _, path := range paths {
 		seg := walSealed{path: path}
@@ -651,8 +636,6 @@ func recoverWAL(dir string, kind core.BatchKind) (*walRecovery, error) {
 			delete(rec.cuts, id)
 			continue
 		}
-		c.resolved = resolved[id]
-		rec.cuts[id] = c
 		cuts = append(cuts, &epoch{chunk: chunk{min: c.min, max: c.max}, id: id})
 	}
 	sort.Slice(cuts, func(i, j int) bool { return cuts[i].min < cuts[j].min })
@@ -702,20 +685,6 @@ func readSegment(path string, handle func(typ byte, body []byte) error) error {
 			return err
 		}
 	}
-}
-
-// walStartGen scans a directory for the highest existing segment generation
-// so fresh segments never collide with recovered ones.
-func walStartGen(dir string) int64 {
-	paths, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
-	var gen int64
-	for _, p := range paths {
-		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), walSegmentPrefix+"-"), ".log")
-		if g, err := strconv.ParseInt(name, 10, 64); err == nil {
-			gen = max(gen, g)
-		}
-	}
-	return gen
 }
 
 // syncDir makes the names created in dir durable: syncing a file does not

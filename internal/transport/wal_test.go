@@ -118,7 +118,7 @@ func walRecover(t *testing.T, dir string, kind core.BatchKind) *walRecovery {
 
 // TestWALRecoverRoundTrip logs client batches, a cut, a hop's pushed epoch,
 // and a resolution, then recovers the directory and checks every piece of
-// state comes back: the stream id, the resolved epoch's items gone, the
+// state comes back: the stream id the checkpoint names, the resolved epoch's items gone, the
 // unresolved epoch regrouped under its id, the rest pending in seq order, and
 // each stream's last position restored as its dedup mark.
 func TestWALRecoverRoundTrip(t *testing.T) {
@@ -131,7 +131,7 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 		if err := w.logCut(1, 1, 2); err != nil {
 			t.Fatal(err)
 		}
-		w.resolve(1, true)
+		w.logAck(1, 1, 2)
 
 		// Epoch 2 (seqs 3-5, over two records written out of seq order):
 		// cut, never resolved.
@@ -260,7 +260,7 @@ func TestWALZeroSegmentRecoversEmpty(t *testing.T) {
 		w.closeFiles() // crash
 		want := walRecover(t, dir, kind)
 
-		zero := filepath.Join(dir, fmt.Sprintf("%s-%012d.log", walSegmentPrefix, walStartGen(dir)+1))
+		zero := filepath.Join(dir, walSegmentPrefix+"-000000000002.log") // after the one segment
 		if err := os.WriteFile(zero, make([]byte, DefaultWALSegmentBytes), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +335,7 @@ func TestWALResolveReclaimsSegments(t *testing.T) {
 		if len(sealedBefore) < 2 {
 			t.Fatalf("expected rotation to produce multiple segments, got %v", sealedBefore)
 		}
-		w.resolve(1, true)
+		w.logAck(1, 1, 4)
 		left, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
 		// Only the active segment may survive.
 		if len(left) != 1 {
@@ -372,7 +372,7 @@ func TestWALMarkOutlivesTruncation(t *testing.T) {
 		if err := w.appendBatch(99, 7, walChunk(kind, 6, payload)); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.resolve(1, true); err != nil {
+		if err := w.logAck(1, 1, 4); err != nil {
 			t.Fatal(err)
 		}
 		walAppend(t, w, 6, walChunk(kind, 7, payload))
@@ -390,7 +390,7 @@ func TestWALMarkOutlivesTruncation(t *testing.T) {
 		if err := w2.logCut(2, 5, 7); err != nil {
 			t.Fatal(err)
 		}
-		if err := w2.resolve(2, true); err != nil {
+		if err := w2.logAck(2, 5, 7); err != nil {
 			t.Fatal(err)
 		}
 		if segs, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log")); len(segs) != 1 {
@@ -417,13 +417,105 @@ func TestWALCleanCloseWipes(t *testing.T) {
 		if err := w.logCut(1, 1, 1); err != nil {
 			t.Fatal(err)
 		}
-		w.resolve(1, true)
+		w.logAck(1, 1, 1)
 		if err := w.close(true); err != nil {
 			t.Fatal(err)
 		}
 		if rec := walRecover(t, dir, kind); rec != nil {
 			t.Fatalf("recovery after wiping close = %+v, want nil", rec)
 		}
+	})
+}
+
+// TestWALCrashMidWipe: a wipe deletes the segments oldest first, so a crash
+// in the middle leaves the newest ones, each opening with the checkpoint of
+// everything before it. A drained log whose last ack landed in a second
+// segment still holds the first if the process died between the ack's sync
+// and its prune's unlink (put back here from a copy). Recovery over both, and
+// over the second alone — the wipe's first unlink done, then the crash —
+// finds nothing pending or in flight and keeps the stream, the highs and the
+// stream's mark.
+func TestWALCrashMidWipe(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		dir := t.TempDir()
+		w := walOpen(t, dir, 64, 7, kind) // the batch record fills the first segment
+		walAppend(t, w, 1, walChunk(kind, 1, strings.Repeat("segment-filler-payload-to-force-rotation", 3)))
+		if err := w.logCut(1, 1, 1); err != nil { // opens the second segment
+			t.Fatal(err)
+		}
+		first := w.sealed[0].path
+		kept, err := os.ReadFile(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.logAck(1, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		w.closeFiles() // crash
+		if err := os.WriteFile(first, kept, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check := func(when string) {
+			t.Helper()
+			rec := walRecover(t, dir, kind)
+			if rec.pending.items.Len() != 0 || len(rec.epochs) != 0 {
+				t.Errorf("%s: %d pending, epochs %+v; want nothing", when, rec.pending.items.Len(), rec.epochs)
+			}
+			if rec.stream != 7 || rec.seqMax != 1 || rec.epochMax != 1 || !reflect.DeepEqual(rec.marks, map[int64]int64{walClient: 1}) {
+				t.Errorf("%s: stream %d, seqMax %d, epochMax %d, marks %v; want 7, 1, 1 and the client's mark",
+					when, rec.stream, rec.seqMax, rec.epochMax, rec.marks)
+			}
+		}
+		if segs, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log")); len(segs) != 2 {
+			t.Fatalf("segments %v, want two", segs)
+		}
+		check("both segments")
+		if err := os.Remove(first); err != nil { // the wipe's first unlink
+			t.Fatal(err)
+		}
+		check("the second alone")
+	})
+}
+
+// TestWALDropRecordResolvesItsRange: a drop record carries its epoch's range
+// and resolves it with no cut record beside it. The below-floor epoch a final
+// drain releases is never cut, and a failed epoch's cut may lie in a segment
+// since deleted; either way its items must not come back.
+func TestWALDropRecordResolvesItsRange(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		check := func(dir, when string) {
+			t.Helper()
+			rec := walRecover(t, dir, kind)
+			if got := walDescribe(t, rec.pending); got != "[3, 3] pending" || len(rec.epochs) != 0 || rec.epochMax != 1 || rec.seqMax != 3 {
+				t.Errorf("%s: pending %q, epochs %+v, epochMax %d, seqMax %d; want only [3, 3] pending, no epoch, 1 and 3",
+					when, got, rec.epochs, rec.epochMax, rec.seqMax)
+			}
+		}
+		logBatches := func(dir string) *wal {
+			w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
+			walAppend(t, w, 1, walChunk(kind, 1, "dropped-a", "dropped-b"))
+			walAppend(t, w, 2, walChunk(kind, 3, "pending"))
+			return w
+		}
+
+		never := t.TempDir()
+		w := logBatches(never)
+		if err := w.logDrop(1, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		w.closeFiles() // crash
+		check(never, "a drop never cut")
+
+		// Segment 1 holds the batches; the segment that held the cut is
+		// gone, and segment 2 opens with a checkpoint that states no cut.
+		deleted := t.TempDir()
+		logBatches(deleted).closeFiles() // crash
+		seg := appendRecord(nil, walRecCheckpoint, appendWireInts(nil, 7, int64(kind), 0, 0, 0, 1, walClient, 2))
+		seg = appendRecord(seg, walRecDrop, appendWireInts(nil, 1, 1, 2))
+		if err := os.WriteFile(filepath.Join(deleted, walSegmentPrefix+"-000000000002.log"), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(deleted, "a failed epoch whose cut's segment is gone")
 	})
 }
 
@@ -470,10 +562,10 @@ func TestWALMigrationIdempotent(t *testing.T) {
 	})
 }
 
-// TestWALRefusesOtherKind: batch records carry no kind, so without the meta
-// record's a directory written by a blinded hop would decode, without an
-// error, as garbage envelopes (and vice versa). Recovery must refuse the
-// directory, naming both kinds, before reading or rewriting anything in it.
+// TestWALRefusesOtherKind: a directory written by a blinded hop must not be
+// recovered by an envelope stage (and vice versa). The checkpoint that opens
+// the segment names the kind, so recovery refuses the directory at its first
+// record, naming both kinds, and rewrites nothing in it.
 func TestWALRefusesOtherKind(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		other := core.KindEnvelopes
@@ -505,9 +597,10 @@ func TestWALRefusesOtherKind(t *testing.T) {
 // byte: type 9, then the batch's sequence base, then the Submit request body
 // exactly as a client frames it — the (stream, pos) stamp and the batch in
 // the wire codec. The segment opens with the checkpoint of an empty log
-// (type 11) and the cut record (type 3) follows the batch in the same file;
-// a wire-fed daemon's directory holds wal.meta and one segment. The segment
-// has its full size from the start: every byte past the log's end is zero.
+// (type 13, naming the stream and kind) and the cut record (type 3) follows
+// the batch in the same file; a wire-fed daemon's directory holds that one
+// segment and nothing else. The segment has its full size from the start:
+// every byte past the log's end is zero.
 func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		fwd := walChunk(kind, 4, "forwarded", "too")
@@ -532,7 +625,8 @@ func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 		if !bytes.Equal(framed, submit) {
 			t.Fatalf("a client's Submit body is %x, want %x", framed, submit)
 		}
-		want := appendRecord(nil, 11, []byte{0, 0, 0, 0})          // H 0, epoch max 0, no cuts, no marks
+		// Stream 5, the kind, H 0, epoch max 0, no cuts, no marks.
+		want := appendRecord(nil, 13, []byte{0x0a, 2 * byte(kind), 0, 0, 0, 0})
 		want = appendRecord(want, 9, append([]byte{3}, submit...)) // base 3: items 4 and 5
 		want = appendRecord(want, 3, []byte{0x02, 0x02, 0x06})     // epoch 1, seqs [1, 3]
 
@@ -548,8 +642,8 @@ func TestWALBatchRecordIsTheSubmitBody(t *testing.T) {
 		if err := w.close(false); err != nil {
 			t.Fatal(err)
 		}
-		if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 2 {
-			t.Errorf("wal dir holds %v, want wal.meta and one segment", files)
+		if files, _ := filepath.Glob(filepath.Join(dir, "*")); len(files) != 1 {
+			t.Errorf("wal dir holds %v, want one segment", files)
 		}
 		paths, _ := filepath.Glob(filepath.Join(dir, walSegmentPrefix+"-*.log"))
 		if len(paths) != 1 {
@@ -617,6 +711,9 @@ func TestWALMigrationKeepsSeqGaps(t *testing.T) {
 // hand whose record overlaps a cut without lying inside it — across the
 // cut's end, across its start, or across the horizon a checkpoint states —
 // does not recover, and the error names the record's range and the cut.
+// Nor does a record of a type this build does not write, or a CRC-valid
+// cut, ack or drop record that does not parse: skipping a drop would bring
+// its epoch's items back as pending.
 func TestWALRefusesStraddlingBatch(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
 		// batch frames a record of values numbered from min, submitted as
@@ -629,7 +726,7 @@ func TestWALRefusesStraddlingBatch(t *testing.T) {
 		cut := func(seg []byte, id, min, max int64) []byte {
 			return appendRecord(seg, walRecCut, appendWireInts(nil, id, min, max))
 		}
-		horizon := appendRecord(nil, walRecCheckpoint, appendWireInts(nil, 1, 1, 0, 0)) // H 1, epoch max 1
+		horizon := appendRecord(nil, walRecCheckpoint, appendWireInts(nil, 5, int64(kind), 1, 1, 0, 0)) // H 1, epoch max 1
 		for _, tc := range []struct {
 			name, want string
 			seg        []byte
@@ -640,8 +737,14 @@ func TestWALRefusesStraddlingBatch(t *testing.T) {
 				cut(batch(batch(nil, 1, "a"), 2, "b", "c"), 4, 3, 5)},
 			{"across the horizon", "batch record [1, 2] straddles the horizon 1",
 				batch(horizon, 1, "a", "b")},
+			{"the retired drop-cut type", "record type 12 is not one this build writes",
+				appendRecord(batch(nil, 1, "a"), 12, appendWireInts(nil, 1, 1, 1))},
+			{"an unknown type", "record type 200 is not one", appendRecord(nil, 200, nil)},
+			{"a drop of the old shape", "record type 5", appendRecord(batch(nil, 1, "a"), walRecDrop, appendWireInts(nil, 1))},
+			{"a cut with a trailing field", "record type 3", appendRecord(nil, walRecCut, appendWireInts(nil, 1, 1, 1, 0))},
+			{"an ack cut short", "record type 4", appendRecord(nil, walRecAck, appendWireInts(nil, 1, 1))},
 		} {
-			rec, err := recoverWAL(walDirWith(t, kind, tc.seg), kind)
+			rec, err := recoverWAL(walDirWith(t, tc.seg), kind)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s: recovery = %+v, %v; want an error naming %q", tc.name, rec, err, tc.want)
 			}
@@ -649,46 +752,39 @@ func TestWALRefusesStraddlingBatch(t *testing.T) {
 	})
 }
 
-// TestWALRefusesRetiredLayout: a directory whose meta record has a retired
-// type is refused at the meta check, with an error that says so, and no file
-// in it is read as data or changed. Type 1 is the layout that logged each
-// item in a codec of its own, behind type-6 batch records; type 8 the layout
-// with a separate epoch log (epochs-*.log) beside the ingest segments
-// (fwd-*.log).
-func TestWALRefusesRetiredLayout(t *testing.T) {
+// TestWALRefusesParentLayout: the layout before this one kept the stream and
+// kind in a wal.meta file (record type 10) beside segments that opened with
+// a type-11 checkpoint of the state alone. This build writes neither type, so
+// such a directory is refused at its segment's first record, naming the
+// type, and no file in it is read as data or changed.
+func TestWALRefusesParentLayout(t *testing.T) {
 	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
-		for _, layout := range []struct {
-			meta  byte
-			files map[string][]byte
-		}{
-			{1, map[string][]byte{"fwd-000000000001.log": appendRecord(nil, 6, []byte("a batch in the retired layout"))}},
-			{8, map[string][]byte{
-				"fwd-000000000001.log":    appendRecord(nil, 9, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(kind, "old"))...)),
-				"epochs-000000000002.log": appendRecord(nil, 7, appendWireInts(nil, walClient, 1)),
-			}},
-		} {
-			dir := t.TempDir()
-			layout.files[walMetaName] = appendRecord(nil, layout.meta, appendWireInts(nil, 5, int64(kind)))
-			for name, b := range layout.files {
-				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-					t.Fatal(err)
-				}
+		files := map[string][]byte{
+			"wal.meta": appendRecord(nil, 10, appendWireInts(nil, 5, int64(kind))),
+			walSegmentPrefix + "-000000000001.log": appendRecord(
+				appendRecord(nil, 11, []byte{0, 0, 0, 0}), // H 0, epoch max 0, no cuts, no marks
+				walRecBatch, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(kind, "old"))...)),
+		}
+		dir := t.TempDir()
+		for name, b := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			rec, err := recoverWAL(dir, kind)
-			if err == nil {
-				t.Fatalf("a type-%d-layout directory recovered: %+v", layout.meta, rec)
-			}
-			if want := fmt.Sprintf("retired layout (meta record type %d", layout.meta); !strings.Contains(err.Error(), want) {
-				t.Errorf("error %q does not contain %q", err, want)
-			}
-			entries, _ := os.ReadDir(dir)
-			if len(entries) != len(layout.files) {
-				t.Errorf("type-%d layout: the refusal left %d files, want the %d it found", layout.meta, len(entries), len(layout.files))
-			}
-			for name, b := range layout.files {
-				if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, b) {
-					t.Errorf("type-%d layout: %s changed by the refusal", layout.meta, name)
-				}
+		}
+		rec, err := recoverWAL(dir, kind)
+		if err == nil {
+			t.Fatalf("a directory in the wal.meta layout recovered: %+v", rec)
+		}
+		if want := "record type 11 is not one this build writes"; !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
+		entries, _ := os.ReadDir(dir)
+		if len(entries) != len(files) {
+			t.Errorf("the refusal left %d files, want the %d it found", len(entries), len(files))
+		}
+		for name, b := range files {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, b) {
+				t.Errorf("%s changed by the refusal", name)
 			}
 		}
 	})
@@ -733,15 +829,10 @@ func TestWALAppendBatchAllocs(t *testing.T) {
 	})
 }
 
-// walDirWith writes a directory recoverWAL reads: a valid meta record for
-// kind beside seg as the one segment.
-func walDirWith(t testing.TB, kind core.BatchKind, seg []byte) string {
+// walDirWith writes a directory recoverWAL reads: seg as its one segment.
+func walDirWith(t testing.TB, seg []byte) string {
 	t.Helper()
 	dir := t.TempDir()
-	meta := appendRecord(nil, walRecMeta, appendWireInts(nil, 5, int64(kind)))
-	if err := os.WriteFile(filepath.Join(dir, walMetaName), meta, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if err := os.WriteFile(filepath.Join(dir, walSegmentPrefix+"-000000000001.log"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -749,9 +840,9 @@ func walDirWith(t testing.TB, kind core.BatchKind, seg []byte) string {
 }
 
 // walSegmentBytes returns the log a wal writes for two batches of kind — a
-// client's stamped submission and an unstamped one — behind its opening
+// client's submission and an upstream hop's epoch push — behind its opening
 // checkpoint: the segment's bytes up to the log's end, without the zeros
-// past it.
+// past it, at full capacity so an append copies them.
 func walSegmentBytes(t testing.TB, kind core.BatchKind) []byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -762,7 +853,7 @@ func walSegmentBytes(t testing.TB, kind core.BatchKind) []byte {
 	if err := w.appendBatch(walClient, 1, walChunk(kind, 1, "fuzz-a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.appendBatch(0, 0, walChunk(kind, 2, "fuzz-b", "fuzz-c")); err != nil {
+	if err := w.appendBatch(99, 1, walChunk(kind, 2, "fuzz-b", "fuzz-c")); err != nil {
 		t.Fatal(err)
 	}
 	path, end := w.path, w.size
@@ -773,7 +864,7 @@ func walSegmentBytes(t testing.TB, kind core.BatchKind) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return seg[:end]
+	return seg[:end:end]
 }
 
 // walOversizedClaim is a torn tail whose length field claims 1 GiB and whose
@@ -788,7 +879,7 @@ func walOversizedClaim() []byte {
 // having allocated about one read chunk, not the claim.
 func TestWALRecordLengthBeyondFile(t *testing.T) {
 	kind := core.KindEnvelopes
-	dir := walDirWith(t, kind, append(walSegmentBytes(t, kind), walOversizedClaim()...))
+	dir := walDirWith(t, append(walSegmentBytes(t, kind), walOversizedClaim()...))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	rec, err := recoverWAL(dir, kind)
@@ -842,6 +933,11 @@ func FuzzWALRecovery(f *testing.F) {
 		f.Add(blinded, seg[:len(seg)-3])
 		f.Add(blinded, append(seg, walOversizedClaim()...))
 		f.Add(blinded, append(seg[:len(seg)-3], make([]byte, 64)...)) // a torn record, then the segment's zeros
+		// Epoch 1 cut, epoch 2 dropped by its own record.
+		f.Add(blinded, appendRecord(appendRecord(seg, walRecCut, appendWireInts(nil, 1, 1, 1)), walRecDrop, appendWireInts(nil, 2, 2, 3)))
+		// A checkpoint stating an unresolved cut and a mark, then the cut's batch.
+		ckpt := appendRecord(nil, walRecCheckpoint, appendWireInts(nil, 5, int64(kind), 0, 1, 1, 1, 1, 0, 1, walClient, 1))
+		f.Add(blinded, appendRecord(ckpt, walRecBatch, append([]byte{0}, appendBatchCall(nil, walClient, 1, walItem(kind, "fuzz-a"))...)))
 	}
 	for _, blinded := range []bool{false, true} {
 		kind, other := core.KindEnvelopes, core.KindBlinded
@@ -860,12 +956,12 @@ func FuzzWALRecovery(f *testing.F) {
 		if blinded {
 			kind = core.KindBlinded
 		}
-		rec, err := recoverWAL(walDirWith(t, kind, seg), kind)
+		rec, err := recoverWAL(walDirWith(t, seg), kind)
 		if err != nil {
 			return // a CRC-valid record that does not parse, or holds another kind
 		}
 		valid := walValidPrefix(seg)
-		ref, err := recoverWAL(walDirWith(t, kind, valid), kind)
+		ref, err := recoverWAL(walDirWith(t, valid), kind)
 		if err != nil {
 			t.Fatalf("the valid prefix alone does not recover: %v", err)
 		}
@@ -952,7 +1048,7 @@ func TestWALStateBoundedByStreams(t *testing.T) {
 		if err := w.logCut(id, id, id); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.resolve(id, true); err != nil {
+		if err := w.logAck(id, id, id); err != nil {
 			t.Fatal(err)
 		}
 		if id%100 == 0 {

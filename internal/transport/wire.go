@@ -283,6 +283,10 @@ func appendBatchCall(dst []byte, stream, pos int64, b core.Batch) []byte {
 	return core.AppendBatch(appendWireInts(dst, stream, pos), b)
 }
 
+// errStreamZero refuses a Submit on stream 0: every sender stamps its calls
+// with a stream newStreamID drew, and it never draws 0.
+var errStreamZero = errors.New("transport: malformed Submit: stream 0")
+
 // parseBatchCall decodes a Submit request body. The batch
 // aliases body, which the caller must therefore not reuse.
 func parseBatchCall(body []byte) (stream, pos int64, b core.Batch, err error) {
@@ -290,6 +294,9 @@ func parseBatchCall(body []byte) (stream, pos int64, b core.Batch, err error) {
 	stream, pos = r.int(), r.int()
 	if r.err != nil {
 		return 0, 0, b, fmt.Errorf("transport: wire request stamp: %w", r.err)
+	}
+	if stream == 0 {
+		return 0, 0, b, errStreamZero
 	}
 	b, rest, err := core.DecodeBatchAlias(r.b)
 	if err != nil {

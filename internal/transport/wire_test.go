@@ -12,6 +12,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -517,29 +518,37 @@ func TestWireHandlersBounded(t *testing.T) {
 }
 
 // TestWireRefusedMethodKeepsConnection: an unknown method id, a retired one,
-// and a method the role does not serve get an error reply — and the
-// connection carries the next call as if nothing happened.
+// and a method the role does not serve get an error reply, as does a Submit
+// on stream 0, which no sender stamps — and the connection carries the next
+// call as if nothing happened.
 func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
 	for _, tc := range []struct {
 		name, addr string
 		method     uint8
+		body       []byte
 	}{
-		{"unknown method id", rig.shuf, 0xee},
-		{"retired Forward id at a shuffler", rig.shuf, 2},
-		{"retired Ingest id at an analyzer", rig.anlz, 3},
-		{"retired Flush id at a shuffler", rig.shuf, 8},
-		{"histogram asked of a shuffler", rig.shuf, methodHistogram},
-		{"drain asked of an analyzer", rig.anlz, methodDrain},
+		{"unknown method id", rig.shuf, 0xee, nil},
+		{"retired Forward id at a shuffler", rig.shuf, 2, nil},
+		{"retired Ingest id at an analyzer", rig.anlz, 3, nil},
+		{"retired Flush id at a shuffler", rig.shuf, 8, nil},
+		{"histogram asked of a shuffler", rig.shuf, methodHistogram, nil},
+		{"drain asked of an analyzer", rig.anlz, methodDrain, nil},
+		{"Submit on stream 0 at a shuffler", rig.shuf, methodSubmit,
+			appendBatchCall(nil, 0, 1, core.Batch{Envelopes: []core.Envelope{{Blob: []byte("unstamped")}}})},
+		{"Submit on stream 0 at an analyzer", rig.anlz, methodSubmit,
+			appendBatchCall(nil, 0, 1, core.Batch{Payloads: [][]byte{[]byte("unstamped")}})},
 	} {
 		wc, err := dialWire(tc.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = wc.call(tc.method, nil)
+		_, err = wc.call(tc.method, func(dst []byte) []byte { return append(dst, tc.body...) })
 		var se ServerError
 		if !errors.As(err, &se) {
 			t.Errorf("%s: err = %v, want a ServerError reply", tc.name, err)
+		} else if tc.body != nil && !strings.Contains(err.Error(), "stream 0") {
+			t.Errorf("%s: err = %v, want it to name stream 0", tc.name, err)
 		}
 		if wc.isBroken() {
 			t.Errorf("%s: refusal broke the connection", tc.name)
@@ -652,7 +661,7 @@ func TestDrainOutlivesWireTimeout(t *testing.T) {
 	const timeout = 40 * time.Millisecond
 	fault := &faultnet.Plan{Seed: 1, PDelay: 1, Delay: 6 * timeout}
 	rig := newStreamingRigVia(t, EpochConfig{}, 1, fault)
-	if _, err := rig.svc.Submit(0, 0, core.Batch{Envelopes: []core.Envelope{rig.envelope(t, "c:slow", "slow")}}); err != nil {
+	if _, err := rig.svc.Submit(1, 1, core.Batch{Envelopes: []core.Envelope{rig.envelope(t, "c:slow", "slow")}}); err != nil {
 		t.Fatal(err)
 	}
 	wc, err := dialWire(rig.shuf)
