@@ -84,7 +84,7 @@ func newBudgetKit(t *testing.T) *budgetKit {
 	if k.blinded, err = k.bclient.EncodeBatch(k.labels, k.data, 1); err != nil {
 		t.Fatal(err)
 	}
-	mixed, _, err := k.s1.ProcessEpoch(core.Batch{Blinded: k.blinded})
+	mixed, _, err := shuffler.RunEpoch(k.s1, core.Batch{Blinded: k.blinded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,9 @@ func TestAllocBudgets(t *testing.T) {
 			_, _, err := k.plain.ProcessEpoch(core.Batch{Envelopes: k.envs})
 			return err
 		}},
+		// hop 1's whole work on a report: Admit's blinding, then the shuffle
 		{"Shuffler1.ProcessEpoch", 0.1, 250, 0, func() error {
-			_, _, err := k.s1.ProcessEpoch(core.Batch{Blinded: k.blinded})
+			_, _, err := shuffler.RunEpoch(k.s1, core.Batch{Blinded: k.blinded})
 			return err
 		}},
 		{"Shuffler2.ProcessEpoch", 0.2, 420, 1, func() error {

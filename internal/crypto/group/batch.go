@@ -61,6 +61,30 @@ func (Group) MulEncode(op *MulOp, dst []byte, lens []uint8, ps, qs [][]byte) {
 	}
 }
 
+// ValidBatch sets valid[i] to whether Decode accepts bs[i]: Valid over a
+// batch, for a point a hop checks and forwards without multiplying it (hop
+// 1's C1). On a lane build it is the batch paths' lane decode alone, eight
+// encodings a pass and no ladder after it; elsewhere it is Valid per
+// encoding. It allocates nothing.
+func (Group) ValidBatch(valid []bool, bs [][]byte) {
+	if len(valid) != len(bs) {
+		panic("group: ValidBatch shape mismatch")
+	}
+	if laneValid != nil {
+		laneValid(valid, bs)
+		return
+	}
+	for i, b := range bs {
+		var pt edPoint
+		valid[i] = decode(&pt, b) == nil
+	}
+}
+
+// laneValid, when set, is ValidBatch on the lane decode. Package init sets
+// it beside laneLadder, on the same hosts, and nothing else writes it
+// outside tests.
+var laneValid func(valid []bool, bs [][]byte)
+
 // laneLadder, when set, is the lane form of mulEncodeScalar: the lane
 // ladder, with the decode and the normalization in lanes. Package init sets
 // it once, on amd64 hosts whose CPU reports AVX-512 IFMA (batch_amd64.go),

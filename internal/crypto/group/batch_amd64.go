@@ -68,6 +68,20 @@ func mulEncodex8(op *MulOp, ps, qs [][]byte, out sink) {
 	laneScratches.Put(s)
 }
 
+// validx8 is ValidBatch on the lane decode: decodex8 eight encodings at a
+// time into the ladder's input point, which nothing then multiplies.
+func validx8(valid []bool, bs [][]byte) {
+	s := laneScratches.Get().(*laneScratch)
+	for lo := 0; lo < len(bs); lo += 8 {
+		hi := min(lo+8, len(bs))
+		ok := s.decodex8(&s.ladder.q, bs[lo:hi])
+		for i := lo; i < hi; i++ {
+			valid[i] = ok>>(i-lo)&1 != 0
+		}
+	}
+	laneScratches.Put(s)
+}
+
 // combEncodex8 is combEncodeScalar in lanes: a pass of the lane comb per
 // eight multiplications, each pass's accumulator kept as a group for
 // encodex8. A last multiplication alone — fewer than combLaneMin — runs

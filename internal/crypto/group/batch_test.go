@@ -12,10 +12,10 @@ import (
 // this process selected them ("lanes", skipped where it has none), so each
 // batch path runs both of its implementations.
 func forLanes(t *testing.T, f func(t *testing.T)) {
-	ladder, comb := laneLadder, laneComb
+	ladder, comb, valid := laneLadder, laneComb, laneValid
 	t.Run("scalar", func(t *testing.T) {
-		laneLadder, laneComb = nil, nil
-		defer func() { laneLadder, laneComb = ladder, comb }()
+		laneLadder, laneComb, laneValid = nil, nil, nil
+		defer func() { laneLadder, laneComb, laneValid = ladder, comb, valid }()
 		f(t)
 	})
 	t.Run("lanes", func(t *testing.T) {
@@ -172,6 +172,53 @@ func FuzzMulEncode(f *testing.F) {
 	})
 }
 
+// FuzzValidBatch holds ValidBatch, on its lanes and on its scalar side, to
+// Valid on batches of 1, 7, 8, 9 and 257 encodings drawn by the fuzzer from
+// honest points and hostile ones (hostileEncoding: non-canonical, off the
+// curve, both identity forms, torsion, short).
+func FuzzValidBatch(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
+	f.Add([]byte("hostile encodings"), uint8(3))
+	f.Add(bytes.Repeat([]byte{0xff}, 40), uint8(4))
+	f.Add([]byte{6, 2, 6, 2, 3, 3, 4, 5}, uint8(2))
+	r := mrand.New(mrand.NewSource(54))
+	g := Group{}
+	var honest [16]Element
+	for i := range honest {
+		honest[i] = randomElement(g, r)
+	}
+	tor := Element{ed: edTorsionGenerator(f)}
+	sizes := []int{1, 7, 8, 9, 257}
+	f.Fuzz(func(t *testing.T, data []byte, size uint8) {
+		if len(data) == 0 {
+			return
+		}
+		bs := make([][]byte, sizes[int(size)%len(sizes)])
+		for i := range bs {
+			b := data[i%len(data)]
+			bs[i] = hostileEncoding(honest[(int(b)+i)%len(honest)], tor, b+byte(i/len(data)), byte(i))
+		}
+		check := func(path string) {
+			valid := make([]bool, len(bs))
+			g.ValidBatch(valid, bs)
+			for i, b := range bs {
+				if valid[i] != g.Valid(b) {
+					t.Fatalf("%s ValidBatch entry %d (%x) = %v, Valid says %v", path, i, b, valid[i], !valid[i])
+				}
+			}
+		}
+		func() {
+			saved := laneValid
+			laneValid = nil
+			defer func() { laneValid = saved }()
+			check("scalar")
+		}()
+		if laneValid != nil {
+			check("lane")
+		}
+	})
+}
+
 // TestMulEncodeChunkSizes holds MulEncode to the solo paths at the sizes
 // its normalization could get wrong: a few lane groups (the plain client's
 // twenty comb products of a 5-report call take three), a partial last
@@ -240,5 +287,34 @@ func BenchmarkMulEncode(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ps)), "ns/point")
 			})
 		}
+	}
+}
+
+// BenchmarkValidBatch prices hop 1's C1 check per point: a chunk of wire
+// encodings through ValidBatch on the lanes and forced scalar.
+func BenchmarkValidBatch(b *testing.B) {
+	r := mrand.New(mrand.NewSource(55))
+	g := Group{}
+	bs := make([][]byte, batchChunk)
+	for i := range bs {
+		bs[i] = g.Encode(nil, randomElement(g, r))
+	}
+	valid := make([]bool, len(bs))
+	for _, lanes := range []bool{true, false} {
+		b.Run(fmt.Sprintf("lanes=%v", lanes), func(b *testing.B) {
+			if lanes && laneValid == nil {
+				b.Skipf("lane kernels not run: this process selected the %q kernel", Kernel())
+			}
+			if !lanes {
+				saved := laneValid
+				laneValid = nil
+				defer func() { laneValid = saved }()
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.ValidBatch(valid, bs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bs)), "ns/point")
+		})
 	}
 }

@@ -64,6 +64,7 @@ func init() {
 	if hasIFMA() {
 		laneLadder = mulEncodex8
 		laneComb = combEncodex8
+		laneValid = validx8
 	}
 }
 

@@ -439,8 +439,9 @@ func TestGroupKnownAnswers(t *testing.T) {
 }
 
 // TestDecodeBatchMatchesDecode: the batch paths' decode (MulEncode's, by
-// one) and Valid accept exactly what Decode accepts — canonical, on the
-// curve, no 65-byte identity — and a batch's points equal Decode's.
+// one), ValidBatch and Valid accept exactly what Decode accepts —
+// canonical, on the curve, no 65-byte identity — and a batch's points equal
+// Decode's.
 func TestDecodeBatchMatchesDecode(t *testing.T) {
 	g := Default()
 	r := rand.New(rand.NewSource(9))
@@ -458,12 +459,13 @@ func TestDecodeBatchMatchesDecode(t *testing.T) {
 	}
 	forLanes(t, func(t *testing.T) {
 		got := mulEncodeAll(&MulOp{K: Scalar{ScalarSize - 1: 1}, Form: WireSize}, bs, nil)
-		ok := make([]bool, len(bs))
+		ok, valid := make([]bool, len(bs)), make([]bool, len(bs))
+		g.ValidBatch(valid, bs)
 		for i, b := range bs {
 			want, err := g.Decode(b)
 			ok[i] = got[i] != nil
-			if ok[i] != (err == nil) || g.Valid(b) != (err == nil) {
-				t.Fatalf("encoding %d (%x): batch decode %v, Valid %v, Decode error %v", i, b, ok[i], g.Valid(b), err)
+			if ok[i] != (err == nil) || g.Valid(b) != (err == nil) || valid[i] != (err == nil) {
+				t.Fatalf("encoding %d (%x): batch decode %v, Valid %v, ValidBatch %v, Decode error %v", i, b, ok[i], g.Valid(b), valid[i], err)
 			}
 			if err == nil && !bytes.Equal(got[i], g.Encode(nil, want)) {
 				t.Fatalf("encoding %d: the batch decode and Decode disagree on the point", i)

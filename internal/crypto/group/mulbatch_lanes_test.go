@@ -32,9 +32,9 @@ func TestKernelMatchesCPU(t *testing.T) {
 	if got := Kernel(); got != want {
 		t.Errorf("Kernel() = %q, want %q for this build and CPU", got, want)
 	}
-	if (laneComb == nil) != (laneLadder == nil) {
-		t.Errorf("lane hooks set apart (ladder %v, comb %v): every batch path runs lanes or none does",
-			laneLadder != nil, laneComb != nil)
+	if (laneComb == nil) != (laneLadder == nil) || (laneValid == nil) != (laneLadder == nil) {
+		t.Errorf("lane hooks set apart (ladder %v, comb %v, valid %v): every batch path runs lanes or none does",
+			laneLadder != nil, laneComb != nil, laneValid != nil)
 	}
 }
 

@@ -67,7 +67,7 @@ func katEpoch(t *testing.T) ([]core.BlindedEnvelope, Secrets) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, _, err := s1.ProcessEpoch(core.Batch{Blinded: envs})
+	mixed, _, err := RunEpoch(s1, core.Batch{Blinded: envs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,12 +106,12 @@ func TestShufflersPermuteUniformly(t *testing.T) {
 					index[string(env.Blob)] = i
 				}
 				return func() []int {
-					out, err := s.Process(slices.Clone(in))
+					out, _, err := RunEpoch(s, core.Batch{Blinded: slices.Clone(in)})
 					if err != nil {
 						t.Fatal(err)
 					}
-					ranks := make([]int, len(out))
-					for i, env := range out {
+					ranks := make([]int, len(out.Blinded))
+					for i, env := range out.Blinded {
 						ranks[i] = index[string(env.Blob)]
 					}
 					return ranks

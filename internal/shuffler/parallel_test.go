@@ -140,11 +140,11 @@ func TestSplitShufflerParallelEquivalence(t *testing.T) {
 
 	runS1 := func(workers int) []core.BlindedEnvelope {
 		s1 := &Shuffler1{Alpha: alpha, Rand: rand.New(rand.NewPCG(3, 5)), Workers: workers}
-		out, err := s1.Process(batch)
+		out, _, err := RunEpoch(s1, core.Batch{Blinded: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return out.Blinded
 	}
 	blindedSerial := runS1(1)
 	blindedPar := runS1(4)

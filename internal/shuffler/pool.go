@@ -6,9 +6,9 @@ import (
 	"sync"
 )
 
-// This file is the shared worker-pool core of the three Process paths
-// (Shuffler, Shuffler1, Shuffler2): envelopes are peeled, blinded or
-// mapped to pseudonyms by a pool of workers writing positionally into a
+// This file is the shared worker-pool core of the thresholding Process
+// paths (Shuffler, Shuffler2): envelopes are peeled or mapped to
+// pseudonyms by a pool of workers writing positionally into a
 // preallocated slice (no shared state, no locks), then merged into crowd
 // groups by shard-of-crowd-ID-prefix maps — each shard goroutine owns its map
 // outright, so there is no map contention — and finally thresholded and

@@ -15,6 +15,12 @@
 //     thresholds before it peels: only the reports it forwards lose their
 //     outer layer.
 //
+// Each variant is a Stage (stage.go), whose work comes in two parts: Admit,
+// what a report needs alone, runs on each batch as it arrives, and
+// ProcessEpoch, what needs the whole epoch, runs on the cut. Only Shuffler 1
+// does work in Admit — it blinds every C2 and checks every C1, so that its
+// cut is a shuffle — and the other variants do all theirs in ProcessEpoch.
+//
 // Concurrency: each variant has a Workers knob (0 selects GOMAXPROCS,
 // 1 forces the serial reference path). Per-report public-key work —
 // envelope decryption, crowd-ID blinding, pseudonym recovery — runs on a
@@ -30,6 +36,7 @@ import (
 	"math/big"
 	"math/rand/v2"
 	"slices"
+	"sync"
 
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
@@ -153,11 +160,11 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 
 // --- Split shuffler with blinded crowd IDs (§4.3) ---
 
-// Shuffler1 blinds crowd-ID ciphertexts with its secret exponent and
-// shuffles. It cannot decrypt crowd IDs (no Shuffler 2 private
-// key) nor data (no analyzer key). Clients compute C1 on its public blinding
-// key A = αG (PublicKeys), so it multiplies C2 alone by α and forwards C1 as
-// received.
+// Shuffler1 blinds crowd-ID ciphertexts with its secret exponent (Admit)
+// and shuffles (ProcessEpoch). It cannot decrypt crowd IDs (no Shuffler 2
+// private key) nor data (no analyzer key). Clients compute C1 on its public
+// blinding key A = αG (PublicKeys), so it multiplies C2 alone by α and
+// forwards C1 as received.
 type Shuffler1 struct {
 	Alpha    *big.Int // blinding exponent, fixed per tier (every replica and restart blinds with it)
 	Rand     *rand.Rand
@@ -185,54 +192,72 @@ func NewShuffler1Group(_ cgroup.Group, rng *rand.Rand) (*Shuffler1, error) {
 // pool's tail balanced.
 const blindChunk = 256
 
-// Process blinds and shuffles a batch, forwarding it for Shuffler 2. The
-// C2 multiplications run in chunks on the worker pool through
-// Blinder.BlindEncode, which recodes the epoch-fixed exponent once per chunk
+// admitScratch is one blinding chunk's working set: its C2s and C1s as the
+// kernels take them, the blinded C2s' lengths and the C1 checks.
+type admitScratch struct {
+	c1s, c2s [blindChunk][]byte // the chunk's encodings as received
+	lens     [blindChunk]uint8
+	valid    [blindChunk]bool
+}
+
+var admitScratches = sync.Pool{New: func() any { return new(admitScratch) }}
+
+// Admit implements Stage: the blinding, on each batch as it arrives. The C2
+// multiplications run in chunks on the worker pool through
+// Blinder.BlindEncode, which recodes the tier-fixed exponent once per chunk
 // and takes each chunk from its wire bytes to the blinded ones in one
-// buffer, sharing one field inversion; C1 is validated and forwarded as
-// received, as is the blob. A record whose C1 or C2 does not parse is
-// dropped.
-func (s *Shuffler1) Process(batch []core.BlindedEnvelope) ([]core.BlindedEnvelope, error) {
+// buffer, sharing one field inversion; group.ValidBatch checks the chunk's
+// C1s in lanes. C1, the blob and the partition are kept as received. A
+// record whose C1 or C2 does not parse is kept with a nil C2, which
+// ProcessEpoch drops.
+func (s *Shuffler1) Admit(in core.Batch) (core.Batch, error) {
+	if k := in.Kind(); k != core.KindBlinded {
+		return admitAsIs("shuffler 1", core.KindBlinded, in)
+	}
+	batch := in.Blinded
 	blinder := elgamal.NewBlinder(s.Alpha)
-	workers := parallel.Workers(s.Workers)
 	n := len(batch)
-	// record i's blinded C2 at WireSize*i, its length at lens[i], 0 when
-	// the record is dropped
-	c2s, lens := make([]byte, cgroup.WireSize*n), make([]uint8, n)
-	in := make([][]byte, n)
-	parallel.For(workers, (n+blindChunk-1)/blindChunk, func(c int) {
+	// record i's blinded C2 at WireSize*i
+	c2s := make([]byte, cgroup.WireSize*n)
+	out := make([]core.BlindedEnvelope, n)
+	parallel.For(parallel.Workers(s.Workers), (n+blindChunk-1)/blindChunk, func(c int) {
 		lo, hi := c*blindChunk, min((c+1)*blindChunk, n)
+		sc := admitScratches.Get().(*admitScratch)
+		c1s, c2in, lens, valid := sc.c1s[:hi-lo], sc.c2s[:hi-lo], sc.lens[:hi-lo], sc.valid[:hi-lo]
 		for i := lo; i < hi; i++ {
-			in[i] = batch[i].CrowdC2
+			c1s[i-lo], c2in[i-lo] = batch[i].CrowdC1, batch[i].CrowdC2
 		}
-		blinder.BlindEncode(c2s[cgroup.WireSize*lo:cgroup.WireSize*hi], lens[lo:hi], in[lo:hi])
+		blinder.BlindEncode(c2s[cgroup.WireSize*lo:cgroup.WireSize*hi], lens, c2in)
+		cgroup.Default().ValidBatch(valid, c1s)
 		for i := lo; i < hi; i++ {
-			if lens[i] != 0 && !elgamal.ValidPoint(batch[i].CrowdC1) {
-				lens[i] = 0
+			out[i] = batch[i]
+			out[i].CrowdC2 = nil
+			if l := int(lens[i-lo]); l != 0 && valid[i-lo] {
+				out[i].CrowdC2 = c2s[cgroup.WireSize*i : cgroup.WireSize*i+l : cgroup.WireSize*i+l]
 			}
 		}
+		clear(c1s) // the pool must not pin the batch
+		clear(c2in)
+		admitScratches.Put(sc)
 	})
+	return core.Batch{Blinded: out}, nil
+}
+
+// shuffle drops the records Admit marked malformed and shuffles the rest
+// into a new slice.
+func (s *Shuffler1) shuffle(batch []core.BlindedEnvelope) []core.BlindedEnvelope {
 	kept := 0
-	for _, l := range lens {
-		kept += min(int(l), 1)
+	for i := range batch {
+		kept += min(len(batch[i].CrowdC2), 1)
 	}
 	out := make([]core.BlindedEnvelope, 0, kept)
 	for i := range batch {
-		if lens[i] == 0 {
-			continue
+		if len(batch[i].CrowdC2) != 0 {
+			out = append(out, batch[i])
 		}
-		from, to := cgroup.WireSize*i, cgroup.WireSize*i+int(lens[i])
-		out = append(out, core.BlindedEnvelope{
-			CrowdC1: batch[i].CrowdC1,
-			CrowdC2: c2s[from:to:to],
-			Blob:    batch[i].Blob,
-			// Routing, not metadata: the client-stamped owning partition
-			// must survive blinding for hop-2 fan-in.
-			Partition: batch[i].Partition,
-		})
 	}
 	s.Rand.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out, nil
+	return out
 }
 
 // Shuffler2 decrypts blinded crowd-ID pseudonyms, thresholds on them, and

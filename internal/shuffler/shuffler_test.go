@@ -209,10 +209,11 @@ func TestBlindedPipeline(t *testing.T) {
 		inC1Blob[sent{string(e.CrowdC1), string(e.Blob)}] = true
 	}
 	s1 := &Shuffler1{Alpha: s1KP.X, Rand: newRNG()}
-	blinded, err := s1.Process(batch)
+	mixed, _, err := RunEpoch(s1, core.Batch{Blinded: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
+	blinded := mixed.Blinded
 	if len(blinded) != 82 {
 		t.Fatalf("shuffler 1 forwarded %d, want 82", len(blinded))
 	}
@@ -247,6 +248,91 @@ func TestBlindedPipeline(t *testing.T) {
 	}
 	if len(inner) < 55 || len(inner) > 80 {
 		t.Errorf("forwarded %d of 80, want ~70", len(inner))
+	}
+}
+
+// TestShuffler1DropsMalformed: a record whose C1 or C2 does not parse —
+// off the curve, non-canonical, the identity's 65-byte form, short, empty —
+// is kept by Admit with a nil C2 and dropped by ProcessEpoch, and the epoch's
+// Stats count every record received, the malformed ones undecryptable and
+// the rest forwarded. The
+// identity's 1-byte form parses and is forwarded. Admit leaves its input as
+// it was, and ProcessEpoch on a batch no Admit saw (the benchmark's staged
+// replay) shuffles it without failing.
+func TestShuffler1DropsMalformed(t *testing.T) {
+	s1KP, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &encoder.BlindedClient{Shuffler1Blinding: s1KP.H, Shuffler2Blinding: blindKP.H,
+		Shuffler2Key: key.Public(), AnalyzerKey: key.Public(), Rand: crand.Reader}
+	batch := make([]core.BlindedEnvelope, 16)
+	for i := range batch {
+		if batch[i], err = client.Encode("crowd", []byte(fmt.Sprintf("v-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offCurve := func(b []byte) []byte { b = bytes.Clone(b); b[20] ^= 0x40; return b }
+	nonCanonical := bytes.Repeat([]byte{0xff}, len(batch[0].CrowdC1))
+	nonCanonical[0] = batch[0].CrowdC1[0]
+	longIdentity := make([]byte, len(batch[0].CrowdC1))
+	longIdentity[0], longIdentity[33] = batch[0].CrowdC1[0], 1
+	spoil := map[int]func(e *core.BlindedEnvelope){
+		1:  func(e *core.BlindedEnvelope) { e.CrowdC1 = offCurve(e.CrowdC1) },
+		2:  func(e *core.BlindedEnvelope) { e.CrowdC2 = offCurve(e.CrowdC2) },
+		4:  func(e *core.BlindedEnvelope) { e.CrowdC1 = nonCanonical },
+		5:  func(e *core.BlindedEnvelope) { e.CrowdC2 = longIdentity },
+		7:  func(e *core.BlindedEnvelope) { e.CrowdC1 = e.CrowdC1[:40] },
+		8:  func(e *core.BlindedEnvelope) { e.CrowdC2 = nil },
+		10: func(e *core.BlindedEnvelope) { e.CrowdC1, e.CrowdC2 = nil, offCurve(e.CrowdC2) },
+		11: func(e *core.BlindedEnvelope) { e.CrowdC1 = []byte{0} }, // the identity parses
+	}
+	for i, f := range spoil {
+		f(&batch[i])
+	}
+	raw := make([]core.BlindedEnvelope, len(batch))
+	copy(raw, batch)
+
+	s1 := &Shuffler1{Alpha: s1KP.X, Rand: newRNG()}
+	admitted, err := s1.Admit(core.Batch{Blinded: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		if !bytes.Equal(batch[i].CrowdC1, raw[i].CrowdC1) || !bytes.Equal(batch[i].CrowdC2, raw[i].CrowdC2) {
+			t.Fatalf("Admit changed its input's record %d", i)
+		}
+	}
+	out, stats, err := s1.ProcessEpoch(admitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{Received: 16, Undecryptable: 7, Forwarded: 9}); stats != want {
+		t.Errorf("stats %+v, want %+v", stats, want)
+	}
+	forwarded := map[string]bool{}
+	for _, e := range out.Blinded {
+		forwarded[string(e.Blob)] = true
+	}
+	for i := range batch {
+		_, spoilt := spoil[i]
+		if want := !spoilt || i == 11; forwarded[string(batch[i].Blob)] != want {
+			t.Errorf("record %d forwarded %v, want %v", i, !want, want)
+		}
+	}
+
+	replay, stats, err := s1.ProcessEpoch(core.Batch{Blinded: raw})
+	if err != nil || stats.Received != 16 || len(replay.Blinded) != 15 {
+		t.Errorf("ProcessEpoch on raw input: %d forwarded, stats %+v, err %v; want the 15 records with a C2, no error",
+			len(replay.Blinded), stats, err)
 	}
 }
 

@@ -21,11 +21,27 @@ import (
 // core.Batch, the same epoch engine (internal/transport) and the same
 // in-process pipeline driver can run any of them, and a chain topology is
 // just stages wired output-to-input — in one process or across daemons.
+//
+// A stage's work comes in two parts. Admit is what each report needs alone
+// — at Shuffler1, the blinding of C2 and the check of C1 — and runs on every
+// batch as it arrives, before an epoch is cut; ProcessEpoch is what needs
+// the whole epoch — grouping, thresholding, shuffling — and runs on the cut.
+// Every epoch a stage processes is made of batches it admitted, each once:
+// the epoch engine admits a batch when it keeps it (and what it recovers
+// from its log when it restarts), and an in-process driver admits an epoch
+// just before it processes it (RunEpoch).
 type Stage interface {
-	// ProcessEpoch consumes one cut epoch and returns the batch to forward
-	// to the next hop, plus the selectivity stats the stage's host is
-	// allowed to observe. It fails if the batch kind is not the stage's
-	// input kind (a miswired topology) or violates the anonymity floor.
+	// Admit does the per-report work of one arriving batch and returns the
+	// batch to keep for the epoch; the input is not modified. A report the
+	// work finds malformed stays in the batch, marked for ProcessEpoch to
+	// drop and count. It fails only if the batch kind is not the stage's
+	// input kind. At every stage but Shuffler1 it returns its input.
+	Admit(in core.Batch) (core.Batch, error)
+	// ProcessEpoch consumes one cut epoch of admitted batches and returns
+	// the batch to forward to the next hop, plus the selectivity stats the
+	// stage's host is allowed to observe. It fails if the batch kind is not
+	// the stage's input kind (a miswired topology) or violates the
+	// anonymity floor.
 	ProcessEpoch(in core.Batch) (out core.Batch, stats Stats, err error)
 	// Kinds declares the batch kind ProcessEpoch consumes and the kind it
 	// emits. It is the one statement of a role's place in a chain: what an
@@ -106,6 +122,26 @@ func NewStage(role string, sec Secrets, p Params) (Stage, error) {
 	return nil, fmt.Errorf("shuffler: no role %q (want shuffler, shuffler1 or shuffler2)", role)
 }
 
+// RunEpoch admits in and processes it as one epoch: what a driver that holds
+// a whole epoch at once (prochlo.Pipeline.Flush, the paper's timing table)
+// does where a daemon's epoch engine admits each batch as it arrives.
+func RunEpoch(st Stage, in core.Batch) (core.Batch, Stats, error) {
+	admitted, err := st.Admit(in)
+	if err != nil {
+		return core.Batch{}, Stats{}, err
+	}
+	return st.ProcessEpoch(admitted)
+}
+
+// admitAsIs is Admit at a stage whose every step needs the whole epoch: the
+// kind check alone.
+func admitAsIs(stage string, want core.BatchKind, in core.Batch) (core.Batch, error) {
+	if k := in.Kind(); k != want && k != core.KindEmpty {
+		return core.Batch{}, wrongKind(stage, want, k)
+	}
+	return in, nil
+}
+
 // floorOf is a stage's anonymity floor: its MinBatch, or DefaultMinBatch
 // when unset.
 func floorOf(minBatch int) int {
@@ -119,6 +155,12 @@ func floorOf(minBatch int) int {
 // the wrong wire kind.
 func wrongKind(stage string, want, got core.BatchKind) error {
 	return fmt.Errorf("shuffler: %s expects %s, got %s", stage, want, got)
+}
+
+// Admit implements Stage: the plain shuffler does all its work on the cut
+// epoch.
+func (s *Shuffler) Admit(in core.Batch) (core.Batch, error) {
+	return admitAsIs("shuffler", core.KindEnvelopes, in)
 }
 
 // ProcessEpoch implements Stage: envelopes in, peeled payloads out.
@@ -140,6 +182,12 @@ func (s *Shuffler) Floor() int { return floorOf(s.MinBatch) }
 
 // PublicKeys implements Stage.
 func (s *Shuffler) PublicKeys() (blinding, key []byte) { return nil, s.Priv.Public().Bytes() }
+
+// Admit implements Stage: the SGX shuffler does all its work on the cut
+// epoch, inside the enclave.
+func (s *SGXShuffler) Admit(in core.Batch) (core.Batch, error) {
+	return admitAsIs("sgx shuffler", core.KindEnvelopes, in)
+}
 
 // ProcessEpoch implements Stage: envelopes in, peeled payloads out, shuffled
 // obliviously inside the enclave.
@@ -165,10 +213,11 @@ func (s *SGXShuffler) Floor() int { return floorOf(s.MinBatch) }
 // PublicKeys implements Stage.
 func (s *SGXShuffler) PublicKeys() (blinding, key []byte) { return nil, s.priv.Public().Bytes() }
 
-// ProcessEpoch implements Stage: blinded envelopes in, blinded-and-shuffled
-// envelopes out, bound for Shuffler 2. Shuffler 1 sees neither crowd IDs nor
-// data, so its stats report only arrival and forwarding counts; envelopes
-// whose crowd-ID points fail to parse are dropped and counted undecryptable.
+// ProcessEpoch implements Stage: admitted blinded envelopes in, shuffled
+// envelopes out, bound for Shuffler 2. The records Admit marked malformed
+// (a nil C2) are dropped and counted undecryptable; Shuffler 1 sees neither
+// crowd IDs nor data, so its stats report only arrival and forwarding
+// counts. The input is not modified.
 func (s *Shuffler1) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
 	if k := in.Kind(); k != core.KindBlinded && k != core.KindEmpty {
 		return core.Batch{}, Stats{}, wrongKind("shuffler 1", core.KindBlinded, k)
@@ -176,13 +225,13 @@ func (s *Shuffler1) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
 	if min := s.Floor(); len(in.Blinded) < min {
 		return core.Batch{}, Stats{}, fmt.Errorf("%w: %d < %d", ErrBatchTooSmall, len(in.Blinded), min)
 	}
-	out, err := s.Process(in.Blinded)
+	out := s.shuffle(in.Blinded)
 	stats := Stats{
 		Received:      len(in.Blinded),
 		Undecryptable: len(in.Blinded) - len(out),
 		Forwarded:     len(out),
 	}
-	return core.Batch{Blinded: out}, stats, err
+	return core.Batch{Blinded: out}, stats, nil
 }
 
 // Kinds implements Stage.
@@ -197,6 +246,11 @@ func (s *Shuffler1) Floor() int { return floorOf(s.MinBatch) }
 // of α (elgamal.ProvenKey), and no hybrid key. A Shuffler1 that NewStage did
 // not build serves neither.
 func (s *Shuffler1) PublicKeys() (blinding, key []byte) { return s.provenKey, nil }
+
+// Admit implements Stage: Shuffler 2 does all its work on the cut epoch.
+func (s *Shuffler2) Admit(in core.Batch) (core.Batch, error) {
+	return admitAsIs("shuffler 2", core.KindBlinded, in)
+}
 
 // ProcessEpoch implements Stage: blinded envelopes in, peeled payloads out.
 func (s *Shuffler2) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {

@@ -20,10 +20,11 @@ func TestMain(m *testing.M) { faultnet.ChildMain(m, serveChild) }
 
 // childSpec is everything a child stage is built from.
 type childSpec struct {
-	Kind   core.BatchKind // KindEnvelopes: the plain shuffler; KindBlinded: hop 2
+	Kind   core.BatchKind // KindEnvelopes: the plain shuffler; KindBlinded: hop 2, or hop 1 with Hop1
+	Hop1   bool           // with KindBlinded: hop 1, blinding with X
 	Floor  int            // the stage's anonymity floor; 0 is 1
-	Priv   []byte         // the stage's hybrid key
-	X      *big.Int       // hop 2's El Gamal secret; unused by the plain shuffler
+	Priv   []byte         // the stage's hybrid key; unused by hop 1
+	X      *big.Int       // hop 2's El Gamal secret, or hop 1's α; unused by the plain shuffler
 	Next   []string
 	Listen string // "127.0.0.1:0", or a dead child's address to take over
 	Cfg    EpochConfig
@@ -34,9 +35,12 @@ type childSpec struct {
 // from a fixed seed: without thresholding the histogram is
 // permutation-independent, which is the restart-determinism contract the
 // engine promises.
-func crashStage(kind core.BatchKind, floor int, priv *hybrid.PrivateKey, blind *elgamal.KeyPair) shuffler.Stage {
+func crashStage(kind core.BatchKind, hop1 bool, floor int, priv *hybrid.PrivateKey, blind *elgamal.KeyPair) shuffler.Stage {
 	rng := rand.New(rand.NewPCG(5, 7))
-	if kind == core.KindBlinded {
+	switch {
+	case kind == core.KindBlinded && hop1:
+		return &shuffler.Shuffler1{Alpha: blind.X, Rand: rng, MinBatch: max(1, floor)}
+	case kind == core.KindBlinded:
 		return &shuffler.Shuffler2{Blinding: blind, Priv: priv, Rand: rng, MinBatch: max(1, floor)}
 	}
 	return &shuffler.Shuffler{Priv: priv, Rand: rng, MinBatch: max(1, floor)}
@@ -53,7 +57,7 @@ func serveChild(spec childSpec) (string, func() error, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	svc, err := NewStageService(crashStage(spec.Kind, spec.Floor, priv, blind), spec.Next, spec.Cfg)
+	svc, err := NewStageService(crashStage(spec.Kind, spec.Hop1, spec.Floor, priv, blind), spec.Next, spec.Cfg)
 	if err != nil {
 		return "", nil, err
 	}

@@ -211,7 +211,8 @@ type forceReq struct {
 }
 
 // engine is the reusable epoch machinery every stage daemon runs: ingestion
-// in one global arrival order, an epoch scheduler (occupancy- and
+// in one global arrival order, with the stage's per-report work (Admit) done
+// on each batch as it is kept, an epoch scheduler (occupancy- and
 // timer-driven cuts, respecting the stage's anonymity floor), submission
 // backpressure at MaxPending, per-stream dedup of stamped ingests, a
 // single in-order flusher feeding the stage, and an at-least-once push of
@@ -223,12 +224,13 @@ type forceReq struct {
 // the streaming and backpressure model.
 //
 // With EpochConfig.WALDir set, the engine is crash-safe: accepted batches are
-// logged before the submission is acknowledged, cut epochs before they are
-// pushed, and a restart over the same directory resumes the same stream id,
-// re-ingests pending items (sequence ranges preserved, so the cut's merge
-// is byte-identical), restores the dedup marks, and re-pushes unresolved
-// epochs under their original (stream, epoch) pairs for downstream dedup to
-// absorb.
+// logged as they arrived before the submission is acknowledged, cut epochs
+// before they are pushed, and a restart over the same directory resumes the
+// same stream id, re-ingests pending items (sequence ranges preserved, so
+// the cut's merge is byte-identical), restores the dedup marks, and
+// re-pushes unresolved epochs under their original (stream, epoch) pairs
+// for downstream dedup to absorb — admitting the pending items and the
+// unresolved epochs once first (walRecovery.admit).
 type engine struct {
 	stage shuffler.Stage
 	next  tier
@@ -281,8 +283,9 @@ type engine struct {
 	// Scrape instruments (nil without EpochConfig.Metrics; Observe on a
 	// nil histogram is a no-op). Set in registerMetrics before the
 	// scheduler/flusher goroutines start.
-	procSeconds *metrics.Histogram
-	pushSeconds *metrics.Histogram
+	admitSeconds *metrics.Histogram
+	procSeconds  *metrics.Histogram
+	pushSeconds  *metrics.Histogram
 }
 
 // newEngine wires an engine: cfg defaults and clamps applied, downstream
@@ -336,7 +339,10 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 		rec *walRecovery
 	)
 	if cfg.WALDir != "" {
-		if rec, err = recoverWAL(cfg.WALDir, kind); err != nil {
+		if rec, err = recoverWAL(cfg.WALDir, kind); err == nil && rec != nil {
+			err = rec.admit(st)
+		}
+		if err != nil {
 			t.close()
 			return nil, err
 		}
@@ -392,6 +398,23 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 	return e, nil
 }
 
+// admit admits what recovery read back — the pending items and every
+// unresolved epoch — once each, as keep admits a batch on arrival: the log
+// holds batches as they arrived, and the engine holds them admitted. It
+// runs before the flusher starts.
+func (rec *walRecovery) admit(st shuffler.Stage) error {
+	var err error
+	if rec.pending.items, err = st.Admit(rec.pending.items); err != nil {
+		return err
+	}
+	for _, ep := range rec.epochs {
+		if ep.items, err = st.Admit(ep.items); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ingest is the one way a batch of the admitted kind enters the engine,
 // whether a client submitted it or the upstream hop pushed it as an epoch.
 // Every batch is stamped (stream, pos), stream nonzero, and goes in exactly
@@ -411,30 +434,49 @@ func (e *engine) ingest(stream, pos int64, b core.Batch) error {
 	return e.dedup.ingest(stream, pos, func() error { return e.keep(stream, pos, b) })
 }
 
-// keep numbers an ingested batch, enforcing backpressure, and keeps it,
-// whole, as one chunk: the call reserves a contiguous sequence range. With a
-// WAL, the batch and its (stream, pos) mark are logged as one fsynced record
-// before the chunk becomes visible — and before the stream's mark advances
-// and the batch is acked — so a crash can never keep the mark without the
-// items or the items without the mark. The read side of closeMu, held across the
-// whole call, is what makes "in the log" and "visible to the next cut"
-// atomic: a cut takes the write side, so it sees a kept batch either
-// logged and appended or not at all.
+// keep admits an ingested batch, numbers it, enforcing backpressure, and
+// keeps it, whole, as one chunk: the call reserves a contiguous sequence
+// range. The stage's Admit — hop 1's blinding — runs here, once per batch,
+// after the replay check (ingest), and before closeMu is taken, so the
+// crypto holds up no cut. A batch that would not fit under MaxPending is
+// refused before it is admitted, so a client retrying against a full epoch
+// costs no crypto; the occupancy itself is reserved only after admission,
+// so that it counts what a cut can take (a cut on occupancy takes at least
+// FlushAt reports). With a WAL, the batch as it arrived and its (stream,
+// pos) mark are logged as one fsynced record before the admitted chunk
+// becomes visible — and before the stream's mark advances and the batch is
+// acked — so a crash can never keep the mark without the items or the items
+// without the mark. The read side of closeMu, held from the reservation to
+// the append, is what makes "in the log" and "visible to the next cut"
+// atomic: a cut takes the write side, so it sees a kept batch either logged
+// and appended or not at all.
 func (e *engine) keep(stream, pos int64, b core.Batch) error {
 	n := int64(b.Len())
+	limit := int64(e.cfg.MaxPending)
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	if limit > 0 && e.occupancy.Load()+n > limit {
+		e.rejected.Add(n)
+		return ErrEpochFull
+	}
+	admitStart := time.Now()
+	admitted, err := e.stage.Admit(b)
+	observeSeconds(e.admitSeconds, admitStart)
+	if err != nil {
+		e.rejected.Add(n)
+		e.recordErr(err)
+		return err
+	}
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if limit := int64(e.cfg.MaxPending); limit > 0 {
-		if cur := e.occupancy.Add(n); cur > limit {
-			e.occupancy.Add(-n)
-			e.rejected.Add(n)
-			return ErrEpochFull
-		}
-	} else {
-		e.occupancy.Add(n)
+	if cur := e.occupancy.Add(n); limit > 0 && cur > limit {
+		e.occupancy.Add(-n)
+		e.rejected.Add(n)
+		return ErrEpochFull
 	}
 	last := e.seq.Add(n)
 	c := chunk{min: last - n + 1, max: last, items: b}
@@ -449,6 +491,7 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 			return werr
 		}
 	}
+	c.items = admitted
 	e.chunkMu.Lock()
 	e.chunks = append(e.chunks, c)
 	e.chunkMu.Unlock()

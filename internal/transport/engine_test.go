@@ -5,9 +5,11 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"prochlo/internal/core"
@@ -16,13 +18,21 @@ import (
 
 // recordStage is an identity stage of one kind: it shows every epoch to
 // onEpoch — on the flusher, while the epoch is cut and logged but not yet
-// resolved — and forwards it unchanged.
+// resolved — and forwards it unchanged. It admits a batch through admit
+// when that is set, and as it is otherwise.
 type recordStage struct {
 	kind    core.BatchKind
 	floor   int
+	admit   func(in core.Batch) core.Batch
 	onEpoch func(in core.Batch)
 }
 
+func (s *recordStage) Admit(in core.Batch) (core.Batch, error) {
+	if s.admit == nil {
+		return in, nil
+	}
+	return s.admit(in), nil
+}
 func (s *recordStage) ProcessEpoch(in core.Batch) (core.Batch, shuffler.Stats, error) {
 	s.onEpoch(in)
 	return in, shuffler.Stats{Received: in.Len(), Forwarded: in.Len()}, nil
@@ -39,9 +49,13 @@ func (nullService) serveFrame(_ uint8, _, dst []byte) ([]byte, error) {
 	return appendWireInts(dst, 0), nil
 }
 
-func serveNull(t *testing.T) string {
+func serveNull(t *testing.T) string { return serveService(t, nullService{}) }
+
+// serveService serves svc on a loopback port for the test's lifetime and
+// returns its address.
+func serveService(t *testing.T, svc Service) string {
 	t.Helper()
-	l, err := Serve("127.0.0.1:0", nullService{})
+	l, err := Serve("127.0.0.1:0", svc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +213,186 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 	flush()
 	if err := eng.close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineAdmitsEachBatchOnce: the engine admits a batch once, when it
+// keeps it — not a replay of it, not a batch backpressure refuses — and
+// logs it as it arrived; a restart admits what it recovers, the cut epoch
+// and the pending items, once. The stage's Admit returns a copy with each
+// record's partition one higher than walItem's 3, so every record an epoch
+// holds must read 4: 3 if its admission was skipped, 5 if it was admitted
+// twice or logged admitted.
+func TestEngineAdmitsEachBatchOnce(t *testing.T) {
+	cfg := EpochConfig{WALDir: t.TempDir(), MaxPending: 6}
+	next := []string{serveNull(t)}
+	batch := func(tag string, n int) core.Batch {
+		var b core.Batch
+		for i := 0; i < n; i++ {
+			b, _ = b.Append(walItem(core.KindBlinded, fmt.Sprintf("%s-%d", tag, i)))
+		}
+		return b
+	}
+	var (
+		admits  atomic.Int64
+		eng     *engine
+		epochs  []core.Batch
+		walCopy string
+	)
+	stage := &recordStage{kind: core.KindBlinded, floor: 1,
+		admit: func(in core.Batch) core.Batch {
+			admits.Add(int64(in.Len()))
+			out := slices.Clone(in.Blinded)
+			for i := range out {
+				out[i].Partition++
+			}
+			return core.Batch{Blinded: out}
+		},
+		onEpoch: func(in core.Batch) {
+			epochs = append(epochs, in)
+			if walCopy == "" {
+				// The first epoch is cut and logged but not resolved: a
+				// batch kept now is pending, and a byte copy of the log is
+				// what a kill here would leave.
+				if err := eng.ingest(1, 3, batch("c", 4)); err != nil {
+					t.Error(err)
+				}
+				walCopy = copyDir(t, cfg.WALDir)
+			}
+		}}
+	checkEpochs := func(sizes ...int) {
+		t.Helper()
+		if len(epochs) != len(sizes) {
+			t.Fatalf("%d epochs processed, want %d", len(epochs), len(sizes))
+		}
+		for k, ep := range epochs {
+			if ep.Len() != sizes[k] {
+				t.Errorf("epoch %d holds %d records, want %d", k, ep.Len(), sizes[k])
+			}
+			for _, e := range ep.Blinded {
+				if e.Partition != 4 {
+					t.Errorf("epoch %d: record %s reads %d, want 4: admitted once", k, e.Blob, e.Partition)
+				}
+			}
+		}
+	}
+
+	var err error
+	if eng, err = newEngine(cfg, stage, next); err != nil {
+		t.Fatal(err)
+	}
+	for _, call := range []struct {
+		stream, pos int64
+		b           core.Batch
+		want        error
+		admits      int64
+	}{
+		{1, 1, batch("a", 3), nil, 3},
+		{1, 1, batch("a", 3), nil, 3},          // a replay
+		{2, 1, batch("x", 4), ErrEpochFull, 3}, // over MaxPending
+		{1, 2, batch("b", 2), nil, 5},
+	} {
+		if err := eng.ingest(call.stream, call.pos, call.b); err != call.want {
+			t.Fatalf("ingest (%d, %d): %v, want %v", call.stream, call.pos, err, call.want)
+		}
+		if got := admits.Load(); got != call.admits {
+			t.Fatalf("after ingest (%d, %d): %d records admitted, want %d", call.stream, call.pos, got, call.admits)
+		}
+	}
+	if err := eng.drain(false); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.close(); err != nil {
+		t.Fatal(err)
+	}
+	checkEpochs(5, 4)
+	if got := admits.Load(); got != 9 {
+		t.Errorf("%d records admitted, want the 9 kept", got)
+	}
+
+	admits.Store(0)
+	epochs = nil
+	cfg.WALDir = walCopy
+	if eng, err = newEngine(cfg, stage, next); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.stats(); st.RecoveredEpochs != 1 || st.RecoveredItems != 9 {
+		t.Fatalf("restart recovered %+v, want the cut epoch of 5 and 4 pending", st)
+	}
+	if got := admits.Load(); got != 9 {
+		t.Errorf("the restart admitted %d records, want the 9 it recovered", got)
+	}
+	if err := eng.drain(false); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.close(); err != nil {
+		t.Fatal(err)
+	}
+	checkEpochs(5, 4)
+}
+
+// TestAdmissionHoldsNoOccupancy: a batch still in admission is not in the
+// epoch, so it does not count toward the occupancy a cut is made on. Were
+// it counted, a kept report arriving beside it would trigger a cut of only
+// what was kept — here 3 reports under FlushAt 4 — and the next hop, holding
+// those below its own FlushAt, could refuse a later push that does not fit
+// beside them until the pusher's retries ran out.
+func TestAdmissionHoldsNoOccupancy(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var (
+		mu     sync.Mutex
+		epochs []int
+	)
+	stage := &recordStage{kind: core.KindEnvelopes, floor: 1,
+		admit: func(in core.Batch) core.Batch {
+			if walValue(in, 0) == "slow-0" {
+				close(entered)
+				<-release
+			}
+			return in
+		},
+		onEpoch: func(in core.Batch) {
+			mu.Lock()
+			epochs = append(epochs, in.Len())
+			mu.Unlock()
+		}}
+	eng, err := newEngine(EpochConfig{FlushAt: 4}, stage, []string{serveNull(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(tag string, n int) core.Batch {
+		var b core.Batch
+		for i := 0; i < n; i++ {
+			b, _ = b.Append(walItem(core.KindEnvelopes, fmt.Sprintf("%s-%d", tag, i)))
+		}
+		return b
+	}
+	if err := eng.ingest(1, 1, batch("a", 2)); err != nil {
+		t.Fatal(err)
+	}
+	slow := make(chan error, 1)
+	go func() { slow <- eng.ingest(2, 1, batch("slow", 2)) }()
+	<-entered
+	if err := eng.ingest(3, 1, batch("b", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.stats(); st.Pending != 3 {
+		t.Errorf("with 2 reports in admission, Pending = %d, want the 3 kept", st.Pending)
+	}
+	close(release)
+	if err := <-slow; err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.drain(false); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(epochs, []int{5}) {
+		t.Errorf("epochs of %v, want one of 5, cut once the admitted batch made FlushAt", epochs)
 	}
 }
 

@@ -98,6 +98,8 @@ func (e *engine) registerMetrics() {
 		func() float64 { return float64(e.recItems) })
 	reg.GaugeFunc("prochlo_wal_recovered_epochs", "Cut-but-unresolved epochs recovered from the WAL at the last restart.", l,
 		func() float64 { return float64(e.recEpochs) })
+	e.admitSeconds = reg.Histogram("prochlo_stage_admit_seconds",
+		"Latency of the stage's per-report work on one arriving batch (shuffler1: the blinding), before the epoch is cut.", l, metrics.DefBuckets)
 	e.procSeconds = reg.Histogram("prochlo_stage_process_seconds",
 		"Latency of running the stage function over one epoch.", l, metrics.DefBuckets)
 	e.pushSeconds = reg.Histogram("prochlo_stage_push_seconds",

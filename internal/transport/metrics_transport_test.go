@@ -112,6 +112,9 @@ func TestScrapeDuringDrain(t *testing.T) {
 	if v := metricValue(t, s, `prochlo_stage_process_seconds_count{role="shuffler"}`); v <= 0 {
 		t.Errorf("process histogram count = %v, want > 0", v)
 	}
+	if v := metricValue(t, s, `prochlo_stage_admit_seconds_count{role="shuffler"}`); v != total/20 {
+		t.Errorf("admit histogram count = %v, want one per submitted batch, %d", v, total/20)
+	}
 }
 
 // TestBalancerMetrics pins the balancer's scrape series: replica-set and

@@ -138,7 +138,7 @@ func (r *crashRig) stop() {
 // stage builds the rig's stage for a kind in this process; both emit
 // payloads for the analyzer.
 func (r *crashRig) stage(kind core.BatchKind) shuffler.Stage {
-	return crashStage(kind, r.floor, r.shufPriv, r.blindKP)
+	return crashStage(kind, false, r.floor, r.shufPriv, r.blindKP)
 }
 
 // proxied stands a faultnet proxy under plan in front of each target, for
@@ -742,6 +742,116 @@ func TestKillDuringWALReplay(t *testing.T) {
 		t.Errorf("after %d kills in replay the analyzer counted %v (%d undecryptable), want the submitted %v", kills, got, undec, want)
 	}
 	t.Logf("%d batch records; a start over them took %v; the kills left %d segments", records, replay, len(segs))
+}
+
+// TestHop1RestartAdmitsOnce: hop 1 blinds a batch when it keeps it, but its
+// WAL holds the batch as it arrived, so a restarted hop 1 must blind what it
+// recovers — once. A WAL-backed hop 1 in a child process is SIGKILLed while
+// it holds an epoch of 6 cut but not acked (its push held at a proxy, which
+// is then closed, so the push never lands) and 4 reports pending, and is
+// restarted over its log; hop 2 thresholds at 3 over everything hop 1
+// forwards. The histogram must be the one the same reports give without
+// the crash: 5 of x and 5 of y. A recovered report left unblinded, or
+// blinded twice, is a crowd of one at hop 2 and is suppressed.
+func TestHop1RestartAdmitsOnce(t *testing.T) {
+	want := map[string]int{"x": 5, "y": 5}
+	for _, crash := range []bool{false, true} {
+		if got := hop1Run(t, crash); !reflect.DeepEqual(got, want) {
+			t.Errorf("crash %v: the analyzer counted %v, want %v", crash, got, want)
+		}
+	}
+}
+
+// hop1Run runs TestHop1RestartAdmitsOnce's chain once, with or without the
+// crash, and returns the analyzer's histogram.
+func hop1Run(t *testing.T, crash bool) map[string]int {
+	t.Helper()
+	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
+	anlz := serveService(t, anlzSvc)
+	sec2, err := shuffler.GenerateSecrets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := shuffler.NewStage("shuffler2", sec2, shuffler.Params{Threshold: shuffler.Threshold{Naive: 3}, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2, err := NewStageService(st2, []string{anlz}, EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc2.Close() })
+	hop2 := serveService(t, svc2)
+	alpha, err := elgamal.GenerateKeyPair(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &encoder.BlindedClient{Shuffler1Blinding: alpha.H, Shuffler2Blinding: sec2.Blinding.H,
+		Shuffler2Key: sec2.Priv.Public(), AnalyzerKey: anlzPriv.Public(), Rand: crand.Reader}
+	batch := func(x, y int) core.Batch {
+		var b core.Batch
+		for i := 0; i < x+y; i++ {
+			v := map[bool]string{true: "x", false: "y"}[i < x]
+			env, err := client.Encode("c:"+v, []byte(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Blinded = append(b.Blinded, env)
+		}
+		return b
+	}
+
+	// In the crash run the push of the first epoch waits at the proxy for a
+	// minute, so the crash lands with the epoch cut and unresolved.
+	plan := &faultnet.Plan{Seed: 1, PDelay: 1, MaxFaults: 1}
+	if crash {
+		plan.Delay = time.Minute
+	}
+	px, err := faultnet.Listen(plan, hop2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	spec := childSpec{Kind: core.KindBlinded, Hop1: true, Floor: 1, Priv: anlzPriv.Bytes(), X: alpha.X,
+		Next: []string{px.Addr()}, Listen: "127.0.0.1:0", Cfg: EpochConfig{WALDir: t.TempDir(), FlushAt: 6}}
+	hop1 := startChild(t, spec)
+	cl := dialed(t, hop1.Addr)
+	if err := cl.Submit(batch(3, 3)); err != nil { // cuts the epoch
+		t.Fatal(err)
+	}
+	untilTrue(t, "the push to reach the proxy", func() bool { return plan.Injected() == 1 })
+	if err := cl.Submit(batch(2, 2)); err != nil { // pending
+		t.Fatal(err)
+	}
+	if crash {
+		cl.Close()
+		if err := hop1.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		px.Close() // the held push dies with the link
+		spec.Next = []string{hop2}
+		hop1 = startChild(t, spec)
+		cl = dialed(t, hop1.Addr)
+		if st, err := cl.Stats(); err != nil || st.RecoveredEpochs != 1 || st.RecoveredItems != 10 {
+			t.Fatalf("restart recovered %+v (%v), want the cut epoch of 6 and 4 pending", st, err)
+		}
+	}
+	if _, err := cl.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dialed(t, hop2).Drain(); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	if err := hop1.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	counts, _ := anlzSvc.Histogram()
+	return counts
 }
 
 // faultSeed derives a deterministic seed for a test's fault or kill

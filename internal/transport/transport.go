@@ -8,9 +8,9 @@
 // # Stage topology
 //
 // Every shuffler variant is a StageService: the epoch engine (engine.go)
-// around a shuffler.Stage. The service ingests wire items, cuts them into
-// epochs, processes each epoch through its stage, and pushes the output to a
-// downstream tier. Because stage output travels as the shared core.Batch
+// around a shuffler.Stage. The service ingests wire items, admits each batch
+// through its stage as it arrives, cuts them into epochs, processes each
+// epoch through its stage, and pushes the output to a downstream tier. Because stage output travels as the shared core.Batch
 // wire union, the downstream can be an analyzer or another shuffler hop, so
 // the split-shuffler chain of §4.3 deploys as real networked daemons:
 //

@@ -64,7 +64,7 @@ func MeasureTiming(nClients int) (TimingResult, error) {
 		}
 		batch[i] = env
 	}
-	if _, _, err := stages["shuffler"].ProcessEpoch(core.Batch{Envelopes: batch}); err != nil {
+	if _, _, err := shuffler.RunEpoch(stages["shuffler"], core.Batch{Envelopes: batch}); err != nil {
 		return res, err
 	}
 	res.EncoderShuffler1 = time.Since(start)
@@ -86,14 +86,14 @@ func MeasureTiming(nClients int) (TimingResult, error) {
 		}
 		bbatch[i] = env
 	}
-	blinded, _, err := stages["shuffler1"].ProcessEpoch(core.Batch{Blinded: bbatch})
+	blinded, _, err := shuffler.RunEpoch(stages["shuffler1"], core.Batch{Blinded: bbatch})
 	if err != nil {
 		return res, err
 	}
 	res.BlindedEncoderShuffler1 = time.Since(start)
 
 	start = time.Now()
-	if _, _, err := stages["shuffler2"].ProcessEpoch(blinded); err != nil {
+	if _, _, err := shuffler.RunEpoch(stages["shuffler2"], blinded); err != nil {
 		return res, err
 	}
 	res.BlindedShuffler2 = time.Since(start)

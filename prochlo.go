@@ -395,7 +395,9 @@ type Result struct {
 
 // Flush drives the pending batch through the shuffler stage chain —
 // each stage's output is the next stage's input, exactly as the networked
-// daemons forward epochs — and the analyzer over the final stage's output,
+// daemons forward epochs; each stage admits its epoch just before it
+// processes it (shuffler.RunEpoch), where a daemon admits each batch as it
+// arrives — and the analyzer over the final stage's output,
 // returning the analysis result. Result.ShufflerStats is the last stage's
 // (the thresholding hop's) selectivity, the only stage whose stats describe
 // what reaches the analyzer. A pending batch below the first stage's
@@ -409,7 +411,7 @@ func (p *Pipeline) Flush() (*Result, error) {
 	var stats shuffler.Stats
 	for _, st := range p.stages {
 		var err error
-		batch, stats, err = st.ProcessEpoch(batch)
+		batch, stats, err = shuffler.RunEpoch(st, batch)
 		if err != nil {
 			return nil, err
 		}
