@@ -5,7 +5,7 @@
 //
 //	prochlod -role analyzer  -listen 127.0.0.1:7101
 //	prochlod -role shuffler  -listen 127.0.0.1:7100 -next 127.0.0.1:7101 \
-//	         -flush-at 2000 -epoch 10s -max-pending 4000
+//	         -flush-at 2000 -epoch 10s
 //
 // or the §4.3 split-shuffler chain, where two mutually distrusting daemons
 // threshold on blinded crowd IDs (clients enter at shuffler1, which
@@ -20,10 +20,11 @@
 // chunks, an epoch is cut and processed whenever occupancy reaches
 // -flush-at or the -epoch timer fires, and processed epochs are pushed to
 // the -next hop asynchronously through an in-flight queue of two. When the
-// queue is full and occupancy reaches -max-pending, submissions fail with a
-// retryable "epoch full" error — backpressure instead of unbounded growth,
-// and it composes across a chain: a congested downstream hop pushes back on
-// its upstream, which pushes back on clients. A hop pushes an epoch the way
+// queue is full and occupancy reaches twice -flush-at, a submission is held,
+// unacknowledged, until a cut frees room — backpressure instead of
+// unbounded growth, and it composes across a chain: a congested downstream
+// hop holds its upstream's push, whose clients are then held in turn. Only a
+// hold past 10 s is refused as "epoch full". A hop pushes an epoch the way
 // a client submits: one redial policy (eight attempts, about 6 s) rides out
 // a short restart of the -next hop, and a refusal fails the epoch at once.
 //
@@ -99,9 +100,8 @@ func main() {
 
 	flushAt := flag.Int("flush-at", 0, "auto-flush when occupancy reaches this many envelopes (0 = off)")
 	epochInterval := flag.Duration("epoch", 0, "auto-flush epoch interval (0 = no timer)")
-	maxPending := flag.Int("max-pending", 0, "occupancy cap before submissions get a retryable epoch-full error (0 = 2*flush-at); must fit the upstream hop's epochs in a chain")
 	keyFile := flag.String("key-file", "", "persist the daemon's private keys at this path (created on first start, 0600): a restarted daemon decrypts the reports it recovers from -wal-dir; empty generates fresh keys per process")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory: accepted reports are persisted before they are acked and recovered on restart (empty disables durability; pair with -key-file or recovered reports are undecryptable)")
+	walDir := flag.String("wal-dir", "", "write-ahead log directory, shuffler roles only: accepted reports are persisted before they are acked and recovered on restart (empty disables durability; pair with -key-file or recovered reports are undecryptable)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and a liveness probe at /healthz on this address (empty disables; see docs/OPERATIONS.md for the catalog)")
 	flag.Parse()
 
@@ -114,7 +114,6 @@ func main() {
 		cfg: transport.EpochConfig{
 			FlushAt:       *flushAt,
 			Interval:      *epochInterval,
-			MaxPending:    *maxPending,
 			WALDir:        *walDir,
 			Metrics:       reg,
 			MetricsLabels: metrics.Labels{"role": *role},
@@ -132,7 +131,7 @@ func main() {
 
 	switch *role {
 	case "analyzer":
-		runAnalyzer(*listen, *workers, *keyFile, *metricsAddr, reg)
+		runAnalyzer(*workers, o)
 	case "shuffler", "shuffler1", "shuffler2":
 		runStage(*role, p, o)
 	default:
@@ -171,22 +170,36 @@ func serveMetrics(addr string, reg *metrics.Registry, healthz func() transport.H
 	return ms
 }
 
-func runAnalyzer(listen string, workers int, keyFile string, metricsAddr string, reg *metrics.Registry) {
-	sec, err := loadKeys(keyFile, false)
+// buildAnalyzer builds the analyzer role's party from its -key-file. The
+// analyzer keeps only its running histogram, in memory, so it refuses
+// -wal-dir rather than accept a directory it would leave empty.
+func buildAnalyzer(workers int, o stageOpts) (*analyzer.Analyzer, error) {
+	if o.cfg.WALDir != "" {
+		return nil, errors.New("-role analyzer keeps nothing on disk: -wal-dir is for the shuffler roles")
+	}
+	sec, err := loadKeys(o.keyFile, false)
+	if err != nil {
+		return nil, err
+	}
+	return &analyzer.Analyzer{Priv: sec.Priv, Workers: workers}, nil
+}
+
+func runAnalyzer(workers int, o stageOpts) {
+	an, err := buildAnalyzer(workers, o)
 	if err != nil {
 		fatal(err)
 	}
-	svc := transport.NewAnalyzerService(&analyzer.Analyzer{Priv: sec.Priv, Workers: workers})
-	if reg != nil {
-		svc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer"})
+	svc := transport.NewAnalyzerService(an)
+	if o.metricsReg != nil {
+		svc.RegisterMetrics(o.metricsReg, metrics.Labels{"role": "analyzer"})
 	}
-	ms := serveMetrics(metricsAddr, reg, svc.Healthz)
-	l, err := transport.Serve(listen, svc)
+	ms := serveMetrics(o.metricsAddr, o.metricsReg, svc.Healthz)
+	l, err := transport.Serve(o.listen, svc)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println("prochlod analyzer listening on", l.Addr())
-	fmt.Println("analyzer public key:", hex.EncodeToString(sec.Priv.Public().Bytes()))
+	fmt.Println("analyzer public key:", hex.EncodeToString(an.Priv.Public().Bytes()))
 	waitForSignal()
 	l.Close()
 	if ms != nil {
@@ -315,13 +328,12 @@ func serveStage(role string, o stageOpts, svc *transport.StageService) {
 	fmt.Printf("prochlod %s: drained and shut down\n", role)
 }
 
-// printEpochs prints a service's effective epoch configuration (defaults
-// and clamps applied), not the raw flags. The in-flight queue is the
-// engine's fixed two epochs.
+// printEpochs prints a service's effective epoch configuration (-flush-at
+// raised to the anonymity floor), not the raw flags. The in-flight queue is
+// the engine's fixed two epochs.
 func printEpochs(cfg transport.EpochConfig) {
 	if cfg.FlushAt > 0 || cfg.Interval > 0 {
-		fmt.Printf("epochs: flush-at %d, interval %v, max-pending %d, in-flight 2\n",
-			cfg.FlushAt, cfg.Interval, cfg.MaxPending)
+		fmt.Printf("epochs: flush-at %d, interval %v, in-flight 2\n", cfg.FlushAt, cfg.Interval)
 	} else {
 		fmt.Println("epochs: cut by Drain only")
 	}

@@ -75,6 +75,24 @@ func TestSGXRefusesWALDir(t *testing.T) {
 	}
 }
 
+// TestAnalyzerRefusesWALDir: the analyzer keeps its histogram in memory and
+// writes nothing to disk, so -wal-dir would be a directory left empty and a
+// promise of durability not kept. It is refused at start-up, the directory
+// untouched; without it the role builds.
+func TestAnalyzerRefusesWALDir(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := buildAnalyzer(1, stageOpts{cfg: transport.EpochConfig{WALDir: dir}}); err == nil ||
+		!strings.Contains(err.Error(), "-role analyzer keeps nothing on disk") {
+		t.Fatalf("buildAnalyzer(-wal-dir) = %v, want the refusal", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("the refused -wal-dir holds %d entries (%v), want none", len(entries), err)
+	}
+	if an, err := buildAnalyzer(1, stageOpts{}); err != nil || an.Priv == nil {
+		t.Fatalf("buildAnalyzer() = %v", err)
+	}
+}
+
 // TestShuffler1WALNeedsKeyFile: clients encrypt C1 on shuffler1's public
 // blinding key, so a shuffler1 that recovered its WAL under a fresh α would
 // reduce every recovered report to a suppressed crowd of one. -wal-dir

@@ -12,39 +12,28 @@ import (
 
 // The entry tier's policy, one for every pipeline: a balancer probes each
 // replica every DefaultProbeInterval and ejects it after
-// DefaultBreakerThreshold consecutive failures, and SubmitAll resubmits an
-// epoch-full envelope up to DefaultSubmitRetries times, DefaultSubmitDelay
-// apart (about 1 s), before the error surfaces.
+// DefaultBreakerThreshold consecutive failures.
 const (
 	DefaultProbeInterval    = 500 * time.Millisecond
 	DefaultBreakerThreshold = 3
-	DefaultSubmitRetries    = 50
-	DefaultSubmitDelay      = 20 * time.Millisecond
 )
 
 // entryPolicy is the entry tier's schedule.
 type entryPolicy struct {
-	probeEvery  time.Duration // health-probe cadence
-	breakAfter  int           // consecutive failures that eject a replica
-	fullRetries int           // epoch-full resubmissions of one envelope
-	fullDelay   time.Duration // pause before each of them
+	probeEvery time.Duration // health-probe cadence
+	breakAfter int           // consecutive failures that eject a replica
 }
 
-// entry is the policy every balancer and SubmitAll follows. Tests that must
-// run it faster shrink it here; nothing else sets it.
-var entry = entryPolicy{
-	probeEvery:  DefaultProbeInterval,
-	breakAfter:  DefaultBreakerThreshold,
-	fullRetries: DefaultSubmitRetries,
-	fullDelay:   DefaultSubmitDelay,
-}
+// entry is the policy every balancer follows. Tests that must run it faster
+// shrink it here; nothing else sets it.
+var entry = entryPolicy{probeEvery: DefaultProbeInterval, breakAfter: DefaultBreakerThreshold}
 
 // BalancerStats is a point-in-time snapshot of a Balancer's counters.
 type BalancerStats struct {
 	Replicas  int   // replica-set size
 	Healthy   int   // replicas currently admitted by the breaker
 	Submitted int64 // envelopes accepted fleet-wide through this balancer
-	Failovers int64 // slices moved to another replica after a safe failure
+	Failovers int64 // batches moved to another replica after a safe failure
 	Ejections int64 // circuit-breaker ejections
 	Readmits  int64 // recoveries back into rotation (probe or submit success)
 	Probes    int64 // health probes issued
@@ -61,17 +50,16 @@ type balancerReplica struct {
 
 // Balancer spreads client submissions across the entry tier's replicas —
 // the connections its owner already dialed; it dials and closes nothing.
-// Submission slices round-robin over the healthy replicas; a replica that
-// fails is retried elsewhere only when the failure is provably
-// non-ingesting — its connection is down and would not redial, so nothing
-// was sent, or the service definitively rejected the slice as epoch-full —
-// so a fleet with write-ahead logs can lose and recover replicas without
-// ever counting a report twice. Ambiguous connection failures — the call
-// died mid-flight — are retried against the same replica under the
-// sender's redial policy, where the (stream, seq) dedup stamp absorbs a
-// redelivery; if that budget exhausts, the error surfaces with the
-// accepted-prefix contract intact rather than risking a double ingest on a
-// sibling.
+// Batches round-robin over the healthy replicas; a replica that fails is
+// retried elsewhere only when the failure is provably non-ingesting — its
+// connection is down and would not redial, so nothing was sent, or the
+// service held the batch past its bound and refused it as epoch-full — so a
+// fleet with write-ahead logs can lose and recover replicas without ever
+// counting a report twice. Ambiguous connection failures — the call died
+// mid-flight — are retried against the same replica under the sender's
+// redial policy, where the (stream, seq) dedup stamp absorbs a redelivery;
+// if that budget exhausts, the error surfaces rather than risking a double
+// ingest on a sibling.
 //
 // A half-open circuit breaker tracks per-replica consecutive failures:
 // past the threshold the replica is ejected from rotation, and a background
@@ -203,58 +191,49 @@ func (b *Balancer) probeLoop() {
 	}
 }
 
-// SubmitAll ships a batch across the replica set with failover; see
-// Balancer for the safety rule. It returns how many envelopes the fleet
-// accepted; as with Client.SubmitAll, the accepted envelopes are exactly
-// the prefix batch.Slice(0, accepted).
+// Submit ships a batch across the replica set with failover; see Balancer
+// for the safety rule. A replica accepts the batch whole or not at all.
 //
-// Each attempt submits the unaccepted suffix to the picked replica; a safe
-// failure (a connection that would not redial, or epoch-full) moves the
-// suffix to the next replica, anything else surfaces. The failover budget is
-// two full passes over the replica set, with a jittered pause between passes
-// so a briefly-down fleet gets a beat to come back instead of burning the
-// budget in microseconds.
-func (b *Balancer) SubmitAll(batch core.Batch) (int, error) {
-	accepted, total := 0, batch.Len()
+// Each attempt submits the batch to the picked replica; a safe failure (a
+// connection that would not redial, or epoch-full) moves it to the next
+// replica, anything else surfaces. The failover budget is two full passes
+// over the replica set, with a jittered pause between passes so a
+// briefly-down fleet gets a beat to come back instead of burning the budget
+// in microseconds.
+func (b *Balancer) Submit(batch core.Batch) error {
 	budget := 2 * len(b.replicas)
 	var lastErr error
-	for attempt := 0; accepted < total; attempt++ {
-		if attempt >= budget {
-			return accepted, fmt.Errorf("transport: balancer failover budget exhausted: %w", lastErr)
-		}
+	for attempt := 0; attempt < budget; attempt++ {
 		if attempt > 0 && attempt%len(b.replicas) == 0 {
 			time.Sleep(redial.delay(attempt/len(b.replicas) - 1))
 		}
 		r := b.pick()
 		if _, err := r.cl.conn(); err != nil {
 			// The connection is down and the redial failed: nothing touched
-			// the wire, so the suffix is safe to take elsewhere.
+			// the wire, so the batch is safe to take elsewhere.
 			b.noteFailure(r)
 			b.failovers.Add(1)
 			lastErr = fmt.Errorf("dial %s: %w", r.cl.addr, err)
 			continue
 		}
-		n, err := r.cl.SubmitAll(batch.Slice(accepted, total))
-		accepted += n
-		b.submitted.Add(int64(n))
+		err := r.cl.Submit(batch)
 		if err == nil {
 			b.noteSuccess(r)
-			continue
+			b.submitted.Add(int64(batch.Len()))
+			return nil
 		}
-		if IsEpochFull(err) {
-			// The service definitively rejected the slice without ingesting
-			// it — safe to fail the suffix over to a less loaded replica.
-			b.noteFailure(r)
-			b.failovers.Add(1)
-			lastErr = fmt.Errorf("%s: %w", r.cl.addr, err)
-			continue
-		}
-		// Ambiguous: the client's own stamped retries are exhausted and the
-		// last attempt may have been ingested (a recovering WAL would replay
-		// it). Failing over here could double-count, so surface the error;
-		// the accepted prefix remains exact.
 		b.noteFailure(r)
-		return accepted, err
+		if !IsEpochFull(err) {
+			// Ambiguous: the client's own stamped retries are exhausted and
+			// the last attempt may have been ingested (a recovering WAL
+			// would replay it). Failing over here could double-count, so
+			// surface the error.
+			return err
+		}
+		// The service held the batch past its bound and refused it without
+		// ingesting it — safe to fail over to a less loaded replica.
+		b.failovers.Add(1)
+		lastErr = fmt.Errorf("%s: %w", r.cl.addr, err)
 	}
-	return accepted, nil
+	return fmt.Errorf("transport: balancer failover budget exhausted: %w", lastErr)
 }

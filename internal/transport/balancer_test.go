@@ -132,7 +132,7 @@ func noProbes() entryPolicy {
 
 // TestBalancerDialFailover pins the safe-failover rule's clean case: a
 // replica whose connection cannot be dialed has ingested nothing, so the
-// balancer must move the slice to the next replica and the fleet must count
+// balancer must move the batch to the next replica and the fleet must count
 // every report exactly once.
 func TestBalancerDialFailover(t *testing.T) {
 	useEntryPolicy(t, noProbes())
@@ -143,12 +143,8 @@ func TestBalancerDialFailover(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:failover", "failover-value")
 	}
-	accepted, err := b.SubmitAll(core.Batch{Envelopes: envs})
-	if err != nil {
-		t.Fatalf("SubmitAll with a dead first replica: %v", err)
-	}
-	if accepted != len(envs) {
-		t.Fatalf("accepted = %d, want %d", accepted, len(envs))
+	if err := b.Submit(core.Batch{Envelopes: envs}); err != nil {
+		t.Fatalf("Submit with a dead first replica: %v", err)
 	}
 	bs := b.Stats()
 	if bs.Failovers != 1 || bs.Submitted != int64(len(envs)) {
@@ -202,9 +198,8 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:breaker", "breaker-value")
 	}
-	accepted, err := b.SubmitAll(core.Batch{Envelopes: envs})
-	if err != nil || accepted != len(envs) {
-		t.Fatalf("SubmitAll with one replica ejected = (%d, %v), want (%d, nil)", accepted, err, len(envs))
+	if err := b.Submit(core.Batch{Envelopes: envs}); err != nil {
+		t.Fatalf("Submit with one replica ejected: %v", err)
 	}
 
 	// Revive the address (the same service behind a second listener — any
@@ -219,28 +214,24 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 }
 
 // TestBalancerAmbiguousErrorSurfaces pins the other half of the safety
-// rule: when a replica's connection dies under an in-flight call, the slice
+// rule: when a replica's connection dies under an in-flight call, the batch
 // may already sit in its write-ahead log, so after the client's own
 // same-address retries exhaust, the balancer must surface the error rather
-// than fail the slice over to a sibling (which could double-count when the
+// than fail the batch over to a sibling (which could double-count when the
 // replica, or its WAL-recovered successor, delivers it).
 func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 	shrinkRedial(t, 1, time.Millisecond)
 	useEntryPolicy(t, noProbes())
 	rig := newStreamingRig(t, EpochConfig{})
-	// Replica A's link loses every answer: the replica ingests the slice,
+	// Replica A's link loses every answer: the replica ingests the batch,
 	// and the connection closes before the ack arrives. The severed call is
 	// ambiguous, and so is each retry, until the redial budget exhausts.
 	lossy := &faultnet.Plan{Seed: 1, PDropAck: 1}
 	b := balance(t, nil, nil, dialed(t, proxied(t, lossy, rig.shuf)[0]), dialed(t, rig.shuf))
 
 	env := rig.envelope(t, "c:ambiguous", "ambiguous-value")
-	accepted, err := b.SubmitAll(core.Batch{Envelopes: []core.Envelope{env}})
-	if err == nil {
-		t.Fatal("SubmitAll through a link that loses every ack succeeded, want a surfaced error")
-	}
-	if accepted != 0 {
-		t.Fatalf("accepted = %d, want 0 (the ambiguous slice must not be acked)", accepted)
+	if err := b.Submit(core.Batch{Envelopes: []core.Envelope{env}}); err == nil {
+		t.Fatal("Submit through a link that loses every ack succeeded, want a surfaced error")
 	}
 	if fo := b.Stats().Failovers; fo != 0 {
 		t.Errorf("failovers = %d, want 0 (an ambiguous failure must never fail over)", fo)
@@ -251,7 +242,7 @@ func TestBalancerAmbiguousErrorSurfaces(t *testing.T) {
 }
 
 // dropOnceShuffler ingests a Submit and then drops every connection before
-// the ack can be written — a deterministic connection drop mid-SubmitAll,
+// the ack can be written — a deterministic connection drop mid-Submit,
 // after the live service accepted the batch.
 type dropOnceShuffler struct {
 	*StageService
@@ -276,11 +267,11 @@ func (d *dropOnceShuffler) serveFrame(method uint8, body, dst []byte) ([]byte, e
 }
 
 // TestSubmitAllResumesAfterConnDrop pins the client's transient-retry
-// contract: a connection dropped mid-SubmitAll — after the service ingested
+// contract: a connection dropped mid-Submit — after the service ingested
 // the batch but before the ack arrived — must be retried on a fresh
 // connection with the same (stream, seq) stamp and absorbed by the
-// service's dedup, so the caller resumes from the accepted prefix without
-// double-submitting a single report.
+// service's dedup, so the batch lands once without the caller resubmitting
+// a single report.
 func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
 	wrapped := &dropOnceShuffler{StageService: rig.svc}
@@ -297,12 +288,8 @@ func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:drop", "drop-value")
 	}
-	accepted, err := cl.SubmitAll(core.Batch{Envelopes: envs})
-	if err != nil {
-		t.Fatalf("SubmitAll across a dropped connection: %v", err)
-	}
-	if accepted != len(envs) {
-		t.Fatalf("accepted = %d, want %d", accepted, len(envs))
+	if err := cl.Submit(core.Batch{Envelopes: envs}); err != nil {
+		t.Fatalf("Submit across a dropped connection: %v", err)
 	}
 
 	if stats := rig.svc.Stats(); stats.Accepted != int64(len(envs)) {

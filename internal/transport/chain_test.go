@@ -15,89 +15,10 @@ import (
 	"prochlo/internal/shuffler"
 )
 
-// TestSubmitAllPartialAccept pins the accepted-prefix contract: when the
-// service's occupancy cap rejects part of a split batch and the retry
-// budget runs out, SubmitAll must report exactly how many envelopes were
-// ingested — in submission order — so the caller can resume from the
-// remainder without double-counting.
-func TestSubmitAllPartialAccept(t *testing.T) {
-	p := entry
-	p.fullRetries, p.fullDelay = 1, time.Millisecond
-	useEntryPolicy(t, p)
-	rig := newStreamingRig(t, EpochConfig{MaxPending: 4})
-	cl, err := Dial(rig.shuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	envs := make([]core.Envelope, 6)
-	values := []string{"v0", "v1", "v2", "v3", "v4", "v5"}
-	for i := range envs {
-		envs[i] = rig.envelope(t, "c:partial", values[i])
-	}
-	// Fill half the cap, then ship the rest with a tight retry budget: the
-	// whole batch bounces (2+4 > 4), the first split half fits (occupancy
-	// 4), and the second half exhausts its retries against the full epoch.
-	if err := cl.Submit(core.Batch{Envelopes: envs[:2]}); err != nil {
-		t.Fatal(err)
-	}
-	accepted, err := cl.SubmitAll(core.Batch{Envelopes: envs[2:]})
-	if !IsEpochFull(err) {
-		t.Fatalf("SubmitAll on a full epoch: err = %v, want epoch-full", err)
-	}
-	if accepted != 2 {
-		t.Fatalf("accepted = %d, want 2 (the prefix that fit under the cap)", accepted)
-	}
-
-	// The accepted prefix must be exactly v2, v3: drain and check before
-	// resuming.
-	if _, err := cl.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	ac, err := DialAnalyzer(rig.anlz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ac.Close()
-	counts, _, err := ac.Histogram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range values[:4] {
-		if counts[v] != 1 {
-			t.Errorf("count[%s] = %d, want 1 (accepted prefix)", v, counts[v])
-		}
-	}
-	for _, v := range values[4:] {
-		if counts[v] != 0 {
-			t.Errorf("count[%s] = %d, want 0 (rejected remainder must not be ingested)", v, counts[v])
-		}
-	}
-
-	// Resume from the reported prefix: the remainder lands exactly once.
-	accepted, err = cl.SubmitAll(core.Batch{Envelopes: envs[2+accepted:]})
-	if err != nil || accepted != 2 {
-		t.Fatalf("resumed SubmitAll = (%d, %v), want (2, nil)", accepted, err)
-	}
-	if _, err := cl.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	counts, _, err = ac.Histogram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range values {
-		if counts[v] != 1 {
-			t.Errorf("final count[%s] = %d, want 1", v, counts[v])
-		}
-	}
-}
-
-// TestSubmitAllBackoffDrains pins the backoff path: with auto-flush
-// draining epochs underneath, a batch larger than the free occupancy must
-// be fully accepted after splitting and retrying — no reports lost, none
-// duplicated.
+// TestSubmitAllBackoffDrains pins the hold path: with auto-flush draining
+// epochs underneath, a batch larger than the free occupancy is held until a
+// cut frees room and then accepted whole — no reports lost, none
+// duplicated, none refused.
 func TestSubmitAllBackoffDrains(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{FlushAt: 4})
 	cl, err := Dial(rig.shuf)
@@ -107,22 +28,17 @@ func TestSubmitAllBackoffDrains(t *testing.T) {
 	defer cl.Close()
 
 	env := rig.envelope(t, "c:backoff", "backoff-value")
-	fill := make([]core.Envelope, 8) // MaxPending defaults to 2*FlushAt = 8
+	fill := make([]core.Envelope, 8) // the limit: 2*FlushAt = 8
 	for i := range fill {
 		fill[i] = env
 	}
-	if err := cl.Submit(core.Batch{Envelopes: fill}); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := cl.Submit(core.Batch{Envelopes: fill}); err != nil {
+			t.Fatalf("Submit with auto-flush draining: %v", err)
+		}
 	}
-	accepted, err := cl.SubmitAll(core.Batch{Envelopes: fill})
-	if err != nil {
-		t.Fatalf("SubmitAll with auto-flush draining: %v", err)
-	}
-	if accepted != len(fill) {
-		t.Fatalf("accepted = %d, want %d", accepted, len(fill))
-	}
-	if _, err := cl.Drain(); err != nil {
-		t.Fatal(err)
+	if st, err := cl.Drain(); err != nil || st.Rejected != 0 {
+		t.Fatalf("drain = %+v, %v; want nothing rejected", st, err)
 	}
 	ac, err := DialAnalyzer(rig.anlz)
 	if err != nil {
@@ -134,7 +50,7 @@ func TestSubmitAllBackoffDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	if counts["backoff-value"] != 16 {
-		t.Errorf("count = %d, want 16 (8 filled + 8 retried)", counts["backoff-value"])
+		t.Errorf("count = %d, want 16 (8 filled + 8 held)", counts["backoff-value"])
 	}
 }
 

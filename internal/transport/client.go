@@ -238,9 +238,16 @@ func (c *Client) Attestation(ca *ecdsa.PublicKey, measurement [32]byte) ([]byte,
 
 // Submit ships a whole batch — client envelopes or split-shuffler envelopes,
 // whichever the service's stage consumes — in one round trip, retrying
-// connection-level failures like SubmitAll. The batch is accepted
-// atomically; on an IsEpochFull error nothing was ingested and the caller
-// should back off and resubmit.
+// connection-level failures on fresh connections under the redial policy.
+// The batch is accepted or refused whole. A service without room holds it
+// until a cut frees some, so Submit may take as long as the service's
+// flusher; an IsEpochFull error means it was held past the bound and
+// nothing was ingested.
+//
+// The batch is stamped with a (stream, seq) pair before its first attempt,
+// and a retry resends the identical request, so a batch whose original
+// attempt was ingested but whose ack was lost is absorbed by the service's
+// dedup — the retry cannot double-submit.
 func (c *Client) Submit(b core.Batch) error {
 	c.mu.Lock()
 	var s clientStream
@@ -261,56 +268,6 @@ func (c *Client) Submit(b core.Batch) error {
 	c.idle = append(c.idle, s)
 	c.mu.Unlock()
 	return err
-}
-
-// SubmitAll ships a batch of envelopes (of either kind), adapting to the
-// service's backpressure: a batch rejected as epoch-full is split in half and the
-// halves submitted in order (a batch larger than the occupancy cap can
-// never be accepted whole), and a single epoch-full envelope is retried
-// with backoff — up to DefaultSubmitRetries attempts, DefaultSubmitDelay
-// apart — until the epoch drains. Splitting preserves submission order, so
-// a seeded deployment stays deterministic.
-//
-// It returns how many envelopes the service accepted. Submission stops at
-// the first unrecoverable error, and splitting preserves order, so the
-// accepted envelopes are exactly the prefix b.Slice(0, accepted): on error a
-// caller resumes from b.Slice(accepted, b.Len()) rather than resubmitting
-// the whole batch (which would double-count the accepted prefix).
-//
-// Connection-level failures are also retried, on fresh connections to the
-// same address under the redial policy (DefaultClientRedials from
-// DefaultClientRedialBase). Each slice is stamped
-// with a (stream, seq) pair before its first attempt, and the retry resends
-// the identical request, so a slice whose original attempt was ingested but
-// whose ack was lost is absorbed by the service's dedup — the retry cannot
-// double-submit. Only after the redial budget is exhausted does the error
-// surface, with the accepted-prefix contract intact.
-func (c *Client) SubmitAll(b core.Batch) (accepted int, err error) {
-	n := b.Len()
-	err = c.Submit(b)
-	if err == nil {
-		return n, nil
-	}
-	if !IsEpochFull(err) {
-		return 0, err
-	}
-	if n > 1 {
-		mid := n / 2
-		accepted, err = c.SubmitAll(b.Slice(0, mid))
-		if err != nil {
-			return accepted, err
-		}
-		m, err := c.SubmitAll(b.Slice(mid, n))
-		return accepted + m, err
-	}
-	for attempt := 0; IsEpochFull(err) && attempt < entry.fullRetries; attempt++ {
-		time.Sleep(entry.fullDelay)
-		err = c.Submit(b)
-	}
-	if err != nil {
-		return 0, err
-	}
-	return 1, nil
 }
 
 // Drain flushes anything pending, waits for every queued epoch to reach the

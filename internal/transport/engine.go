@@ -31,16 +31,13 @@ func newStreamID() (int64, error) {
 	return id, nil
 }
 
-// Push retry policy: a downstream hop rejecting with the retryable
-// epoch-full error is backpressure, not failure — the upstream flusher backs
-// off and retries while the downstream epoch drains. The bound exists so a
-// misconfigured chain (an epoch larger than the next hop's MaxPending can
-// never be accepted) surfaces as a failed epoch in Stats instead of a silent
-// stall.
-const (
-	forwardRetries = 400
-	forwardDelay   = 25 * time.Millisecond
-)
+// maxHold bounds how long keep holds a batch that does not fit: a wait past
+// it answers ErrEpochFull, and every sender takes that answer as final. A
+// hold waits only on a cut the scheduler already owes, so the bound is
+// reached only when the flusher is stuck; it is well under DefaultWireTimeout,
+// so the sender hears the refusal, not a timeout. Tests that must reach it
+// quickly shrink it; nothing else sets it.
+var maxHold = 10 * time.Second
 
 // tier is an engine's downstream tier: its replicas' connections in
 // partition order. Pushes are at-least-once — the sender resends after a
@@ -112,25 +109,15 @@ func (e *engine) push(id int64, out core.Batch) error {
 }
 
 // pushTo sends an epoch, or its partition, to one replica. The sender has
-// already ridden out connection failures; an epoch-full answer is
-// downstream backpressure, so the whole epoch is resent after a pause (the
-// flusher blocks, the in-flight queue fills, and this hop starts rejecting
-// its own clients). An epoch is never split: its stamp is the epoch id,
-// which a WAL-recovered successor replays whole. Any other answer is final.
+// already ridden out connection failures, and the receiver holds a batch
+// that does not fit until it has room, so any answer is final. An epoch is
+// never split: its stamp is the epoch id, which a WAL-recovered successor
+// replays whole.
 func (e *engine) pushTo(p *peerConn, id int64, b core.Batch) error {
-	err := p.send(e.stream, id, b)
-	for i := 0; IsEpochFull(err) && i < forwardRetries; i++ {
-		time.Sleep(forwardDelay)
-		err = p.send(e.stream, id, b)
+	if err := p.send(e.stream, id, b); err != nil {
+		return fmt.Errorf("transport: push to next hop %s: %w", p.addr, err)
 	}
-	switch {
-	case err == nil:
-		return nil
-	case IsEpochFull(err):
-		return fmt.Errorf("transport: next hop %s still epoch-full after %d retries "+
-			"(its MaxPending must fit this hop's epochs): %w", p.addr, forwardRetries, err)
-	}
-	return fmt.Errorf("transport: push to next hop %s: %w", p.addr, err)
+	return nil
 }
 
 // contentPartition spreads a blob over m partitions by FNV-1a hash.
@@ -165,8 +152,9 @@ func partitionBatch(out core.Batch, m int) []core.Batch {
 }
 
 // inFlightEpochs is how many cut epochs may queue ahead of the flusher. A
-// cut beyond it blocks the scheduler, occupancy then grows to MaxPending,
-// and submissions are refused as epoch-full: backpressure, not memory.
+// cut beyond it blocks the scheduler, occupancy then grows to the engine's
+// limit, and keep holds the batches behind it until a cut frees room:
+// backpressure, not memory.
 const inFlightEpochs = 2
 
 // chunk is a run of items in arrival order with the sequence range
@@ -214,14 +202,14 @@ type forceReq struct {
 // in one global arrival order, with the stage's per-report work (Admit) done
 // on each batch as it is kept, an epoch scheduler (occupancy- and
 // timer-driven cuts, respecting the stage's anonymity floor), submission
-// backpressure at MaxPending, per-stream dedup of stamped ingests, a
-// single in-order flusher feeding the stage, and an at-least-once push of
-// each processed epoch to the downstream tier. It admits the one batch kind
-// its stage consumes (client envelopes for the plain and SGX shufflers,
-// blinded envelopes for the split-shuffler hops) and is otherwise
-// indifferent to what an item is: the durable item form is core.Batch's, and
-// the arrival order is the engine's own (chunk). See the package comment for
-// the streaming and backpressure model.
+// backpressure that holds a batch until a cut frees room for it, per-stream
+// dedup of stamped ingests, a single in-order flusher feeding the stage, and
+// an at-least-once push of each processed epoch to the downstream tier. It
+// admits the one batch kind its stage consumes (client envelopes for the
+// plain and SGX shufflers, blinded envelopes for the split-shuffler hops) and
+// is otherwise indifferent to what an item is: the durable item form is
+// core.Batch's, and the arrival order is the engine's own (chunk). See the
+// package comment for the streaming and backpressure model.
 //
 // With EpochConfig.WALDir set, the engine is crash-safe: accepted batches are
 // logged as they arrived before the submission is acknowledged, cut epochs
@@ -249,6 +237,13 @@ type engine struct {
 	dropped   atomic.Int64
 	closed    atomic.Bool
 	start     time.Time
+	// limit caps the occupancy keep admits a batch into, and cutAt is the
+	// occupancy at which the scheduler cuts on its own (see hold). Both are
+	// derived from FlushAt, or from the floor under the timer alone; a
+	// drain-only engine has no limit and holds nothing.
+	limit, cutAt int64
+	roomMu       sync.Mutex
+	room         chan struct{} // closed and replaced by every cut: wakes held batches
 	// closeMu serializes close — and epoch cuts — against in-flight ingests:
 	// keep holds the read side for the whole number-log-append, so once a cut
 	// holds the write side every numbered item is both in the WAL and in
@@ -288,9 +283,9 @@ type engine struct {
 	pushSeconds  *metrics.Histogram
 }
 
-// newEngine wires an engine: cfg defaults and clamps applied, downstream
-// tier dialed, stream id drawn (or recovered from the WAL), scheduler and
-// flusher started. st processes every cut epoch, sets the anonymity floor
+// newEngine wires an engine: FlushAt raised to the floor and the limit
+// derived, downstream tier dialed, stream id drawn (or recovered from the
+// WAL), scheduler and flusher started. st processes every cut epoch, sets the anonymity floor
 // and names the admitted kind; next lists the downstream replicas in
 // partition order.
 func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, error) {
@@ -310,23 +305,6 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 		// An epoch below the stage's anonymity floor could never be
 		// processed; auto-flush no earlier than the floor.
 		cfg.FlushAt = floor
-	}
-	if cfg.MaxPending <= 0 {
-		switch {
-		case cfg.FlushAt > 0:
-			cfg.MaxPending = 2 * cfg.FlushAt
-		case cfg.Interval > 0:
-			// Timer-only streaming still must not grow unboundedly when
-			// the flusher falls behind; a generous cap keeps the
-			// backpressure guarantee.
-			cfg.MaxPending = 1 << 20
-		}
-	}
-	if cfg.MaxPending > 0 && cfg.MaxPending < cfg.FlushAt {
-		// An occupancy cap below the flush threshold could never be
-		// crossed: submissions would bounce forever and no epoch would
-		// ever cut. Keep the threshold reachable.
-		cfg.MaxPending = cfg.FlushAt
 	}
 	stream, err := newStreamID()
 	if err != nil {
@@ -365,11 +343,21 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 		wal:    w,
 		stream: stream,
 		start:  time.Now(),
+		room:   make(chan struct{}),
 		kick:   make(chan struct{}, 1),
 		force:  make(chan forceReq),
 		epochs: make(chan *epoch, inFlightEpochs),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
+	}
+	switch {
+	case cfg.FlushAt > 0:
+		e.limit, e.cutAt = 2*int64(cfg.FlushAt), int64(cfg.FlushAt)
+	case cfg.Interval > 0:
+		// The timer alone still must not let occupancy grow without bound
+		// while the flusher falls behind; a generous limit keeps the
+		// backpressure.
+		e.limit, e.cutAt = 1<<20, int64(floor)
 	}
 	if rec != nil {
 		e.seq.Store(rec.seqMax)
@@ -434,31 +422,28 @@ func (e *engine) ingest(stream, pos int64, b core.Batch) error {
 	return e.dedup.ingest(stream, pos, func() error { return e.keep(stream, pos, b) })
 }
 
-// keep admits an ingested batch, numbers it, enforcing backpressure, and
-// keeps it, whole, as one chunk: the call reserves a contiguous sequence
-// range. The stage's Admit — hop 1's blinding — runs here, once per batch,
-// after the replay check (ingest), and before closeMu is taken, so the
-// crypto holds up no cut. A batch that would not fit under MaxPending is
-// refused before it is admitted, so a client retrying against a full epoch
-// costs no crypto; the occupancy itself is reserved only after admission,
-// so that it counts what a cut can take (a cut on occupancy takes at least
-// FlushAt reports). With a WAL, the batch as it arrived and its (stream,
-// pos) mark are logged as one fsynced record before the admitted chunk
-// becomes visible — and before the stream's mark advances and the batch is
-// acked — so a crash can never keep the mark without the items or the items
-// without the mark. The read side of closeMu, held from the reservation to
-// the append, is what makes "in the log" and "visible to the next cut"
-// atomic: a cut takes the write side, so it sees a kept batch either logged
-// and appended or not at all.
+// keep admits an ingested batch, numbers it and keeps it, whole, as one
+// chunk: the call reserves a contiguous sequence range. It first holds the
+// batch until it has room (hold), so a batch that waits costs no crypto. The
+// stage's Admit — hop 1's blinding — runs next, once per batch, after the
+// replay check (ingest), and before closeMu is taken, so the crypto holds up
+// no cut. The occupancy is reserved only after admission, so that it counts
+// what a cut can take (a cut on occupancy takes at least FlushAt reports).
+// With a WAL, the batch as it arrived and its (stream, pos) mark are logged
+// as one fsynced record before the admitted chunk becomes visible — and
+// before the stream's mark advances and the batch is acked — so a crash can
+// never keep the mark without the items or the items without the mark. The
+// read side of closeMu, held from the reservation to the append, is what
+// makes "in the log" and "visible to the next cut" atomic: a cut takes the
+// write side, so it sees a kept batch either logged and appended or not at
+// all.
 func (e *engine) keep(stream, pos int64, b core.Batch) error {
 	n := int64(b.Len())
-	limit := int64(e.cfg.MaxPending)
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if limit > 0 && e.occupancy.Load()+n > limit {
-		e.rejected.Add(n)
-		return ErrEpochFull
+	if err := e.hold(n); err != nil {
+		return err
 	}
 	admitStart := time.Now()
 	admitted, err := e.stage.Admit(b)
@@ -473,11 +458,7 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	if cur := e.occupancy.Add(n); limit > 0 && cur > limit {
-		e.occupancy.Add(-n)
-		e.rejected.Add(n)
-		return ErrEpochFull
-	}
+	e.occupancy.Add(n)
 	last := e.seq.Add(n)
 	c := chunk{min: last - n + 1, max: last, items: b}
 	if e.wal != nil {
@@ -503,6 +484,48 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 		}
 	}
 	return nil
+}
+
+// hold returns once a batch of n has room: it fits under the limit, or it
+// arrives while occupancy is below cutAt. The second rule lets a batch go
+// over the limit, by at most its own size, where refusing it would wait on a
+// cut that never comes — a hop holding a tail below its FlushAt must still
+// take the upstream's epoch, or the upstream could never push it. Any other
+// batch waits, before admission, for a cut to free room: occupancy is then
+// at least cutAt, so the scheduler owes that cut and makes it as soon as its
+// in-flight queue takes an epoch. Only a wait past maxHold answers
+// ErrEpochFull, counted in Rejected; close answers ErrClosed at once. Concurrent keeps decide on
+// the occupancy they see, so each connection can put at most one batch
+// over the limit this way: the read loop serves a connection's Submits one
+// at a time.
+func (e *engine) hold(n int64) error {
+	fits := func() bool {
+		occ := e.occupancy.Load()
+		return e.limit == 0 || occ+n <= e.limit || occ < e.cutAt
+	}
+	if fits() {
+		return nil
+	}
+	timeout := time.NewTimer(maxHold)
+	defer timeout.Stop()
+	for {
+		// Take the room channel before looking at the occupancy: a cut
+		// after the look closes the channel taken.
+		e.roomMu.Lock()
+		room := e.room
+		e.roomMu.Unlock()
+		if fits() {
+			return nil
+		}
+		select {
+		case <-room:
+		case <-timeout.C:
+			e.rejected.Add(n)
+			return ErrEpochFull
+		case <-e.stop:
+			return ErrClosed
+		}
+	}
 }
 
 // cut takes every chunk and merges them into one, ordered by global
@@ -531,6 +554,10 @@ func (e *engine) cut() chunk {
 		}
 	}
 	e.occupancy.Add(-int64(cut.items.Len()))
+	e.roomMu.Lock()
+	close(e.room)
+	e.room = make(chan struct{})
+	e.roomMu.Unlock()
 	return cut
 }
 

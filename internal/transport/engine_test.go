@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"prochlo/internal/core"
 	"prochlo/internal/shuffler"
@@ -217,14 +218,14 @@ func testCutOrder(t *testing.T, kind core.BatchKind) {
 }
 
 // TestEngineAdmitsEachBatchOnce: the engine admits a batch once, when it
-// keeps it — not a replay of it, not a batch backpressure refuses — and
-// logs it as it arrived; a restart admits what it recovers, the cut epoch
-// and the pending items, once. The stage's Admit returns a copy with each
-// record's partition one higher than walItem's 3, so every record an epoch
-// holds must read 4: 3 if its admission was skipped, 5 if it was admitted
-// twice or logged admitted.
+// keeps it — not a replay of it, not a batch while backpressure holds it —
+// and logs it as it arrived; a restart admits what it recovers, the cut
+// epoch and the pending items, once. The stage's Admit returns a copy with
+// each record's partition one higher than walItem's 3, so every record an
+// epoch holds must read 4: 3 if its admission was skipped, 5 if it was
+// admitted twice or logged admitted.
 func TestEngineAdmitsEachBatchOnce(t *testing.T) {
-	cfg := EpochConfig{WALDir: t.TempDir(), MaxPending: 6}
+	cfg := EpochConfig{WALDir: t.TempDir()}
 	next := []string{serveNull(t)}
 	batch := func(tag string, n int) core.Batch {
 		var b core.Batch
@@ -288,8 +289,7 @@ func TestEngineAdmitsEachBatchOnce(t *testing.T) {
 		admits      int64
 	}{
 		{1, 1, batch("a", 3), nil, 3},
-		{1, 1, batch("a", 3), nil, 3},          // a replay
-		{2, 1, batch("x", 4), ErrEpochFull, 3}, // over MaxPending
+		{1, 1, batch("a", 3), nil, 3}, // a replay
 		{1, 2, batch("b", 2), nil, 5},
 	} {
 		if err := eng.ingest(call.stream, call.pos, call.b); err != call.want {
@@ -329,6 +329,31 @@ func TestEngineAdmitsEachBatchOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkEpochs(5, 4)
+
+	// A batch that backpressure holds is admitted once, after its wait: not
+	// while it waits, and not again when it is kept.
+	gate := make(chan struct{})
+	admits.Store(0)
+	if eng, err = newEngine(EpochConfig{FlushAt: 1}, gatedStage(core.KindBlinded, gate, &admits), next); err != nil {
+		t.Fatal(err)
+	}
+	fillToLimit(t, eng, 1)
+	held := make(chan error, 1)
+	go func() { held <- eng.ingest(2, 1, batch("x", 4)) }()
+	time.Sleep(50 * time.Millisecond)
+	if got := admits.Load(); got != 6 {
+		t.Errorf("with a batch held: %d records admitted, want the 6 kept", got)
+	}
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if got := admits.Load(); got != 10 {
+		t.Errorf("after the held batch was kept: %d records admitted, want 10", got)
+	}
+	if err := eng.close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestAdmissionHoldsNoOccupancy: a batch still in admission is not in the

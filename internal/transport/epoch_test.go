@@ -4,6 +4,7 @@ import (
 	crand "crypto/rand"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,7 +146,7 @@ func TestSubmitBatch(t *testing.T) {
 // times FlushAt reports must produce multiple epochs before the final
 // Drain, and the analyzer must see every report.
 func TestAutoFlushAtThreshold(t *testing.T) {
-	rig := newStreamingRig(t, EpochConfig{FlushAt: 20, MaxPending: 200})
+	rig := newStreamingRig(t, EpochConfig{FlushAt: 20})
 	cl, err := Dial(rig.shuf)
 	if err != nil {
 		t.Fatal(err)
@@ -231,46 +232,51 @@ func TestEpochTimerFlush(t *testing.T) {
 	}
 }
 
-// TestBackpressureEpochFull checks that submissions beyond MaxPending are
-// rejected atomically with the retryable epoch-full error, recognizable
-// after the wire round trip, and accepted again once the epoch drains.
+// TestBackpressureEpochFull: a batch that does not fit while the flusher is
+// stuck is held, not refused, and admitted once a cut frees room; only a
+// hold past the bound is refused, with the epoch-full error, having been
+// neither admitted nor kept.
 func TestBackpressureEpochFull(t *testing.T) {
-	rig := newStreamingRig(t, EpochConfig{MaxPending: 10})
-	cl, err := Dial(rig.shuf)
+	const bound = 200 * time.Millisecond
+	shrinkHold(t, bound)
+	gate := make(chan struct{})
+	var admits atomic.Int64
+	eng, err := newEngine(EpochConfig{FlushAt: 1}, gatedStage(core.KindEnvelopes, gate, &admits), []string{serveNull(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	fillToLimit(t, eng, 1)
 
-	env := rig.envelope(t, "c:full", "full-value")
-	full := make([]core.Envelope, 10)
-	for i := range full {
-		full[i] = env
+	start := time.Now()
+	if err := eng.ingest(2, 1, itemsOf(core.KindEnvelopes, "refused", 1)); err != ErrEpochFull {
+		t.Fatalf("a batch held past the bound: %v, want ErrEpochFull", err)
 	}
-	if err := cl.Submit(core.Batch{Envelopes: full}); err != nil {
-		t.Fatal(err)
+	if d := time.Since(start); d < bound {
+		t.Errorf("refused after %v, before the %v bound", d, bound)
 	}
-	err = cl.Submit(core.Batch{Envelopes: []core.Envelope{env}})
-	if !IsEpochFull(err) {
-		t.Fatalf("submit over MaxPending: err = %v, want epoch-full", err)
-	}
-	err = cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env}})
-	if !IsEpochFull(err) {
-		t.Fatalf("batch over MaxPending: err = %v, want epoch-full", err)
-	}
-	stats, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Pending != 10 || stats.Rejected != 3 {
-		t.Fatalf("stats = %+v, want pending 10, rejected 3 (rejected batches ingest nothing)", stats)
+	if st := eng.stats(); st.Rejected != 1 || st.Accepted != 6 || st.Pending != 2 || admits.Load() != 6 {
+		t.Errorf("after the refusal: %+v with %d admitted, want 1 rejected and the 6 before it kept", st, admits.Load())
 	}
 
-	if _, err := cl.Drain(); err != nil {
+	held := make(chan error, 1)
+	go func() { held <- eng.ingest(2, 2, itemsOf(core.KindEnvelopes, "held", 1)) }()
+	select {
+	case err := <-held:
+		t.Fatalf("a batch over the limit returned %v, want it held", err)
+	case <-time.After(bound / 4):
+	}
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatalf("the held batch: %v, want it admitted once a cut freed room", err)
+	}
+	if err := eng.drain(false); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env}}); err != nil {
-		t.Fatalf("submit after drain: %v", err)
+	if st := eng.stats(); st.Rejected != 1 || st.Accepted != 7 || st.Cumulative.Received != 7 || admits.Load() != 7 {
+		t.Errorf("after the drain: %+v with %d admitted, want the held batch admitted once and all 7 processed", st, admits.Load())
+	}
+	if err := eng.close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -369,14 +375,11 @@ func TestCloseDrainsFinalEpoch(t *testing.T) {
 
 // TestConcurrentSubmitDuringAutoFlush is the -race streaming soak: many
 // goroutine clients ship batches while epochs auto-flush underneath them,
-// with backpressure retries. Every accepted report must reach the analyzer
-// exactly once — nothing dropped, nothing double-counted across epoch
-// boundaries — and rejected batches must leave no trace.
+// and a batch that does not fit is held until it does. Every report must
+// reach the analyzer exactly once — nothing refused, dropped or
+// double-counted across epoch boundaries.
 func TestConcurrentSubmitDuringAutoFlush(t *testing.T) {
-	rig := newStreamingRig(t, EpochConfig{
-		FlushAt:    40,
-		MaxPending: 60,
-	})
+	rig := newStreamingRig(t, EpochConfig{FlushAt: 40})
 
 	const (
 		goroutines = 8
@@ -403,19 +406,9 @@ func TestConcurrentSubmitDuringAutoFlush(t *testing.T) {
 				for i := range batch {
 					batch[i] = env
 				}
-				// Retry backpressure until accepted: the batch is atomic, so
-				// a rejected attempt ingests nothing and a retry cannot
-				// double-count.
-				for {
-					err := cl.Submit(core.Batch{Envelopes: batch})
-					if err == nil {
-						break
-					}
-					if !IsEpochFull(err) {
-						errs[g] = err
-						return
-					}
-					time.Sleep(time.Millisecond)
+				if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
+					errs[g] = err
+					return
 				}
 			}
 		}(g)
@@ -436,8 +429,8 @@ func TestConcurrentSubmitDuringAutoFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Accepted != total {
-		t.Errorf("accepted = %d, want %d", stats.Accepted, total)
+	if stats.Accepted != total || stats.Rejected != 0 {
+		t.Errorf("accepted = %d, rejected = %d, want %d accepted and none rejected", stats.Accepted, stats.Rejected, total)
 	}
 	if stats.Cumulative.Received != total || stats.Cumulative.Forwarded != total {
 		t.Errorf("cumulative = %+v, want %d received and forwarded", stats.Cumulative, total)

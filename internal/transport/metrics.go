@@ -39,7 +39,7 @@ func (e *engine) registerMetrics() {
 		})
 	reg.CounterFunc("prochlo_reports_accepted_total", "Reports accepted into an epoch (acked to the submitter).", l,
 		func() float64 { return float64(e.accepted.Load()) })
-	reg.CounterFunc("prochlo_reports_rejected_total", "Reports rejected with the retryable epoch-full backpressure error.", l,
+	reg.CounterFunc("prochlo_reports_rejected_total", "Reports refused: held past the bound (epoch-full), or by a failed admission or WAL write.", l,
 		func() float64 { return float64(e.rejected.Load()) })
 	reg.CounterFunc("prochlo_reports_dropped_total", "Reports permanently dropped (failed epochs, below-floor final drains).", l,
 		func() float64 { return float64(e.dropped.Load()) })
@@ -103,7 +103,7 @@ func (e *engine) registerMetrics() {
 	e.procSeconds = reg.Histogram("prochlo_stage_process_seconds",
 		"Latency of running the stage function over one epoch.", l, metrics.DefBuckets)
 	e.pushSeconds = reg.Histogram("prochlo_stage_push_seconds",
-		"Latency of pushing one processed epoch downstream (includes redials and backpressure retries).", l, metrics.DefBuckets)
+		"Latency of pushing one processed epoch downstream (includes redials and the next hop holding it for room).", l, metrics.DefBuckets)
 	if e.wal != nil {
 		e.wal.attachMetrics(reg, l)
 	}
@@ -134,7 +134,7 @@ func (b *Balancer) registerMetrics(reg *metrics.Registry, l metrics.Labels) {
 		func() float64 { return float64(b.Stats().Healthy) })
 	reg.CounterFunc("prochlo_balancer_submitted_total", "Envelopes accepted fleet-wide through this balancer.", l,
 		func() float64 { return float64(b.submitted.Load()) })
-	reg.CounterFunc("prochlo_balancer_failovers_total", "Submission slices moved to another replica after a provably-unsubmitted failure.", l,
+	reg.CounterFunc("prochlo_balancer_failovers_total", "Batches moved to another replica after a provably-unsubmitted failure.", l,
 		func() float64 { return float64(b.failovers.Load()) })
 	reg.CounterFunc("prochlo_balancer_ejections_total", "Circuit-breaker ejections.", l,
 		func() float64 { return float64(b.ejections.Load()) })

@@ -130,7 +130,7 @@ func TestBalancerMetrics(t *testing.T) {
 	for i := range envs {
 		envs[i] = rig.envelope(t, "c:bal", "bal-value")
 	}
-	if _, err := bal.SubmitAll(core.Batch{Envelopes: envs}); err != nil {
+	if err := bal.Submit(core.Batch{Envelopes: envs}); err != nil {
 		t.Fatal(err)
 	}
 

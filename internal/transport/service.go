@@ -25,7 +25,8 @@ import (
 // or below the stream's last is a replay. The stream's lock is held across
 // the ingest: a replay racing its original — a dead replica's in-flight push
 // and its WAL-recovered successor's — waits for it, and an ingest that is
-// refused (epoch-full, a WAL error) leaves the mark where it was.
+// refused (epoch-full, a WAL error) leaves the mark where it was. A held
+// batch holds its stream's lock, so a replay of it waits for the hold.
 type forwardDedup struct {
 	mu      sync.Mutex
 	streams map[int64]*streamMark
@@ -90,10 +91,9 @@ func (d *forwardDedup) ingest(stream, pos int64, add func() error) error {
 // Clients enter a chain at its first hop with Submit, and each hop pushes
 // its epochs to the next with the same call. Both are deduplicated by their
 // (stream, seq-or-epoch) stamp, since pushes and client retries are
-// at-least-once. Backpressure composes across the chain: when hop 2 rejects
-// a push as epoch-full, hop 1's flusher backs off and retries, its in-flight
-// queue fills, and hop 1 starts rejecting its own clients with the same
-// retryable error.
+// at-least-once. Backpressure composes across the chain: when hop 2 holds a
+// push until it has room, hop 1's flusher waits on it, its in-flight queue
+// fills, and hop 1 holds its own clients' Submits in turn.
 type StageService struct {
 	eng  *engine
 	keys Keys
@@ -147,8 +147,8 @@ func (s *StageService) Attestation() (AttestationReply, error) {
 	return *s.att, nil
 }
 
-// Config returns the service's effective epoch configuration, with every
-// default and clamp applied.
+// Config returns the service's effective epoch configuration: FlushAt is
+// raised to the stage's anonymity floor.
 func (s *StageService) Config() EpochConfig { return s.eng.cfg }
 
 // Healthz is the cheap liveness probe; see HealthzReply.
@@ -164,8 +164,10 @@ func (s *StageService) Keys() (Keys, error) {
 }
 
 // Submit ingests one batch — a client's submission or an epoch the upstream
-// hop pushed — returning how many items were accepted. The batch is accepted
-// or rejected atomically: on ErrEpochFull nothing is ingested. Every batch
+// hop pushed — returning how many items were accepted. A batch without room
+// waits for a cut to free some (see the package comment's Backpressure). The
+// batch is accepted or refused whole: on ErrEpochFull, a wait past the
+// bound, nothing is ingested. Every batch
 // is stamped — a client stream's (stream, seq), a hop's (stream, epoch); a
 // stream of 0 is refused — and deduplicated, so an at-least-once retry — any
 // position at or below the stream's last — is acknowledged with the same

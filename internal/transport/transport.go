@@ -23,14 +23,11 @@
 // on a fresh connection under one redial policy (DefaultClientRedials from
 // DefaultClientRedialBase, about 6.4 s), so a hop rides out a short
 // downstream restart exactly as a client rides out its shuffler's, and any
-// answer the receiver gives — a refusal, epoch-full — comes back at once.
-// Callers keep only what differs: Client.SubmitAll splits a batch on
-// epoch-full, a hop resends its epoch whole (its stamp is the epoch id,
-// which recovery replays), and the Balancer fails over between replicas.
-// Every batch is at-least-once and deduplicated by its (stream,
-// seq-or-epoch) stamp; downstream epoch-full backpressure propagates
-// upstream because the pushing flusher blocks, its in-flight queue fills,
-// and the hop starts rejecting its own clients.
+// answer the receiver gives — a refusal, epoch-full — comes back at once and
+// is final. Callers keep only what differs: a hop pushes its epoch whole
+// (its stamp is the epoch id, which recovery replays), and the Balancer
+// fails over between replicas. Every batch is at-least-once and
+// deduplicated by its (stream, seq-or-epoch) stamp.
 //
 // # Streaming model
 //
@@ -51,11 +48,21 @@
 //
 // # Backpressure
 //
-// A service never grows without bound: when uncut occupancy would exceed
-// EpochConfig.MaxPending (because the flusher has fallen behind the arrival
-// rate and the in-flight queue is full), submissions fail with ErrEpochFull.
-// The error is retryable — clients back off and resubmit once an epoch
-// drains; see IsEpochFull and RemotePipeline in the root package.
+// A service never grows without bound. Its limit is twice FlushAt (2^20 under the Interval timer alone; a
+// drain-only service has none). A Submit that would take the uncut occupancy
+// past it — the flusher has fallen behind and the in-flight queue is full —
+// is held, unacknowledged, until a cut frees room, and then admitted. A
+// batch that arrives while occupancy is below the level at which the
+// scheduler cuts on its own (FlushAt, or the floor under the timer alone) is
+// admitted at once, even past the limit, since no cut is owed to free room
+// for it: so a hop that holds a tail below its FlushAt still takes the
+// upstream's next epoch. A held Submit delays only the frames behind it on
+// its own connection, since the read loop answers Submits in order; that
+// is the backpressure, and it composes up a chain: a held push holds the
+// upstream flusher, whose in-flight queue fills, whose own clients are then
+// held. Only a hold longer than 10 s, which takes a stuck flusher, answers
+// ErrEpochFull, having ingested nothing, and every sender treats that answer
+// as final.
 //
 // # Durability
 //
@@ -177,7 +184,7 @@ type ServiceStats struct {
 	EpochsFlushed int   // epochs processed and pushed successfully
 	EpochsFailed  int   // epochs whose processing or push failed
 	Accepted      int64 // items accepted since start
-	Rejected      int64 // items rejected with ErrEpochFull
+	Rejected      int64 // items refused: held past the bound (ErrEpochFull), or failed admission or the WAL
 	// Dropped counts accepted reports that were lost anyway: the contents
 	// of failed epochs, and a below-floor final epoch discarded at
 	// shutdown (the anonymity floor forbids forwarding it). Operators
@@ -287,9 +294,9 @@ func decodeHistogram(body []byte) (counts map[string]int, undecryptable int, err
 // as its message), so IsEpochFull matches on it.
 const errEpochFullMsg = "transport: epoch full, retry after flush"
 
-// ErrEpochFull is returned by submissions when the current epoch is at
-// capacity and the in-flight queue has not drained. It is retryable:
-// clients should back off and resubmit.
+// ErrEpochFull answers a Submit that was held for room longer than the hold
+// bound, 10 s: the service's flusher is stuck. Nothing was ingested, and the
+// answer is final — a sender does not resend the batch to the same service.
 var ErrEpochFull = errors.New(errEpochFullMsg)
 
 // IsEpochFull reports whether err is ErrEpochFull, including its
@@ -327,8 +334,10 @@ const errClosedMsg = "transport: shuffler service closed"
 var ErrClosed = errors.New(errClosedMsg)
 
 // EpochConfig tunes a stage service's streaming behavior. The zero value
-// disables the scheduler: nothing auto-flushes and batches are only
-// processed by an explicit Drain.
+// disables the scheduler: nothing auto-flushes, batches are only processed
+// by an explicit Drain, and no Submit is ever held. The occupancy limit at
+// which Submits are held is derived, not set (see the package comment's
+// Backpressure).
 type EpochConfig struct {
 	// FlushAt cuts an epoch as soon as occupancy reaches this many items.
 	// 0 disables occupancy-driven flushing.
@@ -337,11 +346,6 @@ type EpochConfig struct {
 	// reached the stage's anonymity floor (forwarding a smaller batch
 	// would violate it). 0 disables timer-driven flushing.
 	Interval time.Duration
-	// MaxPending caps uncut occupancy; submissions beyond it fail with
-	// ErrEpochFull. 0 selects 2*FlushAt, or unbounded when FlushAt is 0.
-	// In a chain, a hop's MaxPending must fit the epochs its upstream hop
-	// forwards (at least the upstream FlushAt), or forwards bounce forever.
-	MaxPending int
 	// WALDir enables the write-ahead log: every accepted batch is fsynced
 	// to this directory before it is acknowledged, and a restart over the
 	// same directory recovers pending items, resumes unresolved epoch

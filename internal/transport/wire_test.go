@@ -842,7 +842,7 @@ func TestErrorPredicates(t *testing.T) {
 		{"nil", nil, false, false},
 		{"ErrEpochFull", ErrEpochFull, true, false},
 		{"epoch-full over the wire", ServerError(ErrEpochFull.Error()), true, false},
-		{"epoch-full after push retries", fmt.Errorf("transport: next hop 127.0.0.1:1 still epoch-full after 400 retries: %w", ServerError(ErrEpochFull.Error())), true, false},
+		{"epoch-full refusing a push", fmt.Errorf("transport: push to next hop 127.0.0.1:1: %w", ServerError(ErrEpochFull.Error())), true, false},
 		{"epoch-full through the balancer", fmt.Errorf("127.0.0.1:1: %w", ServerError(ErrEpochFull.Error())), true, false},
 		{"other server error", ServerError("transport: shuffler stage does not serve method 238"), false, false},
 		{"ErrClosed over the wire", ServerError(ErrClosed.Error()), false, true},

@@ -21,10 +21,10 @@ import (
 // transport services directly), fetching the stage keys from the daemons,
 // encoding locally, and shipping whole batches per round trip. It holds one
 // connection per party, dialed once: submissions, health probes, stats,
-// drains and key fetches share it, and it redials itself after a break.
-// Submission transparently retries the entry hop's retryable "epoch full"
-// backpressure error; Flush drains every hop's epoch queue in chain order
-// and returns the analyzer's cumulative histogram.
+// drains and key fetches share it, and it redials itself after a break. An
+// entry hop without room holds a submission until it has some; Flush drains
+// every hop's epoch queue in chain order and returns the analyzer's
+// cumulative histogram, failing if any hop lost reports since the last one.
 //
 // All three shuffler deployments are supported by the dial functions:
 // DialRemoteFleet speaks to a plain shuffler tier (ModePlain),
@@ -49,12 +49,11 @@ import (
 // at every worker count — including across the networked two-hop chain (see
 // TestRemotePipelineMatchesInProcess and TestRemoteChainMatchesInProcess).
 //
-// Client resume semantics are unchanged by daemon-side durability
-// (EpochConfig.WALDir): a partially accepted SubmitBatch still reports the
-// accepted prefix so the fleet resumes at the rejection point, and a daemon
-// that crashed and restarted over its WAL redelivers every accepted report
-// exactly once — the client neither resubmits nor deduplicates. Reconnecting
-// after a daemon restart is an ordinary Dial; see
+// Client semantics are unchanged by daemon-side durability
+// (EpochConfig.WALDir): a SubmitBatch is accepted whole or not at all, and a
+// daemon that crashed and restarted over its WAL redelivers every accepted
+// report exactly once — the client neither resubmits nor deduplicates.
+// Reconnecting after a daemon restart is an ordinary Dial; see
 // TestRemoteChainCrashRestartSoak for the full kill-and-restart exercise.
 type RemotePipeline struct {
 	workers int
@@ -69,10 +68,9 @@ type RemotePipeline struct {
 	// envelopes are stamped with PartitionOf(crowd, partitions) so hop-1
 	// replicas route each crowd to its owning thresholding partition.
 	partitions int
-	// failedSeen is each replica's EpochsFailed count already surfaced to
-	// the caller, so a transient failure errors one Flush instead of every
-	// later one. Indexed [tier][replica], like tiers.
-	failedSeen [][]int
+	// drained is each tier's summed stats at the previous Flush's drain
+	// (zero before the first), so each loss fails one Flush.
+	drained []transport.ServiceStats
 
 	enc  *encoder.Client        // ModePlain / ModeSGX
 	benc *encoder.BlindedClient // ModeBlinded
@@ -192,20 +190,6 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string)
 	return nil
 }
 
-// baselineFailures snapshots each replica's cumulative failure counter so
-// Flush only surfaces failures that happen after this client connected.
-func (r *RemotePipeline) baselineFailures() {
-	r.failedSeen = make([][]int, len(r.tiers))
-	for t, tier := range r.tiers {
-		r.failedSeen[t] = make([]int, len(tier))
-		for i, cl := range tier {
-			if stats, err := cl.Stats(); err == nil {
-				r.failedSeen[t][i] = stats.EpochsFailed
-			}
-		}
-	}
-}
-
 // firstOf runs fetch against each replica of a tier until one answers —
 // replicas of a tier share key material, so any reachable one is
 // authoritative — returning the last error if none does.
@@ -294,7 +278,6 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 		return nil, err
 	}
 	r.enc = &encoder.Client{ShufflerKey: shufKey, AnalyzerKey: anlzKey, Rand: crand.Reader}
-	r.baselineFailures()
 	return r, nil
 }
 
@@ -362,7 +345,6 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 		AnalyzerKey:       anlzKey,
 		Rand:              crand.Reader,
 	}
-	r.baselineFailures()
 	return r, nil
 }
 
@@ -460,9 +442,9 @@ func (r *RemotePipeline) stampPartitions(envs []core.BlindedEnvelope, labels []s
 }
 
 // SubmitBatch encodes a batch of reports on the worker pool and ships the
-// envelopes to the chain's entry tier through the balancer, retrying the
-// retryable backpressure error with backoff and failing over between entry
-// replicas on provably non-ingesting errors.
+// envelopes to the chain's entry tier through the balancer, failing over
+// between entry replicas on provably non-ingesting errors. The batch is
+// accepted whole or not at all.
 func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
 	benc, dials, err := r.blindedClient()
 	if err != nil {
@@ -473,7 +455,7 @@ func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
 		return err
 	}
 	r.stampPartitions(batch.Blinded, labels)
-	n, err := r.entry.SubmitAll(batch)
+	err = r.entry.Submit(batch)
 	if err == nil && benc != nil && entryDials(r.tiers[0]) != dials {
 		// An entry connection redialed between the key check and the ack:
 		// if hop 1 came back with another key, the batch may have reached it
@@ -481,11 +463,6 @@ func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
 		if now, _, kerr := r.blindedClient(); kerr == nil && now != benc {
 			return fmt.Errorf("prochlo: shuffler 1 changed its blinding key while this batch was in flight (a replica restarted without its -key-file?): if the batch reached the restarted replica, its %d reports were encrypted on the old key and hop 2 sees each as a crowd of one", len(labels))
 		}
-	}
-	if err != nil && n > 0 {
-		// The accepted prefix is ingested; resubmitting the whole batch
-		// would double-count it. Tell the caller exactly where to resume.
-		return fmt.Errorf("prochlo: batch partially submitted (%d of %d reports accepted): %w", n, len(labels), err)
 	}
 	return err
 }
@@ -564,38 +541,6 @@ func (r *RemotePipeline) FleetStats() ([][]transport.ServiceStats, error) {
 	return out, nil
 }
 
-// drainReplica drains one replica and surfaces its newly failed epochs and
-// accounting leaks exactly once.
-func (r *RemotePipeline) drainReplica(t, i int, force bool) (transport.ServiceStats, error) {
-	stats, err := r.tiers[t][i].DrainMode(force)
-	if err != nil {
-		// The failed forced epoch is already in EpochsFailed; mark it seen
-		// so the next Flush does not report the same failure twice.
-		if s, serr := r.tiers[t][i].Stats(); serr == nil && s.EpochsFailed > r.failedSeen[t][i] {
-			r.failedSeen[t][i] = s.EpochsFailed
-		}
-		return stats, err
-	}
-	if stats.EpochsFailed > r.failedSeen[t][i] {
-		// The histogram would silently omit the failed epochs' reports;
-		// surface the loss like the in-process Pipeline.Flush surfaces
-		// processing errors — but only once per failure, so a transient
-		// outage does not poison every later Flush.
-		newly := stats.EpochsFailed - r.failedSeen[t][i]
-		r.failedSeen[t][i] = stats.EpochsFailed
-		return stats, fmt.Errorf("prochlo: hop %d replica %d: %d epochs failed to reach the next stage (last error: %s)",
-			t+1, i, newly, stats.LastError)
-	}
-	if stats.Unaccounted != 0 {
-		// At a drain barrier every accepted report must be counted
-		// downstream, dropped, or pending — anything else is a leak in the
-		// exactly-once machinery, worth failing loudly over.
-		return stats, fmt.Errorf("prochlo: hop %d replica %d: %d accepted reports unaccounted for after drain",
-			t+1, i, stats.Unaccounted)
-	}
-	return stats, nil
-}
-
 // DrainAll drains the whole fleet in chain order — every replica of a tier
 // is drained before the next tier, so each tier's final epochs reach the
 // next tier's ingestion before that tier cuts — and returns every
@@ -614,10 +559,17 @@ func (r *RemotePipeline) drainReplica(t, i int, force bool) (transport.ServiceSt
 func (r *RemotePipeline) DrainAll(force bool) ([][]transport.ServiceStats, error) {
 	out := make([][]transport.ServiceStats, len(r.tiers))
 	var firstErr error
-	for t := range r.tiers {
-		out[t] = make([]transport.ServiceStats, len(r.tiers[t]))
-		for i := range r.tiers[t] {
-			stats, err := r.drainReplica(t, i, force)
+	for t, tier := range r.tiers {
+		out[t] = make([]transport.ServiceStats, len(tier))
+		for i, cl := range tier {
+			stats, err := cl.DrainMode(force)
+			if err == nil && stats.Unaccounted != 0 {
+				// At a drain barrier every accepted report must be counted
+				// downstream, dropped, or pending — anything else is a leak
+				// in the exactly-once machinery, worth failing loudly over.
+				err = fmt.Errorf("prochlo: hop %d replica %d: %d accepted reports unaccounted for after drain",
+					t+1, i, stats.Unaccounted)
+			}
 			out[t][i] = stats
 			if err != nil && firstErr == nil {
 				firstErr = err
@@ -649,9 +601,15 @@ func (r *RemotePipeline) histogram() (map[string]int, int, error) {
 // analyzer partitions' merged cumulative result. ShufflerStats sums the
 // thresholding tier's selectivity over all epochs flushed so far, so under
 // auto-flush Flush reports the whole deployment's trajectory, not one
-// epoch's.
+// epoch's. The histogram is the deployment's, so Flush fails when a tier's
+// Dropped or EpochsFailed, summed over its replicas in the drain's replies,
+// rose since this pipeline's previous Flush (from zero before its first):
+// those reports were acked and will never be counted.
 func (r *RemotePipeline) Flush() (*Result, error) {
 	stats, err := r.DrainAll(false)
+	if lerr := r.noteLosses(stats); err == nil {
+		err = lerr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -665,6 +623,24 @@ func (r *RemotePipeline) Flush() (*Result, error) {
 		ShufflerStats: last.Cumulative,
 		Undecryptable: undec,
 	}, nil
+}
+
+// noteLosses compares each tier's summed Dropped and EpochsFailed with the
+// previous Flush's and keeps the new sums, so each loss fails one Flush.
+func (r *RemotePipeline) noteLosses(stats [][]transport.ServiceStats) error {
+	if r.drained == nil {
+		r.drained = make([]transport.ServiceStats, len(r.tiers))
+	}
+	var err error
+	for t, tier := range stats {
+		now, was := aggregateStats(tier), r.drained[t]
+		r.drained[t] = now
+		if err == nil && (now.Dropped > was.Dropped || now.EpochsFailed > was.EpochsFailed) {
+			err = fmt.Errorf("prochlo: hop %d lost reports since the last flush: %d dropped, %d epochs failed (last error: %s)",
+				t+1, now.Dropped-was.Dropped, now.EpochsFailed-was.EpochsFailed, now.LastError)
+		}
+	}
+	return err
 }
 
 // Close stops the entry balancer's probes, then releases every daemon

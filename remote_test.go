@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"prochlo"
 	"prochlo/internal/analyzer"
@@ -357,8 +358,8 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 // boundaries.
 func TestRemoteChainConcurrentSoak(t *testing.T) {
 	f := startFleet(t, chainTiers(1,
-		transport.EpochConfig{FlushAt: 40, MaxPending: 60},
-		transport.EpochConfig{FlushAt: 48, MaxPending: 120}), 1, shuffler.Params{MinBatch: 1}, nil)
+		transport.EpochConfig{FlushAt: 40},
+		transport.EpochConfig{FlushAt: 48}), 1, shuffler.Params{MinBatch: 1}, nil)
 	const (
 		goroutines = 8
 		batches    = 6
@@ -839,5 +840,86 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 			t.Fatalf("dial with ristretto255 keys: %v", err)
 		}
 		rp.Close()
+	}
+}
+
+// TestFlushFailsAfterLostEpoch: an auto-flushed epoch whose push outlives
+// the sender's redial budget while the analyzer is unreachable is dropped,
+// and the cumulative histogram is short by it for good. Once the analyzer is
+// back, Flush must say so — on the pipeline that submitted the reports and
+// on one dialed only after the loss — once each.
+func TestFlushFailsAfterLostEpoch(t *testing.T) {
+	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	// Every attempt of the first push dies at the proxy; then the link heals.
+	down := &faultnet.Plan{Seed: 1, PError: 1, MaxFaults: 1 + transport.DefaultClientRedials}
+	sec, err := shuffler.GenerateSecrets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := newStage("shuffler", sec, shuffler.Params{MinBatch: 1}, proxied(t, down, anlzAddrs...),
+		transport.EpochConfig{FlushAt: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	l, err := transport.Serve("127.0.0.1:0", svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	dial := func() *prochlo.RemotePipeline {
+		rp, err := prochlo.DialRemoteFleet([]string{l.Addr().String()}, anlzAddrs, prochlo.WithRemoteWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rp.Close() })
+		return rp
+	}
+	submit := func(rp *prochlo.RemotePipeline, value string) {
+		t.Helper()
+		labels := []string{"crowd:lost", "crowd:lost", "crowd:lost", "crowd:lost"}
+		data := [][]byte{[]byte(value), []byte(value), []byte(value), []byte(value)}
+		if err := rp.SubmitBatch(labels, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rp := dial()
+	submit(rp, "lost") // fills FlushAt: the epoch's push fails every redial
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		st, err := rp.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.EpochsFailed == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the push never failed: %+v", st)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	late := dial()
+	for _, tc := range []struct {
+		name string
+		rp   *prochlo.RemotePipeline
+	}{{"the submitting pipeline", rp}, {"a pipeline dialed after the loss", late}} {
+		if _, err := tc.rp.Flush(); err == nil || !strings.Contains(err.Error(), "hop 1 lost reports since the last flush: 4 dropped, 1 epochs failed") {
+			t.Errorf("%s: Flush after the lost epoch = %v, want the loss reported", tc.name, err)
+		}
+		if _, err := tc.rp.Flush(); err != nil {
+			t.Errorf("%s: the next Flush = %v, want the loss reported once", tc.name, err)
+		}
+	}
+	// The analyzer answers again: a later epoch is counted and no loss is
+	// reported.
+	submit(rp, "kept")
+	res, err := rp.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Histogram["kept"] != 4 || res.Histogram["lost"] != 0 {
+		t.Errorf("histogram = %v, want the 4 kept reports alone", res.Histogram)
 	}
 }
