@@ -28,6 +28,7 @@ type budgetKit struct {
 	client        *encoder.Client
 	bclient       *encoder.BlindedClient
 	plain, s1, s2 shuffler.Stage
+	anlz          shuffler.Stage // the analyzer's sink, on anlzPriv
 	anlzPriv      *hybrid.PrivateKey
 	envs          []core.Envelope        // the plain client's batch
 	blinded       []core.BlindedEnvelope // the blinded client's batch
@@ -73,6 +74,9 @@ func newBudgetKit(t *testing.T) *budgetKit {
 	k.s2, s2Sec = stage("shuffler2")
 	var err error
 	if k.anlzPriv, err = hybrid.GenerateKey(crand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	if k.anlz, err = shuffler.NewStage("analyzer", shuffler.Secrets{Priv: k.anlzPriv}, shuffler.Params{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	k.client = &encoder.Client{ShufflerKey: plainSec.Priv.Public(), AnalyzerKey: k.anlzPriv.Public(), Rand: crand.Reader}
@@ -140,6 +144,11 @@ func TestAllocBudgets(t *testing.T) {
 		}},
 		{"Shuffler2.ProcessEpoch", 0.2, 420, 1, func() error {
 			_, _, err := k.s2.ProcessEpoch(core.Batch{Blinded: k.mixed})
+			return err
+		}},
+		// the analyzer's whole work on a record: Admit's open, then the fold
+		{"Sink.ProcessEpoch", 0.1, 150, 1, func() error {
+			_, _, err := shuffler.RunEpoch(k.anlz, core.Batch{Payloads: k.inner})
 			return err
 		}},
 	} {

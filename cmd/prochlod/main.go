@@ -1,7 +1,9 @@
 // Command prochlod runs one ESA party as a long-lived daemon — the
 // deployment shape of Figure 1, where the stages are distinct services
-// absorbing continuous report traffic. Any stage of the chain is selected
-// by flags; every shuffler-role daemon forwards to the -next hop:
+// absorbing continuous report traffic. Every role, the analyzer too, is one
+// stage served on the same epoch engine (shuffler.NewStage and
+// transport.NewStageService); every shuffler-role daemon forwards to the
+// -next hop, and the analyzer, which emits nothing, dials none:
 //
 //	prochlod -role analyzer  -listen 127.0.0.1:7101
 //	prochlod -role shuffler  -listen 127.0.0.1:7100 -next 127.0.0.1:7101 \
@@ -74,7 +76,7 @@ import (
 	"strings"
 	"syscall"
 
-	"prochlo/internal/analyzer"
+	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
@@ -88,7 +90,7 @@ import (
 func main() {
 	role := flag.String("role", "", "party to run: shuffler | shuffler1 | shuffler2 | analyzer")
 	listen := flag.String("listen", "127.0.0.1:0", "service listen address")
-	next := flag.String("next", "127.0.0.1:7101", "downstream hop address: the analyzer for shuffler/shuffler2, the shuffler2 daemon for shuffler1; a comma-separated list fans out to a partitioned downstream tier, its replicas in partition order (identical on every replica of this tier)")
+	next := flag.String("next", "127.0.0.1:7101", "shuffler roles: downstream hop address: the analyzer for shuffler/shuffler2, the shuffler2 daemon for shuffler1; a comma-separated list fans out to a partitioned downstream tier, its replicas in partition order (identical on every replica of this tier)")
 	workers := flag.Int("workers", 0, "worker pool size per stage (0 = GOMAXPROCS, 1 = serial)")
 	sgxMode := flag.Bool("sgx", false, "shuffler role only, without -key-file or -wal-dir: run inside a simulated SGX enclave (oblivious Stash Shuffle, key served with an attestation quote)")
 
@@ -98,8 +100,8 @@ func main() {
 	minBatch := flag.Int("min-batch", shuffler.DefaultMinBatch, "minimum envelopes per processed epoch (the anonymity floor)")
 	seed := flag.Uint64("seed", 0, "deterministic batch RNG seed (0 = cryptographically random); stages derive independent per-role streams, so a seeded chain reproduces the in-process pipeline")
 
-	flushAt := flag.Int("flush-at", 0, "auto-flush when occupancy reaches this many envelopes (0 = off)")
-	epochInterval := flag.Duration("epoch", 0, "auto-flush epoch interval (0 = no timer)")
+	flushAt := flag.Int("flush-at", 0, "shuffler roles: auto-flush when occupancy reaches this many envelopes (0 = off)")
+	epochInterval := flag.Duration("epoch", 0, "shuffler roles: auto-flush epoch interval (0 = no timer)")
 	keyFile := flag.String("key-file", "", "persist the daemon's private keys at this path (created on first start, 0600): a restarted daemon decrypts the reports it recovers from -wal-dir; empty generates fresh keys per process")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory, shuffler roles only: accepted reports are persisted before they are acked and recovered on restart (empty disables durability; pair with -key-file or recovered reports are undecryptable)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus text metrics at /metrics and a liveness probe at /healthz on this address (empty disables; see docs/OPERATIONS.md for the catalog)")
@@ -130,9 +132,7 @@ func main() {
 	}
 
 	switch *role {
-	case "analyzer":
-		runAnalyzer(*workers, o)
-	case "shuffler", "shuffler1", "shuffler2":
+	case "shuffler", "shuffler1", "shuffler2", "analyzer":
 		runStage(*role, p, o)
 	default:
 		fmt.Fprintln(os.Stderr, "prochlod: -role must be shuffler, shuffler1, shuffler2, or analyzer")
@@ -170,45 +170,7 @@ func serveMetrics(addr string, reg *metrics.Registry, healthz func() transport.H
 	return ms
 }
 
-// buildAnalyzer builds the analyzer role's party from its -key-file. The
-// analyzer keeps only its running histogram, in memory, so it refuses
-// -wal-dir rather than accept a directory it would leave empty.
-func buildAnalyzer(workers int, o stageOpts) (*analyzer.Analyzer, error) {
-	if o.cfg.WALDir != "" {
-		return nil, errors.New("-role analyzer keeps nothing on disk: -wal-dir is for the shuffler roles")
-	}
-	sec, err := loadKeys(o.keyFile, false)
-	if err != nil {
-		return nil, err
-	}
-	return &analyzer.Analyzer{Priv: sec.Priv, Workers: workers}, nil
-}
-
-func runAnalyzer(workers int, o stageOpts) {
-	an, err := buildAnalyzer(workers, o)
-	if err != nil {
-		fatal(err)
-	}
-	svc := transport.NewAnalyzerService(an)
-	if o.metricsReg != nil {
-		svc.RegisterMetrics(o.metricsReg, metrics.Labels{"role": "analyzer"})
-	}
-	ms := serveMetrics(o.metricsAddr, o.metricsReg, svc.Healthz)
-	l, err := transport.Serve(o.listen, svc)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println("prochlod analyzer listening on", l.Addr())
-	fmt.Println("analyzer public key:", hex.EncodeToString(an.Priv.Public().Bytes()))
-	waitForSignal()
-	l.Close()
-	if ms != nil {
-		ms.Close()
-	}
-	fmt.Println("prochlod analyzer: shut down")
-}
-
-// stageOpts is what a shuffler role's daemon needs beyond its stage's Params.
+// stageOpts is what a role's daemon needs beyond its stage's Params.
 type stageOpts struct {
 	listen, keyFile, metricsAddr string
 	nexts                        []string // downstream tier replicas in partition order
@@ -339,9 +301,12 @@ func printEpochs(cfg transport.EpochConfig) {
 	}
 }
 
-// buildStage builds a shuffler role's stage: the one shuffler.NewStage builds
-// from the role, its tier's secrets in -key-file and the flags — or, with
-// -sgx, a shuffler that makes and attests its key in an enclave.
+// buildStage builds a role's stage: the one shuffler.NewStage builds from the
+// role, its tier's secrets in -key-file and the flags — or, with -sgx, a
+// shuffler that makes and attests its key in an enclave. The analyzer keeps
+// its histogram in memory and cuts every batch it keeps as an epoch, so it
+// refuses the flags that would promise otherwise, before it touches any
+// directory.
 func buildStage(role string, p shuffler.Params, o stageOpts) (st shuffler.Stage, ca *sgx.CA, quote sgx.Quote, err error) {
 	if o.sgx {
 		if role != "shuffler" || o.keyFile != "" || o.cfg.WALDir != "" {
@@ -353,10 +318,13 @@ func buildStage(role string, p shuffler.Params, o stageOpts) (st shuffler.Stage,
 		st, quote, err = shuffler.NewSGXShuffler(ca, p)
 		return st, ca, quote, err
 	}
+	if role == "analyzer" && (o.cfg.WALDir != "" || o.cfg.FlushAt != 0 || o.cfg.Interval != 0) {
+		return nil, nil, quote, errors.New("-role analyzer keeps nothing on disk and cuts every batch it keeps as an epoch: -wal-dir, -flush-at and -epoch are for the shuffler roles")
+	}
 	if role == "shuffler1" && o.cfg.WALDir != "" && o.keyFile == "" {
 		return nil, nil, quote, errors.New("-role shuffler1 -wal-dir needs -key-file: clients encrypt on the tier's public blinding key, so a restart that drew a fresh α would reduce every report the WAL recovered to a suppressed crowd of one")
 	}
-	sec, err := loadKeys(o.keyFile, role != "shuffler")
+	sec, err := loadKeys(o.keyFile, role == "shuffler1" || role == "shuffler2")
 	if err != nil {
 		return nil, nil, quote, err
 	}
@@ -364,12 +332,17 @@ func buildStage(role string, p shuffler.Params, o stageOpts) (st shuffler.Stage,
 	return st, nil, quote, err
 }
 
-// runStage runs a shuffler role, serving the keys its stage holds and
-// pushing its epochs to the -next tier.
+// runStage runs a role, serving the keys its stage holds and pushing its
+// epochs to the -next tier — except the analyzer, whose stage emits nothing,
+// and which dials no -next.
 func runStage(role string, p shuffler.Params, o stageOpts) {
 	st, ca, quote, err := buildStage(role, p, o)
 	if err != nil {
 		fatal(err)
+	}
+	_, emits := st.Kinds()
+	if emits == core.KindEmpty {
+		o.nexts = nil
 	}
 	svc, err := transport.NewStageService(st, o.nexts, o.cfg)
 	if err != nil {
@@ -391,8 +364,9 @@ func runStage(role string, p shuffler.Params, o stageOpts) {
 	if key != nil {
 		fmt.Printf("%s public key: %x\n", role, key)
 	}
-	_, emits := st.Kinds()
-	fmt.Printf("forwarding %v to %s\n", emits, strings.Join(o.nexts, ","))
+	if o.nexts != nil {
+		fmt.Printf("forwarding %v to %s\n", emits, strings.Join(o.nexts, ","))
+	}
 	serveStage(role, o, svc)
 }
 

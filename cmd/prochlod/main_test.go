@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
@@ -76,20 +77,32 @@ func TestSGXRefusesWALDir(t *testing.T) {
 }
 
 // TestAnalyzerRefusesWALDir: the analyzer keeps its histogram in memory and
-// writes nothing to disk, so -wal-dir would be a directory left empty and a
-// promise of durability not kept. It is refused at start-up, the directory
-// untouched; without it the role builds.
+// cuts every batch it keeps as an epoch, so -wal-dir would be a directory
+// left empty and a promise of durability not kept, and -flush-at or -epoch a
+// size or timer it does not follow. Each is refused at start-up, the
+// directory untouched; without them the role builds, serving its hybrid key
+// alone.
 func TestAnalyzerRefusesWALDir(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := buildAnalyzer(1, stageOpts{cfg: transport.EpochConfig{WALDir: dir}}); err == nil ||
-		!strings.Contains(err.Error(), "-role analyzer keeps nothing on disk") {
-		t.Fatalf("buildAnalyzer(-wal-dir) = %v, want the refusal", err)
+	for name, cfg := range map[string]transport.EpochConfig{
+		"-wal-dir":  {WALDir: dir},
+		"-flush-at": {FlushAt: 100},
+		"-epoch":    {Interval: time.Second},
+	} {
+		if _, _, _, err := buildStage("analyzer", shuffler.Params{}, stageOpts{cfg: cfg}); err == nil ||
+			!strings.Contains(err.Error(), "-role analyzer keeps nothing on disk") {
+			t.Fatalf("buildStage(analyzer %s) = %v, want the refusal", name, err)
+		}
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Fatalf("the refused -wal-dir holds %d entries (%v), want none", len(entries), err)
 	}
-	if an, err := buildAnalyzer(1, stageOpts{}); err != nil || an.Priv == nil {
-		t.Fatalf("buildAnalyzer() = %v", err)
+	st, _, _, err := buildStage("analyzer", shuffler.Params{}, stageOpts{})
+	if err != nil {
+		t.Fatalf("buildStage(analyzer) = %v", err)
+	}
+	if blinding, key := st.PublicKeys(); blinding != nil || len(key) == 0 {
+		t.Fatalf("the analyzer serves (%x, %x), want (nil, its hybrid key)", blinding, key)
 	}
 }
 

@@ -227,7 +227,6 @@ func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metri
 	if err := drainLedger(rp, &r); err != nil {
 		return row{}, err
 	}
-	r.Records = fleet.Records()
 	return r, nil
 }
 
@@ -267,17 +266,6 @@ func runExternal(cfg load.Config, s1, s2, anlz string, workers int) (row, error)
 	if err := drainLedger(rp, &r); err != nil {
 		return row{}, err
 	}
-	// The analyzer count comes from the merged histogram (Flush re-runs
-	// the drain barrier, which is idempotent after drainLedger). Against
-	// long-lived daemons this is cumulative over the daemon's lifetime,
-	// like every other ledger column.
-	fres, err := rp.Flush()
-	if err != nil {
-		return row{}, fmt.Errorf("histogram: %w", err)
-	}
-	for _, n := range fres.Histogram {
-		r.Records += n
-	}
 	return r, nil
 }
 
@@ -289,6 +277,17 @@ func drainLedger(rp *prochlo.RemotePipeline, r *row) error {
 	tiers, err := rp.DrainAll(false)
 	if err != nil {
 		return fmt.Errorf("drain: %w", err)
+	}
+	// The analyzer count comes from the merged histogram (Flush re-runs the
+	// drain barrier, which is idempotent after DrainAll). Against long-lived
+	// daemons this is cumulative over the daemon's lifetime, like every
+	// other ledger column.
+	fres, err := rp.Flush()
+	if err != nil {
+		return fmt.Errorf("histogram: %w", err)
+	}
+	for _, n := range fres.Histogram {
+		r.Records += n
 	}
 	for _, tier := range tiers {
 		for _, s := range tier {

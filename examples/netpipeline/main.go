@@ -149,7 +149,7 @@ func main() {
 			if strings.HasPrefix(line, "prochlo_epoch_occupancy") ||
 				strings.HasPrefix(line, "prochlo_unaccounted_reports") ||
 				strings.HasPrefix(line, "prochlo_balancer_healthy_replicas") ||
-				strings.HasPrefix(line, "prochlo_analyzer_records") {
+				strings.HasPrefix(line, "prochlo_stage_forwarded_total{") && strings.Contains(line, `role="analyzer"`) {
 				fmt.Println(" ", line)
 			}
 		}

@@ -5,19 +5,23 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand/v2"
+	"sync"
 
+	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 )
 
-// Stage is the common face of every shuffler variant: one hop of an ESA
-// chain that consumes an epoch batch and emits the batch for the next hop.
+// Stage is the common face of every party past the encoder: one hop of an
+// ESA chain that consumes an epoch batch and emits the batch for the next hop.
 // The plain Shuffler and the SGXShuffler consume client envelopes and emit
 // peeled payloads for the analyzer; Shuffler1 consumes blinded envelopes and
 // emits blinded envelopes for Shuffler2; Shuffler2 consumes blinded
-// envelopes and emits peeled payloads. Because every variant speaks
+// envelopes and emits peeled payloads; and the analyzer's Sink consumes
+// peeled payloads and emits nothing. Because every variant speaks
 // core.Batch, the same epoch engine (internal/transport) and the same
 // in-process pipeline driver can run any of them, and a chain topology is
 // just stages wired output-to-input — in one process or across daemons.
@@ -35,7 +39,8 @@ type Stage interface {
 	// batch to keep for the epoch; the input is not modified. A report the
 	// work finds malformed stays in the batch, marked for ProcessEpoch to
 	// drop and count. It fails only if the batch kind is not the stage's
-	// input kind. At every stage but Shuffler1 it returns its input.
+	// input kind. At every stage but Shuffler1 (the blinding) and the Sink
+	// (the decryption) it returns its input.
 	Admit(in core.Batch) (core.Batch, error)
 	// ProcessEpoch consumes one cut epoch of admitted batches and returns
 	// the batch to forward to the next hop, plus the selectivity stats the
@@ -44,9 +49,10 @@ type Stage interface {
 	// anonymity floor.
 	ProcessEpoch(in core.Batch) (out core.Batch, stats Stats, err error)
 	// Kinds declares the batch kind ProcessEpoch consumes and the kind it
-	// emits. It is the one statement of a role's place in a chain: what an
-	// epoch engine around the stage admits, and whether its output goes to
-	// another stage or to the analyzer, both follow from it.
+	// emits — core.KindEmpty at the Sink, which emits nothing. It is the one
+	// statement of a role's place in a chain: what an epoch engine around the
+	// stage admits, and whether its output goes to another stage, to the
+	// analyzer or nowhere, all follow from it.
 	Kinds() (consumes, emits core.BatchKind)
 	// Floor is the stage's anonymity floor: the minimum number of items an
 	// epoch must hold before the stage may process it. Epoch schedulers use
@@ -92,17 +98,24 @@ type Params struct {
 	Workers   int    // 0 = GOMAXPROCS, 1 = serial
 }
 
-// NewStage builds the stage a role runs — "shuffler", "shuffler1" or
-// "shuffler2" — from its tier's secrets and the deployment's parameters. It is
-// the one place the rules of a role live: every stage draws
-// StageRand(p.Seed, role), so a seeded replica, daemon or in-process pipeline
-// reproduces the same draws; shuffler1 blinds with its tier's α,
-// sec.Blinding.X, serves A = sec.Blinding.H with its proof of α as the base
-// clients encrypt on, and holds no decryption key; and shuffler2's floor is
-// 1, because the chain's entry hop enforces the anonymity floor and hop 2
-// must accept whatever hop 1 forwards (malformed drops can shrink an epoch).
-// The SGX shuffler, which makes and attests its own key, is NewSGXShuffler.
+// NewStage builds the stage a role runs — "shuffler", "shuffler1",
+// "shuffler2" or "analyzer" — from its tier's secrets and the deployment's
+// parameters. It is the one place the rules of a role live: every shuffler
+// stage draws StageRand(p.Seed, role), so a seeded replica, daemon or
+// in-process pipeline reproduces the same draws; shuffler1 blinds with its
+// tier's α, sec.Blinding.X, serves A = sec.Blinding.H with its proof of α as
+// the base clients encrypt on, and holds no decryption key; shuffler2's floor
+// is 1, because the chain's entry hop enforces the anonymity floor and hop 2
+// must accept whatever hop 1 forwards (malformed drops can shrink an epoch);
+// and the analyzer is a Sink on sec.Priv, which draws nothing. The SGX
+// shuffler, which makes and attests its own key, is NewSGXShuffler.
 func NewStage(role string, sec Secrets, p Params) (Stage, error) {
+	if role == "analyzer" {
+		if sec.Priv == nil {
+			return nil, fmt.Errorf("shuffler: the analyzer needs its hybrid key")
+		}
+		return &Sink{an: &analyzer.Analyzer{Priv: sec.Priv, Workers: p.Workers}, counts: make(map[string]int)}, nil
+	}
 	rng, err := StageRand(p.Seed, role)
 	if err != nil {
 		return nil, err
@@ -119,7 +132,7 @@ func NewStage(role string, sec Secrets, p Params) (Stage, error) {
 	case "shuffler2":
 		return &Shuffler2{Blinding: sec.Blinding, Priv: sec.Priv, Threshold: p.Threshold, Rand: rng, MinBatch: 1, Workers: p.Workers}, nil
 	}
-	return nil, fmt.Errorf("shuffler: no role %q (want shuffler, shuffler1 or shuffler2)", role)
+	return nil, fmt.Errorf("shuffler: no role %q (want shuffler, shuffler1, shuffler2 or analyzer)", role)
 }
 
 // RunEpoch admits in and processes it as one epoch: what a driver that holds
@@ -277,6 +290,73 @@ func (s *Shuffler2) PublicKeys() (blinding, key []byte) {
 	return s.Blinding.H.Bytes(), s.Priv.Public().Bytes()
 }
 
+// Sink is the analyzer (§3.4) as a stage: the last party of a chain, which
+// consumes the peeled payloads a thresholding hop forwards and emits
+// nothing. Admit opens each arriving batch — the per-record decryption — and
+// ProcessEpoch folds the opened records into the running histogram, so the
+// sink keeps counts, not records. NewStage("analyzer", …) builds it.
+type Sink struct {
+	an *analyzer.Analyzer
+
+	mu            sync.Mutex // guards the histogram: ProcessEpoch writes, Histogram reads
+	counts        map[string]int
+	undecryptable int
+}
+
+// Admit implements Stage: it opens every record, positionally — a record that
+// does not open stays in the batch as nil, for ProcessEpoch to count.
+func (s *Sink) Admit(in core.Batch) (core.Batch, error) {
+	if in.Kind() != core.KindPayloads {
+		return admitAsIs("analyzer", core.KindPayloads, in)
+	}
+	pts, _ := s.an.OpenBatch(in.Payloads)
+	return core.Batch{Payloads: pts}, nil
+}
+
+// ProcessEpoch implements Stage: it folds an epoch of admitted (opened)
+// records into the histogram and emits nothing. Received counts the records,
+// Undecryptable the ones that did not open, Forwarded the ones counted.
+func (s *Sink) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
+	if k := in.Kind(); k != core.KindPayloads && k != core.KindEmpty {
+		return core.Batch{}, Stats{}, wrongKind("analyzer", core.KindPayloads, k)
+	}
+	db := make([][]byte, 0, len(in.Payloads))
+	for _, pt := range in.Payloads {
+		if pt != nil {
+			db = append(db, pt)
+		}
+	}
+	undec := len(in.Payloads) - len(db)
+	h := analyzer.Histogram(db) // interned outside the lock
+	s.mu.Lock()
+	for k, n := range h {
+		s.counts[k] += n
+	}
+	s.undecryptable += undec
+	s.mu.Unlock()
+	return core.Batch{}, Stats{Received: len(in.Payloads), Undecryptable: undec, Forwarded: len(db)}, nil
+}
+
+// Kinds implements Stage: payloads in, nothing out.
+func (s *Sink) Kinds() (consumes, emits core.BatchKind) {
+	return core.KindPayloads, core.KindEmpty
+}
+
+// Floor implements Stage: the entry hop enforced the anonymity floor.
+func (s *Sink) Floor() int { return 1 }
+
+// PublicKeys implements Stage: the hybrid key the records' inner layer is
+// sealed to.
+func (s *Sink) PublicKeys() (blinding, key []byte) { return nil, s.an.Priv.Public().Bytes() }
+
+// Histogram returns a copy of the histogram of every record folded so far
+// and the number of records that did not open.
+func (s *Sink) Histogram() (counts map[string]int, undecryptable int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.counts), s.undecryptable
+}
+
 // StageRand derives the batch RNG for the named stage of a deployment. For
 // seed != 0 the stream is deterministic and independent per stage name, so a
 // networked chain — where each daemon owns exactly one stage and one RNG —
@@ -285,7 +365,8 @@ func (s *Shuffler2) PublicKeys() (blinding, key []byte) {
 // seed and role name draws the identical sequence. (A single shared RNG
 // would not survive the split: stage B's draws would depend on how many
 // draws stage A consumed in the same process.) Stage names in use:
-// "shuffler" (plain and SGX), "shuffler1", "shuffler2".
+// "shuffler" (plain and SGX), "shuffler1", "shuffler2" (the analyzer draws
+// nothing).
 //
 // The stream is ChaCha8, a CSPRNG: it draws the permutation and the
 // threshold noise, so its outputs must not predict the rest of it. For

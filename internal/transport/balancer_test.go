@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
@@ -154,7 +153,7 @@ func TestBalancerDialFailover(t *testing.T) {
 	if _, err := dialed(t, rig.shuf).Drain(); err != nil {
 		t.Fatal(err)
 	}
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +297,7 @@ func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 	if _, err := rig.svc.Drain(false); err != nil {
 		t.Fatal(err)
 	}
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,25 +311,42 @@ func TestSubmitAllResumesAfterConnDrop(t *testing.T) {
 	}
 }
 
+// slowOpenSink is the analyzer's stage with each Admit — its decryption —
+// counted and slowed, to hold open the window a racing replay must not slip
+// through.
+type slowOpenSink struct {
+	*shuffler.Sink
+	opens atomic.Int64
+}
+
+func (s *slowOpenSink) Admit(in core.Batch) (core.Batch, error) {
+	s.opens.Add(1)
+	time.Sleep(10 * time.Millisecond)
+	return s.Sink.Admit(in)
+}
+
 // TestForwardDedupConcurrentRace pins the fan-in dedup under the race the
 // fleet makes routine: two upstream replicas (here, goroutines) pushing the
 // same (stream, epoch) concurrently. Exactly one push may ingest; every
-// racer must still be acked with the accepted count. The analyzer shares the
-// stage's dedup: racing deliveries of one epoch decrypt it once, the losers
-// waiting for the winner instead of opening the batch only to discard it.
+// racer must still be acked with the accepted count. The analyzer runs the
+// same engine and dedup: racing deliveries of one epoch decrypt it once, the
+// losers waiting for the winner instead of opening the batch only to discard
+// it.
 func TestForwardDedupConcurrentRace(t *testing.T) {
 	anlzPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
-	var opens atomic.Int64
-	open := anlzSvc.open
-	anlzSvc.open = func(items [][]byte) ([][]byte, int) {
-		opens.Add(1)
-		time.Sleep(10 * time.Millisecond) // hold the window the racers must not slip through
-		return open(items)
+	sink, err := shuffler.NewStage("analyzer", shuffler.Secrets{Priv: anlzPriv}, shuffler.Params{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	slow := &slowOpenSink{Sink: sink.(*shuffler.Sink)}
+	anlzSvc, err := NewStageService(slow, nil, EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer anlzSvc.Close()
 	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
 	if err != nil {
 		t.Fatal(err)
@@ -396,24 +412,27 @@ func TestForwardDedupConcurrentRace(t *testing.T) {
 	if _, err := svc.Drain(false); err != nil {
 		t.Fatal(err)
 	}
-	if records := anlzSvc.Stats().Records; records != len(envs) {
-		t.Errorf("analyzer records = %d, want %d (exactly-once under the race)", records, len(envs))
+	if st, err := anlzSvc.Drain(false); err != nil || st.Cumulative.Forwarded != len(envs) {
+		t.Errorf("analyzer records = %d (%v), want %d (exactly-once under the race)", st.Cumulative.Forwarded, err, len(envs))
 	}
 
-	opensBefore := opens.Load()
+	opensBefore := slow.opens.Load()
 	for g := 0; g < racers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			anlzSvc.Ingest(11, 2, [][]byte{[]byte("not a ciphertext")})
+			if _, err := anlzSvc.Submit(11, 2, core.Batch{Payloads: [][]byte{[]byte("not a ciphertext")}}); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Wait()
-	if n := opens.Load() - opensBefore; n != 1 {
+	if n := slow.opens.Load() - opensBefore; n != 1 {
 		t.Errorf("analyzer opened the raced epoch %d times, want once", n)
 	}
-	if st := anlzSvc.Stats(); st.Ingests != 2 || st.Undecryptable != 1 {
-		t.Errorf("analyzer stats after the race = %+v, want 2 ingests and the 1 bad record counted once", st)
+	st, err := anlzSvc.Drain(false)
+	if err != nil || st.EpochsFlushed != 2 || st.Accepted != int64(len(envs))+1 || st.Cumulative.Undecryptable != 1 {
+		t.Errorf("analyzer stats after the race = %+v, %v; want 2 epochs and the 1 bad record counted once", st, err)
 	}
 }
 
@@ -461,7 +480,7 @@ func TestDrainForceReleasesBelowFloor(t *testing.T) {
 		t.Fatalf("second forced drain stats = %+v, want an idempotent barrier", stats)
 	}
 
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
@@ -40,7 +39,7 @@ func TestSubmitAllBackoffDrains(t *testing.T) {
 	if st, err := cl.Drain(); err != nil || st.Rejected != 0 {
 		t.Fatalf("drain = %+v, %v; want nothing rejected", st, err)
 	}
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +94,7 @@ func TestForwardDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
-	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anlzL.Close()
+	anlzSvc, anlz := serveAnalyzer(t, anlzPriv)
 
 	blindKP, err := elgamal.GenerateKeyPair(crand.Reader)
 	if err != nil {
@@ -114,7 +108,7 @@ func TestForwardDedup(t *testing.T) {
 		Blinding: blindKP, Priv: s2Priv,
 		Rand: rand.New(rand.NewPCG(21, 23)), MinBatch: 1,
 	}
-	svc, err := NewStageService(s2, []string{anlzL.Addr().String()}, EpochConfig{})
+	svc, err := NewStageService(s2, []string{anlz}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +149,8 @@ func TestForwardDedup(t *testing.T) {
 	if _, err := svc.Drain(false); err != nil {
 		t.Fatal(err)
 	}
-	if records := anlzSvc.Stats().Records; records != 3 {
-		t.Errorf("analyzer records = %d, want 3 (dedup prevented double ingestion)", records)
+	if as, err := anlzSvc.Drain(false); err != nil || as.Cumulative.Forwarded != 3 {
+		t.Errorf("analyzer records = %d (%v), want 3 (dedup prevented double ingestion)", as.Cumulative.Forwarded, err)
 	}
 }
 
@@ -171,9 +165,6 @@ func TestDialTimeoutFailsFast(t *testing.T) {
 	start := time.Now()
 	if _, err := Dial("127.0.0.1:1"); err == nil {
 		t.Fatal("dialing a closed port succeeded")
-	}
-	if _, err := DialAnalyzer("127.0.0.1:1"); err == nil {
-		t.Fatal("dialing a closed analyzer port succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("dials took %v, want a refused connect to fail at once", elapsed)
@@ -204,7 +195,7 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 		want  string
 	}{
 		{"blinded envelopes at an analyzer", s1, rig.anlz,
-			"analyzer ingests " + core.KindPayloads.String() + ", got " + core.KindBlinded.String()},
+			"stage ingests " + core.KindPayloads.String() + ", got " + core.KindBlinded.String()},
 		{"payloads at a stage", rig.stage(core.KindBlinded), rig.addr,
 			"stage ingests " + core.KindBlinded.String() + ", got " + core.KindPayloads.String()},
 	} {
@@ -230,7 +221,7 @@ func TestMiswiredChainNamesTheKind(t *testing.T) {
 	if st := rig.stats(); st.Accepted != 0 {
 		t.Errorf("the stage ingested %d of the stray payloads", st.Accepted)
 	}
-	if st := rig.anlzSvc.Stats(); st.Ingests != 0 {
-		t.Errorf("the analyzer ingested %d stray pushes", st.Ingests)
+	if st := rig.anlzSvc.Stats(); st.Accepted != 0 || st.EpochsFlushed != 0 {
+		t.Errorf("the analyzer accepted %d stray records in %d epochs", st.Accepted, st.EpochsFlushed)
 	}
 }

@@ -185,9 +185,9 @@ func decoded[T any](v T, err error) (T, error) {
 	return v, err
 }
 
-// Client is a handle for submitting reports to a shuffler-role service — a
-// plain/SGX shuffler daemon or either hop of the blinded chain — and for its
-// control calls. Submissions and Drain transparently retry connection-level
+// Client is a handle on one party — a plain/SGX shuffler daemon, either hop
+// of the blinded chain, or an analyzer — for submitting reports to it and for
+// its control calls. Submissions and Drain transparently retry connection-level
 // failures on fresh connections, and every batch submission carries a
 // (stream, seq) stamp so such a retry is deduplicated service-side even when
 // the original attempt was ingested but its ack was lost.
@@ -207,7 +207,7 @@ type Client struct {
 // clientStream is one of a Client's streams and its last position sent.
 type clientStream struct{ id, pos int64 }
 
-// Dial connects to a shuffler service.
+// Dial connects to a party.
 func Dial(addr string) (*Client, error) {
 	p, err := dialPeer(addr)
 	if err != nil {
@@ -300,7 +300,7 @@ func (c *Client) DrainMode(force bool) (ServiceStats, error) {
 	return decoded(decodeServiceStats(body))
 }
 
-// Stats fetches the shuffler service's health snapshot.
+// Stats fetches the service's health snapshot.
 func (c *Client) Stats() (ServiceStats, error) {
 	body, err := c.call(methodStats, nil)
 	if err != nil {
@@ -309,22 +309,10 @@ func (c *Client) Stats() (ServiceStats, error) {
 	return decoded(decodeServiceStats(body))
 }
 
-// AnalyzerClient is a handle for querying an analyzer service.
-type AnalyzerClient struct {
-	*peerConn
-}
-
-// DialAnalyzer connects to an analyzer service.
-func DialAnalyzer(addr string) (*AnalyzerClient, error) {
-	p, err := dialPeer(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &AnalyzerClient{peerConn: p}, nil
-}
-
-// Histogram fetches the analyzer's cumulative histogram.
-func (c *AnalyzerClient) Histogram() (map[string]int, int, error) {
+// Histogram fetches the analyzer's cumulative histogram and the number of
+// records that did not open. The analyzer drains before it answers, so the
+// histogram counts every report it acked before the call.
+func (c *Client) Histogram() (map[string]int, int, error) {
 	body, err := c.call(methodHistogram, nil)
 	if err != nil {
 		return nil, 0, err
@@ -334,13 +322,4 @@ func (c *AnalyzerClient) Histogram() (map[string]int, int, error) {
 		return nil, 0, fmt.Errorf("transport: malformed reply body: %w", err)
 	}
 	return counts, undec, nil
-}
-
-// Stats fetches the analyzer service's health snapshot.
-func (c *AnalyzerClient) Stats() (AnalyzerStats, error) {
-	body, err := c.call(methodStats, nil)
-	if err != nil {
-		return AnalyzerStats{}, err
-	}
-	return decoded(decodeAnalyzerStats(body))
 }

@@ -47,9 +47,6 @@ type tier []*peerConn
 
 // dialTier connects to every replica of a downstream tier.
 func dialTier(addrs []string) (tier, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("transport: downstream tier needs at least one address")
-	}
 	t := make(tier, 0, len(addrs))
 	for _, addr := range addrs {
 		p, err := dialPeer(addr)
@@ -81,7 +78,8 @@ func (t tier) close() {
 // exactly-once: when a multi-partition push fails halfway and is retried
 // (same epoch id, possibly by a WAL-recovered successor), the partitions
 // that already ingested absorb the replay. The first (lowest-partition)
-// error is reported.
+// error is reported. A stage that emits nothing has no tier and pushes
+// nothing.
 func (e *engine) push(id int64, out core.Batch) error {
 	if len(e.next) == 1 {
 		return e.pushTo(e.next[0], id, out)
@@ -204,10 +202,11 @@ type forceReq struct {
 // timer-driven cuts, respecting the stage's anonymity floor), submission
 // backpressure that holds a batch until a cut frees room for it, per-stream
 // dedup of stamped ingests, a single in-order flusher feeding the stage, and
-// an at-least-once push of each processed epoch to the downstream tier. It
-// admits the one batch kind its stage consumes (client envelopes for the
-// plain and SGX shufflers, blinded envelopes for the split-shuffler hops) and
-// is otherwise indifferent to what an item is: the durable item form is
+// an at-least-once push of each processed epoch to the downstream tier — none
+// at the analyzer, whose stage emits nothing. It admits the one batch kind
+// its stage consumes (client envelopes for the plain and SGX shufflers,
+// blinded envelopes for the split-shuffler hops, peeled payloads for the
+// analyzer) and is otherwise indifferent to what an item is: the durable item form is
 // core.Batch's, and the arrival order is the engine's own (chunk). See the
 // package comment for the streaming and backpressure model.
 //
@@ -289,17 +288,27 @@ type engine struct {
 // and names the admitted kind; next lists the downstream replicas in
 // partition order.
 func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, error) {
-	kind, _ := st.Kinds()
-	if kind != core.KindEnvelopes && kind != core.KindBlinded {
+	kind, emits := st.Kinds()
+	if kind == core.KindEmpty {
 		return nil, fmt.Errorf("transport: no stage ingests %v", kind)
+	}
+	floor := max(st.Floor(), 1)
+	switch {
+	case emits == core.KindEmpty:
+		// A stage that emits nothing — the analyzer — has no downstream tier,
+		// and cuts every kept batch as its own epoch, so all it holds is what
+		// its stage folds. Its folded state is not in the log, so it takes no
+		// WAL, and no epoch size or timer of its own.
+		if len(next) > 0 || cfg.WALDir != "" || cfg.FlushAt != 0 || cfg.Interval != 0 {
+			return nil, errors.New("transport: a stage that emits nothing takes no next tier, WALDir, FlushAt or Interval: it cuts every batch it keeps as an epoch")
+		}
+		cfg.FlushAt = floor
+	case len(next) == 0:
+		return nil, errors.New("transport: downstream tier needs at least one address")
 	}
 	t, err := dialTier(next)
 	if err != nil {
 		return nil, err
-	}
-	floor := st.Floor()
-	if floor <= 0 {
-		floor = 1
 	}
 	if cfg.FlushAt > 0 && cfg.FlushAt < floor {
 		// An epoch below the stage's anonymity floor could never be

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
@@ -22,7 +21,7 @@ import (
 // encoder wired to both keys.
 type streamingRig struct {
 	svc     *StageService
-	anlzSvc *AnalyzerService
+	anlzSvc *StageService
 	enc     *encoder.Client
 	shuf    string // shuffler address
 	anlz    string // analyzer address
@@ -47,12 +46,7 @@ func newStreamingRigVia(t testing.TB, cfg EpochConfig, minBatch int, plan *fault
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
-	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { anlzL.Close() })
+	anlzSvc, anlz := serveAnalyzer(t, anlzPriv)
 
 	shufPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
@@ -63,7 +57,7 @@ func newStreamingRigVia(t testing.TB, cfg EpochConfig, minBatch int, plan *fault
 		Rand:     rand.New(rand.NewPCG(5, 7)),
 		MinBatch: minBatch,
 	}
-	next := []string{anlzL.Addr().String()}
+	next := []string{anlz}
 	if plan != nil {
 		next = proxied(t, plan, next...)
 	}
@@ -83,7 +77,7 @@ func newStreamingRigVia(t testing.TB, cfg EpochConfig, minBatch int, plan *fault
 		anlzSvc: anlzSvc,
 		enc:     &encoder.Client{ShufflerKey: shufPriv.Public(), AnalyzerKey: anlzPriv.Public(), Rand: crand.Reader},
 		shuf:    shufL.Addr().String(),
-		anlz:    anlzL.Addr().String(),
+		anlz:    anlz,
 	}
 }
 
@@ -128,7 +122,7 @@ func TestSubmitBatch(t *testing.T) {
 	if _, err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +170,7 @@ func TestAutoFlushAtThreshold(t *testing.T) {
 	if stats.Cumulative.Received != 60 || stats.Cumulative.Forwarded != 60 {
 		t.Errorf("cumulative = %+v, want 60 received and forwarded", stats.Cumulative)
 	}
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +212,7 @@ func TestEpochTimerFlush(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +316,7 @@ func TestBelowFloorEpochPreserved(t *testing.T) {
 	if stats.EpochsFlushed != 1 || stats.Cumulative.Received != 5 || stats.Pending != 0 {
 		t.Errorf("drain across the floor = %+v, want one epoch of all 5 preserved reports", stats)
 	}
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +353,7 @@ func TestCloseDrainsFinalEpoch(t *testing.T) {
 	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env}}); err == nil {
 		t.Error("submit after Close succeeded, want error")
 	}
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +439,7 @@ func TestConcurrentSubmitDuringAutoFlush(t *testing.T) {
 		t.Errorf("epochs failed = %d (%s)", stats.EpochsFailed, stats.LastError)
 	}
 
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +458,7 @@ func TestConcurrentSubmitDuringAutoFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if anlzStats.Records != total {
-		t.Errorf("analyzer records = %d, want %d", anlzStats.Records, total)
+	if anlzStats.Cumulative.Forwarded != total {
+		t.Errorf("analyzer records = %d, want %d", anlzStats.Cumulative.Forwarded, total)
 	}
 }

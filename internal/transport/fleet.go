@@ -1,9 +1,9 @@
 package transport
 
 import (
+	"slices"
 	"strconv"
 
-	"prochlo/internal/analyzer"
 	"prochlo/internal/metrics"
 	"prochlo/internal/shuffler"
 )
@@ -26,90 +26,59 @@ type Fleet struct {
 	Tiers     [][]string // each shuffler tier's replica addresses, in chain order
 	Analyzers []string   // the analyzer partitions' addresses
 
-	analyzers []*AnalyzerService
-	closers   []func()
+	closers []func()
 }
 
-// StartFleet starts a fleet, downstream first. The analyzer partitions share
-// one key, and each tier's replicas share one shuffler.GenerateSecrets, as
-// daemons sharing a -key-file do; every stage is shuffler.NewStage(role,
-// the tier's secrets, p), so a seeded replica draws the stream a seeded
-// prochlod daemon of its role and prochlo.New(WithSeed) draw. With reg set,
-// every party registers its metrics there under {role, replica} labels.
-// Close stops the fleet.
+// StartFleet starts a fleet, downstream first: the analyzer partitions are one
+// more tier of role "analyzer", behind the last shuffler tier. Each tier's
+// replicas share one shuffler.GenerateSecrets, as daemons sharing a -key-file
+// do; every stage is shuffler.NewStage(role, the tier's secrets, p), so a
+// seeded replica draws the stream a seeded prochlod daemon of its role and
+// prochlo.New(WithSeed) draw. With reg set, every party registers its metrics
+// there under {role, replica} labels. Close stops the fleet.
 func StartFleet(tiers []Tier, analyzers int, p shuffler.Params, reg *metrics.Registry) (_ *Fleet, err error) {
-	f := &Fleet{Tiers: make([][]string, len(tiers))}
+	f := &Fleet{}
 	defer func() {
 		if err != nil {
 			f.Close()
 		}
 	}()
-	labels := func(role string, i int) metrics.Labels {
-		return metrics.Labels{"role": role, "replica": strconv.Itoa(i)}
-	}
-	serve := func(svc Service) (string, error) {
-		l, err := Serve("127.0.0.1:0", svc)
-		if err != nil {
-			return "", err
+	// The analyzer tier emits nothing, so its epoch config stays zero.
+	all := append(slices.Clone(tiers), Tier{Role: "analyzer", Replicas: analyzers})
+	addrs := make([][]string, len(all))
+	for t := len(all) - 1; t >= 0; t-- {
+		var next []string
+		if t+1 < len(all) {
+			next = addrs[t+1]
 		}
-		f.closers = append(f.closers, func() { l.Close() })
-		return l.Addr().String(), nil
-	}
-
-	anlz, err := shuffler.GenerateSecrets()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < analyzers; i++ {
-		svc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlz.Priv, Workers: p.Workers})
-		if reg != nil {
-			svc.RegisterMetrics(reg, labels("analyzer", i))
-		}
-		addr, err := serve(svc)
-		if err != nil {
-			return nil, err
-		}
-		f.analyzers = append(f.analyzers, svc)
-		f.Analyzers = append(f.Analyzers, addr)
-	}
-	next := f.Analyzers
-	for t := len(tiers) - 1; t >= 0; t-- {
 		sec, err := shuffler.GenerateSecrets()
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < tiers[t].Replicas; i++ {
-			st, err := shuffler.NewStage(tiers[t].Role, sec, p)
+		for i := 0; i < all[t].Replicas; i++ {
+			st, err := shuffler.NewStage(all[t].Role, sec, p)
 			if err != nil {
 				return nil, err
 			}
-			cfg := tiers[t].Epochs
+			cfg := all[t].Epochs
 			if reg != nil {
-				cfg.Metrics, cfg.MetricsLabels = reg, labels(tiers[t].Role, i)
+				cfg.Metrics, cfg.MetricsLabels = reg, metrics.Labels{"role": all[t].Role, "replica": strconv.Itoa(i)}
 			}
 			svc, err := NewStageService(st, next, cfg)
 			if err != nil {
 				return nil, err
 			}
 			f.closers = append(f.closers, func() { svc.Close() })
-			addr, err := serve(svc)
+			l, err := Serve("127.0.0.1:0", svc)
 			if err != nil {
 				return nil, err
 			}
-			f.Tiers[t] = append(f.Tiers[t], addr)
+			f.closers = append(f.closers, func() { l.Close() })
+			addrs[t] = append(addrs[t], l.Addr().String())
 		}
-		next = f.Tiers[t]
 	}
+	f.Tiers, f.Analyzers = addrs[:len(tiers)], addrs[len(tiers)]
 	return f, nil
-}
-
-// Records sums the records the analyzer partitions have materialized.
-func (f *Fleet) Records() int {
-	total := 0
-	for _, a := range f.analyzers {
-		total += a.Stats().Records
-	}
-	return total
 }
 
 // Close stops the parties entry tier first — each stage's listener, then its

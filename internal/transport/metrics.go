@@ -74,8 +74,8 @@ func (e *engine) registerMetrics() {
 		field      func(*shuffler.Stats) int
 	}{
 		{"prochlo_stage_received_total", "Reports the stage function was handed.", func(s *shuffler.Stats) int { return s.Received }},
-		{"prochlo_stage_undecryptable_total", "Reports the stage dropped as malformed.", func(s *shuffler.Stats) int { return s.Undecryptable }},
-		{"prochlo_stage_forwarded_total", "Reports the stage forwarded downstream.", func(s *shuffler.Stats) int { return s.Forwarded }},
+		{"prochlo_stage_undecryptable_total", "Reports the stage dropped as malformed (the analyzer: records its key failed to open).", func(s *shuffler.Stats) int { return s.Undecryptable }},
+		{"prochlo_stage_forwarded_total", "Reports the stage forwarded downstream (the analyzer: records counted in its histogram).", func(s *shuffler.Stats) int { return s.Forwarded }},
 		{"prochlo_stage_crowds_total", "Crowds seen, summed over epochs.", func(s *shuffler.Stats) int { return s.Crowds }},
 		{"prochlo_stage_crowds_forwarded_total", "Crowds that survived the threshold, summed over epochs.", func(s *shuffler.Stats) int { return s.CrowdsForwarded }},
 	} {
@@ -156,37 +156,6 @@ func (d *forwardDedup) registerMetrics(reg *metrics.Registry, l metrics.Labels) 
 		})
 	reg.CounterFunc("prochlo_dedup_replays_total", "Stamped submissions acked as replays without ingesting (a position at or below its stream's last).", l,
 		func() float64 { return float64(d.replays.Load()) })
-}
-
-// RegisterMetrics exports the analyzer service's database and ingest
-// counters on reg with the given labels (the prochlo_analyzer_* series).
-// Safe to call at any time; callbacks take the service mutex only for the
-// duration of a field read.
-func (a *AnalyzerService) RegisterMetrics(reg *metrics.Registry, l metrics.Labels) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc("prochlo_analyzer_records", "Decrypted records materialized and counted in the analyzer's histogram.", l,
-		func() float64 {
-			a.mu.Lock()
-			n := a.records
-			a.mu.Unlock()
-			return float64(n)
-		})
-	reg.CounterFunc("prochlo_analyzer_ingests_total", "Epoch pushes ingested (dedup-absorbed retries excluded).", l,
-		func() float64 {
-			a.mu.Lock()
-			n := a.ingests
-			a.mu.Unlock()
-			return float64(n)
-		})
-	reg.CounterFunc("prochlo_analyzer_undecryptable_total", "Report payloads the analyzer key failed to open.", l,
-		func() float64 {
-			a.mu.Lock()
-			n := a.undecryptable
-			a.mu.Unlock()
-			return float64(n)
-		})
 }
 
 // observeSeconds records the elapsed time since start on h; both the nil

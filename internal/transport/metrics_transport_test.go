@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	crand "crypto/rand"
 	"io"
 	"strconv"
 	"strings"
@@ -10,8 +11,10 @@ import (
 	"time"
 
 	"prochlo/internal/core"
+	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/faultnet"
 	"prochlo/internal/metrics"
+	"prochlo/internal/shuffler"
 )
 
 // metricValue extracts one sample value from a text-format scrape.
@@ -150,26 +153,37 @@ func TestBalancerMetrics(t *testing.T) {
 	}
 }
 
-// TestAnalyzerMetrics pins the analyzer's scrape series against its Stats
-// RPC counters after a drained ingest.
+// TestAnalyzerMetrics pins the analyzer's scrape series — the engine's and
+// the stage's, under role="analyzer", as at every other party — against its
+// Stats counters after a drained push of ten sealed records and one that
+// does not open.
 func TestAnalyzerMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rig := newStreamingRig(t, EpochConfig{FlushAt: 10})
-	rig.anlzSvc.RegisterMetrics(reg, metrics.Labels{"role": "analyzer"})
-
-	cl, err := Dial(rig.shuf)
+	priv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	batch := make([]core.Envelope, 10)
-	for i := range batch {
-		batch[i] = rig.envelope(t, "c:anlz", "anlz-value")
-	}
-	if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
+	st, err := shuffler.NewStage("analyzer", shuffler.Secrets{Priv: priv}, shuffler.Params{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Drain(); err != nil {
+	svc, err := NewStageService(st, nil, EpochConfig{Metrics: reg, MetricsLabels: metrics.Labels{"role": "analyzer"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	records := [][]byte{[]byte("not a ciphertext")}
+	for i := 0; i < 10; i++ {
+		sealed, err := hybrid.Seal(crand.Reader, priv.Public(), []byte("anlz-value"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, sealed)
+	}
+	if _, err := svc.Submit(1, 1, core.Batch{Payloads: records}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := svc.Histogram(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,14 +192,24 @@ func TestAnalyzerMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := b.String()
-	if v := metricValue(t, s, `prochlo_analyzer_records{role="analyzer"}`); v != 10 {
-		t.Errorf("records = %v, want 10", v)
+	stats := svc.Stats()
+	for _, c := range []struct {
+		series string
+		want   int64
+	}{
+		{`prochlo_reports_accepted_total{role="analyzer"}`, 11},
+		{`prochlo_stage_received_total{role="analyzer"}`, int64(stats.Cumulative.Received)},
+		{`prochlo_stage_forwarded_total{role="analyzer"}`, 10},
+		{`prochlo_stage_undecryptable_total{role="analyzer"}`, 1},
+		{`prochlo_epochs_flushed_total{role="analyzer"}`, int64(stats.EpochsFlushed)},
+		{`prochlo_epoch_occupancy{role="analyzer"}`, 0},
+	} {
+		if v := metricValue(t, s, c.series); v != float64(c.want) {
+			t.Errorf("%s = %v, want %d", c.series, v, c.want)
+		}
 	}
-	if v := metricValue(t, s, `prochlo_analyzer_ingests_total{role="analyzer"}`); v != 1 {
-		t.Errorf("ingests = %v, want 1", v)
-	}
-	if v := metricValue(t, s, `prochlo_analyzer_undecryptable_total{role="analyzer"}`); v != 0 {
-		t.Errorf("undecryptable = %v, want 0", v)
+	if stats.EpochsFlushed != 1 || stats.Cumulative.Forwarded != 10 || stats.Cumulative.Undecryptable != 1 {
+		t.Errorf("stats = %+v, want one epoch of 10 records counted and 1 undecryptable", stats)
 	}
 }
 

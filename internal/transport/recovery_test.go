@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
@@ -32,7 +31,7 @@ import (
 type crashRig struct {
 	t        *testing.T
 	kind     core.BatchKind
-	anlzSvc  *AnalyzerService
+	anlzSvc  *StageService
 	anlz     string
 	next     string // where the shuffler pushes: anlz, or a faultnet proxy in front of it
 	anlzPriv *hybrid.PrivateKey
@@ -66,12 +65,7 @@ func newFaultyCrashRig(t *testing.T, kind core.BatchKind, cfg EpochConfig, plan 
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
-	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { anlzL.Close() })
+	anlzSvc, anlz := serveAnalyzer(t, anlzPriv)
 
 	shufPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
@@ -86,7 +80,7 @@ func newFaultyCrashRig(t *testing.T, kind core.BatchKind, cfg EpochConfig, plan 
 		t:        t,
 		kind:     kind,
 		anlzSvc:  anlzSvc,
-		anlz:     anlzL.Addr().String(),
+		anlz:     anlz,
 		anlzPriv: anlzPriv,
 		shufPriv: shufPriv,
 		blindKP:  blindKP,
@@ -217,7 +211,10 @@ func (r *crashRig) drain() ServiceStats {
 
 func (r *crashRig) histogram() map[string]int {
 	r.t.Helper()
-	counts, _ := r.anlzSvc.Histogram()
+	counts, _, err := r.anlzSvc.Histogram()
+	if err != nil {
+		r.t.Fatal(err)
+	}
 	return counts
 }
 
@@ -312,8 +309,8 @@ func testRestartAfterAckLost(t *testing.T, kind core.BatchKind) {
 	fault := &faultnet.Plan{Seed: 1, PDropAck: 1}
 	rig := newFaultyCrashRig(t, kind, EpochConfig{FlushAt: 4}, fault)
 	rig.submit(4, "acklost-value")
-	// Wait until the analyzer has materialized the push (the ack was eaten).
-	untilTrue(t, "the analyzer to see the push", func() bool { return rig.anlzSvc.Stats().Records == 4 })
+	// Wait until the analyzer has taken the push (the ack was eaten).
+	untilTrue(t, "the analyzer to see the push", func() bool { return rig.anlzSvc.Stats().Accepted == 4 })
 	rig.crash() // crash during the redial backoff: delivered, unacked
 
 	rig.next = rig.anlz // the successor's network is sound
@@ -355,8 +352,8 @@ func testForwardDedupAcrossRestart(t *testing.T, kind core.BatchKind) {
 	}
 
 	checkReconciled(t, rig.drain())
-	if records := rig.anlzSvc.Stats().Records; records != 3 {
-		t.Errorf("analyzer records = %d, want 3 (dedup mark survived the restart)", records)
+	if as, err := rig.anlzSvc.Drain(false); err != nil || as.Cumulative.Forwarded != 3 {
+		t.Errorf("analyzer records = %d (%v), want 3 (dedup mark survived the restart)", as.Cumulative.Forwarded, err)
 	}
 }
 
@@ -461,19 +458,14 @@ func TestPushRidesOutDownstreamRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
-	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anlzL.Close()
+	anlzSvc, anlz := serveAnalyzer(t, anlzPriv)
 	down := &faultnet.Plan{Seed: 1, PPartition: 1, PartitionFor: downFor, MaxFaults: 1}
 	shufPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := &shuffler.Shuffler{Priv: shufPriv, Rand: rand.New(rand.NewPCG(9, 11)), MinBatch: 1}
-	svc, err := NewStageService(sh, proxied(t, down, anlzL.Addr().String()), EpochConfig{})
+	svc, err := NewStageService(sh, proxied(t, down, anlz), EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,10 +495,10 @@ func TestPushRidesOutDownstreamRestart(t *testing.T) {
 		t.Errorf("stats = %+v, want the one epoch flushed, nothing dropped or failed", stats)
 	}
 	checkReconciled(t, stats)
-	if as := anlzSvc.Stats(); as.Records != reports || as.Ingests != 1 {
-		t.Errorf("analyzer stats = %+v, want %d records in one ingest", as, reports)
+	if as, err := anlzSvc.Drain(false); err != nil || as.Cumulative.Forwarded != reports || as.EpochsFlushed != 1 {
+		t.Errorf("analyzer stats = %+v, %v; want %d records in one epoch", as, err, reports)
 	}
-	if counts, _ := anlzSvc.Histogram(); counts["restart-value"] != reports {
+	if counts, _, _ := anlzSvc.Histogram(); counts["restart-value"] != reports {
 		t.Errorf("histogram = %v, want %d restart-value", counts, reports)
 	}
 }
@@ -681,8 +673,8 @@ func TestRestartAfterKillAtAnyInstant(t *testing.T) {
 	if stats.Dropped != 0 || stats.EpochsFailed != 0 {
 		t.Errorf("after %d kills: dropped %d, failed epochs %d (%s), want none", kills, stats.Dropped, stats.EpochsFailed, stats.LastError)
 	}
-	got, undec := rig.anlzSvc.Histogram()
-	if undec != 0 || !reflect.DeepEqual(got, want) {
+	got, undec, err := rig.anlzSvc.Histogram()
+	if err != nil || undec != 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("after %d kills the analyzer counted %v (%d undecryptable), want the submitted %v", kills, got, undec, want)
 	}
 	total := 0
@@ -737,8 +729,8 @@ func TestKillDuringWALReplay(t *testing.T) {
 	if stats.Dropped != 0 || stats.EpochsFailed != 0 {
 		t.Errorf("after %d kills in replay: dropped %d, failed epochs %d (%s), want none", kills, stats.Dropped, stats.EpochsFailed, stats.LastError)
 	}
-	got, undec := rig.anlzSvc.Histogram()
-	if undec != 0 || !reflect.DeepEqual(got, want) {
+	got, undec, err := rig.anlzSvc.Histogram()
+	if err != nil || undec != 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("after %d kills in replay the analyzer counted %v (%d undecryptable), want the submitted %v", kills, got, undec, want)
 	}
 	t.Logf("%d batch records; a start over them took %v; the kills left %d segments", records, replay, len(segs))
@@ -770,8 +762,7 @@ func hop1Run(t *testing.T, crash bool) map[string]int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
-	anlz := serveService(t, anlzSvc)
+	anlzSvc, anlz := serveAnalyzer(t, anlzPriv)
 	sec2, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
@@ -850,7 +841,10 @@ func hop1Run(t *testing.T, crash bool) map[string]int {
 	if err := hop1.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	counts, _ := anlzSvc.Histogram()
+	counts, _, err := anlzSvc.Histogram()
+	if err != nil {
+		t.Fatal(err)
+	}
 	return counts
 }
 

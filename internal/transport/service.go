@@ -3,12 +3,9 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
 	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
@@ -79,14 +76,15 @@ func (d *forwardDedup) ingest(stream, pos int64, add func() error) error {
 	return nil
 }
 
-// StageService serves one shuffler stage — the plain or SGX shuffler, or
-// either hop of the §4.3 split chain — over the frame protocol. Every role
-// runs the same epoch engine around its shuffler.Stage; what distinguishes
-// the roles is the stage itself — the batch kind it consumes is what the
-// service admits, the kind it emits is what the next tier must take, the keys
-// it holds are the keys it serves — plus where its epochs go and (SGX only)
-// an attestation quote. See the package comment for the epoch/backpressure
-// model.
+// StageService serves one party's stage — the plain or SGX shuffler, either
+// hop of the §4.3 split chain, or the analyzer — over the frame protocol.
+// Every role runs the same epoch engine around its shuffler.Stage; what
+// distinguishes the roles is the stage itself — the batch kind it consumes is
+// what the service admits, the kind it emits is what the next tier must take
+// (the analyzer emits nothing, has no next tier, and serves its Histogram),
+// the keys it holds are the keys it serves — plus where its epochs go and
+// (SGX only) an attestation quote. See the package comment for the
+// epoch/backpressure model.
 //
 // Clients enter a chain at its first hop with Submit, and each hop pushes
 // its epochs to the next with the same call. Both are deduplicated by their
@@ -97,16 +95,25 @@ func (d *forwardDedup) ingest(stream, pos int64, add func() error) error {
 type StageService struct {
 	eng  *engine
 	keys Keys
+	sink histogrammer // the analyzer's stage, whose Histogram is served; nil at a shuffler
 
 	mu  sync.Mutex // guards att
 	att *AttestationReply
 }
 
+// histogrammer is the analyzer's stage, shuffler.Sink, as StageService
+// serves it.
+type histogrammer interface {
+	Histogram() (counts map[string]int, undecryptable int)
+}
+
 // NewStageService wraps a stage: the service admits the batch kind the stage
 // consumes (st.Kinds: envelopes for the plain and SGX shufflers, blinded
-// envelopes for both split-chain hops) and pushes each processed epoch to
-// the downstream tier next: an analyzer when the stage emits peeled payloads,
-// the next shuffler hop otherwise. A tier of the wrong sort refuses the first
+// envelopes for both split-chain hops, peeled payloads for the analyzer) and
+// pushes each processed epoch to the downstream tier next: an analyzer when
+// the stage emits peeled payloads, the next shuffler hop when it emits
+// blinded envelopes, and none — next must be empty, and cfg zero but for its
+// metrics — when it emits nothing. A tier of the wrong sort refuses the first
 // push, naming the kind it got. next lists the tier's replicas in partition
 // order: one address is a plain push, several split every epoch —
 // blinded envelopes by the client-stamped crowd partition, so the replica
@@ -123,7 +130,8 @@ func NewStageService(st shuffler.Stage, next []string, cfg EpochConfig) (*StageS
 		return nil, err
 	}
 	blinding, key := st.PublicKeys()
-	return &StageService{eng: eng, keys: Keys{Blinding: blinding, Key: key}}, nil
+	sink, _ := st.(histogrammer)
+	return &StageService{eng: eng, keys: Keys{Blinding: blinding, Key: key}, sink: sink}, nil
 }
 
 // SetAttestation installs the quote served over Attestation (the SGX
@@ -201,6 +209,22 @@ func (s *StageService) Drain(force bool) (ServiceStats, error) {
 // selectivity.
 func (s *StageService) Stats() ServiceStats { return s.eng.stats() }
 
+// Histogram returns a copy of the analyzer's histogram and the number of
+// records that did not open. It is a barrier: it drains first, so it counts
+// every batch the service acked before the call — whoever reads it after
+// draining the last shuffler tier sees every report that tier forwarded. Only
+// the analyzer serves it.
+func (s *StageService) Histogram() (counts map[string]int, undecryptable int, err error) {
+	if s.sink == nil {
+		return nil, 0, fmt.Errorf("transport: shuffler stage does not serve method %d", methodHistogram)
+	}
+	if err := s.eng.drain(false); err != nil {
+		return nil, 0, err
+	}
+	counts, undecryptable = s.sink.Histogram()
+	return counts, undecryptable, nil
+}
+
 // Close gracefully shuts the service down: it stops accepting submissions,
 // cuts and flushes the final epoch (if it meets the anonymity floor), waits
 // for every queued epoch to reach the next hop, and releases the downstream
@@ -232,98 +256,9 @@ func (s *StageService) serveFrame(method uint8, body, dst []byte) ([]byte, error
 	case methodAttestation:
 		att, err := s.Attestation()
 		return att.appendWire(dst), err
+	case methodHistogram:
+		counts, undec, err := s.Histogram()
+		return appendHistogram(dst, counts, undec), err
 	}
 	return nil, fmt.Errorf("transport: shuffler stage does not serve method %d", method)
-}
-
-// AnalyzerService serves an analyzer over the frame protocol. It keeps the
-// histogram, not the records: each ingest is opened and folded into the
-// running counts, so its memory grows with the distinct values seen, not
-// with the reports.
-type AnalyzerService struct {
-	start time.Time
-	open  func(items [][]byte) (db [][]byte, undecryptable int) // the analyzer's Open
-	pub   []byte
-	// dedup absorbs retried pushes by their (stream, epoch) stamp; see Ingest.
-	dedup forwardDedup
-
-	mu            sync.Mutex
-	counts        map[string]int // histogram of every record materialized
-	records       int
-	undecryptable int
-	ingests       int
-}
-
-// NewAnalyzerService wraps an analyzer; the public half of the analyzer's
-// key is what it serves over Keys.
-func NewAnalyzerService(an *analyzer.Analyzer) *AnalyzerService {
-	return &AnalyzerService{start: time.Now(), open: an.Open, pub: an.Priv.Public().Bytes(), counts: make(map[string]int)}
-}
-
-// Healthz is the cheap liveness probe (lock-free; see HealthzReply).
-func (a *AnalyzerService) Healthz() HealthzReply {
-	return HealthzReply{Healthy: true, UptimeMillis: time.Since(a.start).Milliseconds()}
-}
-
-// Ingest decrypts a batch of shuffled records and folds them into the
-// histogram. Stream and epoch identify the push for dedup: the shuffler's
-// push retry is at-least-once (a reply can be lost after the analyzer
-// ingested), so a retried push of an epoch this service already counted is
-// acknowledged without re-ingesting, and a concurrent delivery of the same
-// epoch waits for the first instead of decrypting it a second time. stream
-// is a sender's stream id, never 0 (parseBatchCall refuses it).
-func (a *AnalyzerService) Ingest(stream, epoch int64, items [][]byte) {
-	a.dedup.ingest(stream, epoch, func() error {
-		db, undec := a.open(items)
-		h := analyzer.Histogram(db) // interned outside the lock
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		for k, n := range h {
-			a.counts[k] += n
-		}
-		a.records += len(db)
-		a.undecryptable += undec
-		a.ingests++
-		return nil
-	})
-}
-
-// Histogram returns a copy of the histogram of every record materialized
-// and the number of payloads that failed to decrypt.
-func (a *AnalyzerService) Histogram() (counts map[string]int, undecryptable int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return maps.Clone(a.counts), a.undecryptable
-}
-
-// Stats reports the analyzer service's record and ingest counters.
-func (a *AnalyzerService) Stats() AnalyzerStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return AnalyzerStats{Records: a.records, Undecryptable: a.undecryptable, Ingests: a.ingests}
-}
-
-func (a *AnalyzerService) serveFrame(method uint8, body, dst []byte) ([]byte, error) {
-	switch method {
-	case methodSubmit:
-		stream, epoch, b, err := parseBatchCall(body)
-		if err != nil {
-			return nil, err
-		}
-		if k := b.Kind(); k != core.KindPayloads && k != core.KindEmpty {
-			return nil, fmt.Errorf("transport: analyzer ingests %v, got %v", core.KindPayloads, k)
-		}
-		a.Ingest(stream, epoch, b.Payloads)
-		return appendWireInts(dst, int64(len(b.Payloads))), nil
-	case methodKeys:
-		return Keys{Key: a.pub}.appendWire(dst), nil
-	case methodHealthz:
-		return a.Healthz().appendWire(dst), nil
-	case methodStats:
-		return a.Stats().appendWire(dst), nil
-	case methodHistogram:
-		counts, undec := a.Histogram()
-		return appendHistogram(dst, counts, undec), nil
-	}
-	return nil, fmt.Errorf("transport: analyzer does not serve method %d", method)
 }

@@ -7,14 +7,22 @@
 //
 // # Stage topology
 //
-// Every shuffler variant is a StageService: the epoch engine (engine.go)
-// around a shuffler.Stage. The service ingests wire items, admits each batch
-// through its stage as it arrives, cuts them into epochs, processes each
-// epoch through its stage, and pushes the output to a downstream tier. Because stage output travels as the shared core.Batch
-// wire union, the downstream can be an analyzer or another shuffler hop, so
-// the split-shuffler chain of §4.3 deploys as real networked daemons:
+// Every party is a StageService: the epoch engine (engine.go) around a
+// shuffler.Stage — each shuffler variant, and the analyzer, whose stage
+// (shuffler.Sink) emits nothing. The service ingests wire items, admits each
+// batch through its stage as it arrives (the analyzer opens its records
+// there), cuts them into epochs, processes each epoch through its stage (the
+// analyzer folds them into its histogram), and pushes the output to a
+// downstream tier, if the stage emits any. Because stage output travels as
+// the shared core.Batch wire union, the downstream can be an analyzer or
+// another shuffler hop, so the split-shuffler chain of §4.3 deploys as real
+// networked daemons:
 //
 //	clients -> Shuffler1 daemon -> Shuffler2 daemon -> analyzer daemon
+//
+// The analyzer cuts every batch it keeps as an epoch of its own, and takes no
+// WAL: its histogram is its state. Its Histogram call drains before it
+// answers.
 //
 // Ingest is one path whatever the sender: a client's batch and a hop's
 // pushed epoch are the same stamped Submit frame, the same engine.ingest
@@ -251,23 +259,6 @@ func readEpochStats(r *wireReader) shuffler.Stats {
 	}
 }
 
-// AnalyzerStats is the analyzer service's health snapshot.
-type AnalyzerStats struct {
-	Records       int // records materialized (opened) across ingests
-	Undecryptable int
-	Ingests       int // ingest pushes served
-}
-
-func (s AnalyzerStats) appendWire(dst []byte) []byte {
-	return appendWireInts(dst, int64(s.Records), int64(s.Undecryptable), int64(s.Ingests))
-}
-
-func decodeAnalyzerStats(body []byte) (AnalyzerStats, error) {
-	r := wireReader{b: body}
-	s := AnalyzerStats{Records: int(r.int()), Undecryptable: int(r.int()), Ingests: int(r.int())}
-	return s, r.done()
-}
-
 // appendHistogram encodes the analyzer's histogram. Keys are decrypted
 // report payloads, so they travel as length-prefixed bytes, never as text.
 func appendHistogram(dst []byte, counts map[string]int, undecryptable int) []byte {
@@ -290,19 +281,21 @@ func decodeHistogram(body []byte) (counts map[string]int, undecryptable int, err
 	return counts, undecryptable, r.done()
 }
 
-// errEpochFullMsg must survive the wire (a server error arrives client-side
-// as its message), so IsEpochFull matches on it.
-const errEpochFullMsg = "transport: epoch full, retry after flush"
+// epochFullPrefix opens ErrEpochFull's text. It also opened the older text,
+// "transport: epoch full, retry after flush". A server error arrives
+// client-side as its message, so IsEpochFull matches on this stable prefix,
+// and a party still recognizes the refusal from a peer on the older build.
+const epochFullPrefix = "transport: epoch full"
 
 // ErrEpochFull answers a Submit that was held for room longer than the hold
 // bound, 10 s: the service's flusher is stuck. Nothing was ingested, and the
 // answer is final — a sender does not resend the batch to the same service.
-var ErrEpochFull = errors.New(errEpochFullMsg)
+var ErrEpochFull = errors.New(epochFullPrefix + ": held past its bound; the refusal is final")
 
 // IsEpochFull reports whether err is ErrEpochFull, including its
 // ServerError form after crossing the wire.
 func IsEpochFull(err error) bool {
-	return err != nil && strings.Contains(err.Error(), errEpochFullMsg)
+	return err != nil && strings.Contains(err.Error(), epochFullPrefix)
 }
 
 // IsTransient reports whether a fresh connection to the same address may get

@@ -25,12 +25,7 @@ func TestNetworkedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
-	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anlzL.Close()
+	_, anlz := serveAnalyzer(t, anlzPriv)
 
 	shufPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
@@ -41,7 +36,7 @@ func TestNetworkedPipeline(t *testing.T) {
 		Threshold: shuffler.Threshold{Noise: dp.ThresholdNoise{T: 20, D: 10, Sigma: 2}},
 		Rand:      rand.New(rand.NewPCG(1, 2)),
 	}
-	shufSvc, err := NewStageService(sh, []string{anlzL.Addr().String()}, EpochConfig{})
+	shufSvc, err := NewStageService(sh, []string{anlz}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +89,7 @@ func TestNetworkedPipeline(t *testing.T) {
 	}
 
 	// Query the analyzer directly.
-	ac, err := DialAnalyzer(anlzL.Addr().String())
+	ac, err := Dial(anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +114,10 @@ func TestNetworkedPipeline(t *testing.T) {
 // epoch, and sends the analyzer nothing.
 func TestDrainEmptyPushesNothing(t *testing.T) {
 	anlzPriv, _ := hybrid.GenerateKey(crand.Reader)
-	anlzSvc := NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv})
-	anlzL, err := Serve("127.0.0.1:0", anlzSvc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anlzL.Close()
+	anlzSvc, anlz := serveAnalyzer(t, anlzPriv)
 	shufPriv, _ := hybrid.GenerateKey(crand.Reader)
 	sh := &shuffler.Shuffler{Priv: shufPriv, Rand: rand.New(rand.NewPCG(3, 4))}
-	svc, err := NewStageService(sh, []string{anlzL.Addr().String()}, EpochConfig{})
+	svc, err := NewStageService(sh, []string{anlz}, EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +139,8 @@ func TestDrainEmptyPushesNothing(t *testing.T) {
 	if stats.Pending != 0 || stats.EpochsFlushed != 0 || stats.EpochsFailed != 0 || stats.Unaccounted != 0 {
 		t.Errorf("empty Drain stats = %+v, want all-zero epoch counters", stats)
 	}
-	if as := anlzSvc.Stats(); as.Ingests != 0 {
-		t.Errorf("analyzer ingests after an empty Drain = %d, want 0", as.Ingests)
+	if as, err := anlzSvc.Drain(false); err != nil || as.Accepted != 0 || as.EpochsFlushed != 0 {
+		t.Errorf("analyzer after an empty Drain = %+v, %v; want nothing accepted, no epoch", as, err)
 	}
 }
 
@@ -161,60 +151,92 @@ func TestDialBadAddress(t *testing.T) {
 }
 
 // TestAnalyzerKeepsCounts: the analyzer folds each ingest into a running
-// histogram instead of keeping its records. Over random ingests from three
+// histogram instead of keeping its records. Over random Submits from three
 // upstream streams, each keeping the sender rule — a push repeats the
-// stream's last epoch (a retry) or moves past it, sometimes skipping one (a
-// partition the epoch had nothing for) — and blobs that do not decrypt, the
-// service's histogram must equal analyzer.Histogram over the opened records
-// of the distinct ingests, Records must count exactly those records, and a
-// caller holding a returned histogram must not see later ingests in it.
+// stream's last epoch, unchanged (a retry), or moves past it, sometimes
+// skipping one (a partition the epoch had nothing for) — and blobs that do
+// not decrypt, the service's histogram must equal analyzer.Histogram over the
+// opened records of the distinct pushes, its stats must count exactly those
+// records, the undecryptable ones and nothing else, and a caller holding a
+// returned histogram must not see later ingests in it.
 func TestAnalyzerKeepsCounts(t *testing.T) {
 	priv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	an := &analyzer.Analyzer{Priv: priv}
-	svc := NewAnalyzerService(an)
+	svc, _ := serveAnalyzer(t, priv)
 	rng := rand.New(rand.NewPCG(13, 17))
-	last := make(map[int64]int64) // stream -> last epoch pushed
-	ingests := 0
+	type push struct {
+		epoch int64
+		items [][]byte
+	}
+	last := make(map[int64]push) // stream -> last push
 	var db [][]byte
-	undec := 0
+	undec, records := 0, 0
 	for i := 0; i < 40; i++ {
 		stream := 1 + rng.Int64N(3)
-		epoch := max(1, last[stream]+rng.Int64N(3))
-		items := make([][]byte, rng.IntN(6))
-		for j := range items {
-			if rng.IntN(5) == 0 {
-				items[j] = []byte("not a ciphertext")
-				continue
+		p := push{epoch: max(1, last[stream].epoch+rng.Int64N(3))}
+		if p.epoch == last[stream].epoch {
+			p = last[stream] // a retry resends the same batch
+		} else {
+			p.items = make([][]byte, rng.IntN(6))
+			for j := range p.items {
+				if rng.IntN(5) == 0 {
+					p.items[j] = []byte("not a ciphertext")
+					continue
+				}
+				value := []byte(fmt.Sprintf("v%d", rng.IntN(4)))
+				if p.items[j], err = hybrid.Seal(crand.Reader, priv.Public(), value, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
-			value := []byte(fmt.Sprintf("v%d", rng.IntN(4)))
-			if items[j], err = hybrid.Seal(crand.Reader, priv.Public(), value, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		svc.Ingest(stream, epoch, items)
-		if epoch > last[stream] {
-			last[stream] = epoch
-			ingests++
-			opened, u := an.Open(items)
+			last[stream] = p
+			opened, u := an.Open(p.items)
 			db = append(db, opened...)
 			undec += u
+			records += len(p.items)
+		}
+		if n, err := svc.Submit(stream, p.epoch, core.Batch{Payloads: p.items}); err != nil || n != len(p.items) {
+			t.Fatalf("Submit(%d, %d) = %d, %v; want %d acked", stream, p.epoch, n, err, len(p.items))
 		}
 	}
 	want := analyzer.Histogram(db)
-	counts, gotUndec := svc.Histogram()
-	if !reflect.DeepEqual(counts, want) || gotUndec != undec {
-		t.Fatalf("histogram = %v (%d undecryptable), want %v (%d)", counts, gotUndec, want, undec)
+	counts, gotUndec, err := svc.Histogram()
+	if err != nil || !reflect.DeepEqual(counts, want) || gotUndec != undec {
+		t.Fatalf("histogram = %v (%d undecryptable), %v; want %v (%d)", counts, gotUndec, err, want, undec)
 	}
-	if st := svc.Stats(); st.Records != len(db) || st.Undecryptable != undec || st.Ingests != ingests {
-		t.Errorf("stats = %+v, want %d records, %d undecryptable, %d ingests", st, len(db), undec, ingests)
+	st := svc.Stats()
+	if st.Accepted != int64(records) || st.Cumulative.Received != records ||
+		st.Cumulative.Forwarded != len(db) || st.Cumulative.Undecryptable != undec ||
+		st.Pending != 0 || st.Unaccounted != 0 {
+		t.Errorf("stats = %+v, want %d records accepted and received, %d counted, %d undecryptable", st, records, len(db), undec)
 	}
 	counts["v0"] += 100
-	if again, _ := svc.Histogram(); !reflect.DeepEqual(again, want) {
+	if again, _, _ := svc.Histogram(); !reflect.DeepEqual(again, want) {
 		t.Errorf("writing to a returned histogram changed the service's: %v, want %v", again, want)
 	}
+}
+
+// serveAnalyzer serves the analyzer's stage, shuffler.NewStage("analyzer")
+// on priv, until the test ends, and returns the service and its address.
+func serveAnalyzer(t testing.TB, priv *hybrid.PrivateKey) (*StageService, string) {
+	t.Helper()
+	st, err := shuffler.NewStage("analyzer", shuffler.Secrets{Priv: priv}, shuffler.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := NewStageService(st, nil, EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	l, err := Serve("127.0.0.1:0", svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return svc, l.Addr().String()
 }
 
 // TestStageServiceServesItsStagesKeys: a service serves the keys its stage
@@ -248,6 +270,7 @@ func TestStageServiceServesItsStagesKeys(t *testing.T) {
 		return svc
 	}
 	role := func(name string) Service { return stageService(shuffler.NewStage(name, sec, shuffler.Params{})) }
+	analyzerSvc, _ := serveAnalyzer(t, sec.Priv)
 	key := sec.Priv.Public().Bytes()
 	for _, tc := range []struct {
 		name    string
@@ -260,7 +283,7 @@ func TestStageServiceServesItsStagesKeys(t *testing.T) {
 		{"shuffler1", role("shuffler1"), Keys{Blinding: sec.Blinding.ProvenKey()}, ""},
 		{"keyless", stageService(&shuffler.Shuffler1{}, nil), Keys{}, "transport: this hop serves no keys"},
 		{"shuffler2", role("shuffler2"), Keys{Blinding: sec.Blinding.H.Bytes(), Key: key}, ""},
-		{"analyzer", NewAnalyzerService(&analyzer.Analyzer{Priv: sec.Priv}), Keys{Key: key}, ""},
+		{"analyzer", analyzerSvc, Keys{Key: key}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l, err := Serve("127.0.0.1:0", tc.svc)

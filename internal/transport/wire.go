@@ -36,11 +36,13 @@ import (
 //	 1 Submit        stream | pos | batch        accepted
 //	 4 Keys          -                           blinding bytes | key bytes
 //	 5 Healthz       -                           HealthzReply
-//	 6 Stats         -                           ServiceStats (analyzer: AnalyzerStats)
+//	 6 Stats         -                           ServiceStats
 //	 7 Drain         force byte                  ServiceStats
 //	 9 Attestation   -                           quote
 //	10 Histogram     -                           count | (key bytes | n)* | undecryptable
 //
+// Every party serves every method but two: Attestation only at an SGX
+// shuffler, Histogram only at the analyzer, which drains before it answers.
 // Submit carries every batch: pos is a client's sequence number or the
 // pushing hop's epoch id, and (stream, pos) is the receiver's dedup key.
 // Ids 2, 3 and 8 are retired. Histogram keys are decrypted report payloads —
@@ -559,8 +561,8 @@ func (w *wireConn) isBroken() bool {
 	return w.broken != nil
 }
 
-// Service is a party's frame-method handler — a StageService or an
-// AnalyzerService. serveFrame runs one request and appends the method's
+// Service is a party's frame-method handler — a StageService, or a test's
+// stand-in for one. serveFrame runs one request and appends the method's
 // reply body to dst; an error becomes an error reply, never a dropped
 // connection. body may be aliased by what the handler keeps (ingested
 // batches are), so the server hands each request its own buffer.

@@ -156,9 +156,6 @@ func TestControlBodiesRoundTrip(t *testing.T) {
 	var att AttestationReply
 	fillDistinct(reflect.ValueOf(&att).Elem(), &next)
 	check("AttestationReply", att, att.appendWire(nil), func(b []byte) (any, error) { return decodeAttestation(b) })
-	var as AnalyzerStats
-	fillDistinct(reflect.ValueOf(&as).Elem(), &next)
-	check("AnalyzerStats", as, as.appendWire(nil), func(b []byte) (any, error) { return decodeAnalyzerStats(b) })
 	var es shuffler.Stats
 	fillDistinct(reflect.ValueOf(&es).Elem(), &next)
 	check("shuffler.Stats", es, appendEpochStats(nil, es), func(b []byte) (any, error) {
@@ -189,7 +186,7 @@ func TestHistogramKeysAreBytes(t *testing.T) {
 	if _, err := cl.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	ac, err := DialAnalyzer(rig.anlz)
+	ac, err := Dial(rig.anlz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +199,7 @@ func TestHistogramKeysAreBytes(t *testing.T) {
 	if undec != 0 || !reflect.DeepEqual(counts, want) {
 		t.Fatalf("histogram over the wire = %q (undec %d), want %q", counts, undec, want)
 	}
-	if local, _ := rig.anlzSvc.Histogram(); !reflect.DeepEqual(counts, local) {
+	if local, _, _ := rig.anlzSvc.Histogram(); !reflect.DeepEqual(counts, local) {
 		t.Fatalf("wire histogram %q differs from the service's own %q", counts, local)
 	}
 }
@@ -533,7 +530,6 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 		{"retired Ingest id at an analyzer", rig.anlz, 3, nil},
 		{"retired Flush id at a shuffler", rig.shuf, 8, nil},
 		{"histogram asked of a shuffler", rig.shuf, methodHistogram, nil},
-		{"drain asked of an analyzer", rig.anlz, methodDrain, nil},
 		{"Submit on stream 0 at a shuffler", rig.shuf, methodSubmit,
 			appendBatchCall(nil, 0, 1, core.Batch{Envelopes: []core.Envelope{{Blob: []byte("unstamped")}}})},
 		{"Submit on stream 0 at an analyzer", rig.anlz, methodSubmit,
@@ -559,6 +555,19 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 			t.Errorf("%s: healthz afterwards = %+v, %v", tc.name, h, err)
 		}
 		wc.close()
+	}
+	// The analyzer runs the engine every party runs, so it serves Drain: the
+	// reply is its stats, and the connection serves on.
+	anlz, err := Dial(rig.anlz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer anlz.Close()
+	if st, err := anlz.Drain(); err != nil || st.Unaccounted != 0 {
+		t.Errorf("drain asked of an analyzer = %+v, %v; want its stats", st, err)
+	}
+	if h, err := anlz.Healthz(); err != nil || !h.Healthy {
+		t.Errorf("drain asked of an analyzer: healthz afterwards = %+v, %v", h, err)
 	}
 	// A sound frame whose body is malformed for its method is refused the
 	// same way (the frame layer cannot see inside the body).
@@ -842,6 +851,8 @@ func TestErrorPredicates(t *testing.T) {
 		{"nil", nil, false, false},
 		{"ErrEpochFull", ErrEpochFull, true, false},
 		{"epoch-full over the wire", ServerError(ErrEpochFull.Error()), true, false},
+		{"epoch-full over the wire, new text", ServerError("transport: epoch full: held past its bound; the refusal is final"), true, false},
+		{"epoch-full over the wire, old text", ServerError("transport: epoch full, retry after flush"), true, false},
 		{"epoch-full refusing a push", fmt.Errorf("transport: push to next hop 127.0.0.1:1: %w", ServerError(ErrEpochFull.Error())), true, false},
 		{"epoch-full through the balancer", fmt.Errorf("127.0.0.1:1: %w", ServerError(ErrEpochFull.Error())), true, false},
 		{"other server error", ServerError("transport: shuffler stage does not serve method 238"), false, false},
@@ -894,7 +905,8 @@ func FuzzWireFrameParse(f *testing.F) {
 	f.Add(reply(Keys{Blinding: []byte("h"), Key: []byte("k")}.appendWire(nil)))
 	f.Add(reply(HealthzReply{Healthy: true, Pending: 3, Accepted: 7}.appendWire(nil)))
 	f.Add(reply(ServiceStats{Accepted: 9, LastError: "boom", Cumulative: shuffler.Stats{Received: 9}}.appendWire(nil)))
-	f.Add(reply(AnalyzerStats{Records: 4, Ingests: 1}.appendWire(nil)))
+	// an analyzer's Stats: records received, opened and counted, and not
+	f.Add(reply(ServiceStats{Accepted: 4, EpochsFlushed: 1, Cumulative: shuffler.Stats{Received: 4, Undecryptable: 1, Forwarded: 3}}.appendWire(nil)))
 	f.Add(reply(AttestationReply{Quote: sgx.Quote{ReportData: []byte("key")}}.appendWire(nil)))
 	f.Add(reply(appendHistogram(nil, map[string]int{"\xff\x00": 2, "": 1}, 3)))
 	f.Add(body(finishFrame(beginReply(make([]byte, 0, 64), 2, errors.New("boom")))))
@@ -906,12 +918,11 @@ func FuzzWireFrameParse(f *testing.F) {
 		}
 		if _, rb, _, err := parseReply(data); err == nil {
 			// None of these may panic, whatever the body.
-			decodeKeys(rb)          //nolint:errcheck
-			decodeHealthz(rb)       //nolint:errcheck
-			decodeServiceStats(rb)  //nolint:errcheck
-			decodeAnalyzerStats(rb) //nolint:errcheck
-			decodeAttestation(rb)   //nolint:errcheck
-			decodeHistogram(rb)     //nolint:errcheck
+			decodeKeys(rb)         //nolint:errcheck
+			decodeHealthz(rb)      //nolint:errcheck
+			decodeServiceStats(rb) //nolint:errcheck
+			decodeAttestation(rb)  //nolint:errcheck
+			decodeHistogram(rb)    //nolint:errcheck
 		}
 		reqID, method, rb, err := parseRequest(data)
 		if err != nil {

@@ -23,13 +23,17 @@ func scrape(tb testing.TB, reg *metrics.Registry) string {
 	return b.String()
 }
 
-// series sums every sample of one family across its label sets.
-func sumSeries(tb testing.TB, scrape, family string) float64 {
+// series sums every sample of one family across its label sets, or across
+// those that carry every label given (as `role="analyzer"`).
+func sumSeries(tb testing.TB, scrape, family string, labels ...string) float64 {
 	tb.Helper()
 	var total float64
 	found := false
 	for _, line := range strings.Split(scrape, "\n") {
 		if !strings.HasPrefix(line, family+"{") && !strings.HasPrefix(line, family+" ") {
+			continue
+		}
+		if !hasAll(line, labels) {
 			continue
 		}
 		fields := strings.Fields(line)
@@ -44,6 +48,15 @@ func sumSeries(tb testing.TB, scrape, family string) float64 {
 		tb.Fatalf("family %q not found in scrape", family)
 	}
 	return total
+}
+
+func hasAll(line string, labels []string) bool {
+	for _, l := range labels {
+		if !strings.Contains(line, l) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestMacroLoadSmoke is the seeded macro acceptance run (the CI macro
@@ -100,9 +113,14 @@ func TestMacroLoadSmoke(t *testing.T) {
 		t.Errorf("in-flight before drain = %v, want 0", q)
 	}
 
-	// Drain barrier: everything flushes, every replica reconciles.
+	// Drain barrier: everything flushes, every replica reconciles. Flush
+	// then asks each analyzer partition for its histogram, which it answers
+	// once it has folded every batch it acked.
 	tiers, err := rp.DrainAll(false)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rp.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for ti, tier := range tiers {
@@ -124,7 +142,7 @@ func TestMacroLoadSmoke(t *testing.T) {
 	}
 	// With no crowd threshold, exactly the offered reports materialize
 	// across the analyzer partitions.
-	if rec := sumSeries(t, end, "prochlo_analyzer_records"); rec != total {
+	if rec := sumSeries(t, end, "prochlo_stage_forwarded_total", `role="analyzer"`); rec != total {
 		t.Errorf("analyzer records = %v, want %d", rec, total)
 	}
 }

@@ -81,7 +81,9 @@ type RemotePipeline struct {
 	// entry balances submissions across tiers[0]'s clients; see
 	// transport.Balancer for the failover safety rule.
 	entry *transport.Balancer
-	anlzs []*transport.AnalyzerClient
+	// anlzs are the analyzer partitions, queried for the key and the
+	// histogram alone.
+	anlzs []*transport.Client
 
 	// bencMu guards benc and hop1Dials, the entry tier's dial count when
 	// Shuffler 1's blinding key was last fetched (see blindedClient).
@@ -179,7 +181,7 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string)
 		return errors.New("prochlo: no analyzer addresses")
 	}
 	for _, addr := range analyzerAddrs {
-		anlz, err := transport.DialAnalyzer(addr)
+		anlz, err := transport.Dial(addr)
 		if err != nil {
 			r.Close()
 			return fmt.Errorf("prochlo: dial analyzer %s: %w", addr, err)
@@ -217,13 +219,7 @@ func deployedKey(what string, b []byte) (*hybrid.PublicKey, error) {
 // analyzerKey fetches and parses the analyzer fleet's public key from the
 // first reachable partition (partitions share the key).
 func (r *RemotePipeline) analyzerKey() (*hybrid.PublicKey, error) {
-	var keys transport.Keys
-	var err error
-	for _, anlz := range r.anlzs {
-		if keys, err = anlz.Keys(); err == nil {
-			break
-		}
-	}
+	keys, err := firstOf(r.anlzs, (*transport.Client).Keys)
 	if err != nil {
 		return nil, fmt.Errorf("prochlo: analyzer key: %w", err)
 	}

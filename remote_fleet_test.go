@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"prochlo"
-	"prochlo/internal/analyzer"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
@@ -282,7 +281,12 @@ func TestRemotePipelineDialsEachPartyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anlzAddr := serve(transport.NewAnalyzerService(&analyzer.Analyzer{Priv: anlzPriv}))
+	anlzSvc, err := newStage("analyzer", shuffler.Secrets{Priv: anlzPriv}, shuffler.Params{}, nil, transport.EpochConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { anlzSvc.Close() })
+	anlzAddr := serve(anlzSvc)
 	s2Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"prochlo"
-	"prochlo/internal/analyzer"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
@@ -755,11 +754,12 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 	}
 	goodKey, goodBlinding, goodHop1 := good.Public().Bytes(), goodBlind.H.Bytes(), goodBlind.ProvenKey()
 	plain := &shuffler.Shuffler{Priv: good}
-	anlz, err := transport.Serve("127.0.0.1:0", transport.NewAnalyzerService(&analyzer.Analyzer{Priv: good}))
+	anlzSvc, err := newStage("analyzer", shuffler.Secrets{Priv: good}, shuffler.Params{}, nil, transport.EpochConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { anlz.Close() })
+	t.Cleanup(func() { anlzSvc.Close() })
+	anlz := serveAt(t, "127.0.0.1:0", anlzSvc)
 	goodAnlz := anlz.Addr().String()
 
 	// keysAt serves the key bytes (and, when attested, a valid quote over
