@@ -3,7 +3,8 @@
 // absorbing continuous report traffic. Every role, the analyzer too, is one
 // stage served on the same epoch engine (shuffler.NewStage and
 // transport.NewStageService); every shuffler-role daemon forwards to the
-// -next hop, and the analyzer, which emits nothing, dials none:
+// -next hop it must be given, and the analyzer, which emits nothing, takes
+// none:
 //
 //	prochlod -role analyzer  -listen 127.0.0.1:7101
 //	prochlod -role shuffler  -listen 127.0.0.1:7100 -next 127.0.0.1:7101 \
@@ -76,7 +77,6 @@ import (
 	"strings"
 	"syscall"
 
-	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/group"
 	"prochlo/internal/crypto/hybrid"
@@ -90,7 +90,7 @@ import (
 func main() {
 	role := flag.String("role", "", "party to run: shuffler | shuffler1 | shuffler2 | analyzer")
 	listen := flag.String("listen", "127.0.0.1:0", "service listen address")
-	next := flag.String("next", "127.0.0.1:7101", "shuffler roles: downstream hop address: the analyzer for shuffler/shuffler2, the shuffler2 daemon for shuffler1; a comma-separated list fans out to a partitioned downstream tier, its replicas in partition order (identical on every replica of this tier)")
+	next := flag.String("next", "", "shuffler roles, required: downstream hop address: the analyzer for shuffler/shuffler2, the shuffler2 daemon for shuffler1; a comma-separated list fans out to a partitioned downstream tier, its replicas in partition order (identical on every replica of this tier)")
 	workers := flag.Int("workers", 0, "worker pool size per stage (0 = GOMAXPROCS, 1 = serial)")
 	sgxMode := flag.Bool("sgx", false, "shuffler role only, without -key-file or -wal-dir: run inside a simulated SGX enclave (oblivious Stash Shuffle, key served with an attestation quote)")
 
@@ -155,14 +155,14 @@ func newRegistry() *metrics.Registry {
 }
 
 // serveMetrics starts the /metrics + /healthz endpoint when -metrics-addr
-// is set. The /healthz status is driven by the same Healthz call the
-// balancers probe, so an HTTP liveness check and a wire liveness check
-// never disagree. Returns a nil server when disabled.
-func serveMetrics(addr string, reg *metrics.Registry, healthz func() transport.HealthzReply) *metrics.Server {
+// is set. The /healthz status is healthy(): the Healthy bit of the same
+// Stats call the balancers probe, so an HTTP liveness check and a wire
+// liveness check never disagree. Returns a nil server when disabled.
+func serveMetrics(addr string, reg *metrics.Registry, healthy func() bool) *metrics.Server {
 	if addr == "" || reg == nil {
 		return nil
 	}
-	ms, err := metrics.Serve(addr, reg, func() bool { return healthz().Healthy })
+	ms, err := metrics.Serve(addr, reg, healthy)
 	if err != nil {
 		fatal(err)
 	}
@@ -273,7 +273,7 @@ func serveStage(role string, o stageOpts, svc *transport.StageService) {
 		fmt.Printf("prochlod %s: recovered %d reports (%d in-flight epochs, %d pending) from the WAL\n",
 			role, st.RecoveredItems, st.RecoveredEpochs, st.Pending)
 	}
-	ms := serveMetrics(o.metricsAddr, o.metricsReg, svc.Healthz)
+	ms := serveMetrics(o.metricsAddr, o.metricsReg, func() bool { return svc.Stats().Healthy })
 	l, err := transport.Serve(o.listen, svc)
 	if err != nil {
 		fatal(err)
@@ -333,16 +333,12 @@ func buildStage(role string, p shuffler.Params, o stageOpts) (st shuffler.Stage,
 }
 
 // runStage runs a role, serving the keys its stage holds and pushing its
-// epochs to the -next tier — except the analyzer, whose stage emits nothing,
-// and which dials no -next.
+// epochs to the -next tier. The engine refuses a shuffler role without
+// -next and the analyzer, whose stage emits nothing, with one.
 func runStage(role string, p shuffler.Params, o stageOpts) {
 	st, ca, quote, err := buildStage(role, p, o)
 	if err != nil {
 		fatal(err)
-	}
-	_, emits := st.Kinds()
-	if emits == core.KindEmpty {
-		o.nexts = nil
 	}
 	svc, err := transport.NewStageService(st, o.nexts, o.cfg)
 	if err != nil {
@@ -364,7 +360,7 @@ func runStage(role string, p shuffler.Params, o stageOpts) {
 	if key != nil {
 		fmt.Printf("%s public key: %x\n", role, key)
 	}
-	if o.nexts != nil {
+	if _, emits := st.Kinds(); o.nexts != nil {
 		fmt.Printf("forwarding %v to %s\n", emits, strings.Join(o.nexts, ","))
 	}
 	serveStage(role, o, svc)

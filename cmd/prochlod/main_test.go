@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"math/big"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -160,11 +163,35 @@ func TestShuffler1KeyFileKeepsAlpha(t *testing.T) {
 	}
 }
 
+// TestShufflerRolesNeedNext: -next has no default, so a shuffler role
+// started without one exits at start-up with the engine's refusal instead of
+// dialing whatever listens on some default port. The test re-runs its own
+// binary as the daemon, main() reading the arguments in PROCHLOD_TEST_ARGS.
+func TestShufflerRolesNeedNext(t *testing.T) {
+	if args := os.Getenv("PROCHLOD_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"prochlod"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, role := range []string{"shuffler", "shuffler1", "shuffler2"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestShufflerRolesNeedNext$")
+		cmd.Env = append(os.Environ(), "PROCHLOD_TEST_ARGS=-role "+role+" -listen 127.0.0.1:0")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
+			!strings.Contains(string(out), "downstream tier needs at least one address") {
+			t.Errorf("-role %s without -next: %v\n%s\nwant exit status 1 and the engine's refusal", role, err, out)
+		}
+	}
+}
+
 // TestMetricsNameCryptoKernels scrapes a daemon's metrics listener: it
 // serves prochlo_crypto_kernels_info at 1 with the kernels this process
 // selected as its labels.
 func TestMetricsNameCryptoKernels(t *testing.T) {
-	ms := serveMetrics("127.0.0.1:0", newRegistry(), func() transport.HealthzReply { return transport.HealthzReply{Healthy: true} })
+	ms := serveMetrics("127.0.0.1:0", newRegistry(), func() bool { return true })
 	defer ms.Close()
 	resp, err := http.Get("http://" + ms.Addr() + "/metrics")
 	if err != nil {

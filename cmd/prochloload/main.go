@@ -193,7 +193,8 @@ func startLoopback(shape string, workers, flushAt int, seed uint64, reg *metrics
 	return transport.StartFleet([]transport.Tier{
 		{Role: "shuffler1", Replicas: s1N, Epochs: epochs},
 		{Role: "shuffler2", Replicas: s2N, Epochs: epochs},
-	}, anlzN, shuffler.Params{
+		{Role: "analyzer", Replicas: anlzN},
+	}, shuffler.Params{
 		Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
 		Seed:      seed, MinBatch: 1, Workers: workers,
 	}, reg)
@@ -212,7 +213,7 @@ func runLoopback(cfg load.Config, shape string, workers, flushAt int, reg *metri
 	if reg != nil {
 		opts = append(opts, prochlo.WithRemoteMetrics(reg, map[string]string{"tier": "entry"}))
 	}
-	rp, err := prochlo.DialRemoteChainFleet(fleet.Tiers[0], fleet.Tiers[1], fleet.Analyzers, opts...)
+	rp, err := prochlo.DialRemoteChainFleet(fleet.Tiers[0], fleet.Tiers[1], fleet.Tiers[2], opts...)
 	if err != nil {
 		return row{}, err
 	}

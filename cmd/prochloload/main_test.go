@@ -35,7 +35,7 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	rp, err := prochlo.DialRemoteChainFleet(fleet.Tiers[0], fleet.Tiers[1], fleet.Analyzers, prochlo.WithRemoteWorkers(1))
+	rp, err := prochlo.DialRemoteChainFleet(fleet.Tiers[0], fleet.Tiers[1], fleet.Tiers[2], prochlo.WithRemoteWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

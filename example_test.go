@@ -61,14 +61,14 @@ func ExamplePipeline_SubmitBatch() {
 // sharing another, and the client handle balances submissions across the
 // entry replicas and merges the partitions' histograms at query time.
 func ExampleDialRemoteFleet() {
-	fleet, err := transport.StartFleet([]transport.Tier{{Role: "shuffler", Replicas: 2}}, 2,
+	fleet, err := transport.StartFleet([]transport.Tier{{Role: "shuffler", Replicas: 2}, {Role: "analyzer", Replicas: 2}},
 		shuffler.Params{Threshold: shuffler.Threshold{Naive: 20}, MinBatch: 1}, nil)
 	if err != nil {
 		panic(err)
 	}
 	defer fleet.Close()
 
-	rp, err := prochlo.DialRemoteFleet(fleet.Tiers[0], fleet.Analyzers)
+	rp, err := prochlo.DialRemoteFleet(fleet.Tiers[0], fleet.Tiers[1])
 	if err != nil {
 		panic(err)
 	}

@@ -64,33 +64,36 @@ func main() {
 	// each hop-1 replica fans out to every hop-2 partition and each
 	// thresholding replica to every analyzer partition. The fixed seed makes
 	// every run print the same histogram.
+	// The deployment is its tiers in chain order, the analyzer's last.
 	epochs := transport.EpochConfig{FlushAt: *flushAt}
-	tiers, replicas := []transport.Tier{{Role: "shuffler", Replicas: 1, Epochs: epochs}}, 1
+	replicas := 1
 	if *fleet {
 		replicas = 2
 	}
+	tiers := []transport.Tier{{Role: "shuffler", Replicas: 1, Epochs: epochs}}
 	if *chain || *fleet {
 		tiers = []transport.Tier{
 			{Role: "shuffler1", Replicas: replicas, Epochs: epochs},
 			{Role: "shuffler2", Replicas: replicas, Epochs: epochs},
 		}
 	}
-	f, err := transport.StartFleet(tiers, replicas, shuffler.Params{
+	tiers = append(tiers, transport.Tier{Role: "analyzer", Replicas: replicas})
+	f, err := transport.StartFleet(tiers, shuffler.Params{
 		Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise}, Seed: 17, Workers: *workers,
 	}, reg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	fmt.Println("shuffler tiers:", f.Tiers, " analyzers:", f.Analyzers)
+	fmt.Println("tiers, the analyzer's last:", f.Tiers)
 
 	opts := []prochlo.RemoteOption{prochlo.WithRemoteWorkers(*workers),
 		prochlo.WithRemoteMetrics(reg, map[string]string{"tier": "entry"})}
 	var rp *prochlo.RemotePipeline
-	if len(f.Tiers) == 1 {
-		rp, err = prochlo.DialRemoteFleet(f.Tiers[0], f.Analyzers, opts...)
+	if len(f.Tiers) == 2 {
+		rp, err = prochlo.DialRemoteFleet(f.Tiers[0], f.Tiers[1], opts...)
 	} else {
-		rp, err = prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers, opts...)
+		rp, err = prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Tiers[2], opts...)
 	}
 	if err != nil {
 		log.Fatal(err)

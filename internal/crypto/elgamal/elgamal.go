@@ -86,10 +86,6 @@ func ParsePoint(b []byte) (Point, error) {
 	return Point{e: e}, nil
 }
 
-// ValidPoint reports whether ParsePoint accepts b, without keeping the
-// point.
-func ValidPoint(b []byte) bool { return g.Valid(b) }
-
 // RandomScalar returns a uniformly random scalar in [1, n-1]. Each attempt
 // consumes a fixed number of rng bytes, so seeded streams stay
 // deterministic.

@@ -63,7 +63,7 @@ type balancerReplica struct {
 //
 // A half-open circuit breaker tracks per-replica consecutive failures:
 // past the threshold the replica is ejected from rotation, and a background
-// loop of Healthz probes, each one call on the replica's own connection,
+// loop of probes, each one Stats call on the replica's own connection,
 // readmits it once it answers healthy again. While some replicas are down
 // the survivors absorb the full submission stream, so an epoch's anonymity
 // floor is still reached (graceful degradation); if every replica is
@@ -168,7 +168,7 @@ func (b *Balancer) noteSuccess(r *balancerReplica) {
 }
 
 // probeLoop probes every replica each interval until Close. A probe is one
-// Healthz call, no retry, on the replica's connection — which redials a
+// Stats call, no retry, on the replica's connection — which redials a
 // broken one, so a restarted replica is found where it was lost.
 func (b *Balancer) probeLoop() {
 	defer close(b.done)
@@ -181,7 +181,7 @@ func (b *Balancer) probeLoop() {
 		case <-t.C:
 			for _, r := range b.replicas {
 				b.probes.Add(1)
-				if h, err := r.cl.Healthz(); err == nil && h.Healthy {
+				if st, err := r.cl.Stats(); err == nil && st.Healthy {
 					b.noteSuccess(r)
 				} else {
 					b.noteFailure(r)

@@ -169,8 +169,8 @@ func TestBalancerDialFailover(t *testing.T) {
 
 // TestBalancerBreakerEjectsAndReadmits pins the half-open circuit breaker:
 // probes against a dead replica trip the breaker and eject it, submissions
-// concentrate on the survivor, and once the address answers Healthz again
-// the probe loop readmits it.
+// concentrate on the survivor, and once the address answers a healthy
+// Stats again the probe loop readmits it.
 func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 	p := entry
 	p.probeEvery, p.breakAfter = 10*time.Millisecond, 2
@@ -202,14 +202,71 @@ func TestBalancerBreakerEjectsAndReadmits(t *testing.T) {
 	}
 
 	// Revive the address (the same service behind a second listener — any
-	// healthy Healthz responder readmits) and watch the probe loop close the
-	// breaker.
+	// service whose Stats says healthy readmits) and watch the probe loop
+	// close the breaker.
 	revL, err := Serve(downAddr, rig.svc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer revL.Close()
 	waitFor("breaker readmission", func(s BalancerStats) bool { return s.Healthy == 2 && s.Readmits >= 1 })
+}
+
+// TestBalancerEjectsUnhealthyReplica: a replica that still answers but
+// whose service is closed reports Healthy false in its Stats, and the probe
+// must eject it as it ejects a dead address. Submissions then reach the
+// survivor alone, without error and without a failover.
+func TestBalancerEjectsUnhealthyReplica(t *testing.T) {
+	shrinkRedial(t, 1, time.Millisecond)
+	p := entry
+	p.probeEvery, p.breakAfter = 10*time.Millisecond, 2
+	useEntryPolicy(t, p)
+	sick, well := newStreamingRig(t, EpochConfig{}), newStreamingRig(t, EpochConfig{})
+	b := balance(t, nil, nil, dialed(t, sick.shuf), dialed(t, well.shuf))
+
+	waitFor := func(what string, cond func(BalancerStats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond(b.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, b.Stats())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitFor("probes of two healthy replicas", func(s BalancerStats) bool { return s.Probes >= 4 })
+	if s := b.Stats(); s.Healthy != 2 || s.Ejections != 0 {
+		t.Fatalf("two healthy replicas: %+v, want both admitted", s)
+	}
+
+	// The service closes; its listener stays up and answers Stats.
+	if err := sick.svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := dialed(t, sick.shuf).Stats(); err != nil || st.Healthy {
+		t.Fatalf("Stats of the closed service = %+v, %v; want an unhealthy answer", st, err)
+	}
+	waitFor("the unhealthy replica's ejection", func(s BalancerStats) bool { return s.Healthy == 1 && s.Ejections == 1 })
+
+	const batches = 4
+	for i := 0; i < batches; i++ {
+		if err := b.Submit(core.Batch{Envelopes: []core.Envelope{well.envelope(t, "c:unhealthy", "unhealthy-value")}}); err != nil {
+			t.Fatalf("Submit %d with the unhealthy replica ejected: %v", i, err)
+		}
+	}
+	if s := b.Stats(); s.Submitted != batches || s.Failovers != 0 {
+		t.Errorf("stats = %+v, want %d submitted and no failover", s, batches)
+	}
+	if _, err := dialed(t, well.shuf).Drain(); err != nil {
+		t.Fatal(err)
+	}
+	counts, _, err := dialed(t, well.anlz).Histogram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts["unhealthy-value"] != batches {
+		t.Errorf("the survivor counted %d, want %d", counts["unhealthy-value"], batches)
+	}
 }
 
 // TestBalancerAmbiguousErrorSurfaces pins the other half of the safety
@@ -494,8 +551,9 @@ func TestDrainForceReleasesBelowFloor(t *testing.T) {
 	}
 }
 
-// TestHealthzLiveness pins the cheap liveness call: it answers without
-// touching the ingestion path, healthy until the service is closed.
+// TestHealthzLiveness pins the liveness bit of the one status call, which
+// balancer probes and prochlod's /healthz read: Stats answers healthy until
+// the service is closed, and unhealthy after.
 func TestHealthzLiveness(t *testing.T) {
 	rig := newStreamingRig(t, EpochConfig{})
 
@@ -504,21 +562,21 @@ func TestHealthzLiveness(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	reply, err := cl.Healthz()
+	reply, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reply.Healthy {
-		t.Error("Healthz on a live service reports unhealthy")
+		t.Error("Stats on a live service reports unhealthy")
 	}
 	if err := rig.svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if reply, err = cl.Healthz(); err != nil {
+	if reply, err = cl.Stats(); err != nil {
 		t.Fatal(err)
 	}
 	if reply.Healthy {
-		t.Error("Healthz on a closed service still reports healthy")
+		t.Error("Stats on a closed service still reports healthy")
 	}
 }
 

@@ -152,16 +152,6 @@ func (p *peerConn) Close() error {
 	return nil
 }
 
-// Healthz fetches the cheap liveness snapshot (no engine locks server-side;
-// see HealthzReply). Balancer probes use it.
-func (p *peerConn) Healthz() (HealthzReply, error) {
-	body, err := p.call(methodHealthz, nil)
-	if err != nil {
-		return HealthzReply{}, err
-	}
-	return decoded(decodeHealthz(body))
-}
-
 // Keys fetches the key material reports are encrypted to: the party's
 // hybrid key, plus the El Gamal point when it is a hop of the chain — at
 // shuffler1, which serves no hybrid key, the blinding key alone.
@@ -300,7 +290,8 @@ func (c *Client) DrainMode(force bool) (ServiceStats, error) {
 	return decoded(decodeServiceStats(body))
 }
 
-// Stats fetches the service's health snapshot.
+// Stats fetches the service's health and occupancy snapshot (see
+// ServiceStats) in one call, no retry: it is the balancer's probe.
 func (c *Client) Stats() (ServiceStats, error) {
 	body, err := c.call(methodStats, nil)
 	if err != nil {

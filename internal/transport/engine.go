@@ -235,7 +235,6 @@ type engine struct {
 	rejected  atomic.Int64
 	dropped   atomic.Int64
 	closed    atomic.Bool
-	start     time.Time
 	// limit caps the occupancy keep admits a batch into, and cutAt is the
 	// occupancy at which the scheduler cuts on its own (see hold). Both are
 	// derived from FlushAt, or from the floor under the timer alone; a
@@ -351,7 +350,6 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 		cfg:    cfg,
 		wal:    w,
 		stream: stream,
-		start:  time.Now(),
 		room:   make(chan struct{}),
 		kick:   make(chan struct{}, 1),
 		force:  make(chan forceReq),
@@ -784,7 +782,7 @@ func (e *engine) drain(forceDrop bool) error {
 // stats snapshots the service's occupancy, epoch counters, and cumulative
 // selectivity.
 func (e *engine) stats() ServiceStats {
-	var reply ServiceStats
+	reply := ServiceStats{Healthy: !e.closed.Load() && e.wal.failure() == nil}
 	e.mu.Lock()
 	reply.QueuedEpochs = e.queuedEpochs
 	reply.EpochsFlushed = e.epochsFlushed
@@ -808,18 +806,6 @@ func (e *engine) stats() ServiceStats {
 			int64(reply.Cumulative.Received) - reply.Dropped - int64(reply.Pending)
 	}
 	return reply
-}
-
-// healthz is the cheap liveness snapshot. Unlike stats it takes no engine
-// locks — only atomics — so a probe cannot block behind an epoch cut
-// (closeMu), a slow drain, or a wedged flusher.
-func (e *engine) healthz() HealthzReply {
-	return HealthzReply{
-		Healthy:      !e.closed.Load() && e.wal.failure() == nil,
-		UptimeMillis: time.Since(e.start).Milliseconds(),
-		Pending:      int(e.occupancy.Load()),
-		Accepted:     e.accepted.Load(),
-	}
 }
 
 // close gracefully shuts the engine down: it stops accepting submissions,

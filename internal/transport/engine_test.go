@@ -454,7 +454,7 @@ func walValue(b core.Batch, i int) string {
 // Dropped once the WAL holds its drop record. When the log cannot take the
 // record the drop is not counted — a restart brings the report back, so
 // counting it would count it twice — the report stays pending, and the
-// failure reaches the drain's answer, Stats().LastError and Healthz.
+// failure reaches the drain's answer and Stats' LastError and Healthy.
 func TestDropCutRecordsWALError(t *testing.T) {
 	stage := &recordStage{kind: core.KindEnvelopes, floor: 10, onEpoch: func(core.Batch) {}}
 	eng, err := newEngine(EpochConfig{WALDir: t.TempDir()}, stage, []string{serveNull(t)})
@@ -472,7 +472,7 @@ func TestDropCutRecordsWALError(t *testing.T) {
 	if st := eng.stats(); st.Dropped != 0 || st.Pending != 1 || st.Unaccounted != 0 || !strings.Contains(st.LastError, "wal failed") {
 		t.Errorf("after a forced drop with the log closed: %+v; want nothing dropped, the report pending and the WAL's failure", st)
 	}
-	if eng.healthz().Healthy {
+	if eng.stats().Healthy {
 		t.Error("an engine whose log failed reports healthy")
 	}
 }
@@ -587,7 +587,7 @@ func TestWALFailureStopsPushes(t *testing.T) {
 				if err := eng.ingest(walClient, 99, walItem(kind, "late")); err == nil {
 					t.Error("a submission after the log failed was accepted")
 				}
-				if eng.healthz().Healthy {
+				if eng.stats().Healthy {
 					t.Error("an engine whose log failed reports healthy")
 				}
 				eng.close()

@@ -1,16 +1,15 @@
 package transport
 
 import (
-	"slices"
 	"strconv"
 
 	"prochlo/internal/metrics"
 	"prochlo/internal/shuffler"
 )
 
-// Tier is one shuffler tier of a Fleet: Replicas services of one role
-// ("shuffler", "shuffler1" or "shuffler2"), every one with the epoch config
-// Epochs.
+// Tier is one tier of a Fleet: Replicas services of one role ("shuffler",
+// "shuffler1", "shuffler2" or "analyzer"), every one with the epoch config
+// Epochs (zero for the analyzer, which emits nothing).
 type Tier struct {
 	Role     string
 	Replicas int
@@ -18,51 +17,48 @@ type Tier struct {
 }
 
 // Fleet is a whole deployment in one process, every party on its own
-// loopback port: shuffler tiers in chain order, each replica pushing to every
-// replica of the next tier (the last tier's to every analyzer partition). It
-// is the deployment cmd/prochlod runs as separate daemons, standing in one
-// process for the load generator, the examples and the tests.
+// loopback port: its tiers in chain order, the analyzer's last, each replica
+// pushing to every replica of the next tier. It is the deployment
+// cmd/prochlod runs as separate daemons, standing in one process for the
+// load generator, the examples and the tests.
 type Fleet struct {
-	Tiers     [][]string // each shuffler tier's replica addresses, in chain order
-	Analyzers []string   // the analyzer partitions' addresses
+	Tiers [][]string // each tier's replica addresses, in chain order, the analyzer's last
 
 	closers []func()
 }
 
-// StartFleet starts a fleet, downstream first: the analyzer partitions are one
-// more tier of role "analyzer", behind the last shuffler tier. Each tier's
-// replicas share one shuffler.GenerateSecrets, as daemons sharing a -key-file
-// do; every stage is shuffler.NewStage(role, the tier's secrets, p), so a
-// seeded replica draws the stream a seeded prochlod daemon of its role and
-// prochlo.New(WithSeed) draw. With reg set, every party registers its metrics
-// there under {role, replica} labels. Close stops the fleet.
-func StartFleet(tiers []Tier, analyzers int, p shuffler.Params, reg *metrics.Registry) (_ *Fleet, err error) {
-	f := &Fleet{}
+// StartFleet starts a fleet, downstream first. tiers lists it in chain
+// order, the analyzer tier (Role "analyzer") last; the engine refuses an
+// analyzer anywhere else and a shuffler tier with nothing behind it. Each
+// tier's replicas share one shuffler.GenerateSecrets, as daemons sharing a
+// -key-file do; every stage is shuffler.NewStage(role, the tier's secrets,
+// p), so a seeded replica draws the stream a seeded prochlod daemon of its
+// role and prochlo.New(WithSeed) draw. With reg set, every party registers
+// its metrics there under {role, replica} labels. Close stops the fleet.
+func StartFleet(tiers []Tier, p shuffler.Params, reg *metrics.Registry) (_ *Fleet, err error) {
+	f := &Fleet{Tiers: make([][]string, len(tiers))}
 	defer func() {
 		if err != nil {
 			f.Close()
 		}
 	}()
-	// The analyzer tier emits nothing, so its epoch config stays zero.
-	all := append(slices.Clone(tiers), Tier{Role: "analyzer", Replicas: analyzers})
-	addrs := make([][]string, len(all))
-	for t := len(all) - 1; t >= 0; t-- {
+	for t := len(tiers) - 1; t >= 0; t-- {
 		var next []string
-		if t+1 < len(all) {
-			next = addrs[t+1]
+		if t+1 < len(tiers) {
+			next = f.Tiers[t+1]
 		}
 		sec, err := shuffler.GenerateSecrets()
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < all[t].Replicas; i++ {
-			st, err := shuffler.NewStage(all[t].Role, sec, p)
+		for i := 0; i < tiers[t].Replicas; i++ {
+			st, err := shuffler.NewStage(tiers[t].Role, sec, p)
 			if err != nil {
 				return nil, err
 			}
-			cfg := all[t].Epochs
+			cfg := tiers[t].Epochs
 			if reg != nil {
-				cfg.Metrics, cfg.MetricsLabels = reg, metrics.Labels{"role": all[t].Role, "replica": strconv.Itoa(i)}
+				cfg.Metrics, cfg.MetricsLabels = reg, metrics.Labels{"role": tiers[t].Role, "replica": strconv.Itoa(i)}
 			}
 			svc, err := NewStageService(st, next, cfg)
 			if err != nil {
@@ -74,10 +70,9 @@ func StartFleet(tiers []Tier, analyzers int, p shuffler.Params, reg *metrics.Reg
 				return nil, err
 			}
 			f.closers = append(f.closers, func() { l.Close() })
-			addrs[t] = append(addrs[t], l.Addr().String())
+			f.Tiers[t] = append(f.Tiers[t], l.Addr().String())
 		}
 	}
-	f.Tiers, f.Analyzers = addrs[:len(tiers)], addrs[len(tiers)]
 	return f, nil
 }
 

@@ -140,7 +140,7 @@ func (b *Balancer) registerMetrics(reg *metrics.Registry, l metrics.Labels) {
 		func() float64 { return float64(b.ejections.Load()) })
 	reg.CounterFunc("prochlo_balancer_readmits_total", "Replicas readmitted into rotation by a probe or submission success.", l,
 		func() float64 { return float64(b.readmits.Load()) })
-	reg.CounterFunc("prochlo_balancer_probes_total", "Healthz probes issued to entry-tier replicas.", l,
+	reg.CounterFunc("prochlo_balancer_probes_total", "Stats probes issued to entry-tier replicas.", l,
 		func() float64 { return float64(b.probes.Load()) })
 }
 

@@ -159,9 +159,6 @@ func (s *StageService) Attestation() (AttestationReply, error) {
 // raised to the stage's anonymity floor.
 func (s *StageService) Config() EpochConfig { return s.eng.cfg }
 
-// Healthz is the cheap liveness probe; see HealthzReply.
-func (s *StageService) Healthz() HealthzReply { return s.eng.healthz() }
-
 // Keys returns the key material clients encrypt to — at shuffler1 its
 // public blinding key alone; it fails at a hop that serves neither key.
 func (s *StageService) Keys() (Keys, error) {
@@ -205,8 +202,8 @@ func (s *StageService) Drain(force bool) (ServiceStats, error) {
 	return s.eng.stats(), nil
 }
 
-// Stats reports the service's occupancy, epoch counters, and cumulative
-// selectivity.
+// Stats reports the service's health, occupancy, epoch counters, and
+// cumulative selectivity; see ServiceStats.
 func (s *StageService) Stats() ServiceStats { return s.eng.stats() }
 
 // Histogram returns a copy of the analyzer's histogram and the number of
@@ -243,8 +240,6 @@ func (s *StageService) serveFrame(method uint8, body, dst []byte) ([]byte, error
 	case methodKeys:
 		k, err := s.Keys()
 		return k.appendWire(dst), err
-	case methodHealthz:
-		return s.Healthz().appendWire(dst), nil
 	case methodStats:
 		return s.Stats().appendWire(dst), nil
 	case methodDrain:

@@ -44,7 +44,8 @@ func TestAnalyzerJoinsTheLedger(t *testing.T) {
 			f, err := StartFleet([]Tier{
 				{Role: "shuffler1", Replicas: 1, Epochs: epochs},
 				{Role: "shuffler2", Replicas: shape.s2, Epochs: epochs},
-			}, shape.anlz, shuffler.Params{Threshold: shuffler.Threshold{Naive: 5}, Seed: 7, MinBatch: 1}, nil)
+				{Role: "analyzer", Replicas: shape.anlz},
+			}, shuffler.Params{Threshold: shuffler.Threshold{Naive: 5}, Seed: 7, MinBatch: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,8 +60,9 @@ func TestAnalyzerJoinsTheLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			anlzs := make([]*Client, len(f.Analyzers))
-			for i, addr := range f.Analyzers {
+			hops, anlzAddrs := f.Tiers[:2], f.Tiers[2]
+			anlzs := make([]*Client, len(anlzAddrs))
+			for i, addr := range anlzAddrs {
 				anlzs[i] = dialed(t, addr)
 			}
 			ka, err := anlzs[0].Keys()
@@ -119,13 +121,13 @@ func TestAnalyzerJoinsTheLedger(t *testing.T) {
 			}
 
 			var forwarded int64
-			for tier, addrs := range f.Tiers {
+			for tier, addrs := range hops {
 				for _, addr := range addrs {
 					st, err := dialed(t, addr).Drain()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if tier == len(f.Tiers)-1 {
+					if tier == len(hops)-1 {
 						forwarded += int64(st.Cumulative.Forwarded)
 					}
 				}

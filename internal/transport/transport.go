@@ -2,8 +2,8 @@
 // the deployment shape of Figure 1, where encoders, shufflers, and analyzers
 // are distinct long-lived parties. Every call between two parties is a
 // request/reply frame pair on one pipelined TCP connection (wire.go): report
-// batches and the control calls (keys, health, stats, drain barriers,
-// attestation, the analyzer's histogram) alike.
+// batches and the control calls (keys, stats — the one status call, health
+// included — drain barriers, attestation, the analyzer's histogram) alike.
 //
 // # Stage topology
 //
@@ -110,35 +110,6 @@ import (
 	"prochlo/internal/shuffler"
 )
 
-// HealthzReply is the cheap liveness snapshot served over Healthz. Unlike
-// Stats it takes no engine locks — it reads only atomics — so a balancer
-// probe cannot block behind an epoch cut or a slow drain.
-type HealthzReply struct {
-	Healthy      bool
-	UptimeMillis int64
-	Pending      int
-	Accepted     int64
-}
-
-func (h HealthzReply) appendWire(dst []byte) []byte {
-	healthy := int64(0)
-	if h.Healthy {
-		healthy = 1
-	}
-	return appendWireInts(dst, healthy, h.UptimeMillis, int64(h.Pending), h.Accepted)
-}
-
-func decodeHealthz(body []byte) (HealthzReply, error) {
-	r := wireReader{b: body}
-	h := HealthzReply{
-		Healthy:      r.int() == 1,
-		UptimeMillis: r.int(),
-		Pending:      int(r.int()),
-		Accepted:     r.int(),
-	}
-	return h, r.done()
-}
-
 // Keys is the public key material a party serves to clients: the hybrid key
 // reports are sealed to, and from a hop of the chain an El Gamal key —
 // shuffler2's key crowd IDs are encrypted to (a tagged group element), or
@@ -185,8 +156,13 @@ func decodeAttestation(body []byte) (AttestationReply, error) {
 	return a, r.done()
 }
 
-// ServiceStats is a stage service's health/occupancy snapshot.
+// ServiceStats is a stage service's health and occupancy snapshot, the one
+// status call: a balancer's probe is a Stats call, and so is prochlod's
+// /healthz. The service answers it under the engine's counter lock alone,
+// which no cut, push or drain holds across its work, so a probe never waits
+// behind one.
 type ServiceStats struct {
+	Healthy       bool  // the service is not closed and its WAL has not failed
 	Pending       int   // items accumulated in the current epoch
 	QueuedEpochs  int   // epochs cut but not yet flushed downstream
 	EpochsFlushed int   // epochs processed and pushed successfully
@@ -217,7 +193,11 @@ type ServiceStats struct {
 }
 
 func (s ServiceStats) appendWire(dst []byte) []byte {
-	dst = appendWireInts(dst, int64(s.Pending), int64(s.QueuedEpochs), int64(s.EpochsFlushed),
+	healthy := int64(0)
+	if s.Healthy {
+		healthy = 1
+	}
+	dst = appendWireInts(dst, healthy, int64(s.Pending), int64(s.QueuedEpochs), int64(s.EpochsFlushed),
 		int64(s.EpochsFailed), s.Accepted, s.Rejected, s.Dropped, s.Unaccounted,
 		s.RecoveredItems, s.RecoveredEpochs)
 	return appendEpochStats(appendWireBytes(dst, []byte(s.LastError)), s.Cumulative)
@@ -226,6 +206,7 @@ func (s ServiceStats) appendWire(dst []byte) []byte {
 func decodeServiceStats(body []byte) (ServiceStats, error) {
 	r := wireReader{b: body}
 	s := ServiceStats{
+		Healthy:         r.int() == 1,
 		Pending:         int(r.int()),
 		QueuedEpochs:    int(r.int()),
 		EpochsFlushed:   int(r.int()),

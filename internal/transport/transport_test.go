@@ -76,8 +76,8 @@ func TestNetworkedPipeline(t *testing.T) {
 	submit("c:popular", "popular-value", 80)
 	submit("c:rare", "rare-value", 3)
 
-	if h, err := cl.Healthz(); err != nil || h.Pending != 83 {
-		t.Fatalf("healthz = %+v, %v, want 83 pending", h, err)
+	if st, err := cl.Stats(); err != nil || !st.Healthy || st.Pending != 83 {
+		t.Fatalf("stats = %+v, %v, want healthy and 83 pending", st, err)
 	}
 
 	stats, err := cl.Drain()

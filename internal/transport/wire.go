@@ -35,7 +35,6 @@ import (
 //	method           request body                reply body
 //	 1 Submit        stream | pos | batch        accepted
 //	 4 Keys          -                           blinding bytes | key bytes
-//	 5 Healthz       -                           HealthzReply
 //	 6 Stats         -                           ServiceStats
 //	 7 Drain         force byte                  ServiceStats
 //	 9 Attestation   -                           quote
@@ -45,7 +44,7 @@ import (
 // shuffler, Histogram only at the analyzer, which drains before it answers.
 // Submit carries every batch: pos is a client's sequence number or the
 // pushing hop's epoch id, and (stream, pos) is the receiver's dedup key.
-// Ids 2, 3 and 8 are retired. Histogram keys are decrypted report payloads —
+// Ids 2, 3, 5 and 8 are retired. Histogram keys are decrypted report payloads —
 // arbitrary bytes — which is why every body is binary rather than text.
 //
 // The CRC covers the body up to itself (IEEE, like the WAL records). A
@@ -105,7 +104,6 @@ const maxConnHandlers = 64
 const (
 	methodSubmit      uint8 = 1
 	methodKeys        uint8 = 4
-	methodHealthz     uint8 = 5
 	methodStats       uint8 = 6
 	methodDrain       uint8 = 7
 	methodAttestation uint8 = 9

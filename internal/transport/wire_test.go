@@ -147,9 +147,6 @@ func TestControlBodiesRoundTrip(t *testing.T) {
 	var ss ServiceStats
 	fillDistinct(reflect.ValueOf(&ss).Elem(), &next)
 	check("ServiceStats", ss, ss.appendWire(nil), func(b []byte) (any, error) { return decodeServiceStats(b) })
-	var hz HealthzReply
-	fillDistinct(reflect.ValueOf(&hz).Elem(), &next)
-	check("HealthzReply", hz, hz.appendWire(nil), func(b []byte) (any, error) { return decodeHealthz(b) })
 	var ks Keys
 	fillDistinct(reflect.ValueOf(&ks).Elem(), &next)
 	check("Keys", ks, ks.appendWire(nil), func(b []byte) (any, error) { return decodeKeys(b) })
@@ -529,6 +526,7 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 		{"retired Forward id at a shuffler", rig.shuf, 2, nil},
 		{"retired Ingest id at an analyzer", rig.anlz, 3, nil},
 		{"retired Flush id at a shuffler", rig.shuf, 8, nil},
+		{"retired Healthz id at a shuffler", rig.shuf, 5, nil},
 		{"histogram asked of a shuffler", rig.shuf, methodHistogram, nil},
 		{"Submit on stream 0 at a shuffler", rig.shuf, methodSubmit,
 			appendBatchCall(nil, 0, 1, core.Batch{Envelopes: []core.Envelope{{Blob: []byte("unstamped")}}})},
@@ -549,10 +547,10 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 		if wc.isBroken() {
 			t.Errorf("%s: refusal broke the connection", tc.name)
 		}
-		if body, err := wc.call(methodHealthz, nil); err != nil {
-			t.Errorf("%s: healthz on the same connection afterwards: %v", tc.name, err)
-		} else if h, err := decodeHealthz(body); err != nil || !h.Healthy {
-			t.Errorf("%s: healthz afterwards = %+v, %v", tc.name, h, err)
+		if body, err := wc.call(methodStats, nil); err != nil {
+			t.Errorf("%s: stats on the same connection afterwards: %v", tc.name, err)
+		} else if st, err := decodeServiceStats(body); err != nil || !st.Healthy {
+			t.Errorf("%s: stats afterwards = %+v, %v", tc.name, st, err)
 		}
 		wc.close()
 	}
@@ -566,8 +564,8 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 	if st, err := anlz.Drain(); err != nil || st.Unaccounted != 0 {
 		t.Errorf("drain asked of an analyzer = %+v, %v; want its stats", st, err)
 	}
-	if h, err := anlz.Healthz(); err != nil || !h.Healthy {
-		t.Errorf("drain asked of an analyzer: healthz afterwards = %+v, %v", h, err)
+	if st, err := anlz.Stats(); err != nil || !st.Healthy {
+		t.Errorf("drain asked of an analyzer: stats afterwards = %+v, %v", st, err)
 	}
 	// A sound frame whose body is malformed for its method is refused the
 	// same way (the frame layer cannot see inside the body).
@@ -730,7 +728,7 @@ func TestServeSurvivesAcceptError(t *testing.T) {
 		t.Fatalf("dial after a failed Accept: %v", err)
 	}
 	defer wc.close()
-	if _, err := wc.call(methodHealthz, nil); err != nil {
+	if _, err := wc.call(methodStats, nil); err != nil {
 		t.Fatalf("call after a failed Accept: %v", err)
 	}
 	if !l.failed.Load() {
@@ -890,7 +888,8 @@ func FuzzWireFrameParse(f *testing.F) {
 		core.Batch{Envelopes: []core.Envelope{{Blob: []byte("b")}}})))
 	f.Add(body(batchRequest(4, methodSubmit, 5, 6, core.Batch{Payloads: [][]byte{[]byte("p"), nil}})))
 	f.Add(body(finishFrame(append(beginRequest(make([]byte, 0, 32), 5, methodDrain), 1))))
-	for _, m := range []uint8{methodKeys, methodHealthz, methodStats, methodAttestation, methodHistogram} {
+	// 5, once Healthz, is retired: its request is refused, and still a seed.
+	for _, m := range []uint8{methodKeys, 5, methodStats, methodAttestation, methodHistogram} {
 		f.Add(body(finishFrame(beginRequest(make([]byte, 0, 32), 6, m))))
 	}
 	// A sound frame whose batch announces 2^40 payloads in two bytes: the
@@ -903,7 +902,7 @@ func FuzzWireFrameParse(f *testing.F) {
 	}
 	f.Add(reply(appendWireInts(nil, 10)))
 	f.Add(reply(Keys{Blinding: []byte("h"), Key: []byte("k")}.appendWire(nil)))
-	f.Add(reply(HealthzReply{Healthy: true, Pending: 3, Accepted: 7}.appendWire(nil)))
+	f.Add(reply(ServiceStats{Healthy: true, Pending: 3, Accepted: 7}.appendWire(nil)))
 	f.Add(reply(ServiceStats{Accepted: 9, LastError: "boom", Cumulative: shuffler.Stats{Received: 9}}.appendWire(nil)))
 	// an analyzer's Stats: records received, opened and counted, and not
 	f.Add(reply(ServiceStats{Accepted: 4, EpochsFlushed: 1, Cumulative: shuffler.Stats{Received: 4, Undecryptable: 1, Forwarded: 3}}.appendWire(nil)))
@@ -919,7 +918,6 @@ func FuzzWireFrameParse(f *testing.F) {
 		if _, rb, _, err := parseReply(data); err == nil {
 			// None of these may panic, whatever the body.
 			decodeKeys(rb)         //nolint:errcheck
-			decodeHealthz(rb)      //nolint:errcheck
 			decodeServiceStats(rb) //nolint:errcheck
 			decodeAttestation(rb)  //nolint:errcheck
 			decodeHistogram(rb)    //nolint:errcheck

@@ -78,7 +78,7 @@ func TestMacroLoadSmoke(t *testing.T) {
 	// accepted report must reach an analyzer.
 	reg := metrics.NewRegistry()
 	epochs := transport.EpochConfig{FlushAt: total * 10}
-	f := startFleet(t, chainTiers(2, epochs, epochs), 2, shuffler.Params{MinBatch: 1}, reg)
+	f := startFleet(t, chainTiers(2, epochs, epochs), shuffler.Params{MinBatch: 1}, reg)
 	rp := dialFleet(t, f, prochlo.WithRemoteMetrics(reg, map[string]string{"tier": "entry"}))
 
 	res, err := load.Run(rp, load.Config{

@@ -19,11 +19,13 @@ import (
 // RemotePipeline is the networked counterpart of Pipeline: it plays the
 // client fleet against long-lived stage daemons (cmd/prochlod or the
 // transport services directly), fetching the stage keys from the daemons,
-// encoding locally, and shipping whole batches per round trip. It holds one
-// connection per party, dialed once: submissions, health probes, stats,
-// drains and key fetches share it, and it redials itself after a break. An
-// entry hop without room holds a submission until it has some; Flush drains
-// every hop's epoch queue in chain order and returns the analyzer's
+// encoding locally, and shipping whole batches per round trip. A deployment
+// is its list of tiers in chain order — the entry hop first, the analyzer's
+// tier last, the shuffler hops between. The pipeline holds one connection
+// per party, dialed once: submissions, health probes, stats, drains and key
+// fetches share it, and it redials itself after a break. An entry hop
+// without room holds a submission until it has some; Flush drains every
+// shuffler hop's epoch queue in chain order and returns the analyzer tier's
 // cumulative histogram, failing if any hop lost reports since the last one.
 //
 // All three shuffler deployments are supported by the dial functions:
@@ -64,26 +66,21 @@ type RemotePipeline struct {
 	// (WithRemoteMetrics); a nil reg registers nothing.
 	reg    *metrics.Registry
 	labels metrics.Labels
-	// partitions is the hop-2 replica count of a chain fleet; blinded
-	// envelopes are stamped with PartitionOf(crowd, partitions) so hop-1
-	// replicas route each crowd to its owning thresholding partition.
-	partitions int
-	// drained is each tier's summed stats at the previous Flush's drain
-	// (zero before the first), so each loss fails one Flush.
+	// drained is each shuffler hop's summed stats at the previous Flush's
+	// drain (zero before the first), so each loss fails one Flush.
 	drained []transport.ServiceStats
 
 	enc  *encoder.Client        // ModePlain / ModeSGX
 	benc *encoder.BlindedClient // ModeBlinded
-	// tiers are the shuffler daemons in chain order — tiers[0] is the entry
-	// hop's replica set — and Flush drains them front to back so each
-	// tier's final epochs reach the next before that tier is drained.
+	// tiers are the deployment's replica sets in chain order: tiers[0] is
+	// the entry hop, the last is the analyzer's partitions, queried for the
+	// key and the histogram alone, and the shuffler hops (hops) are every
+	// tier but the last. Flush drains the hops front to back so each tier's
+	// final epochs reach the next before that tier is drained.
 	tiers [][]*transport.Client
 	// entry balances submissions across tiers[0]'s clients; see
 	// transport.Balancer for the failover safety rule.
 	entry *transport.Balancer
-	// anlzs are the analyzer partitions, queried for the key and the
-	// histogram alone.
-	anlzs []*transport.Client
 
 	// bencMu guards benc and hop1Dials, the entry tier's dial count when
 	// Shuffler 1's blinding key was last fetched (see blindedClient).
@@ -146,51 +143,29 @@ func WithRemoteMetrics(reg *MetricsRegistry, labels map[string]string) RemoteOpt
 	}
 }
 
-// newRemotePipeline applies options over the defaults.
-func newRemotePipeline(opts []RemoteOption) (*RemotePipeline, error) {
-	r := &RemotePipeline{}
-	for _, o := range opts {
-		if err := o(r); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// dialTiers connects every shuffler replica tier by tier and the analyzer
-// partitions, and starts the entry balancer over tiers[0]'s connections,
-// cleaning up on partial failure.
-func (r *RemotePipeline) dialTiers(tierAddrs [][]string, analyzerAddrs []string) error {
+// dialTiers connects every replica of every tier, in chain order, and
+// starts the entry balancer over tiers[0]'s connections.
+func (r *RemotePipeline) dialTiers(tierAddrs [][]string) error {
 	for t, addrs := range tierAddrs {
 		if len(addrs) == 0 {
-			r.Close()
-			return fmt.Errorf("prochlo: hop %d has no replica addresses", t+1)
+			return fmt.Errorf("prochlo: tier %d has no replica addresses", t+1)
 		}
 		r.tiers = append(r.tiers, nil)
 		for _, addr := range addrs {
 			cl, err := transport.Dial(addr)
 			if err != nil {
-				r.Close()
-				return fmt.Errorf("prochlo: dial shuffler %s: %w", addr, err)
+				return fmt.Errorf("prochlo: dial tier %d replica %s: %w", t+1, addr, err)
 			}
 			r.tiers[t] = append(r.tiers[t], cl)
 		}
 	}
-	if len(analyzerAddrs) == 0 {
-		r.Close()
-		return errors.New("prochlo: no analyzer addresses")
-	}
-	for _, addr := range analyzerAddrs {
-		anlz, err := transport.Dial(addr)
-		if err != nil {
-			r.Close()
-			return fmt.Errorf("prochlo: dial analyzer %s: %w", addr, err)
-		}
-		r.anlzs = append(r.anlzs, anlz)
-	}
 	r.entry = transport.NewBalancer(r.tiers[0], r.reg, r.labels)
 	return nil
 }
+
+// hops returns the shuffler hops' tiers, in chain order: every tier but the
+// analyzer's.
+func (r *RemotePipeline) hops() [][]*transport.Client { return r.tiers[:len(r.tiers)-1] }
 
 // firstOf runs fetch against each replica of a tier until one answers —
 // replicas of a tier share key material, so any reachable one is
@@ -216,16 +191,6 @@ func deployedKey(what string, b []byte) (*hybrid.PublicKey, error) {
 	return key, nil
 }
 
-// analyzerKey fetches and parses the analyzer fleet's public key from the
-// first reachable partition (partitions share the key).
-func (r *RemotePipeline) analyzerKey() (*hybrid.PublicKey, error) {
-	keys, err := firstOf(r.anlzs, (*transport.Client).Keys)
-	if err != nil {
-		return nil, fmt.Errorf("prochlo: analyzer key: %w", err)
-	}
-	return deployedKey("analyzer key", keys.Key)
-}
-
 // DialRemoteFleet connects to a single-shuffler deployment — the shuffler
 // tier's replicas and the analyzer tier's partitions — and fetches their
 // public keys, returning a pipeline handle ready to encode and submit
@@ -238,43 +203,7 @@ func (r *RemotePipeline) analyzerKey() (*hybrid.PublicKey, error) {
 // report data flows exclusively through the shufflers, preserving the ESA
 // trust split.
 func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption) (*RemotePipeline, error) {
-	r, err := newRemotePipeline(opts)
-	if err != nil {
-		return nil, err
-	}
-	if r.attestCA != nil && len(shufflerAddrs) != 1 {
-		return nil, errors.New("prochlo: an attested SGX tier cannot be replicated (the quote binds the key to one enclave)")
-	}
-	if err := r.dialTiers([][]string{shufflerAddrs}, analyzerAddrs); err != nil {
-		return nil, err
-	}
-	var shufKeyBytes []byte
-	if r.attestCA != nil {
-		shufKeyBytes, err = r.tiers[0][0].Attestation(r.attestCA, shuffler.SGXShufflerMeasurement)
-		if err != nil {
-			r.Close()
-			return nil, fmt.Errorf("prochlo: shuffler attestation: %w", err)
-		}
-	} else {
-		keys, kerr := firstOf(r.tiers[0], (*transport.Client).Keys)
-		if kerr != nil {
-			r.Close()
-			return nil, fmt.Errorf("prochlo: shuffler key: %w", kerr)
-		}
-		shufKeyBytes = keys.Key
-	}
-	shufKey, err := deployedKey("shuffler key", shufKeyBytes)
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	anlzKey, err := r.analyzerKey()
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	r.enc = &encoder.Client{ShufflerKey: shufKey, AnalyzerKey: anlzKey, Rand: crand.Reader}
-	return r, nil
+	return dialRemote([][]string{shufflerAddrs, analyzerAddrs}, opts)
 }
 
 // DialRemoteChainFleet connects to the §4.3 split-shuffler chain — the
@@ -296,43 +225,104 @@ func DialRemoteFleet(shufflerAddrs, analyzerAddrs []string, opts ...RemoteOption
 // again, so a replica restarted with a fresh α splits only the crowds that
 // straddle the restart.
 func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string, opts ...RemoteOption) (*RemotePipeline, error) {
-	r, err := newRemotePipeline(opts)
-	if err != nil {
-		return nil, err
+	return dialRemote([][]string{shuffler1Addrs, shuffler2Addrs, analyzerAddrs}, opts)
+}
+
+// dialRemote is the one dial body. tierAddrs is the deployment in chain
+// order, the analyzer's tier last, and its length is the topology: two tiers
+// are a single shuffler (plain, or attested under WithRemoteAttestation),
+// three the §4.3 chain. It dials every party, fetches the keys the
+// pipeline encodes to, and closes the pipeline on any failure.
+func dialRemote(tierAddrs [][]string, opts []RemoteOption) (*RemotePipeline, error) {
+	r := &RemotePipeline{}
+	for _, o := range opts {
+		if err := o(r); err != nil {
+			return nil, err
+		}
 	}
-	if r.attestCA != nil {
-		r.Close()
+	chain := len(tierAddrs) == 3
+	if r.attestCA != nil && chain {
 		return nil, errors.New("prochlo: attestation applies to the SGX deployment, not the blinded chain")
 	}
-	r.partitions = len(shuffler2Addrs)
-	if err := r.dialTiers([][]string{shuffler1Addrs, shuffler2Addrs}, analyzerAddrs); err != nil {
-		return nil, err
+	if r.attestCA != nil && len(tierAddrs[0]) != 1 {
+		return nil, errors.New("prochlo: an attested SGX tier cannot be replicated (the quote binds the key to one enclave)")
 	}
-	r.hop1Dials = entryDials(r.tiers[0])
-	hop1, err := hop1Key(r.tiers[0], false)
+	err := r.dialTiers(tierAddrs)
+	if err == nil {
+		if chain {
+			err = r.chainKeys()
+		} else {
+			err = r.shufflerKeys()
+		}
+	}
 	if err != nil {
 		r.Close()
 		return nil, err
 	}
-	keys, err := firstOf(r.tiers[1], (*transport.Client).Keys)
+	return r, nil
+}
+
+// analyzerKey fetches and parses the analyzer tier's public key from the
+// first reachable partition (partitions share the key).
+func (r *RemotePipeline) analyzerKey() (*hybrid.PublicKey, error) {
+	keys, err := firstOf(r.tiers[len(r.tiers)-1], (*transport.Client).Keys)
 	if err != nil {
-		r.Close()
-		return nil, fmt.Errorf("prochlo: shuffler 2 keys: %w", err)
+		return nil, fmt.Errorf("prochlo: analyzer key: %w", err)
 	}
-	blinding, err := elgamal.ParsePoint(keys.Blinding)
-	if err != nil {
-		r.Close()
-		return nil, fmt.Errorf("prochlo: shuffler 2 blinding key: %w", err)
+	return deployedKey("analyzer key", keys.Key)
+}
+
+// shufflerKeys builds the single-shuffler encoder: the shuffler tier's key,
+// from its attested quote under WithRemoteAttestation, and the analyzer's.
+func (r *RemotePipeline) shufflerKeys() error {
+	var shufKeyBytes []byte
+	if r.attestCA != nil {
+		var err error
+		if shufKeyBytes, err = r.tiers[0][0].Attestation(r.attestCA, shuffler.SGXShufflerMeasurement); err != nil {
+			return fmt.Errorf("prochlo: shuffler attestation: %w", err)
+		}
+	} else {
+		keys, err := firstOf(r.tiers[0], (*transport.Client).Keys)
+		if err != nil {
+			return fmt.Errorf("prochlo: shuffler key: %w", err)
+		}
+		shufKeyBytes = keys.Key
 	}
-	s2Key, err := deployedKey("shuffler 2 key", keys.Key)
+	shufKey, err := deployedKey("shuffler key", shufKeyBytes)
 	if err != nil {
-		r.Close()
-		return nil, err
+		return err
 	}
 	anlzKey, err := r.analyzerKey()
 	if err != nil {
-		r.Close()
-		return nil, err
+		return err
+	}
+	r.enc = &encoder.Client{ShufflerKey: shufKey, AnalyzerKey: anlzKey, Rand: crand.Reader}
+	return nil
+}
+
+// chainKeys builds the chain's encoder: Shuffler 1's proven blinding key,
+// Shuffler 2's El Gamal and hybrid keys, and the analyzer's.
+func (r *RemotePipeline) chainKeys() error {
+	r.hop1Dials = entryDials(r.tiers[0])
+	hop1, err := hop1Key(r.tiers[0], false)
+	if err != nil {
+		return err
+	}
+	keys, err := firstOf(r.tiers[1], (*transport.Client).Keys)
+	if err != nil {
+		return fmt.Errorf("prochlo: shuffler 2 keys: %w", err)
+	}
+	blinding, err := elgamal.ParsePoint(keys.Blinding)
+	if err != nil {
+		return fmt.Errorf("prochlo: shuffler 2 blinding key: %w", err)
+	}
+	s2Key, err := deployedKey("shuffler 2 key", keys.Key)
+	if err != nil {
+		return err
+	}
+	anlzKey, err := r.analyzerKey()
+	if err != nil {
+		return err
 	}
 	r.benc = &encoder.BlindedClient{
 		Shuffler1Blinding: hop1,
@@ -341,7 +331,7 @@ func DialRemoteChainFleet(shuffler1Addrs, shuffler2Addrs, analyzerAddrs []string
 		AnalyzerKey:       anlzKey,
 		Rand:              crand.Reader,
 	}
-	return r, nil
+	return nil
 }
 
 // hop1Key fetches Shuffler 1's blinding key A from every replica of the
@@ -424,16 +414,18 @@ func (r *RemotePipeline) blindedClient() (*encoder.BlindedClient, int, error) {
 }
 
 // stampPartitions routes each blinded envelope to its crowd's owning hop-2
-// partition. Only the client knows the crowd label in the clear, so the
-// stamp must be applied before submission; it deliberately leaks the
-// partition index (log2(partitions) bits of the crowd hash) to the chain,
-// the price of partitioned fan-in.
+// partition, one of tiers[1]'s replicas. Only the client knows the crowd
+// label in the clear, so the stamp must be applied before submission; it
+// deliberately leaks the partition index (log2(partitions) bits of the crowd
+// hash) to the chain, the price of partitioned fan-in. Outside the chain
+// there are no blinded envelopes to stamp.
 func (r *RemotePipeline) stampPartitions(envs []core.BlindedEnvelope, labels []string) {
-	if r.partitions <= 1 {
+	partitions := len(r.tiers[1])
+	if partitions <= 1 {
 		return
 	}
 	for i := range envs {
-		envs[i].Partition = core.PartitionOf(core.HashCrowdID(labels[i]), r.partitions)
+		envs[i].Partition = core.PartitionOf(core.HashCrowdID(labels[i]), partitions)
 	}
 }
 
@@ -506,9 +498,9 @@ func (r *RemotePipeline) BalancerStats() transport.BalancerStats {
 	return r.entry.Stats()
 }
 
-// HopStats fetches every hop's aggregate stats in chain order — per-hop
-// observability for chained deployments. Replicated tiers are summed; use
-// FleetStats for the per-replica view.
+// HopStats fetches every shuffler hop's aggregate stats in chain order —
+// per-hop observability for chained deployments. Replicated tiers are
+// summed; use FleetStats for the per-replica view.
 func (r *RemotePipeline) HopStats() ([]transport.ServiceStats, error) {
 	fleet, err := r.FleetStats()
 	if err != nil {
@@ -521,10 +513,12 @@ func (r *RemotePipeline) HopStats() ([]transport.ServiceStats, error) {
 	return out, nil
 }
 
-// FleetStats fetches every replica's stats, indexed [tier][replica].
+// FleetStats fetches every shuffler replica's stats, indexed
+// [hop][replica].
 func (r *RemotePipeline) FleetStats() ([][]transport.ServiceStats, error) {
-	out := make([][]transport.ServiceStats, len(r.tiers))
-	for t, tier := range r.tiers {
+	hops := r.hops()
+	out := make([][]transport.ServiceStats, len(hops))
+	for t, tier := range hops {
 		out[t] = make([]transport.ServiceStats, len(tier))
 		for i, cl := range tier {
 			s, err := cl.Stats()
@@ -537,13 +531,14 @@ func (r *RemotePipeline) FleetStats() ([][]transport.ServiceStats, error) {
 	return out, nil
 }
 
-// DrainAll drains the whole fleet in chain order — every replica of a tier
-// is drained before the next tier, so each tier's final epochs reach the
+// DrainAll drains the shuffler hops in chain order — every replica of a
+// hop is drained before the next tier, so each hop's final epochs reach the
 // next tier's ingestion before that tier cuts — and returns every
-// replica's post-drain stats, indexed [tier][replica]. A replica that is
-// mid-restart is retried under the transport's one redial policy (drains are
-// idempotent), so a crash-recovering fleet still reaches the barrier; the
-// recovered replica's stats appear in its slot. Force additionally
+// replica's post-drain stats, indexed [hop][replica]. The analyzer tier's
+// barrier is its Histogram call, which drains before it answers. A replica
+// that is mid-restart is retried under the transport's one redial policy
+// (drains are idempotent), so a crash-recovering fleet still reaches the
+// barrier; the recovered replica's stats appear in its slot. Force additionally
 // releases below-floor final epochs as Dropped (counted, reconciled)
 // instead of leaving them pending — the final drain of a deployment
 // shutting down for good.
@@ -553,9 +548,10 @@ func (r *RemotePipeline) FleetStats() ([][]transport.ServiceStats, error) {
 // fleet-wide Unaccounted == 0: each replica's accepted reports are all
 // either counted downstream, dropped, or pending.
 func (r *RemotePipeline) DrainAll(force bool) ([][]transport.ServiceStats, error) {
-	out := make([][]transport.ServiceStats, len(r.tiers))
+	hops := r.hops()
+	out := make([][]transport.ServiceStats, len(hops))
 	var firstErr error
-	for t, tier := range r.tiers {
+	for t, tier := range hops {
 		out[t] = make([]transport.ServiceStats, len(tier))
 		for i, cl := range tier {
 			stats, err := cl.DrainMode(force)
@@ -575,12 +571,13 @@ func (r *RemotePipeline) DrainAll(force bool) ([][]transport.ServiceStats, error
 	return out, firstErr
 }
 
-// histogram merges the analyzer partitions' histograms; counts sum, so the
-// merge is deterministic regardless of how the fleet spread the records.
+// histogram merges the analyzer partitions' histograms — the last tier's;
+// counts sum, so the merge is deterministic regardless of how the fleet
+// spread the records.
 func (r *RemotePipeline) histogram() (map[string]int, int, error) {
 	counts := make(map[string]int)
 	undec := 0
-	for i, anlz := range r.anlzs {
+	for i, anlz := range r.tiers[len(r.tiers)-1] {
 		c, u, err := anlz.Histogram()
 		if err != nil {
 			return nil, 0, fmt.Errorf("prochlo: analyzer partition %d histogram: %w", i, err)
@@ -593,11 +590,11 @@ func (r *RemotePipeline) histogram() (map[string]int, int, error) {
 	return counts, undec, nil
 }
 
-// Flush drains the fleet in chain order (DrainAll) and returns the
+// Flush drains the shuffler hops in chain order (DrainAll) and returns the
 // analyzer partitions' merged cumulative result. ShufflerStats sums the
 // thresholding tier's selectivity over all epochs flushed so far, so under
 // auto-flush Flush reports the whole deployment's trajectory, not one
-// epoch's. The histogram is the deployment's, so Flush fails when a tier's
+// epoch's. The histogram is the deployment's, so Flush fails when a hop's
 // Dropped or EpochsFailed, summed over its replicas in the drain's replies,
 // rose since this pipeline's previous Flush (from zero before its first):
 // those reports were acked and will never be counted.
@@ -621,11 +618,12 @@ func (r *RemotePipeline) Flush() (*Result, error) {
 	}, nil
 }
 
-// noteLosses compares each tier's summed Dropped and EpochsFailed with the
-// previous Flush's and keeps the new sums, so each loss fails one Flush.
+// noteLosses compares each shuffler hop's summed Dropped and EpochsFailed
+// with the previous Flush's and keeps the new sums, so each loss fails one
+// Flush.
 func (r *RemotePipeline) noteLosses(stats [][]transport.ServiceStats) error {
 	if r.drained == nil {
-		r.drained = make([]transport.ServiceStats, len(r.tiers))
+		r.drained = make([]transport.ServiceStats, len(stats))
 	}
 	var err error
 	for t, tier := range stats {
@@ -651,11 +649,6 @@ func (r *RemotePipeline) Close() error {
 			if cerr := cl.Close(); err == nil {
 				err = cerr
 			}
-		}
-	}
-	for _, anlz := range r.anlzs {
-		if cerr := anlz.Close(); err == nil {
-			err = cerr
 		}
 	}
 	return err

@@ -69,7 +69,7 @@ func TestRemoteChainFleetCrashRestartSoak(t *testing.T) {
 	// one key, both shuffler-1 replicas one blinding exponent and both
 	// shuffler-2 replicas the blinding and hybrid keys (as daemons sharing a
 	// key file would); only shuffler processes die.
-	anlzAddrs := startFleet(t, nil, 2, shuffler.Params{}, nil).Analyzers
+	anlzAddrs := startAnalyzers(t, 2)
 	s1Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +410,7 @@ func oneCrowd(n int) (labels []string, data [][]byte) {
 func TestHop1ReplicasShareAlpha(t *testing.T) {
 	const T = 10
 	labels, data := oneCrowd(T)
-	f := startFleet(t, []transport.Tier{{Role: "shuffler1", Replicas: 2}, {Role: "shuffler2", Replicas: 1}}, 1,
+	f := startFleet(t, []transport.Tier{{Role: "shuffler1", Replicas: 2}, {Role: "shuffler2", Replicas: 1}, analyzerTier(1)},
 		shuffler.Params{Threshold: shuffler.Threshold{Naive: T}}, nil)
 	rp := dialFleet(t, f, prochlo.WithRemoteWorkers(1))
 	for at := 0; at < T; at += T / 2 {
@@ -445,7 +445,7 @@ func TestHop1ReplicasShareAlpha(t *testing.T) {
 // Shuffler 2's Y, or 2Y, would compute C2 − C1 (or C2 − C1/2) = H(crowd) and
 // read every crowd ID.
 func TestDialRefusesHop1ReplicasThatDisagree(t *testing.T) {
-	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	anlzAddrs := startAnalyzers(t, 1)
 	s2Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
@@ -512,7 +512,7 @@ func TestDialRefusesHop1ReplicasThatDisagree(t *testing.T) {
 func TestRestartedHop1KeepsItsAlpha(t *testing.T) {
 	const T = 10
 	labels, data := oneCrowd(T)
-	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	anlzAddrs := startAnalyzers(t, 1)
 	s1Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
@@ -579,7 +579,7 @@ func TestRestartedHop1WithAFreshAlpha(t *testing.T) {
 		}
 		return labels, data
 	}
-	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	anlzAddrs := startAnalyzers(t, 1)
 	s2Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
@@ -660,9 +660,9 @@ func BenchmarkRemoteChainFleet(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f := startFleet(b, chainTiers(replicas, transport.EpochConfig{}, transport.EpochConfig{}), replicas,
+				f := startFleet(b, chainTiers(replicas, transport.EpochConfig{}, transport.EpochConfig{}),
 					shuffler.Params{Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise}, MinBatch: 1}, nil)
-				rp, err := prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers)
+				rp, err := prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Tiers[2])
 				if err != nil {
 					b.Fatal(err)
 				}

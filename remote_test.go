@@ -29,9 +29,9 @@ import (
 // startFleet starts a loopback fleet for the test and stops it at cleanup.
 // Seeded with prochlo.WithSeed's seed, its stages draw the streams the
 // in-process pipeline's do.
-func startFleet(tb testing.TB, tiers []transport.Tier, analyzers int, p shuffler.Params, reg *metrics.Registry) *transport.Fleet {
+func startFleet(tb testing.TB, tiers []transport.Tier, p shuffler.Params, reg *metrics.Registry) *transport.Fleet {
 	tb.Helper()
-	f, err := transport.StartFleet(tiers, analyzers, p, reg)
+	f, err := transport.StartFleet(tiers, p, reg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -39,32 +39,43 @@ func startFleet(tb testing.TB, tiers []transport.Tier, analyzers int, p shuffler
 	return f
 }
 
+// analyzerTier is a fleet's last tier: n analyzer partitions.
+func analyzerTier(n int) transport.Tier { return transport.Tier{Role: "analyzer", Replicas: n} }
+
+// startAnalyzers starts n analyzer partitions sharing one key, for tests
+// that build the shuffler tiers in front of them themselves.
+func startAnalyzers(tb testing.TB, n int) []string {
+	return startFleet(tb, []transport.Tier{analyzerTier(n)}, shuffler.Params{}, nil).Tiers[0]
+}
+
 // plainFleet is one plain shuffler and one analyzer under the pipeline's
 // default threshold.
 func plainFleet(tb testing.TB, seed uint64, workers int, cfg transport.EpochConfig) *transport.Fleet {
-	return startFleet(tb, []transport.Tier{{Role: "shuffler", Replicas: 1, Epochs: cfg}}, 1,
+	return startFleet(tb, []transport.Tier{{Role: "shuffler", Replicas: 1, Epochs: cfg}, analyzerTier(1)},
 		shuffler.Params{Threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise}, Seed: seed, Workers: workers}, nil)
 }
 
 // chainTiers is the §4.3 split chain with replicas per tier: shuffler1
-// replicas under s1, shuffler2 replicas under s2.
+// replicas under s1, shuffler2 replicas under s2, and as many analyzer
+// partitions.
 func chainTiers(replicas int, s1, s2 transport.EpochConfig) []transport.Tier {
 	return []transport.Tier{
 		{Role: "shuffler1", Replicas: replicas, Epochs: s1},
 		{Role: "shuffler2", Replicas: replicas, Epochs: s2},
+		analyzerTier(replicas),
 	}
 }
 
 // dialFleet returns a RemotePipeline entering f at its first tier: the
-// single-shuffler dial for one tier, the chain dial for two.
+// single-shuffler dial for two tiers, the chain dial for three.
 func dialFleet(tb testing.TB, f *transport.Fleet, opts ...prochlo.RemoteOption) *prochlo.RemotePipeline {
 	tb.Helper()
 	var rp *prochlo.RemotePipeline
 	var err error
-	if len(f.Tiers) == 1 {
-		rp, err = prochlo.DialRemoteFleet(f.Tiers[0], f.Analyzers, opts...)
+	if len(f.Tiers) == 2 {
+		rp, err = prochlo.DialRemoteFleet(f.Tiers[0], f.Tiers[1], opts...)
 	} else {
-		rp, err = prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers, opts...)
+		rp, err = prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Tiers[2], opts...)
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -291,7 +302,7 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 			// Daemon chain: hop 1 auto-flushes an epoch per chunk; the
 			// per-chunk Flush is the drain barrier pinning the boundary at
 			// both hops.
-			f := startFleet(t, chainTiers(1, transport.EpochConfig{FlushAt: chunk}, transport.EpochConfig{FlushAt: tc.s2FlushAt}), 1,
+			f := startFleet(t, chainTiers(1, transport.EpochConfig{FlushAt: chunk}, transport.EpochConfig{FlushAt: tc.s2FlushAt}),
 				shuffler.Params{Threshold: th, Seed: seed, MinBatch: 1, Workers: tc.workers}, nil)
 			rp := dialFleet(t, f, prochlo.WithRemoteWorkers(tc.workers))
 			var remote *prochlo.Result
@@ -358,7 +369,7 @@ func TestRemoteChainMatchesInProcess(t *testing.T) {
 func TestRemoteChainConcurrentSoak(t *testing.T) {
 	f := startFleet(t, chainTiers(1,
 		transport.EpochConfig{FlushAt: 40},
-		transport.EpochConfig{FlushAt: 48}), 1, shuffler.Params{MinBatch: 1}, nil)
+		transport.EpochConfig{FlushAt: 48}), shuffler.Params{MinBatch: 1}, nil)
 	const (
 		goroutines = 8
 		batches    = 6
@@ -378,7 +389,7 @@ func TestRemoteChainConcurrentSoak(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rp, err := prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Analyzers, prochlo.WithRemoteWorkers(1))
+			rp, err := prochlo.DialRemoteChainFleet(f.Tiers[0], f.Tiers[1], f.Tiers[2], prochlo.WithRemoteWorkers(1))
 			if err != nil {
 				errs[g] = err
 				return
@@ -489,7 +500,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 
 	// Persistent parties: the analyzer and every key survive the crashes;
 	// only the hop processes die.
-	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	anlzAddrs := startAnalyzers(t, 1)
 	s1Sec, err := shuffler.GenerateSecrets()
 	if err != nil {
 		t.Fatal(err)
@@ -653,7 +664,7 @@ func sgxDaemon(t *testing.T, ca *sgx.CA, anlz []string) string {
 // verifies it against the pinned CA before encoding, and a daemon without an
 // enclave is refused.
 func TestRemoteSGXAttestation(t *testing.T) {
-	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	anlzAddrs := startAnalyzers(t, 1)
 	ca, err := sgx.NewCA()
 	if err != nil {
 		t.Fatal(err)
@@ -687,7 +698,7 @@ func TestRemoteSGXAttestation(t *testing.T) {
 	// A daemon without an enclave must be refused when the client demands
 	// attestation.
 	plain := plainFleet(t, 1, 1, transport.EpochConfig{})
-	if _, err := prochlo.DialRemoteFleet(plain.Tiers[0], plain.Analyzers, prochlo.WithRemoteAttestation(ca.PublicKey())); err == nil {
+	if _, err := prochlo.DialRemoteFleet(plain.Tiers[0], plain.Tiers[1], prochlo.WithRemoteAttestation(ca.PublicKey())); err == nil {
 		t.Error("unattested daemon accepted under WithRemoteAttestation")
 	}
 }
@@ -697,7 +708,7 @@ func TestRemoteSGXAttestation(t *testing.T) {
 // with a CA of its own, or a man in the middle — is refused, whatever key
 // it would have served for that CA.
 func TestRemoteSGXAttestationRefusesForeignCA(t *testing.T) {
-	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	anlzAddrs := startAnalyzers(t, 1)
 	pinned, err := sgx.NewCA()
 	if err != nil {
 		t.Fatal(err)
@@ -849,7 +860,7 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 // back, Flush must say so — on the pipeline that submitted the reports and
 // on one dialed only after the loss — once each.
 func TestFlushFailsAfterLostEpoch(t *testing.T) {
-	anlzAddrs := startFleet(t, nil, 1, shuffler.Params{}, nil).Analyzers
+	anlzAddrs := startAnalyzers(t, 1)
 	// Every attempt of the first push dies at the proxy; then the link heals.
 	down := &faultnet.Plan{Seed: 1, PError: 1, MaxFaults: 1 + transport.DefaultClientRedials}
 	sec, err := shuffler.GenerateSecrets()
