@@ -303,40 +303,40 @@ func printEpochs(cfg transport.EpochConfig) {
 
 // buildStage builds a role's stage: the one shuffler.NewStage builds from the
 // role, its tier's secrets in -key-file and the flags — or, with -sgx, a
-// shuffler that makes and attests its key in an enclave. The analyzer keeps
-// its histogram in memory and cuts every batch it keeps as an epoch, so it
-// refuses the flags that would promise otherwise, before it touches any
-// directory.
-func buildStage(role string, p shuffler.Params, o stageOpts) (st shuffler.Stage, ca *sgx.CA, quote sgx.Quote, err error) {
+// shuffler that makes and attests its key in an enclave, whose CA it returns.
+// The analyzer is the last tier, keeps its histogram in memory and cuts every
+// batch it keeps as an epoch, so it refuses the flags that would promise
+// otherwise, before it touches any directory.
+func buildStage(role string, p shuffler.Params, o stageOpts) (st shuffler.Stage, ca *sgx.CA, err error) {
 	if o.sgx {
 		if role != "shuffler" || o.keyFile != "" || o.cfg.WALDir != "" {
-			return nil, nil, quote, errors.New("-sgx runs the shuffler role without -key-file or -wal-dir: the enclave owns its key and attests it per process, so no other process could open the reports a WAL keeps")
+			return nil, nil, errors.New("-sgx runs the shuffler role without -key-file or -wal-dir: the enclave owns its key and attests it per process, so no other process could open the reports a WAL keeps")
 		}
 		if ca, err = sgx.NewCA(); err != nil {
-			return nil, nil, quote, err
+			return nil, nil, err
 		}
-		st, quote, err = shuffler.NewSGXShuffler(ca, p)
-		return st, ca, quote, err
+		st, err = shuffler.NewSGXShuffler(ca, p)
+		return st, ca, err
 	}
-	if role == "analyzer" && (o.cfg.WALDir != "" || o.cfg.FlushAt != 0 || o.cfg.Interval != 0) {
-		return nil, nil, quote, errors.New("-role analyzer keeps nothing on disk and cuts every batch it keeps as an epoch: -wal-dir, -flush-at and -epoch are for the shuffler roles")
+	if role == "analyzer" && (o.nexts != nil || o.cfg.WALDir != "" || o.cfg.FlushAt != 0 || o.cfg.Interval != 0) {
+		return nil, nil, errors.New("-role analyzer keeps nothing on disk, cuts every batch it keeps as an epoch and forwards nothing: -next, -wal-dir, -flush-at and -epoch are for the shuffler roles")
 	}
 	if role == "shuffler1" && o.cfg.WALDir != "" && o.keyFile == "" {
-		return nil, nil, quote, errors.New("-role shuffler1 -wal-dir needs -key-file: clients encrypt on the tier's public blinding key, so a restart that drew a fresh α would reduce every report the WAL recovered to a suppressed crowd of one")
+		return nil, nil, errors.New("-role shuffler1 -wal-dir needs -key-file: clients encrypt on the tier's public blinding key, so a restart that drew a fresh α would reduce every report the WAL recovered to a suppressed crowd of one")
 	}
 	sec, err := loadKeys(o.keyFile, role == "shuffler1" || role == "shuffler2")
 	if err != nil {
-		return nil, nil, quote, err
+		return nil, nil, err
 	}
 	st, err = shuffler.NewStage(role, sec, p)
-	return st, nil, quote, err
+	return st, nil, err
 }
 
 // runStage runs a role, serving the keys its stage holds and pushing its
 // epochs to the -next tier. The engine refuses a shuffler role without
 // -next and the analyzer, whose stage emits nothing, with one.
 func runStage(role string, p shuffler.Params, o stageOpts) {
-	st, ca, quote, err := buildStage(role, p, o)
+	st, ca, err := buildStage(role, p, o)
 	if err != nil {
 		fatal(err)
 	}
@@ -349,7 +349,6 @@ func runStage(role string, p shuffler.Params, o stageOpts) {
 		if err != nil {
 			fatal(err)
 		}
-		svc.SetAttestation(quote)
 		fmt.Println("sgx: key attested, measurement", hex.EncodeToString(shuffler.SGXShufflerMeasurement[:8]))
 		fmt.Println("sgx: attestation CA key (PKIX, pin it in clients):", hex.EncodeToString(der))
 	}

@@ -70,37 +70,39 @@ func TestLoadKeysRefusesOtherGroupScalar(t *testing.T) {
 // shuffler role alone still builds without either.
 func TestSGXRefusesWALDir(t *testing.T) {
 	wal := stageOpts{sgx: true, cfg: transport.EpochConfig{WALDir: t.TempDir()}}
-	if _, _, _, err := buildStage("shuffler", shuffler.Params{}, wal); err == nil ||
+	if _, _, err := buildStage("shuffler", shuffler.Params{}, wal); err == nil ||
 		!strings.Contains(err.Error(), "-sgx runs the shuffler role without -key-file or -wal-dir") {
 		t.Fatalf("buildStage(-sgx -wal-dir) = %v, want the refusal", err)
 	}
-	if _, ca, _, err := buildStage("shuffler", shuffler.Params{}, stageOpts{sgx: true}); err != nil || ca == nil {
+	if _, ca, err := buildStage("shuffler", shuffler.Params{}, stageOpts{sgx: true}); err != nil || ca == nil {
 		t.Fatalf("buildStage(-sgx) = %v", err)
 	}
 }
 
-// TestAnalyzerRefusesWALDir: the analyzer keeps its histogram in memory and
-// cuts every batch it keeps as an epoch, so -wal-dir would be a directory
-// left empty and a promise of durability not kept, and -flush-at or -epoch a
-// size or timer it does not follow. Each is refused at start-up, the
+// TestAnalyzerRefusesWALDir: the analyzer keeps its histogram in memory,
+// cuts every batch it keeps as an epoch and forwards nothing, so -wal-dir
+// would be a directory left empty and a promise of durability not kept,
+// -flush-at or -epoch a size or timer it does not follow, and -next a tier it
+// never pushes to. Each is refused at start-up, by its flag's name, the
 // directory untouched; without them the role builds, serving its hybrid key
 // alone.
 func TestAnalyzerRefusesWALDir(t *testing.T) {
 	dir := t.TempDir()
-	for name, cfg := range map[string]transport.EpochConfig{
-		"-wal-dir":  {WALDir: dir},
-		"-flush-at": {FlushAt: 100},
-		"-epoch":    {Interval: time.Second},
+	for name, o := range map[string]stageOpts{
+		"-wal-dir":  {cfg: transport.EpochConfig{WALDir: dir}},
+		"-flush-at": {cfg: transport.EpochConfig{FlushAt: 100}},
+		"-epoch":    {cfg: transport.EpochConfig{Interval: time.Second}},
+		"-next":     {nexts: []string{"127.0.0.1:1"}},
 	} {
-		if _, _, _, err := buildStage("analyzer", shuffler.Params{}, stageOpts{cfg: cfg}); err == nil ||
-			!strings.Contains(err.Error(), "-role analyzer keeps nothing on disk") {
-			t.Fatalf("buildStage(analyzer %s) = %v, want the refusal", name, err)
+		if _, _, err := buildStage("analyzer", shuffler.Params{}, o); err == nil ||
+			!strings.Contains(err.Error(), "-role analyzer keeps nothing on disk") || !strings.Contains(err.Error(), name) {
+			t.Fatalf("buildStage(analyzer %s) = %v, want the refusal naming %s", name, err, name)
 		}
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Fatalf("the refused -wal-dir holds %d entries (%v), want none", len(entries), err)
 	}
-	st, _, _, err := buildStage("analyzer", shuffler.Params{}, stageOpts{})
+	st, _, err := buildStage("analyzer", shuffler.Params{}, stageOpts{})
 	if err != nil {
 		t.Fatalf("buildStage(analyzer) = %v", err)
 	}
@@ -117,12 +119,12 @@ func TestAnalyzerRefusesWALDir(t *testing.T) {
 func TestShuffler1WALNeedsKeyFile(t *testing.T) {
 	dir := t.TempDir()
 	wal := transport.EpochConfig{WALDir: filepath.Join(dir, "wal")}
-	if _, _, _, err := buildStage("shuffler1", shuffler.Params{}, stageOpts{cfg: wal}); err == nil ||
+	if _, _, err := buildStage("shuffler1", shuffler.Params{}, stageOpts{cfg: wal}); err == nil ||
 		!strings.Contains(err.Error(), "-role shuffler1 -wal-dir needs -key-file") {
 		t.Fatalf("buildStage(shuffler1 -wal-dir) = %v, want the refusal", err)
 	}
 	for _, o := range []stageOpts{{cfg: wal, keyFile: filepath.Join(dir, "s1.key")}, {}} {
-		if _, _, _, err := buildStage("shuffler1", shuffler.Params{}, o); err != nil {
+		if _, _, err := buildStage("shuffler1", shuffler.Params{}, o); err != nil {
 			t.Fatalf("buildStage(shuffler1, key file %q, wal %q) = %v", o.keyFile, o.cfg.WALDir, err)
 		}
 	}
@@ -137,7 +139,7 @@ func TestShuffler1KeyFileKeepsAlpha(t *testing.T) {
 	var alphas []*big.Int
 	var served [][]byte
 	for start := 0; start < 2; start++ {
-		st, _, _, err := buildStage("shuffler1", shuffler.Params{}, o)
+		st, _, err := buildStage("shuffler1", shuffler.Params{}, o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,16 +35,11 @@ func (e *Envelope) AppendWire(dst []byte) []byte {
 }
 
 // consumeWire decodes one envelope from the front of b, returning the rest.
-// With alias set the blob aliases b instead of being copied out — legal
-// only when the buffer outlives the envelope (e.g. a freshly allocated
-// network frame handed over wholesale).
-func (e *Envelope) consumeWire(b []byte, alias bool) ([]byte, error) {
+// The blob aliases b (see DecodeBatchAlias).
+func (e *Envelope) consumeWire(b []byte) ([]byte, error) {
 	blob, b, err := consumeBytes(b)
 	if err != nil {
 		return nil, fmt.Errorf("envelope blob: %w", err)
-	}
-	if !alias {
-		blob = append([]byte(nil), blob...)
 	}
 	e.Blob = blob
 	return b, nil
@@ -60,8 +55,8 @@ func (e *BlindedEnvelope) AppendWire(dst []byte) []byte {
 }
 
 // consumeWire decodes one blinded envelope from the front of b, returning
-// the rest; see Envelope.consumeWire for the alias contract.
-func (e *BlindedEnvelope) consumeWire(b []byte, alias bool) ([]byte, error) {
+// the rest; its byte fields alias b.
+func (e *BlindedEnvelope) consumeWire(b []byte) ([]byte, error) {
 	c1, b, err := consumeBytes(b)
 	if err != nil {
 		return nil, fmt.Errorf("blinded crowd c1: %w", err)
@@ -78,13 +73,7 @@ func (e *BlindedEnvelope) consumeWire(b []byte, alias bool) ([]byte, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("blinded partition: corrupt varint")
 	}
-	if alias {
-		e.CrowdC1, e.CrowdC2, e.Blob = c1, c2, blob
-	} else {
-		e.CrowdC1 = append([]byte(nil), c1...)
-		e.CrowdC2 = append([]byte(nil), c2...)
-		e.Blob = append([]byte(nil), blob...)
-	}
+	e.CrowdC1, e.CrowdC2, e.Blob = c1, c2, blob
 	e.Partition = int32(part)
 	return b[k:], nil
 }
@@ -115,23 +104,8 @@ func AppendBatch(dst []byte, b Batch) []byte {
 	return dst
 }
 
-// DecodeBatch decodes an AppendBatch encoding from the front of buf,
-// returning the batch and the remaining bytes. Every field is copied out of
-// buf, so the buffer may be reused afterwards.
-func DecodeBatch(buf []byte) (Batch, []byte, error) {
-	return decodeBatch(buf, false)
-}
-
-// DecodeBatchAlias is DecodeBatch without the copies: decoded byte fields
-// alias buf. Use it when the buffer was freshly allocated for this decode
-// and is handed over with the batch (the network receive path); the caller
-// must not reuse or mutate buf while the batch lives.
-func DecodeBatchAlias(buf []byte) (Batch, []byte, error) {
-	return decodeBatch(buf, true)
-}
-
-// maxBatchItems bounds the decoded item count before any allocation, so a
-// corrupt or hostile count cannot drive a huge make(). The per-item
+// batchCount reads a batch's item count and bounds it before any
+// allocation, so a corrupt or hostile count cannot drive a huge make(). The per-item
 // encodings are at least one byte, so a count beyond the buffer length is
 // corrupt regardless.
 func batchCount(buf []byte) (int, []byte, error) {
@@ -142,7 +116,12 @@ func batchCount(buf []byte) (int, []byte, error) {
 	return int(n), buf[k:], nil
 }
 
-func decodeBatch(buf []byte, alias bool) (Batch, []byte, error) {
+// DecodeBatchAlias decodes an AppendBatch encoding from the front of buf,
+// returning the batch and the remaining bytes. Decoded byte fields alias buf:
+// the buffer was freshly allocated for this decode and is handed over with
+// the batch (the network receive path, WAL recovery), so the caller must not
+// reuse or mutate buf while the batch lives.
+func DecodeBatchAlias(buf []byte) (Batch, []byte, error) {
 	if len(buf) == 0 {
 		return Batch{}, nil, fmt.Errorf("core: empty batch encoding")
 	}
@@ -158,7 +137,7 @@ func decodeBatch(buf []byte, alias bool) (Batch, []byte, error) {
 		}
 		b.Envelopes = make([]Envelope, n)
 		for i := range b.Envelopes {
-			if rest, err = b.Envelopes[i].consumeWire(rest, alias); err != nil {
+			if rest, err = b.Envelopes[i].consumeWire(rest); err != nil {
 				return b, nil, fmt.Errorf("core: batch envelope %d: %w", i, err)
 			}
 		}
@@ -170,7 +149,7 @@ func decodeBatch(buf []byte, alias bool) (Batch, []byte, error) {
 		}
 		b.Blinded = make([]BlindedEnvelope, n)
 		for i := range b.Blinded {
-			if rest, err = b.Blinded[i].consumeWire(rest, alias); err != nil {
+			if rest, err = b.Blinded[i].consumeWire(rest); err != nil {
 				return b, nil, fmt.Errorf("core: batch blinded envelope %d: %w", i, err)
 			}
 		}
@@ -186,11 +165,7 @@ func decodeBatch(buf []byte, alias bool) (Batch, []byte, error) {
 			if p, rest, err = consumeBytes(rest); err != nil {
 				return b, nil, fmt.Errorf("core: batch payload %d: %w", i, err)
 			}
-			if alias {
-				b.Payloads[i] = p
-			} else {
-				b.Payloads[i] = append([]byte(nil), p...)
-			}
+			b.Payloads[i] = p
 		}
 		return b, rest, nil
 	}

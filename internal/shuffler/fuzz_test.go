@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"prochlo/internal/core"
 	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
@@ -12,7 +13,7 @@ import (
 // FuzzShuffler2Process hands hop 2 a seeded epoch of honest reports — eight
 // in a crowd that passes a threshold of 5, four in one that does not — with
 // the fuzzer's bytes spliced into one envelope's CrowdC1, CrowdC2 or Blob
-// (an empty splice truncates the field there). Process must not panic, must
+// (an empty splice truncates the field there). ProcessEpoch must not panic, must
 // account for what it forwards (Forwarded == len(out), Undecryptable +
 // Forwarded <= Received), and may forward only inner ciphertexts of honest
 // reports: no spliced bytes reach the analyzer.
@@ -70,14 +71,14 @@ func FuzzShuffler2Process(f *testing.F) {
 		for _, workers := range []int{1, 2} {
 			s2 := &Shuffler2{Blinding: blinding, Priv: s2Priv, Threshold: Threshold{Naive: 5},
 				Rand: newRNG(), MinBatch: 1, Workers: workers}
-			out, stats, err := s2.Process(slices.Clone(batch))
+			out, stats, err := s2.ProcessEpoch(core.Batch{Blinded: slices.Clone(batch)})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
-			if stats.Forwarded != len(out) || stats.Undecryptable+stats.Forwarded > stats.Received {
-				t.Fatalf("workers=%d: %d forwarded, stats %+v", workers, len(out), stats)
+			if stats.Forwarded != len(out.Payloads) || stats.Undecryptable+stats.Forwarded > stats.Received {
+				t.Fatalf("workers=%d: %d forwarded, stats %+v", workers, len(out.Payloads), stats)
 			}
-			for _, ct := range out {
+			for _, ct := range out.Payloads {
 				if !inner[string(ct)] {
 					t.Fatalf("workers=%d: forwarded %x, not an honest inner ciphertext", workers, ct)
 				}

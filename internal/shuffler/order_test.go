@@ -54,7 +54,7 @@ func TestShufflersPermuteUniformly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sgxShuf, _, err := NewSGXShuffler(ca, Params{Seed: 23, MinBatch: 1})
+	sgxShuf, err := NewSGXShuffler(ca, Params{Seed: 23, MinBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestShufflersPermuteUniformly(t *testing.T) {
 			return func(n int) func() []int {
 				in := envelopes(f.shufPriv.Public(), n)
 				return func() []int {
-					out, _, err := s.Process(slices.Clone(in))
+					out, _, err := RunEpoch(s, core.Batch{Envelopes: slices.Clone(in)})
 					if err != nil {
 						t.Fatal(err)
 					}
-					return opened.ranks(t, out)
+					return opened.ranks(t, out.Payloads)
 				}
 			}
 		}()},
@@ -123,11 +123,11 @@ func TestShufflersPermuteUniformly(t *testing.T) {
 			return func(n int) func() []int {
 				in := blinded(n)
 				return func() []int {
-					out, _, err := s.Process(slices.Clone(in))
+					out, _, err := RunEpoch(s, core.Batch{Blinded: slices.Clone(in)})
 					if err != nil {
 						t.Fatal(err)
 					}
-					return opened.ranks(t, out)
+					return opened.ranks(t, out.Payloads)
 				}
 			}
 		}()},
@@ -143,25 +143,25 @@ func TestShufflersPermuteUniformly(t *testing.T) {
 				bad.Blob[len(bad.Blob)-1] ^= 1
 				in = slices.Insert(in[:n], n/2, bad)
 				return func() []int {
-					out, stats, err := s.Process(slices.Clone(in))
+					out, stats, err := RunEpoch(s, core.Batch{Blinded: slices.Clone(in)})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if stats.Undecryptable != 1 || stats.CrowdsForwarded != 1 {
 						t.Fatalf("stats %+v, want 1 undecryptable and the crowd forwarded", stats)
 					}
-					return opened.ranks(t, out)
+					return opened.ranks(t, out.Payloads)
 				}
 			}
 		}()},
 		{"SGXShuffler", func(n int) func() []int {
-			in := envelopes(sgxShuf.PublicKey(), n)
+			in := envelopes(sgxShuf.priv.Public(), n)
 			return func() []int {
-				out, _, err := sgxShuf.Process(slices.Clone(in))
+				out, _, err := RunEpoch(sgxShuf, core.Batch{Envelopes: slices.Clone(in)})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return opened.ranks(t, out)
+				return opened.ranks(t, out.Payloads)
 			}
 		}},
 	}

@@ -39,7 +39,7 @@ func equalByteSeqs(a, b [][]byte) bool {
 }
 
 // TestProcessParallelEquivalence is the tentpole's correctness contract: on
-// a seeded batch, the worker-pool Process (Workers=4) must produce Stats and
+// a seeded batch, the worker-pool ProcessEpoch (Workers=4) must produce Stats and
 // a forwarded-ciphertext sequence byte-identical to the serial reference
 // path (Workers=1) — and hence, a fortiori, an identical multiset. Run with
 // -race this is also the concurrency exercise of the decryption pool and the
@@ -71,11 +71,11 @@ func TestProcessParallelEquivalence(t *testing.T) {
 			Rand:      rand.New(rand.NewPCG(7, 9)),
 			Workers:   workers,
 		}
-		out, stats, err := s.Process(batch)
+		out, stats, err := RunEpoch(s, core.Batch{Envelopes: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out, stats
+		return out.Payloads, stats
 	}
 	serialOut, serialStats := run(1)
 	parOut, parStats := run(4)
@@ -87,7 +87,7 @@ func TestProcessParallelEquivalence(t *testing.T) {
 		t.Errorf("Undecryptable = %d, want 1", serialStats.Undecryptable)
 	}
 	if !equalByteSeqs(serialOut, parOut) {
-		t.Fatal("parallel Process output is not byte-identical to the serial reference")
+		t.Fatal("parallel ProcessEpoch output is not byte-identical to the serial reference")
 	}
 	sa, sb := sortedCopies(serialOut), sortedCopies(parOut)
 	for i := range sa {
@@ -166,11 +166,11 @@ func TestSplitShufflerParallelEquivalence(t *testing.T) {
 			Rand:      rand.New(rand.NewPCG(11, 13)),
 			Workers:   workers,
 		}
-		out, stats, err := s2.Process(blindedSerial)
+		out, stats, err := RunEpoch(s2, core.Batch{Blinded: blindedSerial})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out, stats
+		return out.Payloads, stats
 	}
 	serialOut, serialStats := runS2(1)
 	parOut, parStats := runS2(4)
@@ -194,7 +194,7 @@ func TestSGXShufflerParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{Noise: dp.PaperThresholdNoise}, Seed: 99})
+	sh, err := NewSGXShuffler(ca, Params{Threshold: Threshold{Noise: dp.PaperThresholdNoise}, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSGXShufflerParallelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := &encoder.Client{ShufflerKey: sh.PublicKey(), AnalyzerKey: anlz.Public(), Rand: crand.Reader}
+	client := &encoder.Client{ShufflerKey: sh.priv.Public(), AnalyzerKey: anlz.Public(), Rand: crand.Reader}
 	batch := make([]core.Envelope, n)
 	for i := range batch {
 		data := make([]byte, 48)
@@ -218,11 +218,11 @@ func TestSGXShufflerParallelEquivalence(t *testing.T) {
 	run := func(workers int) ([][]byte, Stats) {
 		sh.Rand = rand.New(rand.NewPCG(17, 19))
 		sh.Workers = workers
-		out, stats, err := sh.Process(batch)
+		out, stats, err := RunEpoch(sh, core.Batch{Envelopes: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out, stats
+		return out.Payloads, stats
 	}
 	serialOut, serialStats := run(1)
 	parOut, parStats := run(4)

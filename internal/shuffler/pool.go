@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// This file is the shared worker-pool core of the thresholding Process
+// This file is the shared worker-pool core of the thresholding ProcessEpoch
 // paths (Shuffler, Shuffler2): envelopes are peeled or mapped to
 // pseudonyms by a pool of workers writing positionally into a
 // preallocated slice (no shared state, no locks), then merged into crowd
@@ -101,7 +101,7 @@ func groupBy[K comparable](shards, n int, live func(int) bool, keyAt func(int) K
 // applyThreshold runs crowd thresholding over the groups in their
 // deterministic order and returns the batch positions of the selected items
 // in output order, shuffled so that order carries no grouping signal. It is
-// the single point of RNG consumption in a Process call and always runs
+// the single point of RNG consumption in a ProcessEpoch call and always runs
 // serially; its draws depend only on the group sizes.
 func applyThreshold(groups []group, th Threshold, rng *rand.Rand, stats *Stats) []int {
 	stats.Crowds = len(groups)

@@ -40,7 +40,8 @@ type SGXShuffler struct {
 	MinBatch  int    // anonymity floor per epoch; 0 selects DefaultMinBatch
 	Workers   int    // Stash Shuffle distribution workers; 0 = GOMAXPROCS, 1 = serial
 
-	priv *hybrid.PrivateKey
+	priv  *hybrid.PrivateKey
+	quote sgx.Quote // the enclave's quote over priv's public key
 
 	// Metrics of the most recent batch's oblivious shuffle.
 	ShuffleMetrics oblivious.StashMetrics
@@ -50,37 +51,37 @@ type SGXShuffler struct {
 var SGXShufflerMeasurement = sgx.Measure("prochlo-stash-shuffler-v1")
 
 // NewSGXShuffler generates the shuffler's key pair inside the enclave and
-// returns the shuffler along with the attestation quote over its public key.
-// Clients must verify the quote against the CA key they pin (never one the
+// has the enclave quote its public key (Quote). Clients must verify the quote against the CA key they pin (never one the
 // shuffler serves) and SGXShufflerMeasurement before encrypting to the key; keys are ephemeral
 // per §4.1.1 ("the shuffler must create a new key pair every time it
 // restarts"). Like NewStage's "shuffler", it draws StageRand(p.Seed,
 // "shuffler"); with p.Seed set, each epoch's Stash Shuffle is seeded from
 // that stream too.
-func NewSGXShuffler(ca *sgx.CA, p Params) (*SGXShuffler, sgx.Quote, error) {
+func NewSGXShuffler(ca *sgx.CA, p Params) (*SGXShuffler, error) {
 	rng, err := StageRand(p.Seed, "shuffler")
 	if err != nil {
-		return nil, sgx.Quote{}, err
+		return nil, err
 	}
 	enclave := sgx.New(sgx.DefaultEPC, SGXShufflerMeasurement)
 	ca.Provision(enclave)
 	priv, err := hybrid.GenerateKey(cryptoReader())
 	if err != nil {
-		return nil, sgx.Quote{}, err
+		return nil, err
 	}
 	enclave.CountPubKey()
 	quote, err := enclave.GenerateQuote(priv.Public().Bytes())
 	if err != nil {
-		return nil, sgx.Quote{}, err
+		return nil, err
 	}
 	return &SGXShuffler{
 		Enclave: enclave, Threshold: p.Threshold, Rand: rng,
-		Seed: p.Seed, MinBatch: p.MinBatch, Workers: p.Workers, priv: priv,
-	}, quote, nil
+		Seed: p.Seed, MinBatch: p.MinBatch, Workers: p.Workers, priv: priv, quote: quote,
+	}, nil
 }
 
-// PublicKey returns the attested key clients should encrypt to.
-func (s *SGXShuffler) PublicKey() *hybrid.PublicKey { return s.priv.Public() }
+// Quote returns the enclave's attestation quote over the key PublicKeys
+// serves: what a StageService serves over the Attestation call.
+func (s *SGXShuffler) Quote() sgx.Quote { return s.quote }
 
 // outerPeelCodec peels the shuffler layer during the Stash Shuffle's
 // distribution phase (the public-key work that §5.1 identifies as the
@@ -142,13 +143,12 @@ func uniformBlobs(batch []core.Envelope) (blobs [][]byte, aside int) {
 	return blobs, len(batch) - len(blobs)
 }
 
-// Process obliviously shuffles the batch, thresholds crowds with private
-// counters, and returns the surviving inner ciphertexts in shuffled order.
-func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
+// ProcessEpoch implements Stage: it obliviously shuffles the epoch inside the
+// enclave, thresholds crowds with private counters, and returns the
+// surviving inner ciphertexts in shuffled order.
+func (s *SGXShuffler) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
+	batch := in.Envelopes
 	stats := Stats{Received: len(batch)}
-	if len(batch) == 0 {
-		return nil, stats, fmt.Errorf("%w: empty", ErrBatchTooSmall)
-	}
 	blobs, aside := uniformBlobs(batch)
 	stats.Undecryptable = aside
 
@@ -159,7 +159,7 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	st.Workers = s.Workers
 	shuffled, err := st.Shuffle(blobs)
 	if err != nil {
-		return nil, stats, fmt.Errorf("shuffler: oblivious shuffle: %w", err)
+		return core.Batch{}, stats, fmt.Errorf("shuffler: oblivious shuffle: %w", err)
 	}
 	s.ShuffleMetrics = st.Metrics
 
@@ -167,7 +167,7 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 	// one pass to filter. The counter table is charged to the enclave.
 	counterMem := int64(len(shuffled) * (core.CrowdIDSize + 8))
 	if err := s.Enclave.Alloc(counterMem); err != nil {
-		return nil, stats, err
+		return core.Batch{}, stats, err
 	}
 	defer s.Enclave.Free(counterMem)
 	counts := make(map[core.CrowdID]int, len(shuffled)/4)
@@ -208,7 +208,7 @@ func (s *SGXShuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 		}
 	}
 	stats.Forwarded = len(out)
-	return out, stats, nil
+	return core.Batch{Payloads: out}, stats, nil
 }
 
 // epochSeed seeds one oblivious shuffle: zero (crypto-seeded) for an

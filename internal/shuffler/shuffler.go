@@ -20,6 +20,10 @@
 // ProcessEpoch, what needs the whole epoch, runs on the cut. Only Shuffler 1
 // does work in Admit — it blinds every C2 and checks every C1, so that its
 // cut is a shuffle — and the other variants do all theirs in ProcessEpoch.
+// A stage does only its work: it states its contract — the batch kind it
+// consumes (Kinds) and its anonymity floor (Floor) — and checks neither.
+// The two drivers do, before any work: RunEpoch in process, and the epoch
+// engine (internal/transport) in a daemon.
 //
 // Concurrency: each variant has a Workers knob (0 selects GOMAXPROCS,
 // 1 forces the serial reference path). Per-report public-key work —
@@ -32,7 +36,6 @@ package shuffler
 import (
 	crand "crypto/rand"
 	"errors"
-	"fmt"
 	"math/big"
 	"math/rand/v2"
 	"slices"
@@ -95,13 +98,14 @@ type Shuffler struct {
 	Priv      *hybrid.PrivateKey
 	Threshold Threshold
 	Rand      *rand.Rand
-	MinBatch  int // minimum envelopes per batch; 0 selects DefaultMinBatch
+	MinBatch  int // anonymity floor per epoch; 0 selects DefaultMinBatch
 	Workers   int // decryption/grouping workers; 0 = GOMAXPROCS, 1 = serial
 }
 
-// ErrBatchTooSmall is returned when a batch is below the minimum size;
-// callers should keep batching (§3.3: "the shuffler batches data items for a
-// while ... or until the batch is large enough").
+// ErrBatchTooSmall is the drivers' refusal of an epoch below its stage's
+// Floor (RunEpoch, and the epoch engine in internal/transport); callers
+// should keep batching (§3.3: "the shuffler batches data items for a while
+// ... or until the batch is large enough").
 var ErrBatchTooSmall = errors.New("shuffler: batch below minimum size")
 
 // openedEnvelope is the per-position result of the decryption workers.
@@ -111,14 +115,12 @@ type openedEnvelope struct {
 	ok    bool
 }
 
-// Process peels the outer layer, groups by crowd ID,
-// applies thresholding, and returns the surviving inner ciphertexts in
+// ProcessEpoch implements Stage: it peels the outer layer, groups by crowd
+// ID, applies thresholding, and returns the surviving inner ciphertexts in
 // shuffled order. Decryption (hybrid's chunked OpenBatch) and grouping run
 // on the worker pool; see the package comment for the determinism contract.
-func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
-	if min := s.Floor(); len(batch) < min {
-		return nil, Stats{}, fmt.Errorf("%w: %d < %d", ErrBatchTooSmall, len(batch), min)
-	}
+func (s *Shuffler) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
+	batch := in.Envelopes
 	stats := Stats{Received: len(batch)}
 	workers := parallel.Workers(s.Workers)
 	items := make([]openedEnvelope, len(batch))
@@ -155,7 +157,7 @@ func (s *Shuffler) Process(batch []core.Envelope) ([][]byte, Stats, error) {
 		out[j], buf = buf[:len(b):len(b)], buf[len(b):]
 	}
 	stats.Forwarded = len(out)
-	return out, stats, nil
+	return core.Batch{Payloads: out}, stats, nil
 }
 
 // --- Split shuffler with blinded crowd IDs (§4.3) ---
@@ -210,10 +212,7 @@ var admitScratches = sync.Pool{New: func() any { return new(admitScratch) }}
 // C1s in lanes. C1, the blob and the partition are kept as received. A
 // record whose C1 or C2 does not parse is kept with a nil C2, which
 // ProcessEpoch drops.
-func (s *Shuffler1) Admit(in core.Batch) (core.Batch, error) {
-	if k := in.Kind(); k != core.KindBlinded {
-		return admitAsIs("shuffler 1", core.KindBlinded, in)
-	}
+func (s *Shuffler1) Admit(in core.Batch) core.Batch {
 	batch := in.Blinded
 	blinder := elgamal.NewBlinder(s.Alpha)
 	n := len(batch)
@@ -240,7 +239,7 @@ func (s *Shuffler1) Admit(in core.Batch) (core.Batch, error) {
 		clear(c2in)
 		admitScratches.Put(sc)
 	})
-	return core.Batch{Blinded: out}, nil
+	return core.Batch{Blinded: out}
 }
 
 // shuffle drops the records Admit marked malformed and shuffles the rest
@@ -282,15 +281,16 @@ type Shuffler2 struct {
 	Workers   int // decryption workers; 0 = GOMAXPROCS, 1 = serial
 }
 
-// Process thresholds on pseudonyms and returns the surviving inner
-// ciphertexts, shuffled. The pseudonyms (Decrypter.Pseudonyms) run in
+// ProcessEpoch implements Stage: it thresholds on pseudonyms and returns the
+// surviving inner ciphertexts, shuffled. The pseudonyms (Decrypter.Pseudonyms) run in
 // chunks on the worker pool, each from its crowd ciphertexts' wire bytes to
 // the pseudonyms' compressed ones in one buffer, with the private scalar
 // recoded once and one field inversion per chunk; the grouping keys on
 // them as fixed 32-byte values. The peel of the selected reports then runs
 // in output order (hybrid's OpenBatch, whose arena so holds only what is
 // forwarded).
-func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, error) {
+func (s *Shuffler2) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
+	batch := in.Blinded
 	stats := Stats{Received: len(batch)}
 	workers := parallel.Workers(s.Workers)
 	dec := s.Blinding.Decrypter()
@@ -333,7 +333,7 @@ func (s *Shuffler2) Process(batch []core.BlindedEnvelope) ([][]byte, Stats, erro
 	}
 	stats.Undecryptable += len(inners) - len(out)
 	stats.Forwarded = len(out)
-	return out, stats, nil
+	return core.Batch{Payloads: out}, stats, nil
 }
 
 // pseudonymKey returns record i's pseudonym as a grouping key: its

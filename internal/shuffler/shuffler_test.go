@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"prochlo/internal/core"
@@ -76,10 +77,11 @@ func TestShufflerThresholding(t *testing.T) {
 	batch := f.submit(t, "big", []byte("common-value...................."), 100)
 	batch = append(batch, f.submit(t, "tiny", []byte("rare-value......................"), 3)...)
 	s := &Shuffler{Priv: f.shufPriv, Threshold: Threshold{Noise: dp.PaperThresholdNoise}, Rand: newRNG()}
-	inner, stats, err := s.Process(batch)
+	out, stats, err := RunEpoch(s, core.Batch{Envelopes: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
+	inner := out.Payloads
 	if stats.Received != 103 || stats.Crowds != 2 {
 		t.Errorf("stats = %+v", stats)
 	}
@@ -105,11 +107,11 @@ func TestShufflerShufflesOrder(t *testing.T) {
 		batch = append(batch, f.submit(t, "c", []byte(fmt.Sprintf("item-%03d", i)), 1)...)
 	}
 	s := &Shuffler{Priv: f.shufPriv, Threshold: Threshold{}, Rand: newRNG()}
-	inner, _, err := s.Process(batch)
+	out, _, err := RunEpoch(s, core.Batch{Envelopes: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	values := f.openAll(t, inner)
+	values := f.openAll(t, out.Payloads)
 	inOrder := 0
 	for i := range values {
 		if values[i] == fmt.Sprintf("item-%03d", i) {
@@ -125,7 +127,7 @@ func TestShufflerBatchTooSmall(t *testing.T) {
 	f := newFixture(t)
 	batch := f.submit(t, "c", []byte("x"), 3)
 	s := &Shuffler{Priv: f.shufPriv, Rand: newRNG(), MinBatch: 10}
-	if _, _, err := s.Process(batch); !errors.Is(err, ErrBatchTooSmall) {
+	if _, _, err := RunEpoch(s, core.Batch{Envelopes: batch}); !errors.Is(err, ErrBatchTooSmall) {
 		t.Fatalf("err = %v, want ErrBatchTooSmall", err)
 	}
 }
@@ -135,7 +137,7 @@ func TestShufflerUndecryptable(t *testing.T) {
 	batch := f.submit(t, "c", []byte("ok.............................."), 40)
 	batch = append(batch, core.Envelope{Blob: bytes.Repeat([]byte{0x42}, 100)})
 	s := &Shuffler{Priv: f.shufPriv, Threshold: Threshold{}, Rand: newRNG()}
-	_, stats, err := s.Process(batch)
+	_, stats, err := RunEpoch(s, core.Batch{Envelopes: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +232,11 @@ func TestBlindedPipeline(t *testing.T) {
 
 	s2 := &Shuffler2{Blinding: blindKP, Priv: s2Priv,
 		Threshold: Threshold{Noise: dp.PaperThresholdNoise}, Rand: newRNG()}
-	inner, stats, err := s2.Process(blinded)
+	out, stats, err := RunEpoch(s2, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inner := out.Payloads
 	if stats.Crowds != 2 || stats.CrowdsForwarded != 1 {
 		t.Errorf("stats = %+v, want 2 crowds, 1 forwarded", stats)
 	}
@@ -302,10 +305,7 @@ func TestShuffler1DropsMalformed(t *testing.T) {
 	copy(raw, batch)
 
 	s1 := &Shuffler1{Alpha: s1KP.X, Rand: newRNG()}
-	admitted, err := s1.Admit(core.Batch{Blinded: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
+	admitted := s1.Admit(core.Batch{Blinded: batch})
 	for i := range batch {
 		if !bytes.Equal(batch[i].CrowdC1, raw[i].CrowdC1) || !bytes.Equal(batch[i].CrowdC2, raw[i].CrowdC2) {
 			t.Fatalf("Admit changed its input's record %d", i)
@@ -382,15 +382,15 @@ func TestShuffler2PeelsOnlyWhatItForwards(t *testing.T) {
 	batch = append(batch, unparsable)
 
 	s2 := &Shuffler2{Blinding: blindKP, Priv: s2Priv, Threshold: Threshold{Naive: 5}, Rand: newRNG(), MinBatch: 1}
-	out, stats, err := s2.Process(batch)
+	out, stats, err := RunEpoch(s2, core.Batch{Blinded: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Stats{Received: 11, Undecryptable: 2, Crowds: 2, CrowdsForwarded: 1, Forwarded: 6}
-	if stats != want || len(out) != 6 {
-		t.Fatalf("%d forwarded, stats %+v; want 6 forwarded, stats %+v", len(out), stats, want)
+	if stats != want || len(out.Payloads) != 6 {
+		t.Fatalf("%d forwarded, stats %+v; want 6 forwarded, stats %+v", len(out.Payloads), stats, want)
 	}
-	for _, ct := range out {
+	for _, ct := range out.Payloads {
 		if pt, err := anlz.Open(ct, nil); err != nil || string(pt) != "value-A" {
 			t.Fatalf("forwarded %q (%v), want value-A", pt, err)
 		}
@@ -404,11 +404,12 @@ func TestSGXShufflerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, quote, err := NewSGXShuffler(ca, Params{Threshold: Threshold{Noise: dp.PaperThresholdNoise}, Seed: 11})
+	sh, err := NewSGXShuffler(ca, Params{Threshold: Threshold{Noise: dp.PaperThresholdNoise}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Client-side verification (§4.1.1).
+	quote := sh.Quote()
 	if err := sgx.VerifyQuote(ca.PublicKey(), quote, SGXShufflerMeasurement); err != nil {
 		t.Fatalf("attestation failed: %v", err)
 	}
@@ -441,7 +442,7 @@ func TestSGXShufflerEndToEnd(t *testing.T) {
 	add("app-2", "value-2", 60)
 	add("app-3", "value-3", 4)
 
-	inner, stats, err := sh.Process(batch)
+	out, stats, err := RunEpoch(sh, core.Batch{Envelopes: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +450,7 @@ func TestSGXShufflerEndToEnd(t *testing.T) {
 		t.Errorf("stats = %+v, want 3 crowds, 2 forwarded", stats)
 	}
 	seen := map[string]int{}
-	for _, ct := range inner {
+	for _, ct := range out.Payloads {
 		pt, err := anlz.Open(ct, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -476,12 +477,12 @@ func TestSGXShufflerEndToEnd(t *testing.T) {
 // shuffled.
 func TestSGXShufflerSetsAsideRaggedRecords(t *testing.T) {
 	ca, _ := sgx.NewCA()
-	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{}, Seed: 11, MinBatch: 1})
+	sh, err := NewSGXShuffler(ca, Params{Threshold: Threshold{}, Seed: 11, MinBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	anlz, _ := hybrid.GenerateKey(crand.Reader)
-	client := &encoder.Client{ShufflerKey: sh.PublicKey(), AnalyzerKey: anlz.Public(), Rand: crand.Reader}
+	client := &encoder.Client{ShufflerKey: sh.priv.Public(), AnalyzerKey: anlz.Public(), Rand: crand.Reader}
 	long, _ := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: make([]byte, 64)})
 	short, _ := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: make([]byte, 32)})
 	innerSize := func(e core.Envelope) int { return len(e.Blob) - hybrid.Overhead - core.CrowdIDSize }
@@ -493,15 +494,15 @@ func TestSGXShufflerSetsAsideRaggedRecords(t *testing.T) {
 		{[]core.Envelope{short, long, short}, short},
 		{[]core.Envelope{long, short}, short}, // a tie
 	} {
-		out, stats, err := sh.Process(append([]core.Envelope(nil), c.batch...))
+		out, stats, err := RunEpoch(sh, core.Batch{Envelopes: append([]core.Envelope(nil), c.batch...)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := len(c.batch) - 1
-		if len(out) != want || stats.Forwarded != want || stats.Undecryptable != 1 || stats.Received != len(c.batch) {
-			t.Errorf("%d forwarded, stats %+v; want %d forwarded and 1 undecryptable", len(out), stats, want)
+		if len(out.Payloads) != want || stats.Forwarded != want || stats.Undecryptable != 1 || stats.Received != len(c.batch) {
+			t.Errorf("%d forwarded, stats %+v; want %d forwarded and 1 undecryptable", len(out.Payloads), stats, want)
 		}
-		for _, inner := range out {
+		for _, inner := range out.Payloads {
 			if len(inner) != innerSize(c.kept) {
 				t.Errorf("forwarded a %d-byte inner ciphertext, want %d", len(inner), innerSize(c.kept))
 			}
@@ -511,11 +512,11 @@ func TestSGXShufflerSetsAsideRaggedRecords(t *testing.T) {
 
 func TestSGXShufflerEmptyBatch(t *testing.T) {
 	ca, _ := sgx.NewCA()
-	sh, _, err := NewSGXShuffler(ca, Params{Threshold: Threshold{}, Seed: 11})
+	sh, err := NewSGXShuffler(ca, Params{Threshold: Threshold{}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sh.Process(nil); !errors.Is(err, ErrBatchTooSmall) {
+	if _, _, err := RunEpoch(sh, core.Batch{}); !errors.Is(err, ErrBatchTooSmall) {
 		t.Fatalf("err = %v, want ErrBatchTooSmall", err)
 	}
 }
@@ -528,14 +529,14 @@ func sgxBadBatch(t *testing.T) (sh *SGXShuffler, bad, honest []core.Envelope) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh, _, err = NewSGXShuffler(ca, Params{Seed: 11, MinBatch: 1}); err != nil {
+	if sh, err = NewSGXShuffler(ca, Params{Seed: 11, MinBatch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	anlz, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := &encoder.Client{ShufflerKey: sh.PublicKey(), AnalyzerKey: anlz.Public(), Rand: crand.Reader}
+	client := &encoder.Client{ShufflerKey: sh.priv.Public(), AnalyzerKey: anlz.Public(), Rand: crand.Reader}
 	for i := 0; i < 7; i++ {
 		env, err := client.Encode(core.Report{CrowdID: core.HashCrowdID("c"), Data: []byte("sgx")})
 		if err != nil {
@@ -553,12 +554,12 @@ func sgxBadBatch(t *testing.T) (sh *SGXShuffler, bad, honest []core.Envelope) {
 // and counts the seventh as undecryptable instead of failing the batch.
 func TestSGXShufflerSkipsBadEnvelope(t *testing.T) {
 	sh, bad, _ := sgxBadBatch(t)
-	out, stats, err := sh.Process(append([]core.Envelope(nil), bad...))
+	out, stats, err := RunEpoch(sh, core.Batch{Envelopes: append([]core.Envelope(nil), bad...)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 6 || stats.Forwarded != 6 || stats.Undecryptable != 1 || stats.Received != 7 {
-		t.Errorf("%d forwarded, stats %+v; want 6 forwarded and 1 undecryptable of 7", len(out), stats)
+	if len(out.Payloads) != 6 || stats.Forwarded != 6 || stats.Undecryptable != 1 || stats.Received != 7 {
+		t.Errorf("%d forwarded, stats %+v; want 6 forwarded and 1 undecryptable of 7", len(out.Payloads), stats)
 	}
 }
 
@@ -584,5 +585,120 @@ func TestSGXShuffleAccessesHideBadEnvelope(t *testing.T) {
 	want := shuffle(honest)
 	if got := shuffle(bad); got != want || want.BytesIn == 0 || want.BytesOut == 0 {
 		t.Fatalf("enclave counters with a bad report %+v, all honest %+v", got, want)
+	}
+}
+
+// TestRunEpochKeepsTheContract: RunEpoch, the in-process driver, enforces
+// what every stage states and none checks. At every role NewStage builds, and
+// at the SGX stage, a batch of another kind is refused naming both kinds, an
+// epoch below the stage's Floor is refused with ErrBatchTooSmall, and neither
+// refusal draws from the stage's RNG: the next epoch's output is the one a
+// fresh stage of the same seed gives.
+func TestRunEpochKeepsTheContract(t *testing.T) {
+	sec, err := GenerateSecrets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop1, err := GenerateSecrets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, err := sgx.NewCA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Seed: 5, MinBatch: 3}
+	const n = 8
+	labels, data := make([]string, n), make([][]byte, n)
+	for i := range labels {
+		labels[i], data[i] = fmt.Sprintf("crowd-%d", i%2), []byte(fmt.Sprintf("value-%d", i))
+	}
+	envelopes := func(key *hybrid.PublicKey) core.Batch {
+		client := &encoder.Client{ShufflerKey: key, AnalyzerKey: sec.Priv.Public(), Rand: crand.Reader}
+		reports := make([]core.Report, n)
+		for i := range reports {
+			reports[i] = core.Report{CrowdID: core.HashCrowdID(labels[i]), Data: data[i]}
+		}
+		envs, err := client.EncodeBatch(reports, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Batch{Envelopes: envs}
+	}
+	blinded := func(hop1 elgamal.Point) core.Batch {
+		client := &encoder.BlindedClient{Shuffler1Blinding: hop1, Shuffler2Blinding: sec.Blinding.H,
+			Shuffler2Key: sec.Priv.Public(), AnalyzerKey: sec.Priv.Public(), Rand: crand.Reader}
+		envs, err := client.EncodeBatch(labels, data, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Batch{Blinded: envs}
+	}
+	payloads, err := hybrid.SealBatch(crand.Reader, sec.Priv.Public(), data, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	role := func(name string) func() Stage {
+		return func() Stage {
+			st, err := NewStage(name, map[bool]Secrets{true: hop1, false: sec}[name == "shuffler1"], p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+	}
+	enclave, err := NewSGXShuffler(ca, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		stage func() Stage // a fresh stage, drawing the seeded stream from its start
+		epoch core.Batch
+	}{
+		{"shuffler", role("shuffler"), envelopes(sec.Priv.Public())},
+		{"shuffler1", role("shuffler1"), blinded(hop1.Blinding.H)},
+		{"shuffler2", role("shuffler2"), blinded(elgamal.Point{})},
+		{"analyzer", role("analyzer"), core.Batch{Payloads: payloads}},
+		{"sgx", func() Stage {
+			sh, err := NewSGXShuffler(ca, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh.priv = enclave.priv // the key the epoch is sealed to
+			return sh
+		}, envelopes(enclave.priv.Public())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := tc.stage()
+			want, _ := st.Kinds()
+			other := core.Batch{Payloads: payloads}
+			if want == core.KindPayloads {
+				other = envelopes(sec.Priv.Public())
+			}
+			_, _, err := RunEpoch(st, other)
+			if named := fmt.Sprintf("consumes %v, got %v", want, other.Kind()); err == nil || !strings.Contains(err.Error(), named) {
+				t.Errorf("RunEpoch on %v = %v, want a refusal saying %q", other.Kind(), err, named)
+			}
+			small := tc.epoch.Slice(0, st.Floor()-1)
+			if _, _, err := RunEpoch(st, small); !errors.Is(err, ErrBatchTooSmall) {
+				t.Errorf("RunEpoch on %d items, floor %d = %v, want ErrBatchTooSmall", small.Len(), st.Floor(), err)
+			}
+			got, gotStats, err := RunEpoch(st, tc.epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, freshStats, err := RunEpoch(tc.stage(), tc.epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(core.AppendBatch(nil, got), core.AppendBatch(nil, fresh)) || gotStats != freshStats {
+				t.Errorf("after the refusals the epoch gave %d items, stats %+v; a fresh stage %d, stats %+v",
+					got.Len(), gotStats, fresh.Len(), freshStats)
+			}
+			if gotStats.Received != n {
+				t.Errorf("stats %+v, want %d received", gotStats, n)
+			}
+		})
 	}
 }

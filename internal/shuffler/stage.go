@@ -34,19 +34,24 @@ import (
 // the epoch engine admits a batch when it keeps it (and what it recovers
 // from its log when it restarts), and an in-process driver admits an epoch
 // just before it processes it (RunEpoch).
+//
+// A stage does only that work. Kinds and Floor state its contract, and the
+// drivers enforce it before any work: the epoch engine refuses a batch of
+// another kind at ingest and in WAL recovery and never processes an epoch
+// below the floor, and RunEpoch refuses both. Admit and ProcessEpoch check
+// neither.
 type Stage interface {
-	// Admit does the per-report work of one arriving batch and returns the
-	// batch to keep for the epoch; the input is not modified. A report the
-	// work finds malformed stays in the batch, marked for ProcessEpoch to
-	// drop and count. It fails only if the batch kind is not the stage's
-	// input kind. At every stage but Shuffler1 (the blinding) and the Sink
-	// (the decryption) it returns its input.
-	Admit(in core.Batch) (core.Batch, error)
-	// ProcessEpoch consumes one cut epoch of admitted batches and returns
-	// the batch to forward to the next hop, plus the selectivity stats the
-	// stage's host is allowed to observe. It fails if the batch kind is not
-	// the stage's input kind (a miswired topology) or violates the
-	// anonymity floor.
+	// Admit does the per-report work of one arriving batch of the kind the
+	// stage consumes and returns the batch to keep for the epoch; the input
+	// is not modified. A report the work finds malformed stays in the batch,
+	// marked for ProcessEpoch to drop and count. At every stage but
+	// Shuffler1 (the blinding) and the Sink (the decryption) it returns its
+	// input.
+	Admit(in core.Batch) core.Batch
+	// ProcessEpoch consumes one cut epoch of admitted batches, at least
+	// Floor items of the kind the stage consumes, and returns the batch to
+	// forward to the next hop, plus the selectivity stats the stage's host is
+	// allowed to observe.
 	ProcessEpoch(in core.Batch) (out core.Batch, stats Stats, err error)
 	// Kinds declares the batch kind ProcessEpoch consumes and the kind it
 	// emits — core.KindEmpty at the Sink, which emits nothing. It is the one
@@ -55,8 +60,8 @@ type Stage interface {
 	// analyzer or nowhere, all follow from it.
 	Kinds() (consumes, emits core.BatchKind)
 	// Floor is the stage's anonymity floor: the minimum number of items an
-	// epoch must hold before the stage may process it. Epoch schedulers use
-	// it to refuse cutting smaller epochs.
+	// epoch must hold before the stage may process it. The epoch engine cuts
+	// no smaller epoch, and drops a recovered one that is smaller.
 	Floor() int
 	// PublicKeys names the public keys the stage serves to clients: the
 	// hybrid key its reports are sealed to and the El Gamal point of the
@@ -137,22 +142,19 @@ func NewStage(role string, sec Secrets, p Params) (Stage, error) {
 
 // RunEpoch admits in and processes it as one epoch: what a driver that holds
 // a whole epoch at once (prochlo.Pipeline.Flush, the paper's timing table)
-// does where a daemon's epoch engine admits each batch as it arrives.
+// does where a daemon's epoch engine admits each batch as it arrives. Like
+// the engine, it enforces the stage's contract before any work, so a refusal
+// draws nothing from the stage's RNG: a batch of a kind the stage does not
+// consume fails, naming both kinds, and an epoch below the stage's Floor
+// fails with ErrBatchTooSmall.
 func RunEpoch(st Stage, in core.Batch) (core.Batch, Stats, error) {
-	admitted, err := st.Admit(in)
-	if err != nil {
-		return core.Batch{}, Stats{}, err
+	if want, _ := st.Kinds(); in.Kind() != want && in.Kind() != core.KindEmpty {
+		return core.Batch{}, Stats{}, fmt.Errorf("shuffler: stage consumes %v, got %v", want, in.Kind())
 	}
-	return st.ProcessEpoch(admitted)
-}
-
-// admitAsIs is Admit at a stage whose every step needs the whole epoch: the
-// kind check alone.
-func admitAsIs(stage string, want core.BatchKind, in core.Batch) (core.Batch, error) {
-	if k := in.Kind(); k != want && k != core.KindEmpty {
-		return core.Batch{}, wrongKind(stage, want, k)
+	if n, floor := in.Len(), st.Floor(); n < floor {
+		return core.Batch{}, Stats{}, fmt.Errorf("%w: %d < %d", ErrBatchTooSmall, n, floor)
 	}
-	return in, nil
+	return st.ProcessEpoch(st.Admit(in))
 }
 
 // floorOf is a stage's anonymity floor: its MinBatch, or DefaultMinBatch
@@ -164,26 +166,9 @@ func floorOf(minBatch int) int {
 	return DefaultMinBatch
 }
 
-// wrongKind is the miswired-topology error: a stage was handed a batch of
-// the wrong wire kind.
-func wrongKind(stage string, want, got core.BatchKind) error {
-	return fmt.Errorf("shuffler: %s expects %s, got %s", stage, want, got)
-}
-
 // Admit implements Stage: the plain shuffler does all its work on the cut
 // epoch.
-func (s *Shuffler) Admit(in core.Batch) (core.Batch, error) {
-	return admitAsIs("shuffler", core.KindEnvelopes, in)
-}
-
-// ProcessEpoch implements Stage: envelopes in, peeled payloads out.
-func (s *Shuffler) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
-	if k := in.Kind(); k != core.KindEnvelopes && k != core.KindEmpty {
-		return core.Batch{}, Stats{}, wrongKind("shuffler", core.KindEnvelopes, k)
-	}
-	out, stats, err := s.Process(in.Envelopes)
-	return core.Batch{Payloads: out}, stats, err
-}
+func (s *Shuffler) Admit(in core.Batch) core.Batch { return in }
 
 // Kinds implements Stage.
 func (s *Shuffler) Kinds() (consumes, emits core.BatchKind) {
@@ -198,22 +183,7 @@ func (s *Shuffler) PublicKeys() (blinding, key []byte) { return nil, s.Priv.Publ
 
 // Admit implements Stage: the SGX shuffler does all its work on the cut
 // epoch, inside the enclave.
-func (s *SGXShuffler) Admit(in core.Batch) (core.Batch, error) {
-	return admitAsIs("sgx shuffler", core.KindEnvelopes, in)
-}
-
-// ProcessEpoch implements Stage: envelopes in, peeled payloads out, shuffled
-// obliviously inside the enclave.
-func (s *SGXShuffler) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
-	if k := in.Kind(); k != core.KindEnvelopes && k != core.KindEmpty {
-		return core.Batch{}, Stats{}, wrongKind("sgx shuffler", core.KindEnvelopes, k)
-	}
-	if min := s.Floor(); len(in.Envelopes) < min {
-		return core.Batch{}, Stats{}, fmt.Errorf("%w: %d < %d", ErrBatchTooSmall, len(in.Envelopes), min)
-	}
-	out, stats, err := s.Process(in.Envelopes)
-	return core.Batch{Payloads: out}, stats, err
-}
+func (s *SGXShuffler) Admit(in core.Batch) core.Batch { return in }
 
 // Kinds implements Stage.
 func (s *SGXShuffler) Kinds() (consumes, emits core.BatchKind) {
@@ -232,12 +202,6 @@ func (s *SGXShuffler) PublicKeys() (blinding, key []byte) { return nil, s.priv.P
 // crowd IDs nor data, so its stats report only arrival and forwarding
 // counts. The input is not modified.
 func (s *Shuffler1) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
-	if k := in.Kind(); k != core.KindBlinded && k != core.KindEmpty {
-		return core.Batch{}, Stats{}, wrongKind("shuffler 1", core.KindBlinded, k)
-	}
-	if min := s.Floor(); len(in.Blinded) < min {
-		return core.Batch{}, Stats{}, fmt.Errorf("%w: %d < %d", ErrBatchTooSmall, len(in.Blinded), min)
-	}
 	out := s.shuffle(in.Blinded)
 	stats := Stats{
 		Received:      len(in.Blinded),
@@ -261,21 +225,7 @@ func (s *Shuffler1) Floor() int { return floorOf(s.MinBatch) }
 func (s *Shuffler1) PublicKeys() (blinding, key []byte) { return s.provenKey, nil }
 
 // Admit implements Stage: Shuffler 2 does all its work on the cut epoch.
-func (s *Shuffler2) Admit(in core.Batch) (core.Batch, error) {
-	return admitAsIs("shuffler 2", core.KindBlinded, in)
-}
-
-// ProcessEpoch implements Stage: blinded envelopes in, peeled payloads out.
-func (s *Shuffler2) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
-	if k := in.Kind(); k != core.KindBlinded && k != core.KindEmpty {
-		return core.Batch{}, Stats{}, wrongKind("shuffler 2", core.KindBlinded, k)
-	}
-	if min := s.Floor(); len(in.Blinded) < min {
-		return core.Batch{}, Stats{}, fmt.Errorf("%w: %d < %d", ErrBatchTooSmall, len(in.Blinded), min)
-	}
-	out, stats, err := s.Process(in.Blinded)
-	return core.Batch{Payloads: out}, stats, err
-}
+func (s *Shuffler2) Admit(in core.Batch) core.Batch { return in }
 
 // Kinds implements Stage.
 func (s *Shuffler2) Kinds() (consumes, emits core.BatchKind) {
@@ -305,21 +255,15 @@ type Sink struct {
 
 // Admit implements Stage: it opens every record, positionally — a record that
 // does not open stays in the batch as nil, for ProcessEpoch to count.
-func (s *Sink) Admit(in core.Batch) (core.Batch, error) {
-	if in.Kind() != core.KindPayloads {
-		return admitAsIs("analyzer", core.KindPayloads, in)
-	}
+func (s *Sink) Admit(in core.Batch) core.Batch {
 	pts, _ := s.an.OpenBatch(in.Payloads)
-	return core.Batch{Payloads: pts}, nil
+	return core.Batch{Payloads: pts}
 }
 
 // ProcessEpoch implements Stage: it folds an epoch of admitted (opened)
 // records into the histogram and emits nothing. Received counts the records,
 // Undecryptable the ones that did not open, Forwarded the ones counted.
 func (s *Sink) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
-	if k := in.Kind(); k != core.KindPayloads && k != core.KindEmpty {
-		return core.Batch{}, Stats{}, wrongKind("analyzer", core.KindPayloads, k)
-	}
 	db := make([][]byte, 0, len(in.Payloads))
 	for _, pt := range in.Payloads {
 		if pt != nil {

@@ -376,7 +376,7 @@ type slowOpenSink struct {
 	opens atomic.Int64
 }
 
-func (s *slowOpenSink) Admit(in core.Batch) (core.Batch, error) {
+func (s *slowOpenSink) Admit(in core.Batch) core.Batch {
 	s.opens.Add(1)
 	time.Sleep(10 * time.Millisecond)
 	return s.Sink.Admit(in)

@@ -326,7 +326,7 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 	)
 	if cfg.WALDir != "" {
 		if rec, err = recoverWAL(cfg.WALDir, kind); err == nil && rec != nil {
-			err = rec.admit(st)
+			rec.admit(st)
 		}
 		if err != nil {
 			t.close()
@@ -396,18 +396,13 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 // admit admits what recovery read back — the pending items and every
 // unresolved epoch — once each, as keep admits a batch on arrival: the log
 // holds batches as they arrived, and the engine holds them admitted. It
-// runs before the flusher starts.
-func (rec *walRecovery) admit(st shuffler.Stage) error {
-	var err error
-	if rec.pending.items, err = st.Admit(rec.pending.items); err != nil {
-		return err
-	}
+// runs before the flusher starts, on items recovery has held to the stage's
+// kind.
+func (rec *walRecovery) admit(st shuffler.Stage) {
+	rec.pending.items = st.Admit(rec.pending.items)
 	for _, ep := range rec.epochs {
-		if ep.items, err = st.Admit(ep.items); err != nil {
-			return err
-		}
+		ep.items = st.Admit(ep.items)
 	}
-	return nil
 }
 
 // ingest is the one way a batch of the admitted kind enters the engine,
@@ -453,13 +448,8 @@ func (e *engine) keep(stream, pos int64, b core.Batch) error {
 		return err
 	}
 	admitStart := time.Now()
-	admitted, err := e.stage.Admit(b)
+	admitted := e.stage.Admit(b)
 	observeSeconds(e.admitSeconds, admitStart)
-	if err != nil {
-		e.rejected.Add(n)
-		e.recordErr(err)
-		return err
-	}
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed.Load() {
@@ -713,17 +703,24 @@ func (e *engine) flusher() {
 // processing failed, or its push got a final refusal or outlived the
 // sender's redial budget — is dropped: the WAL records the drop, so its
 // reports are never pushed again, not even after a restart, and they count
-// in Dropped. Once the log has failed nothing is pushed behind a record that
-// may not be durable: the epoch is held, back in pending, for a restart.
+// in Dropped. An epoch below the stage's floor is dropped unprocessed: the
+// scheduler cuts none, so it is one recovered from the WAL under a floor
+// since raised (-min-batch). Once the log has failed nothing is pushed
+// behind a record that may not be durable: the epoch is held, back in
+// pending, for a restart.
 func (e *engine) flushOne(ep *epoch) {
 	var stats shuffler.Stats
 	err := e.wal.failure()
 	held := err != nil && ep.items.Len() > 0
-	if ep.items.Len() > 0 && err == nil { // else a Drain barrier: every earlier epoch has been flushed
+	if n := ep.items.Len(); n > 0 && err == nil { // else a Drain barrier: every earlier epoch has been flushed
 		var out core.Batch
-		procStart := time.Now()
-		out, stats, err = e.stage.ProcessEpoch(ep.items)
-		observeSeconds(e.procSeconds, procStart)
+		if n < e.floor {
+			err = fmt.Errorf("%w: %d < %d", shuffler.ErrBatchTooSmall, n, e.floor)
+		} else {
+			procStart := time.Now()
+			out, stats, err = e.stage.ProcessEpoch(ep.items)
+			observeSeconds(e.procSeconds, procStart)
+		}
 		if err == nil {
 			pushStart := time.Now()
 			err = e.push(ep.id, out)

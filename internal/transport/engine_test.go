@@ -28,11 +28,11 @@ type recordStage struct {
 	onEpoch func(in core.Batch)
 }
 
-func (s *recordStage) Admit(in core.Batch) (core.Batch, error) {
+func (s *recordStage) Admit(in core.Batch) core.Batch {
 	if s.admit == nil {
-		return in, nil
+		return in
 	}
-	return s.admit(in), nil
+	return s.admit(in)
 }
 func (s *recordStage) ProcessEpoch(in core.Batch) (core.Batch, shuffler.Stats, error) {
 	s.onEpoch(in)
@@ -672,4 +672,44 @@ func TestDedupHoldsOneMarkPerStream(t *testing.T) {
 	if n := dedupStreams(svc.eng); n < 3 || n > 2+8 {
 		t.Errorf("dedup holds %d marks, want the 2 clients' and between 1 and 8 of the shared client's", n)
 	}
+}
+
+// TestRecoveredEpochBelowRaisedFloorDropped: an epoch cut and logged under
+// one floor, then recovered by a restart whose floor was raised (-min-batch),
+// is below a floor the scheduler never cuts under. The engine drops it
+// unprocessed — resolved in the log, counted in Dropped and EpochsFailed —
+// and forwards nothing.
+func TestRecoveredEpochBelowRaisedFloorDropped(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind core.BatchKind) {
+		dir := t.TempDir()
+		w := walOpen(t, dir, DefaultWALSegmentBytes, 7, kind)
+		walAppend(t, w, 1, walChunk(kind, 1, "a", "b", "c"))
+		if err := w.logCut(1, 1, 3); err != nil {
+			t.Fatal(err)
+		}
+		w.closeFiles() // crash with epoch 1 cut under a floor of 3, before its push
+
+		var processed atomic.Int64
+		stage := &recordStage{kind: kind, floor: 5, onEpoch: func(core.Batch) { processed.Add(1) }}
+		sink := &sinkService{got: map[string]int{}}
+		eng, err := newEngine(EpochConfig{WALDir: dir}, stage, []string{serveService(t, sink)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.close()
+		if err := eng.drain(false); err != nil {
+			t.Fatal(err)
+		}
+		st := eng.stats()
+		if st.RecoveredEpochs != 1 || st.Dropped != 3 || st.EpochsFailed != 1 || st.EpochsFlushed != 0 ||
+			st.Unaccounted != 0 || !strings.Contains(st.LastError, shuffler.ErrBatchTooSmall.Error()) {
+			t.Errorf("after the restart: %+v; want the recovered epoch of 3 dropped as below the floor of 5", st)
+		}
+		if n := eng.wal.unresolvedCount(); n != 0 {
+			t.Errorf("%d epochs unresolved in the log, want the drop recorded", n)
+		}
+		if processed.Load() != 0 || len(sink.values()) != 0 {
+			t.Errorf("the stage processed %d epochs and the next tier got %v, want neither", processed.Load(), sink.values())
+		}
+	})
 }

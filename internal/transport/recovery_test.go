@@ -533,7 +533,11 @@ func testSGXShufflerSurvives(t *testing.T, spoil func(enc *encoder.Client, e *co
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, _, err := shuffler.NewSGXShuffler(ca, shuffler.Params{Seed: 3, MinBatch: 1})
+	sh, err := shuffler.NewSGXShuffler(ca, shuffler.Params{Seed: 3, MinBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := hybrid.ParsePublicKey(sh.Quote().ReportData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +546,7 @@ func testSGXShufflerSurvives(t *testing.T, spoil func(enc *encoder.Client, e *co
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	enc := &encoder.Client{ShufflerKey: sh.PublicKey(), AnalyzerKey: rig.anlzPriv.Public(), Rand: crand.Reader}
+	enc := &encoder.Client{ShufflerKey: key, AnalyzerKey: rig.anlzPriv.Public(), Rand: crand.Reader}
 	envs := make([]core.Envelope, 7)
 	for i := range envs {
 		if envs[i], err = enc.Encode(core.Report{CrowdID: core.HashCrowdID("c:sgx"), Data: []byte("sgx")}); err != nil {

@@ -82,9 +82,9 @@ func (d *forwardDedup) ingest(stream, pos int64, add func() error) error {
 // distinguishes the roles is the stage itself — the batch kind it consumes is
 // what the service admits, the kind it emits is what the next tier must take
 // (the analyzer emits nothing, has no next tier, and serves its Histogram),
-// the keys it holds are the keys it serves — plus where its epochs go and
-// (SGX only) an attestation quote. See the package comment for the
-// epoch/backpressure model.
+// the keys it holds are the keys it serves, and a quote it holds (SGX only)
+// is served over Attestation — plus where its epochs go. See the package
+// comment for the epoch/backpressure model.
 //
 // Clients enter a chain at its first hop with Submit, and each hop pushes
 // its epochs to the next with the same call. Both are deduplicated by their
@@ -96,15 +96,19 @@ type StageService struct {
 	eng  *engine
 	keys Keys
 	sink histogrammer // the analyzer's stage, whose Histogram is served; nil at a shuffler
-
-	mu  sync.Mutex // guards att
-	att *AttestationReply
+	att  quoter       // the SGX shuffler, whose quote is served; nil at any other stage
 }
 
 // histogrammer is the analyzer's stage, shuffler.Sink, as StageService
 // serves it.
 type histogrammer interface {
 	Histogram() (counts map[string]int, undecryptable int)
+}
+
+// quoter is the SGX shuffler, shuffler.SGXShuffler, as StageService serves
+// it: a stage whose enclave quotes the key it serves.
+type quoter interface {
+	Quote() sgx.Quote
 }
 
 // NewStageService wraps a stage: the service admits the batch kind the stage
@@ -122,8 +126,9 @@ type histogrammer interface {
 // because the analyzer merge is commutative — with per-partition
 // (stream, epoch) dedup keeping the fan-in exactly-once.
 //
-// The service serves the stage's PublicKeys over Keys. The caller should
-// Close the service to drain it and release the downstream connections.
+// The service serves the stage's PublicKeys over Keys, and its Quote, if it
+// has one, over Attestation. The caller should Close the service to drain it
+// and release the downstream connections.
 func NewStageService(st shuffler.Stage, next []string, cfg EpochConfig) (*StageService, error) {
 	eng, err := newEngine(cfg, st, next)
 	if err != nil {
@@ -131,28 +136,19 @@ func NewStageService(st shuffler.Stage, next []string, cfg EpochConfig) (*StageS
 	}
 	blinding, key := st.PublicKeys()
 	sink, _ := st.(histogrammer)
-	return &StageService{eng: eng, keys: Keys{Blinding: blinding, Key: key}, sink: sink}, nil
+	att, _ := st.(quoter)
+	return &StageService{eng: eng, keys: Keys{Blinding: blinding, Key: key}, sink: sink, att: att}, nil
 }
 
-// SetAttestation installs the quote served over Attestation (the SGX
-// deployment: the quote covers the service's public key). The attestation
-// CA's key is not served: a client pins it (WithRemoteAttestation).
-func (s *StageService) SetAttestation(quote sgx.Quote) {
-	s.mu.Lock()
-	s.att = &AttestationReply{Quote: quote}
-	s.mu.Unlock()
-}
-
-// Attestation returns the SGX quote over the service's public key; it fails
-// on a service running without an enclave (clients requiring attestation
-// must not fall back silently).
+// Attestation returns the stage's SGX quote over the service's public key.
+// The attestation CA's key is not served: a client pins it
+// (WithRemoteAttestation). It fails at a stage without an enclave (clients
+// requiring attestation must not fall back silently).
 func (s *StageService) Attestation() (AttestationReply, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.att == nil {
 		return AttestationReply{}, errors.New("transport: shuffler runs without SGX attestation")
 	}
-	return *s.att, nil
+	return AttestationReply{Quote: s.att.Quote()}, nil
 }
 
 // Config returns the service's effective epoch configuration: FlushAt is

@@ -253,7 +253,7 @@ func TestStageServiceServesItsStagesKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sgxStage, quote, err := shuffler.NewSGXShuffler(ca, shuffler.Params{})
+	sgxStage, err := shuffler.NewSGXShuffler(ca, shuffler.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestStageServiceServesItsStagesKeys(t *testing.T) {
 		refusal string
 	}{
 		{"plain", role("shuffler"), Keys{Key: key}, ""},
-		{"sgx", stageService(sgxStage, nil), Keys{Key: quote.ReportData}, ""},
+		{"sgx", stageService(sgxStage, nil), Keys{Key: sgxStage.Quote().ReportData}, ""},
 		{"shuffler1", role("shuffler1"), Keys{Blinding: sec.Blinding.ProvenKey()}, ""},
 		{"keyless", stageService(&shuffler.Shuffler1{}, nil), Keys{}, "transport: this hop serves no keys"},
 		{"shuffler2", role("shuffler2"), Keys{Blinding: sec.Blinding.H.Bytes(), Key: key}, ""},

@@ -40,8 +40,10 @@ import (
 //	 9 Attestation   -                           quote
 //	10 Histogram     -                           count | (key bytes | n)* | undecryptable
 //
-// Every party serves every method but two: Attestation only at an SGX
-// shuffler, Histogram only at the analyzer, which drains before it answers.
+// Every party serves every method but two, each only over a stage that has
+// what it serves: Attestation over the SGX shuffler, whose stage holds its
+// quote, and Histogram over the analyzer's sink, which drains before it
+// answers.
 // Submit carries every batch: pos is a client's sequence number or the
 // pushing hop's epoch id, and (stream, pos) is the receiver's dedup key.
 // Ids 2, 3, 5 and 8 are retired. Histogram keys are decrypted report payloads —

@@ -233,11 +233,11 @@ func New(opts ...Option) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		var sh *shuffler.SGXShuffler
-		if sh, p.quote, err = shuffler.NewSGXShuffler(ca, params); err != nil {
+		sh, err := shuffler.NewSGXShuffler(ca, params)
+		if err != nil {
 			return nil, err
 		}
-		p.stages = []shuffler.Stage{sh}
+		p.stages, p.quote = []shuffler.Stage{sh}, sh.Quote()
 		// Client-side verification before trusting the key (§4.1.1).
 		if err := sgx.VerifyQuote(ca.PublicKey(), p.quote, shuffler.SGXShufflerMeasurement); err != nil {
 			return nil, fmt.Errorf("prochlo: shuffler attestation failed: %w", err)

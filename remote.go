@@ -483,13 +483,10 @@ func aggregateStats(tier []transport.ServiceStats) transport.ServiceStats {
 }
 
 // Stats fetches the entry tier's aggregate occupancy and epoch counters: the
-// first element of HopStats.
+// first element of HopStats, from the entry tier's replicas alone.
 func (r *RemotePipeline) Stats() (transport.ServiceStats, error) {
-	hops, err := r.HopStats()
-	if err != nil {
-		return transport.ServiceStats{}, err
-	}
-	return hops[0], nil
+	tier, err := tierStats(0, r.tiers[0])
+	return aggregateStats(tier), err
 }
 
 // BalancerStats snapshots the entry balancer's failover and breaker
@@ -519,14 +516,23 @@ func (r *RemotePipeline) FleetStats() ([][]transport.ServiceStats, error) {
 	hops := r.hops()
 	out := make([][]transport.ServiceStats, len(hops))
 	for t, tier := range hops {
-		out[t] = make([]transport.ServiceStats, len(tier))
-		for i, cl := range tier {
-			s, err := cl.Stats()
-			if err != nil {
-				return nil, fmt.Errorf("prochlo: hop %d replica %d stats: %w", t+1, i, err)
-			}
-			out[t][i] = s
+		var err error
+		if out[t], err = tierStats(t, tier); err != nil {
+			return nil, err
 		}
+	}
+	return out, nil
+}
+
+// tierStats fetches the stats of every replica of hop t (0-based).
+func tierStats(t int, tier []*transport.Client) ([]transport.ServiceStats, error) {
+	out := make([]transport.ServiceStats, len(tier))
+	for i, cl := range tier {
+		s, err := cl.Stats()
+		if err != nil {
+			return nil, fmt.Errorf("prochlo: hop %d replica %d stats: %w", t+1, i, err)
+		}
+		out[i] = s
 	}
 	return out, nil
 }

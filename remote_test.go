@@ -641,7 +641,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 // sgxDaemon serves an SGX shuffler whose quote ca signs, pushing to anlz.
 func sgxDaemon(t *testing.T, ca *sgx.CA, anlz []string) string {
 	t.Helper()
-	sh, quote, err := shuffler.NewSGXShuffler(ca, shuffler.Params{Seed: 7})
+	sh, err := shuffler.NewSGXShuffler(ca, shuffler.Params{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +650,6 @@ func sgxDaemon(t *testing.T, ca *sgx.CA, anlz []string) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	svc.SetAttestation(quote)
 	l, err := transport.Serve("127.0.0.1:0", svc)
 	if err != nil {
 		t.Fatal(err)
@@ -745,6 +744,15 @@ type servedKeys struct {
 
 func (s servedKeys) PublicKeys() (blinding, key []byte) { return s.blinding, s.key }
 
+// quotedKeys is servedKeys with a quote over its key, served as an SGX
+// stage serves its own.
+type quotedKeys struct {
+	servedKeys
+	quote sgx.Quote
+}
+
+func (s quotedKeys) Quote() sgx.Quote { return s.quote }
+
 // TestDialRefusesKeysOffTheDeployedGroup drives every key a dial fetches —
 // shuffler, attested, hop-1 blinding, hop-2 blinding, hop-2 hybrid,
 // analyzer — with a P-256 point.
@@ -782,11 +790,7 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	keysAt := func(blinding, key []byte, attested bool) string {
-		svc, err := transport.NewStageService(servedKeys{plain, blinding, key}, []string{goodAnlz}, transport.EpochConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { svc.Close() })
+		var st shuffler.Stage = servedKeys{plain, blinding, key}
 		if attested {
 			enclave := sgx.New(sgx.DefaultEPC, shuffler.SGXShufflerMeasurement)
 			ca.Provision(enclave)
@@ -794,8 +798,13 @@ func TestDialRefusesKeysOffTheDeployedGroup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			svc.SetAttestation(quote)
+			st = quotedKeys{servedKeys{plain, blinding, key}, quote}
 		}
+		svc, err := transport.NewStageService(st, []string{goodAnlz}, transport.EpochConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { svc.Close() })
 		l, err := transport.Serve("127.0.0.1:0", svc)
 		if err != nil {
 			t.Fatal(err)
@@ -932,5 +941,30 @@ func TestFlushFailsAfterLostEpoch(t *testing.T) {
 	}
 	if res.Histogram["kept"] != 4 || res.Histogram["lost"] != 0 {
 		t.Errorf("histogram = %v, want the 4 kept reports alone", res.Histogram)
+	}
+}
+
+// TestStatsAsksTheEntryTierAlone: Stats reports the entry tier, so it calls
+// the entry tier's replicas alone. With every call to hop 2 failing — the
+// client reaches it through a proxy, then closed — Stats still answers, with
+// hop 1's counts.
+func TestStatsAsksTheEntryTierAlone(t *testing.T) {
+	f := startFleet(t, chainTiers(1, transport.EpochConfig{}, transport.EpochConfig{}), shuffler.Params{Seed: 3}, nil)
+	px, err := faultnet.Listen(&faultnet.Plan{Seed: 1}, f.Tiers[1][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	rp, err := prochlo.DialRemoteChainFleet(f.Tiers[0], []string{px.Addr()}, f.Tiers[2], prochlo.WithRemoteWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	if err := rp.SubmitBatch([]string{"c", "c", "c"}, [][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {
+		t.Fatal(err)
+	}
+	px.Close()
+	if st, err := rp.Stats(); err != nil || st.Accepted != 3 || st.Pending != 3 {
+		t.Fatalf("Stats with hop 2 unreachable = %+v, %v; want hop 1's 3 accepted, pending", st, err)
 	}
 }
