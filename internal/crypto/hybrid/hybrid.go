@@ -22,14 +22,15 @@
 // one, DeriveKeys derives every seal's key, and PendingSeal.Seal appends
 // the ephemeral key's encoding, the nonce and the AEAD output straight
 // into the caller's envelope buffer; OpenBatch — the one open kernel the
-// thresholding shufflers and the analyzer share — works in 256-record
-// chunks, handing the chunk's headers as bytes to group.Group.MulEncode,
-// which recodes the private scalar once and writes the shared points'
-// encodings after one inversion, and deriving the keys per chunk, with
-// all plaintexts in one arena. Every batch path derives its keys sixteen
-// at a time (keylanes.go): on amd64 CPUs with AVX512F one kernel call runs
-// the eleven SHA-256 compressions of sixteen HKDF derivations, any mix of
-// recipients; elsewhere, and for a group shorter than four, the scalar
+// thresholding shufflers and the analyzer share — works in worker ranges
+// of at most parallel.RangeMax records, handing each range's headers as
+// bytes to group.Group.MulEncode, which recodes the private scalar once and
+// writes the shared points' encodings after one inversion, and deriving
+// the keys per range, with all plaintexts in one arena. Every batch path
+// derives its keys sixteen at a time (keylanes.go): on amd64 CPUs with
+// AVX512F one kernel call runs the eleven SHA-256 compressions of sixteen
+// HKDF derivations, any mix of recipients; elsewhere, and for a group
+// shorter than four, the scalar
 // derivation runs key by key in a pooled scratch. Every AEAD — each envelope has its own
 // key — goes through sealGCM and openGCM (gcm.go): on amd64 CPUs with
 // AES-NI and PCLMULQDQ one kernel call does the whole AES-128-GCM of an
@@ -478,19 +479,14 @@ func nonceOf(sealed []byte) *[nonceLen]byte {
 	return (*[nonceLen]byte)(sealed[pubKeyLen : pubKeyLen+nonceLen])
 }
 
-// openChunk is the number of records OpenBatch hands the group's batch
-// kernels per claim: the same trade as the shuffler's El Gamal chunks —
-// large enough that the per-chunk scalar recode and the shared inversion
-// vanish, small enough that the worker pool's tail stays balanced.
-const openChunk = 256
-
 // OpenBatch decrypts a batch of ciphertexts on a pool of workers (0 selects
 // GOMAXPROCS), returning per-record plaintexts and errors positionally:
 // errs[i] != nil iff record i failed, in which case pts[i] is nil; record i
 // fails exactly when OpenInto would fail on it, with the same error. It is
 // the chain's one open kernel — both thresholding shufflers and the analyzer
 // call it — and it leaves nothing but the variable-base multiplication and
-// the AEAD on the per-record path: per chunk of openChunk records the
+// the AEAD on the per-record path: the batch is cut into worker ranges of
+// at most parallel.RangeMax records (parallel.Ranges), and per range the
 // ephemeral headers go from their bytes to the shared points' encodings in
 // one group.Group.MulEncode call — decoded, cofactor-cleared and
 // multiplied with the private scalar recoded once, normalized with one
@@ -501,27 +497,27 @@ func (p *PrivateKey) OpenBatch(sealed [][]byte, aad []byte, workers int) (pts []
 	pts = make([][]byte, n)
 	errs = make([]error, n)
 	arena := parallel.NewArena(n, func(i int) int { return len(sealed[i]) - Overhead })
-	parallel.For(parallel.Workers(workers), (n+openChunk-1)/openChunk, func(c int) {
-		lo := c * openChunk
-		p.openChunk(pts, errs, sealed, aad, arena, lo, min(lo+openChunk, n))
+	parallel.Ranges(parallel.Workers(workers), n, func(lo, hi int) {
+		p.openChunk(pts, errs, sealed, aad, arena, lo, hi)
 	})
 	return pts, errs
 }
 
-// openScratch is one chunk's working set in openChunk, pooled: the
+// openScratch is one range's working set in openChunk, pooled: the
 // well-formed records' headers and batch positions, their shared secrets'
 // encodings and lengths (group.MulEncode's output) and their keys.
 type openScratch struct {
-	idx     [openChunk]int
-	hdrs    [openChunk][]byte
-	secrets [openChunk * sharedLen]byte
-	lens    [openChunk]uint8
-	keys    [openChunk][keyLen]byte
+	idx     [parallel.RangeMax]int
+	hdrs    [parallel.RangeMax][]byte
+	secrets [parallel.RangeMax * sharedLen]byte
+	lens    [parallel.RangeMax]uint8
+	keys    [parallel.RangeMax][keyLen]byte
 }
 
 var openScratches = sync.Pool{New: func() any { return new(openScratch) }}
 
-// openChunk opens records [lo, hi) of a batch into their arena slots.
+// openChunk opens records [lo, hi) of a batch, a range no longer than
+// parallel.RangeMax, into their arena slots.
 func (p *PrivateKey) openChunk(pts [][]byte, errs []error, sealed [][]byte, aad []byte, arena *parallel.Arena, lo, hi int) {
 	s := openScratches.Get().(*openScratch)
 	// The headers go to the group as wire bytes and their shared secrets

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"prochlo/internal/crypto/group"
+	"prochlo/internal/parallel"
 )
 
 func TestSealOpenRoundTrip(t *testing.T) {
@@ -239,9 +240,9 @@ func hostileRecord(t *testing.T, priv *PrivateKey, ct []byte, kind int, aad []by
 	return ct
 }
 
-// TestOpenBatchMatchesOpenInto pins the chunked open kernel to the solo
+// TestOpenBatchMatchesOpenInto pins the ranged open kernel to the solo
 // path: for every record the plaintext bytes and the error are those
-// OpenInto produces, whatever the batch size relative to the chunk, the
+// OpenInto produces, whatever the batch size relative to RangeMax, the
 // worker count, and the hostile headers sprinkled through the batch.
 func TestOpenBatchMatchesOpenInto(t *testing.T) {
 	aad := []byte("aad")
@@ -249,7 +250,7 @@ func TestOpenBatchMatchesOpenInto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 1, openChunk - 1, openChunk, openChunk + 1, 2000} {
+	for _, n := range []int{0, 1, parallel.RangeMax - 1, parallel.RangeMax, parallel.RangeMax + 1, 2*parallel.RangeMax + 1, 2000} {
 		plain := make([][]byte, n)
 		for i := range plain {
 			plain[i] = []byte{byte(i), byte(i >> 8), 'x'}[:1+i%3]

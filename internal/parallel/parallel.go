@@ -71,14 +71,15 @@ func FirstError(errs []error) (int, error) {
 	return -1, nil
 }
 
-// rangeMax caps a Ranges range: the records the crypto layer hands one
-// batch-kernel call (as hybrid's openChunk and the shufflers' blindChunk do),
-// past which per-call costs have vanished and a longer range only unbalances
-// the workers.
-const rangeMax = 256
+// RangeMax caps a Ranges range: the most records one batch-kernel call of
+// the crypto layer takes (a blinding, a pseudonym or an open call, a comb
+// run), past which per-call costs — the scalar recode, the shared field
+// inversion — have vanished and a longer range only unbalances the workers.
+// Callers size their per-range scratch with it.
+const RangeMax = 256
 
 // Ranges runs fn(lo, hi) over [0, n) cut into contiguous ranges, one per
-// worker, none longer than rangeMax: the shape for a loop whose per-index
+// worker, none longer than RangeMax: the shape for a loop whose per-index
 // work is cheaper in bulk (a batch kernel) and whose ranges should still
 // keep every worker busy. Like For, it returns when every call has
 // completed, and with one worker the ranges run in order on the calling
@@ -88,7 +89,14 @@ func Ranges(workers, n int, fn func(lo, hi int)) {
 		return
 	}
 	w := max(workers, 1)
-	size := min(rangeMax, (n+w-1)/w)
+	size := min(RangeMax, (n+w-1)/w)
+	if w == 1 {
+		// in line, so the serial path allocates no closure for For
+		for lo := 0; lo < n; lo += size {
+			fn(lo, min(lo+size, n))
+		}
+		return
+	}
 	For(workers, (n+size-1)/size, func(c int) {
 		lo := c * size
 		fn(lo, min(lo+size, n))
@@ -114,9 +122,8 @@ func For(workers, n int, fn func(i int)) {
 		return
 	}
 	// A claim is a quarter of a worker's even share, at most chunk: loops
-	// over a handful of coarse items (the 256-record crypto chunks of an
-	// epoch) still spread over every worker instead of the first claim
-	// taking them all.
+	// over a handful of coarse items (the worker ranges of Ranges) still
+	// spread over every worker instead of the first claim taking them all.
 	step := min(chunk, max(1, n/(4*workers)))
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -67,7 +67,7 @@ func TestForSerialIsInOrder(t *testing.T) {
 }
 
 // TestRangesShape pins Ranges' cut: every index once, contiguous ranges,
-// one range per worker while that stays under rangeMax.
+// one range per worker while that stays under RangeMax.
 func TestRangesShape(t *testing.T) {
 	for _, c := range []struct{ workers, n, ranges int }{
 		{1, 250, 1}, {2, 250, 2}, {2, 5, 2}, {2, 1, 1},
@@ -80,7 +80,7 @@ func TestRangesShape(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			ranges++
-			if hi <= lo || hi-lo > rangeMax {
+			if hi <= lo || hi-lo > RangeMax {
 				t.Errorf("%+v: range [%d, %d)", c, lo, hi)
 			}
 			for i := lo; i < hi; i++ {

@@ -5,6 +5,7 @@ import (
 	crand "crypto/rand"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -99,12 +100,10 @@ func TestProcessParallelEquivalence(t *testing.T) {
 
 // TestSplitShufflerParallelEquivalence checks the §4.3 pair: Shuffler 1's
 // blinding workers and Shuffler 2's pseudonym/decryption workers must match
-// their serial reference paths byte for byte under fixed seeds.
+// their serial reference paths byte for byte under fixed seeds, whatever
+// the worker ranges (parallel.Ranges) the batch is cut into — sizes below,
+// at and past RangeMax and past twice it, at 1, 2 and 4 workers.
 func TestSplitShufflerParallelEquivalence(t *testing.T) {
-	n := 300
-	if testing.Short() {
-		n = 80
-	}
 	anlz, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -128,37 +127,25 @@ func TestSplitShufflerParallelEquivalence(t *testing.T) {
 		AnalyzerKey:       anlz.Public(),
 		Rand:              crand.Reader,
 	}
-	batch := make([]core.BlindedEnvelope, n)
-	for i := range batch {
-		env, err := client.Encode(fmt.Sprintf("crowd-%d", i%7), []byte(fmt.Sprintf("v-%03d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch[i] = env
+	sizes := []int{7, 250, 300, 513}
+	labels, data := make([]string, slices.Max(sizes)), make([][]byte, slices.Max(sizes))
+	for i := range labels {
+		labels[i], data[i] = fmt.Sprintf("crowd-%d", i%7), []byte(fmt.Sprintf("v-%03d", i))
 	}
-	alpha := s1KP.X
+	all, err := client.EncodeBatch(labels, data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	runS1 := func(workers int) []core.BlindedEnvelope {
-		s1 := &Shuffler1{Alpha: alpha, Rand: rand.New(rand.NewPCG(3, 5)), Workers: workers}
+	runS1 := func(batch []core.BlindedEnvelope, workers int) []core.BlindedEnvelope {
+		s1 := &Shuffler1{Alpha: s1KP.X, Rand: rand.New(rand.NewPCG(3, 5)), Workers: workers}
 		out, _, err := RunEpoch(s1, core.Batch{Blinded: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out.Blinded
 	}
-	blindedSerial := runS1(1)
-	blindedPar := runS1(4)
-	if len(blindedSerial) != len(blindedPar) {
-		t.Fatalf("shuffler 1 lengths diverge: %d vs %d", len(blindedSerial), len(blindedPar))
-	}
-	for i := range blindedSerial {
-		a, b := blindedSerial[i], blindedPar[i]
-		if !bytes.Equal(a.CrowdC1, b.CrowdC1) || !bytes.Equal(a.CrowdC2, b.CrowdC2) || !bytes.Equal(a.Blob, b.Blob) {
-			t.Fatalf("shuffler 1 output %d diverges between serial and parallel", i)
-		}
-	}
-
-	runS2 := func(workers int) ([][]byte, Stats) {
+	runS2 := func(batch []core.BlindedEnvelope, workers int) ([][]byte, Stats) {
 		s2 := &Shuffler2{
 			Blinding:  blindKP,
 			Priv:      s2Priv,
@@ -166,19 +153,34 @@ func TestSplitShufflerParallelEquivalence(t *testing.T) {
 			Rand:      rand.New(rand.NewPCG(11, 13)),
 			Workers:   workers,
 		}
-		out, stats, err := RunEpoch(s2, core.Batch{Blinded: blindedSerial})
+		out, stats, err := RunEpoch(s2, core.Batch{Blinded: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out.Payloads, stats
 	}
-	serialOut, serialStats := runS2(1)
-	parOut, parStats := runS2(4)
-	if serialStats != parStats {
-		t.Errorf("shuffler 2 stats diverge: serial %+v, parallel %+v", serialStats, parStats)
-	}
-	if !equalByteSeqs(serialOut, parOut) {
-		t.Fatal("parallel Shuffler2 output is not byte-identical to the serial reference")
+	for _, n := range sizes {
+		blindedSerial := runS1(all[:n], 1)
+		serialOut, serialStats := runS2(blindedSerial, 1)
+		for _, workers := range []int{2, 4} {
+			blindedPar := runS1(all[:n], workers)
+			if len(blindedSerial) != len(blindedPar) {
+				t.Fatalf("n=%d workers=%d: shuffler 1 lengths diverge: %d vs %d", n, workers, len(blindedSerial), len(blindedPar))
+			}
+			for i := range blindedSerial {
+				a, b := blindedSerial[i], blindedPar[i]
+				if !bytes.Equal(a.CrowdC1, b.CrowdC1) || !bytes.Equal(a.CrowdC2, b.CrowdC2) || !bytes.Equal(a.Blob, b.Blob) {
+					t.Fatalf("n=%d workers=%d: shuffler 1 output %d diverges from the serial one", n, workers, i)
+				}
+			}
+			parOut, parStats := runS2(blindedSerial, workers)
+			if serialStats != parStats {
+				t.Errorf("n=%d workers=%d: shuffler 2 stats diverge: serial %+v, parallel %+v", n, workers, serialStats, parStats)
+			}
+			if !equalByteSeqs(serialOut, parOut) {
+				t.Fatalf("n=%d workers=%d: parallel Shuffler2 output is not byte-identical to the serial reference", n, workers)
+			}
+		}
 	}
 }
 

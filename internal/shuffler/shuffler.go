@@ -22,8 +22,8 @@
 // cut is a shuffle — and the other variants do all theirs in ProcessEpoch.
 // A stage does only its work: it states its contract — the batch kind it
 // consumes (Kinds) and its anonymity floor (Floor) — and checks neither.
-// The two drivers do, before any work: RunEpoch in process, and the epoch
-// engine (internal/transport) in a daemon.
+// The drivers do, before any work: RunEpoch and prochlo.Pipeline in
+// process, and the epoch engine (internal/transport) in a daemon.
 //
 // Concurrency: each variant has a Workers knob (0 selects GOMAXPROCS,
 // 1 forces the serial reference path). Per-report public-key work —
@@ -117,7 +117,7 @@ type openedEnvelope struct {
 
 // ProcessEpoch implements Stage: it peels the outer layer, groups by crowd
 // ID, applies thresholding, and returns the surviving inner ciphertexts in
-// shuffled order. Decryption (hybrid's chunked OpenBatch) and grouping run
+// shuffled order. Decryption (hybrid's ranged OpenBatch) and grouping run
 // on the worker pool; see the package comment for the determinism contract.
 func (s *Shuffler) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
 	batch := in.Envelopes
@@ -188,27 +188,21 @@ func NewShuffler1Group(_ cgroup.Group, rng *rand.Rand) (*Shuffler1, error) {
 	return &Shuffler1{Alpha: alpha, Rand: rng}, nil
 }
 
-// blindChunk is the number of ciphertexts a worker feeds the El Gamal batch
-// kernels per claim: large enough to amortize the per-chunk scalar recoding
-// and the shared field inversion to noise, small enough to keep the worker
-// pool's tail balanced.
-const blindChunk = 256
-
-// admitScratch is one blinding chunk's working set: its C2s and C1s as the
-// kernels take them, the blinded C2s' lengths and the C1 checks.
+// admitScratch is one worker range's working set in Admit: its C2s and C1s
+// as the kernels take them, the blinded C2s' lengths and the C1 checks.
 type admitScratch struct {
-	c1s, c2s [blindChunk][]byte // the chunk's encodings as received
-	lens     [blindChunk]uint8
-	valid    [blindChunk]bool
+	c1s, c2s [parallel.RangeMax][]byte // the range's encodings as received
+	lens     [parallel.RangeMax]uint8
+	valid    [parallel.RangeMax]bool
 }
 
 var admitScratches = sync.Pool{New: func() any { return new(admitScratch) }}
 
 // Admit implements Stage: the blinding, on each batch as it arrives. The C2
-// multiplications run in chunks on the worker pool through
-// Blinder.BlindEncode, which recodes the tier-fixed exponent once per chunk
-// and takes each chunk from its wire bytes to the blinded ones in one
-// buffer, sharing one field inversion; group.ValidBatch checks the chunk's
+// multiplications run in worker ranges (parallel.Ranges) through
+// Blinder.BlindEncode, which recodes the tier-fixed exponent once per range
+// and takes each range from its wire bytes to the blinded ones in one
+// buffer, sharing one field inversion; group.ValidBatch checks the range's
 // C1s in lanes. C1, the blob and the partition are kept as received. A
 // record whose C1 or C2 does not parse is kept with a nil C2, which
 // ProcessEpoch drops.
@@ -219,8 +213,7 @@ func (s *Shuffler1) Admit(in core.Batch) core.Batch {
 	// record i's blinded C2 at WireSize*i
 	c2s := make([]byte, cgroup.WireSize*n)
 	out := make([]core.BlindedEnvelope, n)
-	parallel.For(parallel.Workers(s.Workers), (n+blindChunk-1)/blindChunk, func(c int) {
-		lo, hi := c*blindChunk, min((c+1)*blindChunk, n)
+	parallel.Ranges(parallel.Workers(s.Workers), n, func(lo, hi int) {
 		sc := admitScratches.Get().(*admitScratch)
 		c1s, c2in, lens, valid := sc.c1s[:hi-lo], sc.c2s[:hi-lo], sc.lens[:hi-lo], sc.valid[:hi-lo]
 		for i := lo; i < hi; i++ {
@@ -283,9 +276,9 @@ type Shuffler2 struct {
 
 // ProcessEpoch implements Stage: it thresholds on pseudonyms and returns the
 // surviving inner ciphertexts, shuffled. The pseudonyms (Decrypter.Pseudonyms) run in
-// chunks on the worker pool, each from its crowd ciphertexts' wire bytes to
-// the pseudonyms' compressed ones in one buffer, with the private scalar
-// recoded once and one field inversion per chunk; the grouping keys on
+// worker ranges (parallel.Ranges), each from its crowd ciphertexts' wire
+// bytes to the pseudonyms' compressed ones in one buffer, with the private
+// scalar recoded once and one field inversion per range; the grouping keys on
 // them as fixed 32-byte values. The peel of the selected reports then runs
 // in output order (hybrid's OpenBatch, whose arena so holds only what is
 // forwarded).
@@ -302,8 +295,7 @@ func (s *Shuffler2) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
 	// record i's pseudonym at 32*i, its length at lens[i], 0 when its crowd
 	// ciphertext does not parse
 	pseudos, lens := make([]byte, cgroup.CompressedSize*n), make([]uint8, n)
-	parallel.For(workers, (n+blindChunk-1)/blindChunk, func(c int) {
-		lo, hi := c*blindChunk, min((c+1)*blindChunk, n)
+	parallel.Ranges(workers, n, func(lo, hi int) {
 		dec.Pseudonyms(pseudos[cgroup.CompressedSize*lo:cgroup.CompressedSize*hi], lens[lo:hi], c1s[lo:hi], c2s[lo:hi])
 	})
 	idx := make([]int, 0, n)

@@ -32,14 +32,17 @@ import (
 // the whole epoch — grouping, thresholding, shuffling — and runs on the cut.
 // Every epoch a stage processes is made of batches it admitted, each once:
 // the epoch engine admits a batch when it keeps it (and what it recovers
-// from its log when it restarts), and an in-process driver admits an epoch
-// just before it processes it (RunEpoch).
+// from its log when it restarts), prochlo.Pipeline's first stage admits each
+// submitted batch before SubmitBatch returns, and a driver handed a whole
+// epoch at once — a later in-process stage, the paper's timing table —
+// admits it just before it processes it (RunEpoch).
 //
 // A stage does only that work. Kinds and Floor state its contract, and the
 // drivers enforce it before any work: the epoch engine refuses a batch of
 // another kind at ingest and in WAL recovery and never processes an epoch
-// below the floor, and RunEpoch refuses both. Admit and ProcessEpoch check
-// neither.
+// below the floor, RunEpoch refuses both, and prochlo.Pipeline, which
+// encodes its own batches in its first stage's kind, refuses a below-floor
+// epoch before it processes it. Admit and ProcessEpoch check neither.
 type Stage interface {
 	// Admit does the per-report work of one arriving batch of the kind the
 	// stage consumes and returns the batch to keep for the epoch; the input
@@ -140,9 +143,10 @@ func NewStage(role string, sec Secrets, p Params) (Stage, error) {
 	return nil, fmt.Errorf("shuffler: no role %q (want shuffler, shuffler1, shuffler2 or analyzer)", role)
 }
 
-// RunEpoch admits in and processes it as one epoch: what a driver that holds
-// a whole epoch at once (prochlo.Pipeline.Flush, the paper's timing table)
-// does where a daemon's epoch engine admits each batch as it arrives. Like
+// RunEpoch admits in and processes it as one epoch: what a driver handed a
+// whole epoch at once (prochlo.Pipeline.Flush past its first stage, the
+// paper's timing table) does where a daemon's epoch engine, and the
+// pipeline's first stage, admit each batch as it arrives. Like
 // the engine, it enforces the stage's contract before any work, so a refusal
 // draws nothing from the stage's RNG: a batch of a kind the stage does not
 // consume fails, naming both kinds, and an epoch below the stage's Floor

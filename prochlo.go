@@ -33,9 +33,12 @@
 // Submit is the single-report reference path. At scale, hand whole batches
 // to SubmitBatch instead: it encodes on a worker pool (WithWorkers; the
 // default uses every core), as do the shuffler and analyzer stages, so the
-// pipeline is parallel end to end. Batch and serial submission produce
-// identically distributed output, and a seeded pipeline's results are
-// byte-identical at every worker count.
+// pipeline is parallel end to end. SubmitBatch also has the first stage
+// admit the batch before it returns (in ModeBlinded, shuffler 1 blinds it
+// there), so Flush runs only the work that needs the whole epoch; Submit's
+// single reports wait and are admitted with the next batch or at Flush.
+// Batch and serial submission produce identically distributed output, and a
+// seeded pipeline's results are byte-identical at every worker count.
 package prochlo
 
 import (
@@ -70,11 +73,13 @@ const (
 )
 
 // Pipeline is an in-process ESA deployment: its Submit method plays the
-// role of a fleet of clients, and Flush drives the accumulated batch
+// role of a fleet of clients, and Flush drives the accumulated epoch
 // through the shuffler stage chain and the analyzer. Every mode is the same
 // machinery — New wires the mode's stages ([shuffler], [sgx shuffler], or
 // [shuffler1, shuffler2]) and Flush runs them output-to-input through the
-// shared shuffler.Stage interface, exactly as the networked daemons do.
+// shared shuffler.Stage interface, exactly as the networked daemons do. Like
+// a daemon's epoch engine, the first stage admits each batch as it arrives
+// (SubmitBatch), so Flush runs only the work that needs the whole epoch.
 type Pipeline struct {
 	mode      Mode
 	threshold shuffler.Threshold
@@ -89,9 +94,11 @@ type Pipeline struct {
 	analyzerPriv *hybrid.PrivateKey
 	an           *analyzer.Analyzer
 
-	// pending is the batch awaiting a Flush: the kind the mode's first stage
-	// consumes.
-	pending core.Batch
+	// The epoch awaiting a Flush, of the kind the mode's first stage
+	// consumes: admitted holds what that stage has admitted, in submission
+	// order; waiting holds Submit's single reports, which wait to be
+	// admitted with the next SubmitBatch or at Flush.
+	admitted, waiting core.Batch
 
 	// The mode's encoder: client in ModePlain and ModeSGX (whose attested
 	// key is quote), blindedClient in ModeBlinded.
@@ -294,7 +301,9 @@ func (p *Pipeline) PrivacyGuarantee(delta float64) (eps float64, err error) {
 	return p.threshold.Noise.Privacy(delta)
 }
 
-// Submit encodes one client's report into the pending batch.
+// Submit encodes one client's report into the pending epoch. It is not
+// admitted yet: a one-report batch would run the batch kernels a point at a
+// time, so it waits for the next SubmitBatch or Flush.
 func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 	if p.secretT > 0 {
 		var err error
@@ -308,20 +317,33 @@ func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 		if err != nil {
 			return err
 		}
-		return p.enqueue(core.Batch{Blinded: []core.BlindedEnvelope{env}})
+		return p.wait(core.Batch{Blinded: []core.BlindedEnvelope{env}})
 	}
 	env, err := p.client.Encode(core.Report{CrowdID: core.HashCrowdID(crowdLabel), Data: data})
 	if err != nil {
 		return err
 	}
-	return p.enqueue(core.Batch{Envelopes: []core.Envelope{env}})
+	return p.wait(core.Batch{Envelopes: []core.Envelope{env}})
 }
 
-// enqueue adds freshly encoded envelopes to the pending batch.
-func (p *Pipeline) enqueue(batch core.Batch) error {
-	var err error
-	p.pending, err = p.pending.Append(batch)
+// wait adds freshly encoded envelopes to the reports awaiting admission.
+func (p *Pipeline) wait(batch core.Batch) (err error) {
+	p.waiting, err = p.waiting.Append(batch)
 	return err
+}
+
+// admit has the first stage admit every waiting report as one batch and
+// appends what it keeps to the admitted epoch.
+func (p *Pipeline) admit() error {
+	if p.waiting.Len() == 0 {
+		return nil
+	}
+	admitted, err := p.admitted.Append(p.stages[0].Admit(p.waiting))
+	if err != nil {
+		return err
+	}
+	p.admitted, p.waiting = admitted, core.Batch{}
+	return nil
 }
 
 // encodeBatch is the SubmitBatch encode path Pipeline and RemotePipeline
@@ -349,13 +371,16 @@ func encodeBatch(enc *encoder.Client, benc *encoder.BlindedClient, labels []stri
 }
 
 // SubmitBatch encodes a batch of client reports — labels[i] is report i's
-// crowd label, data[i] its payload — into the pending batch. It is
-// equivalent to calling Submit per report but runs the per-report
-// public-key encoding on the pipeline's worker pool (see WithWorkers), so
-// it is the entry point for population-scale submission: a fleet simulator
-// or ingestion front end hands over whole batches and the encode stage
-// scales with cores instead of serializing two ECDH key agreements per
-// report.
+// crowd label, data[i] its payload — into the pending epoch, and has the
+// first stage admit it, together with any reports Submit left waiting,
+// before it returns: the per-report stage work (shuffler 1's blinding) runs
+// as the batch arrives, as a daemon's does before its ack, not in Flush. A
+// lone report waits, as Submit's do. SubmitBatch is equivalent to calling
+// Submit per report but runs the per-report public-key encoding on the
+// pipeline's worker pool (see WithWorkers), so it is the entry point for
+// population-scale submission: a fleet simulator or ingestion front end
+// hands over whole batches and the encode stage scales with cores instead
+// of serializing two ECDH key agreements per report.
 func (p *Pipeline) SubmitBatch(labels []string, data [][]byte) error {
 	if p.secretT > 0 {
 		shared := make([][]byte, len(data))
@@ -372,11 +397,17 @@ func (p *Pipeline) SubmitBatch(labels []string, data [][]byte) error {
 	if err != nil {
 		return err
 	}
-	return p.enqueue(batch)
+	if err := p.wait(batch); err != nil {
+		return err
+	}
+	if p.waiting.Len() < 2 {
+		return nil // a one-report batch waits, as Submit's reports do
+	}
+	return p.admit()
 }
 
-// Pending returns the number of reports awaiting a Flush.
-func (p *Pipeline) Pending() int { return p.pending.Len() }
+// Pending returns the number of reports awaiting a Flush, admitted or not.
+func (p *Pipeline) Pending() int { return p.admitted.Len() + p.waiting.Len() }
 
 // Result is the analyzer-side outcome of one batch.
 type Result struct {
@@ -393,24 +424,29 @@ type Result struct {
 	Undecryptable int
 }
 
-// Flush drives the pending batch through the shuffler stage chain —
+// Flush drives the pending epoch through the shuffler stage chain —
 // each stage's output is the next stage's input, exactly as the networked
-// daemons forward epochs; each stage admits its epoch just before it
-// processes it (shuffler.RunEpoch), where a daemon admits each batch as it
-// arrives — and the analyzer over the final stage's output,
-// returning the analysis result. Result.ShufflerStats is the last stage's
-// (the thresholding hop's) selectivity, the only stage whose stats describe
-// what reaches the analyzer. A pending batch below the first stage's
-// anonymity floor is refused and stays pending, as a daemon's epoch does.
+// daemons forward epochs — and the analyzer over the final stage's output,
+// returning the analysis result. The first stage admits what Submit left
+// waiting and processes the epoch it admitted (each report once); every
+// later stage receives its epoch whole and runs it with shuffler.RunEpoch.
+// Result.ShufflerStats is the last stage's (the thresholding hop's)
+// selectivity, the only stage whose stats describe what reaches the
+// analyzer. A pending epoch below the first stage's anonymity floor is
+// refused before any work and stays pending, as a daemon's epoch does.
 func (p *Pipeline) Flush() (*Result, error) {
-	if n, floor := p.pending.Len(), p.stages[0].Floor(); n < floor {
+	if n, floor := p.Pending(), p.stages[0].Floor(); n < floor {
 		return nil, fmt.Errorf("%w: %d < %d", shuffler.ErrBatchTooSmall, n, floor)
 	}
-	batch := p.pending
-	p.pending = core.Batch{}
-	var stats shuffler.Stats
-	for _, st := range p.stages {
-		var err error
+	if err := p.admit(); err != nil {
+		return nil, err
+	}
+	batch, stats, err := p.stages[0].ProcessEpoch(p.admitted)
+	p.admitted = core.Batch{}
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range p.stages[1:] {
 		batch, stats, err = shuffler.RunEpoch(st, batch)
 		if err != nil {
 			return nil, err

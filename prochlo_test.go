@@ -1,10 +1,16 @@
 package prochlo
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
+
+	"prochlo/internal/core"
+	"prochlo/internal/shuffler"
 )
 
 // TestPlainPipelineEndToEnd: reports in big crowds reach the analyzer's
@@ -211,6 +217,127 @@ func TestFlushSmallBatchFails(t *testing.T) {
 	}
 	if res.ShufflerStats.Received != 50 {
 		t.Errorf("Flush received %d reports, want all 50", res.ShufflerStats.Received)
+	}
+}
+
+// admitCounter wraps a pipeline's first stage and records what it admits:
+// the size of each Admit call, and how often each report (by its blob) was
+// in one.
+type admitCounter struct {
+	shuffler.Stage
+	calls []int
+	seen  map[string]int
+}
+
+func (c *admitCounter) Admit(in core.Batch) core.Batch {
+	c.calls = append(c.calls, in.Len())
+	for _, e := range in.Blinded {
+		c.seen[string(e.Blob)]++
+	}
+	return c.Stage.Admit(in)
+}
+
+// TestPipelineAdmitsOnArrival pins when a pipeline's first stage admits:
+// each SubmitBatch admits its batch before it returns, together with the
+// reports Submit left waiting (a lone one-report batch waits with them);
+// Flush admits what still waits; a below-floor Flush admits nothing and
+// leaves Pending as it was; and every report is admitted exactly once. The flushed result is the one a twin pipeline fed
+// the same reports one Submit at a time (all admitted at Flush) produces.
+func TestPipelineAdmitsOnArrival(t *testing.T) {
+	build := func() *Pipeline {
+		p, err := New(WithSeed(50), WithMode(ModeBlinded), WithNaiveThreshold(5), WithMinBatch(30))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	batch := func(from, n int) ([]string, [][]byte) {
+		labels, data := make([]string, n), make([][]byte, n)
+		for i := range labels {
+			labels[i] = fmt.Sprintf("crowd:%d", (from+i)%3)
+			data[i] = []byte(fmt.Sprintf("v%d", (from+i)%3))
+		}
+		return labels, data
+	}
+	p := build()
+	counter := &admitCounter{Stage: p.stages[0], seen: make(map[string]int)}
+	p.stages[0] = counter
+	submitted := 0
+	step := func(what string, wantCalls ...int) {
+		t.Helper()
+		if !slices.Equal(counter.calls, wantCalls) {
+			t.Fatalf("after %s: admitted %v, want %v", what, counter.calls, wantCalls)
+		}
+		if p.Pending() != submitted {
+			t.Fatalf("after %s: Pending() = %d, want %d", what, p.Pending(), submitted)
+		}
+	}
+	submitOne := func(n int) {
+		labels, data := batch(submitted, n)
+		for i := range labels {
+			if err := p.Submit(labels[i], data[i]); err != nil {
+				t.Fatal(err)
+			}
+			submitted++
+		}
+	}
+	submitBatch := func(n int) {
+		labels, data := batch(submitted, n)
+		if err := p.SubmitBatch(labels, data); err != nil {
+			t.Fatal(err)
+		}
+		submitted += n
+	}
+	flushRefused := func() {
+		t.Helper()
+		if _, err := p.Flush(); !errors.Is(err, shuffler.ErrBatchTooSmall) {
+			t.Fatalf("Flush of %d reports under a floor of 30: %v", submitted, err)
+		}
+	}
+
+	submitBatch(20)
+	step("a SubmitBatch of 20", 20)
+	flushRefused()
+	step("a below-floor Flush", 20)
+	submitOne(3)
+	step("3 Submits", 20)
+	flushRefused()
+	step("a below-floor Flush with reports waiting", 20)
+	submitBatch(10)
+	step("a SubmitBatch of 10 behind 3 waiting", 20, 13)
+	submitBatch(1)
+	step("a SubmitBatch of 1", 20, 13)
+	submitOne(2)
+	step("2 Submits", 20, 13)
+	got, err := p.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitted = 0
+	step("Flush", 20, 13, 3)
+	if len(counter.seen) != 36 {
+		t.Fatalf("%d distinct reports admitted, want 36", len(counter.seen))
+	}
+	for _, n := range counter.seen {
+		if n != 1 {
+			t.Fatalf("a report was admitted %d times", n)
+		}
+	}
+
+	twin := build()
+	labels, data := batch(0, 36)
+	for i := range labels {
+		if err := twin.Submit(labels[i], data[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := twin.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ShufflerStats != want.ShufflerStats || !maps.Equal(got.Histogram, want.Histogram) {
+		t.Errorf("admitted on arrival: %+v %v; all at Flush: %+v %v",
+			got.ShufflerStats, got.Histogram, want.ShufflerStats, want.Histogram)
 	}
 }
 
