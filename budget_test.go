@@ -138,7 +138,7 @@ func TestAllocBudgets(t *testing.T) {
 			return err
 		}},
 		// hop 1's whole work on a report: Admit's blinding, then the shuffle
-		{"Shuffler1.ProcessEpoch", 0.1, 250, 0, func() error {
+		{"Shuffler1.ProcessEpoch", 0.1, 170, 0, func() error {
 			_, _, err := shuffler.RunEpoch(k.s1, core.Batch{Blinded: k.blinded})
 			return err
 		}},

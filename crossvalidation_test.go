@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"prochlo"
+	"prochlo/internal/shuffler"
 	"prochlo/internal/vocab"
 	"prochlo/internal/workload"
 )
@@ -99,27 +100,57 @@ func TestPipelineDeterministicWithSeed(t *testing.T) {
 }
 
 // TestMultipleFlushEpochs: the pipeline supports repeated batch epochs, and
-// composition accounting applies per epoch.
+// composition accounting applies per epoch: in every mode each Result —
+// histogram, the thresholding hop's stats and the analyzer's undecryptable
+// count — is its epoch's alone, though the stages' counts run on across
+// epochs.
 func TestMultipleFlushEpochs(t *testing.T) {
-	p, err := prochlo.New(prochlo.WithSeed(9), prochlo.WithNaiveThreshold(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for epoch := 0; epoch < 3; epoch++ {
-		for i := 0; i < 10; i++ {
-			if err := p.Submit("c", []byte("v")); err != nil {
+	type report struct{ label, data string }
+	for _, tc := range []struct {
+		name  string
+		mode  prochlo.Mode
+		extra []report // per epoch, beside ten ("c", "v")
+		want  shuffler.Stats
+	}{
+		{"plain", prochlo.ModePlain, nil,
+			shuffler.Stats{Received: 10, Crowds: 1, CrowdsForwarded: 1, Forwarded: 10}},
+		// a crowd of two falls under the threshold
+		{"blinded", prochlo.ModeBlinded, []report{{"rare", "r"}, {"rare", "r"}},
+			shuffler.Stats{Received: 12, Crowds: 2, CrowdsForwarded: 1, Forwarded: 10}},
+		// and in the enclave a report of another size is set aside
+		{"sgx", prochlo.ModeSGX, []report{{"rare", "r"}, {"rare", "r"}, {"c", "odd size"}},
+			shuffler.Stats{Received: 13, Undecryptable: 1, Crowds: 2, CrowdsForwarded: 1, Forwarded: 10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := prochlo.New(prochlo.WithSeed(9), prochlo.WithNaiveThreshold(5), prochlo.WithMode(tc.mode))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		res, err := p.Flush()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Histogram["v"] != 10 {
-			t.Fatalf("epoch %d: count = %d, want 10", epoch, res.Histogram["v"])
-		}
-		if p.Pending() != 0 {
-			t.Fatal("batch not cleared between epochs")
-		}
+			for epoch := 0; epoch < 3; epoch++ {
+				for i := 0; i < 10; i++ {
+					if err := p.Submit("c", []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, r := range tc.extra {
+					if err := p.Submit(r.label, []byte(r.data)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := p.Flush()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Histogram) != 1 || res.Histogram["v"] != 10 {
+					t.Fatalf("epoch %d: histogram = %v, want v: 10", epoch, res.Histogram)
+				}
+				if res.ShufflerStats != tc.want || res.Undecryptable != 0 {
+					t.Fatalf("epoch %d: stats %+v, %d undecryptable; want %+v, 0", epoch, res.ShufflerStats, res.Undecryptable, tc.want)
+				}
+				if p.Pending() != 0 {
+					t.Fatal("batch not cleared between epochs")
+				}
+			}
+		})
 	}
 }

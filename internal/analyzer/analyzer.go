@@ -105,7 +105,7 @@ func HistogramDP(rng *rand.Rand, db [][]byte, eps float64) map[string]float64 {
 // RecoverSecretShared parses each database record as a §4.2 secret-share
 // encoding and recovers every value with at least t shares. It returns the
 // recovered values and the number of records that failed to parse.
-func (a *Analyzer) RecoverSecretShared(t int, db [][]byte) (recovered []secretshare.Recovered, malformed int, err error) {
+func RecoverSecretShared(t int, db [][]byte) (recovered []secretshare.Recovered, malformed int, err error) {
 	encs := make([]secretshare.Encoding, 0, len(db))
 	for _, rec := range db {
 		e, err := secretshare.Unmarshal(rec)

@@ -75,7 +75,6 @@ func TestHistogramDP(t *testing.T) {
 }
 
 func TestRecoverSecretShared(t *testing.T) {
-	a := newAnalyzer(t)
 	var db [][]byte
 	addShares := func(value string, n int) {
 		for i := 0; i < n; i++ {
@@ -90,7 +89,7 @@ func TestRecoverSecretShared(t *testing.T) {
 	addShares("rare", 3)
 	db = append(db, []byte("not-an-encoding"))
 
-	recovered, malformed, _ := a.RecoverSecretShared(5, db)
+	recovered, malformed, _ := RecoverSecretShared(5, db)
 	if malformed != 1 {
 		t.Errorf("malformed = %d, want 1", malformed)
 	}

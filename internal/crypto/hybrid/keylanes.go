@@ -199,20 +199,20 @@ func (d *keyDeriver) runLanes(q []laneInput) {
 
 // DeriveKeys derives the AES key of every seal in sets once b has run over
 // their slots: the last step before PendingSeal.Seal.
-// The sets are of equal length, and a worker (workers <= 0 selects
-// GOMAXPROCS) takes a range of records and queues record i's seal of every
-// set before record i+1's, so one kernel call derives keys for any mix of
-// recipients. Ranges are whole groups of sixteen keys but the last.
+// The sets are of equal length. The records are cut as every crypto fan-out
+// cuts its batch (parallel.Ranges; workers <= 0 selects GOMAXPROCS), and a
+// range queues record i's seal of every set before record i+1's, so one
+// kernel call derives keys for any mix of recipients. A range of RangeMax
+// records is whole groups of sixteen keys; a shorter one — the batch's last,
+// or every range of a batch too small to give each worker RangeMax — may end
+// on a partial group.
 func DeriveKeys(b *group.CombBatch, workers int, sets ...[]PendingSeal) {
-	if len(sets) == 0 || len(sets[0]) == 0 {
+	if len(sets) == 0 {
 		return
 	}
-	n, per, w := len(sets[0]), len(sets), parallel.Workers(workers)
-	groups := (n*per + lanes - 1) / lanes
-	size := max(1, (groups+w-1)/w*lanes/per)
-	parallel.For(w, (n+size-1)/size, func(c int) {
+	parallel.Ranges(parallel.Workers(workers), len(sets[0]), func(lo, hi int) {
 		d := derivers.Get().(*keyDeriver)
-		for i := c * size; i < min((c+1)*size, n); i++ {
+		for i := lo; i < hi; i++ {
 			for _, set := range sets {
 				set[i].queueKey(d, b)
 			}

@@ -22,8 +22,8 @@
 // cut is a shuffle — and the other variants do all theirs in ProcessEpoch.
 // A stage does only its work: it states its contract — the batch kind it
 // consumes (Kinds) and its anonymity floor (Floor) — and checks neither.
-// The drivers do, before any work: RunEpoch and prochlo.Pipeline in
-// process, and the epoch engine (internal/transport) in a daemon.
+// The one driver, the epoch engine (internal/transport), does, before any
+// work — in a daemon and in prochlo.Pipeline alike — and so does RunEpoch.
 //
 // Concurrency: each variant has a Workers knob (0 selects GOMAXPROCS,
 // 1 forces the serial reference path). Per-report public-key work —
@@ -235,14 +235,11 @@ func (s *Shuffler1) Admit(in core.Batch) core.Batch {
 	return core.Batch{Blinded: out}
 }
 
-// shuffle drops the records Admit marked malformed and shuffles the rest
-// into a new slice.
+// shuffle drops the records Admit marked malformed and shuffles the rest,
+// both in place: the kept records move to the front of batch, in order, and
+// are shuffled there.
 func (s *Shuffler1) shuffle(batch []core.BlindedEnvelope) []core.BlindedEnvelope {
-	kept := 0
-	for i := range batch {
-		kept += min(len(batch[i].CrowdC2), 1)
-	}
-	out := make([]core.BlindedEnvelope, 0, kept)
+	out := batch[:0]
 	for i := range batch {
 		if len(batch[i].CrowdC2) != 0 {
 			out = append(out, batch[i])

@@ -22,9 +22,9 @@ import (
 // emits blinded envelopes for Shuffler2; Shuffler2 consumes blinded
 // envelopes and emits peeled payloads; and the analyzer's Sink consumes
 // peeled payloads and emits nothing. Because every variant speaks
-// core.Batch, the same epoch engine (internal/transport) and the same
-// in-process pipeline driver can run any of them, and a chain topology is
-// just stages wired output-to-input — in one process or across daemons.
+// core.Batch, one driver — the epoch engine of internal/transport — runs any
+// of them, and a chain topology is just stages wired output-to-input: across
+// daemons, or linked in one process (prochlo.Pipeline).
 //
 // A stage's work comes in two parts. Admit is what each report needs alone
 // — at Shuffler1, the blinding of C2 and the check of C1 — and runs on every
@@ -32,17 +32,15 @@ import (
 // the whole epoch — grouping, thresholding, shuffling — and runs on the cut.
 // Every epoch a stage processes is made of batches it admitted, each once:
 // the epoch engine admits a batch when it keeps it (and what it recovers
-// from its log when it restarts), prochlo.Pipeline's first stage admits each
-// submitted batch before SubmitBatch returns, and a driver handed a whole
-// epoch at once — a later in-process stage, the paper's timing table —
-// admits it just before it processes it (RunEpoch).
+// from its log when it restarts) — in a daemon, and in prochlo.Pipeline,
+// whose stages run on the same engine — and a caller handed a whole epoch
+// at once outside any deployment, such as the paper's timing table, admits
+// it just before it processes it (RunEpoch).
 //
 // A stage does only that work. Kinds and Floor state its contract, and the
-// drivers enforce it before any work: the epoch engine refuses a batch of
-// another kind at ingest and in WAL recovery and never processes an epoch
-// below the floor, RunEpoch refuses both, and prochlo.Pipeline, which
-// encodes its own batches in its first stage's kind, refuses a below-floor
-// epoch before it processes it. Admit and ProcessEpoch check neither.
+// engine enforces it before any work: it refuses a batch of another kind at
+// ingest and in WAL recovery and never processes an epoch below the floor.
+// RunEpoch refuses both too. Admit and ProcessEpoch check neither.
 type Stage interface {
 	// Admit does the per-report work of one arriving batch of the kind the
 	// stage consumes and returns the batch to keep for the epoch; the input
@@ -143,14 +141,14 @@ func NewStage(role string, sec Secrets, p Params) (Stage, error) {
 	return nil, fmt.Errorf("shuffler: no role %q (want shuffler, shuffler1, shuffler2 or analyzer)", role)
 }
 
-// RunEpoch admits in and processes it as one epoch: what a driver handed a
-// whole epoch at once (prochlo.Pipeline.Flush past its first stage, the
-// paper's timing table) does where a daemon's epoch engine, and the
-// pipeline's first stage, admit each batch as it arrives. Like
-// the engine, it enforces the stage's contract before any work, so a refusal
-// draws nothing from the stage's RNG: a batch of a kind the stage does not
-// consume fails, naming both kinds, and an epoch below the stage's Floor
-// fails with ErrBatchTooSmall.
+// RunEpoch admits in and processes it as one epoch: what a stage run outside
+// any deployment and handed a whole epoch at once (the paper's timing table)
+// does where the epoch engine, which runs every deployment, daemon or
+// prochlo.Pipeline, admits each batch as it arrives. Like the engine, it
+// enforces the stage's contract before any work, so a refusal draws nothing
+// from the stage's RNG: a batch of a kind the stage does not consume fails,
+// naming both kinds, and an epoch below the stage's Floor fails with
+// ErrBatchTooSmall.
 func RunEpoch(st Stage, in core.Batch) (core.Batch, Stats, error) {
 	if want, _ := st.Kinds(); in.Kind() != want && in.Kind() != core.KindEmpty {
 		return core.Batch{}, Stats{}, fmt.Errorf("shuffler: stage consumes %v, got %v", want, in.Kind())
@@ -204,7 +202,9 @@ func (s *SGXShuffler) PublicKeys() (blinding, key []byte) { return nil, s.priv.P
 // envelopes out, bound for Shuffler 2. The records Admit marked malformed
 // (a nil C2) are dropped and counted undecryptable; Shuffler 1 sees neither
 // crowd IDs nor data, so its stats report only arrival and forwarding
-// counts. The input is not modified.
+// counts. It compacts and shuffles the epoch in place, so the output shares
+// the input's array: a driver hands it an epoch the driver owns (the
+// engine's cut, RunEpoch's admitted batch).
 func (s *Shuffler1) ProcessEpoch(in core.Batch) (core.Batch, Stats, error) {
 	out := s.shuffle(in.Blinded)
 	stats := Stats{

@@ -141,6 +141,9 @@ func (p *peerConn) send(stream, pos int64, b core.Batch) error {
 // Addr returns the address the client dialed.
 func (p *peerConn) Addr() string { return p.addr }
 
+// String names the peer in a push error: its address.
+func (p *peerConn) String() string { return p.addr }
+
 // Close releases the connection, failing any in-flight calls.
 func (p *peerConn) Close() error {
 	p.mu.Lock()

@@ -39,11 +39,18 @@ func newStreamID() (int64, error) {
 // quickly shrink it; nothing else sets it.
 var maxHold = 10 * time.Second
 
-// tier is an engine's downstream tier: its replicas' connections in
-// partition order. Pushes are at-least-once — the sender resends after a
-// connection failure — so receivers dedup by the (stream, epoch) pair
-// stamped on every push.
-type tier []*peerConn
+// hop is one replica of an engine's downstream tier, the seam every push
+// leaves through: a *peerConn, which writes the batch to a daemon over the
+// wire, or the next *StageService of a chain linked in one process (Link),
+// which ingests it directly. Pushes are at-least-once — a peerConn resends
+// after a connection failure — so receivers dedup by the (stream, epoch)
+// pair stamped on every push.
+type hop interface {
+	send(stream, pos int64, b core.Batch) error
+}
+
+// tier is an engine's downstream tier: its replicas in partition order.
+type tier []hop
 
 // dialTier connects to every replica of a downstream tier.
 func dialTier(addrs []string) (tier, error) {
@@ -59,9 +66,13 @@ func dialTier(addrs []string) (tier, error) {
 	return t, nil
 }
 
+// close releases the tier's connections. A linked hop is not the engine's
+// to close: the chain's owner closes its services in chain order.
 func (t tier) close() {
-	for _, p := range t {
-		p.Close()
+	for _, h := range t {
+		if p, ok := h.(*peerConn); ok {
+			p.Close()
+		}
 	}
 }
 
@@ -111,9 +122,9 @@ func (e *engine) push(id int64, out core.Batch) error {
 // that does not fit until it has room, so any answer is final. An epoch is
 // never split: its stamp is the epoch id, which a WAL-recovered successor
 // replays whole.
-func (e *engine) pushTo(p *peerConn, id int64, b core.Batch) error {
-	if err := p.send(e.stream, id, b); err != nil {
-		return fmt.Errorf("transport: push to next hop %s: %w", p.addr, err)
+func (e *engine) pushTo(h hop, id int64, b core.Batch) error {
+	if err := h.send(e.stream, id, b); err != nil {
+		return fmt.Errorf("transport: push to next hop %s: %w", h, err)
 	}
 	return nil
 }
@@ -281,12 +292,26 @@ type engine struct {
 	pushSeconds  *metrics.Histogram
 }
 
-// newEngine wires an engine: FlushAt raised to the floor and the limit
-// derived, downstream tier dialed, stream id drawn (or recovered from the
-// WAL), scheduler and flusher started. st processes every cut epoch, sets the anonymity floor
-// and names the admitted kind; next lists the downstream replicas in
-// partition order.
+// newEngine dials the downstream tier next, its replicas' addresses in
+// partition order, and starts an engine pushing to it (startEngine).
 func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, error) {
+	t, err := dialTier(next)
+	if err != nil {
+		return nil, err
+	}
+	e, err := startEngine(cfg, st, t)
+	if err != nil {
+		t.close()
+	}
+	return e, err
+}
+
+// startEngine wires an engine: FlushAt raised to the floor and the limit
+// derived, stream id drawn (or recovered from the WAL), scheduler and flusher
+// started. st processes every cut epoch, sets the anonymity floor and names
+// the admitted kind; next is the downstream tier, which the engine closes
+// when it closes.
+func startEngine(cfg EpochConfig, st shuffler.Stage, next tier) (*engine, error) {
 	kind, emits := st.Kinds()
 	if kind == core.KindEmpty {
 		return nil, fmt.Errorf("transport: no stage ingests %v", kind)
@@ -305,10 +330,6 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 	case len(next) == 0:
 		return nil, errors.New("transport: downstream tier needs at least one address")
 	}
-	t, err := dialTier(next)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.FlushAt > 0 && cfg.FlushAt < floor {
 		// An epoch below the stage's anonymity floor could never be
 		// processed; auto-flush no earlier than the floor.
@@ -316,7 +337,6 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 	}
 	stream, err := newStreamID()
 	if err != nil {
-		t.close()
 		return nil, fmt.Errorf("transport: stream id: %w", err)
 	}
 
@@ -329,12 +349,10 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 			rec.admit(st)
 		}
 		if err != nil {
-			t.close()
 			return nil, err
 		}
 		w, err = openWAL(cfg.WALDir, DefaultWALSegmentBytes, stream, kind, rec)
 		if err != nil {
-			t.close()
 			return nil, err
 		}
 		// Resume the pre-crash push stream: replayed epochs must carry the
@@ -344,7 +362,7 @@ func newEngine(cfg EpochConfig, st shuffler.Stage, next []string) (*engine, erro
 
 	e := &engine{
 		stage:  st,
-		next:   t,
+		next:   next,
 		kind:   kind,
 		floor:  floor,
 		cfg:    cfg,

@@ -88,8 +88,10 @@ func (e *engine) registerMetrics() {
 	reg.CounterFunc("prochlo_push_redials_total", "Connections to the downstream tier redialed after one broke (the first dial of each replica excluded).", l,
 		func() float64 {
 			n := 0
-			for _, p := range e.next {
-				n += p.Dials() - 1
+			for _, h := range e.next {
+				if p, ok := h.(*peerConn); ok {
+					n += p.Dials() - 1
+				}
 			}
 			return float64(n)
 		})

@@ -134,11 +134,53 @@ func NewStageService(st shuffler.Stage, next []string, cfg EpochConfig) (*StageS
 	if err != nil {
 		return nil, err
 	}
+	return serve(st, eng), nil
+}
+
+// serve wraps a stage's running engine in its service.
+func serve(st shuffler.Stage, eng *engine) *StageService {
 	blinding, key := st.PublicKeys()
 	sink, _ := st.(histogrammer)
 	att, _ := st.(quoter)
-	return &StageService{eng: eng, keys: Keys{Blinding: blinding, Key: key}, sink: sink, att: att}, nil
+	return &StageService{eng: eng, keys: Keys{Blinding: blinding, Key: key}, sink: sink, att: att}
 }
+
+// Link stands a chain up in this process: the deployment StartFleet runs
+// over loopback sockets, one replica a tier, with each stage's epochs pushed
+// straight into the next stage's service instead of over a connection.
+// stages lists the chain in order, the analyzer's Sink last. Every tier is
+// drain-only — no FlushAt, no Interval, no WAL — so an epoch moves only when
+// its tier drains: the caller drives the chain by draining the tiers in
+// order, and reads the last one's Histogram. The caller closes the tiers in
+// chain order, each draining into the next.
+func Link(stages []shuffler.Stage) ([]*StageService, error) {
+	tiers := make([]*StageService, len(stages))
+	for i := len(stages) - 1; i >= 0; i-- {
+		var next tier
+		if i+1 < len(stages) {
+			next = tier{tiers[i+1]}
+		}
+		eng, err := startEngine(EpochConfig{}, stages[i], next)
+		if err != nil {
+			for _, s := range tiers[i+1:] {
+				s.Close()
+			}
+			return nil, err
+		}
+		tiers[i] = serve(stages[i], eng)
+	}
+	return tiers, nil
+}
+
+// send is the hop seam of a linked chain (Link): the upstream stage's push,
+// ingested as a Submit is.
+func (s *StageService) send(stream, pos int64, b core.Batch) error {
+	_, err := s.Submit(stream, pos, b)
+	return err
+}
+
+// String names the service in an upstream's push error.
+func (s *StageService) String() string { return "in-process " + s.eng.kind.String() + " stage" }
 
 // Attestation returns the stage's SGX quote over the service's public key.
 // The attestation CA's key is not served: a client pins it

@@ -24,6 +24,12 @@
 // WAL: its histogram is its state. Its Histogram call drains before it
 // answers.
 //
+// The same engine runs a chain in one process: Link stands the stages up on
+// drain-only engines whose push is a call into the next stage's service, not
+// a frame on a socket (a hop, the engine's one-method seam to its downstream
+// tier, is either). prochlo.Pipeline runs on it, so one driver runs every
+// deployment.
+//
 // Ingest is one path whatever the sender: a client's batch and a hop's
 // pushed epoch are the same stamped Submit frame, the same engine.ingest
 // and the same WAL record. They also leave through one sender,

@@ -4,13 +4,15 @@
 // which client reports are nested-encrypted, anonymized and thresholded by a
 // shuffler intermediary, and analyzed only in aggregate.
 //
-// The Pipeline type wires the three stages in-process for experimentation
+// The Pipeline type runs the three stages in-process for experimentation
 // and testing; the internal packages implement each stage (and the Stash
 // Shuffle, secret sharing, and blinded crowd IDs). For the paper's actual
 // deployment shape — long-lived parties serving continuous traffic —
 // cmd/prochlod runs the shuffler and analyzer as streaming daemons
 // (epoch-driven auto-flush, batched RPC, backpressure), and RemotePipeline
-// is the client-side handle that speaks to them; a seeded daemon deployment
+// is the client-side handle that speaks to them. One driver runs both: the
+// Pipeline's stages sit on the daemons' epoch engine (internal/transport),
+// linked in memory instead of over sockets, so a seeded daemon deployment
 // produces output byte-identical to the in-process pipeline.
 //
 // Basic use:
@@ -33,10 +35,11 @@
 // Submit is the single-report reference path. At scale, hand whole batches
 // to SubmitBatch instead: it encodes on a worker pool (WithWorkers; the
 // default uses every core), as do the shuffler and analyzer stages, so the
-// pipeline is parallel end to end. SubmitBatch also has the first stage
-// admit the batch before it returns (in ModeBlinded, shuffler 1 blinds it
-// there), so Flush runs only the work that needs the whole epoch; Submit's
-// single reports wait and are admitted with the next batch or at Flush.
+// pipeline is parallel end to end. SubmitBatch also hands the batch to the
+// first stage's engine, which admits it before SubmitBatch returns (in
+// ModeBlinded, shuffler 1 blinds it there), so Flush runs only the work that
+// needs the whole epoch; Submit's single reports wait and ride in with the
+// next batch or at Flush.
 // Batch and serial submission produce identically distributed output, and a
 // seeded pipeline's results are byte-identical at every worker count.
 package prochlo
@@ -45,6 +48,9 @@ import (
 	crand "crypto/rand"
 	"errors"
 	"fmt"
+	"maps"
+	"runtime"
+	"slices"
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
@@ -54,6 +60,7 @@ import (
 	"prochlo/internal/parallel"
 	"prochlo/internal/sgx"
 	"prochlo/internal/shuffler"
+	"prochlo/internal/transport"
 )
 
 // Mode selects the shuffler deployment.
@@ -74,12 +81,16 @@ const (
 
 // Pipeline is an in-process ESA deployment: its Submit method plays the
 // role of a fleet of clients, and Flush drives the accumulated epoch
-// through the shuffler stage chain and the analyzer. Every mode is the same
-// machinery — New wires the mode's stages ([shuffler], [sgx shuffler], or
-// [shuffler1, shuffler2]) and Flush runs them output-to-input through the
-// shared shuffler.Stage interface, exactly as the networked daemons do. Like
-// a daemon's epoch engine, the first stage admits each batch as it arrives
-// (SubmitBatch), so Flush runs only the work that needs the whole epoch.
+// through the shuffler stage chain and the analyzer. It has no driver of its
+// own: New builds the mode's stages ([shuffler], [sgx shuffler], or
+// [shuffler1, shuffler2], then the analyzer's sink) and the pipeline runs
+// them on the daemons' epoch engine, one drain-only engine a stage, each
+// pushing its epochs straight into the next (transport.Link) — the
+// deployment transport.StartFleet runs over sockets. So the first stage
+// admits each batch as it arrives (SubmitBatch), and Flush drains the tiers
+// in order, running only the work that needs the whole epoch. The engines
+// start with the first batch handed over, and stop once the pipeline is
+// garbage: there is nothing to close.
 type Pipeline struct {
 	mode      Mode
 	threshold shuffler.Threshold
@@ -88,17 +99,16 @@ type Pipeline struct {
 	seed      uint64
 	workers   int
 
-	// stages is the shuffler chain Flush drives, in hop order.
+	// stages is the chain, in hop order, the analyzer's sink last; tiers
+	// runs it (link), and pos is the position of the pipeline's last batch
+	// on its stream into the first tier.
 	stages []shuffler.Stage
+	tiers  []*transport.StageService
+	pos    int64
 
-	analyzerPriv *hybrid.PrivateKey
-	an           *analyzer.Analyzer
-
-	// The epoch awaiting a Flush, of the kind the mode's first stage
-	// consumes: admitted holds what that stage has admitted, in submission
-	// order; waiting holds Submit's single reports, which wait to be
-	// admitted with the next SubmitBatch or at Flush.
-	admitted, waiting core.Batch
+	// waiting holds Submit's single reports, of the kind the first stage
+	// consumes, which ride in with the next SubmitBatch or at Flush.
+	waiting core.Batch
 
 	// The mode's encoder: client in ModePlain and ModeSGX (whose attested
 	// key is quote), blindedClient in ModeBlinded.
@@ -208,12 +218,10 @@ func New(opts ...Option) (*Pipeline, error) {
 			return nil, err
 		}
 	}
-	var err error
-	p.analyzerPriv, err = hybrid.GenerateKey(crand.Reader)
+	analyzerPriv, err := hybrid.GenerateKey(crand.Reader)
 	if err != nil {
 		return nil, err
 	}
-	p.an = &analyzer.Analyzer{Priv: p.analyzerPriv, Workers: p.workers}
 
 	// sec is the secrets of the tier clients encrypt to: the plain shuffler's
 	// key, or shuffler2's keys in the split chain (shuffler1 blinds with a
@@ -232,7 +240,7 @@ func New(opts ...Option) (*Pipeline, error) {
 		p.stages = []shuffler.Stage{st}
 		p.client = &encoder.Client{
 			ShufflerKey: sec.Priv.Public(),
-			AnalyzerKey: p.analyzerPriv.Public(),
+			AnalyzerKey: analyzerPriv.Public(),
 			Rand:        crand.Reader,
 		}
 	case ModeSGX:
@@ -255,7 +263,7 @@ func New(opts ...Option) (*Pipeline, error) {
 		}
 		p.client = &encoder.Client{
 			ShufflerKey: attested,
-			AnalyzerKey: p.analyzerPriv.Public(),
+			AnalyzerKey: analyzerPriv.Public(),
 			Rand:        crand.Reader,
 		}
 	case ModeBlinded:
@@ -278,13 +286,47 @@ func New(opts ...Option) (*Pipeline, error) {
 			Shuffler1Blinding: s1Sec.Blinding.H,
 			Shuffler2Blinding: sec.Blinding.H,
 			Shuffler2Key:      sec.Priv.Public(),
-			AnalyzerKey:       p.analyzerPriv.Public(),
+			AnalyzerKey:       analyzerPriv.Public(),
 			Rand:              crand.Reader,
 		}
 	default:
 		return nil, fmt.Errorf("prochlo: unknown mode %d", p.mode)
 	}
+	sink, err := shuffler.NewStage("analyzer", shuffler.Secrets{Priv: analyzerPriv}, params)
+	if err != nil {
+		return nil, err
+	}
+	p.stages = append(p.stages, sink)
 	return p, nil
+}
+
+// pipelineStream is the stream the pipeline submits on: it is its first
+// tier's only sender.
+const pipelineStream = 1
+
+// link stands the pipeline's chain up on its first use (transport.Link) and
+// has the garbage collector stop it once the pipeline is unreachable.
+func (p *Pipeline) link() error {
+	if p.tiers != nil {
+		return nil
+	}
+	tiers, err := transport.Link(p.stages)
+	if err != nil {
+		return err
+	}
+	p.tiers = tiers
+	runtime.AddCleanup(p, closeTiers, tiers)
+	return nil
+}
+
+// closeTiers stops a dropped pipeline's engines, in hop order, off the
+// runtime's cleanup goroutine.
+func closeTiers(tiers []*transport.StageService) {
+	go func() {
+		for _, t := range tiers {
+			t.Close()
+		}
+	}()
 }
 
 // Quote returns the SGX attestation quote of the shuffler key (ModeSGX).
@@ -302,8 +344,8 @@ func (p *Pipeline) PrivacyGuarantee(delta float64) (eps float64, err error) {
 }
 
 // Submit encodes one client's report into the pending epoch. It is not
-// admitted yet: a one-report batch would run the batch kernels a point at a
-// time, so it waits for the next SubmitBatch or Flush.
+// handed to the first stage yet: a one-report batch would run the batch
+// kernels a point at a time, so it waits for the next SubmitBatch or Flush.
 func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 	if p.secretT > 0 {
 		var err error
@@ -326,23 +368,27 @@ func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 	return p.wait(core.Batch{Envelopes: []core.Envelope{env}})
 }
 
-// wait adds freshly encoded envelopes to the reports awaiting admission.
+// wait adds freshly encoded envelopes to the reports awaiting the first
+// tier.
 func (p *Pipeline) wait(batch core.Batch) (err error) {
 	p.waiting, err = p.waiting.Append(batch)
 	return err
 }
 
-// admit has the first stage admit every waiting report as one batch and
-// appends what it keeps to the admitted epoch.
-func (p *Pipeline) admit() error {
+// ingest hands every waiting report to the first tier as one batch, which
+// its engine admits before the call returns.
+func (p *Pipeline) ingest() error {
 	if p.waiting.Len() == 0 {
 		return nil
 	}
-	admitted, err := p.admitted.Append(p.stages[0].Admit(p.waiting))
-	if err != nil {
+	if err := p.link(); err != nil {
 		return err
 	}
-	p.admitted, p.waiting = admitted, core.Batch{}
+	p.pos++
+	if _, err := p.tiers[0].Submit(pipelineStream, p.pos, p.waiting); err != nil {
+		return err
+	}
+	p.waiting = core.Batch{}
 	return nil
 }
 
@@ -371,16 +417,17 @@ func encodeBatch(enc *encoder.Client, benc *encoder.BlindedClient, labels []stri
 }
 
 // SubmitBatch encodes a batch of client reports — labels[i] is report i's
-// crowd label, data[i] its payload — into the pending epoch, and has the
-// first stage admit it, together with any reports Submit left waiting,
-// before it returns: the per-report stage work (shuffler 1's blinding) runs
-// as the batch arrives, as a daemon's does before its ack, not in Flush. A
-// lone report waits, as Submit's do. SubmitBatch is equivalent to calling
-// Submit per report but runs the per-report public-key encoding on the
-// pipeline's worker pool (see WithWorkers), so it is the entry point for
-// population-scale submission: a fleet simulator or ingestion front end
-// hands over whole batches and the encode stage scales with cores instead
-// of serializing two ECDH key agreements per report.
+// crowd label, data[i] its payload — into the pending epoch, and hands it,
+// together with any reports Submit left waiting, to the first stage's
+// engine, which admits it before SubmitBatch returns: the per-report stage
+// work (shuffler 1's blinding) runs as the batch arrives, as a daemon's does
+// before its ack, not in Flush. A lone report waits, as Submit's do.
+// SubmitBatch is equivalent to calling Submit per report but runs the
+// per-report public-key encoding on the pipeline's worker pool (see
+// WithWorkers), so it is the entry point for population-scale submission: a
+// fleet simulator or ingestion front end hands over whole batches and the
+// encode stage scales with cores instead of serializing two ECDH key
+// agreements per report.
 func (p *Pipeline) SubmitBatch(labels []string, data [][]byte) error {
 	if p.secretT > 0 {
 		shared := make([][]byte, len(data))
@@ -403,11 +450,17 @@ func (p *Pipeline) SubmitBatch(labels []string, data [][]byte) error {
 	if p.waiting.Len() < 2 {
 		return nil // a one-report batch waits, as Submit's reports do
 	}
-	return p.admit()
+	return p.ingest()
 }
 
 // Pending returns the number of reports awaiting a Flush, admitted or not.
-func (p *Pipeline) Pending() int { return p.admitted.Len() + p.waiting.Len() }
+func (p *Pipeline) Pending() int {
+	n := p.waiting.Len()
+	if p.tiers != nil {
+		n += p.tiers[0].Stats().Pending
+	}
+	return n
+}
 
 // Result is the analyzer-side outcome of one batch.
 type Result struct {
@@ -424,13 +477,12 @@ type Result struct {
 	Undecryptable int
 }
 
-// Flush drives the pending epoch through the shuffler stage chain —
-// each stage's output is the next stage's input, exactly as the networked
-// daemons forward epochs — and the analyzer over the final stage's output,
-// returning the analysis result. The first stage admits what Submit left
-// waiting and processes the epoch it admitted (each report once); every
-// later stage receives its epoch whole and runs it with shuffler.RunEpoch.
-// Result.ShufflerStats is the last stage's (the thresholding hop's)
+// Flush drives the pending epoch through the shuffler stage chain and the
+// analyzer and returns the analysis result: it hands the first tier what
+// Submit left waiting, drains the tiers in hop order — each processes its
+// epoch and pushes the output into the next, exactly as the networked
+// daemons forward epochs — and reads what the analyzer's sink folded.
+// Result.ShufflerStats is the last shuffler's (the thresholding hop's)
 // selectivity, the only stage whose stats describe what reaches the
 // analyzer. A pending epoch below the first stage's anonymity floor is
 // refused before any work and stays pending, as a daemon's epoch does.
@@ -438,28 +490,47 @@ func (p *Pipeline) Flush() (*Result, error) {
 	if n, floor := p.Pending(), p.stages[0].Floor(); n < floor {
 		return nil, fmt.Errorf("%w: %d < %d", shuffler.ErrBatchTooSmall, n, floor)
 	}
-	if err := p.admit(); err != nil {
+	if err := p.ingest(); err != nil {
 		return nil, err
 	}
-	batch, stats, err := p.stages[0].ProcessEpoch(p.admitted)
-	p.admitted = core.Batch{}
+	// The sink and the tier stats count from the pipeline's start: the
+	// epoch's result is what they gained across its drain.
+	hops, sink := p.tiers[:len(p.tiers)-1], p.tiers[len(p.tiers)-1]
+	before, undecBefore, err := sink.Histogram()
 	if err != nil {
 		return nil, err
 	}
-	for _, st := range p.stages[1:] {
-		batch, stats, err = shuffler.RunEpoch(st, batch)
-		if err != nil {
+	statsBefore := hops[len(hops)-1].Stats().Cumulative
+	var st transport.ServiceStats
+	for _, t := range hops {
+		if st, err = t.Drain(false); err != nil {
 			return nil, err
 		}
 	}
-	db, undec := p.an.Open(batch.Payloads)
+	after, undec, err := sink.Histogram()
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
-		Histogram:     analyzer.Histogram(db),
-		ShufflerStats: stats,
-		Undecryptable: undec,
+		Histogram:     make(map[string]int),
+		ShufflerStats: since(st.Cumulative, statsBefore),
+		Undecryptable: undec - undecBefore,
+	}
+	for v, n := range after {
+		if n > before[v] {
+			res.Histogram[v] = n - before[v]
+		}
 	}
 	if p.secretT > 0 {
-		rec, malformed, _ := p.an.RecoverSecretShared(p.secretT, db)
+		// The sink keeps counts, not records: the epoch's records are the
+		// histogram's multiset, in value order.
+		var db [][]byte
+		for _, v := range slices.Sorted(maps.Keys(res.Histogram)) {
+			for range res.Histogram[v] {
+				db = append(db, []byte(v))
+			}
+		}
+		rec, malformed, _ := analyzer.RecoverSecretShared(p.secretT, db)
 		res.Undecryptable += malformed
 		res.Recovered = make(map[string]int, len(rec))
 		for _, r := range rec {
@@ -467,4 +538,16 @@ func (p *Pipeline) Flush() (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// since is the selectivity of the epochs between two of a stage's
+// cumulative stats.
+func since(now, then shuffler.Stats) shuffler.Stats {
+	return shuffler.Stats{
+		Received:        now.Received - then.Received,
+		Undecryptable:   now.Undecryptable - then.Undecryptable,
+		Crowds:          now.Crowds - then.Crowds,
+		CrowdsForwarded: now.CrowdsForwarded - then.CrowdsForwarded,
+		Forwarded:       now.Forwarded - then.Forwarded,
+	}
 }

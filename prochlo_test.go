@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"prochlo/internal/core"
 	"prochlo/internal/shuffler"
@@ -338,6 +339,50 @@ func TestPipelineAdmitsOnArrival(t *testing.T) {
 	if got.ShufflerStats != want.ShufflerStats || !maps.Equal(got.Histogram, want.Histogram) {
 		t.Errorf("admitted on arrival: %+v %v; all at Flush: %+v %v",
 			got.ShufflerStats, got.Histogram, want.ShufflerStats, want.Histogram)
+	}
+}
+
+// TestDroppedPipelinesStopTheirEngines: a pipeline's engines start with its
+// first batch, and nobody closes a pipeline: once it is garbage, its engines
+// stop — a flushed one, and one dropped with an epoch pending.
+func TestDroppedPipelinesStopTheirEngines(t *testing.T) {
+	// collect runs the collector until the goroutine count is at most want,
+	// or has stopped falling, and returns it.
+	collect := func(want int) int {
+		n, last := runtime.NumGoroutine(), -1
+		for deadline := time.Now().Add(10 * time.Second); n > want && time.Now().Before(deadline); {
+			runtime.GC()
+			time.Sleep(20 * time.Millisecond)
+			if last, n = n, runtime.NumGoroutine(); want < 0 && n == last {
+				break
+			}
+		}
+		return n
+	}
+	base := collect(-1) // earlier tests' dropped pipelines stop first
+	pipes := make([]*Pipeline, 4)
+	for i := range pipes {
+		p, err := New(WithMode(ModeBlinded), WithNaiveThreshold(1), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels, data := []string{"c", "c", "c"}, [][]byte{[]byte("v"), []byte("v"), []byte("v")}
+		if err := p.SubmitBatch(labels, data); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			if _, err := p.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pipes[i] = p
+	}
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("%d goroutines with four pipelines running, %d before: no engine started", n, base)
+	}
+	runtime.KeepAlive(pipes) // and no further
+	if n := collect(base); n > base {
+		t.Fatalf("%d goroutines after the pipelines were dropped, %d before them", n, base)
 	}
 }
 
