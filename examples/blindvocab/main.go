@@ -7,6 +7,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"prochlo"
 )
@@ -45,8 +47,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("recovered words (count >= t=20 shares after thresholding):")
-	for w, n := range res.Recovered {
-		fmt.Printf("  %-12q %d\n", w, n)
+	for _, w := range slices.Sorted(maps.Keys(res.Recovered)) {
+		fmt.Printf("  %-12q %d\n", w, res.Recovered[w])
 	}
 	fmt.Printf("\nrare unique value recovered? %v (7 shares < t)\n",
 		func() bool { _, ok := res.Recovered["4d7a9c-unique-love-letter"]; return ok }())

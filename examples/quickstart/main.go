@@ -6,6 +6,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"prochlo"
 )
@@ -51,8 +53,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("analyzer histogram (unique report suppressed, common ones slightly thinned):")
-	for v, n := range res.Histogram {
-		fmt.Printf("  %-24s %d\n", v, n)
+	for _, v := range slices.Sorted(maps.Keys(res.Histogram)) {
+		fmt.Printf("  %-24s %d\n", v, res.Histogram[v])
 	}
 	fmt.Printf("\nshuffler saw %d crowds, forwarded %d\n",
 		res.ShufflerStats.Crowds, res.ShufflerStats.CrowdsForwarded)

@@ -1,6 +1,6 @@
 // Package metrics is a dependency-free instrumentation registry that
-// exposes counters, gauges, and histograms in the Prometheus text
-// exposition format (version 0.0.4).
+// exposes counters, scrape-time gauges and counters, and histograms in
+// the Prometheus text exposition format (version 0.0.4).
 //
 // It exists so the stage engine, balancer, WAL, and analyzer can be
 // observed from a running deployment without pulling the Prometheus
@@ -14,9 +14,9 @@
 //	defer srv.Close()
 //
 // Instruments registered through a Registry are safe for concurrent
-// use. GaugeFunc and CounterFunc register callbacks evaluated at
-// scrape time, which lets existing atomic counters be exported without
-// double bookkeeping on the hot path. All instrument methods are
+// use. A gauge is only ever a GaugeFunc: it and CounterFunc register
+// callbacks evaluated at scrape time, which lets existing atomic
+// counters be exported without double bookkeeping on the hot path. All instrument methods are
 // nil-receiver safe, so instrumented code can run with metrics
 // disabled (a nil instrument) at zero branching cost to the caller.
 package metrics
@@ -149,15 +149,6 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 		return nil
 	}
 	return r.lookup(name, help, "counter", labels, func() instrument { return &Counter{} }).(*Counter)
-}
-
-// Gauge registers (or fetches) a gauge that can go up and down.
-// Returns nil when r is nil.
-func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, "gauge", labels, func() instrument { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
@@ -301,47 +292,6 @@ func (c *Counter) Value() float64 {
 
 func (c *Counter) writeSamples(b *bytes.Buffer, name, labels string) {
 	writeSample(b, name, labels, c.Value())
-}
-
-// Gauge is a value that can go up and down. The zero value is ready to
-// use; all methods are safe for concurrent use and are no-ops on a nil
-// receiver.
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by v (which may be negative).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current gauge value (0 on a nil receiver).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-func (g *Gauge) writeSamples(b *bytes.Buffer, name, labels string) {
-	writeSample(b, name, labels, g.Value())
 }
 
 // funcInstrument backs GaugeFunc/CounterFunc: the callback is read at

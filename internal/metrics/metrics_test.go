@@ -17,7 +17,7 @@ func TestWriteToGolden(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("test_requests_total", "Requests handled.", Labels{"role": "a"}).Add(3)
 	reg.Counter("test_requests_total", "Requests handled.", Labels{"role": "b"}).Inc()
-	reg.Gauge("test_queue_depth", "Items queued.", nil).Set(7.5)
+	reg.GaugeFunc("test_queue_depth", "Items queued.", nil, func() float64 { return 7.5 })
 	reg.GaugeFunc("test_up", "Always one.", Labels{"q": `sa"y\n`}, func() float64 { return 1 })
 	h := reg.Histogram("test_latency_seconds", "Op latency.", Labels{"role": "a"}, []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
@@ -68,7 +68,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			labels := Labels{"w": fmt.Sprintf("%d", w%4)}
 			for i := 0; i < iters; i++ {
 				reg.Counter("conc_total", "c", labels).Inc()
-				reg.Gauge("conc_gauge", "g", labels).Add(1)
 				reg.Histogram("conc_hist", "h", labels, DefBuckets).Observe(float64(i) / 1000)
 				reg.GaugeFunc("conc_fn", "f", labels, func() float64 { return float64(i) })
 				if i%100 == 0 {
@@ -94,16 +93,13 @@ func TestRegistryConcurrency(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("x_total", "x", nil)
-	g := reg.Gauge("x", "x", nil)
 	h := reg.Histogram("x_seconds", "x", nil, DefBuckets)
 	reg.GaugeFunc("x_fn", "x", nil, func() float64 { return 1 })
 	reg.CounterFunc("x_cfn", "x", nil, func() float64 { return 1 })
 	c.Inc()
 	c.Add(5)
-	g.Set(2)
-	g.Add(-1)
 	h.Observe(0.1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || h.Count() != 0 {
 		t.Error("nil instruments must observe nothing")
 	}
 }
@@ -117,7 +113,7 @@ func TestTypeClashPanics(t *testing.T) {
 			t.Error("expected panic registering clash as gauge after counter")
 		}
 	}()
-	reg.Gauge("clash", "g", nil)
+	reg.GaugeFunc("clash", "g", nil, func() float64 { return 0 })
 }
 
 // TestCounterIgnoresNegative pins monotonicity.

@@ -64,6 +64,29 @@ type Stats struct {
 	Forwarded       int // reports forwarded to the analyzer
 }
 
+// Add is the field-wise sum of s and o: the stats of two batches together.
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		Received:        s.Received + o.Received,
+		Undecryptable:   s.Undecryptable + o.Undecryptable,
+		Crowds:          s.Crowds + o.Crowds,
+		CrowdsForwarded: s.CrowdsForwarded + o.CrowdsForwarded,
+		Forwarded:       s.Forwarded + o.Forwarded,
+	}
+}
+
+// Sub is the field-wise difference s − o: between two of a stage's
+// cumulative stats, the stats of the batches it processed in between.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Received:        s.Received - o.Received,
+		Undecryptable:   s.Undecryptable - o.Undecryptable,
+		Crowds:          s.Crowds - o.Crowds,
+		CrowdsForwarded: s.CrowdsForwarded - o.CrowdsForwarded,
+		Forwarded:       s.Forwarded - o.Forwarded,
+	}
+}
+
 // Threshold configures crowd-cardinality filtering. Exactly one mode is
 // active: if Noise.Sigma > 0 the randomized thresholding of §3.5 is applied
 // (drop d ~ round(N(D, sigma²)) items, then require >= T); otherwise a naive

@@ -150,7 +150,7 @@ func TestBalancerDialFailover(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 failover and %d submitted", bs, len(envs))
 	}
 
-	if _, err := dialed(t, rig.shuf).Drain(); err != nil {
+	if _, err := dialed(t, rig.shuf).Drain(false); err != nil {
 		t.Fatal(err)
 	}
 	ac, err := Dial(rig.anlz)
@@ -257,7 +257,7 @@ func TestBalancerEjectsUnhealthyReplica(t *testing.T) {
 	if s := b.Stats(); s.Submitted != batches || s.Failovers != 0 {
 		t.Errorf("stats = %+v, want %d submitted and no failover", s, batches)
 	}
-	if _, err := dialed(t, well.shuf).Drain(); err != nil {
+	if _, err := dialed(t, well.shuf).Drain(false); err != nil {
 		t.Fatal(err)
 	}
 	counts, _, err := dialed(t, well.anlz).Histogram()
@@ -510,7 +510,7 @@ func TestDrainForceReleasesBelowFloor(t *testing.T) {
 	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env, env}}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := cl.Drain()
+	stats, err := cl.Drain(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestDrainForceReleasesBelowFloor(t *testing.T) {
 		t.Fatalf("plain drain stats = %+v, want the below-floor epoch preserved", stats)
 	}
 
-	stats, err = cl.DrainMode(true)
+	stats, err = cl.Drain(true)
 	if err != nil {
 		t.Fatalf("forced drain: %v", err)
 	}
@@ -529,7 +529,7 @@ func TestDrainForceReleasesBelowFloor(t *testing.T) {
 		t.Fatalf("forced drain unaccounted = %d, want the dropped reports reconciled", stats.Unaccounted)
 	}
 
-	stats, err = cl.DrainMode(true)
+	stats, err = cl.Drain(true)
 	if err != nil {
 		t.Fatal(err)
 	}

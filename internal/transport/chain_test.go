@@ -36,7 +36,7 @@ func TestSubmitAllBackoffDrains(t *testing.T) {
 			t.Fatalf("Submit with auto-flush draining: %v", err)
 		}
 	}
-	if st, err := cl.Drain(); err != nil || st.Rejected != 0 {
+	if st, err := cl.Drain(false); err != nil || st.Rejected != 0 {
 		t.Fatalf("drain = %+v, %v; want nothing rejected", st, err)
 	}
 	ac, err := Dial(rig.anlz)
@@ -65,7 +65,7 @@ func TestDrainEmptyBelowFloor(t *testing.T) {
 	}
 	defer cl.Close()
 
-	stats, err := cl.Drain()
+	stats, err := cl.Drain(false)
 	if err != nil {
 		t.Fatalf("Drain on an empty service: %v, want nil (pure barrier)", err)
 	}
@@ -77,7 +77,7 @@ func TestDrainEmptyBelowFloor(t *testing.T) {
 	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env}}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err = cl.Drain()
+	stats, err = cl.Drain(false)
 	if err != nil {
 		t.Fatalf("Drain below the floor: %v, want nil (epoch left pending)", err)
 	}

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"crypto/ecdsa"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"prochlo/internal/core"
-	"prochlo/internal/sgx"
 )
 
 // Redial policy of the one sender, (*peerConn).retry — a client's
@@ -180,10 +178,13 @@ func decoded[T any](v T, err error) (T, error) {
 
 // Client is a handle on one party — a plain/SGX shuffler daemon, either hop
 // of the blinded chain, or an analyzer — for submitting reports to it and for
-// its control calls. Submissions and Drain transparently retry connection-level
-// failures on fresh connections, and every batch submission carries a
-// (stream, seq) stamp so such a retry is deduplicated service-side even when
-// the original attempt was ingested but its ack was lost.
+// its control calls. Its Keys, Attestation, Drain and Histogram calls return
+// what the party's StageService returns in process, so one caller drives a
+// party on a socket and one linked in process (Link) alike. Submissions and
+// Drain transparently retry connection-level failures on fresh connections,
+// and every batch submission carries a (stream, seq) stamp so such a retry
+// is deduplicated service-side even when the original attempt was ingested
+// but its ack was lost.
 //
 // The service keeps one last position per stream, so a Client keeps the
 // sender rule: at most one call in flight per stream, positions increasing.
@@ -209,24 +210,15 @@ func Dial(addr string) (*Client, error) {
 	return &Client{peerConn: p}, nil
 }
 
-// Attestation fetches an SGX shuffler's quote and verifies both §4.1.1
-// client-side checks: the signature of ca — the attestation CA the caller
-// trusts, never a key the shuffler serves — over the quote, and the expected
-// code measurement. It returns the attested public key (the quote's report
-// data) only when verification succeeds.
-func (c *Client) Attestation(ca *ecdsa.PublicKey, measurement [32]byte) ([]byte, error) {
+// Attestation fetches the quote an SGX shuffler serves over its public key,
+// unverified: the caller checks it against the attestation CA it pins and
+// the expected code measurement (§4.1.1) before it trusts the key.
+func (c *Client) Attestation() (AttestationReply, error) {
 	body, err := c.call(methodAttestation, nil)
 	if err != nil {
-		return nil, err
+		return AttestationReply{}, err
 	}
-	reply, err := decoded(decodeAttestation(body))
-	if err != nil {
-		return nil, err
-	}
-	if err := sgx.VerifyQuote(ca, reply.Quote, measurement); err != nil {
-		return nil, err
-	}
-	return reply.Quote.ReportData, nil
+	return decoded(decodeAttestation(body))
 }
 
 // Submit ships a whole batch — client envelopes or split-shuffler envelopes,
@@ -267,21 +259,16 @@ func (c *Client) Submit(b core.Batch) error {
 // next hop, and returns the service stats — the barrier to use before
 // querying downstream. Draining a chain is hop order: drain Shuffler 1 so
 // its final epoch reaches Shuffler 2, then drain Shuffler 2 so it reaches
-// the analyzer.
-func (c *Client) Drain() (ServiceStats, error) {
-	return c.DrainMode(false)
-}
-
-// DrainMode is Drain with an explicit mode: force additionally releases a
-// below-floor final epoch as Dropped instead of leaving it pending — the
-// final drain of a deployment that is shutting down for good.
+// the analyzer. Force additionally releases a below-floor final epoch as
+// Dropped instead of leaving it pending — the final drain of a deployment
+// that is shutting down for good.
 //
 // Draining is idempotent (a second drain of a drained service is an empty
 // barrier), so connection-level failures are retried on fresh connections
 // under the redial policy: a fleet drain tolerates a replica that
 // crashed and is restarting over its WAL, surfacing the recovered
 // successor's stats instead of failing the barrier.
-func (c *Client) DrainMode(force bool) (ServiceStats, error) {
+func (c *Client) Drain(force bool) (ServiceStats, error) {
 	mode := byte(0)
 	if force {
 		mode = 1

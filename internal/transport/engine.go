@@ -762,11 +762,7 @@ func (e *engine) flushOne(ep *epoch) {
 		e.dropped.Add(int64(ep.items.Len()))
 	default:
 		e.epochsFlushed++
-		e.cum.Received += stats.Received
-		e.cum.Undecryptable += stats.Undecryptable
-		e.cum.Crowds += stats.Crowds
-		e.cum.CrowdsForwarded += stats.CrowdsForwarded
-		e.cum.Forwarded += stats.Forwarded
+		e.cum = e.cum.Add(stats)
 	}
 	e.mu.Unlock()
 	if held {

@@ -119,7 +119,7 @@ func TestSubmitBatch(t *testing.T) {
 		t.Fatalf("stats after submit = %+v, want 11 pending/accepted", stats)
 	}
 
-	if _, err := cl.Drain(); err != nil {
+	if _, err := cl.Drain(false); err != nil {
 		t.Fatal(err)
 	}
 	ac, err := Dial(rig.anlz)
@@ -157,7 +157,7 @@ func TestAutoFlushAtThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := cl.Drain()
+	stats, err := cl.Drain(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestBelowFloorEpochPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for range 2 { // a repeated barrier must not wear the epoch down either
-		stats, err := cl.Drain()
+		stats, err := cl.Drain(false)
 		if err != nil {
 			t.Fatalf("below-floor Drain err = %v, want nil (barrier)", err)
 		}
@@ -309,7 +309,7 @@ func TestBelowFloorEpochPreserved(t *testing.T) {
 	if err := cl.Submit(core.Batch{Envelopes: []core.Envelope{env, env}}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := cl.Drain()
+	stats, err := cl.Drain(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestConcurrentSubmitDuringAutoFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	stats, err := cl.Drain()
+	stats, err := cl.Drain(false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ func TestHeldSubmitReturnsOnceFlusherFrees(t *testing.T) {
 	if d := time.Since(start); d < stuck/2 {
 		t.Errorf("the Submit returned after %v, before the flusher could free room", d)
 	}
-	st, err := cl.Drain()
+	st, err := cl.Drain(false)
 	if err != nil {
 		t.Fatal(err)
 	}

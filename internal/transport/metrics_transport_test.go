@@ -82,7 +82,7 @@ func TestScrapeDuringDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats, err := cl.Drain()
+	stats, err := cl.Drain(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestStageSelectivityMetrics(t *testing.T) {
 	if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := cl.Drain()
+	stats, err := cl.Drain(false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,7 +202,7 @@ func (r *crashRig) stats() ServiceStats {
 
 func (r *crashRig) drain() ServiceStats {
 	r.t.Helper()
-	stats, err := r.cl.Drain()
+	stats, err := r.cl.Drain(false)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func testForceDrainKeepsInFlightEpoch(t *testing.T, kind core.BatchKind) {
 	drainer := dialed(t, rig.addr)
 	drained := make(chan error, 1)
 	go func() {
-		_, err := drainer.DrainMode(true) // drops the tail, then waits behind the push
+		_, err := drainer.Drain(true) // drops the tail, then waits behind the push
 		drained <- err
 	}()
 	// The drain's barrier queues behind the in-flight epoch only once the
@@ -835,10 +835,10 @@ func hop1Run(t *testing.T, crash bool) map[string]int {
 			t.Fatalf("restart recovered %+v (%v), want the cut epoch of 6 and 4 pending", st, err)
 		}
 	}
-	if _, err := cl.Drain(); err != nil {
+	if _, err := cl.Drain(false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dialed(t, hop2).Drain(); err != nil {
+	if _, err := dialed(t, hop2).Drain(false); err != nil {
 		t.Fatal(err)
 	}
 	cl.Close()

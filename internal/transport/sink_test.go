@@ -123,7 +123,7 @@ func TestAnalyzerJoinsTheLedger(t *testing.T) {
 			var forwarded int64
 			for tier, addrs := range hops {
 				for _, addr := range addrs {
-					st, err := dialed(t, addr).Drain()
+					st, err := dialed(t, addr).Drain(false)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -80,7 +80,7 @@ func TestNetworkedPipeline(t *testing.T) {
 		t.Fatalf("stats = %+v, %v, want healthy and 83 pending", st, err)
 	}
 
-	stats, err := cl.Drain()
+	stats, err := cl.Drain(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestDrainEmptyPushesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	stats, err := cl.Drain()
+	stats, err := cl.Drain(false)
 	if err != nil {
 		t.Fatalf("empty Drain err = %v, want nil (barrier)", err)
 	}

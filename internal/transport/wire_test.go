@@ -180,7 +180,7 @@ func TestHistogramKeysAreBytes(t *testing.T) {
 	if err := cl.Submit(core.Batch{Envelopes: batch}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Drain(); err != nil {
+	if _, err := cl.Drain(false); err != nil {
 		t.Fatal(err)
 	}
 	ac, err := Dial(rig.anlz)
@@ -561,7 +561,7 @@ func TestWireRefusedMethodKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer anlz.Close()
-	if st, err := anlz.Drain(); err != nil || st.Unaccounted != 0 {
+	if st, err := anlz.Drain(false); err != nil || st.Unaccounted != 0 {
 		t.Errorf("drain asked of an analyzer = %+v, %v; want its stats", st, err)
 	}
 	if st, err := anlz.Stats(); err != nil || !st.Healthy {

@@ -13,7 +13,10 @@
 // is the client-side handle that speaks to them. One driver runs both: the
 // Pipeline's stages sit on the daemons' epoch engine (internal/transport),
 // linked in memory instead of over sockets, so a seeded daemon deployment
-// produces output byte-identical to the in-process pipeline.
+// produces output byte-identical to the in-process pipeline. And one client
+// drives both: each learns its encoder's keys from what its tiers serve,
+// drains them in chain order and reads the analyzer's histogram through the
+// same code, whether a tier is in process or on a socket.
 //
 // Basic use:
 //
@@ -45,6 +48,7 @@
 package prochlo
 
 import (
+	"crypto/ecdsa"
 	crand "crypto/rand"
 	"errors"
 	"fmt"
@@ -54,7 +58,6 @@ import (
 
 	"prochlo/internal/analyzer"
 	"prochlo/internal/core"
-	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/dp"
 	"prochlo/internal/encoder"
 	"prochlo/internal/parallel"
@@ -86,11 +89,13 @@ const (
 // [shuffler1, shuffler2], then the analyzer's sink) and the pipeline runs
 // them on the daemons' epoch engine, one drain-only engine a stage, each
 // pushing its epochs straight into the next (transport.Link) — the
-// deployment transport.StartFleet runs over sockets. So the first stage
-// admits each batch as it arrives (SubmitBatch), and Flush drains the tiers
-// in order, running only the work that needs the whole epoch. The engines
-// start with the first batch handed over, and stop once the pipeline is
-// garbage: there is nothing to close.
+// deployment transport.StartFleet runs over sockets. Its client is
+// RemotePipeline's: it encodes to the keys its tiers serve, checked as a
+// dial checks them, and Flush drains the tiers and reads the analyzer as
+// RemotePipeline.Flush does. So the first stage admits each batch as it
+// arrives (SubmitBatch), and Flush drains the tiers in order, running only
+// the work that needs the whole epoch. The engines start in New and stop
+// once the pipeline is garbage: there is nothing to close.
 type Pipeline struct {
 	mode      Mode
 	threshold shuffler.Threshold
@@ -100,21 +105,21 @@ type Pipeline struct {
 	workers   int
 
 	// stages is the chain, in hop order, the analyzer's sink last; tiers
-	// runs it (link), and pos is the position of the pipeline's last batch
-	// on its stream into the first tier.
+	// runs it, each stage a tier of one, and pos is the position of the
+	// pipeline's last batch on its stream into the first tier.
 	stages []shuffler.Stage
-	tiers  []*transport.StageService
+	tiers  fleet[*transport.StageService]
 	pos    int64
 
 	// waiting holds Submit's single reports, of the kind the first stage
 	// consumes, which ride in with the next SubmitBatch or at Flush.
 	waiting core.Batch
 
-	// The mode's encoder: client in ModePlain and ModeSGX (whose attested
-	// key is quote), blindedClient in ModeBlinded.
-	client        *encoder.Client
-	quote         sgx.Quote
-	blindedClient *encoder.BlindedClient
+	// encoders is the mode's encoder, learned from the keys the tiers
+	// serve, and flushed the tiers' cumulative result at the last Flush
+	// that returned one (empty before).
+	encoders
+	flushed *Result
 }
 
 // Option configures a Pipeline.
@@ -205,45 +210,30 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// New builds a pipeline: it generates stage keys and, in ModeSGX, performs
-// the §4.1.1 attestation handshake — the "client" refuses to encode if the
-// shuffler's quote does not verify.
+// New builds a pipeline: it generates stage keys, links the stages, and
+// learns its encoder's keys from the tiers as a RemotePipeline dial does —
+// hop 1's blinding key only with its proof of α, and in ModeSGX the
+// shuffler's key only from a quote that verifies against the pipeline's own
+// attestation CA (§4.1.1): the "client" refuses to encode otherwise.
 func New(opts ...Option) (*Pipeline, error) {
 	p := &Pipeline{
 		threshold: shuffler.Threshold{Noise: dp.PaperThresholdNoise},
 		minBatch:  shuffler.DefaultMinBatch,
+		flushed:   &Result{},
 	}
 	for _, o := range opts {
 		if err := o(p); err != nil {
 			return nil, err
 		}
 	}
-	analyzerPriv, err := hybrid.GenerateKey(crand.Reader)
-	if err != nil {
-		return nil, err
-	}
-
-	// sec is the secrets of the tier clients encrypt to: the plain shuffler's
-	// key, or shuffler2's keys in the split chain (shuffler1 blinds with a
-	// tier of its own; the SGX shuffler makes its key in the enclave).
-	sec, err := shuffler.GenerateSecrets()
-	if err != nil {
-		return nil, err
-	}
 	params := shuffler.Params{Threshold: p.threshold, Seed: p.seed, MinBatch: p.minBatch, Workers: p.workers}
+	var roles []string
+	var attestCA *ecdsa.PublicKey
 	switch p.mode {
 	case ModePlain:
-		st, err := shuffler.NewStage("shuffler", sec, params)
-		if err != nil {
-			return nil, err
-		}
-		p.stages = []shuffler.Stage{st}
-		p.client = &encoder.Client{
-			ShufflerKey: sec.Priv.Public(),
-			AnalyzerKey: analyzerPriv.Public(),
-			Rand:        crand.Reader,
-		}
+		roles = []string{"shuffler"}
 	case ModeSGX:
+		// The enclave makes its key; the pipeline pins its CA.
 		ca, err := sgx.NewCA()
 		if err != nil {
 			return nil, err
@@ -252,51 +242,33 @@ func New(opts ...Option) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.stages, p.quote = []shuffler.Stage{sh}, sh.Quote()
-		// Client-side verification before trusting the key (§4.1.1).
-		if err := sgx.VerifyQuote(ca.PublicKey(), p.quote, shuffler.SGXShufflerMeasurement); err != nil {
-			return nil, fmt.Errorf("prochlo: shuffler attestation failed: %w", err)
-		}
-		attested, err := hybrid.ParsePublicKey(p.quote.ReportData)
-		if err != nil {
-			return nil, fmt.Errorf("prochlo: attested key: %w", err)
-		}
-		p.client = &encoder.Client{
-			ShufflerKey: attested,
-			AnalyzerKey: analyzerPriv.Public(),
-			Rand:        crand.Reader,
-		}
+		p.stages, attestCA = []shuffler.Stage{sh}, ca.PublicKey()
 	case ModeBlinded:
-		// Were hop 1's α shuffler2's El Gamal secret, hop 2 could
-		// dictionary-attack crowd IDs.
-		s1Sec, err := shuffler.GenerateSecrets()
-		if err != nil {
-			return nil, err
-		}
-		for i, role := range []string{"shuffler1", "shuffler2"} {
-			st, err := shuffler.NewStage(role, []shuffler.Secrets{s1Sec, sec}[i], params)
-			if err != nil {
-				return nil, err
-			}
-			p.stages = append(p.stages, st)
-		}
-		// Clients compute C1 on hop 1's public blinding key A = αG, so
-		// that hop 1 blinds C2 alone.
-		p.blindedClient = &encoder.BlindedClient{
-			Shuffler1Blinding: s1Sec.Blinding.H,
-			Shuffler2Blinding: sec.Blinding.H,
-			Shuffler2Key:      sec.Priv.Public(),
-			AnalyzerKey:       analyzerPriv.Public(),
-			Rand:              crand.Reader,
-		}
+		roles = []string{"shuffler1", "shuffler2"}
 	default:
 		return nil, fmt.Errorf("prochlo: unknown mode %d", p.mode)
 	}
-	sink, err := shuffler.NewStage("analyzer", shuffler.Secrets{Priv: analyzerPriv}, params)
-	if err != nil {
+	// Each party's secrets are its own: were hop 1's α shuffler2's El
+	// Gamal secret, hop 2 could dictionary-attack crowd IDs.
+	for _, role := range append(roles, "analyzer") {
+		sec, err := shuffler.GenerateSecrets()
+		if err != nil {
+			return nil, err
+		}
+		st, err := shuffler.NewStage(role, sec, params)
+		if err != nil {
+			return nil, err
+		}
+		p.stages = append(p.stages, st)
+	}
+	var err error
+	if p.tiers, err = link(p.stages); err != nil {
 		return nil, err
 	}
-	p.stages = append(p.stages, sink)
+	runtime.AddCleanup(p, closeTiers, p.tiers)
+	if p.encoders, err = p.tiers.learnKeys(attestCA); err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
@@ -304,33 +276,37 @@ func New(opts ...Option) (*Pipeline, error) {
 // tier's only sender.
 const pipelineStream = 1
 
-// link stands the pipeline's chain up on its first use (transport.Link) and
-// has the garbage collector stop it once the pipeline is unreachable.
-func (p *Pipeline) link() error {
-	if p.tiers != nil {
-		return nil
-	}
-	tiers, err := transport.Link(p.stages)
+// link stands a chain up in this process (transport.Link), each stage a
+// tier of one.
+func link(stages []shuffler.Stage) (fleet[*transport.StageService], error) {
+	tiers, err := transport.Link(stages)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	p.tiers = tiers
-	runtime.AddCleanup(p, closeTiers, tiers)
-	return nil
+	f := make(fleet[*transport.StageService], len(tiers))
+	for i := range tiers {
+		f[i] = tiers[i : i+1]
+	}
+	return f, nil
 }
 
-// closeTiers stops a dropped pipeline's engines, in hop order, off the
-// runtime's cleanup goroutine.
-func closeTiers(tiers []*transport.StageService) {
+// closeTiers stops a pipeline's engines, in hop order, off the caller's
+// goroutine: New has the runtime's cleanup goroutine call it once the
+// pipeline is garbage.
+func closeTiers(tiers fleet[*transport.StageService]) {
 	go func() {
 		for _, t := range tiers {
-			t.Close()
+			t[0].Close()
 		}
 	}()
 }
 
-// Quote returns the SGX attestation quote of the shuffler key (ModeSGX).
-func (p *Pipeline) Quote() sgx.Quote { return p.quote }
+// Quote returns the SGX attestation quote the shuffler tier serves over
+// its key (ModeSGX; the zero Quote in the other modes).
+func (p *Pipeline) Quote() sgx.Quote {
+	att, _ := p.tiers[0][0].Attestation()
+	return att.Quote
+}
 
 // PrivacyGuarantee returns the (eps, delta) differential-privacy guarantee
 // the shuffler's randomized thresholding provides for the crowd-ID multiset,
@@ -355,13 +331,13 @@ func (p *Pipeline) Submit(crowdLabel string, data []byte) error {
 		}
 	}
 	if p.mode == ModeBlinded {
-		env, err := p.blindedClient.Encode(crowdLabel, data)
+		env, err := p.benc.Encode(crowdLabel, data)
 		if err != nil {
 			return err
 		}
 		return p.wait(core.Batch{Blinded: []core.BlindedEnvelope{env}})
 	}
-	env, err := p.client.Encode(core.Report{CrowdID: core.HashCrowdID(crowdLabel), Data: data})
+	env, err := p.enc.Encode(core.Report{CrowdID: core.HashCrowdID(crowdLabel), Data: data})
 	if err != nil {
 		return err
 	}
@@ -381,39 +357,12 @@ func (p *Pipeline) ingest() error {
 	if p.waiting.Len() == 0 {
 		return nil
 	}
-	if err := p.link(); err != nil {
-		return err
-	}
 	p.pos++
-	if _, err := p.tiers[0].Submit(pipelineStream, p.pos, p.waiting); err != nil {
+	if _, err := p.tiers[0][0].Submit(pipelineStream, p.pos, p.waiting); err != nil {
 		return err
 	}
 	p.waiting = core.Batch{}
 	return nil
-}
-
-// encodeBatch is the SubmitBatch encode path Pipeline and RemotePipeline
-// share: it checks the batch's shape and encodes report i (labels[i],
-// data[i]) on the worker pool with whichever client the mode wired — benc
-// in ModeBlinded, enc otherwise — returning the envelopes as the wire batch
-// the first stage ingests.
-func encodeBatch(enc *encoder.Client, benc *encoder.BlindedClient, labels []string, data [][]byte, workers int) (core.Batch, error) {
-	if len(labels) != len(data) {
-		return core.Batch{}, fmt.Errorf("prochlo: %d labels for %d data payloads", len(labels), len(data))
-	}
-	if len(labels) == 0 {
-		return core.Batch{}, nil
-	}
-	if benc != nil {
-		envs, err := benc.EncodeBatch(labels, data, workers)
-		return core.Batch{Blinded: envs}, err
-	}
-	reports := make([]core.Report, len(labels))
-	for i := range reports {
-		reports[i] = core.Report{CrowdID: core.HashCrowdID(labels[i]), Data: data[i]}
-	}
-	envs, err := enc.EncodeBatch(reports, workers)
-	return core.Batch{Envelopes: envs}, err
 }
 
 // SubmitBatch encodes a batch of client reports — labels[i] is report i's
@@ -440,7 +389,7 @@ func (p *Pipeline) SubmitBatch(labels []string, data [][]byte) error {
 		}
 		data = shared
 	}
-	batch, err := encodeBatch(p.client, p.blindedClient, labels, data, p.workers)
+	batch, err := p.encodeBatch(labels, data, p.workers)
 	if err != nil {
 		return err
 	}
@@ -455,11 +404,7 @@ func (p *Pipeline) SubmitBatch(labels []string, data [][]byte) error {
 
 // Pending returns the number of reports awaiting a Flush, admitted or not.
 func (p *Pipeline) Pending() int {
-	n := p.waiting.Len()
-	if p.tiers != nil {
-		n += p.tiers[0].Stats().Pending
-	}
-	return n
+	return p.waiting.Len() + p.tiers[0][0].Stats().Pending
 }
 
 // Result is the analyzer-side outcome of one batch.
@@ -481,7 +426,9 @@ type Result struct {
 // analyzer and returns the analysis result: it hands the first tier what
 // Submit left waiting, drains the tiers in hop order — each processes its
 // epoch and pushes the output into the next, exactly as the networked
-// daemons forward epochs — and reads what the analyzer's sink folded.
+// daemons forward epochs — and reads what the analyzer's sink folded, as
+// RemotePipeline.Flush does. The tiers count from the pipeline's start, so
+// the result is what they gained since the previous Flush that returned one.
 // Result.ShufflerStats is the last shuffler's (the thresholding hop's)
 // selectivity, the only stage whose stats describe what reaches the
 // analyzer. A pending epoch below the first stage's anonymity floor is
@@ -493,32 +440,20 @@ func (p *Pipeline) Flush() (*Result, error) {
 	if err := p.ingest(); err != nil {
 		return nil, err
 	}
-	// The sink and the tier stats count from the pipeline's start: the
-	// epoch's result is what they gained across its drain.
-	hops, sink := p.tiers[:len(p.tiers)-1], p.tiers[len(p.tiers)-1]
-	before, undecBefore, err := sink.Histogram()
+	now, _, err := p.tiers.flush()
 	if err != nil {
 		return nil, err
 	}
-	statsBefore := hops[len(hops)-1].Stats().Cumulative
-	var st transport.ServiceStats
-	for _, t := range hops {
-		if st, err = t.Drain(false); err != nil {
-			return nil, err
-		}
-	}
-	after, undec, err := sink.Histogram()
-	if err != nil {
-		return nil, err
-	}
+	was := p.flushed
+	p.flushed = now
 	res := &Result{
 		Histogram:     make(map[string]int),
-		ShufflerStats: since(st.Cumulative, statsBefore),
-		Undecryptable: undec - undecBefore,
+		ShufflerStats: now.ShufflerStats.Sub(was.ShufflerStats),
+		Undecryptable: now.Undecryptable - was.Undecryptable,
 	}
-	for v, n := range after {
-		if n > before[v] {
-			res.Histogram[v] = n - before[v]
+	for v, n := range now.Histogram {
+		if n > was.Histogram[v] {
+			res.Histogram[v] = n - was.Histogram[v]
 		}
 	}
 	if p.secretT > 0 {
@@ -538,16 +473,4 @@ func (p *Pipeline) Flush() (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// since is the selectivity of the epochs between two of a stage's
-// cumulative stats.
-func since(now, then shuffler.Stats) shuffler.Stats {
-	return shuffler.Stats{
-		Received:        now.Received - then.Received,
-		Undecryptable:   now.Undecryptable - then.Undecryptable,
-		Crowds:          now.Crowds - then.Crowds,
-		CrowdsForwarded: now.CrowdsForwarded - then.CrowdsForwarded,
-		Forwarded:       now.Forwarded - then.Forwarded,
-	}
 }

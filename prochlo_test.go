@@ -1,6 +1,7 @@
 package prochlo
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"prochlo/internal/core"
+	"prochlo/internal/crypto/elgamal"
 	"prochlo/internal/shuffler"
+	"prochlo/internal/transport"
 )
 
 // TestPlainPipelineEndToEnd: reports in big crowds reach the analyzer's
@@ -191,6 +194,67 @@ func TestInvalidOptions(t *testing.T) {
 	}
 }
 
+// TestPipelineEncodesToServedKeys pins where an in-process pipeline's
+// client gets its keys, in every mode: its encoder's keys and its Quote are
+// the bytes its tiers serve over Keys and Attestation, as a RemotePipeline's
+// are the bytes its daemons serve.
+func TestPipelineEncodesToServedKeys(t *testing.T) {
+	served := func(t *testing.T, p *Pipeline, tier int) transport.Keys {
+		t.Helper()
+		keys, err := p.tiers[tier][0].Keys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	same := func(t *testing.T, what string, got, want []byte) {
+		t.Helper()
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("%s = %x, want the served %x", what, got, want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		mode Mode
+	}{{"plain", ModePlain}, {"sgx", ModeSGX}, {"blinded", ModeBlinded}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := New(WithMode(tc.mode), WithSeed(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			att, attErr := p.tiers[0][0].Attestation()
+			if q := p.Quote(); !bytes.Equal(q.ReportData, att.Quote.ReportData) || !bytes.Equal(q.R, att.Quote.R) || !bytes.Equal(q.S, att.Quote.S) {
+				t.Errorf("Quote() = %+v, want the served %+v", q, att.Quote)
+			}
+			anlz := served(t, p, len(p.tiers)-1)
+			switch tc.mode {
+			case ModeBlinded:
+				hop1, hop2 := served(t, p, 0), served(t, p, 1)
+				a, err := elgamal.ParseProvenKey(hop1.Blinding)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, "Shuffler1Blinding", p.benc.Shuffler1Blinding.Bytes(), a.Bytes())
+				same(t, "Shuffler2Blinding", p.benc.Shuffler2Blinding.Bytes(), hop2.Blinding)
+				same(t, "Shuffler2Key", p.benc.Shuffler2Key.Bytes(), hop2.Key)
+				same(t, "AnalyzerKey", p.benc.AnalyzerKey.Bytes(), anlz.Key)
+			case ModeSGX:
+				if attErr != nil {
+					t.Fatal(attErr)
+				}
+				same(t, "ShufflerKey", p.enc.ShufflerKey.Bytes(), att.Quote.ReportData)
+				same(t, "AnalyzerKey", p.enc.AnalyzerKey.Bytes(), anlz.Key)
+			default:
+				if attErr == nil {
+					t.Error("a plain shuffler served a quote")
+				}
+				same(t, "ShufflerKey", p.enc.ShufflerKey.Bytes(), served(t, p, 0).Key)
+				same(t, "AnalyzerKey", p.enc.AnalyzerKey.Bytes(), anlz.Key)
+			}
+		})
+	}
+}
+
 func TestFlushSmallBatchFails(t *testing.T) {
 	p, err := New(WithSeed(8), WithMinBatch(50))
 	if err != nil {
@@ -219,6 +283,26 @@ func TestFlushSmallBatchFails(t *testing.T) {
 	if res.ShufflerStats.Received != 50 {
 		t.Errorf("Flush received %d reports, want all 50", res.ShufflerStats.Received)
 	}
+}
+
+// relink stands p's chain up again over its stages, as New linked them,
+// closing the tiers it replaces: a test that swaps a stage after New calls
+// it. The new tiers close when the test ends.
+func relink(t *testing.T, p *Pipeline) {
+	t.Helper()
+	for _, tier := range p.tiers {
+		tier[0].Close()
+	}
+	tiers, err := link(p.stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.tiers = tiers
+	t.Cleanup(func() {
+		for _, tier := range tiers {
+			tier[0].Close()
+		}
+	})
 }
 
 // admitCounter wraps a pipeline's first stage and records what it admits:
@@ -263,6 +347,7 @@ func TestPipelineAdmitsOnArrival(t *testing.T) {
 	p := build()
 	counter := &admitCounter{Stage: p.stages[0], seen: make(map[string]int)}
 	p.stages[0] = counter
+	relink(t, p)
 	submitted := 0
 	step := func(what string, wantCalls ...int) {
 		t.Helper()

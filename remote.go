@@ -2,24 +2,24 @@ package prochlo
 
 import (
 	"crypto/ecdsa"
-	crand "crypto/rand"
 	"errors"
 	"fmt"
 	"sync"
 
 	"prochlo/internal/core"
-	"prochlo/internal/crypto/elgamal"
-	"prochlo/internal/crypto/hybrid"
 	"prochlo/internal/encoder"
 	"prochlo/internal/metrics"
-	"prochlo/internal/shuffler"
 	"prochlo/internal/transport"
 )
 
 // RemotePipeline is the networked counterpart of Pipeline: it plays the
 // client fleet against long-lived stage daemons (cmd/prochlod or the
 // transport services directly), fetching the stage keys from the daemons,
-// encoding locally, and shipping whole batches per round trip. A deployment
+// encoding locally, and shipping whole batches per round trip. Key fetch,
+// drain and histogram read are Pipeline's own code, run over connections
+// instead of in-process tiers; the entry balancer, the partition stamps and
+// the refresh of hop 1's key after a redial are the networked client's
+// alone. A deployment
 // is its list of tiers in chain order — the entry hop first, the analyzer's
 // tier last, the shuffler hops between. The pipeline holds one connection
 // per party, dialed once: submissions, health probes, stats, drains and key
@@ -70,14 +70,14 @@ type RemotePipeline struct {
 	// drain (zero before the first), so each loss fails one Flush.
 	drained []transport.ServiceStats
 
-	enc  *encoder.Client        // ModePlain / ModeSGX
-	benc *encoder.BlindedClient // ModeBlinded
+	// encoders is the mode's encoder, learned from the keys the tiers
+	// serve; benc is refreshed after an entry redial (blindedClient).
+	encoders
 	// tiers are the deployment's replica sets in chain order: tiers[0] is
 	// the entry hop, the last is the analyzer's partitions, queried for the
-	// key and the histogram alone, and the shuffler hops (hops) are every
-	// tier but the last. Flush drains the hops front to back so each tier's
-	// final epochs reach the next before that tier is drained.
-	tiers [][]*transport.Client
+	// key and the histogram alone, and the shuffler hops are every tier but
+	// the last.
+	tiers fleet[*transport.Client]
 	// entry balances submissions across tiers[0]'s clients; see
 	// transport.Balancer for the failover safety rule.
 	entry *transport.Balancer
@@ -163,34 +163,6 @@ func (r *RemotePipeline) dialTiers(tierAddrs [][]string) error {
 	return nil
 }
 
-// hops returns the shuffler hops' tiers, in chain order: every tier but the
-// analyzer's.
-func (r *RemotePipeline) hops() [][]*transport.Client { return r.tiers[:len(r.tiers)-1] }
-
-// firstOf runs fetch against each replica of a tier until one answers —
-// replicas of a tier share key material, so any reachable one is
-// authoritative — returning the last error if none does.
-func firstOf[T any](tier []*transport.Client, fetch func(*transport.Client) (T, error)) (T, error) {
-	var out T
-	var err error
-	for _, cl := range tier {
-		if out, err = fetch(cl); err == nil {
-			return out, nil
-		}
-	}
-	return out, err
-}
-
-// deployedKey parses a hybrid public key a daemon served; what names it in
-// the error.
-func deployedKey(what string, b []byte) (*hybrid.PublicKey, error) {
-	key, err := hybrid.ParsePublicKey(b)
-	if err != nil {
-		return nil, fmt.Errorf("prochlo: %s: %w", what, err)
-	}
-	return key, nil
-}
-
 // DialRemoteFleet connects to a single-shuffler deployment — the shuffler
 // tier's replicas and the analyzer tier's partitions — and fetches their
 // public keys, returning a pipeline handle ready to encode and submit
@@ -249,122 +221,14 @@ func dialRemote(tierAddrs [][]string, opts []RemoteOption) (*RemotePipeline, err
 	}
 	err := r.dialTiers(tierAddrs)
 	if err == nil {
-		if chain {
-			err = r.chainKeys()
-		} else {
-			err = r.shufflerKeys()
-		}
+		r.hop1Dials = entryDials(r.tiers[0])
+		r.encoders, err = r.tiers.learnKeys(r.attestCA)
 	}
 	if err != nil {
 		r.Close()
 		return nil, err
 	}
 	return r, nil
-}
-
-// analyzerKey fetches and parses the analyzer tier's public key from the
-// first reachable partition (partitions share the key).
-func (r *RemotePipeline) analyzerKey() (*hybrid.PublicKey, error) {
-	keys, err := firstOf(r.tiers[len(r.tiers)-1], (*transport.Client).Keys)
-	if err != nil {
-		return nil, fmt.Errorf("prochlo: analyzer key: %w", err)
-	}
-	return deployedKey("analyzer key", keys.Key)
-}
-
-// shufflerKeys builds the single-shuffler encoder: the shuffler tier's key,
-// from its attested quote under WithRemoteAttestation, and the analyzer's.
-func (r *RemotePipeline) shufflerKeys() error {
-	var shufKeyBytes []byte
-	if r.attestCA != nil {
-		var err error
-		if shufKeyBytes, err = r.tiers[0][0].Attestation(r.attestCA, shuffler.SGXShufflerMeasurement); err != nil {
-			return fmt.Errorf("prochlo: shuffler attestation: %w", err)
-		}
-	} else {
-		keys, err := firstOf(r.tiers[0], (*transport.Client).Keys)
-		if err != nil {
-			return fmt.Errorf("prochlo: shuffler key: %w", err)
-		}
-		shufKeyBytes = keys.Key
-	}
-	shufKey, err := deployedKey("shuffler key", shufKeyBytes)
-	if err != nil {
-		return err
-	}
-	anlzKey, err := r.analyzerKey()
-	if err != nil {
-		return err
-	}
-	r.enc = &encoder.Client{ShufflerKey: shufKey, AnalyzerKey: anlzKey, Rand: crand.Reader}
-	return nil
-}
-
-// chainKeys builds the chain's encoder: Shuffler 1's proven blinding key,
-// Shuffler 2's El Gamal and hybrid keys, and the analyzer's.
-func (r *RemotePipeline) chainKeys() error {
-	r.hop1Dials = entryDials(r.tiers[0])
-	hop1, err := hop1Key(r.tiers[0], false)
-	if err != nil {
-		return err
-	}
-	keys, err := firstOf(r.tiers[1], (*transport.Client).Keys)
-	if err != nil {
-		return fmt.Errorf("prochlo: shuffler 2 keys: %w", err)
-	}
-	blinding, err := elgamal.ParsePoint(keys.Blinding)
-	if err != nil {
-		return fmt.Errorf("prochlo: shuffler 2 blinding key: %w", err)
-	}
-	s2Key, err := deployedKey("shuffler 2 key", keys.Key)
-	if err != nil {
-		return err
-	}
-	anlzKey, err := r.analyzerKey()
-	if err != nil {
-		return err
-	}
-	r.benc = &encoder.BlindedClient{
-		Shuffler1Blinding: hop1,
-		Shuffler2Blinding: blinding,
-		Shuffler2Key:      s2Key,
-		AnalyzerKey:       anlzKey,
-		Rand:              crand.Reader,
-	}
-	return nil
-}
-
-// hop1Key fetches Shuffler 1's blinding key A from every replica of the
-// entry tier; with skipDown set it skips a replica it cannot reach, and
-// returns the zero Point if none answers. It refuses a key whose proof of α
-// fails (elgamal.ParseProvenKey): clients encrypt C1 on A, so a hop 1 that
-// served a point whose log it does not know, such as a multiple of Shuffler
-// 2's key, could unmask C2 and read the crowd IDs. It refuses replicas that
-// serve different keys too: the reports entering the odd replica would be
-// encrypted on an A whose α that replica does not blind with, and each would
-// reach hop 2 as a crowd of one, suppressed.
-func hop1Key(tier []*transport.Client, skipDown bool) (elgamal.Point, error) {
-	var first elgamal.Point
-	var firstAddr string
-	for _, cl := range tier {
-		keys, err := cl.Keys()
-		if skipDown && transport.IsTransient(err) {
-			continue
-		}
-		var a elgamal.Point
-		if err == nil {
-			a, err = elgamal.ParseProvenKey(keys.Blinding)
-		}
-		if err != nil {
-			return elgamal.Point{}, fmt.Errorf("prochlo: shuffler 1 blinding key: %w (served by %s)", err, cl.Addr())
-		}
-		if firstAddr == "" {
-			first, firstAddr = a, cl.Addr()
-		} else if !a.Equal(first) {
-			return elgamal.Point{}, fmt.Errorf("prochlo: shuffler 1 replicas %s and %s serve different blinding keys (start every replica of a tier from one key file)", firstAddr, cl.Addr())
-		}
-	}
-	return first, nil
 }
 
 // entryDials sums the connections a tier's clients have dialed.
@@ -438,7 +302,7 @@ func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
 	if err != nil {
 		return err
 	}
-	batch, err := encodeBatch(r.enc, benc, labels, data, r.workers)
+	batch, err := encoders{r.enc, benc}.encodeBatch(labels, data, r.workers)
 	if err != nil || len(labels) == 0 {
 		return err
 	}
@@ -453,33 +317,6 @@ func (r *RemotePipeline) SubmitBatch(labels []string, data [][]byte) error {
 		}
 	}
 	return err
-}
-
-// aggregateStats sums a tier's per-replica stats into one tier-level view:
-// counters add, LastError keeps the first non-empty replica error.
-func aggregateStats(tier []transport.ServiceStats) transport.ServiceStats {
-	var agg transport.ServiceStats
-	for _, s := range tier {
-		agg.Pending += s.Pending
-		agg.QueuedEpochs += s.QueuedEpochs
-		agg.EpochsFlushed += s.EpochsFlushed
-		agg.EpochsFailed += s.EpochsFailed
-		agg.Accepted += s.Accepted
-		agg.Rejected += s.Rejected
-		agg.Dropped += s.Dropped
-		agg.Unaccounted += s.Unaccounted
-		agg.RecoveredItems += s.RecoveredItems
-		agg.RecoveredEpochs += s.RecoveredEpochs
-		agg.Cumulative.Received += s.Cumulative.Received
-		agg.Cumulative.Undecryptable += s.Cumulative.Undecryptable
-		agg.Cumulative.Crowds += s.Cumulative.Crowds
-		agg.Cumulative.CrowdsForwarded += s.Cumulative.CrowdsForwarded
-		agg.Cumulative.Forwarded += s.Cumulative.Forwarded
-		if agg.LastError == "" {
-			agg.LastError = s.LastError
-		}
-	}
-	return agg
 }
 
 // Stats fetches the entry tier's aggregate occupancy and epoch counters: the
@@ -513,7 +350,7 @@ func (r *RemotePipeline) HopStats() ([]transport.ServiceStats, error) {
 // FleetStats fetches every shuffler replica's stats, indexed
 // [hop][replica].
 func (r *RemotePipeline) FleetStats() ([][]transport.ServiceStats, error) {
-	hops := r.hops()
+	hops := r.tiers.hops()
 	out := make([][]transport.ServiceStats, len(hops))
 	for t, tier := range hops {
 		var err error
@@ -537,63 +374,20 @@ func tierStats(t int, tier []*transport.Client) ([]transport.ServiceStats, error
 	return out, nil
 }
 
-// DrainAll drains the shuffler hops in chain order — every replica of a
-// hop is drained before the next tier, so each hop's final epochs reach the
-// next tier's ingestion before that tier cuts — and returns every
-// replica's post-drain stats, indexed [hop][replica]. The analyzer tier's
-// barrier is its Histogram call, which drains before it answers. A replica
-// that is mid-restart is retried under the transport's one redial policy
-// (drains are idempotent), so a crash-recovering fleet still reaches the
-// barrier; the recovered replica's stats appear in its slot. Force additionally
-// releases below-floor final epochs as Dropped (counted, reconciled)
-// instead of leaving them pending — the final drain of a deployment
-// shutting down for good.
-//
-// Every replica is drained even when one fails; the first error is
-// returned alongside the full stats. A successful DrainAll guarantees
-// fleet-wide Unaccounted == 0: each replica's accepted reports are all
-// either counted downstream, dropped, or pending.
+// DrainAll drains the shuffler hops in chain order, every replica of a hop
+// before the next tier, and returns every replica's post-drain stats,
+// indexed [hop][replica]. Force releases below-floor final epochs as
+// Dropped (counted, reconciled) instead of leaving them pending — the final
+// drain of a deployment shutting down for good. A replica that is
+// mid-restart is retried under the transport's one redial policy (drains
+// are idempotent), so a crash-recovering fleet still reaches the barrier;
+// the recovered replica's stats appear in its slot. Every replica is
+// drained even when one fails; the first error is returned alongside the
+// full stats. A successful DrainAll guarantees fleet-wide Unaccounted == 0:
+// each replica's accepted reports are all either counted downstream,
+// dropped, or pending.
 func (r *RemotePipeline) DrainAll(force bool) ([][]transport.ServiceStats, error) {
-	hops := r.hops()
-	out := make([][]transport.ServiceStats, len(hops))
-	var firstErr error
-	for t, tier := range hops {
-		out[t] = make([]transport.ServiceStats, len(tier))
-		for i, cl := range tier {
-			stats, err := cl.DrainMode(force)
-			if err == nil && stats.Unaccounted != 0 {
-				// At a drain barrier every accepted report must be counted
-				// downstream, dropped, or pending — anything else is a leak
-				// in the exactly-once machinery, worth failing loudly over.
-				err = fmt.Errorf("prochlo: hop %d replica %d: %d accepted reports unaccounted for after drain",
-					t+1, i, stats.Unaccounted)
-			}
-			out[t][i] = stats
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return out, firstErr
-}
-
-// histogram merges the analyzer partitions' histograms — the last tier's;
-// counts sum, so the merge is deterministic regardless of how the fleet
-// spread the records.
-func (r *RemotePipeline) histogram() (map[string]int, int, error) {
-	counts := make(map[string]int)
-	undec := 0
-	for i, anlz := range r.tiers[len(r.tiers)-1] {
-		c, u, err := anlz.Histogram()
-		if err != nil {
-			return nil, 0, fmt.Errorf("prochlo: analyzer partition %d histogram: %w", i, err)
-		}
-		for k, v := range c {
-			counts[k] += v
-		}
-		undec += u
-	}
-	return counts, undec, nil
+	return r.tiers.drain(force)
 }
 
 // Flush drains the shuffler hops in chain order (DrainAll) and returns the
@@ -605,23 +399,14 @@ func (r *RemotePipeline) histogram() (map[string]int, int, error) {
 // rose since this pipeline's previous Flush (from zero before its first):
 // those reports were acked and will never be counted.
 func (r *RemotePipeline) Flush() (*Result, error) {
-	stats, err := r.DrainAll(false)
+	res, stats, err := r.tiers.flush()
 	if lerr := r.noteLosses(stats); err == nil {
 		err = lerr
 	}
 	if err != nil {
 		return nil, err
 	}
-	counts, undec, err := r.histogram()
-	if err != nil {
-		return nil, err
-	}
-	last := aggregateStats(stats[len(stats)-1])
-	return &Result{
-		Histogram:     counts,
-		ShufflerStats: last.Cumulative,
-		Undecryptable: undec,
-	}, nil
+	return res, nil
 }
 
 // noteLosses compares each shuffler hop's summed Dropped and EpochsFailed

@@ -590,7 +590,7 @@ func TestRemoteChainCrashRestartSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = hop1.Drain()
+	_, err = hop1.Drain(false)
 	hop1.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -86,6 +86,9 @@ rule 'One tier list, one status call' grep . "$prog" \
 rule 'One driver' grep '^[^/]*\.go$' "$tests" \
 	'\.(Admit|ProcessEpoch)\(|RunEpoch\(|analyzer\.Analyzer\b|\badmit\(' \
 	"prochlo.Pipeline runs its stages on the daemons' epoch engine (transport.Link), so the engine is the one place a batch is admitted and an epoch processed: the root package admits nothing, runs no stage and holds no analyzer of its own."
+rule 'One client' grep '^[^/]*\.go$' "$tests" \
+	'\.Public\(\)|Blinding\.H\b' \
+	"prochlo.Pipeline and RemotePipeline are one client: both learn their encoder's keys from what their tiers serve over Keys and Attestation, hop 1's proof of alpha and an SGX quote checked. No root-package program file derives a client key from a stage's secret."
 rule 'No test adversary in a daemon: no program links faultnet' deps './cmd/... ./examples/...' '' \
 	'^prochlo/internal/faultnet$' \
 	'Fault injection is a seeded proxy on the wire, internal/faultnet, which only tests import: no command or example links it.'
